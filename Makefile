@@ -1,6 +1,6 @@
 # CI and humans invoke the same targets. The ci.yml workflow runs
 # parallel jobs — lint (`make fmt vet staticcheck`), test (`make build
-# race cover`), chaos (`make chaos`), serve (`make serve-smoke`, the
+# race benchmark-check cover`), chaos (`make chaos`), serve (`make serve-smoke`, the
 # Docker compose cluster), and bench (`make bench-smoke bench-api
 # bench-prune bench-text bench-shard bench-live` plus a `figures -fig
 # summary` step table) — and the nightly workflow adds `make
@@ -18,7 +18,7 @@ GO ?= go
 # committed BENCH_shard.json baseline minus a tolerance.
 MIN_SHARD_SPEEDUP ?= 0
 
-.PHONY: all build test race bench bench-smoke bench-prune bench-text bench-api bench-shard bench-shard-large bench-live bench-city cover fmt vet staticcheck chaos chaos-soak serve-smoke clean
+.PHONY: all build test race benchmark-check bench bench-smoke bench-prune bench-text bench-api bench-shard bench-shard-large bench-live bench-city cover fmt vet staticcheck chaos chaos-soak serve-smoke clean
 
 all: fmt vet staticcheck build test
 
@@ -33,6 +33,14 @@ test:
 # explicit headroom over go test's default 10m per-package timeout.
 race:
 	$(GO) test -race -timeout 20m ./...
+
+# benchmark/ is a Go module of its own (it reaches repro/internal/...
+# through a replace directive), so `./...` at the root neither compiles
+# nor runs it: vet it and run its smoke test (< 10 s) against this tree.
+# The root package's TestBenchmarkModule does the same inside `go test`.
+benchmark-check:
+	GOWORK=off $(GO) vet -C benchmark ./...
+	GOWORK=off $(GO) test -C benchmark ./...
 
 # Full benchmark run (minutes on a laptop), plus the pruning, text,
 # shard, and live-serving artifacts.
@@ -102,11 +110,12 @@ bench-city:
 
 # Per-package coverage floors for the subsystems whose correctness
 # arguments live in their tests (dirty-set soundness, prune
-# conservativeness, the distributed bound exchange, the gateway's
+# conservativeness, the distributed bound exchange, the live-serving
+# core's session table and emit-lock ordering, the gateway's
 # protocol/auth/SSE surface and its metric exposition, and the hybrid
 # keyword index's predicate/posting algebra). Writes COVERAGE.txt and
 # fails below 80%.
-COVER_PKGS = ./internal/continuous ./internal/prune ./internal/cluster ./internal/gateway ./internal/metrics ./internal/textidx
+COVER_PKGS = ./internal/continuous ./internal/prune ./internal/cluster ./internal/serve ./internal/gateway ./internal/metrics ./internal/textidx
 cover:
 	@set -e; rm -f COVERAGE.txt; \
 	for pkg in $(COVER_PKGS); do \

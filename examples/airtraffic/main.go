@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,7 +53,7 @@ func main() {
 	// Continuous view: which aircraft can be flight 1's nearest neighbor,
 	// and when? The engine's processor gives interval-level access on top
 	// of the unified Request route.
-	proc, err := repro.NewEngine(0).Processor(store, q.OID, 0, 30)
+	proc, err := repro.NewEngine(0).ProcessorWhereCtx(context.Background(), store, q.OID, 0, 30, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/modserver"
 )
 
 func main() {
@@ -32,12 +31,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := modserver.NewServer(store)
+	srv := repro.NewModServer(store, nil, repro.ModServerOptions{})
 	go srv.Serve(l)
 	defer srv.Close()
 
 	// Client side: the user's phone.
-	c, err := modserver.Dial(l.Addr().String())
+	c, err := repro.DialModServer(l.Addr().String(), repro.ModDialOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 	// The memoized, index-pruned processor behind the unified API gives
 	// interval-level access beyond what a Request expresses.
 	eng := repro.NewEngine(0)
-	proc, err := eng.Processor(store, rider.OID, 0, 60)
+	proc, err := eng.ProcessorWhereCtx(context.Background(), store, rider.OID, 0, 60, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

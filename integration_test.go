@@ -1,6 +1,3 @@
-//lint:file-ignore SA1019 the integration suite keeps covering the
-// deprecated compatibility wrappers until they are removed.
-
 package repro_test
 
 // End-to-end integration tests spanning the whole pipeline: workload →
@@ -21,10 +18,12 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/modserver"
+	"repro/internal/queries"
 	"repro/internal/sindex"
 	"repro/internal/trajectory"
 	"repro/internal/uncertain"
 	"repro/internal/updf"
+	"repro/internal/uql"
 )
 
 // TestPipelineWorkloadToAnswers drives the full stack on one deterministic
@@ -94,7 +93,7 @@ func TestPipelineWorkloadToAnswers(t *testing.T) {
 	}
 
 	// Tree answers vs processor answers vs envelope.
-	proc, err := repro.NewQueryProcessor(store.All(), q, 0, 60, r)
+	proc, err := queries.NewProcessor(store.All(), q, 0, 60, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestPipelineOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := modserver.NewServer(store)
+	srv := modserver.NewServerWith(store, nil, modserver.Options{})
 	go srv.Serve(l)
 	defer srv.Close()
 
@@ -190,7 +189,7 @@ func TestPipelineOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := repro.RunUQL(stmt, store)
+	local, err := uql.Run(stmt, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +225,11 @@ func TestSimplificationPreservesAnswers(t *testing.T) {
 			t.Fatalf("oid %d: deviation %g", tr.OID, dev)
 		}
 	}
-	p1, err := repro.NewQueryProcessor(trs, trs[0], 0, 60, r)
+	p1, err := queries.NewProcessor(trs, trs[0], 0, 60, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := repro.NewQueryProcessor(simplified, simplified[0], 0, 60, r)
+	p2, err := queries.NewProcessor(simplified, simplified[0], 0, 60, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +303,7 @@ func TestGuaranteedVsThresholdConsistency(t *testing.T) {
 		return tr
 	}
 	trs := []*trajectory.Trajectory{mk(100, 0), mk(1, 2), mk(2, 20)}
-	proc, err := repro.NewQueryProcessor(trs, trs[0], 0, 60, 0.5)
+	proc, err := queries.NewProcessor(trs, trs[0], 0, 60, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func APIOverhead(n, reps int, seed int64) (APIRow, error) {
 	}
 	qOID := trs[0].OID
 	eng := engine.NewWith(engine.Options{Workers: 1})
-	proc, err := eng.Processor(store, qOID, 0, 60)
+	proc, err := eng.ProcessorWhereCtx(context.Background(), store, qOID, 0, 60, nil)
 	if err != nil {
 		return APIRow{}, err
 	}

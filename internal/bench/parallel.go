@@ -87,7 +87,7 @@ func ParallelBatch(ns []int, k, workers int, seed int64) ([]ParRow, error) {
 
 		// Parallel side: warm the engine's memo and levels, then the batch.
 		eng := engine.New(workers)
-		pproc, err := eng.Processor(store, trs[0].OID, 0, 60)
+		pproc, err := eng.ProcessorWhereCtx(context.Background(), store, trs[0].OID, 0, 60, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -77,7 +77,7 @@ func newBenchState(b *testing.B, n, k, workers int) *benchState {
 		b.Fatal(err)
 	}
 	eng := engine.New(workers)
-	pproc, err := eng.Processor(store, trs[0].OID, 0, 60)
+	pproc, err := eng.ProcessorWhereCtx(context.Background(), store, trs[0].OID, 0, 60, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,7 +23,7 @@ import (
 type PruneRow struct {
 	N          int
 	FullT      time.Duration // avg full-scan NewProcessor + UQ31
-	IndexedT   time.Duration // avg prune.NewProcessor + UQ31
+	IndexedT   time.Duration // avg prune.ForQueryWhereCtx + UQ31
 	Candidates int           // non-query objects per query
 	Survivors  float64       // avg candidates surviving the pre-pass
 	Speedup    float64       // FullT / IndexedT
@@ -73,7 +74,7 @@ func PruneSweep(ns []int, reps int, r float64, seed int64) ([]PruneRow, error) {
 			fullT += time.Since(start)
 
 			start = time.Now()
-			ip, err := prune.NewProcessor(store, q.OID, 0, 60)
+			ip, err := prune.ForQueryWhereCtx(context.Background(), store, q, 0, 60, nil)
 			if err != nil {
 				return nil, err
 			}

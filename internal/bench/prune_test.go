@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -71,8 +72,12 @@ func benchStore(b *testing.B, n int) (*mod.Store, int64) {
 func BenchmarkUQ31Indexed(b *testing.B) {
 	store, qOID := benchStore(b, 1000)
 	b.ResetTimer()
+	q, err := store.Get(qOID)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
-		proc, err := prune.NewProcessor(store, qOID, 0, 60)
+		proc, err := prune.ForQueryWhereCtx(context.Background(), store, q, 0, 60, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +106,11 @@ func BenchmarkUQ31FullScan(b *testing.B) {
 // comparison rewrite targets: one zone scan per candidate.
 func BenchmarkBelowIntervals(b *testing.B) {
 	store, qOID := benchStore(b, 500)
-	proc, err := prune.NewProcessor(store, qOID, 0, 60)
+	q, err := store.Get(qOID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	proc, err := prune.ForQueryWhereCtx(context.Background(), store, q, 0, 60, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

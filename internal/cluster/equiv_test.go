@@ -267,7 +267,7 @@ func startShardServers(t testing.TB, store *mod.Store, n int, part cluster.Parti
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := modserver.NewServer(st)
+		srv := modserver.NewServerWith(st, nil, modserver.Options{})
 		go srv.Serve(l)
 		t.Cleanup(func() { srv.Close() })
 		remote := cluster.NewRemoteShard(fmt.Sprintf("remote-%d", i), l.Addr().String())
@@ -315,7 +315,7 @@ func TestRouterMixedShardKinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := modserver.NewServer(st)
+		srv := modserver.NewServerWith(st, nil, modserver.Options{})
 		go srv.Serve(l)
 		t.Cleanup(func() { srv.Close() })
 		remote := cluster.NewRemoteShard(fmt.Sprintf("remote-%d", i), l.Addr().String())

@@ -42,7 +42,7 @@ func faultCluster(t *testing.T, store *mod.Store, n, faultIdx int, retry cluster
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := modserver.NewServer(st)
+		srv := modserver.NewServerWith(st, nil, modserver.Options{})
 		go srv.Serve(l)
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = l.Addr().String()
@@ -264,7 +264,7 @@ func TestRetryRecoversFlakyDial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := modserver.NewServer(store)
+	srv := modserver.NewServerWith(store, nil, modserver.Options{})
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 

@@ -619,7 +619,7 @@ func (r *Router) perQueryObject(ctx context.Context, req engine.Request) (engine
 				}
 			}
 		}
-		proc, err := r.inner.ProcessorCtx(ctx, g.store, qOID, req.Tb, req.Te)
+		proc, err := r.inner.ProcessorWhereCtx(ctx, g.store, qOID, req.Tb, req.Te, nil)
 		if err != nil {
 			return fmt.Errorf("query %d: %w", qOID, err)
 		}

@@ -346,15 +346,15 @@ func TestRouterProtocolError(t *testing.T) {
 func TestLocalShardSurvivorsMatchCandidates(t *testing.T) {
 	store, trs := buildStore(t, 150, 0.5, 13)
 	q := trs[0]
-	want, _, err := prune.Candidates(store, q, 0, 30)
+	want, _, _, _, err := prune.ZoneWhereCtx(context.Background(), store, q, 0, 30, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds, err := prune.SliceBounds(context.Background(), store, q, 0, 30, 1)
+	bounds, err := prune.SliceBoundsWhere(context.Background(), store, q, 0, 30, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := prune.SurvivorsWithBounds(context.Background(), store, q, 0, 30, bounds)
+	got, stats, err := prune.SurvivorsWithBoundsWhere(context.Background(), store, q, 0, 30, bounds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestPlaintextDialAgainstTLSShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := modserver.NewServer(store)
+	srv := modserver.NewServerWith(store, nil, modserver.Options{})
 	go srv.Serve(tls.NewListener(l, pair.ServerConfig()))
 	t.Cleanup(func() { srv.Close() })
 

@@ -20,9 +20,8 @@
 //     a batch of N variants pays the envelope cost once.
 //
 // Entry points: Do for one request, DoBatch for a batch (see request.go
-// for the unified Request/Result contract), Processor for the memoized
-// preprocessing alone. Exec and ExecBatch are the deprecated pre-Request
-// surface, reimplemented as thin wrappers over Do/DoBatch.
+// for the unified Request/Result contract), ProcessorWhereCtx for the
+// memoized preprocessing alone.
 package engine
 
 import (
@@ -109,32 +108,21 @@ func NewWith(o Options) *Engine {
 // Workers returns the worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Processor returns the memoized queries.Processor for the query trajectory
-// qOID over [tb, te] against the store's current contents, building it on
-// first use. Concurrent callers with the same key share one build — and,
-// since the memo key includes the store version, they also share one pruned
-// candidate set per (store-version, query, window).
-func (e *Engine) Processor(store *mod.Store, qOID int64, tb, te float64) (*queries.Processor, error) {
-	proc, _, err := e.processor(context.Background(), store, qOID, tb, te, nil)
-	return proc, err
-}
-
-// ProcessorCtx is Processor under a context: a canceled context stops the
-// candidate pre-pass and the envelope construction inside the build.
-func (e *Engine) ProcessorCtx(ctx context.Context, store *mod.Store, qOID int64, tb, te float64) (*queries.Processor, error) {
-	proc, _, err := e.processor(ctx, store, qOID, tb, te, nil)
-	return proc, err
-}
-
-// ProcessorWhereCtx is ProcessorCtx restricted to the predicate's sub-MOD
-// (plus the exempt query trajectory). The memo key includes the canonical
-// predicate, so a lookup right after a Do with the same clause is a hit.
+// ProcessorWhereCtx returns the memoized queries.Processor for the query
+// trajectory qOID over [tb, te] against the store's current contents,
+// restricted to the predicate's sub-MOD (plus the exempt query trajectory;
+// nil means the whole MOD), building it on first use. Concurrent callers
+// with the same key share one build — and, since the memo key includes the
+// store version and the canonical predicate, they also share one pruned
+// candidate set, and a lookup right after a Do with the same clause is a
+// hit. A canceled context stops the candidate pre-pass and the envelope
+// construction inside the build.
 func (e *Engine) ProcessorWhereCtx(ctx context.Context, store *mod.Store, qOID int64, tb, te float64, where *textidx.Predicate) (*queries.Processor, error) {
 	proc, _, err := e.processor(ctx, store, qOID, tb, te, where)
 	return proc, err
 }
 
-// processor is the ctx-aware memo lookup behind Processor and Do. memoHit
+// processor is the memo lookup behind ProcessorWhereCtx and Do. memoHit
 // reports that this call reused a build instead of performing one (the
 // Explain "envelope reuse" signal). A lookup touches its entry so steadily
 // hot keys survive eviction (LRU, not insertion order). A build that

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -31,23 +32,32 @@ func newStore(t testing.TB, n int, seed int64) (*mod.Store, int64) {
 }
 
 // batchKinds is the mixed workload used by the equivalence tests: every
-// whole-MOD variant plus fixed-time retrievals, at several ranks.
-func batchKinds() []Query {
-	return []Query{
-		{Kind: KindUQ31},
-		{Kind: KindUQ32},
-		{Kind: KindUQ33, X: 0.25},
-		{Kind: KindUQ41, K: 2},
-		{Kind: KindUQ41, K: 3},
-		{Kind: KindUQ42, K: 2},
-		{Kind: KindUQ43, K: 3, X: 0.25},
-		{Kind: KindAllNNAt, T: 30},
-		{Kind: KindAllRankAt, T: 30, K: 2},
-	}
+// whole-MOD variant plus fixed-time retrievals, at several ranks, against
+// query trajectory qOID over [0, 60].
+func batchKinds(qOID int64) []Request {
+	return forQuery(qOID,
+		Request{Kind: KindUQ31},
+		Request{Kind: KindUQ32},
+		Request{Kind: KindUQ33, X: 0.25},
+		Request{Kind: KindUQ41, K: 2},
+		Request{Kind: KindUQ41, K: 3},
+		Request{Kind: KindUQ42, K: 2},
+		Request{Kind: KindUQ43, K: 3, X: 0.25},
+		Request{Kind: KindAllNNAt, T: 30},
+		Request{Kind: KindAllRankAt, T: 30, K: 2},
+	)
 }
 
-// serialItems computes the same batch with the serial Processor loops.
-func serialItems(t *testing.T, store *mod.Store, qOID int64, qs []Query) []Item {
+// forQuery points variant descriptors at query trajectory qOID over [0, 60].
+func forQuery(qOID int64, reqs ...Request) []Request {
+	for i := range reqs {
+		reqs[i].QueryOID, reqs[i].Tb, reqs[i].Te = qOID, 0, 60
+	}
+	return reqs
+}
+
+// serialResults computes the same batch with the serial Processor loops.
+func serialResults(t *testing.T, store *mod.Store, qOID int64, qs []Request) []Result {
 	t.Helper()
 	q, err := store.Get(qOID)
 	if err != nil {
@@ -57,7 +67,7 @@ func serialItems(t *testing.T, store *mod.Store, qOID int64, qs []Query) []Item 
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]Item, len(qs))
+	out := make([]Result, len(qs))
 	for i, qq := range qs {
 		var (
 			ids []int64
@@ -81,14 +91,14 @@ func serialItems(t *testing.T, store *mod.Store, qOID int64, qs []Query) []Item 
 		case KindAllRankAt:
 			ids, err = proc.PossibleRankKAt(qq.T, qq.K)
 		default:
-			t.Fatalf("serialItems: unhandled kind %q", qq.Kind)
+			t.Fatalf("serialResults: unhandled kind %q", qq.Kind)
 		}
-		out[i] = Item{OIDs: ids, Err: err}
+		out[i] = Result{OIDs: ids, Err: err}
 	}
 	return out
 }
 
-func itemsEqual(a, b Item) bool {
+func answersEqual(a, b Result) bool {
 	if a.IsBool != b.IsBool || a.Bool != b.Bool || (a.Err == nil) != (b.Err == nil) {
 		return false
 	}
@@ -104,24 +114,23 @@ func TestBatchMatchesSerial(t *testing.T) {
 		n = 200
 	}
 	store, qOID := newStore(t, n, 42)
-	qs := batchKinds()
-	want := serialItems(t, store, qOID, qs)
+	qs := batchKinds(qOID)
+	want := serialResults(t, store, qOID, qs)
 
-	eng := New(0)
-	got, err := eng.ExecBatch(store, BatchRequest{QueryOID: qOID, Tb: 0, Te: 60, Queries: qs})
+	got, err := New(0).DoBatch(context.Background(), store, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Items) != len(want) {
-		t.Fatalf("got %d items, want %d", len(got.Items), len(want))
+	if len(got) != len(want) {
+		t.Fatalf("got %d results, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got.Items[i].Err != nil {
-			t.Fatalf("query %d (%s): %v", i, qs[i].Kind, got.Items[i].Err)
+		if got[i].Err != nil {
+			t.Fatalf("query %d (%s): %v", i, qs[i].Kind, got[i].Err)
 		}
-		if !itemsEqual(got.Items[i], want[i]) {
+		if !answersEqual(got[i], want[i]) {
 			t.Errorf("query %d (%s k=%d x=%g): parallel %v != serial %v",
-				i, qs[i].Kind, qs[i].K, qs[i].X, got.Items[i].OIDs, want[i].OIDs)
+				i, qs[i].Kind, qs[i].K, qs[i].X, got[i].OIDs, want[i].OIDs)
 		}
 	}
 }
@@ -130,16 +139,15 @@ func TestBatchMatchesSerial(t *testing.T) {
 // NumCPU, more-than-OIDs) must never change any answer.
 func TestWorkerCountInvariance(t *testing.T) {
 	store, qOID := newStore(t, 120, 7)
-	qs := append(batchKinds(),
-		Query{Kind: KindUQ11, OID: qOID + 5},
-		Query{Kind: KindUQ13, OID: qOID + 5, X: 0.1},
-		Query{Kind: KindUQ21, OID: qOID + 9, K: 2},
-	)
+	qs := append(batchKinds(qOID), forQuery(qOID,
+		Request{Kind: KindUQ11, OID: qOID + 5},
+		Request{Kind: KindUQ13, OID: qOID + 5, X: 0.1},
+		Request{Kind: KindUQ21, OID: qOID + 9, K: 2},
+	)...)
 	counts := []int{1, 2, 3, runtime.NumCPU(), 1000}
-	var ref BatchResult
+	var ref []Result
 	for i, w := range counts {
-		eng := New(w)
-		got, err := eng.ExecBatch(store, BatchRequest{QueryOID: qOID, Tb: 0, Te: 60, Queries: qs})
+		got, err := New(w).DoBatch(context.Background(), store, qs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -148,9 +156,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 			continue
 		}
 		for j := range qs {
-			if !itemsEqual(got.Items[j], ref.Items[j]) {
+			if !answersEqual(got[j], ref[j]) {
 				t.Errorf("workers=%d query %d (%s): %+v != workers=1 %+v",
-					w, j, qs[j].Kind, got.Items[j], ref.Items[j])
+					w, j, qs[j].Kind, got[j], ref[j])
 			}
 		}
 	}
@@ -174,11 +182,21 @@ func TestBoolKindsMatchProcessor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := eng.Exec(store, qOID, 0, 60, Query{Kind: KindUQ11, OID: oid})
-		if got.Err != nil || !got.IsBool || got.Bool != wantB {
-			t.Fatalf("UQ11(%d): got %+v, want %v", oid, got, wantB)
+		got, err := eng.Do(context.Background(), store, Request{Kind: KindUQ11, QueryOID: qOID, Tb: 0, Te: 60, OID: oid})
+		if err != nil || !got.IsBool || got.Bool != wantB {
+			t.Fatalf("UQ11(%d): got %+v (%v), want %v", oid, got, err, wantB)
 		}
 	}
+}
+
+// memoized is the test shorthand for the whole-MOD memo lookup.
+func memoized(t *testing.T, eng *Engine, store *mod.Store, qOID int64, tb, te float64) *queries.Processor {
+	t.Helper()
+	proc, err := eng.ProcessorWhereCtx(context.Background(), store, qOID, tb, te, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return proc
 }
 
 // TestProcessorMemo checks reuse within a store version and invalidation
@@ -186,23 +204,16 @@ func TestBoolKindsMatchProcessor(t *testing.T) {
 func TestProcessorMemo(t *testing.T) {
 	store, qOID := newStore(t, 40, 11)
 	eng := New(2)
-	p1, err := eng.Processor(store, qOID, 0, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := eng.Processor(store, qOID, 0, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
+	p1 := memoized(t, eng, store, qOID, 0, 60)
+	if p2 := memoized(t, eng, store, qOID, 0, 60); p1 != p2 {
 		t.Fatal("same key did not reuse the memoized processor")
 	}
 	if eng.MemoLen() != 1 {
 		t.Fatalf("memo len = %d, want 1", eng.MemoLen())
 	}
 	// A different window is a different key.
-	if p3, err := eng.Processor(store, qOID, 0, 30); err != nil || p3 == p1 {
-		t.Fatalf("window change should build a new processor (err=%v)", err)
+	if p3 := memoized(t, eng, store, qOID, 0, 30); p3 == p1 {
+		t.Fatal("window change should build a new processor")
 	}
 	// A store mutation bumps the version and invalidates.
 	trs, err := workload.Generate(workload.DefaultConfig(99), 41)
@@ -212,10 +223,7 @@ func TestProcessorMemo(t *testing.T) {
 	if err := store.Insert(trs[40]); err != nil {
 		t.Fatal(err)
 	}
-	p4, err := eng.Processor(store, qOID, 0, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p4 := memoized(t, eng, store, qOID, 0, 60)
 	if p4 == p1 {
 		t.Fatal("store mutation did not invalidate the memo")
 	}
@@ -230,18 +238,16 @@ func TestProcessorMemo(t *testing.T) {
 func TestConcurrentBatches(t *testing.T) {
 	store, qOID := newStore(t, 80, 21)
 	eng := New(runtime.NumCPU())
-	qs := batchKinds()
+	qs := batchKinds(qOID)
 	const goroutines = 8
 	var wg sync.WaitGroup
-	results := make([]BatchResult, goroutines)
+	results := make([][]Result, goroutines)
 	errs := make([]error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], errs[g] = eng.ExecBatch(store, BatchRequest{
-				QueryOID: qOID, Tb: 0, Te: 60, Queries: qs,
-			})
+			results[g], errs[g] = eng.DoBatch(context.Background(), store, qs)
 		}(g)
 	}
 	wg.Wait()
@@ -250,7 +256,7 @@ func TestConcurrentBatches(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
 		for j := range qs {
-			if !itemsEqual(results[g].Items[j], results[0].Items[j]) {
+			if !answersEqual(results[g][j], results[0][j]) {
 				t.Errorf("goroutine %d query %d (%s) diverged", g, j, qs[j].Kind)
 			}
 		}
@@ -260,43 +266,31 @@ func TestConcurrentBatches(t *testing.T) {
 	}
 }
 
-// TestErrors covers the per-query and per-batch failure paths.
+// TestErrors covers the per-request failure paths: one bad batch member
+// never poisons its siblings.
 func TestErrors(t *testing.T) {
 	store, qOID := newStore(t, 20, 5)
 	eng := New(2)
-	if _, err := eng.ExecBatch(store, BatchRequest{QueryOID: 99999, Tb: 0, Te: 60}); err == nil {
-		t.Error("unknown query OID should fail the batch")
-	}
-	res, err := eng.ExecBatch(store, BatchRequest{
-		QueryOID: qOID, Tb: 0, Te: 60,
-		Queries: []Query{
-			{Kind: "NOPE"},
-			{Kind: KindUQ33, X: 2},
-			{Kind: KindUQ43, K: 0, X: 0.5},
-			{Kind: KindUQ11, OID: 424242},
-			{Kind: KindUQ31},
-		},
-	})
+	res, err := eng.DoBatch(context.Background(), store, append(forQuery(qOID,
+		Request{Kind: "NOPE"},
+		Request{Kind: KindUQ33, X: 2},
+		Request{Kind: KindUQ43, K: 0, X: 0.5},
+		Request{Kind: KindUQ11, OID: 424242},
+		Request{Kind: KindUQ31},
+	), Request{Kind: KindUQ31, QueryOID: 99999, Tb: 0, Te: 60}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(res.Items[0].Err, ErrBadKind) {
-		t.Errorf("item 0: got %v, want ErrBadKind", res.Items[0].Err)
-	}
-	if !errors.Is(res.Items[1].Err, queries.ErrBadFrac) {
-		t.Errorf("item 1: got %v, want ErrBadFrac", res.Items[1].Err)
-	}
-	if !errors.Is(res.Items[2].Err, queries.ErrBadRank) {
-		t.Errorf("item 2: got %v, want ErrBadRank", res.Items[2].Err)
-	}
-	if !errors.Is(res.Items[3].Err, queries.ErrUnknownOID) {
-		t.Errorf("item 3: got %v, want ErrUnknownOID", res.Items[3].Err)
-	}
-	if res.Items[4].Err != nil {
-		t.Errorf("item 4: healthy sibling poisoned: %v", res.Items[4].Err)
+	for i, want := range []error{ErrBadKind, queries.ErrBadFrac, queries.ErrBadRank, queries.ErrUnknownOID, nil, mod.ErrNotFound} {
+		if want == nil && res[i].Err != nil {
+			t.Errorf("request %d: healthy sibling poisoned: %v", i, res[i].Err)
+		}
+		if want != nil && !errors.Is(res[i].Err, want) {
+			t.Errorf("request %d: got %v, want %v", i, res[i].Err, want)
+		}
 	}
 	var nilEng *Engine
-	if _, err := nilEng.ExecBatch(store, BatchRequest{QueryOID: qOID}); !errors.Is(err, ErrNoEngine) {
+	if _, err := nilEng.DoBatch(context.Background(), store, batchKinds(qOID)); !errors.Is(err, ErrNoEngine) {
 		t.Errorf("nil engine: got %v, want ErrNoEngine", err)
 	}
 }

@@ -3,8 +3,8 @@
 // Section 4 (plus the Section 7 extensions), one Result envelope carrying
 // the answer together with its Explain provenance, and a typed error
 // taxonomy shared across layers. Engine.Do / Engine.DoBatch are the single
-// execution route — the UQL evaluator, the modserver "query" op, and the
-// legacy Exec/ExecBatch facade all compile down to them — and both honor
+// execution route — the UQL evaluator and the modserver "query" op both
+// compile down to them — and both honor
 // context cancellation end-to-end: between per-OID worker tasks, between
 // batch members, inside the index candidate pre-pass, and inside lazy
 // envelope builds.
@@ -26,7 +26,7 @@ import (
 )
 
 // Additional query kinds of the unified API, beyond the UQ11..UQ43 and
-// fixed-time kinds declared in batch.go.
+// fixed-time kinds declared in kind.go.
 const (
 	// KindThreshold asks whether object OID has probability >= P of being
 	// the NN for at least fraction X of the window (the paper's Section 7
@@ -418,7 +418,7 @@ func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) 
 // execRequest dispatches one validated request against a ready processor.
 // Whole-MOD kinds fan per-OID tasks across the worker pool with ctx
 // checked between tasks; single-object kinds are O(N) and run inline.
-func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, req Request) Item {
+func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, req Request) item {
 	return e.execRequestRestricted(ctx, p, req, nil)
 }
 
@@ -427,16 +427,16 @@ func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, req Requ
 // only the candidates that also appear in own (a sorted OID list), which is
 // how a shard evaluates its share of a distributed refine. own == nil means
 // the full domain; the single-object kinds ignore it entirely.
-func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor, req Request, own []int64) Item {
-	boolItem := func(b bool, err error) Item { return Item{IsBool: true, Bool: b, Err: err} }
-	listItem := func(ids []int64, err error) Item { return Item{OIDs: ids, Err: err} }
+func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor, req Request, own []int64) item {
+	boolItem := func(b bool, err error) item { return item{IsBool: true, Bool: b, Err: err} }
+	listItem := func(ids []int64, err error) item { return item{OIDs: ids, Err: err} }
 	domain := func(base []int64) []int64 {
 		if own == nil {
 			return base
 		}
 		return queries.IntersectSorted(base, own)
 	}
-	filter := func(pred func(oid int64) (bool, error)) Item {
+	filter := func(pred func(oid int64) (bool, error)) item {
 		return listItem(e.filterOIDs(ctx, domain(p.CandidateOIDs()), pred))
 	}
 	switch req.Kind {
@@ -481,7 +481,7 @@ func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor
 			return p.ThresholdNN(oid, req.P, req.X, queries.ThresholdConfig{})
 		}))
 	default:
-		return Item{Err: fmt.Errorf("%w: %q", ErrBadKind, req.Kind)}
+		return item{Err: fmt.Errorf("%w: %q", ErrBadKind, req.Kind)}
 	}
 }
 

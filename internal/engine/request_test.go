@@ -74,27 +74,23 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
-// TestDoMatchesExec: the deprecated Exec surface and the unified Do must
-// answer identically kind by kind.
-func TestDoMatchesExec(t *testing.T) {
+// TestDoExplain: every kind reports the engine's worker count, and a
+// repeated (query, window) reports the memo hit.
+func TestDoExplain(t *testing.T) {
 	store, qOID := newStore(t, 150, 13)
 	eng := New(0)
 	ctx := context.Background()
-	qs := append(batchKinds(),
-		Query{Kind: KindUQ11, OID: qOID + 3},
-		Query{Kind: KindUQ12, OID: qOID + 3},
-		Query{Kind: KindUQ22, OID: qOID + 4, K: 2},
-		Query{Kind: KindNNAt, OID: qOID + 5, T: 20},
-		Query{Kind: KindRankAt, OID: qOID + 5, T: 20, K: 2},
-	)
+	qs := append(batchKinds(qOID), forQuery(qOID,
+		Request{Kind: KindUQ11, OID: qOID + 3},
+		Request{Kind: KindUQ12, OID: qOID + 3},
+		Request{Kind: KindUQ22, OID: qOID + 4, K: 2},
+		Request{Kind: KindNNAt, OID: qOID + 5, T: 20},
+		Request{Kind: KindRankAt, OID: qOID + 5, T: 20, K: 2},
+	)...)
 	for _, q := range qs {
-		item := eng.Exec(store, qOID, 0, 60, q)
-		res, err := eng.Do(ctx, store, q.request(qOID, 0, 60))
-		if (item.Err == nil) != (err == nil) {
-			t.Fatalf("%s: exec err=%v, do err=%v", q.Kind, item.Err, err)
-		}
-		if item.IsBool != res.IsBool || item.Bool != res.Bool || !reflect.DeepEqual(item.OIDs, res.OIDs) {
-			t.Fatalf("%s: exec %+v != do %+v", q.Kind, item, res)
+		res, err := eng.Do(ctx, store, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Kind, err)
 		}
 		if res.Explain.Workers != eng.Workers() {
 			t.Fatalf("%s: explain workers %d != %d", q.Kind, res.Explain.Workers, eng.Workers())
@@ -119,7 +115,7 @@ func TestDoThresholdAndExtensions(t *testing.T) {
 	store, qOID := newStore(t, 16, 17)
 	eng := New(0)
 	ctx := context.Background()
-	proc, err := eng.Processor(store, qOID, 0, 60)
+	proc, err := eng.ProcessorWhereCtx(context.Background(), store, qOID, 0, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,17 +179,17 @@ func TestDoThresholdAndExtensions(t *testing.T) {
 func TestMemoLRU(t *testing.T) {
 	store, qOID := newStore(t, 30, 23)
 	eng := New(1)
-	hot, err := eng.Processor(store, qOID, 0, 60)
+	hot, err := eng.ProcessorWhereCtx(context.Background(), store, qOID, 0, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < memoCap+8; i++ {
 		// A distinct window per iteration forces a fresh memo entry...
-		if _, err := eng.Processor(store, qOID, 0, 10+float64(i)/10); err != nil {
+		if _, err := eng.ProcessorWhereCtx(context.Background(), store, qOID, 0, 10+float64(i)/10, nil); err != nil {
 			t.Fatal(err)
 		}
 		// ...while the hot key is touched every time.
-		got, err := eng.Processor(store, qOID, 0, 60)
+		got, err := eng.ProcessorWhereCtx(context.Background(), store, qOID, 0, 60, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,11 +34,9 @@ package gateway
 
 import (
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -51,8 +49,8 @@ import (
 	"repro/internal/continuous"
 	"repro/internal/engine"
 	"repro/internal/mod"
+	"repro/internal/serve"
 	"repro/internal/textidx"
-	"repro/internal/trajectory"
 )
 
 // ErrUnauthorized is the typed refusal for a missing or wrong bearer
@@ -69,10 +67,6 @@ const StatusClientClosed = 499
 // DefaultMaxBodyBytes caps request bodies (8 MiB holds a ~40k-update
 // ingest batch with room to spare).
 const DefaultMaxBodyBytes = 8 << 20
-
-// DefaultMaxDetached bounds detached (resumable) SSE subscriptions, LRU
-// evicted — mirroring the modserver's default.
-const DefaultMaxDetached = 64
 
 // DefaultEventBuffer is the per-stream event channel depth; a consumer
 // that falls this many events behind is severed (and left resumable).
@@ -101,13 +95,9 @@ func (b EngineBackend) DoBatch(ctx context.Context, reqs []engine.Request) ([]en
 	return b.Eng.DoBatch(ctx, b.Store, reqs)
 }
 
-// Journal is the write-ahead hook the ingest path drives (wal.Log
-// satisfies it). Same contract as the modserver's: Append runs before
-// the batch is applied, under the ingest serialization lock.
-type Journal interface {
-	Append(updates []mod.Update) error
-	AfterApply(store *mod.Store) error
-}
+// Journal is the write-ahead hook of the ingest path (wal.Log implements
+// it).
+type Journal = serve.Journal
 
 // Options configures a Server. Backend is required; everything else is
 // optional.
@@ -130,8 +120,9 @@ type Options struct {
 	// deadlines; client deadline_ms values are clamped to it. 0 means
 	// no ceiling.
 	RequestTimeout time.Duration
-	// MaxDetached bounds resumable detached subscriptions
-	// (DefaultMaxDetached when 0; negative disables resume retention).
+	// MaxDetached bounds resumable detached subscriptions; it forwards to
+	// serve.New (serve.DefaultMaxDetached when 0; negative disables resume
+	// retention). They also expire after serve.DefaultDetachedTTL.
 	MaxDetached int
 	// EventBuffer is the per-SSE-stream channel depth
 	// (DefaultEventBuffer when 0).
@@ -148,19 +139,12 @@ type Server struct {
 	hs       *http.Server
 	draining atomic.Bool
 
-	// emitMu serializes ingest apply+fan-out with subscribe/resume
-	// registration, so a stream observes every event after its answer
-	// exactly once — the same discipline as the modserver's emit lock.
-	emitMu sync.Mutex
-	// subsMu guards the routing tables below (readers on the fan-out
-	// path take it briefly per event).
-	subsMu      sync.Mutex
-	subscribers map[int64]*sseStream
-	// detached holds subscriptions whose stream ended but which stay
-	// live in the hub awaiting a from_seq resume; detachedOrder is
-	// their LRU eviction order.
-	detached      map[int64]struct{}
-	detachedOrder []int64
+	// core is the live path behind /v1/ingest and /v1/subscribe (nil
+	// without Options.Hub).
+	core *serve.Core
+	// drain is closed by Shutdown; every SSE handler selects on it.
+	drain     chan struct{}
+	drainOnce sync.Once
 }
 
 // New builds a Server from opts.
@@ -174,16 +158,12 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxBodyBytes == 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if opts.MaxDetached == 0 {
-		opts.MaxDetached = DefaultMaxDetached
-	}
 	if opts.EventBuffer == 0 {
 		opts.EventBuffer = DefaultEventBuffer
 	}
-	s := &Server{
-		opts:        opts,
-		subscribers: make(map[int64]*sseStream),
-		detached:    make(map[int64]struct{}),
+	s := &Server{opts: opts, drain: make(chan struct{})}
+	if opts.Hub != nil {
+		s.core = serve.New(opts.Hub, opts.Store, opts.Journal, opts.MaxDetached, 0)
 	}
 	s.handler = s.buildHandler()
 	s.hs = &http.Server{Handler: s.handler, ReadHeaderTimeout: 10 * time.Second}
@@ -193,6 +173,10 @@ func New(opts Options) (*Server, error) {
 // Handler returns the gateway's full handler (middleware included) for
 // mounting under a custom http.Server, e.g. in tests.
 func (s *Server) Handler() http.Handler { return s.handler }
+
+// Core exposes the live-serving core behind /v1/ingest and /v1/subscribe
+// (nil without Options.Hub) to in-process callers and tests.
+func (s *Server) Core() *serve.Core { return s.core }
 
 // Serve accepts connections on l until Shutdown (or Close on the
 // listener). A clean shutdown returns nil.
@@ -209,16 +193,8 @@ func (s *Server) Serve(l net.Listener) error {
 // in-flight requests get until ctx expires to finish.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	// Sever streams under the emit lock so no fan-out races the close;
-	// each handler unwinds and parks its subscription as detached.
-	s.emitMu.Lock()
-	s.subsMu.Lock()
-	for id, st := range s.subscribers {
-		delete(s.subscribers, id)
-		close(st.ch)
-	}
-	s.subsMu.Unlock()
-	s.emitMu.Unlock()
+	// Each stream handler unwinds and detaches its subscription.
+	s.drainOnce.Do(func() { close(s.drain) })
 	return s.hs.Shutdown(ctx)
 }
 
@@ -266,7 +242,7 @@ func (s *Server) v1(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if tok := s.opts.Token; tok != "" {
 			bearer, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-			if !ok || subtle.ConstantTimeCompare([]byte(bearer), []byte(tok)) != 1 {
+			if !ok || !serve.TokenOK(tok, bearer) {
 				w.Header().Set("WWW-Authenticate", `Bearer realm="repro-gateway"`)
 				writeError(w, ErrUnauthorized)
 				return
@@ -349,37 +325,14 @@ type errorBody struct {
 	Error apiError `json:"error"`
 }
 
-// wireUpdate / wireApplied mirror the modserver's ingest shapes, so the
-// HTTP and TCP live layers speak the same vertices and tag sets. Tags is
-// a tri-state like mod.Update's: absent/null leaves the object's tags
-// untouched, [] clears them, a non-empty list replaces them.
-type wireUpdate struct {
-	OID   int64        `json:"oid"`
-	Verts [][3]float64 `json:"verts,omitempty"`
-	Tags  *[]string    `json:"tags,omitempty"`
-}
-
-// wireApplied carries one applied outcome. ChangedFrom is omitted for
-// inserts (-Inf in memory) and for pure tag flips, which set TagsOnly
-// instead (+Inf in memory: no motion changed; JSON has no Inf literal).
-type wireApplied struct {
-	OID         int64        `json:"oid"`
-	Inserted    bool         `json:"inserted,omitempty"`
-	ChangedFrom float64      `json:"changed_from,omitempty"`
-	TagsOnly    bool         `json:"tags_only,omitempty"`
-	Verts       [][3]float64 `json:"verts,omitempty"`
-	PrevVerts   [][3]float64 `json:"prev_verts,omitempty"`
-	TagsChanged bool         `json:"tags_changed,omitempty"`
-	Tags        []string     `json:"tags,omitempty"`
-	PrevTags    []string     `json:"prev_tags,omitempty"`
-}
-
+// The ingest body and reply carry the shapes the line protocol's ingest
+// op does (serve.WireUpdate, serve.WireApplied).
 type ingestRequest struct {
-	Updates []wireUpdate `json:"updates"`
+	Updates []serve.WireUpdate `json:"updates"`
 }
 
 type ingestResponse struct {
-	Applied []wireApplied `json:"applied"`
+	Applied []serve.WireApplied `json:"applied"`
 }
 
 // ---- error taxonomy ----------------------------------------------------
@@ -402,8 +355,12 @@ func errStatus(err error) (int, string) {
 		return http.StatusBadRequest, "bad_tag"
 	case errors.Is(err, engine.ErrUnknownOID):
 		return http.StatusNotFound, "unknown_oid"
-	case errors.Is(err, mod.ErrNotFound):
+	case errors.Is(err, mod.ErrNotFound), errors.Is(err, serve.ErrUnknownSub):
 		return http.StatusNotFound, "not_found"
+	case errors.Is(err, serve.ErrSubLive):
+		return http.StatusBadRequest, "bad_request"
+	case errors.Is(err, serve.ErrSubExpired):
+		return http.StatusGone, "sub_expired"
 	case errors.Is(err, ErrUnauthorized):
 		return http.StatusUnauthorized, "unauthorized"
 	case errors.Is(err, continuous.ErrEventGap):
@@ -547,7 +504,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // ---- ingest ------------------------------------------------------------
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Hub == nil {
+	if s.core == nil {
 		writeError(w, fmt.Errorf("%w: no live hub", errUnsupported))
 		return
 	}
@@ -564,83 +521,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badReq(errors.New("gateway: empty ingest batch")))
 		return
 	}
-	updates := make([]mod.Update, len(ir.Updates))
-	for i, wu := range ir.Updates {
-		verts := make([]trajectory.Vertex, len(wu.Verts))
-		for j, v := range wu.Verts {
-			verts[j] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-		}
-		if len(wu.Verts) == 0 {
-			verts = nil // pure tag flip: no motion change
-		}
-		updates[i] = mod.Update{OID: wu.OID, Verts: verts, Tags: wu.Tags}
-	}
-
 	ctx, cancel := s.reqCtx(r, 0)
 	defer cancel()
-
-	// The emit lock serializes journal append, hub apply, and event
-	// fan-out — journal order equals apply order equals stream order.
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	if s.opts.Journal != nil {
-		if err := s.opts.Journal.Append(updates); err != nil {
-			err = fmt.Errorf("gateway: journal append: %w", err)
-			s.opts.Metrics.recordIngest(0, err)
-			writeError(w, err)
-			return
-		}
-	}
-	applied, events, err := s.opts.Hub.Ingest(ctx, updates)
-	s.opts.Metrics.recordIngest(len(updates), err)
+	applied, err := s.core.Ingest(ctx, serve.DecodeUpdates(ir.Updates))
+	s.opts.Metrics.recordIngest(len(ir.Updates), err)
 	if err != nil {
-		// A mid-batch failure still applied a prefix; report both, as
-		// the TCP path does.
+		// A mid-batch failure still applied a prefix; report both, as the
+		// line protocol does.
 		status, code := errStatus(err)
 		writeJSON(w, status, struct {
-			Error   apiError      `json:"error"`
-			Applied []wireApplied `json:"applied,omitempty"`
-		}{apiError{Code: code, Message: err.Error()}, encodeApplied(applied)})
+			Error   apiError            `json:"error"`
+			Applied []serve.WireApplied `json:"applied,omitempty"`
+		}{apiError{Code: code, Message: err.Error()}, serve.EncodeApplied(applied)})
 		return
 	}
-	if s.opts.Journal != nil {
-		// A failed snapshot only defers log truncation; the appended
-		// log still reaches the current state.
-		_ = s.opts.Journal.AfterApply(s.opts.Store)
-	}
-	s.fanOut(events)
-	writeJSON(w, http.StatusOK, ingestResponse{Applied: encodeApplied(applied)})
-}
-
-func encodeApplied(applied []mod.Applied) []wireApplied {
-	out := make([]wireApplied, len(applied))
-	for i, a := range applied {
-		wa := wireApplied{OID: a.OID, Inserted: a.Inserted}
-		if !a.Inserted {
-			if math.IsInf(a.ChangedFrom, 1) {
-				wa.TagsOnly = true
-			} else {
-				wa.ChangedFrom = a.ChangedFrom
-			}
-		}
-		if a.Traj != nil {
-			wa.Verts = encodeVerts(a.Traj.Verts)
-		}
-		if a.Prev != nil {
-			wa.PrevVerts = encodeVerts(a.Prev.Verts)
-		}
-		wa.TagsChanged = a.TagsChanged
-		wa.Tags = a.Tags
-		wa.PrevTags = a.PrevTags
-		out[i] = wa
-	}
-	return out
-}
-
-func encodeVerts(verts []trajectory.Vertex) [][3]float64 {
-	out := make([][3]float64, len(verts))
-	for i, v := range verts {
-		out[i] = [3]float64{v.X, v.Y, v.T}
-	}
-	return out
+	writeJSON(w, http.StatusOK, ingestResponse{Applied: serve.EncodeApplied(applied)})
 }

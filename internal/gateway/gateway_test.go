@@ -11,6 +11,7 @@ import (
 	"context"
 	"crypto/tls"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -21,6 +22,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/mod"
+	"repro/internal/serve"
 	"repro/internal/testcert"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
@@ -507,7 +509,7 @@ func TestBadRequests(t *testing.T) {
 
 	// Ingest/subscribe without a hub answer 501.
 	status, body = postJSON(t, client, base+"/v1/ingest", "",
-		ingestRequest{Updates: []wireUpdate{{OID: 1, Verts: [][3]float64{{0, 0, 0}, {1, 1, 1}}}}})
+		ingestRequest{Updates: []serve.WireUpdate{{OID: 1, Verts: [][3]float64{{0, 0, 0}, {1, 1, 1}}}}})
 	if status != http.StatusNotImplemented {
 		t.Fatalf("ingest without hub: status %d, want 501", status)
 	}
@@ -538,6 +540,50 @@ func TestOpenAPIServed(t *testing.T) {
 	}
 	if !bytes.Contains(body, []byte("openapi: 3.0")) || !bytes.Contains(body, []byte("/v1/query")) {
 		t.Fatalf("openapi spec looks wrong (%d bytes)", len(body))
+	}
+	// The ingest shapes document retirement and the resume taxonomy its
+	// expiry code.
+	for _, field := range []string{"retire:", "retired:", "sub_expired"} {
+		if !bytes.Contains(body, []byte(field)) {
+			t.Fatalf("openapi spec does not mention %q", field)
+		}
+	}
+}
+
+// TestIngestRetire: POST /v1/ingest carries `retire` and reports `retired`,
+// exactly as the line protocol's ingest op does.
+func TestIngestRetire(t *testing.T) {
+	store, trs := buildStore(t, 5, equivSeed)
+	_, base, client := startGateway(t, Options{
+		Backend: EngineBackend{Eng: engine.New(0), Store: store},
+		Hub:     newTestHub(t, store),
+	}, nil)
+	victim := trs[1].OID
+	status, body := postJSON(t, client, base+"/v1/ingest", "",
+		json.RawMessage(fmt.Sprintf(`{"updates":[{"oid":%d,"retire":true}]}`, victim)))
+	if status != http.StatusOK {
+		t.Fatalf("retire: status %d (body %s)", status, body)
+	}
+	var reply struct {
+		Applied []map[string]any `json:"applied"`
+	}
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Applied) != 1 || reply.Applied[0]["retired"] != true || reply.Applied[0]["prev_verts"] == nil {
+		t.Fatalf("retire outcome = %s", body)
+	}
+	if _, has := reply.Applied[0]["changed_from"]; has {
+		t.Fatalf("retire outcome carries changed_from: %s", body)
+	}
+	if _, err := store.Get(victim); !errors.Is(err, mod.ErrNotFound) {
+		t.Fatalf("retired object still stored: %v", err)
+	}
+	// Retiring it again is the typed 404.
+	status, body = postJSON(t, client, base+"/v1/ingest", "",
+		json.RawMessage(fmt.Sprintf(`{"updates":[{"oid":%d,"retire":true}]}`, victim)))
+	if ae := decodeAPIError(t, body); status != http.StatusNotFound || ae.Code != "not_found" {
+		t.Fatalf("second retire: status %d code %q", status, ae.Code)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/continuous"
 	"repro/internal/engine"
+	"repro/internal/serve"
 	"repro/internal/textidx"
 	"repro/internal/wal"
 )
@@ -195,7 +196,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("filtered query: status %d (body %.200s)", status, body)
 	}
 	tags := []string{"available"}
-	ingest := ingestRequest{Updates: []wireUpdate{{OID: 9001, Verts: hugVerts(trs[0], 35), Tags: &tags}}}
+	ingest := ingestRequest{Updates: []serve.WireUpdate{{OID: 9001, Verts: hugVerts(trs[0], 35), Tags: &tags}}}
 	if status, body := postJSON(t, client, base+"/v1/ingest", "", ingest); status != http.StatusOK {
 		t.Fatalf("ingest: status %d (body %.200s)", status, body)
 	}

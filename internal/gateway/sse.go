@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/continuous"
 	"repro/internal/engine"
-	"repro/internal/mod"
 	"repro/internal/textidx"
 )
 
@@ -29,10 +28,26 @@ import (
 // stream: fan-out severs a full channel instead of waiting).
 const sseWriteTimeout = 30 * time.Second
 
-// sseStream is one live stream's event route. The ingest fan-out is the
-// only sender; it (or Shutdown) closes ch, always under emitMu.
+// sseStream is one live stream's event route and its subscription's
+// serve.Sink. The core's ingest fan-out is the only sender, and — on a
+// full buffer — the only closer.
 type sseStream struct {
 	ch chan continuous.Event
+}
+
+var errStreamFull = errors.New("gateway: stream consumer fell a full buffer behind")
+
+// Deliver implements serve.Sink without ever blocking ingest: a consumer
+// that stalled a full buffer behind is severed — the closed channel
+// unwinds its handler — and the core leaves the subscription resumable.
+func (st *sseStream) Deliver(ev continuous.Event) error {
+	select {
+	case st.ch <- ev:
+		return nil
+	default:
+		close(st.ch)
+		return errStreamFull
+	}
 }
 
 // subscribedEvent is the first SSE frame: the subscription id and its
@@ -44,8 +59,7 @@ type subscribedEvent struct {
 }
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	hub := s.opts.Hub
-	if hub == nil {
+	if s.core == nil {
 		writeError(w, fmt.Errorf("%w: no live hub", errUnsupported))
 		return
 	}
@@ -90,81 +104,49 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	st := &sseStream{ch: make(chan continuous.Event, s.opts.EventBuffer)}
-	var answer engine.Result
-	var backlog []continuous.Event
-
-	// Registration happens under the emit lock: no ingest can fan out
-	// between the answer/backlog we capture here and the live events the
-	// channel will carry, so the stream is gap- and duplicate-free.
-	s.emitMu.Lock()
 	if s.draining.Load() {
-		s.emitMu.Unlock()
 		writeError(w, errDraining)
 		return
 	}
+	st := &sseStream{ch: make(chan continuous.Event, s.opts.EventBuffer)}
+	var answer engine.Result
+	var backlog []continuous.Event
+	// The core registers (or re-attaches) the stream atomically with the
+	// answer and backlog captured here, and buffers every later event on
+	// st.ch: the stream is gap- and duplicate-free.
 	if resume {
-		s.subsMu.Lock()
-		_, live := s.subscribers[subID]
-		_, parked := s.detached[subID]
-		s.subsMu.Unlock()
-		if live {
-			s.emitMu.Unlock()
-			writeError(w, badReq(fmt.Errorf("gateway: subscription %d is already streaming", subID)))
-			return
+		err = s.core.Resume(subID, fromSeq, st, func(a engine.Result, b []continuous.Event) error {
+			answer, backlog = a, b
+			return nil
+		})
+		if errors.Is(err, continuous.ErrEventGap) {
+			s.opts.Metrics.countGap()
 		}
-		if !parked {
-			s.emitMu.Unlock()
-			writeError(w, fmt.Errorf("gateway: %w: no detached subscription %d", mod.ErrNotFound, subID))
-			return
+		if err == nil {
+			s.opts.Metrics.countResume()
 		}
-		backlog, err = hub.Replay(subID, fromSeq)
-		if err != nil {
-			s.emitMu.Unlock()
-			if errors.Is(err, continuous.ErrEventGap) {
-				s.opts.Metrics.countGap()
-			}
-			writeError(w, err)
-			return
-		}
-		if answer, err = hub.Answer(subID); err != nil {
-			s.emitMu.Unlock()
-			writeError(w, err)
-			return
-		}
-		s.subsMu.Lock()
-		delete(s.detached, subID)
-		s.subscribers[subID] = st
-		s.subsMu.Unlock()
-		s.opts.Metrics.countResume()
 	} else {
 		var deadlineMS int64
 		if v := q.Get("deadline_ms"); v != "" {
 			if deadlineMS, err = strconv.ParseInt(v, 10, 64); err != nil {
-				s.emitMu.Unlock()
 				writeError(w, badReq(fmt.Errorf("gateway: bad deadline_ms: %w", err)))
 				return
 			}
 		}
 		ctx, cancel := s.reqCtx(r, deadlineMS)
-		subID, answer, err = hub.Subscribe(ctx, req)
+		subID, answer, err = s.core.Subscribe(ctx, req, st)
 		cancel()
-		if err != nil {
-			s.emitMu.Unlock()
-			writeError(w, err)
-			return
-		}
-		s.subsMu.Lock()
-		s.subscribers[subID] = st
-		s.subsMu.Unlock()
 	}
-	s.emitMu.Unlock()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 
 	s.opts.Metrics.streamAttached()
 	defer s.opts.Metrics.streamDetached()
-	// On any exit the subscription parks as detached (LRU-bounded) so the
+	// On any exit the subscription detaches (LRU- and TTL-bounded) so the
 	// client can resume from its last seen event id.
-	defer s.park(hub, subID, st)
+	defer s.core.Detach(subID, st)
 
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -195,14 +177,15 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		select {
 		case ev, chOpen := <-st.ch:
 			if !chOpen {
-				// Severed: the consumer stalled past its buffer, or the
-				// server is draining. Either way the subscription stays
-				// resumable.
+				// Severed: the consumer stalled past its buffer; the
+				// subscription stays resumable.
 				return
 			}
 			if s.writeEvent(write, ev) != nil {
 				return
 			}
+		case <-s.drain:
+			return
 		case <-r.Context().Done():
 			return
 		}
@@ -233,68 +216,6 @@ func writeSSE(w io.Writer, event, id string, data []byte) error {
 	}
 	_, err := fmt.Fprintf(w, "data: %s\n\n", data)
 	return err
-}
-
-// fanOut routes one ingest's events to their live streams. Caller holds
-// emitMu. A full channel means the consumer stalled a full buffer
-// behind: the stream is severed (closed channel; the handler unwinds
-// and parks the subscription for resume) instead of blocking ingest.
-func (s *Server) fanOut(events []continuous.Event) {
-	for _, ev := range events {
-		s.subsMu.Lock()
-		st := s.subscribers[ev.SubID]
-		s.subsMu.Unlock()
-		if st == nil {
-			continue // in-process subscriber or a racing detach
-		}
-		select {
-		case st.ch <- ev:
-		default:
-			s.subsMu.Lock()
-			if s.subscribers[ev.SubID] == st {
-				delete(s.subscribers, ev.SubID)
-			}
-			s.subsMu.Unlock()
-			close(st.ch)
-		}
-	}
-}
-
-// park deregisters a finished stream and retains its subscription as
-// detached for a from_seq resume, LRU-evicting (and unsubscribing) past
-// MaxDetached. It never closes st.ch — only the fan-out and Shutdown
-// do, under emitMu.
-func (s *Server) park(hub *continuous.Hub, id int64, st *sseStream) {
-	s.subsMu.Lock()
-	defer s.subsMu.Unlock()
-	if s.subscribers[id] == st {
-		delete(s.subscribers, id)
-	}
-	if s.opts.MaxDetached < 0 {
-		hub.Unsubscribe(id)
-		return
-	}
-	s.detached[id] = struct{}{}
-	s.detachedOrder = append(s.detachedOrder, id)
-	for len(s.detached) > s.opts.MaxDetached {
-		oldest := s.detachedOrder[0]
-		s.detachedOrder = s.detachedOrder[1:]
-		if _, ok := s.detached[oldest]; ok {
-			delete(s.detached, oldest)
-			hub.Unsubscribe(oldest)
-		}
-	}
-	// Compact the order slice when stale entries (resumed subscriptions)
-	// dominate it.
-	if len(s.detachedOrder) > 2*len(s.detached)+16 {
-		kept := s.detachedOrder[:0]
-		for _, d := range s.detachedOrder {
-			if _, ok := s.detached[d]; ok {
-				kept = append(kept, d)
-			}
-		}
-		s.detachedOrder = kept
-	}
 }
 
 // requestFromQuery builds the standing engine.Request from subscribe

@@ -1,10 +1,9 @@
 package gateway
 
-// SSE parity with the TCP modserver: two identical worlds — one served
-// over the line protocol, one over the HTTP gateway — fed identical
-// ingest batches must deliver identical subscription event sequences,
-// including a from_seq resume across a severed SSE connection. The
-// hub's retained backlog is the oracle for both streams.
+// SSE transport tests: resume status codes, Last-Event-ID, the
+// full-buffer sever and drain. The session semantics every codec shares
+// (stream order, resume suffixes, LRU and TTL bounds) are pinned once, for
+// both codecs, by internal/serve's conformance suite.
 
 import (
 	"bufio"
@@ -12,7 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -22,7 +20,7 @@ import (
 	"repro/internal/continuous"
 	"repro/internal/engine"
 	"repro/internal/mod"
-	"repro/internal/modserver"
+	"repro/internal/serve"
 	"repro/internal/trajectory"
 )
 
@@ -122,202 +120,6 @@ func hugVerts(tr *trajectory.Trajectory, tMax float64) [][3]float64 {
 	return out
 }
 
-func toUpdates(ws []wireUpdate) []mod.Update {
-	out := make([]mod.Update, len(ws))
-	for i, wu := range ws {
-		verts := make([]trajectory.Vertex, len(wu.Verts))
-		for j, v := range wu.Verts {
-			verts[j] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-		}
-		out[i] = mod.Update{OID: wu.OID, Verts: verts}
-	}
-	return out
-}
-
-// TestSSEParityWithTCP: identical worlds over TCP and HTTP; identical
-// ingests; the answer, applied echoes, and full event sequences must
-// match byte-for-byte (modulo walls) — including resume after a severed
-// SSE connection.
-func TestSSEParityWithTCP(t *testing.T) {
-	const n = 60
-	storeA, trsA := buildStore(t, n, equivSeed)
-	storeB, _ := buildStore(t, n, equivSeed)
-
-	// World A: TCP modserver.
-	lA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvA := modserver.NewServer(storeA)
-	go srvA.Serve(lA)
-	t.Cleanup(func() { srvA.Close() })
-	sub, err := modserver.Dial(lA.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	ing, err := modserver.Dial(lA.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ing.Close()
-
-	// World B: HTTP gateway.
-	hubB := newTestHub(t, storeB)
-	srvB, base, client := startGateway(t, Options{
-		Backend: EngineBackend{Eng: engine.New(0), Store: storeB},
-		Hub:     hubB,
-	}, nil)
-
-	q := trsA[0]
-	stand := engine.Request{Kind: engine.KindUQ31, QueryOID: q.OID, Tb: equivTb, Te: equivTe}
-	_, resA, err := sub.Subscribe(stand)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stream := openSSE(t, client, fmt.Sprintf(
-		"%s/v1/subscribe?kind=%s&query_oid=%d&tb=%g&te=%g",
-		base, stand.Kind, stand.QueryOID, stand.Tb, stand.Te), "")
-	defer stream.close()
-	first := stream.next(t)
-	if first.event != "subscribed" {
-		t.Fatalf("first frame event %q", first.event)
-	}
-	var hello subscribedEvent
-	if err := json.Unmarshal(first.data, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := canonical(t, hello.Result), canonical(t, resA); got != want {
-		t.Fatalf("initial answers diverged\n got: %s\nwant: %s", got, want)
-	}
-	idB := hello.SubID
-
-	// Three ingest phases: a shadow insert, its flight away, a second
-	// shadow. Each changes the possible-NN set, so each emits a diff.
-	batches := [][]wireUpdate{
-		{{OID: 9001, Verts: hugVerts(q, 35)}},
-		{{OID: 9001, Verts: [][3]float64{{1000, 1000, 10}, {1001, 1001, 40}}}},
-		{{OID: 9002, Verts: hugVerts(q, 35)}},
-	}
-	for bi, batch := range batches {
-		appliedA, err := ing.Ingest(toUpdates(batch))
-		if err != nil {
-			t.Fatalf("batch %d tcp ingest: %v", bi, err)
-		}
-		status, body := postJSON(t, client, base+"/v1/ingest", "", ingestRequest{Updates: batch})
-		if status != http.StatusOK {
-			t.Fatalf("batch %d http ingest: status %d (body %.300s)", bi, status, body)
-		}
-		var ir ingestResponse
-		if err := json.Unmarshal(body, &ir); err != nil {
-			t.Fatal(err)
-		}
-		wantApplied, _ := json.Marshal(ingestResponse{Applied: encodeApplied(appliedA)})
-		gotApplied, _ := json.Marshal(ir)
-		if !bytes.Equal(wantApplied, gotApplied) {
-			t.Fatalf("batch %d applied diverged\n got: %s\nwant: %s", bi, gotApplied, wantApplied)
-		}
-	}
-
-	// The hub's retained backlog is the oracle for both streams.
-	expected, err := hubB.Replay(idB, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(expected) == 0 {
-		t.Fatal("no events retained — the shadow updates missed the subscription")
-	}
-	for i, want := range expected {
-		evA, err := sub.NextEvent()
-		if err != nil {
-			t.Fatalf("tcp event %d: %v", i, err)
-		}
-		frame := stream.next(t)
-		if frame.event != "diff" {
-			t.Fatalf("sse frame %d event %q", i, frame.event)
-		}
-		var evB continuous.Event
-		if err := json.Unmarshal(frame.data, &evB); err != nil {
-			t.Fatal(err)
-		}
-		if frame.id != strconv.FormatUint(evB.Seq, 10) {
-			t.Fatalf("sse frame %d id %q does not match seq %d", i, frame.id, evB.Seq)
-		}
-		cw := canonicalEvent(t, want)
-		if ca := canonicalEvent(t, evA); ca != cw {
-			t.Fatalf("event %d tcp diverged\n got: %s\nwant: %s", i, ca, cw)
-		}
-		if cb := canonicalEvent(t, evB); cb != cw {
-			t.Fatalf("event %d sse diverged\n got: %s\nwant: %s", i, cb, cw)
-		}
-	}
-	lastSeq := expected[len(expected)-1].Seq
-
-	// Sever the SSE connection; the subscription must park as detached.
-	stream.close()
-	waitDetached(t, srvB, idB)
-
-	// Events keep flowing server-side while the stream is down...
-	batch4 := []wireUpdate{{OID: 9002, Verts: [][3]float64{{2000, 2000, 5}, {2001, 2001, 40}}}}
-	if _, err := ing.Ingest(toUpdates(batch4)); err != nil {
-		t.Fatal(err)
-	}
-	if status, body := postJSON(t, client, base+"/v1/ingest", "", ingestRequest{Updates: batch4}); status != http.StatusOK {
-		t.Fatalf("batch4 http ingest: status %d (body %.300s)", status, body)
-	}
-
-	// ...and the resume replays them before going live again.
-	resumed := openSSE(t, client, fmt.Sprintf(
-		"%s/v1/subscribe?sub_id=%d&from_seq=%d", base, idB, lastSeq), "")
-	defer resumed.close()
-	again := resumed.next(t)
-	if again.event != "subscribed" {
-		t.Fatalf("resume first frame event %q", again.event)
-	}
-	var rehello subscribedEvent
-	if err := json.Unmarshal(again.data, &rehello); err != nil {
-		t.Fatal(err)
-	}
-	if rehello.SubID != idB {
-		t.Fatalf("resume sub id %d, want %d", rehello.SubID, idB)
-	}
-
-	batch5 := []wireUpdate{{OID: 9003, Verts: hugVerts(q, 35)}}
-	if _, err := ing.Ingest(toUpdates(batch5)); err != nil {
-		t.Fatal(err)
-	}
-	if status, body := postJSON(t, client, base+"/v1/ingest", "", ingestRequest{Updates: batch5}); status != http.StatusOK {
-		t.Fatalf("batch5 http ingest: status %d (body %.300s)", status, body)
-	}
-
-	tail, err := hubB.Replay(idB, lastSeq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tail) < 2 {
-		t.Fatalf("expected replayed + live events after resume, got %d", len(tail))
-	}
-	for i, want := range tail {
-		evA, err := sub.NextEvent()
-		if err != nil {
-			t.Fatalf("tcp tail event %d: %v", i, err)
-		}
-		frame := resumed.next(t)
-		var evB continuous.Event
-		if err := json.Unmarshal(frame.data, &evB); err != nil {
-			t.Fatal(err)
-		}
-		cw := canonicalEvent(t, want)
-		if ca := canonicalEvent(t, evA); ca != cw {
-			t.Fatalf("tail event %d tcp diverged\n got: %s\nwant: %s", i, ca, cw)
-		}
-		if cb := canonicalEvent(t, evB); cb != cw {
-			t.Fatalf("tail event %d sse diverged\n got: %s\nwant: %s", i, cb, cw)
-		}
-	}
-}
-
 // waitDetached polls until the stream's handler has parked subscription
 // id as detached (the handler notices the severed connection
 // asynchronously).
@@ -325,11 +127,7 @@ func waitDetached(t testing.TB, srv *Server, id int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		srv.subsMu.Lock()
-		_, live := srv.subscribers[id]
-		_, parked := srv.detached[id]
-		srv.subsMu.Unlock()
-		if !live && parked {
+		if srv.core.Detached(id) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -387,7 +185,7 @@ func TestResumeValidation(t *testing.T) {
 	// replay is a gap — 410.
 	stream.close()
 	waitDetached(t, srv, sub.SubID)
-	upd := []wireUpdate{{OID: 9001, Verts: hugVerts(q, 35)}}
+	upd := []serve.WireUpdate{{OID: 9001, Verts: hugVerts(q, 35)}}
 	if status, body := postJSON(t, client, base+"/v1/ingest", "", ingestRequest{Updates: upd}); status != http.StatusOK {
 		t.Fatalf("ingest: status %d (body %.300s)", status, body)
 	}
@@ -434,7 +232,7 @@ func TestLastEventIDResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if status, body := postJSON(t, client, base+"/v1/ingest", "",
-		ingestRequest{Updates: []wireUpdate{{OID: 9001, Verts: hugVerts(q, 35)}}}); status != http.StatusOK {
+		ingestRequest{Updates: []serve.WireUpdate{{OID: 9001, Verts: hugVerts(q, 35)}}}); status != http.StatusOK {
 		t.Fatalf("ingest: status %d (body %.300s)", status, body)
 	}
 	ev := stream.next(t)
@@ -442,7 +240,7 @@ func TestLastEventIDResume(t *testing.T) {
 	waitDetached(t, srv, sub.SubID)
 
 	if status, body := postJSON(t, client, base+"/v1/ingest", "",
-		ingestRequest{Updates: []wireUpdate{{OID: 9001, Verts: [][3]float64{{500, 500, 5}, {501, 501, 40}}}}}); status != http.StatusOK {
+		ingestRequest{Updates: []serve.WireUpdate{{OID: 9001, Verts: [][3]float64{{500, 500, 5}, {501, 501, 40}}}}}); status != http.StatusOK {
 		t.Fatalf("ingest 2: status %d (body %.300s)", status, body)
 	}
 
@@ -493,80 +291,22 @@ func mustUint(t testing.TB, s string) uint64 {
 	return v
 }
 
-// TestFanOutSeversFullChannel: a stream whose buffer is full is severed
-// (channel closed, route dropped) instead of blocking ingest — the
+// TestDeliverSeversFullBuffer: a stream whose buffer is full is severed
+// (channel closed, error to the core) instead of blocking ingest — the
 // white-box twin of the stalled-consumer path.
-func TestFanOutSeversFullChannel(t *testing.T) {
-	store, _ := buildStore(t, 5, equivSeed)
-	srv, err := New(Options{Backend: EngineBackend{Eng: engine.New(0), Store: store}})
-	if err != nil {
+func TestDeliverSeversFullBuffer(t *testing.T) {
+	st := &sseStream{ch: make(chan continuous.Event, 1)}
+	if err := st.Deliver(continuous.Event{SubID: 7, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	st := &sseStream{ch: make(chan continuous.Event, 1)}
-	srv.subscribers[7] = st
-	srv.fanOut([]continuous.Event{{SubID: 7, Seq: 1}})
-	srv.fanOut([]continuous.Event{{SubID: 7, Seq: 2}}) // buffer full: sever
+	if err := st.Deliver(continuous.Event{SubID: 7, Seq: 2}); err == nil {
+		t.Fatal("full buffer accepted an event")
+	}
 	if ev, ok := <-st.ch; !ok || ev.Seq != 1 {
 		t.Fatalf("buffered event: ok=%v seq=%d, want seq 1", ok, ev.Seq)
 	}
 	if _, ok := <-st.ch; ok {
 		t.Fatal("channel not closed after sever")
-	}
-	srv.subsMu.Lock()
-	_, live := srv.subscribers[7]
-	srv.subsMu.Unlock()
-	if live {
-		t.Fatal("severed stream still routed")
-	}
-	// Events to unknown subscriptions are ignored.
-	srv.fanOut([]continuous.Event{{SubID: 7, Seq: 3}})
-}
-
-func contains(ids []int64, id int64) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
-// TestDetachedLRUEviction: past MaxDetached parked subscriptions, the
-// oldest is evicted and unsubscribed from the hub.
-func TestDetachedLRUEviction(t *testing.T) {
-	store, trs := buildStore(t, 20, equivSeed)
-	hub := newTestHub(t, store)
-	srv, base, client := startGateway(t, Options{
-		Backend:     EngineBackend{Eng: engine.New(0), Store: store},
-		Hub:         hub,
-		MaxDetached: 2,
-	}, nil)
-
-	q := trs[0]
-	var ids []int64
-	for i := 0; i < 3; i++ {
-		stream := openSSE(t, client, fmt.Sprintf(
-			"%s/v1/subscribe?kind=UQ31&query_oid=%d&tb=0&te=%g", base, q.OID, 30+float64(i)), "")
-		var sub subscribedEvent
-		if err := json.Unmarshal(stream.next(t).data, &sub); err != nil {
-			t.Fatal(err)
-		}
-		stream.close()
-		waitDetached(t, srv, sub.SubID)
-		ids = append(ids, sub.SubID)
-	}
-	// The first subscription fell off the LRU and left the hub.
-	deadline := time.Now().Add(2 * time.Second)
-	for contains(hub.Subscriptions(), ids[0]) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if contains(hub.Subscriptions(), ids[0]) {
-		t.Fatalf("evicted subscription %d still lives in the hub", ids[0])
-	}
-	for _, id := range ids[1:] {
-		if !contains(hub.Subscriptions(), id) {
-			t.Fatalf("retained subscription %d missing from the hub", id)
-		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/serve"
 	"repro/internal/textidx"
 )
 
@@ -95,7 +96,7 @@ func TestGatewayFilteredSubscribeAndTaggedIngest(t *testing.T) {
 	// Pure tag flip over HTTP: no verts, tags only.
 	tags := []string{"available"}
 	status, body := postJSON(t, client, base+"/v1/ingest", "",
-		ingestRequest{Updates: []wireUpdate{{OID: flip, Tags: &tags}}})
+		ingestRequest{Updates: []serve.WireUpdate{{OID: flip, Tags: &tags}}})
 	if status != http.StatusOK {
 		t.Fatalf("tag-flip ingest: status %d (body %.300s)", status, body)
 	}

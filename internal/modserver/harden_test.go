@@ -138,7 +138,7 @@ func TestShardPhasesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBounds, err := prune.SliceBounds(context.Background(), store, q, 0, 30, 2)
+	wantBounds, err := prune.SliceBoundsWhere(context.Background(), store, q, 0, 30, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestShardPhasesRoundTrip(t *testing.T) {
 	if len(imposed) > 2 {
 		imposed[len(imposed)/2] = math.Inf(1)
 	}
-	wantSurv, wantStats, err := prune.SurvivorsWithBounds(context.Background(), store, q, 0, 30, imposed)
+	wantSurv, wantStats, err := prune.SurvivorsWithBoundsWhere(context.Background(), store, q, 0, 30, imposed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +190,10 @@ func TestShardPhasesRoundTrip(t *testing.T) {
 	// deadline-aware, not just cancellation-aware).
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := prune.SliceBounds(expired, store, q, 0, 30, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := prune.SliceBoundsWhere(expired, store, q, 0, 30, 1, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired-deadline bounds phase: %v, want context.DeadlineExceeded", err)
 	}
-	if _, _, err := prune.SurvivorsWithBounds(expired, store, q, 0, 30, imposed); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := prune.SurvivorsWithBoundsWhere(expired, store, q, 0, 30, imposed, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired-deadline survivors phase: %v, want context.DeadlineExceeded", err)
 	}
 }

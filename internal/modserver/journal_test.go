@@ -2,18 +2,21 @@ package modserver
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/mod"
 	"repro/internal/trajectory"
 	"repro/internal/wal"
 )
 
 // TestJournaledServerRecovers wires a WAL journal under a live server,
-// mutates through every durable op (ingest, insert, trip), then recovers
-// the directory and demands the byte-identical store — the contract the
-// -wal-dir flag rides on.
+// mutates through every op (ingest, insert, trip, delete — each one an
+// update batch on the journaled path), then recovers the directory and
+// demands the byte-identical store — the contract the -wal-dir flag rides
+// on.
 func TestJournaledServerRecovers(t *testing.T) {
 	dir := t.TempDir()
 	st := liveStore(t)
@@ -48,9 +51,13 @@ func TestJournaledServerRecovers(t *testing.T) {
 	if _, err := cli.PlanTrip(78, []geom.Point{{X: 0, Y: 0}, {X: 3, Y: 4}}, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	// Delete would mutate outside the journal; it must be refused.
-	if err := cli.Delete(77); err == nil {
-		t.Fatal("journaled server accepted a delete")
+	// Delete is a journaled retire: it succeeds, and recovery must not
+	// resurrect the object.
+	if err := cli.Delete(4); err != nil {
+		t.Fatalf("delete on a journaled server: %v", err)
+	}
+	if err := cli.Delete(4); !errors.Is(err, mod.ErrNotFound) {
+		t.Fatalf("second delete = %v, want not found", err)
 	}
 
 	var live bytes.Buffer
@@ -76,5 +83,8 @@ func TestJournaledServerRecovers(t *testing.T) {
 	}
 	if _, err := recovered.Get(78); err != nil {
 		t.Fatalf("trip object lost in recovery: %v", err)
+	}
+	if _, err := recovered.Get(4); !errors.Is(err, mod.ErrNotFound) {
+		t.Fatalf("deleted object resurrected by recovery: %v", err)
 	}
 }

@@ -1,14 +1,15 @@
 package modserver
 
 import (
-	"errors"
 	"math"
 	"net"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/continuous"
 	"repro/internal/engine"
+	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/trajectory"
 )
@@ -180,74 +181,6 @@ func TestSubscribeSameConnIngest(t *testing.T) {
 	}
 }
 
-// TestSubscriberDisconnectCleansUp pins the teardown path: a subscriber
-// that drops its connection is detached — retained in the hub for a
-// later Resume — and ingests keep flowing for everyone else. With
-// detached retention disabled (MaxDetached < 0) the subscription is
-// reaped outright, restoring the old fire-and-forget teardown.
-func TestSubscriberDisconnectCleansUp(t *testing.T) {
-	st := liveStore(t)
-	srv, addr := startServer(t, st)
-
-	subCli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subID, _, err := subCli.Subscribe(engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	subCli.Close()
-
-	// The server notices the closed connection on its read loop and moves
-	// the subscription to the detached set. Poll until it lands there.
-	deadline := time.Now().Add(5 * time.Second)
-	for !srv.isDetached(subID) {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscription %d not detached after disconnect", subID)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := srv.Hub().Subscriptions(); len(got) != 1 {
-		t.Fatalf("detached subscription should stay registered, hub has %v", got)
-	}
-
-	ingCli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ingCli.Close()
-	if _, err := ingCli.Ingest([]mod.Update{{OID: 3, Verts: []trajectory.Vertex{
-		{X: 6, Y: 1, T: 6}, {X: 10, Y: 0.5, T: 10},
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSubscriberDisconnectReapedWithoutRetention covers the MaxDetached<0
-// configuration: disconnect unregisters the subscription from the hub.
-func TestSubscriberDisconnectReapedWithoutRetention(t *testing.T) {
-	st := liveStore(t)
-	srv, addr := startServerWith(t, st, Options{MaxDetached: -1})
-
-	subCli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := subCli.Subscribe(engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10}); err != nil {
-		t.Fatal(err)
-	}
-	subCli.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for len(srv.Hub().Subscriptions()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("subscription still live after disconnect: %v", srv.Hub().Subscriptions())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestIdleSubscriberSurvivesReadTimeout pins the deadline exemption: a
 // connection that owns a subscription is a pure event listener and must
 // not be reaped for sending no request lines, even with an aggressive
@@ -294,40 +227,80 @@ func TestIdleSubscriberSurvivesReadTimeout(t *testing.T) {
 	}
 }
 
-// TestIngestErrorIdentity keeps the wire error surface coherent with the
-// in-process one for the live ops.
-func TestIngestErrorIdentity(t *testing.T) {
+// nextEventSoon is NextEvent with a deadline, so a mutation that never
+// reaches the subscriber fails the test instead of hanging it.
+func nextEventSoon(t *testing.T, cli *Client) (continuous.Event, error) {
+	t.Helper()
+	type result struct {
+		ev  continuous.Event
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		ev, err := cli.NextEvent()
+		got <- result{ev, err}
+	}()
+	select {
+	case r := <-got:
+		return r.ev, r.err
+	case <-time.After(5 * time.Second):
+		t.Fatal("no event within 5s: the mutation bypassed the hub")
+		return continuous.Event{}, nil
+	}
+}
+
+// TestInsertAndTripReachSubscribers: the legacy insert and trip ops are
+// one-update ingests, so — journal or not — a subscriber whose zone the new
+// object enters receives the diff event.
+func TestInsertAndTripReachSubscribers(t *testing.T) {
 	st := liveStore(t)
 	_, addr := startServer(t, st)
-	cli, err := Dial(addr)
+	subCli, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
+	defer subCli.Close()
+	mutCli, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mutCli.Close()
 
-	// Stale revision: first vertex precedes the whole plan.
-	_, err = cli.Ingest([]mod.Update{{OID: 1, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: -5}}}})
-	if err == nil {
-		t.Fatal("stale revision accepted")
+	subID, initial, err := subCli.Subscribe(engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var wire interface{ Error() string } = err
-	if wire.Error() == "" {
-		t.Fatal("empty error message")
-	}
-	if errors.Is(err, mod.ErrNotFound) {
-		t.Fatal("stale revision misreported as not-found")
+	if !reflect.DeepEqual(initial.OIDs, []int64{2}) {
+		t.Fatalf("initial answer = %+v", initial)
 	}
 
-	// A mid-batch failure reports the applied prefix with the error — the
-	// mod.ApplyUpdates partial contract, preserved across the wire.
-	partial, err := cli.Ingest([]mod.Update{
-		{OID: 2, Verts: []trajectory.Vertex{{X: 6, Y: 1.1, T: 6}, {X: 10, Y: 1.1, T: 10}}},
-		{OID: 1, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: -5}}},
-	})
-	if err == nil {
-		t.Fatal("bad batch member accepted")
+	shadow, err := trajectory.New(10, []trajectory.Vertex{{X: 0, Y: 0.5, T: 0}, {X: 10, Y: 0.5, T: 10}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(partial) != 1 || partial[0].OID != 2 || partial[0].ChangedFrom != 5 {
-		t.Fatalf("partial outcomes = %+v", partial)
+	if err := mutCli.Insert(shadow); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := nextEventSoon(t, subCli)
+	if err != nil || ev.SubID != subID || ev.Seq != 1 || !reflect.DeepEqual(ev.Added, []int64{10}) {
+		t.Fatalf("insert event = %+v, %v", ev, err)
+	}
+
+	// A trip along the query's own path, at the query's own speed.
+	if _, err := mutCli.PlanTrip(11, []geom.Point{{X: 0, Y: -0.5}, {X: 10, Y: -0.5}}, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	ev, err = nextEventSoon(t, subCli)
+	if err != nil || ev.Seq != 2 || !reflect.DeepEqual(ev.Added, []int64{11}) {
+		t.Fatalf("trip event = %+v, %v", ev, err)
+	}
+
+	// Delete is a retire ingest: the subscriber sees the object leave.
+	if err := mutCli.Delete(10); err != nil {
+		t.Fatal(err)
+	}
+	ev, err = nextEventSoon(t, subCli)
+	if err != nil || ev.Seq != 3 || !reflect.DeepEqual(ev.Removed, []int64{10}) {
+		t.Fatalf("delete event = %+v, %v", ev, err)
 	}
 }

@@ -13,16 +13,25 @@
 //	{"op":"ping"}                                  → {"ok":true}
 //	{"op":"count"}                                 → {"ok":true,"count":N}
 //	{"op":"spec"}                                  → {"ok":true,"spec":{...}}
-//	{"op":"insert","oid":1,"verts":[[x,y,t],...]}  → {"ok":true}
+//	{"op":"insert","oid":1,"verts":[[x,y,t],...]}  → {"ok":true} (a one-update ingest; a known OID is rejected)
 //	{"op":"get","oid":1}                           → {"ok":true,"oid":1,"verts":[...]}
-//	{"op":"delete","oid":1}                        → {"ok":true}
+//	{"op":"delete","oid":1}                        → {"ok":true} (a retire ingest; unknown OID → "code":"not_found")
 //	{"op":"uql","query":"SELECT ..."}              → {"ok":true,"bool":b} or {"ok":true,"oids":[...]}
 //	{"op":"batch","queries":["SELECT ...", ...]}   → {"ok":true,"results":[{"ok":true,"bool":b}|{"ok":true,"oids":[...]}|{"error":"..."},...]}
 //	{"op":"query","requests":[{"kind":"UQ31",
 //	 "query_oid":1,"tb":0,"te":60}, ...],
 //	 "deadline_ms":500}                            → {"ok":true,"answers":[{"ok":true,"oids":[...],"explain":{...}},...]}
 //	{"op":"trip","oid":9,"waypoints":[[x,y],...],
-//	 "start":0,"speed":0.5}                        → {"ok":true,"oid":9,"verts":[...]} (plans and inserts)
+//	 "start":0,"speed":0.5}                        → {"ok":true,"oid":9,"verts":[...]} (plans, then inserts as above)
+//	{"op":"ingest","updates":[{"oid":1,"verts":[...],
+//	 "tags":[...]},{"oid":2,"retire":true}]}       → {"ok":true,"applied":[{...},...]}
+//	{"op":"subscribe","request":{...}}             → {"ok":true,"sub_id":N,"answer":{...}}, then {"ok":true,"event":{...}}*
+//	{"op":"subscribe","sub_id":N,"from_seq":S}     → the same reply, then the missed events, then live ones (resume)
+//	{"op":"unsubscribe","sub_id":N}                → {"ok":true}
+//
+// Every mutation — insert, trip, delete, ingest — is an update batch on
+// the one journal → hub → fan-out path of internal/serve: it is journaled
+// when a journal is configured, and standing subscriptions see its diff.
 //
 // Shard-serving phases of the query op (the cluster bound-exchange and
 // distributed-refine protocol; +Inf bounds travel as -1 since JSON has no
@@ -68,7 +77,6 @@ package modserver
 import (
 	"bufio"
 	"context"
-	"crypto/subtle"
 	"crypto/tls"
 	"encoding/json"
 	"errors"
@@ -83,6 +91,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/prune"
+	"repro/internal/serve"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
 	"repro/internal/uql"
@@ -99,11 +108,11 @@ const MaxLine = 1 << 20
 const DefaultReadTimeout = 2 * time.Minute
 
 // DefaultWriteTimeout bounds one asynchronous subscription-event write
-// and one frame of a streamed reply. The ingest op fans events out to
-// other connections while holding the emission lock, so a subscriber that
-// stops reading must fail fast (and be disconnected) instead of wedging
-// every ingest behind its full TCP buffer — the write-side twin of the
-// read-deadline hardening. Streamed survivors/all frames get the same
+// and one frame of a streamed reply. Events are delivered under the serve
+// core's emit lock, so a subscriber that stops reading must fail fast (and
+// be disconnected) instead of wedging every ingest behind its full TCP
+// buffer — the write-side twin of the read-deadline hardening. Streamed
+// survivors/all frames get the same
 // per-frame deadline: a reader that stalls mid-stream is severed instead
 // of pinning the connection goroutine. Single-line request replies stay
 // exempt: modest replies on slow links are legitimate.
@@ -124,16 +133,15 @@ var ErrConnClosed = errors.New("modserver: connection closed")
 // "you read too slowly" from a server crash.
 var ErrEventStalled = errors.New("modserver: subscription severed: event write stalled")
 
+// ErrSubExpired is the identity of the codeSubExpired rejection on both
+// sides of the wire: the subscription sat detached past the server's
+// DetachedTTL and was expired, so the client must take a fresh Subscribe.
+var ErrSubExpired = serve.ErrSubExpired
+
 // ErrUnauthorized reports a token-protected server rejecting a request:
 // the connection never authenticated (or presented the wrong token), so
 // the server refused the op and closed the connection. Matches across
 // the wire via the coded error.
-// ErrSubExpired is the client-side identity of the codeSubExpired
-// rejection: the subscription sat detached past the server's DetachedTTL
-// and was expired — its backlog is gone, so resume is impossible and the
-// client must take a fresh Subscribe.
-var ErrSubExpired = errors.New("modserver: detached subscription expired")
-
 var ErrUnauthorized = errors.New("modserver: unauthorized")
 
 // ErrTLSRequired reports a plaintext client talking to a TLS server: the
@@ -183,17 +191,32 @@ const (
 	codeCanceled = "canceled"
 )
 
+// wireCodes pairs each machine-readable failure code with the error
+// identity it carries across the wire: codedFail stamps the first match on
+// a reply, respError rebuilds it at the client.
+var wireCodes = []struct {
+	code string
+	is   error
+}{
+	{codeDeadline, context.DeadlineExceeded},
+	{codeCanceled, context.Canceled},
+	{codeNotFound, mod.ErrNotFound},
+	{codeEventGap, continuous.ErrEventGap},
+	{codeSubExpired, ErrSubExpired},
+	{codeEventStalled, ErrEventStalled},
+	{codeUnauthorized, ErrUnauthorized},
+	{codeTLSRequired, ErrTLSRequired},
+}
+
 // codedFail builds an error response, attaching the machine-readable
 // code for failures whose identity must survive the wire.
 func codedFail(err error) Response {
 	resp := Response{Error: err.Error()}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		resp.Code = codeDeadline
-	case errors.Is(err, context.Canceled):
-		resp.Code = codeCanceled
-	case errors.Is(err, mod.ErrNotFound):
-		resp.Code = codeNotFound
+	for _, wc := range wireCodes {
+		if errors.Is(err, wc.is) {
+			resp.Code = wc.code
+			break
+		}
 	}
 	return resp
 }
@@ -274,34 +297,13 @@ type Request struct {
 	FromSeq uint64 `json:"from_seq,omitempty"`
 }
 
-// WireApplied is one applied live update on the wire. ChangedFrom is
-// omitted for inserts (it is -Inf in memory; JSON has no Inf literal) and
-// for pure tag flips, which carry TagsOnly instead (ChangedFrom is +Inf
-// in memory: no motion changed).
-type WireApplied struct {
-	OID         int64        `json:"oid"`
-	Inserted    bool         `json:"inserted,omitempty"`
-	Retired     bool         `json:"retired,omitempty"`
-	ChangedFrom float64      `json:"changed_from,omitempty"`
-	TagsOnly    bool         `json:"tags_only,omitempty"`
-	Verts       [][3]float64 `json:"verts,omitempty"`
-	PrevVerts   [][3]float64 `json:"prev_verts,omitempty"`
-	TagsChanged bool         `json:"tags_changed,omitempty"`
-	Tags        []string     `json:"tags,omitempty"`
-	PrevTags    []string     `json:"prev_tags,omitempty"`
-}
-
-// WireTraj is one trajectory on the wire (the survivors/all phases and
-// the ingest op). Tags follows the mod.Update contract: nil leaves the
-// OID's tags alone, empty clears them, non-empty replaces them.
-type WireTraj struct {
-	OID   int64        `json:"oid"`
-	Verts [][3]float64 `json:"verts"`
-	Tags  *[]string    `json:"tags,omitempty"`
-	// Retire marks a retirement update (mod.Update.Retire): no vertices,
-	// no tags — the object leaves the store.
-	Retire bool `json:"retire,omitempty"`
-}
+// WireApplied is one applied live update on the wire, and WireTraj one
+// trajectory (the survivors/all phases) or one ingest update — the shapes
+// shared with the HTTP gateway.
+type (
+	WireApplied = serve.WireApplied
+	WireTraj    = serve.WireUpdate
+)
 
 // Answer is one engine.Request's outcome inside a "query" response.
 type Answer struct {
@@ -391,25 +393,17 @@ type Options struct {
 	// discards it — the multi-frame analogue of MaxLineBytes. Zero means
 	// DefaultMaxGatherBytes; negative disables the cap.
 	MaxGatherBytes int
-	// Journal, when set, makes the mutation path write-ahead durable:
-	// every ingest batch is appended to it before the hub applies it, and
-	// AfterApply runs after a successful apply (where a wal.Log decides
-	// whether to snapshot). Insert and trip ops route through the same
-	// journaled ingest; delete is rejected (it has no journal record and
-	// would silently diverge recovery).
+	// Journal, when set, makes every mutation (ingest, insert, trip,
+	// delete) write-ahead durable: the batch is appended before the hub
+	// applies it, and AfterApply runs after a successful apply (where a
+	// wal.Log decides whether to snapshot).
 	Journal Journal
-	// MaxDetached bounds how many subscriptions closed connections may
-	// leave detached awaiting a from_seq resume; past it the oldest is
-	// dropped for real. Zero means DefaultMaxDetached; negative disables
-	// detaching (a closed connection's subscriptions die immediately, the
-	// pre-durability behavior).
+	// MaxDetached and DetachedTTL bound the subscriptions closed
+	// connections leave detached awaiting a from_seq resume, by count (LRU)
+	// and by age; both forward to serve.New, which documents the zero and
+	// negative values. Past the TTL a resume gets the typed codeSubExpired
+	// rejection.
 	MaxDetached int
-	// DetachedTTL bounds how long a detached subscription stays resumable.
-	// Past the deadline it is expired for real — unsubscribed from the hub,
-	// so its backlog memory and per-ingest evaluation work stop — and a
-	// later from_seq resume gets the typed codeSubExpired rejection. Zero
-	// means DefaultDetachedTTL; negative disables the deadline (LRU bound
-	// only, the pre-deadline behavior).
 	DetachedTTL time.Duration
 	// EventBacklog is the per-subscription replay backlog bound, passed
 	// through to the hub (continuous.HubOptions.BacklogCap): zero selects
@@ -422,89 +416,44 @@ type Options struct {
 	Token string
 }
 
-// DefaultMaxDetached bounds detached (resumable) subscriptions per
-// server.
-const DefaultMaxDetached = 64
-
-// DefaultDetachedTTL is how long a detached subscription stays resumable
-// before the server expires it. Long enough to ride out a reconnect
-// backoff; short enough that churny subscribe/disconnect load cannot pin
-// hub backlogs and per-ingest evaluation work behind readers that are
-// never coming back.
-const DefaultDetachedTTL = 2 * time.Minute
-
-// Journal is the write-ahead hook the ingest path drives (implemented by
-// wal.Log). Append must make the batch durable before it returns; it runs
-// before the batch is applied, under the server's ingest serialization
-// lock. AfterApply runs after a successful apply with the post-batch
-// store — the snapshot opportunity.
-type Journal interface {
-	Append(updates []mod.Update) error
-	AfterApply(store *mod.Store) error
-}
+// Journal is the write-ahead hook of the mutation path (wal.Log
+// implements it).
+type Journal = serve.Journal
 
 // Server serves a store over a listener. Batch queries run through one
 // shared engine so concurrent clients benefit from the same processor
-// memo, and one continuous-query hub keeps every connection's standing
-// subscriptions fresh across ingests from any connection.
+// memo, and one serve.Core keeps every connection's standing
+// subscriptions fresh across mutations from any connection.
 type Server struct {
 	store        *mod.Store
 	engine       *engine.Engine
-	hub          *continuous.Hub
-	journal      Journal
+	core         *serve.Core
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 	maxLine      int
 	maxGather    int
-	maxDetached  int
-	detachedTTL  time.Duration
 	token        string
-	// now is the detach-deadline clock (time.Now in production; tests
-	// substitute a stepped clock to exercise expiry deterministically).
-	now func() time.Time
 
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]struct{}
 	closed   bool
-
-	// emitMu serializes every journaled mutation + event fan-out, so the
-	// journal's append order is the apply order and subscribers observe
-	// event batches in ingest order (per-subscription Seq is monotone on
-	// the wire, not just in the hub).
-	emitMu sync.Mutex
-	// subsMu guards the subscription → connection routing table and the
-	// detached set.
-	subsMu      sync.Mutex
-	subscribers map[int64]*connState
-	// detached holds subscriptions whose connection closed but which stay
-	// live in the hub awaiting a from_seq resume, keyed to their detach
-	// time (the DetachedTTL deadline base); detachedOrder is their
-	// eviction order (oldest first — also deadline order, since detach
-	// times are appended monotonically), bounded by maxDetached.
-	detached      map[int64]time.Time
-	detachedOrder []int64
-	// expired remembers recently deadline-expired subscription IDs so a
-	// late resume gets the typed codeSubExpired rejection rather than the
-	// generic unknown-subscription error; expiredOrder bounds it FIFO at
-	// maxDetached.
-	expired      map[int64]struct{}
-	expiredOrder []int64
 }
 
-// connState is one connection's locked writer plus the subscriptions it
-// owns. The lock serializes the handler's replies with asynchronous event
-// pushes triggered by other connections' ingests. The gather fields are
-// touched only by the connection's own handler goroutine (the protocol is
-// synchronous per connection), so they need no lock.
+// connState is one connection's locked writer — the serve.Sink of the
+// subscriptions it owns. The lock serializes the handler's replies with
+// asynchronous event pushes triggered by other connections' ingests. Every
+// other field is touched only by the connection's own handler goroutine
+// (the protocol is synchronous per connection), so it needs no lock.
 type connState struct {
 	conn         net.Conn
 	writeTimeout time.Duration
 	wmu          sync.Mutex
 	enc          *json.Encoder
-	subs         map[int64]struct{}
-	// authed records a successful auth op; touched only by the handler
-	// goroutine (the protocol is synchronous per connection).
+	// subs holds the subscriptions this connection subscribed or resumed
+	// and has not unsubscribed: what to detach when it closes.
+	subs map[int64]struct{}
+	// authed records a successful auth op.
 	authed bool
 
 	// pending accumulates in-flight gather uploads frame by frame;
@@ -524,11 +473,8 @@ func (cs *connState) send(resp Response) error {
 	return cs.enc.Encode(resp)
 }
 
-// sendEvent pushes an asynchronous subscription event under the write
-// deadline: the ingest path fans events out while holding the emission
-// lock, so a subscriber that stopped reading must fail fast (and be
-// disconnected) instead of wedging every ingest behind its full TCP
-// buffer.
+// sendEvent writes a subscription event or a stream frame under the write
+// deadline, so a peer that stopped reading fails fast.
 func (cs *connState) sendEvent(resp Response) error {
 	cs.wmu.Lock()
 	defer cs.wmu.Unlock()
@@ -542,16 +488,18 @@ func (cs *connState) sendEvent(resp Response) error {
 	return err
 }
 
-// NewServer wraps a store with a default engine (one worker per CPU) and
-// default hardening options.
-func NewServer(store *mod.Store) *Server {
-	return NewServerWithEngine(store, engine.New(0))
-}
-
-// NewServerWithEngine wraps a store with a caller-tuned engine and default
-// hardening options.
-func NewServerWithEngine(store *mod.Store, eng *engine.Engine) *Server {
-	return NewServerWith(store, eng, Options{})
+// Deliver implements serve.Sink. A subscriber that stalled past the write
+// deadline or is gone is told why (best effort — the parting line often
+// fits the little buffer room a huge stuck event could not) and its
+// connection closed, so the handler unwinds and detaches everything it
+// owned instead of dropping events into a wedged stream forever.
+func (cs *connState) Deliver(ev continuous.Event) error {
+	err := cs.sendEvent(Response{OK: true, Event: &ev})
+	if err != nil {
+		_ = cs.sendEvent(Response{Error: fmt.Sprintf("%v: %v", ErrEventStalled, err), Code: codeEventStalled})
+		_ = cs.conn.Close()
+	}
+	return err
 }
 
 // NewServerWith wraps a store with a caller-tuned engine and explicit
@@ -572,36 +520,22 @@ func NewServerWith(store *mod.Store, eng *engine.Engine, o Options) *Server {
 	if o.MaxGatherBytes == 0 {
 		o.MaxGatherBytes = DefaultMaxGatherBytes
 	}
-	switch {
-	case o.MaxDetached == 0:
-		o.MaxDetached = DefaultMaxDetached
-	case o.MaxDetached < 0:
-		o.MaxDetached = 0
-	}
-	switch {
-	case o.DetachedTTL == 0:
-		o.DetachedTTL = DefaultDetachedTTL
-	case o.DetachedTTL < 0:
-		o.DetachedTTL = 0
-	}
+	hub := continuous.NewEngineHubWith(store, eng, continuous.HubOptions{BacklogCap: o.EventBacklog})
 	return &Server{
 		store: store, engine: eng,
-		hub:         continuous.NewEngineHubWith(store, eng, continuous.HubOptions{BacklogCap: o.EventBacklog}),
-		journal:     o.Journal,
+		core:        serve.New(hub, store, o.Journal, o.MaxDetached, o.DetachedTTL),
 		readTimeout: o.ReadTimeout, writeTimeout: o.WriteTimeout, maxLine: o.MaxLineBytes,
-		maxGather: o.MaxGatherBytes, maxDetached: o.MaxDetached, detachedTTL: o.DetachedTTL,
-		token:       o.Token,
-		now:         time.Now,
-		conns:       make(map[net.Conn]struct{}),
-		subscribers: make(map[int64]*connState),
-		detached:    make(map[int64]time.Time),
-		expired:     make(map[int64]struct{}),
+		maxGather: o.MaxGatherBytes, token: o.Token,
+		conns: make(map[net.Conn]struct{}),
 	}
 }
 
-// Hub exposes the server's continuous-query hub (in-process callers and
+// Core exposes the server's live-serving core (in-process callers and
 // tests; wire clients use the subscribe/ingest ops).
-func (s *Server) Hub() *continuous.Hub { return s.hub }
+func (s *Server) Core() *serve.Core { return s.core }
+
+// Hub exposes the server's continuous-query hub.
+func (s *Server) Hub() *continuous.Hub { return s.core.Hub() }
 
 // Serve accepts connections on l until Close. It always returns a non-nil
 // error (ErrServerClosed after a clean shutdown).
@@ -699,7 +633,10 @@ func (s *Server) handle(conn net.Conn) {
 	cs := &connState{conn: conn, writeTimeout: s.writeTimeout, enc: json.NewEncoder(conn), subs: make(map[int64]struct{})}
 	defer func() {
 		conn.Close()
-		s.dropSubscriber(cs)
+		// The subscriptions stay live in the hub for a from_seq resume.
+		for id := range cs.subs {
+			s.core.Detach(id, cs)
+		}
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
@@ -738,7 +675,7 @@ func (s *Server) handle(conn net.Conn) {
 		// synchronous, cannot ping) — it gets no read deadline; a dead
 		// subscriber is reaped instead by the event write deadline.
 		if s.readTimeout > 0 {
-			if s.isSubscriber(cs) {
+			if len(cs.subs) > 0 {
 				_ = conn.SetReadDeadline(time.Time{})
 			} else {
 				_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
@@ -764,7 +701,7 @@ func (s *Server) handle(conn net.Conn) {
 			// Auth gates everything below it in this chain. A wrong token
 			// closes the connection after one coded reply — no retries on
 			// an established connection, the client redials.
-			if s.token != "" && subtle.ConstantTimeCompare([]byte(req.Token), []byte(s.token)) != 1 {
+			if s.token != "" && !serve.TokenOK(s.token, req.Token) {
 				_ = cs.send(Response{Error: ErrUnauthorized.Error() + ": bad token", Code: codeUnauthorized})
 				return
 			}
@@ -787,7 +724,7 @@ func (s *Server) handle(conn net.Conn) {
 			continue
 		} else if req.Op == "subscribe" && req.SubID != 0 {
 			// A resume writes its reply and the replayed backlog itself
-			// (the two must be adjacent under the emission lock).
+			// (the two must be adjacent under the core's emit lock).
 			if !s.resumeSubscribe(req, cs) {
 				return
 			}
@@ -801,171 +738,33 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// isSubscriber reports whether the connection currently owns any
-// subscription.
-func (s *Server) isSubscriber(cs *connState) bool {
-	s.subsMu.Lock()
-	defer s.subsMu.Unlock()
-	return len(cs.subs) > 0
-}
-
-// sweepDetachedLocked expires every detached subscription whose deadline
-// (detach time + detachedTTL) has passed, returning the expired IDs for
-// the caller to unsubscribe from the hub outside subsMu. detachedOrder is
-// append-ordered by detach time, so the sweep walks the front and stops
-// at the first survivor. Expired IDs are remembered (FIFO-bounded) so a
-// late resume can be rejected with the typed codeSubExpired.
-func (s *Server) sweepDetachedLocked(now time.Time) []int64 {
-	if s.detachedTTL <= 0 {
-		return nil
-	}
-	var dead []int64
-	for len(s.detachedOrder) > 0 {
-		oldest := s.detachedOrder[0]
-		at, live := s.detached[oldest]
-		if live && now.Sub(at) < s.detachedTTL {
-			break
-		}
-		s.detachedOrder = s.detachedOrder[1:]
-		if !live {
-			continue // resumed or unsubscribed; stale order entry
-		}
-		delete(s.detached, oldest)
-		dead = append(dead, oldest)
-		if _, dup := s.expired[oldest]; !dup {
-			s.expired[oldest] = struct{}{}
-			s.expiredOrder = append(s.expiredOrder, oldest)
-		}
-	}
-	bound := s.maxDetached
-	if bound < DefaultMaxDetached {
-		bound = DefaultMaxDetached
-	}
-	for len(s.expiredOrder) > bound {
-		delete(s.expired, s.expiredOrder[0])
-		s.expiredOrder = s.expiredOrder[1:]
-	}
-	return dead
-}
-
-// dropSubscriber detaches every subscription a closing connection owned:
-// the subscription stays live in the hub (its events keep accumulating in
-// the bounded backlog) so a reconnecting client can resume with from_seq.
-// The detached set is LRU-bounded and deadline-swept; evicted or expired
-// subscriptions — and all of them when detaching is disabled — are
-// unsubscribed for real.
-func (s *Server) dropSubscriber(cs *connState) {
-	s.subsMu.Lock()
-	evicted := s.sweepDetachedLocked(s.now())
-	for id := range cs.subs {
-		delete(s.subscribers, id)
-		delete(cs.subs, id)
-		if s.maxDetached <= 0 {
-			evicted = append(evicted, id)
-			continue
-		}
-		s.detached[id] = s.now()
-		s.detachedOrder = append(s.detachedOrder, id)
-	}
-	for len(s.detached) > s.maxDetached {
-		oldest := s.detachedOrder[0]
-		s.detachedOrder = s.detachedOrder[1:]
-		if _, ok := s.detached[oldest]; ok {
-			delete(s.detached, oldest)
-			evicted = append(evicted, oldest)
-		}
-	}
-	// Resume deletes from the set but leaves its order entry; compact the
-	// stale entries once they dominate so the slice stays bounded.
-	if len(s.detachedOrder) > 2*len(s.detached)+16 {
-		kept := s.detachedOrder[:0]
-		seen := make(map[int64]struct{}, len(s.detached))
-		for _, id := range s.detachedOrder {
-			if _, live := s.detached[id]; !live {
-				continue
-			}
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			kept = append(kept, id)
-		}
-		s.detachedOrder = kept
-	}
-	s.subsMu.Unlock()
-	for _, id := range evicted {
-		s.hub.Unsubscribe(id)
-	}
-}
-
 // resumeSubscribe re-attaches a detached subscription to this connection
-// and replays the events its client missed since from_seq. Everything —
-// gap check, attachment, the OK reply, and the replayed backlog — happens
-// under the emission lock, so no live event can interleave: the client
-// sees exactly the missed diffs in order, then the live stream. The
-// return value reports whether the connection is still usable.
+// and replays the events its client missed since from_seq. The OK reply
+// and the replayed backlog are written under the core's emit lock, so no
+// live event can interleave: the client sees exactly the missed diffs in
+// order, then the live stream. A truncated backlog is the coded event_gap;
+// the subscription then stays detached. The return value reports whether
+// the connection is still usable.
 func (s *Server) resumeSubscribe(req Request, cs *connState) bool {
-	s.emitMu.Lock()
-	fail := func(resp Response) bool {
-		s.emitMu.Unlock()
-		return cs.send(resp) == nil
-	}
-	s.subsMu.Lock()
-	dead := s.sweepDetachedLocked(s.now())
-	owner, attached := s.subscribers[req.SubID]
-	_, isDetached := s.detached[req.SubID]
-	_, wasExpired := s.expired[req.SubID]
-	s.subsMu.Unlock()
-	for _, id := range dead {
-		s.hub.Unsubscribe(id)
-	}
-	if attached && owner != cs {
-		return fail(Response{Error: fmt.Sprintf("subscribe: subscription %d is owned by a live connection", req.SubID)})
-	}
-	if !attached && !isDetached {
-		if wasExpired {
-			return fail(Response{
-				Error: fmt.Sprintf("subscribe: subscription %d expired after %v detached", req.SubID, s.detachedTTL),
-				Code:  codeSubExpired,
-			})
+	wrote := true
+	err := s.core.Resume(req.SubID, req.FromSeq, cs, func(res engine.Result, backlog []continuous.Event) error {
+		cs.subs[req.SubID] = struct{}{}
+		ans := encodeAnswer(res)
+		err := cs.send(Response{OK: true, SubID: req.SubID, Answer: &ans})
+		for i := 0; err == nil && i < len(backlog); i++ {
+			err = cs.sendEvent(Response{OK: true, Event: &backlog[i]})
 		}
-		return fail(Response{Error: fmt.Sprintf("subscribe: unknown or expired subscription %d", req.SubID)})
+		wrote = err == nil
+		return err
+	})
+	if err != nil && wrote {
+		// The core refused the resume; nothing has been written yet.
+		return cs.send(codedFail(err)) == nil
 	}
-	events, err := s.hub.Replay(req.SubID, req.FromSeq)
-	if err != nil {
-		if errors.Is(err, continuous.ErrEventGap) {
-			// The backlog was truncated past from_seq: the missed diffs are
-			// unrecoverable. The subscription stays detached — the client
-			// decides whether to resume from the present or re-subscribe.
-			return fail(Response{Error: err.Error(), Code: codeEventGap})
-		}
-		return fail(Response{Error: err.Error()})
-	}
-	res, err := s.hub.Answer(req.SubID)
-	if err != nil {
-		return fail(Response{Error: err.Error()})
-	}
-	s.subsMu.Lock()
-	delete(s.detached, req.SubID)
-	s.subscribers[req.SubID] = cs
-	cs.subs[req.SubID] = struct{}{}
-	s.subsMu.Unlock()
-	defer s.emitMu.Unlock()
-	ans := encodeAnswer(res)
-	if cs.send(Response{OK: true, SubID: req.SubID, Answer: &ans}) != nil {
-		return false
-	}
-	for _, ev := range events {
-		ev := ev
-		if cs.sendEvent(Response{OK: true, Event: &ev}) != nil {
-			return false
-		}
-	}
-	return true
+	return wrote
 }
 
 func (s *Server) dispatch(req Request, cs *connState) Response {
-	fail := func(err error) Response { return Response{Error: err.Error()} }
 	switch req.Op {
 	case "ping":
 		return Response{OK: true}
@@ -989,48 +788,23 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 		// max_line rides along so clients can size gather upload frames.
 		return Response{OK: true, Spec: &spec, MaxLine: s.maxLine}
 	case "insert":
-		verts := make([]trajectory.Vertex, len(req.Verts))
-		for i, v := range req.Verts {
-			verts[i] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
+		tr, err := wireQuery(req)
+		if err == nil {
+			err = s.core.Insert(context.Background(), tr)
 		}
-		tr, err := trajectory.New(req.OID, verts)
 		if err != nil {
-			return fail(err)
-		}
-		if s.journal != nil {
-			if resp := s.insertJournaled(tr); resp.Error != "" {
-				return resp
-			}
-			return Response{OK: true}
-		}
-		if err := s.store.Insert(tr); err != nil {
-			return fail(err)
+			return codedFail(err)
 		}
 		return Response{OK: true}
 	case "get":
 		tr, err := s.store.Get(req.OID)
 		if err != nil {
-			if errors.Is(err, mod.ErrNotFound) {
-				return Response{Error: err.Error(), Code: codeNotFound}
-			}
-			return fail(err)
+			return codedFail(err)
 		}
-		out := make([][3]float64, len(tr.Verts))
-		for i, v := range tr.Verts {
-			out[i] = [3]float64{v.X, v.Y, v.T}
-		}
-		return Response{OK: true, OID: tr.OID, Verts: out, Tags: s.store.Tags(tr.OID)}
+		return Response{OK: true, OID: tr.OID, Verts: serve.EncodeVerts(tr.Verts), Tags: s.store.Tags(tr.OID)}
 	case "delete":
-		if s.journal != nil {
-			// The journal has no delete record: a non-journaled delete
-			// would make recovery silently resurrect the object.
-			return Response{Error: "modserver: delete is not durable with a journal enabled"}
-		}
-		if err := s.store.Delete(req.OID); err != nil {
-			if errors.Is(err, mod.ErrNotFound) {
-				return Response{Error: err.Error(), Code: codeNotFound}
-			}
-			return fail(err)
+		if _, err := s.core.Ingest(context.Background(), []mod.Update{{OID: req.OID, Retire: true}}); err != nil {
+			return codedFail(err)
 		}
 		return Response{OK: true}
 	case "trip":
@@ -1039,39 +813,19 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 			wps[i] = geom.Point{X: w[0], Y: w[1]}
 		}
 		tr, err := mod.PlanTrip(req.OID, wps, req.Start, req.Speed)
+		if err == nil {
+			err = s.core.Insert(context.Background(), tr)
+		}
 		if err != nil {
-			return fail(err)
+			return codedFail(err)
 		}
-		if s.journal != nil {
-			if resp := s.insertJournaled(tr); resp.Error != "" {
-				return resp
-			}
-		} else if err := s.store.Insert(tr); err != nil {
-			return fail(err)
-		}
-		out := make([][3]float64, len(tr.Verts))
-		for i, v := range tr.Verts {
-			out[i] = [3]float64{v.X, v.Y, v.T}
-		}
-		return Response{OK: true, OID: tr.OID, Verts: out}
+		return Response{OK: true, OID: tr.OID, Verts: serve.EncodeVerts(tr.Verts)}
 	case "uql":
 		// Single statements also run through the engine so repeated
 		// queries against one (TrQ, window) reuse the memoized
 		// preprocessing.
-		item := uql.RunBatch([]string{req.Query}, s.store, s.engine)[0]
-		if item.Err != nil {
-			return fail(item.Err)
-		}
-		res := item.Result
-		if res.IsBool {
-			b := res.Bool
-			return Response{OK: true, Bool: &b}
-		}
-		oids := res.OIDs
-		if oids == nil {
-			oids = []int64{}
-		}
-		return Response{OK: true, OIDs: oids}
+		e := encodeBatchItem(uql.RunBatchCtx(context.Background(), []string{req.Query}, s.store, s.engine)[0])
+		return Response{OK: e.OK, Error: e.Error, Bool: e.Bool, OIDs: e.OIDs}
 	case "query":
 		switch req.Phase {
 		case "":
@@ -1095,23 +849,10 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 			return Response{Error: fmt.Sprintf("unknown query phase %q", req.Phase)}
 		}
 	case "batch":
-		items := uql.RunBatch(req.Queries, s.store, s.engine)
+		items := uql.RunBatchCtx(context.Background(), req.Queries, s.store, s.engine)
 		entries := make([]BatchEntry, len(items))
 		for i, it := range items {
-			if it.Err != nil {
-				entries[i] = BatchEntry{Error: it.Err.Error()}
-				continue
-			}
-			e := BatchEntry{OK: true}
-			if it.Result.IsBool {
-				b := it.Result.Bool
-				e.Bool = &b
-			} else {
-				// omitempty drops empty OID lists from the wire; the
-				// client reads an absent key as an empty retrieval.
-				e.OIDs = it.Result.OIDs
-			}
-			entries[i] = e
+			entries[i] = encodeBatchItem(it)
 		}
 		return Response{OK: true, Results: entries}
 	default:
@@ -1119,48 +860,38 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 	}
 }
 
+// encodeBatchItem flattens one UQL statement's outcome onto the wire.
+// omitempty drops empty OID lists; the client reads an absent key as an
+// empty retrieval.
+func encodeBatchItem(it uql.BatchItem) BatchEntry {
+	switch {
+	case it.Err != nil:
+		return BatchEntry{Error: it.Err.Error()}
+	case it.Result.IsBool:
+		return BatchEntry{OK: true, Bool: &it.Result.Bool}
+	}
+	return BatchEntry{OK: true, OIDs: it.Result.OIDs}
+}
+
 // doQuery evaluates a batch of unified requests under the optional
 // deadline. Per-request failures are reported inside answers; an expired
 // deadline (or canceled batch) fails the whole op with the context error.
 func (s *Server) doQuery(req Request) Response {
-	ctx := context.Background()
-	if req.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
+	ctx, cancel := phaseCtx(req)
+	defer cancel()
 	results, err := s.engine.DoBatch(ctx, s.store, req.Requests)
 	if err != nil {
 		return codedFail(err)
 	}
 	answers := make([]Answer, len(results))
 	for i, r := range results {
-		a := Answer{OK: r.Err == nil}
-		if r.Err != nil {
-			a.Error = r.Err.Error()
-			answers[i] = a
-			continue
-		}
-		ex := r.Explain
-		a.Explain = &ex
-		switch {
-		case r.IsBool:
-			b := r.Bool
-			a.IsBool, a.Bool = true, &b
-		case r.Pairs != nil:
-			a.Pairs = r.Pairs
-		default:
-			// omitempty drops empty OID lists from the wire; the client
-			// reads an absent key as an empty retrieval.
-			a.OIDs = r.OIDs
-		}
-		answers[i] = a
+		answers[i] = encodeAnswer(r)
 	}
 	return Response{OK: true, Answers: answers}
 }
 
-// phaseCtx builds the evaluation context for a shard phase under the
-// request's optional deadline.
+// phaseCtx builds the evaluation context for a query op (or one of its
+// shard phases) under the request's optional deadline.
 func phaseCtx(req Request) (context.Context, context.CancelFunc) {
 	if req.DeadlineMS > 0 {
 		return context.WithTimeout(context.Background(), time.Duration(req.DeadlineMS)*time.Millisecond)
@@ -1170,11 +901,7 @@ func phaseCtx(req Request) (context.Context, context.CancelFunc) {
 
 // wireQuery rebuilds the phase's query trajectory from the wire fields.
 func wireQuery(req Request) (*trajectory.Trajectory, error) {
-	verts := make([]trajectory.Vertex, len(req.Verts))
-	for i, v := range req.Verts {
-		verts[i] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-	}
-	return trajectory.New(req.OID, verts)
+	return trajectory.New(req.OID, serve.DecodeVerts(req.Verts))
 }
 
 // doBounds answers phase 1 of the cluster bound exchange: per-slice upper
@@ -1197,137 +924,34 @@ func (s *Server) doBounds(req Request) Response {
 	return Response{OK: true, Bounds: encodeBounds(bounds)}
 }
 
-// doIngest applies a live update batch through the hub and pushes the
-// resulting subscription diff events to their owning connections. The
-// emit lock serializes concurrent ingests end to end (apply + fan-out),
-// so every subscriber sees its events in ingest order.
+// doIngest applies a live update batch through the core. A mid-batch
+// failure reports the applied prefix alongside the error, so callers — the
+// cluster router above all — know exactly which updates landed.
 func (s *Server) doIngest(req Request) Response {
-	updates := make([]mod.Update, len(req.Updates))
-	for i, wu := range req.Updates {
-		verts := make([]trajectory.Vertex, len(wu.Verts))
-		for j, v := range wu.Verts {
-			verts[j] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-		}
-		updates[i] = mod.Update{OID: wu.OID, Verts: verts, Tags: wu.Tags, Retire: wu.Retire}
-	}
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	return s.ingestLocked(updates)
-}
-
-// ingestLocked journals, applies, and fans out one update batch. Caller
-// holds emitMu — the lock under which journal order equals apply order.
-func (s *Server) ingestLocked(updates []mod.Update) Response {
-	if s.journal != nil {
-		// Write-ahead: the batch must be durable before it is applied. A
-		// batch the journal rejected is not applied at all.
-		if err := s.journal.Append(updates); err != nil {
-			return Response{Error: fmt.Sprintf("modserver: journal append: %v", err)}
-		}
-	}
-	applied, events, err := s.hub.Ingest(context.Background(), updates)
+	applied, err := s.core.Ingest(context.Background(), serve.DecodeUpdates(req.Updates))
 	if err != nil {
-		// A mid-batch failure still committed a prefix: report it with the
-		// error (the mod.ApplyUpdates contract), so callers — the cluster
-		// router above all — know exactly which updates landed. The journal
-		// holds the full batch; replay reproduces the same prefix.
-		return Response{Error: err.Error(), Applied: encodeApplied(applied)}
+		resp := codedFail(err)
+		resp.Applied = serve.EncodeApplied(applied)
+		return resp
 	}
-	if s.journal != nil {
-		// A failed snapshot does not lose data — the appended log still
-		// reaches the current state — it only defers log truncation to a
-		// later, hopefully healthier, snapshot attempt.
-		_ = s.journal.AfterApply(s.store)
-	}
-	// Sweep deadline-expired detached subscriptions on the ingest path too:
-	// without it, a quiet server (no connection churn) would keep paying
-	// their evaluation cost every batch and pinning their backlogs forever.
-	s.subsMu.Lock()
-	dead := s.sweepDetachedLocked(s.now())
-	s.subsMu.Unlock()
-	for _, id := range dead {
-		s.hub.Unsubscribe(id)
-	}
-	for _, ev := range events {
-		s.subsMu.Lock()
-		cs := s.subscribers[ev.SubID]
-		s.subsMu.Unlock()
-		if cs == nil {
-			continue // in-process subscription (Server.Hub()) or a racing close
-		}
-		ev := ev
-		if err := cs.sendEvent(Response{OK: true, Event: &ev}); err != nil {
-			// The subscriber stalled past the write deadline or is gone:
-			// tell it why (best effort — the parting line often fits the
-			// little buffer room a huge stuck event could not) and close
-			// its connection so the handler unwinds and detaches every
-			// subscription it owned, instead of dropping events into a
-			// wedged stream forever.
-			_ = cs.sendEvent(Response{
-				Error: fmt.Sprintf("%v: %v", ErrEventStalled, err),
-				Code:  codeEventStalled,
-			})
-			_ = cs.conn.Close()
-			continue
-		}
-	}
-	return Response{OK: true, Applied: encodeApplied(applied)}
+	return Response{OK: true, Applied: serve.EncodeApplied(applied)}
 }
 
-// encodeApplied flattens applied outcomes onto the wire. A pure tag
-// flip's ChangedFrom is +Inf (no motion changed), which JSON cannot
-// carry — it travels as the TagsOnly marker instead.
-func encodeApplied(applied []mod.Applied) []WireApplied {
-	out := make([]WireApplied, len(applied))
-	for i, a := range applied {
-		wa := WireApplied{OID: a.OID, Inserted: a.Inserted, Retired: a.Retired}
-		if !a.Inserted && !a.Retired {
-			if math.IsInf(a.ChangedFrom, 1) {
-				wa.TagsOnly = true
-			} else {
-				wa.ChangedFrom = a.ChangedFrom
-			}
-		}
-		if a.Traj != nil {
-			wa.Verts = encodeTrajs([]*trajectory.Trajectory{a.Traj})[0].Verts
-		}
-		if a.Prev != nil {
-			wa.PrevVerts = encodeTrajs([]*trajectory.Trajectory{a.Prev})[0].Verts
-		}
-		wa.TagsChanged = a.TagsChanged
-		wa.Tags = a.Tags
-		wa.PrevTags = a.PrevTags
-		out[i] = wa
-	}
-	return out
-}
-
-// insertJournaled routes an insert-shaped mutation (insert/trip op with a
-// journal active) through the journaled ingest path, so it is durable and
-// ordered with the update stream. The duplicate-OID check happens under
-// emitMu — the lock every journaled mutation holds — so it cannot race
-// another insert into a plan revision.
-func (s *Server) insertJournaled(tr *trajectory.Trajectory) Response {
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	if _, err := s.store.Get(tr.OID); err == nil {
-		return Response{Error: fmt.Sprintf("%v: %d", mod.ErrDuplicateOID, tr.OID)}
-	}
-	return s.ingestLocked([]mod.Update{{OID: tr.OID, Verts: tr.Verts}})
-}
-
-// encodeAnswer flattens a result onto the wire Answer shape.
+// encodeAnswer flattens a result (or its per-request failure) onto the
+// wire Answer shape.
 func encodeAnswer(res engine.Result) Answer {
-	ans := Answer{OK: true}
-	ex := res.Explain
-	ans.Explain = &ex
+	if res.Err != nil {
+		return Answer{Error: res.Err.Error()}
+	}
+	ans := Answer{OK: true, Explain: &res.Explain}
 	switch {
 	case res.IsBool:
-		b := res.Bool
-		ans.IsBool, ans.Bool = true, &b
+		ans.IsBool, ans.Bool = true, &res.Bool
 	case res.Pairs != nil:
 		ans.Pairs = res.Pairs
 	default:
+		// omitempty drops empty OID lists from the wire; the client reads
+		// an absent key as an empty retrieval.
 		ans.OIDs = res.OIDs
 	}
 	return ans
@@ -1342,41 +966,22 @@ func (s *Server) doSubscribe(req Request, cs *connState) Response {
 	if req.Request == nil {
 		return Response{Error: "subscribe: missing request"}
 	}
-	// The emit lock spans hub registration and routing-table insertion, so
-	// a concurrent ingest can never evaluate the new subscription before
-	// its connection is routable (which would silently drop its first
-	// event).
-	s.emitMu.Lock()
-	defer s.emitMu.Unlock()
-	id, res, err := s.hub.Subscribe(context.Background(), *req.Request)
+	id, res, err := s.core.Subscribe(context.Background(), *req.Request, cs)
 	if err != nil {
 		return Response{Error: err.Error()}
 	}
-	s.subsMu.Lock()
-	s.subscribers[id] = cs
 	cs.subs[id] = struct{}{}
-	s.subsMu.Unlock()
 	ans := encodeAnswer(res)
 	return Response{OK: true, SubID: id, Answer: &ans}
 }
 
 // doUnsubscribe drops a subscription by ID — one this connection owns, or
-// a detached one (its previous owner is gone, and canceling beats leaving
-// it to LRU eviction); never another live connection's stream.
+// a detached one; never another live connection's stream.
 func (s *Server) doUnsubscribe(req Request, cs *connState) Response {
-	s.subsMu.Lock()
-	_, owned := cs.subs[req.SubID]
-	if owned {
-		delete(s.subscribers, req.SubID)
-		delete(cs.subs, req.SubID)
-	} else if _, detached := s.detached[req.SubID]; detached {
-		delete(s.detached, req.SubID)
-		owned = true
+	if err := s.core.Unsubscribe(req.SubID, cs); err != nil {
+		return Response{Error: err.Error()}
 	}
-	s.subsMu.Unlock()
-	if !owned || !s.hub.Unsubscribe(req.SubID) {
-		return Response{Error: fmt.Sprintf("unsubscribe: unknown subscription %d", req.SubID)}
-	}
+	delete(cs.subs, req.SubID)
 	return Response{OK: true}
 }
 
@@ -1411,11 +1016,7 @@ func decodeBounds(bs []float64) []float64 {
 func encodeTrajs(trs []*trajectory.Trajectory) []WireTraj {
 	out := make([]WireTraj, len(trs))
 	for i, tr := range trs {
-		verts := make([][3]float64, len(tr.Verts))
-		for j, v := range tr.Verts {
-			verts[j] = [3]float64{v.X, v.Y, v.T}
-		}
-		out[i] = WireTraj{OID: tr.OID, Verts: verts}
+		out[i] = WireTraj{OID: tr.OID, Verts: serve.EncodeVerts(tr.Verts)}
 	}
 	return out
 }
@@ -1424,11 +1025,7 @@ func encodeTrajs(trs []*trajectory.Trajectory) []WireTraj {
 func decodeTrajs(wts []WireTraj) ([]*trajectory.Trajectory, error) {
 	out := make([]*trajectory.Trajectory, len(wts))
 	for i, wt := range wts {
-		verts := make([]trajectory.Vertex, len(wt.Verts))
-		for j, v := range wt.Verts {
-			verts[j] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-		}
-		tr, err := trajectory.New(wt.OID, verts)
+		tr, err := trajectory.New(wt.OID, serve.DecodeVerts(wt.Verts))
 		if err != nil {
 			return nil, err
 		}
@@ -1575,23 +1172,10 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 // respError rebuilds the sentinel identity of a failed reply from its
 // structured code, with the server's message preserved verbatim.
 func respError(resp Response) error {
-	switch resp.Code {
-	case codeNotFound:
-		return wireError{msg: resp.Error, is: mod.ErrNotFound}
-	case codeEventGap:
-		return wireError{msg: resp.Error, is: continuous.ErrEventGap}
-	case codeEventStalled:
-		return wireError{msg: resp.Error, is: ErrEventStalled}
-	case codeSubExpired:
-		return wireError{msg: resp.Error, is: ErrSubExpired}
-	case codeUnauthorized:
-		return wireError{msg: resp.Error, is: ErrUnauthorized}
-	case codeTLSRequired:
-		return wireError{msg: resp.Error, is: ErrTLSRequired}
-	case codeDeadline:
-		return wireError{msg: resp.Error, is: context.DeadlineExceeded}
-	case codeCanceled:
-		return wireError{msg: resp.Error, is: context.Canceled}
+	for _, wc := range wireCodes {
+		if wc.code == resp.Code {
+			return wireError{msg: resp.Error, is: wc.is}
+		}
 	}
 	return errors.New(resp.Error)
 }
@@ -1631,11 +1215,7 @@ func (c *Client) Spec() (mod.PDFSpec, error) {
 
 // Insert uploads a trajectory.
 func (c *Client) Insert(tr *trajectory.Trajectory) error {
-	verts := make([][3]float64, len(tr.Verts))
-	for i, v := range tr.Verts {
-		verts[i] = [3]float64{v.X, v.Y, v.T}
-	}
-	_, err := c.roundTrip(Request{Op: "insert", OID: tr.OID, Verts: verts})
+	_, err := c.roundTrip(Request{Op: "insert", OID: tr.OID, Verts: serve.EncodeVerts(tr.Verts)})
 	return err
 }
 
@@ -1652,11 +1232,7 @@ func (c *Client) GetTagged(oid int64) (*trajectory.Trajectory, []string, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	verts := make([]trajectory.Vertex, len(resp.Verts))
-	for i, v := range resp.Verts {
-		verts[i] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-	}
-	tr, err := trajectory.New(resp.OID, verts)
+	tr, err := trajectory.New(resp.OID, serve.DecodeVerts(resp.Verts))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1681,11 +1257,7 @@ func (c *Client) PlanTrip(oid int64, waypoints []geom.Point, startT, speed float
 	if err != nil {
 		return nil, err
 	}
-	verts := make([]trajectory.Vertex, len(resp.Verts))
-	for i, v := range resp.Verts {
-		verts[i] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
-	}
-	return trajectory.New(resp.OID, verts)
+	return trajectory.New(resp.OID, serve.DecodeVerts(resp.Verts))
 }
 
 // UQL runs a UQL statement remotely.
@@ -1707,14 +1279,7 @@ func (c *Client) UQL(query string) (uql.Result, error) {
 // the matching Result.Err. An expired deadline fails the whole call with
 // the server's context error.
 func (c *Client) Query(reqs []engine.Request, deadline time.Duration) ([]engine.Result, error) {
-	wire := Request{Op: "query", Requests: reqs}
-	if deadline > 0 {
-		wire.DeadlineMS = int64(deadline / time.Millisecond)
-		if wire.DeadlineMS == 0 {
-			wire.DeadlineMS = 1
-		}
-	}
-	resp, err := c.roundTrip(wire)
+	resp, err := c.roundTrip(Request{Op: "query", Requests: reqs, DeadlineMS: deadlineMS(deadline)})
 	if err != nil {
 		return nil, err
 	}
@@ -1723,26 +1288,8 @@ func (c *Client) Query(reqs []engine.Request, deadline time.Duration) ([]engine.
 			len(resp.Answers), len(reqs))
 	}
 	out := make([]engine.Result, len(resp.Answers))
-	for i, a := range resp.Answers {
-		out[i].Kind = reqs[i].Kind
-		if !a.OK {
-			out[i].Err = errors.New(a.Error)
-			continue
-		}
-		if a.Explain != nil {
-			out[i].Explain = *a.Explain
-		}
-		switch {
-		case a.IsBool:
-			out[i].IsBool = true
-			if a.Bool != nil {
-				out[i].Bool = *a.Bool
-			}
-		case a.Pairs != nil:
-			out[i].Pairs = a.Pairs
-		default:
-			out[i].OIDs = a.OIDs
-		}
+	for i := range resp.Answers {
+		out[i], _ = answerResult(reqs[i].Kind, &resp.Answers[i])
 	}
 	return out, nil
 }
@@ -1764,13 +1311,9 @@ func deadlineMS(d time.Duration) int64 {
 // per-slice upper bounds on the server store's local Level-k envelope
 // against query trajectory q over [tb, te]. deadline <= 0 means none.
 func (c *Client) ShardBounds(q *trajectory.Trajectory, tb, te float64, k int, where *textidx.Predicate, deadline time.Duration) ([]float64, error) {
-	verts := make([][3]float64, len(q.Verts))
-	for i, v := range q.Verts {
-		verts[i] = [3]float64{v.X, v.Y, v.T}
-	}
 	resp, err := c.roundTrip(Request{
 		Op: "query", Phase: "bounds",
-		OID: q.OID, Verts: verts, Tb: tb, Te: te, K: k, Where: where,
+		OID: q.OID, Verts: serve.EncodeVerts(q.Verts), Tb: tb, Te: te, K: k, Where: where,
 		DeadlineMS: deadlineMS(deadline),
 	})
 	if err != nil {
@@ -1785,13 +1328,9 @@ func (c *Client) ShardBounds(q *trajectory.Trajectory, tb, te float64, k int, wh
 // single non-more response is the degenerate one-frame case. deadline
 // <= 0 means none.
 func (c *Client) ShardSurvivors(q *trajectory.Trajectory, tb, te float64, bounds []float64, where *textidx.Predicate, deadline time.Duration) ([]*trajectory.Trajectory, prune.Stats, error) {
-	verts := make([][3]float64, len(q.Verts))
-	for i, v := range q.Verts {
-		verts[i] = [3]float64{v.X, v.Y, v.T}
-	}
 	resp, err := c.roundTripStream(Request{
 		Op: "query", Phase: "survivors",
-		OID: q.OID, Verts: verts, Tb: tb, Te: te, Where: where,
+		OID: q.OID, Verts: serve.EncodeVerts(q.Verts), Tb: tb, Te: te, Where: where,
 		Bounds: encodeBounds(bounds), DeadlineMS: deadlineMS(deadline),
 	})
 	if err != nil {
@@ -1825,17 +1364,9 @@ func (c *Client) AllTrajectories() ([]*trajectory.Trajectory, error) {
 // alongside the error — the same partial-prefix contract as the
 // in-process mod.ApplyUpdates.
 func (c *Client) Ingest(updates []mod.Update) ([]mod.Applied, error) {
-	wire := Request{Op: "ingest", Updates: make([]WireTraj, len(updates))}
-	for i, u := range updates {
-		verts := make([][3]float64, len(u.Verts))
-		for j, v := range u.Verts {
-			verts[j] = [3]float64{v.X, v.Y, v.T}
-		}
-		wire.Updates[i] = WireTraj{OID: u.OID, Verts: verts, Tags: u.Tags, Retire: u.Retire}
-	}
-	resp, err := c.roundTrip(wire)
+	resp, err := c.roundTrip(Request{Op: "ingest", Updates: serve.EncodeUpdates(updates)})
 	if err != nil {
-		partial, derr := decodeApplied(resp.Applied)
+		partial, derr := serve.DecodeApplied(resp.Applied)
 		if derr != nil {
 			return nil, err
 		}
@@ -1845,37 +1376,7 @@ func (c *Client) Ingest(updates []mod.Update) ([]mod.Applied, error) {
 		return nil, fmt.Errorf("modserver: ingest returned %d outcomes for %d updates",
 			len(resp.Applied), len(updates))
 	}
-	return decodeApplied(resp.Applied)
-}
-
-// decodeApplied rebuilds applied outcomes from the wire.
-func decodeApplied(was []WireApplied) ([]mod.Applied, error) {
-	out := make([]mod.Applied, len(was))
-	for i, wa := range was {
-		a := mod.Applied{OID: wa.OID, Inserted: wa.Inserted, Retired: wa.Retired, ChangedFrom: wa.ChangedFrom,
-			TagsChanged: wa.TagsChanged, Tags: wa.Tags, PrevTags: wa.PrevTags}
-		if wa.Inserted || wa.Retired {
-			a.ChangedFrom = math.Inf(-1)
-		} else if wa.TagsOnly {
-			a.ChangedFrom = math.Inf(1)
-		}
-		if len(wa.Verts) > 0 {
-			trs, err := decodeTrajs([]WireTraj{{OID: wa.OID, Verts: wa.Verts}})
-			if err != nil {
-				return nil, err
-			}
-			a.Traj = trs[0]
-		}
-		if len(wa.PrevVerts) > 0 {
-			trs, err := decodeTrajs([]WireTraj{{OID: wa.OID, Verts: wa.PrevVerts}})
-			if err != nil {
-				return nil, err
-			}
-			a.Prev = trs[0]
-		}
-		out[i] = a
-	}
-	return out, nil
+	return serve.DecodeApplied(resp.Applied)
 }
 
 // Owns reports, elementwise, whether the server's store holds each OID —
@@ -1900,9 +1401,8 @@ func (c *Client) Subscribe(req engine.Request) (int64, engine.Result, error) {
 	if err != nil {
 		return 0, engine.Result{Kind: req.Kind, Err: err}, err
 	}
-	res := decodeAnswerResult(resp.Answer)
-	res.Kind = req.Kind
-	return resp.SubID, res, nil
+	res, err := answerResult(req.Kind, resp.Answer)
+	return resp.SubID, res, err
 }
 
 // Resume re-attaches this connection to a subscription a previous
@@ -1919,30 +1419,7 @@ func (c *Client) Resume(subID int64, fromSeq uint64) (engine.Result, error) {
 	if err != nil {
 		return engine.Result{Err: err}, err
 	}
-	return decodeAnswerResult(resp.Answer), nil
-}
-
-// decodeAnswerResult rebuilds a subscription answer from the wire.
-func decodeAnswerResult(a *Answer) engine.Result {
-	var res engine.Result
-	if a == nil {
-		return res
-	}
-	if a.Explain != nil {
-		res.Explain = *a.Explain
-	}
-	switch {
-	case a.IsBool:
-		res.IsBool = true
-		if a.Bool != nil {
-			res.Bool = *a.Bool
-		}
-	case a.Pairs != nil:
-		res.Pairs = a.Pairs
-	default:
-		res.OIDs = a.OIDs
-	}
-	return res
+	return answerResult("", resp.Answer)
 }
 
 // Unsubscribe drops a subscription by ID.

@@ -12,24 +12,10 @@ import (
 	"repro/internal/workload"
 )
 
-// startServer returns a running server on a loopback port and its address.
+// startServer returns a running server with default options on a loopback
+// port and its address.
 func startServer(t *testing.T, store *mod.Store) (*Server, string) {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(store)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(l)
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-done
-	})
-	return srv, l.Addr().String()
+	return startServerWith(t, store, Options{})
 }
 
 // startServerWith is startServer with explicit server options.
@@ -50,14 +36,6 @@ func startServerWith(t *testing.T, store *mod.Store, o Options) (*Server, string
 		<-done
 	})
 	return srv, l.Addr().String()
-}
-
-// isDetached reports whether sub id sits in the detached (resumable) set.
-func (s *Server) isDetached(id int64) bool {
-	s.subsMu.Lock()
-	defer s.subsMu.Unlock()
-	_, ok := s.detached[id]
-	return ok
 }
 
 func seededStore(t *testing.T, n int) *mod.Store {
@@ -248,7 +226,7 @@ func TestServerClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(store)
+	srv := NewServerWith(store, nil, Options{})
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(l) }()
 	c, err := Dial(l.Addr().String())

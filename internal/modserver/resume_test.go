@@ -1,7 +1,8 @@
-// Subscription resume tests: a reconnecting client replays exactly the
-// events it missed (no duplicates, no gaps), a truncated backlog is a
-// typed gap error, and a stalled subscriber is severed with the coded
-// event_stalled close yet stays resumable.
+// Line-protocol resume tests: a client resuming while ingest runs
+// concurrently sees one contiguous stream, and a stalled subscriber is
+// severed with the coded event_stalled close yet stays resumable. The
+// resume semantics both codecs share (every from_seq, typed gap, LRU and
+// TTL bounds) are pinned by internal/serve's conformance suite.
 package modserver
 
 import (
@@ -13,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/continuous"
 	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/trajectory"
@@ -43,7 +43,7 @@ func mustFlip(t *testing.T, cli *Client, i int) {
 func waitDetached(t *testing.T, srv *Server, id int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for !srv.isDetached(id) {
+	for !srv.core.Detached(id) {
 		if time.Now().After(deadline) {
 			t.Fatalf("subscription %d never detached", id)
 		}
@@ -144,84 +144,6 @@ func TestResumeReplaysMissedEvents(t *testing.T) {
 	}
 	if err := <-ingestDone; err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestResumeGapIsTyped: a backlog truncated past from_seq yields
-// continuous.ErrEventGap — never silence — and the subscription can still
-// be resumed from within the retained window.
-func TestResumeGapIsTyped(t *testing.T) {
-	st := liveStore(t)
-	srv, addr := startServerWith(t, st, Options{EventBacklog: 2})
-
-	ing, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ing.Close()
-
-	subCli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subID, _, err := subCli.Subscribe(uq11Flip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subCli.Close()
-	waitDetached(t, srv, subID)
-
-	for i := 0; i < 5; i++ {
-		mustFlip(t, ing, i)
-	}
-
-	re, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if _, err := re.Resume(subID, 0); !errors.Is(err, continuous.ErrEventGap) {
-		t.Fatalf("Resume(0) across a truncated backlog = %v, want ErrEventGap", err)
-	}
-	// The gap leaves the subscription intact: resuming inside the window
-	// (last 2 events retained, seqs 4..5) succeeds and replays them.
-	if _, err := re.Resume(subID, 3); err != nil {
-		t.Fatalf("Resume(3): %v", err)
-	}
-	for want := uint64(4); want <= 5; want++ {
-		ev, err := re.NextEvent()
-		if err != nil || ev.Seq != want {
-			t.Fatalf("replayed event = %+v, %v; want seq %d", ev, err, want)
-		}
-	}
-}
-
-// TestResumeRejections: unknown IDs and subscriptions still owned by a
-// live connection cannot be resumed.
-func TestResumeRejections(t *testing.T) {
-	st := liveStore(t)
-	_, addr := startServer(t, st)
-
-	owner, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer owner.Close()
-	subID, _, err := owner.Subscribe(uq11Flip)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if _, err := re.Resume(subID, 0); err == nil {
-		t.Fatal("resumed a subscription still owned by a live connection")
-	}
-	if _, err := re.Resume(subID+99, 0); err == nil {
-		t.Fatal("resumed an unknown subscription")
 	}
 }
 

@@ -59,11 +59,6 @@ func chunkTrajs(wts []WireTraj, budget int) [][]WireTraj {
 	return append(out, cur)
 }
 
-// sendFrame writes one frame of a streamed reply under the write
-// deadline: a reader that stalls mid-stream is severed at the next frame
-// instead of pinning the connection goroutine on a full TCP buffer.
-func (cs *connState) sendFrame(resp Response) error { return cs.sendEvent(resp) }
-
 // streamPhase evaluates the survivors/all phases and streams the reply.
 // It reports false when a write failed and the connection must close (a
 // half-sent stream cannot be resynchronized); error outcomes are ordinary
@@ -101,7 +96,9 @@ func (s *Server) streamPhase(req Request, cs *connState) bool {
 // server's own line cap, so one reply never needs an encode buffer larger
 // than a request line. A set that fits one frame goes as a classic
 // single-line reply (no write deadline — the pre-streaming behavior);
-// multi-frame streams apply the write deadline per frame.
+// multi-frame streams apply the write deadline per frame (sendEvent), so a
+// reader that stalls mid-stream is severed at the next frame instead of
+// pinning the connection goroutine on a full TCP buffer.
 func (s *Server) streamTrajs(cs *connState, trajs []WireTraj, stats *prune.Stats) bool {
 	frames := chunkTrajs(trajs, s.maxLine)
 	last := len(frames) - 1
@@ -109,11 +106,11 @@ func (s *Server) streamTrajs(cs *connState, trajs []WireTraj, stats *prune.Stats
 		return cs.send(Response{OK: true, Trajs: frames[0], Stats: stats}) == nil
 	}
 	for _, chunk := range frames[:last] {
-		if cs.sendFrame(Response{OK: true, More: true, Trajs: chunk}) != nil {
+		if cs.sendEvent(Response{OK: true, More: true, Trajs: chunk}) != nil {
 			return false
 		}
 	}
-	return cs.sendFrame(Response{OK: true, Trajs: frames[last], Stats: stats}) == nil
+	return cs.sendEvent(Response{OK: true, Trajs: frames[last], Stats: stats}) == nil
 }
 
 // gatherAccum is one in-flight gather upload: accumulated chunks, their
@@ -218,8 +215,8 @@ func (s *Server) doRefine(req Request, cs *connState) Response {
 	if err != nil {
 		return codedFail(err)
 	}
-	ex := res.Explain
-	return Response{OK: true, Answer: &Answer{OK: true, OIDs: res.OIDs, Explain: &ex}}
+	ans := encodeAnswer(res)
+	return Response{OK: true, Answer: &ans}
 }
 
 // StreamAccum incrementally reassembles a streamed reply from raw

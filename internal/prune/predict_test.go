@@ -82,13 +82,13 @@ func TestPredictivePathMatchesRebuildPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, st, err := prune.Candidates(pred, q, 5, 25); err != nil || !st.Predictive {
+	if _, _, _, st, err := prune.ZoneWhereCtx(context.Background(), pred, q, 5, 25, 1, nil); err != nil || !st.Predictive {
 		t.Fatalf("covered window: predictive=%v err=%v", st.Predictive, err)
 	}
-	if _, st, err := prune.Candidates(pred, q, 5, horizon+10); err != nil || st.Predictive {
+	if _, _, _, st, err := prune.ZoneWhereCtx(context.Background(), pred, q, 5, horizon+10, 1, nil); err != nil || st.Predictive {
 		t.Fatalf("uncovered window: predictive=%v err=%v", st.Predictive, err)
 	}
-	if _, st, err := prune.Candidates(flat, q, 5, 25); err != nil || st.Predictive {
+	if _, _, _, st, err := prune.ZoneWhereCtx(context.Background(), flat, q, 5, 25, 1, nil); err != nil || st.Predictive {
 		t.Fatalf("plain store: predictive=%v err=%v", st.Predictive, err)
 	}
 
@@ -173,7 +173,7 @@ func TestPredictiveAutoAdvance(t *testing.T) {
 	ctx := context.Background()
 
 	// Covered window: served from the initial pin, no advance.
-	if _, st, err := prune.Candidates(auto, q, 5, 25); err != nil || !st.Predictive {
+	if _, _, _, st, err := prune.ZoneWhereCtx(context.Background(), auto, q, 5, 25, 1, nil); err != nil || !st.Predictive {
 		t.Fatalf("covered window: predictive=%v err=%v", st.Predictive, err)
 	}
 	if st := auto.IndexStats(); st.TPRAdvances != 0 {
@@ -182,7 +182,7 @@ func TestPredictiveAutoAdvance(t *testing.T) {
 
 	// The clock moved on: a window past the coverage re-pins forward and
 	// still takes the predictive path.
-	if _, st, err := prune.Candidates(auto, q, 50, 80); err != nil || !st.Predictive {
+	if _, _, _, st, err := prune.ZoneWhereCtx(context.Background(), auto, q, 50, 80, 1, nil); err != nil || !st.Predictive {
 		t.Fatalf("advanced window: predictive=%v err=%v", st.Predictive, err)
 	}
 	if st := auto.IndexStats(); st.TPRAdvances != 1 {
@@ -191,11 +191,11 @@ func TestPredictiveAutoAdvance(t *testing.T) {
 
 	// A historical window after the advance falls back to the segment
 	// R-tree; the pin never moves backward.
-	if _, st, err := prune.Candidates(auto, q, 5, 25); err != nil || st.Predictive {
+	if _, _, _, st, err := prune.ZoneWhereCtx(context.Background(), auto, q, 5, 25, 1, nil); err != nil || st.Predictive {
 		t.Fatalf("historical window after advance: predictive=%v err=%v", st.Predictive, err)
 	}
 	// A window wider than the horizon cannot be pinned at all.
-	if _, st, err := prune.Candidates(auto, q, 60, 60+horizon+5); err != nil || st.Predictive {
+	if _, _, _, st, err := prune.ZoneWhereCtx(context.Background(), auto, q, 60, 60+horizon+5, 1, nil); err != nil || st.Predictive {
 		t.Fatalf("over-wide window: predictive=%v err=%v", st.Predictive, err)
 	}
 	if st := auto.IndexStats(); st.TPRAdvances != 1 {
@@ -219,7 +219,7 @@ func TestPredictiveAutoAdvance(t *testing.T) {
 	if err := fixed.EnablePredictive(0, horizon); err != nil {
 		t.Fatal(err)
 	}
-	if _, st, err := prune.Candidates(fixed, q, 50, 80); err != nil || st.Predictive {
+	if _, _, _, st, err := prune.ZoneWhereCtx(context.Background(), fixed, q, 50, 80, 1, nil); err != nil || st.Predictive {
 		t.Fatalf("fixed pin advanced: predictive=%v err=%v", st.Predictive, err)
 	}
 	if st := fixed.IndexStats(); st.TPRAdvances != 0 {
@@ -238,7 +238,7 @@ func TestPredictiveBoundsStaySound(t *testing.T) {
 	q := trs[5]
 	for _, k := range []int{1, 2, 3} {
 		cuts := prune.SliceCuts(q, 1, 35)
-		bounds, err := prune.SliceBounds(context.Background(), store, q, 1, 35, k)
+		bounds, err := prune.SliceBoundsWhere(context.Background(), store, q, 1, 35, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,6 +23,12 @@
 // The survivor set feeds queries.NewProcessorPruned, which answers every
 // UQ variant identically to a full-scan Processor while building distance
 // functions only for survivors.
+//
+// Every entry point takes a nil-able *textidx.Predicate (see where.go): nil
+// runs over the whole MOD, non-nil over the matching sub-MOD. One-shot
+// forms (ZoneWhereCtx, ForQueryWhereCtx, SliceBoundsWhere,
+// SurvivorsWithBoundsWhere) open a Sweep session per call; NewSweepWhere
+// and SweepCache keep one across the phases of the cluster bound exchange.
 package prune
 
 import (
@@ -35,7 +41,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/mod"
-	"repro/internal/queries"
 	"repro/internal/sindex"
 	"repro/internal/trajectory"
 )
@@ -130,86 +135,6 @@ func indexFor(store *mod.Store, tb, te float64) (idx corridorIndex, predictive b
 	return rtreeIndex{t: store.BuildIndex(0)}, false
 }
 
-// Candidates computes a conservative superset of the objects whose
-// difference-distance function to q can come within 4r (plus Margin) of
-// the Level-1 lower envelope somewhere in [tb, te], using the store's
-// lazily maintained segment R-tree. The result is sorted and never
-// contains q's own OID. On a concurrent store mutation mid-pass the
-// function degrades to "keep everything", which is always sound.
-func Candidates(store *mod.Store, q *trajectory.Trajectory, tb, te float64) ([]int64, Stats, error) {
-	return CandidatesCtx(context.Background(), store, q, tb, te)
-}
-
-// CandidatesCtx is Candidates under a context, checked once per time
-// slice of the sweep.
-func CandidatesCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64) ([]int64, Stats, error) {
-	return CandidatesRankCtx(ctx, store, q, tb, te, 1)
-}
-
-// CandidatesRank generalizes Candidates to rank k: the returned superset
-// covers every object whose difference-distance function can come within
-// the 4r zone of the Level-k lower envelope somewhere in the window. The
-// per-slice upper bound probes the index for the k nearest entries and
-// takes the k-th smallest exact maximum distance — at any instant those k
-// functions all sit below it, so so does the pointwise k-th smallest.
-func CandidatesRank(store *mod.Store, q *trajectory.Trajectory, tb, te float64, k int) ([]int64, Stats, error) {
-	return CandidatesRankCtx(context.Background(), store, q, tb, te, k)
-}
-
-// CandidatesRankCtx is CandidatesRank under a context.
-func CandidatesRankCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, k int) ([]int64, Stats, error) {
-	ids, _, _, st, err := ZoneCtx(ctx, store, q, tb, te, k)
-	return ids, st, err
-}
-
-// ZoneCtx computes the rank-k candidate superset together with the
-// per-slice envelope bounds and cuts the sweep used — one pass over the
-// index instead of the two a SliceBounds + CandidatesRank pair would
-// spend. CandidatesRank(Ctx) is a thin wrapper over it; callers that
-// need the (cuts, bounds, superset) triple from one snapshot — a
-// zone-fingerprint builder without an already-built processor to reuse —
-// call it directly. (The single-engine continuous backend instead reads
-// the superset off the engine's memoized processor and pays only the
-// probe-phase SliceBounds; the cluster backend gets the triple from the
-// bound exchange.) Bounds of a degenerate window (or empty store) are
-// nil with every object kept, which callers must treat as always-dirty.
-func ZoneCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, k int) (ids []int64, cuts, bounds []float64, st Stats, err error) {
-	return ZoneWhereCtx(ctx, store, q, tb, te, k, nil)
-}
-
-// ForQuery builds an index-pruned queries.Processor for q over [tb, te]
-// against the store's current contents. Every UQ11..UQ43 variant, the
-// fixed-time instant predicates, and the guaranteed/threshold extensions
-// answer identically to queries.NewProcessor(store.All(), ...), including
-// error behavior.
-func ForQuery(store *mod.Store, q *trajectory.Trajectory, tb, te float64) (*queries.Processor, error) {
-	return ForQueryCtx(context.Background(), store, q, tb, te)
-}
-
-// ForQueryCtx is ForQuery under a context: the candidate sweep checks it
-// per slice and the processor construction per candidate, so canceling a
-// request stops the O(N) preprocessing early. The returned processor
-// carries a rank expander over the same snapshot, so rank-k queries
-// (k >= 2) grow the survivor basis by re-probing the index at rank k
-// instead of falling back to the lazy full function build.
-func ForQueryCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64) (*queries.Processor, error) {
-	return ForQueryWhereCtx(ctx, store, q, tb, te, nil)
-}
-
-// NewProcessor is ForQuery with the query trajectory looked up by OID.
-func NewProcessor(store *mod.Store, qOID int64, tb, te float64) (*queries.Processor, error) {
-	return NewProcessorCtx(context.Background(), store, qOID, tb, te)
-}
-
-// NewProcessorCtx is NewProcessor under a context.
-func NewProcessorCtx(ctx context.Context, store *mod.Store, qOID int64, tb, te float64) (*queries.Processor, error) {
-	q, err := store.Get(qOID)
-	if err != nil {
-		return nil, err
-	}
-	return ForQueryCtx(ctx, store, q, tb, te)
-}
-
 // SliceCuts returns the deterministic slice boundaries the candidate
 // pre-pass sweeps for query trajectory q over [tb, te]: q's vertex times
 // clipped to the window, subdivided so slices stay short. Both phases of
@@ -221,73 +146,36 @@ func SliceCuts(q *trajectory.Trajectory, tb, te float64) []float64 {
 	return sliceTimes(q, tb, te, targetSlices)
 }
 
-// SliceBounds computes, for each slice of SliceCuts(q, tb, te), an upper
-// bound on the Level-k lower envelope of the store's objects against q:
-// the k-th smallest exact maximum distance among a handful of index KNN
-// probes at the slice midpoint. A slice the store cannot bound (fewer
-// than k usable probes) reports +Inf. Every finite value is the slice
-// maximum of an actual stored object's distance from q, so the bounds
-// stay sound against any superset of the store's objects — which is what
-// lets a cluster router take the elementwise minimum of per-shard bounds
-// as a bound on the global envelope.
-func SliceBounds(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, k int) ([]float64, error) {
-	s, err := NewSweep(store, q, tb, te)
-	if err != nil {
-		return nil, err
-	}
-	return s.Bounds(ctx, k)
-}
-
-// SurvivorsWithBounds runs the candidate sweep under imposed per-slice
-// envelope bounds (one value per SliceCuts(q, tb, te) slice, +Inf meaning
-// unbounded): an object survives when some slice puts its exact minimum
-// distance from q within bounds[i] + 4r + Margin. With the bounds from
-// this store's own SliceBounds the result is exactly Candidates; with the
-// elementwise minimum of several shards' bounds it is the phase-2 shard
-// sweep of the cluster protocol — the shard survivor sets together form a
-// conservative superset of the global 4r-zone members, because every
-// object achieving the global envelope somewhere in a slice passes its
-// own shard's test against the global bound. Survivors are returned as
-// trajectories (sorted by OID) so a shard can ship them to the router
-// without a re-lookup race against concurrent mutations.
-func SurvivorsWithBounds(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, bounds []float64) ([]*trajectory.Trajectory, Stats, error) {
-	s, err := NewSweep(store, q, tb, te)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return s.Survivors(ctx, bounds)
-}
-
 // candidates runs the slice sweep over one consistent snapshot, bounding
 // the Level-k envelope per slice (k == 1 is the classic pass): the probe
-// phase (sliceBounds) followed by the sweep against those bounds.
-func candidates(ctx context.Context, trs []*trajectory.Trajectory, idx corridorIndex, r float64, q *trajectory.Trajectory, tb, te float64, k, boost int) ([]int64, Stats, error) {
-	st := Stats{Candidates: candidateCount(trs, q.OID)}
+// phase (sliceBounds) followed by the sweep against those bounds. It
+// returns the survivor OIDs with the cuts and bounds the sweep used; a
+// degenerate window or an empty snapshot keeps everything (nil bounds) and
+// lets processor construction report the precise error.
+func candidates(ctx context.Context, trs []*trajectory.Trajectory, idx corridorIndex, r float64, q *trajectory.Trajectory, tb, te float64, k, boost int) (ids []int64, cuts, bounds []float64, st Stats, err error) {
+	st = Stats{Candidates: candidateCount(trs, q.OID)}
 	if te-tb <= 0 || st.Candidates == 0 {
-		// Degenerate window or nothing to prune: keep everything and let
-		// processor construction report the precise error.
-		out := allOIDs(trs, q.OID)
-		st.Survivors = len(out)
-		return out, st, nil
+		ids = allOIDs(trs, q.OID)
+		st.Survivors = len(ids)
+		return ids, nil, nil, st, nil
 	}
 	state := newSweepState(trs, q, tb, te)
 	state.boost = boost
 	bounds, probeStats, err := sliceBounds(ctx, state, idx, q, k)
 	if err != nil {
-		return nil, st, err
+		return nil, nil, nil, st, err
 	}
 	kept, _, err := sweepBounds(ctx, state, trs, idx, r, q, bounds)
 	if err != nil {
-		return nil, st, err
+		return nil, nil, nil, st, err
 	}
-	st.Slices = probeStats.Slices
-	st.Probes = probeStats.Probes
-	out := make([]int64, len(kept))
+	st.Slices, st.Probes = probeStats.Slices, probeStats.Probes
+	ids = make([]int64, len(kept))
 	for i, tr := range kept {
-		out[i] = tr.OID
+		ids[i] = tr.OID
 	}
-	st.Survivors = len(out)
-	return out, st, nil
+	st.Survivors = len(ids)
+	return ids, state.cuts, bounds, st, nil
 }
 
 // sweepState is the per-(query, window) state both pre-pass phases

@@ -19,7 +19,7 @@ import (
 func TestRankQueriesAvoidFullBuild(t *testing.T) {
 	store, trs := buildStore(t, 400, 0.5, 31)
 	q := trs[0]
-	pruned, err := prune.ForQuery(store, q, 0, 60)
+	pruned, err := prune.ForQueryWhereCtx(context.Background(), store, q, 0, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCandidatesRankSuperset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 2, 4} {
-		ids, st, err := prune.CandidatesRank(store, q, 0, 60, k)
+		ids, _, _, st, err := prune.ZoneWhereCtx(context.Background(), store, q, 0, 60, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,14 +118,14 @@ func TestPrunePrePassCancellation(t *testing.T) {
 	store, trs := buildStore(t, 60, 0.5, 41)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := prune.CandidatesCtx(ctx, store, trs[0], 0, 60); err != context.Canceled {
+	if _, _, _, _, err := prune.ZoneWhereCtx(ctx, store, trs[0], 0, 60, 1, nil); err != context.Canceled {
 		t.Fatalf("CandidatesCtx on canceled ctx: err=%v, want context.Canceled", err)
 	}
-	if _, err := prune.ForQueryCtx(ctx, store, trs[0], 0, 60); err != context.Canceled {
+	if _, err := prune.ForQueryWhereCtx(ctx, store, trs[0], 0, 60, nil); err != context.Canceled {
 		t.Fatalf("ForQueryCtx on canceled ctx: err=%v, want context.Canceled", err)
 	}
 	// The store stays fully usable afterwards.
-	if _, err := prune.ForQuery(store, trs[0], 0, 60); err != nil {
+	if _, err := prune.ForQueryWhereCtx(context.Background(), store, trs[0], 0, 60, nil); err != nil {
 		t.Fatalf("store unusable after canceled pass: %v", err)
 	}
 }

@@ -1,6 +1,6 @@
 // The reusable sweep session behind the cluster bound exchange. The two
-// phases of the shard protocol — SliceBounds (probe) and
-// SurvivorsWithBounds (sweep against the broadcast global bound) — arrive
+// phases of the shard protocol — SliceBoundsWhere (probe) and
+// SurvivorsWithBoundsWhere (sweep against the broadcast global bound) — arrive
 // as separate calls per shard per query, and each used to rebuild the
 // same O(N) snapshot lookup table and slice cuts. A Sweep captures that
 // per-(store-version, query, window) state once; a SweepCache keys live
@@ -43,17 +43,11 @@ type Sweep struct {
 	state sweepState
 }
 
-// NewSweep opens a sweep session for q over [tb, te] against the store's
-// current contents. The window must be increasing (the same check the
-// one-shot SliceBounds / SurvivorsWithBounds perform).
-func NewSweep(store *mod.Store, q *trajectory.Trajectory, tb, te float64) (*Sweep, error) {
-	return NewSweepWhere(store, q, tb, te, nil)
-}
-
-// NewSweepWhere is NewSweep restricted to the predicate's sub-MOD (see
-// where.go): the session's snapshot holds q plus matching objects only,
-// so both protocol phases — and hence the cluster bound exchange —
-// speak exclusively about the matching universe.
+// NewSweepWhere opens a sweep session for q over [tb, te] against the
+// store's current contents; the window must be increasing. With a non-nil
+// where (see where.go) the session's snapshot holds q plus matching
+// objects only, so both protocol phases — and hence the cluster bound
+// exchange — speak exclusively about the matching universe.
 func NewSweepWhere(store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) (*Sweep, error) {
 	if !(te > tb) {
 		return nil, fmt.Errorf("prune: bad slice window [%g, %g]", tb, te)
@@ -69,7 +63,7 @@ func NewSweepWhere(store *mod.Store, q *trajectory.Trajectory, tb, te float64, w
 
 // Bounds is the probe phase: per SliceCuts(q, tb, te) slice, an upper
 // bound on the Level-k lower envelope of this session's snapshot (see
-// SliceBounds for the soundness argument). A stale session reports +Inf
+// SliceBoundsWhere for the soundness argument). A stale session reports +Inf
 // everywhere, which bounds nothing and is always sound.
 func (s *Sweep) Bounds(ctx context.Context, k int) ([]float64, error) {
 	if k < 1 {
@@ -88,7 +82,7 @@ func (s *Sweep) Bounds(ctx context.Context, k int) ([]float64, error) {
 }
 
 // Survivors is the sweep phase under imposed per-slice bounds (see
-// SurvivorsWithBounds for the protocol contract). A stale session keeps
+// SurvivorsWithBoundsWhere for the protocol contract). A stale session keeps
 // everything from its snapshot.
 func (s *Sweep) Survivors(ctx context.Context, bounds []float64) ([]*trajectory.Trajectory, Stats, error) {
 	if s.stale {
@@ -123,16 +117,11 @@ type SweepCache struct {
 	order []sweepKey // recency order, oldest first
 }
 
-// For returns the cached session for (q, tb, te) at the store's current
-// version, opening one on miss. Version-bumped entries become
-// unreachable and are evicted as the LRU order churns.
-func (c *SweepCache) For(store *mod.Store, q *trajectory.Trajectory, tb, te float64) (*Sweep, error) {
-	return c.ForWhere(store, q, tb, te, nil)
-}
-
-// ForWhere is For with a predicate: sessions are keyed by the
-// predicate's canonical key, so filtered and unfiltered phases of the
-// same (query, window) never share a snapshot.
+// ForWhere returns the cached session for (q, tb, te, where) at the
+// store's current version, opening one on miss. Version-bumped entries
+// become unreachable and are evicted as the LRU order churns. Sessions are
+// keyed by the predicate's canonical key, so filtered and unfiltered
+// phases of the same (query, window) never share a snapshot.
 func (c *SweepCache) ForWhere(store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) (*Sweep, error) {
 	key := sweepKey{version: store.Version(), q: q, tb: tb, te: te, where: where.Key()}
 	c.mu.Lock()

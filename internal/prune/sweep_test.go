@@ -40,7 +40,7 @@ func TestSweepMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
 	const tb, te = 0.0, 30.0
 
-	s, err := NewSweep(store, q, tb, te)
+	s, err := NewSweepWhere(store, q, tb, te, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSweepMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SliceBounds(ctx, store, q, tb, te, max(k, 1))
+		want, err := SliceBoundsWhere(ctx, store, q, tb, te, max(k, 1), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestSweepMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTrs, wantStats, err := SurvivorsWithBounds(ctx, store, q, tb, te, bounds)
+	wantTrs, wantStats, err := SurvivorsWithBoundsWhere(ctx, store, q, tb, te, bounds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSweepMatchesOneShot(t *testing.T) {
 		t.Fatalf("stats %+v vs %+v", gotStats, wantStats)
 	}
 
-	if _, err := NewSweep(store, q, 30, 30); err == nil {
+	if _, err := NewSweepWhere(store, q, 30, 30, nil); err == nil {
 		t.Fatal("empty window accepted")
 	}
 }
@@ -95,18 +95,18 @@ func TestSweepCacheReuseAndInvalidation(t *testing.T) {
 	q := trs[0]
 	var c SweepCache
 
-	s1, err := c.For(store, q, 0, 30)
+	s1, err := c.ForWhere(store, q, 0, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.For(store, q, 0, 30)
+	s2, err := c.ForWhere(store, q, 0, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1 != s2 {
 		t.Fatal("identical key missed the cache")
 	}
-	if s3, _ := c.For(store, q, 0, 20); s3 == s1 {
+	if s3, _ := c.ForWhere(store, q, 0, 20, nil); s3 == s1 {
 		t.Fatal("different window shared a session")
 	}
 
@@ -114,7 +114,7 @@ func TestSweepCacheReuseAndInvalidation(t *testing.T) {
 	if _, err := store.ApplyUpdate(mod.Update{OID: 9001, Verts: []trajectory.Vertex{{X: 1, Y: 1, T: 0}, {X: 2, Y: 2, T: 30}}}); err != nil {
 		t.Fatal(err)
 	}
-	s4, err := c.For(store, q, 0, 30)
+	s4, err := c.ForWhere(store, q, 0, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSweepCacheReuseAndInvalidation(t *testing.T) {
 
 	// Churn well past the cap: the cache stays bounded.
 	for i := 0; i < 3*sweepCacheCap; i++ {
-		if _, err := c.For(store, q, 0, 10+float64(i)); err != nil {
+		if _, err := c.ForWhere(store, q, 0, 10+float64(i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestSweepStaleDegradation(t *testing.T) {
 	store, trs := sweepStore(t, 40)
 	q := trs[0]
 	ctx := context.Background()
-	s, err := NewSweep(store, q, 0, 30)
+	s, err := NewSweepWhere(store, q, 0, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,49 +98,49 @@ func (x hybridIndex) corridorHits(box geom.AABB, t0, t1 float64) []int64 {
 	return x.tx.CorridorHits(box, t0, t1, x.where, x.match)
 }
 
-// ZoneWhereCtx is ZoneCtx restricted to the predicate's sub-MOD: the
-// superset, cuts, and bounds all speak about matching objects only.
+// ZoneWhereCtx computes a conservative superset of the objects whose
+// difference-distance function to q can come within 4r (plus Margin) of
+// the Level-k lower envelope somewhere in [tb, te] — sorted, never
+// containing q's own OID — together with the per-slice envelope bounds and
+// cuts the sweep used, in one pass over the index and from one snapshot.
+// The per-slice upper bound probes the index for the k nearest entries and
+// takes the k-th smallest exact maximum distance: at any instant those k
+// functions all sit below it, so so does the pointwise k-th smallest. With
+// a non-nil where, superset, cuts and bounds all speak about the matching
+// sub-MOD only. On a concurrent store mutation mid-pass — and for a
+// degenerate window or an empty store — the function degrades to "keep
+// everything" with nil bounds, which is always sound and which callers
+// must treat as always-dirty.
 func ZoneWhereCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, k int, where *textidx.Predicate) (ids []int64, cuts, bounds []float64, st Stats, err error) {
 	sn := takeSnapshot(store, q, tb, te, where)
 	if sn.stale {
 		return allOIDs(sn.trs, q.OID), nil, nil, statsAll(sn.trs, q.OID), nil
 	}
-	st = Stats{Candidates: candidateCount(sn.trs, q.OID), Predictive: sn.predictive}
-	if te-tb <= 0 || st.Candidates == 0 {
-		out := allOIDs(sn.trs, q.OID)
-		st.Survivors = len(out)
-		return out, nil, nil, st, nil
-	}
-	state := newSweepState(sn.trs, q, tb, te)
-	state.boost = sn.boost
-	bounds, probeStats, err := sliceBounds(ctx, state, sn.idx, q, k)
-	if err != nil {
-		return nil, nil, nil, st, err
-	}
-	kept, _, err := sweepBounds(ctx, state, sn.trs, sn.idx, store.Radius(), q, bounds)
-	if err != nil {
-		return nil, nil, nil, st, err
-	}
-	st.Slices, st.Probes = probeStats.Slices, probeStats.Probes
-	ids = make([]int64, len(kept))
-	for i, tr := range kept {
-		ids[i] = tr.OID
-	}
-	st.Survivors = len(ids)
-	return ids, state.cuts, bounds, st, nil
+	ids, cuts, bounds, st, err = candidates(ctx, sn.trs, sn.idx, store.Radius(), q, tb, te, k, sn.boost)
+	st.Predictive = sn.predictive
+	return ids, cuts, bounds, st, err
 }
 
-// ForQueryWhereCtx is ForQueryCtx over the predicate's sub-MOD: the
-// returned processor holds only q and the matching objects, so every UQ
-// variant, instant predicate, and certain/threshold extension answers
-// exactly as if the non-matching objects did not exist.
+// ForQueryWhereCtx builds an index-pruned queries.Processor for q over
+// [tb, te] against the store's current contents. Every UQ11..UQ43 variant,
+// the fixed-time instant predicates, and the guaranteed/threshold
+// extensions answer identically to queries.NewProcessor(store.All(), ...),
+// including error behavior; with a non-nil where the processor holds only q
+// (exempt: a query *about* a non-matching object over the matching fleet is
+// well-formed) and the matching objects, so it answers exactly as if the
+// others did not exist. The candidate sweep checks ctx per slice and the
+// processor construction per candidate, so canceling a request stops the
+// O(N) preprocessing early. The returned processor carries a rank expander
+// over the same snapshot, so rank-k queries (k >= 2) grow the survivor
+// basis by re-probing the index at rank k instead of falling back to the
+// lazy full function build.
 func ForQueryWhereCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) (*queries.Processor, error) {
 	sn := takeSnapshot(store, q, tb, te, where)
 	r := store.Radius()
 	if sn.stale {
 		return queries.NewProcessor(sn.trs, q, tb, te, r)
 	}
-	survivors, _, err := candidates(ctx, sn.trs, sn.idx, r, q, tb, te, 1, sn.boost)
+	survivors, _, _, _, err := candidates(ctx, sn.trs, sn.idx, r, q, tb, te, 1, sn.boost)
 	if err != nil {
 		return nil, err
 	}
@@ -149,27 +149,22 @@ func ForQueryWhereCtx(ctx context.Context, store *mod.Store, q *trajectory.Traje
 		return nil, err
 	}
 	proc.SetRankExpander(func(ctx context.Context, k int) ([]int64, error) {
-		ids, _, err := candidates(ctx, sn.trs, sn.idx, r, q, tb, te, k, sn.boost)
+		ids, _, _, _, err := candidates(ctx, sn.trs, sn.idx, r, q, tb, te, k, sn.boost)
 		return ids, err
 	})
 	return proc, nil
 }
 
-// NewProcessorWhereCtx is ForQueryWhereCtx with the query looked up by
-// OID. The query object is exempt from the predicate: a query *about* a
-// non-matching object over the matching fleet is well-formed.
-func NewProcessorWhereCtx(ctx context.Context, store *mod.Store, qOID int64, tb, te float64, where *textidx.Predicate) (*queries.Processor, error) {
-	q, err := store.Get(qOID)
-	if err != nil {
-		return nil, err
-	}
-	return ForQueryWhereCtx(ctx, store, q, tb, te, where)
-}
-
-// SliceBoundsWhere is SliceBounds over the predicate's sub-MOD: every
-// finite bound is the slice maximum of a *matching* object's distance,
-// which is what lets a cluster router min per-shard bounds into a bound
-// on the matching universe's global envelope.
+// SliceBoundsWhere computes, for each slice of SliceCuts(q, tb, te), an
+// upper bound on the Level-k lower envelope of the store's (matching)
+// objects against q: the k-th smallest exact maximum distance among a
+// handful of index KNN probes at the slice midpoint. A slice the store
+// cannot bound (fewer than k usable probes) reports +Inf. Every finite
+// value is the slice maximum of an actual stored (matching) object's
+// distance from q, so the bounds stay sound against any superset of the
+// store's objects — which is what lets a cluster router take the
+// elementwise minimum of per-shard bounds as a bound on the (matching
+// universe's) global envelope.
 func SliceBoundsWhere(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, k int, where *textidx.Predicate) ([]float64, error) {
 	s, err := NewSweepWhere(store, q, tb, te, where)
 	if err != nil {
@@ -178,8 +173,19 @@ func SliceBoundsWhere(ctx context.Context, store *mod.Store, q *trajectory.Traje
 	return s.Bounds(ctx, k)
 }
 
-// SurvivorsWithBoundsWhere is SurvivorsWithBounds over the predicate's
-// sub-MOD: survivors are matching objects only.
+// SurvivorsWithBoundsWhere runs the candidate sweep under imposed
+// per-slice envelope bounds (one value per SliceCuts(q, tb, te) slice, +Inf
+// meaning unbounded): a (matching) object survives when some slice puts its
+// exact minimum distance from q within bounds[i] + 4r + Margin. With the
+// bounds from this store's own SliceBoundsWhere the result is exactly
+// ZoneWhereCtx's superset; with the elementwise minimum of several shards'
+// bounds it is the phase-2 shard sweep of the cluster protocol — the shard
+// survivor sets together form a conservative superset of the global
+// 4r-zone members, because every object achieving the global envelope
+// somewhere in a slice passes its own shard's test against the global
+// bound. Survivors are returned as trajectories (sorted by OID) so a shard
+// can ship them to the router without a re-lookup race against concurrent
+// mutations.
 func SurvivorsWithBoundsWhere(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, bounds []float64, where *textidx.Predicate) ([]*trajectory.Trajectory, Stats, error) {
 	s, err := NewSweepWhere(store, q, tb, te, where)
 	if err != nil {

@@ -21,11 +21,11 @@ func TestSurvivorsWithBoundsMatchesCandidates(t *testing.T) {
 	ctx := context.Background()
 	for _, win := range [][2]float64{{0, 30}, {5, 12}} {
 		tb, te := win[0], win[1]
-		bounds, err := prune.SliceBounds(ctx, store, q, tb, te, 1)
+		bounds, err := prune.SliceBoundsWhere(ctx, store, q, tb, te, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		surv, stats, err := prune.SurvivorsWithBounds(ctx, store, q, tb, te, bounds)
+		surv, stats, err := prune.SurvivorsWithBoundsWhere(ctx, store, q, tb, te, bounds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestSurvivorsWithBoundsMatchesCandidates(t *testing.T) {
 		for i, tr := range surv {
 			ids[i] = tr.OID
 		}
-		want, wantStats, err := prune.Candidates(store, q, tb, te)
+		want, _, _, wantStats, err := prune.ZoneWhereCtx(context.Background(), store, q, tb, te, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestSurvivorsWithBoundsMatchesCandidates(t *testing.T) {
 	for i := range inf {
 		inf[i] = math.Inf(1)
 	}
-	surv, _, err := prune.SurvivorsWithBounds(ctx, store, q, 0, 30, inf)
+	surv, _, err := prune.SurvivorsWithBoundsWhere(ctx, store, q, 0, 30, inf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,28 +60,14 @@ func TestSurvivorsWithBoundsMatchesCandidates(t *testing.T) {
 	}
 
 	// Window and length validation.
-	if _, _, err := prune.SurvivorsWithBounds(ctx, store, q, 5, 5, nil); err == nil {
+	if _, _, err := prune.SurvivorsWithBoundsWhere(ctx, store, q, 5, 5, nil, nil); err == nil {
 		t.Fatal("degenerate window accepted")
 	}
-	if _, _, err := prune.SurvivorsWithBounds(ctx, store, q, 0, 30, inf[:1]); err == nil {
+	if _, _, err := prune.SurvivorsWithBoundsWhere(ctx, store, q, 0, 30, inf[:1], nil); err == nil {
 		t.Fatal("wrong bounds length accepted")
 	}
-	if _, err := prune.SliceBounds(ctx, store, q, 9, 9, 1); err == nil {
+	if _, err := prune.SliceBoundsWhere(ctx, store, q, 9, 9, 1, nil); err == nil {
 		t.Fatal("degenerate bounds window accepted")
-	}
-}
-
-func TestNewProcessorByOID(t *testing.T) {
-	store, trs := buildStore(t, 80, 0.5, 809)
-	p, err := prune.NewProcessor(store, trs[3].OID, 0, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.UQ31(); len(got) == 0 {
-		t.Fatal("empty UQ31 from OID-addressed processor")
-	}
-	if _, err := prune.NewProcessorCtx(context.Background(), store, 987654, 0, 30); err == nil {
-		t.Fatal("unknown OID accepted")
 	}
 }
 
@@ -108,7 +94,7 @@ func TestMinCrispDist(t *testing.T) {
 
 func TestZoneCtxDegenerateWindow(t *testing.T) {
 	store, trs := buildStore(t, 20, 0.5, 810)
-	ids, cuts, bounds, st, err := prune.ZoneCtx(context.Background(), store, trs[0], 7, 7, 1)
+	ids, cuts, bounds, st, err := prune.ZoneWhereCtx(context.Background(), store, trs[0], 7, 7, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/continuous"
 	"repro/internal/engine"
+	"repro/internal/mod"
 )
 
 // answerBytes serializes the answer-bearing fields of a result — the
@@ -178,6 +179,45 @@ func TestSimulationDeterminism(t *testing.T) {
 	}
 	if dump(7) == dump(8) {
 		t.Fatal("different seeds produced identical scripts")
+	}
+}
+
+// TestScriptSurvivesTheWire: every scripted update means the same thing
+// after a JSON round trip as in process — in particular a flip to the
+// empty tag set stays "clear" ([]), never decaying to null ("unchanged").
+func TestScriptSurvivesTheWire(t *testing.T) {
+	cfg := DefaultConfig(13)
+	cfg.Retire = 2
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleared := 0
+	for step := 0; step < cfg.Steps; step++ {
+		batch, err := w.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back []mod.Update
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		for i, u := range batch {
+			if (u.Tags == nil) != (back[i].Tags == nil) {
+				t.Fatalf("step %d update %d (oid %d): tags %v crossed the wire as %v",
+					step, i, u.OID, u.Tags, back[i].Tags)
+			}
+			if u.Tags != nil && len(*u.Tags) == 0 {
+				cleared++
+			}
+		}
+	}
+	if cleared == 0 {
+		t.Fatal("the script never cleared a tag set")
 	}
 }
 

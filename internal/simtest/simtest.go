@@ -207,6 +207,14 @@ func (w *World) Step() ([]mod.Update, error) {
 	return w.StepSized(w.cfg.PerStep, 2, w.cfg.Retire)
 }
 
+// tagsPtr copies tags into a never-nil slice. The distinction is invisible
+// in process but not on the wire: JSON renders a pointer to a nil slice as
+// null — "leave the tags alone" — where the script means [] — "clear them".
+func tagsPtr(tags []string) *[]string {
+	out := append([]string{}, tags...)
+	return &out
+}
+
 // StepSized is Step with caller-chosen batch sizing: revisions plan
 // rewrites, flips tag flips, and retires retirements this tick. It is
 // the hook an open-loop load generator uses to push Poisson-drawn
@@ -222,8 +230,7 @@ func (w *World) StepSized(revisions, flips, retires int) ([]mod.Update, error) {
 	for len(w.pending) > 0 && w.pending[0].due <= w.step {
 		p := w.pending[0]
 		w.pending = w.pending[1:]
-		tags := append([]string(nil), p.tags...)
-		batch = append(batch, mod.Update{OID: p.oid, Verts: p.verts, Tags: &tags})
+		batch = append(batch, mod.Update{OID: p.oid, Verts: p.verts, Tags: tagsPtr(p.tags)})
 	}
 	oids := w.mirror.OIDs()
 	for i := 0; i < revisions && len(oids) > 0; i++ {
@@ -258,8 +265,7 @@ func (w *World) StepSized(revisions, flips, retires int) ([]mod.Update, error) {
 	tagSets := [][]string{{}, {"available"}, {"ev"}, {"available", "ev"}}
 	for i := 0; i < flips && len(oids) > 0; i++ {
 		oid := oids[w.rng.Intn(len(oids))]
-		tags := append([]string(nil), tagSets[w.rng.Intn(len(tagSets))]...)
-		batch = append(batch, mod.Update{OID: oid, Tags: &tags})
+		batch = append(batch, mod.Update{OID: oid, Tags: tagsPtr(tagSets[w.rng.Intn(len(tagSets))])})
 	}
 	if len(w.held) > 0 && (w.step == w.cfg.Steps/3 || w.step == 2*w.cfg.Steps/3) {
 		tr := w.held[0]

@@ -9,10 +9,8 @@ import (
 	"repro/internal/geom"
 )
 
-// This file deepens the brute-force-oracle coverage of the two indexes the
-// R-tree tests already exercise heavily: Grid.SearchRange (multi-cell
-// spanning, duplicate per-segment IDs, degenerate resolutions) and
-// TPRTree.KNNAt (staggered validity windows, k exceeding the alive count).
+// This file deepens the brute-force-oracle coverage of TPRTree.KNNAt
+// (staggered validity windows, k exceeding the alive count).
 
 // randSegmentEntries produces entries in the per-segment style the MOD
 // store indexes with: several entries share one ID, each with its own box
@@ -35,72 +33,6 @@ func randSegmentEntries(rng *rand.Rand, objects, segsPer int) []Entry {
 		}
 	}
 	return es
-}
-
-// linearRangeDedup is the Grid.SearchRange oracle: deduplicated sorted IDs
-// of entries overlapping the window.
-func linearRangeDedup(es []Entry, box geom.AABB, t0, t1 float64) []int64 {
-	seen := make(map[int64]bool)
-	var out []int64
-	for _, e := range es {
-		if !seen[e.ID] && e.overlaps(box, t0, t1) {
-			seen[e.ID] = true
-			out = append(out, e.ID)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-func TestGridSearchRangeOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	region := geom.AABB{MinX: 0, MinY: 0, MaxX: 40, MaxY: 40}
-	es := randSegmentEntries(rng, 300, 4)
-	for _, dims := range [][2]int{{1, 1}, {3, 7}, {20, 20}} {
-		g := NewGrid(region, dims[0], dims[1])
-		for _, e := range es {
-			g.Insert(e)
-		}
-		if g.Len() != len(es) {
-			t.Fatalf("%dx%d: Len = %d, want %d", dims[0], dims[1], g.Len(), len(es))
-		}
-		for q := 0; q < 30; q++ {
-			// Mix wide boxes (spanning many cells), thin slivers, and
-			// boxes hanging off the region edge.
-			x := rng.Float64()*50 - 5
-			y := rng.Float64()*50 - 5
-			w := rng.Float64() * 20
-			h := rng.Float64() * 20
-			if q%3 == 0 {
-				h = rng.Float64() * 0.01 // sliver
-			}
-			box := geom.AABB{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
-			t0 := rng.Float64() * 50
-			t1 := t0 + rng.Float64()*20
-			got := g.SearchRange(box, t0, t1)
-			want := linearRangeDedup(es, box, t0, t1)
-			if !slices.Equal(got, want) {
-				t.Fatalf("%dx%d q=%d: got %d ids, want %d ids", dims[0], dims[1], q, len(got), len(want))
-			}
-		}
-	}
-}
-
-func TestGridSearchRangeDedupesSegments(t *testing.T) {
-	region := geom.AABB{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
-	g := NewGrid(region, 4, 4)
-	// One object, three segments, all overlapping the query box.
-	for i := 0; i < 3; i++ {
-		g.Insert(Entry{
-			ID:  9,
-			Box: geom.AABB{MinX: float64(i), MinY: 0, MaxX: float64(i) + 2, MaxY: 2},
-			T0:  float64(i), T1: float64(i) + 2,
-		})
-	}
-	got := g.SearchRange(geom.AABB{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}, 0, 10)
-	if len(got) != 1 || got[0] != 9 {
-		t.Fatalf("expected single deduped ID, got %v", got)
-	}
 }
 
 // randStaggeredMoving produces moving entries whose validity windows only

@@ -1,9 +1,8 @@
 // Package sindex provides the spatial-index substrate for the MOD store:
 // an STR (Sort-Tile-Recursive) bulk-loaded R-tree over spatio-temporal
-// entries (a 2D box plus a time interval) and a uniform grid index. Both
-// support range search over (box, time window) and the R-tree additionally
-// supports best-first k-nearest-neighbor search by box distance at a time
-// instant.
+// entries (a 2D box plus a time interval), supporting range search over
+// (box, time window) and best-first k-nearest-neighbor search by box
+// distance at a time instant.
 //
 // The paper itself does not prescribe an index (its algorithms operate on a
 // candidate set), but a MOD serving the paper's Category 3/4 queries needs
@@ -262,80 +261,5 @@ func (t *RTree) KNN(p geom.Point, tAt float64, k int) []Neighbor {
 			}
 		}
 	}
-	return out
-}
-
-// Grid is a uniform spatial hash over a fixed region: a simple baseline
-// index used to cross-check the R-tree and for workloads with uniformly
-// spread objects (like the paper's random waypoint population).
-type Grid struct {
-	region geom.AABB
-	nx, ny int
-	cells  [][]Entry
-	count  int
-}
-
-// NewGrid creates an nx × ny grid over region. Entries outside the region
-// are clamped into the border cells.
-func NewGrid(region geom.AABB, nx, ny int) *Grid {
-	if nx < 1 {
-		nx = 1
-	}
-	if ny < 1 {
-		ny = 1
-	}
-	return &Grid{region: region, nx: nx, ny: ny, cells: make([][]Entry, nx*ny)}
-}
-
-func (g *Grid) cellRange(box geom.AABB) (ix0, iy0, ix1, iy1 int) {
-	w := (g.region.MaxX - g.region.MinX) / float64(g.nx)
-	h := (g.region.MaxY - g.region.MinY) / float64(g.ny)
-	clampI := func(v, n int) int {
-		if v < 0 {
-			return 0
-		}
-		if v >= n {
-			return n - 1
-		}
-		return v
-	}
-	ix0 = clampI(int((box.MinX-g.region.MinX)/w), g.nx)
-	ix1 = clampI(int((box.MaxX-g.region.MinX)/w), g.nx)
-	iy0 = clampI(int((box.MinY-g.region.MinY)/h), g.ny)
-	iy1 = clampI(int((box.MaxY-g.region.MinY)/h), g.ny)
-	return
-}
-
-// Insert adds an entry to every cell its box overlaps.
-func (g *Grid) Insert(e Entry) {
-	ix0, iy0, ix1, iy1 := g.cellRange(e.Box)
-	for ix := ix0; ix <= ix1; ix++ {
-		for iy := iy0; iy <= iy1; iy++ {
-			idx := iy*g.nx + ix
-			g.cells[idx] = append(g.cells[idx], e)
-		}
-	}
-	g.count++
-}
-
-// Len returns the number of inserted entries.
-func (g *Grid) Len() int { return g.count }
-
-// SearchRange returns the IDs of entries intersecting the window, deduped.
-func (g *Grid) SearchRange(box geom.AABB, t0, t1 float64) []int64 {
-	ix0, iy0, ix1, iy1 := g.cellRange(box)
-	seen := make(map[int64]bool)
-	var out []int64
-	for ix := ix0; ix <= ix1; ix++ {
-		for iy := iy0; iy <= iy1; iy++ {
-			for _, e := range g.cells[iy*g.nx+ix] {
-				if !seen[e.ID] && e.overlaps(box, t0, t1) {
-					seen[e.ID] = true
-					out = append(out, e.ID)
-				}
-			}
-		}
-	}
-	slices.Sort(out)
 	return out
 }

@@ -178,83 +178,3 @@ func TestKNNZeroK(t *testing.T) {
 		t.Errorf("k=0: %v", got)
 	}
 }
-
-func TestGridMatchesLinearScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	region := geom.AABB{MinX: 0, MinY: 0, MaxX: 40, MaxY: 40}
-	es := randEntries(rng, 1500)
-	g := NewGrid(region, 10, 10)
-	for _, e := range es {
-		g.Insert(e)
-	}
-	if g.Len() != len(es) {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	for q := 0; q < 25; q++ {
-		x := rng.Float64() * 40
-		y := rng.Float64() * 40
-		box := geom.AABB{MinX: x, MinY: y, MaxX: x + rng.Float64()*8, MaxY: y + rng.Float64()*8}
-		t0 := rng.Float64() * 60
-		t1 := t0 + rng.Float64()*15
-		got := g.SearchRange(box, t0, t1)
-		want := linearRange(es, box, t0, t1)
-		if len(got) != len(want) {
-			t.Fatalf("q=%d: got %d, want %d", q, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("q=%d: mismatch at %d", q, i)
-			}
-		}
-	}
-}
-
-func TestGridClampsOutOfRegion(t *testing.T) {
-	region := geom.AABB{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
-	g := NewGrid(region, 4, 4)
-	e := Entry{ID: 7, Box: geom.AABB{MinX: -5, MinY: -5, MaxX: -4, MaxY: -4}, T0: 0, T1: 1}
-	g.Insert(e)
-	got := g.SearchRange(geom.AABB{MinX: -10, MinY: -10, MaxX: 0, MaxY: 0}, 0, 1)
-	if len(got) != 1 || got[0] != 7 {
-		t.Errorf("clamped entry not found: %v", got)
-	}
-}
-
-func TestGridDegenerateDims(t *testing.T) {
-	g := NewGrid(geom.AABB{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0, -3)
-	g.Insert(Entry{ID: 1, Box: geom.AABBOf(geom.Point{X: 0.5, Y: 0.5}), T0: 0, T1: 1})
-	if got := g.SearchRange(geom.AABB{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0, 1); len(got) != 1 {
-		t.Errorf("1x1 fallback grid: %v", got)
-	}
-}
-
-func TestRTreeAndGridAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	region := geom.AABB{MinX: 0, MinY: 0, MaxX: 40, MaxY: 40}
-	es := randEntries(rng, 700)
-	tr := NewRTree(es, 8)
-	g := NewGrid(region, 8, 8)
-	for _, e := range es {
-		g.Insert(e)
-	}
-	for q := 0; q < 20; q++ {
-		box := geom.AABB{
-			MinX: rng.Float64() * 35, MinY: rng.Float64() * 35,
-			MaxX: 0, MaxY: 0,
-		}
-		box.MaxX = box.MinX + rng.Float64()*5
-		box.MaxY = box.MinY + rng.Float64()*5
-		t0 := rng.Float64() * 50
-		t1 := t0 + rng.Float64()*10
-		a := sortIDs(tr.SearchRange(box, t0, t1))
-		b := g.SearchRange(box, t0, t1)
-		if len(a) != len(b) {
-			t.Fatalf("q=%d: rtree %d vs grid %d", q, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("q=%d: divergence at %d", q, i)
-			}
-		}
-	}
-}

@@ -15,20 +15,15 @@ type BatchItem struct {
 	Err    error
 }
 
-// RunBatch parses and evaluates a multi-statement UQL script against the
+// RunBatchCtx parses and evaluates a multi-statement UQL script against the
 // store through the batch engine: every statement compiles to an
 // engine.Request where possible, so statements sharing a query trajectory
 // and window share one memoized preprocessing and whole-MOD statements
 // (Categories 3/4) fan their per-object candidate checks across the
 // engine's worker pool. A nil engine evaluates serially (one worker)
-// through a throwaway engine scoped to the call.
-func RunBatch(srcs []string, store *mod.Store, eng *engine.Engine) []BatchItem {
-	return RunBatchCtx(context.Background(), srcs, store, eng)
-}
-
-// RunBatchCtx is RunBatch under a context: cancellation stops between
+// through a throwaway engine scoped to the call. Cancellation stops between
 // statements and inside each statement's evaluation (worker pool, index
-// pre-pass, lazy envelope builds). A canceled context fails the remaining
+// pre-pass, lazy envelope builds); a canceled context fails the remaining
 // statements with the context error.
 func RunBatchCtx(ctx context.Context, srcs []string, store *mod.Store, eng *engine.Engine) []BatchItem {
 	if eng == nil {
@@ -94,7 +89,7 @@ func evalWithEngine(ctx context.Context, st *Stmt, store *mod.Store, eng *engine
 // unified engine.Request — the single declarative descriptor every
 // execution layer shares. ok is false for the threshold (`> p`) and
 // CertainNN predicates, whose quantified forms evaluate through
-// EvalWithProcessor instead.
+// EvalWithProcessorCtx instead.
 func Compile(st *Stmt) (engine.Request, bool) {
 	if st.Certain || st.Threshold > 0 {
 		return engine.Request{}, false

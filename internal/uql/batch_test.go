@@ -1,6 +1,7 @@
 package uql
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -47,7 +48,7 @@ var batchScript = []string{
 func TestRunBatchMatchesSerial(t *testing.T) {
 	store := batchStore(t, 24)
 	eng := engine.New(0)
-	items := RunBatch(batchScript, store, eng)
+	items := RunBatchCtx(context.Background(), batchScript, store, eng)
 	if len(items) != len(batchScript) {
 		t.Fatalf("got %d items, want %d", len(items), len(batchScript))
 	}
@@ -69,7 +70,7 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 // TestRunBatchNilEngine: a nil engine must degrade to serial evaluation.
 func TestRunBatchNilEngine(t *testing.T) {
 	store := batchStore(t, 15)
-	items := RunBatch(batchScript[:3], store, nil)
+	items := RunBatchCtx(context.Background(), batchScript[:3], store, nil)
 	for i, src := range batchScript[:3] {
 		want, err := Run(src, store)
 		if err != nil {
@@ -86,7 +87,7 @@ func TestRunBatchNilEngine(t *testing.T) {
 func TestRunBatchPartialFailure(t *testing.T) {
 	store := batchStore(t, 15)
 	eng := engine.New(2)
-	items := RunBatch([]string{
+	items := RunBatchCtx(context.Background(), []string{
 		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0",
 		"THIS IS NOT UQL",
 		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 99999, Time) > 0",
@@ -111,7 +112,7 @@ func TestRunBatchPartialFailure(t *testing.T) {
 func TestRunBatchSharesProcessor(t *testing.T) {
 	store := batchStore(t, 20)
 	eng := engine.New(2)
-	RunBatch(batchScript, store, eng)
+	RunBatchCtx(context.Background(), batchScript, store, eng)
 	if n := eng.MemoLen(); n != 1 {
 		t.Errorf("memo len = %d, want 1 (one query trajectory and window)", n)
 	}

@@ -43,31 +43,21 @@ func serialEngine() *engine.Engine {
 	return engine.NewWith(engine.Options{Workers: 1})
 }
 
-// Eval evaluates a parsed statement against the store, using its shared
+// EvalCtx evaluates a parsed statement against the store, using its shared
 // uncertainty radius. The statement compiles to an engine.Request and runs
-// through the unified Engine.Do route on a throwaway serial engine;
-// callers issuing many statements — or wanting parallel whole-MOD
-// evaluation, preprocessing reuse across calls, and context cancellation —
-// should use RunBatchCtx with their own engine.
-func Eval(st *Stmt, store *mod.Store) (Result, error) {
-	return EvalCtx(context.Background(), st, store)
-}
-
-// EvalCtx is Eval under a context, honored throughout the engine route
-// (preprocessing, worker pool, lazy envelope builds).
+// through the unified Engine.Do route on a throwaway serial engine, with
+// ctx honored throughout (preprocessing, worker pool, lazy envelope
+// builds); callers issuing many statements — or wanting parallel whole-MOD
+// evaluation and preprocessing reuse across calls — should use RunBatchCtx
+// with their own engine.
 func EvalCtx(ctx context.Context, st *Stmt, store *mod.Store) (Result, error) {
 	item := evalWithEngine(ctx, st, store, serialEngine())
 	return item.Result, item.Err
 }
 
-// EvalWithProcessor evaluates a parsed statement against an already-built
-// processor for the statement's (TrQ, window). The processor must have been
-// constructed for st.QueryOID over [st.Tb, st.Te].
-func EvalWithProcessor(st *Stmt, proc *queries.Processor) (Result, error) {
-	return EvalWithProcessorCtx(context.Background(), st, proc)
-}
-
-// EvalWithProcessorCtx is EvalWithProcessor under a context: the
+// EvalWithProcessorCtx evaluates a parsed statement against an
+// already-built processor for the statement's (TrQ, window); the processor
+// must have been constructed for st.QueryOID over [st.Tb, st.Te]. The
 // threshold and certain predicates scan P^NN series (or full envelope
 // builds) per object, so cancellation is checked between objects.
 func EvalWithProcessorCtx(ctx context.Context, st *Stmt, proc *queries.Processor) (Result, error) {
@@ -255,5 +245,5 @@ func Run(src string, store *mod.Store) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Eval(st, store)
+	return EvalCtx(context.Background(), st, store)
 }

@@ -42,7 +42,9 @@
 //     spec (OpenAPISpec), and a Prometheus text exposition
 //     (NewGatewayMetrics); cmd/modserver serves both, and
 //     docker-compose.yml stands up a 2-shard TLS cluster behind the
-//     gateway,
+//     gateway; both front doors are codecs over one live-serving core
+//     (internal/serve), so journaling, fan-out order and from_seq resume
+//     behave identically on either,
 //   - the UQL query language (the SQL sketch of Section 4), and
 //   - the probabilistic machinery for instantaneous NN queries
 //     (Sections 2.2, 3.1).
@@ -87,7 +89,7 @@
 //	curl localhost:8080/metrics
 //
 // See examples/ for runnable programs, EXPERIMENTS.md for the benchmark
-// harness (including the old-call → Request migration table), and CI
+// harness, and CI
 // (.github/workflows/ci.yml) gates every push through the Makefile:
 // gofmt, go vet, staticcheck, build, the race-detector test suite, and
 // benchmark smoke runs including the Engine.Do overhead gate.
@@ -230,33 +232,11 @@ func BuildIPACNN(trs []*Trajectory, q *Trajectory, tb, te, r float64, pdf Radial
 // --- continuous query variants (Section 4) ---
 
 // QueryProcessor answers the UQ11..UQ43 query variants after O(N log N)
-// envelope preprocessing. Engine.Processor returns the memoized,
+// envelope preprocessing. Engine.ProcessorWhereCtx returns the memoized,
 // index-pruned instance the unified API evaluates against — use that for
 // interval-level introspection (PossibleNNIntervals, ProbabilitySeries,
 // GuaranteedNNIntervals) beyond what a Request expresses.
 type QueryProcessor = queries.Processor
-
-// NewQueryProcessor builds the preprocessing for query trajectory q over
-// [tb, te] with uncertainty radius r, scanning the full trajectory set.
-//
-// Deprecated: use Engine.Do with a Request (or Engine.Processor for
-// interval-level access); it answers identically while consulting the
-// store's spatial index and memoizing the preprocessing.
-func NewQueryProcessor(trs []*Trajectory, q *Trajectory, tb, te, r float64) (*QueryProcessor, error) {
-	return queries.NewProcessor(trs, q, tb, te, r)
-}
-
-// NewIndexedQueryProcessor builds the same preprocessing against a store,
-// first consulting the store's lazily maintained spatial index to discard
-// objects that provably cannot enter the 4r pruning zone anywhere in the
-// window. Answers are identical to NewQueryProcessor's for every query
-// variant; only the work to produce them shrinks with the survivor count.
-//
-// Deprecated: use Engine.Processor, which additionally memoizes the
-// construction per (store version, query, window).
-func NewIndexedQueryProcessor(store *Store, qOID int64, tb, te float64) (*QueryProcessor, error) {
-	return prune.NewProcessor(store, qOID, tb, te)
-}
 
 // PruneStats describes one index candidate pre-pass (candidates seen,
 // survivors kept, slices and probes spent).
@@ -266,7 +246,8 @@ type PruneStats = prune.Stats
 // conservative superset of objects that can have non-zero NN probability
 // for query trajectory q somewhere in [tb, te], plus pass statistics.
 func PruneCandidates(store *Store, q *Trajectory, tb, te float64) ([]int64, PruneStats, error) {
-	return prune.Candidates(store, q, tb, te)
+	ids, _, _, st, err := prune.ZoneWhereCtx(context.Background(), store, q, tb, te, 1, nil)
+	return ids, st, err
 }
 
 // TimeInterval is a closed time interval.
@@ -286,56 +267,6 @@ type HeteroQueryProcessor = queries.HeteroProcessor
 // maps every OID (including the query's) to its uncertainty radius.
 func NewHeteroQueryProcessor(trs []*Trajectory, q *Trajectory, tb, te float64, radii map[int64]float64) (*HeteroQueryProcessor, error) {
 	return queries.NewHeteroProcessor(trs, q, tb, te, radii)
-}
-
-// AllPairsPossibleNN computes every object's possible-NN set over the
-// window (Section 7 future work: all-pairs continuous probabilistic NN).
-//
-// Deprecated: use Engine.Do with Kind KindAllPairs against a Store — it
-// answers identically (index-pruned, parallel across query objects) and
-// supports cancellation. This wrapper stages trs into a transient store
-// and delegates.
-func AllPairsPossibleNN(trs []*Trajectory, tb, te, r float64) (map[int64][]int64, error) {
-	store, err := transientStore(trs, r)
-	if err != nil {
-		return nil, err
-	}
-	res, err := NewEngine(0).Do(context.Background(), store, Request{Kind: KindAllPairs, Tb: tb, Te: te})
-	if err != nil {
-		return nil, err
-	}
-	return res.Pairs, nil
-}
-
-// ReversePossibleNN returns the objects for which the target can be the
-// nearest neighbor (reverse continuous probabilistic NN, Section 7 future
-// work).
-//
-// Deprecated: use Engine.Do with Kind KindReverse against a Store. This
-// wrapper stages trs into a transient store and delegates.
-func ReversePossibleNN(trs []*Trajectory, target *Trajectory, tb, te, r float64) ([]int64, error) {
-	store, err := transientStore(trs, r)
-	if err != nil {
-		return nil, err
-	}
-	res, err := NewEngine(0).Do(context.Background(), store, Request{Kind: KindReverse, Tb: tb, Te: te, OID: target.OID})
-	if err != nil {
-		return nil, err
-	}
-	return res.OIDs, nil
-}
-
-// transientStore stages a trajectory slice behind the store-based unified
-// API for the deprecated slice-based wrappers.
-func transientStore(trs []*Trajectory, r float64) (*Store, error) {
-	store, err := NewUniformStore(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := store.InsertAll(trs); err != nil {
-		return nil, err
-	}
-	return store, nil
 }
 
 // KNNProbabilities generalizes Eq. 5 to top-k membership: the probability
@@ -399,27 +330,6 @@ var (
 	ErrBadPredicate = engine.ErrBadPredicate
 	ErrBadTag       = textidx.ErrBadTag
 )
-
-// BatchRequest is a batch of query variants sharing one query trajectory
-// and window.
-//
-// Deprecated: use []Request with Engine.DoBatch.
-type BatchRequest = engine.BatchRequest
-
-// BatchResult holds one item per requested query, in request order.
-//
-// Deprecated: use []Result from Engine.DoBatch.
-type BatchResult = engine.BatchResult
-
-// BatchQuery is one variant in a batch.
-//
-// Deprecated: use Request.
-type BatchQuery = engine.Query
-
-// BatchAnswer is the result of one query in a batch.
-//
-// Deprecated: use Result.
-type BatchAnswer = engine.Item
 
 // QueryKind names a query variant for the engine.
 type QueryKind = engine.Kind
@@ -665,8 +575,9 @@ func NewFaultInjector(seed int64, plan FaultPlan) *FaultInjector {
 // --- production serving (line protocol + HTTP gateway + metrics) ---
 
 // ModServer serves a store over a TCP listener with the line-delimited
-// JSON protocol (insert/get/query/subscribe/ingest; see
-// internal/modserver's package doc). Wrap the listener with
+// JSON protocol (query/subscribe/ingest plus the insert/trip/delete
+// shorthands, each an update batch on the same journaled, subscribed
+// path; see internal/modserver's package doc). Wrap the listener with
 // tls.NewListener for TLS; Options.Token requires every connection to
 // authenticate before its first operation.
 type ModServer = modserver.Server
@@ -747,24 +658,17 @@ var OpenAPISpec = openapi.Spec
 
 // --- UQL (Section 4's SQL sketch) ---
 
-// UQLResult is the outcome of a UQL statement.
+// UQLResult is the outcome of a UQL statement (ModClient.UQL).
 type UQLResult = uql.Result
 
-// RunUQL parses and evaluates a UQL statement against a store, e.g.
+// CompileUQL parses a UQL statement, e.g.
 //
 //	SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 5, Time) > 0
 //
-// The statement compiles to a Request and evaluates through the unified
-// engine route (serially).
-//
-// Deprecated: use CompileUQL with Engine.Do (or RunUQLBatch with an
-// engine) for parallel evaluation, Explain stats and cancellation.
-func RunUQL(query string, store *Store) (UQLResult, error) { return uql.Run(query, store) }
-
-// CompileUQL parses a UQL statement of the possible-NN family and
-// compiles it to the unified Request. ok is false for the threshold
-// (`> p`) and CertainNN predicates, which have no Request kind yet and
-// evaluate through RunUQL/RunUQLBatch.
+// and compiles it to the unified Request, to be evaluated with Engine.Do /
+// Engine.DoBatch. ok is false for the threshold (`> p`) and CertainNN
+// predicates, which have no Request kind yet; the line protocol's uql and
+// batch ops (ModClient.UQL / ModClient.Batch) evaluate those too.
 func CompileUQL(query string) (Request, bool, error) {
 	st, err := uql.Parse(query)
 	if err != nil {
@@ -774,19 +678,9 @@ func CompileUQL(query string) (Request, bool, error) {
 	return req, ok, nil
 }
 
-// UQLBatchItem is one statement's outcome in a multi-statement script.
+// UQLBatchItem is one statement's outcome in a multi-statement script
+// (ModClient.Batch).
 type UQLBatchItem = uql.BatchItem
-
-// RunUQLBatch evaluates a multi-statement UQL script through the engine:
-// each statement compiles to a Request, statements sharing a query
-// trajectory and window share one preprocessing, and whole-MOD statements
-// evaluate in parallel. A nil engine evaluates serially.
-//
-// Deprecated: compile statements with CompileUQL and use Engine.DoBatch,
-// which adds Explain stats and context cancellation.
-func RunUQLBatch(queries []string, store *Store, eng *Engine) []UQLBatchItem {
-	return uql.RunBatch(queries, store, eng)
-}
 
 // ClusteredWorkloadConfig parameterizes the hotspot workload generator
 // (extension experiment E4).

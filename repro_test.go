@@ -1,14 +1,38 @@
-//lint:file-ignore SA1019 facade tests keep covering the deprecated
-// compatibility wrappers until they are removed.
-
 package repro_test
 
 import (
+	"context"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro"
 )
+
+// serialOracle answers through a one-worker engine with the index
+// pre-pass off: the full-scan evaluation every other route must match.
+func serialOracle(t *testing.T, store *repro.Store, req repro.Request) repro.Result {
+	t.Helper()
+	res, err := repro.NewEngineWith(repro.EngineOptions{Workers: 1, FullScan: true}).Do(context.Background(), store, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runUQL compiles a statement of the possible-NN family and evaluates it.
+func runUQL(t *testing.T, eng *repro.Engine, store *repro.Store, stmt string) repro.Result {
+	t.Helper()
+	req, ok, err := repro.CompileUQL(stmt)
+	if err != nil || !ok {
+		t.Fatalf("CompileUQL(%q): ok=%v err=%v", stmt, ok, err)
+	}
+	res, err := eng.Do(context.Background(), store, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func seededStore(t *testing.T, n int) *repro.Store {
 	t.Helper()
@@ -50,23 +74,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("RankedAt = %v vs AnswerAt = %d", ranked, tree.AnswerAt(30))
 	}
 
-	proc, err := repro.NewQueryProcessor(store.All(), q, 0, 60, store.Radius())
-	if err != nil {
-		t.Fatal(err)
-	}
-	uq31 := proc.UQ31()
-	res, err := repro.RunUQL(
-		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0", store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.OIDs) != len(uq31) {
-		t.Fatalf("UQL %d ids vs processor %d", len(res.OIDs), len(uq31))
-	}
-	for i := range uq31 {
-		if res.OIDs[i] != uq31[i] {
-			t.Fatalf("UQL/processor divergence at %d", i)
-		}
+	uq31 := serialOracle(t, store, repro.Request{Kind: repro.KindUQ31, QueryOID: 1, Tb: 0, Te: 60}).OIDs
+	res := runUQL(t, repro.NewEngine(0), store,
+		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0")
+	if !slices.Equal(res.OIDs, uq31) {
+		t.Fatalf("UQL %v vs full scan %v", res.OIDs, uq31)
 	}
 	// The tree's kept set equals UQ31.
 	kept := append([]int64(nil), tree.KeptOIDs...)
@@ -148,60 +160,39 @@ func TestFacadeWorkloadConfigs(t *testing.T) {
 }
 
 // TestFacadeBatchEngine exercises the engine exports: a typed batch, the
-// UQL script form, and agreement with the serial processor.
+// UQL compile route, and agreement with the serial full scan.
 func TestFacadeBatchEngine(t *testing.T) {
 	store := seededStore(t, 80)
 	eng := repro.NewEngine(0)
 
-	res, err := eng.ExecBatch(store, repro.BatchRequest{
-		QueryOID: 1, Tb: 0, Te: 60,
-		Queries: []repro.BatchQuery{
-			{Kind: repro.KindUQ31},
-			{Kind: repro.KindUQ41, K: 2},
-			{Kind: repro.KindUQ13, OID: 2, X: 0.1},
-		},
-	})
+	reqs := []repro.Request{
+		{Kind: repro.KindUQ31, QueryOID: 1, Tb: 0, Te: 60},
+		{Kind: repro.KindUQ41, QueryOID: 1, Tb: 0, Te: 60, K: 2},
+		{Kind: repro.KindUQ13, QueryOID: 1, Tb: 0, Te: 60, OID: 2, X: 0.1},
+	}
+	results, err := eng.DoBatch(context.Background(), store, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Items) != 3 {
-		t.Fatalf("items = %d", len(res.Items))
+	if len(results) != len(reqs) {
+		t.Fatalf("results = %d", len(results))
 	}
-	for i, it := range res.Items {
-		if it.Err != nil {
-			t.Fatalf("item %d: %v", i, it.Err)
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("request %d: %v", i, res.Err)
 		}
-	}
-	q, err := store.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc, err := repro.NewQueryProcessor(store.All(), q, 0, 60, store.Radius())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := proc.UQ31()
-	got := res.Items[0].OIDs
-	if len(got) != len(want) {
-		t.Fatalf("UQ31: engine %v != serial %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("UQ31: engine %v != serial %v", got, want)
+		want := serialOracle(t, store, reqs[i])
+		if res.IsBool != want.IsBool || res.Bool != want.Bool || !slices.Equal(res.OIDs, want.OIDs) {
+			t.Fatalf("request %d: engine %+v != serial %+v", i, res, want)
 		}
 	}
 
-	items := repro.RunUQLBatch([]string{
-		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0",
-		"SELECT 2 FROM MOD WHERE FORALL Time IN [0, 60] AND ProbabilityNN(2, 1, Time) > 0",
-	}, store, eng)
-	if len(items) != 2 {
-		t.Fatalf("uql items = %d", len(items))
+	all := runUQL(t, eng, store, "SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0")
+	one := runUQL(t, eng, store, "SELECT 2 FROM MOD WHERE FORALL Time IN [0, 60] AND ProbabilityNN(2, 1, Time) > 0")
+	if all.IsBool || !one.IsBool {
+		t.Fatalf("result shapes: %+v, %+v", all, one)
 	}
-	if items[0].Err != nil || items[1].Err != nil {
-		t.Fatalf("uql errors: %v, %v", items[0].Err, items[1].Err)
-	}
-	if items[0].Result.IsBool || !items[1].Result.IsBool {
-		t.Fatalf("result shapes: %+v", items)
+	if !slices.Equal(all.OIDs, results[0].OIDs) {
+		t.Fatalf("UQL %v vs typed request %v", all.OIDs, results[0].OIDs)
 	}
 }
