@@ -61,7 +61,10 @@ bench-prune:
 bench-text:
 	$(GO) run ./cmd/figures -fig text -text-json BENCH_text.json
 
-# One-iteration smoke: every benchmark compiles and executes.
+# One-iteration smoke: every benchmark compiles and executes — the
+# per-layer pre-pass benchmarks among them (BenchmarkSweepBounds,
+# BenchmarkSweepSurvivors, BenchmarkMinCrispDist in internal/prune,
+# BenchmarkKNN in internal/sindex; EXPERIMENTS.md has their rows).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 

@@ -783,12 +783,13 @@ func (b *engineBackend) Apply(_ context.Context, updates []mod.Update) ([]mod.Ap
 	return b.store.ApplyUpdates(updates)
 }
 
-// Evaluate answers through the engine and fingerprints the request
-// cheaply: the survivor superset comes from the engine's memoized
-// processor (just built by the Do — the lookup is a memo hit, no second
-// sweep), and the per-slice bounds from the probe-only SliceBounds
-// phase. A profile failure degrades to nil (always dirty), never to a
-// wrong skip.
+// Evaluate answers through the engine and fingerprints the request from
+// the evaluation's own pre-pass: the engine's memoized processor (just
+// built by the Do — the lookup is a memo hit) holds both the survivor
+// superset and the per-slice bounds its sweep ran against, so the profile
+// costs no second snapshot, probe or sweep and speaks about exactly the
+// snapshot the answer came from. A profile failure degrades to nil (always
+// dirty), never to a wrong skip.
 func (b *engineBackend) Evaluate(ctx context.Context, req engine.Request) (engine.Result, *Profile, error) {
 	res, err := b.eng.Do(ctx, b.store, req)
 	if err != nil {
@@ -820,12 +821,13 @@ func (b *engineBackend) profile(ctx context.Context, req engine.Request) (*Profi
 	}
 	// The bounds must come from the same universe the answer did: the
 	// unfiltered envelope sits below the sub-MOD's, and a too-low bound
-	// shrinks the influence zone into wrong skips.
-	bounds, err := prune.SliceBoundsWhere(ctx, b.store, q, req.Tb, req.Te, req.Rank(), req.Where)
+	// shrinks the influence zone into wrong skips. The processor's are its
+	// own pre-pass's, filter included; one built without a pre-pass (a
+	// full-scan engine, a snapshot that raced a mutation) has none.
+	cuts, bounds, err := proc.SliceBounds(ctx, req.Rank())
 	if err != nil {
 		return nil, err
 	}
-	cuts := prune.SliceCuts(q, req.Tb, req.Te)
 	if len(cuts) < 2 || len(bounds) != len(cuts)-1 {
 		return nil, nil // unbounded fingerprint: always dirty, never wrong
 	}

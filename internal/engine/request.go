@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mod"
@@ -591,66 +592,58 @@ func (e *Engine) reverse(ctx context.Context, store *mod.Store, req Request) ([]
 
 // forEachIndex runs fn(0..n-1) on the worker pool, checking ctx between
 // tasks. The first error wins (a context error takes precedence); tasks
-// not yet started are skipped once an error is recorded.
+// not yet started are skipped once an error is recorded. Workers claim
+// indexes from a shared counter, and the caller is one of them — there is
+// no hand-over per task, so a worker that is not scheduled costs nothing.
 func (e *Engine) forEachIndex(ctx context.Context, n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctxErr(ctx); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	workers := min(e.workers, n)
 	var (
+		next atomic.Int64
 		wg   sync.WaitGroup
 		mu   sync.Mutex
 		ferr error
 	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			mu.Lock()
+			stop := ferr != nil
+			mu.Unlock()
+			if stop {
+				return
+			}
+			err := ctxErr(ctx)
+			if err == nil {
+				err = fn(i)
+			}
+			if err != nil {
+				mu.Lock()
+				if ferr == nil {
+					ferr = err
+				}
+				mu.Unlock()
+			}
+		}
+	}
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				mu.Lock()
-				stop := ferr != nil
-				mu.Unlock()
-				if stop {
-					continue
-				}
-				err := ctxErr(ctx)
-				if err == nil {
-					err = fn(i)
-				}
-				if err != nil {
-					mu.Lock()
-					if ferr == nil {
-						ferr = err
-					}
-					mu.Unlock()
-				}
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
-	// Cancellation is batch-fatal and callers match on the context error,
-	// so it takes precedence over whatever task error the race recorded.
-	if err := ctxErr(ctx); err != nil {
-		return err
+	if workers > 1 {
+		// Cancellation is batch-fatal and callers match on the context
+		// error, so it takes precedence over whatever task error the race
+		// recorded. (A lone worker met it, if at all, before a task.)
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
 	}
 	return ferr
 }

@@ -22,6 +22,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/sindex"
@@ -96,6 +97,12 @@ type Store struct {
 	spec    PDFSpec
 	pdf     updf.RadialPDF
 	version uint64 // bumped on every successful mutation
+
+	// view and tagView cache the sorted snapshot (All, OIDs) and the tag-map
+	// copy (AllWithTags) of the current version: built by the first reader
+	// after a mutation, shared by every reader until the version moves.
+	view    atomic.Pointer[View]
+	tagView atomic.Pointer[tagView]
 
 	// Cached segment R-tree, maintained lazily: a mutation bumps version,
 	// which invalidates the cache; the next BuildIndex call rebuilds.
@@ -257,29 +264,53 @@ func (s *Store) Len() int {
 	return len(s.trajs)
 }
 
-// OIDs returns the sorted object IDs.
-func (s *Store) OIDs() []int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int64, 0, len(s.trajs))
-	for oid := range s.trajs {
-		out = append(out, oid)
-	}
-	slices.Sort(out)
-	return out
+// OIDs returns the sorted object IDs (a fresh copy).
+func (s *Store) OIDs() []int64 { return slices.Clone(s.View().OIDs) }
+
+// View is the store's contents at one version: the trajectories sorted by
+// OID and their OIDs in a parallel slice (so an OID resolves to its
+// position by binary search over plain integers). A View is immutable and
+// shared — by every caller of View, All and AllWithTags until the next
+// mutation — so its slices must not be written to; both have cap == len,
+// so appending to one reallocates instead of writing into the shared
+// array.
+type View struct {
+	Version uint64
+	Trajs   []*trajectory.Trajectory
+	OIDs    []int64
 }
 
-// All returns a snapshot slice of the trajectories, sorted by OID.
-func (s *Store) All() []*trajectory.Trajectory {
+// View returns the current version's snapshot, building it on the first
+// read after a mutation: the copy and sort of N pointers is paid once per
+// store version, not once per query.
+func (s *Store) View() *View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]*trajectory.Trajectory, 0, len(s.trajs))
-	for _, tr := range s.trajs {
-		out = append(out, tr)
-	}
-	slices.SortFunc(out, func(a, b *trajectory.Trajectory) int { return cmp.Compare(a.OID, b.OID) })
-	return out
+	return s.viewLocked()
 }
+
+// viewLocked is View for callers that hold s.mu (either mode). Readers
+// racing to build all build the same version — writers are excluded — so
+// whichever store lands last is as good as the others.
+func (s *Store) viewLocked() *View {
+	if v := s.view.Load(); v != nil && v.Version == s.version {
+		return v
+	}
+	v := &View{Version: s.version, Trajs: make([]*trajectory.Trajectory, 0, len(s.trajs)), OIDs: make([]int64, len(s.trajs))}
+	for _, tr := range s.trajs {
+		v.Trajs = append(v.Trajs, tr)
+	}
+	slices.SortFunc(v.Trajs, func(a, b *trajectory.Trajectory) int { return cmp.Compare(a.OID, b.OID) })
+	for i, tr := range v.Trajs {
+		v.OIDs[i] = tr.OID
+	}
+	s.view.Store(v)
+	return v
+}
+
+// All returns the trajectories sorted by OID: the current View's slice,
+// shared and immutable.
+func (s *Store) All() []*trajectory.Trajectory { return s.View().Trajs }
 
 // TimeSpan returns the union of all trajectory spans. ok is false for an
 // empty store.
@@ -399,7 +430,7 @@ type trajJSON struct {
 func (s *Store) SaveJSON(w io.Writer) error {
 	s.mu.RLock()
 	doc := storeJSON{Spec: s.spec}
-	for _, tr := range s.All() {
+	for _, tr := range s.viewLocked().Trajs {
 		tj := trajJSON{OID: tr.OID, Verts: make([][3]float64, len(tr.Verts)), Tags: s.tags[tr.OID]}
 		for i, v := range tr.Verts {
 			tj.Verts[i] = [3]float64{v.X, v.Y, v.T}
@@ -451,7 +482,7 @@ func LoadJSON(r io.Reader) (*Store, error) {
 // tags", so old snapshots stay loadable.
 func (s *Store) SaveBinary(w io.Writer) error {
 	s.mu.RLock()
-	trs := s.All()
+	trs := s.viewLocked().Trajs
 	spec := s.spec
 	tags := make(map[int64][]string, len(s.tags))
 	for oid, ts := range s.tags {

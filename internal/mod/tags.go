@@ -1,7 +1,6 @@
 package mod
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -90,25 +89,31 @@ func (s *Store) TagsSnapshot() map[int64][]string {
 	return out
 }
 
+// tagView is the tag-map copy of one store version (see Store.tagView).
+type tagView struct {
+	version uint64
+	tags    map[int64][]string
+}
+
 // AllWithTags returns the trajectory snapshot, the tag map, and the
 // version they were taken at, under one lock acquisition — the
 // predicate-filtered query path needs the two views consistent, since
 // which objects exist in the sub-MOD is decided by matching tags against
-// exactly this trajectory set.
+// exactly this trajectory set. Like the View's slices, the map is copied
+// once per store version and shared between callers: read-only.
 func (s *Store) AllWithTags() ([]*trajectory.Trajectory, map[int64][]string, uint64) {
 	s.mu.RLock()
-	version := s.version
-	trs := make([]*trajectory.Trajectory, 0, len(s.trajs))
-	for _, tr := range s.trajs {
-		trs = append(trs, tr)
+	defer s.mu.RUnlock()
+	v := s.viewLocked()
+	tv := s.tagView.Load()
+	if tv == nil || tv.version != s.version {
+		tv = &tagView{version: s.version, tags: make(map[int64][]string, len(s.tags))}
+		for oid, ts := range s.tags {
+			tv.tags[oid] = ts
+		}
+		s.tagView.Store(tv)
 	}
-	tags := make(map[int64][]string, len(s.tags))
-	for oid, ts := range s.tags {
-		tags[oid] = ts
-	}
-	s.mu.RUnlock()
-	slices.SortFunc(trs, func(a, b *trajectory.Trajectory) int { return cmp.Compare(a.OID, b.OID) })
-	return trs, tags, version
+	return v.Trajs, tv.tags, v.Version
 }
 
 // MatchingOIDs returns the sorted OIDs whose tag sets satisfy where; a

@@ -6,37 +6,53 @@
 // 3.2 anywhere in the query window.
 //
 // The bound is built per time slice of the query trajectory's corridor
-// (its vertex times, subdivided so slices stay short):
+// (its vertex times, subdivided so slices stay short; the query moves
+// linearly inside every slice):
 //
 //  1. U(slice) — an upper bound on the Level-1 lower envelope over the
 //     slice — is the smallest, over a handful of R-tree KNN probes at the
 //     slice midpoint, of the probe's exact maximum distance from the
 //     query during the slice. For any t in the slice the envelope value
 //     min_j d_j(t) is at most that probe's distance, so U is sound.
-//  2. Every object with a segment entry intersecting the query corridor's
-//     bounding box expanded by U + 4r + Margin during the slice survives.
-//     An object in the zone at time t has d_i(t) <= env(t) + 4r <=
-//     U + 4r, and the box distance between its (r-expanded) segment entry
-//     and the corridor box lower-bounds d_i(t), so no zone member is ever
-//     discarded: survivors are a conservative superset.
+//  2. An object survives when its exact minimum distance from the query
+//     over some slice is at most U(slice) + 4r + Margin. An object in the
+//     zone at time t has d_i(t) <= env(t) + 4r <= U + 4r, and its minimum
+//     over t's slice is at most d_i(t), so no zone member is ever
+//     discarded: survivors are a conservative superset. The test is run
+//     once per sweep, not once per slice: one walk of the index over the
+//     whole window and the union of the slices' corridor boxes (each the
+//     query's box over the slice grown by its limit) names the objects
+//     with motion anywhere near the corridor, and each of them is then
+//     tested against every slice in one time-ordered pass over its *live*
+//     plan. The index only nominates — a nomination through a superseded
+//     or retired entry is harmless, and none is missed: a survivor is
+//     within its slice's limit of the query at some instant, so at that
+//     instant it is inside that slice's box, and the index entry of the
+//     plan segment it is then on intersects the walked box in space and
+//     time. Which index nominated (segment R-tree, predictive TPR tree,
+//     hybrid text cells) therefore cannot change the survivor set.
 //
 // The survivor set feeds queries.NewProcessorPruned, which answers every
 // UQ variant identically to a full-scan Processor while building distance
 // functions only for survivors.
 //
 // Every entry point takes a nil-able *textidx.Predicate (see where.go): nil
-// runs over the whole MOD, non-nil over the matching sub-MOD. One-shot
+// runs over the whole MOD, non-nil over the matching sub-MOD. All of them
+// run on a Sweep — one snapshot, index handle, slicing and OID table per
+// (query, window), shared by both phases and every rank: the one-shot
 // forms (ZoneWhereCtx, ForQueryWhereCtx, SliceBoundsWhere,
-// SurvivorsWithBoundsWhere) open a Sweep session per call; NewSweepWhere
-// and SweepCache keep one across the phases of the cluster bound exchange.
+// SurvivorsWithBoundsWhere) open one per call, ForQueryWhereCtx leaves its
+// own behind the processor's rank expander, and NewSweepWhere and
+// SweepCache keep one across the phases of the cluster bound exchange.
 package prune
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"slices"
+	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/geom"
@@ -87,15 +103,17 @@ type Stats struct {
 }
 
 // corridorIndex is the index surface the two pre-pass phases need: KNN
-// probe selection at an instant and conservative corridor range hits over
-// a slice. The segment R-tree is the default; a store with a pinned
-// predictive TPR coverage answers covered windows through the TPR tree
-// instead (no rebuild under live ingest). Both only *select* candidates —
-// every hit is refined against the exact trajectory — so the two paths
-// answer queries identically even though their candidate supersets differ.
+// probe selection at an instant, and one walk naming every object that may
+// have motion inside a box during an interval (an ID per intersecting
+// entry, repeats and all, until fn returns false). The segment R-tree is
+// the default; a store with a pinned predictive TPR coverage answers
+// covered windows through the TPR tree instead (no rebuild under live
+// ingest). Both only *nominate* — every object named is tested against its
+// live trajectory — so the two paths answer queries identically even
+// though their candidate supersets differ.
 type corridorIndex interface {
 	probe(p geom.Point, t float64, k int) []sindex.Neighbor
-	corridorHits(box geom.AABB, t0, t1 float64) []int64
+	visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool
 }
 
 // rtreeIndex adapts the segment R-tree (entries pre-expanded by r).
@@ -104,24 +122,20 @@ type rtreeIndex struct{ t *sindex.RTree }
 func (x rtreeIndex) probe(p geom.Point, t float64, k int) []sindex.Neighbor {
 	return x.t.KNN(p, t, k)
 }
-func (x rtreeIndex) corridorHits(box geom.AABB, t0, t1 float64) []int64 {
-	return x.t.SearchRange(box, t0, t1)
+func (x rtreeIndex) visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
+	return x.t.Visit(box, t0, t1, fn)
 }
 
 // tprIndex adapts the predictive TPR tree. Its moving entries are exact
-// expected positions, not r-expanded boxes, so the query box is expanded
-// by r here — for axis-aligned boxes, expanding the query side is the
-// same intersection test as expanding the entry side.
-type tprIndex struct {
-	t *sindex.TPRTree
-	r float64
-}
+// expected positions, not r-expanded boxes; the sweep's corridor boxes
+// carry the r themselves.
+type tprIndex struct{ t *sindex.TPRTree }
 
 func (x tprIndex) probe(p geom.Point, t float64, k int) []sindex.Neighbor {
 	return x.t.KNNAt(p, t, k)
 }
-func (x tprIndex) corridorHits(box geom.AABB, t0, t1 float64) []int64 {
-	return x.t.SearchInterval(box.Expand(x.r), t0, t1)
+func (x tprIndex) visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
+	return x.t.VisitInterval(box, t0, t1, fn)
 }
 
 // indexFor picks the pre-pass index for a window: the pinned predictive
@@ -130,7 +144,7 @@ func (x tprIndex) corridorHits(box geom.AABB, t0, t1 float64) []int64 {
 // segment R-tree. predictive reports which path was taken (Stats).
 func indexFor(store *mod.Store, tb, te float64) (idx corridorIndex, predictive bool) {
 	if tpr, refT, horizon, ok := store.PredictiveFor(tb, te); ok && tb >= refT && te <= refT+horizon {
-		return tprIndex{t: tpr, r: store.Radius()}, true
+		return tprIndex{t: tpr}, true
 	}
 	return rtreeIndex{t: store.BuildIndex(0)}, false
 }
@@ -146,184 +160,284 @@ func SliceCuts(q *trajectory.Trajectory, tb, te float64) []float64 {
 	return sliceTimes(q, tb, te, targetSlices)
 }
 
-// candidates runs the slice sweep over one consistent snapshot, bounding
-// the Level-k envelope per slice (k == 1 is the classic pass): the probe
-// phase (sliceBounds) followed by the sweep against those bounds. It
-// returns the survivor OIDs with the cuts and bounds the sweep used; a
-// degenerate window or an empty snapshot keeps everything (nil bounds) and
-// lets processor construction report the precise error.
-func candidates(ctx context.Context, trs []*trajectory.Trajectory, idx corridorIndex, r float64, q *trajectory.Trajectory, tb, te float64, k, boost int) (ids []int64, cuts, bounds []float64, st Stats, err error) {
-	st = Stats{Candidates: candidateCount(trs, q.OID)}
-	if te-tb <= 0 || st.Candidates == 0 {
-		ids = allOIDs(trs, q.OID)
-		st.Survivors = len(ids)
-		return ids, nil, nil, st, nil
+// maxProbes caps the boosted per-slice probe width.
+const maxProbes = 64
+
+// slot resolves an OID to its position in the snapshot.
+func (s *Sweep) slot(oid int64) (int, bool) { return slices.BinarySearch(s.oids, oid) }
+
+// zone runs both phases at rank k (k == 1 is the classic pass): the probe
+// phase, then the sweep against its bounds. It returns the survivor OIDs
+// with the bounds the sweep used; a stale snapshot, a degenerate window or
+// an empty snapshot keeps everything (nil bounds) and lets processor
+// construction report the precise error.
+func (s *Sweep) zone(ctx context.Context, k int) (ids []int64, bounds []float64, st Stats, err error) {
+	st = Stats{Candidates: s.candidates}
+	var kept []*trajectory.Trajectory
+	if s.stale || len(s.cuts) < 2 || s.candidates == 0 {
+		kept = s.all()
+	} else {
+		rb, err := s.rankBounds(ctx, k)
+		if err != nil {
+			return nil, nil, st, err
+		}
+		if kept, err = s.sweep(ctx, rb.bounds); err != nil {
+			return nil, nil, st, err
+		}
+		bounds = rb.bounds
+		st.Slices, st.Probes, st.Predictive = len(bounds), rb.probes, s.predictive
 	}
-	state := newSweepState(trs, q, tb, te)
-	state.boost = boost
-	bounds, probeStats, err := sliceBounds(ctx, state, idx, q, k)
-	if err != nil {
-		return nil, nil, nil, st, err
-	}
-	kept, _, err := sweepBounds(ctx, state, trs, idx, r, q, bounds)
-	if err != nil {
-		return nil, nil, nil, st, err
-	}
-	st.Slices, st.Probes = probeStats.Slices, probeStats.Probes
+	st.Survivors = len(kept)
 	ids = make([]int64, len(kept))
 	for i, tr := range kept {
 		ids[i] = tr.OID
 	}
-	st.Survivors = len(ids)
-	return ids, state.cuts, bounds, st, nil
+	return ids, bounds, st, nil
 }
 
-// sweepState is the per-(query, window) state both pre-pass phases
-// share — the snapshot lookup table and the deterministic slice cuts —
-// built once per query so the single-store path (which runs both phases
-// back to back) does not pay the O(N) map construction twice.
-type sweepState struct {
-	byID map[int64]*trajectory.Trajectory
-	cuts []float64
-	// boost widens the probe phase's KNN k (capped at maxProbes): under
-	// a predicate the snapshot holds matching objects only, but the
-	// spatial index surfaces nearest entries of any tag, so a wider
-	// probe keeps the envelope bound usable when matches are sparse.
-	boost int
+// rankBounds is the probe phase's outcome at one rank, kept with the
+// session: a rank-k request sweeps against it, and the continuous layer
+// fingerprints the same request with it afterwards without a second probe.
+type rankBounds struct {
+	k      int
+	bounds []float64
+	probes int
 }
 
-// maxProbes caps the boosted per-slice probe width.
-const maxProbes = 64
-
-func newSweepState(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te float64) sweepState {
-	byID := make(map[int64]*trajectory.Trajectory, len(trs))
-	for _, tr := range trs {
-		byID[tr.OID] = tr
+// rankBounds returns the session's probe-phase outcome at rank k, probing
+// on first use (under the lock: callers racing on one session wait for the
+// one probe instead of repeating it).
+func (s *Sweep) rankBounds(ctx context.Context, k int) (rankBounds, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, rb := range s.ranks {
+		if rb.k == k {
+			return rb, nil
+		}
 	}
-	return sweepState{byID: byID, cuts: sliceTimes(q, tb, te, targetSlices), boost: 1}
+	rb, err := s.probeBounds(ctx, k)
+	if err == nil {
+		s.ranks = append(s.ranks, rb)
+	}
+	return rb, err
 }
 
-// sliceBounds is the probe phase: per slice, the k-th smallest exact
+// probeBounds is the probe phase: per slice, the k-th smallest exact
 // maximum distance among index KNN probes at the slice midpoint. The
 // bound is sound for the Level-k envelope because the k probes with the
 // smallest exact maximum distance each stay below the k-th smallest value
 // throughout the slice, so at every instant at least k functions — and
 // hence the pointwise k-th smallest — do.
-func sliceBounds(ctx context.Context, state sweepState, idx corridorIndex, q *trajectory.Trajectory, k int) ([]float64, Stats, error) {
-	var st Stats
-	byID, cuts := state.byID, state.cuts
+func (s *Sweep) probeBounds(ctx context.Context, k int) (rankBounds, error) {
 	// The rank-k bound needs the k-th smallest probe distance, so probe a
 	// few extra neighbors beyond k to keep the bound tight.
 	probes := kProbe
 	if k+4 > probes {
 		probes = k + 4
 	}
-	if state.boost > 1 {
-		probes *= state.boost
+	if s.boost > 1 {
+		probes *= s.boost
 		if probes > maxProbes {
 			probes = maxProbes
 		}
 	}
-	bounds := make([]float64, len(cuts)-1)
+	rb := rankBounds{k: k, bounds: make([]float64, len(s.cuts)-1)}
 	dists := make([]float64, 0, probes)
-	for i := 1; i < len(cuts); i++ {
+	for i := range rb.bounds {
 		if err := ctxErr(ctx); err != nil {
-			return nil, st, err
+			return rankBounds{}, err
 		}
-		t0, t1 := cuts[i-1], cuts[i]
-		st.Slices++
+		t0, t1 := s.cuts[i], s.cuts[i+1]
 		mid := 0.5 * (t0 + t1)
 		dists = dists[:0]
-		for _, nb := range idx.probe(q.At(mid), mid, probes) {
-			if nb.ID == q.OID {
+		for _, nb := range s.idx.probe(s.q.At(mid), mid, probes) {
+			if nb.ID == s.q.OID {
 				continue
 			}
-			tr, ok := byID[nb.ID]
+			j, ok := s.slot(nb.ID)
 			if !ok {
 				continue
 			}
-			st.Probes++
-			dists = append(dists, maxDistOverSlice(tr, q, t0, t1))
+			rb.probes++
+			dists = append(dists, maxDistOverSlice(s.trs[j], s.q, t0, t1))
 		}
 		u := math.Inf(1)
 		if len(dists) >= k {
 			slices.Sort(dists)
 			u = dists[k-1]
 		}
-		bounds[i-1] = u
+		rb.bounds[i] = u
 	}
-	return bounds, st, nil
+	return rb, nil
 }
 
-// sweepBounds is the sweep phase: per slice, every object with a segment
-// entry intersecting the query corridor expanded by bounds[i] + 4r +
-// Margin is refined against its exact minimum crisp distance over the
-// slice. A +Inf bound keeps every candidate for that slice (no usable
-// bound: trivially sound).
-func sweepBounds(ctx context.Context, state sweepState, trs []*trajectory.Trajectory, idx corridorIndex, r float64, q *trajectory.Trajectory, bounds []float64) ([]*trajectory.Trajectory, Stats, error) {
-	st := Stats{Candidates: candidateCount(trs, q.OID)}
-	byID, cuts := state.byID, state.cuts
-	width := 4*r + Margin
-	if len(bounds) != len(cuts)-1 {
-		return nil, st, fmt.Errorf("prune: got %d slice bounds for %d slices", len(bounds), len(cuts)-1)
+// sweepScratch is one sweep's working memory, pooled across sweeps: the
+// per-slice limits and corridor boxes, and one stamp per snapshot slot.
+// A slot's stamp is 2·epoch once this sweep has tested the object and
+// 2·epoch+1 once it has kept it; the epoch moves with every sweep, so
+// older stamps read as untouched and the table is never cleared.
+type sweepScratch struct {
+	lim   []float64   // bounds[i] + 4r + Margin
+	boxes []geom.AABB // the query's box over slice i, grown by lim[i] + r
+	stamp []uint32
+	epoch uint32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
+
+// begin sizes the scratch for a sweep over slices slices and slots
+// snapshot slots and returns the sweep's "tested" stamp.
+func (sc *sweepScratch) begin(nSlices, slots int) uint32 {
+	sc.lim = slices.Grow(sc.lim[:0], nSlices)[:nSlices]
+	sc.boxes = slices.Grow(sc.boxes[:0], nSlices)[:nSlices]
+	if sc.epoch++; sc.epoch == 1<<31 || len(sc.stamp) < slots {
+		sc.stamp = make([]uint32, slots)
+		sc.epoch = 1
 	}
-	survivors := make(map[int64]struct{})
-	for i := 1; i < len(cuts); i++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, st, err
-		}
-		t0, t1 := cuts[i-1], cuts[i]
-		st.Slices++
-		u := bounds[i-1]
+	return 2 * sc.epoch
+}
+
+// ctxEvery is the sweep's cancellation checkpoint: one context check per
+// this many index nominations.
+const ctxEvery = 256
+
+// sweep is the sweep phase: the objects, in OID order, whose exact
+// minimum crisp distance from the query over some slice i is at most
+// bounds[i] + 4r + Margin. One index walk over the window nominates (see
+// the package comment for why nothing is missed), and each nominated
+// object is tested once, against its live plan. A +Inf bound cannot
+// exclude anything from its slice, so it keeps every candidate outright.
+func (s *Sweep) sweep(ctx context.Context, bounds []float64) ([]*trajectory.Trajectory, error) {
+	if len(bounds) != len(s.cuts)-1 {
+		return nil, fmt.Errorf("prune: got %d slice bounds for %d slices", len(bounds), len(s.cuts)-1)
+	}
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	sc := scratchPool.Get().(*sweepScratch)
+	defer scratchPool.Put(sc)
+	tested := sc.begin(len(bounds), len(s.trs))
+	width := 4*s.r + Margin
+	union := geom.EmptyAABB()
+	for i, u := range bounds {
 		if math.IsInf(u, 1) {
-			// No usable bound for this slice: keep every candidate, which
-			// is trivially sound.
-			for _, tr := range trs {
-				if tr.OID != q.OID {
-					survivors[tr.OID] = struct{}{}
+			return s.all(), nil
+		}
+		sc.lim[i] = u + width
+		sc.boxes[i] = geom.AABBOf(s.qpos[i], s.qpos[i+1]).Expand(sc.lim[i] + s.r)
+		union = union.Union(sc.boxes[i])
+	}
+	var (
+		kept, seen int
+		cerr       error
+	)
+	s.idx.visit(union, s.tb, s.te, func(id int64) bool {
+		if seen++; seen%ctxEvery == 0 {
+			if cerr = ctxErr(ctx); cerr != nil {
+				return false
+			}
+		}
+		j, ok := s.slot(id)
+		if !ok || sc.stamp[j] >= tested || id == s.q.OID {
+			return true // retired or filtered out, already decided, or the query itself
+		}
+		sc.stamp[j] = tested
+		if s.entersZone(s.trs[j], sc) {
+			sc.stamp[j]++
+			kept++
+		}
+		return true
+	})
+	if cerr != nil {
+		return nil, cerr
+	}
+	out := make([]*trajectory.Trajectory, 0, kept)
+	for j, st := range sc.stamp[:len(s.trs)] {
+		if st == tested+1 {
+			out = append(out, s.trs[j])
+		}
+	}
+	return out, nil
+}
+
+// entersZone reports whether tr's minimum crisp distance from the query
+// over some slice i is at most sc.lim[i], in one pass over tr's motion in
+// time order: each piece — the clamped head before the plan, every plan
+// segment, the clamped tail — meets the slices it overlaps, where both
+// motions are linear, so the minimum is the distance from the origin of a
+// segment in the difference frame. A piece whose box misses a slice's
+// grown corridor box is further than the limit throughout it.
+func (s *Sweep) entersZone(tr *trajectory.Trajectory, sc *sweepScratch) bool {
+	verts, cuts := tr.Verts, s.cuts
+	last := len(verts) - 1
+	// j is the piece: -1 the head, 0..last-1 the segments, last the tail.
+	j := sort.Search(len(verts), func(k int) bool { return verts[k].T > s.tb }) - 1
+	for i := 0; j <= last; j++ {
+		a, b := verts[max(j, 0)], verts[min(j+1, last)] // equal on the clamped pieces
+		p0, p1 := math.Inf(-1), math.Inf(1)
+		if j >= 0 {
+			p0 = a.T
+		}
+		if j < last {
+			p1 = b.T
+		}
+		if p0 >= s.te {
+			break
+		}
+		box := geom.AABBOf(a.Point(), b.Point())
+		for ; i < len(sc.lim) && cuts[i] < p1; i++ {
+			lo, hi := math.Max(cuts[i], p0), math.Min(cuts[i+1], p1)
+			if hi > lo && box.Intersects(sc.boxes[i]) {
+				qlo, qhi := s.qpos[i], s.qpos[i+1]
+				if lo != cuts[i] {
+					qlo = s.q.At(lo)
+				}
+				if hi != cuts[i+1] {
+					qhi = s.q.At(hi)
+				}
+				if math.Sqrt(relDistSq(lerpAt(a, b, lo).Sub(qlo), lerpAt(a, b, hi).Sub(qhi))) <= sc.lim[i] {
+					return true
 				}
 			}
-			continue
-		}
-		a, b := q.At(t0), q.At(t1)
-		qbox := geom.AABBOf(a, b)
-		// The index pass over-approximates twice: segment entry boxes span
-		// whole segments (not just this slice), and box distance is an L∞
-		// test. Refine each hit with the exact minimum crisp distance over
-		// the slice — still conservative (a zone member at t has
-		// d(t) <= u + 4r, so its slice minimum passes), but it rejects
-		// objects whose segment boxes merely graze the corridor.
-		// SearchRange emits one hit per segment entry; sorting first lets
-		// a rejected object skip its duplicate entries in this slice.
-		hits := idx.corridorHits(qbox.Expand(u+width), t0, t1)
-		slices.Sort(hits)
-		for i, id := range hits {
-			if id == q.OID || (i > 0 && id == hits[i-1]) {
-				continue
-			}
-			if _, ok := survivors[id]; ok {
-				continue
-			}
-			tr, ok := byID[id]
-			if !ok {
-				continue
-			}
-			if minDistOverSlice(tr, q, t0, t1) <= u+width {
-				survivors[id] = struct{}{}
+			if cuts[i+1] > p1 {
+				break // the next piece starts inside this slice
 			}
 		}
 	}
-	ids := make([]int64, 0, len(survivors))
-	for id := range survivors {
-		ids = append(ids, id)
+	return false
+}
+
+// lerpAt is Trajectory.At on the one segment a→b: the vertices themselves
+// at and beyond its ends (so a == b is a clamped piece), the same
+// interpolation in between — bit for bit what At returns there.
+func lerpAt(a, b trajectory.Vertex, t float64) geom.Point {
+	switch {
+	case t <= a.T:
+		return a.Point()
+	case t >= b.T:
+		return b.Point()
 	}
-	slices.Sort(ids)
-	st.Survivors = len(ids)
-	out := make([]*trajectory.Trajectory, len(ids))
-	for i, id := range ids {
-		out[i] = byID[id]
+	return a.Point().Lerp(b.Point(), (t-a.T)/(b.T-a.T))
+}
+
+// relDistSq is the squared distance from the origin of the segment p0→p1:
+// the squared minimum distance of two points in linear motion whose offset
+// goes from p0 to p1.
+func relDistSq(p0, p1 geom.Vec) float64 {
+	var origin geom.Point
+	seg := geom.Segment{A: geom.Point{X: p0.X, Y: p0.Y}, B: geom.Point{X: p1.X, Y: p1.Y}}
+	return seg.At(seg.ClosestParam(origin)).DistSq(origin)
+}
+
+// vertsWithin returns a's vertices with timestamps strictly inside
+// (t0, t1) — a sub-slice, nothing is copied.
+func vertsWithin(a *trajectory.Trajectory, t0, t1 float64) []trajectory.Vertex {
+	lo := sort.Search(len(a.Verts), func(k int) bool { return a.Verts[k].T > t0 })
+	hi := lo
+	for hi < len(a.Verts) && a.Verts[hi].T < t1 {
+		hi++
 	}
-	return out, st, nil
+	return a.Verts[lo:hi]
 }
 
 // maxDistOverSlice returns the exact maximum over [t0, t1] of the distance
@@ -332,40 +446,41 @@ func sweepBounds(ctx context.Context, state sweepState, trs []*trajectory.Trajec
 // elementary interval sits at one of its endpoints.
 func maxDistOverSlice(a, b *trajectory.Trajectory, t0, t1 float64) float64 {
 	best := math.Max(a.At(t0).DistSq(b.At(t0)), a.At(t1).DistSq(b.At(t1)))
-	for _, tv := range a.VertexTimesWithin(t0, t1) {
-		if d := a.At(tv).DistSq(b.At(tv)); d > best {
-			best = d
-		}
+	for _, v := range vertsWithin(a, t0, t1) {
+		best = math.Max(best, v.Point().DistSq(b.At(v.T)))
 	}
-	for _, tv := range b.VertexTimesWithin(t0, t1) {
-		if d := a.At(tv).DistSq(b.At(tv)); d > best {
-			best = d
-		}
+	for _, v := range vertsWithin(b, t0, t1) {
+		best = math.Max(best, a.At(v.T).DistSq(v.Point()))
 	}
 	return math.Sqrt(best)
 }
 
 // minDistOverSlice returns the exact minimum over [t0, t1] of the distance
-// between the expected positions of a and b. Per elementary interval the
+// between the expected positions of a and b. Per elementary interval —
+// between consecutive vertex times of either, merged on the fly — the
 // relative motion traces a line segment (in the difference frame), so the
 // minimum is the segment's distance from the origin.
 func minDistOverSlice(a, b *trajectory.Trajectory, t0, t1 float64) float64 {
-	cuts := append(a.VertexTimesWithin(t0, t1), b.VertexTimesWithin(t0, t1)...)
-	cuts = append(cuts, t0, t1)
-	slices.Sort(cuts)
-	var origin geom.Point
+	va, vb := vertsWithin(a, t0, t1), vertsWithin(b, t0, t1)
 	best := math.Inf(1)
-	for i := 1; i < len(cuts); i++ {
-		s0, s1 := cuts[i-1], cuts[i]
-		if s1 <= s0 {
-			continue
+	s0, p0 := t0, a.At(t0).Sub(b.At(t0))
+	for s0 < t1 {
+		s1 := t1
+		if len(va) > 0 && va[0].T < s1 {
+			s1 = va[0].T
 		}
-		p0 := a.At(s0).Sub(b.At(s0))
+		if len(vb) > 0 && vb[0].T < s1 {
+			s1 = vb[0].T
+		}
+		if len(va) > 0 && va[0].T == s1 {
+			va = va[1:]
+		}
+		if len(vb) > 0 && vb[0].T == s1 {
+			vb = vb[1:]
+		}
 		p1 := a.At(s1).Sub(b.At(s1))
-		seg := geom.Segment{A: geom.Point{X: p0.X, Y: p0.Y}, B: geom.Point{X: p1.X, Y: p1.Y}}
-		if d := seg.At(seg.ClosestParam(origin)).DistSq(origin); d < best {
-			best = d
-		}
+		best = math.Min(best, relDistSq(p0, p1))
+		s0, p0 = s1, p1
 	}
 	return math.Sqrt(best)
 }
@@ -397,44 +512,4 @@ func sliceTimes(q *trajectory.Trajectory, tb, te float64, target int) []float64 
 		out = append(out, t1)
 	}
 	return out
-}
-
-func candidateCount(trs []*trajectory.Trajectory, qOID int64) int {
-	n := 0
-	for _, tr := range trs {
-		if tr.OID != qOID {
-			n++
-		}
-	}
-	return n
-}
-
-// allTrajectories returns every non-query trajectory, sorted by OID.
-func allTrajectories(trs []*trajectory.Trajectory, qOID int64) []*trajectory.Trajectory {
-	out := make([]*trajectory.Trajectory, 0, len(trs))
-	for _, tr := range trs {
-		if tr.OID != qOID {
-			out = append(out, tr)
-		}
-	}
-	slices.SortFunc(out, func(a, b *trajectory.Trajectory) int {
-		return cmp.Compare(a.OID, b.OID)
-	})
-	return out
-}
-
-func allOIDs(trs []*trajectory.Trajectory, qOID int64) []int64 {
-	out := make([]int64, 0, len(trs))
-	for _, tr := range trs {
-		if tr.OID != qOID {
-			out = append(out, tr.OID)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-func statsAll(trs []*trajectory.Trajectory, qOID int64) Stats {
-	n := candidateCount(trs, qOID)
-	return Stats{Candidates: n, Survivors: n}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package prune
+
+// The race detector makes sync.Pool drop items at random, so the pooled
+// allocation ceilings do not hold under it.
+func init() { raceEnabled = true }

@@ -1,9 +1,9 @@
-// The reusable sweep session behind the cluster bound exchange. The two
-// phases of the shard protocol — SliceBoundsWhere (probe) and
+// The sweep session every pre-pass entry point runs on. The two phases of
+// the shard protocol — SliceBoundsWhere (probe) and
 // SurvivorsWithBoundsWhere (sweep against the broadcast global bound) — arrive
-// as separate calls per shard per query, and each used to rebuild the
-// same O(N) snapshot lookup table and slice cuts. A Sweep captures that
-// per-(store-version, query, window) state once; a SweepCache keys live
+// as separate calls per shard per query, and a ranked request on the single
+// store probes and sweeps once per rank; a Sweep captures what all of them
+// share per (store-version, query, window) once. A SweepCache keys live
 // sessions by store version so a mutation naturally invalidates them.
 package prune
 
@@ -11,8 +11,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
+	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
@@ -23,14 +25,20 @@ import (
 // group, so a small cap covers the working set.
 const sweepCacheCap = 16
 
-// Sweep is one candidate pre-pass session: a consistent store snapshot,
-// its pre-pass index, and the shared sweepState for a fixed (query,
-// window). Both protocol phases run against the same snapshot, which is
-// exactly the consistency the single-store path gets from running them
-// back to back inside one candidates() call. A Sweep is safe for
-// concurrent use — both phases only read the captured state.
+// Sweep is one candidate pre-pass session for a fixed (query, window): a
+// consistent store snapshot in OID order (under a predicate, the query plus
+// the matching objects), the OIDs beside it — an OID resolves to its
+// snapshot slot by binary search, so no per-query lookup table is built —
+// the pre-pass index, the deterministic slice cuts with the query's
+// position at each, and the probe-phase bounds of every rank asked so far.
+// Every phase and rank runs against this one snapshot, which is the
+// consistency the bound exchange needs between its two calls and a ranked
+// request between its two passes. A Sweep is safe for concurrent use: the
+// captured state is read-only and the bounds memo is guarded.
 type Sweep struct {
 	trs        []*trajectory.Trajectory
+	oids       []int64 // trs[i].OID
+	candidates int     // non-query objects in the snapshot
 	idx        corridorIndex
 	predictive bool
 	r          float64
@@ -38,9 +46,38 @@ type Sweep struct {
 	tb, te     float64
 	// stale records that a mutation slipped between the snapshot and the
 	// index build; every phase then degrades to its trivially sound answer
-	// (+Inf bounds, keep-all survivors), exactly like the one-shot paths.
+	// (+Inf bounds, keep-all survivors).
 	stale bool
-	state sweepState
+	// boost widens the probe phase's KNN k (capped at maxProbes): under
+	// a predicate the snapshot holds matching objects only, but the
+	// spatial index surfaces nearest entries of any tag, so a wider
+	// probe keeps the envelope bound usable when matches are sparse.
+	boost int
+	cuts  []float64    // nil for a degenerate window
+	qpos  []geom.Point // q.At(cuts[i]); q is linear between consecutive cuts
+
+	mu    sync.Mutex
+	ranks []rankBounds
+}
+
+// newSweep opens a session for q over [tb, te] against the store's current
+// contents. A degenerate window gets no cuts and degrades like a stale
+// snapshot.
+func newSweep(store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) *Sweep {
+	s := takeSnapshot(store, q, tb, te, where)
+	s.r, s.q, s.tb, s.te = store.Radius(), q, tb, te
+	s.candidates = len(s.trs)
+	if _, ok := s.slot(q.OID); ok {
+		s.candidates--
+	}
+	if te > tb {
+		s.cuts = sliceTimes(q, tb, te, targetSlices)
+		s.qpos = make([]geom.Point, len(s.cuts))
+		for i, t := range s.cuts {
+			s.qpos[i] = q.At(t)
+		}
+	}
+	return s
 }
 
 // NewSweepWhere opens a sweep session for q over [tb, te] against the
@@ -52,13 +89,7 @@ func NewSweepWhere(store *mod.Store, q *trajectory.Trajectory, tb, te float64, w
 	if !(te > tb) {
 		return nil, fmt.Errorf("prune: bad slice window [%g, %g]", tb, te)
 	}
-	sn := takeSnapshot(store, q, tb, te, where)
-	s := &Sweep{trs: sn.trs, idx: sn.idx, predictive: sn.predictive, r: store.Radius(), q: q, tb: tb, te: te, stale: sn.stale}
-	if !s.stale {
-		s.state = newSweepState(s.trs, q, tb, te)
-		s.state.boost = sn.boost
-	}
-	return s, nil
+	return newSweep(store, q, tb, te, where), nil
 }
 
 // Bounds is the probe phase: per SliceCuts(q, tb, te) slice, an upper
@@ -70,15 +101,14 @@ func (s *Sweep) Bounds(ctx context.Context, k int) ([]float64, error) {
 		k = 1
 	}
 	if s.stale {
-		cuts := sliceTimes(s.q, s.tb, s.te, targetSlices)
-		bounds := make([]float64, len(cuts)-1)
+		bounds := make([]float64, len(s.cuts)-1)
 		for i := range bounds {
 			bounds[i] = math.Inf(1)
 		}
 		return bounds, nil
 	}
-	bounds, _, err := sliceBounds(ctx, s.state, s.idx, s.q, k)
-	return bounds, err
+	rb, err := s.rankBounds(ctx, k)
+	return slices.Clone(rb.bounds), err
 }
 
 // Survivors is the sweep phase under imposed per-slice bounds (see
@@ -86,12 +116,23 @@ func (s *Sweep) Bounds(ctx context.Context, k int) ([]float64, error) {
 // everything from its snapshot.
 func (s *Sweep) Survivors(ctx context.Context, bounds []float64) ([]*trajectory.Trajectory, Stats, error) {
 	if s.stale {
-		out := allTrajectories(s.trs, s.q.OID)
-		return out, statsAll(s.trs, s.q.OID), nil
+		out := s.all()
+		return out, Stats{Candidates: s.candidates, Survivors: len(out)}, nil
 	}
-	out, st, err := sweepBounds(ctx, s.state, s.trs, s.idx, s.r, s.q, bounds)
-	st.Predictive = s.predictive
-	return out, st, err
+	out, err := s.sweep(ctx, bounds)
+	return out, Stats{Candidates: s.candidates, Survivors: len(out), Slices: len(bounds), Predictive: s.predictive}, err
+}
+
+// all returns every non-query trajectory of the snapshot — what a phase
+// keeps when it cannot bound.
+func (s *Sweep) all() []*trajectory.Trajectory {
+	out := make([]*trajectory.Trajectory, 0, s.candidates)
+	for _, tr := range s.trs {
+		if tr.OID != s.q.OID {
+			out = append(out, tr)
+		}
+	}
+	return out
 }
 
 // sweepKey identifies a live session: the store version pins the snapshot

@@ -21,13 +21,16 @@ import (
 //
 // Two index paths serve the filtered sweep:
 //
-//   - The hybrid text index (mod.Store.TextIndex) answers corridor hits
-//     from inverted tag lists hung off the segment R-tree's leaf cells:
-//     a cell whose tag union cannot satisfy the predicate is skipped
-//     wholesale, and per-entry hits are intersected with the matching
-//     set. Used when the cached index is fresh at the snapshot version.
-//   - Otherwise the plain spatial index runs and non-matching hits die
-//     at the snapshot lookup table, which only holds matching objects.
+//   - The hybrid text index (mod.Store.TextIndex) nominates from inverted
+//     tag lists hung off the segment R-tree's leaf cells: a cell whose tag
+//     union cannot satisfy the predicate is skipped wholesale, and the
+//     objects whose geometry or tags postdate the cells are nominated
+//     unconditionally. Used when the cached index is fresh at the snapshot
+//     version.
+//   - Otherwise the plain spatial index runs.
+//
+// On both, a non-matching nomination dies at the snapshot's OID table,
+// which only holds matching objects.
 //
 // Either way the per-slice envelope bounds are probed against matching
 // objects only (a non-matching probe would bound the wrong universe's
@@ -40,62 +43,49 @@ import (
 // nearest entries only a fraction may match. Capped in sliceBounds.
 const predProbeBoost = 4
 
-// snapshot is one consistent pre-pass view: the (possibly filtered)
-// trajectory set, the corridor index serving it, and degrade state.
-type snapshot struct {
-	trs        []*trajectory.Trajectory
-	idx        corridorIndex
-	predictive bool
-	stale      bool
-	boost      int
-}
-
-// takeSnapshot captures the pre-pass snapshot, restricted to q plus the
-// predicate-matching objects when where is non-nil (which must have
-// passed Validate). stale degrade keeps every *matching* object — the
-// filter is semantics, never dropped; only the index acceleration is.
-func takeSnapshot(store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) snapshot {
+// takeSnapshot captures a session's consistent pre-pass view — snapshot,
+// OID table, index, degrade state — restricted to q plus the
+// predicate-matching objects when where is non-nil (which must have passed
+// Validate). stale degrade keeps every *matching* object — the filter is
+// semantics, never dropped; only the index acceleration is.
+func takeSnapshot(store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) *Sweep {
 	if where == nil {
-		v0 := store.Version()
-		trs := store.All()
+		v := store.View()
 		idx, predictive := indexFor(store, tb, te)
-		return snapshot{trs: trs, idx: idx, predictive: predictive, stale: store.Version() != v0, boost: 1}
+		return &Sweep{trs: v.Trajs, oids: v.OIDs, idx: idx, predictive: predictive, stale: store.Version() != v.Version, boost: 1}
 	}
 	where = where.Canon()
 	trs, tags, v0 := store.AllWithTags()
-	match := make(map[int64]struct{}, len(trs))
-	filtered := make([]*trajectory.Trajectory, 0, len(trs))
+	s := &Sweep{trs: make([]*trajectory.Trajectory, 0, len(trs)), oids: make([]int64, 0, len(trs)), boost: predProbeBoost}
 	for _, tr := range trs {
 		if tr.OID == q.OID || where.Matches(tags[tr.OID]) {
-			filtered = append(filtered, tr)
-			match[tr.OID] = struct{}{}
+			s.trs = append(s.trs, tr)
+			s.oids = append(s.oids, tr.OID)
 		}
 	}
-	idx, predictive := indexFor(store, tb, te)
-	if !predictive {
+	s.idx, s.predictive = indexFor(store, tb, te)
+	if rt, ok := s.idx.(rtreeIndex); ok {
 		// The hybrid cells mirror the segment R-tree's leaves; the TPR
 		// tree's moving entries (and its clamp entries) have no cell
 		// counterpart, so predictive windows keep the plain index.
 		if tx, txv := store.TextIndex(); tx != nil && txv == v0 {
-			if rt, ok := idx.(rtreeIndex); ok {
-				idx = hybridIndex{rtreeIndex: rt, tx: tx, where: where, match: match}
-			}
+			s.idx = hybridIndex{rtreeIndex: rt, tx: tx, where: where}
 		}
 	}
-	return snapshot{trs: filtered, idx: idx, predictive: predictive, stale: store.Version() != v0, boost: predProbeBoost}
+	s.stale = store.Version() != v0
+	return s
 }
 
-// hybridIndex serves corridor hits from the text index's cell postings
-// (probes stay on the spatial R-tree).
+// hybridIndex nominates from the text index's cell postings (probes stay
+// on the spatial R-tree).
 type hybridIndex struct {
 	rtreeIndex
 	tx    *textidx.Index
 	where *textidx.Predicate
-	match map[int64]struct{}
 }
 
-func (x hybridIndex) corridorHits(box geom.AABB, t0, t1 float64) []int64 {
-	return x.tx.CorridorHits(box, t0, t1, x.where, x.match)
+func (x hybridIndex) visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
+	return x.tx.Visit(box, t0, t1, x.where, fn)
 }
 
 // ZoneWhereCtx computes a conservative superset of the objects whose
@@ -112,12 +102,11 @@ func (x hybridIndex) corridorHits(box geom.AABB, t0, t1 float64) []int64 {
 // everything" with nil bounds, which is always sound and which callers
 // must treat as always-dirty.
 func ZoneWhereCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, k int, where *textidx.Predicate) (ids []int64, cuts, bounds []float64, st Stats, err error) {
-	sn := takeSnapshot(store, q, tb, te, where)
-	if sn.stale {
-		return allOIDs(sn.trs, q.OID), nil, nil, statsAll(sn.trs, q.OID), nil
+	s := newSweep(store, q, tb, te, where)
+	ids, bounds, st, err = s.zone(ctx, k)
+	if bounds != nil {
+		cuts = s.cuts
 	}
-	ids, cuts, bounds, st, err = candidates(ctx, sn.trs, sn.idx, store.Radius(), q, tb, te, k, sn.boost)
-	st.Predictive = sn.predictive
 	return ids, cuts, bounds, st, err
 }
 
@@ -135,22 +124,25 @@ func ZoneWhereCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajector
 // basis by re-probing the index at rank k instead of falling back to the
 // lazy full function build.
 func ForQueryWhereCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) (*queries.Processor, error) {
-	sn := takeSnapshot(store, q, tb, te, where)
-	r := store.Radius()
-	if sn.stale {
-		return queries.NewProcessor(sn.trs, q, tb, te, r)
+	s := newSweep(store, q, tb, te, where)
+	if s.stale {
+		return queries.NewProcessor(s.trs, q, tb, te, s.r)
 	}
-	survivors, _, _, _, err := candidates(ctx, sn.trs, sn.idx, r, q, tb, te, 1, sn.boost)
+	survivors, bounds, _, err := s.zone(ctx, 1)
 	if err != nil {
 		return nil, err
 	}
-	proc, err := queries.NewProcessorPrunedCtx(ctx, sn.trs, q, tb, te, r, survivors)
-	if err != nil {
-		return nil, err
+	proc, err := queries.NewProcessorPrunedCtx(ctx, s.trs, q, tb, te, s.r, survivors)
+	if err != nil || bounds == nil {
+		return proc, err
 	}
 	proc.SetRankExpander(func(ctx context.Context, k int) ([]int64, error) {
-		ids, _, _, _, err := candidates(ctx, sn.trs, sn.idx, r, q, tb, te, k, sn.boost)
+		ids, _, _, err := s.zone(ctx, k)
 		return ids, err
+	})
+	proc.SetSliceBounds(func(ctx context.Context, k int) (cuts, bounds []float64, err error) {
+		rb, err := s.rankBounds(ctx, k)
+		return s.cuts, rb.bounds, err
 	})
 	return proc, nil
 }

@@ -20,6 +20,7 @@
 package queries
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -56,16 +57,18 @@ type Processor struct {
 	// from: every candidate in full mode, only the index survivors in
 	// pruned mode (a pruned function never defines the lower envelope and
 	// never enters the 4r zone, so the envelope — and every Level-1
-	// answer — is unchanged by its absence).
-	fns  []*envelope.DistanceFunc
-	byID map[int64]*envelope.DistanceFunc
-	oids []int64 // ALL candidate OIDs (survivors + pruned), sorted once
-	env1 *envelope.Envelope
+	// answer — is unchanged by its absence). table resolves an OID to its
+	// function; oids lists ALL candidates (survivors + pruned), sorted once.
+	fns   []*envelope.DistanceFunc
+	table fnTable
+	oids  []int64
+	env1  *envelope.Envelope
 
-	// pruned marks candidates excluded by the index pre-pass (nil in full
-	// mode). Their Level-1 answers are known without a distance function;
-	// deeper ranks grow the basis below.
-	pruned map[int64]bool
+	// pruned marks a processor built over an index pre-pass: a candidate in
+	// oids without a function in table was excluded by it. Its Level-1
+	// answers are known without a distance function; deeper ranks grow the
+	// basis below.
+	pruned bool
 
 	// The rank basis: the function set the k-level envelopes are built
 	// over, guarded by mu. In full mode it is the complete candidate set
@@ -79,14 +82,41 @@ type Processor struct {
 	mu         sync.Mutex
 	levels     []*envelope.Envelope // levels[0] == env1, grown on demand
 	basisFns   []*envelope.DistanceFunc
-	basisByID  map[int64]*envelope.DistanceFunc
+	basisTable fnTable
 	basisRank  int // ranks 1..basisRank answer exactly over the basis
 	expand     func(ctx context.Context, k int) ([]int64, error)
+	bounds     func(ctx context.Context, k int) (cuts, bounds []float64, err error)
 	fullBuilds int // lazy full builds performed (observability)
 
-	lazyTrs  []*trajectory.Trajectory // inputs of lazy basis growth
-	lazyQ    *trajectory.Trajectory
-	lazyByID map[int64]*trajectory.Trajectory // built on first basis growth
+	lazyTrs []*trajectory.Trajectory // inputs of lazy basis growth, in OID order
+	lazyQ   *trajectory.Trajectory
+}
+
+// fnTable resolves an OID to its distance function by binary search: the
+// functions in ID order. A processor is built per cold query, and a hash
+// map of its candidates was a measurable part of that build.
+type fnTable []*envelope.DistanceFunc
+
+func byFuncID(a, b *envelope.DistanceFunc) int { return cmp.Compare(a.ID, b.ID) }
+
+func byOID(a, b *trajectory.Trajectory) int { return cmp.Compare(a.OID, b.OID) }
+
+// newFnTable indexes fns, sharing the slice when it already is in ID order
+// (it is whenever the trajectories came from a store snapshot).
+func newFnTable(fns []*envelope.DistanceFunc) fnTable {
+	if !slices.IsSortedFunc(fns, byFuncID) {
+		fns = slices.Clone(fns)
+		slices.SortFunc(fns, byFuncID)
+	}
+	return fns
+}
+
+func (t fnTable) get(oid int64) *envelope.DistanceFunc {
+	i, ok := slices.BinarySearchFunc(t, oid, func(f *envelope.DistanceFunc, id int64) int { return cmp.Compare(f.ID, id) })
+	if !ok {
+		return nil
+	}
+	return t[i]
 }
 
 // fullRank marks a basis covering every rank (the complete function set).
@@ -109,18 +139,16 @@ func NewProcessor(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[int64]*envelope.DistanceFunc, len(fns))
-	oids := make([]int64, 0, len(fns))
-	for _, f := range fns {
-		byID[f.ID] = f
-		oids = append(oids, f.ID)
+	table := newFnTable(fns)
+	oids := make([]int64, len(table))
+	for i, f := range table {
+		oids[i] = f.ID
 	}
-	sortIDs(oids)
 	return &Processor{
 		QueryOID: q.OID, Tb: tb, Te: te, R: r,
-		fns: fns, byID: byID, oids: oids, env1: env1,
+		fns: fns, table: table, oids: oids, env1: env1,
 		levels:   []*envelope.Envelope{env1},
-		basisFns: fns, basisByID: byID, basisRank: fullRank,
+		basisFns: fns, basisTable: table, basisRank: fullRank,
 	}, nil
 }
 
@@ -147,15 +175,20 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 	if r <= 0 {
 		return nil, fmt.Errorf("queries: nonpositive radius %g", r)
 	}
-	surv := make(map[int64]bool, len(survivors))
-	for _, id := range survivors {
-		surv[id] = true
+	// Everything below is keyed by position in OID order — survivors by
+	// binary search, the functions and the candidate list by construction —
+	// so a build allocates no hash map. Store snapshots and the pre-pass
+	// hand both lists over sorted; anything else is put in order first.
+	if !slices.IsSortedFunc(trs, byOID) {
+		trs = slices.Clone(trs)
+		slices.SortFunc(trs, byOID)
 	}
-	var (
-		fns    []*envelope.DistanceFunc
-		oids   []int64
-		pruned = make(map[int64]bool)
-	)
+	if !slices.IsSorted(survivors) {
+		survivors = slices.Clone(survivors)
+		slices.Sort(survivors)
+	}
+	fns := make([]*envelope.DistanceFunc, 0, len(survivors))
+	oids := make([]int64, 0, len(trs))
 	for _, tr := range trs {
 		if tr.OID == q.OID {
 			continue
@@ -169,14 +202,12 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 			return nil, fmt.Errorf("oid %d: %w", tr.OID, err)
 		}
 		oids = append(oids, tr.OID)
-		if surv[tr.OID] {
+		if _, ok := slices.BinarySearch(survivors, tr.OID); ok {
 			f, err := envelope.NewDistanceFunc(tr.OID, tr, q, tb, te)
 			if err != nil {
 				return nil, fmt.Errorf("oid %d: %w", tr.OID, err)
 			}
 			fns = append(fns, f)
-		} else {
-			pruned[tr.OID] = true
 		}
 	}
 	if len(oids) == 0 {
@@ -191,17 +222,12 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[int64]*envelope.DistanceFunc, len(fns))
-	for _, f := range fns {
-		byID[f.ID] = f
-	}
-	sortIDs(oids)
 	return &Processor{
 		QueryOID: q.OID, Tb: tb, Te: te, R: r,
-		fns: fns, byID: byID, oids: oids, env1: env1,
-		pruned:   pruned,
+		fns: fns, table: fns, oids: oids, env1: env1,
+		pruned:   true,
 		levels:   []*envelope.Envelope{env1},
-		basisFns: fns, basisByID: byID, basisRank: 1,
+		basisFns: fns, basisTable: fns, basisRank: 1,
 		lazyTrs: trs, lazyQ: q,
 	}, nil
 }
@@ -221,6 +247,31 @@ func (p *Processor) SetRankExpander(expand func(ctx context.Context, k int) ([]i
 	p.expand = expand
 }
 
+// SetSliceBounds attaches the pre-pass's per-slice envelope bounds to the
+// processor it built: bounds(ctx, k) must return the slice cuts of the
+// window and, per slice, the upper bound on the Level-k envelope that the
+// rank-k survivor sweep ran (or would run) against, over the processor's
+// own snapshot. The continuous-query layer fingerprints a standing
+// request with them instead of probing the index a second time.
+func (p *Processor) SetSliceBounds(bounds func(ctx context.Context, k int) (cuts, bounds []float64, err error)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.bounds = bounds
+}
+
+// SliceBounds returns the cuts and per-slice Level-k envelope bounds of the
+// pre-pass behind this processor (see SetSliceBounds); all nil when none
+// is attached — a full-scan build has no pre-pass.
+func (p *Processor) SliceBounds(ctx context.Context, k int) (cuts, bounds []float64, err error) {
+	p.mu.Lock()
+	fn := p.bounds
+	p.mu.Unlock()
+	if fn == nil {
+		return nil, nil, nil
+	}
+	return fn(ctx, k)
+}
+
 // FullBuilds reports how many lazy full function-set builds the processor
 // has performed — 0 when every deep-rank query was served by the rank
 // expander (observability for the rank-aware pruning gate).
@@ -232,53 +283,51 @@ func (p *Processor) FullBuilds() int {
 
 // PrunedCount reports how many candidates the index pre-pass excluded
 // (0 for a full-scan processor) — for stats and benchmark reporting.
-func (p *Processor) PrunedCount() int { return len(p.pruned) }
+func (p *Processor) PrunedCount() int { return len(p.oids) - len(p.fns) }
 
-// ensureFull returns the complete distance-function set, building it (and
-// its OID table) on first use in pruned mode. The returned slice and map
-// are write-once: callers use the returned references, never the fields.
-func (p *Processor) ensureFull(ctx context.Context) ([]*envelope.DistanceFunc, map[int64]*envelope.DistanceFunc, error) {
+// ensureFull returns the complete distance-function set, building it on
+// first use in pruned mode. The returned slice is write-once: callers use
+// the returned reference, never the field.
+func (p *Processor) ensureFull(ctx context.Context) ([]*envelope.DistanceFunc, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.ensureFullLocked(ctx)
 }
 
-func (p *Processor) ensureFullLocked(ctx context.Context) ([]*envelope.DistanceFunc, map[int64]*envelope.DistanceFunc, error) {
+func (p *Processor) ensureFullLocked(ctx context.Context) ([]*envelope.DistanceFunc, error) {
 	if p.basisRank == fullRank {
-		return p.basisFns, p.basisByID, nil
+		return p.basisFns, nil
 	}
 	// Complete the basis, reusing already-built survivor functions and
 	// checking ctx between the per-candidate builds (the expensive part of
 	// a lazy full build).
 	fns := make([]*envelope.DistanceFunc, 0, len(p.oids))
-	byID := make(map[int64]*envelope.DistanceFunc, len(p.oids))
 	for _, tr := range p.lazyTrs {
 		if tr.OID == p.lazyQ.OID {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		f, ok := p.basisByID[tr.OID]
-		if !ok {
+		f := p.basisTable.get(tr.OID)
+		if f == nil {
 			var err error
 			f, err = envelope.NewDistanceFunc(tr.OID, tr, p.lazyQ, p.Tb, p.Te)
 			if err != nil {
-				return nil, nil, fmt.Errorf("oid %d: %w", tr.OID, err)
+				return nil, fmt.Errorf("oid %d: %w", tr.OID, err)
 			}
 		}
 		fns = append(fns, f)
-		byID[f.ID] = f
 	}
 	wasComplete := len(p.basisFns) == len(fns)
-	p.basisFns, p.basisByID, p.basisRank = fns, byID, fullRank
+	p.basisFns, p.basisTable, p.basisRank = fns, fns, fullRank
 	p.fullBuilds++
 	if !wasComplete {
 		// Deeper levels were built over the smaller basis; level() rebuilds
 		// them over the completed set on next use.
 		p.levels = p.levels[:1]
 	}
-	return fns, byID, nil
+	return fns, nil
 }
 
 // growBasisLocked guarantees the basis answers ranks 1..k exactly. With a
@@ -290,62 +339,41 @@ func (p *Processor) growBasisLocked(ctx context.Context, k int) error {
 		return nil
 	}
 	if p.expand == nil {
-		_, _, err := p.ensureFullLocked(ctx)
+		_, err := p.ensureFullLocked(ctx)
 		return err
 	}
 	ids, err := p.expand(ctx, k)
 	if err != nil {
 		return err
 	}
-	if p.lazyByID == nil {
-		p.lazyByID = make(map[int64]*trajectory.Trajectory, len(p.lazyTrs))
-		for _, tr := range p.lazyTrs {
-			p.lazyByID[tr.OID] = tr
-		}
-	}
 	var added []*envelope.DistanceFunc
 	for _, id := range ids {
-		if _, ok := p.basisByID[id]; ok || id == p.QueryOID {
+		if id == p.QueryOID || p.basisTable.get(id) != nil {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		tr, ok := p.lazyByID[id]
+		i, ok := slices.BinarySearchFunc(p.lazyTrs, id, func(tr *trajectory.Trajectory, id int64) int { return cmp.Compare(tr.OID, id) })
 		if !ok {
 			continue // expander over a different snapshot; ignore strangers
 		}
-		f, err := envelope.NewDistanceFunc(id, tr, p.lazyQ, p.Tb, p.Te)
+		f, err := envelope.NewDistanceFunc(id, p.lazyTrs[i], p.lazyQ, p.Tb, p.Te)
 		if err != nil {
 			return fmt.Errorf("oid %d: %w", id, err)
 		}
 		added = append(added, f)
 	}
 	if len(added) > 0 {
-		// Copy-on-write: byID (== the initial basisByID) is read lock-free
-		// by the Level-1 paths, so mutate a clone, never the original.
-		byID := make(map[int64]*envelope.DistanceFunc, len(p.basisByID)+len(added))
-		for id, f := range p.basisByID {
-			byID[id] = f
-		}
+		// Copy-on-write: the initial basis is fns/table, which the Level-1
+		// paths read lock-free, so grow a copy, never the original. ID order
+		// is the table's invariant, and as the canonical function order it
+		// keeps envelope construction independent of the order survivors
+		// were discovered in.
 		fns := make([]*envelope.DistanceFunc, 0, len(p.basisFns)+len(added))
-		fns = append(fns, p.basisFns...)
-		for _, f := range added {
-			fns = append(fns, f)
-			byID[f.ID] = f
-		}
-		// Canonical function order keeps envelope construction independent
-		// of the order survivors were discovered in.
-		slices.SortFunc(fns, func(a, b *envelope.DistanceFunc) int {
-			switch {
-			case a.ID < b.ID:
-				return -1
-			case a.ID > b.ID:
-				return 1
-			}
-			return 0
-		})
-		p.basisFns, p.basisByID = fns, byID
+		fns = append(append(fns, p.basisFns...), added...)
+		slices.SortFunc(fns, byFuncID)
+		p.basisFns, p.basisTable = fns, fns
 		// Deeper levels were built over the smaller basis.
 		p.levels = p.levels[:1]
 	}
@@ -357,7 +385,7 @@ func (p *Processor) growBasisLocked(ctx context.Context, k int) error {
 // rank k: the Level-1 zone only ever admits survivors, while deeper levels
 // must be compared against the (possibly grown) rank-k basis.
 func (p *Processor) scanFns(k int) ([]*envelope.DistanceFunc, error) {
-	if k <= 1 || p.pruned == nil {
+	if k <= 1 || !p.pruned {
 		return p.fns, nil
 	}
 	p.mu.Lock()
@@ -470,11 +498,10 @@ func IntersectSorted(a, b []int64) []int64 {
 func (p *Processor) SurvivorOIDs() []int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]int64, 0, len(p.basisByID))
-	for id := range p.basisByID {
-		out = append(out, id)
+	out := make([]int64, len(p.basisTable))
+	for i, f := range p.basisTable {
+		out[i] = f.ID
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -482,8 +509,8 @@ func (p *Processor) SurvivorOIDs() []int64 {
 // on pruned candidates (which have none built). Level-1 query paths use
 // lookup instead so pruned candidates answer without a function.
 func (p *Processor) fn(oid int64) (*envelope.DistanceFunc, error) {
-	f, ok := p.byID[oid]
-	if !ok {
+	f := p.table.get(oid)
+	if f == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownOID, oid)
 	}
 	return f, nil
@@ -493,10 +520,10 @@ func (p *Processor) fn(oid int64) (*envelope.DistanceFunc, error) {
 // candidates have none built; isPruned distinguishes them from unknown
 // OIDs (which are an error, exactly as in full mode).
 func (p *Processor) lookup(oid int64) (f *envelope.DistanceFunc, isPruned bool, err error) {
-	if f, ok := p.byID[oid]; ok {
+	if f := p.table.get(oid); f != nil {
 		return f, false, nil
 	}
-	if p.pruned[oid] {
+	if _, known := slices.BinarySearch(p.oids, oid); known && p.pruned {
 		return nil, true, nil
 	}
 	return nil, false, fmt.Errorf("%w: %d", ErrUnknownOID, oid)
@@ -557,7 +584,7 @@ func (p *Processor) rankFn(oid int64, k int) (*envelope.DistanceFunc, error) {
 	if err := p.growBasisLocked(context.Background(), k); err != nil {
 		return nil, err
 	}
-	return p.basisByID[oid], nil
+	return p.basisTable.get(oid), nil
 }
 
 // --- Category 1: single-trajectory predicates ---
@@ -800,7 +827,7 @@ func (p *Processor) GuaranteedNNIntervals(oid int64) ([]envelope.TimeInterval, e
 	// The certain-NN test compares against the lower envelope of *all*
 	// other objects, which pruned functions can define (they are far from
 	// the query, exactly what certifies someone else as the NN).
-	all, _, err := p.ensureFull(context.Background())
+	all, err := p.ensureFull(context.Background())
 	if err != nil {
 		return nil, err
 	}

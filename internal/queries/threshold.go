@@ -61,7 +61,7 @@ func (p *Processor) ProbabilitySeries(oid int64, cfg ThresholdConfig) ([]float64
 	kept := p.UQ31()
 	keptFns := make([]*envelope.DistanceFunc, 0, len(kept))
 	for _, id := range kept {
-		keptFns = append(keptFns, p.byID[id])
+		keptFns = append(keptFns, p.table.get(id))
 	}
 	ts := numeric.Linspace(p.Tb, p.Te, samples)
 	probs := make([]float64, len(ts))

@@ -201,48 +201,55 @@ func insertTPRNode(nd *tprNode, e MovingEntry, fanout int, refT float64) (*tprNo
 	return pa, pb
 }
 
-// SearchInterval returns the IDs of entries whose swept position over
-// [t0, t1] ∩ [entry validity] can intersect box, sorted (IDs may repeat
-// across entries; callers dedupe). The node test unions the
-// time-parameterized box at the interval ends (and at refT when the
-// interval straddles it — the TPR edges are piecewise linear in t with a
-// knee at refT, so the union of the extreme boxes contains every
-// intermediate box); the entry test uses the exact axis-aligned box of the
-// entry's linear sweep over the overlap. Both are conservative, which is
-// what the prune sweep needs: no object whose expected position enters the
-// query box during the interval is ever missed.
+// VisitInterval calls fn with the ID of every entry whose swept position
+// over [t0, t1] ∩ [entry validity] can intersect box, until fn returns
+// false; it reports whether the walk ran to completion (IDs repeat across
+// entries). The node test unions the time-parameterized box at the
+// interval ends (and at refT when the interval straddles it — the TPR
+// edges are piecewise linear in t with a knee at refT, so the union of the
+// extreme boxes contains every intermediate box); the entry test uses the
+// exact axis-aligned box of the entry's linear sweep over the overlap.
+// Both are conservative, which is what the prune sweep needs: no object
+// whose expected position enters the query box during the interval is
+// ever missed.
+func (t *TPRTree) VisitInterval(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
+	return t.root == nil || t1 < t0 || t.root.visit(box, t0, t1, fn)
+}
+
+func (n *tprNode) visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
+	if t1 < n.t0 || t0 > n.t1 {
+		return true
+	}
+	nb := n.boxAt(t0).Union(n.boxAt(t1))
+	if t0 < n.refT && n.refT < t1 {
+		nb = nb.Union(n.box)
+	}
+	if !nb.Intersects(box) {
+		return true
+	}
+	for i := range n.entries {
+		e := &n.entries[i]
+		a, b := math.Max(t0, e.T0), math.Min(t1, e.T1)
+		if b >= a && geom.AABBOf(e.At(a), e.At(b)).Intersects(box) && !fn(e.ID) {
+			return false
+		}
+	}
+	for _, c := range n.children {
+		if !c.visit(box, t0, t1, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// SearchInterval collects VisitInterval's IDs, sorted (IDs may repeat
+// across entries; callers dedupe).
 func (t *TPRTree) SearchInterval(box geom.AABB, t0, t1 float64) []int64 {
-	if t.root == nil || t1 < t0 {
-		return nil
-	}
 	var out []int64
-	var walk func(n *tprNode)
-	walk = func(n *tprNode) {
-		if t1 < n.t0 || t0 > n.t1 {
-			return
-		}
-		nb := n.boxAt(t0).Union(n.boxAt(t1))
-		if t0 < n.refT && n.refT < t1 {
-			nb = nb.Union(n.box)
-		}
-		if !nb.Intersects(box) {
-			return
-		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			a, b := math.Max(t0, e.T0), math.Min(t1, e.T1)
-			if b < a {
-				continue
-			}
-			if geom.AABBOf(e.At(a), e.At(b)).Intersects(box) {
-				out = append(out, e.ID)
-			}
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
+	t.VisitInterval(box, t0, t1, func(id int64) bool {
+		out = append(out, id)
+		return true
+	})
 	slices.Sort(out)
 	return out
 }

@@ -1,0 +1,199 @@
+package sindex
+
+import (
+	"container/heap"
+	"math/rand"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"repro/internal/geom"
+	"repro/internal/trajectory"
+	"repro/internal/workload"
+)
+
+// refQueue is the container/heap queue both KNN searches rode before the
+// typed heap; refKNN and refKNNAt are those searches verbatim. They are the
+// reference for tie order: which of several equidistant entries comes out
+// first is decided by the heap's sift order, and callers (the prune probe
+// phase) see the difference as different neighbors.
+type refItem struct {
+	dist float64
+	nd   any
+	id   int64
+	leaf bool
+}
+
+type refQueue []refItem
+
+func (q refQueue) Len() int            { return len(q) }
+func (q refQueue) Less(a, b int) bool  { return q[a].dist < q[b].dist }
+func (q refQueue) Swap(a, b int)       { q[a], q[b] = q[b], q[a] }
+func (q *refQueue) Push(x interface{}) { *q = append(*q, x.(refItem)) }
+func (q *refQueue) Pop() interface{} {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+func refKNN(t *RTree, p geom.Point, tAt float64, k int) []Neighbor {
+	if t.root == nil || k <= 0 {
+		return nil
+	}
+	q := &refQueue{{dist: t.root.box.MinDistTo(p), nd: t.root}}
+	heap.Init(q)
+	seen := make(map[int64]bool)
+	var out []Neighbor
+	for q.Len() > 0 && len(out) < k {
+		it := heap.Pop(q).(refItem)
+		if it.leaf {
+			if !seen[it.id] {
+				seen[it.id] = true
+				out = append(out, Neighbor{ID: it.id, Dist: it.dist})
+			}
+			continue
+		}
+		nd := it.nd.(*node)
+		if nd.t1 < tAt || nd.t0 > tAt {
+			continue
+		}
+		for _, e := range nd.entries {
+			if e.T0 <= tAt && tAt <= e.T1 {
+				heap.Push(q, refItem{dist: e.Box.MinDistTo(p), id: e.ID, leaf: true})
+			}
+		}
+		for _, c := range nd.children {
+			if c.t0 <= tAt && tAt <= c.t1 {
+				heap.Push(q, refItem{dist: c.box.MinDistTo(p), nd: c})
+			}
+		}
+	}
+	return out
+}
+
+func refKNNAt(t *TPRTree, p geom.Point, tq float64, k int) []Neighbor {
+	if t.root == nil || k <= 0 {
+		return nil
+	}
+	q := &refQueue{{dist: t.root.boxAt(tq).MinDistTo(p), nd: t.root}}
+	heap.Init(q)
+	seen := make(map[int64]bool)
+	var out []Neighbor
+	for q.Len() > 0 && len(out) < k {
+		it := heap.Pop(q).(refItem)
+		if it.leaf {
+			if !seen[it.id] {
+				seen[it.id] = true
+				out = append(out, Neighbor{ID: it.id, Dist: it.dist})
+			}
+			continue
+		}
+		n := it.nd.(*tprNode)
+		if tq < n.t0 || tq > n.t1 {
+			continue
+		}
+		for _, e := range n.entries {
+			if tq >= e.T0 && tq <= e.T1 {
+				heap.Push(q, refItem{dist: e.At(tq).Dist(p), id: e.ID, leaf: true})
+			}
+		}
+		for _, c := range n.children {
+			heap.Push(q, refItem{dist: c.boxAt(tq).MinDistTo(p), nd: c})
+		}
+	}
+	return out
+}
+
+// TestKNNTieOrderMatchesContainerHeap: fat boxes that contain the probe
+// point are all at distance 0, and lattice positions tie exactly at every
+// other distance too; the typed heap must hand the ties out in
+// container/heap's order, on bulk-loaded and on chained trees.
+func TestKNNTieOrderMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	var es []Entry
+	var ms []MovingEntry
+	for id := int64(0); id < 600; id++ {
+		x, y := float64(rng.Intn(12)), float64(rng.Intn(12)) // lattice: exact ties
+		w := float64(rng.Intn(7))                            // fat: many boxes contain a probe
+		t0 := float64(rng.Intn(4)) * 10
+		es = append(es, Entry{ID: id % 400, Box: geom.AABB{MinX: x, MinY: y, MaxX: x + w, MaxY: y + w}, T0: t0, T1: t0 + 20})
+		ms = append(ms, MovingEntry{ID: id % 400, P: geom.Point{X: x, Y: y}, T0: t0, T1: t0 + 20}) // stationary: ties persist
+	}
+	rt := NewRTree(es[:450], 8).Inserted(es[450:]...)
+	tt := NewTPRTree(ms[:450], 0, 8).Inserted(ms[450:]...)
+	ties := 0
+	for n := 0; n < 400; n++ {
+		p := geom.Point{X: float64(rng.Intn(14)), Y: float64(rng.Intn(14))}
+		at, k := float64(rng.Intn(50)), 1+rng.Intn(64)
+		got, want := rt.KNN(p, at, k), refKNN(rt, p, at, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("RTree.KNN(%v, %g, %d):\n got %v\nwant %v", p, at, k, got, want)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i].Dist == got[i-1].Dist {
+				ties++
+			}
+		}
+		if got, want := tt.KNNAt(p, at, k), refKNNAt(tt, p, at, k); !slices.Equal(got, want) {
+			t.Fatalf("TPRTree.KNNAt(%v, %g, %d):\n got %v\nwant %v", p, at, k, got, want)
+		}
+	}
+	if ties < 1000 {
+		t.Fatalf("only %d tied neighbors: the inputs do not exercise tie order", ties)
+	}
+}
+
+// fleetTree indexes the benchmark's fleet — the paper's generator at
+// N = 3000, one entry per 10-minute segment, boxes grown by r = 0.5 — the
+// way mod.Store.BuildIndex does.
+func fleetTree(tb testing.TB) (*RTree, []*trajectory.Trajectory) {
+	trs, err := workload.Generate(workload.DefaultConfig(2009), 3000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var es []Entry
+	for _, tr := range trs {
+		for i := 0; i < tr.NumSegments(); i++ {
+			seg, t0, t1 := tr.Segment(i)
+			es = append(es, Entry{ID: tr.OID, Box: geom.AABBOf(seg.A, seg.B).Expand(0.5), T0: t0, T1: t1})
+		}
+	}
+	return NewRTree(es, 0), trs
+}
+
+var raceEnabled bool // set by race_test.go
+
+// TestKNNAllocs: a search allocates its answer and nothing else — the
+// queue is pooled and its items are never boxed.
+func TestKNNAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	tree, trs := fleetTree(t)
+	p := trs[0].At(25)
+	tree.KNN(p, 25, 8) // warm the pool
+	if allocs := testing.AllocsPerRun(200, func() { tree.KNN(p, 25, 8) }); allocs > 2 {
+		t.Fatalf("RTree.KNN allocates %v times per search, want <= 2", allocs)
+	}
+}
+
+// TestEntrySize: path-copying inserts copy whole entry arrays, and the
+// heap holds one entry per live or superseded segment, so an entry that
+// grows shows up in heap_live_mb and alloc_kb_per_op on every workload.
+func TestEntrySize(t *testing.T) {
+	if size := unsafe.Sizeof(Entry{}); size > 56 {
+		t.Fatalf("sindex.Entry is %d bytes, want <= 56", size)
+	}
+}
+
+// BenchmarkKNN is the probe phase's unit of work: the 8 nearest segment
+// entries to a fleet member's position, mid-window.
+func BenchmarkKNN(b *testing.B) {
+	tree, trs := fleetTree(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.KNN(trs[i%len(trs)].At(25), 25, 8)
+	}
+}

@@ -12,10 +12,10 @@ package sindex
 
 import (
 	"cmp"
-	"container/heap"
 	"errors"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -167,30 +167,41 @@ func (t *RTree) Len() int { return t.count }
 // Height returns the number of levels (0 for an empty tree).
 func (t *RTree) Height() int { return t.height }
 
-// SearchRange returns the IDs of all entries whose box intersects `box`
-// and whose time interval intersects [t0, t1]. IDs may repeat if the same
-// ID was inserted with several entries (e.g. one per segment); callers
-// dedupe as needed.
+// Visit calls fn with the ID of every entry whose box intersects `box` and
+// whose time interval intersects [t0, t1], in packing order, until fn
+// returns false; it reports whether the walk ran to completion. An ID
+// repeats once per matching entry (e.g. one per segment). The walk
+// allocates nothing, so a caller can sweep a whole query window in one
+// pass and keep its own per-ID state.
+func (t *RTree) Visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
+	return t.root == nil || t.root.visit(box, t0, t1, fn)
+}
+
+func (nd *node) visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
+	if nd.t1 < t0 || nd.t0 > t1 || !nd.box.Intersects(box) {
+		return true
+	}
+	for i := range nd.entries {
+		if e := &nd.entries[i]; e.overlaps(box, t0, t1) && !fn(e.ID) {
+			return false
+		}
+	}
+	for _, c := range nd.children {
+		if !c.visit(box, t0, t1, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// SearchRange collects Visit's IDs. IDs may repeat if the same ID was
+// inserted with several entries; callers dedupe as needed.
 func (t *RTree) SearchRange(box geom.AABB, t0, t1 float64) []int64 {
-	if t.root == nil {
-		return nil
-	}
 	var out []int64
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		if nd.t1 < t0 || nd.t0 > t1 || !nd.box.Intersects(box) {
-			return
-		}
-		for _, e := range nd.entries {
-			if e.overlaps(box, t0, t1) {
-				out = append(out, e.ID)
-			}
-		}
-		for _, c := range nd.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
+	t.Visit(box, t0, t1, func(id int64) bool {
+		out = append(out, id)
+		return true
+	})
 	return out
 }
 
@@ -201,26 +212,84 @@ type Neighbor struct {
 	Dist float64
 }
 
-// knnItem is a best-first queue element: either a node or a concrete entry.
-type knnItem struct {
+// knnItem is a best-first queue element: either a node or a concrete
+// entry of an RTree (N = node, E = Entry) or a TPRTree.
+type knnItem[N, E any] struct {
 	dist  float64
-	nd    *node
-	entry *Entry
+	nd    *N
+	entry *E
 }
 
-type knnQueue []knnItem
+// knnHeap is the best-first queue of both trees' KNN searches: a binary
+// min-heap on dist whose push and pop sift exactly like container/heap's
+// up and down. Equal distances are the common case — every box that
+// contains the probe point is at distance 0 — so the sift order decides
+// which of the tied entries come out first, and with it which neighbors a
+// caller sees; it is kept so answers do not move. Unlike container/heap
+// the items are never boxed into an interface, and the backing array is
+// pooled across searches.
+type knnHeap[N, E any] []knnItem[N, E]
 
-func (q knnQueue) Len() int            { return len(q) }
-func (q knnQueue) Less(a, b int) bool  { return q[a].dist < q[b].dist }
-func (q knnQueue) Swap(a, b int)       { q[a], q[b] = q[b], q[a] }
-func (q *knnQueue) Push(x interface{}) { *q = append(*q, x.(knnItem)) }
-func (q *knnQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
+func (h *knnHeap[N, E]) push(it knnItem[N, E]) {
+	q := append(*h, it)
+	*h = q
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].dist < q[i].dist) {
+			return
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *knnHeap[N, E]) pop() knnItem[N, E] {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	it := q[n]
+	*h = q[:n]
 	return it
 }
+
+// reset empties the heap for pooling, dropping the tree pointers its
+// backing array still holds so a pooled queue never pins a superseded tree.
+func (h *knnHeap[N, E]) reset() {
+	clear((*h)[:cap(*h)])
+	*h = (*h)[:0]
+}
+
+// appendNeighbor adds a popped entry to a KNN answer unless its ID is
+// already there (answers are short — the prune probes ask for at most 64 —
+// so a scan beats a set). The answer is allocated on the first hit, so a
+// search that finds nothing returns nil.
+func appendNeighbor(out []Neighbor, id int64, dist float64, sizeHint int) []Neighbor {
+	for i := range out {
+		if out[i].ID == id {
+			return out
+		}
+	}
+	if out == nil {
+		out = make([]Neighbor, 0, sizeHint)
+	}
+	return append(out, Neighbor{ID: id, Dist: dist})
+}
+
+var rtreeHeaps = sync.Pool{New: func() any { return new(knnHeap[node, Entry]) }}
 
 // KNN returns up to k entries with the smallest box distance to p among
 // entries whose time interval contains t, in ascending distance order
@@ -231,33 +300,32 @@ func (t *RTree) KNN(p geom.Point, tAt float64, k int) []Neighbor {
 	if t.root == nil || k <= 0 {
 		return nil
 	}
-	q := &knnQueue{{dist: t.root.box.MinDistTo(p), nd: t.root}}
-	heap.Init(q)
-	seen := make(map[int64]bool)
+	q := rtreeHeaps.Get().(*knnHeap[node, Entry])
+	defer func() {
+		q.reset()
+		rtreeHeaps.Put(q)
+	}()
+	q.push(knnItem[node, Entry]{dist: t.root.box.MinDistTo(p), nd: t.root})
 	var out []Neighbor
-	for q.Len() > 0 && len(out) < k {
-		it := heap.Pop(q).(knnItem)
-		switch {
-		case it.entry != nil:
-			if !seen[it.entry.ID] {
-				seen[it.entry.ID] = true
-				out = append(out, Neighbor{ID: it.entry.ID, Dist: it.dist})
+	for len(*q) > 0 && len(out) < k {
+		it := q.pop()
+		if it.entry != nil {
+			out = appendNeighbor(out, it.entry.ID, it.dist, min(k, t.count))
+			continue
+		}
+		nd := it.nd
+		if nd.t1 < tAt || nd.t0 > tAt {
+			continue
+		}
+		for i := range nd.entries {
+			e := &nd.entries[i]
+			if e.T0 <= tAt && tAt <= e.T1 {
+				q.push(knnItem[node, Entry]{dist: e.Box.MinDistTo(p), entry: e})
 			}
-		default:
-			nd := it.nd
-			if nd.t1 < tAt || nd.t0 > tAt {
-				continue
-			}
-			for i := range nd.entries {
-				e := &nd.entries[i]
-				if e.T0 <= tAt && tAt <= e.T1 {
-					heap.Push(q, knnItem{dist: e.Box.MinDistTo(p), entry: e})
-				}
-			}
-			for _, c := range nd.children {
-				if c.t0 <= tAt && tAt <= c.t1 {
-					heap.Push(q, knnItem{dist: c.box.MinDistTo(p), nd: c})
-				}
+		}
+		for _, c := range nd.children {
+			if c.t0 <= tAt && tAt <= c.t1 {
+				q.push(knnItem[node, Entry]{dist: c.box.MinDistTo(p), nd: c})
 			}
 		}
 	}

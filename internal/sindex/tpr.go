@@ -2,9 +2,9 @@ package sindex
 
 import (
 	"cmp"
-	"container/heap"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -207,6 +207,8 @@ func (t *TPRTree) SearchAt(box geom.AABB, tq float64) []int64 {
 	return out
 }
 
+var tprHeaps = sync.Pool{New: func() any { return new(knnHeap[tprNode, MovingEntry]) }}
+
 // KNNAt returns the k nearest entries to p at time tq, best-first over the
 // time-parameterized boxes. Duplicate IDs are collapsed, keeping the
 // nearest — an object indexed with several moving entries (one per plan
@@ -216,17 +218,17 @@ func (t *TPRTree) KNNAt(p geom.Point, tq float64, k int) []Neighbor {
 	if t.root == nil || k <= 0 {
 		return nil
 	}
-	q := &knnTPRQueue{{dist: t.root.boxAt(tq).MinDistTo(p), nd: t.root}}
-	heap.Init(q)
-	seen := make(map[int64]bool)
+	q := tprHeaps.Get().(*knnHeap[tprNode, MovingEntry])
+	defer func() {
+		q.reset()
+		tprHeaps.Put(q)
+	}()
+	q.push(knnItem[tprNode, MovingEntry]{dist: t.root.boxAt(tq).MinDistTo(p), nd: t.root})
 	var out []Neighbor
-	for q.Len() > 0 && len(out) < k {
-		it := heap.Pop(q).(knnTPRItem)
+	for len(*q) > 0 && len(out) < k {
+		it := q.pop()
 		if it.entry != nil {
-			if !seen[it.entry.ID] {
-				seen[it.entry.ID] = true
-				out = append(out, Neighbor{ID: it.entry.ID, Dist: it.dist})
-			}
+			out = appendNeighbor(out, it.entry.ID, it.dist, min(k, t.count))
 			continue
 		}
 		n := it.nd
@@ -236,32 +238,12 @@ func (t *TPRTree) KNNAt(p geom.Point, tq float64, k int) []Neighbor {
 		for i := range n.entries {
 			e := &n.entries[i]
 			if tq >= e.T0 && tq <= e.T1 {
-				heap.Push(q, knnTPRItem{dist: e.At(tq).Dist(p), entry: e})
+				q.push(knnItem[tprNode, MovingEntry]{dist: e.At(tq).Dist(p), entry: e})
 			}
 		}
 		for _, c := range n.children {
-			heap.Push(q, knnTPRItem{dist: c.boxAt(tq).MinDistTo(p), nd: c})
+			q.push(knnItem[tprNode, MovingEntry]{dist: c.boxAt(tq).MinDistTo(p), nd: c})
 		}
 	}
 	return out
-}
-
-type knnTPRItem struct {
-	dist  float64
-	nd    *tprNode
-	entry *MovingEntry
-}
-
-type knnTPRQueue []knnTPRItem
-
-func (q knnTPRQueue) Len() int            { return len(q) }
-func (q knnTPRQueue) Less(a, b int) bool  { return q[a].dist < q[b].dist }
-func (q knnTPRQueue) Swap(a, b int)       { q[a], q[b] = q[b], q[a] }
-func (q *knnTPRQueue) Push(x interface{}) { *q = append(*q, x.(knnTPRItem)) }
-func (q *knnTPRQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
 }

@@ -321,46 +321,33 @@ func (x *Index) Matching(p *Predicate) []int64 {
 	return base
 }
 
-// MatchSet is Matching as a membership set.
-func (x *Index) MatchSet(p *Predicate) map[int64]struct{} {
-	ids := x.Matching(p)
-	set := make(map[int64]struct{}, len(ids))
-	for _, id := range ids {
-		set[id] = struct{}{}
-	}
-	return set
-}
-
-// CorridorHits returns the OIDs in match that may have a segment
-// intersecting the query window: per-entry hits from cells whose tag
-// union is predicate-compatible, plus every overflow OID in match
-// (their geometry is not recorded in the cells, so they are kept
-// unconditionally — conservative). Hits may repeat; callers dedupe.
-func (x *Index) CorridorHits(box geom.AABB, t0, t1 float64, p *Predicate, match map[int64]struct{}) []int64 {
-	var out []int64
+// Visit calls fn with every OID that may have a segment intersecting the
+// query window, until fn returns false; it reports whether the walk ran to
+// completion. Per-entry hits come from the cells whose tag union is
+// predicate-compatible; every overflow OID follows unconditionally, because
+// the cells do not record its geometry. OIDs repeat, and they are not
+// matched against p — the caller's snapshot holds the matching objects
+// only, so a non-matching OID dies at its lookup, and a hit is in any case
+// a reason to test the live plan, not a verdict.
+func (x *Index) Visit(box geom.AABB, t0, t1 float64, p *Predicate, fn func(oid int64) bool) bool {
 	for i := range x.cells {
 		c := &x.cells[i]
-		if c.T1 < t0 || c.T0 > t1 || !c.Box.Intersects(box) {
+		if c.T1 < t0 || c.T0 > t1 || !c.Box.Intersects(box) || !c.compatible(p) {
 			continue
 		}
-		if !c.compatible(p) {
-			continue
-		}
-		for _, e := range c.Entries {
-			if e.T1 < t0 || e.T0 > t1 || !e.Box.Intersects(box) {
-				continue
-			}
-			if _, ok := match[e.ID]; ok {
-				out = append(out, e.ID)
+		for j := range c.Entries {
+			e := &c.Entries[j]
+			if e.T1 >= t0 && e.T0 <= t1 && e.Box.Intersects(box) && !fn(e.ID) {
+				return false
 			}
 		}
 	}
 	for _, oid := range x.overflow {
-		if _, ok := match[oid]; ok {
-			out = append(out, oid)
+		if !fn(oid) {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
 // WithTags derives an index in which oid carries newTags (canonical; nil
@@ -394,12 +381,12 @@ func (x *Index) WithTags(oid int64, newTags []string) *Index {
 			}
 		}
 		for _, tag := range added {
-			postings[tag] = insertSorted(slices.Clone(postings[tag]), oid)
+			postings[tag] = insertSorted(postings[tag], oid)
 		}
 		nx.postings = postings
 	}
-	nx.universe = insertSorted(slices.Clone(nx.universe), oid)
-	nx.overflow = insertSorted(slices.Clone(nx.overflow), oid)
+	nx.universe = insertSorted(nx.universe, oid)
+	nx.overflow = insertSorted(nx.overflow, oid)
 	return nx
 }
 
@@ -407,8 +394,8 @@ func (x *Index) WithTags(oid int64, newTags []string) *Index {
 // until WithTags says otherwise) and whose overflow covers its geometry.
 func (x *Index) WithObject(oid int64) *Index {
 	nx := x.cloneTop()
-	nx.universe = insertSorted(slices.Clone(nx.universe), oid)
-	nx.overflow = insertSorted(slices.Clone(nx.overflow), oid)
+	nx.universe = insertSorted(nx.universe, oid)
+	nx.overflow = insertSorted(nx.overflow, oid)
 	return nx
 }
 
@@ -422,8 +409,8 @@ func (x *Index) WithGeometry(oid int64) *Index {
 // WithoutObject derives an index from which oid has been retired: it
 // leaves the universe, its postings, and the overflow list. Cell entries
 // built over its old geometry stay behind — they can only produce false
-// positives, and CorridorHits intersects every hit with the caller's
-// match set, which no longer contains the OID.
+// positives: the sweep resolves every hit against its snapshot, which no
+// longer contains the OID.
 func (x *Index) WithoutObject(oid int64) *Index {
 	nx := x.cloneTop()
 	old := nx.tags[oid]
@@ -536,12 +523,18 @@ func subtractSortedStr(a, b []string) []string {
 	return out
 }
 
+// insertSorted returns a with v inserted: a itself — shared, not copied —
+// when v is already a member, which is every plan revision of a known
+// object; else a fresh slice, since the receiver index still reads a.
 func insertSorted(a []int64, v int64) []int64 {
 	i, ok := slices.BinarySearch(a, v)
 	if ok {
 		return a
 	}
-	return slices.Insert(a, i, v)
+	out := make([]int64, 0, len(a)+1)
+	out = append(out, a[:i]...)
+	out = append(out, v)
+	return append(out, a[i:]...)
 }
 
 func removeSorted(a []int64, v int64) []int64 {

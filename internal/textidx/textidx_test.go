@@ -378,3 +378,51 @@ func TestLeavesAccessor(t *testing.T) {
 		t.Fatal("empty tree leaves")
 	}
 }
+
+// MatchSet is Matching as a membership set.
+func (x *Index) MatchSet(p *Predicate) map[int64]struct{} {
+	set := make(map[int64]struct{})
+	for _, id := range x.Matching(p) {
+		set[id] = struct{}{}
+	}
+	return set
+}
+
+// CorridorHits collects Visit's OIDs that are in match — the slice-returning
+// form the sweep used before it became a visitor, kept for these tests.
+func (x *Index) CorridorHits(box geom.AABB, t0, t1 float64, p *Predicate, match map[int64]struct{}) []int64 {
+	var out []int64
+	x.Visit(box, t0, t1, p, func(oid int64) bool {
+		if _, ok := match[oid]; ok {
+			out = append(out, oid)
+		}
+		return true
+	})
+	return out
+}
+
+// TestKnownObjectSharesMembershipSlices: a plan revision of an object the
+// index already lists (universe and overflow) must not copy either list —
+// the derivation costs the Index header and nothing else.
+func TestKnownObjectSharesMembershipSlices(t *testing.T) {
+	universe := make([]int64, 3000)
+	for i := range universe {
+		universe[i] = int64(i)
+	}
+	x := Build(universe, nil, nil).WithGeometry(1500)
+	if x.Overflow() != 1 {
+		t.Fatalf("overflow = %d, want 1", x.Overflow())
+	}
+	var y *Index
+	if allocs := testing.AllocsPerRun(100, func() { y = x.WithGeometry(1500) }); allocs != 1 {
+		t.Fatalf("WithGeometry of a known overflow OID allocates %v times, want 1 (the Index header)", allocs)
+	}
+	if &y.universe[0] != &x.universe[0] || &y.overflow[0] != &x.overflow[0] {
+		t.Fatal("membership slices were copied, want them shared")
+	}
+	// A new member still leaves the receiver's lists untouched.
+	z := x.WithGeometry(1501)
+	if x.Overflow() != 1 || z.Overflow() != 2 || !slices.Equal(z.overflow, []int64{1500, 1501}) {
+		t.Fatalf("overflow after insert: receiver %v, derived %v", x.overflow, z.overflow)
+	}
+}
