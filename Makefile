@@ -1,6 +1,6 @@
 # CI and humans invoke the same targets. The ci.yml workflow runs
 # parallel jobs — lint (`make fmt vet staticcheck`), test (`make build
-# race benchmark-check cover`), chaos (`make chaos`), serve (`make serve-smoke`, the
+# race fuzz-smoke benchmark-check cover`), chaos (`make chaos`), serve (`make serve-smoke`, the
 # Docker compose cluster), and bench (`make bench-smoke bench-api
 # bench-prune bench-text bench-shard bench-live` plus a `figures -fig
 # summary` step table) — and the nightly workflow adds `make
@@ -18,7 +18,7 @@ GO ?= go
 # committed BENCH_shard.json baseline minus a tolerance.
 MIN_SHARD_SPEEDUP ?= 0
 
-.PHONY: all build test race benchmark-check bench bench-smoke bench-prune bench-text bench-api bench-shard bench-shard-large bench-live bench-city cover fmt vet staticcheck chaos chaos-soak serve-smoke clean
+.PHONY: all build test race fuzz-smoke benchmark-check bench bench-smoke bench-prune bench-text bench-api bench-shard bench-shard-large bench-live bench-city cover fmt vet staticcheck chaos chaos-soak serve-smoke clean
 
 all: fmt vet staticcheck build test
 
@@ -33,6 +33,19 @@ test:
 # explicit headroom over go test's default 10m per-package timeout.
 race:
 	$(GO) test -race -timeout 20m ./...
+
+# Plain `go test` only replays a fuzz target's seed corpus. This gives
+# every target in the tree (found by name, so a new one is picked up) a
+# few seconds of real fuzzing; a crasher lands in the package's
+# testdata/fuzz/ and fails the run.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@set -e; grep -rlE '^func Fuzz' --include='*_test.go' internal | sort | while read -r f; do \
+		for name in $$(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(.*/\1/p' "$$f"); do \
+			echo "== $$name ($$(dirname "$$f"))"; \
+			$(GO) test -run='^$$' -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) "./$$(dirname "$$f")"; \
+		done; \
+	done
 
 # benchmark/ is a Go module of its own (it reaches repro/internal/...
 # through a replace directive), so `./...` at the root neither compiles
@@ -62,9 +75,10 @@ bench-text:
 	$(GO) run ./cmd/figures -fig text -text-json BENCH_text.json
 
 # One-iteration smoke: every benchmark compiles and executes — the
-# per-layer pre-pass benchmarks among them (BenchmarkSweepBounds,
-# BenchmarkSweepSurvivors, BenchmarkMinCrispDist in internal/prune,
-# BenchmarkKNN in internal/sindex; EXPERIMENTS.md has their rows).
+# per-layer ones among them (BenchmarkSweepBounds, BenchmarkSweepSurvivors,
+# BenchmarkMinCrispDist in internal/prune, BenchmarkKNN in internal/sindex,
+# BenchmarkShardFrameEncode/Decode in internal/modserver,
+# BenchmarkRefineUnion in internal/engine; EXPERIMENTS.md has their rows).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -193,6 +194,79 @@ func TestRouterExplainAggregation(t *testing.T) {
 	}
 	if totalSurv < len(routed.OIDs) {
 		t.Fatalf("shard survivors %d < answer size %d", totalSurv, len(routed.OIDs))
+	}
+}
+
+// unionSpy wraps a Shard and keeps every union store its Refine is handed.
+type unionSpy struct {
+	cluster.Shard
+	mu     *sync.Mutex
+	unions *[]*mod.Store
+}
+
+func (s unionSpy) Refine(ctx context.Context, id string, union *mod.Store, own []int64, req engine.Request) (engine.Result, error) {
+	s.mu.Lock()
+	*s.unions = append(*s.unions, union)
+	s.mu.Unlock()
+	return s.Shard.Refine(ctx, id, union, own, req)
+}
+
+// TestRefineBuildsFromTheUnion: the exchange is the filter and the refine
+// only verifies. At rank 1, at rank 2 and after a filtered exchange, a
+// routed whole-MOD answer equals the single engine's, reports the union as
+// its survivor set (what each shard pruned stays in ShardExplains), and no
+// shard ever builds an index over the union it was handed.
+func TestRefineBuildsFromTheUnion(t *testing.T) {
+	store, trs := tagStore(t, 300, equivR, equivSeed)
+	stores, err := cluster.SplitStore(store, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu     sync.Mutex
+		unions []*mod.Store
+	)
+	shards := make([]cluster.Shard, len(stores))
+	for i, st := range stores {
+		shards[i] = unionSpy{cluster.NewLocalShard(fmt.Sprintf("s%d", i), st), &mu, &unions}
+	}
+	router, err := cluster.NewRouter(context.Background(), shards, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := trs[0].OID
+	reqs := []engine.Request{
+		{Kind: engine.KindUQ31, QueryOID: q, Tb: equivTb, Te: equivTe},
+		{Kind: engine.KindUQ41, QueryOID: q, Tb: equivTb, Te: equivTe, K: 2},
+		{Kind: engine.KindUQ31, QueryOID: q, Tb: equivTb, Te: equivTe, Where: &textidx.Predicate{All: []string{"available"}}},
+	}
+	want := singleAnswers(t, store, reqs)
+	for i, req := range reqs {
+		unions = unions[:0]
+		got, err := router.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSame(t, "refine-from-union", reqs[i:i+1], want[i:i+1], []engine.Result{got})
+		if len(unions) != len(shards) {
+			t.Fatalf("req[%d]: %d refines for %d shards", i, len(unions), len(shards))
+		}
+		ex := got.Explain
+		if ex.Survivors != ex.Candidates || ex.Candidates != unions[0].Len()-1 {
+			t.Fatalf("req[%d]: survivors=%d candidates=%d over a union of %d objects and the query", i, ex.Survivors, ex.Candidates, unions[0].Len()-1)
+		}
+		cands, surv := 0, 0
+		for _, se := range ex.ShardExplains {
+			cands, surv = cands+se.Candidates, surv+se.Survivors
+		}
+		if surv != ex.Candidates || surv >= cands {
+			t.Fatalf("req[%d]: shards kept %d of %d, union holds %d: the exchange's pruning is not what ShardExplains reports", i, surv, cands, ex.Candidates)
+		}
+		for _, u := range unions {
+			if st := u.IndexStats(); st != (mod.IndexStats{}) {
+				t.Fatalf("req[%d]: a refine built an index over its union: %+v", i, st)
+			}
+		}
 	}
 }
 

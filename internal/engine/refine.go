@@ -31,16 +31,22 @@ func (k Kind) IsWholeMODFilter() bool {
 
 // DoRestricted evaluates a whole-MOD filter request with the candidate
 // domain restricted to own, a sorted OID list (a shard's share of the
-// union survivor set). The preprocessing still runs over the full store —
-// the envelope must be the global one for the answer to be sound — but
-// the per-object membership tests only visit own, so K shards splitting a
+// union survivor set). The preprocessing runs over the full store — the
+// envelope must be the global one for the answer to be sound — but the
+// per-object membership tests only visit own, so K shards splitting a
 // survivor set between them collectively do the same filter work as one
 // central engine. Non-filter kinds are rejected with ErrBadKind: the
 // router keeps single-object and bool kinds central.
 //
+// The store is the survivor set a bound exchange just proved, so this is
+// the verify half of filter-and-verify and never filters again: the
+// processor is built from every object in it — no index build, probe or
+// sweep — and memoized apart from Do's pruned build of the same key.
+//
 // Explain reports the restricted evaluation honestly: Refined is
-// len(own) and RefineWall the end-to-end time; Candidates/Survivors keep
-// their usual store-global meaning.
+// len(own) and RefineWall the end-to-end time; Survivors equals
+// Candidates, the store's non-query objects (what the exchange pruned,
+// shard by shard, is in the router's ShardExplains).
 func (e *Engine) DoRestricted(ctx context.Context, store *mod.Store, req Request, own []int64) (Result, error) {
 	if e == nil {
 		return Result{Kind: req.Kind, Err: ErrNoEngine}, ErrNoEngine
@@ -68,7 +74,7 @@ func (e *Engine) DoRestricted(ctx context.Context, store *mod.Store, req Request
 		return fail(err)
 	}
 	req.Where = req.Where.Canon()
-	proc, hit, err := e.processor(ctx, store, req.QueryOID, req.Tb, req.Te, req.Where)
+	proc, hit, err := e.processor(ctx, store, req.QueryOID, req.Tb, req.Te, req.Where, true)
 	if err != nil {
 		return fail(err)
 	}

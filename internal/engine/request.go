@@ -331,7 +331,7 @@ func (e *Engine) Do(ctx context.Context, store *mod.Store, req Request) (Result,
 				return res, nil
 			}
 		}
-		proc, hit, err := e.processor(ctx, store, req.QueryOID, req.Tb, req.Te, req.Where)
+		proc, hit, err := e.processor(ctx, store, req.QueryOID, req.Tb, req.Te, req.Where, false)
 		if err != nil {
 			return fail(err)
 		}
@@ -398,7 +398,7 @@ func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) 
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		if proc, _, err := e.processor(ctx, store, g.qOID, g.tb, g.te, preds[g]); err == nil {
+		if proc, _, err := e.processor(ctx, store, g.qOID, g.tb, g.te, preds[g], false); err == nil {
 			_ = proc.EnsureLevelsCtx(ctx, k)
 		}
 	}

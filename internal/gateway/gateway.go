@@ -357,7 +357,7 @@ func errStatus(err error) (int, string) {
 		return http.StatusNotFound, "unknown_oid"
 	case errors.Is(err, mod.ErrNotFound), errors.Is(err, serve.ErrUnknownSub):
 		return http.StatusNotFound, "not_found"
-	case errors.Is(err, serve.ErrSubLive):
+	case errors.Is(err, serve.ErrSubLive), errors.Is(err, serve.ErrBadWire):
 		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, serve.ErrSubExpired):
 		return http.StatusGone, "sub_expired"
@@ -521,9 +521,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badReq(errors.New("gateway: empty ingest batch")))
 		return
 	}
+	updates, err := serve.DecodeUpdates(ir.Updates, false)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
 	ctx, cancel := s.reqCtx(r, 0)
 	defer cancel()
-	applied, err := s.core.Ingest(ctx, serve.DecodeUpdates(ir.Updates))
+	applied, err := s.core.Ingest(ctx, updates)
 	s.opts.Metrics.recordIngest(len(ir.Updates), err)
 	if err != nil {
 		// A mid-batch failure still applied a prefix; report both, as the
@@ -532,8 +537,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, struct {
 			Error   apiError            `json:"error"`
 			Applied []serve.WireApplied `json:"applied,omitempty"`
-		}{apiError{Code: code, Message: err.Error()}, serve.EncodeApplied(applied)})
+		}{apiError{Code: code, Message: err.Error()}, serve.EncodeApplied(applied, false)})
 		return
 	}
-	writeJSON(w, http.StatusOK, ingestResponse{Applied: serve.EncodeApplied(applied)})
+	writeJSON(w, http.StatusOK, ingestResponse{Applied: serve.EncodeApplied(applied, false)})
 }

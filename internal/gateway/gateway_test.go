@@ -587,6 +587,34 @@ func TestIngestRetire(t *testing.T) {
 	}
 }
 
+// TestIngestPackedVerticesRefused: the packed vertex form is the shard
+// link's, not public API. A /v1/ingest body carrying vb is a 400 that
+// applies nothing, and the reply to the same update as triples carries
+// arrays only.
+func TestIngestPackedVerticesRefused(t *testing.T) {
+	store, _ := buildStore(t, 5, equivSeed)
+	_, base, client := startGateway(t, Options{
+		Backend: EngineBackend{Eng: engine.New(0), Store: store},
+		Hub:     newTestHub(t, store),
+	}, nil)
+	verts := [][3]float64{{1, 2, 0}, {3, 4, 10}}
+	packed := serve.PackVerts([]trajectory.Vertex{{X: 1, Y: 2, T: 0}, {X: 3, Y: 4, T: 10}})
+	before := store.Version()
+	status, body := postJSON(t, client, base+"/v1/ingest", "",
+		ingestRequest{Updates: []serve.WireUpdate{{OID: 9001, Verts: verts}, {OID: 9002, VB: packed}}})
+	if ae := decodeAPIError(t, body); status != http.StatusBadRequest || ae.Code != "bad_request" {
+		t.Fatalf("packed ingest: status %d code %q, want 400 bad_request", status, ae.Code)
+	}
+	if store.Version() != before {
+		t.Fatal("a refused batch applied a prefix")
+	}
+	status, body = postJSON(t, client, base+"/v1/ingest", "",
+		ingestRequest{Updates: []serve.WireUpdate{{OID: 9001, Verts: verts}}})
+	if status != http.StatusOK || !strings.Contains(string(body), `"verts":[[1,2,0],[3,4,10]]`) || strings.Contains(string(body), `vb"`) {
+		t.Fatalf("array ingest: status %d body %s", status, body)
+	}
+}
+
 // TestShutdownDrains: Shutdown flips readiness, lets an in-flight query
 // finish, and then refuses new connections.
 func TestShutdownDrains(t *testing.T) {

@@ -35,12 +35,20 @@
 //
 // Shard-serving phases of the query op (the cluster bound-exchange and
 // distributed-refine protocol; +Inf bounds travel as -1 since JSON has no
-// Inf literal):
+// Inf literal). Wherever a trajectory moves between router and shard its
+// vertices are packed: "vb" (and "pvb", an applied outcome's superseded
+// plan) is base64 of 24-byte little-endian (x, y, t) float64 triples —
+// serve/wire.go. That covers the query trajectory below, every trajs item,
+// ingest updates and their applied outcomes in both directions; replies
+// are always packed. "verts" triples are still read in every such place
+// (the human ops insert/trip/get speak only them), an item carrying both
+// forms or a ragged vb fails its request with "code":"bad_request", and
+// either form meets the same trajectory validation.
 //
 //	{"op":"query","phase":"bounds","oid":1,
-//	 "verts":[[x,y,t],...],"tb":0,"te":60,"k":1}   → {"ok":true,"bounds":[...]}
+//	 "vb":"<base64>","tb":0,"te":60,"k":1}         → {"ok":true,"bounds":[...]}
 //	{"op":"query","phase":"survivors","oid":1,
-//	 "verts":[...],"tb":0,"te":60,"bounds":[...]}  → {"ok":true,"more":true,"trajs":[chunk]}*
+//	 "vb":"...","tb":0,"te":60,"bounds":[...]}     → {"ok":true,"more":true,"trajs":[{"oid":2,"vb":"..."},...]}*
 //	                                                 {"ok":true,"trajs":[last chunk],"stats":{...}}
 //	{"op":"query","phase":"all"}                   → same streamed framing, no stats
 //	{"op":"query","phase":"oids"}                  → {"ok":true,"oids":[...]}
@@ -59,10 +67,12 @@
 // an unbounded write buffer; intermediate frames carry "more":true and the
 // final frame carries the stats. The gather/refine pair is the distributed
 // refine: a router uploads the union survivor store once per connection
-// under a gather ID (chunked client→server the same way), the server caches
-// a few unions per connection, and each refine evaluates a whole-MOD filter
-// over the cached union with the candidate domain restricted to the
-// shard's own survivors (engine.DoRestricted).
+// under a gather ID (chunked client→server the same way, frames filled to
+// max_line by exact byte count), the server caches a few unions per
+// connection, and each refine evaluates a whole-MOD filter over the cached
+// union with the candidate domain restricted to the shard's own survivors
+// (engine.DoRestricted). A connection may have two uploads unfinished; a
+// more:true frame opening a third gets "code":"gather_limit" and is closed.
 //
 // The query op is the unified route: it carries engine.Request descriptors
 // verbatim on the wire, evaluates them through Engine.DoBatch, and returns
@@ -182,6 +192,10 @@ const codeUnauthorized = "unauthorized"
 // confused client can actually read.
 const codeTLSRequired = "tls_required"
 
+// codeBadRequest marks an item whose vertices could not be read
+// (serve.ErrBadWire across the wire).
+const codeBadRequest = "bad_request"
+
 // codeDeadline and codeCanceled structure context failures on the wire,
 // so a server-side deadline expiry keeps its context.DeadlineExceeded
 // identity at the client (and up through the HTTP gateway's 504 mapping)
@@ -206,6 +220,7 @@ var wireCodes = []struct {
 	{codeEventStalled, ErrEventStalled},
 	{codeUnauthorized, ErrUnauthorized},
 	{codeTLSRequired, ErrTLSRequired},
+	{codeBadRequest, serve.ErrBadWire},
 }
 
 // codedFail builds an error response, attaching the machine-readable
@@ -236,9 +251,12 @@ type Request struct {
 	Op string `json:"op"`
 	// Token authenticates the connection on the "auth" op (required first
 	// when the server has Options.Token configured).
-	Token     string       `json:"token,omitempty"`
-	OID       int64        `json:"oid,omitempty"`
-	Verts     [][3]float64 `json:"verts,omitempty"`
+	Token string       `json:"token,omitempty"`
+	OID   int64        `json:"oid,omitempty"`
+	Verts [][3]float64 `json:"verts,omitempty"`
+	// VB is Verts in the shard link's packed form (serve.PackVerts); a
+	// request carries one or the other.
+	VB        []byte       `json:"vb,omitempty"`
 	Query     string       `json:"query,omitempty"`
 	Queries   []string     `json:"queries,omitempty"`
 	Waypoints [][2]float64 `json:"waypoints,omitempty"`
@@ -713,6 +731,10 @@ func (s *Server) handle(conn net.Conn) {
 			// A non-final gather upload frame: accumulate silently — the
 			// protocol answers only the final (more=false) frame, so the
 			// uploader can stream chunks without a round trip each.
+			if cs.pending[req.GatherID] == nil && len(cs.pending) >= gatherCacheCap {
+				_ = cs.send(Response{Error: fmt.Sprintf("modserver: more than %d unfinished gather uploads", gatherCacheCap), Code: codeGatherLimit})
+				return
+			}
 			s.accumGather(req, cs)
 			continue
 		} else if req.Op == "query" && (req.Phase == "survivors" || req.Phase == "all") {
@@ -901,7 +923,7 @@ func phaseCtx(req Request) (context.Context, context.CancelFunc) {
 
 // wireQuery rebuilds the phase's query trajectory from the wire fields.
 func wireQuery(req Request) (*trajectory.Trajectory, error) {
-	return trajectory.New(req.OID, serve.DecodeVerts(req.Verts))
+	return serve.WireTrajectory(req.OID, req.Verts, req.VB)
 }
 
 // doBounds answers phase 1 of the cluster bound exchange: per-slice upper
@@ -910,7 +932,7 @@ func wireQuery(req Request) (*trajectory.Trajectory, error) {
 func (s *Server) doBounds(req Request) Response {
 	q, err := wireQuery(req)
 	if err != nil {
-		return Response{Error: err.Error()}
+		return codedFail(err)
 	}
 	if err := req.Where.Validate(); err != nil {
 		return Response{Error: err.Error()}
@@ -928,13 +950,17 @@ func (s *Server) doBounds(req Request) Response {
 // failure reports the applied prefix alongside the error, so callers — the
 // cluster router above all — know exactly which updates landed.
 func (s *Server) doIngest(req Request) Response {
-	applied, err := s.core.Ingest(context.Background(), serve.DecodeUpdates(req.Updates))
+	updates, err := serve.DecodeUpdates(req.Updates, true)
+	if err != nil {
+		return codedFail(err)
+	}
+	applied, err := s.core.Ingest(context.Background(), updates)
 	if err != nil {
 		resp := codedFail(err)
-		resp.Applied = serve.EncodeApplied(applied)
+		resp.Applied = serve.EncodeApplied(applied, true)
 		return resp
 	}
-	return Response{OK: true, Applied: serve.EncodeApplied(applied)}
+	return Response{OK: true, Applied: serve.EncodeApplied(applied, true)}
 }
 
 // encodeAnswer flattens a result (or its per-request failure) onto the
@@ -1012,20 +1038,20 @@ func decodeBounds(bs []float64) []float64 {
 	return out
 }
 
-// encodeTrajs flattens trajectories onto the wire.
+// encodeTrajs flattens trajectories onto the shard link, packed.
 func encodeTrajs(trs []*trajectory.Trajectory) []WireTraj {
 	out := make([]WireTraj, len(trs))
 	for i, tr := range trs {
-		out[i] = WireTraj{OID: tr.OID, Verts: serve.EncodeVerts(tr.Verts)}
+		out[i] = WireTraj{OID: tr.OID, VB: serve.PackVerts(tr.Verts)}
 	}
 	return out
 }
 
-// decodeTrajs rebuilds trajectories from the wire.
+// decodeTrajs rebuilds trajectories from the wire, either vertex form.
 func decodeTrajs(wts []WireTraj) ([]*trajectory.Trajectory, error) {
 	out := make([]*trajectory.Trajectory, len(wts))
 	for i, wt := range wts {
-		tr, err := trajectory.New(wt.OID, serve.DecodeVerts(wt.Verts))
+		tr, err := serve.WireTrajectory(wt.OID, wt.Verts, wt.VB)
 		if err != nil {
 			return nil, err
 		}
@@ -1046,6 +1072,9 @@ type Client struct {
 	// frameBytes remembers the server's advertised request-line cap (the
 	// spec reply's max_line) for sizing gather upload frames.
 	frameBytes int
+	// uploaded mirrors the server's per-connection gather cache: the last
+	// gatherCacheCap gather IDs this connection uploaded, oldest first.
+	uploaded []string
 }
 
 // Dial connects to a server at addr (plaintext, no auth).
@@ -1232,7 +1261,7 @@ func (c *Client) GetTagged(oid int64) (*trajectory.Trajectory, []string, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := trajectory.New(resp.OID, serve.DecodeVerts(resp.Verts))
+	tr, err := serve.WireTrajectory(resp.OID, resp.Verts, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1257,7 +1286,7 @@ func (c *Client) PlanTrip(oid int64, waypoints []geom.Point, startT, speed float
 	if err != nil {
 		return nil, err
 	}
-	return trajectory.New(resp.OID, serve.DecodeVerts(resp.Verts))
+	return serve.WireTrajectory(resp.OID, resp.Verts, nil)
 }
 
 // UQL runs a UQL statement remotely.
@@ -1313,7 +1342,7 @@ func deadlineMS(d time.Duration) int64 {
 func (c *Client) ShardBounds(q *trajectory.Trajectory, tb, te float64, k int, where *textidx.Predicate, deadline time.Duration) ([]float64, error) {
 	resp, err := c.roundTrip(Request{
 		Op: "query", Phase: "bounds",
-		OID: q.OID, Verts: serve.EncodeVerts(q.Verts), Tb: tb, Te: te, K: k, Where: where,
+		OID: q.OID, VB: serve.PackVerts(q.Verts), Tb: tb, Te: te, K: k, Where: where,
 		DeadlineMS: deadlineMS(deadline),
 	})
 	if err != nil {
@@ -1330,7 +1359,7 @@ func (c *Client) ShardBounds(q *trajectory.Trajectory, tb, te float64, k int, wh
 func (c *Client) ShardSurvivors(q *trajectory.Trajectory, tb, te float64, bounds []float64, where *textidx.Predicate, deadline time.Duration) ([]*trajectory.Trajectory, prune.Stats, error) {
 	resp, err := c.roundTripStream(Request{
 		Op: "query", Phase: "survivors",
-		OID: q.OID, Verts: serve.EncodeVerts(q.Verts), Tb: tb, Te: te, Where: where,
+		OID: q.OID, VB: serve.PackVerts(q.Verts), Tb: tb, Te: te, Where: where,
 		Bounds: encodeBounds(bounds), DeadlineMS: deadlineMS(deadline),
 	})
 	if err != nil {
@@ -1364,7 +1393,7 @@ func (c *Client) AllTrajectories() ([]*trajectory.Trajectory, error) {
 // alongside the error — the same partial-prefix contract as the
 // in-process mod.ApplyUpdates.
 func (c *Client) Ingest(updates []mod.Update) ([]mod.Applied, error) {
-	resp, err := c.roundTrip(Request{Op: "ingest", Updates: serve.EncodeUpdates(updates)})
+	resp, err := c.roundTrip(Request{Op: "ingest", Updates: serve.PackUpdates(updates)})
 	if err != nil {
 		partial, derr := serve.DecodeApplied(resp.Applied)
 		if derr != nil {

@@ -5,9 +5,12 @@
 package modserver
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/continuous"
@@ -29,18 +32,30 @@ const codeUnknownGather = "unknown_gather"
 const DefaultMaxGatherBytes = 64 << 20
 
 // gatherCacheCap bounds how many completed union stores a connection may
-// hold for refinement. A router batch refines against one gather at a
-// time, so two covers the hand-over between consecutive gathers.
+// hold for refinement, and how many uploads it may have open at once. A
+// router batch refines against one gather at a time, so two covers the
+// hand-over between consecutive gathers.
 const gatherCacheCap = 2
 
-// trajWireBytes conservatively estimates one trajectory's encoded size: a
-// vertex triple prints as three shortest-round-trip floats (≤ 25 bytes
-// each with separators), plus per-object framing.
-func trajWireBytes(wt WireTraj) int { return 32 + 80*len(wt.Verts) }
+// codeGatherLimit marks the parting reply to a connection that opened more
+// than gatherCacheCap unfinished uploads (a legitimate client has one);
+// evicting would let a later final frame refine against a partial union.
+const codeGatherLimit = "gather_limit"
 
-// chunkTrajs splits a trajectory set into frames whose estimated encoded
-// size fits the budget, always placing at least one trajectory per frame.
-// An empty set yields one empty frame so every reply has a final frame.
+// trajWireBytes is one trajectory's encoded size as an element of a trajs
+// array, separator included: exact for the packed form our frames carry,
+// so frames fill the line cap and the gather cap counts real bytes; the
+// decimal form an older client may upload is priced at its ceiling (three
+// shortest-round-trip floats a vertex, ≤ 25 bytes each with separators).
+func trajWireBytes(wt WireTraj) int {
+	var digits [20]byte
+	return len(`{"oid":,"vb":""},`) + len(strconv.AppendInt(digits[:0], wt.OID, 10)) +
+		base64.StdEncoding.EncodedLen(len(wt.VB)) + 80*len(wt.Verts)
+}
+
+// chunkTrajs splits a trajectory set into frames whose encoded size fits
+// the budget, always placing at least one trajectory per frame. An empty
+// set yields one empty frame so every reply has a final frame.
 func chunkTrajs(wts []WireTraj, budget int) [][]WireTraj {
 	var (
 		out  [][]WireTraj
@@ -72,7 +87,7 @@ func (s *Server) streamPhase(req Request, cs *connState) bool {
 	case "survivors":
 		q, err := wireQuery(req)
 		if err != nil {
-			return cs.send(Response{Error: err.Error()}) == nil
+			return cs.send(codedFail(err)) == nil
 		}
 		if err := req.Where.Validate(); err != nil {
 			return cs.send(Response{Error: err.Error()}) == nil
@@ -100,7 +115,8 @@ func (s *Server) streamPhase(req Request, cs *connState) bool {
 // reader that stalls mid-stream is severed at the next frame instead of
 // pinning the connection goroutine on a full TCP buffer.
 func (s *Server) streamTrajs(cs *connState, trajs []WireTraj, stats *prune.Stats) bool {
-	frames := chunkTrajs(trajs, s.maxLine)
+	// 256: the reply line's fixed keys, the final frame's stats, the newline.
+	frames := chunkTrajs(trajs, s.maxLine-256)
 	last := len(frames) - 1
 	if last == 0 {
 		return cs.send(Response{OK: true, Trajs: frames[0], Stats: stats}) == nil
@@ -163,7 +179,7 @@ func (s *Server) doGather(req Request, cs *connState) Response {
 	}
 	trs, err := decodeTrajs(acc.wts)
 	if err != nil {
-		return Response{Error: err.Error()}
+		return codedFail(err)
 	}
 	union, err := mod.NewStore(s.store.Spec())
 	if err != nil {
@@ -300,19 +316,27 @@ func (c *Client) ShardOIDs(where *textidx.Predicate) ([]int64, error) {
 
 // ShardRefine evaluates a whole-MOD filter against a gathered union
 // survivor store with the candidate domain restricted to own — the wire
-// half of the cluster's distributed refine. It first probes with the
-// gather ID alone; when the server connection still caches the union (the
-// common case: one batch issues several refines against one gather), no
-// trajectory moves. On a structured unknown_gather miss it uploads the
-// union in frames sized to the server's advertised line cap and retries
-// inside the final upload frame. deadline <= 0 means none.
+// half of the cluster's distributed refine. The server's gather cache is
+// per connection and this client is the connection, so a gather ID it has
+// not uploaded is a certain miss: it is uploaded straight away and refined
+// inside the final upload frame. An ID it has uploaded (the common case:
+// one batch issues several refines against one gather) is probed by ID
+// alone and no trajectory moves; should the server have evicted it, the
+// structured unknown_gather miss falls back to the upload. deadline <= 0
+// means none.
 func (c *Client) ShardRefine(gatherID string, union []*trajectory.Trajectory, own []int64, req engine.Request, deadline time.Duration) (engine.Result, error) {
-	resp, err := c.roundTrip(Request{
+	final := Request{
 		Op: "query", Phase: "refine", GatherID: gatherID,
 		OIDs: own, Request: &req, DeadlineMS: deadlineMS(deadline),
-	})
-	if err != nil && resp.Code == codeUnknownGather {
-		resp, err = c.uploadRefine(gatherID, union, own, req, deadline)
+	}
+	var resp Response
+	var err error
+	known := slices.Contains(c.uploaded, gatherID)
+	if known {
+		resp, err = c.roundTrip(final)
+	}
+	if !known || resp.Code == codeUnknownGather {
+		resp, err = c.uploadRefine(final, union)
 	}
 	if err != nil {
 		return engine.Result{Kind: req.Kind, Err: err}, err
@@ -321,44 +345,41 @@ func (c *Client) ShardRefine(gatherID string, union []*trajectory.Trajectory, ow
 }
 
 // uploadRefine ships the union store in chunked gather frames and refines
-// in the final frame. Intermediate frames are unanswered by protocol;
-// only the final frame's reply is read, so the upload costs one round
-// trip regardless of chunk count.
-func (c *Client) uploadRefine(gatherID string, union []*trajectory.Trajectory, own []int64, req engine.Request, deadline time.Duration) (Response, error) {
-	budget, err := c.frameBudget()
-	if err != nil {
-		return Response{}, err
-	}
-	frames := chunkTrajs(encodeTrajs(union), budget)
-	last := len(frames) - 1
-	for _, chunk := range frames[:last] {
-		if err := c.enc.Encode(Request{Op: "query", Phase: "gather", GatherID: gatherID, More: true, Trajs: chunk}); err != nil {
-			return Response{}, err
-		}
-	}
-	return c.roundTrip(Request{
-		Op: "query", Phase: "gather", GatherID: gatherID, Trajs: frames[last],
-		OIDs: own, Request: &req, DeadlineMS: deadlineMS(deadline),
-	})
-}
-
-// frameBudget sizes upload chunks from the server's advertised line cap,
-// fetching the spec once per connection if no reply has carried it yet.
-// The envelope fields get a fixed headroom carve-out.
-func (c *Client) frameBudget() (int, error) {
+// in the final one: the refine request with the last chunk added.
+// Intermediate frames are unanswered by protocol, so the upload costs one
+// round trip regardless of chunk count. Chunks are sized from the server's
+// advertised line cap (the spec is fetched once per connection if no reply
+// has carried it) less the measured size of the final frame's other
+// fields. Only an upload the server answered is remembered as cached.
+func (c *Client) uploadRefine(final Request, union []*trajectory.Trajectory) (Response, error) {
 	if c.frameBytes == 0 {
 		if _, err := c.Spec(); err != nil {
-			return 0, err
+			return Response{}, err
 		}
 		if c.frameBytes == 0 {
 			c.frameBytes = MaxLine // server predates max_line advertisement
 		}
 	}
-	b := c.frameBytes - 1024
-	if b < 1 {
-		b = 1
+	final.Phase = "gather"
+	envelope, err := json.Marshal(final)
+	if err != nil {
+		return Response{}, err
 	}
-	return b, nil
+	// The separator priced into the last element pays for the newline.
+	frames := chunkTrajs(encodeTrajs(union), c.frameBytes-len(envelope)-len(`,"trajs":[]`))
+	last := len(frames) - 1
+	for _, chunk := range frames[:last] {
+		if err := c.enc.Encode(Request{Op: "query", Phase: "gather", GatherID: final.GatherID, More: true, Trajs: chunk}); err != nil {
+			return Response{}, err
+		}
+	}
+	final.Trajs = frames[last]
+	resp, err := c.roundTrip(final)
+	if err == nil && !slices.Contains(c.uploaded, final.GatherID) {
+		c.uploaded = append(c.uploaded, final.GatherID)
+		c.uploaded = c.uploaded[max(0, len(c.uploaded)-gatherCacheCap):]
+	}
+	return resp, err
 }
 
 // answerResult rebuilds an engine.Result from a wire Answer.

@@ -214,7 +214,12 @@ func httpErr(resp *http.Response) ([]byte, error) {
 }
 
 func (c httpClient) ingest(updates []mod.Update) ([]mod.Applied, error) {
-	body, _ := json.Marshal(map[string]any{"updates": serve.EncodeUpdates(updates)})
+	// The public form: the gateway refuses the shard link's packed one.
+	wire := make([]serve.WireUpdate, len(updates))
+	for i, u := range updates {
+		wire[i] = serve.WireUpdate{OID: u.OID, Verts: serve.EncodeVerts(u.Verts), Tags: u.Tags, Retire: u.Retire}
+	}
+	body, _ := json.Marshal(map[string]any{"updates": wire})
 	resp, err := c.do(http.MethodPost, "/v1/ingest", body)
 	if err != nil {
 		return nil, err

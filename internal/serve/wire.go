@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/mod"
@@ -8,18 +11,35 @@ import (
 )
 
 // The one JSON shape of live updates and their applied outcomes, shared
-// by the line protocol's ingest op and POST /v1/ingest. Vertices travel as
-// [x, y, t] triples; JSON has no Inf literal, so the two infinite
-// ChangedFrom values travel as markers instead.
+// by the line protocol's ingest op and POST /v1/ingest. JSON has no Inf
+// literal, so the two infinite ChangedFrom values travel as markers
+// instead.
+//
+// Vertices have two forms. The public one is "verts", [x, y, t] triples
+// as decimal text: what the gateway speaks and a human types. The shard
+// link's is "vb" ("pvb" for a superseded plan): the vertices as 24-byte
+// little-endian IEEE-754 triples, which encoding/json carries as base64 —
+// 32 characters a vertex against ~55, no float formatting or parsing, and
+// bit-exact by construction. Every frame that moves a trajectory between
+// router and shard is packed; decoders take either form per item and hand
+// it to the same trajectory.New / mod.ApplyUpdate validation.
 
-// WireUpdate is one mod.Update on the wire (and, with only OID and Verts
-// set, one trajectory of the line protocol's shard phases). Tags follows
-// the mod.Update tri-state: absent/null leaves the object's tags alone, []
-// clears them, a non-empty list replaces them. Retire removes the object
-// and must come with neither vertices nor tags.
+// ErrBadWire reports an item whose vertices cannot be read: both forms at
+// once, a ragged packed length, or vb on a surface that does not speak it.
+var ErrBadWire = errors.New("serve: bad wire vertices")
+
+// packedVertex is the size of one packed vertex: x, y, t as float64.
+const packedVertex = 24
+
+// WireUpdate is one mod.Update on the wire (and, with only OID and
+// vertices set, one trajectory of the line protocol's shard phases). Tags
+// follows the mod.Update tri-state: absent/null leaves the object's tags
+// alone, [] clears them, a non-empty list replaces them. Retire removes
+// the object and must come with neither vertices nor tags.
 type WireUpdate struct {
 	OID    int64        `json:"oid"`
 	Verts  [][3]float64 `json:"verts,omitempty"`
+	VB     []byte       `json:"vb,omitempty"`
 	Tags   *[]string    `json:"tags,omitempty"`
 	Retire bool         `json:"retire,omitempty"`
 }
@@ -35,6 +55,8 @@ type WireApplied struct {
 	TagsOnly    bool         `json:"tags_only,omitempty"`
 	Verts       [][3]float64 `json:"verts,omitempty"`
 	PrevVerts   [][3]float64 `json:"prev_verts,omitempty"`
+	VB          []byte       `json:"vb,omitempty"`
+	PVB         []byte       `json:"pvb,omitempty"`
 	TagsChanged bool         `json:"tags_changed,omitempty"`
 	Tags        []string     `json:"tags,omitempty"`
 	PrevTags    []string     `json:"prev_tags,omitempty"`
@@ -49,40 +71,96 @@ func EncodeVerts(verts []trajectory.Vertex) [][3]float64 {
 	return out
 }
 
-// DecodeVerts rebuilds vertices from wire triples (nil for none — a pure
-// tag flip carries no motion).
-func DecodeVerts(wire [][3]float64) []trajectory.Vertex {
-	if len(wire) == 0 {
-		return nil
-	}
-	out := make([]trajectory.Vertex, len(wire))
-	for i, v := range wire {
-		out[i] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
+// PackVerts packs vertices into the shard link's binary form.
+func PackVerts(verts []trajectory.Vertex) []byte {
+	out := make([]byte, packedVertex*len(verts))
+	for i, v := range verts {
+		b := out[packedVertex*i:]
+		binary.LittleEndian.PutUint64(b, math.Float64bits(v.X))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(v.Y))
+		binary.LittleEndian.PutUint64(b[16:], math.Float64bits(v.T))
 	}
 	return out
 }
 
-// EncodeUpdates flattens an update batch onto the wire.
-func EncodeUpdates(updates []mod.Update) []WireUpdate {
+// wireVerts rebuilds an item's vertices from whichever form it carries
+// (nil for neither — a pure tag flip carries no motion).
+func wireVerts(verts [][3]float64, vb []byte) ([]trajectory.Vertex, error) {
+	switch {
+	case len(vb) == 0:
+		if len(verts) == 0 {
+			return nil, nil
+		}
+		out := make([]trajectory.Vertex, len(verts))
+		for i, v := range verts {
+			out[i] = trajectory.Vertex{X: v[0], Y: v[1], T: v[2]}
+		}
+		return out, nil
+	case len(verts) > 0:
+		return nil, fmt.Errorf("%w: both verts and vb", ErrBadWire)
+	case len(vb)%packedVertex != 0:
+		return nil, fmt.Errorf("%w: vb holds %d bytes, not a multiple of %d", ErrBadWire, len(vb), packedVertex)
+	}
+	out := make([]trajectory.Vertex, len(vb)/packedVertex)
+	for i := range out {
+		b := vb[packedVertex*i:]
+		out[i] = trajectory.Vertex{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(b)),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+			T: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+		}
+	}
+	return out, nil
+}
+
+// WireTrajectory rebuilds and validates one trajectory from either form.
+func WireTrajectory(oid int64, verts [][3]float64, vb []byte) (*trajectory.Trajectory, error) {
+	vs, err := wireVerts(verts, vb)
+	if err != nil {
+		return nil, err
+	}
+	return trajectory.New(oid, vs)
+}
+
+// PackUpdates flattens an update batch onto the shard link.
+func PackUpdates(updates []mod.Update) []WireUpdate {
 	out := make([]WireUpdate, len(updates))
 	for i, u := range updates {
-		out[i] = WireUpdate{OID: u.OID, Verts: EncodeVerts(u.Verts), Tags: u.Tags, Retire: u.Retire}
+		out[i] = WireUpdate{OID: u.OID, VB: PackVerts(u.Verts), Tags: u.Tags, Retire: u.Retire}
 	}
 	return out
 }
 
-// DecodeUpdates rebuilds an update batch from the wire. Validation stays
-// with mod.ApplyUpdate.
-func DecodeUpdates(wire []WireUpdate) []mod.Update {
+// DecodeUpdates rebuilds an update batch from the wire; packed says
+// whether the surface speaks the shard link's form (the gateway does
+// not). Validation of the vertices themselves stays with mod.ApplyUpdate.
+func DecodeUpdates(wire []WireUpdate, packed bool) ([]mod.Update, error) {
 	out := make([]mod.Update, len(wire))
 	for i, wu := range wire {
-		out[i] = mod.Update{OID: wu.OID, Verts: DecodeVerts(wu.Verts), Tags: wu.Tags, Retire: wu.Retire}
+		verts, err := wireVerts(wu.Verts, wu.VB)
+		if err == nil && len(wu.VB) > 0 && !packed {
+			err = fmt.Errorf("%w: vb is the shard link's form, send verts", ErrBadWire)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("update %d (oid %d): %w", i, wu.OID, err)
+		}
+		out[i] = mod.Update{OID: wu.OID, Verts: verts, Tags: wu.Tags, Retire: wu.Retire}
 	}
-	return out
+	return out, nil
 }
 
-// EncodeApplied flattens applied outcomes onto the wire.
-func EncodeApplied(applied []mod.Applied) []WireApplied {
+// EncodeApplied flattens applied outcomes onto the wire: both plans packed
+// for the shard link, as triples for the gateway's reply.
+func EncodeApplied(applied []mod.Applied, packed bool) []WireApplied {
+	form := func(tr *trajectory.Trajectory) ([][3]float64, []byte) {
+		switch {
+		case tr == nil:
+			return nil, nil
+		case packed:
+			return nil, PackVerts(tr.Verts)
+		}
+		return EncodeVerts(tr.Verts), nil
+	}
 	out := make([]WireApplied, len(applied))
 	for i, a := range applied {
 		wa := WireApplied{
@@ -96,19 +174,15 @@ func EncodeApplied(applied []mod.Applied) []WireApplied {
 		default:
 			wa.ChangedFrom = a.ChangedFrom
 		}
-		if a.Traj != nil {
-			wa.Verts = EncodeVerts(a.Traj.Verts)
-		}
-		if a.Prev != nil {
-			wa.PrevVerts = EncodeVerts(a.Prev.Verts)
-		}
+		wa.Verts, wa.VB = form(a.Traj)
+		wa.PrevVerts, wa.PVB = form(a.Prev)
 		out[i] = wa
 	}
 	return out
 }
 
-// DecodeApplied rebuilds applied outcomes from the wire — the client half
-// of EncodeApplied.
+// DecodeApplied rebuilds applied outcomes from the wire, either form —
+// the client half of EncodeApplied.
 func DecodeApplied(wire []WireApplied) ([]mod.Applied, error) {
 	out := make([]mod.Applied, len(wire))
 	for i, wa := range wire {
@@ -123,13 +197,13 @@ func DecodeApplied(wire []WireApplied) ([]mod.Applied, error) {
 			a.ChangedFrom = math.Inf(1)
 		}
 		var err error
-		if len(wa.Verts) > 0 {
-			if a.Traj, err = trajectory.New(wa.OID, DecodeVerts(wa.Verts)); err != nil {
+		if len(wa.Verts)+len(wa.VB) > 0 {
+			if a.Traj, err = WireTrajectory(wa.OID, wa.Verts, wa.VB); err != nil {
 				return nil, err
 			}
 		}
-		if len(wa.PrevVerts) > 0 {
-			if a.Prev, err = trajectory.New(wa.OID, DecodeVerts(wa.PrevVerts)); err != nil {
+		if len(wa.PrevVerts)+len(wa.PVB) > 0 {
+			if a.Prev, err = WireTrajectory(wa.OID, wa.PrevVerts, wa.PVB); err != nil {
 				return nil, err
 			}
 		}
