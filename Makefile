@@ -6,7 +6,9 @@
 # summary` step table) — and the nightly workflow adds `make
 # bench-shard-large bench` with the MIN_SHARD_SPEEDUP=2.0 gate plus
 # `make bench-city` (the N=100000 churn harness) gated against the
-# committed BENCH_city.json baseline.
+# committed BENCH_city.json baseline. `make loc` prints the size figure
+# CHANGES.md entries quote: non-test Go lines outside benchmark/, per
+# package directory, total last.
 
 GO ?= go
 
@@ -18,7 +20,7 @@ GO ?= go
 # committed BENCH_shard.json baseline minus a tolerance.
 MIN_SHARD_SPEEDUP ?= 0
 
-.PHONY: all build test race fuzz-smoke benchmark-check bench bench-smoke bench-prune bench-text bench-api bench-shard bench-shard-large bench-live bench-city cover fmt vet staticcheck chaos chaos-soak serve-smoke clean
+.PHONY: all build test race fuzz-smoke benchmark-check bench bench-smoke bench-prune bench-text bench-api bench-shard bench-shard-large bench-live bench-city cover loc fmt vet staticcheck chaos chaos-soak serve-smoke clean
 
 all: fmt vet staticcheck build test
 
@@ -66,18 +68,18 @@ bench: bench-prune bench-text bench-shard bench-live
 bench-prune:
 	$(GO) run ./cmd/figures -fig prune -prune-json BENCH_prune.json
 
-# Spatio-textual experiment: filtered UQ31 through the hybrid
-# keyword/R-tree index vs the naive filter-then-refine baseline, emitted
-# as BENCH_text.json. Fails unless every row is equal=true (the sub-MOD
-# correctness gate) and the hybrid path wins at the largest N
-# (-text-min-speedup defaults to 1).
+# Spatio-textual experiment: filtered UQ31 through the sub-MOD pre-pass
+# vs the naive filter-then-refine baseline, emitted as BENCH_text.json.
+# Fails unless every row is equal=true (the sub-MOD correctness gate) and
+# the pruned path wins at the largest N (-text-min-speedup defaults to 1).
 bench-text:
 	$(GO) run ./cmd/figures -fig text -text-json BENCH_text.json
 
 # One-iteration smoke: every benchmark compiles and executes — the
 # per-layer ones among them (BenchmarkSweepBounds, BenchmarkSweepSurvivors,
-# BenchmarkMinCrispDist in internal/prune, BenchmarkKNN in internal/sindex,
-# BenchmarkShardFrameEncode/Decode in internal/modserver,
+# BenchmarkSweepFiltered, BenchmarkMinCrispDist in internal/prune,
+# BenchmarkApplyUpdatesTagged in internal/mod, BenchmarkKNN in
+# internal/sindex, BenchmarkShardFrameEncode/Decode in internal/modserver,
 # BenchmarkRefineUnion in internal/engine; EXPERIMENTS.md has their rows).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -129,9 +131,8 @@ bench-city:
 # arguments live in their tests (dirty-set soundness, prune
 # conservativeness, the distributed bound exchange, the live-serving
 # core's session table and emit-lock ordering, the gateway's
-# protocol/auth/SSE surface and its metric exposition, and the hybrid
-# keyword index's predicate/posting algebra). Writes COVERAGE.txt and
-# fails below 80%.
+# protocol/auth/SSE surface and its metric exposition, and the tag
+# predicate algebra). Writes COVERAGE.txt and fails below 80%.
 COVER_PKGS = ./internal/continuous ./internal/prune ./internal/cluster ./internal/serve ./internal/gateway ./internal/metrics ./internal/textidx
 cover:
 	@set -e; rm -f COVERAGE.txt; \
@@ -178,6 +179,13 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (CI installs and runs it)"; \
 	fi
+
+# Non-test Go lines outside benchmark/ (a module of its own), grouped by
+# package directory, total last.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # Fails (with the offending file list) when any file is not gofmt-clean.
 fmt:

@@ -6,7 +6,7 @@
 //	figures -fig 13                 # pruning power vs uncertainty radius
 //	figures -fig par                # parallel batch engine vs serial loops
 //	figures -fig prune              # index-accelerated pruning vs full scan
-//	figures -fig text               # spatio-textual hybrid index vs filter-then-refine (make bench-text)
+//	figures -fig text               # spatio-textual sub-MOD pre-pass vs filter-then-refine (make bench-text)
 //	figures -fig api                # Engine.Do overhead gate (make bench-api)
 //	figures -fig shard              # sharded router vs single engine (make bench-shard)
 //	figures -fig shard -large       # the same sweep at the large population (make bench-shard-large)
@@ -53,7 +53,7 @@ func main() {
 		textNs      = flag.String("text-n", "500,1000,2000,4000", "population sizes for the spatio-textual experiment")
 		textReps    = flag.Int("text-reps", 3, "query trajectories averaged per size in the spatio-textual experiment")
 		textOut     = flag.String("text-json", "", "path to write the BENCH_text.json artifact (optional)")
-		textMin     = flag.Float64("text-min-speedup", 1, "fail when the hybrid-index speedup at the largest N falls below this (0 disables)")
+		textMin     = flag.Float64("text-min-speedup", 1, "fail when the sub-MOD pre-pass speedup at the largest N falls below this (0 disables)")
 		shardN      = flag.Int("shard-n", 500, "population size for the shard-scaling experiment")
 		shardReps   = flag.Int("shard-reps", 3, "query trajectories per shard-scaling rep")
 		shardPasses = flag.Int("shard-passes", 3, "interleaved single/router measurement passes per shard row")
@@ -253,7 +253,7 @@ func main() {
 		}
 	}
 	if runText {
-		fmt.Println("== Spatio-textual: hybrid keyword/R-tree index vs filter-then-refine (filtered UQ31) ==")
+		fmt.Println("== Spatio-textual: sub-MOD pre-pass vs filter-then-refine (filtered UQ31) ==")
 		const textRadius = 0.5
 		sizesText, err := parseInts(*textNs)
 		if err != nil {
@@ -279,18 +279,18 @@ func main() {
 			}
 			fmt.Printf("wrote %s\n", *textOut)
 		}
-		// Correctness first: a divergence between the hybrid path and the
+		// Correctness first: a divergence between the pruned path and the
 		// filter-then-refine baseline fails the run after the evidence is
 		// on disk. Then the pruning must actually pay at the largest N.
 		for _, r := range rows {
 			if !r.Equal {
-				fatal(fmt.Errorf("hybrid filtered UQ31 diverged from filter-then-refine at N=%d", r.N))
+				fatal(fmt.Errorf("pruned filtered UQ31 diverged from filter-then-refine at N=%d", r.N))
 			}
 		}
 		if *textMin > 0 && len(rows) > 0 {
 			last := rows[len(rows)-1]
 			if last.Speedup < *textMin {
-				fatal(fmt.Errorf("hybrid-index speedup %.2fx at N=%d is below the %.2fx gate", last.Speedup, last.N, *textMin))
+				fatal(fmt.Errorf("sub-MOD pre-pass speedup %.2fx at N=%d is below the %.2fx gate", last.Speedup, last.N, *textMin))
 			}
 		}
 	}

@@ -109,7 +109,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\navailable non-pool drivers who can be closest: %v\n", avail.OIDs)
-	fmt.Printf("  (keyword index narrowed %d spatial candidates to %d tagged ones)\n",
+	fmt.Printf("  (the predicate narrowed %d spatial candidates to %d tagged ones)\n",
 		avail.Explain.SpatialCandidates, avail.Explain.TextualCandidates)
 
 	// Driver 3 comes on duty: a pure tag flip — no motion change — and the

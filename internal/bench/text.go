@@ -17,34 +17,34 @@ import (
 )
 
 // TextRow is one point of the spatio-textual experiment: end-to-end UQ31
-// latency for a tag-restricted query answered by the hybrid keyword/R-tree
-// path (inverted tag postings intersected with the spatial candidate
-// superset *before* envelope construction) versus the naive
-// semantics-preserving baseline — a linear tag scan over the whole MOD
-// followed by full O(M·m) envelope refinement over every matching object.
+// latency for a tag-restricted query answered by the pruned path (the
+// pre-pass restricted to the matching sub-MOD, so only its survivors reach
+// envelope construction) versus the naive semantics-preserving baseline —
+// a linear tag scan over the whole MOD followed by full O(M·m) envelope
+// refinement over every matching object.
 // Equal records that both sides returned byte-identical OID sets on every
 // rep: the sub-MOD correctness gate, measured, not assumed.
 type TextRow struct {
 	N         int
 	Matching  int           // objects matching the predicate
 	FilterT   time.Duration // avg naive filter-then-refine
-	HybridT   time.Duration // avg engine.Do with Request.Where
+	PrunedT   time.Duration // avg engine.Do with Request.Where
 	Textual   float64       // avg Explain.TextualCandidates
 	Spatial   float64       // avg Explain.SpatialCandidates
-	Speedup   float64       // FilterT / HybridT
-	Equal     bool          // hybrid UQ31 ≡ naive UQ31 on every rep
+	Speedup   float64       // FilterT / PrunedT
+	Equal     bool          // pruned UQ31 ≡ naive UQ31 on every rep
 	Predicate string        // canonical predicate key
 }
 
-// TextSweep measures hybrid vs naive filtered UQ31 for each population
+// TextSweep measures pruned vs naive filtered UQ31 for each population
 // size, averaging reps query trajectories per size. Tags are assigned
 // deterministically (even OIDs "available", every third "ev"); the
 // predicate keeps roughly a third of the fleet (available AND NOT ev), so
-// the textual pre-pass has real pruning to do while the matching sub-MOD
-// stays large enough that envelope refinement dominates the naive side.
-// The store's spatial index (which the hybrid keyword index hangs its
-// postings off) is warmed once per population before timing, mirroring
-// PruneSweep: it is version-cached and amortized across every query.
+// the snapshot restriction has real filtering to do while the matching
+// sub-MOD stays large enough that envelope refinement dominates the naive
+// side. The store's spatial index is warmed once per population before
+// timing, mirroring PruneSweep: it is version-cached and amortized across
+// every query.
 func TextSweep(ns []int, reps int, r float64, seed int64) ([]TextRow, error) {
 	if reps <= 0 {
 		reps = 3
@@ -84,12 +84,12 @@ func TextSweep(ns []int, reps int, r float64, seed int64) ([]TextRow, error) {
 				matching++
 			}
 		}
-		store.BuildIndex(0) // warm the version-cached spatial + keyword index
+		store.BuildIndex(0) // warm the version-cached spatial index
 
 		eng := engine.New(0)
 		ctx := context.Background()
 		row := TextRow{N: n, Matching: matching, Equal: true, Predicate: where.Key()}
-		var filterT, hybridT time.Duration
+		var filterT, prunedT time.Duration
 		var textual, spatial int
 		for rep := 0; rep < reps; rep++ {
 			q := trs[(rep*7)%n]
@@ -111,9 +111,9 @@ func TextSweep(ns []int, reps int, r float64, seed int64) ([]TextRow, error) {
 			want := fp.UQ31()
 			filterT += time.Since(start)
 
-			// Hybrid path: the same request through the engine with the
-			// predicate attached — inverted postings narrow the spatial
-			// superset before any envelope is built.
+			// Pruned path: the same request through the engine with the
+			// predicate attached — the sub-MOD pre-pass narrows the
+			// candidates before any envelope is built.
 			start = time.Now()
 			res, err := eng.Do(ctx, store, engine.Request{
 				Kind: engine.KindUQ31, QueryOID: q.OID, Tb: 0, Te: 60, Where: where,
@@ -121,7 +121,7 @@ func TextSweep(ns []int, reps int, r float64, seed int64) ([]TextRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			hybridT += time.Since(start)
+			prunedT += time.Since(start)
 
 			if !slices.Equal(res.OIDs, want) {
 				row.Equal = false
@@ -130,11 +130,11 @@ func TextSweep(ns []int, reps int, r float64, seed int64) ([]TextRow, error) {
 			spatial += res.Explain.SpatialCandidates
 		}
 		row.FilterT = filterT / time.Duration(reps)
-		row.HybridT = hybridT / time.Duration(reps)
+		row.PrunedT = prunedT / time.Duration(reps)
 		row.Textual = float64(textual) / float64(reps)
 		row.Spatial = float64(spatial) / float64(reps)
-		if row.HybridT > 0 {
-			row.Speedup = float64(row.FilterT) / float64(row.HybridT)
+		if row.PrunedT > 0 {
+			row.Speedup = float64(row.FilterT) / float64(row.PrunedT)
 		}
 		rows = append(rows, row)
 	}
@@ -144,10 +144,10 @@ func TextSweep(ns []int, reps int, r float64, seed int64) ([]TextRow, error) {
 // FormatText renders rows as an aligned text table.
 func FormatText(rows []TextRow) string {
 	s := fmt.Sprintf("%-8s %-9s %-14s %-14s %-10s %-9s %-9s %s\n",
-		"N", "matching", "filter+refine", "hybrid", "speedup", "textual", "spatial", "equal")
+		"N", "matching", "filter+refine", "pruned", "speedup", "textual", "spatial", "equal")
 	for _, r := range rows {
 		s += fmt.Sprintf("%-8d %-9d %-14s %-14s %-10s %-9.1f %-9.1f %v\n",
-			r.N, r.Matching, r.FilterT, r.HybridT,
+			r.N, r.Matching, r.FilterT, r.PrunedT,
 			fmt.Sprintf("%.2fx", r.Speedup), r.Textual, r.Spatial, r.Equal)
 	}
 	return s
@@ -155,10 +155,10 @@ func FormatText(rows []TextRow) string {
 
 // CSVText renders rows as CSV.
 func CSVText(rows []TextRow) string {
-	s := "n,matching,filter_ns,hybrid_ns,textual,spatial,speedup,equal\n"
+	s := "n,matching,filter_ns,pruned_ns,textual,spatial,speedup,equal\n"
 	for _, r := range rows {
 		s += fmt.Sprintf("%d,%d,%d,%d,%.1f,%.1f,%.4f,%v\n",
-			r.N, r.Matching, r.FilterT.Nanoseconds(), r.HybridT.Nanoseconds(),
+			r.N, r.Matching, r.FilterT.Nanoseconds(), r.PrunedT.Nanoseconds(),
 			r.Textual, r.Spatial, r.Speedup, r.Equal)
 	}
 	return s
@@ -179,7 +179,7 @@ type textRowJSON struct {
 	N        int     `json:"n"`
 	Matching int     `json:"matching"`
 	FilterNS int64   `json:"filter_ns"`
-	HybridNS int64   `json:"hybrid_ns"`
+	PrunedNS int64   `json:"pruned_ns"`
 	Textual  float64 `json:"textual"`
 	Spatial  float64 `json:"spatial"`
 	Speedup  float64 `json:"speedup"`
@@ -190,7 +190,7 @@ type textRowJSON struct {
 // BENCH_text.json) and by anyone tracking the spatio-textual speedup.
 func WriteTextJSON(w io.Writer, rows []TextRow, r float64, reps int, seed int64) error {
 	doc := textDoc{
-		Experiment: "spatio-textual hybrid index vs filter-then-refine",
+		Experiment: "spatio-textual sub-MOD pre-pass vs filter-then-refine",
 		Query:      "UQ31 with a tag predicate (whole-MOD retrieval over the sub-MOD)",
 		Radius:     r, Reps: reps, Seed: seed,
 	}
@@ -198,7 +198,7 @@ func WriteTextJSON(w io.Writer, rows []TextRow, r float64, reps int, seed int64)
 		doc.Predicate = row.Predicate
 		doc.Rows = append(doc.Rows, textRowJSON{
 			N: row.N, Matching: row.Matching,
-			FilterNS: row.FilterT.Nanoseconds(), HybridNS: row.HybridT.Nanoseconds(),
+			FilterNS: row.FilterT.Nanoseconds(), PrunedNS: row.PrunedT.Nanoseconds(),
 			Textual: row.Textual, Spatial: row.Spatial,
 			Speedup: row.Speedup, Equal: row.Equal,
 		})

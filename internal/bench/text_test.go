@@ -17,7 +17,7 @@ func TestTextSweep(t *testing.T) {
 	}
 	r := rows[0]
 	if !r.Equal {
-		t.Fatalf("hybrid and filter-then-refine UQ31 diverged: %+v", r)
+		t.Fatalf("pruned and filter-then-refine UQ31 diverged: %+v", r)
 	}
 	if r.Matching <= 0 || r.Matching >= r.N {
 		t.Fatalf("degenerate predicate selectivity: %+v", r)
@@ -25,13 +25,13 @@ func TestTextSweep(t *testing.T) {
 	if r.Textual <= 0 || r.Spatial <= 0 || r.Textual > r.Spatial {
 		t.Fatalf("implausible candidate split: %+v", r)
 	}
-	if r.FilterT <= 0 || r.HybridT <= 0 {
+	if r.FilterT <= 0 || r.PrunedT <= 0 {
 		t.Fatalf("non-positive timings: %+v", r)
 	}
 	if !strings.Contains(FormatText(rows), "speedup") {
 		t.Fatalf("FormatText missing header")
 	}
-	if !strings.Contains(CSVText(rows), "hybrid_ns") {
+	if !strings.Contains(CSVText(rows), "pruned_ns") {
 		t.Fatalf("CSVText missing header")
 	}
 	var buf bytes.Buffer

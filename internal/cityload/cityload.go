@@ -194,7 +194,6 @@ func Run(cfg Config) (Row, error) {
 		return row, err
 	}
 	store.BuildIndex(0)
-	store.TextIndex()
 
 	// Topology under test: the hub ingests; oneShot serves ad-hoc queries.
 	var hub *continuous.Hub

@@ -174,7 +174,7 @@ func (s *Store) ExtendTrajectory(oid int64, verts []trajectory.Vertex) (changedF
 	version := s.version
 	s.mu.Unlock()
 
-	s.maintainIndexes(nt, changedFrom, version, false, nil)
+	s.maintainIndexes(nt, changedFrom, version)
 	return changedFrom, nil
 }
 
@@ -204,7 +204,7 @@ func (s *Store) RevisePlan(oid int64, verts []trajectory.Vertex) (changedFrom fl
 	version := s.version
 	s.mu.Unlock()
 
-	s.maintainIndexes(nt, changedFrom, version, false, nil)
+	s.maintainIndexes(nt, changedFrom, version)
 	return changedFrom, old, nil
 }
 
@@ -255,7 +255,7 @@ func (s *Store) ApplyUpdate(u Update) (Applied, error) {
 		s.segLive += tr.NumSegments()
 		version := s.version
 		s.mu.Unlock()
-		s.maintainIndexes(tr, math.Inf(-1), version, u.Tags != nil, canon)
+		s.maintainIndexes(tr, math.Inf(-1), version)
 		return Applied{
 			OID: u.OID, Inserted: true, ChangedFrom: math.Inf(-1), Traj: tr,
 			TagsChanged: len(canon) > 0, Tags: canon,
@@ -285,7 +285,7 @@ func (s *Store) ApplyUpdate(u Update) (Applied, error) {
 	}
 	version := s.version
 	s.mu.Unlock()
-	s.maintainIndexes(nt, changedFrom, version, u.Tags != nil, canon)
+	s.maintainIndexes(nt, changedFrom, version)
 	a := Applied{OID: u.OID, ChangedFrom: changedFrom, Prev: old, Traj: nt}
 	if u.Tags != nil && !slices.Equal(prevTags, canon) {
 		a.TagsChanged, a.Tags, a.PrevTags = true, canon, prevTags
@@ -307,7 +307,7 @@ func (s *Store) applyTagFlip(oid int64, canon []string) (Applied, error) {
 	s.version++
 	version := s.version
 	s.mu.Unlock()
-	s.maintainTextTags(oid, canon, version)
+	s.maintainIndexes(nil, math.Inf(1), version)
 	a := Applied{OID: oid, ChangedFrom: math.Inf(1), Traj: tr}
 	if !slices.Equal(prev, canon) {
 		a.TagsChanged, a.Tags, a.PrevTags = true, canon, prev
@@ -321,9 +321,8 @@ func (s *Store) applyTagFlip(oid int64, canon []string) (Applied, error) {
 // — every probe hit is refined against the live trajectory map, which no
 // longer holds the OID), but the shrinking live segment count pulls the
 // compactionSlack cut closer, so sustained retirement triggers
-// compacting rebuilds; the text index drops the OID's postings
-// immediately (it is authoritative for predicate matching, not merely
-// conservative).
+// compacting rebuilds. Predicate matching reads the tag map, which has
+// forgotten the OID by the time the version moves.
 func (s *Store) applyRetire(oid int64) (Applied, error) {
 	s.mu.Lock()
 	old, ok := s.trajs[oid]
@@ -338,7 +337,7 @@ func (s *Store) applyRetire(oid int64) (Applied, error) {
 	s.version++
 	version := s.version
 	s.mu.Unlock()
-	s.maintainRetire(oid, version)
+	s.maintainIndexes(nil, math.Inf(-1), version)
 	a := Applied{OID: oid, Retired: true, ChangedFrom: math.Inf(-1), Prev: old}
 	if len(prevTags) > 0 {
 		a.TagsChanged, a.PrevTags = true, prevTags
@@ -349,40 +348,6 @@ func (s *Store) applyRetire(oid int64) (Applied, error) {
 // RetireObject retires oid outside a batch — the direct-call analogue of
 // ApplyUpdate with Retire set.
 func (s *Store) RetireObject(oid int64) (Applied, error) { return s.applyRetire(oid) }
-
-// maintainRetire advances the cached index chains across a retirement at
-// `version`: the segment R-tree and predictive TPR tree step with no new
-// entries (their stale entries are harmless; the bloat cut compacts them
-// as segLive shrinks), the text index drops the OID.
-func (s *Store) maintainRetire(oid int64, version uint64) {
-	s.mu.RLock()
-	live := s.segLive
-	s.mu.RUnlock()
-	bloated := func(treeLen int) bool {
-		return treeLen > compactionFloor && treeLen > compactionSlack*live
-	}
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	if s.idx != nil && s.idxVersion == version-1 {
-		if bloated(s.idx.Len()) {
-			s.idx = nil // cut the chain: next BuildIndex compacts
-		} else {
-			s.idxVersion = version
-			s.stats.SegIncremental++
-		}
-	}
-	if s.predOn && s.pred != nil && s.predVersion == version-1 {
-		if bloated(s.pred.Len()) {
-			s.pred = nil // cut the chain: the next Predictive call compacts
-		} else {
-			s.predVersion = version
-			s.stats.TPRIncremental++
-		}
-	}
-	s.chainTextLocked(version, func(x *textidx.Index) *textidx.Index {
-		return x.WithoutObject(oid)
-	})
-}
 
 // ExpiredOIDs returns the sorted OIDs whose plans ended more than ttl
 // before now — the candidates a TTL-driven retirement policy turns into
@@ -438,7 +403,7 @@ func (s *Store) InsertLive(tr *trajectory.Trajectory) error {
 	version := s.version
 	s.mu.Unlock()
 
-	s.maintainIndexes(tr, math.Inf(-1), version, false, nil)
+	s.maintainIndexes(tr, math.Inf(-1), version)
 	return nil
 }
 
@@ -456,69 +421,68 @@ const (
 
 // maintainIndexes chains the cached segment R-tree (and the predictive TPR
 // tree, when enabled) forward to `version` by inserting the entries for
-// tr's motion from changedFrom on. The chain rule: an incremental step is
+// tr's motion from changedFrom on — the Applied.ChangedFrom of the mutation.
+// A nil tr inserts nothing and only advances the cached versions: a
+// retirement (changedFrom -Inf; the retired entries linger as false
+// positives every probe refines away) or a pure tag flip (changedFrom +Inf;
+// the trees are still exact). The chain rule: an incremental step is
 // taken only when the cache is exactly one version behind, so interleaved
 // non-append mutations leave the cache stale and the next BuildIndex
 // rebuilds — never a wrong tree, at worst a redundant rebuild. A chain
 // whose tree has accumulated superseded entries beyond compactionSlack ×
 // the live segment count is cut the same way, which is what keeps index
 // size (and probe cost) proportional to the live fleet under a sustained
-// revision workload.
-func (s *Store) maintainIndexes(tr *trajectory.Trajectory, changedFrom float64, version uint64, tagged bool, canonTags []string) {
+// revision workload; a tag flip moved neither count and never cuts.
+func (s *Store) maintainIndexes(tr *trajectory.Trajectory, changedFrom float64, version uint64) {
 	s.mu.RLock()
 	live := s.segLive
 	s.mu.RUnlock()
+	moved := !math.IsInf(changedFrom, 1)
 	bloated := func(treeLen int) bool {
-		return treeLen > compactionFloor && treeLen > compactionSlack*live
+		return moved && treeLen > compactionFloor && treeLen > compactionSlack*live
 	}
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
-	if s.idx != nil && s.idxVersion == version-1 && bloated(s.idx.Len()) {
-		s.idx = nil // cut the chain: next BuildIndex compacts
-	}
 	if s.idx != nil && s.idxVersion == version-1 {
-		var es []sindex.Entry
-		for i := 0; i < tr.NumSegments(); i++ {
-			seg, t0, t1 := tr.Segment(i)
-			if t1 <= changedFrom {
-				continue
+		if bloated(s.idx.Len()) {
+			s.idx = nil // cut the chain: next BuildIndex compacts
+		} else {
+			var es []sindex.Entry
+			for i := 0; tr != nil && i < tr.NumSegments(); i++ {
+				seg, t0, t1 := tr.Segment(i)
+				if t1 <= changedFrom {
+					continue
+				}
+				box := geom.AABBOf(seg.A, seg.B).Expand(s.spec.R)
+				es = append(es, sindex.Entry{ID: tr.OID, Box: box, T0: t0, T1: t1})
 			}
-			box := geom.AABBOf(seg.A, seg.B).Expand(s.spec.R)
-			es = append(es, sindex.Entry{ID: tr.OID, Box: box, T0: t0, T1: t1})
+			s.idx = s.idx.Inserted(es...)
+			s.idxVersion = version
+			s.stats.SegIncremental++
 		}
-		s.idx = s.idx.Inserted(es...)
-		s.idxVersion = version
-		s.stats.SegIncremental++
-	}
-	if s.predOn && s.pred != nil && s.predVersion == version-1 && bloated(s.pred.Len()) {
-		s.pred = nil // cut the chain: the next Predictive call compacts
 	}
 	if s.predOn && s.pred != nil && s.predVersion == version-1 {
-		es := predictiveEntries(tr, s.predRef, s.predRef+s.predHorizon, changedFrom)
-		s.pred = s.pred.Inserted(es...)
-		s.predVersion = version
-		s.stats.TPRIncremental++
-	}
-	s.chainTextLocked(version, func(x *textidx.Index) *textidx.Index {
-		nx := x.WithGeometry(tr.OID)
-		if tagged {
-			nx = nx.WithTags(tr.OID, canonTags)
+		if bloated(s.pred.Len()) {
+			s.pred = nil // cut the chain: the next Predictive call compacts
+		} else {
+			if tr != nil {
+				s.pred = s.pred.Inserted(predictiveEntries(tr, s.predRef, s.predRef+s.predHorizon, changedFrom)...)
+			}
+			s.predVersion = version
+			s.stats.TPRIncremental++
 		}
-		return nx
-	})
+	}
 }
 
 // IndexStats counts index maintenance work — how often each cached tree
 // was rebuilt from scratch versus chained forward incrementally. The
 // predictive no-rebuild gate asserts on it.
 type IndexStats struct {
-	SegBuilds       uint64 `json:"seg_builds"`
-	SegIncremental  uint64 `json:"seg_incremental"`
-	TPRBuilds       uint64 `json:"tpr_builds"`
-	TPRIncremental  uint64 `json:"tpr_incremental"`
-	TPRAdvances     uint64 `json:"tpr_advances,omitempty"`
-	TextBuilds      uint64 `json:"text_builds,omitempty"`
-	TextIncremental uint64 `json:"text_incremental,omitempty"`
+	SegBuilds      uint64 `json:"seg_builds"`
+	SegIncremental uint64 `json:"seg_incremental"`
+	TPRBuilds      uint64 `json:"tpr_builds"`
+	TPRIncremental uint64 `json:"tpr_incremental"`
+	TPRAdvances    uint64 `json:"tpr_advances,omitempty"`
 }
 
 // IndexStats reports the maintenance counters.

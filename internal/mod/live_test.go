@@ -274,31 +274,10 @@ func TestPredictiveIncremental(t *testing.T) {
 // proportional to the live fleet instead of to total updates ever
 // ingested.
 func TestRevisionWorkloadCompactsIndex(t *testing.T) {
-	st := newTestStore(t)
-	const objs = 40
-	for oid := int64(1); oid <= objs; oid++ {
-		verts := make([]trajectory.Vertex, 11)
-		for i := range verts {
-			verts[i] = trajectory.Vertex{X: float64(i), Y: float64(oid), T: float64(i)}
-		}
-		tr, err := trajectory.New(oid, verts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Insert(tr); err != nil {
-			t.Fatal(err)
-		}
-	}
+	st := revisionFleet(t)
 	st.BuildIndex(0)
 	for i := 0; i < 500; i++ {
-		oid := int64(i%objs + 1)
-		if _, err := st.ApplyUpdate(Update{OID: oid, Verts: []trajectory.Vertex{
-			{X: 5, Y: float64(oid), T: 5},
-			{X: 7, Y: float64(oid) + 0.5, T: 7},
-			{X: 10, Y: float64(oid), T: 10},
-		}}); err != nil {
-			t.Fatal(err)
-		}
+		reviseTail(t, st, int64(i%revisionFleetSize+1))
 		st.BuildIndex(0) // consult, as a standing query workload would
 	}
 	stats := st.IndexStats()
@@ -311,6 +290,88 @@ func TestRevisionWorkloadCompactsIndex(t *testing.T) {
 	}
 	if got := st.BuildIndex(0).Len(); got > 4*live {
 		t.Fatalf("index holds %d entries for %d live segments", got, live)
+	}
+}
+
+const revisionFleetSize = 40
+
+// revisionFleet holds revisionFleetSize parallel 10-segment plans over
+// [0, 10].
+func revisionFleet(t *testing.T) *Store {
+	t.Helper()
+	st := newTestStore(t)
+	for oid := int64(1); oid <= revisionFleetSize; oid++ {
+		verts := make([]trajectory.Vertex, 11)
+		for i := range verts {
+			verts[i] = trajectory.Vertex{X: float64(i), Y: float64(oid), T: float64(i)}
+		}
+		tr, err := trajectory.New(oid, verts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Insert(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// reviseTail rewrites oid's plan from t=5 on: three new index entries, and
+// whatever the old tail had is superseded.
+func reviseTail(t *testing.T, st *Store, oid int64) {
+	t.Helper()
+	if _, err := st.ApplyUpdate(Update{OID: oid, Verts: []trajectory.Vertex{
+		{X: 5, Y: float64(oid), T: 5},
+		{X: 7, Y: float64(oid) + 0.5, T: 7},
+		{X: 10, Y: float64(oid), T: 10},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTagFlipStepsChainsAndNeverCuts pins the one maintenance step on the
+// two routes that insert nothing, at the moment a chain is due for
+// compaction: a tag flip moved neither the trees nor the live count, so it
+// advances both cached versions, counts as a step, and leaves the cut to
+// the next mutation that moves segments — here a retirement.
+func TestTagFlipStepsChainsAndNeverCuts(t *testing.T) {
+	st := revisionFleet(t)
+	if err := st.EnablePredictive(0, 10); err != nil {
+		t.Fatal(err)
+	}
+	idx := st.BuildIndex(0)
+	for i := 0; idx.Len() <= compactionFloor || idx.Len() <= compactionSlack*st.segLive; i++ {
+		reviseTail(t, st, int64(i%revisionFleetSize+1))
+		idx = st.BuildIndex(0)
+	}
+	pred, _, _, _ := st.Predictive()
+	want := st.IndexStats()
+	if want.SegBuilds != 1 || want.TPRBuilds != 1 {
+		t.Fatalf("a chain was cut before it outgrew the bound: %+v", want)
+	}
+
+	tags := []string{"ev"}
+	if _, err := st.ApplyUpdate(Update{OID: 1, Tags: &tags}); err != nil {
+		t.Fatal(err)
+	}
+	if p, _, _, _ := st.Predictive(); st.BuildIndex(0) != idx || p != pred {
+		t.Fatal("a tag flip replaced a cached tree")
+	}
+	want.SegIncremental++
+	want.TPRIncremental++
+	if got := st.IndexStats(); got != want {
+		t.Fatalf("after a tag flip: stats %+v, want %+v", got, want)
+	}
+
+	if _, err := st.RetireObject(2); err != nil {
+		t.Fatal(err)
+	}
+	st.BuildIndex(0)
+	st.Predictive()
+	want.SegBuilds++
+	want.TPRBuilds++
+	if got := st.IndexStats(); got != want {
+		t.Fatalf("after a retirement on overgrown chains: stats %+v, want %+v", got, want)
 	}
 }
 

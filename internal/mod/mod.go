@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/sindex"
-	"repro/internal/textidx"
 	"repro/internal/trajectory"
 	"repro/internal/updf"
 )
@@ -113,12 +112,6 @@ type Store struct {
 	idx        *sindex.RTree
 	idxVersion uint64
 	idxFanout  int
-
-	// Cached hybrid text index (tags.go), maintained like idx: chained
-	// copy-on-write by live mutations, rebuilt lazily from the segment
-	// R-tree's leaves otherwise.
-	tidx        *textidx.Index
-	tidxVersion uint64
 
 	// Predictive TPR-tree state (live.go): pinned coverage [predRef,
 	// predRef+predHorizon], maintained incrementally on appends and

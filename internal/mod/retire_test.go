@@ -67,11 +67,10 @@ func TestApplyRetireBasics(t *testing.T) {
 	}
 }
 
-// TestRetireIndexMaintenance: with the segment R-tree, predictive TPR
-// tree, and text index all warm, a retirement steps every chain
-// incrementally — no rebuild — and the retired OID stops appearing in
-// index-driven answers even though its spatial entries linger as
-// conservative false positives.
+// TestRetireIndexMaintenance: with the segment R-tree and the predictive
+// TPR tree warm, a retirement steps both chains incrementally — no
+// rebuild — and the retired OID stops matching predicates even though its
+// spatial entries linger as conservative false positives.
 func TestRetireIndexMaintenance(t *testing.T) {
 	st, _ := liveWorkloadStore(t, 60, 406)
 	if err := st.EnablePredictive(0, 60); err != nil {
@@ -85,23 +84,21 @@ func TestRetireIndexMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.BuildIndex(0)
-	st.TextIndex()
 	base := st.IndexStats()
 
 	if _, err := st.RetireObject(oids[0]); err != nil {
 		t.Fatal(err)
 	}
 	st.BuildIndex(0)
-	tix, _ := st.TextIndex()
 	stats := st.IndexStats()
-	if stats.SegBuilds != base.SegBuilds || stats.TPRBuilds != base.TPRBuilds || stats.TextBuilds != base.TextBuilds {
+	if stats.SegBuilds != base.SegBuilds || stats.TPRBuilds != base.TPRBuilds {
 		t.Fatalf("retire forced a rebuild: base %+v now %+v", base, stats)
 	}
 	if stats.SegIncremental != base.SegIncremental+1 || stats.TPRIncremental != base.TPRIncremental+1 {
 		t.Fatalf("retire did not step the spatial chains: base %+v now %+v", base, stats)
 	}
-	if got := tix.Matching(&textidx.Predicate{All: []string{"ev"}}); len(got) != 1 || got[0] != oids[1] {
-		t.Fatalf("text matches after retire = %v, want [%d]", got, oids[1])
+	if got := st.MatchingOIDs(&textidx.Predicate{All: []string{"ev"}}); len(got) != 1 || got[0] != oids[1] {
+		t.Fatalf("ev matches after retire = %v, want [%d]", got, oids[1])
 	}
 }
 

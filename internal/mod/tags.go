@@ -2,6 +2,7 @@ package mod
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/textidx"
@@ -11,29 +12,12 @@ import (
 // This file is the textual-attribute surface of the store: canonical
 // keyword/attribute tag sets per OID (the textual half of the
 // spatio-textual queries), mutated copy-on-write alongside the
-// trajectories, plus the lazily maintained hybrid text index hung off
-// the segment R-tree's cells. Tag sets ride the same version counter as
-// geometry, so every (version-keyed) cache in the query stack sees tag
-// flips exactly like plan revisions.
-
-// tidxOverflowFloor and tidxOverflowSlack bound how stale the chained
-// text index's cell view may grow (OIDs whose geometry or tags postdate
-// the cell build are swept unconditionally on every corridor probe)
-// before the chain is cut and the next TextIndex call rebuilds — the
-// same compaction policy the segment R-tree chain uses. The cut fires
-// when slack × overflow exceeds the universe, i.e. when more than 1/slack
-// of the index has fallen out of the cell view. tidxChurnSlack bounds the
-// copy-on-write chain length the same way: a flip-heavy workload that
-// keeps re-deriving postings for the same few OIDs never grows the
-// overflow list (the OID is already listed), but each step re-clones the
-// touched posting rows — past churn > slack × universe the chain has
-// done more derivation work than a compacting rebuild would cost, so it
-// is cut.
-const (
-	tidxOverflowFloor = 64
-	tidxOverflowSlack = 2
-	tidxChurnSlack    = 2
-)
+// trajectories. Tag sets ride the same version counter as geometry, so
+// every (version-keyed) cache in the query stack sees tag flips exactly
+// like plan revisions. Tags are data, not an index: a filtered query
+// matches them against one consistent snapshot (AllWithTags) and prunes
+// on the same segment R-tree as an unfiltered one, so a tag flip costs
+// the write path a map store and a version step (maintainIndexes).
 
 // SetTags replaces the tag set of an existing object (nil or empty
 // clears it). Tags are canonicalized (textidx.CanonTags); the store only
@@ -53,7 +37,7 @@ func (s *Store) SetTags(oid int64, tags []string) error {
 	s.version++
 	version := s.version
 	s.mu.Unlock()
-	s.maintainTextTags(oid, canon, version)
+	s.maintainIndexes(nil, math.Inf(1), version)
 	return nil
 }
 
@@ -75,18 +59,6 @@ func (s *Store) Tags(oid int64) []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.tags[oid]
-}
-
-// TagsSnapshot returns a copy of the tag map (tag slices are shared —
-// they are immutable once installed).
-func (s *Store) TagsSnapshot() map[int64][]string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[int64][]string, len(s.tags))
-	for oid, ts := range s.tags {
-		out[oid] = ts
-	}
-	return out
 }
 
 // tagView is the tag-map copy of one store version (see Store.tagView).
@@ -137,93 +109,9 @@ func (s *Store) MatchingOIDs(where *textidx.Predicate) []int64 {
 	return out
 }
 
-// TextIndex returns the hybrid keyword index over the store's current
-// contents and the version it reflects. The index is cached and
-// maintained incrementally by live mutations (copy-on-write chaining,
-// like the segment R-tree); a chain cut or cold cache rebuilds from the
-// segment R-tree's leaf cells. Callers that snapshotted the store at
-// version v use the index only when the returned version equals v,
-// falling back to plain spatial pruning otherwise — the index is an
-// accelerator, never the source of truth for matching.
-func (s *Store) TextIndex() (*textidx.Index, uint64) {
-	idx := s.BuildIndex(0)
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	s.mu.RLock()
-	version := s.version
-	s.mu.RUnlock()
-	if s.tidx != nil && s.tidxVersion == version {
-		return s.tidx, version
-	}
-	s.mu.RLock()
-	// A mutation between the R-tree build and here means the leaves may
-	// not cover the newest geometry; report failure and let the caller
-	// fall back to plain spatial pruning.
-	raced := s.version != version
-	universe := make([]int64, 0, len(s.trajs))
-	for oid := range s.trajs {
-		universe = append(universe, oid)
-	}
-	tags := make(map[int64][]string, len(s.tags))
-	for oid, ts := range s.tags {
-		tags[oid] = ts
-	}
-	s.mu.RUnlock()
-	if raced {
-		return nil, 0
-	}
-	s.tidx = textidx.Build(universe, tags, idx.Leaves())
-	s.tidxVersion = version
-	s.stats.TextBuilds++
-	return s.tidx, version
-}
-
-// TextIndexVersion reports the version the cached text index was last
-// built or chained at (0 when cold) — staleness observability for tests.
-func (s *Store) TextIndexVersion() uint64 {
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	return s.tidxVersion
-}
-
-// maintainTextTags chains the cached text index across a pure tag flip
-// at `version` and keeps the (geometry-untouched) spatial chains alive —
-// a tag flip bumps the store version, but the segment R-tree and the
-// predictive tree it left behind are still exact, so their cached
-// versions advance with no tree work.
-func (s *Store) maintainTextTags(oid int64, canon []string, version uint64) {
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	if s.idx != nil && s.idxVersion == version-1 {
-		s.idxVersion = version
-		s.stats.SegIncremental++
-	}
-	if s.predOn && s.pred != nil && s.predVersion == version-1 {
-		s.predVersion = version
-	}
-	s.chainTextLocked(version, func(x *textidx.Index) *textidx.Index {
-		return x.WithTags(oid, canon)
-	})
-}
-
-// chainTextLocked advances the cached text index to `version` with step
-// when it is exactly one version behind, cutting the chain instead when
-// the overflow list has outgrown the compaction bound. Caller holds
-// idxMu.
-func (s *Store) chainTextLocked(version uint64, step func(*textidx.Index) *textidx.Index) {
-	if s.tidx == nil || s.tidxVersion != version-1 {
-		s.tidx = nil // stale: next TextIndex rebuilds
-		return
-	}
-	if ov := s.tidx.Overflow(); ov > tidxOverflowFloor && tidxOverflowSlack*ov > s.tidx.Len() {
-		s.tidx = nil
-		return
-	}
-	if ch := s.tidx.Churn(); ch > tidxOverflowFloor && ch > tidxChurnSlack*s.tidx.Len() {
-		s.tidx = nil
-		return
-	}
-	s.tidx = step(s.tidx)
-	s.tidxVersion = version
-	s.stats.TextIncremental++
-}
+// TextIndex does nothing: the hybrid keyword index it used to build is
+// gone. The one remaining caller is benchmark/topology.go (at set-up and
+// under its textidx.text_index span), which a PR touching other code may
+// not edit; the next benchmark-only PR deletes those two calls, the span,
+// and then this method.
+func (s *Store) TextIndex() {}

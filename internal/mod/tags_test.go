@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/textidx"
 	"repro/internal/trajectory"
 )
 
@@ -171,84 +170,5 @@ func TestTagsPersistence(t *testing.T) {
 			got.Tags(2) != nil || !slices.Equal(got.Tags(3), []string{"night"}) {
 			t.Fatalf("%s: tags %v %v %v", name, got.Tags(1), got.Tags(2), got.Tags(3))
 		}
-	}
-}
-
-func TestTextIndexCacheAndChain(t *testing.T) {
-	st, err := NewUniformStore(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for oid := int64(1); oid <= 8; oid++ {
-		if err := st.Insert(tagTraj(t, oid)); err != nil {
-			t.Fatal(err)
-		}
-		if oid%2 == 0 {
-			if err := st.SetTags(oid, []string{"even"}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	x, v := st.TextIndex()
-	if v != st.Version() {
-		t.Fatalf("index version %d, store %d", v, st.Version())
-	}
-	p := &textidx.Predicate{All: []string{"even"}}
-	if got := x.Matching(p); !slices.Equal(got, []int64{2, 4, 6, 8}) {
-		t.Fatalf("Matching = %v", got)
-	}
-	x2, v2 := st.TextIndex()
-	if x2 != x || v2 != v {
-		t.Fatal("cache miss on unchanged store")
-	}
-	// A live tag flip chains the cached index (no rebuild) and keeps the
-	// spatial chain alive.
-	before := st.IndexStats()
-	tags := []string{"even", "fresh"}
-	if _, err := st.ApplyUpdate(Update{OID: 3, Tags: &tags}); err != nil {
-		t.Fatal(err)
-	}
-	x3, v3 := st.TextIndex()
-	if v3 != st.Version() {
-		t.Fatalf("chained version %d, store %d", v3, st.Version())
-	}
-	if got := x3.Matching(p); !slices.Equal(got, []int64{2, 3, 4, 6, 8}) {
-		t.Fatalf("post-flip Matching = %v", got)
-	}
-	after := st.IndexStats()
-	if after.TextIncremental != before.TextIncremental+1 {
-		t.Fatalf("TextIncremental %d -> %d", before.TextIncremental, after.TextIncremental)
-	}
-	if after.TextBuilds != before.TextBuilds {
-		t.Fatalf("tag flip forced text rebuild")
-	}
-	// A live geometry update chains too (overflow covers the new motion).
-	if _, err := st.ApplyUpdate(Update{OID: 3,
-		Verts: []trajectory.Vertex{{X: 50, Y: 50, T: 20}}}); err != nil {
-		t.Fatal(err)
-	}
-	x4, v4 := st.TextIndex()
-	if v4 != st.Version() {
-		t.Fatalf("geometry chain version %d, store %d", v4, st.Version())
-	}
-	if x4.Overflow() == 0 {
-		t.Fatal("geometry update not in overflow")
-	}
-	// A non-live mutation (Delete) cuts the chain; next TextIndex rebuilds.
-	if err := st.Delete(8); err != nil {
-		t.Fatal(err)
-	}
-	x5, v5 := st.TextIndex()
-	if v5 != st.Version() {
-		t.Fatalf("rebuild version %d, store %d", v5, st.Version())
-	}
-	if got := x5.Matching(p); !slices.Equal(got, []int64{2, 3, 4, 6}) {
-		t.Fatalf("post-delete Matching = %v", got)
-	}
-	if st.IndexStats().TextBuilds != after.TextBuilds+1 {
-		t.Fatal("delete did not trigger rebuild")
-	}
-	if st.TextIndexVersion() != st.Version() {
-		t.Fatal("TextIndexVersion stale")
 	}
 }

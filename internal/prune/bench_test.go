@@ -6,9 +6,11 @@ package prune
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/mod"
+	"repro/internal/textidx"
 	"repro/internal/trajectory"
 	"repro/internal/workload"
 )
@@ -64,6 +66,48 @@ func BenchmarkMinCrispDist(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MinCrispDist(trs[i%len(trs)], s.q, fleetTb, fleetTe)
+	}
+}
+
+// BenchmarkSweepFiltered: the whole filtered pre-pass of a cold query —
+// snapshot restriction, probe phase, corridor sweep — at two fleet sizes
+// and with one object in 2, 20 and 200 matching the predicate.
+func BenchmarkSweepFiltered(b *testing.B) {
+	ctx := context.Background()
+	for _, n := range []int{3000, 20000} {
+		trs, err := workload.Generate(workload.DefaultConfig(2009), n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, every := range []int64{2, 20, 200} {
+			store, err := mod.NewUniformStore(0.5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := store.InsertAll(trs); err != nil {
+				b.Fatal(err)
+			}
+			for _, tr := range trs {
+				if tr.OID%every == 0 {
+					if err := store.SetTags(tr.OID, []string{"available"}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			where := &textidx.Predicate{All: []string{"available"}}
+			zone := func() {
+				if _, _, _, _, err := ZoneWhereCtx(ctx, store, trs[41], fleetTb, fleetTe, 1, where); err != nil {
+					b.Fatal(err)
+				}
+			}
+			zone() // build the store's index outside the timed loops
+			b.Run(fmt.Sprintf("N=%d/match=%g%%", n, 100/float64(every)), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					zone()
+				}
+			})
+		}
 	}
 }
 

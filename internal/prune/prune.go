@@ -29,8 +29,8 @@
 //     within its slice's limit of the query at some instant, so at that
 //     instant it is inside that slice's box, and the index entry of the
 //     plan segment it is then on intersects the walked box in space and
-//     time. Which index nominated (segment R-tree, predictive TPR tree,
-//     hybrid text cells) therefore cannot change the survivor set.
+//     time. Which index nominated (segment R-tree, predictive TPR tree)
+//     therefore cannot change the survivor set.
 //
 // The survivor set feeds queries.NewProcessorPruned, which answers every
 // UQ variant identically to a full-scan Processor while building distance

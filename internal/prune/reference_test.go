@@ -6,10 +6,12 @@ package prune
 // allocating exact test. The property test below holds the shipped sweep
 // to *set equality* with it — not just to conservativeness — over worlds
 // built to reach every way the two could part: chained trees carrying
-// superseded entries, retired and re-inserted OIDs, filtered snapshots on
-// a fresh and on an overflowing text index, TPR-covered windows, ranks
-// 1–3, a slice without a bound, entries that touch a slice at a single
-// instant, windows that end where plans do, and a vanishing radius.
+// superseded entries, retired and re-inserted OIDs, filtered snapshots
+// whose membership tag flips keep moving, TPR-covered windows, ranks 1–3,
+// a slice without a bound, entries that touch a slice at a single instant,
+// windows that end where plans do, and a vanishing radius. The probe
+// phase is held to its own straight-line reference the same way: bounds
+// bit for bit, and the probe count.
 
 import (
 	"context"
@@ -69,23 +71,51 @@ func refHits(s *Sweep, box geom.AABB, t0, t1 float64) []int64 {
 		return x.t.SearchRange(box, t0, t1)
 	case tprIndex:
 		return x.t.SearchInterval(box.Expand(s.r), t0, t1)
-	case hybridIndex:
-		var out []int64
-		x.tx.Visit(box, t0, t1, x.where, func(id int64) bool {
-			out = append(out, id)
-			return true
-		})
-		return out
 	}
 	panic("unknown index")
 }
 
-// refSweep is the old sweepBounds over the session's snapshot.
-func refSweep(s *Sweep, bounds []float64) []int64 {
+// snapshotByID is the old sweeps' OID lookup: a map over the session's
+// snapshot, built per call.
+func snapshotByID(s *Sweep) map[int64]*trajectory.Trajectory {
 	byID := make(map[int64]*trajectory.Trajectory, len(s.trs))
 	for _, tr := range s.trs {
 		byID[tr.OID] = tr
 	}
+	return byID
+}
+
+// refBounds is the probe phase written out straight: per slice one KNN
+// probe at the midpoint, a map lookup per neighbour (a filtered snapshot
+// holds the matching objects only), the allocating maximum distance, and
+// the k-th smallest of those. It returns the bounds and how many
+// neighbours it evaluated.
+func refBounds(s *Sweep, k int) ([]float64, int) {
+	byID := snapshotByID(s)
+	width := min(max(kProbe, k+4)*s.boost, maxProbes)
+	bounds, probes := make([]float64, len(s.cuts)-1), 0
+	for i := range bounds {
+		t0, t1 := s.cuts[i], s.cuts[i+1]
+		mid := 0.5 * (t0 + t1)
+		var dists []float64
+		for _, nb := range s.idx.probe(s.q.At(mid), mid, width) {
+			if tr, ok := byID[nb.ID]; ok && nb.ID != s.q.OID {
+				probes++
+				dists = append(dists, refMaxDist(tr, s.q, t0, t1))
+			}
+		}
+		slices.Sort(dists)
+		bounds[i] = math.Inf(1)
+		if len(dists) >= k {
+			bounds[i] = dists[k-1]
+		}
+	}
+	return bounds, probes
+}
+
+// refSweep is the old sweepBounds over the session's snapshot.
+func refSweep(s *Sweep, bounds []float64) []int64 {
+	byID := snapshotByID(s)
 	width := 4*s.r + Margin
 	survivors := make(map[int64]struct{})
 	for i := 1; i < len(s.cuts); i++ {
@@ -144,7 +174,7 @@ func randomPlan(rng *rand.Rand, from float64) []trajectory.Vertex {
 
 // churn applies one round of live updates: mid-plan revisions (superseded
 // entries stay in the chained trees), a retire + re-insert of the same OID
-// with a new plan, and tag flips (text-index overflow).
+// with a new plan, and tag flips (the sub-MOD's membership moves).
 func churn(t *testing.T, rng *rand.Rand, store *mod.Store, protect int64) {
 	t.Helper()
 	oids := store.OIDs()
@@ -208,7 +238,7 @@ func TestSweepEqualsReference(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			store.TextIndex() // fresh cells; every later round chains them
+			store.BuildIndex(0) // warm beside the TPR tree too; every later round chains it
 			qOID := trs[7].OID
 			for round := 0; round < 4; round++ {
 				if round > 0 {
@@ -262,24 +292,27 @@ func TestSweepEqualsReference(t *testing.T) {
 								}
 							}
 						}
-						switch s.idx.(type) {
-						case rtreeIndex:
-							kinds["rtree"]++
-						case tprIndex:
-							kinds["tpr"]++
-						case hybridIndex:
-							kinds["hybrid"]++
+						kind := "rtree"
+						if _, ok := s.idx.(tprIndex); ok {
+							kind = "tpr"
 						}
+						if where != nil {
+							kind += "+where"
+						}
+						kinds[kind]++
 					}
 				}
 			}
-			if st := store.IndexStats(); st.SegIncremental == 0 || st.TextIncremental == 0 {
-				t.Fatalf("the world never chained its indexes: %+v", st)
+			// Every round after the first swept chained trees.
+			if st := store.IndexStats(); st.SegIncremental == 0 || (predictive && st.TPRIncremental == 0) {
+				t.Fatalf("predictive=%v: the world never chained its indexes: %+v", predictive, st)
 			}
 		}
 	}
-	if kinds["rtree"] == 0 || kinds["tpr"] == 0 || kinds["hybrid"] == 0 {
-		t.Fatalf("an index kind was never swept: %v", kinds)
+	for _, kind := range []string{"rtree", "rtree+where", "tpr", "tpr+where"} {
+		if kinds[kind] == 0 {
+			t.Fatalf("no session swept %s: %v", kind, kinds)
+		}
 	}
 	t.Logf("%d sweeps equal to the reference (sessions per index: %v)", sweeps, kinds)
 }

@@ -3,7 +3,6 @@ package prune
 import (
 	"context"
 
-	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/queries"
 	"repro/internal/textidx"
@@ -19,24 +18,14 @@ import (
 // is byte-identical to rebuilding a store from only the matching
 // trajectories and running the unfiltered pipeline.
 //
-// Two index paths serve the filtered sweep:
-//
-//   - The hybrid text index (mod.Store.TextIndex) nominates from inverted
-//     tag lists hung off the segment R-tree's leaf cells: a cell whose tag
-//     union cannot satisfy the predicate is skipped wholesale, and the
-//     objects whose geometry or tags postdate the cells are nominated
-//     unconditionally. Used when the cached index is fresh at the snapshot
-//     version.
-//   - Otherwise the plain spatial index runs.
-//
-// On both, a non-matching nomination dies at the snapshot's OID table,
-// which only holds matching objects.
-//
-// Either way the per-slice envelope bounds are probed against matching
-// objects only (a non-matching probe would bound the wrong universe's
-// envelope — unsound for the sub-MOD). Because the spatial KNN probe
-// surfaces nearest objects of *any* tag, the filtered probe widens its
-// k to keep a usable bound when matching objects are sparse.
+// There is one index path: the filtered sweep walks the same segment
+// R-tree (or pinned TPR tree) as the unfiltered one, and a non-matching
+// nomination dies at the snapshot's OID table, which only holds matching
+// objects. The per-slice envelope bounds are likewise probed against
+// matching objects only (a non-matching probe would bound the wrong
+// universe's envelope — unsound for the sub-MOD). Because the spatial KNN
+// probe surfaces nearest objects of *any* tag, the filtered probe widens
+// its k to keep a usable bound when matching objects are sparse.
 
 // predProbeBoost multiplies the per-slice KNN probe width under a
 // predicate: the spatial index knows nothing about tags, so of the k
@@ -64,28 +53,8 @@ func takeSnapshot(store *mod.Store, q *trajectory.Trajectory, tb, te float64, wh
 		}
 	}
 	s.idx, s.predictive = indexFor(store, tb, te)
-	if rt, ok := s.idx.(rtreeIndex); ok {
-		// The hybrid cells mirror the segment R-tree's leaves; the TPR
-		// tree's moving entries (and its clamp entries) have no cell
-		// counterpart, so predictive windows keep the plain index.
-		if tx, txv := store.TextIndex(); tx != nil && txv == v0 {
-			s.idx = hybridIndex{rtreeIndex: rt, tx: tx, where: where}
-		}
-	}
 	s.stale = store.Version() != v0
 	return s
-}
-
-// hybridIndex nominates from the text index's cell postings (probes stay
-// on the spatial R-tree).
-type hybridIndex struct {
-	rtreeIndex
-	tx    *textidx.Index
-	where *textidx.Predicate
-}
-
-func (x hybridIndex) visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
-	return x.tx.Visit(box, t0, t1, x.where, fn)
 }
 
 // ZoneWhereCtx computes a conservative superset of the objects whose

@@ -16,9 +16,10 @@
 //     or remote), byte-identically to a single engine via a two-phase NN
 //     bound exchange,
 //   - spatio-textual queries: trajectories carry attribute tag sets
-//     (Store.SetTags, Update.Tags), a hybrid keyword index hangs inverted
-//     tag postings off the spatial index, and any Request restricted by a
-//     tag Predicate (Request.Where) answers byte-identically to running
+//     (Store.SetTags, Update.Tags) — data beside the plans, not a second
+//     index: the pre-pass restricts its snapshot to the matching objects
+//     and prunes on the one spatial index — and any Request restricted by
+//     a tag Predicate (Request.Where) answers byte-identically to running
 //     the plain request over the matching sub-MOD — in UQL, `WHERE tags
 //     CONTAINS ...`,
 //   - live ingestion + continuous queries: stores accept plan revisions
