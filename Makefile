@@ -80,7 +80,9 @@ bench-text:
 # BenchmarkSweepFiltered, BenchmarkMinCrispDist in internal/prune,
 # BenchmarkApplyUpdatesTagged in internal/mod, BenchmarkKNN in
 # internal/sindex, BenchmarkShardFrameEncode/Decode in internal/modserver,
-# BenchmarkRefineUnion in internal/engine; EXPERIMENTS.md has their rows).
+# BenchmarkRefineUnion in internal/engine, BenchmarkHubIngestStanding in
+# internal/continuous, BenchmarkProcessorVariants in internal/queries;
+# EXPERIMENTS.md has their rows).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
@@ -128,12 +130,13 @@ bench-city:
 	$(GO) run ./cmd/figures -fig city -city-json BENCH_city.json $(if $(CITY_BASELINE),-city-baseline $(CITY_BASELINE))
 
 # Per-package coverage floors for the subsystems whose correctness
-# arguments live in their tests (dirty-set soundness, prune
-# conservativeness, the distributed bound exchange, the live-serving
+# arguments live in their tests (dirty-set and patch-rule soundness, prune
+# conservativeness, the envelope's exact above-the-level test, the
+# distributed bound exchange, the live-serving
 # core's session table and emit-lock ordering, the gateway's
 # protocol/auth/SSE surface and its metric exposition, and the tag
 # predicate algebra). Writes COVERAGE.txt and fails below 80%.
-COVER_PKGS = ./internal/continuous ./internal/prune ./internal/cluster ./internal/serve ./internal/gateway ./internal/metrics ./internal/textidx
+COVER_PKGS = ./internal/continuous ./internal/prune ./internal/envelope ./internal/cluster ./internal/serve ./internal/gateway ./internal/metrics ./internal/textidx
 cover:
 	@set -e; rm -f COVERAGE.txt; \
 	for pkg in $(COVER_PKGS); do \

@@ -5,12 +5,13 @@
 // emitting diff events (OIDs added/removed, predicate flips) with the
 // usual Explain provenance.
 //
-// The heart of the package is the dirty test. A subscription remembers,
-// from its last evaluation, a *zone profile*: the query trajectory, the
-// deterministic slice cuts of its window (prune.SliceCuts), the per-slice
-// upper bounds on the Level-k lower envelope, and the prune candidate
-// superset. An update is *irrelevant* to the subscription — and must not
-// trigger re-evaluation — when all of the following hold:
+// The heart of the package is the dirty test and, behind it, the
+// maintained answer. A subscription remembers, from its last evaluation, a
+// *zone profile*: the query trajectory, the deterministic slice cuts of its
+// window (prune.SliceCuts), the per-slice upper bounds on the Level-k lower
+// envelope, and the prune candidate superset. An update is *irrelevant* to
+// the subscription — and must not trigger re-evaluation — when all of the
+// following hold:
 //
 //   - it does not touch the query trajectory or the request's target
 //     object;
@@ -20,7 +21,11 @@
 //     old plan end onward; before it the plan is untouched) stays outside
 //     the influence zone on every overlapping slice: its exact minimum
 //     crisp distance from the query exceeds bound + 6r + Margin, for both
-//     the new plan and the superseded clamp it replaced.
+//     the new plan and the superseded clamp it replaced;
+//   - the answer is not the candidate set itself (a UQ33/UQ43 whose
+//     fraction requirement rounds to zero lists every object of the
+//     (sub-)MOD, so any arrival, departure or predicate crossing changes
+//     it, wherever it happens).
 //
 // The 6r width is deliberately wider than the paper's 4r possible-NN
 // zone: certain-NN and threshold answers also depend on objects that can
@@ -28,9 +33,56 @@
 // satisfies min d_j <= max d_i + r <= (env + 4r) + 2r. An object beyond
 // env + 6r can neither define the envelope, nor enter any zone, nor block
 // anyone — so leaving it unevaluated provably preserves every answer
-// byte. The deterministic simulation harness (internal/simtest) pins
-// exactly that: after every ingest step, every live answer must equal a
-// fresh engine run on a snapshot.
+// byte.
+//
+// A batch that fails the test used to cost a whole evaluation — snapshot,
+// index probes, corridor sweep, distance functions, envelope, interval
+// scans — although what the paper builds is a *continuous* answer: one
+// lower envelope and one 4r zone serve the whole window, and a revised plan
+// changes exactly one difference-distance function. So the engine backend
+// keeps, inside the profile, the *seed* of the evaluation (prune.Seed: the
+// survivor set S with the trajectory pointers it was computed from, the
+// bounds B it was swept against, envelope levels 1..k, the zone rows at the
+// request's rank — a few kB, nothing of the size of the fleet), and a dirty
+// batch is handed to the backend together with that profile. There is one
+// rule for what happens then, in one function, prune.Revise. With C the
+// batch's objects whose motion inside the window changed, or that were
+// inserted, retired or moved across the predicate, and S' = (S minus C)
+// plus the members of C still in the (sub-)MOD that pass the sweep's own
+// per-slice test min dist <= B_i + 4r + Margin on their live plan:
+//
+//	if the query object is in C, or a member of C defines a maintained
+//	level, or a function of S' that C contributed reaches Level k
+//	anywhere, or the last evaluation had no pre-pass or an unbounded slice
+//	— evaluate from scratch, exactly as before, which also refreshes the
+//	bounds. Otherwise continue the seed.
+//
+// Why continuing is sound, in order. (1) Levels 1..k over S' are the same
+// functions as over S: what left defined nothing, what joined lies strictly
+// above Level k (envelope.StrictlyAbove decides that exactly: on every
+// elementary interval f² − e² is one quadratic). (2) So the levels still
+// sit under the bounds B they sat under when S was swept. (3) Every object
+// outside S' is further than B_i + 4r + Margin from the query on every
+// slice: members of C by the test just made; untouched objects because the
+// sweep found them so; objects changed by an earlier batch that was *not*
+// handed over because the dirty test proved both their old and new motion
+// outside the wider B_i + 6r + Margin before skipping it. S' is therefore a
+// conservative superset of the rank-k zone — all a pruned processor asks of
+// its survivors. (4) The zone rows of S minus C are a pure function of
+// unchanged bits — same function, same level — so only the rows of what C
+// contributed are computed. The successor is an ordinary queries.Processor
+// over the current snapshot, installed in the engine's memo at the current
+// version: engine.Do remains the single execution route, every kind works
+// on it, and a one-shot query for the same (query, window) shares it. The
+// profile that comes back carries S' and the old B, so *when* a question is
+// dirty is decided exactly as it always was; Stats.Patched and
+// Stats.Rebuilt say which way each evaluation went.
+//
+// The deterministic simulation harness (internal/simtest) pins the
+// outcome: after every ingest step, every live answer must equal a fresh
+// engine run on a snapshot. This package's differential tests pin the
+// mechanism: a hub that continues seeds and one that never does must emit
+// identical event streams.
 package continuous
 
 import (
@@ -105,6 +157,16 @@ type Backend interface {
 	Radius() float64
 }
 
+// reviser is the optional half of a Backend: one that keeps something of an
+// evaluation inside the Profile it returns can be handed that profile back,
+// with the batch applied since, and continue from it where the batch
+// allows. patched reports that it did; either way the result and profile
+// are what Evaluate would have returned. A backend without the method is
+// evaluated from scratch on every dirty batch.
+type reviser interface {
+	Revise(ctx context.Context, req engine.Request, last *Profile, applied []mod.Applied) (res engine.Result, prof *Profile, patched bool, err error)
+}
+
 // Profile is a subscription's zone fingerprint from its last evaluation —
 // everything the dirty test needs to prove an update irrelevant.
 type Profile struct {
@@ -117,6 +179,11 @@ type Profile struct {
 	Bounds []float64
 	// Superset holds the prune candidate superset's OIDs.
 	Superset map[int64]struct{}
+
+	// seed is what the evaluation behind this profile established that the
+	// next one can start from (see prune.Seed); nil when the backend keeps
+	// none. Like the rest of the profile it is immutable.
+	seed *prune.Seed
 
 	// qbox/maxBound are the O(1) prefilter, derived in finish(): the
 	// query's spatial bounding box over the window and the largest finite
@@ -174,12 +241,18 @@ type Event struct {
 // many re-evaluations the dirty test skipped outright.
 type Stats struct {
 	Ingested uint64 `json:"ingested"` // updates applied
-	Evals    uint64 `json:"evals"`    // backend evaluations run
+	Evals    uint64 `json:"evals"`    // backend evaluations run (Patched + Rebuilt)
 	Skips    uint64 `json:"skips"`    // subscription refreshes proven unnecessary
 	// Shared counts subscription refreshes (and initial Subscribe
 	// answers) satisfied by another subscription's evaluation of the same
 	// request — the dirty-set-sharing dividend.
 	Shared uint64 `json:"shared,omitempty"`
+	// Patched counts the evaluations that continued the group's maintained
+	// answer — the batch left its envelope levels standing — and Rebuilt
+	// the ones derived from scratch (always, on a backend that maintains
+	// nothing).
+	Patched uint64 `json:"patched,omitempty"`
+	Rebuilt uint64 `json:"rebuilt,omitempty"`
 }
 
 type sub struct {
@@ -498,9 +571,7 @@ func (h *Hub) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, 
 			// must evaluate.
 			if rep := h.groups[s.key].anyProfiled(); rep == nil || dirty(rep, applied, boxes, r) {
 				out.dirty = true
-				h.stats.Evals++
-				out.res, out.prof, out.err = h.be.Evaluate(ctx, s.req)
-				out.prof = out.prof.finish()
+				h.reevaluateLocked(ctx, out, s.req, rep, applied)
 			}
 		}
 		if !out.dirty {
@@ -558,6 +629,29 @@ func (h *Hub) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, 
 	return applied, events, nil
 }
 
+// reevaluateLocked runs a dirty group's one evaluation for this batch: from
+// the representative's profile where the backend can continue one, from
+// scratch otherwise. Caller holds h.mu.
+func (h *Hub) reevaluateLocked(ctx context.Context, out *groupOutcome, req engine.Request, rep *sub, applied []mod.Applied) {
+	h.stats.Evals++
+	patched := false
+	if rv, ok := h.be.(reviser); ok {
+		var last *Profile
+		if rep != nil {
+			last = rep.prof
+		}
+		out.res, out.prof, patched, out.err = rv.Revise(ctx, req, last, applied)
+	} else {
+		out.res, out.prof, out.err = h.be.Evaluate(ctx, req)
+	}
+	if patched {
+		h.stats.Patched++
+	} else {
+		h.stats.Rebuilt++
+	}
+	out.prof = out.prof.finish()
+}
+
 // influenceWidth is the dirty-test zone width beyond the per-slice
 // envelope bound: 6r + Margin (see the package comment's derivation).
 func influenceWidth(r float64) float64 { return 6*r + prune.Margin }
@@ -572,7 +666,15 @@ func dirty(s *sub, applied []mod.Applied, boxes []geom.AABB, r float64) bool {
 	}
 	target, hasTarget := targetOID(s.req)
 	width := influenceWidth(r)
+	// An answer that lists the whole candidate set depends on who is in
+	// it, wherever they are: no zone bounds an arrival or a departure.
+	enumerates := s.req.EnumeratesCandidates()
 	for i, a := range applied {
+		if enumerates && (a.Inserted || a.Retired) && (s.req.Where == nil || s.req.Where.Matches(a.Tags) || s.req.Where.Matches(a.PrevTags)) {
+			// (An insert's tags are Tags, a retirement's PrevTags; the
+			// other of the two is empty.)
+			return true
+		}
 		if a.Retired {
 			// A retirement only removes motion. The candidate superset
 			// provably contains every object that defines the envelope,
@@ -593,7 +695,7 @@ func dirty(s *sub, applied []mod.Applied, boxes []geom.AABB, r float64) bool {
 			// The flip moved a.OID across the predicate boundary, so it
 			// joined or left the subscription's sub-MOD. This must run
 			// before the ChangedFrom skip: a pure retag carries +Inf.
-			if a.OID == s.req.QueryOID || (hasTarget && a.OID == target) {
+			if enumerates || a.OID == s.req.QueryOID || (hasTarget && a.OID == target) {
 				return true
 			}
 			if _, ok := prof.Superset[a.OID]; ok {
@@ -777,6 +879,10 @@ func profiled(k engine.Kind) bool {
 type engineBackend struct {
 	store *mod.Store
 	eng   *engine.Engine
+	// verdicts counts what became of each dirty evaluation's seed, by
+	// prune.Verdict. Written under the hub's lock; read by tests and
+	// benchmarks to attribute every from-scratch evaluation to its cause.
+	verdicts [prune.Verdicts]uint64
 }
 
 func (b *engineBackend) Apply(_ context.Context, updates []mod.Update) ([]mod.Applied, error) {
@@ -785,11 +891,12 @@ func (b *engineBackend) Apply(_ context.Context, updates []mod.Update) ([]mod.Ap
 
 // Evaluate answers through the engine and fingerprints the request from
 // the evaluation's own pre-pass: the engine's memoized processor (just
-// built by the Do — the lookup is a memo hit) holds both the survivor
-// superset and the per-slice bounds its sweep ran against, so the profile
-// costs no second snapshot, probe or sweep and speaks about exactly the
-// snapshot the answer came from. A profile failure degrades to nil (always
-// dirty), never to a wrong skip.
+// built by the Do, or installed by Revise — the lookup is a memo hit)
+// holds the survivor superset, the per-slice bounds its sweep ran against
+// and what the next evaluation can start from, so the profile costs no
+// second snapshot, probe or sweep and speaks about exactly the snapshot the
+// answer came from. A profile failure degrades to nil (always dirty), never
+// to a wrong skip.
 func (b *engineBackend) Evaluate(ctx context.Context, req engine.Request) (engine.Result, *Profile, error) {
 	res, err := b.eng.Do(ctx, b.store, req)
 	if err != nil {
@@ -803,6 +910,22 @@ func (b *engineBackend) Evaluate(ctx context.Context, req engine.Request) (engin
 		prof = nil
 	}
 	return res, prof, nil
+}
+
+// Revise is Evaluate with a head start: the engine is offered the seed of
+// the last evaluation and the batch applied since, and where the one patch
+// rule allows (prune.Revise) it installs the successor processor in its
+// memo first. The evaluation itself is the same two steps either way — Do,
+// then the profile read off the memoized processor — so a patched answer
+// and a rebuilt one come out of the same code.
+func (b *engineBackend) Revise(ctx context.Context, req engine.Request, last *Profile, applied []mod.Applied) (engine.Result, *Profile, bool, error) {
+	verdict := prune.NoSeed
+	if last != nil && profiled(req.Kind) {
+		verdict = b.eng.Revise(ctx, b.store, req, last.seed, applied)
+	}
+	b.verdicts[verdict]++
+	res, prof, err := b.Evaluate(ctx, req)
+	return res, prof, verdict == prune.Patched, err
 }
 
 func (b *engineBackend) profile(ctx context.Context, req engine.Request) (*Profile, error) {
@@ -836,7 +959,8 @@ func (b *engineBackend) profile(ctx context.Context, req engine.Request) (*Profi
 	for _, id := range ids {
 		set[id] = struct{}{}
 	}
-	return &Profile{Query: q, Cuts: cuts, Bounds: bounds, Superset: set}, nil
+	seed := prune.SeedOf(ctx, proc, req.Rank(), req.Where.Canon())
+	return &Profile{Query: q, Cuts: cuts, Bounds: bounds, Superset: set, seed: seed}, nil
 }
 
 func (b *engineBackend) Radius() float64 { return b.store.Radius() }

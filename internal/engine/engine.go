@@ -187,6 +187,36 @@ func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb
 	}
 }
 
+// Revise offers the engine the seed of a standing request's last
+// evaluation (prune.SeedOf) and the update batch applied since. When
+// prune.Revise finds the batch leaves the request's envelope levels
+// standing, the successor processor takes the memo slot of the store's
+// current version, and the next Do for the request — or for any other
+// request on the same (query, window, predicate) — is a memo hit on it: Do
+// stays the only place a Result is produced. Any other verdict leaves the
+// memo alone, and that Do builds from scratch as it always has. The caller
+// serializes Revise with the store's mutations (the hub's ingest lock).
+func (e *Engine) Revise(ctx context.Context, store *mod.Store, req Request, seed *prune.Seed, applied []mod.Applied) prune.Verdict {
+	if e.fullScan {
+		return prune.NoSeed
+	}
+	proc, version, verdict := prune.Revise(ctx, store, seed, applied)
+	if verdict != prune.Patched {
+		return verdict
+	}
+	key := procKey{store: store, version: version, queryOID: req.QueryOID, tb: req.Tb, te: req.Te, where: req.Where.Canon().Key()}
+	slot := &procSlot{proc: proc}
+	slot.once.Do(func() {}) // the slot is built: lookups must not build over it
+	e.mu.Lock()
+	if _, ok := e.procs[key]; !ok {
+		e.procs[key] = slot
+		e.order = append(e.order, key)
+		e.evictLocked()
+	}
+	e.mu.Unlock()
+	return verdict
+}
+
 // touchLocked moves key to the most-recently-used end of the recency
 // order. Caller holds e.mu.
 func (e *Engine) touchLocked(key procKey) {

@@ -111,6 +111,15 @@ func (r Request) Rank() int {
 	return 1
 }
 
+// EnumeratesCandidates reports whether the request's answer is its whole
+// candidate set: an "at least X of the window" retrieval whose requirement
+// rounds to zero length holds for every object of the (sub-)MOD, near or
+// far. Such an answer changes with every insertion, retirement and
+// predicate crossing anywhere — geometry cannot bound what it depends on.
+func (r Request) EnumeratesCandidates() bool {
+	return (r.Kind == KindUQ33 || r.Kind == KindUQ43) && queries.TrivialFraction(r.X, r.Tb, r.Te)
+}
+
 // needsProcessor reports whether the kind evaluates against one (query
 // trajectory, window) preprocessing; KindAllPairs and KindReverse iterate
 // query trajectories instead.
@@ -437,8 +446,19 @@ func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor
 		}
 		return queries.IntersectSorted(base, own)
 	}
+	// A filter kind tests the rank's scan set only: the pre-pass settled
+	// every other candidate's answer, and that answer is "no" — except
+	// where the request holds even for an object that never enters the
+	// zone, and then it is the candidate list itself.
 	filter := func(pred func(oid int64) (bool, error)) item {
-		return listItem(e.filterOIDs(ctx, domain(p.CandidateOIDs()), pred))
+		if req.EnumeratesCandidates() {
+			return listItem(domain(p.CandidateOIDs()), nil)
+		}
+		ids, err := p.ScanOIDs(req.Rank())
+		if err != nil {
+			return item{Err: err}
+		}
+		return listItem(e.filterOIDs(ctx, domain(ids), pred))
 	}
 	switch req.Kind {
 	case KindUQ11:

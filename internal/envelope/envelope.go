@@ -24,6 +24,7 @@ type Envelope struct {
 	Intervals []Interval
 	T0, T1    float64
 	fns       map[int64]*DistanceFunc
+	compact   bool // fns holds the defining functions only (see Compact)
 }
 
 // newEnvelope wraps an interval list with its function table.
@@ -64,7 +65,9 @@ func (e *Envelope) ValueAt(t float64) float64 {
 // IDAt returns the ID of the function defining the envelope at time t.
 func (e *Envelope) IDAt(t float64) int64 { return e.Intervals[e.at(t)].ID }
 
-// Func returns the distance function with the given ID, or nil.
+// Func returns the distance function with the given ID, or nil — on a
+// compacted envelope (see Compact), nil for any function that defines no
+// interval.
 func (e *Envelope) Func(id int64) *DistanceFunc { return e.fns[id] }
 
 // IDs returns the distinct function IDs appearing on the envelope, in

@@ -119,7 +119,9 @@ func (m *Metrics) Registry() *metrics.Registry {
 }
 
 // ObserveHub exports a hub's cumulative dirty-set counters
-// (ingested/evals/skips) as counter funcs; pass hub.Stats.
+// (ingested/evals/skips, and the evaluations split into those that
+// continued a maintained answer and those rebuilt from scratch) as counter
+// funcs; pass hub.Stats.
 func (m *Metrics) ObserveHub(stats func() continuous.Stats) {
 	if m == nil || stats == nil {
 		return
@@ -133,6 +135,12 @@ func (m *Metrics) ObserveHub(stats func() continuous.Stats) {
 	m.reg.CounterFunc("hub_skips_total",
 		"Subscription re-evaluations the dirty test proved unnecessary.",
 		func() float64 { return float64(stats().Skips) })
+	m.reg.CounterFunc("hub_patched_total",
+		"Re-evaluations that continued the standing question's maintained answer.",
+		func() float64 { return float64(stats().Patched) })
+	m.reg.CounterFunc("hub_rebuilt_total",
+		"Re-evaluations derived from scratch.",
+		func() float64 { return float64(stats().Rebuilt) })
 }
 
 // ObserveWAL exports the write-ahead log's cumulative operation counters.

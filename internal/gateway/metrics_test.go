@@ -72,7 +72,7 @@ func TestMetricsGolden(t *testing.T) {
 	m.ShardRetryHook()("shard-1", 2, nil)
 
 	m.ObserveHub(func() continuous.Stats {
-		return continuous.Stats{Ingested: 5, Evals: 4, Skips: 3}
+		return continuous.Stats{Ingested: 5, Evals: 4, Skips: 3, Patched: 3, Rebuilt: 1}
 	})
 	m.ObserveWAL(func() wal.Stats {
 		return wal.Stats{Appends: 2, AppendedBytes: 4096, Snapshots: 1}

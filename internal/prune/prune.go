@@ -317,15 +317,9 @@ func (s *Sweep) sweep(ctx context.Context, bounds []float64) ([]*trajectory.Traj
 	sc := scratchPool.Get().(*sweepScratch)
 	defer scratchPool.Put(sc)
 	tested := sc.begin(len(bounds), len(s.trs))
-	width := 4*s.r + Margin
-	union := geom.EmptyAABB()
-	for i, u := range bounds {
-		if math.IsInf(u, 1) {
-			return s.all(), nil
-		}
-		sc.lim[i] = u + width
-		sc.boxes[i] = geom.AABBOf(s.qpos[i], s.qpos[i+1]).Expand(sc.lim[i] + s.r)
-		union = union.Union(sc.boxes[i])
+	union, bounded := s.limits(sc, bounds)
+	if !bounded {
+		return s.all(), nil
 	}
 	var (
 		kept, seen int
@@ -358,6 +352,23 @@ func (s *Sweep) sweep(ctx context.Context, bounds []float64) ([]*trajectory.Traj
 		}
 	}
 	return out, nil
+}
+
+// limits fills the scratch's per-slice limits and corridor boxes for a
+// sweep against bounds and returns the boxes' union; bounded is false when
+// some slice has no finite bound, and the test then excludes nothing.
+func (s *Sweep) limits(sc *sweepScratch, bounds []float64) (union geom.AABB, bounded bool) {
+	width := 4*s.r + Margin
+	union = geom.EmptyAABB()
+	for i, u := range bounds {
+		if math.IsInf(u, 1) {
+			return union, false
+		}
+		sc.lim[i] = u + width
+		sc.boxes[i] = geom.AABBOf(s.qpos[i], s.qpos[i+1]).Expand(sc.lim[i] + s.r)
+		union = union.Union(sc.boxes[i])
+	}
+	return union, true
 }
 
 // entersZone reports whether tr's minimum crisp distance from the query

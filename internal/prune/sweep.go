@@ -38,6 +38,7 @@ const sweepCacheCap = 16
 type Sweep struct {
 	trs        []*trajectory.Trajectory
 	oids       []int64 // trs[i].OID
+	version    uint64  // the store version the snapshot was taken at
 	candidates int     // non-query objects in the snapshot
 	idx        corridorIndex
 	predictive bool

@@ -41,11 +41,11 @@ func takeSnapshot(store *mod.Store, q *trajectory.Trajectory, tb, te float64, wh
 	if where == nil {
 		v := store.View()
 		idx, predictive := indexFor(store, tb, te)
-		return &Sweep{trs: v.Trajs, oids: v.OIDs, idx: idx, predictive: predictive, stale: store.Version() != v.Version, boost: 1}
+		return &Sweep{trs: v.Trajs, oids: v.OIDs, version: v.Version, idx: idx, predictive: predictive, stale: store.Version() != v.Version, boost: 1}
 	}
 	where = where.Canon()
 	trs, tags, v0 := store.AllWithTags()
-	s := &Sweep{trs: make([]*trajectory.Trajectory, 0, len(trs)), oids: make([]int64, 0, len(trs)), boost: predProbeBoost}
+	s := &Sweep{trs: make([]*trajectory.Trajectory, 0, len(trs)), oids: make([]int64, 0, len(trs)), version: v0, boost: predProbeBoost}
 	for _, tr := range trs {
 		if tr.OID == q.OID || where.Matches(tags[tr.OID]) {
 			s.trs = append(s.trs, tr)

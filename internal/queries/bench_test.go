@@ -1,0 +1,96 @@
+package queries
+
+import (
+	"testing"
+
+	"repro/internal/envelope"
+	"repro/internal/workload"
+)
+
+// BenchmarkProcessorVariants is the variants_hot burst at the processor:
+// the benchmark's sixteen burstHot requests — ten window-long retrievals,
+// two instant retrievals, three single-object predicates — against one
+// pruned processor over N = 3 000 objects. "first" times request 1 (UQ31)
+// on a fresh zone table, "rest" requests 2..16 on the table request 1 left
+// behind. scans/op is the number of zone rows filled inside the timed
+// section, each by one BelowIntervals call: the whole scan set in "first",
+// none in "rest" — every later variant reduces rows that are already there.
+func BenchmarkProcessorVariants(b *testing.B) {
+	const n, tb, te, r = 3000, 20.0, 30.0, 0.5
+	trs, err := workload.Generate(workload.DefaultConfig(2009), n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, target := trs[0], trs[1].OID
+	full, err := NewProcessor(trs, q, tb, te, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The survivors an index pre-pass would hand over: the zone members and
+	// a margin of near misses.
+	var survivors []int64
+	for _, f := range full.table {
+		if envelope.MinGap(f, full.env1) <= 4*r+1 {
+			survivors = append(survivors, f.ID)
+		}
+	}
+	at := func(f float64) float64 { return tb + f*(te-tb) }
+	first := func(p *Processor) { sink = p.UQ31() }
+	rest := func(p *Processor) {
+		sink = p.UQ32()
+		for _, x := range []float64{0.2, 0.5, 0.8} {
+			sink, _ = p.UQ33(x)
+		}
+		sink = p.PossibleNNAt(at(0.25))
+		sink = p.UQ31()
+		sink = p.UQ32()
+		for _, x := range []float64{0.1, 0.35, 0.65, 0.9} {
+			sink, _ = p.UQ33(x)
+		}
+		sink = p.PossibleNNAt(at(0.75))
+		sinkBool, _ = p.UQ11(target)
+		sinkBool, _ = p.UQ13(target, 0.3)
+		sinkBool, _ = p.IsPossibleNNAt(target, at(0.5))
+	}
+	filled := func(p *Processor) (n int) {
+		for i := range p.zone1 {
+			if p.zone1[i].peek() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	run := func(b *testing.B, warm bool) {
+		b.ReportAllocs()
+		scans := 0
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			p, err := NewProcessorPruned(trs, q, tb, te, r, survivors)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if warm {
+				first(p)
+			}
+			before := filled(p)
+			b.StartTimer()
+			if warm {
+				rest(p)
+			} else {
+				first(p)
+			}
+			b.StopTimer()
+			scans += filled(p) - before
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(scans)/float64(b.N), "scans/op")
+		b.ReportMetric(float64(len(survivors)), "survivors")
+	}
+	b.Run("first", func(b *testing.B) { run(b, false) })
+	b.Run("rest", func(b *testing.B) { run(b, true) })
+}
+
+var (
+	sink     []int64
+	sinkBool bool
+)

@@ -27,6 +27,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/envelope"
 	"repro/internal/trajectory"
@@ -43,11 +44,24 @@ var (
 // window. Construction performs the O(N log N) envelope preprocessing; each
 // Category 1/2 query then costs O(N) / O(kN) per the paper's Claims 1-2.
 //
+// Every interval variant — UQ11..UQ43, PossibleNNIntervals,
+// PossibleRankKIntervals — is a reduction (non-empty / covers the window /
+// total length >= x) of one *zone row*: BelowIntervals(f, Level-k, 4r), the
+// times object f spends inside the rank-k zone. The processor keeps a zone
+// table per level, one row per function of that level's scan set, and
+// computes a row at most once; a burst of variants against one (query,
+// window) therefore runs the interval scan once per object, not once per
+// request. Rows are shared and read-only inside the package: the exported
+// methods that hand intervals out (PossibleNNIntervals,
+// PossibleRankKIntervals) return copies a caller may keep or modify, the
+// predicates and retrievals return only booleans and fresh OID lists.
+//
 // All methods are safe for concurrent use: the distance functions, the
-// Level-1 envelope, and the OID table are immutable after construction, and
-// the lazily grown k-level envelopes are guarded by a mutex. The per-OID
-// kernels (PossibleNNIntervals, PossibleRankKIntervals, the UQ predicates)
-// are pure, which is what lets the batch engine fan them across goroutines.
+// Level-1 envelope and the candidate snapshot are immutable after
+// construction, a zone row is filled under its own lock, and the lazily
+// grown k-level envelopes (with their tables, which go when the rank basis
+// grows) are guarded by a mutex. The per-OID kernels are pure, which is
+// what lets the batch engine fan them across goroutines.
 type Processor struct {
 	QueryOID int64
 	Tb, Te   float64
@@ -57,18 +71,24 @@ type Processor struct {
 	// from: every candidate in full mode, only the index survivors in
 	// pruned mode (a pruned function never defines the lower envelope and
 	// never enters the 4r zone, so the envelope — and every Level-1
-	// answer — is unchanged by its absence). table resolves an OID to its
-	// function; oids lists ALL candidates (survivors + pruned), sorted once.
+	// answer — is unchanged by its absence). table is the same set in ID
+	// order — the Level-1 scan set — and zone1 its zone rows against env1.
 	fns   []*envelope.DistanceFunc
 	table fnTable
-	oids  []int64
 	env1  *envelope.Envelope
+	zone1 []zoneRow
 
-	// pruned marks a processor built over an index pre-pass: a candidate in
-	// oids without a function in table was excluded by it. Its Level-1
-	// answers are known without a distance function; deeper ranks grow the
-	// basis below.
-	pruned bool
+	// pruned marks a processor built over an index pre-pass: its
+	// candidates are the non-query members of snapshot, and one without a
+	// function in table was excluded by the pre-pass. Such a candidate's
+	// Level-1 answers are known without a distance function; deeper ranks
+	// grow the basis below. (A full-scan processor's candidates are exactly
+	// its functions.)
+	pruned    bool
+	snapshot  Universe
+	q         *trajectory.Trajectory
+	countOnce sync.Once
+	nCands    int // < 0: not counted yet (a successor counts on first use)
 
 	// The rank basis: the function set the k-level envelopes are built
 	// over, guarded by mu. In full mode it is the complete candidate set
@@ -79,17 +99,117 @@ type Processor struct {
 	// full build. Envelope values over any conservative rank-k superset
 	// match the full set for every level <= k, because a function outside
 	// the widened rank-k zone is never among the k pointwise smallest.
+	// zones[j] holds the zone rows of the basis against levels[j].
 	mu         sync.Mutex
-	levels     []*envelope.Envelope // levels[0] == env1, grown on demand
+	levels     []*envelope.Envelope // levels[0] is a Level-1 envelope, grown on demand
+	zones      [][]zoneRow
 	basisFns   []*envelope.DistanceFunc
 	basisTable fnTable
 	basisRank  int // ranks 1..basisRank answer exactly over the basis
 	expand     func(ctx context.Context, k int) ([]int64, error)
 	bounds     func(ctx context.Context, k int) (cuts, bounds []float64, err error)
 	fullBuilds int // lazy full builds performed (observability)
+}
 
-	lazyTrs []*trajectory.Trajectory // inputs of lazy basis growth, in OID order
-	lazyQ   *trajectory.Trajectory
+// Universe describes a pruned processor's candidate population without
+// listing it: a store snapshot in OID order — shared and read-only, it may
+// hold the query trajectory and objects outside the population — and the
+// membership test that picks the candidates out of it (nil: every snapshot
+// object). The query trajectory is never a candidate.
+type Universe struct {
+	Trajs  []*trajectory.Trajectory
+	Member func(oid int64) bool
+}
+
+// Find returns the snapshot trajectory of a candidate, nil for anything
+// else (the query object included).
+func (u Universe) Find(oid, queryOID int64) *trajectory.Trajectory {
+	i, ok := slices.BinarySearchFunc(u.Trajs, oid, func(tr *trajectory.Trajectory, id int64) int { return cmp.Compare(tr.OID, id) })
+	if !ok || oid == queryOID || (u.Member != nil && !u.Member(oid)) {
+		return nil
+	}
+	return u.Trajs[i]
+}
+
+// each calls fn for every candidate in OID order until it returns false.
+func (u Universe) each(queryOID int64, fn func(tr *trajectory.Trajectory) bool) {
+	for _, tr := range u.Trajs {
+		if tr.OID == queryOID || (u.Member != nil && !u.Member(tr.OID)) {
+			continue
+		}
+		if !fn(tr) {
+			return
+		}
+	}
+}
+
+// count returns the number of candidates: a search when every snapshot
+// object is one, a walk under a membership test.
+func (u Universe) count(queryOID int64) int {
+	n := 0
+	if u.Member == nil {
+		n = len(u.Trajs)
+		if _, ok := slices.BinarySearchFunc(u.Trajs, queryOID, func(tr *trajectory.Trajectory, id int64) int { return cmp.Compare(tr.OID, id) }); ok {
+			n--
+		}
+		return n
+	}
+	u.each(queryOID, func(*trajectory.Trajectory) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+// zoneRow is one object's zone row at one level: the maximal intervals its
+// distance function spends within 4r of that level, computed by the first
+// reader and shared by all later ones.
+type zoneRow struct {
+	mu    sync.Mutex
+	ready atomic.Bool
+	ivs   []envelope.TimeInterval
+}
+
+// noIntervals is the computed-and-empty row, so that a nil row always
+// means "not computed yet".
+var noIntervals = []envelope.TimeInterval{}
+
+func (r *zoneRow) get(f *envelope.DistanceFunc, env *envelope.Envelope, width float64) []envelope.TimeInterval {
+	if r.ready.Load() {
+		return r.ivs
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.ready.Load() {
+		r.set(envelope.BelowIntervals(f, env, width))
+	}
+	return r.ivs
+}
+
+// set installs a computed row. Callers own the row: get under its lock,
+// a constructor before the processor is shared.
+func (r *zoneRow) set(ivs []envelope.TimeInterval) {
+	if ivs == nil {
+		ivs = noIntervals
+	}
+	r.ivs = ivs
+	r.ready.Store(true)
+}
+
+// peek returns the row if it has been computed, nil otherwise.
+func (r *zoneRow) peek() []envelope.TimeInterval {
+	if r.ready.Load() {
+		return r.ivs
+	}
+	return nil
+}
+
+// zoneLevel is what an interval kernel scans at one rank: the scan set in
+// ID order, the level, and the zone rows of the one against the other.
+type zoneLevel struct {
+	fns  fnTable
+	env  *envelope.Envelope
+	rows []zoneRow
 }
 
 // fnTable resolves an OID to its distance function by binary search: the
@@ -111,12 +231,24 @@ func newFnTable(fns []*envelope.DistanceFunc) fnTable {
 	return fns
 }
 
+func (t fnTable) index(oid int64) (int, bool) {
+	return slices.BinarySearchFunc(t, oid, func(f *envelope.DistanceFunc, id int64) int { return cmp.Compare(f.ID, id) })
+}
+
 func (t fnTable) get(oid int64) *envelope.DistanceFunc {
-	i, ok := slices.BinarySearchFunc(t, oid, func(f *envelope.DistanceFunc, id int64) int { return cmp.Compare(f.ID, id) })
+	i, ok := t.index(oid)
 	if !ok {
 		return nil
 	}
 	return t[i]
+}
+
+func (t fnTable) ids() []int64 {
+	out := make([]int64, len(t))
+	for i, f := range t {
+		out[i] = f.ID
+	}
+	return out
 }
 
 // fullRank marks a basis covering every rank (the complete function set).
@@ -140,13 +272,10 @@ func NewProcessor(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te
 		return nil, err
 	}
 	table := newFnTable(fns)
-	oids := make([]int64, len(table))
-	for i, f := range table {
-		oids[i] = f.ID
-	}
 	return &Processor{
 		QueryOID: q.OID, Tb: tb, Te: te, R: r,
-		fns: fns, table: table, oids: oids, env1: env1,
+		fns: fns, table: table, env1: env1, zone1: make([]zoneRow, len(table)),
+		q: q, nCands: len(table),
 		levels:   []*envelope.Envelope{env1},
 		basisFns: fns, basisTable: table, basisRank: fullRank,
 	}, nil
@@ -176,9 +305,11 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 		return nil, fmt.Errorf("queries: nonpositive radius %g", r)
 	}
 	// Everything below is keyed by position in OID order — survivors by
-	// binary search, the functions and the candidate list by construction —
-	// so a build allocates no hash map. Store snapshots and the pre-pass
-	// hand both lists over sorted; anything else is put in order first.
+	// binary search, the functions and the candidate snapshot by
+	// construction — so a build allocates neither a hash map nor a list of
+	// its candidates: trs itself is the snapshot. Store snapshots and the
+	// pre-pass hand both lists over sorted; anything else is put in order
+	// first.
 	if !slices.IsSortedFunc(trs, byOID) {
 		trs = slices.Clone(trs)
 		slices.SortFunc(trs, byOID)
@@ -188,7 +319,7 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 		slices.Sort(survivors)
 	}
 	fns := make([]*envelope.DistanceFunc, 0, len(survivors))
-	oids := make([]int64, 0, len(trs))
+	n := 0
 	for _, tr := range trs {
 		if tr.OID == q.OID {
 			continue
@@ -201,7 +332,7 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 		if err := envelope.CheckWindow(tr, q, tb, te); err != nil {
 			return nil, fmt.Errorf("oid %d: %w", tr.OID, err)
 		}
-		oids = append(oids, tr.OID)
+		n++
 		if _, ok := slices.BinarySearch(survivors, tr.OID); ok {
 			f, err := envelope.NewDistanceFunc(tr.OID, tr, q, tb, te)
 			if err != nil {
@@ -210,7 +341,7 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 			fns = append(fns, f)
 		}
 	}
-	if len(oids) == 0 {
+	if n == 0 {
 		return nil, envelope.ErrNoFunctions
 	}
 	if len(fns) == 0 {
@@ -224,11 +355,10 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 	}
 	return &Processor{
 		QueryOID: q.OID, Tb: tb, Te: te, R: r,
-		fns: fns, table: fns, oids: oids, env1: env1,
-		pruned:   true,
+		fns: fns, table: fns, env1: env1, zone1: make([]zoneRow, len(fns)),
+		pruned: true, snapshot: Universe{Trajs: trs}, q: q, nCands: n,
 		levels:   []*envelope.Envelope{env1},
 		basisFns: fns, basisTable: fns, basisRank: 1,
-		lazyTrs: trs, lazyQ: q,
 	}, nil
 }
 
@@ -283,7 +413,7 @@ func (p *Processor) FullBuilds() int {
 
 // PrunedCount reports how many candidates the index pre-pass excluded
 // (0 for a full-scan processor) — for stats and benchmark reporting.
-func (p *Processor) PrunedCount() int { return len(p.oids) - len(p.fns) }
+func (p *Processor) PrunedCount() int { return p.CandidateCount() - len(p.fns) }
 
 // ensureFull returns the complete distance-function set, building it on
 // first use in pruned mode. The returned slice is write-once: callers use
@@ -301,31 +431,32 @@ func (p *Processor) ensureFullLocked(ctx context.Context) ([]*envelope.DistanceF
 	// Complete the basis, reusing already-built survivor functions and
 	// checking ctx between the per-candidate builds (the expensive part of
 	// a lazy full build).
-	fns := make([]*envelope.DistanceFunc, 0, len(p.oids))
-	for _, tr := range p.lazyTrs {
-		if tr.OID == p.lazyQ.OID {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	fns := make([]*envelope.DistanceFunc, 0, p.CandidateCount())
+	var err error
+	p.snapshot.each(p.QueryOID, func(tr *trajectory.Trajectory) bool {
+		if err = ctx.Err(); err != nil {
+			return false
 		}
 		f := p.basisTable.get(tr.OID)
 		if f == nil {
-			var err error
-			f, err = envelope.NewDistanceFunc(tr.OID, tr, p.lazyQ, p.Tb, p.Te)
-			if err != nil {
-				return nil, fmt.Errorf("oid %d: %w", tr.OID, err)
+			if f, err = envelope.NewDistanceFunc(tr.OID, tr, p.q, p.Tb, p.Te); err != nil {
+				err = fmt.Errorf("oid %d: %w", tr.OID, err)
+				return false
 			}
 		}
 		fns = append(fns, f)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	wasComplete := len(p.basisFns) == len(fns)
 	p.basisFns, p.basisTable, p.basisRank = fns, fns, fullRank
 	p.fullBuilds++
 	if !wasComplete {
-		// Deeper levels were built over the smaller basis; level() rebuilds
-		// them over the completed set on next use.
-		p.levels = p.levels[:1]
+		// Deeper levels (and their zone rows) were built over the smaller
+		// basis; zoneAt rebuilds them over the completed set on next use.
+		p.levels, p.zones = p.levels[:1], nil
 	}
 	return fns, nil
 }
@@ -348,17 +479,17 @@ func (p *Processor) growBasisLocked(ctx context.Context, k int) error {
 	}
 	var added []*envelope.DistanceFunc
 	for _, id := range ids {
-		if id == p.QueryOID || p.basisTable.get(id) != nil {
+		if p.basisTable.get(id) != nil {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		i, ok := slices.BinarySearchFunc(p.lazyTrs, id, func(tr *trajectory.Trajectory, id int64) int { return cmp.Compare(tr.OID, id) })
-		if !ok {
+		tr := p.snapshot.Find(id, p.QueryOID)
+		if tr == nil {
 			continue // expander over a different snapshot; ignore strangers
 		}
-		f, err := envelope.NewDistanceFunc(id, p.lazyTrs[i], p.lazyQ, p.Tb, p.Te)
+		f, err := envelope.NewDistanceFunc(id, tr, p.q, p.Tb, p.Te)
 		if err != nil {
 			return fmt.Errorf("oid %d: %w", id, err)
 		}
@@ -374,26 +505,12 @@ func (p *Processor) growBasisLocked(ctx context.Context, k int) error {
 		fns = append(append(fns, p.basisFns...), added...)
 		slices.SortFunc(fns, byFuncID)
 		p.basisFns, p.basisTable = fns, fns
-		// Deeper levels were built over the smaller basis.
-		p.levels = p.levels[:1]
+		// Deeper levels (and their zone rows) were built over the smaller
+		// basis.
+		p.levels, p.zones = p.levels[:1], nil
 	}
 	p.basisRank = k
 	return nil
-}
-
-// scanFns returns the function set a whole-MOD retrieval must scan for
-// rank k: the Level-1 zone only ever admits survivors, while deeper levels
-// must be compared against the (possibly grown) rank-k basis.
-func (p *Processor) scanFns(k int) ([]*envelope.DistanceFunc, error) {
-	if k <= 1 || !p.pruned {
-		return p.fns, nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.growBasisLocked(context.Background(), k); err != nil {
-		return nil, err
-	}
-	return p.basisFns, nil
 }
 
 // Envelope returns the Level-1 lower envelope.
@@ -402,38 +519,43 @@ func (p *Processor) Envelope() *envelope.Envelope { return p.env1 }
 // width returns the pruning-zone width 4r.
 func (p *Processor) width() float64 { return 4 * p.R }
 
-// level returns the k-th envelope, building levels lazily over the rank
-// basis (grown to cover rank k first — via the rank expander when one is
-// attached, else the lazy full build).
-func (p *Processor) level(k int) (*envelope.Envelope, error) {
-	return p.levelCtx(context.Background(), k)
-}
-
-func (p *Processor) levelCtx(ctx context.Context, k int) (*envelope.Envelope, error) {
+// zoneAt returns what an interval kernel scans at rank k. Rank 1 is fixed
+// at construction: the Level-1 zone only ever admits survivors. Deeper
+// ranks scan the rank basis — grown to cover rank k first, via the rank
+// expander when one is attached, else the lazy full build — against the
+// k-th envelope, built lazily over that basis.
+func (p *Processor) zoneAt(ctx context.Context, k int) (zoneLevel, error) {
 	if k < 1 {
-		return nil, ErrBadRank
+		return zoneLevel{}, ErrBadRank
+	}
+	if k == 1 {
+		return zoneLevel{fns: p.table, env: p.env1, rows: p.zone1}, nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.growBasisLocked(ctx, k); err != nil {
-		return nil, err
+		return zoneLevel{}, err
 	}
 	if k > len(p.levels) && len(p.levels) < len(p.basisFns) {
 		lv, err := envelope.KLevelEnvelopes(p.basisFns, p.Tb, p.Te, k)
 		if err != nil {
-			return nil, err
+			return zoneLevel{}, err
 		}
-		p.levels = lv
+		p.levels, p.zones = lv, nil
 	}
-	if k > len(p.levels) {
-		// Fewer functions than k: the deepest available level is the
-		// correct bound (an object within 4r of it can be ranked <= k).
-		// The basis always carries at least min(k, N) functions — at every
-		// instant the k pointwise-smallest functions sit inside the rank-k
-		// zone, so a conservative survivor superset keeps them all.
-		return p.levels[len(p.levels)-1], nil
+	// Fewer functions than k: the deepest available level is the correct
+	// bound (an object within 4r of it can be ranked <= k). The basis
+	// always carries at least min(k, N) functions — at every instant the k
+	// pointwise-smallest functions sit inside the rank-k zone, so a
+	// conservative survivor superset keeps them all.
+	j := min(k, len(p.levels)) - 1
+	if len(p.zones) < len(p.levels) {
+		p.zones = append(p.zones, make([][]zoneRow, len(p.levels)-len(p.zones))...)
 	}
-	return p.levels[k-1], nil
+	if p.zones[j] == nil {
+		p.zones[j] = make([]zoneRow, len(p.basisTable))
+	}
+	return zoneLevel{fns: p.basisTable, env: p.levels[j], rows: p.zones[j]}, nil
 }
 
 // EnsureLevels builds the k-level envelopes up front so that subsequent
@@ -441,31 +563,63 @@ func (p *Processor) levelCtx(ctx context.Context, k int) (*envelope.Envelope, er
 // fan per-OID work across goroutines (the batch engine) call it once with
 // the largest rank in the batch.
 func (p *Processor) EnsureLevels(k int) error {
-	_, err := p.level(k)
-	return err
+	return p.EnsureLevelsCtx(context.Background(), k)
 }
 
 // EnsureLevelsCtx is EnsureLevels under a context: basis growth and the
 // k-level construction are the expensive lazy steps of a ranked query, so
 // a canceled request stops inside them instead of completing the build.
 func (p *Processor) EnsureLevelsCtx(ctx context.Context, k int) error {
-	_, err := p.levelCtx(ctx, k)
+	_, err := p.zoneAt(ctx, k)
 	return err
 }
 
 // CandidateOIDs returns the sorted OIDs of the non-query objects the
-// processor evaluates — the iteration domain of the whole-MOD Categories 3
-// and 4, exposed so external executors can shard it into per-OID tasks.
-// The list is sorted once at construction; callers get a copy.
+// processor answers about, pruned ones included — the domain of the
+// whole-MOD Categories 3 and 4. It walks the candidate snapshot on every
+// call; an executor fanning a filter out per object wants ScanOIDs, which
+// leaves out the candidates whose answer the pre-pass already settled.
 func (p *Processor) CandidateOIDs() []int64 {
-	out := make([]int64, len(p.oids))
-	copy(out, p.oids)
+	if !p.pruned {
+		return p.table.ids()
+	}
+	out := make([]int64, 0, p.CandidateCount())
+	p.snapshot.each(p.QueryOID, func(tr *trajectory.Trajectory) bool {
+		out = append(out, tr.OID)
+		return true
+	})
 	return out
 }
 
 // CandidateCount reports the number of non-query candidates without
-// copying the OID list (Explain accounting on the query hot path).
-func (p *Processor) CandidateCount() int { return len(p.oids) }
+// listing them (Explain accounting on the query hot path).
+func (p *Processor) CandidateCount() int {
+	p.countOnce.Do(func() {
+		if p.nCands < 0 {
+			p.nCands = p.snapshot.count(p.QueryOID)
+		}
+	})
+	return p.nCands
+}
+
+// ScanOIDs returns the sorted OIDs of the rank-k scan set: the candidates
+// whose rank-k zone row can be non-empty. Every other candidate was ruled
+// out of the zone by the pre-pass, so its answer to a whole-MOD filter is
+// known without a test — false, or true when the filter holds for an empty
+// row (see TrivialFraction). The caller owns the returned slice.
+func (p *Processor) ScanOIDs(k int) ([]int64, error) {
+	z, err := p.zoneAt(context.Background(), k)
+	if err != nil {
+		return nil, err
+	}
+	return z.fns.ids(), nil
+}
+
+// TrivialFraction reports whether "inside the zone for at least fraction x
+// of [tb, te]" already holds for an object that never enters it: the
+// requirement rounds to zero length, so every candidate qualifies, pruned
+// ones included, and the answer is the candidate list itself.
+func TrivialFraction(x, tb, te float64) bool { return x*(te-tb)-envelope.TimeEps <= 0 }
 
 // IntersectSorted returns the elements common to two ascending-sorted OID
 // lists, in ascending order. It is the domain-restriction primitive of
@@ -498,11 +652,7 @@ func IntersectSorted(a, b []int64) []int64 {
 func (p *Processor) SurvivorOIDs() []int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]int64, len(p.basisTable))
-	for i, f := range p.basisTable {
-		out[i] = f.ID
-	}
-	return out
+	return p.basisTable.ids()
 }
 
 // fn returns the object's distance function, erroring on unknown OIDs and
@@ -523,125 +673,110 @@ func (p *Processor) lookup(oid int64) (f *envelope.DistanceFunc, isPruned bool, 
 	if f := p.table.get(oid); f != nil {
 		return f, false, nil
 	}
-	if _, known := slices.BinarySearch(p.oids, oid); known && p.pruned {
+	if p.pruned && p.snapshot.Find(oid, p.QueryOID) != nil {
 		return nil, true, nil
 	}
 	return nil, false, fmt.Errorf("%w: %d", ErrUnknownOID, oid)
 }
 
-// PossibleNNIntervals returns the maximal time intervals during which the
-// object has non-zero probability of being the query's nearest neighbor —
-// the membership intervals of the 4r pruning zone.
-func (p *Processor) PossibleNNIntervals(oid int64) ([]envelope.TimeInterval, error) {
-	f, isPruned, err := p.lookup(oid)
+// row returns the object's zone row at rank k — the maximal intervals its
+// distance function spends within 4r of the Level-k envelope — computing it
+// on first use. The row is the table's own: callers inside the package
+// reduce it, they never modify or publish it. A candidate outside the
+// rank's scan set has an empty row by the pre-pass's guarantee.
+func (p *Processor) row(oid int64, k int) ([]envelope.TimeInterval, error) {
+	if _, _, err := p.lookup(oid); err != nil {
+		return nil, err
+	}
+	z, err := p.zoneAt(context.Background(), k)
 	if err != nil {
 		return nil, err
 	}
-	if isPruned {
-		// The pre-pass guarantees the function never enters the zone.
+	i, ok := z.fns.index(oid)
+	if !ok {
 		return nil, nil
 	}
-	return envelope.BelowIntervals(f, p.env1, p.width()), nil
+	return z.rows[i].get(z.fns[i], z.env, p.width()), nil
+}
+
+// scan returns, in OID order, the members of the rank-k scan set whose
+// zone row satisfies keep.
+func (p *Processor) scan(k int, keep func(row []envelope.TimeInterval) bool) ([]int64, error) {
+	z, err := p.zoneAt(context.Background(), k)
+	if err != nil {
+		return nil, err
+	}
+	var out []int64
+	for i, f := range z.fns {
+		if keep(z.rows[i].get(f, z.env, p.width())) {
+			out = append(out, f.ID)
+		}
+	}
+	return out, nil
+}
+
+// The three reductions of a zone row.
+
+func nonEmpty(row []envelope.TimeInterval) bool { return len(row) > 0 }
+
+func (p *Processor) covers(row []envelope.TimeInterval) bool { return coversWindow(row, p.Tb, p.Te) }
+
+func (p *Processor) atLeast(x float64) func(row []envelope.TimeInterval) bool {
+	need := x*(p.Te-p.Tb) - envelope.TimeEps
+	return func(row []envelope.TimeInterval) bool { return envelope.TotalLength(row) >= need }
+}
+
+// published copies a zone row for a caller outside the package (nil for
+// the empty row, as an interval scan itself reports it).
+func published(row []envelope.TimeInterval, err error) ([]envelope.TimeInterval, error) {
+	if err != nil || len(row) == 0 {
+		return nil, err
+	}
+	return slices.Clone(row), nil
+}
+
+// PossibleNNIntervals returns the maximal time intervals during which the
+// object has non-zero probability of being the query's nearest neighbor —
+// the membership intervals of the 4r pruning zone. The caller owns the
+// returned slice.
+func (p *Processor) PossibleNNIntervals(oid int64) ([]envelope.TimeInterval, error) {
+	return published(p.row(oid, 1))
 }
 
 // PossibleRankKIntervals is the ranked analogue against the Level-k
 // envelope.
 func (p *Processor) PossibleRankKIntervals(oid int64, k int) ([]envelope.TimeInterval, error) {
-	f, isPruned, err := p.lookup(oid)
-	if err != nil {
-		return nil, err
-	}
-	if isPruned {
-		if k < 1 {
-			return nil, ErrBadRank
-		}
-		if k == 1 {
-			return nil, nil // Level-1 zone membership is empty by the pre-pass
-		}
-		f, err = p.rankFn(oid, k)
-		if err != nil {
-			return nil, err
-		}
-		if f == nil {
-			// Outside the rank-k basis: the pre-pass guarantees the
-			// function never enters the Level-k zone either.
-			return nil, nil
-		}
-	}
-	env, err := p.level(k)
-	if err != nil {
-		return nil, err
-	}
-	return envelope.BelowIntervals(f, env, p.width()), nil
-}
-
-// rankFn returns the distance function a Level-1-pruned candidate has in
-// the rank-k basis, growing the basis as needed. nil means the object is
-// provably outside the rank-k zone.
-func (p *Processor) rankFn(oid int64, k int) (*envelope.DistanceFunc, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.growBasisLocked(context.Background(), k); err != nil {
-		return nil, err
-	}
-	return p.basisTable.get(oid), nil
+	return published(p.row(oid, k))
 }
 
 // --- Category 1: single-trajectory predicates ---
 
 // UQ11 reports whether the object has non-zero probability of being a NN
 // to the query at some time during the window (∃t).
-func (p *Processor) UQ11(oid int64) (bool, error) {
-	ivs, err := p.PossibleNNIntervals(oid)
-	if err != nil {
-		return false, err
-	}
-	return len(ivs) > 0, nil
-}
+func (p *Processor) UQ11(oid int64) (bool, error) { return p.UQ21(oid, 1) }
 
 // UQ12 reports whether the object has non-zero probability of being a NN
 // throughout the entire window (∀t).
-func (p *Processor) UQ12(oid int64) (bool, error) {
-	ivs, err := p.PossibleNNIntervals(oid)
-	if err != nil {
-		return false, err
-	}
-	return coversWindow(ivs, p.Tb, p.Te), nil
-}
+func (p *Processor) UQ12(oid int64) (bool, error) { return p.UQ22(oid, 1) }
 
 // UQ13 reports whether the object has non-zero probability of being a NN
 // for at least fraction x of the window (the paper's X% of [tb, te]).
-func (p *Processor) UQ13(oid int64, x float64) (bool, error) {
-	if x < 0 || x > 1 {
-		return false, ErrBadFrac
-	}
-	ivs, err := p.PossibleNNIntervals(oid)
-	if err != nil {
-		return false, err
-	}
-	return envelope.TotalLength(ivs) >= x*(p.Te-p.Tb)-envelope.TimeEps, nil
-}
+func (p *Processor) UQ13(oid int64, x float64) (bool, error) { return p.UQ23(oid, 1, x) }
 
 // --- Category 2: ranked single-trajectory predicates ---
 
 // UQ21 reports whether the object can be a k-th highest-probability NN at
 // some time (∃t, rank <= k).
 func (p *Processor) UQ21(oid int64, k int) (bool, error) {
-	ivs, err := p.PossibleRankKIntervals(oid, k)
-	if err != nil {
-		return false, err
-	}
-	return len(ivs) > 0, nil
+	row, err := p.row(oid, k)
+	return err == nil && nonEmpty(row), err
 }
 
 // UQ22 reports whether the object can be a k-th highest-probability NN
 // throughout the window (∀t, rank <= k).
 func (p *Processor) UQ22(oid int64, k int) (bool, error) {
-	ivs, err := p.PossibleRankKIntervals(oid, k)
-	if err != nil {
-		return false, err
-	}
-	return coversWindow(ivs, p.Tb, p.Te), nil
+	row, err := p.row(oid, k)
+	return err == nil && p.covers(row), err
 }
 
 // UQ23 reports whether the object can be a k-th highest-probability NN at
@@ -650,11 +785,8 @@ func (p *Processor) UQ23(oid int64, k int, x float64) (bool, error) {
 	if x < 0 || x > 1 {
 		return false, ErrBadFrac
 	}
-	ivs, err := p.PossibleRankKIntervals(oid, k)
-	if err != nil {
-		return false, err
-	}
-	return envelope.TotalLength(ivs) >= x*(p.Te-p.Tb)-envelope.TimeEps, nil
+	row, err := p.row(oid, k)
+	return err == nil && p.atLeast(x)(row), err
 }
 
 // --- Category 3: whole-MOD retrieval ---
@@ -663,97 +795,30 @@ func (p *Processor) UQ23(oid int64, k int, x float64) (bool, error) {
 // some time during the window (equivalently: the unpruned survivors, the
 // trajectories appearing in the IPAC-NN tree).
 func (p *Processor) UQ31() []int64 {
-	var out []int64
-	for _, f := range p.fns {
-		if ivs := envelope.BelowIntervals(f, p.env1, p.width()); len(ivs) > 0 {
-			out = append(out, f.ID)
-		}
-	}
-	sortIDs(out)
+	out, _ := p.scan(1, nonEmpty) // rank 1 is fixed at construction: no error
 	return out
 }
 
 // UQ32 retrieves all objects with non-zero probability throughout the
 // entire window.
 func (p *Processor) UQ32() []int64 {
-	var out []int64
-	for _, f := range p.fns {
-		if coversWindow(envelope.BelowIntervals(f, p.env1, p.width()), p.Tb, p.Te) {
-			out = append(out, f.ID)
-		}
-	}
-	sortIDs(out)
+	out, _ := p.scan(1, p.covers)
 	return out
 }
 
 // UQ33 retrieves all objects with non-zero probability at least fraction x
 // of the window.
-func (p *Processor) UQ33(x float64) ([]int64, error) {
-	if x < 0 || x > 1 {
-		return nil, ErrBadFrac
-	}
-	need := x*(p.Te-p.Tb) - envelope.TimeEps
-	if need <= 0 {
-		// Zero-length requirement: every candidate qualifies (an empty
-		// membership set has total length 0 >= need), including pruned
-		// ones, exactly as in a full scan.
-		out := make([]int64, len(p.oids))
-		copy(out, p.oids)
-		return out, nil
-	}
-	var out []int64
-	for _, f := range p.fns {
-		if envelope.TotalLength(envelope.BelowIntervals(f, p.env1, p.width())) >= need {
-			out = append(out, f.ID)
-		}
-	}
-	sortIDs(out)
-	return out, nil
-}
+func (p *Processor) UQ33(x float64) ([]int64, error) { return p.UQ43(1, x) }
 
 // --- Category 4: ranked whole-MOD retrieval ---
 
 // UQ41 retrieves all objects that can be a k-th highest-probability NN at
 // some time.
-func (p *Processor) UQ41(k int) ([]int64, error) {
-	env, err := p.level(k)
-	if err != nil {
-		return nil, err
-	}
-	fns, err := p.scanFns(k)
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for _, f := range fns {
-		if ivs := envelope.BelowIntervals(f, env, p.width()); len(ivs) > 0 {
-			out = append(out, f.ID)
-		}
-	}
-	sortIDs(out)
-	return out, nil
-}
+func (p *Processor) UQ41(k int) ([]int64, error) { return p.scan(k, nonEmpty) }
 
 // UQ42 retrieves all objects that can be a k-th highest-probability NN
 // throughout the window.
-func (p *Processor) UQ42(k int) ([]int64, error) {
-	env, err := p.level(k)
-	if err != nil {
-		return nil, err
-	}
-	fns, err := p.scanFns(k)
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for _, f := range fns {
-		if coversWindow(envelope.BelowIntervals(f, env, p.width()), p.Tb, p.Te) {
-			out = append(out, f.ID)
-		}
-	}
-	sortIDs(out)
-	return out, nil
-}
+func (p *Processor) UQ42(k int) ([]int64, error) { return p.scan(k, p.covers) }
 
 // UQ43 retrieves all objects that can be a k-th highest-probability NN at
 // least fraction x of the window.
@@ -761,28 +826,16 @@ func (p *Processor) UQ43(k int, x float64) ([]int64, error) {
 	if x < 0 || x > 1 {
 		return nil, ErrBadFrac
 	}
-	env, err := p.level(k)
-	if err != nil {
-		return nil, err
-	}
-	need := x*(p.Te-p.Tb) - envelope.TimeEps
-	if need <= 0 {
-		out := make([]int64, len(p.oids))
-		copy(out, p.oids)
-		return out, nil
-	}
-	fns, err := p.scanFns(k)
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for _, f := range fns {
-		if envelope.TotalLength(envelope.BelowIntervals(f, env, p.width())) >= need {
-			out = append(out, f.ID)
+	if TrivialFraction(x, p.Tb, p.Te) {
+		// Every candidate qualifies (an empty membership set has total
+		// length 0 >= need), including pruned ones, exactly as in a full
+		// scan — once the level itself is known to build.
+		if _, err := p.zoneAt(context.Background(), k); err != nil {
+			return nil, err
 		}
+		return p.CandidateOIDs(), nil
 	}
-	sortIDs(out)
-	return out, nil
+	return p.scan(k, p.atLeast(x))
 }
 
 // --- fixed-time (t = tf) variants ---
@@ -804,14 +857,7 @@ func (p *Processor) IsPossibleNNAt(oid int64, tf float64) (bool, error) {
 // PossibleNNAt retrieves all objects with non-zero probability of being
 // the NN at the instant tf.
 func (p *Processor) PossibleNNAt(tf float64) []int64 {
-	min := p.env1.ValueAt(tf)
-	var out []int64
-	for _, f := range p.fns {
-		if f.Value(tf) <= min+p.width()+envelope.TimeEps {
-			out = append(out, f.ID)
-		}
-	}
-	sortIDs(out)
+	out, _ := p.PossibleRankKAt(tf, 1) // rank 1 is fixed at construction: no error
 	return out
 }
 
@@ -837,48 +883,34 @@ func (p *Processor) GuaranteedNNIntervals(oid int64) ([]envelope.TimeInterval, e
 // IsPossibleRankKAt reports whether the object has non-zero probability of
 // being a k-th highest-probability NN at the instant tf.
 func (p *Processor) IsPossibleRankKAt(oid int64, tf float64, k int) (bool, error) {
-	f, isPruned, err := p.lookup(oid)
+	if _, _, err := p.lookup(oid); err != nil {
+		return false, err
+	}
+	z, err := p.zoneAt(context.Background(), k)
 	if err != nil {
 		return false, err
 	}
-	env, err := p.level(k)
-	if err != nil {
-		return false, err
+	f := z.fns.get(oid)
+	if f == nil {
+		return false, nil // outside the rank-k zone by the pre-pass
 	}
-	if isPruned {
-		if k == 1 {
-			return false, nil // outside the Level-1 zone by the pre-pass
-		}
-		f, err = p.rankFn(oid, k)
-		if err != nil {
-			return false, err
-		}
-		if f == nil {
-			return false, nil // outside the rank-k zone by the pre-pass
-		}
-	}
-	return f.Value(tf) <= env.ValueAt(tf)+p.width()+envelope.TimeEps, nil
+	return f.Value(tf) <= z.env.ValueAt(tf)+p.width()+envelope.TimeEps, nil
 }
 
 // PossibleRankKAt retrieves all objects with non-zero probability of being
 // a k-th highest-probability NN at the instant tf.
 func (p *Processor) PossibleRankKAt(tf float64, k int) ([]int64, error) {
-	env, err := p.level(k)
+	z, err := p.zoneAt(context.Background(), k)
 	if err != nil {
 		return nil, err
 	}
-	fns, err := p.scanFns(k)
-	if err != nil {
-		return nil, err
-	}
-	bound := env.ValueAt(tf) + p.width() + envelope.TimeEps
+	bound := z.env.ValueAt(tf) + p.width() + envelope.TimeEps
 	var out []int64
-	for _, f := range fns {
+	for _, f := range z.fns {
 		if f.Value(tf) <= bound {
 			out = append(out, f.ID)
 		}
 	}
-	sortIDs(out)
 	return out, nil
 }
 

@@ -466,7 +466,9 @@ type LiveHub = continuous.Hub
 // LiveEvent is one subscription's diff after an ingest batch.
 type LiveEvent = continuous.Event
 
-// LiveStats counts a hub's re-evaluations versus dirty-set skips.
+// LiveStats counts a hub's re-evaluations versus dirty-set skips, and how
+// many of the re-evaluations continued a maintained answer (Patched)
+// rather than deriving it from scratch (Rebuilt).
 type LiveStats = continuous.Stats
 
 // NewLiveHub mounts a continuous-query hub on a single store + engine
