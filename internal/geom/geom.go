@@ -271,8 +271,8 @@ func (b AABB) IsEmpty() bool { return b.MinX > b.MaxX || b.MinY > b.MaxY }
 // ExtendPoint grows the box to include p.
 func (b AABB) ExtendPoint(p Point) AABB {
 	return AABB{
-		math.Min(b.MinX, p.X), math.Min(b.MinY, p.Y),
-		math.Max(b.MaxX, p.X), math.Max(b.MaxY, p.Y),
+		min(b.MinX, p.X), min(b.MinY, p.Y),
+		max(b.MaxX, p.X), max(b.MaxY, p.Y),
 	}
 }
 
@@ -285,8 +285,8 @@ func (b AABB) Union(o AABB) AABB {
 		return b
 	}
 	return AABB{
-		math.Min(b.MinX, o.MinX), math.Min(b.MinY, o.MinY),
-		math.Max(b.MaxX, o.MaxX), math.Max(b.MaxY, o.MaxY),
+		min(b.MinX, o.MinX), min(b.MinY, o.MinY),
+		max(b.MaxX, o.MaxX), max(b.MaxY, o.MaxY),
 	}
 }
 
@@ -337,7 +337,7 @@ func (b AABB) Center() Point {
 // MinDistTo returns the smallest distance from p to any point in the box
 // (0 if p is inside). Used by best-first kNN search in the spatial index.
 func (b AABB) MinDistTo(p Point) float64 {
-	dx := math.Max(0, math.Max(b.MinX-p.X, p.X-b.MaxX))
-	dy := math.Max(0, math.Max(b.MinY-p.Y, p.Y-b.MaxY))
+	dx := max(0, b.MinX-p.X, p.X-b.MaxX)
+	dy := max(0, b.MinY-p.Y, p.Y-b.MaxY)
 	return math.Hypot(dx, dy)
 }

@@ -13,12 +13,17 @@ import (
 )
 
 // This file is the live-ingestion surface of the store: location updates
-// append vertices to existing motion plans (or insert brand-new objects),
-// and the spatial indexes are maintained *incrementally* — new segments
-// are inserted into the cached segment R-tree and the predictive TPR tree
-// via the persistent Inserted path instead of invalidating the whole
-// (version, fanout) cache, so a standing query workload never pays a full
-// O(n log n) rebuild just because the fleet reported positions.
+// revise or extend existing motion plans (or insert brand-new objects), and
+// the spatial indexes are maintained *incrementally*, one step per batch.
+// ApplyUpdates applies a whole batch in one critical section of s.mu and
+// then chains the cached segment R-tree and the predictive TPR tree across
+// all of the batch's versions with one persistent Inserted call each
+// (maintainIndexes), instead of invalidating the (version, fanout) cache —
+// so a fleet reporting positions never costs a standing query workload an
+// O(n log n) rebuild, and a batch copies each index node it touches once.
+// Every other live mutation is a batch of one through the same step. Lock
+// order: idxMu, then mu (as BuildIndex takes them); the step takes idxMu
+// only after the batch has released mu.
 
 // Live-ingestion errors.
 var (
@@ -117,8 +122,9 @@ func checkVerts(oid int64, verts []trajectory.Vertex) error {
 	return nil
 }
 
-// extendLocked appends pre-validated verts to old. Caller holds s.mu and
-// guarantees verts[0].T > old's last vertex time.
+// extendLocked appends pre-validated verts to old. Caller holds s.mu,
+// guarantees verts[0].T > old's last vertex time, and commits the mutation
+// (commitLocked).
 func (s *Store) extendLocked(old *trajectory.Trajectory, verts []trajectory.Vertex) (nt *trajectory.Trajectory, changedFrom float64) {
 	changedFrom = old.Verts[len(old.Verts)-1].T
 	nv := make([]trajectory.Vertex, len(old.Verts), len(old.Verts)+len(verts))
@@ -126,13 +132,12 @@ func (s *Store) extendLocked(old *trajectory.Trajectory, verts []trajectory.Vert
 	nv = append(nv, verts...)
 	nt = &trajectory.Trajectory{OID: old.OID, Verts: nv}
 	s.trajs[old.OID] = nt
-	s.version++
 	s.segLive += len(verts)
 	return nt, changedFrom
 }
 
 // reviseLocked splices pre-validated verts onto old at verts[0].T. Caller
-// holds s.mu.
+// holds s.mu and commits the mutation (commitLocked).
 func (s *Store) reviseLocked(old *trajectory.Trajectory, verts []trajectory.Vertex) (nt *trajectory.Trajectory, changedFrom float64, err error) {
 	keep := 0
 	for keep < len(old.Verts) && old.Verts[keep].T < verts[0].T {
@@ -147,7 +152,6 @@ func (s *Store) reviseLocked(old *trajectory.Trajectory, verts []trajectory.Vert
 	nv = append(nv, verts...)
 	nt = &trajectory.Trajectory{OID: old.OID, Verts: nv}
 	s.trajs[old.OID] = nt
-	s.version++
 	s.segLive += nt.NumSegments() - old.NumSegments()
 	return nt, changedFrom, nil
 }
@@ -171,10 +175,10 @@ func (s *Store) ExtendTrajectory(oid int64, verts []trajectory.Vertex) (changedF
 		return 0, fmt.Errorf("%w: %d (t=%g after t=%g)", ErrStaleVertex, oid, verts[0].T, last.T)
 	}
 	nt, changedFrom := s.extendLocked(old, verts)
-	version := s.version
+	st := s.commitLocked(nt, changedFrom)
 	s.mu.Unlock()
 
-	s.maintainIndexes(nt, changedFrom, version)
+	s.maintainIndexes(st)
 	return changedFrom, nil
 }
 
@@ -201,153 +205,160 @@ func (s *Store) RevisePlan(oid int64, verts []trajectory.Vertex) (changedFrom fl
 		s.mu.Unlock()
 		return 0, nil, err
 	}
-	version := s.version
+	st := s.commitLocked(nt, changedFrom)
 	s.mu.Unlock()
 
-	s.maintainIndexes(nt, changedFrom, version)
+	s.maintainIndexes(st)
 	return changedFrom, old, nil
 }
 
-// ApplyUpdate applies one ingest update: a plan revision (or pure
-// extension) when the OID exists, an insert otherwise. Classification
-// and application happen under one critical section, so concurrent
-// same-OID updates serialize cleanly (each sees the other's committed
-// plan — no lost updates, no spurious stale/duplicate errors, and Prev
-// is always the plan this update actually superseded).
+// ApplyUpdate applies one ingest update — a batch of one: a plan revision
+// (or pure extension) when the OID exists, an insert otherwise.
 func (s *Store) ApplyUpdate(u Update) (Applied, error) {
+	s.mu.Lock()
+	a, st, err := s.applyLocked(u)
+	s.mu.Unlock()
+	if err != nil {
+		return Applied{}, err
+	}
+	s.maintainIndexes(st)
+	return a, nil
+}
+
+// ApplyUpdates applies the batch in order as one step, stopping at the
+// first error and returning the outcomes applied so far alongside it (they
+// stay applied, and indexed). The whole batch is classified and applied in
+// one critical section — still one version per update, so nothing keyed on
+// Version moves, but a reader never sees half a batch, concurrent same-OID
+// batches serialize cleanly (no lost updates, and Prev is always the plan an
+// update actually superseded) — and the indexes then take one step across
+// all of its versions.
+func (s *Store) ApplyUpdates(us []Update) ([]Applied, error) {
+	out := make([]Applied, 0, len(us))
+	steps := make([]step, 0, len(us))
+	var err error
+	s.mu.Lock()
+	for _, u := range us {
+		a, st, e := s.applyLocked(u)
+		if e != nil {
+			err = e
+			break
+		}
+		out, steps = append(out, a), append(steps, st)
+	}
+	s.mu.Unlock()
+	s.maintainIndexes(steps...)
+	return out, err
+}
+
+// applyLocked validates, classifies and applies one update. Caller holds
+// s.mu and hands the returned step to maintainIndexes after releasing it.
+func (s *Store) applyLocked(u Update) (Applied, step, error) {
 	if u.Retire {
 		if len(u.Verts) > 0 || u.Tags != nil {
-			return Applied{}, fmt.Errorf("%w: oid %d", ErrRetireConflict, u.OID)
+			return Applied{}, step{}, fmt.Errorf("%w: oid %d", ErrRetireConflict, u.OID)
 		}
-		return s.applyRetire(u.OID)
+		return s.retireLocked(u.OID)
 	}
 	var canon []string
 	if u.Tags != nil {
 		var err error
 		canon, err = textidx.CanonTags(*u.Tags)
 		if err != nil {
-			return Applied{}, err
+			return Applied{}, step{}, err
 		}
 	}
+	old, exists := s.trajs[u.OID]
 	if len(u.Verts) == 0 && u.Tags != nil {
-		return s.applyTagFlip(u.OID, canon)
+		// A pure tag flip: the motion stands, the trees are still exact.
+		if !exists {
+			return Applied{}, step{}, fmt.Errorf("%w: %d", ErrNotFound, u.OID)
+		}
+		prev := s.tags[u.OID]
+		s.setTagsLocked(u.OID, canon)
+		a := Applied{OID: u.OID, ChangedFrom: math.Inf(1), Traj: old}
+		if !slices.Equal(prev, canon) {
+			a.TagsChanged, a.Tags, a.PrevTags = true, canon, prev
+		}
+		return a, s.commitLocked(nil, math.Inf(1)), nil
 	}
 	if err := checkVerts(u.OID, u.Verts); err != nil {
-		return Applied{}, err
+		return Applied{}, step{}, err
 	}
-	s.mu.Lock()
-	old, exists := s.trajs[u.OID]
 	if !exists {
 		if len(u.Verts) < 2 {
-			s.mu.Unlock()
-			return Applied{}, fmt.Errorf("%w: oid %d has %d", ErrShortInsert, u.OID, len(u.Verts))
+			return Applied{}, step{}, fmt.Errorf("%w: oid %d has %d", ErrShortInsert, u.OID, len(u.Verts))
 		}
 		tr, err := trajectory.New(u.OID, append([]trajectory.Vertex(nil), u.Verts...))
 		if err != nil {
-			s.mu.Unlock()
-			return Applied{}, err
+			return Applied{}, step{}, err
 		}
 		s.trajs[u.OID] = tr
 		if u.Tags != nil {
 			s.setTagsLocked(u.OID, canon)
 		}
-		s.version++
 		s.segLive += tr.NumSegments()
-		version := s.version
-		s.mu.Unlock()
-		s.maintainIndexes(tr, math.Inf(-1), version)
 		return Applied{
 			OID: u.OID, Inserted: true, ChangedFrom: math.Inf(-1), Traj: tr,
 			TagsChanged: len(canon) > 0, Tags: canon,
-		}, nil
+		}, s.commitLocked(tr, math.Inf(-1)), nil
 	}
 	prevTags := s.tags[u.OID]
 	var (
 		nt          *trajectory.Trajectory
 		changedFrom float64
-		err         error
 	)
 	if u.Verts[0].T > old.Verts[len(old.Verts)-1].T {
 		// Strictly beyond the plan end: a pure extension — the motion
 		// changes from the old plan end (the clamp is replaced).
 		nt, changedFrom = s.extendLocked(old, u.Verts)
 	} else {
-		nt, changedFrom, err = s.reviseLocked(old, u.Verts)
-		if err != nil {
-			s.mu.Unlock()
-			return Applied{}, err
+		var err error
+		if nt, changedFrom, err = s.reviseLocked(old, u.Verts); err != nil {
+			return Applied{}, step{}, err
 		}
 	}
-	if u.Tags != nil {
-		// Same critical section, same version bump as the geometry: one
-		// Applied, one cache invalidation.
-		s.setTagsLocked(u.OID, canon)
-	}
-	version := s.version
-	s.mu.Unlock()
-	s.maintainIndexes(nt, changedFrom, version)
 	a := Applied{OID: u.OID, ChangedFrom: changedFrom, Prev: old, Traj: nt}
-	if u.Tags != nil && !slices.Equal(prevTags, canon) {
-		a.TagsChanged, a.Tags, a.PrevTags = true, canon, prevTags
+	if u.Tags != nil {
+		// Same version bump as the geometry: one Applied, one cache
+		// invalidation.
+		s.setTagsLocked(u.OID, canon)
+		if !slices.Equal(prevTags, canon) {
+			a.TagsChanged, a.Tags, a.PrevTags = true, canon, prevTags
+		}
 	}
-	return a, nil
+	return a, s.commitLocked(nt, changedFrom), nil
 }
 
-// applyTagFlip is the vertex-less ApplyUpdate path: replace an existing
-// object's tag set without touching its motion.
-func (s *Store) applyTagFlip(oid int64, canon []string) (Applied, error) {
-	s.mu.Lock()
-	tr, ok := s.trajs[oid]
-	if !ok {
-		s.mu.Unlock()
-		return Applied{}, fmt.Errorf("%w: %d", ErrNotFound, oid)
-	}
-	prev := s.tags[oid]
-	s.setTagsLocked(oid, canon)
-	s.version++
-	version := s.version
-	s.mu.Unlock()
-	s.maintainIndexes(nil, math.Inf(1), version)
-	a := Applied{OID: oid, ChangedFrom: math.Inf(1), Traj: tr}
-	if !slices.Equal(prev, canon) {
-		a.TagsChanged, a.Tags, a.PrevTags = true, canon, prev
-	}
-	return a, nil
-}
-
-// applyRetire is the Update.Retire path: drop the object's trajectory
+// retireLocked is the Update.Retire path: drop the object's trajectory
 // and tags and advance the live index chains without it. The spatial
 // trees keep the retired entries (they are conservative false positives
 // — every probe hit is refined against the live trajectory map, which no
 // longer holds the OID), but the shrinking live segment count pulls the
 // compactionSlack cut closer, so sustained retirement triggers
 // compacting rebuilds. Predicate matching reads the tag map, which has
-// forgotten the OID by the time the version moves.
-func (s *Store) applyRetire(oid int64) (Applied, error) {
-	s.mu.Lock()
+// forgotten the OID by the time the version moves. Caller holds s.mu.
+func (s *Store) retireLocked(oid int64) (Applied, step, error) {
 	old, ok := s.trajs[oid]
 	if !ok {
-		s.mu.Unlock()
-		return Applied{}, fmt.Errorf("%w: %d", ErrNotFound, oid)
+		return Applied{}, step{}, fmt.Errorf("%w: %d", ErrNotFound, oid)
 	}
 	prevTags := s.tags[oid]
 	delete(s.trajs, oid)
 	delete(s.tags, oid)
 	s.segLive -= old.NumSegments()
-	s.version++
-	version := s.version
-	s.mu.Unlock()
-	s.maintainIndexes(nil, math.Inf(-1), version)
 	a := Applied{OID: oid, Retired: true, ChangedFrom: math.Inf(-1), Prev: old}
 	if len(prevTags) > 0 {
 		a.TagsChanged, a.PrevTags = true, prevTags
 	}
-	return a, nil
+	return a, s.commitLocked(nil, math.Inf(-1)), nil
 }
 
 // RetireObject retires oid outside a batch — the direct-call analogue of
 // ApplyUpdate with Retire set.
-func (s *Store) RetireObject(oid int64) (Applied, error) { return s.applyRetire(oid) }
+func (s *Store) RetireObject(oid int64) (Applied, error) {
+	return s.ApplyUpdate(Update{OID: oid, Retire: true})
+}
 
 // ExpiredOIDs returns the sorted OIDs whose plans ended more than ttl
 // before now — the candidates a TTL-driven retirement policy turns into
@@ -371,20 +382,6 @@ func (s *Store) ExpiredOIDs(now, ttl float64) []int64 {
 	return out
 }
 
-// ApplyUpdates applies the batch in order, stopping at the first error and
-// returning the outcomes applied so far alongside it.
-func (s *Store) ApplyUpdates(us []Update) ([]Applied, error) {
-	out := make([]Applied, 0, len(us))
-	for _, u := range us {
-		a, err := s.ApplyUpdate(u)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // InsertLive inserts a trajectory like Insert but maintains the cached
 // indexes incrementally instead of leaving them to a lazy rebuild — the
 // ingest path for objects joining a live fleet.
@@ -398,12 +395,11 @@ func (s *Store) InsertLive(tr *trajectory.Trajectory) error {
 		return fmt.Errorf("%w: %d", ErrDuplicateOID, tr.OID)
 	}
 	s.trajs[tr.OID] = tr
-	s.version++
 	s.segLive += tr.NumSegments()
-	version := s.version
+	st := s.commitLocked(tr, math.Inf(-1))
 	s.mu.Unlock()
 
-	s.maintainIndexes(tr, math.Inf(-1), version)
+	s.maintainIndexes(st)
 	return nil
 }
 
@@ -419,57 +415,91 @@ const (
 	compactionFloor = 1 << 10
 )
 
+// step is what one committed live mutation asks of the indexes: the entries
+// for tr's motion from changedFrom on — the Applied.ChangedFrom of the
+// mutation — at the version it produced. A nil tr inserts nothing and only
+// advances the cached versions: a retirement (changedFrom -Inf; the retired
+// entries linger as false positives every probe refines away) or a pure tag
+// flip (changedFrom +Inf; the trees are still exact). live is the store's
+// live segment count as of that version, which the compaction rule reads.
+type step struct {
+	tr          *trajectory.Trajectory
+	changedFrom float64
+	version     uint64
+	live        int
+}
+
+// commitLocked ends one live mutation: it bumps the version and records the
+// index step while the counts it needs are still this version's. Caller
+// holds s.mu.
+func (s *Store) commitLocked(tr *trajectory.Trajectory, changedFrom float64) step {
+	s.version++
+	return step{tr: tr, changedFrom: changedFrom, version: s.version, live: s.segLive}
+}
+
+// cuts reports whether the compaction rule stops a chain at this step: the
+// tree (treeLen entries before the step's own, those of the batch's earlier
+// steps included) has accumulated superseded entries beyond compactionSlack
+// × the live segment count. A tag flip moved neither count and never cuts.
+func (st step) cuts(treeLen int) bool {
+	return !math.IsInf(st.changedFrom, 1) && treeLen > compactionFloor && treeLen > compactionSlack*st.live
+}
+
 // maintainIndexes chains the cached segment R-tree (and the predictive TPR
-// tree, when enabled) forward to `version` by inserting the entries for
-// tr's motion from changedFrom on — the Applied.ChangedFrom of the mutation.
-// A nil tr inserts nothing and only advances the cached versions: a
-// retirement (changedFrom -Inf; the retired entries linger as false
-// positives every probe refines away) or a pure tag flip (changedFrom +Inf;
-// the trees are still exact). The chain rule: an incremental step is
-// taken only when the cache is exactly one version behind, so interleaved
+// tree, when enabled) forward across steps — the consecutive versions one
+// critical section of s.mu produced, a whole batch or a single mutation —
+// with one Inserted call per tree, so the batch copies each node on its
+// insertion paths once. The caller has released s.mu: idxMu comes before mu
+// in the lock order. The chain rule: the step is taken only when the cache
+// is exactly one version behind the batch's first, so interleaved
 // non-append mutations leave the cache stale and the next BuildIndex
-// rebuilds — never a wrong tree, at worst a redundant rebuild. A chain
-// whose tree has accumulated superseded entries beyond compactionSlack ×
-// the live segment count is cut the same way, which is what keeps index
-// size (and probe cost) proportional to the live fleet under a sustained
-// revision workload; a tag flip moved neither count and never cuts.
-func (s *Store) maintainIndexes(tr *trajectory.Trajectory, changedFrom float64, version uint64) {
-	s.mu.RLock()
-	live := s.segLive
-	s.mu.RUnlock()
-	moved := !math.IsInf(changedFrom, 1)
-	bloated := func(treeLen int) bool {
-		return moved && treeLen > compactionFloor && treeLen > compactionSlack*live
+// rebuilds — never a wrong tree, at worst a redundant rebuild. The
+// compaction rule is evaluated update by update, as if each had been
+// chained on its own; a chain it cuts anywhere in the batch is dropped
+// whole, which is what keeps index size (and probe cost) proportional to the
+// live fleet under a sustained revision workload. The Incremental counters
+// count chained mutations, not calls.
+func (s *Store) maintainIndexes(steps ...step) {
+	if len(steps) == 0 {
+		return
 	}
+	first := steps[0].version
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
-	if s.idx != nil && s.idxVersion == version-1 {
-		if bloated(s.idx.Len()) {
+	if s.idx != nil && s.idxVersion == first-1 {
+		var es []sindex.Entry
+		k := 0
+		for ; k < len(steps) && !steps[k].cuts(s.idx.Len()+len(es)); k++ {
+			if st := steps[k]; st.tr != nil {
+				es = appendSegEntries(es, st.tr, st.changedFrom, s.spec.R)
+			}
+		}
+		s.stats.SegIncremental += uint64(k)
+		if k > 0 {
+			s.idxVersion = steps[k-1].version
+		}
+		if k < len(steps) {
 			s.idx = nil // cut the chain: next BuildIndex compacts
 		} else {
-			var es []sindex.Entry
-			for i := 0; tr != nil && i < tr.NumSegments(); i++ {
-				seg, t0, t1 := tr.Segment(i)
-				if t1 <= changedFrom {
-					continue
-				}
-				box := geom.AABBOf(seg.A, seg.B).Expand(s.spec.R)
-				es = append(es, sindex.Entry{ID: tr.OID, Box: box, T0: t0, T1: t1})
-			}
 			s.idx = s.idx.Inserted(es...)
-			s.idxVersion = version
-			s.stats.SegIncremental++
 		}
 	}
-	if s.predOn && s.pred != nil && s.predVersion == version-1 {
-		if bloated(s.pred.Len()) {
+	if s.predOn && s.pred != nil && s.predVersion == first-1 {
+		var es []sindex.MovingEntry
+		k := 0
+		for ; k < len(steps) && !steps[k].cuts(s.pred.Len()+len(es)); k++ {
+			if st := steps[k]; st.tr != nil {
+				es = append(es, predictiveEntries(st.tr, s.predRef, s.predRef+s.predHorizon, st.changedFrom)...)
+			}
+		}
+		s.stats.TPRIncremental += uint64(k)
+		if k > 0 {
+			s.predVersion = steps[k-1].version
+		}
+		if k < len(steps) {
 			s.pred = nil // cut the chain: the next Predictive call compacts
 		} else {
-			if tr != nil {
-				s.pred = s.pred.Inserted(predictiveEntries(tr, s.predRef, s.predRef+s.predHorizon, changedFrom)...)
-			}
-			s.predVersion = version
-			s.stats.TPRIncremental++
+			s.pred = s.pred.Inserted(es...)
 		}
 	}
 }

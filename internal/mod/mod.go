@@ -103,11 +103,13 @@ type Store struct {
 	view    atomic.Pointer[View]
 	tagView atomic.Pointer[tagView]
 
-	// Cached segment R-tree, maintained lazily: a mutation bumps version,
-	// which invalidates the cache; the next BuildIndex call rebuilds.
-	// Bulk STR loading is O(n log n), so rebuild-on-read is cheaper than
-	// incremental node splitting at MOD update rates and keeps the tree
-	// optimally packed.
+	// Cached segment R-tree, valid for store version idxVersion. A live
+	// mutation (live.go) chains it forward, a whole batch in one
+	// copy-on-write step; a plain Insert/Update/Delete only bumps version,
+	// which leaves the cache stale, and the next BuildIndex call rebuilds
+	// (STR bulk loading, O(n log n), optimally packed). idxMu guards this
+	// and the predictive state below, and is taken before mu, never under
+	// it.
 	idxMu      sync.Mutex
 	idx        *sindex.RTree
 	idxVersion uint64
@@ -332,13 +334,14 @@ func (s *Store) TimeSpan() (tb, te float64, ok bool) {
 // paths (the query-time candidate pre-pass) therefore get an always-fresh
 // index without paying a rebuild on every store mutation.
 //
-// Live-ingest mutations (ExtendTrajectory, RevisePlan, ApplyUpdate,
-// InsertLive — see live.go) instead chain the cached tree forward
-// incrementally, inserting the new segments via the persistent
-// sindex.RTree.Inserted path. After a plan revision the chained tree may
-// retain superseded segment entries; that makes it a conservative
-// superset index, which is exactly the contract the candidate pre-pass
-// needs (every hit is refined against the live trajectory).
+// Live-ingest mutations (ApplyUpdates, ApplyUpdate, ExtendTrajectory,
+// RevisePlan, InsertLive — see live.go) instead chain the cached tree
+// forward incrementally, inserting the new segments of a whole batch with
+// one persistent sindex.RTree.Inserted step. After a plan revision the
+// chained tree may retain superseded segment entries; that makes it a
+// conservative superset index, which is exactly the contract the
+// candidate pre-pass needs (every hit is refined against the live
+// trajectory).
 //
 // A non-positive fanout selects sindex.DefaultFanout (16, the STR node
 // capacity that keeps leaf scans within a cache line or two of entries
@@ -357,11 +360,7 @@ func (s *Store) BuildIndex(fanout int) *sindex.RTree {
 	}
 	entries := make([]sindex.Entry, 0, 4*len(s.trajs))
 	for _, tr := range s.trajs {
-		for i := 0; i < tr.NumSegments(); i++ {
-			seg, t0, t1 := tr.Segment(i)
-			box := geom.AABBOf(seg.A, seg.B).Expand(s.spec.R)
-			entries = append(entries, sindex.Entry{ID: tr.OID, Box: box, T0: t0, T1: t1})
-		}
+		entries = appendSegEntries(entries, tr, math.Inf(-1), s.spec.R)
 	}
 	s.mu.RUnlock()
 	s.idx = sindex.NewRTree(entries, fanout)
@@ -369,6 +368,20 @@ func (s *Store) BuildIndex(fanout int) *sindex.RTree {
 	s.idxFanout = fanout
 	s.stats.SegBuilds++
 	return s.idx
+}
+
+// appendSegEntries appends the index entries of tr's segments that end after
+// from (-Inf: all of them): one per segment, its box grown by the
+// uncertainty radius r.
+func appendSegEntries(es []sindex.Entry, tr *trajectory.Trajectory, from, r float64) []sindex.Entry {
+	for i := 0; i < tr.NumSegments(); i++ {
+		seg, t0, t1 := tr.Segment(i)
+		if t1 <= from {
+			continue
+		}
+		es = append(es, sindex.Entry{ID: tr.OID, Box: geom.AABBOf(seg.A, seg.B).Expand(r), T0: t0, T1: t1})
+	}
+	return es
 }
 
 // IndexVersion reports the store version the cached spatial index was last

@@ -34,10 +34,9 @@ func (s *Store) SetTags(oid int64, tags []string) error {
 		return fmt.Errorf("%w: %d", ErrNotFound, oid)
 	}
 	s.setTagsLocked(oid, canon)
-	s.version++
-	version := s.version
+	st := s.commitLocked(nil, math.Inf(1))
 	s.mu.Unlock()
-	s.maintainIndexes(nil, math.Inf(1), version)
+	s.maintainIndexes(st)
 	return nil
 }
 

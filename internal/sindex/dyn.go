@@ -4,24 +4,35 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
 
-// This file adds incremental (persistent, path-copying) insertion to the
-// two bulk-loaded trees. Both trees are immutable once built — the query
-// path holds bare pointers into them from many goroutines — so a live
-// ingest cannot mutate nodes in place. Inserted instead returns a NEW tree
-// that shares every untouched node with the original and copies only the
-// O(height) nodes along each insertion path (plus split siblings). Readers
-// of the old tree keep a consistent snapshot; the store swaps its cached
-// pointer under its index mutex. Packing quality degrades slowly compared
-// to a fresh STR build, but per-update cost is O(height · fanout) instead
-// of the O(n log n) rebuild the cache previously paid on every mutation.
+// This file adds incremental (persistent, copy-on-write) insertion to the
+// two bulk-loaded trees. A tree is immutable once it has been handed out —
+// the query path holds bare pointers into it from many goroutines — so a
+// live ingest never changes a node a reader can reach. Inserted instead
+// returns a NEW tree that shares every untouched node with the original;
+// readers of the old tree keep a consistent snapshot, and the store swaps
+// its cached pointer under its index mutex. The R-tree takes a whole batch
+// in one call: a node is copied the first time the call touches it and
+// edited in place on every later touch, so a batch pays for each node on
+// its insertion paths once (the TPR tree still copies a path per entry).
+// Packing quality degrades slowly compared to a fresh STR build, but a
+// batch costs what its own entries touch instead of the O(n log n) rebuild
+// the cache would otherwise pay on every mutation.
 
-// Inserted returns a tree containing the receiver's entries plus es. The
-// receiver is not modified; unaffected subtrees are shared. A nil or empty
-// receiver bulk-loads es instead.
+// insertEpoch numbers the RTree.Inserted calls. A node records the epoch of
+// the call that created it (0: bulk-loaded), and a call may edit exactly the
+// nodes that carry its own epoch: no other call can hold that number, and —
+// unlike a pointer to the tree being built — the number keeps nothing alive.
+var insertEpoch atomic.Uint64
+
+// Inserted returns a tree containing the receiver's entries plus es, as if
+// they had been inserted one at a time in order. The receiver, and every
+// tree derived from it earlier, is not modified; unaffected subtrees are
+// shared. A nil or empty receiver bulk-loads es instead.
 func (t *RTree) Inserted(es ...Entry) *RTree {
 	if len(es) == 0 {
 		return t
@@ -33,58 +44,79 @@ func (t *RTree) Inserted(es ...Entry) *RTree {
 		}
 		return NewRTree(es, fan)
 	}
-	nt := &RTree{root: t.root, height: t.height, count: t.count, fanout: t.fanout}
-	for _, e := range es {
-		n1, n2 := insertNode(nt.root, e, nt.fanout)
+	nt := &RTree{root: t.root, height: t.height, count: t.count + len(es), fanout: t.fanout}
+	epoch := insertEpoch.Add(1)
+	for i := range es {
+		n1, n2 := insertNode(nt.root, &es[i], nt.fanout, epoch)
 		if n2 != nil {
-			root := &node{children: []*node{n1, n2}}
-			root.recompute()
-			nt.root = root
+			n1 = &node{children: []*node{n1, n2}, epoch: epoch}
+			n1.recompute()
 			nt.height++
-		} else {
-			nt.root = n1
 		}
-		nt.count++
+		nt.root = n1
 	}
 	return nt
 }
 
-// insertNode inserts e below nd, copying the path. It returns the replaced
-// node and, when the node overflowed, a split sibling.
-func insertNode(nd *node, e Entry, fanout int) (*node, *node) {
+// owned returns nd if the call numbered epoch created it, and otherwise a
+// copy that call may edit, with room for the one member it is about to add.
+func (nd *node) owned(epoch uint64) *node {
+	if nd.epoch == epoch {
+		return nd
+	}
+	c := &node{box: nd.box, t0: nd.t0, t1: nd.t1, epoch: epoch}
 	if nd.children == nil {
-		ents := make([]Entry, len(nd.entries), len(nd.entries)+1)
-		copy(ents, nd.entries)
-		ents = append(ents, e)
-		if len(ents) <= fanout {
-			leaf := &node{entries: ents}
-			leaf.recompute()
-			return leaf, nil
+		c.entries = append(make([]Entry, 0, len(nd.entries)+1), nd.entries...)
+	} else {
+		c.children = append(make([]*node, 0, len(nd.children)+1), nd.children...)
+	}
+	return c
+}
+
+// appendExact is append that grows a full slice by exactly one element:
+// the nodes outlive the call by a long time, and the slack append's
+// doubling leaves behind would be kept for as long.
+func appendExact[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, len(s)+1), s...)
+	}
+	return append(s, v)
+}
+
+// insertNode adds e below nd on behalf of the Inserted call numbered epoch.
+// It returns that call's own version of nd — nd itself when the call
+// created it — and, when the node overflowed, the second half of its split.
+// The halves take their bounds from their members; a node that does not
+// split grows its bounds by the entry, which gives the same bits.
+func insertNode(nd *node, e *Entry, fanout int, epoch uint64) (*node, *node) {
+	nd = nd.owned(epoch)
+	var half *node
+	if nd.children == nil {
+		nd.entries = appendExact(nd.entries, *e)
+		if len(nd.entries) > fanout {
+			a, b := splitSlice(nd.entries, func(en Entry) geom.Point { return en.Box.Center() })
+			nd.entries, half = a, &node{entries: b, epoch: epoch}
 		}
-		a, b := splitSlice(ents, func(en Entry) geom.Point { return en.Box.Center() })
-		la, lb := &node{entries: a}, &node{entries: b}
-		la.recompute()
-		lb.recompute()
-		return la, lb
+	} else {
+		best := chooseSubtree(nd.children, e.Box)
+		c1, c2 := insertNode(nd.children[best], e, fanout, epoch)
+		nd.children[best] = c1
+		if c2 != nil {
+			nd.children = appendExact(nd.children, c2)
+		}
+		if len(nd.children) > fanout {
+			a, b := splitSlice(nd.children, func(c *node) geom.Point { return c.box.Center() })
+			nd.children, half = a, &node{children: b, epoch: epoch}
+		}
 	}
-	best := chooseSubtree(nd.children, e.Box)
-	c1, c2 := insertNode(nd.children[best], e, fanout)
-	kids := make([]*node, len(nd.children), len(nd.children)+1)
-	copy(kids, nd.children)
-	kids[best] = c1
-	if c2 != nil {
-		kids = append(kids, c2)
+	if half != nil {
+		nd.recompute()
+		half.recompute()
+		return nd, half
 	}
-	if len(kids) <= fanout {
-		p := &node{children: kids}
-		p.recompute()
-		return p, nil
-	}
-	a, b := splitSlice(kids, func(c *node) geom.Point { return c.box.Center() })
-	pa, pb := &node{children: a}, &node{children: b}
-	pa.recompute()
-	pb.recompute()
-	return pa, pb
+	nd.box = nd.box.Union(e.Box)
+	nd.t0, nd.t1 = min(nd.t0, e.T0), max(nd.t1, e.T1)
+	return nd, nil
 }
 
 // chooseSubtree picks the child whose box grows least (by area) to admit

@@ -42,8 +42,8 @@ func (e Entry) overlaps(box geom.AABB, t0, t1 float64) bool {
 
 // RTree is an immutable STR-packed R-tree. Build once with NewRTree; for
 // bulk-dynamic workloads rebuild (bulk loading is fast: O(n log n)), and
-// for append-heavy live ingest derive updated trees with Inserted, which
-// shares all untouched nodes with the original (see dyn.go).
+// for live ingest derive updated trees with Inserted, one call per batch,
+// which shares all untouched nodes with the original (see dyn.go).
 type RTree struct {
 	root   *node
 	height int
@@ -56,6 +56,9 @@ type node struct {
 	t0, t1   float64
 	children []*node // nil for leaves
 	entries  []Entry // nil for internal nodes
+	// epoch is the Inserted call that created the node and may still edit
+	// it (dyn.go); 0 for a bulk-loaded node, which nobody may.
+	epoch uint64
 }
 
 // NewRTree bulk-loads the entries with the STR algorithm. The entries
@@ -151,13 +154,13 @@ func (nd *node) recompute() {
 	nd.t0, nd.t1 = math.Inf(1), math.Inf(-1)
 	for _, e := range nd.entries {
 		nd.box = nd.box.Union(e.Box)
-		nd.t0 = math.Min(nd.t0, e.T0)
-		nd.t1 = math.Max(nd.t1, e.T1)
+		nd.t0 = min(nd.t0, e.T0)
+		nd.t1 = max(nd.t1, e.T1)
 	}
 	for _, c := range nd.children {
 		nd.box = nd.box.Union(c.box)
-		nd.t0 = math.Min(nd.t0, c.t0)
-		nd.t1 = math.Max(nd.t1, c.t1)
+		nd.t0 = min(nd.t0, c.t0)
+		nd.t1 = max(nd.t1, c.t1)
 	}
 }
 
