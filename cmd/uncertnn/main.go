@@ -58,7 +58,6 @@ func main() {
 		shards    = flag.Int("shards", 0, "route through an in-process cluster of this many hash-partitioned shards (0 or 1 = single engine)")
 		timeout   = flag.Duration("timeout", 0, "per-batch evaluation deadline, e.g. 500ms (0 = none)")
 		fullScan  = flag.Bool("fullscan", false, "disable the spatial-index candidate pre-pass (full O(N) envelope preprocessing per query)")
-		horizon   = flag.Float64("horizon", 0, "pin a predictive TPR index over [t0, t0+horizon] from the store's earliest time; covered query windows are then served without index rebuilds under live ingest (0 = off)")
 		tree      = flag.Bool("tree", false, "print the IPAC-NN tree for -q over [-tb, -te]")
 		qOID      = flag.Int64("q", 1, "query trajectory OID for -tree")
 		tb        = flag.Float64("tb", 0, "window start for -tree")
@@ -89,17 +88,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("loaded %d trajectories (r=%g, pdf=%s)\n", store.Len(), store.Radius(), store.Spec().Kind)
-
-	if *horizon > 0 {
-		t0, _, ok := store.TimeSpan()
-		if !ok {
-			fatal(fmt.Errorf("-horizon on an empty store"))
-		}
-		if err := store.EnablePredictive(t0, *horizon); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("predictive TPR index pinned over [%g, %g]\n", t0, t0+*horizon)
-	}
 
 	if *tree {
 		printTree(store, *qOID, *tb, *te, *levels, *desc, *asJSON)

@@ -15,11 +15,9 @@ import (
 
 	"repro"
 	"repro/internal/envelope"
-	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/modserver"
 	"repro/internal/queries"
-	"repro/internal/sindex"
 	"repro/internal/trajectory"
 	"repro/internal/uncertain"
 	"repro/internal/updf"
@@ -240,50 +238,6 @@ func TestSimplificationPreservesAnswers(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("UQ31 divergence at %d", i)
-		}
-	}
-}
-
-// TestTPRAgainstTrajectories: the TPR index over single-segment motion
-// returns the same instantaneous kNN as direct trajectory evaluation.
-func TestTPRAgainstTrajectories(t *testing.T) {
-	trs, err := repro.GenerateWorkload(repro.SingleSegmentWorkload(33), 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := make([]sindex.MovingEntry, len(trs))
-	for i, tr := range trs {
-		entries[i] = sindex.MovingEntry{
-			ID: tr.OID,
-			P:  tr.At(0),
-			V:  tr.VelocityAt(0),
-			T0: 0, T1: 60,
-		}
-	}
-	tpr := sindex.NewTPRTree(entries, 0, 8)
-	rng := rand.New(rand.NewSource(2))
-	for q := 0; q < 15; q++ {
-		tm := rng.Float64() * 60
-		p := geom.Point{X: rng.Float64() * 40, Y: rng.Float64() * 40}
-		got := tpr.KNNAt(p, tm, 3)
-		// Oracle via trajectories.
-		type dv struct {
-			id int64
-			d  float64
-		}
-		best := []dv{}
-		for _, tr := range trs {
-			best = append(best, dv{tr.OID, tr.At(tm).Dist(p)})
-		}
-		for i := 0; i < 3; i++ {
-			for j := i + 1; j < len(best); j++ {
-				if best[j].d < best[i].d {
-					best[i], best[j] = best[j], best[i]
-				}
-			}
-			if math.Abs(got[i].Dist-best[i].d) > 1e-9 {
-				t.Fatalf("q=%d rank %d: %g vs %g", q, i, got[i].Dist, best[i].d)
-			}
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // ApplyUpdates is one critical section and one index step per batch. What
 // it must not change is anything a caller can count or read: the outcomes,
 // the versions, which batches the compaction rule cuts a chain at, and what
-// the chained trees answer. The oracle is the loop of single updates that
+// the chained tree answers. The oracle is the loop of single updates that
 // ApplyUpdates used to be.
 
 // randomBatch draws a batch over the revision fleet's OIDs: mostly tail
@@ -66,12 +66,8 @@ func sortedRange(tree *sindex.RTree, box geom.AABB, t0, t1 float64) []int64 {
 
 func TestApplyUpdatesEqualsLoopOfSingleUpdates(t *testing.T) {
 	batched, looped := revisionFleet(t), revisionFleet(t)
-	for _, st := range []*Store{batched, looped} {
-		if err := st.EnablePredictive(0, 10); err != nil {
-			t.Fatal(err)
-		}
-		st.BuildIndex(0)
-	}
+	batched.BuildIndex(0)
+	looped.BuildIndex(0)
 	rng := rand.New(rand.NewSource(23))
 	failed := 0
 	for round := 0; round < 120; round++ {
@@ -91,26 +87,20 @@ func TestApplyUpdatesEqualsLoopOfSingleUpdates(t *testing.T) {
 			t.Fatalf("round %d: version %d index %d, the loop's %d and %d", round,
 				batched.Version(), batched.IndexVersion(), looped.Version(), looped.IndexVersion())
 		}
-		// Consult both caches, as the queries between two batches would.
+		// Consult the cache, as the queries between two batches would.
 		bi, li := batched.BuildIndex(0), looped.BuildIndex(0)
-		bp, _, _, _ := batched.Predictive()
-		lp, _, _, _ := looped.Predictive()
-		if bi.Len() != li.Len() || bp.Len() != lp.Len() {
-			t.Fatalf("round %d: %d segment and %d moving entries, the loop's %d and %d", round, bi.Len(), bp.Len(), li.Len(), lp.Len())
+		if bi.Len() != li.Len() {
+			t.Fatalf("round %d: %d segment entries, the loop's %d", round, bi.Len(), li.Len())
 		}
 		x, y := rng.Float64()*8, rng.Float64()*40
 		box := geom.AABB{MinX: x, MinY: y, MaxX: x + 3, MaxY: y + 6}
 		if !slices.Equal(sortedRange(bi, box, 2, 9), sortedRange(li, box, 2, 9)) {
 			t.Fatalf("round %d: the segment trees answer differently", round)
 		}
-		if !slices.Equal(bp.SearchInterval(box, 2, 9), lp.SearchInterval(box, 2, 9)) {
-			t.Fatalf("round %d: the predictive trees answer differently", round)
-		}
 	}
 	stats := batched.IndexStats()
-	if stats.SegBuilds < 3 || stats.TPRBuilds < 3 || failed == 0 {
-		t.Fatalf("the rounds cut %d segment and %d predictive chains and failed %d batches: not the cases this test is for",
-			stats.SegBuilds-1, stats.TPRBuilds-1, failed)
+	if stats.SegBuilds < 3 || failed == 0 {
+		t.Fatalf("the rounds cut %d chains and failed %d batches: not the cases this test is for", stats.SegBuilds-1, failed)
 	}
 }
 
@@ -136,16 +126,13 @@ func TestApplyUpdatesFailureKeepsThePrefixIndexed(t *testing.T) {
 }
 
 // TestConcurrentBatchesBesideIndexReaders: two goroutines apply batches
-// while others consult the caches. A batch that finds the cache more than
+// while others consult the cache. A batch that finds the cache more than
 // one version behind leaves it stale for the next reader to rebuild; one
 // that finds it current chains it. Either way the index a reader gets
 // holds every segment live at its version — checked once everything has
 // stopped — and nobody deadlocks (idxMu is never taken under mu).
 func TestConcurrentBatchesBesideIndexReaders(t *testing.T) {
 	st := revisionFleet(t)
-	if err := st.EnablePredictive(0, 10); err != nil {
-		t.Fatal(err)
-	}
 	st.BuildIndex(0)
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -183,7 +170,6 @@ func TestConcurrentBatchesBesideIndexReaders(t *testing.T) {
 				default:
 				}
 				st.BuildIndex(0).SearchRange(geom.AABB{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}, 0, 10)
-				st.Predictive()
 			}
 		}()
 	}

@@ -19,9 +19,7 @@ import (
 //     vertex and keeps the trajectory valid;
 //   - the incrementally maintained segment R-tree answers SearchRange and
 //     KNN identically to a from-scratch rebuild over the same contents
-//     (the PR 2 oracle, re-run post-append);
-//   - the predictive TPR tree stays conservative: every object's expected
-//     position during any probed interval is found by SearchInterval.
+//     (the PR 2 oracle, re-run post-append).
 func FuzzAppendVertex(f *testing.F) {
 	f.Add(int64(1), []byte{0x10, 0x20, 0x30, 0x81, 0x05, 0x70, 0xFF, 0x00, 0x01})
 	f.Add(int64(7), []byte{})
@@ -48,9 +46,6 @@ func FuzzAppendVertex(f *testing.F) {
 			mirror[oid] = verts
 		}
 		st.BuildIndex(0)
-		if err := st.EnablePredictive(0, 40); err != nil {
-			t.Fatal(err)
-		}
 
 		for i := 0; i+3 <= len(data); i += 3 {
 			oid := int64(data[i]%(nObj+1)) + 1 // 1..nObj+1; the last is unknown
@@ -111,7 +106,6 @@ func FuzzAppendVertex(f *testing.F) {
 			t.Fatalf("entry counts differ: %d vs %d", live.Len(), rebuilt.Len())
 		}
 		rng := rand.New(rand.NewSource(seed))
-		tpr, _, _, _ := st.Predictive()
 		for q := 0; q < 20; q++ {
 			x, y := rng.Float64()*40-20, rng.Float64()*40-20
 			box := geom.AABB{MinX: x, MinY: y, MaxX: x + rng.Float64()*20, MaxY: y + rng.Float64()*20}
@@ -133,19 +127,6 @@ func FuzzAppendVertex(f *testing.F) {
 			for i := range gn {
 				if math.Abs(gn[i].Dist-wn[i].Dist) > 1e-9 {
 					t.Fatalf("KNN dist %g vs %g post-append", gn[i].Dist, wn[i].Dist)
-				}
-			}
-
-			// Predictive conservativeness: the expected position of every
-			// object at any covered instant is always found.
-			if t0 <= 40 {
-				for _, tr := range st.All() {
-					pos := tr.At(t0)
-					probe := geom.AABB{MinX: pos.X - 1e-9, MinY: pos.Y - 1e-9, MaxX: pos.X + 1e-9, MaxY: pos.Y + 1e-9}
-					hits := tpr.SearchInterval(probe, t0, math.Min(t1, 40))
-					if !slices.Contains(hits, tr.OID) {
-						t.Fatalf("predictive index missed oid %d at t=%g", tr.OID, t0)
-					}
 				}
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/geom"
 	"repro/internal/sindex"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
@@ -14,11 +13,11 @@ import (
 
 // This file is the live-ingestion surface of the store: location updates
 // revise or extend existing motion plans (or insert brand-new objects), and
-// the spatial indexes are maintained *incrementally*, one step per batch.
+// the spatial index is maintained *incrementally*, one step per batch.
 // ApplyUpdates applies a whole batch in one critical section of s.mu and
-// then chains the cached segment R-tree and the predictive TPR tree across
-// all of the batch's versions with one persistent Inserted call each
-// (maintainIndexes), instead of invalidating the (version, fanout) cache —
+// then chains the cached segment R-tree across all of the batch's versions
+// with one persistent Inserted call (maintainIndexes), instead of
+// invalidating the (version, fanout) cache —
 // so a fleet reporting positions never costs a standing query workload an
 // O(n log n) rebuild, and a batch copies each index node it touches once.
 // Every other live mutation is a batch of one through the same step. Lock
@@ -57,7 +56,7 @@ type Update struct {
 	// unchanged (Applied.ChangedFrom = +Inf).
 	Tags *[]string `json:"tags,omitempty"`
 	// Retire removes the object from the store: its trajectory and tags
-	// are dropped, the live indexes forget it, and subsequent queries
+	// are dropped, the live index forgets it, and subsequent queries
 	// naming the OID answer ErrUnknownOID. A retire update must carry no
 	// Verts and no Tags; retiring an unknown OID is ErrNotFound. The OID
 	// may later be re-inserted by an ordinary ≥2-vertex update.
@@ -231,7 +230,7 @@ func (s *Store) ApplyUpdate(u Update) (Applied, error) {
 // one critical section — still one version per update, so nothing keyed on
 // Version moves, but a reader never sees half a batch, concurrent same-OID
 // batches serialize cleanly (no lost updates, and Prev is always the plan an
-// update actually superseded) — and the indexes then take one step across
+// update actually superseded) — and the index then takes one step across
 // all of its versions.
 func (s *Store) ApplyUpdates(us []Update) ([]Applied, error) {
 	out := make([]Applied, 0, len(us))
@@ -270,7 +269,7 @@ func (s *Store) applyLocked(u Update) (Applied, step, error) {
 	}
 	old, exists := s.trajs[u.OID]
 	if len(u.Verts) == 0 && u.Tags != nil {
-		// A pure tag flip: the motion stands, the trees are still exact.
+		// A pure tag flip: the motion stands, the tree is still exact.
 		if !exists {
 			return Applied{}, step{}, fmt.Errorf("%w: %d", ErrNotFound, u.OID)
 		}
@@ -331,8 +330,8 @@ func (s *Store) applyLocked(u Update) (Applied, step, error) {
 }
 
 // retireLocked is the Update.Retire path: drop the object's trajectory
-// and tags and advance the live index chains without it. The spatial
-// trees keep the retired entries (they are conservative false positives
+// and tags and advance the live index chain without it. The spatial
+// tree keeps the retired entries (they are conservative false positives
 // — every probe hit is refined against the live trajectory map, which no
 // longer holds the OID), but the shrinking live segment count pulls the
 // compactionSlack cut closer, so sustained retirement triggers
@@ -383,7 +382,7 @@ func (s *Store) ExpiredOIDs(now, ttl float64) []int64 {
 }
 
 // InsertLive inserts a trajectory like Insert but maintains the cached
-// indexes incrementally instead of leaving them to a lazy rebuild — the
+// index incrementally instead of leaving it to a lazy rebuild — the
 // ingest path for objects joining a live fleet.
 func (s *Store) InsertLive(tr *trajectory.Trajectory) error {
 	if err := tr.Validate(); err != nil {
@@ -415,12 +414,12 @@ const (
 	compactionFloor = 1 << 10
 )
 
-// step is what one committed live mutation asks of the indexes: the entries
+// step is what one committed live mutation asks of the index: the entries
 // for tr's motion from changedFrom on — the Applied.ChangedFrom of the
 // mutation — at the version it produced. A nil tr inserts nothing and only
-// advances the cached versions: a retirement (changedFrom -Inf; the retired
+// advances the cached version: a retirement (changedFrom -Inf; the retired
 // entries linger as false positives every probe refines away) or a pure tag
-// flip (changedFrom +Inf; the trees are still exact). live is the store's
+// flip (changedFrom +Inf; the tree is still exact). live is the store's
 // live segment count as of that version, which the compaction rule reads.
 type step struct {
 	tr          *trajectory.Trajectory
@@ -445,20 +444,19 @@ func (st step) cuts(treeLen int) bool {
 	return !math.IsInf(st.changedFrom, 1) && treeLen > compactionFloor && treeLen > compactionSlack*st.live
 }
 
-// maintainIndexes chains the cached segment R-tree (and the predictive TPR
-// tree, when enabled) forward across steps — the consecutive versions one
-// critical section of s.mu produced, a whole batch or a single mutation —
-// with one Inserted call per tree, so the batch copies each node on its
-// insertion paths once. The caller has released s.mu: idxMu comes before mu
-// in the lock order. The chain rule: the step is taken only when the cache
-// is exactly one version behind the batch's first, so interleaved
-// non-append mutations leave the cache stale and the next BuildIndex
-// rebuilds — never a wrong tree, at worst a redundant rebuild. The
-// compaction rule is evaluated update by update, as if each had been
+// maintainIndexes chains the cached segment R-tree forward across steps —
+// the consecutive versions one critical section of s.mu produced, a whole
+// batch or a single mutation — with one Inserted call, so the batch copies
+// each node on its insertion paths once. The caller has released s.mu: idxMu
+// comes before mu in the lock order. The chain rule: the step is taken only
+// when the cache is exactly one version behind the batch's first, so
+// interleaved non-append mutations leave the cache stale and the next
+// BuildIndex rebuilds — never a wrong tree, at worst a redundant rebuild.
+// The compaction rule is evaluated update by update, as if each had been
 // chained on its own; a chain it cuts anywhere in the batch is dropped
 // whole, which is what keeps index size (and probe cost) proportional to the
-// live fleet under a sustained revision workload. The Incremental counters
-// count chained mutations, not calls.
+// live fleet under a sustained revision workload. SegIncremental counts
+// chained mutations, not calls.
 func (s *Store) maintainIndexes(steps ...step) {
 	if len(steps) == 0 {
 		return
@@ -484,35 +482,13 @@ func (s *Store) maintainIndexes(steps ...step) {
 			s.idx = s.idx.Inserted(es...)
 		}
 	}
-	if s.predOn && s.pred != nil && s.predVersion == first-1 {
-		var es []sindex.MovingEntry
-		k := 0
-		for ; k < len(steps) && !steps[k].cuts(s.pred.Len()+len(es)); k++ {
-			if st := steps[k]; st.tr != nil {
-				es = append(es, predictiveEntries(st.tr, s.predRef, s.predRef+s.predHorizon, st.changedFrom)...)
-			}
-		}
-		s.stats.TPRIncremental += uint64(k)
-		if k > 0 {
-			s.predVersion = steps[k-1].version
-		}
-		if k < len(steps) {
-			s.pred = nil // cut the chain: the next Predictive call compacts
-		} else {
-			s.pred = s.pred.Inserted(es...)
-		}
-	}
 }
 
-// IndexStats counts index maintenance work — how often each cached tree
-// was rebuilt from scratch versus chained forward incrementally. The
-// predictive no-rebuild gate asserts on it.
+// IndexStats counts index maintenance work — how often the cached tree was
+// rebuilt from scratch versus chained forward incrementally.
 type IndexStats struct {
 	SegBuilds      uint64 `json:"seg_builds"`
 	SegIncremental uint64 `json:"seg_incremental"`
-	TPRBuilds      uint64 `json:"tpr_builds"`
-	TPRIncremental uint64 `json:"tpr_incremental"`
-	TPRAdvances    uint64 `json:"tpr_advances,omitempty"`
 }
 
 // IndexStats reports the maintenance counters.
@@ -520,160 +496,4 @@ func (s *Store) IndexStats() IndexStats {
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
 	return s.stats
-}
-
-// EnablePredictive builds and pins a TPR-tree over the store's motion
-// plans covering [refT, refT+horizon]: per object, one moving entry per
-// plan segment intersecting the window plus stationary entries for the
-// clamped head and tail, so every instant in the window is covered by an
-// entry with the object's exact expected motion. Queries whose window
-// fits the coverage take this index instead of the segment R-tree (the
-// prune package decides), and live appends extend it incrementally —
-// serving predictive "now + horizon" windows never pays a rebuild.
-// Non-append mutations (Update/Delete) leave it stale; the next Predictive
-// call rebuilds lazily, exactly like BuildIndex.
-func (s *Store) EnablePredictive(refT, horizon float64) error {
-	if horizon <= 0 || math.IsNaN(refT) || math.IsNaN(horizon) || math.IsInf(refT, 0) || math.IsInf(horizon, 0) {
-		return fmt.Errorf("mod: bad predictive window [%g, %g+%g]", refT, refT, horizon)
-	}
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	s.predOn, s.predAuto = true, false
-	s.predRef, s.predHorizon = refT, horizon
-	s.pred, s.predVersion = nil, 0
-	s.rebuildPredictiveLocked()
-	return nil
-}
-
-// EnablePredictiveAuto is EnablePredictive with the pin in auto-advance
-// mode: when a query window has moved past the pinned coverage (the
-// usual fate of a "now + horizon" serving loop as the clock runs),
-// PredictiveFor re-pins the window forward at the query's start and
-// rebuilds, instead of silently degrading every future predictive query
-// to the segment R-tree. Advances are monotone (forward only) and
-// counted in IndexStats.TPRAdvances.
-func (s *Store) EnablePredictiveAuto(refT, horizon float64) error {
-	if err := s.EnablePredictive(refT, horizon); err != nil {
-		return err
-	}
-	s.idxMu.Lock()
-	s.predAuto = true
-	s.idxMu.Unlock()
-	return nil
-}
-
-// DisablePredictive drops the predictive index.
-func (s *Store) DisablePredictive() {
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	s.predOn, s.predAuto = false, false
-	s.pred = nil
-}
-
-// Predictive returns the live predictive index and its coverage. ok is
-// false when EnablePredictive has not been called. The returned tree is
-// immutable; it reflects the store version at the time of the call (a
-// concurrent mutation may supersede it, which callers detect the same way
-// they do for BuildIndex — by re-checking Version).
-func (s *Store) Predictive() (t *sindex.TPRTree, refT, horizon float64, ok bool) {
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	if !s.predOn {
-		return nil, 0, 0, false
-	}
-	s.mu.RLock()
-	version := s.version
-	s.mu.RUnlock()
-	if s.pred == nil || s.predVersion != version {
-		s.rebuildPredictiveLocked()
-	}
-	return s.pred, s.predRef, s.predHorizon, true
-}
-
-// PredictiveFor returns the predictive index positioned to serve window
-// [tb, te]. It is Predictive plus the auto-advance step: in auto mode,
-// when the window has escaped the pinned coverage forward (te past
-// refT+horizon) yet still fits the horizon, the pin advances to refT=tb
-// and the tree rebuilds — one full build buys coverage for the whole next
-// horizon of queries. Advances never move backward, so a stray historical
-// query cannot thrash the pin; it just takes the segment R-tree path.
-// The advance only repositions a prune-level index, so answers are
-// unchanged — shards advancing independently stay byte-identical.
-func (s *Store) PredictiveFor(tb, te float64) (t *sindex.TPRTree, refT, horizon float64, ok bool) {
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	if !s.predOn {
-		return nil, 0, 0, false
-	}
-	if s.predAuto && tb > s.predRef && te > s.predRef+s.predHorizon &&
-		te-tb <= s.predHorizon && !math.IsNaN(tb) && !math.IsInf(tb, 0) {
-		s.predRef = tb
-		s.pred = nil
-		s.stats.TPRAdvances++
-	}
-	s.mu.RLock()
-	version := s.version
-	s.mu.RUnlock()
-	if s.pred == nil || s.predVersion != version {
-		s.rebuildPredictiveLocked()
-	}
-	return s.pred, s.predRef, s.predHorizon, true
-}
-
-// rebuildPredictiveLocked rebuilds the predictive tree from the current
-// contents. Caller holds idxMu.
-func (s *Store) rebuildPredictiveLocked() {
-	s.mu.RLock()
-	version := s.version
-	var es []sindex.MovingEntry
-	for _, tr := range s.trajs {
-		es = append(es, predictiveEntries(tr, s.predRef, s.predRef+s.predHorizon, math.Inf(-1))...)
-	}
-	s.mu.RUnlock()
-	s.pred = sindex.NewTPRTree(es, s.predRef, s.idxFanoutOrDefault())
-	s.predVersion = version
-	s.stats.TPRBuilds++
-}
-
-func (s *Store) idxFanoutOrDefault() int {
-	if s.idxFanout > 0 {
-		return s.idxFanout
-	}
-	return sindex.DefaultFanout
-}
-
-// predictiveEntries returns the moving entries describing tr's expected
-// motion over [refT, end], restricted to motion at or after changedFrom
-// (-Inf for the whole plan — the append path passes the old plan end so
-// only the new segments and the new clamp tail are emitted; the
-// superseded tail entry stays in the tree as a harmless false positive,
-// every index hit being refined against the live trajectory anyway).
-func predictiveEntries(tr *trajectory.Trajectory, refT, end, changedFrom float64) []sindex.MovingEntry {
-	var es []sindex.MovingEntry
-	tb, te := tr.TimeSpan()
-	if tb > refT && math.IsInf(changedFrom, -1) {
-		// Clamped head: stationary at the first vertex until the plan starts.
-		es = append(es, sindex.MovingEntry{
-			ID: tr.OID, P: tr.Verts[0].Point(), T0: refT, T1: math.Min(tb, end),
-		})
-	}
-	for i := 0; i < tr.NumSegments(); i++ {
-		seg, t0, t1 := tr.Segment(i)
-		if t1 < refT || t0 > end || t1 <= changedFrom {
-			continue
-		}
-		dt := t1 - t0
-		es = append(es, sindex.MovingEntry{
-			ID: tr.OID, P: seg.A,
-			V:  geom.Vec{X: (seg.B.X - seg.A.X) / dt, Y: (seg.B.Y - seg.A.Y) / dt},
-			T0: t0, T1: t1,
-		})
-	}
-	if te < end {
-		// Clamped tail: stationary at the last vertex through the horizon.
-		es = append(es, sindex.MovingEntry{
-			ID: tr.OID, P: tr.Verts[len(tr.Verts)-1].Point(), T0: te, T1: end,
-		})
-	}
-	return es
 }

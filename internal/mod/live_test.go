@@ -194,79 +194,6 @@ func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestPredictiveIncremental checks the TPR cache: one build, incremental
-// appends, and conservative coverage — every index hit set after appends
-// is a superset of a freshly built tree's hits over the same contents.
-func TestPredictiveIncremental(t *testing.T) {
-	st, tails := liveWorkloadStore(t, 80, 405)
-	if err := st.EnablePredictive(0, 60); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, ok := st.Predictive(); !ok {
-		t.Fatal("predictive not enabled")
-	}
-	for oid, verts := range tails {
-		if len(verts) == 0 {
-			continue
-		}
-		if _, err := st.ExtendTrajectory(oid, verts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tpr, refT, horizon, ok := st.Predictive()
-	if !ok || refT != 0 || horizon != 60 {
-		t.Fatalf("coverage = (%g, %g, %v)", refT, horizon, ok)
-	}
-	stats := st.IndexStats()
-	if stats.TPRBuilds != 1 || stats.TPRIncremental == 0 {
-		t.Fatalf("stats = %+v, want one TPR build and incremental appends", stats)
-	}
-
-	fresh := newTestStore(t)
-	if err := fresh.InsertAll(st.All()); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.EnablePredictive(0, 60); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, _, _, _ := fresh.Predictive()
-
-	rng := rand.New(rand.NewSource(11))
-	for q := 0; q < 60; q++ {
-		x, y := rng.Float64()*40, rng.Float64()*40
-		box := geom.AABB{MinX: x, MinY: y, MaxX: x + rng.Float64()*10, MaxY: y + rng.Float64()*10}
-		t0 := rng.Float64() * 55
-		t1 := t0 + rng.Float64()*(60-t0)
-		got := tpr.SearchInterval(box, t0, t1)
-		want := rebuilt.SearchInterval(box, t0, t1)
-		gotSet := make(map[int64]bool, len(got))
-		for _, id := range got {
-			gotSet[id] = true
-		}
-		for _, id := range want {
-			if !gotSet[id] {
-				t.Fatalf("q=%d: incremental tree missed id %d", q, id)
-			}
-		}
-	}
-
-	// A non-append mutation leaves the cache stale; the next Predictive
-	// call rebuilds.
-	if err := st.Delete(st.OIDs()[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, ok := st.Predictive(); !ok {
-		t.Fatal("predictive dropped after delete")
-	}
-	if got := st.IndexStats().TPRBuilds; got != 2 {
-		t.Fatalf("TPRBuilds after delete = %d, want 2", got)
-	}
-	st.DisablePredictive()
-	if _, _, _, ok := st.Predictive(); ok {
-		t.Fatal("predictive still on after disable")
-	}
-}
-
 // TestRevisionWorkloadCompactsIndex pins the chain-cut heuristic: a
 // sustained revision workload leaves superseded entries in the chained
 // tree, and once they pile past compactionSlack × the live segment
@@ -330,35 +257,30 @@ func reviseTail(t *testing.T, st *Store, oid int64) {
 }
 
 // TestTagFlipStepsChainsAndNeverCuts pins the one maintenance step on the
-// two routes that insert nothing, at the moment a chain is due for
-// compaction: a tag flip moved neither the trees nor the live count, so it
-// advances both cached versions, counts as a step, and leaves the cut to
+// two routes that insert nothing, at the moment the chain is due for
+// compaction: a tag flip moved neither the tree nor the live count, so it
+// advances the cached version, counts as a step, and leaves the cut to
 // the next mutation that moves segments — here a retirement.
 func TestTagFlipStepsChainsAndNeverCuts(t *testing.T) {
 	st := revisionFleet(t)
-	if err := st.EnablePredictive(0, 10); err != nil {
-		t.Fatal(err)
-	}
 	idx := st.BuildIndex(0)
 	for i := 0; idx.Len() <= compactionFloor || idx.Len() <= compactionSlack*st.segLive; i++ {
 		reviseTail(t, st, int64(i%revisionFleetSize+1))
 		idx = st.BuildIndex(0)
 	}
-	pred, _, _, _ := st.Predictive()
 	want := st.IndexStats()
-	if want.SegBuilds != 1 || want.TPRBuilds != 1 {
-		t.Fatalf("a chain was cut before it outgrew the bound: %+v", want)
+	if want.SegBuilds != 1 {
+		t.Fatalf("the chain was cut before it outgrew the bound: %+v", want)
 	}
 
 	tags := []string{"ev"}
 	if _, err := st.ApplyUpdate(Update{OID: 1, Tags: &tags}); err != nil {
 		t.Fatal(err)
 	}
-	if p, _, _, _ := st.Predictive(); st.BuildIndex(0) != idx || p != pred {
-		t.Fatal("a tag flip replaced a cached tree")
+	if st.BuildIndex(0) != idx {
+		t.Fatal("a tag flip replaced the cached tree")
 	}
 	want.SegIncremental++
-	want.TPRIncremental++
 	if got := st.IndexStats(); got != want {
 		t.Fatalf("after a tag flip: stats %+v, want %+v", got, want)
 	}
@@ -367,19 +289,8 @@ func TestTagFlipStepsChainsAndNeverCuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.BuildIndex(0)
-	st.Predictive()
 	want.SegBuilds++
-	want.TPRBuilds++
 	if got := st.IndexStats(); got != want {
-		t.Fatalf("after a retirement on overgrown chains: stats %+v, want %+v", got, want)
-	}
-}
-
-func TestEnablePredictiveRejectsBadWindow(t *testing.T) {
-	st := newTestStore(t)
-	for _, h := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if err := st.EnablePredictive(0, h); err == nil {
-			t.Fatalf("horizon %g accepted", h)
-		}
+		t.Fatalf("after a retirement on an overgrown chain: stats %+v, want %+v", got, want)
 	}
 }

@@ -107,26 +107,12 @@ type Store struct {
 	// mutation (live.go) chains it forward, a whole batch in one
 	// copy-on-write step; a plain Insert/Update/Delete only bumps version,
 	// which leaves the cache stale, and the next BuildIndex call rebuilds
-	// (STR bulk loading, O(n log n), optimally packed). idxMu guards this
-	// and the predictive state below, and is taken before mu, never under
-	// it.
+	// (STR bulk loading, O(n log n), optimally packed). idxMu guards it
+	// and is taken before mu, never under it.
 	idxMu      sync.Mutex
 	idx        *sindex.RTree
 	idxVersion uint64
 	idxFanout  int
-
-	// Predictive TPR-tree state (live.go): pinned coverage [predRef,
-	// predRef+predHorizon], maintained incrementally on appends and
-	// rebuilt lazily after other mutations.
-	pred        *sindex.TPRTree
-	predVersion uint64
-	predOn      bool
-	// predAuto lets PredictiveFor advance the pin forward (refT = tb, full
-	// rebuild) when a query window has moved past the pinned coverage, so
-	// "now + horizon" serving never degrades permanently as the clock runs.
-	predAuto    bool
-	predRef     float64
-	predHorizon float64
 
 	// segLive counts the store's live segments (guarded by mu, updated by
 	// every mutation). The incremental index chain compares it against the

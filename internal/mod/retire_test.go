@@ -67,15 +67,12 @@ func TestApplyRetireBasics(t *testing.T) {
 	}
 }
 
-// TestRetireIndexMaintenance: with the segment R-tree and the predictive
-// TPR tree warm, a retirement steps both chains incrementally — no
-// rebuild — and the retired OID stops matching predicates even though its
-// spatial entries linger as conservative false positives.
+// TestRetireIndexMaintenance: with the segment R-tree warm, a retirement
+// steps the chain incrementally — no rebuild — and the retired OID stops
+// matching predicates even though its spatial entries linger as
+// conservative false positives.
 func TestRetireIndexMaintenance(t *testing.T) {
 	st, _ := liveWorkloadStore(t, 60, 406)
-	if err := st.EnablePredictive(0, 60); err != nil {
-		t.Fatal(err)
-	}
 	oids := st.OIDs()
 	if err := st.SetTags(oids[0], []string{"ev"}); err != nil {
 		t.Fatal(err)
@@ -91,11 +88,11 @@ func TestRetireIndexMaintenance(t *testing.T) {
 	}
 	st.BuildIndex(0)
 	stats := st.IndexStats()
-	if stats.SegBuilds != base.SegBuilds || stats.TPRBuilds != base.TPRBuilds {
+	if stats.SegBuilds != base.SegBuilds {
 		t.Fatalf("retire forced a rebuild: base %+v now %+v", base, stats)
 	}
-	if stats.SegIncremental != base.SegIncremental+1 || stats.TPRIncremental != base.TPRIncremental+1 {
-		t.Fatalf("retire did not step the spatial chains: base %+v now %+v", base, stats)
+	if stats.SegIncremental != base.SegIncremental+1 {
+		t.Fatalf("retire did not step the spatial chain: base %+v now %+v", base, stats)
 	}
 	if got := st.MatchingOIDs(&textidx.Predicate{All: []string{"ev"}}); len(got) != 1 || got[0] != oids[1] {
 		t.Fatalf("ev matches after retire = %v, want [%d]", got, oids[1])

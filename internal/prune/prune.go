@@ -29,8 +29,7 @@
 //     within its slice's limit of the query at some instant, so at that
 //     instant it is inside that slice's box, and the index entry of the
 //     plan segment it is then on intersects the walked box in space and
-//     time. Which index nominated (segment R-tree, predictive TPR tree)
-//     therefore cannot change the survivor set.
+//     time.
 //
 // The survivor set feeds queries.NewProcessorPruned, which answers every
 // UQ variant identically to a full-scan Processor while building distance
@@ -56,8 +55,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/mod"
-	"repro/internal/sindex"
 	"repro/internal/trajectory"
 )
 
@@ -95,58 +92,10 @@ const targetSlices = 32
 // Stats describes one candidate pre-pass. The JSON tags are the wire
 // format the cluster survivors phase reports per shard.
 type Stats struct {
-	Candidates int  `json:"candidates"`           // non-query objects in the snapshot
-	Survivors  int  `json:"survivors"`            // objects the index could not rule out
-	Slices     int  `json:"slices"`               // time slices probed
-	Probes     int  `json:"probes"`               // KNN probe distance evaluations
-	Predictive bool `json:"predictive,omitempty"` // pre-pass ran on the TPR predictive index
-}
-
-// corridorIndex is the index surface the two pre-pass phases need: KNN
-// probe selection at an instant, and one walk naming every object that may
-// have motion inside a box during an interval (an ID per intersecting
-// entry, repeats and all, until fn returns false). The segment R-tree is
-// the default; a store with a pinned predictive TPR coverage answers
-// covered windows through the TPR tree instead (no rebuild under live
-// ingest). Both only *nominate* — every object named is tested against its
-// live trajectory — so the two paths answer queries identically even
-// though their candidate supersets differ.
-type corridorIndex interface {
-	probe(p geom.Point, t float64, k int) []sindex.Neighbor
-	visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool
-}
-
-// rtreeIndex adapts the segment R-tree (entries pre-expanded by r).
-type rtreeIndex struct{ t *sindex.RTree }
-
-func (x rtreeIndex) probe(p geom.Point, t float64, k int) []sindex.Neighbor {
-	return x.t.KNN(p, t, k)
-}
-func (x rtreeIndex) visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
-	return x.t.Visit(box, t0, t1, fn)
-}
-
-// tprIndex adapts the predictive TPR tree. Its moving entries are exact
-// expected positions, not r-expanded boxes; the sweep's corridor boxes
-// carry the r themselves.
-type tprIndex struct{ t *sindex.TPRTree }
-
-func (x tprIndex) probe(p geom.Point, t float64, k int) []sindex.Neighbor {
-	return x.t.KNNAt(p, t, k)
-}
-func (x tprIndex) visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
-	return x.t.VisitInterval(box, t0, t1, fn)
-}
-
-// indexFor picks the pre-pass index for a window: the pinned predictive
-// TPR tree when its coverage contains [tb, te] (PredictiveFor may first
-// auto-advance the pin forward to cover it), else the lazily maintained
-// segment R-tree. predictive reports which path was taken (Stats).
-func indexFor(store *mod.Store, tb, te float64) (idx corridorIndex, predictive bool) {
-	if tpr, refT, horizon, ok := store.PredictiveFor(tb, te); ok && tb >= refT && te <= refT+horizon {
-		return tprIndex{t: tpr}, true
-	}
-	return rtreeIndex{t: store.BuildIndex(0)}, false
+	Candidates int `json:"candidates"` // non-query objects in the snapshot
+	Survivors  int `json:"survivors"`  // objects the index could not rule out
+	Slices     int `json:"slices"`     // time slices probed
+	Probes     int `json:"probes"`     // KNN probe distance evaluations
 }
 
 // SliceCuts returns the deterministic slice boundaries the candidate
@@ -185,7 +134,7 @@ func (s *Sweep) zone(ctx context.Context, k int) (ids []int64, bounds []float64,
 			return nil, nil, st, err
 		}
 		bounds = rb.bounds
-		st.Slices, st.Probes, st.Predictive = len(bounds), rb.probes, s.predictive
+		st.Slices, st.Probes = len(bounds), rb.probes
 	}
 	st.Survivors = len(kept)
 	ids = make([]int64, len(kept))
@@ -250,7 +199,7 @@ func (s *Sweep) probeBounds(ctx context.Context, k int) (rankBounds, error) {
 		t0, t1 := s.cuts[i], s.cuts[i+1]
 		mid := 0.5 * (t0 + t1)
 		dists = dists[:0]
-		for _, nb := range s.idx.probe(s.q.At(mid), mid, probes) {
+		for _, nb := range s.idx.KNN(s.q.At(mid), mid, probes) {
 			if nb.ID == s.q.OID {
 				continue
 			}
@@ -325,7 +274,7 @@ func (s *Sweep) sweep(ctx context.Context, bounds []float64) ([]*trajectory.Traj
 		kept, seen int
 		cerr       error
 	)
-	s.idx.visit(union, s.tb, s.te, func(id int64) bool {
+	s.idx.Visit(union, s.tb, s.te, func(id int64) bool {
 		if seen++; seen%ctxEvery == 0 {
 			if cerr = ctxErr(ctx); cerr != nil {
 				return false

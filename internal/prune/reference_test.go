@@ -7,9 +7,9 @@ package prune
 // to *set equality* with it — not just to conservativeness — over worlds
 // built to reach every way the two could part: chained trees carrying
 // superseded entries, retired and re-inserted OIDs, filtered snapshots
-// whose membership tag flips keep moving, TPR-covered windows, ranks 1–3,
-// a slice without a bound, entries that touch a slice at a single instant,
-// windows that end where plans do, and a vanishing radius. The probe
+// whose membership tag flips keep moving, ranks 1–3, a slice without a
+// bound, entries that touch a slice at a single instant, windows that end
+// where plans do, and a vanishing radius. The probe
 // phase is held to its own straight-line reference the same way: bounds
 // bit for bit, and the probe count.
 
@@ -63,18 +63,6 @@ func refMaxDist(a, b *trajectory.Trajectory, t0, t1 float64) float64 {
 	return math.Sqrt(best)
 }
 
-// refHits is the old corridorIndex.corridorHits: one range search per
-// slice on whichever index serves the session.
-func refHits(s *Sweep, box geom.AABB, t0, t1 float64) []int64 {
-	switch x := s.idx.(type) {
-	case rtreeIndex:
-		return x.t.SearchRange(box, t0, t1)
-	case tprIndex:
-		return x.t.SearchInterval(box.Expand(s.r), t0, t1)
-	}
-	panic("unknown index")
-}
-
 // snapshotByID is the old sweeps' OID lookup: a map over the session's
 // snapshot, built per call.
 func snapshotByID(s *Sweep) map[int64]*trajectory.Trajectory {
@@ -98,7 +86,7 @@ func refBounds(s *Sweep, k int) ([]float64, int) {
 		t0, t1 := s.cuts[i], s.cuts[i+1]
 		mid := 0.5 * (t0 + t1)
 		var dists []float64
-		for _, nb := range s.idx.probe(s.q.At(mid), mid, width) {
+		for _, nb := range s.idx.KNN(s.q.At(mid), mid, width) {
 			if tr, ok := byID[nb.ID]; ok && nb.ID != s.q.OID {
 				probes++
 				dists = append(dists, refMaxDist(tr, s.q, t0, t1))
@@ -130,7 +118,7 @@ func refSweep(s *Sweep, bounds []float64) []int64 {
 			continue
 		}
 		qbox := geom.AABBOf(s.q.At(t0), s.q.At(t1))
-		hits := refHits(s, qbox.Expand(u+width), t0, t1)
+		hits := s.idx.SearchRange(qbox.Expand(u+width), t0, t1) // one range search per slice
 		slices.Sort(hits)
 		for i, id := range hits {
 			if id == s.q.OID || (i > 0 && id == hits[i-1]) {
@@ -173,7 +161,7 @@ func randomPlan(rng *rand.Rand, from float64) []trajectory.Vertex {
 }
 
 // churn applies one round of live updates: mid-plan revisions (superseded
-// entries stay in the chained trees), a retire + re-insert of the same OID
+// entries stay in the chained tree), a retire + re-insert of the same OID
 // with a new plan, and tag flips (the sub-MOD's membership moves).
 func churn(t *testing.T, rng *rand.Rand, store *mod.Store, protect int64) {
 	t.Helper()
@@ -213,108 +201,102 @@ func TestSweepEqualsReference(t *testing.T) {
 	windows := [][2]float64{{0, 10}, {10, 20}, {17.3, 31.9}, {50, 60}, {0, 60}}
 	sweeps, kinds := 0, map[string]int{}
 	for seed, r := range []float64{0.5, 1e-6, 2} {
-		for _, predictive := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(int64(seed)))
-			trs, err := workload.Generate(workload.DefaultConfig(int64(100+seed)), 220)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		trs, err := workload.Generate(workload.DefaultConfig(int64(100+seed)), 220)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := mod.NewUniformStore(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.InsertAll(trs); err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range trs {
+			if tr.OID%2 == 0 {
+				if err := store.SetTags(tr.OID, []string{"available"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		store.BuildIndex(0) // warm: every later round chains it
+		qOID := trs[7].OID
+		for round := 0; round < 4; round++ {
+			if round > 0 {
+				churn(t, rng, store, qOID)
+			}
+			q, err := store.Get(qOID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			store, err := mod.NewUniformStore(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := store.InsertAll(trs); err != nil {
-				t.Fatal(err)
-			}
-			for _, tr := range trs {
-				if tr.OID%2 == 0 {
-					if err := store.SetTags(tr.OID, []string{"available"}); err != nil {
+			for _, w := range windows {
+				for _, where := range []*textidx.Predicate{nil, avail} {
+					s := newSweep(store, q, w[0], w[1], where)
+					if s.stale {
+						t.Fatal("stale session without a concurrent writer")
+					}
+					full, err := queries.NewProcessor(s.trs, q, w[0], w[1], r)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-			}
-			if predictive {
-				if err := store.EnablePredictive(0, 60); err != nil {
-					t.Fatal(err)
-				}
-			}
-			store.BuildIndex(0) // warm beside the TPR tree too; every later round chains it
-			qOID := trs[7].OID
-			for round := 0; round < 4; round++ {
-				if round > 0 {
-					churn(t, rng, store, qOID)
-				}
-				q, err := store.Get(qOID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range windows {
-					for _, where := range []*textidx.Predicate{nil, avail} {
-						s := newSweep(store, q, w[0], w[1], where)
-						if s.stale {
-							t.Fatal("stale session without a concurrent writer")
-						}
-						full, err := queries.NewProcessor(s.trs, q, w[0], w[1], r)
+					for k := 1; k <= 3; k++ {
+						rb, err := s.rankBounds(ctx, k)
 						if err != nil {
 							t.Fatal(err)
 						}
-						for k := 1; k <= 3; k++ {
-							rb, err := s.rankBounds(ctx, k)
+						if want, probes := refBounds(s, k); !slices.Equal(rb.bounds, want) || rb.probes != probes {
+							t.Fatalf("r=%g round=%d window=%v where=%v k=%d: probe phase got %v (%d probes), reference %v (%d)",
+								r, round, w, where != nil, k, rb.bounds, rb.probes, want, probes)
+						}
+						for _, bounds := range [][]float64{rb.bounds, withInf(rb.bounds, rng)} {
+							kept, err := s.sweep(ctx, bounds)
 							if err != nil {
 								t.Fatal(err)
 							}
-							for _, bounds := range [][]float64{rb.bounds, withInf(rb.bounds, rng)} {
-								kept, err := s.sweep(ctx, bounds)
-								if err != nil {
-									t.Fatal(err)
-								}
-								got, want := oidsOf(kept), refSweep(s, bounds)
-								if !slices.Equal(got, want) {
-									t.Fatalf("r=%g predictive=%v round=%d window=%v where=%v k=%d: sweep kept %d, reference %d\n got %v\nwant %v",
-										r, predictive, round, w, where != nil, k, len(got), len(want), got, want)
-								}
-								sweeps++
+							got, want := oidsOf(kept), refSweep(s, bounds)
+							if !slices.Equal(got, want) {
+								t.Fatalf("r=%g round=%d window=%v where=%v k=%d: sweep kept %d, reference %d\n got %v\nwant %v",
+									r, round, w, where != nil, k, len(got), len(want), got, want)
 							}
-							// And the point of it all: every true rank-k zone
-							// member is among the survivors of its own bounds.
-							own, err := s.sweep(ctx, rb.bounds)
-							if err != nil {
-								t.Fatal(err)
-							}
-							kept := oidsOf(own)
-							zone, err := full.UQ41(k)
-							if err != nil {
-								t.Fatal(err)
-							}
-							for _, id := range zone {
-								if _, ok := slices.BinarySearch(kept, id); !ok {
-									t.Fatalf("r=%g window=%v k=%d: zone member %d was pruned", r, w, k, id)
-								}
+							sweeps++
+						}
+						// And the point of it all: every true rank-k zone
+						// member is among the survivors of its own bounds.
+						own, err := s.sweep(ctx, rb.bounds)
+						if err != nil {
+							t.Fatal(err)
+						}
+						kept := oidsOf(own)
+						zone, err := full.UQ41(k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, id := range zone {
+							if _, ok := slices.BinarySearch(kept, id); !ok {
+								t.Fatalf("r=%g window=%v k=%d: zone member %d was pruned", r, w, k, id)
 							}
 						}
-						kind := "rtree"
-						if _, ok := s.idx.(tprIndex); ok {
-							kind = "tpr"
-						}
-						if where != nil {
-							kind += "+where"
-						}
-						kinds[kind]++
 					}
+					kind := "rtree"
+					if where != nil {
+						kind += "+where"
+					}
+					kinds[kind]++
 				}
 			}
-			// Every round after the first swept chained trees.
-			if st := store.IndexStats(); st.SegIncremental == 0 || (predictive && st.TPRIncremental == 0) {
-				t.Fatalf("predictive=%v: the world never chained its indexes: %+v", predictive, st)
-			}
+		}
+		// Every round after the first swept a chained tree.
+		if st := store.IndexStats(); st.SegIncremental == 0 {
+			t.Fatalf("the world never chained its index: %+v", st)
 		}
 	}
-	for _, kind := range []string{"rtree", "rtree+where", "tpr", "tpr+where"} {
+	for _, kind := range []string{"rtree", "rtree+where"} {
 		if kinds[kind] == 0 {
 			t.Fatalf("no session swept %s: %v", kind, kinds)
 		}
 	}
-	t.Logf("%d sweeps equal to the reference (sessions per index: %v)", sweeps, kinds)
+	t.Logf("%d sweeps equal to the reference (sessions: %v)", sweeps, kinds)
 }
 
 // withInf returns bounds with one slice unbounded.
@@ -355,7 +337,7 @@ func TestDistancesMatchReference(t *testing.T) {
 }
 
 // TestSweepCancellationCheckpoints: a context that dies *during* the walk
-// stops it within one checkpoint interval, not at the next sweep.
+// stops it at the checkpoint that sees it, not at the next sweep.
 func TestSweepCancellationCheckpoints(t *testing.T) {
 	store, trs := sweepStore(t, 400)
 	s := newSweep(store, trs[0], 0, 60, nil)
@@ -366,30 +348,29 @@ func TestSweepCancellationCheckpoints(t *testing.T) {
 	for i := range rb.bounds {
 		rb.bounds[i] = 1e3 // finite, and wide enough to nominate every entry
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	visited := 0
-	s.idx = cancelingIndex{corridorIndex: s.idx, after: 300, cancel: cancel, visited: &visited}
+	// Err call 1 is the sweep's own entry check, call n+1 the checkpoint
+	// after n·ctxEvery nominations: die at the second checkpoint of the
+	// (400·6)/ctxEvery the whole walk would reach.
+	ctx := &dyingCtx{Context: context.Background(), after: 3}
 	if _, err := s.sweep(ctx, rb.bounds); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if total := 400 * 6; visited > 300+ctxEvery || visited >= total {
-		t.Fatalf("walk visited %d of %d entries after a cancel at 300 (checkpoint every %d)", visited, total, ctxEvery)
+	if ctx.calls != ctx.after {
+		t.Fatalf("the walk checked its context %d times after a cancel at check %d (a checkpoint every %d of %d entries)",
+			ctx.calls, ctx.after, ctxEvery, 400*6)
 	}
 }
 
-// cancelingIndex cancels its context after a fixed number of nominations.
-type cancelingIndex struct {
-	corridorIndex
-	after   int
-	cancel  context.CancelFunc
-	visited *int
+// dyingCtx reports context.Canceled from its after-th Err call on, and
+// counts the calls.
+type dyingCtx struct {
+	context.Context
+	after, calls int
 }
 
-func (x cancelingIndex) visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
-	return x.corridorIndex.visit(box, t0, t1, func(id int64) bool {
-		if *x.visited++; *x.visited == x.after {
-			x.cancel()
-		}
-		return fn(id)
-	})
+func (c *dyingCtx) Err() error {
+	if c.calls++; c.calls >= c.after {
+		return context.Canceled
+	}
+	return nil
 }

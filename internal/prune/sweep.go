@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/mod"
+	"repro/internal/sindex"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
 )
@@ -40,8 +41,7 @@ type Sweep struct {
 	oids       []int64 // trs[i].OID
 	version    uint64  // the store version the snapshot was taken at
 	candidates int     // non-query objects in the snapshot
-	idx        corridorIndex
-	predictive bool
+	idx        *sindex.RTree
 	r          float64
 	q          *trajectory.Trajectory
 	tb, te     float64
@@ -65,7 +65,7 @@ type Sweep struct {
 // contents. A degenerate window gets no cuts and degrades like a stale
 // snapshot.
 func newSweep(store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) *Sweep {
-	s := takeSnapshot(store, q, tb, te, where)
+	s := takeSnapshot(store, q, where)
 	s.r, s.q, s.tb, s.te = store.Radius(), q, tb, te
 	s.candidates = len(s.trs)
 	if _, ok := s.slot(q.OID); ok {
@@ -121,7 +121,7 @@ func (s *Sweep) Survivors(ctx context.Context, bounds []float64) ([]*trajectory.
 		return out, Stats{Candidates: s.candidates, Survivors: len(out)}, nil
 	}
 	out, err := s.sweep(ctx, bounds)
-	return out, Stats{Candidates: s.candidates, Survivors: len(out), Slices: len(bounds), Predictive: s.predictive}, err
+	return out, Stats{Candidates: s.candidates, Survivors: len(out), Slices: len(bounds)}, err
 }
 
 // all returns every non-query trajectory of the snapshot — what a phase

@@ -19,7 +19,7 @@ import (
 // trajectories and running the unfiltered pipeline.
 //
 // There is one index path: the filtered sweep walks the same segment
-// R-tree (or pinned TPR tree) as the unfiltered one, and a non-matching
+// R-tree as the unfiltered one, and a non-matching
 // nomination dies at the snapshot's OID table, which only holds matching
 // objects. The per-slice envelope bounds are likewise probed against
 // matching objects only (a non-matching probe would bound the wrong
@@ -29,7 +29,8 @@ import (
 
 // predProbeBoost multiplies the per-slice KNN probe width under a
 // predicate: the spatial index knows nothing about tags, so of the k
-// nearest entries only a fraction may match. Capped in sliceBounds.
+// nearest entries only a fraction may match. Capped at maxProbes in
+// probeBounds.
 const predProbeBoost = 4
 
 // takeSnapshot captures a session's consistent pre-pass view — snapshot,
@@ -37,11 +38,10 @@ const predProbeBoost = 4
 // predicate-matching objects when where is non-nil (which must have passed
 // Validate). stale degrade keeps every *matching* object — the filter is
 // semantics, never dropped; only the index acceleration is.
-func takeSnapshot(store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) *Sweep {
+func takeSnapshot(store *mod.Store, q *trajectory.Trajectory, where *textidx.Predicate) *Sweep {
 	if where == nil {
 		v := store.View()
-		idx, predictive := indexFor(store, tb, te)
-		return &Sweep{trs: v.Trajs, oids: v.OIDs, version: v.Version, idx: idx, predictive: predictive, stale: store.Version() != v.Version, boost: 1}
+		return &Sweep{trs: v.Trajs, oids: v.OIDs, version: v.Version, idx: store.BuildIndex(0), stale: store.Version() != v.Version, boost: 1}
 	}
 	where = where.Canon()
 	trs, tags, v0 := store.AllWithTags()
@@ -52,7 +52,7 @@ func takeSnapshot(store *mod.Store, q *trajectory.Trajectory, tb, te float64, wh
 			s.oids = append(s.oids, tr.OID)
 		}
 	}
-	s.idx, s.predictive = indexFor(store, tb, te)
+	s.idx = store.BuildIndex(0)
 	s.stale = store.Version() != v0
 	return s
 }

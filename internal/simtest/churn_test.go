@@ -21,14 +21,12 @@ import (
 func TestChurnMatrixByteIdentity(t *testing.T) {
 	const seed = 3011
 	cases := []struct {
-		name       string
-		shards     int
-		predictive bool
+		name   string
+		shards int
 	}{
-		{"single", 0, false},
-		{"single-predictive", 0, true},
-		{"shard2", 2, false},
-		{"shard4", 4, false},
+		{"single", 0},
+		{"shard2", 2},
+		{"shard4", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -38,7 +36,7 @@ func TestChurnMatrixByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hub := topology(t, w, tc.shards, tc.predictive)
+			hub := topology(t, w, tc.shards)
 			ctx := context.Background()
 
 			reqs := w.Requests()

@@ -24,13 +24,8 @@ func storeBytes(t *testing.T, st *mod.Store) []byte {
 }
 
 // hubOver mounts the serving topology under test on an existing store.
-func hubOver(t *testing.T, store *mod.Store, shards int, predictive bool) *continuous.Hub {
+func hubOver(t *testing.T, store *mod.Store, shards int) *continuous.Hub {
 	t.Helper()
-	if predictive {
-		if err := store.EnablePredictive(0, Span); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if shards == 0 {
 		return continuous.NewEngineHub(store, engine.New(0))
 	}
@@ -49,21 +44,19 @@ func hubOver(t *testing.T, store *mod.Store, shards int, predictive bool) *conti
 // wal.Recover reads the directory exactly as a restarted process would,
 // and the recovered store must be byte-identical to the world's mirror.
 // The post-crash store is then served through each topology from the
-// main simulation gate — single engine, predictive index, 2- and
-// 4-shard local clusters — and every standing subscription's first
+// main simulation gate — single engine, 2- and 4-shard local clusters —
+// and every standing subscription's first
 // answer must be byte-identical to a fresh engine run on the truth: a
 // restart loses nothing and serves exactly what it served before.
 func TestCrashRecoveryByteIdentity(t *testing.T) {
 	const seed = 2009
 	cases := []struct {
-		name       string
-		shards     int
-		predictive bool
+		name   string
+		shards int
 	}{
-		{"single", 0, false},
-		{"single-predictive", 0, true},
-		{"shard2", 2, false},
-		{"shard4", 4, false},
+		{"single", 0},
+		{"shard2", 2},
+		{"shard4", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,7 +112,7 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 				// Restart serving on the recovered store: every standing
 				// request answers byte-identically to a fresh engine on
 				// the truth.
-				hub := hubOver(t, rec, tc.shards, tc.predictive)
+				hub := hubOver(t, rec, tc.shards)
 				fresh := engine.New(0)
 				for i, req := range reqs {
 					id, live, err := hub.Subscribe(ctx, req)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/continuous"
 	"repro/internal/engine"
 	"repro/internal/mod"
@@ -31,45 +30,30 @@ func answerBytes(t *testing.T, res engine.Result) []byte {
 }
 
 // topology builds the hub under test over the world's initial fleet.
-func topology(t *testing.T, w *World, shards int, predictive bool) *continuous.Hub {
+func topology(t *testing.T, w *World, shards int) *continuous.Hub {
 	t.Helper()
 	store, err := w.InitialStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if predictive {
-		if err := store.EnablePredictive(0, Span); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if shards == 0 {
-		return continuous.NewEngineHub(store, engine.New(0))
-	}
-	router, err := cluster.NewLocalCluster(store, shards, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cluster.NewRouterHub(router)
+	return hubOver(t, store, shards)
 }
 
 // TestSimulationByteIdentity is the simulation gate: a seeded world is
 // stepped through scripted revision/insert batches, and after EVERY step
 // every live subscription's answer must be byte-identical to a fresh
-// Engine.Do on a snapshot of the world's truth — over a single engine, a
-// single engine serving through the predictive TPR index, and 2- and
-// 4-shard local clusters. A background poller hammers Answer/Stats
+// Engine.Do on a snapshot of the world's truth — over a single engine and
+// 2- and 4-shard local clusters. A background poller hammers Answer/Stats
 // concurrently so the suite is meaningful under -race.
 func TestSimulationByteIdentity(t *testing.T) {
 	const seed = 2009
 	cases := []struct {
-		name       string
-		shards     int
-		predictive bool
+		name   string
+		shards int
 	}{
-		{"single", 0, false},
-		{"single-predictive", 0, true},
-		{"shard2", 2, false},
-		{"shard4", 4, false},
+		{"single", 0},
+		{"shard2", 2},
+		{"shard4", 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,7 +61,7 @@ func TestSimulationByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hub := topology(t, w, tc.shards, tc.predictive)
+			hub := topology(t, w, tc.shards)
 			ctx := context.Background()
 
 			reqs := w.Requests()

@@ -11,8 +11,7 @@
 //
 // Everything is deterministic in Config.Seed: the same seed yields the
 // same fleet, the same revision schedule, and the same update bytes, so
-// single-engine, sharded, and predictive runs can be compared event for
-// event.
+// single-engine and sharded runs can be compared event for event.
 package simtest
 
 import (

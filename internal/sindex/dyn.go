@@ -10,15 +10,14 @@ import (
 )
 
 // This file adds incremental (persistent, copy-on-write) insertion to the
-// two bulk-loaded trees. A tree is immutable once it has been handed out —
-// the query path holds bare pointers into it from many goroutines — so a
-// live ingest never changes a node a reader can reach. Inserted instead
-// returns a NEW tree that shares every untouched node with the original;
-// readers of the old tree keep a consistent snapshot, and the store swaps
-// its cached pointer under its index mutex. The R-tree takes a whole batch
-// in one call: a node is copied the first time the call touches it and
-// edited in place on every later touch, so a batch pays for each node on
-// its insertion paths once (the TPR tree still copies a path per entry).
+// bulk-loaded tree. A tree is immutable once it has been handed out — the
+// query path holds bare pointers into it from many goroutines — so a live
+// ingest never changes a node a reader can reach. Inserted instead returns
+// a NEW tree that shares every untouched node with the original; readers of
+// the old tree keep a consistent snapshot, and the store swaps its cached
+// pointer under its index mutex. A whole batch goes in one call: a node is
+// copied the first time the call touches it and edited in place on every
+// later touch, so a batch pays for each node on its insertion paths once.
 // Packing quality degrades slowly compared to a fresh STR build, but a
 // batch costs what its own entries touch instead of the O(n log n) rebuild
 // the cache would otherwise pay on every mutation.
@@ -154,134 +153,4 @@ func splitSlice[T any](items []T, center func(T) geom.Point) ([]T, []T) {
 	})
 	mid := len(items) / 2
 	return items[:mid:mid], items[mid:]
-}
-
-// Inserted returns a TPR tree containing the receiver's entries plus es,
-// sharing untouched nodes with the receiver — the live-ingest path that
-// extends predictive coverage without a rebuild. A nil or empty receiver
-// bulk-loads es at the receiver's reference time.
-func (t *TPRTree) Inserted(es ...MovingEntry) *TPRTree {
-	if len(es) == 0 {
-		return t
-	}
-	if t == nil || t.root == nil {
-		fan, ref := DefaultFanout, 0.0
-		if t != nil {
-			if t.fanout > 0 {
-				fan = t.fanout
-			}
-			ref = t.refT
-		}
-		return NewTPRTree(es, ref, fan)
-	}
-	nt := &TPRTree{root: t.root, count: t.count, fanout: t.fanout, refT: t.refT}
-	for _, e := range es {
-		n1, n2 := insertTPRNode(nt.root, e, nt.fanout, nt.refT)
-		if n2 != nil {
-			root := &tprNode{children: []*tprNode{n1, n2}, refT: nt.refT}
-			root.recomputeTPR()
-			nt.root = root
-		} else {
-			nt.root = n1
-		}
-		nt.count++
-	}
-	return nt
-}
-
-func insertTPRNode(nd *tprNode, e MovingEntry, fanout int, refT float64) (*tprNode, *tprNode) {
-	if nd.children == nil {
-		ents := make([]MovingEntry, len(nd.entries), len(nd.entries)+1)
-		copy(ents, nd.entries)
-		ents = append(ents, e)
-		if len(ents) <= fanout {
-			leaf := &tprNode{entries: ents, refT: refT}
-			leaf.recomputeTPR()
-			return leaf, nil
-		}
-		a, b := splitSlice(ents, func(en MovingEntry) geom.Point { return en.At(refT) })
-		la, lb := &tprNode{entries: a, refT: refT}, &tprNode{entries: b, refT: refT}
-		la.recomputeTPR()
-		lb.recomputeTPR()
-		return la, lb
-	}
-	best, bestGrow, bestArea := 0, math.Inf(1), math.Inf(1)
-	ebox := geom.AABBOf(e.At(refT))
-	for i, c := range nd.children {
-		area := c.box.Area()
-		grow := c.box.Union(ebox).Area() - area
-		if grow < bestGrow || (grow == bestGrow && area < bestArea) {
-			best, bestGrow, bestArea = i, grow, area
-		}
-	}
-	c1, c2 := insertTPRNode(nd.children[best], e, fanout, refT)
-	kids := make([]*tprNode, len(nd.children), len(nd.children)+1)
-	copy(kids, nd.children)
-	kids[best] = c1
-	if c2 != nil {
-		kids = append(kids, c2)
-	}
-	if len(kids) <= fanout {
-		p := &tprNode{children: kids, refT: refT}
-		p.recomputeTPR()
-		return p, nil
-	}
-	a, b := splitSlice(kids, func(c *tprNode) geom.Point { return c.box.Center() })
-	pa, pb := &tprNode{children: a, refT: refT}, &tprNode{children: b, refT: refT}
-	pa.recomputeTPR()
-	pb.recomputeTPR()
-	return pa, pb
-}
-
-// VisitInterval calls fn with the ID of every entry whose swept position
-// over [t0, t1] ∩ [entry validity] can intersect box, until fn returns
-// false; it reports whether the walk ran to completion (IDs repeat across
-// entries). The node test unions the time-parameterized box at the
-// interval ends (and at refT when the interval straddles it — the TPR
-// edges are piecewise linear in t with a knee at refT, so the union of the
-// extreme boxes contains every intermediate box); the entry test uses the
-// exact axis-aligned box of the entry's linear sweep over the overlap.
-// Both are conservative, which is what the prune sweep needs: no object
-// whose expected position enters the query box during the interval is
-// ever missed.
-func (t *TPRTree) VisitInterval(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
-	return t.root == nil || t1 < t0 || t.root.visit(box, t0, t1, fn)
-}
-
-func (n *tprNode) visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) bool {
-	if t1 < n.t0 || t0 > n.t1 {
-		return true
-	}
-	nb := n.boxAt(t0).Union(n.boxAt(t1))
-	if t0 < n.refT && n.refT < t1 {
-		nb = nb.Union(n.box)
-	}
-	if !nb.Intersects(box) {
-		return true
-	}
-	for i := range n.entries {
-		e := &n.entries[i]
-		a, b := math.Max(t0, e.T0), math.Min(t1, e.T1)
-		if b >= a && geom.AABBOf(e.At(a), e.At(b)).Intersects(box) && !fn(e.ID) {
-			return false
-		}
-	}
-	for _, c := range n.children {
-		if !c.visit(box, t0, t1, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// SearchInterval collects VisitInterval's IDs, sorted (IDs may repeat
-// across entries; callers dedupe).
-func (t *TPRTree) SearchInterval(box geom.AABB, t0, t1 float64) []int64 {
-	var out []int64
-	t.VisitInterval(box, t0, t1, func(id int64) bool {
-		out = append(out, id)
-		return true
-	})
-	slices.Sort(out)
-	return out
 }

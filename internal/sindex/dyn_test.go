@@ -15,6 +15,29 @@ import (
 // built on — and deriving a new tree must leave the old one untouched
 // (readers hold snapshots).
 
+// randSegmentEntries produces entries in the per-segment style the MOD
+// store indexes with: several entries share one ID, each with its own box
+// and time slice.
+func randSegmentEntries(rng *rand.Rand, objects, segsPer int) []Entry {
+	var es []Entry
+	for id := 0; id < objects; id++ {
+		t := rng.Float64() * 10
+		for s := 0; s < segsPer; s++ {
+			x := rng.Float64() * 40
+			y := rng.Float64() * 40
+			dt := 1 + rng.Float64()*10
+			es = append(es, Entry{
+				ID:  int64(id),
+				Box: geom.AABB{MinX: x, MinY: y, MaxX: x + rng.Float64()*3, MaxY: y + rng.Float64()*3},
+				T0:  t,
+				T1:  t + dt,
+			})
+			t += dt
+		}
+	}
+	return es
+}
+
 // perIDMinDist is the RTree.KNN oracle: per ID, the minimum box distance
 // among entries valid at t.
 func perIDMinDist(es []Entry, p geom.Point, t float64) map[int64]float64 {
@@ -128,124 +151,4 @@ func TestRTreeInsertedFromEmpty(t *testing.T) {
 	empty := NewRTree(nil, 8)
 	tree2 := empty.Inserted(es...)
 	checkRTreeAgainstEntries(t, "from-empty", tree2, es, rng)
-}
-
-// sweepOracle mirrors SearchInterval's documented entry test exactly: the
-// axis-aligned box of the entry's linear sweep over the overlap of its
-// validity with [t0, t1].
-func sweepOracle(es []MovingEntry, box geom.AABB, t0, t1 float64) []int64 {
-	var out []int64
-	for _, e := range es {
-		a, b := math.Max(t0, e.T0), math.Min(t1, e.T1)
-		if b < a {
-			continue
-		}
-		if geom.AABBOf(e.At(a), e.At(b)).Intersects(box) {
-			out = append(out, e.ID)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-func checkTPRAgainstEntries(t *testing.T, tag string, tree *TPRTree, es []MovingEntry, rng *rand.Rand) {
-	t.Helper()
-	if tree.Len() != len(es) {
-		t.Fatalf("%s: Len = %d, want %d", tag, tree.Len(), len(es))
-	}
-	for q := 0; q < 40; q++ {
-		x, y := rng.Float64()*50-5, rng.Float64()*50-5
-		box := geom.AABB{MinX: x, MinY: y, MaxX: x + rng.Float64()*12, MaxY: y + rng.Float64()*12}
-		t0 := rng.Float64() * 60
-		t1 := t0 + rng.Float64()*15
-		got := tree.SearchInterval(box, t0, t1)
-		if want := sweepOracle(es, box, t0, t1); !slices.Equal(got, want) {
-			t.Fatalf("%s q=%d: SearchInterval got %v, want %v", tag, q, got, want)
-		}
-
-		tq := rng.Float64() * 60
-		gotAt := tree.SearchAt(box, tq)
-		var wantAt []int64
-		for _, e := range es {
-			if tq >= e.T0 && tq <= e.T1 && box.ContainsPoint(e.At(tq)) {
-				wantAt = append(wantAt, e.ID)
-			}
-		}
-		slices.Sort(wantAt)
-		if !slices.Equal(gotAt, wantAt) {
-			t.Fatalf("%s q=%d: SearchAt got %v, want %v", tag, q, gotAt, wantAt)
-		}
-
-		p := geom.Point{X: rng.Float64() * 40, Y: rng.Float64() * 40}
-		k := 1 + rng.Intn(8)
-		nbs := tree.KNNAt(p, tq, k)
-		best := make(map[int64]float64)
-		for _, e := range es {
-			if tq < e.T0 || tq > e.T1 {
-				continue
-			}
-			d := e.At(tq).Dist(p)
-			if b, ok := best[e.ID]; !ok || d < b {
-				best[e.ID] = d
-			}
-		}
-		dists := make([]float64, 0, len(best))
-		for _, d := range best {
-			dists = append(dists, d)
-		}
-		slices.Sort(dists)
-		wantLen := min(k, len(dists))
-		if len(nbs) != wantLen {
-			t.Fatalf("%s q=%d: KNNAt returned %d, want %d", tag, q, len(nbs), wantLen)
-		}
-		for i, nb := range nbs {
-			if math.Abs(nb.Dist-dists[i]) > 1e-9 {
-				t.Fatalf("%s q=%d result %d: dist %g, oracle %g", tag, q, i, nb.Dist, dists[i])
-			}
-		}
-	}
-}
-
-func TestTPRInsertedMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for _, split := range []struct{ base, extra int }{
-		{0, 40}, {1, 80}, {120, 1}, {100, 100},
-	} {
-		all := randStaggeredMoving(rng, split.base+split.extra)
-		base := NewTPRTree(all[:split.base], 5, 8)
-		grown := base.Inserted(all[split.base:]...)
-		checkTPRAgainstEntries(t, "grown", grown, all, rng)
-	}
-}
-
-// TestTPRKNNAtDedupesIDs pins the multi-entry-per-object contract: an
-// object indexed with several moving entries (the live predictive layout,
-// one entry per plan segment) appears once, at its nearest entry.
-func TestTPRKNNAtDedupesIDs(t *testing.T) {
-	es := []MovingEntry{
-		{ID: 1, P: geom.Point{X: 0, Y: 0}, T0: 0, T1: 5},
-		{ID: 1, P: geom.Point{X: 3, Y: 0}, T0: 0, T1: 5},
-		{ID: 2, P: geom.Point{X: 10, Y: 0}, T0: 0, T1: 5},
-	}
-	tr := NewTPRTree(es, 0, 4)
-	got := tr.KNNAt(geom.Point{X: 0, Y: 0}, 1, 3)
-	if len(got) != 2 || got[0].ID != 1 || got[0].Dist != 0 || got[1].ID != 2 {
-		t.Fatalf("want deduped [{1 0} {2 10}], got %v", got)
-	}
-}
-
-func TestTPRInsertedLeavesReceiverIntact(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	es := randStaggeredMoving(rng, 90)
-	base := NewTPRTree(es[:60], 5, 8)
-	box := geom.AABB{MinX: 0, MinY: 0, MaxX: 40, MaxY: 40}
-	before := base.SearchInterval(box, 0, 60)
-	grown := base.Inserted(es[60:]...)
-	after := base.SearchInterval(box, 0, 60)
-	if !slices.Equal(before, after) {
-		t.Fatal("Inserted mutated the receiver's answers")
-	}
-	if base.Len() != 60 || grown.Len() != len(es) {
-		t.Fatalf("Len: base %d grown %d, want 60 and %d", base.Len(), grown.Len(), len(es))
-	}
 }

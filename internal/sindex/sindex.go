@@ -215,15 +215,14 @@ type Neighbor struct {
 	Dist float64
 }
 
-// knnItem is a best-first queue element: either a node or a concrete
-// entry of an RTree (N = node, E = Entry) or a TPRTree.
-type knnItem[N, E any] struct {
+// knnItem is a best-first queue element: either a node or a concrete entry.
+type knnItem struct {
 	dist  float64
-	nd    *N
-	entry *E
+	nd    *node
+	entry *Entry
 }
 
-// knnHeap is the best-first queue of both trees' KNN searches: a binary
+// knnHeap is the best-first queue of the KNN search: a binary
 // min-heap on dist whose push and pop sift exactly like container/heap's
 // up and down. Equal distances are the common case — every box that
 // contains the probe point is at distance 0 — so the sift order decides
@@ -231,9 +230,9 @@ type knnItem[N, E any] struct {
 // caller sees; it is kept so answers do not move. Unlike container/heap
 // the items are never boxed into an interface, and the backing array is
 // pooled across searches.
-type knnHeap[N, E any] []knnItem[N, E]
+type knnHeap []knnItem
 
-func (h *knnHeap[N, E]) push(it knnItem[N, E]) {
+func (h *knnHeap) push(it knnItem) {
 	q := append(*h, it)
 	*h = q
 	for j := len(q) - 1; ; {
@@ -246,7 +245,7 @@ func (h *knnHeap[N, E]) push(it knnItem[N, E]) {
 	}
 }
 
-func (h *knnHeap[N, E]) pop() knnItem[N, E] {
+func (h *knnHeap) pop() knnItem {
 	q := *h
 	n := len(q) - 1
 	q[0], q[n] = q[n], q[0]
@@ -271,7 +270,7 @@ func (h *knnHeap[N, E]) pop() knnItem[N, E] {
 
 // reset empties the heap for pooling, dropping the tree pointers its
 // backing array still holds so a pooled queue never pins a superseded tree.
-func (h *knnHeap[N, E]) reset() {
+func (h *knnHeap) reset() {
 	clear((*h)[:cap(*h)])
 	*h = (*h)[:0]
 }
@@ -292,7 +291,7 @@ func appendNeighbor(out []Neighbor, id int64, dist float64, sizeHint int) []Neig
 	return append(out, Neighbor{ID: id, Dist: dist})
 }
 
-var rtreeHeaps = sync.Pool{New: func() any { return new(knnHeap[node, Entry]) }}
+var rtreeHeaps = sync.Pool{New: func() any { return new(knnHeap) }}
 
 // KNN returns up to k entries with the smallest box distance to p among
 // entries whose time interval contains t, in ascending distance order
@@ -303,12 +302,12 @@ func (t *RTree) KNN(p geom.Point, tAt float64, k int) []Neighbor {
 	if t.root == nil || k <= 0 {
 		return nil
 	}
-	q := rtreeHeaps.Get().(*knnHeap[node, Entry])
+	q := rtreeHeaps.Get().(*knnHeap)
 	defer func() {
 		q.reset()
 		rtreeHeaps.Put(q)
 	}()
-	q.push(knnItem[node, Entry]{dist: t.root.box.MinDistTo(p), nd: t.root})
+	q.push(knnItem{dist: t.root.box.MinDistTo(p), nd: t.root})
 	var out []Neighbor
 	for len(*q) > 0 && len(out) < k {
 		it := q.pop()
@@ -323,12 +322,12 @@ func (t *RTree) KNN(p geom.Point, tAt float64, k int) []Neighbor {
 		for i := range nd.entries {
 			e := &nd.entries[i]
 			if e.T0 <= tAt && tAt <= e.T1 {
-				q.push(knnItem[node, Entry]{dist: e.Box.MinDistTo(p), entry: e})
+				q.push(knnItem{dist: e.Box.MinDistTo(p), entry: e})
 			}
 		}
 		for _, c := range nd.children {
 			if c.t0 <= tAt && tAt <= c.t1 {
-				q.push(knnItem[node, Entry]{dist: c.box.MinDistTo(p), nd: c})
+				q.push(knnItem{dist: c.box.MinDistTo(p), nd: c})
 			}
 		}
 	}

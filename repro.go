@@ -24,11 +24,10 @@
 //     CONTAINS ...`,
 //   - live ingestion + continuous queries: stores accept plan revisions
 //     and extensions (Update / Store.ApplyUpdates) with incremental index
-//     maintenance and an optional predictive TPR index
-//     (Store.EnablePredictive), and a LiveHub (NewLiveHub / NewClusterHub)
-//     keeps standing Request subscriptions fresh across ingest batches,
-//     emitting diff events and re-evaluating only what an update can
-//     actually affect,
+//     maintenance, and a LiveHub (NewLiveHub / NewClusterHub) keeps
+//     standing Request subscriptions fresh across ingest batches, emitting
+//     diff events and re-evaluating only what an update can actually
+//     affect,
 //   - durability and fault tolerance: a write-ahead log with periodic
 //     snapshots and byte-identical crash recovery (CreateWAL / OpenWAL /
 //     RecoverWAL, wired into cmd/modserver via -wal-dir / -resume),
@@ -442,8 +441,8 @@ func SplitStore(store *Store, n int, part Partitioner) ([]*Store, error) {
 // pure extension when it is past the plan end), an insert otherwise.
 // Store.ApplyUpdate / ApplyUpdates apply them directly; a LiveHub applies
 // them while keeping standing subscriptions fresh. The store also
-// maintains its spatial indexes incrementally across these mutations
-// (Store.ExtendTrajectory, Store.RevisePlan, Store.EnablePredictive).
+// maintains its spatial index incrementally across these mutations
+// (Store.ExtendTrajectory, Store.RevisePlan).
 type Update = mod.Update
 
 // AppliedUpdate describes one applied live update: whether it inserted,
