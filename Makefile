@@ -1,26 +1,18 @@
 # CI and humans invoke the same targets. The ci.yml workflow runs
 # parallel jobs — lint (`make fmt vet staticcheck`), test (`make build
-# race fuzz-smoke benchmark-check cover`), chaos (`make chaos`), serve (`make serve-smoke`, the
-# Docker compose cluster), and bench (`make bench-smoke bench-api
-# bench-prune bench-text bench-shard bench-live` plus a `figures -fig
-# summary` step table) — and the nightly workflow adds `make
-# bench-shard-large bench` with the MIN_SHARD_SPEEDUP=2.0 gate plus
-# `make bench-city` (the N=100000 churn harness) gated against the
-# committed BENCH_city.json baseline. `make loc` prints the size figure
-# CHANGES.md entries quote: non-test Go lines outside benchmark/, per
-# package directory, total last.
+# race fuzz-smoke benchmark-check cover`), chaos (`make chaos`), serve
+# (`make serve-smoke`, the Docker compose cluster), and bench (`make
+# bench-smoke`) — and the nightly workflow adds `make bench` and `make
+# bench-city` (the N=100000 churn harness) gated against the committed
+# BENCH_city.json baseline. End-to-end performance is the benchmark/
+# module's business (`bash benchmark/run.sh`, checked by `make
+# benchmark-check`). `make loc` prints the size figure CHANGES.md entries
+# quote: non-test Go lines outside benchmark/, per package directory,
+# total last.
 
 GO ?= go
 
-# Absolute speedup floor for the shard sweeps (passed to figures as
-# -min-speedup). Off by default: a laptop or a single-core runner cannot
-# promise parallel speedup. The nightly large-N run sets 2.0 — the
-# distributed refine must make 4 shards at least twice as fast as the
-# single engine at scale. PR CI instead gates relatively, against the
-# committed BENCH_shard.json baseline minus a tolerance.
-MIN_SHARD_SPEEDUP ?= 0
-
-.PHONY: all build test race fuzz-smoke benchmark-check bench bench-smoke bench-prune bench-text bench-api bench-shard bench-shard-large bench-live bench-city cover loc fmt vet staticcheck chaos chaos-soak serve-smoke clean
+.PHONY: all build test race fuzz-smoke benchmark-check bench bench-smoke bench-city cover loc fmt vet staticcheck chaos chaos-soak serve-smoke clean
 
 all: fmt vet staticcheck build test
 
@@ -57,23 +49,9 @@ benchmark-check:
 	GOWORK=off $(GO) vet -C benchmark ./...
 	GOWORK=off $(GO) test -C benchmark ./...
 
-# Full benchmark run (minutes on a laptop), plus the pruning, text,
-# shard, and live-serving artifacts.
-bench: bench-prune bench-text bench-shard bench-live
+# Full go test -bench run (minutes on a laptop).
+bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
-
-# Index-accelerated pruning experiment: indexed vs full-scan UQ31 latency
-# and candidate-survivor counts, emitted as the BENCH_prune.json artifact
-# (uploaded by CI on every push).
-bench-prune:
-	$(GO) run ./cmd/figures -fig prune -prune-json BENCH_prune.json
-
-# Spatio-textual experiment: filtered UQ31 through the sub-MOD pre-pass
-# vs the naive filter-then-refine baseline, emitted as BENCH_text.json.
-# Fails unless every row is equal=true (the sub-MOD correctness gate) and
-# the pruned path wins at the largest N (-text-min-speedup defaults to 1).
-bench-text:
-	$(GO) run ./cmd/figures -fig text -text-json BENCH_text.json
 
 # One-iteration smoke: every benchmark compiles and executes — the
 # per-layer ones among them (BenchmarkSweepBounds, BenchmarkSweepSurvivors,
@@ -82,41 +60,11 @@ bench-text:
 # BenchmarkInsertedBatch in internal/sindex,
 # BenchmarkShardFrameEncode/Decode in internal/modserver,
 # BenchmarkRefineUnion in internal/engine, BenchmarkHubIngestStanding in
-# internal/continuous, BenchmarkProcessorVariants in internal/queries;
-# EXPERIMENTS.md has their rows).
+# internal/continuous, BenchmarkProcessorVariants and
+# BenchmarkBelowIntervals in internal/queries; EXPERIMENTS.md has their
+# rows).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# Unified-API overhead gate: Engine.Do must stay within 5% of the direct
-# queries.Processor call on UQ31 at N=1000 (and answer identically).
-bench-api:
-	$(GO) run ./cmd/figures -fig api
-
-# Shard-scaling experiment: the cluster Router over 1/2/4/8 local shards
-# vs the single-store engine on a mixed NN-family batch, emitted as the
-# BENCH_shard.json artifact. Fails unless every row is equal=true (the
-# distributed-correctness gate, like bench-prune's) and the best
-# multi-shard speedup clears MIN_SHARD_SPEEDUP (when set).
-# SHARD_BASELINE (a committed BENCH_shard.json path) arms the relative
-# regression gate: the fresh best multi-shard speedup must stay within
-# the tolerance of the baseline's. CI passes SHARD_BASELINE=BENCH_shard.json.
-SHARD_BASELINE ?=
-bench-shard:
-	$(GO) run ./cmd/figures -fig shard -shard-json BENCH_shard.json -min-speedup $(MIN_SHARD_SPEEDUP) $(if $(SHARD_BASELINE),-shard-baseline $(SHARD_BASELINE))
-
-# The same sweep at the large population (N=50000, nightly CI): with real
-# survivor sets to split, the distributed refine is where sharding pays.
-# Writes the separate BENCH_shard_large.json artifact so the fast PR
-# baseline stays untouched.
-bench-shard-large:
-	$(GO) run ./cmd/figures -fig shard -large -shard-json BENCH_shard_large.json -min-speedup $(MIN_SHARD_SPEEDUP)
-
-# Live-serving experiment: the continuous-query hub's dirty-set
-# re-evaluation vs naively re-running every standing subscription after
-# each ingest batch, emitted as BENCH_live.json. Fails unless every row
-# is equal=true AND the hub beats the naive baseline.
-bench-live:
-	$(GO) run ./cmd/figures -fig live -live-json BENCH_live.json
 
 # City-scale churn harness (nightly CI): Poisson arrivals of updates,
 # queries, and subscribe/unsubscribe churn with TTL-style retirement at
@@ -124,8 +72,9 @@ bench-live:
 # BENCH_city.json. Fails unless every spot check is byte-identical to a
 # fresh snapshot re-query. CITY_BASELINE (the committed BENCH_city.json)
 # arms the regression gates — a sustained-updates/s floor and a query-p99
-# ceiling read before the fresh run overwrites the artifact. Nightly CI
-# passes CITY_BASELINE=BENCH_city.json.
+# ceiling read before the fresh run overwrites the artifact — and fails a
+# run whose seed, fleet, subscriptions or ticks differ from the baseline's.
+# Nightly CI passes CITY_BASELINE=BENCH_city.json.
 CITY_BASELINE ?=
 bench-city:
 	$(GO) run ./cmd/figures -fig city -city-json BENCH_city.json $(if $(CITY_BASELINE),-city-baseline $(CITY_BASELINE))
@@ -176,9 +125,7 @@ chaos-soak:
 serve-smoke:
 	./scripts/compose-smoke.sh
 
-# Static analysis. SA1019 flags in-repo uses of the deprecated pre-Request
-# surface (NewQueryProcessor, Exec/ExecBatch, RunUQL, ...) so migrations
-# stay honest. The binary is optional locally; CI installs it.
+# Static analysis. The binary is optional locally; CI installs it.
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -6,11 +6,6 @@
 // radius). Each experiment returns typed rows so the figures CLI and the
 // testing.B benchmarks share one implementation.
 //
-// Beyond the paper's figures, ParallelBatch measures the concurrent batch
-// engine (internal/engine) against the serial Processor loops on a batch
-// of ranked whole-MOD retrievals — the scaling experiment behind the
-// worker-pool executor.
-//
 // The workload is the paper's: random waypoint over 40 × 40 mi², speeds
 // uniform in [15, 60] mph, 60 minutes, synchronous velocity changes.
 // Absolute times differ from the paper's 2009 C++/Pentium-IV setup, but

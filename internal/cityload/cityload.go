@@ -76,6 +76,7 @@ func DefaultConfig(seed int64) Config {
 type Row struct {
 	Topology string
 	Shards   int
+	Seed     int64
 	N        int
 	Subs     int
 	Ticks    int
@@ -169,7 +170,7 @@ func Run(cfg Config) (Row, error) {
 	if cfg.SpotChecks <= 0 {
 		cfg.SpotChecks = 8
 	}
-	row := Row{Topology: "single", Shards: cfg.Shards, N: cfg.N, Subs: cfg.Subs, Ticks: cfg.Ticks, Equal: true}
+	row := Row{Topology: "single", Shards: cfg.Shards, Seed: cfg.Seed, N: cfg.N, Subs: cfg.Subs, Ticks: cfg.Ticks, Equal: true}
 	if cfg.Shards > 0 {
 		row.Topology = fmt.Sprintf("shard%d", cfg.Shards)
 	}

@@ -1,13 +1,15 @@
 package cityload
 
 // A small city through both topologies, under -race: spot checks hold,
-// latency quantiles are ordered, churn actually happened, and the
-// artifact round-trips through the baseline reader.
+// latency quantiles are ordered, churn actually happened, the artifact
+// round-trips through the baseline reader, and the baseline gates only a
+// run of its own shape.
 
 import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestCitySmallBothTopologies(t *testing.T) {
@@ -83,5 +85,45 @@ func TestCityArtifactRoundTrip(t *testing.T) {
 	}
 	if s := Format(rows); !strings.Contains(s, "shard4") {
 		t.Fatalf("format: %s", s)
+	}
+}
+
+func TestCityBaselineCheck(t *testing.T) {
+	committed := []Row{
+		{Topology: "single", Seed: 2009, N: 100000, Subs: 1200, Ticks: 8, UpdatesPerSec: 50, QueryP99: 4 * time.Second, Equal: true},
+		{Topology: "shard4", Seed: 2009, N: 100000, Subs: 1200, Ticks: 8, UpdatesPerSec: 60, QueryP99: 3 * time.Second, Equal: true},
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, committed, 0.5, 2009); err != nil {
+		t.Fatal(err)
+	}
+	base, err := ReadBaseline(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(edit func(*Row)) []Row {
+		rows := append([]Row(nil), committed...)
+		edit(&rows[1])
+		return rows
+	}
+	for _, tc := range []struct {
+		name string
+		rows []Row
+		want string // "" = the gate passes
+	}{
+		{"matching", fresh(func(r *Row) { r.UpdatesPerSec, r.QueryP99 = 45, 4*time.Second }), ""},
+		{"below the floor", fresh(func(r *Row) { r.UpdatesPerSec = 30 }), "below the baseline floor"},
+		{"above the ceiling", fresh(func(r *Row) { r.QueryP99 = 5 * time.Second }), "exceeded the baseline ceiling"},
+		{"smaller fleet", fresh(func(r *Row) { r.N, r.Ticks = 2000, 6 }), "does not match the baseline run"},
+		{"other seed", fresh(func(r *Row) { r.Seed = 7 }), "does not match the baseline run"},
+		{"unknown topology", fresh(func(r *Row) { r.Topology = "shard2" }), "no row for this topology"},
+	} {
+		err := base.Check(tc.rows, 0.4)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"time"
 )
 
 // Format renders rows as an aligned text table.
@@ -18,8 +19,7 @@ func Format(rows []Row) string {
 	return s
 }
 
-// cityDoc is the BENCH_city.json artifact schema; it follows the shared
-// {experiment, rows} shape figures -fig summary renders.
+// cityDoc is the BENCH_city.json artifact schema.
 type cityDoc struct {
 	Experiment string        `json:"experiment"`
 	Workload   string        `json:"workload"`
@@ -74,22 +74,61 @@ func WriteJSON(w io.Writer, rows []Row, r float64, seed int64) error {
 }
 
 // Baseline is the committed-artifact view the nightly gate reads before
-// overwriting BENCH_city.json: per-topology sustained updates/s and p99.
+// overwriting BENCH_city.json: per topology, the run's shape and its
+// sustained updates/s and p99.
 type Baseline struct {
+	Shape         map[string]Shape
 	UpdatesPerSec map[string]float64
 	QueryP99NS    map[string]int64
+}
+
+// Shape is what two city runs must share for their numbers to compare.
+type Shape struct {
+	Seed           int64
+	N, Subs, Ticks int
 }
 
 // ReadBaseline parses a committed BENCH_city.json.
 func ReadBaseline(r io.Reader) (Baseline, error) {
 	var doc cityDoc
-	b := Baseline{UpdatesPerSec: map[string]float64{}, QueryP99NS: map[string]int64{}}
+	b := Baseline{Shape: map[string]Shape{}, UpdatesPerSec: map[string]float64{}, QueryP99NS: map[string]int64{}}
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
 		return b, err
 	}
 	for _, row := range doc.Rows {
+		b.Shape[row.Topology] = Shape{Seed: doc.Seed, N: row.N, Subs: row.Subs, Ticks: row.Ticks}
 		b.UpdatesPerSec[row.Topology] = row.UpdatesPerSec
 		b.QueryP99NS[row.Topology] = row.QueryP99NS
 	}
 	return b, nil
+}
+
+// Check gates fresh rows against the baseline: each row's sustained
+// updates/s must hold the baseline's minus tol, and its query p99 must stay
+// under the baseline's plus tol. A row whose topology the baseline lacks,
+// or whose seed, fleet, subscriptions or ticks differ from the baseline
+// row's, is an error: numbers from unlike runs gate nothing.
+func (b Baseline) Check(rows []Row, tol float64) error {
+	for _, r := range rows {
+		want, ok := b.Shape[r.Topology]
+		if !ok {
+			return fmt.Errorf("city %s: the baseline has no row for this topology", r.Topology)
+		}
+		if got := (Shape{Seed: r.Seed, N: r.N, Subs: r.Subs, Ticks: r.Ticks}); got != want {
+			return fmt.Errorf("city %s: fresh run %+v does not match the baseline run %+v", r.Topology, got, want)
+		}
+		if base := b.UpdatesPerSec[r.Topology]; base > 0 {
+			if floor := base * (1 - tol); r.UpdatesPerSec < floor {
+				return fmt.Errorf("city %s: sustained %.0f updates/s fell below the baseline floor %.0f (baseline %.0f - %.0f%%)",
+					r.Topology, r.UpdatesPerSec, floor, base, tol*100)
+			}
+		}
+		if base := b.QueryP99NS[r.Topology]; base > 0 {
+			if ceiling := float64(base) * (1 + tol); float64(r.QueryP99) > ceiling {
+				return fmt.Errorf("city %s: query p99 %v exceeded the baseline ceiling %v (baseline %v + %.0f%%)",
+					r.Topology, r.QueryP99, time.Duration(ceiling), time.Duration(base), tol*100)
+			}
+		}
+	}
+	return nil
 }

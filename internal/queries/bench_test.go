@@ -90,7 +90,34 @@ func BenchmarkProcessorVariants(b *testing.B) {
 	b.Run("rest", func(b *testing.B) { run(b, true) })
 }
 
+// BenchmarkBelowIntervals isolates the refine kernel: one zone scan of a
+// candidate against the Level-1 envelope per iteration, over the survivors
+// an index pre-pass would keep at N = 500 (window [0, 60], r = 0.5).
+func BenchmarkBelowIntervals(b *testing.B) {
+	const n, r = 500, 0.5
+	trs, err := workload.Generate(workload.DefaultConfig(2009), n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := NewProcessor(trs, trs[0], 0, 60, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var fns []*envelope.DistanceFunc
+	for _, f := range p.table {
+		if envelope.MinGap(f, p.env1) <= 4*r+1 {
+			fns = append(fns, f)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkRow = envelope.BelowIntervals(fns[i%len(fns)], p.env1, p.width())
+	}
+}
+
 var (
 	sink     []int64
 	sinkBool bool
+	sinkRow  []envelope.TimeInterval
 )

@@ -4,11 +4,9 @@
 //
 //   - the within-distance probability P^WD (Eq. 3, with the uniform-pdf
 //     closed form of Eq. 4 expressed through the circle-intersection area),
-//   - its derivative pdf^WD,
 //   - the nearest-neighbor probability P^NN (Eq. 5) evaluated with the
 //     sorted-interval decomposition of Cheng et al. [4] over a bounded
 //     integration ring [R^min, R^max],
-//   - the exclusive/joint split of Eq. 6,
 //   - the reduction of the uncertain-query case to the crisp-query case via
 //     the convolution transformation (Section 3.1), and
 //   - Theorem 1's distance ranking, together with Monte Carlo estimators
@@ -106,23 +104,6 @@ func WithinDistanceProb(p updf.RadialPDF, d, rd float64) float64 {
 		return 1
 	}
 	return total
-}
-
-// WithinDistancePDF returns pdf^WD(rd), the derivative of the
-// within-distance CDF with respect to rd, computed by central differences.
-// It is non-zero only on the ring d−Support <= rd <= d+Support (the paper's
-// observation after Eq. 4).
-func WithinDistancePDF(p updf.RadialPDF, d, rd float64) float64 {
-	sup := p.Support()
-	if rd < d-sup || rd > d+sup {
-		return 0
-	}
-	h := math.Max(1e-6, 1e-6*(d+sup))
-	v := (WithinDistanceProb(p, d, rd+h) - WithinDistanceProb(p, d, rd-h)) / (2 * h)
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // RingBounds returns the integration ring of observation I/III in
@@ -336,49 +317,6 @@ func NNProbabilitiesNaive(p updf.RadialPDF, cands []Candidate, grid int) map[int
 	return out
 }
 
-// PairwiseJointDensity evaluates the first joint term of Eq. 6 for the pair
-// (i, j):
-//
-//	J_ij = ∫ pdf^WD_i(R) · pdf^WD_j(R) · Π_{k≠i,j}(1 − P^WD_k(R)) dR.
-//
-// For continuous distance distributions an exact tie has probability zero;
-// J_ij is the tie *density* the paper describes, and J_ij·δ approximates
-// the probability that both i and j are joint nearest neighbors within a
-// distance-resolution δ. It is exposed for the soundness-vs-completeness
-// analysis of Section 2.2 (observation IV) and for tests.
-func PairwiseJointDensity(p updf.RadialPDF, cands []Candidate, i, j int, grid int) float64 {
-	if grid <= 0 {
-		grid = DefaultGrid
-	}
-	lo, hi := RingBounds(p, cands)
-	if !(hi > lo) {
-		return 0
-	}
-	edges := numeric.Linspace(lo, hi, grid+1)
-	var s float64
-	for k := 0; k < grid; k++ {
-		mid := 0.5 * (edges[k] + edges[k+1])
-		h := edges[k+1] - edges[k]
-		di := WithinDistancePDF(p, cands[i].Dist, mid)
-		if di == 0 {
-			continue
-		}
-		dj := WithinDistancePDF(p, cands[j].Dist, mid)
-		if dj == 0 {
-			continue
-		}
-		pr := 1.0
-		for m := range cands {
-			if m == i || m == j {
-				continue
-			}
-			pr *= 1 - WithinDistanceProb(p, cands[m].Dist, mid)
-		}
-		s += di * dj * pr * h
-	}
-	return s
-}
-
 // RankByDistance returns the candidates sorted by ascending center
 // distance, which by Theorem 1 is exactly the descending order of their NN
 // probabilities when all share a rotationally symmetric pdf. Ties keep
@@ -400,80 +338,15 @@ func RankByDistance(cands []Candidate) []Candidate {
 // therefore not mutually independent, while Eq. 5 multiplies their
 // within-distance complements as if they were. The returned values are
 // consequently an independence approximation; the *ranking* they induce is
-// exact (Theorem 1). For exact values use ExactUncertainQueryNN, which
-// performs the quadruple integration the paper describes (and whose cost
-// the transformation is designed to avoid).
+// exact (Theorem 1). Exact values need the quadruple integration the
+// paper describes, whose cost the transformation is designed to avoid;
+// MonteCarloUncertainQueryNN estimates them for tests.
 func UncertainQueryNN(objPDF, qryPDF updf.RadialPDF, cands []Candidate, grid int) (map[int64]float64, error) {
 	conv, err := updf.ConvolvePair(objPDF, qryPDF, 0)
 	if err != nil {
 		return nil, err
 	}
 	return NNProbabilities(conv, cands, grid), nil
-}
-
-// PositionCandidate identifies an uncertain object by ID and by the 2D
-// expected location of its center, for evaluations that cannot collapse
-// geometry to a single distance.
-type PositionCandidate struct {
-	ID  int64
-	Pos geom.Point
-}
-
-// ExactUncertainQueryNN computes the exact NN probabilities when both the
-// query and the candidate objects are uncertain, by conditioning on the
-// query's location:
-//
-//	P^NN_i = ∫ pdf_q(q) · P^NN_i( {‖c_j − q‖}_j ) dq,
-//
-// the "uncountably-many additions" (quadruple integration) of Section 3.1.
-// The outer integral is a midpoint rule on a polar grid of posGrid radial ×
-// 2·posGrid angular nodes over the query pdf's support centered at qCenter;
-// the inner evaluation is NNProbabilities with `grid` cells. Cost is
-// O(posGrid² · N · grid) — the expense the convolution transformation
-// exists to avoid; exposed for oracles, descriptors and the A5 ablation.
-func ExactUncertainQueryNN(objPDF, qryPDF updf.RadialPDF, cands []PositionCandidate, qCenter geom.Point, grid, posGrid int) map[int64]float64 {
-	if posGrid <= 0 {
-		posGrid = 24
-	}
-	out := make(map[int64]float64, len(cands))
-	for _, c := range cands {
-		out[c.ID] = 0
-	}
-	if len(cands) == 0 {
-		return out
-	}
-	sup := qryPDF.Support()
-	nr, na := posGrid, 2*posGrid
-	dr := sup / float64(nr)
-	da := 2 * math.Pi / float64(na)
-	dist := make([]Candidate, len(cands))
-	var wTotal float64
-	for ir := 0; ir < nr; ir++ {
-		rho := (float64(ir) + 0.5) * dr
-		dens := qryPDF.Density(rho)
-		if dens == 0 {
-			continue
-		}
-		w := dens * rho * dr * da
-		for ia := 0; ia < na; ia++ {
-			phi := (float64(ia) + 0.5) * da
-			q := geom.Point{X: qCenter.X + rho*math.Cos(phi), Y: qCenter.Y + rho*math.Sin(phi)}
-			for i, c := range cands {
-				dist[i] = Candidate{ID: c.ID, Dist: c.Pos.Dist(q)}
-			}
-			probs := NNProbabilities(objPDF, dist, grid)
-			for id, v := range probs {
-				out[id] += w * v
-			}
-			wTotal += w
-		}
-	}
-	if wTotal > 0 {
-		for id := range out {
-			out[id] /= wTotal
-		}
-	}
-	return out
 }
 
 // MonteCarloNN estimates the NN probabilities empirically: each trial draws

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/geom"
 	"repro/internal/numeric"
 	"repro/internal/updf"
 )
@@ -133,25 +132,6 @@ func TestWithinDistanceProbVsMonteCarlo(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestWithinDistancePDF(t *testing.T) {
-	u := updf.NewUniformDisk(1)
-	// Zero outside the ring.
-	if got := WithinDistancePDF(u, 5, 3); got != 0 {
-		t.Errorf("below ring pdf = %g", got)
-	}
-	if got := WithinDistancePDF(u, 5, 7); got != 0 {
-		t.Errorf("above ring pdf = %g", got)
-	}
-	// Integrates to ~1 across the ring.
-	d := 5.0
-	integral := numeric.AdaptiveSimpson(func(rd float64) float64 {
-		return WithinDistancePDF(u, d, rd)
-	}, d-1, d+1, 1e-8, 24)
-	if !near(integral, 1, 1e-3) {
-		t.Errorf("pdf integral = %g", integral)
 	}
 }
 
@@ -395,39 +375,6 @@ func TestUncertainQueryReductionRanking(t *testing.T) {
 	}
 }
 
-// TestExactUncertainQueryNNMatchesMC: the conditioned quadruple integration
-// reproduces the true two-sided probabilities (unlike the fast reduction).
-func TestExactUncertainQueryNNMatchesMC(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	obj := updf.NewUniformDisk(0.8)
-	qry := updf.NewUniformDisk(0.8)
-	// The geometry must match the MC oracle exactly: MonteCarloUncertainQueryNN
-	// places every candidate on the +x ray from the query center, and with a
-	// shared uncertain query the candidates' *directions* influence the joint
-	// probabilities (the very correlation the fast reduction ignores).
-	qC := geom.Point{X: 1, Y: 1}
-	pcands := []PositionCandidate{
-		{ID: 1, Pos: geom.Point{X: 1 + 2.2, Y: 1}},
-		{ID: 2, Pos: geom.Point{X: 1 + 2.7, Y: 1}},
-		{ID: 3, Pos: geom.Point{X: 1 + 3.5, Y: 1}},
-	}
-	want := ExactUncertainQueryNN(obj, qry, pcands, qC, 512, 20)
-	cands := []Candidate{{ID: 1, Dist: 2.2}, {ID: 2, Dist: 2.7}, {ID: 3, Dist: 3.5}}
-	got, err := MonteCarloUncertainQueryNN(obj, qry, cands, 300000, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range want {
-		if math.Abs(got[id]-want[id]) > 0.015 {
-			t.Errorf("id=%d: MC=%.4f exact=%.4f", id, got[id], want[id])
-		}
-	}
-	// Edge cases.
-	if got := ExactUncertainQueryNN(obj, qry, nil, qC, 64, 4); len(got) != 0 {
-		t.Errorf("empty cands: %v", got)
-	}
-}
-
 // TestUncertainQueryReductionNumericPDFs exercises the numeric-convolution
 // fallback (bounded Gaussian query pdf) and checks ranking agreement.
 func TestUncertainQueryReductionNumericPDFs(t *testing.T) {
@@ -453,18 +400,6 @@ func TestUncertainQueryReductionNumericPDFs(t *testing.T) {
 		if math.Abs(got[c.ID]-want[c.ID]) > 0.15 {
 			t.Errorf("id=%d: MC=%.4f reduction=%.4f", c.ID, got[c.ID], want[c.ID])
 		}
-	}
-}
-
-func TestPairwiseJointDensity(t *testing.T) {
-	u := updf.NewUniformDisk(1)
-	// Overlapping rings: positive tie density; disjoint rings: zero.
-	cands := []Candidate{{ID: 1, Dist: 2}, {ID: 2, Dist: 2.5}, {ID: 3, Dist: 30}}
-	if j := PairwiseJointDensity(u, cands, 0, 1, 512); j <= 0 {
-		t.Errorf("overlapping joint density = %g, want > 0", j)
-	}
-	if j := PairwiseJointDensity(u, cands, 0, 2, 512); j != 0 {
-		t.Errorf("disjoint joint density = %g, want 0", j)
 	}
 }
 
