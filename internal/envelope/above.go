@@ -30,35 +30,55 @@ func (e *Envelope) Compact() *Envelope {
 func StrictlyAbove(f *DistanceFunc, e *Envelope) bool {
 	for _, iv := range e.Intervals {
 		g := e.fns[iv.ID]
-		for _, pf := range f.Pieces {
+		for i := range f.Pieces {
+			pf := &f.Pieces[i]
 			if pf.T1 < iv.T0 || pf.T0 > iv.T1 {
 				continue
 			}
-			for _, pg := range g.Pieces {
+			for k := range g.Pieces {
+				pg := &g.Pieces[k]
 				lo := max(pf.T0, pg.T0, iv.T0)
 				hi := min(pf.T1, pg.T1, iv.T1)
 				if hi < lo {
 					continue
 				}
-				// Both quadratics in pf's local time τ = t − pf.Tref, where
-				// the coefficients are well-conditioned; pg's own local time
-				// is τ + d.
-				d := pf.Tref - pg.Tref
-				a := pf.A - pg.A
-				b := pf.B - (2*pg.A*d + pg.B)
-				c := pf.C - (pg.A*d*d + pg.B*d + pg.C)
-				at := func(tau float64) float64 { return (a*tau+b)*tau + c }
-				l, h := lo-pf.Tref, hi-pf.Tref
-				if at(l) <= 0 || at(h) <= 0 {
+				if dmin, _ := pairQuad(pf, pg).bounds(lo-pf.Tref, hi-pf.Tref); !(dmin > 0) {
 					return false
-				}
-				if a > 0 {
-					if v := -b / (2 * a); v > l && v < h && at(v) <= 0 {
-						return false
-					}
 				}
 			}
 		}
 	}
 	return true
+}
+
+// quad is the quadratic (a·τ + b)·τ + c in some piece's local time τ.
+type quad struct{ a, b, c float64 }
+
+// pairQuad returns f² − g² on pieces pf of f and pg of g as one quadratic
+// in pf's local time τ = t − pf.Tref, where the coefficients are
+// well-conditioned; pg's own local time is τ + d, d = pf.Tref − pg.Tref.
+func pairQuad(pf, pg *Piece) quad {
+	d := pf.Tref - pg.Tref
+	return quad{pf.A - pg.A, pf.B - (2*pg.A*d + pg.B), pf.C - (pg.A*d*d + pg.B*d + pg.C)}
+}
+
+func (q quad) at(tau float64) float64 { return (q.a*tau+q.b)*tau + q.c }
+
+// bounds returns the minimum and maximum of q over [l, h]: at the ends, or
+// at the vertex −b/2a inside (a minimum for a > 0, a maximum for a < 0).
+func (q quad) bounds(l, h float64) (lo, hi float64) {
+	lo, hi = q.at(l), q.at(h)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if q.a != 0 {
+		if v := -q.b / (2 * q.a); v > l && v < h {
+			if y := q.at(v); q.a > 0 {
+				lo = min(lo, y)
+			} else {
+				hi = max(hi, y)
+			}
+		}
+	}
+	return lo, hi
 }

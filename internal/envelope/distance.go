@@ -163,19 +163,19 @@ func (f *DistanceFunc) Span() (t0, t1 float64) {
 }
 
 // pieceAt returns the piece active at time t (clamped to the span).
-func (f *DistanceFunc) pieceAt(t float64) Piece {
-	n := len(f.Pieces)
-	if t <= f.Pieces[0].T0 {
-		return f.Pieces[0]
+func (f *DistanceFunc) pieceAt(t float64) Piece { return f.Pieces[pieceIndex(f.Pieces, t)] }
+
+// pieceIndex returns the index of the piece active at time t: the first
+// one ending at or after t, clamped to the span.
+func pieceIndex(ps []Piece, t float64) int {
+	n := len(ps)
+	if t <= ps[0].T0 {
+		return 0
 	}
-	if t >= f.Pieces[n-1].T1 {
-		return f.Pieces[n-1]
+	if t >= ps[n-1].T1 {
+		return n - 1
 	}
-	i := sort.Search(n, func(k int) bool { return f.Pieces[k].T1 >= t })
-	if i == n {
-		i = n - 1
-	}
-	return f.Pieces[i]
+	return min(sort.Search(n, func(k int) bool { return ps[k].T1 >= t }), n-1)
 }
 
 // Value returns the distance at time t.

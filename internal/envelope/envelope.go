@@ -364,45 +364,57 @@ type scanScratch struct {
 
 var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// pieceCursor walks a distance function's pieces for a monotone
-// nondecreasing sequence of evaluation times, selecting the same piece as
-// pieceAt without the per-call binary search.
+// pieceCursor walks a distance function's pieces from where its last call
+// left it, so neither the sweep nor Brent's nearby probes search.
 type pieceCursor struct {
 	ps []Piece
 	i  int
 }
 
-func (c *pieceCursor) valueSq(t float64) float64 {
+// advance returns the piece the sweep evaluates at t. It only moves
+// forward: an interval's last sample may round past its end, and the
+// next interval's first sample reads the piece that sample moved to.
+func (c *pieceCursor) advance(t float64) *Piece {
 	for c.i+1 < len(c.ps) && c.ps[c.i].T1 < t {
 		c.i++
 	}
-	return c.ps[c.i].ValueSq(t)
+	return &c.ps[c.i]
 }
 
-// envCursor is the envelope counterpart: it tracks the active envelope
-// interval for monotone evaluation times, avoiding the interval binary
-// search and function-table lookup of ValueAt on every sample.
+// seek returns the piece pieceIndex selects at t, wherever the cursor stands.
+func (c *pieceCursor) seek(t float64) *Piece {
+	for c.i > 0 && c.ps[c.i-1].T1 >= t {
+		c.i--
+	}
+	return c.advance(t)
+}
+
+// envCursor is the envelope counterpart: an interval — forward only, or
+// the one at selects when back is set — and in it the defining function's
+// piece pieceIndex selects, looked up once per interval change.
 type envCursor struct {
-	e  *Envelope
-	i  int
-	fn *DistanceFunc
+	e *Envelope
+	i int
+	g pieceCursor
 }
 
-func (c *envCursor) valueSq(t float64) float64 {
-	for c.i+1 < len(c.e.Intervals) && c.e.Intervals[c.i].T1 < t {
-		c.i++
-		c.fn = nil
-	}
-	if c.fn == nil {
-		c.fn = c.e.fns[c.e.Intervals[c.i].ID]
-	}
-	return c.fn.ValueSq(t)
+func newEnvCursor(e *Envelope) envCursor {
+	return envCursor{e: e, g: pieceCursor{ps: e.fns[e.Intervals[0].ID].Pieces}}
 }
 
-// valueSqAt evaluates the envelope's squared value at t.
-func (e *Envelope) valueSqAt(t float64) float64 {
-	iv := e.Intervals[e.at(t)]
-	return e.fns[iv.ID].ValueSq(t)
+func (c *envCursor) at(t float64, back bool) *Piece {
+	ivs, i := c.e.Intervals, c.i
+	for back && i > 0 && ivs[i-1].T1 >= t {
+		i--
+	}
+	for i+1 < len(ivs) && ivs[i].T1 < t {
+		i++
+	}
+	if i != c.i {
+		ps := c.e.fns[ivs[i].ID].Pieces
+		c.i, c.g = i, pieceCursor{ps: ps, i: pieceIndex(ps, t)}
+	}
+	return c.g.seek(t)
 }
 
 // signedGap returns a value with the sign of f(t) − e(t) − delta computed
@@ -455,39 +467,54 @@ func appendCutTimes(dst []float64, f *DistanceFunc, e *Envelope) []float64 {
 // BelowIntervals returns the maximal time intervals within the envelope's
 // window during which f(t) <= e(t) + delta — the membership test of the
 // pruning zone that underlies the UQ query variants (delta = 4r for
-// Level 1 semantics). Boundaries are refined with Brent's method to
-// TimeEps.
+// Level 1 semantics, −4r for the guaranteed-NN test). Boundaries are
+// refined with Brent's method to TimeEps.
 //
-// This is the refine hot path: every whole-MOD variant runs it once per
-// surviving candidate. The sweep therefore compares squared distances
-// (one square root per sample at most, none when the 4r threshold decides
-// without it), walks pieces and envelope intervals with monotone cursors
-// instead of per-sample binary searches, and recycles its cut/root buffers
-// through a pool.
+// The output is a sampler's: per elementary interval (between breakpoints
+// of f and e) the sign of f − e − delta at 17 evenly spaced times, Brent
+// on each sign change, root-delimited intervals classified by midpoint.
+// Most elementary intervals lie wholly inside or outside the zone, so the
+// sweep takes the two end samples and, when they agree, skips the 15
+// interior ones if certify proves that sign in between; otherwise the
+// loop runs unchanged from the cursors of t0. Forward-only cursors end
+// where the loop would have left them, so every later sample, Brent probe
+// and midpoint returns the sampler's bits.
+//
+// This is the refine hot path, run once per surviving candidate: squared
+// distances (one square root per sample at most), cursors instead of
+// per-sample binary searches, and pooled buffers.
 func BelowIntervals(f *DistanceFunc, e *Envelope, delta float64) []TimeInterval {
 	sc := scanPool.Get().(*scanScratch)
 	sc.cuts = appendCutTimes(sc.cuts[:0], f, e)
 	cuts := sc.cuts
-	// Collect sign-change boundaries by dense sampling per elementary
-	// interval (the difference has at most a few roots per interval since
-	// both sides are hyperbola pieces), refined by bisection. The slow
-	// closure is only used inside FindRoot, whose probes are not monotone.
-	slow := func(t float64) float64 { return signedGap(f.ValueSq(t), e.valueSqAt(t), delta) }
+	gap := func(fc *pieceCursor, ec *envCursor, t float64) float64 {
+		return signedGap(fc.advance(t).ValueSq(t), ec.at(t, false).ValueSq(t), delta)
+	}
+	var bf pieceCursor // Brent's cursors, copied from the bracketing sample's
+	var be envCursor
+	slow := func(t float64) float64 { return signedGap(bf.seek(t).ValueSq(t), be.at(t, true).ValueSq(t), delta) }
 	const samples = 16
 	roots := sc.roots[:0]
-	fc := pieceCursor{ps: f.Pieces}
-	ec := envCursor{e: e}
+	fc, ec := pieceCursor{ps: f.Pieces}, newEnvCursor(e)
 	for i := 1; i < len(cuts); i++ {
 		t0, t1 := cuts[i-1], cuts[i]
 		if t1-t0 <= TimeEps {
 			continue
 		}
 		prevT := t0
-		prevV := signedGap(fc.valueSq(t0), ec.valueSq(t0), delta)
+		prevV := gap(&fc, &ec, t0)
+		f0, e0 := fc, ec
+		end := t0 + (t1-t0)*float64(samples)/samples
+		endV := gap(&fc, &ec, end)
+		if (prevV < 0) == (endV < 0) && certify(f.Pieces, f0.i, fc.i, &e0, &ec, t0, end, delta, prevV < 0) {
+			continue
+		}
+		fc, ec = f0, e0
 		for s := 1; s <= samples; s++ {
 			t := t0 + (t1-t0)*float64(s)/samples
-			v := signedGap(fc.valueSq(t), ec.valueSq(t), delta)
+			v := gap(&fc, &ec, t)
 			if (prevV < 0) != (v < 0) {
+				bf, be = fc, ec
 				if r, err := numeric.FindRoot(slow, prevT, t, TimeEps); err == nil {
 					roots = append(roots, r)
 				}
@@ -508,15 +535,14 @@ func BelowIntervals(f *DistanceFunc, e *Envelope, delta float64) []TimeInterval 
 	cl = dedupTimes(cl)
 	sc.cuts = cl
 	var out []TimeInterval
-	fc = pieceCursor{ps: f.Pieces}
-	ec = envCursor{e: e}
+	fc, ec = pieceCursor{ps: f.Pieces}, newEnvCursor(e)
 	for i := 1; i < len(cl); i++ {
 		t0, t1 := cl[i-1], cl[i]
 		if t1-t0 <= TimeEps {
 			continue
 		}
 		mid := 0.5 * (t0 + t1)
-		if signedGap(fc.valueSq(mid), ec.valueSq(mid), delta) <= 0 {
+		if gap(&fc, &ec, mid) <= 0 {
 			if n := len(out); n > 0 && math.Abs(out[n-1].T1-t0) <= TimeEps {
 				out[n-1].T1 = t1
 			} else {
@@ -526,4 +552,76 @@ func BelowIntervals(f *DistanceFunc, e *Envelope, delta float64) []TimeInterval 
 	}
 	scanPool.Put(sc)
 	return out
+}
+
+// certify reports whether f − g − delta is negative (neg) or positive at
+// every time of [t0, t1] on every triple the cursors can select there —
+// f's pieces fi..fj, the intervals from.i..to.i, the pieces of each
+// interval's function g — each on the closed range where all three can.
+func certify(fps []Piece, fi, fj int, from, to *envCursor, t0, t1, delta float64, neg bool) bool {
+	ivs := from.e.Intervals
+	for j := from.i; j <= to.i; j++ {
+		lo, hi, ps, k0, k1 := t0, t1, to.g.ps, from.g.i, to.g.i
+		if j < to.i {
+			hi, ps = ivs[j].T1, from.e.fns[ivs[j].ID].Pieces
+			k1 = pieceIndex(ps, hi)
+		}
+		if j > from.i {
+			lo, k0 = ivs[j-1].T1, pieceIndex(ps, ivs[j-1].T1)
+		}
+		for k := k0; k <= k1; k++ {
+			glo, ghi := lo, hi
+			if k > k0 {
+				glo = ps[k-1].T1
+			}
+			if k < k1 {
+				ghi = ps[k].T1
+			}
+			for i := fi; i <= fj; i++ {
+				plo, phi := glo, ghi
+				if i > fi {
+					plo = max(plo, fps[i-1].T1)
+				}
+				if i < fj {
+					phi = min(phi, fps[i].T1)
+				}
+				if phi >= plo && !proves(&fps[i], &ps[k], plo, phi, delta, neg) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// proves is one triple's certificate: whether f − g − delta is < 0 (neg)
+// or > 0 at every time of [lo, hi] the sweep evaluates on pieces pf, pg.
+// With D = f² − g² (pairQuad) and g within [eLo, eHi], f > g + δ wherever
+// f² > (g + δ)² = g² + 2δg + δ², which min D > δ² + 2·max(δ·eLo, δ·eHi)
+// guarantees (as does g + δ < 0); f < g + δ wherever g + δ ≥ 0 and
+// max D < δ² + 2·min(δ·eLo, δ·eHi). One formula serves either sign of δ.
+//
+// The margin m covers rounding: ValueSq's τ and terms, g read at its own
+// τ, pairQuad's coefficients and evaluation, signedGap's root, sum and
+// square. Each is a few units of 2⁻⁵³ times terms the scale bounds (both
+// pieces' terms at the largest |τ|, plus δ² ≥ 2δe − e²); together under
+// 64 units, and m is 512. ValueSq's clamp at 0 is added exactly, as the
+// most negative value g's (positive test) or f's quadratic reaches, and
+// g's range is widened by m before its root. A non-finite value proves
+// nothing.
+func proves(pf, pg *Piece, lo, hi, delta float64, neg bool) bool {
+	l, h := lo-pf.Tref, hi-pf.Tref
+	dmin, dmax := pairQuad(pf, pg).bounds(l, h)
+	gmin, gmax := quad{pg.A, pg.B, pg.C}.bounds(lo-pg.Tref, hi-pg.Tref)
+	u := max(math.Abs(l), math.Abs(h))
+	v := u + math.Abs(pf.Tref-pg.Tref)
+	m := 0x1p-44 * (math.Abs(pf.A)*u*u + math.Abs(pf.B)*u + math.Abs(pf.C) +
+		math.Abs(pg.A)*v*v + math.Abs(pg.B)*v + math.Abs(pg.C) + delta*delta)
+	eLo, eHi := math.Sqrt(max(gmin-m, 0)), math.Sqrt(max(gmax, 0)+m)
+	dd := delta * delta
+	if !neg {
+		return eHi+delta < 0 || dmin-max(-gmin, 0) > dd+2*max(delta*eLo, delta*eHi)+m
+	}
+	fmin, _ := quad{pf.A, pf.B, pf.C}.bounds(l, h)
+	return eLo+delta >= 0 && dmax+max(-fmin, 0) < dd+2*min(delta*eLo, delta*eHi)-m
 }

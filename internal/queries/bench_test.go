@@ -91,8 +91,12 @@ func BenchmarkProcessorVariants(b *testing.B) {
 }
 
 // BenchmarkBelowIntervals isolates the refine kernel: one zone scan of a
-// candidate against the Level-1 envelope per iteration, over the survivors
-// an index pre-pass would keep at N = 500 (window [0, 60], r = 0.5).
+// candidate per iteration, over the candidates within 4r + 1 of the
+// envelope at N = 500 (window [0, 60], r = 0.5) — the survivors an index
+// pre-pass would keep. "near" scans against the Level-1 envelope at
+// δ = 4r (a Level-1 zone row), "level2" against the Level-2 envelope (a
+// rank-2 row), "guaranteed" against the Level-1 envelope at δ = −4r (the
+// offset of the guaranteed-NN test).
 func BenchmarkBelowIntervals(b *testing.B) {
 	const n, r = 500, 0.5
 	trs, err := workload.Generate(workload.DefaultConfig(2009), n)
@@ -103,17 +107,29 @@ func BenchmarkBelowIntervals(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var fns []*envelope.DistanceFunc
-	for _, f := range p.table {
-		if envelope.MinGap(f, p.env1) <= 4*r+1 {
-			fns = append(fns, f)
+	if err := p.EnsureLevels(2); err != nil {
+		b.Fatal(err)
+	}
+	near := func(e *envelope.Envelope) (fns []*envelope.DistanceFunc) {
+		for _, f := range p.table {
+			if envelope.MinGap(f, e) <= 4*r+1 {
+				fns = append(fns, f)
+			}
+		}
+		return fns
+	}
+	run := func(e *envelope.Envelope, delta float64) func(*testing.B) {
+		fns := near(e)
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkRow = envelope.BelowIntervals(fns[i%len(fns)], e, delta)
+			}
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkRow = envelope.BelowIntervals(fns[i%len(fns)], p.env1, p.width())
-	}
+	b.Run("near", run(p.env1, p.width()))
+	b.Run("level2", run(p.levels[1], p.width()))
+	b.Run("guaranteed", run(p.env1, -p.width()))
 }
 
 var (
