@@ -8,7 +8,8 @@
 //	uncertnn -store fleet.mod              # REPL: one UQL statement per line
 //
 // Scripts and the REPL evaluate through the concurrent batch engine:
-// statements compile to unified engine Requests, statements sharing a
+// every statement compiles to one engine Request (its probability bound,
+// `> p` or CertainNN, rides in Request.P), statements sharing a
 // query trajectory and window share one envelope preprocessing, whole-MOD
 // statements fan per-object work across -workers goroutines (default: one
 // per CPU), and the store's spatial index prunes the candidate set before
@@ -17,11 +18,9 @@
 // pool, index pre-pass, lazy envelope builds).
 //
 // -shards N (N > 1) splits the store into N hash-partitioned in-process
-// shards and routes compiled statements through the cluster scatter-gather
+// shards and routes every statement through the cluster scatter-gather
 // router instead — answers are byte-identical to the single engine (the
-// two-phase NN bound exchange keeps global semantics); statements that do
-// not compile to a Request (threshold `> p`, CertainNN) fall back to the
-// single-store path.
+// two-phase NN bound exchange keeps global semantics).
 package main
 
 import (
@@ -109,32 +108,40 @@ func main() {
 	}
 	if *uqlStmt != "" {
 		ctx, cancel := evalCtx(*timeout)
-		item := ev.run(ctx, []string{*uqlStmt})[0]
+		out := ev.run(ctx, []string{*uqlStmt})[0]
 		cancel()
-		if item.Err != nil {
-			fatal(item.Err)
+		if out.err != nil {
+			fatal(out.err)
 		}
-		fmt.Println(item.Result)
+		fmt.Println(out)
 		return
 	}
 	repl(ev, *timeout)
 }
 
-// evaluator routes statement batches: through the cluster router when
-// -shards is set (statements compile to unified Requests; the rare
-// non-compilable forms fall back to the single-store engine), through the
-// engine's UQL batch path otherwise.
+// evaluator answers statement batches on the engine, or through the
+// cluster router when -shards is set: parse, compile, one DoBatch.
 type evaluator struct {
 	store  *mod.Store
 	eng    *engine.Engine
 	router *cluster.Router
 }
 
-func (e *evaluator) run(ctx context.Context, stmts []string) []uql.BatchItem {
-	if e.router == nil {
-		return uql.RunBatchCtx(ctx, stmts, e.store, e.eng)
+// outcome is one statement's answer, or the error that stopped it.
+type outcome struct {
+	res engine.Result
+	err error
+}
+
+func (o outcome) String() string {
+	if o.res.IsBool {
+		return fmt.Sprint(o.res.Bool)
 	}
-	out := make([]uql.BatchItem, len(stmts))
+	return fmt.Sprint(o.res.OIDs)
+}
+
+func (e *evaluator) run(ctx context.Context, stmts []string) []outcome {
+	out := make([]outcome, len(stmts))
 	var (
 		reqs []engine.Request
 		idxs []int
@@ -142,31 +149,28 @@ func (e *evaluator) run(ctx context.Context, stmts []string) []uql.BatchItem {
 	for i, stmt := range stmts {
 		st, err := uql.Parse(stmt)
 		if err != nil {
-			out[i].Err = err
+			out[i].err = err
 			continue
 		}
-		req, ok := uql.Compile(st)
-		if !ok {
-			// No Request kind for this form yet; evaluate on the
-			// unsharded store so the statement still answers.
-			out[i] = uql.RunBatchCtx(ctx, []string{stmt}, e.store, e.eng)[0]
-			continue
-		}
-		reqs = append(reqs, req)
+		reqs = append(reqs, uql.Compile(st))
 		idxs = append(idxs, i)
 	}
-	results, err := e.router.DoBatch(ctx, reqs)
+	var (
+		results []engine.Result
+		err     error
+	)
+	if e.router != nil {
+		results, err = e.router.DoBatch(ctx, reqs)
+	} else {
+		results, err = e.eng.DoBatch(ctx, e.store, reqs)
+	}
 	for j, res := range results {
-		if res.Err != nil {
-			out[idxs[j]].Err = res.Err
-			continue
-		}
-		out[idxs[j]].Result = uql.Result{IsBool: res.IsBool, Bool: res.Bool, OIDs: res.OIDs}
+		out[idxs[j]] = outcome{res: res, err: res.Err}
 	}
 	// A canceled batch truncates results; surface the context error on
 	// the statements left unevaluated.
 	for j := len(results); j < len(reqs); j++ {
-		out[idxs[j]].Err = err
+		out[idxs[j]].err = err
 	}
 	return out
 }
@@ -190,13 +194,13 @@ func runScript(ev *evaluator, path string, timeout time.Duration) {
 	ctx, cancel := evalCtx(timeout)
 	defer cancel()
 	failed := false
-	for i, item := range ev.run(ctx, stmts) {
-		if item.Err != nil {
+	for i, out := range ev.run(ctx, stmts) {
+		if out.err != nil {
 			failed = true
-			fmt.Printf("[%d] error: %v\n", i+1, item.Err)
+			fmt.Printf("[%d] error: %v\n", i+1, out.err)
 			continue
 		}
-		fmt.Printf("[%d] %s\n", i+1, item.Result)
+		fmt.Printf("[%d] %s\n", i+1, out)
 	}
 	if failed {
 		os.Exit(1)
@@ -253,13 +257,13 @@ func repl(ev *evaluator, timeout time.Duration) {
 		// -timeout bounds each statement so a heavy whole-MOD retrieval
 		// cannot wedge the REPL.
 		ctx, cancel := evalCtx(timeout)
-		item := ev.run(ctx, []string{line})[0]
+		out := ev.run(ctx, []string{line})[0]
 		cancel()
-		if item.Err != nil {
-			fmt.Println("error:", item.Err)
+		if out.err != nil {
+			fmt.Println("error:", out.err)
 			continue
 		}
-		fmt.Println(item.Result)
+		fmt.Println(out)
 	}
 }
 

@@ -2,7 +2,8 @@
 // asks which friends have any chance of being their nearest neighbor
 // during lunch hour, given that everyone's position is known only up to an
 // uncertainty disk. Exercises the UQL surface (Categories 1-4 and the
-// fixed-time variant) over a TCP MOD server, end to end.
+// fixed-time variant) over a TCP MOD server, end to end: each statement
+// compiles to a Request on the phone and travels on the query op.
 package main
 
 import (
@@ -49,11 +50,23 @@ func main() {
 	fmt.Printf("connected to LBS MOD with %d users\n\n", count)
 
 	ask := func(desc, stmt string) {
-		res, err := c.UQL(stmt)
+		req, err := repro.CompileUQL(stmt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s\n  %s\n  → %s\n\n", desc, stmt, res)
+		results, err := c.Query([]repro.Request{req}, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res := results[0]
+		if res.Err != nil {
+			log.Fatal(res.Err)
+		}
+		answer := fmt.Sprint(res.OIDs)
+		if res.IsBool {
+			answer = fmt.Sprint(res.Bool)
+		}
+		fmt.Printf("%s\n  %s\n  → %s\n\n", desc, stmt, answer)
 	}
 
 	ask("Who could be my (user 1's) nearest friend at some point this hour? (UQ31)",
@@ -71,9 +84,9 @@ func main() {
 	ask("Is anyone guaranteed a shot at being nearest the whole hour? (UQ32)",
 		"SELECT T FROM MOD WHERE FORALL Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0")
 
-	// The same questions travel as unified Request descriptors over the
-	// "query" op — one wire contract for every variant, with per-query
-	// Explain provenance and a server-side deadline.
+	// Requests can also be written directly — one wire contract for every
+	// variant, with per-query Explain provenance and a server-side
+	// deadline.
 	results, err := c.Query([]repro.Request{
 		{Kind: repro.KindUQ31, QueryOID: 1, Tb: 0, Te: 60},
 		{Kind: repro.KindUQ41, QueryOID: 1, Tb: 0, Te: 60, K: 2},

@@ -84,10 +84,10 @@ func main() {
 
 	// The same question, declaratively: UQL statements compile to the very
 	// same Request and run through the same engine route.
-	req, ok, err := repro.CompileUQL(
+	req, err := repro.CompileUQL(
 		"SELECT T FROM MOD WHERE ATLEAST 50% Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0")
-	if err != nil || !ok {
-		log.Fatalf("compile: ok=%v err=%v", ok, err)
+	if err != nil {
+		log.Fatalf("compile: %v", err)
 	}
 	res, err := eng.Do(ctx, store, req)
 	if err != nil {

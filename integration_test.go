@@ -8,6 +8,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"net"
@@ -182,12 +183,20 @@ func TestPipelineOverTCP(t *testing.T) {
 	}
 	defer c.Close()
 
-	const stmt = "SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0"
-	remote, err := c.UQL(stmt)
+	st, err := uql.Parse("SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := uql.Run(stmt, store)
+	req := uql.Compile(st)
+	answers, err := c.Query([]repro.Request{req}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := answers[0]
+	if remote.Err != nil {
+		t.Fatal(remote.Err)
+	}
+	local, err := repro.NewEngine(1).Do(context.Background(), store, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,10 +73,18 @@ func equivRequests(trs []*trajectory.Trajectory) []engine.Request {
 		{Kind: engine.KindRankAt, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near, T: 15, K: 2},
 		{Kind: engine.KindAllNNAt, QueryOID: q, Tb: equivTb, Te: equivTe, T: 15},
 		{Kind: engine.KindAllRankAt, QueryOID: q, Tb: equivTb, Te: equivTe, T: 15, K: 2},
-		{Kind: engine.KindThreshold, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near, P: 0.2, X: 0.3},
-		// KindAllThreshold integrates a probability series per UQ31
-		// survivor (tens of seconds at this density); it gets its own
-		// sparser-store matrix in TestRouterEquivalenceAllThreshold.
+		{Kind: engine.KindUQ13, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near, P: 0.2, X: 0.3},
+		{Kind: engine.KindUQ31, QueryOID: q, Tb: equivTb, Te: equivTe, P: 1},
+		{Kind: engine.KindNNAt, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near, T: 15, P: 1},
+		// A fraction that rounds to zero enumerates every candidate, far
+		// ones included, at every probability bound.
+		{Kind: engine.KindUQ33, QueryOID: q, Tb: equivTb, Te: equivTe},
+		{Kind: engine.KindUQ33, QueryOID: q, Tb: equivTb, Te: equivTe, P: 0.5},
+		{Kind: engine.KindUQ43, QueryOID: q, Tb: equivTb, Te: equivTe, K: 2},
+		// A whole-MOD threshold (UQ33 with 0 < P < 1) integrates a
+		// probability series per UQ31 member (tens of seconds at this
+		// density); it gets its own sparser-store matrix in
+		// TestRouterEquivalenceAllThreshold.
 		{Kind: engine.KindAllPairs, Tb: equivTb, Te: equivTe},
 		{Kind: engine.KindReverse, Tb: equivTb, Te: equivTe, OID: near},
 		// A second query trajectory so the batch exercises group caching.
@@ -218,16 +226,19 @@ func TestRouterEquivalenceTiny(t *testing.T) {
 	checkSame(t, "tiny/8", reqs, want, got)
 }
 
-// TestRouterEquivalenceAllThreshold covers the threshold-retrieval kind,
-// whose per-survivor probability integration makes it orders of magnitude
-// heavier than every other kind: same 500-trajectory seed, a sparser
+// TestRouterEquivalenceAllThreshold covers the whole-MOD threshold query
+// (UQ33 with 0 < P < 1), whose per-member probability integration makes
+// it orders of magnitude heavier than every other request: same
+// 500-trajectory seed, a sparser
 // uncertainty radius so the 4r zone stays testable in CI time, across a
 // local and a remote configuration (the main matrix covers grid).
 func TestRouterEquivalenceAllThreshold(t *testing.T) {
 	store, trs := buildStore(t, equivN, 0.1, equivSeed)
 	reqs := []engine.Request{
-		{Kind: engine.KindAllThreshold, QueryOID: trs[0].OID, Tb: equivTb, Te: equivTe, P: 0.1, X: 0.2},
-		{Kind: engine.KindThreshold, QueryOID: trs[0].OID, Tb: equivTb, Te: equivTe, OID: trs[1].OID, P: 0.3, X: 0.4},
+		{Kind: engine.KindUQ33, QueryOID: trs[0].OID, Tb: equivTb, Te: equivTe, P: 0.1, X: 0.2},
+		// Four UQ31 members in this short window, two of them answers.
+		{Kind: engine.KindUQ33, QueryOID: trs[2].OID, Tb: 0, Te: 4, P: 0.4, X: 0.3},
+		{Kind: engine.KindUQ13, QueryOID: trs[0].OID, Tb: equivTb, Te: equivTe, OID: trs[1].OID, P: 0.3, X: 0.4},
 	}
 	want := singleAnswers(t, store, reqs)
 

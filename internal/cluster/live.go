@@ -222,7 +222,7 @@ func (b routerBackend) Evaluate(ctx context.Context, req engine.Request) (engine
 	if err != nil {
 		return res, nil, err
 	}
-	if g == nil || g.q == nil || g.bounds == nil || !needsProcessor(req.Kind) {
+	if g == nil || g.q == nil || g.bounds == nil || !req.Kind.NeedsProcessor() {
 		return res, nil, nil // unbounded fingerprint: always dirty, never wrong
 	}
 	if len(g.missing) > 0 {

@@ -199,7 +199,7 @@ func (r *Router) DoBatch(ctx context.Context, reqs []engine.Request) ([]engine.R
 	}
 	maxK := make(map[gatherKey]int)
 	for _, req := range reqs {
-		if req.Validate() != nil || !needsProcessor(req.Kind) {
+		if req.Validate() != nil || !req.Kind.NeedsProcessor() {
 			continue
 		}
 		key := gatherKey{req.QueryOID, req.Tb, req.Te, req.Where.Canon().Key()}
@@ -245,7 +245,7 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[ga
 		return fail(err)
 	}
 	req.Where = req.Where.Canon()
-	if !needsProcessor(req.Kind) {
+	if !req.Kind.NeedsProcessor() {
 		inner, err := r.perQueryObject(ctx, req)
 		inner.Explain.Shards = len(r.shards)
 		inner.Explain.Workers = r.inner.Workers()
@@ -261,7 +261,7 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[ga
 	if err != nil {
 		return fail(err)
 	}
-	if oid, ok := targetOID(req); ok {
+	if oid, ok := req.Target(); ok {
 		if err := r.ensureTarget(ctx, g, oid, req.Where); err != nil {
 			return fail(err)
 		}
@@ -282,9 +282,12 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[ga
 	creq := req
 	creq.Where = nil
 	var inner engine.Result
-	if req.Kind.IsWholeMODFilter() {
+	switch {
+	case req.EnumeratesCandidates():
+		inner, err = r.enumerate(ctx, g, req)
+	case req.Kind.IsWholeMODFilter():
 		inner, err = r.refineDistributed(ctx, g, creq)
-	} else {
+	default:
 		// Single-object and predicate kinds are O(1) in the survivor
 		// count once the union is built; they stay central.
 		inner, err = r.inner.Do(ctx, g.store, creq)
@@ -294,6 +297,29 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[ga
 	inner.Explain.Shards = len(r.shards)
 	inner.Explain.Wall = time.Since(start)
 	return inner, g, err
+}
+
+// enumerate answers a request whose answer is its whole candidate set
+// (engine.Request.EnumeratesCandidates): every object of the (sub-)MOD
+// but the query, near or far. The union store holds only the exchange's
+// survivors, so the list is the union of the shards' OID sets.
+func (r *Router) enumerate(ctx context.Context, g *gathered, req engine.Request) (engine.Result, error) {
+	res := engine.Result{Kind: req.Kind}
+	res.Explain.Workers = r.inner.Workers()
+	lists, ok, err := scatterMode(r, ctx, func(ctx context.Context, _ int, s Shard) ([]int64, error) {
+		return s.OIDs(ctx, req.Where)
+	})
+	if err != nil {
+		res.Err = err
+		return res, err
+	}
+	oids := slices.Compact(mergeSorted(lists))
+	res.OIDs = slices.DeleteFunc(oids, func(oid int64) bool { return oid == g.q.OID })
+	res.Explain.Candidates = len(res.OIDs)
+	res.Explain.Survivors = g.store.Len() - 1
+	res.Explain.ShardExplains = g.shardEx
+	r.applyDegraded(&res.Explain, mergeMissing(g.missing, missingOf(ok)))
+	return res, nil
 }
 
 // refineDistributed scatters a whole-MOD filter over the shards: each
@@ -868,26 +894,6 @@ func scatter[T any](ctx context.Context, shards []Shard, f func(ctx context.Cont
 		return nil, firstCtx
 	}
 	return out, nil
-}
-
-// targetOID reports the single-object target of a request kind, when the
-// kind has one — the object the refinement store must contain (or prove
-// globally absent) for error behavior to match a single store.
-func targetOID(req engine.Request) (int64, bool) {
-	switch req.Kind {
-	case engine.KindUQ11, engine.KindUQ12, engine.KindUQ13,
-		engine.KindUQ21, engine.KindUQ22, engine.KindUQ23,
-		engine.KindNNAt, engine.KindRankAt, engine.KindThreshold:
-		return req.OID, true
-	}
-	return 0, false
-}
-
-// needsProcessor mirrors the engine's kind split: every kind but
-// all-pairs and reverse evaluates against one (query, window)
-// preprocessing and therefore one bound exchange.
-func needsProcessor(k engine.Kind) bool {
-	return k != engine.KindAllPairs && k != engine.KindReverse
 }
 
 // ctxErr mirrors the engine's deadline-aware context check: a short

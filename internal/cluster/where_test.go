@@ -85,7 +85,9 @@ func whereRequests(store *mod.Store, trs []*trajectory.Trajectory) []engine.Requ
 		{Kind: engine.KindRankAt, QueryOID: q, Tb: equivTb, Te: equivTe, OID: match, T: 15, K: 2, Where: avail},
 		{Kind: engine.KindAllNNAt, QueryOID: q, Tb: equivTb, Te: equivTe, T: 15, Where: anyEV},
 		{Kind: engine.KindAllRankAt, QueryOID: q, Tb: equivTb, Te: equivTe, T: 15, K: 2, Where: avail},
-		{Kind: engine.KindThreshold, QueryOID: q, Tb: equivTb, Te: equivTe, OID: match, P: 0.2, X: 0.3, Where: avail},
+		{Kind: engine.KindUQ13, QueryOID: q, Tb: equivTb, Te: equivTe, OID: match, P: 0.2, X: 0.3, Where: avail},
+		{Kind: engine.KindUQ31, QueryOID: q, Tb: equivTb, Te: equivTe, P: 1, Where: avail},
+		{Kind: engine.KindUQ33, QueryOID: q, Tb: equivTb, Te: equivTe, P: 1, Where: avail},
 		{Kind: engine.KindAllPairs, Tb: equivTb, Te: equivTe, Where: avail},
 		{Kind: engine.KindAllPairs, Tb: equivTb, Te: equivTe, Where: anyEV},
 		{Kind: engine.KindReverse, Tb: equivTb, Te: equivTe, OID: match, Where: avail},

@@ -664,7 +664,7 @@ func dirty(s *sub, applied []mod.Applied, boxes []geom.AABB, r float64) bool {
 	if prof == nil || prof.Query == nil || len(prof.Cuts) < 2 {
 		return true
 	}
-	target, hasTarget := targetOID(s.req)
+	target, hasTarget := s.req.Target()
 	width := influenceWidth(r)
 	// An answer that lists the whole candidate set depends on who is in
 	// it, wherever they are: no zone bounds an arrival or a departure.
@@ -853,28 +853,6 @@ func diffOIDs(prev, next []int64) (added, removed []int64) {
 	return added, removed
 }
 
-// targetOID mirrors the cluster router's single-object-target table: the
-// object whose own motion the request's answer directly depends on.
-func targetOID(req engine.Request) (int64, bool) {
-	switch req.Kind {
-	case engine.KindUQ11, engine.KindUQ12, engine.KindUQ13,
-		engine.KindUQ21, engine.KindUQ22, engine.KindUQ23,
-		engine.KindNNAt, engine.KindRankAt, engine.KindThreshold:
-		return req.OID, true
-	case engine.KindReverse:
-		return req.OID, true
-	}
-	return 0, false
-}
-
-// profiled reports whether the kind's dependency set can be bounded by a
-// (query, window) zone profile. The all-pairs and reverse kinds iterate
-// query trajectories — every object is a query — so they re-evaluate on
-// every ingest.
-func profiled(k engine.Kind) bool {
-	return k != engine.KindAllPairs && k != engine.KindReverse
-}
-
 // engineBackend is the single-store Backend.
 type engineBackend struct {
 	store *mod.Store
@@ -902,7 +880,7 @@ func (b *engineBackend) Evaluate(ctx context.Context, req engine.Request) (engin
 	if err != nil {
 		return res, nil, err
 	}
-	if !profiled(req.Kind) {
+	if !req.Kind.NeedsProcessor() {
 		return res, nil, nil
 	}
 	prof, perr := b.profile(ctx, req)
@@ -920,7 +898,7 @@ func (b *engineBackend) Evaluate(ctx context.Context, req engine.Request) (engin
 // and a rebuilt one come out of the same code.
 func (b *engineBackend) Revise(ctx context.Context, req engine.Request, last *Profile, applied []mod.Applied) (engine.Result, *Profile, bool, error) {
 	verdict := prune.NoSeed
-	if last != nil && profiled(req.Kind) {
+	if last != nil && req.Kind.NeedsProcessor() {
 		verdict = b.eng.Revise(ctx, b.store, req, last.seed, applied)
 	}
 	b.verdicts[verdict]++

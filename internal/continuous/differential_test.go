@@ -156,7 +156,7 @@ func (tw *twin) ingest(batch []mod.Update) {
 			tw.t.Fatalf("batch %d sub %d (%s): initial ⊕ diffs = %s, Answer() = %s", tw.batch, i, req.Kind, answerOf(tw.replay[i]), answerOf(live[0]))
 		}
 		every := tw.freshEvery
-		if req.Kind == engine.KindThreshold {
+		if req.P > 0 && req.P < 1 {
 			every *= 4 // a threshold evaluation integrates probabilities: ~100 ms
 		}
 		if tw.batch%every != 0 {
@@ -272,11 +272,13 @@ func TestDifferentialSimMatrices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A threshold evaluation integrates probabilities (~100 ms, and
-			// three engines run every one): the churn script keeps the
-			// unfiltered one, which is enough to put the kind on a successor.
+			// A threshold evaluation integrates probabilities (~0.3 s per
+			// object, and three engines run every one): only the churn
+			// script keeps them — the unfiltered single-object one and the
+			// whole-MOD one, which is enough to put the bound on a
+			// successor.
 			reqs := slices.DeleteFunc(w.Requests(), func(r engine.Request) bool {
-				return r.Kind == engine.KindThreshold && (r.Where != nil || tc.name != "churn")
+				return r.P > 0 && r.P < 1 && (tc.name != "churn" || (r.Where != nil && !r.Kind.IsWholeMODFilter()))
 			})
 			tw := newTwin(t, worldStore(t, w), reqs)
 			// The victim is a target (UQ11 rows) and a query (the short

@@ -15,7 +15,8 @@ import (
 func FuzzRequestJSON(f *testing.F) {
 	f.Add([]byte(`{"kind":"UQ31","query_oid":1,"tb":0,"te":60}`))
 	f.Add([]byte(`{"kind":"UQ43","query_oid":9,"tb":-5,"te":5,"k":3,"x":0.5}`))
-	f.Add([]byte(`{"kind":"THRESH","query_oid":1,"tb":0,"te":1,"oid":2,"p":0.65,"x":0.5}`))
+	f.Add([]byte(`{"kind":"UQ13","query_oid":1,"tb":0,"te":1,"oid":2,"p":0.65,"x":0.5}`))
+	f.Add([]byte(`{"kind":"ALLNN@","query_oid":1,"tb":0,"te":60,"t":30,"p":1}`))
 	f.Add([]byte(`{"kind":"ALLPAIRS","tb":0,"te":60}`))
 	f.Add([]byte(`{"kind":"","tb":1e308,"te":-1e308,"k":-1,"x":2,"p":-3}`))
 	f.Add([]byte(`{"kind":"NN@","t":30,"tb":0,"te":60,"oid":-9223372036854775808}`))

@@ -17,18 +17,6 @@ import (
 	"repro/internal/mod"
 )
 
-// IsWholeMODFilter reports whether the kind is a whole-MOD list filter —
-// the only kinds a restricted-domain evaluation is defined for, and hence
-// the kinds a cluster router pushes down as distributed refines.
-func (k Kind) IsWholeMODFilter() bool {
-	switch k {
-	case KindUQ31, KindUQ32, KindUQ33, KindUQ41, KindUQ42, KindUQ43,
-		KindAllNNAt, KindAllRankAt, KindAllThreshold:
-		return true
-	}
-	return false
-}
-
 // DoRestricted evaluates a whole-MOD filter request with the candidate
 // domain restricted to own, a sorted OID list (a shard's share of the
 // union survivor set). The preprocessing runs over the full store — the

@@ -3,8 +3,9 @@
 // Section 4 (plus the Section 7 extensions), one Result envelope carrying
 // the answer together with its Explain provenance, and a typed error
 // taxonomy shared across layers. Engine.Do / Engine.DoBatch are the single
-// execution route — the UQL evaluator and the modserver "query" op both
-// compile down to them — and both honor
+// execution route — every UQL statement compiles to a Request, and the
+// modserver "query" op and the HTTP gateway carry Requests verbatim — and
+// both honor
 // context cancellation end-to-end: between per-OID worker tasks, between
 // batch members, inside the index candidate pre-pass, and inside lazy
 // envelope builds.
@@ -19,29 +20,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/envelope"
 	"repro/internal/mod"
 	"repro/internal/prune"
 	"repro/internal/queries"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
-)
-
-// Additional query kinds of the unified API, beyond the UQ11..UQ43 and
-// fixed-time kinds declared in kind.go.
-const (
-	// KindThreshold asks whether object OID has probability >= P of being
-	// the NN for at least fraction X of the window (the paper's Section 7
-	// "more than 65% probability within 50% of the time" query).
-	KindThreshold Kind = "THRESH"
-	// KindAllThreshold retrieves every object satisfying KindThreshold.
-	KindAllThreshold Kind = "ALLTHRESH"
-	// KindAllPairs computes every object's possible-NN set over the window
-	// (all-pairs continuous probabilistic NN; QueryOID is ignored).
-	KindAllPairs Kind = "ALLPAIRS"
-	// KindReverse retrieves the objects for which object OID can be the
-	// nearest neighbor (reverse continuous probabilistic NN; QueryOID is
-	// ignored).
-	KindReverse Kind = "REVERSE"
 )
 
 // Typed error taxonomy of the unified API. ErrUnknownOID, ErrBadRank and
@@ -75,10 +59,18 @@ var (
 // the wire unchanged).
 //
 // Which fields matter depends on Kind: OID for the single-object kinds
-// (Categories 1/2, the single-object instant kinds, KindThreshold) and the
-// KindReverse target; K for the ranked kinds; X for the >= X%-of-window
-// kinds and the threshold kinds; T for the fixed-time kinds; P for the
-// threshold kinds.
+// (Categories 1/2, the single-object instant kinds) and the KindReverse
+// target; K for the ranked kinds; X for the >= X%-of-window kinds; T for
+// the fixed-time kinds.
+//
+// P is the probability bound of UQL's `ProbabilityNN(o, TrQ, Time) > p`
+// on the Category 1/3 and fixed-time kinds (UQ11-13, UQ31-33, NN@,
+// ALLNN@); every other kind takes P = 0. P = 0 is the possible-NN answer
+// (membership in the 4r zone). 0 < P < 1 reduces the times the object's
+// sampled P^NN is at least P (the paper's Section 7 threshold query), and
+// P = 1 is CertainNN: the times its farthest possible distance stays
+// below every other object's nearest possible one. The kind's quantifier
+// applies to those times as it does to zone membership.
 type Request struct {
 	Kind     Kind    `json:"kind"`
 	QueryOID int64   `json:"query_oid,omitempty"`
@@ -104,8 +96,7 @@ type Request struct {
 // kinds, 1 otherwise. A cluster router uses it to size the bound-exchange
 // phases (the Level-k bound covers every level below it).
 func (r Request) Rank() int {
-	switch r.Kind {
-	case KindUQ21, KindUQ22, KindUQ23, KindUQ41, KindUQ42, KindUQ43, KindRankAt, KindAllRankAt:
+	if in, _ := r.Kind.info(); in.ranked {
 		return r.K
 	}
 	return 1
@@ -114,30 +105,22 @@ func (r Request) Rank() int {
 // EnumeratesCandidates reports whether the request's answer is its whole
 // candidate set: an "at least X of the window" retrieval whose requirement
 // rounds to zero length holds for every object of the (sub-)MOD, near or
-// far. Such an answer changes with every insertion, retirement and
-// predicate crossing anywhere — geometry cannot bound what it depends on.
+// far, at every probability bound (an empty interval set meets a zero
+// requirement). Such an answer changes with every insertion, retirement
+// and predicate crossing anywhere — geometry cannot bound what it depends
+// on.
 func (r Request) EnumeratesCandidates() bool {
 	return (r.Kind == KindUQ33 || r.Kind == KindUQ43) && queries.TrivialFraction(r.X, r.Tb, r.Te)
 }
 
-// needsProcessor reports whether the kind evaluates against one (query
-// trajectory, window) preprocessing; KindAllPairs and KindReverse iterate
-// query trajectories instead.
-func (k Kind) needsProcessor() bool {
-	return k != KindAllPairs && k != KindReverse
-}
-
 // Validate checks the request's static well-formedness: a known kind, an
 // increasing window, a rank >= 1 on ranked kinds, fractions and
-// probabilities in [0, 1]. It is the centralized window check — every
-// execution route calls it before touching the store.
+// probabilities in [0, 1], and P > 0 only on the kinds that take a
+// probability bound. It is the centralized window check — every execution
+// route calls it before touching the store.
 func (r Request) Validate() error {
-	switch r.Kind {
-	case KindUQ11, KindUQ12, KindUQ13, KindUQ21, KindUQ22, KindUQ23,
-		KindUQ31, KindUQ32, KindUQ33, KindUQ41, KindUQ42, KindUQ43,
-		KindNNAt, KindRankAt, KindAllNNAt, KindAllRankAt,
-		KindThreshold, KindAllThreshold, KindAllPairs, KindReverse:
-	default:
+	in, ok := r.Kind.info()
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrBadKind, r.Kind)
 	}
 	if math.IsNaN(r.Tb) || math.IsNaN(r.Te) || !(r.Te > r.Tb) {
@@ -147,33 +130,21 @@ func (r Request) Validate() error {
 		return fmt.Errorf("%w: got %d", ErrBadRank, r.K)
 	}
 	switch r.Kind {
-	case KindUQ13, KindUQ23, KindUQ33, KindUQ43, KindThreshold, KindAllThreshold:
+	case KindUQ13, KindUQ23, KindUQ33, KindUQ43:
 		if r.X < 0 || r.X > 1 || math.IsNaN(r.X) {
 			return fmt.Errorf("%w: x=%g", ErrBadFrac, r.X)
 		}
 	}
-	switch r.Kind {
-	case KindThreshold, KindAllThreshold:
-		if r.P < 0 || r.P > 1 || math.IsNaN(r.P) {
-			return fmt.Errorf("%w: p=%g", ErrBadFrac, r.P)
-		}
+	if r.P < 0 || r.P > 1 || math.IsNaN(r.P) {
+		return fmt.Errorf("%w: p=%g", ErrBadFrac, r.P)
+	}
+	if r.P > 0 && !in.prob {
+		return fmt.Errorf("%w: %s takes no probability bound, got p=%g", ErrBadKind, r.Kind, r.P)
 	}
 	if err := r.Where.Validate(); err != nil {
 		return err
 	}
 	return nil
-}
-
-// hasTargetOID reports whether the kind interrogates a single target
-// object named by Request.OID — the kinds whose answer under a predicate
-// short-circuits to false when the target exists but does not match.
-func (k Kind) hasTargetOID() bool {
-	switch k {
-	case KindUQ11, KindUQ12, KindUQ13, KindUQ21, KindUQ22, KindUQ23,
-		KindNNAt, KindRankAt, KindThreshold:
-		return true
-	}
-	return false
 }
 
 // ctxErr reports whether the context is done, checking the wall clock
@@ -329,7 +300,7 @@ func (e *Engine) Do(ctx context.Context, store *mod.Store, req Request) (Result,
 		// is still the usual error — "no" and "no such object" must not
 		// blur. The query OID is exempt, matching the sub-store ground
 		// truth (the query is always present there).
-		if req.Where != nil && req.Kind.hasTargetOID() && req.OID != req.QueryOID {
+		if _, target := req.Target(); req.Where != nil && target && req.OID != req.QueryOID {
 			if _, err := store.Get(req.OID); err != nil {
 				return fail(fmt.Errorf("%w: %d", ErrUnknownOID, req.OID))
 			}
@@ -390,7 +361,7 @@ func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) 
 	maxK := make(map[group]int)
 	preds := make(map[group]*textidx.Predicate)
 	for _, r := range reqs {
-		if r.Validate() != nil || !r.Kind.needsProcessor() {
+		if r.Validate() != nil || !r.Kind.NeedsProcessor() {
 			continue
 		}
 		w := r.Where.Canon()
@@ -449,16 +420,31 @@ func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor
 	// A filter kind tests the rank's scan set only: the pre-pass settled
 	// every other candidate's answer, and that answer is "no" — except
 	// where the request holds even for an object that never enters the
-	// zone, and then it is the candidate list itself.
+	// zone, and then it is the candidate list itself. Under a probability
+	// bound the domain narrows to the UQ31 members: an object outside the
+	// zone throughout has P^NN identically zero and is nobody's certain NN.
 	filter := func(pred func(oid int64) (bool, error)) item {
 		if req.EnumeratesCandidates() {
 			return listItem(domain(p.CandidateOIDs()), nil)
+		}
+		if req.P > 0 {
+			return listItem(e.filterOIDs(ctx, domain(p.UQ31()), pred))
 		}
 		ids, err := p.ScanOIDs(req.Rank())
 		if err != nil {
 			return item{Err: err}
 		}
 		return listItem(e.filterOIDs(ctx, domain(ids), pred))
+	}
+	if req.P > 0 {
+		holds := func(oid int64) (bool, error) {
+			ivs, err := probIntervals(p, oid, req.P)
+			return err == nil && req.holds(ivs), err
+		}
+		if req.Kind.IsWholeMODFilter() {
+			return filter(holds)
+		}
+		return boolItem(holds(req.OID))
 	}
 	switch req.Kind {
 	case KindUQ11:
@@ -477,8 +463,6 @@ func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor
 		return boolItem(p.IsPossibleNNAt(req.OID, req.T))
 	case KindRankAt:
 		return boolItem(p.IsPossibleRankKAt(req.OID, req.T, req.K))
-	case KindThreshold:
-		return boolItem(p.ThresholdNN(req.OID, req.P, req.X, queries.ThresholdConfig{}))
 	case KindUQ31:
 		return filter(p.UQ11)
 	case KindUQ32:
@@ -495,15 +479,41 @@ func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor
 		return filter(func(oid int64) (bool, error) { return p.IsPossibleNNAt(oid, req.T) })
 	case KindAllRankAt:
 		return filter(func(oid int64) (bool, error) { return p.IsPossibleRankKAt(oid, req.T, req.K) })
-	case KindAllThreshold:
-		// The filter domain is the UQ31 survivor set, exactly like the
-		// serial ThresholdNNAll: pruned objects have P^NN identically zero.
-		return listItem(e.filterOIDs(ctx, domain(p.UQ31()), func(oid int64) (bool, error) {
-			return p.ThresholdNN(oid, req.P, req.X, queries.ThresholdConfig{})
-		}))
 	default:
 		return item{Err: fmt.Errorf("%w: %q", ErrBadKind, req.Kind)}
 	}
+}
+
+// probIntervals returns the times a probability bound 0 < P <= 1 holds for
+// the object: where its sampled P^NN is at least P, or for P = 1 where it
+// is certainly the nearest neighbor.
+func probIntervals(p *queries.Processor, oid int64, P float64) ([]envelope.TimeInterval, error) {
+	if P == 1 {
+		return p.GuaranteedNNIntervals(oid)
+	}
+	return p.AboveThresholdIntervals(oid, P, queries.ThresholdConfig{})
+}
+
+// holds applies the kind's temporal quantifier to the times a probability
+// bound holds: ∃ is a positive total, ∀ one interval covering the window,
+// ≥X a total of at least X of the window, and @T an interval holding T,
+// each within 1e-9.
+func (r Request) holds(ivs []envelope.TimeInterval) bool {
+	switch r.Kind {
+	case KindUQ11, KindUQ31:
+		return envelope.TotalLength(ivs) > 0
+	case KindUQ12, KindUQ32:
+		return len(ivs) == 1 && ivs[0].T0 <= r.Tb+1e-9 && ivs[0].T1 >= r.Te-1e-9
+	case KindUQ13, KindUQ33:
+		return envelope.TotalLength(ivs) >= r.X*(r.Te-r.Tb)-1e-9
+	case KindNNAt, KindAllNNAt:
+		for _, iv := range ivs {
+			if r.T >= iv.T0-1e-9 && r.T <= iv.T1+1e-9 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // matchingTrajectories returns the store's trajectories restricted to

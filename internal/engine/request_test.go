@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,14 +13,10 @@ import (
 
 // TestRequestValidate is the centralized window/parameter validation table:
 // every kind rejects a degenerate window identically, ranked kinds reject
-// k < 1, fraction kinds reject x outside [0, 1].
+// k < 1, fraction kinds reject x outside [0, 1], every kind rejects p
+// outside [0, 1], and only the Category 1/3 and fixed-time kinds take a
+// probability bound p > 0.
 func TestRequestValidate(t *testing.T) {
-	allKinds := []Kind{
-		KindUQ11, KindUQ12, KindUQ13, KindUQ21, KindUQ22, KindUQ23,
-		KindUQ31, KindUQ32, KindUQ33, KindUQ41, KindUQ42, KindUQ43,
-		KindNNAt, KindRankAt, KindAllNNAt, KindAllRankAt,
-		KindThreshold, KindAllThreshold, KindAllPairs, KindReverse,
-	}
 	ranked := map[Kind]bool{
 		KindUQ21: true, KindUQ22: true, KindUQ23: true,
 		KindUQ41: true, KindUQ42: true, KindUQ43: true,
@@ -27,10 +24,16 @@ func TestRequestValidate(t *testing.T) {
 	}
 	frac := map[Kind]bool{
 		KindUQ13: true, KindUQ23: true, KindUQ33: true, KindUQ43: true,
-		KindThreshold: true, KindAllThreshold: true,
 	}
-	for _, kind := range allKinds {
-		ok := Request{Kind: kind, QueryOID: 1, Tb: 0, Te: 60, K: 2, X: 0.5, P: 0.5}
+	prob := map[Kind]bool{
+		KindUQ11: true, KindUQ12: true, KindUQ13: true, KindNNAt: true,
+		KindUQ31: true, KindUQ32: true, KindUQ33: true, KindAllNNAt: true,
+	}
+	if n := len(Kinds()); n != 18 {
+		t.Errorf("%d kinds, want 18", n)
+	}
+	for _, kind := range Kinds() {
+		ok := Request{Kind: kind, QueryOID: 1, Tb: 0, Te: 60, K: 2, X: 0.5}
 		if err := ok.Validate(); err != nil {
 			t.Errorf("%s: valid request rejected: %v", kind, err)
 		}
@@ -55,14 +58,26 @@ func TestRequestValidate(t *testing.T) {
 				t.Errorf("%s x=1.5: err=%v, want ErrBadFrac", kind, err)
 			}
 		}
-	}
-	if err := (Request{Kind: "NOPE", Tb: 0, Te: 60}).Validate(); !errors.Is(err, ErrBadKind) {
-		t.Errorf("unknown kind: err=%v, want ErrBadKind", err)
-	}
-	for _, k := range []Kind{KindThreshold, KindAllThreshold} {
-		bad := Request{Kind: k, QueryOID: 1, Tb: 0, Te: 60, X: 0.5, P: 1.5}
+		for _, p := range []float64{0.5, 1} {
+			withP := ok
+			withP.P = p
+			err := withP.Validate()
+			if prob[kind] && err != nil {
+				t.Errorf("%s p=%g: valid request rejected: %v", kind, p, err)
+			}
+			if !prob[kind] && !errors.Is(err, ErrBadKind) {
+				t.Errorf("%s p=%g: err=%v, want ErrBadKind", kind, p, err)
+			}
+		}
+		bad := ok
+		bad.P = 1.5
 		if err := bad.Validate(); !errors.Is(err, ErrBadFrac) {
-			t.Errorf("%s p=1.5: err=%v, want ErrBadFrac", k, err)
+			t.Errorf("%s p=1.5: err=%v, want ErrBadFrac", kind, err)
+		}
+	}
+	for _, k := range []Kind{"NOPE", "THRESH", "ALLTHRESH"} {
+		if err := (Request{Kind: k, Tb: 0, Te: 60}).Validate(); !errors.Is(err, ErrBadKind) {
+			t.Errorf("unknown kind %q: err=%v, want ErrBadKind", k, err)
 		}
 	}
 	// Every route rejects the bad window before touching the store — no
@@ -109,8 +124,9 @@ func TestDoExplain(t *testing.T) {
 	}
 }
 
-// TestDoThresholdAndExtensions checks the Section 7 kinds against their
-// serial Processor counterparts.
+// TestDoThresholdAndExtensions checks the Section 7 queries — the
+// threshold query (UQ13/UQ33 with a probability bound), all-pairs and
+// reverse — against their serial Processor counterparts.
 func TestDoThresholdAndExtensions(t *testing.T) {
 	store, qOID := newStore(t, 16, 17)
 	eng := New(0)
@@ -124,12 +140,12 @@ func TestDoThresholdAndExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Do(ctx, store, Request{Kind: KindAllThreshold, QueryOID: qOID, Tb: 0, Te: 60, P: 0.3, X: 0.1})
+	res, err := eng.Do(ctx, store, Request{Kind: KindUQ33, QueryOID: qOID, Tb: 0, Te: 60, P: 0.3, X: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.OIDs, wantAll) {
-		t.Fatalf("ALLTHRESH: do=%v serial=%v", res.OIDs, wantAll)
+		t.Fatalf("UQ33 p=0.3: do=%v serial=%v", res.OIDs, wantAll)
 	}
 
 	target := proc.CandidateOIDs()[0]
@@ -137,9 +153,9 @@ func TestDoThresholdAndExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = eng.Do(ctx, store, Request{Kind: KindThreshold, QueryOID: qOID, Tb: 0, Te: 60, OID: target, P: 0.3, X: 0.1})
+	res, err = eng.Do(ctx, store, Request{Kind: KindUQ13, QueryOID: qOID, Tb: 0, Te: 60, OID: target, P: 0.3, X: 0.1})
 	if err != nil || !res.IsBool || res.Bool != wantOne {
-		t.Fatalf("THRESH(%d): do=%+v err=%v, want %v", target, res, err, wantOne)
+		t.Fatalf("UQ13 p=0.3 (%d): do=%+v err=%v, want %v", target, res, err, wantOne)
 	}
 
 	wantPairs, err := queries.AllPairsPossibleNN(store.All(), 0, 60, store.Radius())
@@ -171,6 +187,43 @@ func TestDoThresholdAndExtensions(t *testing.T) {
 	}
 	if _, err := eng.Do(ctx, store, Request{Kind: KindReverse, Tb: 0, Te: 60, OID: 999999}); !errors.Is(err, ErrUnknownOID) {
 		t.Fatalf("REVERSE unknown target: err=%v, want ErrUnknownOID", err)
+	}
+}
+
+// TestTrivialFractionAgreesWithSingleObject: at a fraction that rounds
+// to zero length, the whole-MOD answer is exactly the objects whose
+// single-object answer is true, at every probability bound — pruned
+// objects included, since an empty interval set meets a zero requirement
+// (a probability bound used to narrow the whole-MOD answer to the UQ31
+// members).
+func TestTrivialFractionAgreesWithSingleObject(t *testing.T) {
+	store, qOID := newStore(t, 12, 7)
+	eng := New(1)
+	ctx := context.Background()
+	for _, p := range []float64{0, 0.5, 1} {
+		all, err := eng.Do(ctx, store, Request{Kind: KindUQ33, QueryOID: qOID, Tb: 0, Te: 60, P: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int64
+		for _, oid := range store.OIDs() {
+			if oid == qOID {
+				continue
+			}
+			one, err := eng.Do(ctx, store, Request{Kind: KindUQ13, QueryOID: qOID, Tb: 0, Te: 60, OID: oid, P: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one.Bool {
+				want = append(want, oid)
+			}
+		}
+		if !slices.Equal(all.OIDs, want) || len(want) != store.Len()-1 {
+			t.Errorf("p=%g: whole-MOD %v, single-object %v (of %d candidates)", p, all.OIDs, want, store.Len()-1)
+		}
+		if all.Explain.Survivors == all.Explain.Candidates {
+			t.Errorf("p=%g: nothing was pruned, the test proves nothing", p)
+		}
 	}
 }
 

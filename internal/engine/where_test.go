@@ -97,7 +97,8 @@ func TestDoWhereMatchesSubStore(t *testing.T) {
 			{Kind: KindUQ23, QueryOID: qOID, Tb: 0, Te: 60, OID: matchOID, K: 2, X: 0.25},
 			{Kind: KindNNAt, QueryOID: qOID, Tb: 0, Te: 60, OID: matchOID, T: 30},
 			{Kind: KindRankAt, QueryOID: qOID, Tb: 0, Te: 60, OID: matchOID, T: 30, K: 2},
-			{Kind: KindThreshold, QueryOID: qOID, Tb: 0, Te: 60, OID: matchOID, P: 0.1, X: 0.25},
+			{Kind: KindUQ13, QueryOID: qOID, Tb: 0, Te: 60, OID: matchOID, P: 0.1, X: 0.25},
+			{Kind: KindNNAt, QueryOID: qOID, Tb: 0, Te: 60, OID: matchOID, T: 30, P: 1},
 			{Kind: KindUQ31, QueryOID: qOID, Tb: 0, Te: 60},
 			{Kind: KindUQ32, QueryOID: qOID, Tb: 0, Te: 60},
 			{Kind: KindUQ33, QueryOID: qOID, Tb: 0, Te: 60, X: 0.25},
@@ -106,7 +107,8 @@ func TestDoWhereMatchesSubStore(t *testing.T) {
 			{Kind: KindUQ43, QueryOID: qOID, Tb: 0, Te: 60, K: 2, X: 0.25},
 			{Kind: KindAllNNAt, QueryOID: qOID, Tb: 0, Te: 60, T: 30},
 			{Kind: KindAllRankAt, QueryOID: qOID, Tb: 0, Te: 60, T: 30, K: 2},
-			{Kind: KindAllThreshold, QueryOID: qOID, Tb: 0, Te: 60, P: 0.1, X: 0.25},
+			{Kind: KindUQ33, QueryOID: qOID, Tb: 0, Te: 60, P: 0.1, X: 0.25},
+			{Kind: KindUQ31, QueryOID: qOID, Tb: 0, Te: 60, P: 1},
 			{Kind: KindAllPairs, Tb: 0, Te: 60},
 			{Kind: KindReverse, Tb: 0, Te: 60, OID: matchOID},
 		}
@@ -118,7 +120,7 @@ func TestDoWhereMatchesSubStore(t *testing.T) {
 				t.Fatalf("%s %s: %v", where.Key(), req.Kind, err)
 			}
 			truth := sub
-			if !req.Kind.needsProcessor() {
+			if !req.Kind.NeedsProcessor() {
 				truth = subNoQ
 			}
 			want, err := eng.Do(ctx, truth, req)
@@ -161,15 +163,17 @@ func TestDoWhereTargets(t *testing.T) {
 	if nonMatch == 0 {
 		t.Fatal("fixture has no non-matching object")
 	}
-	for _, kind := range []Kind{KindUQ11, KindUQ12, KindUQ21, KindNNAt, KindThreshold} {
-		req := Request{Kind: kind, QueryOID: qOID, Tb: 0, Te: 60, OID: nonMatch,
-			K: 2, X: 0.5, P: 0.5, T: 30, Where: where}
+	for _, req := range []Request{
+		{Kind: KindUQ11}, {Kind: KindUQ12}, {Kind: KindUQ21, K: 2}, {Kind: KindNNAt, T: 30},
+		{Kind: KindUQ13, X: 0.5, P: 0.5}, {Kind: KindNNAt, T: 30, P: 1},
+	} {
+		req.QueryOID, req.Tb, req.Te, req.OID, req.Where = qOID, 0, 60, nonMatch, where
 		res, err := eng.Do(ctx, store, req)
 		if err != nil {
-			t.Fatalf("%s non-matching target: %v", kind, err)
+			t.Fatalf("%s p=%g non-matching target: %v", req.Kind, req.P, err)
 		}
 		if !res.IsBool || res.Bool {
-			t.Errorf("%s non-matching target: got %+v, want false", kind, answerOf(res))
+			t.Errorf("%s p=%g non-matching target: got %+v, want false", req.Kind, req.P, answerOf(res))
 		}
 	}
 	res, err := eng.Do(ctx, store, Request{Kind: KindReverse, Tb: 0, Te: 60, OID: nonMatch, Where: where})
@@ -208,7 +212,8 @@ func TestDoWhereFullScanAgrees(t *testing.T) {
 	for _, req := range []Request{
 		{Kind: KindUQ31, QueryOID: qOID, Tb: 0, Te: 60, Where: where},
 		{Kind: KindUQ41, QueryOID: qOID, Tb: 0, Te: 60, K: 2, Where: where},
-		{Kind: KindAllThreshold, QueryOID: qOID, Tb: 0, Te: 60, P: 0.1, X: 0.25, Where: where},
+		{Kind: KindUQ33, QueryOID: qOID, Tb: 0, Te: 60, P: 0.1, X: 0.25, Where: where},
+		{Kind: KindUQ32, QueryOID: qOID, Tb: 0, Te: 60, P: 1, Where: where},
 	} {
 		a, err := pruned.Do(ctx, store, req)
 		if err != nil {

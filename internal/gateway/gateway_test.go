@@ -16,10 +16,12 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/api/openapi"
 	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/serve"
@@ -95,7 +97,8 @@ func equivRequests(trs []*trajectory.Trajectory) []engine.Request {
 		{Kind: engine.KindRankAt, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near, T: 15, K: 2},
 		{Kind: engine.KindAllNNAt, QueryOID: q, Tb: equivTb, Te: equivTe, T: 15},
 		{Kind: engine.KindAllRankAt, QueryOID: q, Tb: equivTb, Te: equivTe, T: 15, K: 2},
-		{Kind: engine.KindThreshold, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near, P: 0.2, X: 0.3},
+		{Kind: engine.KindUQ13, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near, P: 0.2, X: 0.3},
+		{Kind: engine.KindNNAt, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near, T: 15, P: 1},
 		{Kind: engine.KindAllPairs, Tb: equivTb, Te: equivTe},
 		{Kind: engine.KindReverse, Tb: equivTb, Te: equivTe, OID: near},
 		{Kind: engine.KindUQ31, QueryOID: trs[(len(trs)-1)/2].OID, Tb: equivTb, Te: equivTe},
@@ -141,8 +144,8 @@ func predicateRequests(trs []*trajectory.Trajectory) []engine.Request {
 		{Kind: engine.KindRankAt, QueryOID: q, Tb: equivTb, Te: equivTe, OID: tagged, T: 15, K: 2, Where: avail},
 		{Kind: engine.KindAllNNAt, QueryOID: q, Tb: equivTb, Te: equivTe, T: 15, Where: avail},
 		{Kind: engine.KindAllRankAt, QueryOID: q, Tb: equivTb, Te: equivTe, T: 15, K: 2, Where: anyOf},
-		{Kind: engine.KindThreshold, QueryOID: q, Tb: equivTb, Te: equivTe, OID: tagged, P: 0.2, X: 0.3, Where: avail},
-		{Kind: engine.KindAllThreshold, QueryOID: q, Tb: equivTb, Te: equivTe, P: 0.2, X: 0.3, Where: avail},
+		{Kind: engine.KindUQ13, QueryOID: q, Tb: equivTb, Te: equivTe, OID: tagged, P: 0.2, X: 0.3, Where: avail},
+		{Kind: engine.KindUQ33, QueryOID: q, Tb: equivTb, Te: equivTe, P: 0.2, X: 0.3, Where: avail},
 		{Kind: engine.KindAllPairs, Tb: equivTb, Te: equivTe, Where: avail},
 		{Kind: engine.KindReverse, Tb: equivTb, Te: equivTe, OID: tagged, Where: avail},
 		{Kind: engine.KindReverse, Tb: equivTb, Te: equivTe, OID: untagged, Where: avail},
@@ -547,6 +550,31 @@ func TestOpenAPIServed(t *testing.T) {
 		if !bytes.Contains(body, []byte(field)) {
 			t.Fatalf("openapi spec does not mention %q", field)
 		}
+	}
+}
+
+// TestOpenAPIKindEnum: the spec's Request.kind enum is the engine's kind
+// table, in its order — a kind the server rejects cannot be documented,
+// and one it accepts cannot be missing.
+func TestOpenAPIKindEnum(t *testing.T) {
+	spec := string(openapi.Spec)
+	i := strings.Index(spec, "\n    Request:\n")
+	if i < 0 {
+		t.Fatal("spec has no Request schema")
+	}
+	const key = "enum: "
+	j := strings.Index(spec[i:], key)
+	if j < 0 {
+		t.Fatal("Request schema has no enum")
+	}
+	line := spec[i+j+len(key):]
+	line = line[:strings.IndexByte(line, '\n')]
+	var got []engine.Kind
+	if err := json.Unmarshal([]byte(line), &got); err != nil {
+		t.Fatalf("enum %q: %v", line, err)
+	}
+	if want := engine.Kinds(); !slices.Equal(got, want) {
+		t.Fatalf("spec enum %v, engine kinds %v", got, want)
 	}
 }
 

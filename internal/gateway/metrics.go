@@ -16,22 +16,11 @@ import (
 	"repro/internal/wal"
 )
 
-// knownKinds is the closed set of engine kinds usable as a metric label.
-// Anything else (a typo'd kind from a client) collapses to "invalid" so
-// clients cannot mint new series.
-var knownKinds = map[engine.Kind]bool{
-	engine.KindUQ11: true, engine.KindUQ12: true, engine.KindUQ13: true,
-	engine.KindUQ21: true, engine.KindUQ22: true, engine.KindUQ23: true,
-	engine.KindUQ31: true, engine.KindUQ32: true, engine.KindUQ33: true,
-	engine.KindUQ41: true, engine.KindUQ42: true, engine.KindUQ43: true,
-	engine.KindNNAt: true, engine.KindRankAt: true,
-	engine.KindAllNNAt: true, engine.KindAllRankAt: true,
-	engine.KindThreshold: true, engine.KindAllThreshold: true,
-	engine.KindAllPairs: true, engine.KindReverse: true,
-}
-
+// kindLabel is the metric label of a request kind: the engine's closed
+// kind set, and "invalid" for anything else (a typo'd kind from a client)
+// so clients cannot mint new series.
 func kindLabel(k engine.Kind) string {
-	if knownKinds[k] {
+	if k.Known() {
 		return string(k)
 	}
 	return "invalid"

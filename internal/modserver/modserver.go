@@ -16,8 +16,6 @@
 //	{"op":"insert","oid":1,"verts":[[x,y,t],...]}  → {"ok":true} (a one-update ingest; a known OID is rejected)
 //	{"op":"get","oid":1}                           → {"ok":true,"oid":1,"verts":[...]}
 //	{"op":"delete","oid":1}                        → {"ok":true} (a retire ingest; unknown OID → "code":"not_found")
-//	{"op":"uql","query":"SELECT ..."}              → {"ok":true,"bool":b} or {"ok":true,"oids":[...]}
-//	{"op":"batch","queries":["SELECT ...", ...]}   → {"ok":true,"results":[{"ok":true,"bool":b}|{"ok":true,"oids":[...]}|{"error":"..."},...]}
 //	{"op":"query","requests":[{"kind":"UQ31",
 //	 "query_oid":1,"tb":0,"te":60}, ...],
 //	 "deadline_ms":500}                            → {"ok":true,"answers":[{"ok":true,"oids":[...],"explain":{...}},...]}
@@ -79,9 +77,9 @@
 // one answer per request with its Explain provenance. deadline_ms (> 0)
 // bounds the whole batch with a context deadline honored inside the worker
 // pool and the preprocessing — an expired deadline fails the op with a
-// context error instead of hogging the server. The uql and batch ops are
-// thin adapters over the same engine route: statements compile to Requests
-// where possible, so they share the memoized preprocessing with query ops.
+// context error instead of hogging the server. UQL is a client-side
+// language: a statement compiles to a Request (uql.Compile) before it
+// travels, so the query op is the only query route on the wire.
 package modserver
 
 import (
@@ -104,7 +102,6 @@ import (
 	"repro/internal/serve"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
-	"repro/internal/uql"
 )
 
 // MaxLine bounds a single protocol line (1 MiB) to keep rogue clients from
@@ -257,8 +254,6 @@ type Request struct {
 	// VB is Verts in the shard link's packed form (serve.PackVerts); a
 	// request carries one or the other.
 	VB        []byte       `json:"vb,omitempty"`
-	Query     string       `json:"query,omitempty"`
-	Queries   []string     `json:"queries,omitempty"`
 	Waypoints [][2]float64 `json:"waypoints,omitempty"`
 	Start     float64      `json:"start,omitempty"`
 	Speed     float64      `json:"speed,omitempty"`
@@ -334,14 +329,6 @@ type Answer struct {
 	Explain *engine.Explain   `json:"explain,omitempty"`
 }
 
-// BatchEntry is one statement's outcome inside a batch response.
-type BatchEntry struct {
-	OK    bool    `json:"ok"`
-	Error string  `json:"error,omitempty"`
-	Bool  *bool   `json:"bool,omitempty"`
-	OIDs  []int64 `json:"oids,omitempty"`
-}
-
 // Response is the wire format of a server reply.
 type Response struct {
 	OK    bool         `json:"ok"`
@@ -352,11 +339,9 @@ type Response struct {
 	Verts [][3]float64 `json:"verts,omitempty"`
 	// Tags carries the OID's tag set on the "get" reply (absent when
 	// untagged).
-	Tags    []string     `json:"tags,omitempty"`
-	Bool    *bool        `json:"bool,omitempty"`
-	OIDs    []int64      `json:"oids,omitempty"`
-	Results []BatchEntry `json:"results,omitempty"`
-	Answers []Answer     `json:"answers,omitempty"`
+	Tags    []string `json:"tags,omitempty"`
+	OIDs    []int64  `json:"oids,omitempty"`
+	Answers []Answer `json:"answers,omitempty"`
 
 	// Code structures selected failures (codeNotFound, codeUnknownGather)
 	// so clients can rebuild error identities and retry paths.
@@ -842,12 +827,6 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 			return codedFail(err)
 		}
 		return Response{OK: true, OID: tr.OID, Verts: serve.EncodeVerts(tr.Verts)}
-	case "uql":
-		// Single statements also run through the engine so repeated
-		// queries against one (TrQ, window) reuse the memoized
-		// preprocessing.
-		e := encodeBatchItem(uql.RunBatchCtx(context.Background(), []string{req.Query}, s.store, s.engine)[0])
-		return Response{OK: e.OK, Error: e.Error, Bool: e.Bool, OIDs: e.OIDs}
 	case "query":
 		switch req.Phase {
 		case "":
@@ -870,29 +849,9 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 			// reach dispatch.
 			return Response{Error: fmt.Sprintf("unknown query phase %q", req.Phase)}
 		}
-	case "batch":
-		items := uql.RunBatchCtx(context.Background(), req.Queries, s.store, s.engine)
-		entries := make([]BatchEntry, len(items))
-		for i, it := range items {
-			entries[i] = encodeBatchItem(it)
-		}
-		return Response{OK: true, Results: entries}
 	default:
 		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
-}
-
-// encodeBatchItem flattens one UQL statement's outcome onto the wire.
-// omitempty drops empty OID lists; the client reads an absent key as an
-// empty retrieval.
-func encodeBatchItem(it uql.BatchItem) BatchEntry {
-	switch {
-	case it.Err != nil:
-		return BatchEntry{Error: it.Err.Error()}
-	case it.Result.IsBool:
-		return BatchEntry{OK: true, Bool: &it.Result.Bool}
-	}
-	return BatchEntry{OK: true, OIDs: it.Result.OIDs}
 }
 
 // doQuery evaluates a batch of unified requests under the optional
@@ -1289,18 +1248,6 @@ func (c *Client) PlanTrip(oid int64, waypoints []geom.Point, startT, speed float
 	return serve.WireTrajectory(resp.OID, resp.Verts, nil)
 }
 
-// UQL runs a UQL statement remotely.
-func (c *Client) UQL(query string) (uql.Result, error) {
-	resp, err := c.roundTrip(Request{Op: "uql", Query: query})
-	if err != nil {
-		return uql.Result{}, err
-	}
-	if resp.Bool != nil {
-		return uql.Result{IsBool: true, Bool: *resp.Bool}, nil
-	}
-	return uql.Result{OIDs: resp.OIDs}, nil
-}
-
 // Query evaluates unified engine.Request descriptors remotely through the
 // server's Engine.DoBatch, under an optional server-side deadline
 // (deadline <= 0 means none). One Result comes back per request, in
@@ -1489,30 +1436,4 @@ func (c *Client) NextEvent() (continuous.Event, error) {
 		// A non-event line here means the caller mixed request/reply
 		// traffic with event draining out of order; skip it.
 	}
-}
-
-// Batch runs a multi-statement UQL script remotely through the server's
-// batch engine. One item comes back per statement, in order; per-statement
-// failures are reported in the item's Err.
-func (c *Client) Batch(queries []string) ([]uql.BatchItem, error) {
-	resp, err := c.roundTrip(Request{Op: "batch", Queries: queries})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(queries) {
-		return nil, fmt.Errorf("modserver: batch returned %d results for %d queries",
-			len(resp.Results), len(queries))
-	}
-	out := make([]uql.BatchItem, len(resp.Results))
-	for i, e := range resp.Results {
-		switch {
-		case !e.OK:
-			out[i].Err = errors.New(e.Error)
-		case e.Bool != nil:
-			out[i].Result = uql.Result{IsBool: true, Bool: *e.Bool}
-		default:
-			out[i].Result = uql.Result{OIDs: e.OIDs}
-		}
-	}
-	return out, nil
 }

@@ -1,14 +1,18 @@
 package modserver
 
 import (
+	"context"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/trajectory"
+	"repro/internal/uql"
 	"repro/internal/workload"
 )
 
@@ -105,6 +109,9 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUQLOverWire: a UQL statement compiles on the client and travels as
+// a Request on the query op — at every probability bound — and the
+// retired uql/batch ops are unknown.
 func TestUQLOverWire(t *testing.T) {
 	store := seededStore(t, 25)
 	_, addr := startServer(t, store)
@@ -114,24 +121,38 @@ func TestUQLOverWire(t *testing.T) {
 	}
 	defer c.Close()
 
-	res, err := c.UQL("SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0")
+	var reqs []engine.Request
+	for _, src := range []string{
+		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0",
+		"SELECT 2 FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(2, 1, Time) > 0",
+		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND CertainNN(T, 1, Time) > 0",
+	} {
+		st, err := uql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, uql.Compile(st))
+	}
+	got, err := c.Query(reqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.IsBool || len(res.OIDs) == 0 {
-		t.Fatalf("result = %+v", res)
-	}
-	// Boolean form.
-	res, err = c.UQL("SELECT 2 FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(2, 1, Time) > 0")
+	want, err := engine.New(1).DoBatch(context.Background(), store, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.IsBool {
-		t.Fatalf("expected bool result: %+v", res)
+	for i := range reqs {
+		if got[i].Err != nil || got[i].IsBool != want[i].IsBool || got[i].Bool != want[i].Bool || !slices.Equal(got[i].OIDs, want[i].OIDs) {
+			t.Errorf("%+v: wire %+v (%v), local %+v", reqs[i], got[i], got[i].Err, want[i])
+		}
 	}
-	// Bad UQL surfaces the error.
-	if _, err := c.UQL("garbage"); err == nil {
-		t.Fatal("bad UQL accepted")
+	if got[0].IsBool || len(got[0].OIDs) == 0 || !got[1].IsBool || got[2].IsBool {
+		t.Fatalf("answers = %+v", got)
+	}
+	for _, op := range []string{"uql", "batch"} {
+		if _, err := c.roundTrip(Request{Op: op}); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("op %q: err=%v, want unknown op", op, err)
+		}
 	}
 }
 

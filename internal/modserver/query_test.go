@@ -107,8 +107,9 @@ func TestQueryOpDeadline(t *testing.T) {
 	}
 }
 
-// TestQueryOpThresholdKind exercises a Section 7 kind end to end over the
-// wire against the serial Processor.
+// TestQueryOpThresholdKind exercises the Section 7 threshold query — UQ33
+// with a probability bound — end to end over the wire against the serial
+// Processor.
 func TestQueryOpThresholdKind(t *testing.T) {
 	store := seededStore(t, 8)
 	_, addr := startServer(t, store)
@@ -132,17 +133,17 @@ func TestQueryOpThresholdKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := c.Query([]engine.Request{
-		{Kind: engine.KindAllThreshold, QueryOID: qOID, Tb: 0, Te: 60, P: 0.4, X: 0.1},
+		{Kind: engine.KindUQ33, QueryOID: qOID, Tb: 0, Te: 60, P: 0.4, X: 0.1},
 	}, 0)
 	if err != nil || got[0].Err != nil {
-		t.Fatalf("ALLTHRESH over wire: %v / %v", err, got[0].Err)
+		t.Fatalf("UQ33 p=0.4 over wire: %v / %v", err, got[0].Err)
 	}
 	if len(got[0].OIDs) != len(want) {
-		t.Fatalf("ALLTHRESH wire %v != serial %v", got[0].OIDs, want)
+		t.Fatalf("UQ33 p=0.4 wire %v != serial %v", got[0].OIDs, want)
 	}
 	for i := range want {
 		if got[0].OIDs[i] != want[i] {
-			t.Fatalf("ALLTHRESH wire %v != serial %v", got[0].OIDs, want)
+			t.Fatalf("UQ33 p=0.4 wire %v != serial %v", got[0].OIDs, want)
 		}
 	}
 }

@@ -69,13 +69,19 @@ func TestRankQueriesAvoidFullBuild(t *testing.T) {
 		t.Fatalf("rank-k queries performed %d lazy full builds, want 0", n)
 	}
 
-	// The certain-NN extension genuinely needs the complete set and still
-	// falls back to exactly one full build.
-	if _, err := pruned.GuaranteedNNIntervals(oids[0]); err != nil {
-		t.Fatal(err)
+	// The certain-NN extension reads the UQ31 members only (an object
+	// outside the zone throughout cannot block anyone's certainty): the
+	// pruned processor answers it without a full build, and exactly as the
+	// full-scan one does.
+	for _, oid := range append(full.UQ31(), oids[0]) {
+		a, errA := full.GuaranteedNNIntervals(oid)
+		b, errB := pruned.GuaranteedNNIntervals(oid)
+		if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+			t.Fatalf("GuaranteedNNIntervals(%d): full=%v pruned=%v (%v, %v)", oid, a, b, errA, errB)
+		}
 	}
-	if n := pruned.FullBuilds(); n != 1 {
-		t.Fatalf("GuaranteedNNIntervals performed %d full builds, want 1", n)
+	if n := pruned.FullBuilds(); n != 0 {
+		t.Fatalf("GuaranteedNNIntervals performed %d full builds, want 0", n)
 	}
 }
 

@@ -290,9 +290,10 @@ func NewProcessor(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te
 //
 // Answers are identical to NewProcessor's for every query variant:
 // Level-1 queries run over the survivors alone (a pruned object's zone
-// membership is empty by the superset guarantee), while the rank-k (k>=2),
-// guaranteed-NN and threshold paths — whose envelopes depend on the whole
-// candidate set — lazily build the complete function set on first use.
+// membership is empty by the superset guarantee, and the guaranteed-NN and
+// threshold paths read only the UQ31 members), while the rank-k (k>=2)
+// paths — whose envelopes depend on more of the candidate set — grow the
+// function set on first use.
 func NewProcessorPruned(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64, survivors []int64) (*Processor, error) {
 	return NewProcessorPrunedCtx(context.Background(), trs, q, tb, te, r, survivors)
 }
@@ -415,15 +416,9 @@ func (p *Processor) FullBuilds() int {
 // (0 for a full-scan processor) — for stats and benchmark reporting.
 func (p *Processor) PrunedCount() int { return p.CandidateCount() - len(p.fns) }
 
-// ensureFull returns the complete distance-function set, building it on
+// ensureFullLocked completes the distance-function set, building it on
 // first use in pruned mode. The returned slice is write-once: callers use
-// the returned reference, never the field.
-func (p *Processor) ensureFull(ctx context.Context) ([]*envelope.DistanceFunc, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ensureFullLocked(ctx)
-}
-
+// the returned reference, never the field. Caller holds p.mu.
 func (p *Processor) ensureFullLocked(ctx context.Context) ([]*envelope.DistanceFunc, error) {
 	if p.basisRank == fullRank {
 		return p.basisFns, nil
@@ -866,18 +861,32 @@ func (p *Processor) PossibleNNAt(tf float64) []int64 {
 // possible distance stays below every other object's nearest possible
 // distance (the certain counterpart of PossibleNNIntervals; cf. the
 // upper-envelope approach of the paper's related work [12]).
+//
+// The comparison runs against the UQ31 members only, the set
+// ProbabilitySeries reads: an object outside the 4r zone throughout has
+// d_j > L1 + 4r everywhere, and wherever the target is certain L1 is the
+// target itself, so such an object can never break d + 4r <= d_j. A lone
+// member is therefore certain over the whole window.
 func (p *Processor) GuaranteedNNIntervals(oid int64) ([]envelope.TimeInterval, error) {
 	if _, _, err := p.lookup(oid); err != nil {
 		return nil, err
 	}
-	// The certain-NN test compares against the lower envelope of *all*
-	// other objects, which pruned functions can define (they are far from
-	// the query, exactly what certifies someone else as the NN).
-	all, err := p.ensureFull(context.Background())
-	if err != nil {
-		return nil, err
+	kept := p.keptFns()
+	if len(kept) == 1 && kept[0].ID == oid {
+		return []envelope.TimeInterval{{T0: p.Tb, T1: p.Te}}, nil
 	}
-	return envelope.GuaranteedNNIntervals(all, oid, p.env1, p.R), nil
+	return envelope.GuaranteedNNIntervals(kept, oid, p.env1, p.R), nil
+}
+
+// keptFns returns the distance functions of the UQ31 members, in OID
+// order: the only objects with non-zero NN probability anywhere.
+func (p *Processor) keptFns() []*envelope.DistanceFunc {
+	kept := p.UQ31()
+	fns := make([]*envelope.DistanceFunc, len(kept))
+	for i, id := range kept {
+		fns[i] = p.table.get(id)
+	}
+	return fns
 }
 
 // IsPossibleRankKAt reports whether the object has non-zero probability of

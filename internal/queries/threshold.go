@@ -57,12 +57,8 @@ func (p *Processor) ProbabilitySeries(oid int64, cfg ThresholdConfig) ([]float64
 	if err != nil {
 		return nil, nil, err
 	}
-	// Candidates: every unpruned object (pruned ones contribute nothing).
-	kept := p.UQ31()
-	keptFns := make([]*envelope.DistanceFunc, 0, len(kept))
-	for _, id := range kept {
-		keptFns = append(keptFns, p.table.get(id))
-	}
+	// Candidates: every UQ31 member (the rest contribute nothing).
+	keptFns := p.keptFns()
 	ts := numeric.Linspace(p.Tb, p.Te, samples)
 	probs := make([]float64, len(ts))
 	cands := make([]uncertain.Candidate, len(keptFns))

@@ -322,8 +322,9 @@ func (w *World) Inject(batch []mod.Update) error {
 
 // Requests returns the standing subscription mix the simulation suite
 // registers: whole-MOD retrievals at ranks 1 and 2, fraction variants,
-// single-object predicates (including a fixed-time instant and a
-// threshold query), one window that ends before the first revision —
+// single-object predicates (including a fixed-time instant), the
+// probability bounds (threshold queries single and whole-MOD, CertainNN
+// whole-MOD and at an instant), one window that ends before the first revision —
 // the permanently-clean subscription the dirty set must never touch —
 // and a spatio-textual block whose tag predicates track the scripted
 // flips (a short filtered window too: tags are atemporal, so a flip must
@@ -342,14 +343,19 @@ func (w *World) Requests() []engine.Request {
 		{Kind: engine.KindUQ21, QueryOID: o(1), Tb: 0, Te: 40, OID: o(5), K: 2},
 		{Kind: engine.KindUQ13, QueryOID: o(2), Tb: 0, Te: 30, OID: o(6), X: 0.2},
 		{Kind: engine.KindNNAt, QueryOID: o(3), Tb: 0, Te: Span, OID: o(7), T: 20},
-		{Kind: engine.KindThreshold, QueryOID: o(5), Tb: 0, Te: 20, OID: o(8), P: 0.4, X: 0.3},
+		{Kind: engine.KindUQ13, QueryOID: o(5), Tb: 0, Te: 20, OID: o(8), P: 0.4, X: 0.3},
+		{Kind: engine.KindUQ31, QueryOID: o(0), Tb: 0, Te: Span, P: 1},
+		{Kind: engine.KindNNAt, QueryOID: o(3), Tb: 0, Te: Span, OID: o(7), T: 20, P: 1},
 		{Kind: engine.KindUQ31, QueryOID: o(4), Tb: 0, Te: 7}, // ends before any revision
 		// Spatio-textual rows.
 		{Kind: engine.KindUQ31, QueryOID: o(0), Tb: 0, Te: Span, Where: avail},
 		{Kind: engine.KindUQ41, QueryOID: o(1), Tb: 5, Te: 55, K: 2, Where: anyOf},
 		{Kind: engine.KindUQ32, QueryOID: o(2), Tb: 0, Te: Span, Where: notEV},
 		{Kind: engine.KindUQ11, QueryOID: o(0), Tb: 0, Te: Span, OID: o(4), Where: avail},
-		{Kind: engine.KindThreshold, QueryOID: o(5), Tb: 0, Te: 20, OID: o(8), P: 0.4, X: 0.3, Where: anyOf},
+		{Kind: engine.KindUQ13, QueryOID: o(5), Tb: 0, Te: 20, OID: o(8), P: 0.4, X: 0.3, Where: anyOf},
+		// A whole-MOD threshold costs one P^NN series per UQ31 member (up
+		// to ~0.3 s each): on the available sub-MOD this window has two.
+		{Kind: engine.KindUQ33, QueryOID: o(8), Tb: 5, Te: 15, P: 0.4, X: 0.3, Where: avail},
 		{Kind: engine.KindUQ31, QueryOID: o(4), Tb: 0, Te: 7, Where: avail}, // flips still dirty it
 	}
 }

@@ -3,7 +3,7 @@ package uql
 import (
 	"context"
 	"errors"
-	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -39,80 +39,86 @@ var batchScript = []string{
 	"SELECT 2 FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(2, 1, Time) > 0",
 	"SELECT 3 FROM MOD WHERE FORALL Time IN [0, 60] AND ProbabilityKNN(3, 1, Time, 2) > 0",
 	"SELECT 4 FROM MOD WHERE AT Time = 15 WITHIN [0, 60] AND ProbabilityNN(4, 1, Time) > 0",
-	"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0.4",
+	"SELECT 2 FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(2, 1, Time) > 0.4",
+	"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND CertainNN(T, 1, Time) > 0",
 	"SELECT 2 FROM MOD WHERE EXISTS Time IN [0, 60] AND CertainNN(2, 1, Time) > 0",
 }
 
-// TestRunBatchMatchesSerial: the engine-backed batch must agree with the
-// serial Run on every statement family.
+// compileScript parses and compiles every statement of a script.
+func compileScript(t *testing.T, srcs []string) []engine.Request {
+	t.Helper()
+	reqs := make([]engine.Request, len(srcs))
+	for i, src := range srcs {
+		st, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		reqs[i] = Compile(st)
+	}
+	return reqs
+}
+
+// TestRunBatchMatchesSerial: a compiled script answered as one
+// parallel DoBatch agrees with one serial Do per statement, on every
+// statement family.
 func TestRunBatchMatchesSerial(t *testing.T) {
 	store := batchStore(t, 24)
-	eng := engine.New(0)
-	items := RunBatchCtx(context.Background(), batchScript, store, eng)
-	if len(items) != len(batchScript) {
-		t.Fatalf("got %d items, want %d", len(items), len(batchScript))
+	reqs := compileScript(t, batchScript)
+	results, err := engine.New(0).DoBatch(context.Background(), store, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(batchScript) {
+		t.Fatalf("got %d results, want %d", len(results), len(batchScript))
 	}
 	for i, src := range batchScript {
-		want, err := Run(src, store)
+		want, err := run(src, store)
 		if err != nil {
 			t.Fatalf("serial %q: %v", src, err)
 		}
-		if items[i].Err != nil {
-			t.Errorf("batch %q: %v", src, items[i].Err)
+		got := answer{IsBool: results[i].IsBool, Bool: results[i].Bool, OIDs: results[i].OIDs}
+		if results[i].Err != nil {
+			t.Errorf("batch %q: %v", src, results[i].Err)
 			continue
 		}
-		if fmt.Sprint(items[i].Result) != fmt.Sprint(want) {
-			t.Errorf("%q:\n batch  %v\n serial %v", src, items[i].Result, want)
+		if got.IsBool != want.IsBool || got.Bool != want.Bool || !slices.Equal(got.OIDs, want.OIDs) {
+			t.Errorf("%q:\n batch  %+v\n serial %+v", src, got, want)
 		}
 	}
 }
 
-// TestRunBatchNilEngine: a nil engine must degrade to serial evaluation.
-func TestRunBatchNilEngine(t *testing.T) {
-	store := batchStore(t, 15)
-	items := RunBatchCtx(context.Background(), batchScript[:3], store, nil)
-	for i, src := range batchScript[:3] {
-		want, err := Run(src, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if items[i].Err != nil || fmt.Sprint(items[i].Result) != fmt.Sprint(want) {
-			t.Errorf("%q: %v / %v, want %v", src, items[i].Result, items[i].Err, want)
-		}
-	}
-}
-
-// TestRunBatchPartialFailure: a bad statement reports its own error without
-// aborting its siblings.
+// TestRunBatchPartialFailure: a statement that fails to evaluate reports
+// its own error without aborting its siblings.
 func TestRunBatchPartialFailure(t *testing.T) {
 	store := batchStore(t, 15)
-	eng := engine.New(2)
-	items := RunBatchCtx(context.Background(), []string{
+	reqs := compileScript(t, []string{
 		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0",
-		"THIS IS NOT UQL",
 		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 99999, Time) > 0",
 		"SELECT T FROM MOD WHERE FORALL Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0",
-	}, store, eng)
-	if items[0].Err != nil {
-		t.Errorf("item 0: %v", items[0].Err)
+	})
+	results, err := engine.New(2).DoBatch(context.Background(), store, reqs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(items[1].Err, ErrParse) {
-		t.Errorf("item 1: got %v, want ErrParse", items[1].Err)
+	if results[0].Err != nil {
+		t.Errorf("item 0: %v", results[0].Err)
 	}
-	if !errors.Is(items[2].Err, ErrEval) {
-		t.Errorf("item 2: got %v, want ErrEval", items[2].Err)
+	if !errors.Is(results[1].Err, mod.ErrNotFound) {
+		t.Errorf("item 1: got %v, want mod.ErrNotFound", results[1].Err)
 	}
-	if items[3].Err != nil {
-		t.Errorf("item 3: %v", items[3].Err)
+	if results[2].Err != nil {
+		t.Errorf("item 2: %v", results[2].Err)
 	}
 }
 
-// TestRunBatchSharesProcessor: all statements over one (TrQ, window) must
-// hit a single memo entry.
+// TestRunBatchSharesProcessor: all statements over one (TrQ, window) hit
+// a single memo entry, at every probability bound.
 func TestRunBatchSharesProcessor(t *testing.T) {
 	store := batchStore(t, 20)
 	eng := engine.New(2)
-	RunBatchCtx(context.Background(), batchScript, store, eng)
+	if _, err := eng.DoBatch(context.Background(), store, compileScript(t, batchScript)); err != nil {
+		t.Fatal(err)
+	}
 	if n := eng.MemoLen(); n != 1 {
 		t.Errorf("memo len = %d, want 1 (one query trajectory and window)", n)
 	}

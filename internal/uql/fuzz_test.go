@@ -44,3 +44,40 @@ func FuzzUQLWhere(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUQLCompile holds the compiler to the one query route: every
+// statement Parse accepts compiles to an engine.Request that passes
+// Validate, and the statement's canonical render compiles to the identical
+// Request.
+func FuzzUQLCompile(f *testing.F) {
+	seeds := []string{
+		"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 5, Time) > 0",
+		"SELECT 3 FROM MOD WHERE FORALL Time IN [0, 60] AND ProbabilityNN(3, 5, Time) > 0.25",
+		"SELECT T FROM MOD WHERE ATLEAST 7% Time IN [-3.5, 1e3] AND ProbabilityNN(T, 5, Time) > 0.999",
+		"SELECT 4 FROM MOD WHERE AT Time = 30 WITHIN [0, 60] AND CertainNN(4, 1, Time) > 0",
+		"SELECT T FROM MOD WHERE AT Time = 0 WITHIN [0, 60] AND CertainNN(T, 1, Time) > 0 AND TAGS CONTAINS ANY ('ev')",
+		"SELECT T FROM MOD WHERE ATLEAST 0% Time IN [0, 60] AND ProbabilityKNN(T, 2, Time, 3) > 0",
+		"SELECT 9 FROM MOD WHERE AT Time = 60 WITHIN [0, 60] AND ProbabilityKNN(9, 2, Time, 1) > 0",
+		"SELECT T FROM MOD WHERE ATLEAST 100% Time IN [0, 60] AND ProbabilityNN(T, 2, Time) > 0.5 AND TAGS CONTAINS NONE ('x')",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		st, err := Parse(src)
+		if err != nil {
+			return
+		}
+		req := Compile(st)
+		if err := req.Validate(); err != nil {
+			t.Fatalf("%q compiles to an invalid request %+v: %v", src, req, err)
+		}
+		st2, err := Parse(st.String())
+		if err != nil {
+			t.Fatalf("canonical render %q does not re-parse: %v", st.String(), err)
+		}
+		if req2 := Compile(st2); !reflect.DeepEqual(req, req2) {
+			t.Fatalf("render %q compiles differently:\n %+v\n %+v", st.String(), req, req2)
+		}
+	})
+}

@@ -52,12 +52,13 @@ type Stmt struct {
 
 	// Threshold is the probability bound of the predicate: 0 for the
 	// possible-NN semantics (`> 0`, ranking-based), a value in (0, 1) for
-	// continuous threshold queries (`> 0.65`, evaluated through sampled
-	// P^NN series — the paper's Section 7 extension).
+	// continuous threshold queries (`> 0.65`, answered from sampled P^NN
+	// series — the paper's Section 7 extension). It compiles to
+	// engine.Request.P.
 	Threshold float64
 	// Certain selects the CertainNN predicate: the object is *guaranteed*
 	// to be the nearest neighbor (its farthest possible distance below
-	// everyone's nearest possible distance).
+	// everyone's nearest possible distance). It compiles to P = 1.
 	Certain bool
 
 	// Where restricts the statement to the matching sub-MOD (nil = no

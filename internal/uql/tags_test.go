@@ -4,8 +4,8 @@ package uql
 // canonical predicates, render back through String, and evaluate with
 // sub-MOD semantics — a filtered statement answers exactly like the plain
 // statement over a store rebuilt from only the matching trajectories
-// (plus the exempt query), across the compiled, threshold, and CertainNN
-// evaluation paths.
+// (plus the exempt query), at every probability bound: possible-NN,
+// threshold (> p) and CertainNN.
 
 import (
 	"errors"
@@ -121,7 +121,7 @@ func TestEvalTagClauseSubMOD(t *testing.T) {
 	where := &textidx.Predicate{All: []string{"available"}}
 	const q = 1 // untagged: the query is exempt from the predicate
 
-	// One statement per evaluation path: compiled whole-MOD, compiled
+	// One statement per bound and target: possible-NN whole-MOD and
 	// single-target, threshold (> p), and CertainNN.
 	cases := []struct {
 		filtered, plain string
@@ -145,11 +145,11 @@ func TestEvalTagClauseSubMOD(t *testing.T) {
 	}
 	sub := subStore(t, st, where, q)
 	for _, c := range cases {
-		got, err := Run(c.filtered, st)
+		got, err := run(c.filtered, st)
 		if err != nil {
 			t.Fatalf("%q: %v", c.filtered, err)
 		}
-		want, err := Run(c.plain, sub)
+		want, err := run(c.plain, sub)
 		if err != nil {
 			t.Fatalf("%q over sub-store: %v", c.plain, err)
 		}
@@ -158,14 +158,14 @@ func TestEvalTagClauseSubMOD(t *testing.T) {
 		}
 	}
 
-	// An existing target that fails the predicate answers false, on both
-	// the compiled and the threshold/certain paths.
+	// An existing target that fails the predicate answers false, at every
+	// probability bound.
 	for _, src := range []string{
 		"SELECT 3 FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(3, 1, Time) > 0 AND TAGS CONTAINS ALL ('available')",
 		"SELECT 3 FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(3, 1, Time) > 0.25 AND TAGS CONTAINS ALL ('available')",
 		"SELECT 3 FROM MOD WHERE FORALL Time IN [0, 60] AND CertainNN(3, 1, Time) > 0 AND TAGS CONTAINS ALL ('available')",
 	} {
-		res, err := Run(src, st)
+		res, err := run(src, st)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}

@@ -1,16 +1,40 @@
 package uql
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/queries"
-	"repro/internal/trajectory"
 	"repro/internal/workload"
 )
+
+// answer is a statement's outcome without its provenance.
+type answer struct {
+	IsBool bool
+	Bool   bool
+	OIDs   []int64
+}
+
+// runOn parses src, compiles it and answers it on eng.
+func runOn(eng *engine.Engine, src string, store *mod.Store) (answer, error) {
+	st, err := Parse(src)
+	if err != nil {
+		return answer{}, err
+	}
+	res, err := eng.Do(context.Background(), store, Compile(st))
+	return answer{IsBool: res.IsBool, Bool: res.Bool, OIDs: res.OIDs}, err
+}
+
+// run answers src on a fresh serial engine.
+func run(src string, store *mod.Store) (answer, error) {
+	return runOn(engine.New(1), src, store)
+}
 
 func TestParseValid(t *testing.T) {
 	cases := []struct {
@@ -130,7 +154,7 @@ func TestEvalMatchesProcessor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Run("SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0", store)
+	res, err := run("SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0", store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +165,7 @@ func TestEvalMatchesProcessor(t *testing.T) {
 		t.Errorf("UQ31 via UQL = %v, want %v", res.OIDs, want)
 	}
 
-	res, err = Run("SELECT T FROM MOD WHERE ATLEAST 50% Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0", store)
+	res, err = run("SELECT T FROM MOD WHERE ATLEAST 50% Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0", store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +173,7 @@ func TestEvalMatchesProcessor(t *testing.T) {
 		t.Errorf("UQ33 via UQL = %v, want %v", res.OIDs, want)
 	}
 
-	res, err = Run("SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityKNN(T, 1, Time, 2) > 0", store)
+	res, err = run("SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityKNN(T, 1, Time, 2) > 0", store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +184,7 @@ func TestEvalMatchesProcessor(t *testing.T) {
 	// Single-object forms.
 	target := proc.UQ31()[0]
 	src := "SELECT " + itoa(target) + " FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(" + itoa(target) + ", 1, Time) > 0"
-	res, err = Run(src, store)
+	res, err = run(src, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +192,7 @@ func TestEvalMatchesProcessor(t *testing.T) {
 		t.Errorf("single-object existential = %+v", res)
 	}
 	// Fixed time.
-	res, err = Run("SELECT T FROM MOD WHERE AT Time = 30 WITHIN [0, 60] AND ProbabilityNN(T, 1, Time) > 0", store)
+	res, err = run("SELECT T FROM MOD WHERE AT Time = 30 WITHIN [0, 60] AND ProbabilityNN(T, 1, Time) > 0", store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,62 +201,29 @@ func TestEvalMatchesProcessor(t *testing.T) {
 	}
 }
 
-func itoa(v int64) string {
-	return trajectoryOIDString(v)
-}
+func itoa(v int64) string { return strconv.FormatInt(v, 10) }
 
-func trajectoryOIDString(v int64) string {
-	// small helper avoiding strconv import churn in the test
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
-
+// TestEvalErrors: a compiled statement fails with the engine's typed
+// errors, and a syntax error with ErrParse.
 func TestEvalErrors(t *testing.T) {
 	store := testStore(t)
-	// Unknown query trajectory.
-	if _, err := Run("SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 999, Time) > 0", store); !errors.Is(err, ErrEval) {
-		t.Errorf("unknown TrQ: %v", err)
+	cases := []struct {
+		src  string
+		want error
+	}{
+		{"SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 999, Time) > 0", mod.ErrNotFound},
+		{"SELECT 999 FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(999, 1, Time) > 0", engine.ErrUnknownOID},
+		{"SELECT 999 FROM MOD WHERE EXISTS Time IN [0, 60] AND CertainNN(999, 1, Time) > 0", engine.ErrUnknownOID},
+		{"garbage", ErrParse},
 	}
-	// Unknown target.
-	if _, err := Run("SELECT 999 FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(999, 1, Time) > 0", store); !errors.Is(err, ErrEval) {
-		t.Errorf("unknown target: %v", err)
+	for _, c := range cases {
+		if _, err := run(c.src, store); !errors.Is(err, c.want) {
+			t.Errorf("%q: err=%v, want %v", c.src, err, c.want)
+		}
 	}
-	// Window outside trajectory spans.
-	if _, err := Run("SELECT T FROM MOD WHERE EXISTS Time IN [100, 200] AND ProbabilityNN(T, 1, Time) > 0", store); !errors.Is(err, ErrEval) {
-		t.Errorf("bad window: %v", err)
-	}
-	// Parse error propagates as ErrParse.
-	if _, err := Run("garbage", store); !errors.Is(err, ErrParse) {
-		t.Errorf("garbage: %v", err)
-	}
-}
-
-func TestResultString(t *testing.T) {
-	if s := (Result{IsBool: true, Bool: true}).String(); s != "true" {
-		t.Errorf("bool true = %q", s)
-	}
-	if s := (Result{IsBool: true}).String(); s != "false" {
-		t.Errorf("bool false = %q", s)
-	}
-	if s := (Result{OIDs: []int64{1, 2}}).String(); s != "[1 2]" {
-		t.Errorf("oids = %q", s)
+	// A window outside every trajectory's span fails too.
+	if _, err := run("SELECT T FROM MOD WHERE EXISTS Time IN [100, 200] AND ProbabilityNN(T, 1, Time) > 0", store); err == nil {
+		t.Error("window outside the spans: no error")
 	}
 }
 
@@ -249,7 +240,7 @@ func TestEvalSingleObjectRanked(t *testing.T) {
 	}
 	target := ids[len(ids)-1]
 	src := "SELECT " + itoa(target) + " FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityKNN(" + itoa(target) + ", 1, Time, 3) > 0"
-	res, err := Run(src, store)
+	res, err := run(src, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,12 +249,10 @@ func TestEvalSingleObjectRanked(t *testing.T) {
 	}
 	// AT-time ranked variant parses and evaluates.
 	src = "SELECT " + itoa(target) + " FROM MOD WHERE AT Time = 30 WITHIN [0, 60] AND ProbabilityKNN(" + itoa(target) + ", 1, Time, 3) > 0"
-	if _, err := Run(src, store); err != nil {
+	if _, err := run(src, store); err != nil {
 		t.Errorf("AT ranked: %v", err)
 	}
 }
-
-var _ = trajectory.Vertex{} // keep import for helpers if trimmed later
 
 func TestParseThresholdAndCertain(t *testing.T) {
 	st, err := Parse("SELECT 3 FROM MOD WHERE ATLEAST 50% Time IN [0, 60] AND ProbabilityNN(3, 1, Time) > 0.65")
@@ -295,7 +284,7 @@ func TestParseThresholdAndCertain(t *testing.T) {
 // TestEvalThresholdAndCertain checks the new predicate semantics against
 // the queries-package primitives.
 func TestEvalThresholdAndCertain(t *testing.T) {
-	store := testStore(t)
+	store := batchStore(t, 12)
 	q, err := store.Get(1)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +295,7 @@ func TestEvalThresholdAndCertain(t *testing.T) {
 	}
 	// Threshold retrieve-all: must equal ThresholdNNAll at the same
 	// fraction (ATLEAST 10%).
-	res, err := Run("SELECT T FROM MOD WHERE ATLEAST 10% Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0.5", store)
+	res, err := run("SELECT T FROM MOD WHERE ATLEAST 10% Time IN [0, 60] AND ProbabilityNN(T, 1, Time) > 0.5", store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +308,7 @@ func TestEvalThresholdAndCertain(t *testing.T) {
 	}
 	// Certain retrieve-all: every returned object has a nonempty
 	// guaranteed interval set.
-	res, err = Run("SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND CertainNN(T, 1, Time) > 0", store)
+	res, err = run("SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND CertainNN(T, 1, Time) > 0", store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +335,7 @@ func TestEvalThresholdAndCertain(t *testing.T) {
 		mid := 0.5 * (ivs[0].T0 + ivs[0].T1)
 		src := fmt.Sprintf("SELECT %d FROM MOD WHERE AT Time = %g WITHIN [0, 60] AND CertainNN(%d, 1, Time) > 0",
 			target, mid, target)
-		r2, err := Run(src, store)
+		r2, err := run(src, store)
 		if err != nil {
 			t.Fatal(err)
 		}

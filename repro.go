@@ -45,7 +45,9 @@
 //     gateway; both front doors are codecs over one live-serving core
 //     (internal/serve), so journaling, fan-out order and from_seq resume
 //     behave identically on either,
-//   - the UQL query language (the SQL sketch of Section 4), and
+//   - the UQL query language (the SQL sketch of Section 4): every
+//     statement compiles to a Request (CompileUQL), its probability bound
+//     (`> p`, CertainNN) carried in Request.P, and
 //   - the probabilistic machinery for instantaneous NN queries
 //     (Sections 2.2, 3.1).
 //
@@ -291,7 +293,11 @@ type Engine = engine.Engine
 // Request is the declarative descriptor of one query — flat and
 // JSON-serializable, the contract a shard router or network proxy
 // forwards verbatim. See the Kind constants for the variants and
-// Request.Validate for the centralized parameter/window checks.
+// Request.Validate for the centralized parameter/window checks. P is the
+// probability bound of the Category 1/3 and fixed-time kinds (UQ11-13,
+// UQ31-33, NN@, ALLNN@): 0 asks for a possible NN, 0 < P < 1 for sampled
+// P^NN at least P (the Section 7 threshold query), and 1 for the certain
+// NN.
 type Request = engine.Request
 
 // Result is the unified answer envelope: the answer (Bool, OIDs or
@@ -335,28 +341,27 @@ var (
 type QueryKind = engine.Kind
 
 // Query kinds: the paper's Section 4 variants, fixed-time instants, and
-// the Section 7 extensions (threshold, all-pairs, reverse).
+// the Section 7 all-pairs and reverse extensions. The Section 7 threshold
+// query is UQ13/UQ33 with Request.P.
 const (
-	KindUQ11         = engine.KindUQ11
-	KindUQ12         = engine.KindUQ12
-	KindUQ13         = engine.KindUQ13
-	KindUQ21         = engine.KindUQ21
-	KindUQ22         = engine.KindUQ22
-	KindUQ23         = engine.KindUQ23
-	KindUQ31         = engine.KindUQ31
-	KindUQ32         = engine.KindUQ32
-	KindUQ33         = engine.KindUQ33
-	KindUQ41         = engine.KindUQ41
-	KindUQ42         = engine.KindUQ42
-	KindUQ43         = engine.KindUQ43
-	KindNNAt         = engine.KindNNAt
-	KindRankAt       = engine.KindRankAt
-	KindAllNNAt      = engine.KindAllNNAt
-	KindAllRankAt    = engine.KindAllRankAt
-	KindThreshold    = engine.KindThreshold
-	KindAllThreshold = engine.KindAllThreshold
-	KindAllPairs     = engine.KindAllPairs
-	KindReverse      = engine.KindReverse
+	KindUQ11      = engine.KindUQ11
+	KindUQ12      = engine.KindUQ12
+	KindUQ13      = engine.KindUQ13
+	KindUQ21      = engine.KindUQ21
+	KindUQ22      = engine.KindUQ22
+	KindUQ23      = engine.KindUQ23
+	KindUQ31      = engine.KindUQ31
+	KindUQ32      = engine.KindUQ32
+	KindUQ33      = engine.KindUQ33
+	KindUQ41      = engine.KindUQ41
+	KindUQ42      = engine.KindUQ42
+	KindUQ43      = engine.KindUQ43
+	KindNNAt      = engine.KindNNAt
+	KindRankAt    = engine.KindRankAt
+	KindAllNNAt   = engine.KindAllNNAt
+	KindAllRankAt = engine.KindAllRankAt
+	KindAllPairs  = engine.KindAllPairs
+	KindReverse   = engine.KindReverse
 )
 
 // NewEngine creates a query engine; workers <= 0 means one per CPU. The
@@ -660,29 +665,21 @@ var OpenAPISpec = openapi.Spec
 
 // --- UQL (Section 4's SQL sketch) ---
 
-// UQLResult is the outcome of a UQL statement (ModClient.UQL).
-type UQLResult = uql.Result
-
 // CompileUQL parses a UQL statement, e.g.
 //
 //	SELECT T FROM MOD WHERE EXISTS Time IN [0, 60] AND ProbabilityNN(T, 5, Time) > 0
 //
 // and compiles it to the unified Request, to be evaluated with Engine.Do /
-// Engine.DoBatch. ok is false for the threshold (`> p`) and CertainNN
-// predicates, which have no Request kind yet; the line protocol's uql and
-// batch ops (ModClient.UQL / ModClient.Batch) evaluate those too.
-func CompileUQL(query string) (Request, bool, error) {
+// Engine.DoBatch, Router.Do or ModClient.Query. Every statement that
+// parses compiles: the predicate's bound becomes Request.P (`> p` is P = p,
+// CertainNN is P = 1).
+func CompileUQL(query string) (Request, error) {
 	st, err := uql.Parse(query)
 	if err != nil {
-		return Request{}, false, err
+		return Request{}, err
 	}
-	req, ok := uql.Compile(st)
-	return req, ok, nil
+	return uql.Compile(st), nil
 }
-
-// UQLBatchItem is one statement's outcome in a multi-statement script
-// (ModClient.Batch).
-type UQLBatchItem = uql.BatchItem
 
 // ClusteredWorkloadConfig parameterizes the hotspot workload generator
 // (extension experiment E4).

@@ -20,12 +20,12 @@ func serialOracle(t *testing.T, store *repro.Store, req repro.Request) repro.Res
 	return res
 }
 
-// runUQL compiles a statement of the possible-NN family and evaluates it.
+// runUQL compiles a statement and evaluates it.
 func runUQL(t *testing.T, eng *repro.Engine, store *repro.Store, stmt string) repro.Result {
 	t.Helper()
-	req, ok, err := repro.CompileUQL(stmt)
-	if err != nil || !ok {
-		t.Fatalf("CompileUQL(%q): ok=%v err=%v", stmt, ok, err)
+	req, err := repro.CompileUQL(stmt)
+	if err != nil {
+		t.Fatalf("CompileUQL(%q): %v", stmt, err)
 	}
 	res, err := eng.Do(context.Background(), store, req)
 	if err != nil {
