@@ -89,8 +89,11 @@ bench-city:
 # store's one maintenance route into it, the zone scan's neighbours:
 # Brent's root finder and the IPAC-NN tree built on it, and the one query
 # route: the engine every Request runs on and the UQL compiler that feeds
-# it). Writes COVERAGE.txt and fails below 80%.
-COVER_PKGS = ./internal/continuous ./internal/prune ./internal/envelope ./internal/cluster ./internal/serve ./internal/gateway ./internal/metrics ./internal/textidx ./internal/sindex ./internal/mod ./internal/numeric ./internal/core ./internal/engine ./internal/uql
+# it, the line protocol whose packed ingest reply is the only one that
+# carries plans, and the probability kernels under every P > 0 request:
+# Eq. 5's integrator and the location pdfs it integrates). Writes
+# COVERAGE.txt and fails below 80%.
+COVER_PKGS = ./internal/continuous ./internal/prune ./internal/envelope ./internal/cluster ./internal/serve ./internal/gateway ./internal/metrics ./internal/textidx ./internal/sindex ./internal/mod ./internal/numeric ./internal/core ./internal/engine ./internal/uql ./internal/modserver ./internal/uncertain ./internal/updf
 cover:
 	@set -e; rm -f COVERAGE.txt; \
 	for pkg in $(COVER_PKGS); do \

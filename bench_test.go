@@ -15,6 +15,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -380,7 +381,7 @@ func BenchmarkAblationThresholdSamples(b *testing.B) {
 		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
 			cfg := queries.ThresholdConfig{TimeSamples: samples, Grid: 256}
 			for i := 0; i < b.N; i++ {
-				if _, err := proc.ThresholdNN(target, 0.5, 0.25, cfg); err != nil {
+				if _, err := proc.ThresholdNN(context.Background(), target, 0.5, 0.25, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

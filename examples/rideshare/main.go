@@ -46,13 +46,13 @@ func main() {
 	// of the time" — here 50% probability for at least 5% of the hour,
 	// appropriate for a 40-driver field where the closest role rotates).
 	cfg := repro.ThresholdConfig{TimeSamples: 48, Grid: 384}
-	matches, err := proc.ThresholdNNAll(0.50, 0.05, cfg)
+	matches, err := proc.ThresholdNNAll(context.Background(), 0.50, 0.05, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("drivers >= 50%% likely closest for >= 5%% of the hour: %v\n", matches)
 	for _, oid := range matches {
-		tAt, p, err := proc.MaxProbability(oid, cfg)
+		tAt, p, err := proc.MaxProbability(context.Background(), oid, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/engine"
+	"repro/internal/queries"
 )
 
 // This file is the degraded-serving half of the scatter machinery: when a
@@ -32,7 +33,7 @@ func scatterDegraded[T any](ctx context.Context, shards []Shard, f func(ctx cont
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := ctxErr(ctx); err != nil {
+			if err := queries.CtxErr(ctx); err != nil {
 				errs[i] = err
 				return
 			}
@@ -40,7 +41,7 @@ func scatterDegraded[T any](ctx context.Context, shards []Shard, f func(ctx cont
 		}(i)
 	}
 	wg.Wait()
-	if err := ctxErr(ctx); err != nil {
+	if err := queries.CtxErr(ctx); err != nil {
 		return nil, nil, err
 	}
 	ok := make([]bool, len(shards))

@@ -15,6 +15,7 @@ import (
 	"repro/internal/mod"
 	"repro/internal/modserver"
 	"repro/internal/prune"
+	"repro/internal/queries"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
 )
@@ -202,7 +203,7 @@ func (s *RemoteShard) callRetry(ctx context.Context, retryable bool, f func(c *m
 	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
-		if err := ctxErr(ctx); err != nil {
+		if err := queries.CtxErr(ctx); err != nil {
 			return err
 		}
 		if attempt > 0 {
@@ -294,14 +295,14 @@ func (s *RemoteShard) attemptLocked(ctx context.Context, f func(c *modserver.Cli
 	err := f(cli)
 	close(done)
 	<-reaped
-	if cerr := ctxErr(actx); cerr != nil {
+	if cerr := queries.CtxErr(actx); cerr != nil {
 		// The watchdog (or the deadline) poisoned the connection; force a
 		// redial next call and surface the cancellation, not the wire
 		// noise it caused. The parent context outranks the per-attempt
 		// timeout (an expired attempt is retryable; a dead caller is not).
 		_ = cli.Close()
 		s.cli = nil
-		if perr := ctxErr(ctx); perr != nil {
+		if perr := queries.CtxErr(ctx); perr != nil {
 			return perr
 		}
 		return cerr

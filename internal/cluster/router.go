@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/prune"
+	"repro/internal/queries"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
 )
@@ -210,7 +211,7 @@ func (r *Router) DoBatch(ctx context.Context, reqs []engine.Request) ([]engine.R
 	caches := make(map[gatherKey]*gathered)
 	out := make([]engine.Result, len(reqs))
 	for i, req := range reqs {
-		if err := ctxErr(ctx); err != nil {
+		if err := queries.CtxErr(ctx); err != nil {
 			return out[:i], err
 		}
 		res, _, err := r.dispatch(ctx, req, caches, maxK)
@@ -241,7 +242,7 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[ga
 	if err := req.Validate(); err != nil {
 		return fail(err)
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := queries.CtxErr(ctx); err != nil {
 		return fail(err)
 	}
 	req.Where = req.Where.Canon()
@@ -698,7 +699,7 @@ func (r *Router) forEachIndex(ctx context.Context, n int, fn func(i int) error) 
 	}
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := ctxErr(ctx); err != nil {
+			if err := queries.CtxErr(ctx); err != nil {
 				return err
 			}
 			if err := fn(i); err != nil {
@@ -724,7 +725,7 @@ func (r *Router) forEachIndex(ctx context.Context, n int, fn func(i int) error) 
 				if stop {
 					continue
 				}
-				err := ctxErr(ctx)
+				err := queries.CtxErr(ctx)
 				if err == nil {
 					err = fn(i)
 				}
@@ -743,7 +744,7 @@ func (r *Router) forEachIndex(ctx context.Context, n int, fn func(i int) error) 
 	}
 	close(next)
 	wg.Wait()
-	if err := ctxErr(ctx); err != nil {
+	if err := queries.CtxErr(ctx); err != nil {
 		return err
 	}
 	return ferr
@@ -863,7 +864,7 @@ func scatter[T any](ctx context.Context, shards []Shard, f func(ctx context.Cont
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := ctxErr(sctx); err != nil {
+			if err := queries.CtxErr(sctx); err != nil {
 				errs[i] = err
 				return
 			}
@@ -874,7 +875,7 @@ func scatter[T any](ctx context.Context, shards []Shard, f func(ctx context.Cont
 		}(i)
 	}
 	wg.Wait()
-	if err := ctxErr(ctx); err != nil {
+	if err := queries.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	var firstCtx error
@@ -894,17 +895,4 @@ func scatter[T any](ctx context.Context, shards []Shard, f func(ctx context.Cont
 		return nil, firstCtx
 	}
 	return out, nil
-}
-
-// ctxErr mirrors the engine's deadline-aware context check: a short
-// deadline must stop the scatter even when the runtime has not yet fired
-// the timer goroutine that cancels the context.
-func ctxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return context.DeadlineExceeded
-	}
-	return nil
 }

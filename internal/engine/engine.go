@@ -176,7 +176,7 @@ func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb
 					e.removeLocked(key)
 				}
 				e.mu.Unlock()
-				if !built && ctxErr(ctx) == nil {
+				if !built && queries.CtxErr(ctx) == nil {
 					// Someone else's canceled build; ours is still live.
 					continue
 				}
@@ -284,7 +284,7 @@ func (e *Engine) FilterOIDs(oids []int64, pred func(oid int64) (bool, error)) ([
 // input position.
 func (e *Engine) filterOIDs(ctx context.Context, oids []int64, pred func(oid int64) (bool, error)) ([]int64, error) {
 	if len(oids) == 0 {
-		return nil, ctxErr(ctx)
+		return nil, queries.CtxErr(ctx)
 	}
 	keep := make([]bool, len(oids))
 	err := e.forEachIndex(ctx, len(oids), func(i int) error {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/mod"
+	"repro/internal/queries"
 )
 
 // DoRestricted evaluates a whole-MOD filter request with the candidate
@@ -58,7 +59,7 @@ func (e *Engine) DoRestricted(ctx context.Context, store *mod.Store, req Request
 	if !req.Kind.IsWholeMODFilter() {
 		return fail(fmt.Errorf("%w: %q is not a whole-MOD filter kind", ErrBadKind, req.Kind))
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := queries.CtxErr(ctx); err != nil {
 		return fail(err)
 	}
 	req.Where = req.Where.Canon()

@@ -147,21 +147,6 @@ func (r Request) Validate() error {
 	return nil
 }
 
-// ctxErr reports whether the context is done, checking the wall clock
-// against the deadline as well as Err(): a short deadline on a busy
-// single-core host can expire before the runtime schedules the timer
-// goroutine that cancels the context, and the engine's checkpoints must
-// not sail past it just because the timer has not fired yet.
-func ctxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
 // Explain is the per-query execution provenance carried inside every
 // Result, so answer and statistics cross API seams together.
 type Explain struct {
@@ -264,7 +249,7 @@ func (e *Engine) Do(ctx context.Context, store *mod.Store, req Request) (Result,
 		return fail(err)
 	}
 	req.Where = req.Where.Canon()
-	if err := ctxErr(ctx); err != nil {
+	if err := queries.CtxErr(ctx); err != nil {
 		return fail(err)
 	}
 	switch req.Kind {
@@ -375,7 +360,7 @@ func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) 
 		if k <= 1 {
 			continue
 		}
-		if err := ctxErr(ctx); err != nil {
+		if err := queries.CtxErr(ctx); err != nil {
 			return nil, err
 		}
 		if proc, _, err := e.processor(ctx, store, g.qOID, g.tb, g.te, preds[g], false); err == nil {
@@ -384,7 +369,7 @@ func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) 
 	}
 	out := make([]Result, len(reqs))
 	for i, r := range reqs {
-		if err := ctxErr(ctx); err != nil {
+		if err := queries.CtxErr(ctx); err != nil {
 			return out[:i], err
 		}
 		res, err := e.Do(ctx, store, r)
@@ -438,7 +423,7 @@ func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor
 	}
 	if req.P > 0 {
 		holds := func(oid int64) (bool, error) {
-			ivs, err := probIntervals(p, oid, req.P)
+			ivs, err := probIntervals(ctx, p, oid, req.P)
 			return err == nil && req.holds(ivs), err
 		}
 		if req.Kind.IsWholeMODFilter() {
@@ -487,11 +472,11 @@ func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor
 // probIntervals returns the times a probability bound 0 < P <= 1 holds for
 // the object: where its sampled P^NN is at least P, or for P = 1 where it
 // is certainly the nearest neighbor.
-func probIntervals(p *queries.Processor, oid int64, P float64) ([]envelope.TimeInterval, error) {
+func probIntervals(ctx context.Context, p *queries.Processor, oid int64, P float64) ([]envelope.TimeInterval, error) {
 	if P == 1 {
 		return p.GuaranteedNNIntervals(oid)
 	}
-	return p.AboveThresholdIntervals(oid, P, queries.ThresholdConfig{})
+	return p.AboveThresholdIntervals(ctx, oid, P, queries.ThresholdConfig{})
 }
 
 // holds applies the kind's temporal quantifier to the times a probability
@@ -645,7 +630,7 @@ func (e *Engine) forEachIndex(ctx context.Context, n int, fn func(i int) error) 
 			if stop {
 				return
 			}
-			err := ctxErr(ctx)
+			err := queries.CtxErr(ctx)
 			if err == nil {
 				err = fn(i)
 			}
@@ -671,7 +656,7 @@ func (e *Engine) forEachIndex(ctx context.Context, n int, fn func(i int) error) 
 		// Cancellation is batch-fatal and callers match on the context
 		// error, so it takes precedence over whatever task error the race
 		// recorded. (A lone worker met it, if at all, before a task.)
-		if err := ctxErr(ctx); err != nil {
+		if err := queries.CtxErr(ctx); err != nil {
 			return err
 		}
 	}

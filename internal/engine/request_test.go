@@ -136,7 +136,7 @@ func TestDoThresholdAndExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantAll, err := proc.ThresholdNNAll(0.3, 0.1, queries.ThresholdConfig{})
+	wantAll, err := proc.ThresholdNNAll(context.Background(), 0.3, 0.1, queries.ThresholdConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDoThresholdAndExtensions(t *testing.T) {
 	}
 
 	target := proc.CandidateOIDs()[0]
-	wantOne, err := proc.ThresholdNN(target, 0.3, 0.1, queries.ThresholdConfig{})
+	wantOne, err := proc.ThresholdNN(context.Background(), target, 0.3, 0.1, queries.ThresholdConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +195,42 @@ func TestDoThresholdAndExtensions(t *testing.T) {
 // single-object answer is true, at every probability bound — pruned
 // objects included, since an empty interval set meets a zero requirement
 // (a probability bound used to narrow the whole-MOD answer to the UQ31
+// TestProbabilityDeadline: a deadline reaches the probability loop. A
+// UQ13 with p = 0.4 at N = 60 integrates Eq. 5 for ~0.7 s uncut; with a
+// 50 ms deadline it answers context.DeadlineExceeded within a sample or so
+// of the deadline (one sample is ~10 ms here), not at the end of the
+// series.
+func TestProbabilityDeadline(t *testing.T) {
+	store, qOID := newStore(t, 60, 7)
+	eng := New(0)
+	proc, err := eng.ProcessorWhereCtx(context.Background(), store, qOID, 17, 27, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var target int64
+	for _, oid := range proc.UQ31() {
+		if oid != qOID {
+			target = oid
+			break
+		}
+	}
+	const deadline = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err = eng.Do(ctx, store, Request{Kind: KindUQ13, QueryOID: qOID, Tb: 17, Te: 27, OID: target, P: 0.4, X: 0.3})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("UQ13 p=0.4 under a %v deadline: err = %v after %v", deadline, err, elapsed)
+	}
+	if elapsed > deadline+200*time.Millisecond {
+		t.Fatalf("deadline %v answered after %v", deadline, elapsed)
+	}
+	if _, _, err := proc.ProbabilitySeries(ctx, target, queries.ThresholdConfig{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("series under an expired context: err = %v", err)
+	}
+}
+
 // members).
 func TestTrivialFractionAgreesWithSingleObject(t *testing.T) {
 	store, qOID := newStore(t, 12, 7)

@@ -48,9 +48,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/continuous"
 	"repro/internal/engine"
+	"repro/internal/envelope"
 	"repro/internal/mod"
 	"repro/internal/serve"
 	"repro/internal/textidx"
+	"repro/internal/trajectory"
 )
 
 // ErrUnauthorized is the typed refusal for a missing or wrong bearer
@@ -326,7 +328,9 @@ type errorBody struct {
 }
 
 // The ingest body and reply carry the shapes the line protocol's ingest
-// op does (serve.WireUpdate, serve.WireApplied).
+// op does (serve.WireUpdate, serve.WireApplied), but a reply item is the
+// update's outcome only (serve.EncodeOutcomes): no caller reads the plans
+// back.
 type ingestRequest struct {
 	Updates []serve.WireUpdate `json:"updates"`
 }
@@ -343,7 +347,7 @@ func errStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, engine.ErrBadKind):
 		return http.StatusBadRequest, "bad_kind"
-	case errors.Is(err, engine.ErrBadWindow):
+	case errors.Is(err, engine.ErrBadWindow), errors.Is(err, envelope.ErrBadWindow):
 		return http.StatusBadRequest, "bad_window"
 	case errors.Is(err, engine.ErrBadRank):
 		return http.StatusBadRequest, "bad_rank"
@@ -357,7 +361,10 @@ func errStatus(err error) (int, string) {
 		return http.StatusNotFound, "unknown_oid"
 	case errors.Is(err, mod.ErrNotFound), errors.Is(err, serve.ErrUnknownSub):
 		return http.StatusNotFound, "not_found"
-	case errors.Is(err, serve.ErrSubLive), errors.Is(err, serve.ErrBadWire):
+	case errors.Is(err, serve.ErrSubLive), errors.Is(err, serve.ErrBadWire),
+		// An ingest item the store refuses as invalid is the client's fault.
+		errors.Is(err, mod.ErrStaleVertex), errors.Is(err, mod.ErrShortInsert), errors.Is(err, mod.ErrRetireConflict),
+		errors.Is(err, trajectory.ErrTooFewVertices), errors.Is(err, trajectory.ErrNonIncreasing), errors.Is(err, trajectory.ErrNonFinite):
 		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, serve.ErrSubExpired):
 		return http.StatusGone, "sub_expired"
@@ -537,8 +544,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, struct {
 			Error   apiError            `json:"error"`
 			Applied []serve.WireApplied `json:"applied,omitempty"`
-		}{apiError{Code: code, Message: err.Error()}, serve.EncodeApplied(applied, false)})
+		}{apiError{Code: code, Message: err.Error()}, serve.EncodeOutcomes(applied)})
 		return
 	}
-	writeJSON(w, http.StatusOK, ingestResponse{Applied: serve.EncodeApplied(applied, false)})
+	writeJSON(w, http.StatusOK, ingestResponse{Applied: serve.EncodeOutcomes(applied)})
 }

@@ -442,6 +442,35 @@ func TestDeadlineMaps504(t *testing.T) {
 	}
 }
 
+// TestProbabilityDeadlineMaps504: a deadline cuts a probability-bound
+// query inside its Eq. 5 loop, so a UQ13 p=0.4 that runs ~0.7 s uncut at
+// N = 60 answers 504 deadline_exceeded near its 50 ms deadline.
+func TestProbabilityDeadlineMaps504(t *testing.T) {
+	store, trs := buildStore(t, 60, 7)
+	eng := engine.New(0)
+	_, base, client := startGateway(t, Options{Backend: EngineBackend{Eng: eng, Store: store}}, nil)
+	q := trs[0].OID
+	members, err := eng.Do(context.Background(), store, engine.Request{Kind: engine.KindUQ31, QueryOID: q, Tb: 17, Te: 27})
+	if err != nil || len(members.OIDs) < 2 {
+		t.Fatalf("UQ31 members %v, %v", members.OIDs, err)
+	}
+	target := members.OIDs[0]
+	if target == q {
+		target = members.OIDs[1]
+	}
+	start := time.Now()
+	status, body := postJSON(t, client, base+"/v1/query", "", queryRequest{
+		Request:    engine.Request{Kind: engine.KindUQ13, QueryOID: q, Tb: 17, Te: 27, OID: target, P: 0.4, X: 0.3},
+		DeadlineMS: 50,
+	})
+	if ae := decodeAPIError(t, body); status != http.StatusGatewayTimeout || ae.Code != "deadline_exceeded" {
+		t.Fatalf("UQ13 p=0.4: status %d code %q, want 504 deadline_exceeded", status, ae.Code)
+	}
+	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
+		t.Fatalf("50 ms deadline answered after %v", elapsed)
+	}
+}
+
 // TestRequestTimeoutCeiling: the server's RequestTimeout clamps client
 // deadlines (including "no deadline").
 func TestRequestTimeoutCeiling(t *testing.T) {
@@ -598,7 +627,7 @@ func TestIngestRetire(t *testing.T) {
 	if err := json.Unmarshal(body, &reply); err != nil {
 		t.Fatal(err)
 	}
-	if len(reply.Applied) != 1 || reply.Applied[0]["retired"] != true || reply.Applied[0]["prev_verts"] == nil {
+	if len(reply.Applied) != 1 || reply.Applied[0]["retired"] != true || reply.Applied[0]["oid"] != float64(victim) {
 		t.Fatalf("retire outcome = %s", body)
 	}
 	if _, has := reply.Applied[0]["changed_from"]; has {
@@ -617,8 +646,8 @@ func TestIngestRetire(t *testing.T) {
 
 // TestIngestPackedVerticesRefused: the packed vertex form is the shard
 // link's, not public API. A /v1/ingest body carrying vb is a 400 that
-// applies nothing, and the reply to the same update as triples carries
-// arrays only.
+// applies nothing, and the reply to the same update as triples is its
+// outcome alone, in neither vertex form.
 func TestIngestPackedVerticesRefused(t *testing.T) {
 	store, _ := buildStore(t, 5, equivSeed)
 	_, base, client := startGateway(t, Options{
@@ -638,8 +667,37 @@ func TestIngestPackedVerticesRefused(t *testing.T) {
 	}
 	status, body = postJSON(t, client, base+"/v1/ingest", "",
 		ingestRequest{Updates: []serve.WireUpdate{{OID: 9001, Verts: verts}}})
-	if status != http.StatusOK || !strings.Contains(string(body), `"verts":[[1,2,0],[3,4,10]]`) || strings.Contains(string(body), `vb"`) {
+	if status != http.StatusOK || string(body) != `{"applied":[{"oid":9001,"inserted":true}]}`+"\n" {
 		t.Fatalf("array ingest: status %d body %s", status, body)
+	}
+}
+
+// TestIngestReplyCarriesNoPlan: the reply's size does not depend on the
+// plan's. Two revisions of one OID from the same time, one with 2
+// vertices and one with 200, get replies of equal length.
+func TestIngestReplyCarriesNoPlan(t *testing.T) {
+	store, trs := buildStore(t, 5, equivSeed)
+	_, base, client := startGateway(t, Options{
+		Backend: EngineBackend{Eng: engine.New(0), Store: store},
+		Hub:     newTestHub(t, store),
+	}, nil)
+	tr := trs[2]
+	t0 := (tr.Verts[0].T + tr.Verts[1].T) / 2
+	var replies []string
+	for _, n := range []int{2, 200} {
+		verts := make([][3]float64, n)
+		for i := range verts {
+			verts[i] = [3]float64{1.25 + float64(i)/7, 2.5, t0 + float64(i)}
+		}
+		status, body := postJSON(t, client, base+"/v1/ingest", "",
+			ingestRequest{Updates: []serve.WireUpdate{{OID: tr.OID, Verts: verts}}})
+		if status != http.StatusOK || strings.Contains(string(body), "inserted") {
+			t.Fatalf("%d-vertex revision: status %d body %s", n, status, body)
+		}
+		replies = append(replies, string(body))
+	}
+	if len(replies[0]) != len(replies[1]) {
+		t.Fatalf("reply length differs with the plan's size:\n%s%s", replies[0], replies[1])
 	}
 }
 

@@ -916,10 +916,10 @@ func (s *Server) doIngest(req Request) Response {
 	applied, err := s.core.Ingest(context.Background(), updates)
 	if err != nil {
 		resp := codedFail(err)
-		resp.Applied = serve.EncodeApplied(applied, true)
+		resp.Applied = serve.EncodeApplied(applied)
 		return resp
 	}
-	return Response{OK: true, Applied: serve.EncodeApplied(applied, true)}
+	return Response{OK: true, Applied: serve.EncodeApplied(applied)}
 }
 
 // encodeAnswer flattens a result (or its per-request failure) onto the

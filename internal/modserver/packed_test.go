@@ -155,8 +155,8 @@ func TestArrayFormStillServed(t *testing.T) {
 	if !ra.OK || len(ra.Applied) != len(updates) || lineA != lineP {
 		t.Fatalf("ingest diverged by request form:\n array  %s packed %s", lineA, lineP)
 	}
-	if a := ra.Applied[0]; a.Verts != nil || a.PrevVerts != nil || len(a.VB) == 0 || len(a.PVB) == 0 {
-		t.Fatalf("applied outcome came back unpacked: %+v", a)
+	if a := ra.Applied[0]; len(a.VB) == 0 || len(a.PVB) == 0 || strings.Contains(lineA, `verts"`) {
+		t.Fatalf("applied outcome came back without both plans packed: %s", lineA)
 	}
 }
 
@@ -395,7 +395,7 @@ func FuzzShardFrame(f *testing.F) {
 		Request{Op: "query", Phase: "survivors", OID: 4, VB: wt.VB[:31], Te: 9, Bounds: []float64{-1, 2}},
 		Request{Op: "ingest", Updates: []WireTraj{wt, {OID: 5, Tags: &tags}, {OID: 6, Retire: true}}},
 		Response{OK: true, More: true, Trajs: []WireTraj{wt}},
-		Response{OK: true, Applied: []WireApplied{{OID: 4, ChangedFrom: 3, VB: wt.VB, PVB: wt.VB}, {OID: 5, TagsOnly: true, Verts: serve.EncodeVerts(two)}}},
+		Response{OK: true, Applied: []WireApplied{{OID: 4, ChangedFrom: 3, VB: wt.VB, PVB: wt.VB}, {OID: 5, TagsOnly: true, TagsChanged: true, Tags: tags}}},
 	} {
 		line, err := json.Marshal(v)
 		if err != nil {

@@ -1,6 +1,7 @@
 package modserver
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -128,7 +129,7 @@ func TestQueryOpThresholdKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := proc.ThresholdNNAll(0.4, 0.1, queries.ThresholdConfig{})
+	want, err := proc.ThresholdNNAll(context.Background(), 0.4, 0.1, queries.ThresholdConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,26 +52,11 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/geom"
+	"repro/internal/queries"
 	"repro/internal/trajectory"
 )
-
-// ctxErr mirrors the engine's deadline-aware context check: a short
-// deadline on a busy single-core host can expire before the runtime
-// schedules the timer goroutine that cancels the context, and the sweep's
-// per-slice checkpoints must not sail past it just because the timer has
-// not fired yet.
-func ctxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
 
 // Margin is the safety slack (in distance units) added to the 4r zone
 // width. It dominates the TimeEps tolerance the fixed-time membership
@@ -193,7 +178,7 @@ func (s *Sweep) probeBounds(ctx context.Context, k int) (rankBounds, error) {
 	rb := rankBounds{k: k, bounds: make([]float64, len(s.cuts)-1)}
 	dists := make([]float64, 0, probes)
 	for i := range rb.bounds {
-		if err := ctxErr(ctx); err != nil {
+		if err := queries.CtxErr(ctx); err != nil {
 			return rankBounds{}, err
 		}
 		t0, t1 := s.cuts[i], s.cuts[i+1]
@@ -260,7 +245,7 @@ func (s *Sweep) sweep(ctx context.Context, bounds []float64) ([]*trajectory.Traj
 	if len(bounds) != len(s.cuts)-1 {
 		return nil, fmt.Errorf("prune: got %d slice bounds for %d slices", len(bounds), len(s.cuts)-1)
 	}
-	if err := ctxErr(ctx); err != nil {
+	if err := queries.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	sc := scratchPool.Get().(*sweepScratch)
@@ -276,7 +261,7 @@ func (s *Sweep) sweep(ctx context.Context, bounds []float64) ([]*trajectory.Traj
 	)
 	s.idx.Visit(union, s.tb, s.te, func(id int64) bool {
 		if seen++; seen%ctxEvery == 0 {
-			if cerr = ctxErr(ctx); cerr != nil {
+			if cerr = queries.CtxErr(ctx); cerr != nil {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 func TestProbabilitySeries(t *testing.T) {
 	p := newProc(t)
-	ts, probs, err := p.ProbabilitySeries(1, ThresholdConfig{TimeSamples: 9, Grid: 256})
+	ts, probs, err := p.ProbabilitySeries(context.Background(), 1, ThresholdConfig{TimeSamples: 9, Grid: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +37,11 @@ func TestProbabilitySeries(t *testing.T) {
 		t.Errorf("flyby should reduce oid 1's probability: %g vs %g", mid, probs[0])
 	}
 	// Unknown oid.
-	if _, _, err := p.ProbabilitySeries(777, ThresholdConfig{}); err == nil {
+	if _, _, err := p.ProbabilitySeries(context.Background(), 777, ThresholdConfig{}); err == nil {
 		t.Error("unknown oid accepted")
 	}
 	// Pruned object: identically zero.
-	_, zero, err := p.ProbabilitySeries(3, ThresholdConfig{TimeSamples: 5, Grid: 128})
+	_, zero, err := p.ProbabilitySeries(context.Background(), 3, ThresholdConfig{TimeSamples: 5, Grid: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestThresholdNN(t *testing.T) {
 	p := newProc(t)
 	cfg := ThresholdConfig{TimeSamples: 33, Grid: 256}
 	// oid 1 holds a high NN probability most of the hour.
-	ok, err := p.ThresholdNN(1, 0.5, 0.6, cfg)
+	ok, err := p.ThresholdNN(context.Background(), 1, 0.5, 0.6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestThresholdNN(t *testing.T) {
 	}
 	// Nothing holds probability ~1 all the time through the flyby (oid 1's
 	// P^NN dips to ≈ 0.978 as oid 4 passes at t = 30).
-	ok, err = p.ThresholdNN(1, 0.99, 1.0, cfg)
+	ok, err = p.ThresholdNN(context.Background(), 1, 0.99, 1.0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestThresholdNN(t *testing.T) {
 		t.Error("oid 1 should not hold 99% probability through the flyby")
 	}
 	// Pruned object fails any positive threshold.
-	ok, err = p.ThresholdNN(3, 0.01, 0.01, cfg)
+	ok, err = p.ThresholdNN(context.Background(), 3, 0.01, 0.01, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +81,10 @@ func TestThresholdNN(t *testing.T) {
 		t.Error("pruned object passed a threshold")
 	}
 	// Bad args.
-	if _, err := p.ThresholdNN(1, -0.1, 0.5, cfg); err != ErrBadFrac {
+	if _, err := p.ThresholdNN(context.Background(), 1, -0.1, 0.5, cfg); err != ErrBadFrac {
 		t.Errorf("bad threshold: %v", err)
 	}
-	if _, err := p.ThresholdNN(1, 0.5, 1.5, cfg); err != ErrBadFrac {
+	if _, err := p.ThresholdNN(context.Background(), 1, 0.5, 1.5, cfg); err != ErrBadFrac {
 		t.Errorf("bad frac: %v", err)
 	}
 }
@@ -91,7 +92,7 @@ func TestThresholdNN(t *testing.T) {
 func TestAboveThresholdIntervals(t *testing.T) {
 	p := newProc(t)
 	cfg := ThresholdConfig{TimeSamples: 65, Grid: 256}
-	ivs, err := p.AboveThresholdIntervals(1, 0.6, cfg)
+	ivs, err := p.AboveThresholdIntervals(context.Background(), 1, 0.6, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestAboveThresholdIntervals(t *testing.T) {
 	}
 	// The flyby dip (around t=30) should be excluded at a high threshold:
 	// use the paper's example numbers, 65%.
-	ivs65, err := p.AboveThresholdIntervals(1, 0.65, cfg)
+	ivs65, err := p.AboveThresholdIntervals(context.Background(), 1, 0.65, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,18 +124,18 @@ func TestAboveThresholdIntervals(t *testing.T) {
 	if within(ivs65, 30) {
 		// Verify directly that the probability at 30 is indeed below 0.65
 		// before failing (geometry sanity).
-		_, probs, _ := p.ProbabilitySeries(1, ThresholdConfig{TimeSamples: 61, Grid: 256})
+		_, probs, _ := p.ProbabilitySeries(context.Background(), 1, ThresholdConfig{TimeSamples: 61, Grid: 256})
 		if probs[30] < 0.65 {
 			t.Error("t=30 included despite sub-threshold probability")
 		}
 	}
 	// ThresholdNNAll consistency: every returned oid passes ThresholdNN.
-	ids, err := p.ThresholdNNAll(0.3, 0.2, cfg)
+	ids, err := p.ThresholdNNAll(context.Background(), 0.3, 0.2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		ok, err := p.ThresholdNN(id, 0.3, 0.2, cfg)
+		ok, err := p.ThresholdNN(context.Background(), id, 0.3, 0.2, cfg)
 		if err != nil || !ok {
 			t.Errorf("ThresholdNNAll returned %d which fails ThresholdNN (%v)", id, err)
 		}
@@ -143,7 +144,7 @@ func TestAboveThresholdIntervals(t *testing.T) {
 
 func TestMaxProbability(t *testing.T) {
 	p := newProc(t)
-	tAt, prob, err := p.MaxProbability(1, ThresholdConfig{TimeSamples: 17, Grid: 256})
+	tAt, prob, err := p.MaxProbability(context.Background(), 1, ThresholdConfig{TimeSamples: 17, Grid: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package queries
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/envelope"
 	"repro/internal/numeric"
@@ -45,11 +47,28 @@ func (c *ThresholdConfig) fill(r float64) (updf.RadialPDF, int, int, error) {
 	return conv, ts, grid, nil
 }
 
+// CtxErr reports whether the context is done, checking the wall clock
+// against the deadline as well as Err(): a short deadline on a busy
+// single-core host can expire before the runtime schedules the timer
+// goroutine that cancels the context, and a checkpoint must not sail past
+// it just because the timer has not fired yet.
+func CtxErr(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // ProbabilitySeries returns the sampled time series of P^NN for the object
 // — the probability (per Eq. 5 on the convolved pdf, Section 3.1's
 // reduction) that it is the query's nearest neighbor at each sampled
-// instant.
-func (p *Processor) ProbabilitySeries(oid int64, cfg ThresholdConfig) ([]float64, []float64, error) {
+// instant. ctx is checked before every sample: one sample integrates Eq. 5
+// once per UQ31 member, which at a few thousand objects is the whole of a
+// deadline.
+func (p *Processor) ProbabilitySeries(ctx context.Context, oid int64, cfg ThresholdConfig) ([]float64, []float64, error) {
 	if _, _, err := p.lookup(oid); err != nil {
 		return nil, nil, err
 	}
@@ -63,6 +82,9 @@ func (p *Processor) ProbabilitySeries(oid int64, cfg ThresholdConfig) ([]float64
 	probs := make([]float64, len(ts))
 	cands := make([]uncertain.Candidate, len(keptFns))
 	for i, tm := range ts {
+		if err := CtxErr(ctx); err != nil {
+			return nil, nil, err
+		}
 		for j, f := range keptFns {
 			cands[j] = uncertain.Candidate{ID: f.ID, Dist: f.Value(tm)}
 		}
@@ -74,11 +96,11 @@ func (p *Processor) ProbabilitySeries(oid int64, cfg ThresholdConfig) ([]float64
 // AboveThresholdIntervals returns the maximal time intervals during which
 // P^NN_oid(t) >= pThresh, with boundaries interpolated linearly between
 // samples.
-func (p *Processor) AboveThresholdIntervals(oid int64, pThresh float64, cfg ThresholdConfig) ([]envelope.TimeInterval, error) {
+func (p *Processor) AboveThresholdIntervals(ctx context.Context, oid int64, pThresh float64, cfg ThresholdConfig) ([]envelope.TimeInterval, error) {
 	if pThresh < 0 || pThresh > 1 {
 		return nil, ErrBadFrac
 	}
-	ts, probs, err := p.ProbabilitySeries(oid, cfg)
+	ts, probs, err := p.ProbabilitySeries(ctx, oid, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +140,11 @@ func (p *Processor) AboveThresholdIntervals(oid int64, pThresh float64, cfg Thre
 // ThresholdNN answers the continuous threshold query: does the object have
 // probability >= pThresh of being the NN for at least fraction x of the
 // window?
-func (p *Processor) ThresholdNN(oid int64, pThresh, x float64, cfg ThresholdConfig) (bool, error) {
+func (p *Processor) ThresholdNN(ctx context.Context, oid int64, pThresh, x float64, cfg ThresholdConfig) (bool, error) {
 	if x < 0 || x > 1 {
 		return false, ErrBadFrac
 	}
-	ivs, err := p.AboveThresholdIntervals(oid, pThresh, cfg)
+	ivs, err := p.AboveThresholdIntervals(ctx, oid, pThresh, cfg)
 	if err != nil {
 		return false, err
 	}
@@ -132,13 +154,13 @@ func (p *Processor) ThresholdNN(oid int64, pThresh, x float64, cfg ThresholdConf
 // ThresholdNNAll retrieves every object satisfying ThresholdNN. Pruned
 // objects are rejected without probability evaluation (their P^NN is
 // identically zero) — the Figure 13 saving in action.
-func (p *Processor) ThresholdNNAll(pThresh, x float64, cfg ThresholdConfig) ([]int64, error) {
+func (p *Processor) ThresholdNNAll(ctx context.Context, pThresh, x float64, cfg ThresholdConfig) ([]int64, error) {
 	if x < 0 || x > 1 || pThresh < 0 || pThresh > 1 {
 		return nil, ErrBadFrac
 	}
 	var out []int64
 	for _, oid := range p.UQ31() {
-		ok, err := p.ThresholdNN(oid, pThresh, x, cfg)
+		ok, err := p.ThresholdNN(ctx, oid, pThresh, x, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -152,8 +174,8 @@ func (p *Processor) ThresholdNNAll(pThresh, x float64, cfg ThresholdConfig) ([]i
 // MaxProbability returns the peak of the object's P^NN series and the time
 // at which it occurs (a descriptor-style summary usable for ordering
 // threshold answers).
-func (p *Processor) MaxProbability(oid int64, cfg ThresholdConfig) (tAt, prob float64, err error) {
-	ts, probs, err := p.ProbabilitySeries(oid, cfg)
+func (p *Processor) MaxProbability(ctx context.Context, oid int64, cfg ThresholdConfig) (tAt, prob float64, err error) {
+	ts, probs, err := p.ProbabilitySeries(ctx, oid, cfg)
 	if err != nil {
 		return 0, 0, err
 	}

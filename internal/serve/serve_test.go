@@ -67,56 +67,52 @@ func TestWireAppliedRoundTrip(t *testing.T) {
 		{OID: 3, ChangedFrom: math.Inf(1), Traj: line(3, 0), TagsChanged: true, Tags: tags, PrevTags: []string{"old"}},
 		{OID: 4, Retired: true, ChangedFrom: math.Inf(-1), Prev: line(4, 0)},
 	}
-	for _, packed := range []bool{false, true} {
-		wire := EncodeApplied(applied, packed)
-		if wire[0].ChangedFrom != 0 || !wire[2].TagsOnly || wire[2].ChangedFrom != 0 || !wire[3].Retired || wire[3].Verts != nil || wire[3].VB != nil {
-			t.Fatalf("wire markers: %+v", wire)
-		}
-		if (wire[1].VB != nil) != packed || (wire[1].PVB != nil) != packed || (wire[1].Verts == nil) != packed || (wire[1].PrevVerts == nil) != packed {
-			t.Fatalf("packed=%v chose the wrong vertex form: %+v", packed, wire[1])
-		}
-		back, err := DecodeApplied(wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(back, applied) {
-			t.Fatalf("packed=%v: round trip diverged\n got: %+v\nwant: %+v", packed, back, applied)
-		}
+	wire := EncodeApplied(applied)
+	if wire[0].ChangedFrom != 0 || !wire[2].TagsOnly || wire[2].ChangedFrom != 0 || !wire[3].Retired || wire[3].VB != nil || wire[1].VB == nil || wire[1].PVB == nil {
+		t.Fatalf("wire markers: %+v", wire)
 	}
-	if _, err := DecodeApplied([]WireApplied{{OID: 9, Verts: [][3]float64{{0, 0, 0}}}}); err == nil {
+	back, err := DecodeApplied(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, applied) {
+		t.Fatalf("round trip diverged\n got: %+v\nwant: %+v", back, applied)
+	}
+	// The outcomes alone are the same items with neither plan.
+	outcomes := EncodeOutcomes(applied)
+	for i := range wire {
+		wire[i].VB, wire[i].PVB = nil, nil
+	}
+	if !reflect.DeepEqual(outcomes, wire) {
+		t.Fatalf("outcomes diverged from the packed items\n got: %+v\nwant: %+v", outcomes, wire)
+	}
+	if _, err := DecodeApplied([]WireApplied{{OID: 9, VB: PackVerts(line(9, 0).Verts[:1])}}); err == nil {
 		t.Fatal("a one-vertex trajectory decoded")
 	}
-	two := line(9, 0).Verts
-	for name, wa := range map[string]WireApplied{
-		"both forms":      {OID: 9, Verts: EncodeVerts(two), VB: PackVerts(two)},
-		"both prev forms": {OID: 9, PrevVerts: EncodeVerts(two), PVB: PackVerts(two)},
-		"ragged vb":       {OID: 9, VB: PackVerts(two)[:47]},
-	} {
-		if _, err := DecodeApplied([]WireApplied{wa}); !errors.Is(err, ErrBadWire) {
-			t.Fatalf("%s: err = %v, want ErrBadWire", name, err)
-		}
+	if _, err := DecodeApplied([]WireApplied{{OID: 9, PVB: PackVerts(line(9, 0).Verts)[:47]}}); !errors.Is(err, ErrBadWire) {
+		t.Fatalf("ragged pvb: err = %v, want ErrBadWire", err)
 	}
 
 	clear := []string{}
 	updates := []mod.Update{{OID: 1, Verts: line(1, 0).Verts}, {OID: 2, Tags: &clear}, {OID: 3, Retire: true}}
-	wire := PackUpdates(updates)
-	if wire[0].Verts != nil || len(wire[0].VB) != 48 || len(wire[1].VB) != 0 || len(wire[2].VB) != 0 {
-		t.Fatalf("packed updates: %+v", wire)
+	uw := PackUpdates(updates)
+	if uw[0].Verts != nil || len(uw[0].VB) != 48 || len(uw[1].VB) != 0 || len(uw[2].VB) != 0 {
+		t.Fatalf("packed updates: %+v", uw)
 	}
-	if got, err := DecodeUpdates(wire, true); err != nil || !reflect.DeepEqual(got, updates) {
+	if got, err := DecodeUpdates(uw, true); err != nil || !reflect.DeepEqual(got, updates) {
 		t.Fatalf("updates round trip diverged (%v)\n got: %+v\nwant: %+v", err, got, updates)
 	}
 	// The packed form is the shard link's: a surface that does not speak it
 	// refuses it, and takes the same batch as triples.
-	if _, err := DecodeUpdates(wire, false); !errors.Is(err, ErrBadWire) {
+	if _, err := DecodeUpdates(uw, false); !errors.Is(err, ErrBadWire) {
 		t.Fatalf("packed update on a public surface: err = %v, want ErrBadWire", err)
 	}
-	wire[0].Verts, wire[0].VB = EncodeVerts(updates[0].Verts), nil
-	if got, err := DecodeUpdates(wire, false); err != nil || !reflect.DeepEqual(got, updates) {
+	uw[0].Verts, uw[0].VB = EncodeVerts(updates[0].Verts), nil
+	if got, err := DecodeUpdates(uw, false); err != nil || !reflect.DeepEqual(got, updates) {
 		t.Fatalf("array updates diverged (%v)\n got: %+v\nwant: %+v", err, got, updates)
 	}
-	wire[0].VB = PackVerts(updates[0].Verts)
-	if _, err := DecodeUpdates(wire, true); !errors.Is(err, ErrBadWire) {
+	uw[0].VB = PackVerts(updates[0].Verts)
+	if _, err := DecodeUpdates(uw, true); !errors.Is(err, ErrBadWire) {
 		t.Fatalf("update with both forms: err = %v, want ErrBadWire", err)
 	}
 }

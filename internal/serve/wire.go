@@ -15,14 +15,17 @@ import (
 // literal, so the two infinite ChangedFrom values travel as markers
 // instead.
 //
-// Vertices have two forms. The public one is "verts", [x, y, t] triples
-// as decimal text: what the gateway speaks and a human types. The shard
-// link's is "vb" ("pvb" for a superseded plan): the vertices as 24-byte
-// little-endian IEEE-754 triples, which encoding/json carries as base64 —
-// 32 characters a vertex against ~55, no float formatting or parsing, and
-// bit-exact by construction. Every frame that moves a trajectory between
-// router and shard is packed; decoders take either form per item and hand
-// it to the same trajectory.New / mod.ApplyUpdate validation.
+// Vertices are decimal in requests, packed on the shard link. A request's
+// "verts" are [x, y, t] triples as decimal text: what the gateway speaks
+// and a human types. The shard link's form is "vb" ("pvb" for a
+// superseded plan): the vertices as 24-byte little-endian IEEE-754
+// triples, which encoding/json carries as base64 — 32 characters a vertex
+// against ~55, no float formatting or parsing, and bit-exact by
+// construction. Every frame that moves a trajectory between router and
+// shard is packed; update decoders take either form per item and hand it
+// to the same trajectory.New / mod.ApplyUpdate validation. An applied
+// outcome carries its plans packed on the shard link (the router's hub
+// re-evaluates from them) and no plan at all in the gateway's reply.
 
 // ErrBadWire reports an item whose vertices cannot be read: both forms at
 // once, a ragged packed length, or vb on a surface that does not speak it.
@@ -46,20 +49,19 @@ type WireUpdate struct {
 
 // WireApplied is one mod.Applied on the wire. ChangedFrom is omitted for
 // inserts and retirements (-Inf in memory) and for pure tag flips, which
-// carry TagsOnly instead (+Inf in memory: no motion changed).
+// carry TagsOnly instead (+Inf in memory: no motion changed). VB and PVB
+// are the new and superseded plans, set on the shard link only.
 type WireApplied struct {
-	OID         int64        `json:"oid"`
-	Inserted    bool         `json:"inserted,omitempty"`
-	Retired     bool         `json:"retired,omitempty"`
-	ChangedFrom float64      `json:"changed_from,omitempty"`
-	TagsOnly    bool         `json:"tags_only,omitempty"`
-	Verts       [][3]float64 `json:"verts,omitempty"`
-	PrevVerts   [][3]float64 `json:"prev_verts,omitempty"`
-	VB          []byte       `json:"vb,omitempty"`
-	PVB         []byte       `json:"pvb,omitempty"`
-	TagsChanged bool         `json:"tags_changed,omitempty"`
-	Tags        []string     `json:"tags,omitempty"`
-	PrevTags    []string     `json:"prev_tags,omitempty"`
+	OID         int64    `json:"oid"`
+	Inserted    bool     `json:"inserted,omitempty"`
+	Retired     bool     `json:"retired,omitempty"`
+	ChangedFrom float64  `json:"changed_from,omitempty"`
+	TagsOnly    bool     `json:"tags_only,omitempty"`
+	VB          []byte   `json:"vb,omitempty"`
+	PVB         []byte   `json:"pvb,omitempty"`
+	TagsChanged bool     `json:"tags_changed,omitempty"`
+	Tags        []string `json:"tags,omitempty"`
+	PrevTags    []string `json:"prev_tags,omitempty"`
 }
 
 // EncodeVerts flattens vertices into wire triples.
@@ -149,18 +151,9 @@ func DecodeUpdates(wire []WireUpdate, packed bool) ([]mod.Update, error) {
 	return out, nil
 }
 
-// EncodeApplied flattens applied outcomes onto the wire: both plans packed
-// for the shard link, as triples for the gateway's reply.
-func EncodeApplied(applied []mod.Applied, packed bool) []WireApplied {
-	form := func(tr *trajectory.Trajectory) ([][3]float64, []byte) {
-		switch {
-		case tr == nil:
-			return nil, nil
-		case packed:
-			return nil, PackVerts(tr.Verts)
-		}
-		return EncodeVerts(tr.Verts), nil
-	}
+// EncodeOutcomes flattens applied outcomes onto the wire without their
+// plans: what each update did, as the gateway's ingest reply tells it.
+func EncodeOutcomes(applied []mod.Applied) []WireApplied {
 	out := make([]WireApplied, len(applied))
 	for i, a := range applied {
 		wa := WireApplied{
@@ -174,15 +167,28 @@ func EncodeApplied(applied []mod.Applied, packed bool) []WireApplied {
 		default:
 			wa.ChangedFrom = a.ChangedFrom
 		}
-		wa.Verts, wa.VB = form(a.Traj)
-		wa.PrevVerts, wa.PVB = form(a.Prev)
 		out[i] = wa
 	}
 	return out
 }
 
-// DecodeApplied rebuilds applied outcomes from the wire, either form —
-// the client half of EncodeApplied.
+// EncodeApplied is EncodeOutcomes with both plans packed: the shard
+// link's form, from which the router's hub re-evaluates.
+func EncodeApplied(applied []mod.Applied) []WireApplied {
+	out := EncodeOutcomes(applied)
+	for i, a := range applied {
+		if a.Traj != nil {
+			out[i].VB = PackVerts(a.Traj.Verts)
+		}
+		if a.Prev != nil {
+			out[i].PVB = PackVerts(a.Prev.Verts)
+		}
+	}
+	return out
+}
+
+// DecodeApplied rebuilds applied outcomes from the wire — the client half
+// of EncodeApplied (and of EncodeOutcomes, whose items carry no plans).
 func DecodeApplied(wire []WireApplied) ([]mod.Applied, error) {
 	out := make([]mod.Applied, len(wire))
 	for i, wa := range wire {
@@ -197,13 +203,13 @@ func DecodeApplied(wire []WireApplied) ([]mod.Applied, error) {
 			a.ChangedFrom = math.Inf(1)
 		}
 		var err error
-		if len(wa.Verts)+len(wa.VB) > 0 {
-			if a.Traj, err = WireTrajectory(wa.OID, wa.Verts, wa.VB); err != nil {
+		if len(wa.VB) > 0 {
+			if a.Traj, err = WireTrajectory(wa.OID, nil, wa.VB); err != nil {
 				return nil, err
 			}
 		}
-		if len(wa.PrevVerts)+len(wa.PVB) > 0 {
-			if a.Prev, err = WireTrajectory(wa.OID, wa.PrevVerts, wa.PVB); err != nil {
+		if len(wa.PVB) > 0 {
+			if a.Prev, err = WireTrajectory(wa.OID, nil, wa.PVB); err != nil {
 				return nil, err
 			}
 		}

@@ -163,7 +163,7 @@ func (r *reference) aboveThresholdIntervals(proc *queries.Processor, oid int64, 
 	if ivs, ok := r.above[key]; ok {
 		return ivs, nil
 	}
-	ivs, err := proc.AboveThresholdIntervals(oid, p, cfg)
+	ivs, err := proc.AboveThresholdIntervals(context.Background(), oid, p, cfg)
 	if err == nil {
 		r.above[key] = ivs
 	}

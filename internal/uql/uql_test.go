@@ -299,7 +299,7 @@ func TestEvalThresholdAndCertain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := proc.ThresholdNNAll(0.5, 0.1, queries.ThresholdConfig{})
+	want, err := proc.ThresholdNNAll(context.Background(), 0.5, 0.1, queries.ThresholdConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
