@@ -59,7 +59,8 @@ bench:
 # BenchmarkApplyUpdatesTagged in internal/mod, BenchmarkKNN and
 # BenchmarkInsertedBatch in internal/sindex,
 # BenchmarkShardFrameEncode/Decode in internal/modserver,
-# BenchmarkRefineUnion in internal/engine, BenchmarkHubIngestStanding in
+# BenchmarkRefineUnion in internal/engine (the router's central refine
+# of a gathered union), BenchmarkHubIngestStanding in
 # internal/continuous, BenchmarkProcessorVariants and
 # BenchmarkBelowIntervals in internal/queries; EXPERIMENTS.md has their
 # rows).

@@ -22,26 +22,24 @@
 //	                      every shard sweeps its objects against them
 //	                      (prune.SurvivorsWithBounds) and returns the
 //	                      trajectories that can enter the global 4r zone.
-//	refine (distributed) — the router gathers the survivors (a conservative
+//	refine (central)    — the router gathers the survivors (a conservative
 //	                      superset of the zone members, which provably
 //	                      contains every object achieving the global
 //	                      envelope) into a transient union store and
-//	                      broadcasts it back: every shard evaluates the
-//	                      whole-MOD filter kinds over the union with the
-//	                      candidate domain restricted to the survivors it
-//	                      itself contributed (Shard.Refine →
-//	                      engine.DoRestricted), and the router merges the
-//	                      disjoint, OID-sorted partial answers. Because the
-//	                      union's envelope equals the global envelope
-//	                      pointwise on the window, and every globally
-//	                      pruned object answers false on every filter kind,
-//	                      the merged answer is byte-identical to a
-//	                      single-store run — the same conservative-superset
-//	                      guarantee the single-store index pre-pass is
-//	                      gated on. Single-object and predicate kinds stay
-//	                      central on the router's inner engine (they are
-//	                      O(1) in the survivor count once the union is
-//	                      built).
+//	                      refines it on its own engine: the whole-MOD
+//	                      filter kinds through engine.DoRestricted with
+//	                      the candidate domain restricted to the gathered
+//	                      survivors (one envelope build over the union, no
+//	                      second pre-pass, the filter fanned across the
+//	                      engine's workers), every other kind through
+//	                      engine.Do. Because the union's envelope equals
+//	                      the global envelope pointwise on the window, and
+//	                      every globally pruned object answers false on
+//	                      every filter kind, the answer is byte-identical
+//	                      to a single-store run — the same
+//	                      conservative-superset guarantee the single-store
+//	                      index pre-pass is gated on. No shard is sent the
+//	                      union back.
 //
 // The all-pairs and reverse kinds iterate query trajectories; instead of
 // gathering every shard's objects, the router unions the shards' OID sets
@@ -140,13 +138,13 @@ type Shard interface {
 	// sweep statistics. where must match the Bounds call of the same
 	// exchange.
 	Survivors(ctx context.Context, q *trajectory.Trajectory, tb, te float64, bounds []float64, where *textidx.Predicate) ([]*trajectory.Trajectory, prune.Stats, error)
-	// Refine is the distributed-refine phase: evaluate a whole-MOD filter
-	// request over the gathered union survivor store with the candidate
-	// domain restricted to own — the (sorted) survivors this shard itself
-	// contributed. gatherID names the union so a remote shard can cache
-	// the shipped store across the requests of one batch; a local shard
-	// reads the union in place and ignores it. The per-shard answer lists
-	// are disjoint and their union is byte-identical to a central refine.
+	// Refine evaluates a whole-MOD filter request over a gathered union
+	// survivor store with the candidate domain restricted to own, a
+	// sorted OID list. gatherID names the union so a remote shard can
+	// cache the shipped store across calls; a local shard reads the union
+	// in place and ignores it. The Router no longer calls it (it refines
+	// the union on its own engine); it stays only because the benchmark
+	// module's traced shard forwards it.
 	Refine(ctx context.Context, gatherID string, union *mod.Store, own []int64, req engine.Request) (engine.Result, error)
 	// OIDs returns the sorted OIDs of every trajectory the shard holds
 	// whose tags satisfy where (nil means all) — the iteration domain the
@@ -228,18 +226,13 @@ func (s *LocalShard) Survivors(ctx context.Context, q *trajectory.Trajectory, tb
 
 // Refine implements Shard: the union store is read in place (no copy, no
 // gatherID bookkeeping needed in-process) and evaluated on the shard's
-// refine engine with the domain restricted to own. A router injects its
-// own engine here so every local shard — and the router's central
-// single-object path — shares one processor memo: on one machine the K
-// shards then collectively pay a single envelope build per union store
-// and split only the filter work, which is exactly the distributed
-// protocol's cost model collapsed onto shared memory.
+// own refine engine with the domain restricted to own.
 func (s *LocalShard) Refine(ctx context.Context, _ string, union *mod.Store, own []int64, req engine.Request) (engine.Result, error) {
 	return s.refineEngine().DoRestricted(ctx, union, req, own)
 }
 
-// refineEngine returns the shard's refine engine, creating a private one
-// on first use when no router injected a shared one.
+// refineEngine returns the shard's refine engine, creating it on first
+// use.
 func (s *LocalShard) refineEngine() *engine.Engine {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -247,17 +240,6 @@ func (s *LocalShard) refineEngine() *engine.Engine {
 		s.refine = engine.New(0)
 	}
 	return s.refine
-}
-
-// adoptRefineEngine installs e as the shard's refine engine unless one is
-// already set (first router wins; the memo key includes the store
-// pointer, so sharing across routers is safe).
-func (s *LocalShard) adoptRefineEngine(e *engine.Engine) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.refine == nil {
-		s.refine = e
-	}
 }
 
 // OIDs implements Shard.

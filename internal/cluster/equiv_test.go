@@ -253,7 +253,7 @@ func TestRouterEquivalenceAllThreshold(t *testing.T) {
 	checkSame(t, "allthresh-local/4", reqs, want, got)
 
 	remote, err := cluster.NewRouter(context.Background(),
-		startShardServers(t, store, 2, cluster.Hash{}), cluster.Options{})
+		startShardServers(t, store, 2, cluster.Hash{}, cluster.RemoteOptions{}), cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestRouterEquivalenceAllThreshold(t *testing.T) {
 
 // startShardServers splits the store and serves each partition from an
 // in-process modserver over real TCP, returning the remote shard set.
-func startShardServers(t testing.TB, store *mod.Store, n int, part cluster.Partitioner) []cluster.Shard {
+func startShardServers(t testing.TB, store *mod.Store, n int, part cluster.Partitioner, opts cluster.RemoteOptions) []cluster.Shard {
 	t.Helper()
 	stores, err := cluster.SplitStore(store, n, part)
 	if err != nil {
@@ -281,7 +281,7 @@ func startShardServers(t testing.TB, store *mod.Store, n int, part cluster.Parti
 		srv := modserver.NewServerWith(st, nil, modserver.Options{})
 		go srv.Serve(l)
 		t.Cleanup(func() { srv.Close() })
-		remote := cluster.NewRemoteShard(fmt.Sprintf("remote-%d", i), l.Addr().String())
+		remote := cluster.NewRemoteShardWith(fmt.Sprintf("remote-%d", i), l.Addr().String(), opts)
 		t.Cleanup(func() { remote.Close() })
 		shards[i] = remote
 	}
@@ -294,7 +294,7 @@ func TestRouterEquivalenceRemote(t *testing.T) {
 	want := singleAnswers(t, store, reqs)
 	for _, shards := range []int{1, 2, 4, 8} {
 		router, err := cluster.NewRouter(context.Background(),
-			startShardServers(t, store, shards, cluster.Hash{}), cluster.Options{})
+			startShardServers(t, store, shards, cluster.Hash{}, cluster.RemoteOptions{}), cluster.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

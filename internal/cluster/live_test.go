@@ -173,7 +173,7 @@ func TestRouterHubLocalGrid(t *testing.T) {
 }
 
 func TestRouterHubRemote(t *testing.T) {
-	shards := startShardServers(t, liveStore(t), 2, cluster.Hash{})
+	shards := startShardServers(t, liveStore(t), 2, cluster.Hash{}, cluster.RemoteOptions{})
 	router, err := cluster.NewRouter(context.Background(), shards, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestRouterHubRemote(t *testing.T) {
 // plan, and the event stream still matches the single-store reference.
 func TestRouterHubRemoteGrid(t *testing.T) {
 	part := cluster.Grid{CellSize: 20}
-	shards := startShardServers(t, liveStore(t), 2, part)
+	shards := startShardServers(t, liveStore(t), 2, part, cluster.RemoteOptions{})
 	router, err := cluster.NewRouter(context.Background(), shards, cluster.Options{Partitioner: part})
 	if err != nil {
 		t.Fatal(err)

@@ -408,7 +408,8 @@ func (s *RemoteShard) Survivors(ctx context.Context, q *trajectory.Trajectory, t
 	return trs, stats, err
 }
 
-// Refine implements Shard (the distributed-refine phases on the wire).
+// Refine implements Shard (the gather/refine phases on the wire; the
+// Router no longer calls it).
 // The union store ships at most once per connection: the client probes
 // the gather ID first and uploads the trajectories, in chunked frames,
 // only on a server-side cache miss — so a batch issuing several refines

@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"context"
-	cryptorand "crypto/rand"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -24,9 +22,10 @@ type Options struct {
 	// Partitioner decides placement and point-lookup routing; nil means
 	// Hash{}.
 	Partitioner Partitioner
-	// Engine refines the gathered survivors centrally; nil means a fresh
-	// engine with one worker per CPU. Routers sharing an engine share its
-	// processor memo.
+	// Engine refines the gathered survivors of every kind, the whole-MOD
+	// filters included (no shard refines); nil means a fresh engine with
+	// one worker per CPU. Routers sharing an engine share its processor
+	// memo.
 	Engine *engine.Engine
 	// Degraded switches shard failures from call-fatal to partial: a
 	// scatter that loses shards (past the shards' own retry budgets)
@@ -39,23 +38,16 @@ type Options struct {
 }
 
 // Router implements the exact Engine.Do/DoBatch contract over K shards:
-// scatter, two-phase NN bound exchange, distributed refinement,
-// deterministic merge. It is safe for concurrent use (per-call state
-// only; the inner engine is itself concurrent-safe) and meant to be
-// long-lived.
+// scatter, two-phase NN bound exchange, a gather of the survivors into
+// one union store, and refinement of that union on the router's own
+// engine. It is safe for concurrent use (per-call state only; the inner
+// engine is itself concurrent-safe) and meant to be long-lived.
 type Router struct {
 	shards   []Shard
 	part     Partitioner
 	inner    *engine.Engine
 	spec     mod.PDFSpec
 	degraded bool
-
-	// idPrefix and gatherSeq mint process-unique gather IDs: the handle a
-	// remote shard caches the shipped union store under for the duration
-	// of a batch. The random prefix keeps IDs from colliding across
-	// router restarts sharing a server connection's lifetime.
-	idPrefix  string
-	gatherSeq atomic.Uint64
 }
 
 // NewRouter validates the shard set (non-empty, one shared uncertainty
@@ -97,27 +89,7 @@ func NewRouter(ctx context.Context, shards []Shard, opts Options) (*Router, erro
 				ErrSpecMismatch, shards[0].Name(), spec, s.Name(), sp)
 		}
 	}
-	// In-process shards adopt the router's engine so their distributed
-	// refines share one processor memo with each other and with the
-	// central single-object path: one envelope build per union store.
-	for _, s := range shards {
-		if ls, ok := s.(*LocalShard); ok {
-			ls.adoptRefineEngine(inner)
-		}
-	}
-	var seed [8]byte
-	_, _ = cryptorand.Read(seed[:]) // best-effort; routerSeq alone is process-unique
-	prefix := fmt.Sprintf("%x-%d", seed, routerSeq.Add(1))
-	return &Router{shards: shards, part: part, inner: inner, spec: spec, degraded: opts.Degraded, idPrefix: prefix}, nil
-}
-
-// routerSeq distinguishes routers within one process even if the random
-// prefix read fails.
-var routerSeq atomic.Uint64
-
-// nextGatherID mints the handle one gathered union store travels under.
-func (r *Router) nextGatherID() string {
-	return fmt.Sprintf("%s-%d", r.idPrefix, r.gatherSeq.Add(1))
+	return &Router{shards: shards, part: part, inner: inner, spec: spec, degraded: opts.Degraded}, nil
 }
 
 // Shards reports the cluster size.
@@ -140,20 +112,19 @@ type gatherKey struct {
 
 // gathered is the outcome of one scatter/gather round: the transient
 // union store of global-zone survivors (plus the query trajectory and
-// any fetched targets), the per-shard provenance, and the per-shard
-// ownership split the distributed refine partitions the filter domain
-// by. q and bounds carry the bound exchange's inputs/outputs so the
-// continuous layer can derive a subscription zone profile from the same
-// round instead of re-running the exchange.
+// any fetched targets), the per-shard provenance, and the filter domain
+// the central refine verifies. q and bounds carry the bound exchange's
+// inputs/outputs so the continuous layer can derive a subscription zone
+// profile from the same round instead of re-running the exchange.
 type gathered struct {
-	id      string
 	store   *mod.Store
 	shardEx []engine.Explain
-	// own[i] lists, sorted, the survivor OIDs shard i contributed to the
-	// union store — disjoint across shards (a replicated object counts
-	// for its first copy), and excluding the query trajectory and any
-	// later-fetched targets. Refine restricts shard i's domain to own[i].
-	own     [][]int64
+	// domain lists, sorted, the survivor OIDs the shards contributed to
+	// the union store, excluding the query trajectory and any
+	// later-fetched targets. Built once per gather: a batch shares the
+	// round across requests, and the whole-MOD filter kinds read it as
+	// DoRestricted's candidate domain.
+	domain  []int64
 	k       int
 	targets map[int64]bool // target OIDs already resolved (found or not)
 	// nonMatch marks resolved targets that exist in the cluster but fail
@@ -224,11 +195,11 @@ func (r *Router) DoBatch(ctx context.Context, reqs []engine.Request) ([]engine.R
 }
 
 // dispatch runs one validated-or-failing request: pick or perform the
-// gather its kind needs, refine — on the shards for the whole-MOD filter
-// kinds, centrally for the rest — and decorate the Explain with shard
-// provenance. The gathered round is returned alongside the result so the
-// continuous layer can fingerprint the request from the same exchange
-// (nil on failure and on the per-query-object all-pairs/reverse path).
+// gather its kind needs, refine the union on the router's engine, and
+// decorate the Explain with shard provenance. The gathered round is
+// returned alongside the result so the continuous layer can fingerprint
+// the request from the same exchange (nil on failure and on the
+// per-query-object all-pairs/reverse path).
 func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[gatherKey]*gathered, maxK map[gatherKey]int) (engine.Result, *gathered, error) {
 	res := engine.Result{Kind: req.Kind}
 	res.Explain.Workers = r.inner.Workers()
@@ -286,12 +257,17 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[ga
 	switch {
 	case req.EnumeratesCandidates():
 		inner, err = r.enumerate(ctx, g, req)
-	case req.Kind.IsWholeMODFilter():
-		inner, err = r.refineDistributed(ctx, g, creq)
 	default:
-		// Single-object and predicate kinds are O(1) in the survivor
-		// count once the union is built; they stay central.
-		inner, err = r.inner.Do(ctx, g.store, creq)
+		if req.Kind.IsWholeMODFilter() {
+			// The union is exactly what the exchange kept, so this is the
+			// verify half of filter-and-verify: no pre-pass over it, and
+			// the filter visits only the survivors (globally pruned
+			// objects, fetched targets included, answer false on every
+			// filter kind).
+			inner, err = r.inner.DoRestricted(ctx, g.store, creq, g.domain)
+		} else {
+			inner, err = r.inner.Do(ctx, g.store, creq)
+		}
 		inner.Explain.ShardExplains = g.shardEx
 		r.applyDegraded(&inner.Explain, g.missing)
 	}
@@ -319,68 +295,6 @@ func (r *Router) enumerate(ctx context.Context, g *gathered, req engine.Request)
 	res.Explain.Candidates = len(res.OIDs)
 	res.Explain.Survivors = g.store.Len() - 1
 	res.Explain.ShardExplains = g.shardEx
-	r.applyDegraded(&res.Explain, mergeMissing(g.missing, missingOf(ok)))
-	return res, nil
-}
-
-// refineDistributed scatters a whole-MOD filter over the shards: each
-// evaluates the request on the union store restricted to its own
-// survivors, and the disjoint sorted partial answers merge into exactly
-// the central answer (globally pruned objects — including any fetched
-// single-object targets — answer false on every filter kind, so
-// restricting the domain to the union of survivor shares drops nothing).
-func (r *Router) refineDistributed(ctx context.Context, g *gathered, req engine.Request) (engine.Result, error) {
-	partials, ok, err := scatterMode(r, ctx, func(ctx context.Context, i int, s Shard) (engine.Result, error) {
-		return s.Refine(ctx, g.id, g.store, g.own[i], req)
-	})
-	res := engine.Result{Kind: req.Kind}
-	res.Explain.Workers = r.inner.Workers()
-	if err != nil {
-		res.Err = err
-		return res, err
-	}
-	// A shard that answered the gather but lost its refine leaves its
-	// own-share survivors unanswered; under degraded serving the central
-	// engine picks the orphaned shares up (the union store is local), so
-	// the merged answer only narrows by what the gather itself missed.
-	lists := make([][]int64, 0, len(partials)+1)
-	shardEx := make([]engine.Explain, len(g.shardEx))
-	copy(shardEx, g.shardEx)
-	first := -1
-	var orphaned []int64
-	for i, p := range partials {
-		if !ok[i] {
-			orphaned = append(orphaned, g.own[i]...)
-			continue
-		}
-		if first < 0 {
-			first = i
-		}
-		lists = append(lists, p.OIDs)
-		if i < len(shardEx) {
-			shardEx[i].Refined = p.Explain.Refined
-			shardEx[i].RefineWall = p.Explain.RefineWall
-		}
-	}
-	if len(orphaned) > 0 {
-		slices.Sort(orphaned)
-		central, cerr := r.inner.DoRestricted(ctx, g.store, req, orphaned)
-		if cerr != nil {
-			res.Err = cerr
-			return res, cerr
-		}
-		lists = append(lists, central.OIDs)
-	}
-	res.OIDs = mergeSorted(lists)
-	// Every shard preprocesses the same union store, so the union-global
-	// candidate/survivor counts agree across partials; report the first
-	// replying shard's.
-	if first >= 0 {
-		res.Explain.Candidates = partials[first].Explain.Candidates
-		res.Explain.Survivors = partials[first].Explain.Survivors
-		res.Explain.MemoHit = partials[first].Explain.MemoHit
-	}
-	res.Explain.ShardExplains = shardEx
 	r.applyDegraded(&res.Explain, mergeMissing(g.missing, missingOf(ok)))
 	return res, nil
 }
@@ -445,7 +359,7 @@ func (r *Router) gather(ctx context.Context, key gatherKey, k int, caches map[ga
 		return nil, err
 	}
 	shardEx := make([]engine.Explain, len(r.shards))
-	own := make([][]int64, len(r.shards))
+	var domain []int64
 	for si, reply := range phase2 {
 		shardEx[si] = engine.Explain{
 			Candidates: reply.stats.Candidates,
@@ -462,14 +376,11 @@ func (r *Router) gather(ctx context.Context, key gatherKey, k int, caches map[ga
 			if err := store.Insert(tr); err != nil {
 				return nil, err
 			}
-			// Shard survivor lists arrive OID-sorted, and only actually
-			// inserted objects join the shard's own-share — so the shares
-			// stay sorted, disjoint, and collectively exhaustive over the
-			// union store minus the query (and later-fetched targets).
-			own[si] = append(own[si], tr.OID)
+			domain = append(domain, tr.OID)
 		}
 	}
-	g := &gathered{id: r.nextGatherID(), store: store, shardEx: shardEx, own: own, k: k, targets: make(map[int64]bool), nonMatch: make(map[int64]bool), q: q, bounds: bounds, missing: missing}
+	slices.Sort(domain)
+	g := &gathered{store: store, shardEx: shardEx, domain: domain, k: k, targets: make(map[int64]bool), nonMatch: make(map[int64]bool), q: q, bounds: bounds, missing: missing}
 	caches[key] = g
 	return g, nil
 }

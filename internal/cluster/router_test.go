@@ -6,12 +6,15 @@ package cluster_test
 // construction validation.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -197,40 +200,116 @@ func TestRouterExplainAggregation(t *testing.T) {
 	}
 }
 
-// unionSpy wraps a Shard and keeps every union store its Refine is handed.
-type unionSpy struct {
+// refineSpy wraps a Shard and counts its Refine calls.
+type refineSpy struct {
 	cluster.Shard
-	mu     *sync.Mutex
-	unions *[]*mod.Store
+	refines *atomic.Int64
 }
 
-func (s unionSpy) Refine(ctx context.Context, id string, union *mod.Store, own []int64, req engine.Request) (engine.Result, error) {
-	s.mu.Lock()
-	*s.unions = append(*s.unions, union)
-	s.mu.Unlock()
+func (s refineSpy) Refine(ctx context.Context, id string, union *mod.Store, own []int64, req engine.Request) (engine.Result, error) {
+	s.refines.Add(1)
 	return s.Shard.Refine(ctx, id, union, own, req)
 }
 
-// TestRefineBuildsFromTheUnion: the exchange is the filter and the refine
-// only verifies. At rank 1, at rank 2 and after a filtered exchange, a
-// routed whole-MOD answer equals the single engine's, reports the union as
-// its survivor set (what each shard pruned stays in ShardExplains), and no
-// shard ever builds an index over the union it was handed.
+// TestRefineBuildsFromTheUnion: the exchange is the filter and the
+// router's own engine only verifies. At rank 1, at rank 2 and after a
+// filtered exchange, a routed whole-MOD answer equals the single
+// engine's, no shard is asked to refine, the answer reports the union as
+// its survivor set (a whole build, not Do's pruned re-index of the
+// union) and as its refined domain, and ShardExplains still tile the
+// fleet with what each shard pruned.
 func TestRefineBuildsFromTheUnion(t *testing.T) {
 	store, trs := tagStore(t, 300, equivR, equivSeed)
 	stores, err := cluster.SplitStore(store, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var (
-		mu     sync.Mutex
-		unions []*mod.Store
-	)
+	var refines atomic.Int64
 	shards := make([]cluster.Shard, len(stores))
 	for i, st := range stores {
-		shards[i] = unionSpy{cluster.NewLocalShard(fmt.Sprintf("s%d", i), st), &mu, &unions}
+		shards[i] = refineSpy{cluster.NewLocalShard(fmt.Sprintf("s%d", i), st), &refines}
 	}
 	router, err := cluster.NewRouter(context.Background(), shards, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := trs[0].OID
+	avail := &textidx.Predicate{All: []string{"available"}}
+	reqs := []engine.Request{
+		{Kind: engine.KindUQ31, QueryOID: q, Tb: equivTb, Te: equivTe},
+		{Kind: engine.KindUQ41, QueryOID: q, Tb: equivTb, Te: equivTe, K: 2},
+		{Kind: engine.KindUQ31, QueryOID: q, Tb: equivTb, Te: equivTe, Where: avail},
+	}
+	want := singleAnswers(t, store, reqs)
+	for i, req := range reqs {
+		got, err := router.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSame(t, "refine-from-union", reqs[i:i+1], want[i:i+1], []engine.Result{got})
+		if n := refines.Load(); n != 0 {
+			t.Fatalf("req[%d]: %d shard refines, want none", i, n)
+		}
+		ex := got.Explain
+		if ex.Survivors != ex.Candidates || ex.Refined != ex.Candidates {
+			t.Fatalf("req[%d]: survivors=%d refined=%d candidates=%d: not a whole build of the union", i, ex.Survivors, ex.Refined, ex.Candidates)
+		}
+		// The shards' candidates tile the (sub-)MOD minus the query, and
+		// what they kept is exactly the union the router refined.
+		fleet := store.Len() - 1
+		if req.Where != nil {
+			fleet = len(store.MatchingOIDs(req.Where))
+			if req.Where.Matches(store.Tags(q)) {
+				fleet--
+			}
+		}
+		cands, surv := 0, 0
+		for _, se := range ex.ShardExplains {
+			cands, surv = cands+se.Candidates, surv+se.Survivors
+		}
+		if cands != fleet || surv != ex.Candidates || surv >= cands {
+			t.Fatalf("req[%d]: shards kept %d of %d (fleet %d), union holds %d", i, surv, cands, fleet, ex.Candidates)
+		}
+	}
+}
+
+// writeCounter counts the request lines a client writes on one
+// connection and keeps their bytes.
+type writeCounter struct {
+	net.Conn
+	mu     *sync.Mutex
+	writes *int
+	sent   *bytes.Buffer
+}
+
+func (c writeCounter) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	*c.writes += bytes.Count(p, []byte("\n"))
+	c.sent.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestRoutedFilterRoundTrips pins the routed whole-MOD query's wire cost
+// over real sockets: the query trajectory's get, then bounds and
+// survivors on each of two shards — five request writes, and no gather
+// or refine frame — with answers equal to the single engine's.
+func TestRoutedFilterRoundTrips(t *testing.T) {
+	store, trs := tagStore(t, 300, equivR, equivSeed)
+	var (
+		mu     sync.Mutex
+		writes int
+		sent   bytes.Buffer
+	)
+	dial := func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return writeCounter{conn, &mu, &writes, &sent}, nil
+	}
+	router, err := cluster.NewRouter(context.Background(),
+		startShardServers(t, store, 2, cluster.Hash{}, cluster.RemoteOptions{Dialer: dial}), cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,31 +321,50 @@ func TestRefineBuildsFromTheUnion(t *testing.T) {
 	}
 	want := singleAnswers(t, store, reqs)
 	for i, req := range reqs {
-		unions = unions[:0]
+		mu.Lock()
+		writes = 0
+		sent.Reset()
+		mu.Unlock()
 		got, err := router.Do(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSame(t, "refine-from-union", reqs[i:i+1], want[i:i+1], []engine.Result{got})
-		if len(unions) != len(shards) {
-			t.Fatalf("req[%d]: %d refines for %d shards", i, len(unions), len(shards))
+		checkSame(t, "round-trips", reqs[i:i+1], want[i:i+1], []engine.Result{got})
+		mu.Lock()
+		n, wire := writes, sent.String()
+		mu.Unlock()
+		if n != 5 {
+			t.Fatalf("req[%d]: %d request writes, want 5 (get, 2 x bounds, 2 x survivors)", i, n)
 		}
-		ex := got.Explain
-		if ex.Survivors != ex.Candidates || ex.Candidates != unions[0].Len()-1 {
-			t.Fatalf("req[%d]: survivors=%d candidates=%d over a union of %d objects and the query", i, ex.Survivors, ex.Candidates, unions[0].Len()-1)
-		}
-		cands, surv := 0, 0
-		for _, se := range ex.ShardExplains {
-			cands, surv = cands+se.Candidates, surv+se.Survivors
-		}
-		if surv != ex.Candidates || surv >= cands {
-			t.Fatalf("req[%d]: shards kept %d of %d, union holds %d: the exchange's pruning is not what ShardExplains reports", i, surv, cands, ex.Candidates)
-		}
-		for _, u := range unions {
-			if st := u.IndexStats(); st != (mod.IndexStats{}) {
-				t.Fatalf("req[%d]: a refine built an index over its union: %+v", i, st)
+		for _, phase := range []string{`"phase":"gather"`, `"phase":"refine"`} {
+			if strings.Contains(wire, phase) {
+				t.Fatalf("req[%d]: the router sent a %s frame", i, phase)
 			}
 		}
+	}
+}
+
+// TestRouterProbabilityDeadline: a deadline reaches the P > 0 loop of a
+// routed whole-MOD threshold. UQ33 with p = 0.4 integrates Eq. 5 for
+// every UQ31 member (seconds uncut); under a 50 ms deadline the router's
+// central refine answers context.DeadlineExceeded within a sample or so.
+func TestRouterProbabilityDeadline(t *testing.T) {
+	store, trs := buildStore(t, 60, equivR, 7)
+	router, err := cluster.NewLocalCluster(store, 3, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err = router.Do(ctx, engine.Request{Kind: engine.KindUQ33, QueryOID: trs[0].OID, Tb: 17, Te: 27, P: 0.4, X: 0.3})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("routed UQ33 p=0.4 under a %v deadline: err = %v after %v", deadline, err, elapsed)
+	}
+	if elapsed > 250*time.Millisecond {
+		t.Fatalf("deadline %v answered after %v", deadline, elapsed)
 	}
 }
 

@@ -144,7 +144,7 @@ func TestRouterEquivalenceWhereRemote(t *testing.T) {
 	want := singleAnswers(t, store, reqs)
 	for _, shards := range []int{2, 3} {
 		router, err := cluster.NewRouter(context.Background(),
-			startShardServers(t, store, shards, cluster.Hash{}), cluster.Options{})
+			startShardServers(t, store, shards, cluster.Hash{}, cluster.RemoteOptions{}), cluster.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,7 +100,7 @@ func (k Kind) Known() bool {
 
 // IsWholeMODFilter reports whether the kind is a whole-MOD list filter —
 // the only kinds a restricted-domain evaluation is defined for, and hence
-// the kinds a cluster router pushes down as distributed refines.
+// the kinds a cluster router verifies through DoRestricted.
 func (k Kind) IsWholeMODFilter() bool {
 	in, _ := k.info()
 	return in.filter

@@ -1,12 +1,11 @@
-// Shard-local refinement: the engine-side half of the cluster's
-// distributed refine protocol. After the router's bound exchange settles
-// the union survivor set, each shard evaluates the whole-MOD filter kinds
-// over the union store with the candidate domain restricted to the
-// survivors that shard itself contributed — DoRestricted is that entry
-// point. Because the union of the disjoint per-shard domains is exactly
-// the central filter domain (globally pruned objects answer false on
-// every filter kind), unioning the per-shard answer lists reproduces the
-// central answer byte for byte.
+// Refinement of a proven survivor set: the engine-side half of the
+// cluster router's refine. After the router's bound exchange settles the
+// union survivor set, the router evaluates the whole-MOD filter kinds
+// over the union store on its own engine with the candidate domain
+// restricted to the gathered survivors — DoRestricted is that entry
+// point. Because that domain is the central filter domain (globally
+// pruned objects answer false on every filter kind), the answer equals a
+// single-store run byte for byte.
 package engine
 
 import (
@@ -19,13 +18,12 @@ import (
 )
 
 // DoRestricted evaluates a whole-MOD filter request with the candidate
-// domain restricted to own, a sorted OID list (a shard's share of the
-// union survivor set). The preprocessing runs over the full store — the
-// envelope must be the global one for the answer to be sound — but the
-// per-object membership tests only visit own, so K shards splitting a
-// survivor set between them collectively do the same filter work as one
-// central engine. Non-filter kinds are rejected with ErrBadKind: the
-// router keeps single-object and bool kinds central.
+// domain restricted to own, a sorted OID list (the router's gathered
+// survivors). The preprocessing runs over the full store — the envelope
+// must be the global one for the answer to be sound — but the per-object
+// membership tests only visit own. Non-filter kinds are rejected with
+// ErrBadKind: the router answers single-object and bool kinds through
+// Do.
 //
 // The store is the survivor set a bound exchange just proved, so this is
 // the verify half of filter-and-verify and never filters again: the

@@ -98,11 +98,12 @@ func TestPrunedAndWholeBuildsDoNotAlias(t *testing.T) {
 	}
 }
 
-// BenchmarkRefineUnion: what a shard does with an uploaded union — load
-// the gathered survivors into a store that lives for one query and answer
-// its share of a UQ31. The union is a real survivor set of the size
-// sharded_wire's exchange leaves: the 94 objects the pre-pass keeps of the
-// benchmark's 3 000-object fleet for this query and window, and the query.
+// BenchmarkRefineUnion: what a cluster router does with a gathered union
+// — load the survivors into a store that lives for one query and verify
+// every one of them for a UQ31. The union is a real survivor set of the
+// size sharded_wire's exchange leaves: the 94 objects the pre-pass keeps
+// of the benchmark's 3 000-object fleet for this query and window, and
+// the query.
 func BenchmarkRefineUnion(b *testing.B) {
 	fleet, _ := newStore(b, 3000, 2009)
 	req := Request{Kind: KindUQ31, QueryOID: 15, Tb: 20, Te: 30}
@@ -122,7 +123,6 @@ func BenchmarkRefineUnion(b *testing.B) {
 		}
 		survivors = append(survivors, tr)
 	}
-	own := ids[:len(ids)/2]
 	eng := New(2)
 	b.ReportAllocs()
 	for b.Loop() {
@@ -133,7 +133,7 @@ func BenchmarkRefineUnion(b *testing.B) {
 		if err := union.InsertAll(survivors); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.DoRestricted(context.Background(), union, req, own); err != nil {
+		if _, err := eng.DoRestricted(context.Background(), union, req, ids); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -176,12 +176,13 @@ type Explain struct {
 	// (omitted) on unfiltered requests.
 	SpatialCandidates int `json:"spatial_candidates,omitempty"`
 
-	// Refined is the size of the restricted candidate domain a shard-local
-	// refine evaluated (DoRestricted's own-survivor list); zero on
+	// Refined is the size of the restricted candidate domain a
+	// DoRestricted refine evaluated: on a cluster router's whole-MOD
+	// filter answer, the survivors its bound exchange gathered; zero on
 	// unrestricted paths.
 	Refined int `json:"refined,omitempty"`
-	// RefineWall is the shard-side refine evaluation time when a cluster
-	// router pushed refinement down to this shard; zero otherwise.
+	// RefineWall is the time that restricted refine took: on a cluster
+	// router, its central refine of the gathered union; zero otherwise.
 	RefineWall time.Duration `json:"refine_wall_ns,omitempty"`
 
 	// Shards is the number of shards a cluster router scattered this
@@ -391,7 +392,7 @@ func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, req Requ
 // execRequestRestricted is execRequest with an optional restriction of the
 // whole-MOD filter domain: when own is non-nil, the filter kinds iterate
 // only the candidates that also appear in own (a sorted OID list), which is
-// how a shard evaluates its share of a distributed refine. own == nil means
+// how a cluster router verifies the survivors it gathered. own == nil means
 // the full domain; the single-object kinds ignore it entirely.
 func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor, req Request, own []int64) item {
 	boolItem := func(b bool, err error) item { return item{IsBool: true, Bool: b, Err: err} }

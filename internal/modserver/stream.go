@@ -316,7 +316,8 @@ func (c *Client) ShardOIDs(where *textidx.Predicate) ([]int64, error) {
 
 // ShardRefine evaluates a whole-MOD filter against a gathered union
 // survivor store with the candidate domain restricted to own — the wire
-// half of the cluster's distributed refine. The server's gather cache is
+// half of cluster.Shard.Refine, which the cluster router no longer calls
+// (it refines the union it gathered itself). The server's gather cache is
 // per connection and this client is the connection, so a gather ID it has
 // not uploaded is a certain miss: it is uploaded straight away and refined
 // inside the final upload frame. An ID it has uploaded (the common case:
