@@ -91,10 +91,12 @@ bench-city:
 # Brent's root finder and the IPAC-NN tree built on it, and the one query
 # route: the engine every Request runs on and the UQL compiler that feeds
 # it, the line protocol whose packed ingest reply is the only one that
-# carries plans, and the probability kernels under every P > 0 request:
-# Eq. 5's integrator and the location pdfs it integrates). Writes
-# COVERAGE.txt and fails below 80%.
-COVER_PKGS = ./internal/continuous ./internal/prune ./internal/envelope ./internal/cluster ./internal/serve ./internal/gateway ./internal/metrics ./internal/textidx ./internal/sindex ./internal/mod ./internal/numeric ./internal/core ./internal/engine ./internal/uql ./internal/modserver ./internal/uncertain ./internal/updf
+# carries plans, the probability kernels under every P > 0 request:
+# Eq. 5's integrator and the location pdfs it integrates, and the motion
+# model and planar geometry every layer above stands on: the trajectory
+# codec and interpolation, and the disk/box kernels of the index and the
+# within-distance probability). Writes COVERAGE.txt and fails below 80%.
+COVER_PKGS = ./internal/continuous ./internal/prune ./internal/envelope ./internal/cluster ./internal/serve ./internal/gateway ./internal/metrics ./internal/textidx ./internal/sindex ./internal/mod ./internal/numeric ./internal/core ./internal/engine ./internal/uql ./internal/modserver ./internal/uncertain ./internal/updf ./internal/trajectory ./internal/geom
 cover:
 	@set -e; rm -f COVERAGE.txt; \
 	for pkg in $(COVER_PKGS); do \

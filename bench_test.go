@@ -330,43 +330,6 @@ func BenchmarkConvolution(b *testing.B) {
 	})
 }
 
-// --- A6: heterogeneous-radii overhead vs the homogeneous fast path ---
-
-func BenchmarkAblationHeteroRadii(b *testing.B) {
-	const n = 300
-	trs, _ := benchFuncs(b, n, 1)
-	b.Run("homogeneous", func(b *testing.B) {
-		proc, err := queries.NewProcessor(trs, trs[0], 0, 60, 0.5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		targets := benchTargets(trs, 32)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := proc.PossibleNNIntervals(targets[i%len(targets)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("heterogeneous", func(b *testing.B) {
-		radii := make(map[int64]float64, n)
-		for _, tr := range trs {
-			radii[tr.OID] = 0.5
-		}
-		proc, err := queries.NewHeteroProcessor(trs, trs[0], 0, 60, radii)
-		if err != nil {
-			b.Fatal(err)
-		}
-		targets := benchTargets(trs, 32)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := proc.PossibleNNIntervals(targets[i%len(targets)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // --- A7: threshold-query cost by probability-sampling resolution ---
 
 func BenchmarkAblationThresholdSamples(b *testing.B) {

@@ -1,11 +1,10 @@
 // Rideshare: matching riders to nearby drivers under position uncertainty,
 // exercising the Section 7 extension surface of the library — threshold NN
-// queries ("which drivers are >= 40% likely to be closest at least a third
-// of the window?"), guaranteed-NN intervals, reverse NN ("which riders
-// might driver 2 be closest to?"), mutual pairs, heterogeneous uncertainty
-// radii (downtown GPS is worse), top-k membership probabilities, and
-// spatio-textual dispatch (tag predicates restricting a query to the
-// available non-pool sub-fleet, with live duty-status flips).
+// queries ("which drivers are >= 50% likely to be closest for at least 5%
+// of the hour?"), guaranteed-NN intervals, reverse NN ("which riders might
+// driver 2 be closest to?"), and spatio-textual dispatch (tag predicates
+// restricting a query to the available non-pool sub-fleet, with live
+// duty-status flips).
 package main
 
 import (
@@ -125,46 +124,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("after driver 3 comes on duty: %v\n", after.OIDs)
-
-	// Heterogeneous uncertainty: downtown units (odd OIDs) have 3x worse
-	// GPS. Who can be closest to the rider now?
-	radii := make(map[int64]float64, len(trs))
-	for _, tr := range trs {
-		if tr.OID%2 == 1 {
-			radii[tr.OID] = 3 * r
-		} else {
-			radii[tr.OID] = r
-		}
-	}
-	hp, err := repro.NewHeteroQueryProcessor(store.All(), rider, 0, 60, radii)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ids, err := hp.UQ31()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nwith heterogeneous GPS quality, possible-closest drivers: %v\n", ids)
-
-	// Instantaneous top-3 membership probabilities at t = 30 (dispatch
-	// shortlist with confidence levels).
-	q30 := rider.At(30)
-	var cands []repro.Candidate
-	for _, tr := range store.All() {
-		if tr.OID == rider.OID {
-			continue
-		}
-		cands = append(cands, repro.Candidate{ID: tr.OID, Dist: tr.At(30).Dist(q30)})
-	}
-	conv, err := repro.Convolve(repro.UniformDiskPDF(r), repro.UniformDiskPDF(r))
-	if err != nil {
-		log.Fatal(err)
-	}
-	top3 := repro.KNNProbabilities(conv, cands, 3)
-	fmt.Println("\nP(in dispatch top-3) at t=30, for drivers with > 1% chance:")
-	for id, p := range top3 {
-		if p > 0.01 {
-			fmt.Printf("  driver %d: %.3f\n", id, p)
-		}
-	}
 }

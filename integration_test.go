@@ -210,47 +210,6 @@ func TestPipelineOverTCP(t *testing.T) {
 	}
 }
 
-// TestSimplificationPreservesAnswers: simplifying trajectories within a
-// tolerance well below the uncertainty radius must not change the
-// possible-NN sets.
-func TestSimplificationPreservesAnswers(t *testing.T) {
-	const r = 1.0
-	trs, err := repro.GenerateWorkload(repro.DefaultWorkload(9), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Resample to many vertices then simplify aggressively (but well under
-	// the 4r zone scale).
-	simplified := make([]*trajectory.Trajectory, len(trs))
-	for i, tr := range trs {
-		dense, err := trajectory.Resample(tr, 61)
-		if err != nil {
-			t.Fatal(err)
-		}
-		simplified[i] = trajectory.Simplify(dense, 1e-6)
-		if dev := trajectory.SyncDeviation(dense, simplified[i]); dev > 1e-6 {
-			t.Fatalf("oid %d: deviation %g", tr.OID, dev)
-		}
-	}
-	p1, err := queries.NewProcessor(trs, trs[0], 0, 60, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := queries.NewProcessor(simplified, simplified[0], 0, 60, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := p1.UQ31(), p2.UQ31()
-	if len(a) != len(b) {
-		t.Fatalf("UQ31 changed: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("UQ31 divergence at %d", i)
-		}
-	}
-}
-
 // TestGuaranteedVsThresholdConsistency: an object guaranteed to be the NN
 // over an interval must have P^NN = 1 there.
 func TestGuaranteedVsThresholdConsistency(t *testing.T) {

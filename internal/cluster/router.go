@@ -533,7 +533,7 @@ func (r *Router) perQueryObject(ctx context.Context, req engine.Request) (engine
 
 	sets := make([][]int64, len(union))
 	keep := make([]bool, len(union))
-	err = r.forEachIndex(ctx, len(union), func(i int) error {
+	err = r.inner.ForEachIndex(ctx, len(union), func(i int) error {
 		qOID := union[i]
 		if target != nil && qOID == req.OID {
 			return nil
@@ -594,71 +594,6 @@ func (r *Router) perQueryObject(ctx context.Context, req engine.Request) (engine
 	res.Explain.Survivors = len(union)
 	r.applyDegraded(&res.Explain, missing)
 	return res, nil
-}
-
-// forEachIndex runs fn(0..n-1) on a bounded worker pool sized to the
-// inner engine, checking ctx between tasks — the router-side counterpart
-// of the engine's per-OID fan-out, used by the per-query-object kinds.
-// The first error wins; a context error takes precedence.
-func (r *Router) forEachIndex(ctx context.Context, n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	workers := r.inner.Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := queries.CtxErr(ctx); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		ferr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				mu.Lock()
-				stop := ferr != nil
-				mu.Unlock()
-				if stop {
-					continue
-				}
-				err := queries.CtxErr(ctx)
-				if err == nil {
-					err = fn(i)
-				}
-				if err != nil {
-					mu.Lock()
-					if ferr == nil {
-						ferr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if err := queries.CtxErr(ctx); err != nil {
-		return err
-	}
-	return ferr
 }
 
 // ensureTarget makes sure a single-object kind's target trajectory is in

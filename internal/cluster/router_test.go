@@ -91,6 +91,56 @@ func TestRouterCancelMidScatter(t *testing.T) {
 	}
 }
 
+// cancelingShard cancels the call's context on its k-th phase-1 call, then
+// answers that call as usual.
+type cancelingShard struct {
+	cluster.Shard
+	k      int64
+	calls  atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (s *cancelingShard) Bounds(ctx context.Context, q *trajectory.Trajectory, tb, te float64, k int, where *textidx.Predicate) ([]float64, error) {
+	if s.calls.Add(1) == s.k {
+		s.cancel()
+	}
+	return s.Shard.Bounds(ctx, q, tb, te, k, where)
+}
+
+// TestRoutedPerObjectLoopStopsWhenCancelled: a routed ALLPAIRS runs one
+// bound exchange per query object on the router engine's worker pool. A
+// cancellation partway through must stop the loop — the shard sees at
+// most one more exchange per worker — and return the context error with
+// no partial pairs.
+func TestRoutedPerObjectLoopStopsWhenCancelled(t *testing.T) {
+	const n, k = 30, 4
+	store, _ := buildStore(t, n, 0.5, 7)
+	stores, err := cluster.SplitStore(store, 3, cluster.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		spy := &cancelingShard{Shard: cluster.NewLocalShard("b", stores[1]), k: k, cancel: cancel}
+		shards := []cluster.Shard{cluster.NewLocalShard("a", stores[0]), spy, cluster.NewLocalShard("c", stores[2])}
+		router, err := cluster.NewRouter(context.Background(), shards, cluster.Options{Engine: engine.New(workers)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := router.Do(ctx, engine.Request{Kind: engine.KindAllPairs, Tb: 0, Te: 30})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: cancelled ALLPAIRS returned %v, want context.Canceled", workers, err)
+		}
+		if len(res.Pairs) != 0 {
+			t.Fatalf("workers=%d: cancelled ALLPAIRS returned %d partial pairs", workers, len(res.Pairs))
+		}
+		if got := spy.calls.Load(); got > k+int64(workers) {
+			t.Fatalf("workers=%d: %d exchanges reached the shard after a cancel at the %dth of %d", workers, got, k, n)
+		}
+	}
+}
+
 // TestRouterExpiredDeadline requires an already-expired deadline to fail
 // fast with the context error, before any shard work.
 func TestRouterExpiredDeadline(t *testing.T) {

@@ -317,8 +317,8 @@ func (s *sub) remember(ev Event, cap int) {
 // Hub owns the standing subscriptions over one backend. All methods are
 // safe for concurrent use; Ingest batches are serialized, so events are
 // totally ordered per subscription. Every mutation of the underlying data
-// must flow through Ingest (or be followed by Invalidate) — the dirty
-// test's profiles describe the data as of the last evaluation.
+// must flow through Ingest — the dirty test's profiles describe the data
+// as of the last evaluation.
 type Hub struct {
 	be         Backend
 	backlogCap int
@@ -484,17 +484,6 @@ func (h *Hub) Replay(id int64, fromSeq uint64) ([]Event, error) {
 		i++
 	}
 	return slices.Clone(s.backlog[i:]), nil
-}
-
-// Invalidate drops every subscription's zone profile, forcing the next
-// ingest to re-evaluate all of them — the escape hatch after an
-// out-of-band store mutation.
-func (h *Hub) Invalidate() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, s := range h.subs {
-		s.prof = nil
-	}
 }
 
 // Close marks the hub closed; subsequent Subscribe/Ingest calls fail.

@@ -277,7 +277,7 @@ func (e *Engine) FilterOIDs(oids []int64, pred func(oid int64) (bool, error)) ([
 }
 
 // filterOIDs is the ctx-aware core of FilterOIDs, built on the same
-// worker-pool loop (forEachIndex) the whole-MOD extensions use: the
+// worker-pool loop (ForEachIndex) the whole-MOD extensions use: the
 // context is checked between per-OID tasks, so a canceled request stops
 // fanning work promptly and surfaces the context error instead of a
 // partial answer. Results are deterministic because keep is indexed by
@@ -287,7 +287,7 @@ func (e *Engine) filterOIDs(ctx context.Context, oids []int64, pred func(oid int
 		return nil, queries.CtxErr(ctx)
 	}
 	keep := make([]bool, len(oids))
-	err := e.forEachIndex(ctx, len(oids), func(i int) error {
+	err := e.ForEachIndex(ctx, len(oids), func(i int) error {
 		ok, err := pred(oids[i])
 		if err != nil {
 			return err

@@ -538,7 +538,7 @@ func containsOID(trs []*trajectory.Trajectory, oid int64) bool {
 func (e *Engine) allPairs(ctx context.Context, store *mod.Store, req Request) (map[int64][]int64, int, error) {
 	trs := matchingTrajectories(store, req.Where)
 	sets := make([][]int64, len(trs))
-	err := e.forEachIndex(ctx, len(trs), func(i int) error {
+	err := e.ForEachIndex(ctx, len(trs), func(i int) error {
 		p, err := prune.ForQueryWhereCtx(ctx, store, trs[i], req.Tb, req.Te, req.Where)
 		if err != nil {
 			return fmt.Errorf("query %d: %w", trs[i].OID, err)
@@ -578,7 +578,7 @@ func (e *Engine) reverse(ctx context.Context, store *mod.Store, req Request) ([]
 		return nil, cands, nil
 	}
 	keep := make([]bool, len(trs))
-	err := e.forEachIndex(ctx, len(trs), func(i int) error {
+	err := e.ForEachIndex(ctx, len(trs), func(i int) error {
 		q := trs[i]
 		if q.OID == req.OID {
 			return nil
@@ -606,12 +606,12 @@ func (e *Engine) reverse(ctx context.Context, store *mod.Store, req Request) ([]
 	return out, cands, nil
 }
 
-// forEachIndex runs fn(0..n-1) on the worker pool, checking ctx between
+// ForEachIndex runs fn(0..n-1) on the worker pool, checking ctx between
 // tasks. The first error wins (a context error takes precedence); tasks
 // not yet started are skipped once an error is recorded. Workers claim
 // indexes from a shared counter, and the caller is one of them — there is
 // no hand-over per task, so a worker that is not scheduled costs nothing.
-func (e *Engine) forEachIndex(ctx context.Context, n int, fn func(i int) error) error {
+func (e *Engine) ForEachIndex(ctx context.Context, n int, fn func(i int) error) error {
 	workers := min(e.workers, n)
 	var (
 		next atomic.Int64

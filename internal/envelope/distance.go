@@ -59,28 +59,6 @@ func (p Piece) ValueSq(t float64) float64 {
 // Value returns the distance at absolute time t.
 func (p Piece) Value(t float64) float64 { return math.Sqrt(p.ValueSq(t)) }
 
-// MinimumTime returns the time in [T0, T1] at which the piece attains its
-// minimum: the vertex −B/(2A) of the underlying parabola clamped to the
-// piece interval (the hyperbola is strictly monotone outside the vertex,
-// as the paper notes).
-func (p Piece) MinimumTime() float64 {
-	if p.A <= 0 {
-		// Constant or linear-in-square piece: endpoints only.
-		if p.ValueSq(p.T0) <= p.ValueSq(p.T1) {
-			return p.T0
-		}
-		return p.T1
-	}
-	tm := p.Tref - p.B/(2*p.A)
-	if tm < p.T0 {
-		return p.T0
-	}
-	if tm > p.T1 {
-		return p.T1
-	}
-	return tm
-}
-
 // DistanceFunc is the distance of a difference trajectory TR_iq from the
 // origin as a function of time over a query window: a contiguous sequence
 // of hyperbolic pieces.
@@ -192,21 +170,6 @@ func (f *DistanceFunc) Breakpoints() []float64 {
 		out = append(out, p.T1)
 	}
 	return out
-}
-
-// GlobalMinimum returns the time and value of the function's minimum over
-// its span (checking each piece's vertex).
-func (f *DistanceFunc) GlobalMinimum() (t, v float64) {
-	t = f.Pieces[0].T0
-	v = math.Inf(1)
-	for _, p := range f.Pieces {
-		tm := p.MinimumTime()
-		if val := p.Value(tm); val < v {
-			v = val
-			t = tm
-		}
-	}
-	return t, v
 }
 
 // Intersections returns the times in (lo, hi) at which f and g cross,

@@ -37,15 +37,6 @@ func newEnvelope(ivs []Interval, fns map[int64]*DistanceFunc, t0, t1 float64) *E
 // Davenport-Schinzel bound λ₂(N) = 2N − 1.
 func (e *Envelope) Size() int { return len(e.Intervals) }
 
-// CriticalTimes returns the interior critical time points.
-func (e *Envelope) CriticalTimes() []float64 {
-	var out []float64
-	for i := 0; i+1 < len(e.Intervals); i++ {
-		out = append(out, e.Intervals[i].T1)
-	}
-	return out
-}
-
 // At returns the envelope's interval index active at time t.
 func (e *Envelope) at(t float64) int {
 	n := len(e.Intervals)

@@ -1,98 +1,12 @@
 package envelope
 
-import "math"
-
-// This file implements the *upper* envelope of the distance functions —
-// the primitive used by the Huang et al. approach the paper's related
-// work contrasts with ([12]: continuous kNN for objects with uncertain
-// velocity works with upper envelopes to certify guaranteed members).
-// Exposing it lets the benchmarks compare both primitives and lets users
-// answer "guaranteed" (rather than "possible") questions: an object whose
-// farthest possible distance stays below every other object's nearest
-// possible distance is *certainly* the nearest neighbor.
-
-// UpperEnv2 is Env2 with the comparison flipped: between consecutive
-// crossings the larger function defines the envelope.
-func UpperEnv2(f, g *DistanceFunc, lo, hi float64) []Interval {
-	if hi-lo <= TimeEps {
-		return nil
-	}
-	cuts := []float64{lo}
-	cuts = append(cuts, Intersections(f, g, lo, hi)...)
-	cuts = append(cuts, hi)
-	var out []Interval
-	for i := 1; i < len(cuts); i++ {
-		t0, t1 := cuts[i-1], cuts[i]
-		if t1-t0 <= TimeEps {
-			continue
-		}
-		mid := 0.5 * (t0 + t1)
-		id := f.ID
-		if g.ValueSq(mid) > f.ValueSq(mid) {
-			id = g.ID
-		}
-		out = concatMerge(out, Interval{ID: id, T0: t0, T1: t1})
-	}
-	return out
-}
-
-// mergeUE is Merge_LE with UpperEnv2 as the per-interval primitive.
-func mergeUE(a, b []Interval, fns map[int64]*DistanceFunc) []Interval {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	var out []Interval
-	k, p := 0, 0
-	for k < len(a) && p < len(b) {
-		ia, ib := a[k], b[p]
-		tcl := math.Max(ia.T0, ib.T0)
-		tcu := math.Min(ia.T1, ib.T1)
-		if tcu-tcl > TimeEps {
-			for _, iv := range UpperEnv2(fns[ia.ID], fns[ib.ID], tcl, tcu) {
-				out = concatMerge(out, iv)
-			}
-		}
-		switch {
-		case ia.T1 < ib.T1-TimeEps:
-			k++
-		case ib.T1 < ia.T1-TimeEps:
-			p++
-		default:
-			k++
-			p++
-		}
-	}
-	return out
-}
-
-// UpperEnvelope constructs the upper envelope (pointwise maximum) of the
-// distance functions over [tb, te] by divide and conquer — the mirror of
-// LowerEnvelope with the same O(N log N) bound.
-func UpperEnvelope(fns []*DistanceFunc, tb, te float64) (*Envelope, error) {
-	if len(fns) == 0 {
-		return nil, ErrNoFunctions
-	}
-	if te-tb <= TimeEps {
-		return nil, ErrEmptyWindow
-	}
-	table := make(map[int64]*DistanceFunc, len(fns))
-	for _, f := range fns {
-		table[f.ID] = f
-	}
-	ivs := ueAlg(fns, tb, te, table)
-	return newEnvelope(ivs, table, tb, te), nil
-}
-
-func ueAlg(fns []*DistanceFunc, tb, te float64, table map[int64]*DistanceFunc) []Interval {
-	if len(fns) == 1 {
-		return []Interval{{ID: fns[0].ID, T0: tb, T1: te}}
-	}
-	c := len(fns) / 2
-	return mergeUE(ueAlg(fns[:c], tb, te, table), ueAlg(fns[c:], tb, te, table), table)
-}
+// This file holds the certain counterpart of the possible-NN zone. The
+// Huang et al. approach the paper's related work contrasts with ([12]:
+// continuous kNN for objects with uncertain velocity) certifies guaranteed
+// members with upper envelopes; here no upper envelope is needed: an
+// object whose farthest possible distance stays below every other
+// object's nearest possible distance is *certainly* the nearest neighbor,
+// and that is a BelowIntervals scan against the others' lower envelope.
 
 // GuaranteedNNIntervals returns the maximal intervals during which the
 // object with the given ID is *certainly* the nearest neighbor of the

@@ -1,91 +1,6 @@
 package envelope
 
-import (
-	"math"
-	"testing"
-
-	"repro/internal/numeric"
-)
-
-// upperOracle evaluates max_i f_i(t) directly.
-func upperOracle(fns []*DistanceFunc, t float64) float64 {
-	best := math.Inf(-1)
-	for _, f := range fns {
-		if v := f.Value(t); v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-func TestUpperEnvelopeMatchesOracle(t *testing.T) {
-	for _, segs := range []bool{false, true} {
-		for _, n := range []int{1, 2, 5, 30, 100} {
-			fns := buildRandomFuncs(t, int64(n)*3+11, n, segs)
-			env, err := UpperEnvelope(fns, 0, 60)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tm := range numeric.Linspace(0.001, 59.999, 499) {
-				want := upperOracle(fns, tm)
-				if got := env.ValueAt(tm); math.Abs(got-want) > 1e-6 {
-					t.Fatalf("segs=%v n=%d t=%g: %g vs %g", segs, n, tm, got, want)
-				}
-			}
-			// Structural sanity.
-			if env.Intervals[0].T0 != 0 || env.Intervals[len(env.Intervals)-1].T1 != 60 {
-				t.Fatalf("coverage: %+v", env.Intervals)
-			}
-		}
-	}
-}
-
-func TestUpperEnvelopeAboveLower(t *testing.T) {
-	fns := buildRandomFuncs(t, 17, 40, true)
-	up, err := UpperEnvelope(fns, 0, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, err := LowerEnvelope(fns, 0, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tm := range numeric.Linspace(0, 60, 301) {
-		if up.ValueAt(tm) < lo.ValueAt(tm)-1e-9 {
-			t.Fatalf("upper below lower at t=%g", tm)
-		}
-	}
-}
-
-func TestUpperEnv2(t *testing.T) {
-	q := stillTr(t, 100, 0, 0)
-	f, _ := NewDistanceFunc(1, lineTr(t, 1, 10, 0, -10, 0), q, 0, 60)
-	g, _ := NewDistanceFunc(2, stillTr(t, 2, 5, 0), q, 0, 60)
-	ivs := UpperEnv2(f, g, 0, 60)
-	// f is larger on [0,15] and [45,60]; g on [15,45].
-	want := []Interval{{1, 0, 15}, {2, 15, 45}, {1, 45, 60}}
-	if len(ivs) != len(want) {
-		t.Fatalf("UpperEnv2 = %v", ivs)
-	}
-	for i := range want {
-		if ivs[i].ID != want[i].ID || math.Abs(ivs[i].T0-want[i].T0) > 1e-9 {
-			t.Errorf("interval %d = %+v, want %+v", i, ivs[i], want[i])
-		}
-	}
-	if got := UpperEnv2(f, g, 3, 3); got != nil {
-		t.Errorf("degenerate window: %v", got)
-	}
-}
-
-func TestUpperEnvelopeErrors(t *testing.T) {
-	if _, err := UpperEnvelope(nil, 0, 60); err == nil {
-		t.Error("nil accepted")
-	}
-	fns := buildRandomFuncs(t, 2, 3, false)
-	if _, err := UpperEnvelope(fns, 4, 4); err == nil {
-		t.Error("empty window accepted")
-	}
-}
+import "testing"
 
 func TestGuaranteedNNIntervals(t *testing.T) {
 	q := stillTr(t, 100, 0, 0)

@@ -60,17 +60,11 @@ func (v Vec) Add(w Vec) Vec { return Vec{v.X + w.X, v.Y + w.Y} }
 // Sub returns the vector difference v-w.
 func (v Vec) Sub(w Vec) Vec { return Vec{v.X - w.X, v.Y - w.Y} }
 
-// Neg returns -v.
-func (v Vec) Neg() Vec { return Vec{-v.X, -v.Y} }
-
 // Scale returns v scaled by s.
 func (v Vec) Scale(s float64) Vec { return Vec{s * v.X, s * v.Y} }
 
 // Dot returns the dot product v·w.
 func (v Vec) Dot(w Vec) float64 { return v.X*w.X + v.Y*w.Y }
-
-// Cross returns the z-component of the 3D cross product v×w.
-func (v Vec) Cross(w Vec) float64 { return v.X*w.Y - v.Y*w.X }
 
 // Len returns the Euclidean norm of v.
 func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
@@ -86,12 +80,6 @@ func (v Vec) Unit() Vec {
 		return Vec{}
 	}
 	return Vec{v.X / l, v.Y / l}
-}
-
-// Rotate returns v rotated counterclockwise by theta radians.
-func (v Vec) Rotate(theta float64) Vec {
-	s, c := math.Sincos(theta)
-	return Vec{c*v.X - s*v.Y, s*v.X + c*v.Y}
 }
 
 // Segment is a directed line segment from A to B.
@@ -155,20 +143,11 @@ func (d Disk) Intersects(e Disk) bool {
 	return d.C.DistSq(e.C) <= rr*rr+Eps
 }
 
-// MinkowskiSum returns the Minkowski sum of the disk with a disk of radius
-// rd centered at the origin: a disk with the same center and radius R+rd.
-// This is the (Dq ⊕ Rd) construction of Section 3.1 of the paper.
-func (d Disk) MinkowskiSum(rd float64) Disk { return Disk{d.C, d.R + rd} }
-
 // MinDistTo returns the smallest distance from p to any point of the disk
 // (0 if p is inside), the paper's R^min when p is the crisp query location.
 func (d Disk) MinDistTo(p Point) float64 {
 	return math.Max(0, d.C.Dist(p)-d.R)
 }
-
-// MaxDistTo returns the largest distance from p to any point of the disk,
-// the paper's R^max.
-func (d Disk) MaxDistTo(p Point) float64 { return d.C.Dist(p) + d.R }
 
 // LensArea returns the area of the intersection of two disks (the circular
 // "lens"). It is the geometric core of the uniform within-distance
@@ -310,14 +289,6 @@ func (b AABB) Area() float64 {
 		return 0
 	}
 	return (b.MaxX - b.MinX) * (b.MaxY - b.MinY)
-}
-
-// Perimeter returns the perimeter of the box (0 if empty).
-func (b AABB) Perimeter() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return 2 * ((b.MaxX - b.MinX) + (b.MaxY - b.MinY))
 }
 
 // Expand grows the box by m on every side. Useful for turning an expected-

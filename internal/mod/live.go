@@ -20,14 +20,15 @@ import (
 // invalidating the (version, fanout) cache —
 // so a fleet reporting positions never costs a standing query workload an
 // O(n log n) rebuild, and a batch copies each index node it touches once.
-// Every other live mutation is a batch of one through the same step. Lock
+// ApplyUpdate is a batch of one through the same step. Lock
 // order: idxMu, then mu (as BuildIndex takes them); the step takes idxMu
 // only after the batch has released mu.
 
 // Live-ingestion errors.
 var (
-	// ErrStaleVertex reports an appended vertex whose timestamp does not
-	// strictly exceed the trajectory's current last vertex time.
+	// ErrStaleVertex reports an update whose vertex times are not
+	// strictly increasing, or whose first time is at or before the plan's
+	// first vertex (a revision that would keep no vertex standing).
 	ErrStaleVertex = errors.New("mod: appended vertex time must exceed the last vertex time")
 	// ErrShortInsert reports an ingest update that targets an unknown OID
 	// with fewer than the two vertices a valid trajectory needs.
@@ -93,15 +94,6 @@ type Applied struct {
 	Retired bool
 }
 
-// AppendVertex appends one vertex to an existing trajectory. The vertex
-// must be finite and strictly after the current last vertex. The stored
-// trajectory value is replaced, never mutated — readers holding the old
-// pointer (snapshots, sibling shards) keep a consistent plan.
-func (s *Store) AppendVertex(oid int64, v trajectory.Vertex) error {
-	_, err := s.ExtendTrajectory(oid, []trajectory.Vertex{v})
-	return err
-}
-
 // checkVerts validates an update's vertices: finite, strictly increasing.
 func checkVerts(oid int64, verts []trajectory.Vertex) error {
 	if len(verts) == 0 {
@@ -153,62 +145,6 @@ func (s *Store) reviseLocked(old *trajectory.Trajectory, verts []trajectory.Vert
 	s.trajs[old.OID] = nt
 	s.segLive += nt.NumSegments() - old.NumSegments()
 	return nt, changedFrom, nil
-}
-
-// ExtendTrajectory appends verts (in order) to an existing trajectory and
-// returns the time from which the object's motion changed: the previous
-// last vertex time — before it, interpolated positions are untouched; at
-// and after it, the old clamp is replaced by the new plan.
-func (s *Store) ExtendTrajectory(oid int64, verts []trajectory.Vertex) (changedFrom float64, err error) {
-	if err := checkVerts(oid, verts); err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	old, ok := s.trajs[oid]
-	if !ok {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: %d", ErrNotFound, oid)
-	}
-	if last := old.Verts[len(old.Verts)-1]; verts[0].T <= last.T {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: %d (t=%g after t=%g)", ErrStaleVertex, oid, verts[0].T, last.T)
-	}
-	nt, changedFrom := s.extendLocked(old, verts)
-	st := s.commitLocked(nt, changedFrom)
-	s.mu.Unlock()
-
-	s.maintainIndexes(st)
-	return changedFrom, nil
-}
-
-// RevisePlan splices verts onto an existing plan: every stored vertex at
-// or after verts[0].T is dropped, the new vertices are appended, and the
-// object's motion changes from the last *kept* vertex onward (the splice
-// segment from that vertex to verts[0] generally differs from the old
-// path — changedFrom is its start, which is what the returned value
-// reports). verts[0].T must leave at least one vertex standing. The
-// superseded plan is returned for provenance (it is immutable; readers
-// holding it are unaffected).
-func (s *Store) RevisePlan(oid int64, verts []trajectory.Vertex) (changedFrom float64, prev *trajectory.Trajectory, err error) {
-	if err := checkVerts(oid, verts); err != nil {
-		return 0, nil, err
-	}
-	s.mu.Lock()
-	old, ok := s.trajs[oid]
-	if !ok {
-		s.mu.Unlock()
-		return 0, nil, fmt.Errorf("%w: %d", ErrNotFound, oid)
-	}
-	nt, changedFrom, err := s.reviseLocked(old, verts)
-	if err != nil {
-		s.mu.Unlock()
-		return 0, nil, err
-	}
-	st := s.commitLocked(nt, changedFrom)
-	s.mu.Unlock()
-
-	s.maintainIndexes(st)
-	return changedFrom, old, nil
 }
 
 // ApplyUpdate applies one ingest update — a batch of one: a plan revision
@@ -351,55 +287,6 @@ func (s *Store) retireLocked(oid int64) (Applied, step, error) {
 		a.TagsChanged, a.PrevTags = true, prevTags
 	}
 	return a, s.commitLocked(nil, math.Inf(-1)), nil
-}
-
-// RetireObject retires oid outside a batch — the direct-call analogue of
-// ApplyUpdate with Retire set.
-func (s *Store) RetireObject(oid int64) (Applied, error) {
-	return s.ApplyUpdate(Update{OID: oid, Retire: true})
-}
-
-// ExpiredOIDs returns the sorted OIDs whose plans ended more than ttl
-// before now — the candidates a TTL-driven retirement policy turns into
-// explicit Retire updates. Retirement stays an ordinary wire-visible
-// update (WAL-journaled, replayed on recovery), so TTL expiry is
-// deterministic for a given update stream rather than a store-side
-// side effect.
-func (s *Store) ExpiredOIDs(now, ttl float64) []int64 {
-	if ttl < 0 || math.IsNaN(ttl) {
-		return nil
-	}
-	s.mu.RLock()
-	var out []int64
-	for oid, tr := range s.trajs {
-		if _, te := tr.TimeSpan(); te+ttl < now {
-			out = append(out, oid)
-		}
-	}
-	s.mu.RUnlock()
-	slices.Sort(out)
-	return out
-}
-
-// InsertLive inserts a trajectory like Insert but maintains the cached
-// index incrementally instead of leaving it to a lazy rebuild — the
-// ingest path for objects joining a live fleet.
-func (s *Store) InsertLive(tr *trajectory.Trajectory) error {
-	if err := tr.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if _, ok := s.trajs[tr.OID]; ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrDuplicateOID, tr.OID)
-	}
-	s.trajs[tr.OID] = tr
-	s.segLive += tr.NumSegments()
-	st := s.commitLocked(tr, math.Inf(-1))
-	s.mu.Unlock()
-
-	s.maintainIndexes(st)
-	return nil
 }
 
 // compactionSlack bounds how far a chained tree may outgrow the live

@@ -12,19 +12,19 @@ import (
 	"repro/internal/workload"
 )
 
-func TestExtendTrajectoryBasics(t *testing.T) {
+func TestApplyUpdateExtendsCopyOnWrite(t *testing.T) {
 	st := newTestStore(t)
 	tr := traj(t, 1)
 	if err := st.Insert(tr); err != nil {
 		t.Fatal(err)
 	}
 	v0 := st.Version()
-	changedFrom, err := st.ExtendTrajectory(1, []trajectory.Vertex{{X: 12, Y: 12, T: 12}, {X: 14, Y: 12, T: 15}})
+	a, err := st.ApplyUpdate(Update{OID: 1, Verts: []trajectory.Vertex{{X: 12, Y: 12, T: 12}, {X: 14, Y: 12, T: 15}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if changedFrom != 10 {
-		t.Fatalf("changedFrom = %g, want 10", changedFrom)
+	if a.ChangedFrom != 10 || a.Prev != tr {
+		t.Fatalf("changedFrom = %g prev = %p, want 10 and the inserted plan", a.ChangedFrom, a.Prev)
 	}
 	if st.Version() != v0+1 {
 		t.Fatalf("version %d, want %d", st.Version(), v0+1)
@@ -45,7 +45,7 @@ func TestExtendTrajectoryBasics(t *testing.T) {
 	}
 }
 
-func TestExtendTrajectoryRejections(t *testing.T) {
+func TestApplyUpdateRejections(t *testing.T) {
 	st := newTestStore(t)
 	if err := st.Insert(traj(t, 1)); err != nil {
 		t.Fatal(err)
@@ -56,22 +56,23 @@ func TestExtendTrajectoryRejections(t *testing.T) {
 		verts []trajectory.Vertex
 		want  error
 	}{
-		{"unknown oid", 9, []trajectory.Vertex{{X: 0, Y: 0, T: 20}}, ErrNotFound},
-		{"stale time", 1, []trajectory.Vertex{{X: 0, Y: 0, T: 10}}, ErrStaleVertex},
+		{"unknown oid, one vertex", 9, []trajectory.Vertex{{X: 0, Y: 0, T: 20}}, ErrShortInsert},
+		{"at the first vertex", 1, []trajectory.Vertex{{X: 0, Y: 0, T: 0}}, ErrStaleVertex},
+		{"before the plan", 1, []trajectory.Vertex{{X: 0, Y: 0, T: -1}}, ErrStaleVertex},
 		{"non-monotone pair", 1, []trajectory.Vertex{{X: 0, Y: 0, T: 11}, {X: 0, Y: 0, T: 11}}, ErrStaleVertex},
 		{"empty", 1, nil, ErrStaleVertex},
 		{"nan", 1, []trajectory.Vertex{{X: math.NaN(), Y: 0, T: 20}}, trajectory.ErrNonFinite},
 	}
 	v0 := st.Version()
 	for _, c := range cases {
-		if _, err := st.ExtendTrajectory(c.oid, c.verts); !errors.Is(err, c.want) {
+		if _, err := st.ApplyUpdate(Update{OID: c.oid, Verts: c.verts}); !errors.Is(err, c.want) {
 			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
 	if st.Version() != v0 {
-		t.Fatalf("rejected extensions bumped the version: %d -> %d", v0, st.Version())
+		t.Fatalf("rejected updates bumped the version: %d -> %d", v0, st.Version())
 	}
-	if err := st.AppendVertex(1, trajectory.Vertex{X: 11, Y: 11, T: 11}); err != nil {
+	if _, err := st.ApplyUpdate(Update{OID: 1, Verts: []trajectory.Vertex{{X: 11, Y: 11, T: 11}}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,7 +145,7 @@ func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 		if len(verts) == 0 {
 			continue
 		}
-		if _, err := st.ExtendTrajectory(oid, verts); err != nil {
+		if _, err := st.ApplyUpdate(Update{OID: oid, Verts: verts}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +286,7 @@ func TestTagFlipStepsChainsAndNeverCuts(t *testing.T) {
 		t.Fatalf("after a tag flip: stats %+v, want %+v", got, want)
 	}
 
-	if _, err := st.RetireObject(2); err != nil {
+	if _, err := st.ApplyUpdate(Update{OID: 2, Retire: true}); err != nil {
 		t.Fatal(err)
 	}
 	st.BuildIndex(0)

@@ -3,7 +3,8 @@
 // trajectories sharing one uncertainty radius and one location pdf (the
 // paper assumes r and pdf are common to the set), with
 //
-//   - insert/get/delete/update operations,
+//   - loading (Insert, InsertAll, SetTags) and one live mutation path,
+//     update batches (ApplyUpdates, live.go),
 //   - a shortest-travel-time trip constructor (the server-side trajectory
 //     building of Section 2.1: users submit waypoints, the server returns a
 //     full trajectory),
@@ -103,12 +104,12 @@ type Store struct {
 	view    atomic.Pointer[View]
 	tagView atomic.Pointer[tagView]
 
-	// Cached segment R-tree, valid for store version idxVersion. A live
-	// mutation (live.go) chains it forward, a whole batch in one
-	// copy-on-write step; a plain Insert/Update/Delete only bumps version,
-	// which leaves the cache stale, and the next BuildIndex call rebuilds
-	// (STR bulk loading, O(n log n), optimally packed). idxMu guards it
-	// and is taken before mu, never under it.
+	// Cached segment R-tree, valid for store version idxVersion. An
+	// update batch (live.go) chains it forward in one copy-on-write step;
+	// a loading Insert only bumps version, which leaves the cache stale,
+	// and the next BuildIndex call rebuilds (STR bulk loading,
+	// O(n log n), optimally packed). idxMu guards it and is taken before
+	// mu, never under it.
 	idxMu      sync.Mutex
 	idx        *sindex.RTree
 	idxVersion uint64
@@ -149,8 +150,8 @@ func (s *Store) PDF() updf.RadialPDF { return s.pdf }
 // Radius returns the shared uncertainty radius.
 func (s *Store) Radius() float64 { return s.spec.R }
 
-// Version returns a counter that increases on every successful Insert,
-// Update, or Delete. Caches keyed on the store (the batch query engine's
+// Version returns a counter that increases on every successful mutation:
+// an Insert, a SetTags, or each applied update. Caches keyed on the store (the batch query engine's
 // processor memo) use it to detect staleness without content hashing.
 func (s *Store) Version() uint64 {
 	s.mu.RLock()
@@ -194,48 +195,6 @@ func (s *Store) Get(oid int64) (*trajectory.Trajectory, error) {
 		return nil, fmt.Errorf("%w: %d", ErrNotFound, oid)
 	}
 	return tr, nil
-}
-
-// GetUncertain returns the trajectory wrapped with the store's shared
-// uncertainty model.
-func (s *Store) GetUncertain(oid int64) (*trajectory.Uncertain, error) {
-	tr, err := s.Get(oid)
-	if err != nil {
-		return nil, err
-	}
-	return trajectory.NewUncertain(*tr, s.spec.R, s.pdf)
-}
-
-// Delete removes a trajectory.
-func (s *Store) Delete(oid int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old, ok := s.trajs[oid]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNotFound, oid)
-	}
-	delete(s.trajs, oid)
-	delete(s.tags, oid)
-	s.version++
-	s.segLive -= old.NumSegments()
-	return nil
-}
-
-// Update replaces an existing trajectory (same OID).
-func (s *Store) Update(tr *trajectory.Trajectory) error {
-	if err := tr.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old, ok := s.trajs[tr.OID]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNotFound, tr.OID)
-	}
-	s.trajs[tr.OID] = tr
-	s.version++
-	s.segLive += tr.NumSegments() - old.NumSegments()
-	return nil
 }
 
 // Len returns the number of stored trajectories.
@@ -315,15 +274,15 @@ func (s *Store) TimeSpan() (tb, te float64, ok bool) {
 // conservative with respect to possible (not just expected) locations.
 //
 // The index is maintained version-aware: the tree is cached alongside the
-// store's Version counter, every Insert/Update/Delete invalidates it by
-// bumping the version, and the next BuildIndex call rebuilds lazily. Read
-// paths (the query-time candidate pre-pass) therefore get an always-fresh
-// index without paying a rebuild on every store mutation.
+// store's Version counter, a loading Insert invalidates it by bumping the
+// version, and the next BuildIndex call rebuilds lazily. Read paths (the
+// query-time candidate pre-pass) therefore get an always-fresh index
+// without paying a rebuild on every store mutation.
 //
-// Live-ingest mutations (ApplyUpdates, ApplyUpdate, ExtendTrajectory,
-// RevisePlan, InsertLive — see live.go) instead chain the cached tree
-// forward incrementally, inserting the new segments of a whole batch with
-// one persistent sindex.RTree.Inserted step. After a plan revision the
+// Update batches (ApplyUpdates, and ApplyUpdate, its batch of one — see
+// live.go) instead chain the cached tree forward incrementally, inserting
+// the new segments of a whole batch with one persistent
+// sindex.RTree.Inserted step; SetTags takes the same step. After a plan revision the
 // chained tree may retain superseded segment entries; that makes it a
 // conservative superset index, which is exactly the contract the
 // candidate pre-pass needs (every hit is refined against the live

@@ -64,7 +64,7 @@ func TestPDFSpec(t *testing.T) {
 	}
 }
 
-func TestInsertGetDeleteUpdate(t *testing.T) {
+func TestInsertGet(t *testing.T) {
 	st := newTestStore(t)
 	tr := traj(t, 1)
 	if err := st.Insert(tr); err != nil {
@@ -80,53 +80,10 @@ func TestInsertGetDeleteUpdate(t *testing.T) {
 	if _, err := st.Get(9); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing Get: %v", err)
 	}
-	// Update.
-	tr2 := traj(t, 1)
-	tr2.Verts[1].X = 99
-	if err := st.Update(tr2); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = st.Get(1)
-	if got.Verts[1].X != 99 {
-		t.Error("update not visible")
-	}
-	if err := st.Update(traj(t, 5)); !errors.Is(err, ErrNotFound) {
-		t.Errorf("update missing: %v", err)
-	}
-	// Delete.
-	if err := st.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Delete(1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double delete: %v", err)
-	}
-	if st.Len() != 0 {
-		t.Errorf("Len = %d", st.Len())
-	}
-	// Invalid trajectory rejected on insert and update.
+	// Invalid trajectory rejected on insert.
 	bad := &trajectory.Trajectory{OID: 3}
 	if err := st.Insert(bad); err == nil {
 		t.Error("invalid insert accepted")
-	}
-	if err := st.Update(bad); err == nil {
-		t.Error("invalid update accepted")
-	}
-}
-
-func TestGetUncertain(t *testing.T) {
-	st := newTestStore(t)
-	if err := st.Insert(traj(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	u, err := st.GetUncertain(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.R != 0.5 || u.PDF.Support() != 0.5 {
-		t.Errorf("uncertain wrap: r=%g sup=%g", u.R, u.PDF.Support())
-	}
-	if _, err := st.GetUncertain(42); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing: %v", err)
 	}
 }
 

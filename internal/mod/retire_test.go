@@ -2,8 +2,7 @@ package mod
 
 // Retirement at the store layer: the Retire update removes an object
 // everywhere a query can see it, steps the cached index chains without a
-// rebuild, admits re-insertion of the same OID, and the TTL helper turns
-// plan age into explicit retire candidates deterministically.
+// rebuild, and admits re-insertion of the same OID.
 
 import (
 	"errors"
@@ -83,7 +82,7 @@ func TestRetireIndexMaintenance(t *testing.T) {
 	st.BuildIndex(0)
 	base := st.IndexStats()
 
-	if _, err := st.RetireObject(oids[0]); err != nil {
+	if _, err := st.ApplyUpdate(Update{OID: oids[0], Retire: true}); err != nil {
 		t.Fatal(err)
 	}
 	st.BuildIndex(0)
@@ -96,29 +95,5 @@ func TestRetireIndexMaintenance(t *testing.T) {
 	}
 	if got := st.MatchingOIDs(&textidx.Predicate{All: []string{"ev"}}); len(got) != 1 || got[0] != oids[1] {
 		t.Fatalf("ev matches after retire = %v, want [%d]", got, oids[1])
-	}
-}
-
-func TestExpiredOIDs(t *testing.T) {
-	st := newTestStore(t)
-	ins := func(oid int64, te float64) {
-		t.Helper()
-		if _, err := st.ApplyUpdate(Update{OID: oid, Verts: []trajectory.Vertex{
-			{X: 0, Y: 0, T: te - 5}, {X: 1, Y: 1, T: te},
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ins(3, 10)
-	ins(1, 20)
-	ins(2, 30)
-	if got := st.ExpiredOIDs(35, 10); !slices.Equal(got, []int64{1, 3}) {
-		t.Fatalf("ExpiredOIDs(35, 10) = %v, want [1 3]", got)
-	}
-	if got := st.ExpiredOIDs(35, -1); got != nil {
-		t.Fatalf("negative ttl = %v, want nil", got)
-	}
-	if got := st.ExpiredOIDs(5, 10); len(got) != 0 {
-		t.Fatalf("nothing expired yet, got %v", got)
 	}
 }

@@ -50,11 +50,14 @@ func TestSetTagsCanonicalAndVersion(t *testing.T) {
 	if st.Tags(1) != nil {
 		t.Fatal("tags not cleared")
 	}
-	if err := st.Delete(1); err != nil {
+	if err := st.SetTags(1, []string{"ev"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ApplyUpdate(Update{OID: 1, Retire: true}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Tags(1) != nil {
-		t.Fatal("tags survive delete")
+		t.Fatal("tags survive retire")
 	}
 }
 

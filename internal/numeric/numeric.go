@@ -1,6 +1,6 @@
 // Package numeric provides the numerical-analysis substrate used to evaluate
 // the paper's probability integrals (Eq. 3-6) and to locate critical time
-// points: adaptive Simpson and fixed-order Gauss-Legendre quadrature,
+// points: fixed-order Gauss-Legendre quadrature,
 // closed-form quadratic solving, bracketed root refinement (Brent), scalar
 // minimization (golden section), and linear-interpolation tables.
 package numeric
@@ -18,40 +18,6 @@ var ErrNoBracket = errors.New("numeric: interval does not bracket a root")
 // ErrBadTable is returned when constructing an interpolation table from
 // invalid data.
 var ErrBadTable = errors.New("numeric: interpolation table needs >= 2 strictly increasing x values")
-
-// AdaptiveSimpson integrates f over [a, b] with the given absolute error
-// tolerance using adaptive Simpson quadrature with Richardson correction.
-// maxDepth bounds the recursion (30 is ample for all uses in this module).
-func AdaptiveSimpson(f func(float64) float64, a, b, tol float64, maxDepth int) float64 {
-	if a == b {
-		return 0
-	}
-	if b < a {
-		return -AdaptiveSimpson(f, b, a, tol, maxDepth)
-	}
-	fa, fb := f(a), f(b)
-	m := 0.5 * (a + b)
-	fm := f(m)
-	whole := simpson(a, b, fa, fm, fb)
-	return adaptiveAux(f, a, b, fa, fm, fb, whole, tol, maxDepth)
-}
-
-func simpson(a, b, fa, fm, fb float64) float64 {
-	return (b - a) / 6 * (fa + 4*fm + fb)
-}
-
-func adaptiveAux(f func(float64) float64, a, b, fa, fm, fb, whole, tol float64, depth int) float64 {
-	m := 0.5 * (a + b)
-	lm, rm := 0.5*(a+m), 0.5*(m+b)
-	flm, frm := f(lm), f(rm)
-	left := simpson(a, m, fa, flm, fm)
-	right := simpson(m, b, fm, frm, fb)
-	if depth <= 0 || math.Abs(left+right-whole) <= 15*tol {
-		return left + right + (left+right-whole)/15
-	}
-	return adaptiveAux(f, a, m, fa, flm, fm, left, tol/2, depth-1) +
-		adaptiveAux(f, m, b, fm, frm, fb, right, tol/2, depth-1)
-}
 
 // gauss-Legendre nodes and weights on [-1, 1], order 16. Computed once from
 // standard tables; symmetric halves stored in full for simplicity.
@@ -275,21 +241,8 @@ func (t *Table) At(x float64) float64 {
 	return y0 + (y1-y0)*(x-x0)/(x1-x0)
 }
 
-// Domain returns the first and last abscissa.
-func (t *Table) Domain() (lo, hi float64) { return t.xs[0], t.xs[len(t.xs)-1] }
-
 // Len returns the number of samples.
 func (t *Table) Len() int { return len(t.xs) }
-
-// Integral returns the exact integral of the piecewise-linear interpolant
-// over its whole domain (trapezoid sum).
-func (t *Table) Integral() float64 {
-	var s float64
-	for i := 1; i < len(t.xs); i++ {
-		s += 0.5 * (t.ys[i] + t.ys[i-1]) * (t.xs[i] - t.xs[i-1])
-	}
-	return s
-}
 
 // Scale multiplies all ordinates by k in place and returns the table.
 func (t *Table) Scale(k float64) *Table {

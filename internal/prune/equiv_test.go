@@ -265,7 +265,7 @@ func TestPrunedStoreMutationInvalidatesIndex(t *testing.T) {
 
 	// Drop an object, then plant a new one that shadows the query path:
 	// it must appear in the next UQ31.
-	if err := store.Delete(trs[50].OID); err != nil {
+	if _, err := store.ApplyUpdates([]mod.Update{{OID: trs[50].OID, Retire: true}}); err != nil {
 		t.Fatal(err)
 	}
 	verts := make([]trajectory.Vertex, len(q.Verts))

@@ -166,7 +166,7 @@ func TestReviseRefusals(t *testing.T) {
 			break
 		}
 	}
-	if err := store.Delete(pruned.OID); err != nil {
+	if _, err := store.ApplyUpdates([]mod.Update{{OID: pruned.OID, Retire: true}}); err != nil {
 		t.Fatal(err)
 	}
 	short, err := trajectory.New(pruned.OID, []trajectory.Vertex{{X: 500, Y: 500, T: 0}, {X: 501, Y: 500, T: 20}})

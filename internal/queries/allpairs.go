@@ -1,12 +1,6 @@
 package queries
 
-import (
-	"cmp"
-	"slices"
-
-	"repro/internal/envelope"
-	"repro/internal/trajectory"
-)
+import "repro/internal/trajectory"
 
 // This file implements two of the paper's Section 7 future-work variants:
 // all-pairs continuous probabilistic NN (every object's possible-NN set)
@@ -53,61 +47,5 @@ func ReversePossibleNN(trs []*trajectory.Trajectory, target *trajectory.Trajecto
 		}
 	}
 	sortIDs(out)
-	return out, nil
-}
-
-// ReversePossibleNNIntervals additionally reports, per reverse witness q,
-// the time intervals during which the target can be q's nearest neighbor.
-func ReversePossibleNNIntervals(trs []*trajectory.Trajectory, target *trajectory.Trajectory, tb, te, r float64) (map[int64][]envelope.TimeInterval, error) {
-	out := make(map[int64][]envelope.TimeInterval)
-	for _, q := range trs {
-		if q.OID == target.OID {
-			continue
-		}
-		p, err := NewProcessor(trs, q, tb, te, r)
-		if err != nil {
-			return nil, err
-		}
-		ivs, err := p.PossibleNNIntervals(target.OID)
-		if err != nil {
-			return nil, err
-		}
-		if len(ivs) > 0 {
-			out[q.OID] = ivs
-		}
-	}
-	return out, nil
-}
-
-// MutualPossibleNNPairs returns the unordered pairs (a, b) such that each
-// has non-zero probability of being the other's nearest neighbor at some
-// time — candidates for "probably mutually closest" relationships.
-// Pairs are returned with a < b, sorted lexicographically.
-func MutualPossibleNNPairs(trs []*trajectory.Trajectory, tb, te, r float64) ([][2]int64, error) {
-	all, err := AllPairsPossibleNN(trs, tb, te, r)
-	if err != nil {
-		return nil, err
-	}
-	inSet := func(ids []int64, want int64) bool {
-		_, ok := slices.BinarySearch(ids, want)
-		return ok
-	}
-	var out [][2]int64
-	for _, a := range trs {
-		for _, b := range trs {
-			if a.OID >= b.OID {
-				continue
-			}
-			if inSet(all[a.OID], b.OID) && inSet(all[b.OID], a.OID) {
-				out = append(out, [2]int64{a.OID, b.OID})
-			}
-		}
-	}
-	slices.SortFunc(out, func(a, b [2]int64) int {
-		if c := cmp.Compare(a[0], b[0]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a[1], b[1])
-	})
 	return out, nil
 }

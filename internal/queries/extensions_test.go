@@ -2,11 +2,9 @@ package queries
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"repro/internal/envelope"
-	"repro/internal/numeric"
 	"repro/internal/trajectory"
 	"repro/internal/workload"
 )
@@ -232,228 +230,6 @@ func TestReversePossibleNN(t *testing.T) {
 	for _, id := range rev {
 		if !wantSet[id] {
 			t.Fatalf("unexpected reverse witness %d", id)
-		}
-	}
-	// Intervals variant: nonempty interval lists for exactly the witnesses.
-	ivs, err := ReversePossibleNNIntervals(trs, target, 0, 60, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ivs) != len(rev) {
-		t.Fatalf("interval map size %d vs %d", len(ivs), len(rev))
-	}
-	for id, list := range ivs {
-		if len(list) == 0 {
-			t.Fatalf("witness %d has empty intervals", id)
-		}
-	}
-}
-
-func TestMutualPossibleNNPairs(t *testing.T) {
-	trs, err := workload.Generate(workload.DefaultConfig(23), 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := MutualPossibleNNPairs(trs, 0, 60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := AllPairsPossibleNN(trs, 0, 60, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inSet := func(ids []int64, want int64) bool {
-		for _, id := range ids {
-			if id == want {
-				return true
-			}
-		}
-		return false
-	}
-	for _, pr := range pairs {
-		a, b := pr[0], pr[1]
-		if a >= b {
-			t.Fatalf("pair not ordered: %v", pr)
-		}
-		if !inSet(all[a], b) || !inSet(all[b], a) {
-			t.Fatalf("pair %v not mutual", pr)
-		}
-	}
-	// Completeness: every mutual relation appears.
-	count := 0
-	for aOID, ids := range all {
-		for _, b := range ids {
-			if aOID < b && inSet(all[b], aOID) {
-				count++
-			}
-		}
-	}
-	if count != len(pairs) {
-		t.Fatalf("pairs = %d, want %d", len(pairs), count)
-	}
-}
-
-// --- heterogeneous radii (Section 7 future work) ---
-
-// TestHeteroMatchesHomogeneous: with all radii equal to r, the hetero
-// processor's intervals equal the homogeneous 4r-zone intervals.
-func TestHeteroMatchesHomogeneous(t *testing.T) {
-	trs, err := workload.Generate(workload.DefaultConfig(31), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := trs[0]
-	const r = 0.5
-	radii := map[int64]float64{}
-	for _, tr := range trs {
-		radii[tr.OID] = r
-	}
-	hp, err := NewHeteroProcessor(trs, q, 0, 60, radii)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewProcessor(trs, q, 0, 60, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range trs[1:] {
-		want, err := p.PossibleNNIntervals(tr.OID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := hp.PossibleNNIntervals(tr.OID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("oid %d: %v vs %v", tr.OID, got, want)
-		}
-		for i := range want {
-			if math.Abs(got[i].T0-want[i].T0) > 1e-5 || math.Abs(got[i].T1-want[i].T1) > 1e-5 {
-				t.Fatalf("oid %d interval %d: %+v vs %+v", tr.OID, i, got[i], want[i])
-			}
-		}
-	}
-	// UQ31 agreement.
-	gotIDs, err := hp.UQ31()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIDs := p.UQ31()
-	if len(gotIDs) != len(wantIDs) {
-		t.Fatalf("UQ31: %v vs %v", gotIDs, wantIDs)
-	}
-}
-
-// TestHeteroRadiiSemantics: a larger radius widens an object's possible
-// window; an object with a huge radius is always possible.
-func TestHeteroRadiiSemantics(t *testing.T) {
-	trs, q := staticScene(t)
-	radii := map[int64]float64{100: 0.5, 1: 0.5, 2: 0.5, 3: 0.5, 4: 0.5}
-	hp, err := NewHeteroProcessor(trs, q, 0, 60, radii)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := hp.PossibleNNIntervals(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Grow oid 4's radius: its window must grow.
-	radii[4] = 1.5
-	hp2, err := NewHeteroProcessor(trs, q, 0, 60, radii)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grown, err := hp2.PossibleNNIntervals(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if envelope.TotalLength(grown) <= envelope.TotalLength(base) {
-		t.Errorf("larger radius should widen window: %g vs %g",
-			envelope.TotalLength(grown), envelope.TotalLength(base))
-	}
-	// Enormous radius for the far object: always possible.
-	radii[3] = 10
-	hp3, err := NewHeteroProcessor(trs, q, 0, 60, radii)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, _ := hp3.UQ12(3); !ok {
-		t.Error("object with huge radius should always be possible")
-	}
-	// UQ13 variants on hetero.
-	if ok, _ := hp3.UQ13(3, 0.9); !ok {
-		t.Error("UQ13 should hold for huge radius")
-	}
-	if _, err := hp3.UQ13(3, 2); err != ErrBadFrac {
-		t.Errorf("bad frac: %v", err)
-	}
-}
-
-func TestHeteroErrors(t *testing.T) {
-	trs, q := staticScene(t)
-	// Missing query radius.
-	if _, err := NewHeteroProcessor(trs, q, 0, 60, map[int64]float64{1: 0.5}); err == nil {
-		t.Error("missing query radius accepted")
-	}
-	// Missing object radius.
-	radii := map[int64]float64{100: 0.5, 1: 0.5}
-	if _, err := NewHeteroProcessor(trs, q, 0, 60, radii); err == nil {
-		t.Error("missing object radius accepted")
-	}
-	// Nonpositive radius.
-	radii = map[int64]float64{100: 0.5, 1: 0, 2: 0.5, 3: 0.5, 4: 0.5}
-	if _, err := NewHeteroProcessor(trs, q, 0, 60, radii); err == nil {
-		t.Error("zero radius accepted")
-	}
-	// Unknown oid query.
-	full := map[int64]float64{100: 0.5, 1: 0.5, 2: 0.5, 3: 0.5, 4: 0.5}
-	hp, err := NewHeteroProcessor(trs, q, 0, 60, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hp.PossibleNNIntervals(777); err == nil {
-		t.Error("unknown oid accepted")
-	}
-	if _, err := hp.UQ11(777); err == nil {
-		t.Error("unknown oid in UQ11 accepted")
-	}
-}
-
-// TestHeteroAgainstSampling: membership intervals agree with dense
-// sampling of the defining inequality.
-func TestHeteroAgainstSampling(t *testing.T) {
-	trs, err := workload.Generate(workload.DefaultConfig(41), 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := trs[0]
-	radii := map[int64]float64{}
-	for i, tr := range trs {
-		radii[tr.OID] = 0.2 + 0.1*float64(i%5)
-	}
-	hp, err := NewHeteroProcessor(trs, q, 0, 60, radii)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range trs[1:6] {
-		ivs, err := hp.PossibleNNIntervals(tr.OID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inside := func(tm float64) bool {
-			for _, iv := range ivs {
-				if tm >= iv.T0-1e-6 && tm <= iv.T1+1e-6 {
-					return true
-				}
-			}
-			return false
-		}
-		for _, tm := range numeric.Linspace(0.01, 59.99, 401) {
-			m := hp.margin(tr.OID, tm)
-			if (m <= 0) != inside(tm) && math.Abs(m) > 1e-4 {
-				t.Fatalf("oid %d t=%g: margin %g vs interval %v", tr.OID, tm, m, inside(tm))
-			}
 		}
 	}
 }

@@ -44,17 +44,17 @@ var (
 // window. Construction performs the O(N log N) envelope preprocessing; each
 // Category 1/2 query then costs O(N) / O(kN) per the paper's Claims 1-2.
 //
-// Every interval variant — UQ11..UQ43, PossibleNNIntervals,
-// PossibleRankKIntervals — is a reduction (non-empty / covers the window /
-// total length >= x) of one *zone row*: BelowIntervals(f, Level-k, 4r), the
-// times object f spends inside the rank-k zone. The processor keeps a zone
+// Every interval variant — UQ11..UQ43, PossibleNNIntervals — is a
+// reduction (non-empty / covers the window / total length >= x) of one
+// *zone row*: BelowIntervals(f, Level-k, 4r), the times object f spends
+// inside the rank-k zone. The processor keeps a zone
 // table per level, one row per function of that level's scan set, and
 // computes a row at most once; a burst of variants against one (query,
 // window) therefore runs the interval scan once per object, not once per
 // request. Rows are shared and read-only inside the package: the exported
-// methods that hand intervals out (PossibleNNIntervals,
-// PossibleRankKIntervals) return copies a caller may keep or modify, the
-// predicates and retrievals return only booleans and fresh OID lists.
+// method that hands intervals out (PossibleNNIntervals) returns copies a
+// caller may keep or modify, the predicates and retrievals return only
+// booleans and fresh OID lists.
 //
 // All methods are safe for concurrent use: the distance functions, the
 // Level-1 envelope and the candidate snapshot are immutable after
@@ -736,12 +736,6 @@ func published(row []envelope.TimeInterval, err error) ([]envelope.TimeInterval,
 // returned slice.
 func (p *Processor) PossibleNNIntervals(oid int64) ([]envelope.TimeInterval, error) {
 	return published(p.row(oid, 1))
-}
-
-// PossibleRankKIntervals is the ranked analogue against the Level-k
-// envelope.
-func (p *Processor) PossibleRankKIntervals(oid int64, k int) ([]envelope.TimeInterval, error) {
-	return published(p.row(oid, k))
 }
 
 // --- Category 1: single-trajectory predicates ---

@@ -1,9 +1,9 @@
 // Package trajectory implements the paper's motion model (Section 2.1):
 // a trajectory is a function Time → R² represented as a sequence of 3D
 // (x, y, t) points with linear interpolation between consecutive vertices
-// (Eq. 1), carried by a unique object ID. An uncertain trajectory augments
-// a trajectory with an uncertainty-disk radius r and a location pdf inside
-// the disk.
+// (Eq. 1), carried by a unique object ID. The uncertainty-disk radius r
+// and the location pdf inside the disk are shared by the whole set, so the
+// mod store holds them, not the trajectory.
 package trajectory
 
 import (
@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"repro/internal/geom"
-	"repro/internal/updf"
 )
 
 // Validation errors.
@@ -23,7 +22,6 @@ var (
 	ErrTooFewVertices  = errors.New("trajectory: need at least two vertices")
 	ErrNonIncreasing   = errors.New("trajectory: vertex times must be strictly increasing")
 	ErrNonFinite       = errors.New("trajectory: vertex coordinates must be finite")
-	ErrBadRadius       = errors.New("trajectory: uncertainty radius must be positive")
 	ErrTruncatedStream = errors.New("trajectory: truncated binary stream")
 )
 
@@ -154,26 +152,6 @@ func (tr *Trajectory) VertexTimesWithin(tb, te float64) []float64 {
 	return out
 }
 
-// Clip returns a copy of the trajectory restricted to [tb, te], with
-// interpolated endpoints. It returns nil if the window does not intersect
-// the span with positive measure.
-func (tr *Trajectory) Clip(tb, te float64) *Trajectory {
-	b, e := tr.TimeSpan()
-	lo, hi := math.Max(tb, b), math.Min(te, e)
-	if hi <= lo {
-		return nil
-	}
-	verts := []Vertex{{X: tr.At(lo).X, Y: tr.At(lo).Y, T: lo}}
-	for _, v := range tr.Verts {
-		if v.T > lo && v.T < hi {
-			verts = append(verts, v)
-		}
-	}
-	p := tr.At(hi)
-	verts = append(verts, Vertex{X: p.X, Y: p.Y, T: hi})
-	return &Trajectory{OID: tr.OID, Verts: verts}
-}
-
 // BoundingBox returns the spatial bounding box of the vertices. Because
 // motion is piecewise linear, it bounds the whole expected path.
 func (tr *Trajectory) BoundingBox() geom.AABB {
@@ -191,35 +169,6 @@ func (tr *Trajectory) Length() float64 {
 		s += tr.Verts[i].Point().Dist(tr.Verts[i+1].Point())
 	}
 	return s
-}
-
-// Uncertain is the paper's uncertain trajectory Tr^u: a trajectory plus the
-// uncertainty-disk radius and the location pdf within the disk. The pdf's
-// support must equal R.
-type Uncertain struct {
-	Trajectory
-	R   float64
-	PDF updf.RadialPDF
-}
-
-// NewUncertain validates and wraps a trajectory with uncertainty radius r
-// and location pdf p. A nil pdf defaults to the paper's uniform disk model.
-func NewUncertain(tr Trajectory, r float64, p updf.RadialPDF) (*Uncertain, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	if r <= 0 {
-		return nil, ErrBadRadius
-	}
-	if p == nil {
-		p = updf.NewUniformDisk(r)
-	}
-	return &Uncertain{Trajectory: tr, R: r, PDF: p}, nil
-}
-
-// DiskAt returns the uncertainty disk D_i(t) at time t.
-func (u *Uncertain) DiskAt(t float64) geom.Disk {
-	return geom.Disk{C: u.At(t), R: u.R}
 }
 
 // --- binary codec ---

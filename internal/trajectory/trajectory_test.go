@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/geom"
-	"repro/internal/updf"
 )
 
 func mustNew(t *testing.T, oid int64, verts []Vertex) *Trajectory {
@@ -126,38 +125,6 @@ func TestVertexTimesWithin(t *testing.T) {
 	}
 }
 
-func TestClip(t *testing.T) {
-	tr := lineTraj(t)
-	c := tr.Clip(5, 12)
-	if c == nil {
-		t.Fatal("nil clip")
-	}
-	if got, _ := c.TimeSpan(); got != 5 {
-		t.Errorf("clip start = %g", got)
-	}
-	if _, got := c.TimeSpan(); got != 12 {
-		t.Errorf("clip end = %g", got)
-	}
-	if len(c.Verts) != 3 { // 5 → 10 → 12
-		t.Errorf("clip verts = %v", c.Verts)
-	}
-	if p := c.At(10); p.Dist(geom.Point{X: 10, Y: 0}) > 1e-12 {
-		t.Errorf("clip At(10) = %v", p)
-	}
-	// Degenerate and disjoint windows.
-	if got := tr.Clip(20, 30); got != nil {
-		t.Error("disjoint clip should be nil")
-	}
-	if got := tr.Clip(7, 7); got != nil {
-		t.Error("zero-measure clip should be nil")
-	}
-	// Clip wider than span clamps.
-	w := tr.Clip(-10, 99)
-	if tb, te := w.TimeSpan(); tb != 0 || te != 15 {
-		t.Errorf("wide clip span = %g, %g", tb, te)
-	}
-}
-
 func TestBoundingBoxLength(t *testing.T) {
 	tr := lineTraj(t)
 	b := tr.BoundingBox()
@@ -166,36 +133,6 @@ func TestBoundingBoxLength(t *testing.T) {
 	}
 	if l := tr.Length(); math.Abs(l-15) > 1e-12 {
 		t.Errorf("Length = %g", l)
-	}
-}
-
-func TestUncertain(t *testing.T) {
-	tr := lineTraj(t)
-	u, err := NewUncertain(*tr, 0.5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := u.PDF.(updf.UniformDisk); !ok {
-		t.Errorf("default pdf = %T", u.PDF)
-	}
-	d := u.DiskAt(5)
-	if d.R != 0.5 || d.C.Dist(geom.Point{X: 5, Y: 0}) > 1e-12 {
-		t.Errorf("DiskAt = %+v", d)
-	}
-	if _, err := NewUncertain(*tr, 0, nil); !errors.Is(err, ErrBadRadius) {
-		t.Errorf("zero radius: %v", err)
-	}
-	if _, err := NewUncertain(Trajectory{OID: 1}, 1, nil); !errors.Is(err, ErrTooFewVertices) {
-		t.Errorf("invalid base: %v", err)
-	}
-	// Explicit pdf is preserved.
-	g := updf.NewBoundedGaussian(0.5, 0.2)
-	u2, err := NewUncertain(*tr, 0.5, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u2.PDF.Name() != g.Name() {
-		t.Errorf("pdf = %s", u2.PDF.Name())
 	}
 }
 

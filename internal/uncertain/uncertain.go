@@ -7,8 +7,10 @@
 //   - the nearest-neighbor probability P^NN (Eq. 5) evaluated with the
 //     sorted-interval decomposition of Cheng et al. [4] over a bounded
 //     integration ring [R^min, R^max],
-//   - the reduction of the uncertain-query case to the crisp-query case via
-//     the convolution transformation (Section 3.1), and
+//   - the reduction of the uncertain-query case to the crisp-query case:
+//     Eq. 5 against the convolution of the object and query pdfs
+//     (updf.ConvolvePair, Section 3.1), which the threshold queries run,
+//     and
 //   - Theorem 1's distance ranking, together with Monte Carlo estimators
 //     used as test oracles.
 //
@@ -327,28 +329,6 @@ func RankByDistance(cands []Candidate) []Candidate {
 	return out
 }
 
-// UncertainQueryNN reduces the uncertain-querying-object case to the crisp
-// one (Section 3.1): the object and query pdfs are convolved (analytically
-// for uniforms, numerically otherwise — Property 2 guarantees the result is
-// again rotationally symmetric) and Eq. 5 is evaluated against the
-// convolved pdf at the centers' distances.
-//
-// The convolution gives the exact marginal distribution of each distance
-// |V_i − V_q|, but the distances share the query variable V_q and are
-// therefore not mutually independent, while Eq. 5 multiplies their
-// within-distance complements as if they were. The returned values are
-// consequently an independence approximation; the *ranking* they induce is
-// exact (Theorem 1). Exact values need the quadruple integration the
-// paper describes, whose cost the transformation is designed to avoid;
-// MonteCarloUncertainQueryNN estimates them for tests.
-func UncertainQueryNN(objPDF, qryPDF updf.RadialPDF, cands []Candidate, grid int) (map[int64]float64, error) {
-	conv, err := updf.ConvolvePair(objPDF, qryPDF, 0)
-	if err != nil {
-		return nil, err
-	}
-	return NNProbabilities(conv, cands, grid), nil
-}
-
 // MonteCarloNN estimates the NN probabilities empirically: each trial draws
 // a displacement for every candidate from p (which must implement
 // updf.Sampler), places it around the candidate's center at (Dist, 0), and
@@ -384,8 +364,12 @@ func MonteCarloNN(p updf.RadialPDF, cands []Candidate, trials int, rng *rand.Ran
 }
 
 // MonteCarloUncertainQueryNN is the two-sided oracle: both the query and
-// the candidates draw displacements; used to validate the convolution
-// reduction end to end.
+// the candidates draw displacements; used to validate Section 3.1's
+// reduction end to end (Eq. 5 over updf.ConvolvePair of the object and
+// query pdfs). The convolution gives each distance |V_i − V_q| its exact
+// marginal, but the distances share V_q while Eq. 5 treats them as
+// independent: the reduction's values are an approximation, the ranking
+// they induce is exact (Theorem 1).
 func MonteCarloUncertainQueryNN(objPDF, qryPDF updf.RadialPDF, cands []Candidate, trials int, rng *rand.Rand) (map[int64]float64, error) {
 	so, okO := objPDF.(updf.Sampler)
 	sq, okQ := qryPDF.(updf.Sampler)

@@ -339,6 +339,17 @@ func rankOf(probs map[int64]float64) []int64 {
 	return ids
 }
 
+// convolvedNN is Section 3.1's reduction as the threshold queries run it:
+// Eq. 5 against the convolution of the object and query pdfs.
+func convolvedNN(t *testing.T, obj, qry updf.RadialPDF, cands []Candidate, grid int) map[int64]float64 {
+	t.Helper()
+	conv, err := updf.ConvolvePair(obj, qry, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NNProbabilities(conv, cands, grid)
+}
+
 // TestUncertainQueryReductionRanking validates the Section 3.1 reduction
 // the way the paper uses it: the convolution + Eq. 5 values rank candidates
 // exactly as the true (two-sided Monte Carlo) probabilities do, even though
@@ -353,10 +364,7 @@ func TestUncertainQueryReductionRanking(t *testing.T) {
 		{ID: 2, Dist: 2.7},
 		{ID: 3, Dist: 3.5},
 	}
-	want, err := UncertainQueryNN(obj, qry, cands, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := convolvedNN(t, obj, qry, cands, 2048)
 	got, err := MonteCarloUncertainQueryNN(obj, qry, cands, 300000, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -385,10 +393,7 @@ func TestUncertainQueryReductionNumericPDFs(t *testing.T) {
 		{ID: 1, Dist: 1.8},
 		{ID: 2, Dist: 2.4},
 	}
-	want, err := UncertainQueryNN(obj, qry, cands, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := convolvedNN(t, obj, qry, cands, 1024)
 	got, err := MonteCarloUncertainQueryNN(obj, qry, cands, 200000, rng)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/trajectory"
-	"repro/internal/updf"
 )
 
 // Config parameterizes the generator. The zero value is unusable; use
@@ -107,25 +106,6 @@ func Generate(c Config, n int) ([]*trajectory.Trajectory, error) {
 			return nil, fmt.Errorf("workload: internal generation error: %w", err)
 		}
 		out = append(out, tr)
-	}
-	return out, nil
-}
-
-// GenerateUncertain wraps Generate and attaches the shared uncertainty
-// radius r and pdf p (nil p selects the uniform disk of radius r, the
-// paper's default).
-func GenerateUncertain(c Config, n int, r float64, p updf.RadialPDF) ([]*trajectory.Uncertain, error) {
-	trs, err := Generate(c, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*trajectory.Uncertain, len(trs))
-	for i, tr := range trs {
-		u, err := trajectory.NewUncertain(*tr, r, p)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = u
 	}
 	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/trajectory"
-	"repro/internal/updf"
 )
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
@@ -138,32 +137,6 @@ func TestSingleSegmentConfig(t *testing.T) {
 		if tr.NumSegments() != 1 {
 			t.Fatalf("segments = %d", tr.NumSegments())
 		}
-	}
-}
-
-func TestGenerateUncertain(t *testing.T) {
-	us, err := GenerateUncertain(SingleSegmentConfig(4), 20, 0.5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range us {
-		if u.R != 0.5 {
-			t.Fatalf("radius = %g", u.R)
-		}
-		if _, ok := u.PDF.(updf.UniformDisk); !ok {
-			t.Fatalf("pdf = %T", u.PDF)
-		}
-	}
-	g := updf.NewBoundedGaussian(0.5, 0.25)
-	us, err = GenerateUncertain(SingleSegmentConfig(4), 5, 0.5, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if us[0].PDF.Name() != g.Name() {
-		t.Errorf("pdf = %s", us[0].PDF.Name())
-	}
-	if _, err := GenerateUncertain(SingleSegmentConfig(4), 5, -1, nil); err == nil {
-		t.Error("negative radius should fail")
 	}
 }
 

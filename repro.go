@@ -48,8 +48,10 @@
 //   - the UQL query language (the SQL sketch of Section 4): every
 //     statement compiles to a Request (CompileUQL), its probability bound
 //     (`> p`, CertainNN) carried in Request.P, and
-//   - the probabilistic machinery for instantaneous NN queries
-//     (Sections 2.2, 3.1).
+//   - the probability of being the nearest neighbor (Section 3.1's P^NN,
+//     over the location pdfs of Section 2.2): a Request with 0 < P < 1
+//     asks for it, and a QueryProcessor (Engine.ProcessorWhereCtx)
+//     exposes its series (ProbabilitySeries, MaxProbability).
 //
 // Quickstart — every query is a Request, every answer a Result:
 //
@@ -111,11 +113,9 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mod"
 	"repro/internal/modserver"
-	"repro/internal/prune"
 	"repro/internal/queries"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
-	"repro/internal/uncertain"
 	"repro/internal/updf"
 	"repro/internal/uql"
 	"repro/internal/wal"
@@ -129,10 +129,6 @@ type Vertex = trajectory.Vertex
 
 // Trajectory is a piecewise-linear motion plan with a unique object ID.
 type Trajectory = trajectory.Trajectory
-
-// UncertainTrajectory augments a trajectory with the uncertainty-disk
-// radius and location pdf.
-type UncertainTrajectory = trajectory.Uncertain
 
 // NewTrajectory constructs a validated trajectory.
 func NewTrajectory(oid int64, verts []Vertex) (*Trajectory, error) {
@@ -177,7 +173,7 @@ func GenerateWorkload(c WorkloadConfig, n int) ([]*Trajectory, error) {
 	return workload.Generate(c, n)
 }
 
-// --- location pdfs and instantaneous probabilities (Sections 2.2, 3.1) ---
+// --- location pdfs (Section 2.2) ---
 
 // RadialPDF is a rotationally symmetric location pdf.
 type RadialPDF = updf.RadialPDF
@@ -191,27 +187,6 @@ func BoundedGaussianPDF(r, sigma float64) RadialPDF { return updf.NewBoundedGaus
 // ConePDF returns the paper's Eq. 7 cone (base radius 2r when modelling
 // the convolution of two uniform disks of radius r).
 func ConePDF(baseRadius float64) RadialPDF { return updf.NewCone(baseRadius) }
-
-// Convolve returns the pdf of the difference of two independent locations
-// (analytic for uniforms, numeric otherwise) — the Section 3.1
-// transformation.
-func Convolve(a, b RadialPDF) (RadialPDF, error) { return updf.ConvolvePair(a, b, 0) }
-
-// Candidate pairs an object ID with its center distance from the query.
-type Candidate = uncertain.Candidate
-
-// NNProbabilities evaluates Eq. 5: the probability of each candidate being
-// the nearest neighbor of a crisp query at the origin.
-func NNProbabilities(p RadialPDF, cands []Candidate) map[int64]float64 {
-	return uncertain.NNProbabilities(p, cands, 0)
-}
-
-// UncertainQueryNN ranks candidates when the query itself is uncertain via
-// the convolution reduction (Theorem 1: the ranking is exact; see the
-// internal documentation for the value-approximation caveat).
-func UncertainQueryNN(objPDF, qryPDF RadialPDF, cands []Candidate) (map[int64]float64, error) {
-	return uncertain.UncertainQueryNN(objPDF, qryPDF, cands, 0)
-}
 
 // --- the IPAC-NN tree (Sections 1, 3.2) ---
 
@@ -240,18 +215,6 @@ func BuildIPACNN(trs []*Trajectory, q *Trajectory, tb, te, r float64, pdf Radial
 // GuaranteedNNIntervals) beyond what a Request expresses.
 type QueryProcessor = queries.Processor
 
-// PruneStats describes one index candidate pre-pass (candidates seen,
-// survivors kept, slices and probes spent).
-type PruneStats = prune.Stats
-
-// PruneCandidates runs the index candidate pre-pass alone: the sorted
-// conservative superset of objects that can have non-zero NN probability
-// for query trajectory q somewhere in [tb, te], plus pass statistics.
-func PruneCandidates(store *Store, q *Trajectory, tb, te float64) ([]int64, PruneStats, error) {
-	ids, _, _, st, err := prune.ZoneWhereCtx(context.Background(), store, q, tb, te, 1, nil)
-	return ids, st, err
-}
-
 // TimeInterval is a closed time interval.
 type TimeInterval = envelope.TimeInterval
 
@@ -260,23 +223,6 @@ type TimeInterval = envelope.TimeInterval
 // ProbabilitySeries, AboveThresholdIntervals, ThresholdNN, ThresholdNNAll,
 // MaxProbability.
 type ThresholdConfig = queries.ThresholdConfig
-
-// HeteroQueryProcessor answers possible-NN questions when objects carry
-// different uncertainty radii (Section 7 future work).
-type HeteroQueryProcessor = queries.HeteroProcessor
-
-// NewHeteroQueryProcessor builds the heterogeneous-radii processor; radii
-// maps every OID (including the query's) to its uncertainty radius.
-func NewHeteroQueryProcessor(trs []*Trajectory, q *Trajectory, tb, te float64, radii map[int64]float64) (*HeteroQueryProcessor, error) {
-	return queries.NewHeteroProcessor(trs, q, tb, te, radii)
-}
-
-// KNNProbabilities generalizes Eq. 5 to top-k membership: the probability
-// of each candidate being among the k nearest to a crisp query at the
-// origin.
-func KNNProbabilities(p RadialPDF, cands []Candidate, k int) map[int64]float64 {
-	return uncertain.KNNProbabilities(p, cands, k, 0)
-}
 
 // --- the unified query API ---
 
@@ -445,9 +391,8 @@ func SplitStore(store *Store, n int, part Partitioner) ([]*Store, error) {
 // revision from the first vertex's time on when the object exists (a
 // pure extension when it is past the plan end), an insert otherwise.
 // Store.ApplyUpdate / ApplyUpdates apply them directly; a LiveHub applies
-// them while keeping standing subscriptions fresh. The store also
-// maintains its spatial index incrementally across these mutations
-// (Store.ExtendTrajectory, Store.RevisePlan).
+// them while keeping standing subscriptions fresh. Either way the store
+// chains its spatial index forward incrementally, one step per batch.
 type Update = mod.Update
 
 // AppliedUpdate describes one applied live update: whether it inserted,
