@@ -56,8 +56,8 @@ bench:
 # One-iteration smoke: every benchmark compiles and executes — the
 # per-layer ones among them (BenchmarkSweepBounds, BenchmarkSweepSurvivors,
 # BenchmarkSweepFiltered, BenchmarkMinCrispDist in internal/prune,
-# BenchmarkApplyUpdatesTagged in internal/mod, BenchmarkKNN and
-# BenchmarkInsertedBatch in internal/sindex,
+# BenchmarkApplyUpdatesTagged and BenchmarkBuildIndex in internal/mod,
+# BenchmarkKNN and BenchmarkInsertedBatch in internal/sindex,
 # BenchmarkShardFrameEncode/Decode in internal/modserver,
 # BenchmarkRefineUnion in internal/engine (the router's central refine
 # of a gathered union), BenchmarkHubIngestStanding in

@@ -269,10 +269,11 @@ func (s *Store) applyLocked(u Update) (Applied, step, error) {
 // and tags and advance the live index chain without it. The spatial
 // tree keeps the retired entries (they are conservative false positives
 // — every probe hit is refined against the live trajectory map, which no
-// longer holds the OID), but the shrinking live segment count pulls the
-// compactionSlack cut closer, so sustained retirement triggers
-// compacting rebuilds. Predicate matching reads the tag map, which has
-// forgotten the OID by the time the version moves. Caller holds s.mu.
+// longer holds the OID), but they count as dead against the shrinking
+// live segment count, so sustained retirement reaches the compaction cut
+// like sustained revision does. Predicate matching reads the tag map,
+// which has forgotten the OID by the time the version moves. Caller holds
+// s.mu.
 func (s *Store) retireLocked(oid int64) (Applied, step, error) {
 	old, ok := s.trajs[oid]
 	if !ok {
@@ -290,14 +291,19 @@ func (s *Store) retireLocked(oid int64) (Applied, step, error) {
 }
 
 // compactionSlack bounds how far a chained tree may outgrow the live
-// segment population before the chain is cut: plan revisions leave
-// superseded entries behind (harmless false positives individually), and
-// without a cut a long-running revision workload would grow the tree —
-// and every probe over it — without bound. Past 2× (and a small floor so
-// tiny stores never churn) the chain stops, the cache goes stale, and
-// the next BuildIndex performs a compacting rebuild.
+// segment population before the chain is cut: plan revisions and
+// retirements leave superseded entries behind, each harmless to an
+// answer, but each a neighbor a pre-pass KNN probe can spend on an object
+// whose live plan is elsewhere — which loosens the envelope bound and
+// grows the survivor set — and a box the sweep walks. Past live +
+// live/compactionSlack entries (and a small floor so tiny stores never
+// churn) the chain stops, the cache goes stale, and the next BuildIndex
+// performs a compacting rebuild. On the adhoc_cold benchmark fleet a
+// quarter cuts the chain every ~20 revision batches and keeps a fifth
+// fewer pre-pass survivors than twice the live count did (EXPERIMENTS.md,
+// "Compaction at a quarter").
 const (
-	compactionSlack = 2
+	compactionSlack = 4
 	compactionFloor = 1 << 10
 )
 
@@ -325,10 +331,11 @@ func (s *Store) commitLocked(tr *trajectory.Trajectory, changedFrom float64) ste
 
 // cuts reports whether the compaction rule stops a chain at this step: the
 // tree (treeLen entries before the step's own, those of the batch's earlier
-// steps included) has accumulated superseded entries beyond compactionSlack
-// × the live segment count. A tag flip moved neither count and never cuts.
+// steps included) has accumulated superseded entries beyond a
+// compactionSlack-th of the live segment count. A tag flip moved neither
+// count and never cuts.
 func (st step) cuts(treeLen int) bool {
-	return !math.IsInf(st.changedFrom, 1) && treeLen > compactionFloor && treeLen > compactionSlack*st.live
+	return !math.IsInf(st.changedFrom, 1) && treeLen > compactionFloor && treeLen > st.live+st.live/compactionSlack
 }
 
 // maintainIndexes chains the cached segment R-tree forward across steps —

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/sindex"
 	"repro/internal/trajectory"
 	"repro/internal/workload"
 )
@@ -195,29 +196,86 @@ func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestRevisionWorkloadCompactsIndex pins the chain-cut heuristic: a
-// sustained revision workload leaves superseded entries in the chained
-// tree, and once they pile past compactionSlack × the live segment
-// count the chain must be cut and rebuilt — index size stays
-// proportional to the live fleet instead of to total updates ever
-// ingested.
+// TestRevisionWorkloadCompactsIndex pins the chain-cut rule: a sustained
+// revision workload leaves superseded entries in the chained tree, and
+// once they pile past a compactionSlack-th of the live segment count the
+// chain must be cut and rebuilt — after every BuildIndex the tree holds at
+// most live + live/compactionSlack entries (or the floor) plus the one
+// revision chained past the last check, and every rebuild holds the live
+// segments alone. The fleet is large enough that the rule, not the floor,
+// decides.
 func TestRevisionWorkloadCompactsIndex(t *testing.T) {
-	st := revisionFleet(t)
+	const fleet = 120 // 1 200 live segments before the first revision
+	st := revisionFleetOf(t, fleet)
 	st.BuildIndex(0)
 	for i := 0; i < 500; i++ {
+		reviseTail(t, st, int64(i%fleet+1))
+		builds := st.IndexStats().SegBuilds
+		got := st.BuildIndex(0).Len()
+		live := st.segLive
+		if bound := max(compactionFloor, live+live/compactionSlack) + revisionEntries; got > bound {
+			t.Fatalf("revision %d: index holds %d entries for %d live segments, bound %d", i, got, live, bound)
+		}
+		if st.IndexStats().SegBuilds > builds && got != live {
+			t.Fatalf("revision %d: a rebuild holds %d entries for %d live segments", i, got, live)
+		}
+	}
+	if stats := st.IndexStats(); stats.SegBuilds < 3 {
+		t.Fatalf("chained tree compacted %d times under a revision workload: %+v", stats.SegBuilds-1, stats)
+	}
+}
+
+// TestRebuildHoldsLiveSegmentsOnly: after revisions, a retirement and a
+// tag flip, the rebuilt tree's entries are appendSegEntries over All() —
+// the same multiset of IDs, and window for window the same answer as a
+// tree of exactly those entries.
+func TestRebuildHoldsLiveSegmentsOnly(t *testing.T) {
+	st := revisionFleet(t)
+	st.BuildIndex(0)
+	for i := 0; i < 60; i++ {
 		reviseTail(t, st, int64(i%revisionFleetSize+1))
-		st.BuildIndex(0) // consult, as a standing query workload would
+		st.BuildIndex(0)
 	}
-	stats := st.IndexStats()
-	if stats.SegBuilds < 2 {
-		t.Fatalf("chained tree never compacted under a revision workload: %+v", stats)
+	if _, err := st.ApplyUpdate(Update{OID: 7, Retire: true}); err != nil {
+		t.Fatal(err)
 	}
-	live := 0
+	tags := []string{"ev"}
+	if _, err := st.ApplyUpdate(Update{OID: 3, Tags: &tags}); err != nil {
+		t.Fatal(err)
+	}
+	if st.BuildIndex(0).Len() == st.segLive {
+		t.Fatal("the chained tree holds no superseded entries: nothing to compact")
+	}
+	if err := st.Insert(traj(t, 1000)); err != nil { // a loader's bump leaves the cache stale
+		t.Fatal(err)
+	}
+	got := st.BuildIndex(0)
+	var want []sindex.Entry
 	for _, tr := range st.All() {
-		live += tr.NumSegments()
+		want = appendSegEntries(want, tr, math.Inf(-1), st.spec.R)
 	}
-	if got := st.BuildIndex(0).Len(); got > 4*live {
-		t.Fatalf("index holds %d entries for %d live segments", got, live)
+	if got.Len() != len(want) {
+		t.Fatalf("rebuilt tree holds %d entries, the live segments are %d", got.Len(), len(want))
+	}
+	world := geom.AABB{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}
+	ids := func(es []sindex.Entry, box geom.AABB, t0, t1 float64) []int64 {
+		var out []int64
+		for _, e := range es {
+			if e.T1 >= t0 && e.T0 <= t1 && e.Box.Intersects(box) {
+				out = append(out, e.ID)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	sorted := func(v []int64) []int64 { slices.Sort(v); return v }
+	if g, w := sorted(got.SearchRange(world, math.Inf(-1), math.Inf(1))), ids(want, world, math.Inf(-1), math.Inf(1)); !slices.Equal(g, w) {
+		t.Fatalf("rebuilt tree's IDs %v, live segments' %v", g, w)
+	}
+	for _, e := range want {
+		if g, w := sorted(got.SearchRange(e.Box, e.T0, e.T1)), ids(want, e.Box, e.T0, e.T1); !slices.Equal(g, w) {
+			t.Fatalf("window of entry %+v: rebuilt tree answers %v, live segments %v", e, g, w)
+		}
 	}
 }
 
@@ -225,10 +283,13 @@ const revisionFleetSize = 40
 
 // revisionFleet holds revisionFleetSize parallel 10-segment plans over
 // [0, 10].
-func revisionFleet(t *testing.T) *Store {
+func revisionFleet(t *testing.T) *Store { return revisionFleetOf(t, revisionFleetSize) }
+
+// revisionFleetOf holds n parallel 10-segment plans over [0, 10].
+func revisionFleetOf(t *testing.T, n int64) *Store {
 	t.Helper()
 	st := newTestStore(t)
-	for oid := int64(1); oid <= revisionFleetSize; oid++ {
+	for oid := int64(1); oid <= n; oid++ {
 		verts := make([]trajectory.Vertex, 11)
 		for i := range verts {
 			verts[i] = trajectory.Vertex{X: float64(i), Y: float64(oid), T: float64(i)}
@@ -244,8 +305,11 @@ func revisionFleet(t *testing.T) *Store {
 	return st
 }
 
-// reviseTail rewrites oid's plan from t=5 on: three new index entries, and
-// whatever the old tail had is superseded.
+// revisionEntries is what one reviseTail chains into the index.
+const revisionEntries = 3
+
+// reviseTail rewrites oid's plan from t=5 on: revisionEntries new index
+// entries, and whatever the old tail had is superseded.
 func reviseTail(t *testing.T, st *Store, oid int64) {
 	t.Helper()
 	if _, err := st.ApplyUpdate(Update{OID: oid, Verts: []trajectory.Vertex{
@@ -265,7 +329,7 @@ func reviseTail(t *testing.T, st *Store, oid int64) {
 func TestTagFlipStepsChainsAndNeverCuts(t *testing.T) {
 	st := revisionFleet(t)
 	idx := st.BuildIndex(0)
-	for i := 0; idx.Len() <= compactionFloor || idx.Len() <= compactionSlack*st.segLive; i++ {
+	for i := 0; idx.Len() <= compactionFloor || idx.Len() <= st.segLive+st.segLive/compactionSlack; i++ {
 		reviseTail(t, st, int64(i%revisionFleetSize+1))
 		idx = st.BuildIndex(0)
 	}

@@ -107,9 +107,9 @@ type Store struct {
 	// Cached segment R-tree, valid for store version idxVersion. An
 	// update batch (live.go) chains it forward in one copy-on-write step;
 	// a loading Insert only bumps version, which leaves the cache stale,
-	// and the next BuildIndex call rebuilds (STR bulk loading,
-	// O(n log n), optimally packed). idxMu guards it and is taken before
-	// mu, never under it.
+	// and the next BuildIndex call rebuilds (an STR bulk load of the live
+	// segments alone). idxMu guards it and is taken before mu, never
+	// under it.
 	idxMu      sync.Mutex
 	idx        *sindex.RTree
 	idxVersion uint64
@@ -286,7 +286,10 @@ func (s *Store) TimeSpan() (tb, te float64, ok bool) {
 // chained tree may retain superseded segment entries; that makes it a
 // conservative superset index, which is exactly the contract the
 // candidate pre-pass needs (every hit is refined against the live
-// trajectory).
+// trajectory). They still cost the pre-pass — its KNN probes spend
+// neighbors on them and its sweep walks them — so the chain is cut once
+// they reach a quarter of the live segments (live.go), and the rebuild
+// here holds the live segments alone.
 //
 // A non-positive fanout selects sindex.DefaultFanout (16, the STR node
 // capacity that keeps leaf scans within a cache line or two of entries
@@ -303,8 +306,8 @@ func (s *Store) BuildIndex(fanout int) *sindex.RTree {
 		s.mu.RUnlock()
 		return s.idx
 	}
-	entries := make([]sindex.Entry, 0, 4*len(s.trajs))
-	for _, tr := range s.trajs {
+	entries := make([]sindex.Entry, 0, s.segLive)
+	for _, tr := range s.viewLocked().Trajs {
 		entries = appendSegEntries(entries, tr, math.Inf(-1), s.spec.R)
 	}
 	s.mu.RUnlock()

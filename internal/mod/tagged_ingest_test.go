@@ -83,14 +83,17 @@ var raceEnabled bool // set by race_test.go
 
 // TestTaggedIngestDoesNotScaleWithN: the same 240-update batch, a quarter
 // of it tag flips, allocates about the same number of bytes on a fleet of
-// 500 and on one of 4 000. Bytes, not mallocs: copying an N-entry map per
+// 1 000 and on one of 8 000. Bytes, not mallocs: copying an N-entry map per
 // tagged update — what keeping a tag index live used to cost — is one big
-// allocation.
+// allocation. Both stores chain their index through the batch: on a much
+// smaller fleet its revisions supersede enough segments for the compaction
+// rule to cut the chain, and a cut batch defers its index work to the next
+// read, which would compare unlike with like.
 func TestTaggedIngestDoesNotScaleWithN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the program's")
 	}
-	const small, large = 500, 4000
+	const small, large = 1000, 8000
 	trs, err := workload.Generate(workload.DefaultConfig(2009), large)
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +110,9 @@ func TestTaggedIngestDoesNotScaleWithN(t *testing.T) {
 		}
 		runtime.ReadMemStats(&m1)
 		bytes[i] = m1.TotalAlloc - m0.TotalAlloc
+		if st.IndexVersion() != st.Version() {
+			t.Fatalf("N=%d: the batch cut the index chain", []int{small, large}[i])
+		}
 	}
 	t.Logf("ApplyUpdates of %d updates: %d B at N=%d, %d B at N=%d", len(batch), bytes[0], small, bytes[1], large)
 	if 2*bytes[1] > 3*bytes[0] {

@@ -38,7 +38,7 @@ func BenchmarkSweepBounds(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.probeBounds(ctx, 1); err != nil {
+		if _, err := s.probe(ctx, s.probeWidth(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

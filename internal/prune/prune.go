@@ -129,62 +129,89 @@ func (s *Sweep) zone(ctx context.Context, k int) (ids []int64, bounds []float64,
 	return ids, bounds, st, nil
 }
 
-// rankBounds is the probe phase's outcome at one rank, kept with the
-// session: a rank-k request sweeps against it, and the continuous layer
-// fingerprints the same request with it afterwards without a second probe.
+// rankBounds is the probe phase's outcome at one rank: a rank-k request
+// sweeps against it, and the continuous layer fingerprints the same
+// request with it afterwards without a second probe.
 type rankBounds struct {
-	k      int
 	bounds []float64
 	probes int
 }
 
-// rankBounds returns the session's probe-phase outcome at rank k, probing
-// on first use (under the lock: callers racing on one session wait for the
-// one probe instead of repeating it).
-func (s *Sweep) rankBounds(ctx context.Context, k int) (rankBounds, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rb := range s.ranks {
-		if rb.k == k {
-			return rb, nil
-		}
-	}
-	rb, err := s.probeBounds(ctx, k)
-	if err == nil {
-		s.ranks = append(s.ranks, rb)
-	}
-	return rb, err
+// probePass is one probe pass at one KNN width, kept with the session:
+// per slice, the sorted exact maximum distances of the usable probes.
+// Every rank that probes at this width — every k <= 4 does — reads its
+// bound off the same lists.
+type probePass struct {
+	width  int
+	dists  []float64 // the slices' sorted distances, back to back
+	ends   []int     // slice i's are dists[ends[i-1]:ends[i]] (from 0 for i = 0)
+	probes int
 }
 
-// probeBounds is the probe phase: per slice, the k-th smallest exact
-// maximum distance among index KNN probes at the slice midpoint. The
-// bound is sound for the Level-k envelope because the k probes with the
-// smallest exact maximum distance each stay below the k-th smallest value
-// throughout the slice, so at every instant at least k functions — and
-// hence the pointwise k-th smallest — do.
-func (s *Sweep) probeBounds(ctx context.Context, k int) (rankBounds, error) {
-	// The rank-k bound needs the k-th smallest probe distance, so probe a
-	// few extra neighbors beyond k to keep the bound tight.
-	probes := kProbe
-	if k+4 > probes {
-		probes = k + 4
-	}
+// probeWidth is the KNN width of the rank-k probe: a few neighbors beyond
+// k keep the k-th smallest distance tight, and a filtered session widens
+// it further (see Sweep.boost).
+func (s *Sweep) probeWidth(k int) int {
+	width := max(kProbe, k+4)
 	if s.boost > 1 {
-		probes *= s.boost
-		if probes > maxProbes {
-			probes = maxProbes
-		}
+		width = min(width*s.boost, maxProbes)
 	}
-	rb := rankBounds{k: k, bounds: make([]float64, len(s.cuts)-1)}
-	dists := make([]float64, 0, probes)
-	for i := range rb.bounds {
-		if err := queries.CtxErr(ctx); err != nil {
+	return width
+}
+
+// rankBounds returns the session's probe-phase outcome at rank k, running
+// the probe pass of its width on first use (under the lock: callers racing
+// on one session wait for the one pass instead of repeating it).
+func (s *Sweep) rankBounds(ctx context.Context, k int) (rankBounds, error) {
+	width := s.probeWidth(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := slices.IndexFunc(s.passes, func(p probePass) bool { return p.width == width })
+	if i < 0 {
+		p, err := s.probe(ctx, width)
+		if err != nil {
 			return rankBounds{}, err
+		}
+		s.passes = append(s.passes, p)
+		i = len(s.passes) - 1
+	}
+	return s.passes[i].rank(k), nil
+}
+
+// rank reads the rank-k bounds off the pass: per slice, the k-th smallest
+// probe distance, or +Inf with fewer than k probes. Every call hands out a
+// fresh bounds slice, which the caller owns.
+func (p *probePass) rank(k int) rankBounds {
+	rb := rankBounds{bounds: make([]float64, len(p.ends)), probes: p.probes}
+	lo := 0
+	for i, hi := range p.ends {
+		rb.bounds[i] = math.Inf(1)
+		if hi-lo >= k {
+			rb.bounds[i] = p.dists[lo+k-1]
+		}
+		lo = hi
+	}
+	return rb
+}
+
+// probe is the probe phase: per slice, the exact maximum distances over
+// the slice of the index's width nearest entries at the slice midpoint,
+// sorted. The k-th smallest is a sound bound on the Level-k envelope
+// because the k probes with the smallest exact maximum distance each stay
+// below it throughout the slice, so at every instant at least k functions
+// — and hence the pointwise k-th smallest — do.
+func (s *Sweep) probe(ctx context.Context, width int) (probePass, error) {
+	// An unfiltered rank-1..4 pass keeps at most kProbe distances a slice;
+	// a filtered one keeps only the matching share of its wider probe.
+	p := probePass{width: width, dists: make([]float64, 0, kProbe*(len(s.cuts)-1)), ends: make([]int, len(s.cuts)-1)}
+	for i := range p.ends {
+		if err := queries.CtxErr(ctx); err != nil {
+			return probePass{}, err
 		}
 		t0, t1 := s.cuts[i], s.cuts[i+1]
 		mid := 0.5 * (t0 + t1)
-		dists = dists[:0]
-		for _, nb := range s.idx.KNN(s.q.At(mid), mid, probes) {
+		lo := len(p.dists)
+		for _, nb := range s.idx.KNN(s.q.At(mid), mid, width) {
 			if nb.ID == s.q.OID {
 				continue
 			}
@@ -192,17 +219,13 @@ func (s *Sweep) probeBounds(ctx context.Context, k int) (rankBounds, error) {
 			if !ok {
 				continue
 			}
-			rb.probes++
-			dists = append(dists, maxDistOverSlice(s.trs[j], s.q, t0, t1))
+			p.probes++
+			p.dists = append(p.dists, maxDistOverSlice(s.trs[j], s.q, t0, t1))
 		}
-		u := math.Inf(1)
-		if len(dists) >= k {
-			slices.Sort(dists)
-			u = dists[k-1]
-		}
-		rb.bounds[i] = u
+		slices.Sort(p.dists[lo:])
+		p.ends[i] = len(p.dists)
 	}
-	return rb, nil
+	return p, nil
 }
 
 // sweepScratch is one sweep's working memory, pooled across sweeps: the

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -31,11 +30,11 @@ const sweepCacheCap = 16
 // the matching objects), the OIDs beside it — an OID resolves to its
 // snapshot slot by binary search, so no per-query lookup table is built —
 // the pre-pass index, the deterministic slice cuts with the query's
-// position at each, and the probe-phase bounds of every rank asked so far.
+// position at each, and the probe passes of every width asked so far.
 // Every phase and rank runs against this one snapshot, which is the
 // consistency the bound exchange needs between its two calls and a ranked
 // request between its two passes. A Sweep is safe for concurrent use: the
-// captured state is read-only and the bounds memo is guarded.
+// captured state is read-only and the probe-pass memo is guarded.
 type Sweep struct {
 	trs        []*trajectory.Trajectory
 	oids       []int64 // trs[i].OID
@@ -57,8 +56,8 @@ type Sweep struct {
 	cuts  []float64    // nil for a degenerate window
 	qpos  []geom.Point // q.At(cuts[i]); q is linear between consecutive cuts
 
-	mu    sync.Mutex
-	ranks []rankBounds
+	mu     sync.Mutex
+	passes []probePass // one per probe width asked so far
 }
 
 // newSweep opens a session for q over [tb, te] against the store's current
@@ -109,7 +108,7 @@ func (s *Sweep) Bounds(ctx context.Context, k int) ([]float64, error) {
 		return bounds, nil
 	}
 	rb, err := s.rankBounds(ctx, k)
-	return slices.Clone(rb.bounds), err
+	return rb.bounds, err
 }
 
 // Survivors is the sweep phase under imposed per-slice bounds (see

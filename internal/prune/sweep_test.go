@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/mod"
+	"repro/internal/textidx"
 	"repro/internal/trajectory"
 	"repro/internal/workload"
 )
@@ -84,6 +85,45 @@ func TestSweepMatchesOneShot(t *testing.T) {
 
 	if _, err := NewSweepWhere(store, q, 30, 30, nil); err == nil {
 		t.Fatal("empty window accepted")
+	}
+}
+
+// TestSharedProbePassEqualsSingleRank: one session asked for ranks 1..6
+// in a scrambled order probes once per width — ranks up to 4 share one
+// pass — and every rank's bounds and probe count equal those of a fresh
+// session asked for that rank alone, unfiltered and under a predicate.
+func TestSharedProbePassEqualsSingleRank(t *testing.T) {
+	store, trs := sweepStore(t, 300)
+	for _, tr := range trs {
+		if tr.OID%2 == 0 {
+			if err := store.SetTags(tr.OID, []string{"available"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx := context.Background()
+	for _, where := range []*textidx.Predicate{nil, {All: []string{"available"}}} {
+		for _, w := range [][2]float64{{0, 60}, {12.5, 31}} {
+			shared := newSweep(store, trs[3], w[0], w[1], where)
+			for _, k := range []int{3, 1, 6, 2, 5, 4} {
+				got, err := shared.rankBounds(ctx, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := newSweep(store, trs[3], w[0], w[1], where).rankBounds(ctx, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.bounds, want.bounds) || got.probes != want.probes {
+					t.Fatalf("where=%v window=%v k=%d: shared session %v (%d probes), single rank %v (%d)",
+						where != nil, w, k, got.bounds, got.probes, want.bounds, want.probes)
+				}
+			}
+			if len(shared.passes) != 3 {
+				t.Fatalf("where=%v window=%v: %d probe passes for ranks 1..6, want one per width (3)",
+					where != nil, w, len(shared.passes))
+			}
+		}
 	}
 }
 

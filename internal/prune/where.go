@@ -30,7 +30,7 @@ import (
 // predProbeBoost multiplies the per-slice KNN probe width under a
 // predicate: the spatial index knows nothing about tags, so of the k
 // nearest entries only a fraction may match. Capped at maxProbes in
-// probeBounds.
+// probeWidth.
 const predProbeBoost = 4
 
 // takeSnapshot captures a session's consistent pre-pass view — snapshot,

@@ -71,7 +71,7 @@ func refInserted(t *RTree, es ...Entry) *RTree {
 		if t != nil && t.fanout > 0 {
 			fan = t.fanout
 		}
-		return NewRTree(es, fan)
+		return NewRTree(slices.Clone(es), fan)
 	}
 	nt := &RTree{root: t.root, height: t.height, count: t.count, fanout: t.fanout}
 	for _, e := range es {

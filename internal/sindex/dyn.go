@@ -20,7 +20,9 @@ import (
 // later touch, so a batch pays for each node on its insertion paths once.
 // Packing quality degrades slowly compared to a fresh STR build, but a
 // batch costs what its own entries touch instead of the O(n log n) rebuild
-// the cache would otherwise pay on every mutation.
+// the cache would otherwise pay on every mutation. What the chain cannot
+// do is delete: an entry a caller has superseded stays in every later
+// tree until the caller rebuilds (see the package comment).
 
 // insertEpoch numbers the RTree.Inserted calls. A node records the epoch of
 // the call that created it (0: bulk-loaded), and a call may edit exactly the
@@ -31,7 +33,7 @@ var insertEpoch atomic.Uint64
 // Inserted returns a tree containing the receiver's entries plus es, as if
 // they had been inserted one at a time in order. The receiver, and every
 // tree derived from it earlier, is not modified; unaffected subtrees are
-// shared. A nil or empty receiver bulk-loads es instead.
+// shared. A nil or empty receiver bulk-loads a copy of es instead.
 func (t *RTree) Inserted(es ...Entry) *RTree {
 	if len(es) == 0 {
 		return t
@@ -41,7 +43,7 @@ func (t *RTree) Inserted(es ...Entry) *RTree {
 		if t != nil && t.fanout > 0 {
 			fan = t.fanout
 		}
-		return NewRTree(es, fan)
+		return NewRTree(slices.Clone(es), fan)
 	}
 	nt := &RTree{root: t.root, height: t.height, count: t.count + len(es), fanout: t.fanout}
 	epoch := insertEpoch.Add(1)

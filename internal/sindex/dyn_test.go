@@ -109,12 +109,12 @@ func TestRTreeInsertedMatchesRebuild(t *testing.T) {
 		{0, 30}, {1, 64}, {200, 1}, {150, 150}, {40, 300},
 	} {
 		all := randSegmentEntries(rng, (split.base+split.extra+3)/4+1, 4)[:split.base+split.extra]
-		base := NewRTree(all[:split.base], 8)
+		base := NewRTree(slices.Clone(all[:split.base]), 8)
 		grown := base.Inserted(all[split.base:]...)
 		checkRTreeAgainstEntries(t, "grown", grown, all, rng)
 
 		// One-at-a-time growth must agree too (exercises repeated splits).
-		one := NewRTree(all[:split.base], 8)
+		one := NewRTree(slices.Clone(all[:split.base]), 8)
 		for _, e := range all[split.base:] {
 			one = one.Inserted(e)
 		}

@@ -8,13 +8,18 @@
 // candidate set), but a MOD serving the paper's Category 3/4 queries needs
 // one to collect the trajectories relevant to a query window; this package
 // is that substrate.
+//
+// Trees are immutable. Live ingest derives a new tree per update batch
+// with Inserted (dyn.go), which adds entries but never removes one, so an
+// owner whose updates supersede entries rebuilds with NewRTree to shed
+// them: a bulk load that sorts packed integer keys and moves each entry
+// once, cheap enough to run whenever the dead entries reach a modest
+// share of the live ones (the store's rule is a quarter).
 package sindex
 
 import (
-	"cmp"
 	"errors"
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -40,10 +45,9 @@ func (e Entry) overlaps(box geom.AABB, t0, t1 float64) bool {
 	return e.T1 >= t0 && e.T0 <= t1 && e.Box.Intersects(box)
 }
 
-// RTree is an immutable STR-packed R-tree. Build once with NewRTree; for
-// bulk-dynamic workloads rebuild (bulk loading is fast: O(n log n)), and
-// for live ingest derive updated trees with Inserted, one call per batch,
-// which shares all untouched nodes with the original (see dyn.go).
+// RTree is an immutable STR-packed R-tree. Build with NewRTree; for live
+// ingest derive updated trees with Inserted, one call per batch, which
+// shares all untouched nodes with the original (see dyn.go).
 type RTree struct {
 	root   *node
 	height int
@@ -61,8 +65,11 @@ type node struct {
 	epoch uint64
 }
 
-// NewRTree bulk-loads the entries with the STR algorithm. The entries
-// slice is copied. fanout <= 0 selects DefaultFanout.
+// NewRTree bulk-loads the entries with the STR algorithm. It takes
+// ownership of the entries slice: the slice is reordered in place and the
+// leaves keep sub-slices of it, so the caller must not use it afterwards.
+// Equal centers keep their input order, so one input order always packs
+// one tree. fanout <= 0 selects DefaultFanout.
 func NewRTree(entries []Entry, fanout int) *RTree {
 	if fanout <= 0 {
 		fanout = DefaultFanout
@@ -71,12 +78,13 @@ func NewRTree(entries []Entry, fanout int) *RTree {
 	if len(entries) == 0 {
 		return t
 	}
-	es := append([]Entry(nil), entries...)
-	leaves := strPack(es, fanout)
-	level := leaves
+	keys := make([]uint64, 2*len(entries))
+	level := strLevel(entries, keys, fanout, func(e *Entry) geom.Point { return e.Box.Center() },
+		func(nd *node, es []Entry) { nd.entries = es })
 	height := 1
 	for len(level) > 1 {
-		level = packNodes(level, fanout)
+		level = strLevel(level, keys, fanout, func(c **node) geom.Point { return (*c).box.Center() },
+			func(nd *node, cs []*node) { nd.children = cs })
 		height++
 	}
 	t.root = level[0]
@@ -84,69 +92,130 @@ func NewRTree(entries []Entry, fanout int) *RTree {
 	return t
 }
 
-// strPack tiles entries into leaves: sort by center X, slice into vertical
-// strips of sqrt(n/fanout) · fanout entries, sort each strip by center Y,
-// and cut runs of fanout.
-func strPack(es []Entry, fanout int) []*node {
-	n := len(es)
-	leafCount := (n + fanout - 1) / fanout
-	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	sliceSize := sliceCount * fanout
-	slices.SortFunc(es, func(a, b Entry) int {
-		return cmp.Compare(a.Box.Center().X, b.Box.Center().X)
-	})
-	var leaves []*node
-	for s := 0; s < n; s += sliceSize {
-		end := s + sliceSize
-		if end > n {
-			end = n
-		}
-		strip := es[s:end]
-		slices.SortFunc(strip, func(a, b Entry) int {
-			return cmp.Compare(a.Box.Center().Y, b.Box.Center().Y)
-		})
-		for i := 0; i < len(strip); i += fanout {
-			j := i + fanout
-			if j > len(strip) {
-				j = len(strip)
-			}
-			leaf := &node{entries: strip[i:j:j]}
-			leaf.recompute()
-			leaves = append(leaves, leaf)
-		}
+// strKey packs one item's sort key in a packing pass into a single
+// integer: the center coordinate c, rounded to float32 and mapped to a
+// uint32 that orders like it, above the item's position i. The packing
+// needs no finer order than float32's, and sorting the high half alone is
+// enough: the position only rides along.
+func strKey(c float64, i int) uint64 {
+	b := math.Float32bits(float32(c))
+	if b>>31 != 0 {
+		b = ^b // negative: larger magnitudes sort first
+	} else {
+		b |= 1 << 31
 	}
-	return leaves
+	return uint64(b)<<32 | uint64(uint32(i))
 }
 
-func packNodes(level []*node, fanout int) []*node {
-	slices.SortFunc(level, func(a, b *node) int {
-		return cmp.Compare(a.box.Center().X, b.box.Center().X)
-	})
-	n := len(level)
-	parentCount := (n + fanout - 1) / fanout
-	sliceCount := int(math.Ceil(math.Sqrt(float64(parentCount))))
-	sliceSize := sliceCount * fanout
-	var parents []*node
+// strPos is the item position strKey packed into k.
+func strPos(k uint64) int { return int(uint32(k)) }
+
+// strLevel packs one level of the tree with the STR algorithm: sort the
+// items by center X, slice them into vertical strips of sqrt(n/fanout) ·
+// fanout items, sort each strip by center Y, and cut runs of fanout, each
+// run the members of one new node (set attaches them). The sorts are
+// stable, so equal coordinates keep their order: items their position,
+// a strip's members their X order. They move keys, not items — keys is
+// scratch of at least 2·len(items), and a level holds fewer than 2^32 - 1
+// items — and the items are permuted into packing order once at the end.
+// The nodes come from one allocation.
+func strLevel[T any](items []T, keys []uint64, fanout int, center func(*T) geom.Point, set func(*node, []T)) []*node {
+	n := len(items)
+	keys, buf := keys[:n], keys[n:2*n]
+	for i := range items {
+		keys[i] = strKey(center(&items[i]).X, i)
+	}
+	radixSort(keys, buf)
+	count := (n + fanout - 1) / fanout
+	sliceSize := int(math.Ceil(math.Sqrt(float64(count)))) * fanout
 	for s := 0; s < n; s += sliceSize {
-		end := s + sliceSize
-		if end > n {
-			end = n
+		end := min(s+sliceSize, n)
+		strip := keys[s:end]
+		for j, k := range strip {
+			strip[j] = strKey(center(&items[strPos(k)]).Y, strPos(k))
 		}
-		strip := level[s:end]
-		slices.SortFunc(strip, func(a, b *node) int {
-			return cmp.Compare(a.box.Center().Y, b.box.Center().Y)
-		})
-		for i := 0; i < len(strip); i += fanout {
-			j := i + fanout
-			if j > len(strip) {
-				j = len(strip)
-			}
-			p := &node{children: strip[i:j:j]}
-			p.recompute()
-			parents = append(parents, p)
+		radixSort(strip, buf[s:end])
+	}
+	permute(items, keys)
+	// sliceSize is a multiple of fanout, so only the last strip ends in a
+	// short run and there are exactly count runs.
+	nodes := make([]node, count)
+	out := make([]*node, 0, count)
+	for s := 0; s < n; s += sliceSize {
+		end := min(s+sliceSize, n)
+		for i := s; i < end; i += fanout {
+			j := min(i+fanout, end)
+			nd := &nodes[len(out)]
+			set(nd, items[i:j:j])
+			nd.recompute()
+			out = append(out, nd)
 		}
 	}
-	return parents
+	return out
+}
+
+// radixSort sorts keys stably by their high half (strKey's coordinate): a
+// least-significant-digit radix sort over its four bytes through buf, of
+// len(keys). A byte every key shares costs no pass. On a 36 424-entry
+// rebuild it runs the whole load in about half the time slices.Sort on
+// the same keys does (4.4–5.1 ms against 8.0–9.3 ms, 2-core x86-64).
+func radixSort(keys, buf []uint64) {
+	if len(keys) < 2 {
+		return
+	}
+	var counts [4][256]int
+	for _, k := range keys {
+		for d := range counts {
+			counts[d][byte(k>>(32+8*d))]++
+		}
+	}
+	src, dst := keys, buf
+	for d := range counts {
+		c, shift := &counts[d], 32+8*d
+		if c[byte(src[0]>>shift)] == len(src) {
+			continue
+		}
+		off := 0
+		for b, m := range c {
+			c[b], off = off, off+m
+		}
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
+// placed marks a spent key in permute: no position packs to it, because
+// a level has fewer than 2^32 - 1 items.
+const placed uint32 = math.MaxUint32
+
+// permute reorders items so that position j holds the item keys[j]
+// names, in place: it follows each cycle of the permutation once and
+// marks the keys it has placed, which leaves keys spent.
+func permute[T any](items []T, keys []uint64) {
+	for start := range keys {
+		if uint32(keys[start]) == placed {
+			continue
+		}
+		tmp := items[start]
+		j := start
+		for {
+			src := strPos(keys[j])
+			keys[j] = uint64(placed)
+			if src == start {
+				items[j] = tmp
+				break
+			}
+			items[j] = items[src]
+			j = src
+		}
+	}
 }
 
 func (nd *node) recompute() {
