@@ -57,7 +57,8 @@ bench:
 # per-layer ones among them (BenchmarkSweepBounds, BenchmarkSweepSurvivors,
 # BenchmarkSweepFiltered, BenchmarkMinCrispDist in internal/prune,
 # BenchmarkApplyUpdatesTagged and BenchmarkBuildIndex in internal/mod,
-# BenchmarkKNN and BenchmarkInsertedBatch in internal/sindex,
+# BenchmarkKNN/bulk, BenchmarkKNN/chained (KNN on a tree chained through
+# Inserted) and BenchmarkInsertedBatch in internal/sindex,
 # BenchmarkShardFrameEncode/Decode in internal/modserver,
 # BenchmarkRefineUnion in internal/engine (the router's central refine
 # of a gathered union), BenchmarkHubIngestStanding in

@@ -49,13 +49,13 @@ func refRecompute(nd *node) {
 	}
 }
 
-func refChooseSubtree(children []*node, box geom.AABB) int {
-	best, bestGrow, bestArea := 0, math.Inf(1), math.Inf(1)
+func refChooseSubtree(children []*node, e Entry) int {
+	best, bestGrow, bestVol := 0, math.Inf(1), math.Inf(1)
 	for i, c := range children {
-		area := c.box.Area()
-		grow := refUnion(c.box, box).Area() - area
-		if grow < bestGrow || (grow == bestGrow && area < bestArea) {
-			best, bestGrow, bestArea = i, grow, area
+		vol := c.box.Area() * (c.t1 - c.t0)
+		grow := refUnion(c.box, e.Box).Area()*(math.Max(c.t1, e.T1)-math.Min(c.t0, e.T0)) - vol
+		if grow < bestGrow || (grow == bestGrow && vol < bestVol) {
+			best, bestGrow, bestVol = i, grow, vol
 		}
 	}
 	return best
@@ -105,7 +105,7 @@ func refInsertNode(nd *node, e Entry, fanout int) (*node, *node) {
 		refRecompute(lb)
 		return la, lb
 	}
-	best := refChooseSubtree(nd.children, e.Box)
+	best := refChooseSubtree(nd.children, e)
 	c1, c2 := refInsertNode(nd.children[best], e, fanout)
 	kids := make([]*node, len(nd.children), len(nd.children)+1)
 	copy(kids, nd.children)

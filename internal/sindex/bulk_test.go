@@ -16,13 +16,14 @@ import (
 
 // bulkEntries reads 5-byte records (x, y, w|h|span, t0, id) off the fuzz
 // input: coordinates either side of zero on a half-unit grid, so centers
-// repeat; zero-width, zero-height and zero-area boxes; four start times
-// and four span lengths, so time spans are shared.
+// repeat; zero-width, zero-height and zero-area boxes; sixteen start
+// times and four span lengths, so time spans are shared and a tree has
+// several time slabs.
 func bulkEntries(data []byte) []Entry {
 	var es []Entry
 	for ; len(data) >= 5; data = data[5:] {
 		x, y := float64(int8(data[0])%24)/2, float64(int8(data[1])%24)/2
-		t0 := float64(data[3]%4) * 10
+		t0 := float64(data[3]%16) * 5
 		es = append(es, Entry{
 			ID:  int64(data[4] % 48),
 			Box: geom.AABB{MinX: x, MinY: y, MaxX: x + float64(data[2]&3), MaxY: y + float64(data[2]>>2&3)},
@@ -88,7 +89,9 @@ func checkPacked(tb testing.TB, tag string, t *RTree, es []Entry) {
 
 // checkAnswers probes t around every tenth entry: SearchRange against the
 // scan, KNN against refKNN (the container/heap search over the same tree)
-// and, for its distances, against the per-ID scan.
+// and, for its distances, against the per-ID scan. KNN is asked at the
+// entry's mid-time and at both closed ends of its interval, the instants
+// a time-slab cut can put in different subtrees.
 func checkAnswers(tb testing.TB, tag string, t *RTree, es []Entry) {
 	tb.Helper()
 	for i := 0; i < len(es); i += 10 {
@@ -97,23 +100,25 @@ func checkAnswers(tb testing.TB, tag string, t *RTree, es []Entry) {
 		if got, want := sortIDs(t.SearchRange(box, t0, t1)), linearRange(es, box, t0, t1); !slices.Equal(got, want) {
 			tb.Fatalf("%s: SearchRange(%v, %g, %g) = %v, scan %v", tag, box, t0, t1, got, want)
 		}
-		p, at, k := geom.Point{X: e.Box.MinX - 0.25, Y: e.Box.MaxY}, 0.5*(e.T0+e.T1), 1+i%7
-		got := t.KNN(p, at, k)
-		if want := refKNN(t, p, at, k); !slices.Equal(got, want) {
-			tb.Fatalf("%s: KNN(%v, %g, %d) = %v, reference %v", tag, p, at, k, got, want)
-		}
-		oracle := perIDMinDist(es, p, at)
-		dists := make([]float64, 0, len(oracle))
-		for _, d := range oracle {
-			dists = append(dists, d)
-		}
-		slices.Sort(dists)
-		if len(got) != min(k, len(dists)) {
-			tb.Fatalf("%s: KNN returned %d neighbors, the scan has %d ids", tag, len(got), len(dists))
-		}
-		for j, nb := range got {
-			if nb.Dist != dists[j] || oracle[nb.ID] != nb.Dist {
-				tb.Fatalf("%s: KNN result %d: id %d dist %g, scan %g / per-id %g", tag, j, nb.ID, nb.Dist, dists[j], oracle[nb.ID])
+		p, k := geom.Point{X: e.Box.MinX - 0.25, Y: e.Box.MaxY}, 1+i%7
+		for _, at := range []float64{e.T0, 0.5 * (e.T0 + e.T1), e.T1} {
+			got := t.KNN(p, at, k)
+			if want := refKNN(t, p, at, k); !slices.Equal(got, want) {
+				tb.Fatalf("%s: KNN(%v, %g, %d) = %v, reference %v", tag, p, at, k, got, want)
+			}
+			oracle := perIDMinDist(es, p, at)
+			dists := make([]float64, 0, len(oracle))
+			for _, d := range oracle {
+				dists = append(dists, d)
+			}
+			slices.Sort(dists)
+			if len(got) != min(k, len(dists)) {
+				tb.Fatalf("%s: KNN(%v, %g, %d) returned %d neighbors, the scan has %d ids", tag, p, at, k, len(got), len(dists))
+			}
+			for j, nb := range got {
+				if nb.Dist != dists[j] || oracle[nb.ID] != nb.Dist {
+					tb.Fatalf("%s: KNN(%v, %g, %d) result %d: id %d dist %g, scan %g / per-id %g", tag, p, at, k, j, nb.ID, nb.Dist, dists[j], oracle[nb.ID])
+				}
 			}
 		}
 	}

@@ -99,7 +99,7 @@ func insertNode(nd *node, e *Entry, fanout int, epoch uint64) (*node, *node) {
 			nd.entries, half = a, &node{entries: b, epoch: epoch}
 		}
 	} else {
-		best := chooseSubtree(nd.children, e.Box)
+		best := chooseSubtree(nd.children, e)
 		c1, c2 := insertNode(nd.children[best], e, fanout, epoch)
 		nd.children[best] = c1
 		if c2 != nil {
@@ -120,23 +120,27 @@ func insertNode(nd *node, e *Entry, fanout int, epoch uint64) (*node, *node) {
 	return nd, nil
 }
 
-// chooseSubtree picks the child whose box grows least (by area) to admit
-// box — Guttman's ChooseLeaf criterion, with area as the tie-breaker.
-func chooseSubtree(children []*node, box geom.AABB) int {
-	best, bestGrow, bestArea := 0, math.Inf(1), math.Inf(1)
+// chooseSubtree picks the child whose space-time volume (box area × time
+// span) grows least to admit e — Guttman's ChooseLeaf criterion with time
+// as a third axis, the smaller volume breaking ties. Growth in time costs
+// like growth in space, so an entry joins the subtree of its own time slab
+// and a chained tree keeps the bulk load's time coherence.
+func chooseSubtree(children []*node, e *Entry) int {
+	best, bestGrow, bestVol := 0, math.Inf(1), math.Inf(1)
 	for i, c := range children {
-		area := c.box.Area()
-		grow := c.box.Union(box).Area() - area
-		if grow < bestGrow || (grow == bestGrow && area < bestArea) {
-			best, bestGrow, bestArea = i, grow, area
+		vol := c.box.Area() * (c.t1 - c.t0)
+		grow := c.box.Union(e.Box).Area()*(max(c.t1, e.T1)-min(c.t0, e.T0)) - vol
+		if grow < bestGrow || (grow == bestGrow && vol < bestVol) {
+			best, bestGrow, bestVol = i, grow, vol
 		}
 	}
 	return best
 }
 
-// splitSlice halves an overflowing slice along the axis with the larger
-// center spread — cheap, and it keeps both halves spatially coherent,
-// which is all the sweep queries need from an overflow split.
+// splitSlice halves an overflowing slice along the spatial axis with the
+// larger center spread — cheap, and it keeps both halves spatially
+// coherent. It ignores time: the members of an overflowing node were
+// chosen for it by space-time growth, so they already share its slab.
 func splitSlice[T any](items []T, center func(T) geom.Point) ([]T, []T) {
 	minX, maxX := math.Inf(1), math.Inf(-1)
 	minY, maxY := math.Inf(1), math.Inf(-1)

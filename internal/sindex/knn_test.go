@@ -148,13 +148,91 @@ func TestEntrySize(t *testing.T) {
 	}
 }
 
+// chainedFleetTree chains 20 revision-shaped batches onto fleetTree the
+// way a store's ingest does between rebuilds: each batch revises 200
+// random objects, a revision re-inserts the object's plan from a moving
+// "now" onward, shifted a little, and the superseded entries stay.
+func chainedFleetTree(tb testing.TB) (bulk, chained *RTree, trs []*trajectory.Trajectory) {
+	bulk, trs = fleetTree(tb)
+	rng := rand.New(rand.NewSource(2009))
+	chained = bulk
+	for b := 0; b < 20; b++ {
+		now := 3 * float64(b)
+		var batch []Entry
+		for j := 0; j < 200; j++ {
+			tr := trs[rng.Intn(len(trs))]
+			d := geom.Vec{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5}
+			for i := 0; i < tr.NumSegments(); i++ {
+				seg, t0, t1 := tr.Segment(i)
+				if t1 <= now {
+					continue
+				}
+				if t0 < now {
+					seg.A, t0 = tr.At(now), now
+				}
+				batch = append(batch, Entry{ID: tr.OID, Box: geom.AABBOf(seg.A.Add(d), seg.B.Add(d)).Expand(0.5), T0: t0, T1: t1})
+			}
+		}
+		chained = chained.Inserted(batch...)
+	}
+	return bulk, chained, trs
+}
+
+// leavesSpanning counts t's leaves whose time span contains at, and all
+// its leaves.
+func leavesSpanning(t *RTree, at float64) (spanning, leaves int) {
+	var walk func(nd *node)
+	walk = func(nd *node) {
+		if nd.children == nil {
+			leaves++
+			if nd.t0 <= at && at <= nd.t1 {
+				spanning++
+			}
+		}
+		for _, c := range nd.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+	return spanning, leaves
+}
+
+// TestPackingIsTimeAware: a KNN probe at one instant descends only into
+// nodes whose time span contains it, so the share of leaves spanning an
+// instant is the share of the tree a probe can reach. The fleet's
+// segments tile [0, 60] and a sixth of them is alive at t = 25; a bulk
+// load that packs on space alone puts every leaf across t = 25, and a
+// chained insert that grows boxes by area alone drags a time-packed tree
+// back there within 20 batches.
+func TestPackingIsTimeAware(t *testing.T) {
+	bulk, chained, _ := chainedFleetTree(t)
+	for _, c := range []struct {
+		name string
+		tree *RTree
+	}{{"bulk", bulk}, {"chained", chained}} {
+		spanning, leaves := leavesSpanning(c.tree, 25)
+		t.Logf("%s: %d of %d leaves (%.1f %%) span t = 25", c.name, spanning, leaves, 100*float64(spanning)/float64(leaves))
+		if 10*spanning > 4*leaves {
+			t.Errorf("%s: %d of %d leaves span t = 25, want at most 40 %%", c.name, spanning, leaves)
+		}
+	}
+}
+
 // BenchmarkKNN is the probe phase's unit of work: the 8 nearest segment
-// entries to a fleet member's position, mid-window.
+// entries to a fleet member's position, mid-window, in the bulk-loaded
+// fleet tree and in the same tree after chainedFleetTree's 20 revision
+// batches.
 func BenchmarkKNN(b *testing.B) {
-	tree, trs := fleetTree(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.KNN(trs[i%len(trs)].At(25), 25, 8)
+	bulk, chained, trs := chainedFleetTree(b)
+	for _, bc := range []struct {
+		name string
+		tree *RTree
+	}{{"bulk", bulk}, {"chained", chained}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.tree.KNN(trs[i%len(trs)].At(25), 25, 8)
+			}
+		})
 	}
 }
