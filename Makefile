@@ -63,8 +63,9 @@ bench:
 # BenchmarkRefineUnion in internal/engine (the router's central refine
 # of a gathered union), BenchmarkHubIngestStanding in
 # internal/continuous, BenchmarkProcessorVariants and
-# BenchmarkBelowIntervals in internal/queries; EXPERIMENTS.md has their
-# rows).
+# BenchmarkBelowIntervals in internal/queries, BenchmarkTreeConstruction
+# in internal/core — the reference tree construction beside the one on
+# the processor, ~10 s at N = 20 000; EXPERIMENTS.md has their rows).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
@@ -153,8 +154,12 @@ loc:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# go vet, then the dead-export gate: every exported top-level name under
+# internal/ needs a non-test reference (benchmark/ counts) or an entry
+# with its reason in scripts/deadexports/allowlist.txt.
 vet:
 	$(GO) vet ./...
+	$(GO) run ./scripts/deadexports
 
 clean:
 	$(GO) clean ./...

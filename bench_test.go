@@ -21,7 +21,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/envelope"
+	"repro/internal/mod"
 	"repro/internal/queries"
 	"repro/internal/trajectory"
 	"repro/internal/uncertain"
@@ -222,9 +224,24 @@ func BenchmarkAblationTreeLevels(b *testing.B) {
 	for _, k := range []int{1, 2, 3, 4} {
 		b.Run(fmt.Sprintf("levels=%d", k), func(b *testing.B) {
 			trs, _ := benchFuncs(b, n, 6)
+			store, err := mod.NewUniformStore(0.5)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := store.InsertAll(trs); err != nil {
+				b.Fatal(err)
+			}
+			store.BuildIndex(0) // a serving store keeps its index
+			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tree, err := core.Build(trs, trs[0], 0, 60, 0.5, nil, core.Config{MaxLevels: k})
+				// A fresh engine: every iteration pays the index pre-pass
+				// and the envelope build, as a cold query does.
+				proc, err := engine.New(1).ProcessorWhereCtx(ctx, store, trs[0].OID, 0, 60, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tree, err := core.FromProcessor(ctx, proc, nil, core.Config{MaxLevels: k})
 				if err != nil {
 					b.Fatal(err)
 				}

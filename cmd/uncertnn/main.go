@@ -15,7 +15,8 @@
 // per CPU), and the store's spatial index prunes the candidate set before
 // preprocessing unless -fullscan disables it. -timeout bounds each
 // statement batch with a context deadline honored end to end (worker
-// pool, index pre-pass, lazy envelope builds).
+// pool, index pre-pass, lazy envelope builds); -tree reads the IPAC-NN
+// tree off the same engine's processor, under the same deadline.
 //
 // -shards N (N > 1) splits the store into N hash-partitioned in-process
 // shards and routes every statement through the cluster scatter-gather
@@ -88,11 +89,13 @@ func main() {
 	}
 	fmt.Printf("loaded %d trajectories (r=%g, pdf=%s)\n", store.Len(), store.Radius(), store.Spec().Kind)
 
+	eng := engine.NewWith(engine.Options{Workers: *workers, FullScan: *fullScan})
 	if *tree {
-		printTree(store, *qOID, *tb, *te, *levels, *desc, *asJSON)
+		ctx, cancel := evalCtx(*timeout)
+		printTree(ctx, eng, store, *qOID, *tb, *te, *levels, *desc, *asJSON)
+		cancel()
 		return
 	}
-	eng := engine.NewWith(engine.Options{Workers: *workers, FullScan: *fullScan})
 	ev := &evaluator{store: store, eng: eng}
 	if *shards > 1 {
 		router, err := cluster.NewLocalCluster(store, *shards, cluster.Options{Engine: eng})
@@ -207,13 +210,12 @@ func runScript(ev *evaluator, path string, timeout time.Duration) {
 	}
 }
 
-func printTree(store *mod.Store, qOID int64, tb, te float64, levels int, desc, asJSON bool) {
-	q, err := store.Get(qOID)
+func printTree(ctx context.Context, eng *engine.Engine, store *mod.Store, qOID int64, tb, te float64, levels int, desc, asJSON bool) {
+	proc, err := eng.ProcessorWhereCtx(ctx, store, qOID, tb, te, nil)
 	if err != nil {
 		fatal(err)
 	}
-	tree, err := core.Build(store.All(), q, tb, te, store.Radius(), store.PDF(),
-		core.Config{MaxLevels: levels, Descriptors: desc})
+	tree, err := core.FromProcessor(ctx, proc, store.PDF(), core.Config{MaxLevels: levels, Descriptors: desc})
 	if err != nil {
 		fatal(err)
 	}

@@ -98,7 +98,7 @@ func main() {
 	fmt.Printf("\nP(flight 2 within 5 units of flight 1 at t=%g) = %.4f\n", tClosest, pWithin)
 
 	// And the full interval tree for the record.
-	tree, err := repro.BuildIPACNN(store.All(), q, 0, 30, r, nil, repro.TreeConfig{})
+	tree, err := repro.BuildIPACNN(context.Background(), proc, nil, repro.TreeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,7 +63,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := repro.BuildIPACNN(store.All(), q, tb, te, store.Radius(), nil,
+	eng := repro.NewEngine(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	proc, err := eng.ProcessorWhereCtx(ctx, store, q.OID, tb, te, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tree, err := repro.BuildIPACNN(ctx, proc, nil,
 		repro.TreeConfig{MaxLevels: 2, Descriptors: true, DescriptorSamples: 3})
 	if err != nil {
 		log.Fatal(err)
@@ -100,9 +107,6 @@ func main() {
 	// spatio-textual row). Run them as one batch through the unified API: the envelope
 	// preprocessing is paid once, the per-van checks run in parallel, and
 	// the dashboard's refresh deadline rides in on the context.
-	eng := repro.NewEngine(0)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	certified := &repro.Predicate{All: []string{"certified"}}
 	dashboard := []repro.Request{
 		{Kind: repro.KindUQ31, QueryOID: q.OID, Tb: tb, Te: te},

@@ -64,13 +64,13 @@ func main() {
 	}
 
 	// The IPAC-NN tree is the time-parameterized answer structure behind
-	// those retrievals (Section 1's A_nn sequence = the level-1 nodes).
-	q, err := store.Get(1)
+	// those retrievals (Section 1's A_nn sequence = the level-1 nodes),
+	// read off the processor the batch above already built.
+	proc, err := eng.ProcessorWhereCtx(ctx, store, 1, 0, 60, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := repro.BuildIPACNN(store.All(), q, 0, 60, store.Radius(), nil,
-		repro.TreeConfig{MaxLevels: 2})
+	tree, err := repro.BuildIPACNN(ctx, proc, nil, repro.TreeConfig{MaxLevels: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -59,18 +59,20 @@ func TestPipelineWorkloadToAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := repro.BuildIPACNN(store.All(), q, 0, 60, r, nil, repro.TreeConfig{MaxLevels: 2})
-	if err != nil {
-		t.Fatal(err)
+	treeOf := func(store *repro.Store) *repro.IPACNNTree {
+		t.Helper()
+		ctx := context.Background()
+		proc, err := repro.NewEngine(1).ProcessorWhereCtx(ctx, store, 1, 0, 60, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := repro.BuildIPACNN(ctx, proc, nil, repro.TreeConfig{MaxLevels: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
 	}
-	q2, err := store2.Get(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree2, err := repro.BuildIPACNN(store2.All(), q2, 0, 60, r, nil, repro.TreeConfig{MaxLevels: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree, tree2 := treeOf(store), treeOf(store2)
 	if tree.NodeCount() != tree2.NodeCount() || len(tree.KeptOIDs) != len(tree2.KeptOIDs) {
 		t.Fatalf("persistence changed the tree: %d/%d nodes, %d/%d kept",
 			tree.NodeCount(), tree2.NodeCount(), len(tree.KeptOIDs), len(tree2.KeptOIDs))

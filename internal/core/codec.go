@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -60,41 +59,6 @@ func nodeToJSON(n *Node) nodeJSON {
 	}
 	for _, c := range n.Children {
 		out.Children = append(out.Children, nodeToJSON(c))
-	}
-	return out
-}
-
-// ReadJSON deserializes an answer tree written with WriteJSON. The
-// resulting tree supports structural inspection (Walk, NodeCount, Depth,
-// NodesAtLevel, descriptors) but not geometry-backed methods (Envelope,
-// RankedAt, ZoneIntervals), which require the distance functions of a
-// live Build.
-func ReadJSON(r io.Reader) (*Tree, error) {
-	var doc treeJSON
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("core: decoding tree: %w", err)
-	}
-	t := &Tree{
-		QueryOID: doc.QueryOID, Tb: doc.Tb, Te: doc.Te, R: doc.R,
-		PrunedOIDs: doc.Pruned, KeptOIDs: doc.Kept,
-	}
-	for _, n := range doc.Roots {
-		t.Roots = append(t.Roots, nodeFromJSON(n))
-	}
-	return t, nil
-}
-
-func nodeFromJSON(n nodeJSON) *Node {
-	out := &Node{ID: n.ID, T0: n.T0, T1: n.T1, Level: n.Level}
-	if n.Descriptor != nil {
-		d := &Descriptor{MinProb: n.Descriptor.MinProb, MaxProb: n.Descriptor.MaxProb}
-		for _, s := range n.Descriptor.Samples {
-			d.Samples = append(d.Samples, ProbSample{T: s[0], Prob: s[1]})
-		}
-		out.Descriptor = d
-	}
-	for _, c := range n.Children {
-		out.Children = append(out.Children, nodeFromJSON(c))
 	}
 	return out
 }

@@ -2,40 +2,37 @@
 // tree (Interval-based Probabilistic Answer to a Continuous NN query,
 // Section 1 and Algorithm 3 of Section 3.2).
 //
+// The tree is a view of a query processor (queries.Processor): the
+// processor has already built the difference-trajectory distance functions
+// of the index survivors, the Level-1 lower envelope and the 4r zone rows,
+// so FromProcessor runs only Algorithm 3's refinement on top of them.
 // The tree's root carries the query parameters (query trajectory and time
-// window). Level-1 nodes are the intervals of the lower envelope of the
-// difference-trajectory distance functions: at any instant, the envelope's
-// defining trajectory has the highest probability of being the query's
-// nearest neighbor (Theorem 1). Each node's children partition its time
-// interval with the trajectories ranked next — the level-L envelope with
-// the ancestor chain excluded — and recursion stops when no candidate with
-// non-zero probability of being the nearest neighbor remains (a trajectory
-// has non-zero probability at time t only while its distance function is
-// within 4r of the lower envelope, the pruning zone of Section 3.2).
+// window). Level-1 nodes are the intervals of the lower envelope: at any
+// instant, the envelope's defining trajectory has the highest probability
+// of being the query's nearest neighbor (Theorem 1). Each node's children
+// partition its time interval with the trajectories ranked next — the
+// level-L envelope with the ancestor chain excluded — and recursion stops
+// when no candidate with non-zero probability of being the nearest
+// neighbor remains (a trajectory has non-zero probability at time t only
+// while its distance function is within 4r of the lower envelope, the
+// pruning zone of Section 3.2).
 //
 // Each node can carry a probability descriptor D_i: min/max and a sampled
 // time series of P^NN values computed through the Section 3.1 convolution
-// reduction. Removing the root yields the DAG whose geometric dual is the
-// family of ranked envelopes (Theorem 2).
+// reduction (the processor's Sampler). Removing the root yields the DAG
+// whose geometric dual is the family of ranked envelopes (Theorem 2).
 package core
 
 import (
-	"errors"
-	"fmt"
+	"cmp"
+	"context"
 	"math"
+	"slices"
 
 	"repro/internal/envelope"
 	"repro/internal/numeric"
-	"repro/internal/trajectory"
-	"repro/internal/uncertain"
+	"repro/internal/queries"
 	"repro/internal/updf"
-)
-
-// Package errors.
-var (
-	ErrQueryNotFound = errors.New("core: query trajectory not in collection")
-	ErrNoObjects     = errors.New("core: no candidate objects besides the query")
-	ErrBadRadius     = errors.New("core: uncertainty radius must be positive")
 )
 
 // Config tunes tree construction.
@@ -91,169 +88,136 @@ type Tree struct {
 	// KeptOIDs lists the objects that participate in the answer.
 	KeptOIDs []int64
 
-	env1 *envelope.Envelope
-	fns  []*envelope.DistanceFunc
-	zone map[int64][]envelope.TimeInterval
+	p *queries.Processor
 }
 
-// Build runs Algorithm 3: construct the lower envelope (level 1), prune
-// the objects that can never have non-zero NN probability, then refine
-// each level's intervals recursively. The trajectory set trs must contain
-// q (matched by OID); all trajectories must cover [tb, te]; r is the
-// shared uncertainty radius; pdf is the shared location pdf (nil selects
-// the uniform disk, making the convolved difference pdf the exact
-// uniform◦uniform form).
-func Build(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64, pdf updf.RadialPDF, cfg Config) (*Tree, error) {
-	if r <= 0 {
-		return nil, ErrBadRadius
-	}
-	found := false
-	for _, tr := range trs {
-		if tr.OID == q.OID {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, ErrQueryNotFound
-	}
-	if len(trs) < 2 {
-		return nil, ErrNoObjects
-	}
-	fns, err := envelope.BuildDistanceFuncs(trs, q, tb, te)
-	if err != nil {
-		return nil, err
-	}
-	env1, err := envelope.LowerEnvelope(fns, tb, te)
-	if err != nil {
-		return nil, err
-	}
-	width := 4 * r
-	kept, pruned := envelope.Prune(fns, env1, width)
-
-	t := &Tree{
-		QueryOID: q.OID, Tb: tb, Te: te, R: r,
-		env1: env1, fns: fns,
-		zone: make(map[int64][]envelope.TimeInterval, len(kept)),
-	}
-	for _, f := range pruned {
-		t.PrunedOIDs = append(t.PrunedOIDs, f.ID)
-	}
+// FromProcessor runs Algorithm 3 over the processor's query and window:
+// the level-1 nodes are the intervals of p's lower envelope, the kept
+// objects are p's UQ31 members and each level is refined recursively
+// within their zone rows. pdf is the shared location pdf of the
+// descriptors (nil selects the uniform disk of p's radius, making the
+// convolved difference pdf the exact uniform◦uniform form). ctx is checked
+// before each node's refinement and before every descriptor sample.
+func FromProcessor(ctx context.Context, p *queries.Processor, pdf updf.RadialPDF, cfg Config) (*Tree, error) {
+	kept := p.KeptFuncs()
+	t := &Tree{QueryOID: p.QueryOID, Tb: p.Tb, Te: p.Te, R: p.R, p: p}
+	b := &builder{ctx: ctx, cfg: cfg, zone: make(map[int64][]envelope.TimeInterval, len(kept))}
 	for _, f := range kept {
 		t.KeptOIDs = append(t.KeptOIDs, f.ID)
-		t.zone[f.ID] = envelope.BelowIntervals(f, env1, width)
+		b.zone[f.ID], _ = p.PossibleNNIntervals(f.ID) // a UQ31 member is known: no error
 	}
-
-	if pdf == nil {
-		pdf = updf.NewUniformDisk(r)
+	for _, id := range p.CandidateOIDs() {
+		if _, ok := b.zone[id]; !ok {
+			t.PrunedOIDs = append(t.PrunedOIDs, id)
+		}
 	}
-	var desc *descriptorEngine
 	if cfg.Descriptors {
-		conv, err := updf.ConvolvePair(pdf, pdf, 0)
+		s, err := p.Sampler(queries.ThresholdConfig{PDF: pdf, Grid: cfg.Grid})
 		if err != nil {
-			return nil, fmt.Errorf("core: convolving pdfs: %w", err)
+			return nil, err
 		}
-		samples := cfg.DescriptorSamples
-		if samples <= 0 {
-			samples = 5
+		b.sampler, b.samples = s, cfg.DescriptorSamples
+		if b.samples <= 0 {
+			b.samples = 5
 		}
-		grid := cfg.Grid
-		if grid <= 0 {
-			grid = uncertain.DefaultGrid
-		}
-		desc = &descriptorEngine{conv: conv, kept: kept, samples: samples, grid: grid}
 	}
-
-	// Level 1: the envelope's intervals.
-	for _, iv := range env1.Intervals {
-		node := &Node{ID: iv.ID, T0: iv.T0, T1: iv.T1, Level: 1}
-		if desc != nil {
-			node.Descriptor = desc.describe(node.ID, node.T0, node.T1)
+	for _, iv := range p.Envelope().Intervals {
+		root, err := b.node(iv, 1)
+		if err != nil {
+			return nil, err
 		}
-		t.Roots = append(t.Roots, node)
-	}
-	// Refine recursively.
-	for _, root := range t.Roots {
-		t.buildChildren(root, map[int64]bool{root.ID: true}, kept, cfg, desc)
+		t.Roots = append(t.Roots, root)
+		if err := b.children(root, kept); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
 
-// buildChildren populates node's children: the lower envelope of the kept
-// functions minus the ancestor chain, restricted to the node's interval,
-// filtered to sub-intervals where the defining trajectory still has
-// non-zero NN probability (its zone intervals overlap).
-func (t *Tree) buildChildren(node *Node, excluded map[int64]bool, kept []*envelope.DistanceFunc, cfg Config, desc *descriptorEngine) {
-	if cfg.MaxLevels > 0 && node.Level >= cfg.MaxLevels {
-		return
+// builder carries one FromProcessor call's state down the recursion: the
+// kept objects' zone rows and, with descriptors on, the P^NN sampler.
+type builder struct {
+	ctx     context.Context
+	cfg     Config
+	zone    map[int64][]envelope.TimeInterval
+	sampler *queries.Sampler
+	samples int
+}
+
+// node makes the node of one envelope interval, sampling its descriptor.
+func (b *builder) node(iv envelope.Interval, level int) (*Node, error) {
+	n := &Node{ID: iv.ID, T0: iv.T0, T1: iv.T1, Level: level}
+	if b.sampler == nil {
+		return n, nil
+	}
+	ts := numeric.Linspace(n.T0, n.T1, b.samples)
+	probs, err := b.sampler.At(b.ctx, n.ID, ts)
+	if err != nil {
+		return nil, err
+	}
+	d := &Descriptor{MinProb: math.Inf(1), MaxProb: math.Inf(-1)}
+	for i, p := range probs {
+		d.Samples = append(d.Samples, ProbSample{T: ts[i], Prob: p})
+		d.MinProb = math.Min(d.MinProb, p)
+		d.MaxProb = math.Max(d.MaxProb, p)
+	}
+	n.Descriptor = d
+	return n, nil
+}
+
+// children populates node's children: the lower envelope, over the node's
+// interval, of the candidates that reach the zone inside it, filtered to
+// sub-intervals where the defining trajectory still has non-zero NN
+// probability (its zone intervals overlap). parent is the candidate list
+// node was chosen from — every kept function for a level-1 node — which
+// already leaves out the ancestor chain, and which holds every function
+// that reaches the zone inside node's (narrower) interval, in the same
+// order; so node's own trajectory is the only one left to exclude.
+func (b *builder) children(node *Node, parent []*envelope.DistanceFunc) error {
+	if b.cfg.MaxLevels > 0 && node.Level >= b.cfg.MaxLevels {
+		return nil
+	}
+	if err := queries.CtxErr(b.ctx); err != nil {
+		return err
 	}
 	var cands []*envelope.DistanceFunc
-	for _, f := range kept {
-		if !excluded[f.ID] && t.overlapsZone(f.ID, node.T0, node.T1) {
+	for _, f := range parent {
+		if f.ID != node.ID && b.overlapsZone(f.ID, node.T0, node.T1) {
 			cands = append(cands, f)
 		}
 	}
 	if len(cands) == 0 {
-		return
+		return nil
 	}
 	env, err := envelope.LowerEnvelope(cands, node.T0, node.T1)
 	if err != nil {
-		return
+		return nil // a degenerate interval has no refinement
 	}
 	for _, iv := range env.Intervals {
-		if !t.overlapsZone(iv.ID, iv.T0, iv.T1) {
+		if !b.overlapsZone(iv.ID, iv.T0, iv.T1) {
 			continue
 		}
-		child := &Node{ID: iv.ID, T0: iv.T0, T1: iv.T1, Level: node.Level + 1}
-		if desc != nil {
-			child.Descriptor = desc.describe(child.ID, child.T0, child.T1)
+		child, err := b.node(iv, node.Level+1)
+		if err != nil {
+			return err
 		}
 		node.Children = append(node.Children, child)
-		childExcluded := make(map[int64]bool, len(excluded)+1)
-		for id := range excluded {
-			childExcluded[id] = true
+		if err := b.children(child, cands); err != nil {
+			return err
 		}
-		childExcluded[iv.ID] = true
-		t.buildChildren(child, childExcluded, kept, cfg, desc)
 	}
+	return nil
 }
 
 // overlapsZone reports whether the object's non-zero-probability time set
 // intersects [t0, t1] with positive measure.
-func (t *Tree) overlapsZone(id int64, t0, t1 float64) bool {
-	for _, iv := range t.zone[id] {
+func (b *builder) overlapsZone(id int64, t0, t1 float64) bool {
+	for _, iv := range b.zone[id] {
 		if math.Min(iv.T1, t1)-math.Max(iv.T0, t0) > envelope.TimeEps {
 			return true
 		}
 	}
 	return false
-}
-
-// descriptorEngine computes probability descriptors through the Section 3.1
-// reduction: a crisp query at the origin against objects carrying the
-// convolved pdf at their difference-trajectory distances.
-type descriptorEngine struct {
-	conv    updf.RadialPDF
-	kept    []*envelope.DistanceFunc
-	samples int
-	grid    int
-}
-
-func (d *descriptorEngine) describe(id int64, t0, t1 float64) *Descriptor {
-	ts := numeric.Linspace(t0, t1, d.samples)
-	out := &Descriptor{MinProb: math.Inf(1), MaxProb: math.Inf(-1)}
-	cands := make([]uncertain.Candidate, len(d.kept))
-	for _, tm := range ts {
-		for i, f := range d.kept {
-			cands[i] = uncertain.Candidate{ID: f.ID, Dist: f.Value(tm)}
-		}
-		probs := uncertain.NNProbabilities(d.conv, cands, d.grid)
-		p := probs[id]
-		out.Samples = append(out.Samples, ProbSample{T: tm, Prob: p})
-		out.MinProb = math.Min(out.MinProb, p)
-		out.MaxProb = math.Max(out.MaxProb, p)
-	}
-	return out
 }
 
 // Walk visits every node depth-first in time order within each level.
@@ -303,49 +267,31 @@ func (t *Tree) NodesAtLevel(level int) []*Node {
 
 // Envelope returns the level-1 lower envelope (the geometric dual's first
 // layer).
-func (t *Tree) Envelope() *envelope.Envelope { return t.env1 }
-
-// DistanceFuncs returns all difference distance functions (including
-// pruned ones).
-func (t *Tree) DistanceFuncs() []*envelope.DistanceFunc { return t.fns }
+func (t *Tree) Envelope() *envelope.Envelope { return t.p.Envelope() }
 
 // ZoneIntervals returns the time intervals during which the object has
 // non-zero probability of being the query's nearest neighbor (empty for
-// pruned objects).
-func (t *Tree) ZoneIntervals(oid int64) []envelope.TimeInterval { return t.zone[oid] }
+// pruned objects and for OIDs the processor does not know).
+func (t *Tree) ZoneIntervals(oid int64) []envelope.TimeInterval {
+	ivs, _ := t.p.PossibleNNIntervals(oid) // the only error is an unknown OID
+	return ivs
+}
 
 // AnswerAt returns the highest-probability nearest neighbor at time tm
 // (the level-1 envelope's trajectory), mirroring the time-parameterized
 // answer A_nn of Section 1.
-func (t *Tree) AnswerAt(tm float64) int64 { return t.env1.IDAt(tm) }
+func (t *Tree) AnswerAt(tm float64) int64 { return t.p.Envelope().IDAt(tm) }
 
 // RankedAt returns up to k trajectory IDs in descending NN-probability
 // order at time tm, read off the distance ranking (Theorem 1), restricted
-// to objects with non-zero probability somewhere in the window.
+// to objects with non-zero probability somewhere in the window. Ties keep
+// OID order.
 func (t *Tree) RankedAt(tm float64, k int) []int64 {
-	type dv struct {
-		id int64
-		v  float64
-	}
-	var ds []dv
-	for _, f := range t.fns {
-		if len(t.zone[f.ID]) == 0 {
-			continue
-		}
-		ds = append(ds, dv{f.ID, f.Value(tm)})
-	}
-	// Insertion sort by distance (candidate counts after pruning are small).
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j].v < ds[j-1].v; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-	if k > len(ds) {
-		k = len(ds)
-	}
-	out := make([]int64, k)
-	for i := 0; i < k; i++ {
-		out[i] = ds[i].id
+	fns := t.p.KeptFuncs()
+	slices.SortStableFunc(fns, func(a, b *envelope.DistanceFunc) int { return cmp.Compare(a.Value(tm), b.Value(tm)) })
+	out := make([]int64, min(k, len(fns)))
+	for i := range out {
+		out[i] = fns[i].ID
 	}
 	return out
 }

@@ -1,15 +1,55 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
+	"time"
 
+	"repro/internal/engine"
 	"repro/internal/envelope"
+	"repro/internal/mod"
 	"repro/internal/numeric"
+	"repro/internal/queries"
+	"repro/internal/textidx"
 	"repro/internal/trajectory"
 	"repro/internal/workload"
 )
+
+// processorFor is the engine's processor for query q over [tb, te] on a
+// store of trs with uncertainty radius r and the given tags, restricted to
+// the objects where matches (nil: all of them).
+func processorFor(t testing.TB, trs []*trajectory.Trajectory, q int64, tb, te, r float64, tags map[int64][]string, where *textidx.Predicate) *queries.Processor {
+	t.Helper()
+	store, err := mod.NewUniformStore(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.InsertAll(trs); err != nil {
+		t.Fatal(err)
+	}
+	for oid, tg := range tags {
+		if err := store.SetTags(oid, tg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := engine.New(1).ProcessorWhereCtx(context.Background(), store, q, tb, te, where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// treeFor builds the tree of q over [0, 60] through the engine's processor.
+func treeFor(t testing.TB, trs []*trajectory.Trajectory, q *trajectory.Trajectory, r float64, cfg Config) *Tree {
+	t.Helper()
+	tree, err := FromProcessor(context.Background(), processorFor(t, trs, q.OID, 0, 60, r, nil, nil), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
 
 func still(t *testing.T, oid int64, x, y float64) *trajectory.Trajectory {
 	t.Helper()
@@ -36,26 +76,37 @@ func staticSet(t *testing.T) ([]*trajectory.Trajectory, *trajectory.Trajectory) 
 	}, q
 }
 
+// TestBuildErrors: construction fails with the context's error when ctx is
+// done before it starts, and with the sampler's when the descriptor pdf
+// cannot be convolved.
 func TestBuildErrors(t *testing.T) {
 	trs, q := staticSet(t)
-	if _, err := Build(trs, q, 0, 60, 0, nil, Config{}); !errors.Is(err, ErrBadRadius) {
-		t.Errorf("bad radius: %v", err)
+	p := processorFor(t, trs, q.OID, 0, 60, 0.5, nil, nil)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := FromProcessor(canceled, p, nil, Config{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled: %v", err)
 	}
-	other := still(t, 999, 1, 1)
-	if _, err := Build(trs, other, 0, 60, 0.5, nil, Config{}); !errors.Is(err, ErrQueryNotFound) {
-		t.Errorf("missing query: %v", err)
+	expired, stop := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer stop()
+	if _, err := FromProcessor(expired, p, nil, Config{Descriptors: true}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("expired: %v", err)
 	}
-	if _, err := Build([]*trajectory.Trajectory{q}, q, 0, 60, 0.5, nil, Config{}); !errors.Is(err, ErrNoObjects) {
-		t.Errorf("no objects: %v", err)
+	if _, err := FromProcessor(context.Background(), p, pointPDF{}, Config{Descriptors: true}); err == nil {
+		t.Error("zero-support pdf accepted")
 	}
 }
 
+// pointPDF has no support: there is no table to convolve it into.
+type pointPDF struct{}
+
+func (pointPDF) Support() float64        { return 0 }
+func (pointPDF) Density(float64) float64 { return 0 }
+func (pointPDF) Name() string            { return "point" }
+
 func TestBuildStaticTree(t *testing.T) {
 	trs, q := staticSet(t)
-	tree, err := Build(trs, q, 0, 60, 0.5, nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := treeFor(t, trs, q, 0.5, Config{})
 	// Level 1: single interval, object 1.
 	if len(tree.Roots) != 1 || tree.Roots[0].ID != 1 {
 		t.Fatalf("roots = %+v", tree.Roots)
@@ -98,10 +149,7 @@ func TestBuildStaticTree(t *testing.T) {
 
 func TestMaxLevelsCap(t *testing.T) {
 	trs, q := staticSet(t)
-	tree, err := Build(trs, q, 0, 60, 0.5, nil, Config{MaxLevels: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := treeFor(t, trs, q, 0.5, Config{MaxLevels: 1})
 	if tree.Depth() != 1 {
 		t.Errorf("depth = %d", tree.Depth())
 	}
@@ -112,10 +160,7 @@ func TestMaxLevelsCap(t *testing.T) {
 
 func TestDescriptors(t *testing.T) {
 	trs, q := staticSet(t)
-	tree, err := Build(trs, q, 0, 60, 0.5, nil, Config{Descriptors: true, DescriptorSamples: 3, Grid: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := treeFor(t, trs, q, 0.5, Config{Descriptors: true, DescriptorSamples: 3, Grid: 256})
 	root := tree.Roots[0]
 	if root.Descriptor == nil || len(root.Descriptor.Samples) != 3 {
 		t.Fatalf("descriptor = %+v", root.Descriptor)
@@ -155,10 +200,7 @@ func TestTreeOnWorkload(t *testing.T) {
 	}
 	q := trs[0]
 	r := 0.5
-	tree, err := Build(trs, q, 0, 60, r, nil, Config{MaxLevels: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := treeFor(t, trs, q, r, Config{MaxLevels: 3})
 	if len(tree.KeptOIDs)+len(tree.PrunedOIDs) != len(trs)-1 {
 		t.Fatalf("kept %d + pruned %d != %d", len(tree.KeptOIDs), len(tree.PrunedOIDs), len(trs)-1)
 	}
@@ -179,8 +221,12 @@ func TestTreeOnWorkload(t *testing.T) {
 	}
 	// At sampled times, the level-1 node is the true nearest difference
 	// function; children are farther than their parents.
+	fns, err := envelope.BuildDistanceFuncs(trs, q, 0, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fnsByID := map[int64]*envelope.DistanceFunc{}
-	for _, f := range tree.DistanceFuncs() {
+	for _, f := range fns {
 		fnsByID[f.ID] = f
 	}
 	tree.Walk(func(n *Node) {
@@ -227,22 +273,20 @@ func TestRankedAtMatchesDistances(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := trs[0]
-	tree, err := Build(trs, q, 0, 60, 1, nil, Config{MaxLevels: 2})
+	tree := treeFor(t, trs, q, 1, Config{MaxLevels: 2})
+	fns, err := envelope.BuildDistanceFuncs(trs, q, 0, 60)
 	if err != nil {
 		t.Fatal(err)
+	}
+	fnsByID := map[int64]*envelope.DistanceFunc{}
+	for _, f := range fns {
+		fnsByID[f.ID] = f
 	}
 	for _, tm := range []float64{0, 17.3, 42, 60} {
 		ids := tree.RankedAt(tm, 10)
 		prev := -1.0
 		for _, id := range ids {
-			var f *envelope.DistanceFunc
-			for _, g := range tree.DistanceFuncs() {
-				if g.ID == id {
-					f = g
-					break
-				}
-			}
-			v := f.Value(tm)
+			v := fnsByID[id].Value(tm)
 			if v < prev-1e-9 {
 				t.Fatalf("t=%g: ranking not by distance", tm)
 			}
@@ -257,10 +301,7 @@ func TestPrunedNeverOnTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Build(trs, trs[0], 0, 60, 0.25, nil, Config{MaxLevels: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := treeFor(t, trs, trs[0], 0.25, Config{MaxLevels: 4})
 	pruned := map[int64]bool{}
 	for _, id := range tree.PrunedOIDs {
 		pruned[id] = true

@@ -40,10 +40,7 @@ func figure1Scene(t *testing.T) (trs []*trajectory.Trajectory, q *trajectory.Tra
 func TestFigure1Scenario(t *testing.T) {
 	trs, q := figure1Scene(t)
 	const r = 0.5 // zone width 2
-	tree, err := Build(trs, q, 0, 60, r, nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := treeFor(t, trs, q, r, Config{})
 
 	// Crisp time-parameterized answer: Tr1 first, Tr2 later, with a single
 	// handover (d1 rises 2→12 while d2 falls 12→2 ⇒ one crossing at t=30).
@@ -110,10 +107,7 @@ func TestFigure1Scenario(t *testing.T) {
 func TestFigure1UncertaintyWidensAnswer(t *testing.T) {
 	trs, q := figure1Scene(t)
 	coverage := func(r float64) map[int64]float64 {
-		tree, err := Build(trs, q, 0, 60, r, nil, Config{MaxLevels: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tree := treeFor(t, trs, q, r, Config{MaxLevels: 1})
 		out := map[int64]float64{}
 		for _, id := range []int64{1, 2, 3} {
 			var total float64

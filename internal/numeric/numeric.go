@@ -198,11 +198,6 @@ func MinimizeGolden(f func(float64) float64, a, b, xtol float64) (x, fx float64)
 	return x, f(x)
 }
 
-// Diff returns a central-difference approximation of f'(x) with step h.
-func Diff(f func(float64) float64, x, h float64) float64 {
-	return (f(x+h) - f(x-h)) / (2 * h)
-}
-
 // Table is a piecewise-linear interpolation table y(x) over strictly
 // increasing abscissae. It is the representation used for numerically
 // convolved radial pdfs.

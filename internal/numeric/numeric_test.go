@@ -158,13 +158,6 @@ func TestMinimizeGolden(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	got := Diff(math.Sin, 1, 1e-6)
-	if !near(got, math.Cos(1), 1e-9) {
-		t.Errorf("d/dx sin(1) = %.12g", got)
-	}
-}
-
 func TestTable(t *testing.T) {
 	if _, err := NewTable([]float64{0}, []float64{1}); err != ErrBadTable {
 		t.Errorf("short table: %v", err)

@@ -31,7 +31,7 @@
 //     plan segment it is then on intersects the walked box in space and
 //     time.
 //
-// The survivor set feeds queries.NewProcessorPruned, which answers every
+// The survivor set feeds queries.NewProcessorPrunedCtx, which answers every
 // UQ variant identically to a full-scan Processor while building distance
 // functions only for survivors.
 //

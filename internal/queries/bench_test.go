@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/envelope"
@@ -65,7 +66,7 @@ func BenchmarkProcessorVariants(b *testing.B) {
 		scans := 0
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			p, err := NewProcessorPruned(trs, q, tb, te, r, survivors)
+			p, err := NewProcessorPrunedCtx(context.Background(), trs, q, tb, te, r, survivors)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -107,7 +108,7 @@ func BenchmarkBelowIntervals(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := p.EnsureLevels(2); err != nil {
+	if err := p.EnsureLevelsCtx(context.Background(), 2); err != nil {
 		b.Fatal(err)
 	}
 	near := func(e *envelope.Envelope) (fns []*envelope.DistanceFunc) {

@@ -281,26 +281,22 @@ func NewProcessor(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te
 	}, nil
 }
 
-// NewProcessorPruned builds the envelope preprocessing over the surviving
-// candidates of an index pre-pass. survivors must be a conservative
-// superset of every object whose difference-distance function comes within
-// the 4r pruning zone of the Level-1 lower envelope anywhere in the window
-// (internal/prune computes such a set from the store's spatial index, with
-// a safety margin covering the TimeEps slack of the fixed-time tests).
+// NewProcessorPrunedCtx builds the envelope preprocessing over the
+// surviving candidates of an index pre-pass. survivors must be a
+// conservative superset of every object whose difference-distance function
+// comes within the 4r pruning zone of the Level-1 lower envelope anywhere
+// in the window (internal/prune computes such a set from the store's
+// spatial index, with a safety margin covering the TimeEps slack of the
+// fixed-time tests).
 //
 // Answers are identical to NewProcessor's for every query variant:
 // Level-1 queries run over the survivors alone (a pruned object's zone
 // membership is empty by the superset guarantee, and the guaranteed-NN and
 // threshold paths read only the UQ31 members), while the rank-k (k>=2)
 // paths — whose envelopes depend on more of the candidate set — grow the
-// function set on first use.
-func NewProcessorPruned(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64, survivors []int64) (*Processor, error) {
-	return NewProcessorPrunedCtx(context.Background(), trs, q, tb, te, r, survivors)
-}
-
-// NewProcessorPrunedCtx is NewProcessorPruned with construction-time
-// context checks: the per-candidate distance-function build loop is where
-// the O(survivors · m) work happens, so a canceled request stops there.
+// function set on first use. ctx is checked in the per-candidate
+// distance-function build loop, where the O(survivors · m) work happens,
+// so a canceled request stops there.
 func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64, survivors []int64) (*Processor, error) {
 	if r <= 0 {
 		return nil, fmt.Errorf("queries: nonpositive radius %g", r)
@@ -553,17 +549,12 @@ func (p *Processor) zoneAt(ctx context.Context, k int) (zoneLevel, error) {
 	return zoneLevel{fns: p.basisTable, env: p.levels[j], rows: p.zones[j]}, nil
 }
 
-// EnsureLevels builds the k-level envelopes up front so that subsequent
-// concurrent rank-k queries only take the level lock briefly. Callers that
-// fan per-OID work across goroutines (the batch engine) call it once with
-// the largest rank in the batch.
-func (p *Processor) EnsureLevels(k int) error {
-	return p.EnsureLevelsCtx(context.Background(), k)
-}
-
-// EnsureLevelsCtx is EnsureLevels under a context: basis growth and the
-// k-level construction are the expensive lazy steps of a ranked query, so
-// a canceled request stops inside them instead of completing the build.
+// EnsureLevelsCtx builds the k-level envelopes up front so that
+// subsequent concurrent rank-k queries only take the level lock briefly.
+// Callers that fan per-OID work across goroutines (the batch engine) call
+// it once with the largest rank in the batch. Basis growth and the k-level
+// construction are the expensive lazy steps of a ranked query, so a
+// canceled request stops inside them instead of completing the build.
 func (p *Processor) EnsureLevelsCtx(ctx context.Context, k int) error {
 	_, err := p.zoneAt(ctx, k)
 	return err
@@ -865,16 +856,18 @@ func (p *Processor) GuaranteedNNIntervals(oid int64) ([]envelope.TimeInterval, e
 	if _, _, err := p.lookup(oid); err != nil {
 		return nil, err
 	}
-	kept := p.keptFns()
+	kept := p.KeptFuncs()
 	if len(kept) == 1 && kept[0].ID == oid {
 		return []envelope.TimeInterval{{T0: p.Tb, T1: p.Te}}, nil
 	}
 	return envelope.GuaranteedNNIntervals(kept, oid, p.env1, p.R), nil
 }
 
-// keptFns returns the distance functions of the UQ31 members, in OID
-// order: the only objects with non-zero NN probability anywhere.
-func (p *Processor) keptFns() []*envelope.DistanceFunc {
+// KeptFuncs returns the distance functions of the UQ31 members, in OID
+// order: the only objects with non-zero NN probability anywhere. The
+// functions are the processor's own and read-only; the slice is the
+// caller's.
+func (p *Processor) KeptFuncs() []*envelope.DistanceFunc {
 	kept := p.UQ31()
 	fns := make([]*envelope.DistanceFunc, len(kept))
 	for i, id := range kept {

@@ -27,26 +27,6 @@ type ThresholdConfig struct {
 	Grid int
 }
 
-func (c *ThresholdConfig) fill(r float64) (updf.RadialPDF, int, int, error) {
-	p := c.PDF
-	if p == nil {
-		p = updf.NewUniformDisk(r)
-	}
-	ts := c.TimeSamples
-	if ts <= 0 {
-		ts = 64
-	}
-	grid := c.Grid
-	if grid <= 0 {
-		grid = uncertain.DefaultGrid
-	}
-	conv, err := updf.ConvolvePair(p, p, 0)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("queries: convolving pdfs: %w", err)
-	}
-	return conv, ts, grid, nil
-}
-
 // CtxErr reports whether the context is done, checking the wall clock
 // against the deadline as well as Err(): a short deadline on a busy
 // single-core host can expire before the runtime schedules the timer
@@ -65,32 +45,73 @@ func CtxErr(ctx context.Context) error {
 // ProbabilitySeries returns the sampled time series of P^NN for the object
 // — the probability (per Eq. 5 on the convolved pdf, Section 3.1's
 // reduction) that it is the query's nearest neighbor at each sampled
-// instant. ctx is checked before every sample: one sample integrates Eq. 5
-// once per UQ31 member, which at a few thousand objects is the whole of a
-// deadline.
+// instant, checking ctx before every sample (see Sampler.At).
 func (p *Processor) ProbabilitySeries(ctx context.Context, oid int64, cfg ThresholdConfig) ([]float64, []float64, error) {
-	if _, _, err := p.lookup(oid); err != nil {
-		return nil, nil, err
-	}
-	conv, samples, grid, err := cfg.fill(p.R)
+	s, err := p.Sampler(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Candidates: every UQ31 member (the rest contribute nothing).
-	keptFns := p.keptFns()
+	samples := cfg.TimeSamples
+	if samples <= 0 {
+		samples = 64
+	}
 	ts := numeric.Linspace(p.Tb, p.Te, samples)
-	probs := make([]float64, len(ts))
-	cands := make([]uncertain.Candidate, len(keptFns))
-	for i, tm := range ts {
-		if err := CtxErr(ctx); err != nil {
-			return nil, nil, err
-		}
-		for j, f := range keptFns {
-			cands[j] = uncertain.Candidate{ID: f.ID, Dist: f.Value(tm)}
-		}
-		probs[i] = uncertain.NNProbabilities(conv, cands, grid)[oid]
+	probs, err := s.At(ctx, oid, ts)
+	if err != nil {
+		return nil, nil, err
 	}
 	return ts, probs, nil
+}
+
+// Sampler evaluates P^NN over one processor's UQ31 members with one
+// convolved pdf: the P^NN loop that ProbabilitySeries runs over the
+// window and the IPAC-NN tree runs over each node's interval.
+type Sampler struct {
+	p    *Processor
+	conv updf.RadialPDF
+	grid int
+	kept []*envelope.DistanceFunc
+}
+
+// Sampler convolves cfg's pdf with itself (nil = uniform disk of the
+// processor's radius) once, for every series the sampler takes. cfg's
+// TimeSamples plays no part: the caller picks the instants.
+func (p *Processor) Sampler(cfg ThresholdConfig) (*Sampler, error) {
+	pdf := cfg.PDF
+	if pdf == nil {
+		pdf = updf.NewUniformDisk(p.R)
+	}
+	grid := cfg.Grid
+	if grid <= 0 {
+		grid = uncertain.DefaultGrid
+	}
+	conv, err := updf.ConvolvePair(pdf, pdf, 0)
+	if err != nil {
+		return nil, fmt.Errorf("queries: convolving pdfs: %w", err)
+	}
+	// Candidates: every UQ31 member (the rest contribute nothing).
+	return &Sampler{p: p, conv: conv, grid: grid, kept: p.KeptFuncs()}, nil
+}
+
+// At returns P^NN of the object at each instant of ts. ctx is checked
+// before every instant: one instant integrates Eq. 5 once per UQ31 member,
+// which at a few thousand objects is the whole of a deadline.
+func (s *Sampler) At(ctx context.Context, oid int64, ts []float64) ([]float64, error) {
+	if _, _, err := s.p.lookup(oid); err != nil {
+		return nil, err
+	}
+	probs := make([]float64, len(ts))
+	cands := make([]uncertain.Candidate, len(s.kept))
+	for i, tm := range ts {
+		if err := CtxErr(ctx); err != nil {
+			return nil, err
+		}
+		for j, f := range s.kept {
+			cands[j] = uncertain.Candidate{ID: f.ID, Dist: f.Value(tm)}
+		}
+		probs[i] = uncertain.NNProbabilities(s.conv, cands, s.grid)[oid]
+	}
+	return probs, nil
 }
 
 // AboveThresholdIntervals returns the maximal time intervals during which

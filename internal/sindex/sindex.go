@@ -26,7 +26,6 @@
 package sindex
 
 import (
-	"errors"
 	"math"
 	"sync"
 
@@ -36,9 +35,6 @@ import (
 // DefaultFanout is the R-tree node capacity used when NewRTree receives a
 // non-positive fanout.
 const DefaultFanout = 16
-
-// ErrEmpty is returned by queries on an index with no entries.
-var ErrEmpty = errors.New("sindex: empty index")
 
 // Entry is one indexed item: an opaque ID (typically a trajectory OID or a
 // segment handle), its spatial bounding box, and its time interval.

@@ -24,9 +24,9 @@ func vertBits(vs []trajectory.Vertex) []byte {
 	return out
 }
 
-// FuzzWALRecord drives DecodeRecord with arbitrary bytes. Invariants:
-// never panic, never consume more bytes than given, and never return a
-// batch unless the frame's checksum genuinely covers the payload — a
+// FuzzWALRecord drives decodeRecord (current layout) with arbitrary
+// bytes. Invariants: never panic, never consume more bytes than given, and
+// never return a batch unless the frame's checksum genuinely covers the payload — a
 // truncated, corrupted, or bit-flipped record must surface as an error
 // (or as a clean zero-consumption end), not as a wrong decode.
 func FuzzWALRecord(f *testing.F) {
@@ -59,7 +59,7 @@ func FuzzWALRecord(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		batch, n, err := DecodeRecord(b)
+		batch, n, err := decodeRecord(b, 3)
 		if n < 0 || n > len(b) {
 			t.Fatalf("consumed %d of %d bytes", n, len(b))
 		}
@@ -84,7 +84,7 @@ func FuzzWALRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		again, m, err := DecodeRecord(enc)
+		again, m, err := decodeRecord(enc, 3)
 		if err != nil || m != len(enc) {
 			t.Fatalf("re-decode: n=%d err=%v", m, err)
 		}

@@ -120,20 +120,15 @@ func AppendRecord(dst []byte, batch []mod.Update) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRecord decodes the first record framed at the start of b. It
-// returns the batch and the number of bytes consumed. Errors classify the
-// failure: ErrTornRecord when b ends before the declared frame does (a
-// crash tail), ErrCorruptRecord / ErrRecordTooLarge when the frame is
-// complete but wrong (checksum mismatch, trailing garbage, implausible
-// counts). An empty b returns (nil, 0, nil): the clean end of a log.
-func DecodeRecord(b []byte) (batch []mod.Update, n int, err error) {
-	return decodeRecord(b, 3)
-}
-
-// decodeRecord is DecodeRecord with the payload version made explicit:
-// 3 decodes the current bitmask-mode layout, 2 the UTWAL2 layout whose
-// mode byte is 0/1 only, and 1 the legacy UTWAL1 layout with no tag
-// section at all.
+// decodeRecord decodes the first record framed at the start of b, in the
+// payload layout of version ver: 3 decodes the current bitmask-mode
+// layout, 2 the UTWAL2 layout whose mode byte is 0/1 only, and 1 the
+// legacy UTWAL1 layout with no tag section at all. It returns the batch
+// and the number of bytes consumed. Errors classify the failure:
+// ErrTornRecord when b ends before the declared frame does (a crash tail),
+// ErrCorruptRecord / ErrRecordTooLarge when the frame is complete but
+// wrong (checksum mismatch, trailing garbage, implausible counts). An
+// empty b returns (nil, 0, nil): the clean end of a log.
 func decodeRecord(b []byte, ver int) (batch []mod.Update, n int, err error) {
 	if len(b) == 0 {
 		return nil, 0, nil

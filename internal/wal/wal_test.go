@@ -98,9 +98,9 @@ func TestRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AppendRecord: %v", err)
 		}
-		dec, n, err := DecodeRecord(enc)
+		dec, n, err := decodeRecord(enc, 3)
 		if err != nil {
-			t.Fatalf("DecodeRecord: %v", err)
+			t.Fatalf("decodeRecord: %v", err)
 		}
 		if n != len(enc) {
 			t.Fatalf("consumed %d of %d bytes", n, len(enc))
@@ -126,7 +126,7 @@ func TestRecordEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, n, err := DecodeRecord(enc)
+	dec, n, err := decodeRecord(enc, 3)
 	if err != nil || n != len(enc) || len(dec) != 0 {
 		t.Fatalf("empty batch: dec=%v n=%d err=%v", dec, n, err)
 	}
@@ -243,7 +243,7 @@ func TestTornFinalRecord(t *testing.T) {
 	off := len(walMagic)
 	lastStart := off
 	for {
-		_, n, err := DecodeRecord(raw[off:])
+		_, n, err := decodeRecord(raw[off:], 3)
 		if err != nil || n == 0 {
 			break
 		}
@@ -345,7 +345,7 @@ func TestBitFlipDropsTail(t *testing.T) {
 	off := len(walMagic)
 	lastStart := off
 	for {
-		_, n, err := DecodeRecord(raw[off:])
+		_, n, err := decodeRecord(raw[off:], 3)
 		if err != nil || n == 0 {
 			break
 		}

@@ -73,10 +73,11 @@
 //		{Kind: repro.KindUQ41, QueryOID: 1, Tb: 0, Te: 60, K: 2},
 //	})
 //
-// The IPAC-NN tree remains the time-parameterized answer structure:
+// The IPAC-NN tree remains the time-parameterized answer structure, read
+// off the engine's processor for the (query, window):
 //
-//	q, _ := store.Get(1)
-//	tree, _ := repro.BuildIPACNN(store.All(), q, 0, 60, store.Radius(), nil, repro.TreeConfig{MaxLevels: 3})
+//	proc, _ := eng.ProcessorWhereCtx(ctx, store, 1, 0, 60, nil)
+//	tree, _ := repro.BuildIPACNN(ctx, proc, nil, repro.TreeConfig{MaxLevels: 3})
 //	fmt.Println(tree.AnswerAt(30))                          // highest-probability NN at t=30
 //
 // Served over HTTP, the same Request rides curl — `modserver serve`
@@ -200,10 +201,13 @@ type IPACNNTree = core.Tree
 // TreeNode is one node of the IPAC-NN tree.
 type TreeNode = core.Node
 
-// BuildIPACNN runs Algorithm 3 for query trajectory q over [tb, te] with
-// shared uncertainty radius r and location pdf (nil = uniform).
-func BuildIPACNN(trs []*Trajectory, q *Trajectory, tb, te, r float64, pdf RadialPDF, cfg TreeConfig) (*IPACNNTree, error) {
-	return core.Build(trs, q, tb, te, r, pdf, cfg)
+// BuildIPACNN runs Algorithm 3 over the processor's query trajectory,
+// window and radius — get proc from Engine.ProcessorWhereCtx, which brings
+// the index pre-pass, the memo and tag predicates — with the location pdf
+// of the descriptors (nil = uniform). ctx bounds the construction,
+// descriptor sampling included.
+func BuildIPACNN(ctx context.Context, proc *QueryProcessor, pdf RadialPDF, cfg TreeConfig) (*IPACNNTree, error) {
+	return core.FromProcessor(ctx, proc, pdf, cfg)
 }
 
 // --- continuous query variants (Section 4) ---

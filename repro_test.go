@@ -58,8 +58,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tree, err := repro.BuildIPACNN(store.All(), q, 0, 60, store.Radius(), nil,
-		repro.TreeConfig{MaxLevels: 2})
+	ctx := context.Background()
+	proc, err := repro.NewEngine(0).ProcessorWhereCtx(ctx, store, q.OID, 0, 60, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := repro.BuildIPACNN(ctx, proc, nil, repro.TreeConfig{MaxLevels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
