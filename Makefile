@@ -155,8 +155,9 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # go vet, then the dead-export gate: every exported top-level name under
-# internal/ needs a non-test reference (benchmark/ counts) or an entry
-# with its reason in scripts/deadexports/allowlist.txt.
+# internal/, and every exported method of an exported type there, needs a
+# non-test reference (benchmark/ counts) or an entry with its reason in
+# scripts/deadexports/allowlist.txt.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./scripts/deadexports

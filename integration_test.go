@@ -117,7 +117,8 @@ func TestPipelineWorkloadToAnswers(t *testing.T) {
 		}
 		// Fixed-time possible set contains the answer.
 		inSet := false
-		for _, id := range proc.PossibleNNAt(tm) {
+		at, _ := proc.PossibleRankKAt(tm, 1)
+		for _, id := range at {
 			if id == best {
 				inSet = true
 			}

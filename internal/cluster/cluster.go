@@ -155,7 +155,7 @@ type Shard interface {
 	// the all-pairs and reverse kinds.
 	All(ctx context.Context) ([]*trajectory.Trajectory, error)
 	// Ingest applies live updates (plan revisions, extensions, inserts —
-	// the mod.ApplyUpdate contract) to the shard's partition, returning
+	// the mod.ApplyUpdates contract) to the shard's partition, returning
 	// per-update outcomes in order.
 	Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, error)
 	// Owns reports, elementwise, whether the shard currently holds each

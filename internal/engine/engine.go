@@ -158,13 +158,9 @@ func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb
 			if e.fullScan || whole {
 				// FullScan skips the index pre-pass, never the predicate:
 				// the filter is semantics, so the scan runs over the
-				// sub-MOD (plus the exempt query) just like the pruned
-				// path.
-				trs := matchingTrajectories(store, where)
-				if where != nil && !containsOID(trs, q.OID) {
-					trs = append(trs, q)
-				}
-				slot.proc, slot.err = queries.NewProcessor(trs, q, tb, te, store.Radius())
+				// sub-MOD just like the pruned path (the exempt query is
+				// q itself, never read from the snapshot).
+				slot.proc, slot.err = queries.NewProcessorPrunedCtx(ctx, matchingTrajectories(store, where), q, tb, te, store.Radius(), nil)
 			} else {
 				slot.proc, slot.err = prune.ForQueryWhereCtx(ctx, store, q, tb, te, where)
 			}

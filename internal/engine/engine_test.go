@@ -79,7 +79,7 @@ func serialResults(t *testing.T, store *mod.Store, qOID int64, qs []Request) []R
 		case KindUQ32:
 			ids = proc.UQ32()
 		case KindUQ33:
-			ids, err = proc.UQ33(qq.X)
+			ids, err = proc.UQ43(1, qq.X)
 		case KindUQ41:
 			ids, err = proc.UQ41(qq.K)
 		case KindUQ42:
@@ -87,7 +87,7 @@ func serialResults(t *testing.T, store *mod.Store, qOID int64, qs []Request) []R
 		case KindUQ43:
 			ids, err = proc.UQ43(qq.K, qq.X)
 		case KindAllNNAt:
-			ids = proc.PossibleNNAt(qq.T)
+			ids, err = proc.PossibleRankKAt(qq.T, 1)
 		case KindAllRankAt:
 			ids, err = proc.PossibleRankKAt(qq.T, qq.K)
 		default:

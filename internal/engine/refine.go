@@ -80,7 +80,7 @@ func (e *Engine) DoRestricted(ctx context.Context, store *mod.Store, req Request
 	if own == nil {
 		own = []int64{} // non-nil empty: restrict to nothing, not to everything
 	}
-	item := e.execRequestRestricted(ctx, proc, req, own)
+	item := e.execRequest(ctx, proc, store.PDF(), req, own)
 	if item.Err != nil {
 		return fail(item.Err)
 	}

@@ -2,14 +2,91 @@ package engine
 
 import (
 	"context"
+	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/mod"
 	"repro/internal/prune"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
 )
+
+// TestFullScanCancellationCheckpoints: the full-scan build — a FullScan
+// engine's and DoRestricted's — checks its context once per candidate and
+// stops at the check that sees it, whether the context is canceled or its
+// deadline passes before the timer fires.
+func TestFullScanCancellationCheckpoints(t *testing.T) {
+	store, qOID := newStore(t, 60, 7)
+	n := store.Len() - 1
+	full := &dyingCtx{Context: context.Background(), after: math.MaxInt}
+	if _, err := NewWith(Options{FullScan: true}).ProcessorWhereCtx(full, store, qOID, 0, 60, nil); err != nil {
+		t.Fatal(err)
+	}
+	if full.calls != n {
+		t.Fatalf("a full-scan build checked its context %d times, want one per candidate (%d)", full.calls, n)
+	}
+	req := Request{Kind: KindUQ31, QueryOID: qOID, Tb: 0, Te: 60}
+	runs := map[string]func(ctx context.Context) error{
+		"FullScan Do": func(ctx context.Context) error {
+			_, err := NewWith(Options{FullScan: true}).Do(ctx, store, req)
+			return err
+		},
+		"DoRestricted": func(ctx context.Context) error {
+			_, err := New(1).DoRestricted(ctx, store, req, nil)
+			return err
+		},
+	}
+	// Check 1 is the request's entry check, checks 2..n+1 the build's.
+	for name, run := range runs {
+		for _, after := range []int{2, 3, n / 2, n + 1} {
+			ctx := &dyingCtx{Context: context.Background(), after: after}
+			if err := run(ctx); err != context.Canceled {
+				t.Fatalf("%s dying at check %d: err = %v, want context.Canceled", name, after, err)
+			}
+			if ctx.calls != after {
+				t.Fatalf("%s checked its context %d times after a cancel at check %d", name, ctx.calls, after)
+			}
+			late := &lateTimerCtx{Context: context.Background(), after: after}
+			if err := run(late); err != context.DeadlineExceeded {
+				t.Fatalf("%s with a deadline at check %d: err = %v, want context.DeadlineExceeded", name, after, err)
+			}
+			if late.calls != after {
+				t.Fatalf("%s checked its deadline %d times after it passed at check %d", name, late.calls, after)
+			}
+		}
+	}
+}
+
+// dyingCtx reports context.Canceled from its after-th Err call on, and
+// counts the calls.
+type dyingCtx struct {
+	context.Context
+	after, calls int
+}
+
+func (c *dyingCtx) Err() error {
+	if c.calls++; c.calls >= c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// lateTimerCtx is a context whose deadline has passed from its after-th
+// Deadline call on while its timer has not fired (Err stays nil), and
+// counts the calls.
+type lateTimerCtx struct {
+	context.Context
+	after, calls int
+}
+
+func (c *lateTimerCtx) Deadline() (time.Time, bool) {
+	if c.calls++; c.calls >= c.after {
+		return time.Now().Add(-time.Second), true
+	}
+	return time.Now().Add(time.Hour), true
+}
 
 // splitOwn halves the store's non-query OIDs into two sorted shares, the
 // way two shards would own a gathered union.

@@ -26,6 +26,7 @@ import (
 	"repro/internal/queries"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
+	"repro/internal/updf"
 )
 
 // Typed error taxonomy of the unified API. ErrUnknownOID, ErrBadRank and
@@ -67,7 +68,8 @@ var (
 // on the Category 1/3 and fixed-time kinds (UQ11-13, UQ31-33, NN@,
 // ALLNN@); every other kind takes P = 0. P = 0 is the possible-NN answer
 // (membership in the 4r zone). 0 < P < 1 reduces the times the object's
-// sampled P^NN is at least P (the paper's Section 7 threshold query), and
+// sampled P^NN, over the store's location pdf, is at least P (the paper's
+// Section 7 threshold query), and
 // P = 1 is CertainNN: the times its farthest possible distance stays
 // below every other object's nearest possible one. The kind's quantifier
 // applies to those times as it does to zone membership.
@@ -313,7 +315,7 @@ func (e *Engine) Do(ctx context.Context, store *mod.Store, req Request) (Result,
 				return fail(err)
 			}
 		}
-		item := e.execRequest(ctx, proc, req)
+		item := e.execRequest(ctx, proc, store.PDF(), req, nil)
 		if item.Err != nil {
 			return fail(item.Err)
 		}
@@ -382,19 +384,15 @@ func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) 
 	return out, nil
 }
 
-// execRequest dispatches one validated request against a ready processor.
-// Whole-MOD kinds fan per-OID tasks across the worker pool with ctx
-// checked between tasks; single-object kinds are O(N) and run inline.
-func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, req Request) item {
-	return e.execRequestRestricted(ctx, p, req, nil)
-}
-
-// execRequestRestricted is execRequest with an optional restriction of the
-// whole-MOD filter domain: when own is non-nil, the filter kinds iterate
-// only the candidates that also appear in own (a sorted OID list), which is
-// how a cluster router verifies the survivors it gathered. own == nil means
-// the full domain; the single-object kinds ignore it entirely.
-func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor, req Request, own []int64) item {
+// execRequest dispatches one validated request against a ready processor
+// of a store whose location pdf is pdf. Whole-MOD kinds fan per-OID tasks
+// across the worker pool with ctx checked between tasks; single-object
+// kinds are O(N) and run inline. own optionally restricts the whole-MOD
+// filter domain: when it is non-nil, the filter kinds iterate only the
+// candidates that also appear in own (a sorted OID list), which is how a
+// cluster router verifies the survivors it gathered. own == nil means the
+// full domain; the single-object kinds ignore it entirely.
+func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, pdf updf.RadialPDF, req Request, own []int64) item {
 	boolItem := func(b bool, err error) item { return item{IsBool: true, Bool: b, Err: err} }
 	listItem := func(ids []int64, err error) item { return item{OIDs: ids, Err: err} }
 	domain := func(base []int64) []int64 {
@@ -424,7 +422,7 @@ func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor
 	}
 	if req.P > 0 {
 		holds := func(oid int64) (bool, error) {
-			ivs, err := probIntervals(ctx, p, oid, req.P)
+			ivs, err := probIntervals(ctx, p, pdf, oid, req.P)
 			return err == nil && req.holds(ivs), err
 		}
 		if req.Kind.IsWholeMODFilter() {
@@ -471,13 +469,13 @@ func (e *Engine) execRequestRestricted(ctx context.Context, p *queries.Processor
 }
 
 // probIntervals returns the times a probability bound 0 < P <= 1 holds for
-// the object: where its sampled P^NN is at least P, or for P = 1 where it
-// is certainly the nearest neighbor.
-func probIntervals(ctx context.Context, p *queries.Processor, oid int64, P float64) ([]envelope.TimeInterval, error) {
+// the object: where its sampled P^NN, convolving the store's location pdf,
+// is at least P, or for P = 1 where it is certainly the nearest neighbor.
+func probIntervals(ctx context.Context, p *queries.Processor, pdf updf.RadialPDF, oid int64, P float64) ([]envelope.TimeInterval, error) {
 	if P == 1 {
 		return p.GuaranteedNNIntervals(oid)
 	}
-	return p.AboveThresholdIntervals(ctx, oid, P, queries.ThresholdConfig{})
+	return p.AboveThresholdIntervals(ctx, oid, P, queries.ThresholdConfig{PDF: pdf})
 }
 
 // holds applies the kind's temporal quantifier to the times a probability
@@ -519,16 +517,6 @@ func matchingTrajectories(store *mod.Store, where *textidx.Predicate) []*traject
 		}
 	}
 	return out
-}
-
-// containsOID reports whether trs holds a trajectory with the given OID.
-func containsOID(trs []*trajectory.Trajectory, oid int64) bool {
-	for _, tr := range trs {
-		if tr.OID == oid {
-			return true
-		}
-	}
-	return false
 }
 
 // allPairs computes every object's possible-NN set, fanning the per-query

@@ -61,9 +61,9 @@ func TestIngestInvalidatesMemo(t *testing.T) {
 	// invalidate the memoized envelope — the standing engine re-answers
 	// like a fresh one, with no memo hit.
 	v0 := st.Version()
-	if _, err := st.ApplyUpdate(mod.Update{OID: 3, Verts: []trajectory.Vertex{
+	if _, err := st.ApplyUpdates([]mod.Update{{OID: 3, Verts: []trajectory.Vertex{
 		{X: 6, Y: 1, T: 6}, {X: 10, Y: 0.5, T: 10},
-	}}); err != nil {
+	}}}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Version() == v0 {

@@ -80,9 +80,9 @@ func TestStrictlyAboveTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range env.IDs() {
-		if StrictlyAbove(env.Func(id), env) {
-			t.Fatalf("definer %d reported strictly above its own envelope", id)
+	for _, iv := range env.Intervals {
+		if StrictlyAbove(env.Func(iv.ID), env) {
+			t.Fatalf("definer %d reported strictly above its own envelope", iv.ID)
 		}
 	}
 	solo, err := LowerEnvelope(fns[:1], 0, 60)
@@ -107,11 +107,10 @@ func TestCompactAnswersAlike(t *testing.T) {
 	if c.Compact() != c {
 		t.Fatal("compacting a compact envelope made a copy")
 	}
-	definers := env.IDs()
 	for _, f := range fns {
 		defines := false
-		for _, id := range definers {
-			defines = defines || id == f.ID
+		for _, iv := range env.Intervals {
+			defines = defines || iv.ID == f.ID
 		}
 		if got := c.Func(f.ID) != nil; got != defines {
 			t.Fatalf("compact envelope holds %d: %v, defines: %v", f.ID, got, defines)

@@ -139,8 +139,8 @@ func TestBelowIntervalsBitIdenticalDegenerate(t *testing.T) {
 	for _, segs := range []bool{false, true} {
 		fns := buildRandomFuncs(t, 7, 20, segs)
 		e := env(fns...)
-		for _, id := range e.IDs() {
-			all("definer", e, e.Func(id))
+		for _, iv := range e.Intervals {
+			all("definer", e, e.Func(iv.ID))
 		}
 	}
 

@@ -61,20 +61,6 @@ func (e *Envelope) IDAt(t float64) int64 { return e.Intervals[e.at(t)].ID }
 // interval.
 func (e *Envelope) Func(id int64) *DistanceFunc { return e.fns[id] }
 
-// IDs returns the distinct function IDs appearing on the envelope, in
-// order of first appearance.
-func (e *Envelope) IDs() []int64 {
-	seen := make(map[int64]bool)
-	var out []int64
-	for _, iv := range e.Intervals {
-		if !seen[iv.ID] {
-			seen[iv.ID] = true
-			out = append(out, iv.ID)
-		}
-	}
-	return out
-}
-
 // concatMerge appends interval iv to dst with the paper's ⊎ semantics:
 // when the last interval of dst is defined by the same function, the two
 // intervals fuse and the shared critical point is absorbed (Example 5).

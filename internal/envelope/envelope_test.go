@@ -432,20 +432,4 @@ func TestEnvelopeAccessors(t *testing.T) {
 	if env.Func(fns[0].ID) != fns[0] {
 		t.Error("Func lookup failed")
 	}
-	idSet := env.IDs()
-	if len(idSet) == 0 || len(idSet) != len(uniq(idSet)) {
-		t.Errorf("IDs = %v", idSet)
-	}
-}
-
-func uniq(ids []int64) []int64 {
-	seen := map[int64]bool{}
-	var out []int64
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
 }

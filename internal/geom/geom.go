@@ -108,11 +108,6 @@ func (s Segment) ClosestParam(p Point) float64 {
 	return clamp01(u)
 }
 
-// DistTo returns the distance from p to the segment.
-func (s Segment) DistTo(p Point) float64 {
-	return p.Dist(s.At(s.ClosestParam(p)))
-}
-
 func clamp01(u float64) float64 {
 	switch {
 	case u < 0:
@@ -276,11 +271,6 @@ func (b AABB) Intersects(o AABB) bool {
 	}
 	return b.MinX <= o.MaxX && o.MinX <= b.MaxX &&
 		b.MinY <= o.MaxY && o.MinY <= b.MaxY
-}
-
-// ContainsPoint reports whether p lies inside or on the box.
-func (b AABB) ContainsPoint(p Point) bool {
-	return p.X >= b.MinX && p.X <= b.MaxX && p.Y >= b.MinY && p.Y <= b.MaxY
 }
 
 // Area returns the area of the box (0 if empty).

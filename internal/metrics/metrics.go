@@ -69,9 +69,8 @@ func (g *Gauge) Set(f float64) { g.v.Set(f) }
 // Add shifts the value by f (negative allowed).
 func (g *Gauge) Add(f float64) { g.v.Add(f) }
 
-// Inc adds 1; Dec subtracts 1.
+// Inc adds 1.
 func (g *Gauge) Inc() { g.v.Add(1) }
-func (g *Gauge) Dec() { g.v.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.Get() }
@@ -272,11 +271,6 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 // (hub evals/skips, WAL appends) without double bookkeeping.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, typeCounter, nil, nil, fn)
-}
-
-// GaugeFunc registers a gauge read from fn at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, typeGauge, nil, nil, fn)
 }
 
 // FamilyInfo describes one registered family — the introspection the

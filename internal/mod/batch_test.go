@@ -49,7 +49,7 @@ func randomBatch(rng *rand.Rand, size int) []Update {
 func applyOneByOne(st *Store, us []Update) ([]Applied, error) {
 	out := make([]Applied, 0, len(us))
 	for _, u := range us {
-		a, err := st.ApplyUpdate(u)
+		a, err := applyOne(st, u)
 		if err != nil {
 			return out, err
 		}

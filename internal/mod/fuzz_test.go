@@ -76,7 +76,7 @@ func FuzzApplyUpdate(f *testing.F) {
 				lastT = plan[len(plan)-1].T
 			}
 			v := trajectory.Vertex{X: dx, Y: dx / 2, T: lastT + dt}
-			a, err := st.ApplyUpdate(Update{OID: oid, Verts: []trajectory.Vertex{v}})
+			a, err := applyOne(st, Update{OID: oid, Verts: []trajectory.Vertex{v}})
 			var (
 				want        []trajectory.Vertex
 				changedFrom float64

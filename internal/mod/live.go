@@ -20,8 +20,7 @@ import (
 // invalidating the (version, fanout) cache —
 // so a fleet reporting positions never costs a standing query workload an
 // O(n log n) rebuild, and a batch copies each index node it touches once.
-// ApplyUpdate is a batch of one through the same step. Lock
-// order: idxMu, then mu (as BuildIndex takes them); the step takes idxMu
+// Lock order: idxMu, then mu (as BuildIndex takes them); the step takes idxMu
 // only after the batch has released mu.
 
 // Live-ingestion errors.
@@ -145,19 +144,6 @@ func (s *Store) reviseLocked(old *trajectory.Trajectory, verts []trajectory.Vert
 	s.trajs[old.OID] = nt
 	s.segLive += nt.NumSegments() - old.NumSegments()
 	return nt, changedFrom, nil
-}
-
-// ApplyUpdate applies one ingest update — a batch of one: a plan revision
-// (or pure extension) when the OID exists, an insert otherwise.
-func (s *Store) ApplyUpdate(u Update) (Applied, error) {
-	s.mu.Lock()
-	a, st, err := s.applyLocked(u)
-	s.mu.Unlock()
-	if err != nil {
-		return Applied{}, err
-	}
-	s.maintainIndexes(st)
-	return a, nil
 }
 
 // ApplyUpdates applies the batch in order as one step, stopping at the

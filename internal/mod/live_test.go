@@ -13,6 +13,15 @@ import (
 	"repro/internal/workload"
 )
 
+// applyOne applies a batch of one update.
+func applyOne(st *Store, u Update) (Applied, error) {
+	a, err := st.ApplyUpdates([]Update{u})
+	if err != nil {
+		return Applied{}, err
+	}
+	return a[0], nil
+}
+
 func TestApplyUpdateExtendsCopyOnWrite(t *testing.T) {
 	st := newTestStore(t)
 	tr := traj(t, 1)
@@ -20,7 +29,7 @@ func TestApplyUpdateExtendsCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	v0 := st.Version()
-	a, err := st.ApplyUpdate(Update{OID: 1, Verts: []trajectory.Vertex{{X: 12, Y: 12, T: 12}, {X: 14, Y: 12, T: 15}}})
+	a, err := applyOne(st, Update{OID: 1, Verts: []trajectory.Vertex{{X: 12, Y: 12, T: 12}, {X: 14, Y: 12, T: 15}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +75,14 @@ func TestApplyUpdateRejections(t *testing.T) {
 	}
 	v0 := st.Version()
 	for _, c := range cases {
-		if _, err := st.ApplyUpdate(Update{OID: c.oid, Verts: c.verts}); !errors.Is(err, c.want) {
+		if _, err := applyOne(st, Update{OID: c.oid, Verts: c.verts}); !errors.Is(err, c.want) {
 			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
 	if st.Version() != v0 {
 		t.Fatalf("rejected updates bumped the version: %d -> %d", v0, st.Version())
 	}
-	if _, err := st.ApplyUpdate(Update{OID: 1, Verts: []trajectory.Vertex{{X: 11, Y: 11, T: 11}}}); err != nil {
+	if _, err := applyOne(st, Update{OID: 1, Verts: []trajectory.Vertex{{X: 11, Y: 11, T: 11}}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -81,11 +90,11 @@ func TestApplyUpdateRejections(t *testing.T) {
 func TestApplyUpdateInsertAndExtend(t *testing.T) {
 	st := newTestStore(t)
 	// Unknown OID with one vertex: rejected.
-	if _, err := st.ApplyUpdate(Update{OID: 5, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 0}}}); !errors.Is(err, ErrShortInsert) {
+	if _, err := applyOne(st, Update{OID: 5, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 0}}}); !errors.Is(err, ErrShortInsert) {
 		t.Fatalf("short insert err = %v", err)
 	}
 	// Unknown OID with two vertices: inserted.
-	a, err := st.ApplyUpdate(Update{OID: 5, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 0}, {X: 1, Y: 1, T: 5}}})
+	a, err := applyOne(st, Update{OID: 5, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 0}, {X: 1, Y: 1, T: 5}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +102,7 @@ func TestApplyUpdateInsertAndExtend(t *testing.T) {
 		t.Fatalf("insert outcome = %+v", a)
 	}
 	// Same OID again: extension.
-	a, err = st.ApplyUpdate(Update{OID: 5, Verts: []trajectory.Vertex{{X: 2, Y: 2, T: 8}}})
+	a, err = applyOne(st, Update{OID: 5, Verts: []trajectory.Vertex{{X: 2, Y: 2, T: 8}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +155,7 @@ func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 		if len(verts) == 0 {
 			continue
 		}
-		if _, err := st.ApplyUpdate(Update{OID: oid, Verts: verts}); err != nil {
+		if _, err := applyOne(st, Update{OID: oid, Verts: verts}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,11 +245,11 @@ func TestRebuildHoldsLiveSegmentsOnly(t *testing.T) {
 		reviseTail(t, st, int64(i%revisionFleetSize+1))
 		st.BuildIndex(0)
 	}
-	if _, err := st.ApplyUpdate(Update{OID: 7, Retire: true}); err != nil {
+	if _, err := applyOne(st, Update{OID: 7, Retire: true}); err != nil {
 		t.Fatal(err)
 	}
 	tags := []string{"ev"}
-	if _, err := st.ApplyUpdate(Update{OID: 3, Tags: &tags}); err != nil {
+	if _, err := applyOne(st, Update{OID: 3, Tags: &tags}); err != nil {
 		t.Fatal(err)
 	}
 	if st.BuildIndex(0).Len() == st.segLive {
@@ -312,7 +321,7 @@ const revisionEntries = 3
 // entries, and whatever the old tail had is superseded.
 func reviseTail(t *testing.T, st *Store, oid int64) {
 	t.Helper()
-	if _, err := st.ApplyUpdate(Update{OID: oid, Verts: []trajectory.Vertex{
+	if _, err := applyOne(st, Update{OID: oid, Verts: []trajectory.Vertex{
 		{X: 5, Y: float64(oid), T: 5},
 		{X: 7, Y: float64(oid) + 0.5, T: 7},
 		{X: 10, Y: float64(oid), T: 10},
@@ -339,7 +348,7 @@ func TestTagFlipStepsChainsAndNeverCuts(t *testing.T) {
 	}
 
 	tags := []string{"ev"}
-	if _, err := st.ApplyUpdate(Update{OID: 1, Tags: &tags}); err != nil {
+	if _, err := applyOne(st, Update{OID: 1, Tags: &tags}); err != nil {
 		t.Fatal(err)
 	}
 	if st.BuildIndex(0) != idx {
@@ -350,7 +359,7 @@ func TestTagFlipStepsChainsAndNeverCuts(t *testing.T) {
 		t.Fatalf("after a tag flip: stats %+v, want %+v", got, want)
 	}
 
-	if _, err := st.ApplyUpdate(Update{OID: 2, Retire: true}); err != nil {
+	if _, err := applyOne(st, Update{OID: 2, Retire: true}); err != nil {
 		t.Fatal(err)
 	}
 	st.BuildIndex(0)

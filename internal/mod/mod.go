@@ -279,8 +279,7 @@ func (s *Store) TimeSpan() (tb, te float64, ok bool) {
 // query-time candidate pre-pass) therefore get an always-fresh index
 // without paying a rebuild on every store mutation.
 //
-// Update batches (ApplyUpdates, and ApplyUpdate, its batch of one — see
-// live.go) instead chain the cached tree forward incrementally, inserting
+// Update batches (ApplyUpdates, see live.go) instead chain the cached tree forward incrementally, inserting
 // the new segments of a whole batch with one persistent
 // sindex.RTree.Inserted step; SetTags takes the same step. After a plan revision the
 // chained tree may retain superseded segment entries; that makes it a

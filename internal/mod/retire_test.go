@@ -16,7 +16,7 @@ import (
 
 func TestApplyRetireBasics(t *testing.T) {
 	st := newTestStore(t)
-	if _, err := st.ApplyUpdate(Update{OID: 1, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 0}, {X: 1, Y: 1, T: 5}}}); err != nil {
+	if _, err := applyOne(st, Update{OID: 1, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 0}, {X: 1, Y: 1, T: 5}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.SetTags(1, []string{"ev", "pool"}); err != nil {
@@ -24,19 +24,19 @@ func TestApplyRetireBasics(t *testing.T) {
 	}
 
 	// A retire update carries no other state.
-	if _, err := st.ApplyUpdate(Update{OID: 1, Retire: true, Verts: []trajectory.Vertex{{X: 2, Y: 2, T: 6}}}); !errors.Is(err, ErrRetireConflict) {
+	if _, err := applyOne(st, Update{OID: 1, Retire: true, Verts: []trajectory.Vertex{{X: 2, Y: 2, T: 6}}}); !errors.Is(err, ErrRetireConflict) {
 		t.Fatalf("retire with verts err = %v, want ErrRetireConflict", err)
 	}
-	if _, err := st.ApplyUpdate(Update{OID: 1, Retire: true, Tags: &[]string{"ev"}}); !errors.Is(err, ErrRetireConflict) {
+	if _, err := applyOne(st, Update{OID: 1, Retire: true, Tags: &[]string{"ev"}}); !errors.Is(err, ErrRetireConflict) {
 		t.Fatalf("retire with tags err = %v, want ErrRetireConflict", err)
 	}
 	// Retiring an unknown OID is a data error, same identity as Get.
-	if _, err := st.ApplyUpdate(Update{OID: 99, Retire: true}); !errors.Is(err, ErrNotFound) {
+	if _, err := applyOne(st, Update{OID: 99, Retire: true}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("retire unknown err = %v, want ErrNotFound", err)
 	}
 
 	v0 := st.Version()
-	a, err := st.ApplyUpdate(Update{OID: 1, Retire: true})
+	a, err := applyOne(st, Update{OID: 1, Retire: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestApplyRetireBasics(t *testing.T) {
 	}
 
 	// The OID is free again: a fresh insert succeeds.
-	a, err = st.ApplyUpdate(Update{OID: 1, Verts: []trajectory.Vertex{{X: 9, Y: 9, T: 20}, {X: 10, Y: 10, T: 25}}})
+	a, err = applyOne(st, Update{OID: 1, Verts: []trajectory.Vertex{{X: 9, Y: 9, T: 20}, {X: 10, Y: 10, T: 25}}})
 	if err != nil || !a.Inserted {
 		t.Fatalf("re-insert after retire: %+v, %v", a, err)
 	}
@@ -82,7 +82,7 @@ func TestRetireIndexMaintenance(t *testing.T) {
 	st.BuildIndex(0)
 	base := st.IndexStats()
 
-	if _, err := st.ApplyUpdate(Update{OID: oids[0], Retire: true}); err != nil {
+	if _, err := applyOne(st, Update{OID: oids[0], Retire: true}); err != nil {
 		t.Fatal(err)
 	}
 	st.BuildIndex(0)

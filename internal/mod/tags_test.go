@@ -53,7 +53,7 @@ func TestSetTagsCanonicalAndVersion(t *testing.T) {
 	if err := st.SetTags(1, []string{"ev"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ApplyUpdate(Update{OID: 1, Retire: true}); err != nil {
+	if _, err := applyOne(st, Update{OID: 1, Retire: true}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Tags(1) != nil {
@@ -71,7 +71,7 @@ func TestApplyUpdateTagFlip(t *testing.T) {
 	}
 	// Pure flip on an existing object.
 	tags := []string{"Available"}
-	a, err := st.ApplyUpdate(Update{OID: 7, Tags: &tags})
+	a, err := applyOne(st, Update{OID: 7, Tags: &tags})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestApplyUpdateTagFlip(t *testing.T) {
 		t.Fatalf("pure flip ChangedFrom = %g, Traj = %v", a.ChangedFrom, a.Traj)
 	}
 	// Identical flip: no TagsChanged.
-	a, err = st.ApplyUpdate(Update{OID: 7, Tags: &tags})
+	a, err = applyOne(st, Update{OID: 7, Tags: &tags})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +90,16 @@ func TestApplyUpdateTagFlip(t *testing.T) {
 		t.Fatal("no-op flip reported TagsChanged")
 	}
 	// Pure flip on unknown OID fails.
-	if _, err := st.ApplyUpdate(Update{OID: 99, Tags: &tags}); err == nil {
+	if _, err := applyOne(st, Update{OID: 99, Tags: &tags}); err == nil {
 		t.Fatal("flip on unknown OID accepted")
 	}
 	// Vertex-less, tag-less update still fails like before.
-	if _, err := st.ApplyUpdate(Update{OID: 7}); err == nil {
+	if _, err := applyOne(st, Update{OID: 7}); err == nil {
 		t.Fatal("empty update accepted")
 	}
 	// Combined geometry + tags: one Applied with both effects.
 	newTags := []string{"available", "wheelchair"}
-	a, err = st.ApplyUpdate(Update{
+	a, err = applyOne(st, Update{
 		OID:   7,
 		Verts: []trajectory.Vertex{{X: 9, Y: 9, T: 20}},
 		Tags:  &newTags,
@@ -116,7 +116,7 @@ func TestApplyUpdateTagFlip(t *testing.T) {
 	}
 	// Insert-with-tags.
 	ins := []string{"pool"}
-	a, err = st.ApplyUpdate(Update{
+	a, err = applyOne(st, Update{
 		OID:   8,
 		Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 0}, {X: 1, Y: 1, T: 5}},
 		Tags:  &ins,
@@ -129,7 +129,7 @@ func TestApplyUpdateTagFlip(t *testing.T) {
 	}
 	// Clearing via empty non-nil Tags.
 	empty := []string{}
-	a, err = st.ApplyUpdate(Update{OID: 8, Tags: &empty})
+	a, err = applyOne(st, Update{OID: 8, Tags: &empty})
 	if err != nil {
 		t.Fatal(err)
 	}

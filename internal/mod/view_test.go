@@ -57,7 +57,7 @@ func TestViewSharedPerVersion(t *testing.T) {
 	if &grown[0] == &a[0] {
 		t.Fatal("append extended the shared array in place")
 	}
-	if _, err := st.ApplyUpdate(Update{OID: a[0].OID, Verts: []trajectory.Vertex{{X: 1, Y: 1, T: 1e6}}}); err != nil {
+	if _, err := applyOne(st, Update{OID: a[0].OID, Verts: []trajectory.Vertex{{X: 1, Y: 1, T: 1e6}}}); err != nil {
 		t.Fatal(err)
 	}
 	c := st.All()

@@ -294,7 +294,7 @@ type Request struct {
 	Trajs []WireTraj `json:"trajs,omitempty"`
 
 	// Updates carries the "ingest" op's live update batch (the
-	// mod.ApplyUpdate contract: revision, extension, or insert per item).
+	// mod.ApplyUpdates contract: revision, extension, or insert per item).
 	Updates []WireTraj `json:"updates,omitempty"`
 	// OIDs carries the "owns" op's bulk ownership probe.
 	OIDs []int64 `json:"oids,omitempty"`
@@ -1334,7 +1334,7 @@ func (c *Client) AllTrajectories() ([]*trajectory.Trajectory, error) {
 	return decodeTrajs(resp.Trajs)
 }
 
-// Ingest applies a live update batch remotely (the mod.ApplyUpdate
+// Ingest applies a live update batch remotely (the mod.ApplyUpdates
 // contract per item) and returns the per-update outcomes in order. A
 // mid-batch server failure returns the outcomes applied before it
 // alongside the error — the same partial-prefix contract as the

@@ -56,8 +56,8 @@ func checkEquivalence(t *testing.T, full, pruned *queries.Processor, oids []int6
 	mustEq("UQ31", full.UQ31(), pruned.UQ31(), nil, nil)
 	mustEq("UQ32", full.UQ32(), pruned.UQ32(), nil, nil)
 	for _, x := range []float64{0, 0.25, 0.9} {
-		a, ea := full.UQ33(x)
-		b, eb := pruned.UQ33(x)
+		a, ea := full.UQ43(1, x)
+		b, eb := pruned.UQ43(1, x)
 		mustEq("UQ33", a, b, ea, eb)
 	}
 	for _, k := range ks {
@@ -120,7 +120,6 @@ func checkEquivalence(t *testing.T, full, pruned *queries.Processor, oids []int6
 	}
 
 	// Fixed-time retrievals.
-	mustEq("PossibleNNAt", full.PossibleNNAt(tf), pruned.PossibleNNAt(tf), nil, nil)
 	for _, k := range ks {
 		a, ea := full.PossibleRankKAt(tf, k)
 		b, eb := pruned.PossibleRankKAt(tf, k)

@@ -151,7 +151,7 @@ func TestSweepCacheReuseAndInvalidation(t *testing.T) {
 	}
 
 	// A mutation bumps the version: the old session is unreachable.
-	if _, err := store.ApplyUpdate(mod.Update{OID: 9001, Verts: []trajectory.Vertex{{X: 1, Y: 1, T: 0}, {X: 2, Y: 2, T: 30}}}); err != nil {
+	if _, err := store.ApplyUpdates([]mod.Update{{OID: 9001, Verts: []trajectory.Vertex{{X: 1, Y: 1, T: 0}, {X: 2, Y: 2, T: 30}}}}); err != nil {
 		t.Fatal(err)
 	}
 	s4, err := c.ForWhere(store, q, 0, 30, nil)

@@ -95,7 +95,7 @@ func ZoneWhereCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajector
 func ForQueryWhereCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) (*queries.Processor, error) {
 	s := newSweep(store, q, tb, te, where)
 	if s.stale {
-		return queries.NewProcessor(s.trs, q, tb, te, s.r)
+		return queries.NewProcessorPrunedCtx(ctx, s.trs, q, tb, te, s.r, nil)
 	}
 	survivors, bounds, _, err := s.zone(ctx, 1)
 	if err != nil {

@@ -1,6 +1,10 @@
 package queries
 
-import "repro/internal/trajectory"
+import (
+	"slices"
+
+	"repro/internal/trajectory"
+)
 
 // This file implements two of the paper's Section 7 future-work variants:
 // all-pairs continuous probabilistic NN (every object's possible-NN set)
@@ -46,6 +50,6 @@ func ReversePossibleNN(trs []*trajectory.Trajectory, target *trajectory.Trajecto
 			out = append(out, q.OID)
 		}
 	}
-	sortIDs(out)
+	slices.Sort(out)
 	return out, nil
 }

@@ -40,15 +40,15 @@ func BenchmarkProcessorVariants(b *testing.B) {
 	rest := func(p *Processor) {
 		sink = p.UQ32()
 		for _, x := range []float64{0.2, 0.5, 0.8} {
-			sink, _ = p.UQ33(x)
+			sink, _ = p.UQ43(1, x)
 		}
-		sink = p.PossibleNNAt(at(0.25))
+		sink, _ = p.PossibleRankKAt(at(0.25), 1)
 		sink = p.UQ31()
 		sink = p.UQ32()
 		for _, x := range []float64{0.1, 0.35, 0.65, 0.9} {
-			sink, _ = p.UQ33(x)
+			sink, _ = p.UQ43(1, x)
 		}
-		sink = p.PossibleNNAt(at(0.75))
+		sink, _ = p.PossibleRankKAt(at(0.75), 1)
 		sinkBool, _ = p.UQ11(target)
 		sinkBool, _ = p.UQ13(target, 0.3)
 		sinkBool, _ = p.IsPossibleNNAt(target, at(0.5))

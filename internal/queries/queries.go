@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"sync"
@@ -67,51 +68,45 @@ type Processor struct {
 	Tb, Te   float64
 	R        float64
 
-	// fns holds the distance functions the Level-1 envelope is built
-	// from: every candidate in full mode, only the index survivors in
-	// pruned mode (a pruned function never defines the lower envelope and
-	// never enters the 4r zone, so the envelope — and every Level-1
-	// answer — is unchanged by its absence). table is the same set in ID
-	// order — the Level-1 scan set — and zone1 its zone rows against env1.
-	fns   []*envelope.DistanceFunc
+	// table holds the distance functions the Level-1 envelope is built
+	// from, in ID order: the index survivors, or every candidate for a full
+	// scan (a pruned function never defines the lower envelope and never
+	// enters the 4r zone, so the envelope — and every Level-1 answer — is
+	// unchanged by its absence). It is the Level-1 scan set, and zone1 its
+	// zone rows against env1.
 	table fnTable
 	env1  *envelope.Envelope
 	zone1 []zoneRow
 
-	// pruned marks a processor built over an index pre-pass: its
-	// candidates are the non-query members of snapshot, and one without a
-	// function in table was excluded by the pre-pass. Such a candidate's
-	// Level-1 answers are known without a distance function; deeper ranks
-	// grow the basis below. (A full-scan processor's candidates are exactly
-	// its functions.)
-	pruned    bool
+	// The candidates are the non-query members of snapshot; one without a
+	// function in table was excluded by the pre-pass, and its Level-1
+	// answers are known without a distance function. Deeper ranks grow the
+	// basis below.
 	snapshot  Universe
 	q         *trajectory.Trajectory
 	countOnce sync.Once
 	nCands    int // < 0: not counted yet (a successor counts on first use)
 
 	// The rank basis: the function set the k-level envelopes are built
-	// over, guarded by mu. In full mode it is the complete candidate set
-	// from construction (basisRank unbounded). In pruned mode it starts as
-	// the Level-1 survivors (basisRank 1) and grows on demand — through
-	// the rank expander when one is attached (the index-probed rank-k
-	// survivor superset, see SetRankExpander), otherwise through the lazy
-	// full build. Envelope values over any conservative rank-k superset
-	// match the full set for every level <= k, because a function outside
-	// the widened rank-k zone is never among the k pointwise smallest.
-	// zones[j] holds the zone rows of the basis against levels[j].
+	// over, guarded by mu. A full scan starts with every candidate
+	// (basisRank unbounded); a pruned build starts with the Level-1
+	// survivors (basisRank 1) and grows on demand — to the index-probed
+	// rank-k survivor superset when a rank expander is attached (see
+	// SetRankExpander), otherwise to every candidate. Envelope values over
+	// any conservative rank-k superset match the full set for every level
+	// <= k, because a function outside the widened rank-k zone is never
+	// among the k pointwise smallest. zones[j] holds the zone rows of the
+	// basis against levels[j].
 	mu         sync.Mutex
 	levels     []*envelope.Envelope // levels[0] is a Level-1 envelope, grown on demand
 	zones      [][]zoneRow
-	basisFns   []*envelope.DistanceFunc
 	basisTable fnTable
 	basisRank  int // ranks 1..basisRank answer exactly over the basis
 	expand     func(ctx context.Context, k int) ([]int64, error)
 	bounds     func(ctx context.Context, k int) (cuts, bounds []float64, err error)
-	fullBuilds int // lazy full builds performed (observability)
 }
 
-// Universe describes a pruned processor's candidate population without
+// Universe describes a processor's candidate population without
 // listing it: a store snapshot in OID order — shared and read-only, it may
 // hold the query trajectory and objects outside the population — and the
 // membership test that picks the candidates out of it (nil: every snapshot
@@ -221,16 +216,6 @@ func byFuncID(a, b *envelope.DistanceFunc) int { return cmp.Compare(a.ID, b.ID) 
 
 func byOID(a, b *trajectory.Trajectory) int { return cmp.Compare(a.OID, b.OID) }
 
-// newFnTable indexes fns, sharing the slice when it already is in ID order
-// (it is whenever the trajectories came from a store snapshot).
-func newFnTable(fns []*envelope.DistanceFunc) fnTable {
-	if !slices.IsSortedFunc(fns, byFuncID) {
-		fns = slices.Clone(fns)
-		slices.SortFunc(fns, byFuncID)
-	}
-	return fns
-}
-
 func (t fnTable) index(oid int64) (int, bool) {
 	return slices.BinarySearchFunc(t, oid, func(f *envelope.DistanceFunc, id int64) int { return cmp.Compare(f.ID, id) })
 }
@@ -254,49 +239,29 @@ func (t fnTable) ids() []int64 {
 // fullRank marks a basis covering every rank (the complete function set).
 const fullRank = math.MaxInt
 
-// NewProcessor builds the envelope preprocessing for the query trajectory
-// q over [tb, te] with shared uncertainty radius r.
+// NewProcessor is the full scan without a deadline: NewProcessorPrunedCtx
+// with no survivors.
 func NewProcessor(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64) (*Processor, error) {
-	if r <= 0 {
-		return nil, fmt.Errorf("queries: nonpositive radius %g", r)
-	}
-	fns, err := envelope.BuildDistanceFuncs(trs, q, tb, te)
-	if err != nil {
-		return nil, err
-	}
-	if len(fns) == 0 {
-		return nil, envelope.ErrNoFunctions
-	}
-	env1, err := envelope.LowerEnvelope(fns, tb, te)
-	if err != nil {
-		return nil, err
-	}
-	table := newFnTable(fns)
-	return &Processor{
-		QueryOID: q.OID, Tb: tb, Te: te, R: r,
-		fns: fns, table: table, env1: env1, zone1: make([]zoneRow, len(table)),
-		q: q, nCands: len(table),
-		levels:   []*envelope.Envelope{env1},
-		basisFns: fns, basisTable: table, basisRank: fullRank,
-	}, nil
+	return NewProcessorPrunedCtx(context.Background(), trs, q, tb, te, r, nil)
 }
 
-// NewProcessorPrunedCtx builds the envelope preprocessing over the
-// surviving candidates of an index pre-pass. survivors must be a
-// conservative superset of every object whose difference-distance function
-// comes within the 4r pruning zone of the Level-1 lower envelope anywhere
-// in the window (internal/prune computes such a set from the store's
-// spatial index, with a safety margin covering the TimeEps slack of the
-// fixed-time tests).
+// NewProcessorPrunedCtx builds the envelope preprocessing for the query
+// trajectory q over [tb, te] with shared uncertainty radius r, over the
+// candidates trs holds besides q. survivors is the outcome of an index
+// pre-pass: a conservative superset of every object whose
+// difference-distance function comes within the 4r pruning zone of the
+// Level-1 lower envelope anywhere in the window (internal/prune computes
+// such a set from the store's spatial index, with a safety margin covering
+// the TimeEps slack of the fixed-time tests). An empty survivors is a full
+// scan: the pre-pass kept every candidate.
 //
-// Answers are identical to NewProcessor's for every query variant:
-// Level-1 queries run over the survivors alone (a pruned object's zone
-// membership is empty by the superset guarantee, and the guaranteed-NN and
-// threshold paths read only the UQ31 members), while the rank-k (k>=2)
-// paths — whose envelopes depend on more of the candidate set — grow the
-// function set on first use. ctx is checked in the per-candidate
-// distance-function build loop, where the O(survivors · m) work happens,
-// so a canceled request stops there.
+// Answers are the full scan's for every query variant: Level-1 queries run
+// over the survivors alone (a pruned object's zone membership is empty by
+// the superset guarantee, and the guaranteed-NN and threshold paths read
+// only the UQ31 members), while the rank-k (k>=2) paths — whose envelopes
+// depend on more of the candidate set — grow the function set on first
+// use. ctx is checked before every distance-function build, where the
+// O(survivors · m) work happens, so a canceled request stops there.
 func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64, survivors []int64) (*Processor, error) {
 	if r <= 0 {
 		return nil, fmt.Errorf("queries: nonpositive radius %g", r)
@@ -306,7 +271,7 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 	// construction — so a build allocates neither a hash map nor a list of
 	// its candidates: trs itself is the snapshot. Store snapshots and the
 	// pre-pass hand both lists over sorted; anything else is put in order
-	// first.
+	// first, which also makes the answers independent of the input order.
 	if !slices.IsSortedFunc(trs, byOID) {
 		trs = slices.Clone(trs)
 		slices.SortFunc(trs, byOID)
@@ -315,48 +280,82 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 		survivors = slices.Clone(survivors)
 		slices.Sort(survivors)
 	}
-	fns := make([]*envelope.DistanceFunc, 0, len(survivors))
+	full, size := len(survivors) == 0, len(survivors)
+	if full {
+		size = len(trs)
+	}
 	n := 0
-	for _, tr := range trs {
-		if tr.OID == q.OID {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Validate every candidate against the window — including pruned
-		// ones — so construction fails exactly when the full build would.
-		if err := envelope.CheckWindow(tr, q, tb, te); err != nil {
-			return nil, fmt.Errorf("oid %d: %w", tr.OID, err)
-		}
-		n++
-		if _, ok := slices.BinarySearch(survivors, tr.OID); ok {
-			f, err := envelope.NewDistanceFunc(tr.OID, tr, q, tb, te)
-			if err != nil {
-				return nil, fmt.Errorf("oid %d: %w", tr.OID, err)
+	var bad error
+	kept := func(yield func(*trajectory.Trajectory, *envelope.DistanceFunc) bool) {
+		for _, tr := range trs {
+			if tr.OID == q.OID {
+				continue
 			}
-			fns = append(fns, f)
+			n++
+			if _, ok := slices.BinarySearch(survivors, tr.OID); full || ok {
+				if !yield(tr, nil) {
+					return
+				}
+			} else if err := envelope.CheckWindow(tr, q, tb, te); err != nil {
+				// A pruned candidate is validated against the window too,
+				// so construction fails exactly when a full scan would.
+				bad = fmt.Errorf("oid %d: %w", tr.OID, err)
+				return
+			}
 		}
+	}
+	fns, err := buildFuncs(ctx, kept, size, q, tb, te)
+	if err == nil {
+		err = bad
+	}
+	if err != nil {
+		return nil, err
 	}
 	if n == 0 {
 		return nil, envelope.ErrNoFunctions
 	}
 	if len(fns) == 0 {
-		// Defensive: an empty survivor set cannot carry the envelope;
-		// degrade to the full build.
-		return NewProcessor(trs, q, tb, te, r)
+		// Defensive: survivors none of which is a candidate cannot carry
+		// the envelope; scan them all.
+		return NewProcessorPrunedCtx(ctx, trs, q, tb, te, r, nil)
 	}
 	env1, err := envelope.LowerEnvelope(fns, tb, te)
 	if err != nil {
 		return nil, err
 	}
+	rank := 1
+	if full {
+		rank = fullRank
+	}
 	return &Processor{
 		QueryOID: q.OID, Tb: tb, Te: te, R: r,
-		fns: fns, table: fns, env1: env1, zone1: make([]zoneRow, len(fns)),
-		pruned: true, snapshot: Universe{Trajs: trs}, q: q, nCands: n,
-		levels:   []*envelope.Envelope{env1},
-		basisFns: fns, basisTable: fns, basisRank: 1,
+		table: fns, env1: env1, zone1: make([]zoneRow, len(fns)),
+		snapshot: Universe{Trajs: trs}, q: q, nCands: n,
+		levels:     []*envelope.Envelope{env1},
+		basisTable: fns, basisRank: rank,
 	}, nil
+}
+
+// buildFuncs returns the distance function against q over [tb, te] of
+// every trajectory cands yields, in the order yielded: the function
+// yielded beside it when there is one, a new one otherwise. It is the
+// package's one distance-function build loop. ctx is checked once per
+// trajectory; size preallocates the result.
+func buildFuncs(ctx context.Context, cands iter.Seq2[*trajectory.Trajectory, *envelope.DistanceFunc], size int, q *trajectory.Trajectory, tb, te float64) ([]*envelope.DistanceFunc, error) {
+	out := make([]*envelope.DistanceFunc, 0, size)
+	for tr, f := range cands {
+		if err := CtxErr(ctx); err != nil {
+			return nil, err
+		}
+		if f == nil {
+			var err error
+			if f, err = envelope.NewDistanceFunc(tr.OID, tr, q, tb, te); err != nil {
+				return nil, fmt.Errorf("oid %d: %w", tr.OID, err)
+			}
+		}
+		out = append(out, f)
+	}
+	return out, nil
 }
 
 // SetRankExpander attaches the rank-k survivor oracle of the index layer:
@@ -399,108 +398,63 @@ func (p *Processor) SliceBounds(ctx context.Context, k int) (cuts, bounds []floa
 	return fn(ctx, k)
 }
 
-// FullBuilds reports how many lazy full function-set builds the processor
-// has performed — 0 when every deep-rank query was served by the rank
-// expander (observability for the rank-aware pruning gate).
-func (p *Processor) FullBuilds() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.fullBuilds
-}
-
 // PrunedCount reports how many candidates the index pre-pass excluded
 // (0 for a full-scan processor) — for stats and benchmark reporting.
-func (p *Processor) PrunedCount() int { return p.CandidateCount() - len(p.fns) }
+func (p *Processor) PrunedCount() int { return p.CandidateCount() - len(p.table) }
 
-// ensureFullLocked completes the distance-function set, building it on
-// first use in pruned mode. The returned slice is write-once: callers use
-// the returned reference, never the field. Caller holds p.mu.
-func (p *Processor) ensureFullLocked(ctx context.Context) ([]*envelope.DistanceFunc, error) {
-	if p.basisRank == fullRank {
-		return p.basisFns, nil
-	}
-	// Complete the basis, reusing already-built survivor functions and
-	// checking ctx between the per-candidate builds (the expensive part of
-	// a lazy full build).
-	fns := make([]*envelope.DistanceFunc, 0, p.CandidateCount())
-	var err error
-	p.snapshot.each(p.QueryOID, func(tr *trajectory.Trajectory) bool {
-		if err = ctx.Err(); err != nil {
-			return false
-		}
-		f := p.basisTable.get(tr.OID)
-		if f == nil {
-			if f, err = envelope.NewDistanceFunc(tr.OID, tr, p.q, p.Tb, p.Te); err != nil {
-				err = fmt.Errorf("oid %d: %w", tr.OID, err)
-				return false
-			}
-		}
-		fns = append(fns, f)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	wasComplete := len(p.basisFns) == len(fns)
-	p.basisFns, p.basisTable, p.basisRank = fns, fns, fullRank
-	p.fullBuilds++
-	if !wasComplete {
-		// Deeper levels (and their zone rows) were built over the smaller
-		// basis; zoneAt rebuilds them over the completed set on next use.
-		p.levels, p.zones = p.levels[:1], nil
-	}
-	return fns, nil
-}
-
-// growBasisLocked guarantees the basis answers ranks 1..k exactly. With a
-// rank expander attached it unions in the index-probed rank-k survivors
-// (building distance functions only for the newcomers); otherwise it
-// degrades to the lazy full build. Caller holds p.mu.
+// growBasisLocked guarantees the basis answers ranks 1..k exactly. It
+// unions in the index-probed rank-k survivors when a rank expander is
+// attached, and every candidate otherwise (a complete basis answers every
+// rank), building distance functions only for the newcomers. Caller holds
+// p.mu.
 func (p *Processor) growBasisLocked(ctx context.Context, k int) error {
 	if k <= p.basisRank {
 		return nil
 	}
-	if p.expand == nil {
-		_, err := p.ensureFullLocked(ctx)
-		return err
+	newcomers := func(yield func(*trajectory.Trajectory, *envelope.DistanceFunc) bool) {
+		p.snapshot.each(p.QueryOID, func(tr *trajectory.Trajectory) bool {
+			return p.basisTable.get(tr.OID) != nil || yield(tr, nil)
+		})
 	}
-	ids, err := p.expand(ctx, k)
+	size, rank := p.CandidateCount()-len(p.basisTable), fullRank
+	if p.expand != nil {
+		ids, err := p.expand(ctx, k)
+		if err != nil {
+			return err
+		}
+		newcomers = func(yield func(*trajectory.Trajectory, *envelope.DistanceFunc) bool) {
+			for _, id := range ids {
+				if p.basisTable.get(id) != nil {
+					continue
+				}
+				// An expander over a different snapshot may name strangers;
+				// they are ignored.
+				if tr := p.snapshot.Find(id, p.QueryOID); tr != nil && !yield(tr, nil) {
+					return
+				}
+			}
+		}
+		size, rank = max(len(ids)-len(p.basisTable), 0), k
+	}
+	added, err := buildFuncs(ctx, newcomers, size, p.q, p.Tb, p.Te)
 	if err != nil {
 		return err
 	}
-	var added []*envelope.DistanceFunc
-	for _, id := range ids {
-		if p.basisTable.get(id) != nil {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tr := p.snapshot.Find(id, p.QueryOID)
-		if tr == nil {
-			continue // expander over a different snapshot; ignore strangers
-		}
-		f, err := envelope.NewDistanceFunc(id, tr, p.q, p.Tb, p.Te)
-		if err != nil {
-			return fmt.Errorf("oid %d: %w", id, err)
-		}
-		added = append(added, f)
-	}
 	if len(added) > 0 {
-		// Copy-on-write: the initial basis is fns/table, which the Level-1
+		// Copy-on-write: the initial basis is table, which the Level-1
 		// paths read lock-free, so grow a copy, never the original. ID order
 		// is the table's invariant, and as the canonical function order it
 		// keeps envelope construction independent of the order survivors
 		// were discovered in.
-		fns := make([]*envelope.DistanceFunc, 0, len(p.basisFns)+len(added))
-		fns = append(append(fns, p.basisFns...), added...)
+		fns := make([]*envelope.DistanceFunc, 0, len(p.basisTable)+len(added))
+		fns = append(append(fns, p.basisTable...), added...)
 		slices.SortFunc(fns, byFuncID)
-		p.basisFns, p.basisTable = fns, fns
+		p.basisTable = fns
 		// Deeper levels (and their zone rows) were built over the smaller
 		// basis.
 		p.levels, p.zones = p.levels[:1], nil
 	}
-	p.basisRank = k
+	p.basisRank = rank
 	return nil
 }
 
@@ -527,8 +481,8 @@ func (p *Processor) zoneAt(ctx context.Context, k int) (zoneLevel, error) {
 	if err := p.growBasisLocked(ctx, k); err != nil {
 		return zoneLevel{}, err
 	}
-	if k > len(p.levels) && len(p.levels) < len(p.basisFns) {
-		lv, err := envelope.KLevelEnvelopes(p.basisFns, p.Tb, p.Te, k)
+	if k > len(p.levels) && len(p.levels) < len(p.basisTable) {
+		lv, err := envelope.KLevelEnvelopes(p.basisTable, p.Tb, p.Te, k)
 		if err != nil {
 			return zoneLevel{}, err
 		}
@@ -566,9 +520,6 @@ func (p *Processor) EnsureLevelsCtx(ctx context.Context, k int) error {
 // call; an executor fanning a filter out per object wants ScanOIDs, which
 // leaves out the candidates whose answer the pre-pass already settled.
 func (p *Processor) CandidateOIDs() []int64 {
-	if !p.pruned {
-		return p.table.ids()
-	}
 	out := make([]int64, 0, p.CandidateCount())
 	p.snapshot.each(p.QueryOID, func(tr *trajectory.Trajectory) bool {
 		out = append(out, tr.OID)
@@ -641,25 +592,14 @@ func (p *Processor) SurvivorOIDs() []int64 {
 	return p.basisTable.ids()
 }
 
-// fn returns the object's distance function, erroring on unknown OIDs and
-// on pruned candidates (which have none built). Level-1 query paths use
-// lookup instead so pruned candidates answer without a function.
-func (p *Processor) fn(oid int64) (*envelope.DistanceFunc, error) {
-	f := p.table.get(oid)
-	if f == nil {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownOID, oid)
-	}
-	return f, nil
-}
-
-// lookup resolves an OID to its distance function. Known-but-pruned
-// candidates have none built; isPruned distinguishes them from unknown
-// OIDs (which are an error, exactly as in full mode).
-func (p *Processor) lookup(oid int64) (f *envelope.DistanceFunc, isPruned bool, err error) {
+// lookup resolves an OID to its Level-1 distance function. A candidate the
+// pre-pass excluded has none built; excluded distinguishes it from an
+// unknown OID, which is an error.
+func (p *Processor) lookup(oid int64) (f *envelope.DistanceFunc, excluded bool, err error) {
 	if f := p.table.get(oid); f != nil {
 		return f, false, nil
 	}
-	if p.pruned && p.snapshot.Find(oid, p.QueryOID) != nil {
+	if p.snapshot.Find(oid, p.QueryOID) != nil {
 		return nil, true, nil
 	}
 	return nil, false, fmt.Errorf("%w: %d", ErrUnknownOID, oid)
@@ -786,10 +726,6 @@ func (p *Processor) UQ32() []int64 {
 	return out
 }
 
-// UQ33 retrieves all objects with non-zero probability at least fraction x
-// of the window.
-func (p *Processor) UQ33(x float64) ([]int64, error) { return p.UQ43(1, x) }
-
 // --- Category 4: ranked whole-MOD retrieval ---
 
 // UQ41 retrieves all objects that can be a k-th highest-probability NN at
@@ -801,7 +737,8 @@ func (p *Processor) UQ41(k int) ([]int64, error) { return p.scan(k, nonEmpty) }
 func (p *Processor) UQ42(k int) ([]int64, error) { return p.scan(k, p.covers) }
 
 // UQ43 retrieves all objects that can be a k-th highest-probability NN at
-// least fraction x of the window.
+// least fraction x of the window; at k = 1 it is UQ33, the objects with
+// non-zero NN probability at least fraction x of the window.
 func (p *Processor) UQ43(k int, x float64) ([]int64, error) {
 	if x < 0 || x > 1 {
 		return nil, ErrBadFrac
@@ -823,22 +760,15 @@ func (p *Processor) UQ43(k int, x float64) ([]int64, error) {
 // IsPossibleNNAt reports whether the object has non-zero probability of
 // being the NN at the instant tf.
 func (p *Processor) IsPossibleNNAt(oid int64, tf float64) (bool, error) {
-	f, isPruned, err := p.lookup(oid)
+	f, excluded, err := p.lookup(oid)
 	if err != nil {
 		return false, err
 	}
-	if isPruned {
+	if excluded {
 		// The pre-pass margin exceeds the TimeEps slack of this test.
 		return false, nil
 	}
 	return f.Value(tf) <= p.env1.ValueAt(tf)+p.width()+envelope.TimeEps, nil
-}
-
-// PossibleNNAt retrieves all objects with non-zero probability of being
-// the NN at the instant tf.
-func (p *Processor) PossibleNNAt(tf float64) []int64 {
-	out, _ := p.PossibleRankKAt(tf, 1) // rank 1 is fixed at construction: no error
-	return out
 }
 
 // GuaranteedNNIntervals returns the maximal intervals during which the
@@ -894,7 +824,8 @@ func (p *Processor) IsPossibleRankKAt(oid int64, tf float64, k int) (bool, error
 }
 
 // PossibleRankKAt retrieves all objects with non-zero probability of being
-// a k-th highest-probability NN at the instant tf.
+// a k-th highest-probability NN at the instant tf (at k = 1, of being the
+// NN).
 func (p *Processor) PossibleRankKAt(tf float64, k int) ([]int64, error) {
 	z, err := p.zoneAt(context.Background(), k)
 	if err != nil {
@@ -916,8 +847,4 @@ func coversWindow(ivs []envelope.TimeInterval, tb, te float64) bool {
 	return len(ivs) == 1 &&
 		ivs[0].T0 <= tb+envelope.TimeEps &&
 		ivs[0].T1 >= te-envelope.TimeEps
-}
-
-func sortIDs(ids []int64) {
-	slices.Sort(ids)
 }

@@ -170,14 +170,14 @@ func TestCategory3(t *testing.T) {
 	if got := p.UQ32(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("UQ32 = %v", got)
 	}
-	got, err := p.UQ33(0.9)
+	got, err := p.UQ43(1, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
 		t.Errorf("UQ33(0.9) = %v", got)
 	}
-	if _, err := p.UQ33(-1); !errors.Is(err, ErrBadFrac) {
+	if _, err := p.UQ43(1, -1); !errors.Is(err, ErrBadFrac) {
 		t.Errorf("bad frac: %v", err)
 	}
 }
@@ -234,7 +234,7 @@ func TestFixedTime(t *testing.T) {
 	// At t=30, oid 4 is at (0, 3) → d=3; envelope = 2 (oid 1); zone top 4.
 	// The instant set: oids 1 (d=2), 2 (d=3.5), 4 (d=3) qualify; 3 (d=9)
 	// does not.
-	got := p.PossibleNNAt(30)
+	got, _ := p.PossibleRankKAt(30, 1)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 4 {
 		t.Errorf("PossibleNNAt(30) = %v", got)
 	}
@@ -264,7 +264,7 @@ func TestOid4Consistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := p.fn(4)
+	f, _, _ := p.lookup(4)
 	minD := math.Inf(1)
 	for _, tm := range numeric.Linspace(0, 60, 601) {
 		if v := f.Value(tm); v < minD {
@@ -339,7 +339,7 @@ func TestFixedTimeMatchesSampledZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tf := range []float64{3.7, 21, 44.4} {
-		ids := p.PossibleNNAt(tf)
+		ids, _ := p.PossibleRankKAt(tf, 1)
 		inSet := map[int64]bool{}
 		for _, id := range ids {
 			inSet[id] = true
@@ -357,7 +357,7 @@ func TestFixedTimeMatchesSampledZone(t *testing.T) {
 			}
 			if inIv != inSet[tr.OID] {
 				// Tolerate boundary-hair disagreements.
-				f, _ := p.fn(tr.OID)
+				f, _, _ := p.lookup(tr.OID)
 				margin := math.Abs(f.Value(tf) - p.Envelope().ValueAt(tf) - 2)
 				if margin > 1e-4 {
 					t.Errorf("oid %d tf=%g: interval=%v fixed=%v", tr.OID, tf, inIv, inSet[tr.OID])
@@ -380,7 +380,7 @@ func TestSubsetRelations(t *testing.T) {
 	}
 	s31 := toSet(p.UQ31())
 	s32 := toSet(p.UQ32())
-	s33, err := p.UQ33(0.3)
+	s33, err := p.UQ43(1, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}

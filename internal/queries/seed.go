@@ -1,6 +1,8 @@
 package queries
 
 import (
+	"context"
+
 	"repro/internal/envelope"
 	"repro/internal/trajectory"
 )
@@ -38,11 +40,11 @@ type SeedEntry struct {
 }
 
 // Seed returns the processor's seed at rank k, or nil when there is none
-// to take: a full-scan processor (no pre-pass to continue from), a basis
-// that does not answer rank k yet or has been completed to the whole
-// candidate set, fewer than k levels.
+// to take: a basis that does not answer rank k yet or is complete — a full
+// scan, or a basis grown to every candidate, has no pre-pass to continue
+// from — fewer than k levels.
 func (p *Processor) Seed(k int) *Seed {
-	if !p.pruned || k < 1 {
+	if k < 1 {
 		return nil
 	}
 	p.mu.Lock()
@@ -90,28 +92,31 @@ func (p *Processor) Seed(k int) *Seed {
 // their trajectories (cheap next to what the seed saves); rows the seed
 // carries are installed, the rest are computed on demand as always.
 func NewSuccessor(s *Seed, q *trajectory.Trajectory, fresh []*envelope.DistanceFunc, u Universe) (*Processor, error) {
-	basis := make([]*envelope.DistanceFunc, len(s.Entries))
+	entries := func(yield func(*trajectory.Trajectory, *envelope.DistanceFunc) bool) {
+		for _, e := range s.Entries {
+			id := e.Traj.OID
+			for len(fresh) > 0 && fresh[0].ID < id {
+				fresh = fresh[1:]
+			}
+			var f *envelope.DistanceFunc
+			if len(fresh) > 0 && fresh[0].ID == id {
+				f = fresh[0]
+			}
+			for j := 0; f == nil && j < len(s.Levels); j++ {
+				f = s.Levels[j].Func(id) // a defining function is already at hand
+			}
+			if !yield(e.Traj, f) {
+				return
+			}
+		}
+	}
+	basis, err := buildFuncs(context.Background(), entries, len(s.Entries), q, s.Tb, s.Te)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]zoneRow, len(s.Entries))
 	level1 := 0
 	for i, e := range s.Entries {
-		id := e.Traj.OID
-		for len(fresh) > 0 && fresh[0].ID < id {
-			fresh = fresh[1:]
-		}
-		var f *envelope.DistanceFunc
-		if len(fresh) > 0 && fresh[0].ID == id {
-			f = fresh[0]
-		}
-		for j := 0; f == nil && j < len(s.Levels); j++ {
-			f = s.Levels[j].Func(id) // a defining function is already at hand
-		}
-		if f == nil {
-			var err error
-			if f, err = envelope.NewDistanceFunc(id, e.Traj, q, s.Tb, s.Te); err != nil {
-				return nil, err
-			}
-		}
-		basis[i] = f
 		if e.Row != nil {
 			rows[i].set(e.Row)
 		}
@@ -121,10 +126,10 @@ func NewSuccessor(s *Seed, q *trajectory.Trajectory, fresh []*envelope.DistanceF
 	}
 	p := &Processor{
 		QueryOID: q.OID, Tb: s.Tb, Te: s.Te, R: s.R,
-		fns: basis, table: basis, env1: s.Levels[0], zone1: rows,
-		pruned: true, snapshot: u, q: q, nCands: -1,
-		levels:   append([]*envelope.Envelope(nil), s.Levels...),
-		basisFns: basis, basisTable: basis, basisRank: s.Rank,
+		table: basis, env1: s.Levels[0], zone1: rows,
+		snapshot: u, q: q, nCands: -1,
+		levels:     append([]*envelope.Envelope(nil), s.Levels...),
+		basisTable: basis, basisRank: s.Rank,
 	}
 	if s.Rank > 1 {
 		// The carried rows belong to the rank basis; the Level-1 scan set
@@ -135,7 +140,7 @@ func NewSuccessor(s *Seed, q *trajectory.Trajectory, fresh []*envelope.DistanceF
 				table = append(table, basis[i])
 			}
 		}
-		p.fns, p.table, p.zone1 = table, table, make([]zoneRow, len(table))
+		p.table, p.zone1 = table, make([]zoneRow, len(table))
 		p.zones = make([][]zoneRow, s.Rank)
 		p.zones[s.Rank-1] = rows
 	}

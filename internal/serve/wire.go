@@ -23,7 +23,7 @@ import (
 // against ~55, no float formatting or parsing, and bit-exact by
 // construction. Every frame that moves a trajectory between router and
 // shard is packed; update decoders take either form per item and hand it
-// to the same trajectory.New / mod.ApplyUpdate validation. An applied
+// to the same trajectory.New / mod.ApplyUpdates validation. An applied
 // outcome carries its plans packed on the shard link (the router's hub
 // re-evaluates from them) and no plan at all in the gateway's reply.
 
@@ -135,7 +135,7 @@ func PackUpdates(updates []mod.Update) []WireUpdate {
 
 // DecodeUpdates rebuilds an update batch from the wire; packed says
 // whether the surface speaks the shard link's form (the gateway does
-// not). Validation of the vertices themselves stays with mod.ApplyUpdate.
+// not). Validation of the vertices themselves stays with mod.ApplyUpdates.
 func DecodeUpdates(wire []WireUpdate, packed bool) ([]mod.Update, error) {
 	out := make([]mod.Update, len(wire))
 	for i, wu := range wire {

@@ -244,7 +244,7 @@ func TestAtContinuityProperty(t *testing.T) {
 				mid := 0.5 * (verts[i-1].T + v.T)
 				p := tr.At(mid)
 				seg := geom.Segment{A: verts[i-1].Point(), B: v.Point()}
-				if seg.DistTo(p) > 1e-9 {
+				if p.Dist(seg.At(seg.ClosestParam(p))) > 1e-9 {
 					return false
 				}
 			}

@@ -237,7 +237,7 @@ func evalAll(st *Stmt, proc *queries.Processor) (Result, error) {
 	case st.Quant == QuantAt && st.Rank > 0:
 		ids, err = proc.PossibleRankKAt(st.FixedT, st.Rank)
 	case st.Quant == QuantAt:
-		ids = proc.PossibleNNAt(st.FixedT)
+		ids, err = proc.PossibleRankKAt(st.FixedT, 1)
 	case st.Rank > 0:
 		switch st.Quant {
 		case QuantExists:
@@ -254,7 +254,7 @@ func evalAll(st *Stmt, proc *queries.Processor) (Result, error) {
 		case QuantForAll:
 			ids = proc.UQ32()
 		case QuantAtLeast:
-			ids, err = proc.UQ33(st.Percent)
+			ids, err = proc.UQ43(1, st.Percent)
 		}
 	}
 	if err != nil {

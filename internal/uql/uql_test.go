@@ -169,7 +169,7 @@ func TestEvalMatchesProcessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := proc.UQ33(0.5); !reflect.DeepEqual(res.OIDs, want) {
+	if want, _ := proc.UQ43(1, 0.5); !reflect.DeepEqual(res.OIDs, want) {
 		t.Errorf("UQ33 via UQL = %v, want %v", res.OIDs, want)
 	}
 
@@ -196,7 +196,7 @@ func TestEvalMatchesProcessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := proc.PossibleNNAt(30); !reflect.DeepEqual(res.OIDs, want) {
+	if want, _ := proc.PossibleRankKAt(30, 1); !reflect.DeepEqual(res.OIDs, want) {
 		t.Errorf("fixed-time via UQL = %v, want %v", res.OIDs, want)
 	}
 }

@@ -83,7 +83,7 @@ type Stats struct {
 	// record bytes on disk.
 	Appends       uint64
 	AppendedBytes uint64
-	// Snapshots counts snapshot rotations (explicit and automatic).
+	// Snapshots counts snapshot rotations.
 	Snapshots uint64
 }
 
@@ -306,22 +306,12 @@ func (l *Log) Seq() uint64 {
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Snapshot persists store as the new recovery base and rotates the log:
-// temp-write + fsync + rename (never a torn snapshot visible under its
-// final name), fresh log file, then GC of the superseded generation.
-// store must reflect exactly the batches appended so far — the modserver
-// calls this under the same lock that serializes ingest.
-func (l *Log) Snapshot(store *mod.Store) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.snapshotLocked(store)
-}
-
-// MaybeSnapshot snapshots when SnapshotEvery is set and at least that
-// many batches have accumulated since the last snapshot.
+// MaybeSnapshot persists store as the new recovery base and rotates the
+// log — temp-write + fsync + rename (never a torn snapshot visible under
+// its final name), fresh log file, then GC of the superseded generation —
+// when SnapshotEvery is set and at least that many batches have
+// accumulated since the last snapshot. store must reflect exactly the
+// batches appended so far.
 func (l *Log) MaybeSnapshot(store *mod.Store) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

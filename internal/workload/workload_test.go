@@ -78,7 +78,7 @@ func TestGenerateInvariants(t *testing.T) {
 			t.Fatalf("OID %d segments = %d", tr.OID, tr.NumSegments())
 		}
 		for _, v := range tr.Verts {
-			if !c.Region.ContainsPoint(v.Point()) {
+			if c.Region.MinDistTo(v.Point()) > 0 {
 				t.Fatalf("OID %d vertex outside region: %+v", tr.OID, v)
 			}
 		}
@@ -207,7 +207,7 @@ func TestGenerateClustered(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range tr.Verts {
-			if !cfg.Base.Region.ContainsPoint(v.Point()) {
+			if cfg.Base.Region.MinDistTo(v.Point()) > 0 {
 				t.Fatalf("vertex outside region: %+v", v)
 			}
 		}

@@ -50,8 +50,11 @@
 //     (`> p`, CertainNN) carried in Request.P, and
 //   - the probability of being the nearest neighbor (Section 3.1's P^NN,
 //     over the location pdfs of Section 2.2): a Request with 0 < P < 1
-//     asks for it, and a QueryProcessor (Engine.ProcessorWhereCtx)
-//     exposes its series (ProbabilitySeries, MaxProbability).
+//     asks for it and is answered with the store's own pdf
+//     (Store.PDF: uniform, bounded Gaussian or Epanechnikov), and a
+//     QueryProcessor (Engine.ProcessorWhereCtx) exposes its series
+//     (ProbabilitySeries, MaxProbability; ThresholdConfig.PDF picks the
+//     pdf there, a uniform disk when nil).
 //
 // Quickstart — every query is a Request, every answer a Result:
 //
@@ -394,7 +397,7 @@ func SplitStore(store *Store, n int, part Partitioner) ([]*Store, error) {
 // Update is one live ingest item: new vertices for an object — a plan
 // revision from the first vertex's time on when the object exists (a
 // pure extension when it is past the plan end), an insert otherwise.
-// Store.ApplyUpdate / ApplyUpdates apply them directly; a LiveHub applies
+// Store.ApplyUpdates applies them directly; a LiveHub applies
 // them while keeping standing subscriptions fresh. Either way the store
 // chains its spatial index forward incrementally, one step per batch.
 type Update = mod.Update

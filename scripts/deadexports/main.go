@@ -1,10 +1,13 @@
 // Command deadexports lists the exported top-level functions, types,
-// variables and constants under internal/ that no non-test Go file in the
-// repository references by name. Files under benchmark/ count as non-test:
-// the benchmark module is a caller like any other.
+// variables and constants under internal/, and the exported methods of
+// exported types there, that no non-test Go file in the repository
+// references by name. Files under benchmark/ count as non-test: the
+// benchmark module is a caller like any other.
 //
 // Matching is by identifier name alone, so a name shared with anything
-// else in the tree hides a candidate; it never reports a used one. An
+// else in the tree hides a candidate; it never reports a used one. A
+// method an interface of the tree names counts as used; one only a
+// standard-library interface calls (ifaceMethods) is never reported. An
 // export that stays on purpose — a reference implementation only tests
 // compare against — is listed with its reason in allowlist.txt. The
 // command fails on a dead export the allowlist does not name and on an
@@ -63,8 +66,17 @@ func main() {
 	}
 }
 
-// export is one exported top-level declaration under internal/, named
-// "<package dir>.<identifier>".
+// ifaceMethods are methods the standard library calls through an
+// interface (error and errors.Is/As/Unwrap, fmt.Stringer, the json codecs,
+// http.Handler), which no file of the tree has to name.
+var ifaceMethods = map[string]bool{
+	"Error": true, "Unwrap": true, "Is": true, "As": true, "String": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
+}
+
+// export is one exported declaration under internal/, named
+// "<package dir>.<identifier>" or, for a method,
+// "<package dir>.<type>.<method>".
 type export struct {
 	name string
 	pos  token.Position
@@ -101,7 +113,7 @@ func deadExports(root string) ([]export, error) {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		decls := declaredNames(f)
+		decls, methods := declaredNames(f)
 		if strings.HasPrefix(rel, "internal/") {
 			pkg := strings.TrimSuffix(rel, "/"+filepath.Base(rel))
 			for _, id := range decls {
@@ -109,6 +121,14 @@ func deadExports(root string) ([]export, error) {
 					exports = append(exports, export{name: pkg + "." + id.Name, pos: fset.Position(id.Pos())})
 				}
 			}
+			for _, m := range methods {
+				if ast.IsExported(m.typ) && m.id.IsExported() && !ifaceMethods[m.id.Name] {
+					exports = append(exports, export{name: pkg + "." + m.typ + "." + m.id.Name, pos: fset.Position(m.id.Pos())})
+				}
+			}
+		}
+		for _, m := range methods {
+			decls = append(decls, m.id)
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !slices.Contains(decls, id) {
@@ -130,15 +150,22 @@ func deadExports(root string) ([]export, error) {
 	return dead, nil
 }
 
-// declaredNames returns the identifiers a file declares at top level:
-// functions (not methods), types, variables and constants.
-func declaredNames(f *ast.File) []*ast.Ident {
-	var out []*ast.Ident
+// method is a method declaration: its receiver's type name and its own.
+type method struct {
+	typ string
+	id  *ast.Ident
+}
+
+// declaredNames returns the identifiers a file declares at top level —
+// functions, types, variables and constants — and its methods.
+func declaredNames(f *ast.File) (out []*ast.Ident, methods []method) {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			if d.Recv == nil {
 				out = append(out, d.Name)
+			} else {
+				methods = append(methods, method{recvType(d.Recv.List[0].Type), d.Name})
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
@@ -151,7 +178,26 @@ func declaredNames(f *ast.File) []*ast.Ident {
 			}
 		}
 	}
-	return out
+	return out, methods
+}
+
+// recvType returns the type name of a method receiver: T, *T, T[P] or
+// *T[P].
+func recvType(x ast.Expr) string {
+	for {
+		switch t := x.(type) {
+		case *ast.StarExpr:
+			x = t.X
+		case *ast.IndexExpr:
+			x = t.X
+		case *ast.IndexListExpr:
+			x = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
+	}
 }
 
 // parseAllowlist reads "<package dir>.<identifier> <reason>" lines; blank

@@ -19,13 +19,23 @@ func Self() { Self() }
 
 type T int
 
-func (T) Method() {}
+// Method is never called, Called is, Named only through an interface of
+// the tree and Error only through the standard library's; Hidden has an
+// unexported receiver, and Generic (never called) a type-parameter one.
+func (T) Method()       {}
+func (T) Called()       {}
+func (*T) Named()       {}
+func (T) Error() string { return "" }
+func (u) Hidden()       {}
+func (T[P]) Generic()   {}
+
+type u int
 
 var Unused, Kept = 1, 2
 const unexported = 0
 `,
 		"internal/a/a_test.go":     "package a\n\nfunc helper() { Dead(); _ = Unused }\n",
-		"cmd/x/main.go":            "package main\n\nimport \"a\"\n\nfunc main() { a.Used(); var _ a.T; _ = a.Kept }\n",
+		"cmd/x/main.go":            "package main\n\nimport \"a\"\n\ntype I interface{ Named() }\n\nfunc main() { a.Used(); a.T(0).Called(); _ = a.Kept }\n",
 		"benchmark/b.go":           "package b\n\nimport \"a\"\n\nvar _ = a.Self\n",
 		".hidden/h.go":             "package h\n\nvar _ = Dead\n",
 		"internal/a/testdata/t.go": "package t\n\nvar _ = Unused\n",
@@ -47,7 +57,7 @@ const unexported = 0
 	for _, d := range dead {
 		got = append(got, d.name)
 	}
-	if want := []string{"internal/a.Dead", "internal/a.Unused"}; !slices.Equal(got, want) {
+	if want := []string{"internal/a.Dead", "internal/a.Unused", "internal/a.T.Method", "internal/a.T.Generic"}; !slices.Equal(got, want) {
 		t.Fatalf("dead = %v, want %v", got, want)
 	}
 }
