@@ -1,18 +1,18 @@
 # CI and humans invoke the same targets. The ci.yml workflow runs
 # parallel jobs — lint (`make fmt vet staticcheck`), test (`make build
-# race fuzz-smoke benchmark-check cover`), chaos (`make chaos`), serve
-# (`make serve-smoke`, the Docker compose cluster), and bench (`make
-# bench-smoke`) — and the nightly workflow adds `make bench` and `make
-# bench-city` (the N=100000 churn harness) gated against the committed
-# BENCH_city.json baseline. End-to-end performance is the benchmark/
-# module's business (`bash benchmark/run.sh`, checked by `make
+# race fuzz-smoke benchmark-check examples cover`), chaos (`make
+# chaos`), serve (`make serve-smoke`, the Docker compose cluster), and
+# bench (`make bench-smoke`) — and the nightly workflow adds `make
+# bench` and `make bench-city` (the N=100000 churn harness) gated against
+# the committed BENCH_city.json baseline. End-to-end performance is the
+# benchmark/ module's business (`bash benchmark/run.sh`, checked by `make
 # benchmark-check`). `make loc` prints the size figure CHANGES.md entries
 # quote: non-test Go lines outside benchmark/, per package directory,
 # total last.
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke benchmark-check bench bench-smoke bench-city cover loc fmt vet staticcheck chaos chaos-soak serve-smoke clean
+.PHONY: all build test race fuzz-smoke benchmark-check examples bench bench-smoke bench-city cover loc fmt vet staticcheck chaos chaos-soak serve-smoke clean
 
 all: fmt vet staticcheck build test
 
@@ -48,6 +48,17 @@ fuzz-smoke:
 benchmark-check:
 	GOWORK=off $(GO) vet -C benchmark ./...
 	GOWORK=off $(GO) test -C benchmark ./...
+
+# Every program under examples/ is built and run to completion: a
+# non-zero exit, or a run longer than two minutes, fails the target.
+# The binaries go to a temporary directory that is removed afterwards.
+examples:
+	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	for d in examples/*/; do \
+		name=$$(basename "$$d"); echo "== $$name"; \
+		$(GO) build -o "$$bin/$$name" "./$$d"; \
+		timeout 120s "$$bin/$$name"; \
+	done
 
 # Full go test -bench run (minutes on a laptop).
 bench:

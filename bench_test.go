@@ -347,7 +347,8 @@ func BenchmarkConvolution(b *testing.B) {
 	})
 }
 
-// --- A7: threshold-query cost by probability-sampling resolution ---
+// --- A7: threshold-query cost by probability-sampling resolution (one
+// table, every member's series, then the target's intervals) ---
 
 func BenchmarkAblationThresholdSamples(b *testing.B) {
 	const n = 100
@@ -361,7 +362,11 @@ func BenchmarkAblationThresholdSamples(b *testing.B) {
 		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
 			cfg := queries.ThresholdConfig{TimeSamples: samples, Grid: 256}
 			for i := 0; i < b.N; i++ {
-				if _, err := proc.ThresholdNN(context.Background(), target, 0.5, 0.25, cfg); err != nil {
+				table, err := proc.ProbabilityTable(context.Background(), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := table.Above(target, 0.5); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	"repro"
 )
@@ -43,19 +44,24 @@ func main() {
 
 	// Threshold query (paper §7: "more than 65% probability ... within 50%
 	// of the time" — here 50% probability for at least 5% of the hour,
-	// appropriate for a 40-driver field where the closest role rotates).
-	cfg := repro.ThresholdConfig{TimeSamples: 48, Grid: 384}
-	matches, err := proc.ThresholdNNAll(context.Background(), 0.50, 0.05, cfg)
+	// appropriate for a 40-driver field where the closest role rotates),
+	// and each match's peak: reads of one table of every driver's P^NN.
+	table, err := proc.ProbabilityTable(context.Background(), repro.ThresholdConfig{TimeSamples: 48, Grid: 384})
+	if err != nil {
+		log.Fatal(err)
+	}
+	matches, err := table.ThresholdNNAll(0.50, 0.05)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("drivers >= 50%% likely closest for >= 5%% of the hour: %v\n", matches)
 	for _, oid := range matches {
-		tAt, p, err := proc.MaxProbability(context.Background(), oid, cfg)
+		probs, err := table.Series(oid)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  driver %d peaks at P=%.2f around t=%.1f min\n", oid, p, tAt)
+		peak := slices.Index(probs, slices.Max(probs))
+		fmt.Printf("  driver %d peaks at P=%.2f around t=%.1f min\n", oid, probs[peak], table.Times[peak])
 	}
 
 	// Guaranteed assignment windows: when is some driver *certainly*

@@ -239,7 +239,11 @@ func TestGuaranteedVsThresholdConsistency(t *testing.T) {
 	if len(g) != 1 || g[0].T0 > 1e-9 || g[0].T1 < 60-1e-9 {
 		t.Fatalf("guarantee = %v", g)
 	}
-	_, probs, err := proc.ProbabilitySeries(context.Background(), 1, repro.ThresholdConfig{TimeSamples: 5, Grid: 256})
+	table, err := proc.ProbabilityTable(context.Background(), repro.ThresholdConfig{TimeSamples: 5, Grid: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs, err := table.Series(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,11 +35,14 @@ func TestProbabilityUsesStorePDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := queries.ThresholdConfig{PDF: store.PDF()}
+	table, err := ref.ProbabilityTable(ctx, queries.ThresholdConfig{PDF: store.PDF()})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	eng := engine.New(2)
 	for _, c := range []struct{ p, x float64 }{{0.3, 0.05}, {0.9, 0.8}} {
-		want, err := ref.ThresholdNNAll(ctx, c.p, c.x, cfg)
+		want, err := table.ThresholdNNAll(c.p, c.x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +58,7 @@ func TestProbabilityUsesStorePDF(t *testing.T) {
 	// One object the uniform disk puts above p = 0.3 for 5 % of the window
 	// and the store's pdf does not.
 	const oid, p, x = 39, 0.3, 0.05
-	want, err := ref.ThresholdNN(ctx, oid, p, x, cfg)
+	want, err := table.ThresholdNN(oid, p, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,12 +151,13 @@ func (b *builder) node(iv envelope.Interval, level int) (*Node, error) {
 		return n, nil
 	}
 	ts := numeric.Linspace(n.T0, n.T1, b.samples)
-	probs, err := b.sampler.At(b.ctx, n.ID, ts)
+	probs, err := b.sampler.At(b.ctx, ts)
 	if err != nil {
 		return nil, err
 	}
 	d := &Descriptor{MinProb: math.Inf(1), MaxProb: math.Inf(-1)}
-	for i, p := range probs {
+	for i, at := range probs {
+		p := at[n.ID]
 		d.Samples = append(d.Samples, ProbSample{T: ts[i], Prob: p})
 		d.MinProb = math.Min(d.MinProb, p)
 		d.MaxProb = math.Max(d.MaxProb, p)

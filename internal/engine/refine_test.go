@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -215,4 +216,85 @@ func BenchmarkRefineUnion(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(survivors)), "objects")
+}
+
+// TestProbabilityTableCancellationCheckpoints: a P > 0 request integrates
+// one probability table, checking its context once per time sample — S
+// checks, not one series of S per UQ31 member — and stops at the check
+// that sees a cancel or a passed deadline, through Do and DoRestricted
+// alike. An unknown target fails before any sample, and a request whose
+// answer is its candidate set builds no table.
+func TestProbabilityTableCancellationCheckpoints(t *testing.T) {
+	const samples = 64 // ThresholdConfig's default, the engine's table
+	store, qOID := newStore(t, 60, 7)
+	own := slices.DeleteFunc(store.OIDs(), func(oid int64) bool { return oid == qOID })
+	eng := New(1)
+	req := Request{Kind: KindUQ33, QueryOID: qOID, Tb: 17, Te: 27, P: 0.4, X: 0.3}
+	// Warm both memo slots, so that every check counted below is the
+	// request's entry check, a filter task's or a table sample's.
+	members, err := eng.Do(context.Background(), store, Request{Kind: KindUQ31, QueryOID: qOID, Tb: 17, Te: 27})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.DoRestricted(context.Background(), store, Request{Kind: KindUQ31, QueryOID: qOID, Tb: 17, Te: 27}, own); err != nil {
+		t.Fatal(err)
+	}
+	k := len(members.OIDs)
+	if k < 2 {
+		t.Fatalf("%d UQ31 members: one table and a series per member cost the same", k)
+	}
+	runs := map[string]func(ctx context.Context) (Result, error){
+		"Do":           func(ctx context.Context) (Result, error) { return eng.Do(ctx, store, req) },
+		"DoRestricted": func(ctx context.Context) (Result, error) { return eng.DoRestricted(ctx, store, req, own) },
+	}
+	var answers [][]int64
+	for name, run := range runs {
+		full := &dyingCtx{Context: context.Background(), after: math.MaxInt}
+		res, err := run(full)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		answers = append(answers, res.OIDs)
+		// The entry check, one per filter task, and the table's samples.
+		if want := 1 + k + samples; full.calls != want {
+			t.Fatalf("%s checked its context %d times, want 1 + %d members + %d samples = %d", name, full.calls, k, samples, want)
+		}
+		// Check 2 is the first member's task, 3..S+2 the table's samples.
+		for _, after := range []int{2, samples / 2, samples + 1} {
+			ctx := &dyingCtx{Context: context.Background(), after: after}
+			if _, err := run(ctx); err != context.Canceled {
+				t.Fatalf("%s dying at check %d: err = %v, want context.Canceled", name, after, err)
+			}
+			if ctx.calls != after {
+				t.Fatalf("%s checked its context %d times after a cancel at check %d", name, ctx.calls, after)
+			}
+			late := &lateTimerCtx{Context: context.Background(), after: after}
+			if _, err := run(late); err != context.DeadlineExceeded {
+				t.Fatalf("%s with a deadline at check %d: err = %v, want context.DeadlineExceeded", name, after, err)
+			}
+			if late.calls != after {
+				t.Fatalf("%s checked its deadline %d times after it passed at check %d", name, late.calls, after)
+			}
+		}
+	}
+	if !slices.Equal(answers[0], answers[1]) {
+		t.Fatalf("Do answered %v, DoRestricted %v", answers[0], answers[1])
+	}
+
+	// Neither of these reaches a table: only the entry check is made.
+	unknown := &dyingCtx{Context: context.Background(), after: math.MaxInt}
+	if _, err := eng.Do(unknown, store, Request{Kind: KindUQ13, QueryOID: qOID, Tb: 17, Te: 27, OID: 999999, P: 0.4, X: 0.3}); !errors.Is(err, ErrUnknownOID) {
+		t.Fatalf("UQ13 p=0.4 on an unknown OID: err = %v, want ErrUnknownOID", err)
+	}
+	if unknown.calls != 1 {
+		t.Fatalf("UQ13 p=0.4 on an unknown OID checked its context %d times, want the entry check only", unknown.calls)
+	}
+	every := &dyingCtx{Context: context.Background(), after: math.MaxInt}
+	res, err := eng.Do(every, store, Request{Kind: KindUQ33, QueryOID: qOID, Tb: 17, Te: 27, P: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if every.calls != 1 || len(res.OIDs) != len(own) {
+		t.Fatalf("UQ33 p=0.4 x=0: %d context checks and %d of %d candidates, want the entry check and every candidate", every.calls, len(res.OIDs), len(own))
+	}
 }

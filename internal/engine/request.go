@@ -421,8 +421,23 @@ func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, pdf updf
 		return listItem(e.filterOIDs(ctx, domain(ids), pred))
 	}
 	if req.P > 0 {
+		// The bound holds where the object's sampled P^NN (the store's pdf)
+		// is at least P, read off one table the first UQ31 member builds (a
+		// non-member's P^NN is 0), or for P = 1 where it is certainly NN.
+		table := sync.OnceValues(func() (*queries.ProbabilityTable, error) {
+			return p.ProbabilityTable(ctx, queries.ThresholdConfig{PDF: pdf})
+		})
 		holds := func(oid int64) (bool, error) {
-			ivs, err := probIntervals(ctx, p, pdf, oid, req.P)
+			var ivs []envelope.TimeInterval
+			member, err := p.UQ11(oid)
+			if err == nil && req.P == 1 {
+				ivs, err = p.GuaranteedNNIntervals(oid)
+			} else if err == nil && member {
+				var t *queries.ProbabilityTable
+				if t, err = table(); err == nil {
+					ivs, err = t.Above(oid, req.P)
+				}
+			}
 			return err == nil && req.holds(ivs), err
 		}
 		if req.Kind.IsWholeMODFilter() {
@@ -466,16 +481,6 @@ func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, pdf updf
 	default:
 		return item{Err: fmt.Errorf("%w: %q", ErrBadKind, req.Kind)}
 	}
-}
-
-// probIntervals returns the times a probability bound 0 < P <= 1 holds for
-// the object: where its sampled P^NN, convolving the store's location pdf,
-// is at least P, or for P = 1 where it is certainly the nearest neighbor.
-func probIntervals(ctx context.Context, p *queries.Processor, pdf updf.RadialPDF, oid int64, P float64) ([]envelope.TimeInterval, error) {
-	if P == 1 {
-		return p.GuaranteedNNIntervals(oid)
-	}
-	return p.AboveThresholdIntervals(ctx, oid, P, queries.ThresholdConfig{PDF: pdf})
 }
 
 // holds applies the kind's temporal quantifier to the times a probability

@@ -136,7 +136,11 @@ func TestDoThresholdAndExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantAll, err := proc.ThresholdNNAll(context.Background(), 0.3, 0.1, queries.ThresholdConfig{})
+	table, err := proc.ProbabilityTable(context.Background(), queries.ThresholdConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAll, err := table.ThresholdNNAll(0.3, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +153,7 @@ func TestDoThresholdAndExtensions(t *testing.T) {
 	}
 
 	target := proc.CandidateOIDs()[0]
-	wantOne, err := proc.ThresholdNN(context.Background(), target, 0.3, 0.1, queries.ThresholdConfig{})
+	wantOne, err := table.ThresholdNN(target, 0.3, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +230,8 @@ func TestProbabilityDeadline(t *testing.T) {
 	if elapsed > deadline+200*time.Millisecond {
 		t.Fatalf("deadline %v answered after %v", deadline, elapsed)
 	}
-	if _, _, err := proc.ProbabilitySeries(ctx, target, queries.ThresholdConfig{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("series under an expired context: err = %v", err)
+	if _, err := proc.ProbabilityTable(ctx, queries.ThresholdConfig{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("table under an expired context: err = %v", err)
 	}
 }
 

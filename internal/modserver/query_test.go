@@ -129,7 +129,11 @@ func TestQueryOpThresholdKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := proc.ThresholdNNAll(context.Background(), 0.4, 0.1, queries.ThresholdConfig{})
+	table, err := proc.ProbabilityTable(context.Background(), queries.ThresholdConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := table.ThresholdNNAll(0.4, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package queries
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/envelope"
@@ -138,3 +139,36 @@ var (
 	sinkBool bool
 	sinkRow  []envelope.TimeInterval
 )
+
+// BenchmarkProbabilityTable: the P^NN of every UQ31 member over a window,
+// at N = 60 and N = 600 (window [17, 27], r = 0.5, a pre-pass's
+// survivors), as one table ("table") and as the per-object loop it
+// replaced, one series per member ("per-object-reference"). members is K:
+// the reference integrates each instant K times, the table once.
+func BenchmarkProbabilityTable(b *testing.B) {
+	cfg := ThresholdConfig{TimeSamples: 16, Grid: 128}
+	for _, n := range []int{60, 600} {
+		p, _, _ := prunedFleet(b, n, 7, 17, 27, 0.5)
+		members := p.UQ31()
+		b.Run(fmt.Sprintf("N=%d/table", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := p.ProbabilityTable(context.Background(), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(members)), "members")
+		})
+		b.Run(fmt.Sprintf("N=%d/per-object-reference", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, oid := range members {
+					if _, _, err := refSeries(context.Background(), p, oid, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(len(members)), "members")
+		})
+	}
+}

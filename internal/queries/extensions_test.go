@@ -2,6 +2,7 @@ package queries
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/envelope"
@@ -11,14 +12,36 @@ import (
 
 // --- threshold queries (Section 7 future work) ---
 
-func TestProbabilitySeries(t *testing.T) {
-	p := newProc(t)
-	ts, probs, err := p.ProbabilitySeries(context.Background(), 1, ThresholdConfig{TimeSamples: 9, Grid: 256})
+// table builds the processor's probability table or fails the test.
+func table(t *testing.T, p *Processor, cfg ThresholdConfig) *ProbabilityTable {
+	t.Helper()
+	tab, err := p.ProbabilityTable(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ts) != 9 || len(probs) != 9 {
-		t.Fatalf("lengths %d/%d", len(ts), len(probs))
+	return tab
+}
+
+// thresholdNN is the table's single-object threshold query, failing the
+// test on an error.
+func thresholdNN(t *testing.T, tab *ProbabilityTable, oid int64, pThresh, x float64) bool {
+	t.Helper()
+	ok, err := tab.ThresholdNN(oid, pThresh, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
+func TestProbabilitySeries(t *testing.T) {
+	p := newProc(t)
+	tab := table(t, p, ThresholdConfig{TimeSamples: 9, Grid: 256})
+	probs, err := tab.Series(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Times) != 9 || len(probs) != 9 {
+		t.Fatalf("lengths %d/%d", len(tab.Times), len(probs))
 	}
 	for i, v := range probs {
 		if v < 0 || v > 1 {
@@ -35,11 +58,11 @@ func TestProbabilitySeries(t *testing.T) {
 		t.Errorf("flyby should reduce oid 1's probability: %g vs %g", mid, probs[0])
 	}
 	// Unknown oid.
-	if _, _, err := p.ProbabilitySeries(context.Background(), 777, ThresholdConfig{}); err == nil {
+	if _, err := tab.Series(777); err == nil {
 		t.Error("unknown oid accepted")
 	}
 	// Pruned object: identically zero.
-	_, zero, err := p.ProbabilitySeries(context.Background(), 3, ThresholdConfig{TimeSamples: 5, Grid: 128})
+	zero, err := table(t, p, ThresholdConfig{TimeSamples: 5, Grid: 128}).Series(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,45 +75,42 @@ func TestProbabilitySeries(t *testing.T) {
 
 func TestThresholdNN(t *testing.T) {
 	p := newProc(t)
-	cfg := ThresholdConfig{TimeSamples: 33, Grid: 256}
+	tab := table(t, p, ThresholdConfig{TimeSamples: 33, Grid: 256})
 	// oid 1 holds a high NN probability most of the hour.
-	ok, err := p.ThresholdNN(context.Background(), 1, 0.5, 0.6, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	if !thresholdNN(t, tab, 1, 0.5, 0.6) {
 		t.Error("oid 1 should be >= 50% probable >= 60% of the time")
 	}
 	// Nothing holds probability ~1 all the time through the flyby (oid 1's
 	// P^NN dips to ≈ 0.978 as oid 4 passes at t = 30).
-	ok, err = p.ThresholdNN(context.Background(), 1, 0.99, 1.0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	if thresholdNN(t, tab, 1, 0.99, 1.0) {
 		t.Error("oid 1 should not hold 99% probability through the flyby")
 	}
 	// Pruned object fails any positive threshold.
-	ok, err = p.ThresholdNN(context.Background(), 3, 0.01, 0.01, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	if thresholdNN(t, tab, 3, 0.01, 0.01) {
 		t.Error("pruned object passed a threshold")
 	}
 	// Bad args.
-	if _, err := p.ThresholdNN(context.Background(), 1, -0.1, 0.5, cfg); err != ErrBadFrac {
+	if _, err := tab.Above(1, -0.1); err != ErrBadFrac {
 		t.Errorf("bad threshold: %v", err)
 	}
-	if _, err := p.ThresholdNN(context.Background(), 1, 0.5, 1.5, cfg); err != ErrBadFrac {
+	if _, err := tab.ThresholdNN(1, -0.1, 0.5); err != ErrBadFrac {
+		t.Errorf("bad threshold: %v", err)
+	}
+	if _, err := tab.ThresholdNN(1, 0.5, 1.5); err != ErrBadFrac {
+		t.Errorf("bad frac: %v", err)
+	}
+	if _, err := tab.ThresholdNNAll(-0.1, 0.5); err != ErrBadFrac {
+		t.Errorf("bad threshold: %v", err)
+	}
+	if _, err := tab.ThresholdNNAll(0.5, 1.5); err != ErrBadFrac {
 		t.Errorf("bad frac: %v", err)
 	}
 }
 
 func TestAboveThresholdIntervals(t *testing.T) {
 	p := newProc(t)
-	cfg := ThresholdConfig{TimeSamples: 65, Grid: 256}
-	ivs, err := p.AboveThresholdIntervals(context.Background(), 1, 0.6, cfg)
+	tab := table(t, p, ThresholdConfig{TimeSamples: 65, Grid: 256})
+	ivs, err := tab.Above(1, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +127,7 @@ func TestAboveThresholdIntervals(t *testing.T) {
 	}
 	// The flyby dip (around t=30) should be excluded at a high threshold:
 	// use the paper's example numbers, 65%.
-	ivs65, err := p.AboveThresholdIntervals(context.Background(), 1, 0.65, cfg)
+	ivs65, err := tab.Above(1, 0.65)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,34 +142,36 @@ func TestAboveThresholdIntervals(t *testing.T) {
 	if within(ivs65, 30) {
 		// Verify directly that the probability at 30 is indeed below 0.65
 		// before failing (geometry sanity).
-		_, probs, _ := p.ProbabilitySeries(context.Background(), 1, ThresholdConfig{TimeSamples: 61, Grid: 256})
+		probs, _ := table(t, p, ThresholdConfig{TimeSamples: 61, Grid: 256}).Series(1)
 		if probs[30] < 0.65 {
 			t.Error("t=30 included despite sub-threshold probability")
 		}
 	}
-	// ThresholdNNAll consistency: every returned oid passes ThresholdNN.
-	ids, err := p.ThresholdNNAll(context.Background(), 0.3, 0.2, cfg)
+	// ThresholdNNAll consistency: every returned oid passes the
+	// single-object threshold query.
+	ids, err := tab.ThresholdNNAll(0.3, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		ok, err := p.ThresholdNN(context.Background(), id, 0.3, 0.2, cfg)
-		if err != nil || !ok {
-			t.Errorf("ThresholdNNAll returned %d which fails ThresholdNN (%v)", id, err)
+		if !thresholdNN(t, tab, id, 0.3, 0.2) {
+			t.Errorf("ThresholdNNAll returned %d which fails the single-object query", id)
 		}
 	}
 }
 
 func TestMaxProbability(t *testing.T) {
 	p := newProc(t)
-	tAt, prob, err := p.MaxProbability(context.Background(), 1, ThresholdConfig{TimeSamples: 17, Grid: 256})
+	tab := table(t, p, ThresholdConfig{TimeSamples: 17, Grid: 256})
+	probs, err := tab.Series(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prob <= 0.5 || prob > 1 {
+	i := slices.Index(probs, slices.Max(probs))
+	if prob := probs[i]; prob <= 0.5 || prob > 1 {
 		t.Errorf("max prob = %g", prob)
 	}
-	if tAt < p.Tb || tAt > p.Te {
+	if tAt := tab.Times[i]; tAt < p.Tb || tAt > p.Te {
 		t.Errorf("argmax = %g", tAt)
 	}
 }

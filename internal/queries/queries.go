@@ -778,7 +778,7 @@ func (p *Processor) IsPossibleNNAt(oid int64, tf float64) (bool, error) {
 // upper-envelope approach of the paper's related work [12]).
 //
 // The comparison runs against the UQ31 members only, the set
-// ProbabilitySeries reads: an object outside the 4r zone throughout has
+// a ProbabilityTable reads: an object outside the 4r zone throughout has
 // d_j > L1 + 4r everywhere, and wherever the target is certain L1 is the
 // target itself, so such an object can never break d + 4r <= d_j. A lone
 // member is therefore certain over the whole window.

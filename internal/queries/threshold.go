@@ -3,7 +3,6 @@ package queries
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/envelope"
@@ -42,65 +41,37 @@ func CtxErr(ctx context.Context) error {
 	return nil
 }
 
-// ProbabilitySeries returns the sampled time series of P^NN for the object
-// — the probability (per Eq. 5 on the convolved pdf, Section 3.1's
-// reduction) that it is the query's nearest neighbor at each sampled
-// instant, checking ctx before every sample (see Sampler.At).
-func (p *Processor) ProbabilitySeries(ctx context.Context, oid int64, cfg ThresholdConfig) ([]float64, []float64, error) {
-	s, err := p.Sampler(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	samples := cfg.TimeSamples
-	if samples <= 0 {
-		samples = 64
-	}
-	ts := numeric.Linspace(p.Tb, p.Te, samples)
-	probs, err := s.At(ctx, oid, ts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ts, probs, nil
-}
-
 // Sampler evaluates P^NN over one processor's UQ31 members with one
-// convolved pdf: the P^NN loop that ProbabilitySeries runs over the
-// window and the IPAC-NN tree runs over each node's interval.
+// convolved pdf: the P^NN loop that ProbabilityTable runs over the window
+// and the IPAC-NN tree runs over each node's interval.
 type Sampler struct {
-	p    *Processor
 	conv updf.RadialPDF
 	grid int
 	kept []*envelope.DistanceFunc
 }
 
 // Sampler convolves cfg's pdf with itself (nil = uniform disk of the
-// processor's radius) once, for every series the sampler takes. cfg's
-// TimeSamples plays no part: the caller picks the instants.
+// processor's radius) once, for every instant the sampler is asked about.
+// cfg's TimeSamples plays no part: the caller picks the instants.
 func (p *Processor) Sampler(cfg ThresholdConfig) (*Sampler, error) {
 	pdf := cfg.PDF
 	if pdf == nil {
 		pdf = updf.NewUniformDisk(p.R)
 	}
-	grid := cfg.Grid
-	if grid <= 0 {
-		grid = uncertain.DefaultGrid
-	}
 	conv, err := updf.ConvolvePair(pdf, pdf, 0)
 	if err != nil {
 		return nil, fmt.Errorf("queries: convolving pdfs: %w", err)
 	}
-	// Candidates: every UQ31 member (the rest contribute nothing).
-	return &Sampler{p: p, conv: conv, grid: grid, kept: p.KeptFuncs()}, nil
+	return &Sampler{conv: conv, grid: cfg.Grid, kept: p.KeptFuncs()}, nil
 }
 
-// At returns P^NN of the object at each instant of ts. ctx is checked
-// before every instant: one instant integrates Eq. 5 once per UQ31 member,
-// which at a few thousand objects is the whole of a deadline.
-func (s *Sampler) At(ctx context.Context, oid int64, ts []float64) ([]float64, error) {
-	if _, _, err := s.p.lookup(oid); err != nil {
-		return nil, err
-	}
-	probs := make([]float64, len(ts))
+// At returns, for each instant of ts, P^NN of every UQ31 member at that
+// instant, keyed by OID (an object absent from a map has P^NN 0 there).
+// ctx is checked before every instant: one instant integrates Eq. 5 once
+// per UQ31 member, which at a few thousand objects is the whole of a
+// deadline.
+func (s *Sampler) At(ctx context.Context, ts []float64) ([]map[int64]float64, error) {
+	probs := make([]map[int64]float64, len(ts))
 	cands := make([]uncertain.Candidate, len(s.kept))
 	for i, tm := range ts {
 		if err := CtxErr(ctx); err != nil {
@@ -109,27 +80,68 @@ func (s *Sampler) At(ctx context.Context, oid int64, ts []float64) ([]float64, e
 		for j, f := range s.kept {
 			cands[j] = uncertain.Candidate{ID: f.ID, Dist: f.Value(tm)}
 		}
-		probs[i] = uncertain.NNProbabilities(s.conv, cands, s.grid)[oid]
+		probs[i] = uncertain.NNProbabilities(s.conv, cands, s.grid)
 	}
 	return probs, nil
 }
 
-// AboveThresholdIntervals returns the maximal time intervals during which
-// P^NN_oid(t) >= pThresh, with boundaries interpolated linearly between
-// samples.
-func (p *Processor) AboveThresholdIntervals(ctx context.Context, oid int64, pThresh float64, cfg ThresholdConfig) ([]envelope.TimeInterval, error) {
-	if pThresh < 0 || pThresh > 1 {
-		return nil, ErrBadFrac
-	}
-	ts, probs, err := p.ProbabilitySeries(ctx, oid, cfg)
+// ProbabilityTable is the sampled P^NN of every object over one
+// processor's window — the probability (per Eq. 5 on the convolved pdf,
+// Section 3.1's reduction) that it is the query's nearest neighbor at each
+// sampled instant. One table integrates each instant once for all UQ31
+// members; every threshold answer over the window is a read of its rows.
+type ProbabilityTable struct {
+	p     *Processor
+	Times []float64           // the sampled instants, Tb to Te
+	probs []map[int64]float64 // per instant, as Sampler.At returns it
+}
+
+// ProbabilityTable samples the window at cfg.TimeSamples instants
+// (default 64), checking ctx before every instant (see Sampler.At).
+func (p *Processor) ProbabilityTable(ctx context.Context, cfg ThresholdConfig) (*ProbabilityTable, error) {
+	s, err := p.Sampler(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var out []envelope.TimeInterval
-	inRun := false
-	var start float64
+	samples := cfg.TimeSamples
+	if samples <= 0 {
+		samples = 64
+	}
+	ts := numeric.Linspace(p.Tb, p.Te, samples)
+	probs, err := s.At(ctx, ts)
+	if err != nil {
+		return nil, err
+	}
+	return &ProbabilityTable{p: p, Times: ts, probs: probs}, nil
+}
+
+// Series returns the object's P^NN at each of Times. An object outside the
+// UQ31 members (pruned or excluded) has the zero row; an unknown OID is an
+// error.
+func (t *ProbabilityTable) Series(oid int64) ([]float64, error) {
+	if _, _, err := t.p.lookup(oid); err != nil {
+		return nil, err
+	}
+	row := make([]float64, len(t.probs))
+	for i, m := range t.probs {
+		row[i] = m[oid]
+	}
+	return row, nil
+}
+
+// Above returns the maximal time intervals during which P^NN_oid(t) >=
+// pThresh, with boundaries interpolated linearly between samples.
+func (t *ProbabilityTable) Above(oid int64, pThresh float64) ([]envelope.TimeInterval, error) {
+	if pThresh < 0 || pThresh > 1 {
+		return nil, ErrBadFrac
+	}
+	probs, err := t.Series(oid)
+	if err != nil {
+		return nil, err
+	}
+	ts := t.Times
+	// cross interpolates the crossing between samples i-1 and i linearly.
 	cross := func(i int) float64 {
-		// Linear interpolation of the crossing between samples i-1 and i.
 		p0, p1 := probs[i-1], probs[i]
 		if p1 == p0 {
 			return ts[i]
@@ -137,14 +149,13 @@ func (p *Processor) AboveThresholdIntervals(ctx context.Context, oid int64, pThr
 		u := (pThresh - p0) / (p1 - p0)
 		return ts[i-1] + u*(ts[i]-ts[i-1])
 	}
-	for i := range ts {
-		above := probs[i] >= pThresh
-		switch {
+	var out []envelope.TimeInterval
+	inRun, start := false, ts[0]
+	for i, v := range probs {
+		switch above := v >= pThresh; {
 		case above && !inRun:
 			inRun = true
-			if i == 0 {
-				start = ts[0]
-			} else {
+			if i > 0 {
 				start = cross(i)
 			}
 		case !above && inRun:
@@ -158,54 +169,30 @@ func (p *Processor) AboveThresholdIntervals(ctx context.Context, oid int64, pThr
 	return out, nil
 }
 
-// ThresholdNN answers the continuous threshold query: does the object have
-// probability >= pThresh of being the NN for at least fraction x of the
-// window?
-func (p *Processor) ThresholdNN(ctx context.Context, oid int64, pThresh, x float64, cfg ThresholdConfig) (bool, error) {
+// ThresholdNN answers the continuous threshold query for one object (the
+// paper's Section 7): is its P^NN >= pThresh for at least fraction x of
+// the window?
+func (t *ProbabilityTable) ThresholdNN(oid int64, pThresh, x float64) (bool, error) {
 	if x < 0 || x > 1 {
 		return false, ErrBadFrac
 	}
-	ivs, err := p.AboveThresholdIntervals(ctx, oid, pThresh, cfg)
-	if err != nil {
-		return false, err
-	}
-	return envelope.TotalLength(ivs) >= x*(p.Te-p.Tb)-envelope.TimeEps, nil
+	ivs, err := t.Above(oid, pThresh)
+	return err == nil && envelope.TotalLength(ivs) >= x*(t.p.Te-t.p.Tb)-envelope.TimeEps, err
 }
 
-// ThresholdNNAll retrieves every object satisfying ThresholdNN. Pruned
-// objects are rejected without probability evaluation (their P^NN is
-// identically zero) — the Figure 13 saving in action.
-func (p *Processor) ThresholdNNAll(ctx context.Context, pThresh, x float64, cfg ThresholdConfig) ([]int64, error) {
+// ThresholdNNAll returns every object ThresholdNN accepts, reading only the
+// UQ31 members: a pruned object's P^NN is identically zero (Figure 13).
+func (t *ProbabilityTable) ThresholdNNAll(pThresh, x float64) ([]int64, error) {
 	if x < 0 || x > 1 || pThresh < 0 || pThresh > 1 {
 		return nil, ErrBadFrac
 	}
 	var out []int64
-	for _, oid := range p.UQ31() {
-		ok, err := p.ThresholdNN(ctx, oid, pThresh, x, cfg)
-		if err != nil {
+	for _, oid := range t.p.UQ31() {
+		if ok, err := t.ThresholdNN(oid, pThresh, x); err != nil {
 			return nil, err
-		}
-		if ok {
+		} else if ok {
 			out = append(out, oid)
 		}
 	}
 	return out, nil
-}
-
-// MaxProbability returns the peak of the object's P^NN series and the time
-// at which it occurs (a descriptor-style summary usable for ordering
-// threshold answers).
-func (p *Processor) MaxProbability(ctx context.Context, oid int64, cfg ThresholdConfig) (tAt, prob float64, err error) {
-	ts, probs, err := p.ProbabilitySeries(ctx, oid, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	best := math.Inf(-1)
-	for i, v := range probs {
-		if v > best {
-			best = v
-			tAt = ts[i]
-		}
-	}
-	return tAt, best, nil
 }

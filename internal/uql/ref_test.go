@@ -5,8 +5,8 @@ package uql
 // verbatim as the reference the compiled route is checked against. Two
 // things differ from the deleted code: the certain-NN test builds the full
 // candidate function set itself (the processor used to, through its lazy
-// full build), and the P^NN interval reductions are memoized per
-// (processor, object, bound), since a reference that recomputed them for
+// full build), and the P^NN series are read off one probability table
+// per processor, memoized, since a reference that recomputed them for
 // every statement would cost minutes.
 
 import (
@@ -40,19 +40,13 @@ var ErrEval = errors.New("uql: evaluation error")
 // reference evaluates statements the way the deleted evaluator did, on
 // its own engine's memoized processors.
 type reference struct {
-	store *mod.Store
-	eng   *engine.Engine
-	above map[aboveKey][]envelope.TimeInterval
-}
-
-type aboveKey struct {
-	proc *queries.Processor
-	oid  int64
-	p    float64
+	store  *mod.Store
+	eng    *engine.Engine
+	tables map[*queries.Processor]*queries.ProbabilityTable
 }
 
 func newReference(store *mod.Store) *reference {
-	return &reference{store: store, eng: engine.New(1), above: map[aboveKey][]envelope.TimeInterval{}}
+	return &reference{store: store, eng: engine.New(1), tables: map[*queries.Processor]*queries.ProbabilityTable{}}
 }
 
 // eval is the deleted evalWithEngine's processor path, taken by every
@@ -146,9 +140,12 @@ func (r *reference) guaranteedNNIntervals(st *Stmt, proc *queries.Processor, oid
 
 // evalThreshold answers `> p` predicates (p > 0) via sampled P^NN series.
 func (r *reference) evalThreshold(ctx context.Context, st *Stmt, proc *queries.Processor) (Result, error) {
-	cfg := queries.ThresholdConfig{}
+	table, err := r.table(proc)
+	if err != nil {
+		return Result{}, fmt.Errorf("%w: %v", ErrEval, err)
+	}
 	check := func(oid int64) (bool, error) {
-		ivs, err := r.aboveThresholdIntervals(proc, oid, st.Threshold, cfg)
+		ivs, err := table.Above(oid, st.Threshold)
 		if err != nil {
 			return false, err
 		}
@@ -157,17 +154,16 @@ func (r *reference) evalThreshold(ctx context.Context, st *Stmt, proc *queries.P
 	return evalPerObject(ctx, st, proc, check)
 }
 
-// aboveThresholdIntervals is the processor's, memoized.
-func (r *reference) aboveThresholdIntervals(proc *queries.Processor, oid int64, p float64, cfg queries.ThresholdConfig) ([]envelope.TimeInterval, error) {
-	key := aboveKey{proc, oid, p}
-	if ivs, ok := r.above[key]; ok {
-		return ivs, nil
+// table is the processor's probability table, memoized.
+func (r *reference) table(proc *queries.Processor) (*queries.ProbabilityTable, error) {
+	if t, ok := r.tables[proc]; ok {
+		return t, nil
 	}
-	ivs, err := proc.AboveThresholdIntervals(context.Background(), oid, p, cfg)
+	t, err := proc.ProbabilityTable(context.Background(), queries.ThresholdConfig{})
 	if err == nil {
-		r.above[key] = ivs
+		r.tables[proc] = t
 	}
-	return ivs, err
+	return t, err
 }
 
 // evalPerObject runs a per-object boolean check either on the single
@@ -493,7 +489,10 @@ func midpoints(t *testing.T, ref *reference, src string, oid int64) []float64 {
 	case st.Certain:
 		ivs, err = ref.guaranteedNNIntervals(st, proc, oid)
 	case st.Threshold > 0:
-		ivs, err = ref.aboveThresholdIntervals(proc, oid, st.Threshold, queries.ThresholdConfig{})
+		var table *queries.ProbabilityTable
+		if table, err = ref.table(proc); err == nil {
+			ivs, err = table.Above(oid, st.Threshold)
+		}
 	default:
 		ivs, err = proc.PossibleNNIntervals(oid)
 	}

@@ -52,8 +52,8 @@
 //     over the location pdfs of Section 2.2): a Request with 0 < P < 1
 //     asks for it and is answered with the store's own pdf
 //     (Store.PDF: uniform, bounded Gaussian or Epanechnikov), and a
-//     QueryProcessor (Engine.ProcessorWhereCtx) exposes its series
-//     (ProbabilitySeries, MaxProbability; ThresholdConfig.PDF picks the
+//     QueryProcessor (Engine.ProcessorWhereCtx) samples every object's
+//     series at once (ProbabilityTable; ThresholdConfig.PDF picks the
 //     pdf there, a uniform disk when nil).
 //
 // Quickstart — every query is a Request, every answer a Result:
@@ -218,7 +218,7 @@ func BuildIPACNN(ctx context.Context, proc *QueryProcessor, pdf RadialPDF, cfg T
 // QueryProcessor answers the UQ11..UQ43 query variants after O(N log N)
 // envelope preprocessing. Engine.ProcessorWhereCtx returns the memoized,
 // index-pruned instance the unified API evaluates against — use that for
-// interval-level introspection (PossibleNNIntervals, ProbabilitySeries,
+// interval-level introspection (PossibleNNIntervals, ProbabilityTable,
 // GuaranteedNNIntervals) beyond what a Request expresses.
 type QueryProcessor = queries.Processor
 
@@ -226,9 +226,9 @@ type QueryProcessor = queries.Processor
 type TimeInterval = envelope.TimeInterval
 
 // ThresholdConfig tunes the continuous threshold-NN queries (the paper's
-// Section 7 future-work item), available as methods on QueryProcessor:
-// ProbabilitySeries, AboveThresholdIntervals, ThresholdNN, ThresholdNNAll,
-// MaxProbability.
+// Section 7 future-work item): QueryProcessor.ProbabilityTable samples
+// P^NN of every object once, and the table answers them: an object's
+// Series, the times it is Above a bound, ThresholdNN and ThresholdNNAll.
 type ThresholdConfig = queries.ThresholdConfig
 
 // --- the unified query API ---
