@@ -25,30 +25,30 @@
 //	refine (central)    — the router gathers the survivors (a conservative
 //	                      superset of the zone members, which provably
 //	                      contains every object achieving the global
-//	                      envelope) into a transient union store and
-//	                      refines it on its own engine: the whole-MOD
-//	                      filter kinds through engine.DoRestricted with
-//	                      the candidate domain restricted to the gathered
-//	                      survivors (one envelope build over the union, no
-//	                      second pre-pass, the filter fanned across the
-//	                      engine's workers), every other kind through
-//	                      engine.Do. Because the union's envelope equals
-//	                      the global envelope pointwise on the window, and
-//	                      every globally pruned object answers false on
-//	                      every filter kind, the answer is byte-identical
-//	                      to a single-store run — the same
+//	                      envelope) into a transient union store, makes one
+//	                      whole build over it (no second pre-pass, no memo
+//	                      entry) and evaluates every request of the round
+//	                      on that processor through engine.Evaluate — the
+//	                      whole-MOD filter kinds with the candidate domain
+//	                      restricted to the gathered survivors, fanned
+//	                      across the engine's workers. Because the union's
+//	                      envelope equals the global envelope pointwise on
+//	                      the window, and every globally pruned object
+//	                      answers false on every filter kind, the answer is
+//	                      byte-identical to a single-store run — the same
 //	                      conservative-superset guarantee the single-store
 //	                      index pre-pass is gated on. No shard is sent the
 //	                      union back.
 //
 // The all-pairs and reverse kinds iterate query trajectories; instead of
 // gathering every shard's objects, the router unions the shards' OID sets
-// and runs one per-query-object bound exchange per OID, bounding gathered
+// and runs the engine's per-query-object loop (engine.PerQueryObject)
+// with one bound exchange and one whole build per OID, bounding gathered
 // state by the survivor sets rather than the whole MOD.
 //
 // Shards come in two kinds: LocalShard wraps an in-process mod.Store;
-// RemoteShard speaks the modserver query op (bounds/survivors/all phases)
-// over TCP. A Partitioner decides placement — Hash by OID (the default,
+// RemoteShard speaks the modserver query op (bounds/survivors/oids
+// phases) over TCP. A Partitioner decides placement — Hash by OID (the default,
 // point lookups route directly) or Grid by the spatial cell of the first
 // vertex (co-moving objects share shards; lookups broadcast).
 package cluster
@@ -57,7 +57,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/mod"
@@ -120,8 +119,6 @@ type Shard interface {
 	// Spec returns the shard's uncertainty model; every shard of a
 	// cluster must agree.
 	Spec(ctx context.Context) (mod.PDFSpec, error)
-	// Len reports how many trajectories the shard holds.
-	Len(ctx context.Context) (int, error)
 	// Get returns the trajectory stored under oid and its tag set (nil
 	// when untagged), or an error satisfying errors.Is(err,
 	// mod.ErrNotFound) when the shard does not hold it.
@@ -151,9 +148,6 @@ type Shard interface {
 	// all-pairs and reverse kinds union across shards before running one
 	// bound exchange per query object.
 	OIDs(ctx context.Context, where *textidx.Predicate) ([]int64, error)
-	// All returns every trajectory the shard holds — the gather path of
-	// the all-pairs and reverse kinds.
-	All(ctx context.Context) ([]*trajectory.Trajectory, error)
 	// Ingest applies live updates (plan revisions, extensions, inserts —
 	// the mod.ApplyUpdates contract) to the shard's partition, returning
 	// per-update outcomes in order.
@@ -174,9 +168,6 @@ type LocalShard struct {
 	name   string
 	store  *mod.Store
 	sweeps prune.SweepCache
-
-	mu     sync.Mutex
-	refine *engine.Engine
 }
 
 // NewLocalShard wraps store as a shard named name.
@@ -192,9 +183,6 @@ func (s *LocalShard) Store() *mod.Store { return s.store }
 
 // Spec implements Shard.
 func (s *LocalShard) Spec(context.Context) (mod.PDFSpec, error) { return s.store.Spec(), nil }
-
-// Len implements Shard.
-func (s *LocalShard) Len(context.Context) (int, error) { return s.store.Len(), nil }
 
 // Get implements Shard.
 func (s *LocalShard) Get(_ context.Context, oid int64) (*trajectory.Trajectory, []string, error) {
@@ -225,31 +213,16 @@ func (s *LocalShard) Survivors(ctx context.Context, q *trajectory.Trajectory, tb
 }
 
 // Refine implements Shard: the union store is read in place (no copy, no
-// gatherID bookkeeping needed in-process) and evaluated on the shard's
-// own refine engine with the domain restricted to own.
+// gatherID bookkeeping needed in-process) and evaluated with the domain
+// restricted to own. DoRestricted keeps no memo, so the engine is a
+// worker pool for this one call.
 func (s *LocalShard) Refine(ctx context.Context, _ string, union *mod.Store, own []int64, req engine.Request) (engine.Result, error) {
-	return s.refineEngine().DoRestricted(ctx, union, req, own)
-}
-
-// refineEngine returns the shard's refine engine, creating it on first
-// use.
-func (s *LocalShard) refineEngine() *engine.Engine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.refine == nil {
-		s.refine = engine.New(0)
-	}
-	return s.refine
+	return engine.New(0).DoRestricted(ctx, union, req, own)
 }
 
 // OIDs implements Shard.
 func (s *LocalShard) OIDs(_ context.Context, where *textidx.Predicate) ([]int64, error) {
 	return s.store.MatchingOIDs(where), nil
-}
-
-// All implements Shard.
-func (s *LocalShard) All(context.Context) ([]*trajectory.Trajectory, error) {
-	return s.store.All(), nil
 }
 
 // Ingest implements Shard.

@@ -50,11 +50,16 @@ func buildStore(t testing.TB, n int, r float64, seed int64) (*mod.Store, []*traj
 // equivRequests covers every Request kind, plus the error paths a router
 // must reproduce (unknown query OID, unknown target OID) and a target
 // that the index pre-pass prunes (the answer must be false, not
-// ErrUnknownOID — the distinction the target fetch exists for).
+// ErrUnknownOID — the distinction the target fetch exists for). A second
+// pruned target, far2, is first named after the filter rows, so a batch
+// fetches it into a union whose processor is already built; it sits
+// outside even the batch's rank-3 gather, which holds trs[len(trs)-2] and
+// trs[len(trs)-3] on the 500-object store.
 func equivRequests(trs []*trajectory.Trajectory) []engine.Request {
 	q := trs[0].OID
 	near := trs[1].OID
 	far := trs[len(trs)-1].OID
+	far2 := trs[max(len(trs)-4, 1)].OID
 	return []engine.Request{
 		{Kind: engine.KindUQ11, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near},
 		{Kind: engine.KindUQ11, QueryOID: q, Tb: equivTb, Te: equivTe, OID: far},
@@ -81,6 +86,11 @@ func equivRequests(trs []*trajectory.Trajectory) []engine.Request {
 		{Kind: engine.KindUQ33, QueryOID: q, Tb: equivTb, Te: equivTe},
 		{Kind: engine.KindUQ33, QueryOID: q, Tb: equivTb, Te: equivTe, P: 0.5},
 		{Kind: engine.KindUQ43, QueryOID: q, Tb: equivTb, Te: equivTe, K: 2},
+		// far2 joins the built union: a stale processor answers
+		// ErrUnknownOID here, and a "pruned ⇒ false" shortcut answers the
+		// zero requirement false.
+		{Kind: engine.KindUQ13, QueryOID: q, Tb: equivTb, Te: equivTe, OID: far2, X: 0},
+		{Kind: engine.KindNNAt, QueryOID: q, Tb: equivTb, Te: equivTe, OID: far2, T: 15},
 		// A whole-MOD threshold (UQ33 with 0 < P < 1) integrates a
 		// probability series per UQ31 member (tens of seconds at this
 		// density); it gets its own sparser-store matrix in
@@ -158,6 +168,12 @@ func TestRouterEquivalenceLocal(t *testing.T) {
 	store, trs := buildStore(t, equivN, equivR, equivSeed)
 	reqs := equivRequests(trs)
 	want := singleAnswers(t, store, reqs)
+	// The far2 rows test a pruned target only if far2 is one.
+	far2 := engine.Request{Kind: engine.KindUQ11, QueryOID: trs[0].OID, Tb: equivTb, Te: equivTe, OID: trs[len(trs)-4].OID}
+	if res := singleAnswers(t, store, []engine.Request{far2})[0]; res.Err != nil || res.Bool {
+		t.Fatalf("far2 = %d is a possible NN of the query (%v, %v): pick a pruned target", far2.OID, res.Bool, res.Err)
+	}
+	far2Row := slices.IndexFunc(reqs, func(r engine.Request) bool { return r.OID == far2.OID })
 	for _, shards := range []int{1, 2, 4, 8} {
 		router, err := cluster.NewLocalCluster(store, shards, cluster.Options{})
 		if err != nil {
@@ -168,6 +184,9 @@ func TestRouterEquivalenceLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkSame(t, fmt.Sprintf("local/%d", shards), reqs, want, got)
+		if got[far2Row].Explain.MemoHit {
+			t.Fatalf("local/%d: far2 = %d was in the gathered union already: the row tests no rebuild", shards, far2.OID)
+		}
 	}
 }
 

@@ -246,9 +246,9 @@ func TestDialRefusedTyped(t *testing.T) {
 		Retry: cluster.RetryPolicy{Attempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 5},
 	})
 	defer shard.Close()
-	_, err = shard.Len(context.Background())
+	_, err = shard.Spec(context.Background())
 	if !errors.Is(err, cluster.ErrShardUnavailable) {
-		t.Fatalf("dead-port Len = %v, want ErrShardUnavailable", err)
+		t.Fatalf("dead-port Spec = %v, want ErrShardUnavailable", err)
 	}
 	var se *cluster.ShardUnavailableError
 	if !errors.As(err, &se) || se.Name != "dead" {
@@ -275,12 +275,12 @@ func TestRetryRecoversFlakyDial(t *testing.T) {
 	})
 	defer shard.Close()
 	for i := 0; i < 8; i++ {
-		n, err := shard.Len(context.Background())
+		spec, err := shard.Spec(context.Background())
 		if err != nil {
-			t.Fatalf("flaky Len %d = %v (stats %+v)", i, err, in.Stats())
+			t.Fatalf("flaky Spec %d = %v (stats %+v)", i, err, in.Stats())
 		}
-		if n != 40 {
-			t.Fatalf("Len = %d, want 40", n)
+		if spec != store.Spec() {
+			t.Fatalf("Spec = %+v, want %+v", spec, store.Spec())
 		}
 		// Poison the cached connection so every iteration redials.
 		shard.Close()
@@ -305,7 +305,7 @@ func TestCancelMidRetry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := shard.Len(ctx)
+		_, err := shard.Spec(ctx)
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond) // let the loop reach a backoff sleep

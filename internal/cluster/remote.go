@@ -357,17 +357,6 @@ func (s *RemoteShard) Spec(ctx context.Context) (mod.PDFSpec, error) {
 	return spec, err
 }
 
-// Len implements Shard.
-func (s *RemoteShard) Len(ctx context.Context) (int, error) {
-	var n int
-	err := s.callIdempotent(ctx, func(c *modserver.Client) error {
-		var err error
-		n, err = c.Count()
-		return err
-	})
-	return n, err
-}
-
 // Get implements Shard. A missing OID satisfies errors.Is(err,
 // mod.ErrNotFound) across the wire (the server codes the failure).
 func (s *RemoteShard) Get(ctx context.Context, oid int64) (*trajectory.Trajectory, []string, error) {
@@ -436,17 +425,6 @@ func (s *RemoteShard) OIDs(ctx context.Context, where *textidx.Predicate) ([]int
 		return cerr
 	})
 	return oids, err
-}
-
-// All implements Shard.
-func (s *RemoteShard) All(ctx context.Context) ([]*trajectory.Trajectory, error) {
-	var trs []*trajectory.Trajectory
-	err := s.callIdempotent(ctx, func(c *modserver.Client) error {
-		var err error
-		trs, err = c.AllTrajectories()
-		return err
-	})
-	return trs, err
 }
 
 // Ingest implements Shard (the modserver ingest op on the wire).

@@ -22,10 +22,11 @@ type Options struct {
 	// Partitioner decides placement and point-lookup routing; nil means
 	// Hash{}.
 	Partitioner Partitioner
-	// Engine refines the gathered survivors of every kind, the whole-MOD
-	// filters included (no shard refines); nil means a fresh engine with
-	// one worker per CPU. Routers sharing an engine share its processor
-	// memo.
+	// Engine supplies the worker pool the router evaluates its gathered
+	// unions on, the whole-MOD filters included (no shard refines); nil
+	// means a fresh engine with one worker per CPU. A union is transient
+	// and never enters the engine's processor memo, so an engine shared
+	// with an embedded store keeps its memo for that store.
 	Engine *engine.Engine
 	// Degraded switches shard failures from call-fatal to partial: a
 	// scatter that loses shards (past the shards' own retry budgets)
@@ -112,19 +113,25 @@ type gatherKey struct {
 
 // gathered is the outcome of one scatter/gather round: the transient
 // union store of global-zone survivors (plus the query trajectory and
-// any fetched targets), the per-shard provenance, and the filter domain
-// the central refine verifies. q and bounds carry the bound exchange's
+// any fetched targets), the per-shard provenance, the filter domain the
+// central refine verifies, and the one processor every request of the
+// round evaluates on. q and bounds carry the bound exchange's
 // inputs/outputs so the continuous layer can derive a subscription zone
 // profile from the same round instead of re-running the exchange.
 type gathered struct {
 	store   *mod.Store
 	shardEx []engine.Explain
-	// domain lists, sorted, the survivor OIDs the shards contributed to
-	// the union store, excluding the query trajectory and any
-	// later-fetched targets. Built once per gather: a batch shares the
-	// round across requests, and the whole-MOD filter kinds read it as
-	// DoRestricted's candidate domain.
-	domain  []int64
+	// domain lists, sorted and non-nil, the survivor OIDs the shards
+	// contributed to the union store, excluding the query trajectory and
+	// any later-fetched targets. Built once per gather: a batch shares the
+	// round across requests, and the whole-MOD filter kinds evaluate on it
+	// as their candidate domain.
+	domain []int64
+	// proc is the whole build over store (every object, no pre-pass, no
+	// memo), made the first time a request needs it and again when a
+	// fetched target has moved the store past procAt, its version then.
+	proc    *queries.Processor
+	procAt  uint64
 	k       int
 	targets map[int64]bool // target OIDs already resolved (found or not)
 	// nonMatch marks resolved targets that exist in the cluster but fail
@@ -139,6 +146,20 @@ type gathered struct {
 	// (degraded routers only; always nil on strict routers, where a lost
 	// shard fails the round instead).
 	missing []int
+}
+
+// processor returns the round's whole build over its union for the
+// window [tb, te], building it on first use and after the union grew;
+// reused reports that an earlier request of the round built it.
+func (g *gathered) processor(ctx context.Context, tb, te float64) (proc *queries.Processor, reused bool, err error) {
+	if v := g.store.Version(); g.proc == nil || g.procAt != v {
+		if g.proc, err = queries.NewProcessorPrunedCtx(ctx, g.store.All(), g.q, tb, te, g.store.Radius(), nil); err != nil {
+			return nil, false, err
+		}
+		g.procAt = v
+		return g.proc, false, nil
+	}
+	return g.proc, true, nil
 }
 
 // Do evaluates one request across the shards. The contract matches
@@ -195,7 +216,7 @@ func (r *Router) DoBatch(ctx context.Context, reqs []engine.Request) ([]engine.R
 }
 
 // dispatch runs one validated-or-failing request: pick or perform the
-// gather its kind needs, refine the union on the router's engine, and
+// gather its kind needs, evaluate on the gather's processor, and
 // decorate the Explain with shard provenance. The gathered round is
 // returned alongside the result so the continuous layer can fingerprint
 // the request from the same exchange (nil on failure and on the
@@ -248,26 +269,29 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[ga
 			return res, g, nil
 		}
 	}
-	// The union store is already the predicate's sub-MOD (the exchange
-	// filtered at the shards) but carries no tags, so the predicate must
-	// not travel further: refinement runs unfiltered over the union.
-	creq := req
-	creq.Where = nil
 	var inner engine.Result
-	switch {
-	case req.EnumeratesCandidates():
+	if req.EnumeratesCandidates() {
 		inner, err = r.enumerate(ctx, g, req)
-	default:
-		if req.Kind.IsWholeMODFilter() {
-			// The union is exactly what the exchange kept, so this is the
-			// verify half of filter-and-verify: no pre-pass over it, and
-			// the filter visits only the survivors (globally pruned
-			// objects, fetched targets included, answer false on every
-			// filter kind).
-			inner, err = r.inner.DoRestricted(ctx, g.store, creq, g.domain)
-		} else {
-			inner, err = r.inner.Do(ctx, g.store, creq)
+	} else {
+		// The union is exactly what the exchange kept, so this is the
+		// verify half of filter-and-verify: one whole build, no pre-pass
+		// over it, and the filter visits only the survivors (globally
+		// pruned objects, fetched targets included, answer false on every
+		// filter kind). The union is already the predicate's sub-MOD (the
+		// exchange filtered at the shards) but carries no tags, so the
+		// predicate must not travel further.
+		proc, reused, perr := g.processor(ctx, req.Tb, req.Te)
+		if perr != nil {
+			return fail(perr)
 		}
+		var own []int64
+		if req.Kind.IsWholeMODFilter() {
+			own = g.domain
+		}
+		creq := req
+		creq.Where = nil
+		inner, err = r.inner.Evaluate(ctx, g.store, proc, creq, own)
+		inner.Explain.MemoHit = reused
 		inner.Explain.ShardExplains = g.shardEx
 		r.applyDegraded(&inner.Explain, g.missing)
 	}
@@ -359,7 +383,7 @@ func (r *Router) gather(ctx context.Context, key gatherKey, k int, caches map[ga
 		return nil, err
 	}
 	shardEx := make([]engine.Explain, len(r.shards))
-	var domain []int64
+	domain := []int64{}
 	for si, reply := range phase2 {
 		shardEx[si] = engine.Explain{
 			Candidates: reply.stats.Candidates,
@@ -462,19 +486,14 @@ func (r *Router) exchange(ctx context.Context, q *trajectory.Trajectory, tb, te 
 	return global, phase2, missing, nil
 }
 
-// perQueryObject answers the all-pairs and reverse kinds without the old
-// whole-MOD gather: the shards' OID sets are unioned (cheap — IDs, not
-// trajectories), and every query object runs its own bound exchange, so
-// per-object gathered state is its survivor set rather than the entire
-// MOD. Answers match the central engine exactly: per query object the
-// union store's envelope equals the global envelope, so UQ31/UQ11 over
-// it reproduce the single-store per-object loops.
+// perQueryObject answers the all-pairs and reverse kinds on the engine's
+// per-query-object loop: the shards' OID sets are unioned (cheap — IDs,
+// not trajectories), and every query object runs its own bound exchange
+// and a whole build of its gathered union, so per-object gathered state is
+// its survivor set rather than the entire MOD. Answers match the central
+// engine exactly: per query object the union store's envelope equals the
+// global envelope, so UQ31/UQ11 over it reproduce the single-store loop.
 func (r *Router) perQueryObject(ctx context.Context, req engine.Request) (engine.Result, error) {
-	res := engine.Result{Kind: req.Kind}
-	fail := func(err error) (engine.Result, error) {
-		res.Err = err
-		return res, err
-	}
 	type oidsReply struct {
 		oids []int64
 		wall time.Duration
@@ -485,7 +504,7 @@ func (r *Router) perQueryObject(ctx context.Context, req engine.Request) (engine
 		return oidsReply{oids: ids, wall: time.Since(t0)}, err
 	})
 	if err != nil {
-		return fail(err)
+		return engine.Result{Kind: req.Kind, Err: err}, err
 	}
 	// missing accumulates every shard any round of this request went
 	// without: the OID union scatter here, plus the per-object gathers
@@ -502,48 +521,24 @@ func (r *Router) perQueryObject(ctx context.Context, req engine.Request) (engine
 		n := len(reply.oids)
 		shardEx[i] = engine.Explain{Candidates: n, Survivors: n, Wall: reply.wall}
 	}
-	union := mergeSorted(lists)
 	// Replicated objects (a loader quirk, not an error) appear once.
-	union = slices.Compact(union)
-	res.Explain.ShardExplains = shardEx
+	union := slices.Compact(mergeSorted(lists))
 
-	// The reverse target must exist somewhere in the cluster, exactly like
-	// the single-store engine's up-front store.Get — and it must be present
-	// in every per-object union store so UQ11 never reports it unknown.
+	// The reverse target is resolved once, before the loop, and put in
+	// every per-object union store so UQ11 never reports it unknown.
 	var target *trajectory.Trajectory
-	if req.Kind == engine.KindReverse {
-		tr, tags, err := r.getTrajectory(ctx, req.OID)
-		if err != nil {
-			if errors.Is(err, mod.ErrNotFound) {
-				return fail(fmt.Errorf("%w: %d", engine.ErrUnknownOID, req.OID))
-			}
-			return fail(err)
-		}
-		if req.Where != nil && !req.Where.Matches(tags) {
-			// Sub-MOD semantics: an existing target outside the predicate's
-			// universe has no possible reverse neighbors there — empty, not
-			// an error, exactly like the single-store engine.
-			res.Explain.Candidates = len(union)
-			res.Explain.Survivors = res.Explain.Candidates
-			r.applyDegraded(&res.Explain, missing)
-			return res, nil
-		}
+	tags := func(oid int64) ([]string, error) {
+		tr, ts, err := r.getTrajectory(ctx, oid)
 		target = tr
+		return ts, err
 	}
-
-	sets := make([][]int64, len(union))
-	keep := make([]bool, len(union))
-	err = r.inner.ForEachIndex(ctx, len(union), func(i int) error {
-		qOID := union[i]
-		if target != nil && qOID == req.OID {
-			return nil
-		}
+	build := func(ctx context.Context, qOID int64) (*queries.Processor, error) {
 		// One fresh per-object exchange: the shared batch cache is keyed
 		// per (query, window) and guarded by the sequential dispatch loop,
 		// so the concurrent per-object gathers use private cache maps.
 		g, err := r.gather(ctx, gatherKey{qOID, req.Tb, req.Te, req.Where.Key()}, 1, make(map[gatherKey]*gathered), req.Where)
 		if err != nil {
-			return fmt.Errorf("query %d: %w", qOID, err)
+			return nil, err
 		}
 		if len(g.missing) > 0 {
 			missingMu.Lock()
@@ -553,47 +548,17 @@ func (r *Router) perQueryObject(ctx context.Context, req engine.Request) (engine
 		if target != nil {
 			if _, err := g.store.Get(target.OID); err != nil {
 				if err := g.store.Insert(target); err != nil {
-					return err
+					return nil, err
 				}
 			}
 		}
-		proc, err := r.inner.ProcessorWhereCtx(ctx, g.store, qOID, req.Tb, req.Te, nil)
-		if err != nil {
-			return fmt.Errorf("query %d: %w", qOID, err)
-		}
-		if target != nil {
-			ok, err := proc.UQ11(target.OID)
-			if err != nil {
-				return err
-			}
-			keep[i] = ok
-			return nil
-		}
-		sets[i] = proc.UQ31()
-		return nil
-	})
-	if err != nil {
-		return fail(err)
+		proc, _, err := g.processor(ctx, req.Tb, req.Te)
+		return proc, err
 	}
-	if target != nil {
-		for i, oid := range union {
-			if keep[i] {
-				res.OIDs = append(res.OIDs, oid)
-			}
-		}
-		res.Explain.Candidates = len(union) - 1
-		res.Explain.Survivors = res.Explain.Candidates
-		r.applyDegraded(&res.Explain, missing)
-		return res, nil
-	}
-	res.Pairs = make(map[int64][]int64, len(union))
-	for i, oid := range union {
-		res.Pairs[oid] = sets[i]
-	}
-	res.Explain.Candidates = len(union)
-	res.Explain.Survivors = len(union)
+	res, err := r.inner.PerQueryObject(ctx, req, union, tags, build)
+	res.Explain.ShardExplains = shardEx
 	r.applyDegraded(&res.Explain, missing)
-	return res, nil
+	return res, err
 }
 
 // ensureTarget makes sure a single-object kind's target trajectory is in

@@ -192,7 +192,7 @@ func TestRemoteShardCancelPrompt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := shard.Len(ctx)
+		_, err := shard.Spec(ctx)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the call reach the blocked read
@@ -267,7 +267,8 @@ func (s refineSpy) Refine(ctx context.Context, id string, union *mod.Store, own 
 // engine's, no shard is asked to refine, the answer reports the union as
 // its survivor set (a whole build, not Do's pruned re-index of the
 // union) and as its refined domain, and ShardExplains still tile the
-// fleet with what each shard pruned.
+// fleet with what each shard pruned. The single-object kinds evaluate on
+// the same whole build of the union.
 func TestRefineBuildsFromTheUnion(t *testing.T) {
 	store, trs := tagStore(t, 300, equivR, equivSeed)
 	stores, err := cluster.SplitStore(store, 4, nil)
@@ -290,6 +291,13 @@ func TestRefineBuildsFromTheUnion(t *testing.T) {
 		{Kind: engine.KindUQ41, QueryOID: q, Tb: equivTb, Te: equivTe, K: 2},
 		{Kind: engine.KindUQ31, QueryOID: q, Tb: equivTb, Te: equivTe, Where: avail},
 	}
+	// A zone member is a survivor, so the union holds it without a fetch.
+	near := singleAnswers(t, store, reqs[:1])[0].OIDs[0]
+	reqs = append(reqs,
+		engine.Request{Kind: engine.KindUQ11, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near},
+		engine.Request{Kind: engine.KindUQ13, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near, X: 0.25},
+		engine.Request{Kind: engine.KindNNAt, QueryOID: q, Tb: equivTb, Te: equivTe, OID: near, T: 15},
+	)
 	want := singleAnswers(t, store, reqs)
 	for i, req := range reqs {
 		got, err := router.Do(context.Background(), req)
@@ -301,7 +309,7 @@ func TestRefineBuildsFromTheUnion(t *testing.T) {
 			t.Fatalf("req[%d]: %d shard refines, want none", i, n)
 		}
 		ex := got.Explain
-		if ex.Survivors != ex.Candidates || ex.Refined != ex.Candidates {
+		if ex.Survivors != ex.Candidates || (req.Kind.IsWholeMODFilter() && ex.Refined != ex.Candidates) {
 			t.Fatalf("req[%d]: survivors=%d refined=%d candidates=%d: not a whole build of the union", i, ex.Survivors, ex.Refined, ex.Candidates)
 		}
 		// The shards' candidates tile the (sub-)MOD minus the query, and
@@ -320,6 +328,53 @@ func TestRefineBuildsFromTheUnion(t *testing.T) {
 		if cands != fleet || surv != ex.Candidates || surv >= cands {
 			t.Fatalf("req[%d]: shards kept %d of %d (fleet %d), union holds %d", i, surv, cands, fleet, ex.Candidates)
 		}
+	}
+}
+
+// TestRouterKeepsNoUnionInMemo: a routed request's union store lives for
+// one request, and its processor never enters the engine's memo. On a
+// router sharing its engine with an embedded store (as uncertnn -shards
+// does), 80 routed UQ31s on distinct query objects, 10 routed UQ11s and a
+// routed ALLPAIRS over the fleet leave the memo holding only the embedded
+// entry, and the embedded Do that follows is still a memo hit.
+func TestRouterKeepsNoUnionInMemo(t *testing.T) {
+	ctx := context.Background()
+	store, trs := buildStore(t, 120, equivR, equivSeed)
+	eng := engine.New(2)
+	router, err := cluster.NewLocalCluster(store, 2, cluster.Options{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	embedded := engine.Request{Kind: engine.KindUQ31, QueryOID: trs[0].OID, Tb: equivTb, Te: equivTe}
+	if _, err := eng.Do(ctx, store, embedded); err != nil {
+		t.Fatal(err)
+	}
+	var routed []engine.Request
+	for _, tr := range trs[:80] {
+		routed = append(routed, engine.Request{Kind: engine.KindUQ31, QueryOID: tr.OID, Tb: equivTb, Te: equivTe})
+	}
+	for _, tr := range trs[1:11] {
+		routed = append(routed, engine.Request{Kind: engine.KindUQ11, QueryOID: trs[0].OID, Tb: equivTb, Te: equivTe, OID: tr.OID})
+	}
+	routed = append(routed, engine.Request{Kind: engine.KindAllPairs, Tb: equivTb, Te: equivTe})
+	for _, req := range routed {
+		res, err := router.Do(ctx, req)
+		if err != nil {
+			t.Fatalf("%s q=%d: %v", req.Kind, req.QueryOID, err)
+		}
+		if req.Kind == engine.KindAllPairs && len(res.Pairs) < 120 {
+			t.Fatalf("ALLPAIRS asked %d query objects, want 120", len(res.Pairs))
+		}
+	}
+	if n := eng.MemoLen(); n != 1 {
+		t.Fatalf("after %d routed requests the shared memo holds %d entries, want the embedded one", len(routed), n)
+	}
+	res, err := eng.Do(ctx, store, embedded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Explain.MemoHit {
+		t.Fatal("the routed requests evicted the embedded memo entry")
 	}
 }
 

@@ -21,7 +21,9 @@
 //
 // Entry points: Do for one request, DoBatch for a batch (see request.go
 // for the unified Request/Result contract), ProcessorWhereCtx for the
-// memoized preprocessing alone.
+// memoized preprocessing alone, and Evaluate for a request on a processor
+// the caller built itself (a cluster router's gathered union), which
+// never enters the memo.
 package engine
 
 import (
@@ -69,7 +71,6 @@ type procKey struct {
 	queryOID int64
 	tb, te   float64
 	where    string // canonical predicate key ("" = unfiltered)
-	whole    bool   // built over every object (DoRestricted), not the pre-pass survivors
 }
 
 // procSlot builds its processor at most once even under concurrent lookups.
@@ -119,7 +120,7 @@ func (e *Engine) Workers() int { return e.workers }
 // hit. A canceled context stops the candidate pre-pass and the envelope
 // construction inside the build.
 func (e *Engine) ProcessorWhereCtx(ctx context.Context, store *mod.Store, qOID int64, tb, te float64, where *textidx.Predicate) (*queries.Processor, error) {
-	proc, _, err := e.processor(ctx, store, qOID, tb, te, where, false)
+	proc, _, err := e.processor(ctx, store, qOID, tb, te, where)
 	return proc, err
 }
 
@@ -130,12 +131,11 @@ func (e *Engine) ProcessorWhereCtx(ctx context.Context, store *mod.Store, qOID i
 // failed only because a context was canceled is dropped from the memo —
 // and since that context belongs to whichever caller ran the build, a
 // waiter whose own context is still live retries the build under its own
-// rather than inheriting a stranger's cancellation. whole skips the index
-// pre-pass for this build, as Options.FullScan does for all of them.
-func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb, te float64, where *textidx.Predicate, whole bool) (proc *queries.Processor, memoHit bool, err error) {
+// rather than inheriting a stranger's cancellation.
+func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb, te float64, where *textidx.Predicate) (proc *queries.Processor, memoHit bool, err error) {
 	where = where.Canon()
 	for {
-		key := procKey{store: store, version: store.Version(), queryOID: qOID, tb: tb, te: te, where: where.Key(), whole: whole}
+		key := procKey{store: store, version: store.Version(), queryOID: qOID, tb: tb, te: te, where: where.Key()}
 		e.mu.Lock()
 		slot, ok := e.procs[key]
 		if !ok {
@@ -155,7 +155,7 @@ func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb
 				slot.err = fmt.Errorf("engine: query trajectory: %w", err)
 				return
 			}
-			if e.fullScan || whole {
+			if e.fullScan {
 				// FullScan skips the index pre-pass, never the predicate:
 				// the filter is semantics, so the scan runs over the
 				// sub-MOD just like the pruned path (the exempt query is

@@ -99,8 +99,9 @@ func (k Kind) Known() bool {
 }
 
 // IsWholeMODFilter reports whether the kind is a whole-MOD list filter —
-// the only kinds a restricted-domain evaluation is defined for, and hence
-// the kinds a cluster router verifies through DoRestricted.
+// the only kinds a restricted-domain evaluation (Evaluate's own) is
+// defined for, and hence the kinds a cluster router verifies against its
+// gathered survivors.
 func (k Kind) IsWholeMODFilter() bool {
 	in, _ := k.info()
 	return in.filter

@@ -10,14 +10,16 @@ import (
 
 	"repro/internal/mod"
 	"repro/internal/prune"
+	"repro/internal/queries"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
 )
 
 // TestFullScanCancellationCheckpoints: the full-scan build — a FullScan
-// engine's and DoRestricted's — checks its context once per candidate and
-// stops at the check that sees it, whether the context is canceled or its
-// deadline passes before the timer fires.
+// engine's, DoRestricted's and the whole build a router evaluates on —
+// checks its context once per candidate and stops at the check that sees
+// it, whether the context is canceled or its deadline passes before the
+// timer fires.
 func TestFullScanCancellationCheckpoints(t *testing.T) {
 	store, qOID := newStore(t, 60, 7)
 	n := store.Len() - 1
@@ -38,8 +40,17 @@ func TestFullScanCancellationCheckpoints(t *testing.T) {
 			_, err := New(1).DoRestricted(ctx, store, req, nil)
 			return err
 		},
+		"whole build + Evaluate": func(ctx context.Context) error {
+			proc, err := wholeBuild(ctx, store, req)
+			if err == nil {
+				_, err = New(1).Evaluate(ctx, store, proc, req, []int64{})
+			}
+			return err
+		},
 	}
-	// Check 1 is the request's entry check, checks 2..n+1 the build's.
+	// On Do and DoRestricted check 1 is the request's entry check and
+	// checks 2..n+1 the build's; a bare whole build makes checks 1..n and
+	// Evaluate's empty domain check n+1.
 	for name, run := range runs {
 		for _, after := range []int{2, 3, n / 2, n + 1} {
 			ctx := &dyingCtx{Context: context.Background(), after: after}
@@ -89,6 +100,16 @@ func (c *lateTimerCtx) Deadline() (time.Time, bool) {
 	return time.Now().Add(time.Hour), true
 }
 
+// wholeBuild is the processor a router evaluates on: every object of the
+// request's (sub-)MOD, no pre-pass and no memo.
+func wholeBuild(ctx context.Context, store *mod.Store, req Request) (*queries.Processor, error) {
+	q, err := store.Get(req.QueryOID)
+	if err != nil {
+		return nil, err
+	}
+	return queries.NewProcessorPrunedCtx(ctx, matchingTrajectories(store, req.Where.Canon()), q, req.Tb, req.Te, store.Radius(), nil)
+}
+
 // splitOwn halves the store's non-query OIDs into two sorted shares, the
 // way two shards would own a gathered union.
 func splitOwn(store *mod.Store, qOID int64) (a, b []int64) {
@@ -96,10 +117,12 @@ func splitOwn(store *mod.Store, qOID int64) (a, b []int64) {
 	return oids[:len(oids)/2], oids[len(oids)/2:]
 }
 
-// TestDoRestrictedNeverFilters is the refine contract: DoRestricted's
-// store is a survivor set already, so it builds from every object in it —
-// the index is never built, probed or swept, at any rank or under a
-// predicate — and the shares' answers still tile the pruned engine's.
+// TestDoRestrictedNeverFilters is the refine contract: the store is a
+// survivor set already, so a whole build over every object in it — the
+// one a router evaluates on, and DoRestricted's — never builds, probes or
+// sweeps the index, at any rank or under a predicate, nothing enters the
+// memo, and the shares' answers (one through Evaluate, one through
+// DoRestricted) still tile the pruned engine's.
 func TestDoRestrictedNeverFilters(t *testing.T) {
 	ctx := context.Background()
 	store, qOID := tagFixture(t, 80, 91)
@@ -114,7 +137,11 @@ func TestDoRestrictedNeverFilters(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", req.Kind, err)
 		}
-		a, err := refine.DoRestricted(ctx, store, req, ownA)
+		whole, err := wholeBuild(ctx, store, req)
+		if err != nil {
+			t.Fatalf("%s: %v", req.Kind, err)
+		}
+		a, err := refine.Evaluate(ctx, store, whole, req, ownA)
 		if err != nil {
 			t.Fatalf("%s: %v", req.Kind, err)
 		}
@@ -128,9 +155,9 @@ func TestDoRestrictedNeverFilters(t *testing.T) {
 		if a.Explain.Survivors != a.Explain.Candidates || a.Explain.Candidates != want.Explain.Candidates || a.Explain.Refined != len(ownA) {
 			t.Errorf("%s: refine explain %+v, want survivors = candidates = %d", req.Kind, a.Explain, want.Explain.Candidates)
 		}
-		if !b.Explain.MemoHit {
-			t.Errorf("%s: the second share rebuilt the union's processor", req.Kind)
-		}
+	}
+	if n := refine.MemoLen(); n != 0 {
+		t.Fatalf("whole builds left %d memo entries", n)
 	}
 	if got := store.IndexStats(); got != (mod.IndexStats{}) {
 		t.Fatalf("refines touched the store's indexes: %+v", got)
@@ -140,9 +167,10 @@ func TestDoRestrictedNeverFilters(t *testing.T) {
 	}
 }
 
-// TestPrunedAndWholeBuildsDoNotAlias: Do and DoRestricted on one store
-// pointer and one (query, window) memoize two processors — a pruned and a
-// whole one — that answer identically and never stand in for each other.
+// TestPrunedAndWholeBuildsDoNotAlias: Do and Evaluate on a whole build,
+// on one store pointer and one (query, window), answer identically from
+// a pruned and a whole processor that never stand in for each other; only
+// the pruned one is memoized.
 func TestPrunedAndWholeBuildsDoNotAlias(t *testing.T) {
 	ctx := context.Background()
 	store, qOID := newStore(t, 300, 92)
@@ -154,32 +182,37 @@ func TestPrunedAndWholeBuildsDoNotAlias(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole, err := eng.DoRestricted(ctx, store, req, own)
+		proc, err := wholeBuild(ctx, store, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pruned.Explain.MemoHit != wantHit || whole.Explain.MemoHit != wantHit {
-			t.Fatalf("round %d: memo hits pruned=%v whole=%v, want %v", round, pruned.Explain.MemoHit, whole.Explain.MemoHit, wantHit)
+		whole, err := eng.Evaluate(ctx, store, proc, req, own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pruned.Explain.MemoHit != wantHit || whole.Explain.MemoHit {
+			t.Fatalf("round %d: memo hits pruned=%v whole=%v, want %v and false", round, pruned.Explain.MemoHit, whole.Explain.MemoHit, wantHit)
 		}
 		if pruned.Explain.Survivors >= pruned.Explain.Candidates {
 			t.Fatalf("round %d: Do answered from an unpruned build: %+v", round, pruned.Explain)
 		}
 		if whole.Explain.Survivors != whole.Explain.Candidates {
-			t.Fatalf("round %d: DoRestricted answered from a pruned build: %+v", round, whole.Explain)
+			t.Fatalf("round %d: Evaluate answered from a pruned build: %+v", round, whole.Explain)
 		}
 		if !slices.Equal(pruned.OIDs, whole.OIDs) || len(whole.OIDs) == 0 {
 			t.Fatalf("round %d: pruned %v, whole %v", round, pruned.OIDs, whole.OIDs)
 		}
 	}
-	if eng.MemoLen() != 2 {
-		t.Fatalf("memo holds %d processors, want a pruned and a whole one", eng.MemoLen())
+	if eng.MemoLen() != 1 {
+		t.Fatalf("memo holds %d processors, want the pruned one only", eng.MemoLen())
 	}
 }
 
 // BenchmarkRefineUnion: what a cluster router does with a gathered union
-// — load the survivors into a store that lives for one query and verify
-// every one of them for a UQ31. The union is a real survivor set of the
-// size sharded_wire's exchange leaves: the 94 objects the pre-pass keeps
+// — load the survivors into a store that lives for one query, make one
+// whole build over it (no pre-pass, no memo) and verify every survivor
+// for a UQ31 through Evaluate. The union is a real survivor set of the
+// size sharded_wire's exchange leaves: the 123 objects the pre-pass keeps
 // of the benchmark's 3 000-object fleet for this query and window, and
 // the query.
 func BenchmarkRefineUnion(b *testing.B) {
@@ -201,6 +234,7 @@ func BenchmarkRefineUnion(b *testing.B) {
 		}
 		survivors = append(survivors, tr)
 	}
+	ctx := context.Background()
 	eng := New(2)
 	b.ReportAllocs()
 	for b.Loop() {
@@ -211,7 +245,11 @@ func BenchmarkRefineUnion(b *testing.B) {
 		if err := union.InsertAll(survivors); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eng.DoRestricted(context.Background(), union, req, ids); err != nil {
+		proc, err := wholeBuild(ctx, union, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Evaluate(ctx, union, proc, req, ids); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -221,8 +259,8 @@ func BenchmarkRefineUnion(b *testing.B) {
 // TestProbabilityTableCancellationCheckpoints: a P > 0 request integrates
 // one probability table, checking its context once per time sample — S
 // checks, not one series of S per UQ31 member — and stops at the check
-// that sees a cancel or a passed deadline, through Do and DoRestricted
-// alike. An unknown target fails before any sample, and a request whose
+// that sees a cancel or a passed deadline, through Do and through
+// Evaluate on a whole build alike. An unknown target fails before any sample, and a request whose
 // answer is its candidate set builds no table.
 func TestProbabilityTableCancellationCheckpoints(t *testing.T) {
 	const samples = 64 // ThresholdConfig's default, the engine's table
@@ -230,25 +268,31 @@ func TestProbabilityTableCancellationCheckpoints(t *testing.T) {
 	own := slices.DeleteFunc(store.OIDs(), func(oid int64) bool { return oid == qOID })
 	eng := New(1)
 	req := Request{Kind: KindUQ33, QueryOID: qOID, Tb: 17, Te: 27, P: 0.4, X: 0.3}
-	// Warm both memo slots, so that every check counted below is the
-	// request's entry check, a filter task's or a table sample's.
+	// Warm the memo and make the whole build, so that every check counted
+	// below is Do's entry check, a filter task's or a table sample's.
 	members, err := eng.Do(context.Background(), store, Request{Kind: KindUQ31, QueryOID: qOID, Tb: 17, Te: 27})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.DoRestricted(context.Background(), store, Request{Kind: KindUQ31, QueryOID: qOID, Tb: 17, Te: 27}, own); err != nil {
+	whole, err := wholeBuild(context.Background(), store, req)
+	if err != nil {
 		t.Fatal(err)
 	}
 	k := len(members.OIDs)
 	if k < 2 {
 		t.Fatalf("%d UQ31 members: one table and a series per member cost the same", k)
 	}
-	runs := map[string]func(ctx context.Context) (Result, error){
-		"Do":           func(ctx context.Context) (Result, error) { return eng.Do(ctx, store, req) },
-		"DoRestricted": func(ctx context.Context) (Result, error) { return eng.DoRestricted(ctx, store, req, own) },
+	// entry is Do's entry check; Evaluate makes none of its own.
+	runs := map[string]struct {
+		entry int
+		run   func(ctx context.Context) (Result, error)
+	}{
+		"Do":       {1, func(ctx context.Context) (Result, error) { return eng.Do(ctx, store, req) }},
+		"Evaluate": {0, func(ctx context.Context) (Result, error) { return eng.Evaluate(ctx, store, whole, req, own) }},
 	}
 	var answers [][]int64
-	for name, run := range runs {
+	for name, r := range runs {
+		run := r.run
 		full := &dyingCtx{Context: context.Background(), after: math.MaxInt}
 		res, err := run(full)
 		if err != nil {
@@ -256,10 +300,11 @@ func TestProbabilityTableCancellationCheckpoints(t *testing.T) {
 		}
 		answers = append(answers, res.OIDs)
 		// The entry check, one per filter task, and the table's samples.
-		if want := 1 + k + samples; full.calls != want {
-			t.Fatalf("%s checked its context %d times, want 1 + %d members + %d samples = %d", name, full.calls, k, samples, want)
+		if want := r.entry + k + samples; full.calls != want {
+			t.Fatalf("%s checked its context %d times, want %d entry + %d members + %d samples = %d", name, full.calls, r.entry, k, samples, want)
 		}
-		// Check 2 is the first member's task, 3..S+2 the table's samples.
+		// On Do check 2 is the first member's task and 3..S+2 the table's
+		// samples; on Evaluate every check comes one earlier.
 		for _, after := range []int{2, samples / 2, samples + 1} {
 			ctx := &dyingCtx{Context: context.Background(), after: after}
 			if _, err := run(ctx); err != context.Canceled {
@@ -278,7 +323,7 @@ func TestProbabilityTableCancellationCheckpoints(t *testing.T) {
 		}
 	}
 	if !slices.Equal(answers[0], answers[1]) {
-		t.Fatalf("Do answered %v, DoRestricted %v", answers[0], answers[1])
+		t.Fatalf("Do and Evaluate answered %v and %v", answers[0], answers[1])
 	}
 
 	// Neither of these reaches a table: only the entry check is made.

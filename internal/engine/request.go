@@ -4,11 +4,12 @@
 // the answer together with its Explain provenance, and a typed error
 // taxonomy shared across layers. Engine.Do / Engine.DoBatch are the single
 // execution route — every UQL statement compiles to a Request, and the
-// modserver "query" op and the HTTP gateway carry Requests verbatim — and
-// both honor
-// context cancellation end-to-end: between per-OID worker tasks, between
-// batch members, inside the index candidate pre-pass, and inside lazy
-// envelope builds.
+// modserver "query" op and the HTTP gateway carry Requests verbatim; a
+// cluster router reaches the same evaluation code through Evaluate and
+// PerQueryObject on the processors its gathers build — and every route
+// honors context cancellation end-to-end: between per-OID worker tasks,
+// between batch members, inside the index candidate pre-pass, and inside
+// lazy envelope builds.
 package engine
 
 import (
@@ -16,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,7 +161,8 @@ type Explain struct {
 	// does not use one preprocessing).
 	Survivors int `json:"survivors"`
 	// MemoHit reports that the envelope preprocessing was reused from the
-	// engine's memo instead of rebuilt.
+	// engine's memo instead of rebuilt — on a cluster router's answer,
+	// that an earlier request of the batch built the gather's processor.
 	MemoHit bool `json:"memo_hit"`
 	// Workers is the engine's worker-pool size.
 	Workers int `json:"workers"`
@@ -178,13 +181,13 @@ type Explain struct {
 	// (omitted) on unfiltered requests.
 	SpatialCandidates int `json:"spatial_candidates,omitempty"`
 
-	// Refined is the size of the restricted candidate domain a
-	// DoRestricted refine evaluated: on a cluster router's whole-MOD
-	// filter answer, the survivors its bound exchange gathered; zero on
+	// Refined is the size of the restricted candidate domain a whole-MOD
+	// filter was evaluated over (Evaluate's own): on a cluster router's
+	// answer, the survivors its bound exchange gathered; zero on
 	// unrestricted paths.
 	Refined int `json:"refined,omitempty"`
-	// RefineWall is the time that restricted refine took: on a cluster
-	// router, its central refine of the gathered union; zero otherwise.
+	// RefineWall is the time that restricted evaluation took on its ready
+	// processor (the build before it is not counted); zero otherwise.
 	RefineWall time.Duration `json:"refine_wall_ns,omitempty"`
 
 	// Shards is the number of shards a cluster router scattered this
@@ -228,11 +231,12 @@ type Result struct {
 
 // Do evaluates one request against the store. It is the single execution
 // route of the system: validation, the memoized (and index-pruned)
-// envelope preprocessing, worker-pool fan-out for the whole-MOD kinds, and
-// Explain accounting all happen here. ctx cancellation is honored between
-// per-OID worker tasks and inside the preprocessing; a nil ctx means
-// context.Background(). On error the returned Result carries the same
-// error in Err, with whatever Explain fields were established.
+// envelope preprocessing and Evaluate on it — or, for the kinds whose
+// every object is a query, PerQueryObject over the store's objects.
+// ctx cancellation is honored between per-OID worker tasks and inside the
+// preprocessing; a nil ctx means context.Background(). On error the
+// returned Result carries the same error in Err, with whatever Explain
+// fields were established.
 func (e *Engine) Do(ctx context.Context, store *mod.Store, req Request) (Result, error) {
 	if e == nil {
 		return Result{Kind: req.Kind, Err: ErrNoEngine}, ErrNoEngine
@@ -240,14 +244,16 @@ func (e *Engine) Do(ctx context.Context, store *mod.Store, req Request) (Result,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res := Result{Kind: req.Kind}
-	res.Explain.Workers = e.workers
 	start := time.Now()
-	fail := func(err error) (Result, error) {
-		res.Err = err
-		res.Explain.Wall = time.Since(start)
-		return res, err
-	}
+	res, err := e.do(ctx, store, req)
+	res.Explain.Workers = e.workers
+	res.Explain.Wall = time.Since(start)
+	return res, err
+}
+
+// do is Do's body: the memo lookup in front of Evaluate.
+func (e *Engine) do(ctx context.Context, store *mod.Store, req Request) (Result, error) {
+	fail := func(err error) (Result, error) { return Result{Kind: req.Kind, Err: err}, err }
 	if err := req.Validate(); err != nil {
 		return fail(err)
 	}
@@ -255,74 +261,86 @@ func (e *Engine) Do(ctx context.Context, store *mod.Store, req Request) (Result,
 	if err := queries.CtxErr(ctx); err != nil {
 		return fail(err)
 	}
-	switch req.Kind {
-	case KindAllPairs:
-		pairs, cands, err := e.allPairs(ctx, store, req)
-		if err != nil {
-			return fail(err)
-		}
-		res.Pairs = pairs
-		res.Explain.Candidates = cands
-		res.Explain.Survivors = cands
-		if req.Where != nil {
-			res.Explain.TextualCandidates = cands
-			res.Explain.SpatialCandidates = store.Len()
-		}
-	case KindReverse:
-		oids, cands, err := e.reverse(ctx, store, req)
-		if err != nil {
-			return fail(err)
-		}
-		res.OIDs = oids
-		res.Explain.Candidates = cands
-		res.Explain.Survivors = cands
-		if req.Where != nil {
-			res.Explain.TextualCandidates = cands
-			res.Explain.SpatialCandidates = store.Len() - 1
-		}
-	default:
-		// A predicate makes the single-target kinds decidable without any
-		// envelope work when the target itself fails the filter: a
-		// non-matching object is outside the answer universe, so every
-		// "can OID be the (rank-k) NN" variant is false. An absent target
-		// is still the usual error — "no" and "no such object" must not
-		// blur. The query OID is exempt, matching the sub-store ground
-		// truth (the query is always present there).
-		if _, target := req.Target(); req.Where != nil && target && req.OID != req.QueryOID {
-			if _, err := store.Get(req.OID); err != nil {
-				return fail(fmt.Errorf("%w: %d", ErrUnknownOID, req.OID))
+	if !req.Kind.NeedsProcessor() {
+		res, err := e.PerQueryObject(ctx, req, store.MatchingOIDs(req.Where), func(oid int64) ([]string, error) {
+			_, err := store.Get(oid)
+			return store.Tags(oid), err
+		}, func(ctx context.Context, qOID int64) (*queries.Processor, error) {
+			q, err := store.Get(qOID)
+			if err != nil {
+				return nil, err
 			}
-			if !req.Where.Matches(store.Tags(req.OID)) {
-				res.IsBool = true
-				res.Explain.SpatialCandidates = store.Len() - 1
-				res.Explain.Wall = time.Since(start)
-				return res, nil
-			}
-		}
-		proc, hit, err := e.processor(ctx, store, req.QueryOID, req.Tb, req.Te, req.Where, false)
-		if err != nil {
-			return fail(err)
-		}
-		res.Explain.MemoHit = hit
-		res.Explain.Candidates = proc.CandidateCount()
-		res.Explain.Survivors = res.Explain.Candidates - proc.PrunedCount()
+			return prune.ForQueryWhereCtx(ctx, store, q, req.Tb, req.Te, req.Where)
+		})
 		if req.Where != nil {
+			// Every object asks on all-pairs; the reverse target does not.
 			res.Explain.TextualCandidates = res.Explain.Candidates
-			res.Explain.SpatialCandidates = store.Len() - 1
-		}
-		if k := req.Rank(); k > 1 {
-			if err := proc.EnsureLevelsCtx(ctx, k); err != nil {
-				return fail(err)
+			res.Explain.SpatialCandidates = store.Len()
+			if req.Kind == KindReverse {
+				res.Explain.SpatialCandidates--
 			}
 		}
-		item := e.execRequest(ctx, proc, store.PDF(), req, nil)
-		if item.Err != nil {
-			return fail(item.Err)
-		}
-		res.IsBool, res.Bool, res.OIDs = item.IsBool, item.Bool, item.OIDs
+		return res, err
 	}
+	// A predicate makes the single-target kinds decidable without any
+	// envelope work when the target itself fails the filter: a
+	// non-matching object is outside the answer universe, so every "can
+	// OID be the (rank-k) NN" variant is false. An absent target is still
+	// the usual error — "no" and "no such object" must not blur. The
+	// query OID is exempt, matching the sub-store ground truth (the query
+	// is always present there).
+	if _, target := req.Target(); req.Where != nil && target && req.OID != req.QueryOID {
+		if _, err := store.Get(req.OID); err != nil {
+			return fail(fmt.Errorf("%w: %d", ErrUnknownOID, req.OID))
+		}
+		if !req.Where.Matches(store.Tags(req.OID)) {
+			res := Result{Kind: req.Kind, IsBool: true}
+			res.Explain.SpatialCandidates = store.Len() - 1
+			return res, nil
+		}
+	}
+	proc, hit, err := e.processor(ctx, store, req.QueryOID, req.Tb, req.Te, req.Where)
+	if err != nil {
+		return fail(err)
+	}
+	res, err := e.Evaluate(ctx, store, proc, req, nil)
+	res.Explain.MemoHit = hit
+	return res, err
+}
+
+// Evaluate answers one request on p, a ready processor for the request's
+// (query, window, predicate) over store: Do's memoized pruned build, or a
+// whole build over a gathered survivor union. It validates the request,
+// grows the envelope levels its rank needs and runs the kind, fanning the
+// whole-MOD kinds across the worker pool with ctx checked between tasks;
+// it makes no context check of its own and never touches the memo. own,
+// when non-nil, restricts the filter kinds' domain to a sorted OID list —
+// a router's gathered survivors — and is reported as Refined; the
+// single-object kinds ignore it.
+func (e *Engine) Evaluate(ctx context.Context, store *mod.Store, p *queries.Processor, req Request, own []int64) (Result, error) {
+	start := time.Now()
+	res := Result{Kind: req.Kind}
+	res.Explain.Workers = e.workers
+	res.Explain.Candidates = p.CandidateCount()
+	res.Explain.Survivors = res.Explain.Candidates - p.PrunedCount()
+	if req.Where != nil {
+		res.Explain.TextualCandidates = res.Explain.Candidates
+		res.Explain.SpatialCandidates = store.Len() - 1
+	}
+	err := req.Validate()
+	if k := req.Rank(); err == nil && k > 1 {
+		err = p.EnsureLevelsCtx(ctx, k)
+	}
+	if err == nil {
+		it := e.execRequest(ctx, p, store.PDF(), req, own)
+		res.IsBool, res.Bool, res.OIDs, err = it.IsBool, it.Bool, it.OIDs, it.Err
+	}
+	res.Err = err
 	res.Explain.Wall = time.Since(start)
-	return res, nil
+	if own != nil && req.Kind.IsWholeMODFilter() {
+		res.Explain.Refined, res.Explain.RefineWall = len(own), res.Explain.Wall
+	}
+	return res, err
 }
 
 // DoBatch evaluates the requests in order, sharing preprocessing through
@@ -366,7 +384,7 @@ func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) 
 		if err := queries.CtxErr(ctx); err != nil {
 			return nil, err
 		}
-		if proc, _, err := e.processor(ctx, store, g.qOID, g.tb, g.te, preds[g], false); err == nil {
+		if proc, _, err := e.processor(ctx, store, g.qOID, g.tb, g.te, preds[g]); err == nil {
 			_ = proc.EnsureLevelsCtx(ctx, k)
 		}
 	}
@@ -506,10 +524,8 @@ func (r Request) holds(ivs []envelope.TimeInterval) bool {
 }
 
 // matchingTrajectories returns the store's trajectories restricted to
-// the predicate's sub-MOD (all of them when where is nil), in store
-// iteration order. Under a predicate the whole-MOD iteration kinds
-// (KindAllPairs, KindReverse) both answer and iterate over this set: a
-// non-matching object neither asks nor answers.
+// the predicate's sub-MOD (all of them when where is nil), in OID order:
+// the snapshot a full-scan build reads.
 func matchingTrajectories(store *mod.Store, where *textidx.Predicate) []*trajectory.Trajectory {
 	if where == nil {
 		return store.All()
@@ -524,79 +540,71 @@ func matchingTrajectories(store *mod.Store, where *textidx.Predicate) []*traject
 	return out
 }
 
-// allPairs computes every object's possible-NN set, fanning the per-query
-// envelope preprocessings (the dominant cost) across the worker pool.
-// Under a predicate both the query set and each answer universe are the
-// matching sub-MOD.
-func (e *Engine) allPairs(ctx context.Context, store *mod.Store, req Request) (map[int64][]int64, int, error) {
-	trs := matchingTrajectories(store, req.Where)
-	sets := make([][]int64, len(trs))
-	err := e.ForEachIndex(ctx, len(trs), func(i int) error {
-		p, err := prune.ForQueryWhereCtx(ctx, store, trs[i], req.Tb, req.Te, req.Where)
+// PerQueryObject answers KindAllPairs and KindReverse, the kinds whose
+// every object is a query: for each of oids (sorted; the reverse target
+// skipped) build returns that object's processor over the window, and
+// the object contributes its UQ31 set (all-pairs) or whether the target
+// can be its NN (reverse), fanned across the worker pool. tags resolves
+// the reverse target: an error matching mod.ErrNotFound is ErrUnknownOID,
+// and a target outside req.Where's sub-MOD answers empty. Do passes the
+// store's matching objects and their pruned builds; a cluster router
+// passes the shards' merged OID lists and a whole build of each object's
+// gathered union.
+func (e *Engine) PerQueryObject(ctx context.Context, req Request, oids []int64, tags func(oid int64) ([]string, error), build func(ctx context.Context, qOID int64) (*queries.Processor, error)) (Result, error) {
+	res := Result{Kind: req.Kind}
+	res.Explain.Workers = e.workers
+	res.Explain.Candidates = len(oids)
+	reverse := req.Kind == KindReverse
+	if _, asks := slices.BinarySearch(oids, req.OID); reverse && asks {
+		res.Explain.Candidates--
+	}
+	res.Explain.Survivors = res.Explain.Candidates
+	if reverse {
+		ts, err := tags(req.OID)
+		if errors.Is(err, mod.ErrNotFound) {
+			err = fmt.Errorf("%w: %d", ErrUnknownOID, req.OID)
+		}
 		if err != nil {
-			return fmt.Errorf("query %d: %w", trs[i].OID, err)
+			res.Err = err
+			return res, err
 		}
-		sets[i] = p.UQ31()
-		return nil
-	})
-	if err != nil {
-		return nil, len(trs), err
-	}
-	out := make(map[int64][]int64, len(trs))
-	for i, tr := range trs {
-		out[tr.OID] = sets[i]
-	}
-	return out, len(trs), nil
-}
-
-// reverse retrieves the objects for which req.OID can be the nearest
-// neighbor, one pruned preprocessing per candidate query trajectory.
-// Under a predicate only matching objects ask (iterate as queries), and a
-// non-matching target short-circuits to the empty answer — it is outside
-// every matching query's universe — while an absent target stays an
-// error.
-func (e *Engine) reverse(ctx context.Context, store *mod.Store, req Request) ([]int64, int, error) {
-	if _, err := store.Get(req.OID); err != nil {
-		return nil, 0, fmt.Errorf("%w: %d", ErrUnknownOID, req.OID)
-	}
-	trs := matchingTrajectories(store, req.Where)
-	cands := len(trs)
-	for _, tr := range trs {
-		if tr.OID == req.OID {
-			cands--
-			break
+		if req.Where != nil && !req.Where.Matches(ts) {
+			return res, nil
 		}
 	}
-	if req.Where != nil && !req.Where.Matches(store.Tags(req.OID)) {
-		return nil, cands, nil
-	}
-	keep := make([]bool, len(trs))
-	err := e.ForEachIndex(ctx, len(trs), func(i int) error {
-		q := trs[i]
-		if q.OID == req.OID {
+	sets := make([][]int64, len(oids))
+	keep := make([]bool, len(oids))
+	err := e.ForEachIndex(ctx, len(oids), func(i int) error {
+		if reverse && oids[i] == req.OID {
 			return nil
 		}
-		p, err := prune.ForQueryWhereCtx(ctx, store, q, req.Tb, req.Te, req.Where)
-		if err != nil {
-			return fmt.Errorf("query %d: %w", q.OID, err)
+		p, err := build(ctx, oids[i])
+		if err == nil && reverse {
+			keep[i], err = p.UQ11(req.OID)
+		} else if err == nil {
+			sets[i] = p.UQ31()
 		}
-		ok, err := p.UQ11(req.OID)
 		if err != nil {
-			return err
+			return fmt.Errorf("query %d: %w", oids[i], err)
 		}
-		keep[i] = ok
 		return nil
 	})
 	if err != nil {
-		return nil, cands, err
+		res.Err = err
+		return res, err
 	}
-	var out []int64
-	for i, tr := range trs {
-		if keep[i] {
-			out = append(out, tr.OID)
+	if !reverse {
+		res.Pairs = make(map[int64][]int64, len(oids))
+	}
+	for i, oid := range oids {
+		switch {
+		case !reverse:
+			res.Pairs[oid] = sets[i]
+		case keep[i]:
+			res.OIDs = append(res.OIDs, oid)
 		}
 	}
-	return out, cands, nil
+	return res, nil
 }
 
 // ForEachIndex runs fn(0..n-1) on the worker pool, checking ctx between

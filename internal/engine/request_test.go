@@ -367,10 +367,10 @@ func TestCanceledBuildDoesNotPoisonMemo(t *testing.T) {
 	eng := New(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := eng.processor(ctx, store, qOID, 0, 60, nil, false); !errors.Is(err, context.Canceled) {
+	if _, _, err := eng.processor(ctx, store, qOID, 0, 60, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled build: err=%v, want context.Canceled", err)
 	}
-	if _, _, err := eng.processor(context.Background(), store, qOID, 0, 60, nil, false); err != nil {
+	if _, _, err := eng.processor(context.Background(), store, qOID, 0, 60, nil); err != nil {
 		t.Fatalf("memo poisoned by canceled build: %v", err)
 	}
 }

@@ -123,8 +123,8 @@ func TestOversizedRequestRejected(t *testing.T) {
 
 // TestShardPhasesRoundTrip drives the bounds and survivors phases over
 // the wire and requires them to match the local prune calls exactly —
-// including +Inf bounds surviving the -1 encoding — and the all phase to
-// ship the store verbatim.
+// including +Inf bounds surviving the -1 encoding — and all-unbounded
+// bounds to ship every object but the query.
 func TestShardPhasesRoundTrip(t *testing.T) {
 	store := testStore(t, 80)
 	addr := startTCPServer(t, store, Options{})
@@ -177,12 +177,12 @@ func TestShardPhasesRoundTrip(t *testing.T) {
 		}
 	}
 
-	all, err := cli.AllTrajectories()
+	all, _, err := cli.ShardSurvivors(q, 0, 30, unbounded(q, 0, 30), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != store.Len() {
-		t.Fatalf("all phase shipped %d trajectories, want %d", len(all), store.Len())
+	if len(all) != store.Len()-1 {
+		t.Fatalf("all-unbounded survivors phase shipped %d trajectories, want %d", len(all), store.Len()-1)
 	}
 
 	// An expired deadline fails the sweep with a context error instead of

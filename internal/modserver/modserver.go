@@ -48,7 +48,6 @@
 //	{"op":"query","phase":"survivors","oid":1,
 //	 "vb":"...","tb":0,"te":60,"bounds":[...]}     → {"ok":true,"more":true,"trajs":[{"oid":2,"vb":"..."},...]}*
 //	                                                 {"ok":true,"trajs":[last chunk],"stats":{...}}
-//	{"op":"query","phase":"all"}                   → same streamed framing, no stats
 //	{"op":"query","phase":"oids"}                  → {"ok":true,"oids":[...]}
 //	{"op":"query","phase":"refine","gather_id":"g",
 //	 "oids":[own...],"request":{...}}              → {"ok":true,"answer":{...}} or
@@ -59,8 +58,7 @@
 //	 "trajs":[last chunk],"oids":[own...],
 //	 "request":{...}}                              → {"ok":true,"answer":{...}} (caches + refines)
 //
-// The survivors and all phases stream their trajectory sets as incremental
-// frames — each line stays within the server's request-line cap (advertised
+// The survivors phase streams its trajectory set as incremental frames — each line stays within the server's request-line cap (advertised
 // as max_line on the spec reply), so one giant gather can no longer demand
 // an unbounded write buffer; intermediate frames carry "more":true and the
 // final frame carries the stats. The gather/refine pair is the distributed
@@ -270,9 +268,8 @@ type Request struct {
 	// evaluates Requests; "bounds" and "survivors" are the two-phase NN
 	// bound exchange (OID/Verts carry the query trajectory, Tb/Te the
 	// window, K the rank; Bounds the imposed global bounds for the
-	// survivors phase); "oids" lists the stored OIDs; "all" returns every
-	// stored trajectory; "gather" uploads a union survivor store in
-	// incremental frames and "refine" evaluates a restricted whole-MOD
+	// survivors phase); "oids" lists the stored OIDs; "gather" uploads a
+	// union survivor store in incremental frames and "refine" evaluates a restricted whole-MOD
 	// filter against it (the distributed-refine protocol).
 	Phase  string    `json:"phase,omitempty"`
 	Tb     float64   `json:"tb,omitempty"`
@@ -348,7 +345,7 @@ type Response struct {
 	Code string `json:"code,omitempty"`
 	// Bounds answers the "bounds" phase (+Inf encoded as -1).
 	Bounds []float64 `json:"bounds,omitempty"`
-	// Trajs answers the "survivors" and "all" phases, one chunk per frame.
+	// Trajs answers the "survivors" phase, one chunk per frame.
 	Trajs []WireTraj `json:"trajs,omitempty"`
 	// More marks a non-final frame of a streamed reply: Trajs carries one
 	// chunk and the final frame (More absent) carries the last chunk plus
@@ -722,10 +719,10 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			s.accumGather(req, cs)
 			continue
-		} else if req.Op == "query" && (req.Phase == "survivors" || req.Phase == "all") {
+		} else if req.Op == "query" && req.Phase == "survivors" {
 			// Streamed replies write their own frames; a mid-stream write
 			// failure closes the connection (the stream cannot resync).
-			if !s.streamPhase(req, cs) {
+			if !s.streamSurvivors(req, cs) {
 				return
 			}
 			continue
@@ -845,8 +842,8 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 		case "refine":
 			return s.doRefine(req, cs)
 		default:
-			// "survivors" and "all" stream from the handler loop and never
-			// reach dispatch.
+			// "survivors" streams from the handler loop and never reaches
+			// dispatch.
 			return Response{Error: fmt.Sprintf("unknown query phase %q", req.Phase)}
 		}
 	default:
@@ -1321,17 +1318,6 @@ func (c *Client) ShardSurvivors(q *trajectory.Trajectory, tb, te float64, bounds
 		stats = *resp.Stats
 	}
 	return trs, stats, nil
-}
-
-// AllTrajectories downloads every stored trajectory (the cluster gather
-// path for all-pairs and reverse kinds), reassembled from the server's
-// frame stream.
-func (c *Client) AllTrajectories() ([]*trajectory.Trajectory, error) {
-	resp, err := c.roundTripStream(Request{Op: "query", Phase: "all"})
-	if err != nil {
-		return nil, err
-	}
-	return decodeTrajs(resp.Trajs)
 }
 
 // Ingest applies a live update batch remotely (the mod.ApplyUpdates

@@ -74,59 +74,42 @@ func chunkTrajs(wts []WireTraj, budget int) [][]WireTraj {
 	return append(out, cur)
 }
 
-// streamPhase evaluates the survivors/all phases and streams the reply.
-// It reports false when a write failed and the connection must close (a
-// half-sent stream cannot be resynchronized); error outcomes are ordinary
-// single-line replies.
-func (s *Server) streamPhase(req Request, cs *connState) bool {
-	var (
-		trajs []WireTraj
-		stats *prune.Stats
-	)
-	switch req.Phase {
-	case "survivors":
-		q, err := wireQuery(req)
-		if err != nil {
-			return cs.send(codedFail(err)) == nil
-		}
-		if err := req.Where.Validate(); err != nil {
-			return cs.send(Response{Error: err.Error()}) == nil
-		}
-		ctx, cancel := phaseCtx(req)
-		trs, st, serr := prune.SurvivorsWithBoundsWhere(ctx, s.store, q, req.Tb, req.Te, decodeBounds(req.Bounds), req.Where)
-		cancel()
-		if serr != nil {
-			return cs.send(codedFail(serr)) == nil
-		}
-		trajs, stats = encodeTrajs(trs), &st
-	case "all":
-		trajs = encodeTrajs(s.store.All())
-	default:
-		return cs.send(Response{Error: fmt.Sprintf("unknown stream phase %q", req.Phase)}) == nil
+// streamSurvivors evaluates the survivors phase and ships the set as
+// incremental frames sized to the server's own line cap, so one reply
+// never needs an encode buffer larger than a request line. A set that
+// fits one frame goes as a classic single-line reply (no write deadline —
+// the pre-streaming behavior); multi-frame streams apply the write
+// deadline per frame (sendEvent), so a reader that stalls mid-stream is
+// severed at the next frame instead of pinning the connection goroutine on
+// a full TCP buffer. It reports false when a write failed and the
+// connection must close (a half-sent stream cannot be resynchronized);
+// error outcomes are ordinary single-line replies.
+func (s *Server) streamSurvivors(req Request, cs *connState) bool {
+	q, err := wireQuery(req)
+	if err != nil {
+		return cs.send(codedFail(err)) == nil
 	}
-	return s.streamTrajs(cs, trajs, stats)
-}
-
-// streamTrajs ships a trajectory set as incremental frames sized to the
-// server's own line cap, so one reply never needs an encode buffer larger
-// than a request line. A set that fits one frame goes as a classic
-// single-line reply (no write deadline — the pre-streaming behavior);
-// multi-frame streams apply the write deadline per frame (sendEvent), so a
-// reader that stalls mid-stream is severed at the next frame instead of
-// pinning the connection goroutine on a full TCP buffer.
-func (s *Server) streamTrajs(cs *connState, trajs []WireTraj, stats *prune.Stats) bool {
+	if err := req.Where.Validate(); err != nil {
+		return cs.send(Response{Error: err.Error()}) == nil
+	}
+	ctx, cancel := phaseCtx(req)
+	trs, st, err := prune.SurvivorsWithBoundsWhere(ctx, s.store, q, req.Tb, req.Te, decodeBounds(req.Bounds), req.Where)
+	cancel()
+	if err != nil {
+		return cs.send(codedFail(err)) == nil
+	}
 	// 256: the reply line's fixed keys, the final frame's stats, the newline.
-	frames := chunkTrajs(trajs, s.maxLine-256)
+	frames := chunkTrajs(encodeTrajs(trs), s.maxLine-256)
 	last := len(frames) - 1
 	if last == 0 {
-		return cs.send(Response{OK: true, Trajs: frames[0], Stats: stats}) == nil
+		return cs.send(Response{OK: true, Trajs: frames[0], Stats: &st}) == nil
 	}
 	for _, chunk := range frames[:last] {
 		if cs.sendEvent(Response{OK: true, More: true, Trajs: chunk}) != nil {
 			return false
 		}
 	}
-	return cs.sendEvent(Response{OK: true, Trajs: frames[last], Stats: stats}) == nil
+	return cs.sendEvent(Response{OK: true, Trajs: frames[last], Stats: &st}) == nil
 }
 
 // gatherAccum is one in-flight gather upload: accumulated chunks, their

@@ -11,7 +11,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
+	"math"
 	"net"
 	"slices"
 	"testing"
@@ -19,11 +19,37 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/mod"
+	"repro/internal/prune"
+	"repro/internal/serve"
 	"repro/internal/trajectory"
 )
 
-// TestStreamedAllChunked: under a tiny line cap the all phase splits into
-// many frames; the client reassembles the full trajectory set.
+// unbounded is the survivors phase's keep-everything bounds for q over
+// [tb, te]: +Inf (-1 on the wire) on every slice.
+func unbounded(q *trajectory.Trajectory, tb, te float64) []float64 {
+	bs := make([]float64, len(prune.SliceCuts(q, tb, te))-1)
+	for i := range bs {
+		bs[i] = math.Inf(1)
+	}
+	return bs
+}
+
+// survivorsLine is the raw request line of a survivors phase over [0, 30]
+// for the store's first object with all-unbounded bounds: a stream of
+// every other object, the reply the framing tests cut into frames.
+func survivorsLine(t *testing.T, store *mod.Store) []byte {
+	t.Helper()
+	q := store.All()[0]
+	line, err := json.Marshal(Request{Op: "query", Phase: "survivors", OID: q.OID, VB: serve.PackVerts(q.Verts), Tb: 0, Te: 30, Bounds: encodeBounds(unbounded(q, 0, 30))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(line, '\n')
+}
+
+// TestStreamedAllChunked: under a tiny line cap a survivors phase with
+// all-unbounded bounds splits into many frames; the client reassembles
+// every object but the query.
 func TestStreamedAllChunked(t *testing.T) {
 	store := testStore(t, 60)
 	addr := startTCPServer(t, store, Options{MaxLineBytes: 4096})
@@ -32,7 +58,8 @@ func TestStreamedAllChunked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	trs, err := c.AllTrajectories()
+	q := store.All()[0]
+	trs, _, err := c.ShardSurvivors(q, 0, 30, unbounded(q, 0, 30), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +68,7 @@ func TestStreamedAllChunked(t *testing.T) {
 		got = append(got, tr.OID)
 	}
 	slices.Sort(got)
-	if want := store.OIDs(); !slices.Equal(got, want) {
+	if want := store.OIDs()[1:]; !slices.Equal(got, want) {
 		t.Fatalf("reassembled %d OIDs, want %d", len(got), len(want))
 	}
 }
@@ -58,7 +85,7 @@ func TestStreamFraming(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, "{\"op\":\"query\",\"phase\":\"all\"}\n"); err != nil {
+	if _, err := conn.Write(survivorsLine(t, store)); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(conn)
@@ -108,8 +135,9 @@ func pipeServer(t *testing.T, store *mod.Store, o Options) (net.Conn, chan struc
 // TestStreamMidDisconnect: a client that vanishes mid-stream unwinds the
 // handler promptly instead of leaking it.
 func TestStreamMidDisconnect(t *testing.T) {
-	cli, done := pipeServer(t, testStore(t, 60), Options{MaxLineBytes: 2048, WriteTimeout: 200 * time.Millisecond})
-	if _, err := cli.Write([]byte("{\"op\":\"query\",\"phase\":\"all\"}\n")); err != nil {
+	store := testStore(t, 60)
+	cli, done := pipeServer(t, store, Options{MaxLineBytes: 2048, WriteTimeout: 200 * time.Millisecond})
+	if _, err := cli.Write(survivorsLine(t, store)); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(cli)
@@ -128,8 +156,9 @@ func TestStreamMidDisconnect(t *testing.T) {
 // then stalls is severed by the per-frame write deadline — a streamed
 // reply cannot pin the connection goroutine behind a full buffer.
 func TestStreamSlowReaderSevered(t *testing.T) {
-	cli, done := pipeServer(t, testStore(t, 60), Options{MaxLineBytes: 2048, WriteTimeout: 150 * time.Millisecond})
-	if _, err := cli.Write([]byte("{\"op\":\"query\",\"phase\":\"all\"}\n")); err != nil {
+	store := testStore(t, 60)
+	cli, done := pipeServer(t, store, Options{MaxLineBytes: 2048, WriteTimeout: 150 * time.Millisecond})
+	if _, err := cli.Write(survivorsLine(t, store)); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(cli)
