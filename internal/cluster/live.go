@@ -248,6 +248,13 @@ func (b routerBackend) Evaluate(ctx context.Context, req engine.Request) (engine
 
 func (b routerBackend) Radius() float64 { return b.r.spec.R }
 
+// ForEachIndex lends the hub the inner engine's worker pool: a batch's
+// dirty subscriptions run their exchanges side by side on it (dispatch
+// keeps its state per call).
+func (b routerBackend) ForEachIndex(ctx context.Context, n int, fn func(i int) error) error {
+	return b.r.inner.ForEachIndex(ctx, n, fn)
+}
+
 // NewRouterHub mounts a continuous-query hub on the router: Subscribe
 // registers standing requests evaluated through the sharded bound
 // exchange, Ingest routes updates to the owning shards and re-evaluates

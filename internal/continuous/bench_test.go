@@ -2,11 +2,13 @@ package continuous
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/prune"
+	"repro/internal/simtest"
 )
 
 // BenchmarkHubIngestStanding is the per-layer view of the standing_churn
@@ -15,10 +17,12 @@ import (
 // standing questions of the four standing_churn kinds, batches of ~7
 // updates (4 revisions, a tag flip, a retirement, the re-entries) through
 // NewEngineHub. One iteration is one Hub.Ingest; the script is generated
-// outside the timer and replayed on a fresh hub whenever it runs out.
-// Beside ns/op and B/op it reports how many evaluations a batch caused and
-// how many of those continued the maintained answer, and — as
-// rebuilt_<cause>/batch — what each from-scratch evaluation was owed to.
+// outside the timer and replayed on a fresh hub whenever it runs out. The
+// sub-benchmarks replay one script on an engine of 1 worker (the serial
+// hub) and of 2 (dirty groups side by side). Beside ns/op and B/op they
+// report how many evaluations a batch caused and how many of those
+// continued the maintained answer, and — as rebuilt_<cause>/batch — what
+// each from-scratch evaluation was owed to.
 func BenchmarkHubIngestStanding(b *testing.B) {
 	const n, questions, batches = 2000, 24, 150
 	w, reqs := standingWorld(b, n, questions, batches)
@@ -30,6 +34,15 @@ func BenchmarkHubIngestStanding(b *testing.B) {
 		}
 		script[i] = batch
 	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchHubIngest(b, w, reqs, script, workers)
+		})
+	}
+}
+
+func benchHubIngest(b *testing.B, w *simtest.World, reqs []engine.Request, script [][]mod.Update, workers int) {
+	batches := len(script)
 	ctx := context.Background()
 	var (
 		hub   *Hub
@@ -43,7 +56,7 @@ func BenchmarkHubIngestStanding(b *testing.B) {
 		}
 		s := hub.Stats()
 		stats.Evals, stats.Patched, stats.Rebuilt, stats.Skips = stats.Evals+s.Evals, stats.Patched+s.Patched, stats.Rebuilt+s.Rebuilt, stats.Skips+s.Skips
-		for v, c := range be.verdicts {
+		for v, c := range be.verdictCounts() {
 			why[v] += c
 		}
 	}
@@ -57,7 +70,7 @@ func BenchmarkHubIngestStanding(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			be = &engineBackend{store: st, eng: engine.New(2)}
+			be = &engineBackend{store: st, eng: engine.New(workers)}
 			hub = New(be)
 			for _, req := range reqs {
 				if _, _, err := hub.Subscribe(ctx, req); err != nil {

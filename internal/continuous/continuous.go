@@ -78,6 +78,16 @@
 // dirty is decided exactly as it always was; Stats.Patched and
 // Stats.Rebuilt say which way each evaluation went.
 //
+// A batch's dirty groups are evaluated side by side on the backend's own
+// worker pool (engine.Engine.ForEachIndex; a cluster router lends its inner
+// engine's), one task per engine memo key — the groups that share a query,
+// a window and a predicate run in ID order inside one task, so each key
+// sees the same install-then-hit sequence as a serial run. Events, stats
+// and profiles are assembled afterwards in subscription-ID order, so the
+// event stream, its Explain provenance (wall times and pool size aside) and
+// the counters are identical to those of a hub over engine.New(1), which
+// is the serial hub.
+//
 // The deterministic simulation harness (internal/simtest) pins the
 // outcome: after every ingest step, every live answer must equal a fresh
 // engine run on a snapshot. This package's differential tests pin the
@@ -92,11 +102,13 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/prune"
+	"repro/internal/queries"
 	"repro/internal/trajectory"
 )
 
@@ -165,6 +177,16 @@ type Backend interface {
 // evaluated from scratch on every dirty batch.
 type reviser interface {
 	Revise(ctx context.Context, req engine.Request, last *Profile, applied []mod.Applied) (res engine.Result, prof *Profile, patched bool, err error)
+}
+
+// workerPool is the other optional half of a Backend: one whose
+// evaluations may run side by side lends the hub its worker pool, with
+// engine.Engine.ForEachIndex's contract (fn(0..n-1), the context checked
+// before every task, the first error wins and skips the tasks not yet
+// started). Ingest runs a batch's dirty groups on it; a backend without
+// the method evaluates them one after another.
+type workerPool interface {
+	ForEachIndex(ctx context.Context, n int, fn func(i int) error) error
 }
 
 // Profile is a subscription's zone fingerprint from its last evaluation —
@@ -316,9 +338,11 @@ func (s *sub) remember(ev Event, cap int) {
 
 // Hub owns the standing subscriptions over one backend. All methods are
 // safe for concurrent use; Ingest batches are serialized, so events are
-// totally ordered per subscription. Every mutation of the underlying data
-// must flow through Ingest — the dirty test's profiles describe the data
-// as of the last evaluation.
+// totally ordered per subscription. Inside a batch the dirty groups
+// evaluate side by side on the backend's worker pool, and the events,
+// stats and profiles are assembled in subscription-ID order. Every
+// mutation of the underlying data must flow through Ingest — the dirty
+// test's profiles describe the data as of the last evaluation.
 type Hub struct {
 	be         Backend
 	backlogCap int
@@ -495,28 +519,42 @@ func (h *Hub) Close() {
 
 // groupOutcome is one request group's verdict for one ingest batch: the
 // shared dirty decision and, when dirty, the single evaluation every
-// member's refresh is served from.
+// member's refresh is served from. req and rep are the evaluation's inputs
+// (the first-seen member's request and the member whose profile proved
+// the group dirty, nil when none holds one); ran, patched and the result
+// fields are written by the evaluation, served by the assembly.
 type groupOutcome struct {
-	dirty bool
-	res   engine.Result
-	prof  *Profile
-	err   error
+	dirty   bool
+	req     engine.Request
+	rep     *sub
+	ran     bool
+	patched bool
+	res     engine.Result
+	prof    *Profile
+	err     error
+	served  bool
 }
 
 // Ingest applies one update batch and re-evaluates the affected
-// subscriptions in ID order, returning the per-update outcomes and the
-// diff events (empty when no answer changed). Subscriptions standing on
-// the identical request share one dirty test and one evaluation per
-// batch (their answers are byte-identical at every data version), so a
-// thousand subscribers to the same query cost one engine pass. On an
-// apply error the updates applied so far stand, every profile is
-// invalidated (the data moved under the profiles), and the error is
-// returned with no events. On a context error mid re-evaluation the
-// events emitted so far are returned with the error; affected
-// subscriptions keep stale answers but lose their profiles, so the next
-// ingest re-evaluates them. A subscription whose query or target object
-// was retired flips its standing answer to the ErrUnknownOID result — the
-// same answer a fresh query for the OID would get.
+// subscriptions, returning the per-update outcomes and the diff events
+// (empty when no answer changed) in subscription-ID order. Subscriptions
+// standing on the identical request share one dirty test and one
+// evaluation per batch (their answers are byte-identical at every data
+// version), so a thousand subscribers to the same query cost one engine
+// pass. The batch runs in three passes under the hub's lock: the dirty
+// tests, in ID order against the pre-batch profiles; the dirty groups'
+// evaluations, side by side on the backend's worker pool when it has one;
+// and the assembly — diffs, events, stats and profiles — in ID order, so
+// the events are those of a one-group-at-a-time run. On an apply
+// error the updates applied so far stand, every profile is invalidated
+// (the data moved under the profiles), and the error is returned with no
+// events. On a context error the events of the subscriptions before the
+// first group left unevaluated are returned with the error; that
+// subscription and every later one keep their stale answers but lose
+// their profiles, so the next ingest re-evaluates them. A subscription
+// whose query or target object was retired flips its standing answer to
+// the ErrUnknownOID result — the same answer a fresh query for the OID
+// would get.
 func (h *Hub) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, []Event, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -546,38 +584,56 @@ func (h *Hub) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, 
 	for i, a := range applied {
 		boxes[i] = changedBox(a)
 	}
-	var events []Event
 	outcomes := make(map[string]*groupOutcome)
-	for i, id := range ids {
+	var pending []*groupOutcome // the dirty groups, in first-seen order
+	for _, id := range ids {
 		s := h.subs[id]
-		out, seen := outcomes[s.key]
-		if !seen {
-			out = &groupOutcome{}
-			outcomes[s.key] = out
-			// Any member holding a zone profile can prove the whole group
-			// clean: the profile pinned the shared answer through every
-			// batch since it was derived. A group with no profiled member
-			// must evaluate.
-			if rep := h.groups[s.key].anyProfiled(); rep == nil || dirty(rep, applied, boxes, r) {
-				out.dirty = true
-				h.reevaluateLocked(ctx, out, s.req, rep, applied)
+		if _, seen := outcomes[s.key]; seen {
+			continue
+		}
+		out := &groupOutcome{}
+		outcomes[s.key] = out
+		// Any member holding a zone profile can prove the whole group
+		// clean: the profile pinned the shared answer through every batch
+		// since it was derived. A group with no profiled member must
+		// evaluate.
+		if rep := h.groups[s.key].anyProfiled(); rep == nil || dirty(rep, applied, boxes, r) {
+			out.dirty, out.req, out.rep = true, s.req, rep
+			pending = append(pending, out)
+		}
+	}
+	h.evaluate(ctx, pending, applied)
+	for _, out := range pending {
+		if out.ran {
+			h.stats.Evals++
+			if out.patched {
+				h.stats.Patched++
+			} else {
+				h.stats.Rebuilt++
 			}
 		}
+	}
+	var events []Event
+	for i, id := range ids {
+		s := h.subs[id]
+		out := outcomes[s.key]
 		if !out.dirty {
 			h.stats.Skips++
 			continue
 		}
-		if seen {
+		if out.served {
 			h.stats.Shared++
 		}
+		out.served = true
 		if out.err != nil {
 			s.prof = nil
-			if errors.Is(out.err, context.Canceled) || errors.Is(out.err, context.DeadlineExceeded) {
-				// The batch is already applied but the remaining
-				// subscriptions were never dirty-tested against it: their
-				// profiles describe pre-batch data, so drop them — the
-				// next ingest re-evaluates instead of trusting a stale
-				// fingerprint into a forever-stale answer.
+			if isCtxErr(out.err) {
+				// The batch is already applied but this group was never
+				// evaluated against it, and the assembly stops here: the
+				// remaining subscriptions' profiles describe pre-batch
+				// data, so drop them — the next ingest re-evaluates
+				// instead of trusting a stale fingerprint into a
+				// forever-stale answer.
 				for _, rest := range ids[i+1:] {
 					h.subs[rest].prof = nil
 				}
@@ -618,25 +674,99 @@ func (h *Hub) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, 
 	return applied, events, nil
 }
 
-// reevaluateLocked runs a dirty group's one evaluation for this batch: from
-// the representative's profile where the backend can continue one, from
-// scratch otherwise. Caller holds h.mu.
-func (h *Hub) reevaluateLocked(ctx context.Context, out *groupOutcome, req engine.Request, rep *sub, applied []mod.Applied) {
-	h.stats.Evals++
-	patched := false
+// memoKey is what two requests must share to evaluate on one engine memo
+// entry: query object, window and canonical predicate.
+type memoKey struct {
+	qOID   int64
+	tb, te float64
+	where  string
+}
+
+func memoKeyOf(req engine.Request) memoKey {
+	return memoKey{req.QueryOID, req.Tb, req.Te, req.Where.Canon().Key()}
+}
+
+// evaluate is Ingest's second pass: it runs every dirty group's one
+// evaluation for this batch. Groups on one memo key form one task and run
+// in first-seen order, so each key sees the same Revise-install → Do
+// sequence (and the same memo hits, seeds and verdicts) as a run of one
+// group at a time; the tasks run side by side on the backend's worker
+// pool. The workers touch only their own outcomes and the read-only
+// profiles and batch; the hub's counters and tables wait for the
+// assembly. A context error stops the pass, and every group it left
+// unevaluated carries that error.
+func (h *Hub) evaluate(ctx context.Context, pending []*groupOutcome, applied []mod.Applied) {
+	var tasks [][]*groupOutcome
+	byKey := make(map[memoKey]int)
+	for _, out := range pending {
+		k := memoKeyOf(out.req)
+		i, ok := byKey[k]
+		if !ok {
+			i = len(tasks)
+			byKey[k] = i
+			tasks = append(tasks, nil)
+		}
+		tasks[i] = append(tasks[i], out)
+	}
+	each := forEachSerial
+	if p, ok := h.be.(workerPool); ok {
+		each = p.ForEachIndex
+	}
+	err := each(ctx, len(tasks), func(i int) error {
+		for j, out := range tasks[i] {
+			if j > 0 {
+				if err := queries.CtxErr(ctx); err != nil {
+					return err
+				}
+			}
+			out.ran = true
+			h.reevaluate(ctx, out, applied)
+			if isCtxErr(out.err) {
+				return out.err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		for _, out := range pending {
+			if !out.ran {
+				out.err = err
+			}
+		}
+	}
+}
+
+// forEachSerial is the worker pool of a backend that has none: fn(0..n-1)
+// one after another, with ForEachIndex's checkpoint before every task.
+func forEachSerial(ctx context.Context, n int, fn func(i int) error) error {
+	for i := 0; i < n; i++ {
+		if err := queries.CtxErr(ctx); err != nil {
+			return err
+		}
+		if err := fn(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// reevaluate runs a dirty group's one evaluation for this batch: from the
+// representative's profile where the backend can continue one, from
+// scratch otherwise. It writes only the outcome, so groups on distinct
+// memo keys may run it side by side.
+func (h *Hub) reevaluate(ctx context.Context, out *groupOutcome, applied []mod.Applied) {
 	if rv, ok := h.be.(reviser); ok {
 		var last *Profile
-		if rep != nil {
-			last = rep.prof
+		if out.rep != nil {
+			last = out.rep.prof
 		}
-		out.res, out.prof, patched, out.err = rv.Revise(ctx, req, last, applied)
+		out.res, out.prof, out.patched, out.err = rv.Revise(ctx, out.req, last, applied)
 	} else {
-		out.res, out.prof, out.err = h.be.Evaluate(ctx, req)
-	}
-	if patched {
-		h.stats.Patched++
-	} else {
-		h.stats.Rebuilt++
+		out.res, out.prof, out.err = h.be.Evaluate(ctx, out.req)
 	}
 	out.prof = out.prof.finish()
 }
@@ -847,9 +977,24 @@ type engineBackend struct {
 	store *mod.Store
 	eng   *engine.Engine
 	// verdicts counts what became of each dirty evaluation's seed, by
-	// prune.Verdict. Written under the hub's lock; read by tests and
-	// benchmarks to attribute every from-scratch evaluation to its cause.
-	verdicts [prune.Verdicts]uint64
+	// prune.Verdict. The hub's evaluations write it side by side; tests and
+	// benchmarks read it (verdictCounts) to attribute every from-scratch
+	// evaluation to its cause.
+	verdicts [prune.Verdicts]atomic.Uint64
+}
+
+// verdictCounts returns the verdicts counted so far.
+func (b *engineBackend) verdictCounts() (out [prune.Verdicts]uint64) {
+	for v := range out {
+		out[v] = b.verdicts[v].Load()
+	}
+	return out
+}
+
+// ForEachIndex lends the hub the engine's worker pool: a batch's dirty
+// groups evaluate side by side on it, and engine.New(1) is the serial hub.
+func (b *engineBackend) ForEachIndex(ctx context.Context, n int, fn func(i int) error) error {
+	return b.eng.ForEachIndex(ctx, n, fn)
 }
 
 func (b *engineBackend) Apply(_ context.Context, updates []mod.Update) ([]mod.Applied, error) {
@@ -890,7 +1035,7 @@ func (b *engineBackend) Revise(ctx context.Context, req engine.Request, last *Pr
 	if last != nil && req.Kind.NeedsProcessor() {
 		verdict = b.eng.Revise(ctx, b.store, req, last.seed, applied)
 	}
-	b.verdicts[verdict]++
+	b.verdicts[verdict].Add(1)
 	res, prof, err := b.Evaluate(ctx, req)
 	return res, prof, verdict == prune.Patched, err
 }

@@ -228,19 +228,21 @@ func (tw *twin) mustHaveDoneBoth() Stats {
 		tw.t.Fatalf("the scratch hub patched: %+v", scratch)
 	}
 	var sum uint64
-	for _, n := range tw.be.verdicts {
+	verdicts := tw.be.verdictCounts()
+	for _, n := range verdicts {
 		sum += n
 	}
-	if sum != s.Evals || tw.be.verdicts[prune.Patched] != s.Patched {
-		tw.t.Fatalf("verdicts %v do not account for %+v", tw.be.verdicts, s)
+	if sum != s.Evals || verdicts[prune.Patched] != s.Patched {
+		tw.t.Fatalf("verdicts %v do not account for %+v", verdicts, s)
 	}
 	return s
 }
 
 // verdictsSince returns the per-verdict counts accumulated since before.
 func (tw *twin) verdictsSince(before [prune.Verdicts]uint64) (d [prune.Verdicts]uint64) {
+	now := tw.be.verdictCounts()
 	for i := range d {
-		d[i] = tw.be.verdicts[i] - before[i]
+		d[i] = now[i] - before[i]
 	}
 	return d
 }
@@ -395,7 +397,7 @@ func TestPatchRuleNamedCases(t *testing.T) {
 	)
 	step := func(name string, batch []mod.Update, want map[prune.Verdict]uint64) {
 		t.Helper()
-		before := tw.be.verdicts
+		before := tw.be.verdictCounts()
 		tw.ingest(batch)
 		got := tw.verdictsSince(before)
 		for v := prune.Verdict(0); v < prune.Verdicts; v++ {
@@ -524,7 +526,7 @@ func TestDifferentialStandingChurn(t *testing.T) {
 	if 2*s.Patched < s.Evals {
 		t.Fatalf("patched %d of %d evaluations: the rule should carry most of this world", s.Patched, s.Evals)
 	}
-	t.Logf("stats %+v, verdicts %v by %v", s, tw.be.verdicts, verdictNames())
+	t.Logf("stats %+v, verdicts %v by %v", s, tw.be.verdictCounts(), verdictNames())
 }
 
 // TestEnumeratedAnswersFollowMembership: a UQ33/UQ43 whose fraction

@@ -101,8 +101,12 @@ type Store struct {
 	// view and tagView cache the sorted snapshot (All, OIDs) and the tag-map
 	// copy (AllWithTags) of the current version: built by the first reader
 	// after a mutation, shared by every reader until the version moves.
+	// viewMu serializes the builds, so readers racing on a new version get
+	// one copy between them; it is taken under mu, and a reader that finds
+	// the current version loaded takes neither.
 	view    atomic.Pointer[View]
 	tagView atomic.Pointer[tagView]
+	viewMu  sync.Mutex
 
 	// Cached segment R-tree, valid for store version idxVersion. An
 	// update batch (live.go) chains it forward in one copy-on-write step;
@@ -229,10 +233,15 @@ func (s *Store) View() *View {
 	return s.viewLocked()
 }
 
-// viewLocked is View for callers that hold s.mu (either mode). Readers
-// racing to build all build the same version — writers are excluded — so
-// whichever store lands last is as good as the others.
+// viewLocked is View for callers that hold s.mu (either mode). The first
+// reader of a version builds it under s.viewMu; readers that raced it
+// there find it built.
 func (s *Store) viewLocked() *View {
+	if v := s.view.Load(); v != nil && v.Version == s.version {
+		return v
+	}
+	s.viewMu.Lock()
+	defer s.viewMu.Unlock()
 	if v := s.view.Load(); v != nil && v.Version == s.version {
 		return v
 	}

@@ -78,11 +78,15 @@ func (s *Store) AllWithTags() ([]*trajectory.Trajectory, map[int64][]string, uin
 	v := s.viewLocked()
 	tv := s.tagView.Load()
 	if tv == nil || tv.version != s.version {
-		tv = &tagView{version: s.version, tags: make(map[int64][]string, len(s.tags))}
-		for oid, ts := range s.tags {
-			tv.tags[oid] = ts
+		s.viewMu.Lock()
+		if tv = s.tagView.Load(); tv == nil || tv.version != s.version {
+			tv = &tagView{version: s.version, tags: make(map[int64][]string, len(s.tags))}
+			for oid, ts := range s.tags {
+				tv.tags[oid] = ts
+			}
+			s.tagView.Store(tv)
 		}
-		s.tagView.Store(tv)
+		s.viewMu.Unlock()
 	}
 	return v.Trajs, tv.tags, v.Version
 }

@@ -140,3 +140,46 @@ func TestViewUnderConcurrentUpdates(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestViewBuiltOncePerVersion (run it with -race): readers that race on a
+// new version all get the one View built for it, and the one tag-map copy.
+func TestViewBuiltOncePerVersion(t *testing.T) {
+	st := viewStore(t, 400)
+	oid := st.OIDs()[0]
+	const readers = 8
+	for round := 0; round < 50; round++ {
+		if _, err := st.ApplyUpdates([]Update{{OID: oid, Verts: []trajectory.Vertex{{X: 1, Y: 1, T: 1e6 + float64(round)}}}}); err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg    sync.WaitGroup
+			start = make(chan struct{})
+			views [readers]*View
+			tags  [readers]map[int64][]string
+		)
+		for r := range readers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if r%2 == 0 {
+					views[r] = st.View()
+					_, tags[r], _ = st.AllWithTags()
+				} else {
+					_, tags[r], _ = st.AllWithTags()
+					views[r] = st.View()
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for r := 1; r < readers; r++ {
+			if views[r] != views[0] {
+				t.Fatalf("round %d: readers 0 and %d got two Views of version %d", round, r, views[0].Version)
+			}
+			if reflect.ValueOf(tags[r]).Pointer() != reflect.ValueOf(tags[0]).Pointer() {
+				t.Fatalf("round %d: readers 0 and %d got two tag-map copies", round, r)
+			}
+		}
+	}
+}
