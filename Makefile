@@ -70,7 +70,10 @@ bench:
 # BenchmarkApplyUpdatesTagged and BenchmarkBuildIndex in internal/mod,
 # BenchmarkKNN/bulk, BenchmarkKNN/chained (KNN on a tree chained through
 # Inserted) and BenchmarkInsertedBatch in internal/sindex,
-# BenchmarkShardFrameEncode/Decode in internal/modserver,
+# BenchmarkShardFrameEncode/Decode and BenchmarkAppliedReplyDecode (a
+# shard's reply to a 240-update batch, fast path vs encoding/json) in
+# internal/modserver, BenchmarkIngestBodyDecode (the same batch as a
+# POST /v1/ingest body) in internal/gateway,
 # BenchmarkRefineUnion in internal/engine (the router's central refine
 # of a gathered union), BenchmarkHubIngestStanding in
 # internal/continuous, BenchmarkProcessorVariants and
@@ -104,7 +107,8 @@ bench-city:
 # Brent's root finder and the IPAC-NN tree built on it, and the one query
 # route: the engine every Request runs on and the UQL compiler that feeds
 # it, the line protocol whose packed ingest reply is the only one that
-# carries plans, the probability kernels under every P > 0 request:
+# carries plans — the ones the router cannot splice back from its own
+# updates — the probability kernels under every P > 0 request:
 # Eq. 5's integrator and the location pdfs it integrates, and the motion
 # model and planar geometry every layer above stands on: the trajectory
 # codec and interpolation, and the disk/box kernels of the index and the

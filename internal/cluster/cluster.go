@@ -61,6 +61,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/prune"
+	"repro/internal/serve"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
 )
@@ -76,8 +77,8 @@ var (
 	// ErrNoRouter is returned by methods on a nil router.
 	ErrNoRouter = errors.New("cluster: nil router")
 	// ErrProtocol reports a shard reply that violates the bound-exchange
-	// contract (e.g. a bounds vector of the wrong length).
-	ErrProtocol = errors.New("cluster: shard protocol error")
+	// contract or contradicts the ingest batch it answers.
+	ErrProtocol = serve.ErrProtocol
 	// ErrShardUnavailable is the errors.Is sentinel of
 	// ShardUnavailableError: a shard could not be reached at all (dial
 	// refused, partitioned) as opposed to failing mid-conversation.

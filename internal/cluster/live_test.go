@@ -7,9 +7,12 @@ package cluster_test
 // shards.
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"net"
 	"reflect"
 	"testing"
 
@@ -17,6 +20,8 @@ import (
 	"repro/internal/continuous"
 	"repro/internal/engine"
 	"repro/internal/mod"
+	"repro/internal/modserver"
+	"repro/internal/serve"
 	"repro/internal/trajectory"
 )
 
@@ -193,6 +198,82 @@ func TestRouterHubRemoteGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	runLiveEquivalence(t, "remote-grid", router)
+}
+
+// TestRouterRemoteOutcomesParity: a router over remote shards returns
+// the outcomes a router over local shards does — every plan equal by
+// value, the ones no reply carries rebuilt from the updates the router
+// sent — and its hub reaches the same dirty verdicts (Stats equal) after
+// every batch of liveScript, a tag flip, a tagged revision and a
+// retirement. A shard reply whose changed_from disagrees with the splice
+// of its update is ErrProtocol.
+func TestRouterRemoteOutcomesParity(t *testing.T) {
+	ctx := context.Background()
+	local, err := cluster.NewLocalCluster(liveStore(t), 2, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := cluster.NewRouter(ctx, startShardServers(t, liveStore(t), 2, cluster.Hash{}, cluster.RemoteOptions{}), cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubs := []*continuous.Hub{cluster.NewRouterHub(local), cluster.NewRouterHub(remote)}
+	for _, h := range hubs {
+		for _, req := range liveRequests() {
+			if _, _, err := h.Subscribe(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tags := []string{"ev"}
+	tagged := rev(4, [3]float64{8, 60, 8}, [3]float64{10, 2, 10})
+	tagged.Tags = &tags
+	script := append(liveScript(), []mod.Update{{OID: 2, Tags: &tags}, tagged, {OID: 5, Retire: true}})
+	for step, batch := range script {
+		var outcomes [2][]mod.Applied
+		for i, h := range hubs {
+			if outcomes[i], _, err = h.Ingest(ctx, batch); err != nil {
+				t.Fatalf("step %d, hub %d: %v", step, i, err)
+			}
+		}
+		if !reflect.DeepEqual(outcomes[1], outcomes[0]) {
+			t.Fatalf("step %d: remote outcomes differ from local\n got %+v\nwant %+v", step, outcomes[1], outcomes[0])
+		}
+		if got, want := hubs[1].Stats(), hubs[0].Stats(); got != want {
+			t.Fatalf("step %d: remote hub stats %+v, local %+v", step, got, want)
+		}
+	}
+	if st := hubs[0].Stats(); st.Evals == 0 || st.Skips == 0 {
+		t.Fatalf("the script never split the verdicts: %+v", st)
+	}
+
+	// A shard that reports another changed_from than its update's splice.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	prev, err := liveStore(t).Get(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := bufio.NewReader(conn).ReadBytes('\n'); err != nil {
+			return
+		}
+		line, _ := json.Marshal(modserver.Response{OK: true, Applied: []modserver.WireApplied{{OID: 3, ChangedFrom: 4, PVB: serve.PackVerts(prev.Verts)}}})
+		_, _ = conn.Write(append(line, '\n'))
+	}()
+	doctored := cluster.NewRemoteShard("doctored", l.Addr().String())
+	t.Cleanup(func() { doctored.Close() })
+	if _, err := doctored.Ingest(ctx, liveScript()[0]); !errors.Is(err, cluster.ErrProtocol) {
+		t.Fatalf("a doctored changed_from: err = %v, want ErrProtocol", err)
+	}
 }
 
 func TestRouterIngestPlacement(t *testing.T) {

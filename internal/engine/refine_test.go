@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -66,6 +67,63 @@ func TestFullScanCancellationCheckpoints(t *testing.T) {
 			}
 			if late.calls != after {
 				t.Fatalf("%s checked its deadline %d times after it passed at check %d", name, late.calls, after)
+			}
+		}
+	}
+}
+
+// TestPerQueryObjectCancellationCheckpoints: the ALLPAIRS/REVERSE loop
+// checks its context once per query object, before the object's task, and
+// stops at the check that sees it — with a build that never checks ctx
+// itself, so every check counted is the loop's own.
+func TestPerQueryObjectCancellationCheckpoints(t *testing.T) {
+	store, qOID := newStore(t, 30, 7)
+	eng := New(1)
+	oids := store.OIDs()
+	procs := make(map[int64]*queries.Processor, len(oids))
+	for _, oid := range oids {
+		p, err := eng.ProcessorWhereCtx(context.Background(), store, oid, 0, 60, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs[oid] = p
+	}
+	build := func(_ context.Context, oid int64) (*queries.Processor, error) { return procs[oid], nil }
+	tags := func(int64) ([]string, error) { return nil, nil }
+	n := len(oids)
+	for _, req := range []Request{
+		{Kind: KindAllPairs, Tb: 0, Te: 60},
+		{Kind: KindReverse, OID: qOID, Tb: 0, Te: 60},
+	} {
+		full := &dyingCtx{Context: context.Background(), after: math.MaxInt}
+		got, err := eng.PerQueryObject(full, req, oids, tags, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.calls != n {
+			t.Fatalf("%s checked its context %d times, want one per query object (%d)", req.Kind, full.calls, n)
+		}
+		want, err := eng.Do(context.Background(), store, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.OIDs, want.OIDs) || !reflect.DeepEqual(got.Pairs, want.Pairs) {
+			t.Fatalf("%s over the stub builds answered %+v, Do %+v", req.Kind, got, want)
+		}
+		for _, after := range []int{1, 2, n / 2, n} {
+			ctx := &dyingCtx{Context: context.Background(), after: after}
+			if _, err := eng.PerQueryObject(ctx, req, oids, tags, build); err != context.Canceled {
+				t.Fatalf("%s dying at check %d: err = %v, want context.Canceled", req.Kind, after, err)
+			}
+			if ctx.calls != after {
+				t.Fatalf("%s checked its context %d times after a cancel at check %d", req.Kind, ctx.calls, after)
+			}
+			late := &lateTimerCtx{Context: context.Background(), after: after}
+			if _, err := eng.PerQueryObject(late, req, oids, tags, build); err != context.DeadlineExceeded {
+				t.Fatalf("%s with a deadline at check %d: err = %v, want context.DeadlineExceeded", req.Kind, after, err)
+			}
+			if late.calls != after {
+				t.Fatalf("%s checked its deadline %d times after it passed at check %d", req.Kind, late.calls, after)
 			}
 		}
 	}

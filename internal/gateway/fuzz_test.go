@@ -3,12 +3,18 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/mod"
+	"repro/internal/serve"
+	"repro/internal/simtest"
 )
 
 // FuzzGatewayBody feeds arbitrary bytes to POST /v1/ingest and POST
@@ -80,4 +86,126 @@ func FuzzGatewayBody(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzIngestBodyFastPath: on any bytes, serve.ParseIngestBody either
+// declines or reads what encoding/json reads — the same value, and the
+// same bytes when both are encoded again (which tells -0 from 0) — and
+// the ingest handler's decodeIngest answers what decodeBody does, value,
+// status and message, under a body cap the bytes fit and one they
+// overrun. The committed corpus holds the edges: exponents, -0, 1e309, a
+// 1.0 OID, escapes, case-variant and duplicate keys, null and empty
+// lists, 2- and 4-element vertices, whitespace and trailing bytes.
+func FuzzIngestBodyFastPath(f *testing.F) {
+	f.Add([]byte(`{"updates":[{"oid":3,"verts":[[1.5,-2,5],[3,4e-3,12]]},{"oid":3,"tags":["ev"]},{"oid":4,"retire":true}]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, limit := range []int64{int64(len(body)), int64(len(body) / 2)} {
+			capped := func() *http.Request {
+				r := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body))
+				r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, limit)
+				return r
+			}
+			var got, want ingestRequest
+			gerr, werr := decodeIngest(capped(), &got), decodeBody(capped().Body, &want)
+			gs, gc := errStatus(gerr)
+			ws, wc := errStatus(werr)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || gs != ws || gc != wc || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q capped at %d: decodeIngest = %+v, %v (%d %s); decodeBody = %+v, %v (%d %s)",
+					body, limit, got, gerr, gs, gc, want, werr, ws, wc)
+			}
+		}
+		updates, ok := serve.ParseIngestBody(body)
+		if !ok {
+			return
+		}
+		var want ingestRequest
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("the fast path read a body encoding/json refuses (%v): %q", err, body)
+		}
+		got := ingestRequest{Updates: updates}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("the fast path read %q as\n%+v\nencoding/json as\n%+v", body, got, want)
+		}
+		if g, w := mustJSON(t, got), mustJSON(t, want); !bytes.Equal(g, w) {
+			t.Fatalf("the fast path read %q as %s, encoding/json as %s", body, g, w)
+		}
+	})
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// wireBatch is one ingest batch shaped like the sharded_wire benchmark
+// workload's: 200 plan revisions and 40 tag flips over an N = 3 000 fleet.
+func wireBatch(tb testing.TB) []mod.Update {
+	w, err := simtest.NewWorld(simtest.Config{Seed: 2009, N: 3000, Held: 4, R: 0.5, Steps: 272, PerStep: 200})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ups, err := w.StepSized(200, 40, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ups
+}
+
+// BenchmarkIngestBodyDecode: reading a 240-update POST /v1/ingest body,
+// by the fast path and by the decodeBody it stands in for. B/op of
+// throughput is the body's size.
+func BenchmarkIngestBodyDecode(b *testing.B) {
+	ups := wireBatch(b)
+	wire := make([]serve.WireUpdate, len(ups))
+	for i, u := range ups {
+		wire[i] = serve.WireUpdate{OID: u.OID, Verts: serve.EncodeVerts(u.Verts), Tags: u.Tags}
+	}
+	body, err := json.Marshal(ingestRequest{Updates: wire})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("fast", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			if got, ok := serve.ParseIngestBody(body); !ok || len(got) != len(ups) {
+				b.Fatalf("declined (%t) or read %d updates", ok, len(got))
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(body)))
+		for b.Loop() {
+			var ir ingestRequest
+			if err := decodeBody(bytes.NewReader(body), &ir); err != nil || len(ir.Updates) != len(ups) {
+				b.Fatalf("%v, %d updates", err, len(ir.Updates))
+			}
+		}
+	})
+}
+
+// TestFloodedIngestBodyAllocs: an ingest body at the default cap made of
+// '{' after its list opens answers decodeBody's 400 for the cost of
+// reading it whole — io.ReadAll's growth, about five times its length —
+// and of the strict reader's slab, not for a list sized by its braces
+// (72 bytes each).
+func TestFloodedIngestBodyAllocs(t *testing.T) {
+	body := append([]byte(`{"updates":[`), bytes.Repeat([]byte(`{`), DefaultMaxBodyBytes-12)...)
+	r := httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body))
+	r.Body = http.MaxBytesReader(httptest.NewRecorder(), r.Body, DefaultMaxBodyBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var ir ingestRequest
+	err := decodeIngest(r, &ir)
+	runtime.ReadMemStats(&after)
+	if status, code := errStatus(err); status != http.StatusBadRequest || code != "bad_request" {
+		t.Fatalf("a '{' flood: %v (%d %s), want 400 bad_request", err, status, code)
+	}
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*len(body)); got > bound {
+		t.Fatalf("a %d-byte '{' flood allocated %d bytes, want <= %d", len(body), got, bound)
+	}
 }

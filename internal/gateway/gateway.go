@@ -33,10 +33,12 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -448,8 +450,8 @@ func (s *Server) reqCtx(r *http.Request, deadlineMS int64) (context.Context, con
 	return context.WithCancel(r.Context())
 }
 
-func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+func decodeBody(body io.Reader, v any) error {
+	if err := json.NewDecoder(body).Decode(v); err != nil {
 		if isMaxBytes(err) {
 			return err
 		}
@@ -460,7 +462,7 @@ func decodeBody(r *http.Request, v any) error {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var qr queryRequest
-	if err := decodeBody(r, &qr); err != nil {
+	if err := decodeBody(r.Body, &qr); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -477,7 +479,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var br batchRequest
-	if err := decodeBody(r, &br); err != nil {
+	if err := decodeBody(r.Body, &br); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -510,6 +512,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // ---- ingest ------------------------------------------------------------
 
+// decodeIngest is decodeBody without reflection when serve.ParseIngestBody
+// takes the whole body. A declined body goes to decodeBody as the same bytes
+// and then the same read error (a MaxBytesReader repeats it), so status and
+// message are decodeBody's on every input.
+func decodeIngest(r *http.Request, ir *ingestRequest) error {
+	body, err := io.ReadAll(r.Body)
+	if updates, ok := serve.ParseIngestBody(body); ok && err == nil {
+		ir.Updates = updates
+		return nil
+	}
+	return decodeBody(io.MultiReader(bytes.NewReader(body), r.Body), ir)
+}
+
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.core == nil {
 		writeError(w, fmt.Errorf("%w: no live hub", errUnsupported))
@@ -520,7 +535,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ir ingestRequest
-	if err := decodeBody(r, &ir); err != nil {
+	if err := decodeIngest(r, &ir); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -112,23 +112,15 @@ func checkVerts(oid int64, verts []trajectory.Vertex) error {
 	return nil
 }
 
-// extendLocked appends pre-validated verts to old. Caller holds s.mu,
-// guarantees verts[0].T > old's last vertex time, and commits the mutation
-// (commitLocked).
-func (s *Store) extendLocked(old *trajectory.Trajectory, verts []trajectory.Vertex) (nt *trajectory.Trajectory, changedFrom float64) {
-	changedFrom = old.Verts[len(old.Verts)-1].T
-	nv := make([]trajectory.Vertex, len(old.Verts), len(old.Verts)+len(verts))
-	copy(nv, old.Verts)
-	nv = append(nv, verts...)
-	nt = &trajectory.Trajectory{OID: old.OID, Verts: nv}
-	s.trajs[old.OID] = nt
-	s.segLive += len(verts)
-	return nt, changedFrom
-}
-
-// reviseLocked splices pre-validated verts onto old at verts[0].T. Caller
-// holds s.mu and commits the mutation (commitLocked).
-func (s *Store) reviseLocked(old *trajectory.Trajectory, verts []trajectory.Vertex) (nt *trajectory.Trajectory, changedFrom float64, err error) {
+// Splice is Update's revision rule, an extension included: old's vertices
+// at or after verts[0].T are dropped, verts (strictly increasing) spliced
+// on, and changedFrom is the last kept vertex's time. One that keeps no
+// vertex is ErrStaleVertex. The store applies updates with it and a
+// cluster router rebuilds a shard's revised plan with it, bit for bit.
+func Splice(old *trajectory.Trajectory, verts []trajectory.Vertex) (nt *trajectory.Trajectory, changedFrom float64, err error) {
+	if len(verts) == 0 {
+		return nil, 0, fmt.Errorf("%w: empty update for %d", ErrStaleVertex, old.OID)
+	}
 	keep := 0
 	for keep < len(old.Verts) && old.Verts[keep].T < verts[0].T {
 		keep++
@@ -136,14 +128,10 @@ func (s *Store) reviseLocked(old *trajectory.Trajectory, verts []trajectory.Vert
 	if keep == 0 {
 		return nil, 0, fmt.Errorf("%w: %d (revision at t=%g precedes the whole plan)", ErrStaleVertex, old.OID, verts[0].T)
 	}
-	changedFrom = old.Verts[keep-1].T
 	nv := make([]trajectory.Vertex, keep, keep+len(verts))
 	copy(nv, old.Verts[:keep])
 	nv = append(nv, verts...)
-	nt = &trajectory.Trajectory{OID: old.OID, Verts: nv}
-	s.trajs[old.OID] = nt
-	s.segLive += nt.NumSegments() - old.NumSegments()
-	return nt, changedFrom, nil
+	return &trajectory.Trajectory{OID: old.OID, Verts: nv}, old.Verts[keep-1].T, nil
 }
 
 // ApplyUpdates applies the batch in order as one step, stopping at the
@@ -225,20 +213,12 @@ func (s *Store) applyLocked(u Update) (Applied, step, error) {
 		}, s.commitLocked(tr, math.Inf(-1)), nil
 	}
 	prevTags := s.tags[u.OID]
-	var (
-		nt          *trajectory.Trajectory
-		changedFrom float64
-	)
-	if u.Verts[0].T > old.Verts[len(old.Verts)-1].T {
-		// Strictly beyond the plan end: a pure extension — the motion
-		// changes from the old plan end (the clamp is replaced).
-		nt, changedFrom = s.extendLocked(old, u.Verts)
-	} else {
-		var err error
-		if nt, changedFrom, err = s.reviseLocked(old, u.Verts); err != nil {
-			return Applied{}, step{}, err
-		}
+	nt, changedFrom, err := Splice(old, u.Verts)
+	if err != nil {
+		return Applied{}, step{}, err
 	}
+	s.trajs[u.OID] = nt
+	s.segLive += nt.NumSegments() - old.NumSegments()
 	a := Applied{OID: u.OID, ChangedFrom: changedFrom, Prev: old, Traj: nt}
 	if u.Tags != nil {
 		// Same version bump as the geometry: one Applied, one cache

@@ -36,12 +36,12 @@
 // Inf literal). Wherever a trajectory moves between router and shard its
 // vertices are packed: "vb" (and "pvb", an applied outcome's superseded
 // plan) is base64 of 24-byte little-endian (x, y, t) float64 triples —
-// serve/wire.go. That covers the query trajectory below, every trajs item,
-// ingest updates and their applied outcomes in both directions; replies
-// are always packed. "verts" triples are still read in every such place
-// (the human ops insert/trip/get speak only them), an item carrying both
-// forms or a ragged vb fails its request with "code":"bad_request", and
-// either form meets the same trajectory validation.
+// serve/wire.go. That covers the query trajectory below, every trajs item
+// and ingest updates; an ingest reply packs only the plans the router
+// cannot rebuild from those updates (serve.EncodeApplied). "verts" triples
+// are still read in every request (the human ops insert/trip/get speak
+// only them), an item carrying both forms or a ragged vb fails its request
+// with "code":"bad_request", and either form meets the same validation.
 //
 //	{"op":"query","phase":"bounds","oid":1,
 //	 "vb":"<base64>","tb":0,"te":60,"k":1}         → {"ok":true,"bounds":[...]}
@@ -1134,8 +1134,15 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 			return Response{}, ErrConnClosed
 		}
 		resp = Response{}
-		if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
-			return Response{}, lineError(c.sc.Bytes(), err)
+		if req.Op == "ingest" {
+			// serve.ParseAppliedReply declines all but a success.
+			resp.Applied, resp.OK = serve.ParseAppliedReply(c.sc.Bytes())
+		}
+		if !resp.OK {
+			resp = Response{}
+			if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+				return Response{}, lineError(c.sc.Bytes(), err)
+			}
 		}
 		if resp.Event != nil {
 			// An asynchronous subscription event raced our reply; queue it
@@ -1328,17 +1335,17 @@ func (c *Client) ShardSurvivors(q *trajectory.Trajectory, tb, te float64, bounds
 func (c *Client) Ingest(updates []mod.Update) ([]mod.Applied, error) {
 	resp, err := c.roundTrip(Request{Op: "ingest", Updates: serve.PackUpdates(updates)})
 	if err != nil {
-		partial, derr := serve.DecodeApplied(resp.Applied)
+		partial, derr := serve.DecodeApplied(resp.Applied, updates)
 		if derr != nil {
 			return nil, err
 		}
 		return partial, err
 	}
 	if len(resp.Applied) != len(updates) {
-		return nil, fmt.Errorf("modserver: ingest returned %d outcomes for %d updates",
-			len(resp.Applied), len(updates))
+		return nil, fmt.Errorf("%w: ingest returned %d outcomes for %d updates",
+			serve.ErrProtocol, len(resp.Applied), len(updates))
 	}
-	return serve.DecodeApplied(resp.Applied)
+	return serve.DecodeApplied(resp.Applied, updates)
 }
 
 // Owns reports, elementwise, whether the server's store holds each OID —

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/serve"
+	"repro/internal/simtest"
 	"repro/internal/trajectory"
 	"repro/internal/workload"
 )
@@ -91,7 +93,7 @@ func (p *rawPeer) call(req Request) (Response, string) {
 // TestArrayFormStillServed: every frame that carries a trajectory is
 // accepted as decimal triples too — the human ops and older clients — and
 // answers exactly what the packed request does; replies are packed either
-// way.
+// way, and an ingest reply's outcomes rebuild to the store's own.
 func TestArrayFormStillServed(t *testing.T) {
 	store := testStore(t, 60)
 	p := dialRaw(t, startTCPServer(t, store, Options{}))
@@ -155,8 +157,29 @@ func TestArrayFormStillServed(t *testing.T) {
 	if !ra.OK || len(ra.Applied) != len(updates) || lineA != lineP {
 		t.Fatalf("ingest diverged by request form:\n array  %s packed %s", lineA, lineP)
 	}
-	if a := ra.Applied[0]; len(a.VB) == 0 || len(a.PVB) == 0 || strings.Contains(lineA, `verts"`) {
-		t.Fatalf("applied outcome came back without both plans packed: %s", lineA)
+	// A reply carries only the plans the router cannot rebuild, packed: a
+	// revision's superseded plan, no plan for an insert, a flip's standing
+	// plan.
+	if a := ra.Applied; len(a[0].VB) != 0 || len(a[0].PVB) == 0 || len(a[1].VB)+len(a[1].PVB) != 0 ||
+		len(a[2].VB) == 0 || len(a[2].PVB) != 0 || strings.Contains(lineA, `verts"`) {
+		t.Fatalf("applied outcomes carry the wrong plans: %s", lineA)
+	}
+	// Client.Ingest rebuilds the rest: its outcomes are the store's own.
+	cli, err := Dial(startTCPServer(t, testStore(t, 60), Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	got, err := cli.Ingest(updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := testStore(t, 60).ApplyUpdates(updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Client.Ingest outcomes differ from the store's\n got: %+v\nwant: %+v", got, want)
 	}
 }
 
@@ -417,7 +440,7 @@ func FuzzShardFrame(f *testing.F) {
 			checkDecodedTrajs(t, req.Trajs)
 		}
 		if json.Unmarshal(line, &resp) == nil {
-			_, _ = serve.DecodeApplied(resp.Applied)
+			_, _ = serve.DecodeApplied(resp.Applied, nil)
 			checkDecodedTrajs(t, resp.Trajs)
 		}
 	})
@@ -501,6 +524,103 @@ func BenchmarkShardFrameDecode(b *testing.B) {
 					b.Fatal(err)
 				}
 				if _, err := decodeTrajs(req.Trajs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzAppliedReplyFastPath: on any line, serve.ParseAppliedReply either
+// declines or reads the Response encoding/json reads — the same value,
+// and the same bytes when both are encoded again. The committed corpus
+// holds the edges: exponents, -0, 1e309, a 1.0 OID, escapes, case-variant
+// and duplicate keys, null and empty lists, an empty or broken base64
+// plan, a failed reply, an event, whitespace and trailing bytes.
+func FuzzAppliedReplyFastPath(f *testing.F) {
+	applied, _ := wireBatch(f, 60, 6, 2)
+	line, err := json.Marshal(Response{OK: true, Applied: serve.EncodeApplied(applied)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(line)
+	f.Fuzz(func(t *testing.T, line []byte) {
+		applied, ok := serve.ParseAppliedReply(line)
+		if !ok {
+			return
+		}
+		var want Response
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("the fast path read a line encoding/json refuses (%v): %q", err, line)
+		}
+		got := Response{OK: true, Applied: applied}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("the fast path read %q as\n%+v\nencoding/json as\n%+v", line, got, want)
+		}
+		g, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := json.Marshal(want); !slices.Equal(g, w) {
+			t.Fatalf("the fast path read %q as %s, encoding/json as %s", line, g, w)
+		}
+	})
+}
+
+// wireBatch applies one batch of revisions plan revisions and flips tag
+// flips to a fresh n-object world (seed 2009) and returns the store's
+// outcomes with the batch.
+func wireBatch(tb testing.TB, n, revisions, flips int) ([]mod.Applied, []mod.Update) {
+	w, err := simtest.NewWorld(simtest.Config{Seed: 2009, N: n, Held: 4, R: 0.5, Steps: 272, PerStep: revisions})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := w.InitialStore()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ups, err := w.StepSized(revisions, flips, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	applied, err := st.ApplyUpdates(ups)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return applied, ups
+}
+
+// BenchmarkAppliedReplyDecode: what Client.Ingest does with a shard's
+// reply to a 240-update batch shaped like the sharded_wire benchmark
+// workload's (200 revisions and 40 tag flips over N = 3 000): read the
+// line, by the fast path or by encoding/json, and rebuild the outcomes.
+// B/op of throughput is the line's size.
+func BenchmarkAppliedReplyDecode(b *testing.B) {
+	applied, ups := wireBatch(b, 3000, 200, 40)
+	line, err := json.Marshal(Response{OK: true, Applied: serve.EncodeApplied(applied)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, form := range []struct {
+		name string
+		read func([]byte) ([]WireApplied, bool)
+	}{
+		{"fast", serve.ParseAppliedReply},
+		{"encoding-json", func(line []byte) ([]WireApplied, bool) {
+			var resp Response
+			err := json.Unmarshal(line, &resp)
+			return resp.Applied, err == nil
+		}},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(line)))
+			for b.Loop() {
+				wire, ok := form.read(line)
+				if !ok {
+					b.Fatal("reply not read")
+				}
+				if _, err := serve.DecodeApplied(wire, ups); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -230,14 +230,14 @@ func (c httpClient) ingest(updates []mod.Update) ([]mod.Applied, error) {
 	if resp.StatusCode != http.StatusOK {
 		raw, herr := httpErr(resp)
 		_ = json.Unmarshal(raw, &reply)
-		partial, _ := serve.DecodeApplied(reply.Applied)
+		partial, _ := serve.DecodeApplied(reply.Applied, nil)
 		return partial, herr
 	}
 	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
 		return nil, err
 	}
-	return serve.DecodeApplied(reply.Applied)
+	return serve.DecodeApplied(reply.Applied, nil)
 }
 
 func (c httpClient) attach(query string) (*session, error) {

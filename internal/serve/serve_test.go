@@ -59,26 +59,84 @@ func newCore(t *testing.T, maxDetached int, ttl time.Duration) (*Core, *mod.Stor
 
 var nnReq = engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10}
 
+// plan is object oid on y for t in [0, 10], one vertex per time unit.
+func plan(oid int64, y float64) *trajectory.Trajectory {
+	verts := make([]trajectory.Vertex, 11)
+	for i := range verts {
+		verts[i] = trajectory.Vertex{X: float64(i), Y: y, T: float64(i)}
+	}
+	return &trajectory.Trajectory{OID: oid, Verts: verts}
+}
+
+// TestWireAppliedRoundTrip: the outcomes of a real batch — a revision, an
+// extension, an insert, a tag flip, a retirement and a tagged revision —
+// cross the shard link carrying only the plans the router cannot rebuild,
+// and decode against their updates to the store's own outcomes, plans
+// equal bit for bit.
 func TestWireAppliedRoundTrip(t *testing.T) {
+	st, err := mod.NewUniformStore(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.InsertAll([]*trajectory.Trajectory{plan(1, 0), plan(2, 1), plan(3, 2), plan(4, 3), plan(5, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetTags(5, []string{"old"}); err != nil {
+		t.Fatal(err)
+	}
 	tags := []string{"ev"}
-	applied := []mod.Applied{
-		{OID: 1, Inserted: true, ChangedFrom: math.Inf(-1), Traj: line(1, 0), TagsChanged: true, Tags: tags},
-		{OID: 2, ChangedFrom: 5, Traj: line(2, 1), Prev: line(2, 2)},
-		{OID: 3, ChangedFrom: math.Inf(1), Traj: line(3, 0), TagsChanged: true, Tags: tags, PrevTags: []string{"old"}},
-		{OID: 4, Retired: true, ChangedFrom: math.Inf(-1), Prev: line(4, 0)},
+	updates := []mod.Update{
+		{OID: 2, Verts: []trajectory.Vertex{{X: 5, Y: 1.5, T: 4.5}, {X: 1.0 / 3, Y: 2, T: 10}}},
+		{OID: 3, Verts: []trajectory.Vertex{{X: 11, Y: -0.1, T: 12}}},
+		{OID: 9, Verts: []trajectory.Vertex{{X: 0, Y: 0.5, T: 0}, {X: 10, Y: 0.5, T: 10}}, Tags: &tags},
+		{OID: 4, Tags: &tags},
+		{OID: 5, Retire: true},
+		{OID: 1, Verts: []trajectory.Vertex{{X: 6.5, Y: 0.2, T: 6.5}, {X: 10, Y: 0.3, T: 10}}, Tags: &tags},
+	}
+	applied, err := st.ApplyUpdates(updates)
+	if err != nil {
+		t.Fatal(err)
 	}
 	wire := EncodeApplied(applied)
-	if wire[0].ChangedFrom != 0 || !wire[2].TagsOnly || wire[2].ChangedFrom != 0 || !wire[3].Retired || wire[3].VB != nil || wire[1].VB == nil || wire[1].PVB == nil {
+	// Which plan each outcome carries: the superseded one of a revision,
+	// an extension or a retirement, the standing one of a flip, none for
+	// an insert.
+	carries := []struct{ vb, pvb bool }{{false, true}, {false, true}, {false, false}, {true, false}, {false, true}, {false, true}}
+	for i, c := range carries {
+		if (len(wire[i].VB) > 0) != c.vb || (len(wire[i].PVB) > 0) != c.pvb {
+			t.Fatalf("outcome %d carries vb=%t pvb=%t, want %+v", i, len(wire[i].VB) > 0, len(wire[i].PVB) > 0, c)
+		}
+	}
+	if wire[2].ChangedFrom != 0 || !wire[3].TagsOnly || wire[3].ChangedFrom != 0 || !wire[4].Retired || wire[0].ChangedFrom != 4 || wire[1].ChangedFrom != 10 {
 		t.Fatalf("wire markers: %+v", wire)
 	}
-	back, err := DecodeApplied(wire)
+	back, err := DecodeApplied(wire, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, applied) {
 		t.Fatalf("round trip diverged\n got: %+v\nwant: %+v", back, applied)
 	}
-	// The outcomes alone are the same items with neither plan.
+	for i := range back {
+		for _, pair := range [][2]*trajectory.Trajectory{{back[i].Traj, applied[i].Traj}, {back[i].Prev, applied[i].Prev}} {
+			if pair[0] == nil {
+				continue
+			}
+			for k, v := range pair[0].Verts {
+				w := pair[1].Verts[k]
+				if math.Float64bits(v.X) != math.Float64bits(w.X) || math.Float64bits(v.Y) != math.Float64bits(w.Y) || math.Float64bits(v.T) != math.Float64bits(w.T) {
+					t.Fatalf("outcome %d vertex %d: %v, want %v bit for bit", i, k, v, w)
+				}
+			}
+		}
+	}
+	// An insert's plan is a copy: the caller's update vertices stay its own.
+	if &back[2].Traj.Verts[0] == &updates[2].Verts[0] {
+		t.Fatal("the rebuilt insert aliases its update's vertices")
+	}
+
+	// The outcomes alone are the same items with neither plan, and decode
+	// without updates to the outcomes with no plan.
 	outcomes := EncodeOutcomes(applied)
 	for i := range wire {
 		wire[i].VB, wire[i].PVB = nil, nil
@@ -86,15 +144,53 @@ func TestWireAppliedRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(outcomes, wire) {
 		t.Fatalf("outcomes diverged from the packed items\n got: %+v\nwant: %+v", outcomes, wire)
 	}
-	if _, err := DecodeApplied([]WireApplied{{OID: 9, VB: PackVerts(line(9, 0).Verts[:1])}}); err == nil {
-		t.Fatal("a one-vertex trajectory decoded")
+	bare, err := DecodeApplied(outcomes, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeApplied([]WireApplied{{OID: 9, PVB: PackVerts(line(9, 0).Verts)[:47]}}); !errors.Is(err, ErrBadWire) {
+	for i, a := range bare {
+		want := applied[i]
+		want.Traj, want.Prev = nil, nil
+		if !reflect.DeepEqual(a, want) {
+			t.Fatalf("outcome %d without plans = %+v, want %+v", i, a, want)
+		}
+	}
+
+	// A reply that does not fit its updates is a protocol error.
+	rev := updates[:1]
+	good := EncodeApplied(applied[:1])
+	doctored := func(edit func(*WireApplied)) []WireApplied {
+		w := append([]WireApplied(nil), good...)
+		edit(&w[0])
+		return w
+	}
+	for name, w := range map[string][]WireApplied{
+		"changed_from":    doctored(func(wa *WireApplied) { wa.ChangedFrom = 3 }),
+		"oid":             doctored(func(wa *WireApplied) { wa.OID = 3 }),
+		"no pvb":          doctored(func(wa *WireApplied) { wa.PVB = nil }),
+		"flip without vb": {{OID: 2, TagsOnly: true}},
+		"extra outcome":   append(good, good...),
+	} {
+		if _, err := DecodeApplied(w, rev); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("%s: err = %v, want ErrProtocol", name, err)
+		}
+	}
+	if _, err := DecodeApplied([]WireApplied{{OID: 1, Inserted: true}}, []mod.Update{{OID: 1, Verts: plan(1, 0).Verts[:1]}}); !errors.Is(err, trajectory.ErrTooFewVertices) {
+		t.Fatalf("one-vertex insert: err = %v, want ErrTooFewVertices", err)
+	}
+	if _, err := DecodeApplied(doctored(func(wa *WireApplied) { wa.PVB = wa.PVB[:47] }), rev); !errors.Is(err, ErrBadWire) {
 		t.Fatalf("ragged pvb: err = %v, want ErrBadWire", err)
+	}
+	// changed_from compares as a number: a plan kept from t = -0 is
+	// reported as an omitted (+0) changed_from and still agrees.
+	negZero := []trajectory.Vertex{{X: 0, Y: 0, T: math.Copysign(0, -1)}, {X: 1, Y: 0, T: 1}}
+	splice := []mod.Update{{OID: 7, Verts: []trajectory.Vertex{{X: 2, Y: 0, T: 0.5}, {X: 3, Y: 0, T: 2}}}}
+	if got, err := DecodeApplied([]WireApplied{{OID: 7, PVB: PackVerts(negZero)}}, splice); err != nil || !math.Signbit(got[0].Traj.Verts[0].T) {
+		t.Fatalf("a splice from t = -0: %+v, %v", got, err)
 	}
 
 	clear := []string{}
-	updates := []mod.Update{{OID: 1, Verts: line(1, 0).Verts}, {OID: 2, Tags: &clear}, {OID: 3, Retire: true}}
+	updates = []mod.Update{{OID: 1, Verts: line(1, 0).Verts}, {OID: 2, Tags: &clear}, {OID: 3, Retire: true}}
 	uw := PackUpdates(updates)
 	if uw[0].Verts != nil || len(uw[0].VB) != 48 || len(uw[1].VB) != 0 || len(uw[2].VB) != 0 {
 		t.Fatalf("packed updates: %+v", uw)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mod"
 	"repro/internal/trajectory"
@@ -24,12 +25,16 @@ import (
 // construction. Every frame that moves a trajectory between router and
 // shard is packed; update decoders take either form per item and hand it
 // to the same trajectory.New / mod.ApplyUpdates validation. An applied
-// outcome carries its plans packed on the shard link (the router's hub
-// re-evaluates from them) and no plan at all in the gateway's reply.
+// outcome carries on the shard link only the plans the router cannot
+// rebuild from the update it sent (EncodeApplied), and no plan at all in
+// the gateway's reply. strict.go reads both ingest shapes.
 
 // ErrBadWire reports an item whose vertices cannot be read: both forms at
 // once, a ragged packed length, or vb on a surface that does not speak it.
 var ErrBadWire = errors.New("serve: bad wire vertices")
+
+// ErrProtocol reports a shard reply that contradicts its request.
+var ErrProtocol = errors.New("shard protocol error")
 
 // packedVertex is the size of one packed vertex: x, y, t as float64.
 const packedVertex = 24
@@ -49,8 +54,8 @@ type WireUpdate struct {
 
 // WireApplied is one mod.Applied on the wire. ChangedFrom is omitted for
 // inserts and retirements (-Inf in memory) and for pure tag flips, which
-// carry TagsOnly instead (+Inf in memory: no motion changed). VB and PVB
-// are the new and superseded plans, set on the shard link only.
+// carry TagsOnly instead (+Inf in memory: no motion changed). VB (a flip's
+// plan) and PVB (a superseded plan) are set on the shard link only.
 type WireApplied struct {
 	OID         int64    `json:"oid"`
 	Inserted    bool     `json:"inserted,omitempty"`
@@ -172,24 +177,31 @@ func EncodeOutcomes(applied []mod.Applied) []WireApplied {
 	return out
 }
 
-// EncodeApplied is EncodeOutcomes with both plans packed: the shard
-// link's form, from which the router's hub re-evaluates.
+// EncodeApplied is EncodeOutcomes with the plans a router cannot rebuild
+// from its updates packed: pvb, the superseded plan, of a revision, an
+// extension or a retirement, and vb of a tag flip; an insert packs none.
 func EncodeApplied(applied []mod.Applied) []WireApplied {
 	out := EncodeOutcomes(applied)
 	for i, a := range applied {
-		if a.Traj != nil {
+		switch {
+		case a.Inserted:
+		case out[i].TagsOnly:
 			out[i].VB = PackVerts(a.Traj.Verts)
-		}
-		if a.Prev != nil {
+		default:
 			out[i].PVB = PackVerts(a.Prev.Verts)
 		}
 	}
 	return out
 }
 
-// DecodeApplied rebuilds applied outcomes from the wire — the client half
-// of EncodeApplied (and of EncodeOutcomes, whose items carry no plans).
-func DecodeApplied(wire []WireApplied) ([]mod.Applied, error) {
+// DecodeApplied rebuilds wire[i], the outcome of updates[i], copying an
+// insert's plan from its update and splicing a revision's (mod.Splice); a
+// reply that does not fit its updates is ErrProtocol. With nil updates the
+// items are outcomes alone (EncodeOutcomes) and no plan is read.
+func DecodeApplied(wire []WireApplied, updates []mod.Update) ([]mod.Applied, error) {
+	if updates != nil && len(wire) > len(updates) {
+		return nil, fmt.Errorf("%w: %d outcomes for %d updates", ErrProtocol, len(wire), len(updates))
+	}
 	out := make([]mod.Applied, len(wire))
 	for i, wa := range wire {
 		a := mod.Applied{
@@ -202,18 +214,45 @@ func DecodeApplied(wire []WireApplied) ([]mod.Applied, error) {
 		case wa.TagsOnly:
 			a.ChangedFrom = math.Inf(1)
 		}
-		var err error
-		if len(wa.VB) > 0 {
-			if a.Traj, err = WireTrajectory(wa.OID, nil, wa.VB); err != nil {
-				return nil, err
-			}
-		}
-		if len(wa.PVB) > 0 {
-			if a.Prev, err = WireTrajectory(wa.OID, nil, wa.PVB); err != nil {
-				return nil, err
+		if updates != nil {
+			if err := rebuildPlans(&a, wa, updates[i]); err != nil {
+				return nil, fmt.Errorf("%w: outcome %d (oid %d): %w", ErrProtocol, i, wa.OID, err)
 			}
 		}
 		out[i] = a
 	}
 	return out, nil
+}
+
+// rebuildPlans sets a's plans from the one wa packs and the update u it
+// answers.
+func rebuildPlans(a *mod.Applied, wa WireApplied, u mod.Update) (err error) {
+	packed := wa.PVB
+	if wa.TagsOnly {
+		packed = wa.VB
+	}
+	switch {
+	case u.OID != wa.OID:
+		return fmt.Errorf("it answers an update for %d", u.OID)
+	case wa.Inserted:
+		a.Traj, err = trajectory.New(wa.OID, slices.Clone(u.Verts))
+		return err
+	case len(packed) == 0:
+		return errors.New("no packed plan")
+	}
+	plan, err := WireTrajectory(wa.OID, nil, packed)
+	switch {
+	case err != nil:
+	case wa.TagsOnly:
+		a.Traj = plan
+	case wa.Retired:
+		a.Prev = plan
+	default:
+		var changedFrom float64
+		a.Prev = plan
+		if a.Traj, changedFrom, err = mod.Splice(plan, u.Verts); err == nil && changedFrom != wa.ChangedFrom {
+			err = fmt.Errorf("the splice changes from t=%g, the reply says t=%g", changedFrom, wa.ChangedFrom)
+		}
+	}
+	return err
 }
