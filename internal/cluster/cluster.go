@@ -138,11 +138,11 @@ type Shard interface {
 	Survivors(ctx context.Context, q *trajectory.Trajectory, tb, te float64, bounds []float64, where *textidx.Predicate) ([]*trajectory.Trajectory, prune.Stats, error)
 	// Refine evaluates a whole-MOD filter request over a gathered union
 	// survivor store with the candidate domain restricted to own, a
-	// sorted OID list. gatherID names the union so a remote shard can
-	// cache the shipped store across calls; a local shard reads the union
-	// in place and ignores it. The Router no longer calls it (it refines
-	// the union on its own engine); it stays only because the benchmark
-	// module's traced shard forwards it.
+	// sorted OID list, in the caller's process (gatherID is ignored): the
+	// union is already in the caller's memory, so no shard kind ships it
+	// anywhere. The Router never calls it (it refines the union on its
+	// own engine); it stays only because the benchmark module's traced
+	// shard forwards it, and ROADMAP item 13 removes it with that shard.
 	Refine(ctx context.Context, gatherID string, union *mod.Store, own []int64, req engine.Request) (engine.Result, error)
 	// OIDs returns the sorted OIDs of every trajectory the shard holds
 	// whose tags satisfy where (nil means all) — the iteration domain the
@@ -213,11 +213,15 @@ func (s *LocalShard) Survivors(ctx context.Context, q *trajectory.Trajectory, tb
 	return sw.Survivors(ctx, bounds)
 }
 
-// Refine implements Shard: the union store is read in place (no copy, no
-// gatherID bookkeeping needed in-process) and evaluated with the domain
-// restricted to own. DoRestricted keeps no memo, so the engine is a
-// worker pool for this one call.
+// Refine implements Shard with refineUnion.
 func (s *LocalShard) Refine(ctx context.Context, _ string, union *mod.Store, own []int64, req engine.Request) (engine.Result, error) {
+	return refineUnion(ctx, union, own, req)
+}
+
+// refineUnion is both shard kinds' Refine: the union store is read in
+// place and evaluated with the domain restricted to own. DoRestricted
+// keeps no memo, so the engine is a worker pool for this one call.
+func refineUnion(ctx context.Context, union *mod.Store, own []int64, req engine.Request) (engine.Result, error) {
 	return engine.New(0).DoRestricted(ctx, union, req, own)
 }
 

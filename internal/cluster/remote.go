@@ -101,10 +101,11 @@ type RemoteOptions struct {
 	OnRetry func(name string, attempt int, err error)
 }
 
-// RemoteShard speaks the modserver query op (bounds/survivors/all phases)
-// to a shard-serving modserver over TCP. The connection is dialed lazily,
-// serialized by a mutex (the wire client is synchronous), and redialed
-// after a failure or a context cancellation poisons it. Idempotent calls
+// RemoteShard speaks the modserver query op (bounds/survivors/oids
+// phases) and the store ops to a shard-serving modserver over TCP. The
+// connection is dialed lazily, serialized by a mutex (the wire client is
+// synchronous), and redialed after a failure or a context cancellation
+// poisons it. Idempotent calls
 // retry transient wire failures per the shard's RetryPolicy; Ingest never
 // retries (the lost reply may have applied).
 //
@@ -397,23 +398,10 @@ func (s *RemoteShard) Survivors(ctx context.Context, q *trajectory.Trajectory, t
 	return trs, stats, err
 }
 
-// Refine implements Shard (the gather/refine phases on the wire; the
-// Router no longer calls it).
-// The union store ships at most once per connection: the client probes
-// the gather ID first and uploads the trajectories, in chunked frames,
-// only on a server-side cache miss — so a batch issuing several refines
-// against one gather pays the transfer once.
-func (s *RemoteShard) Refine(ctx context.Context, gatherID string, union *mod.Store, own []int64, req engine.Request) (engine.Result, error) {
-	var res engine.Result
-	err := s.callIdempotent(ctx, func(c *modserver.Client) error {
-		var cerr error
-		res, cerr = c.ShardRefine(gatherID, union.All(), own, req, deadlineOf(ctx))
-		return cerr
-	})
-	if err != nil {
-		res.Kind, res.Err = req.Kind, err
-	}
-	return res, err
+// Refine implements Shard with refineUnion, without touching the wire:
+// the union is in the caller's memory already.
+func (s *RemoteShard) Refine(ctx context.Context, _ string, union *mod.Store, own []int64, req engine.Request) (engine.Result, error) {
+	return refineUnion(ctx, union, own, req)
 }
 
 // OIDs implements Shard (the oids phase on the wire).

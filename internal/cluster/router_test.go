@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -446,6 +447,58 @@ func TestRoutedFilterRoundTrips(t *testing.T) {
 				t.Fatalf("req[%d]: the router sent a %s frame", i, phase)
 			}
 		}
+	}
+}
+
+// TestRemoteRefineStaysInProcess: a RemoteShard refines a union it is
+// handed exactly as a LocalShard does, on the caller's engine: the same
+// result for whole-MOD filters at rank 1, rank 2 and under a predicate,
+// and not one byte written to the shard.
+func TestRemoteRefineStaysInProcess(t *testing.T) {
+	union, trs := tagStore(t, 120, equivR, equivSeed)
+	var (
+		mu     sync.Mutex
+		writes int
+		sent   bytes.Buffer
+	)
+	dial := func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return writeCounter{conn, &mu, &writes, &sent}, nil
+	}
+	remote := startShardServers(t, union, 1, cluster.Hash{}, cluster.RemoteOptions{Dialer: dial})[0]
+	local := cluster.NewLocalShard("local", union)
+	q := trs[0].OID
+	own := union.OIDs()[1:60]
+	for i, req := range []engine.Request{
+		{Kind: engine.KindUQ31, QueryOID: q, Tb: equivTb, Te: equivTe},
+		{Kind: engine.KindUQ41, QueryOID: q, Tb: equivTb, Te: equivTe, K: 2},
+		{Kind: engine.KindUQ31, QueryOID: q, Tb: equivTb, Te: equivTe, Where: &textidx.Predicate{All: []string{"available"}}},
+	} {
+		want, err := local.Refine(context.Background(), "g", union, own, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := remote.Refine(context.Background(), "g", union, own, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Only the two wall clocks may differ between the runs.
+		got.Explain.Wall, want.Explain.Wall = 0, 0
+		got.Explain.RefineWall, want.Explain.RefineWall = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("req[%d]: remote refine %+v, local %+v", i, got, want)
+		}
+		if len(want.OIDs) == 0 {
+			t.Fatalf("req[%d]: an empty answer tests nothing", i)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if writes != 0 || sent.Len() != 0 {
+		t.Fatalf("RemoteShard.Refine wrote %d lines (%d bytes) to the shard, want none", writes, sent.Len())
 	}
 }
 

@@ -1,7 +1,7 @@
-// Refinement of a proven survivor set on a shard: the engine half of the
-// shard wire's refine phase (cluster.LocalShard.Refine and the modserver
-// "refine" phase). A cluster router does not come here — it evaluates on
-// the processor its own gather built, through Evaluate.
+// Refinement of a proven survivor set over a gathered union store: the
+// body of cluster.Shard.Refine, which both shard kinds run in the
+// caller's process. A cluster router does not come here — it evaluates
+// on the processor its own gather built, through Evaluate.
 package engine
 
 import (

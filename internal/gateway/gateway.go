@@ -233,6 +233,9 @@ func (s *Server) buildHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+			// No read passes the cap, so a buffer sized from the declared
+			// length (readBody) must not either.
+			r.ContentLength = min(r.ContentLength, s.opts.MaxBodyBytes)
 		}
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
@@ -517,12 +520,44 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // and then the same read error (a MaxBytesReader repeats it), so status and
 // message are decodeBody's on every input.
 func decodeIngest(r *http.Request, ir *ingestRequest) error {
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r)
 	if updates, ok := serve.ParseIngestBody(body); ok && err == nil {
 		ir.Updates = updates
 		return nil
 	}
 	return decodeBody(io.MultiReader(bytes.NewReader(body), r.Body), ir)
+}
+
+// readFirst caps readBody's first buffer, so what a request holds before
+// its bytes arrive does not follow the length it declares: a client must
+// send this much before the server takes the declared length.
+const readFirst = 64 << 10
+
+// readBody is io.ReadAll that, once its first buffer (at most readFirst)
+// fills, takes the declared length (which the server caps at MaxBodyBytes)
+// and a byte over it in one step, so a body that keeps its word costs
+// about its length, not io.ReadAll's growth steps (about five times it).
+// A body of unknown length, or one past its word, grows as io.ReadAll's.
+func readBody(r *http.Request) ([]byte, error) {
+	b := make([]byte, 0, min(max(r.ContentLength, 511), readFirst)+1)
+	for {
+		n, err := r.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) < cap(b) {
+			continue
+		}
+		if int64(len(b)) <= r.ContentLength {
+			b = append(make([]byte, 0, r.ContentLength+1), b...)
+		} else {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {

@@ -31,17 +31,17 @@
 // the one journal → hub → fan-out path of internal/serve: it is journaled
 // when a journal is configured, and standing subscriptions see its diff.
 //
-// Shard-serving phases of the query op (the cluster bound-exchange and
-// distributed-refine protocol; +Inf bounds travel as -1 since JSON has no
-// Inf literal). Wherever a trajectory moves between router and shard its
-// vertices are packed: "vb" (and "pvb", an applied outcome's superseded
-// plan) is base64 of 24-byte little-endian (x, y, t) float64 triples —
-// serve/wire.go. That covers the query trajectory below, every trajs item
-// and ingest updates; an ingest reply packs only the plans the router
-// cannot rebuild from those updates (serve.EncodeApplied). "verts" triples
-// are still read in every request (the human ops insert/trip/get speak
-// only them), an item carrying both forms or a ragged vb fails its request
-// with "code":"bad_request", and either form meets the same validation.
+// Shard-serving phases of the query op (the cluster bound exchange; +Inf
+// bounds travel as -1 since JSON has no Inf literal). Wherever a
+// trajectory moves between router and shard its vertices are packed: "vb"
+// (and "pvb", an applied outcome's superseded plan) is base64 of 24-byte
+// little-endian (x, y, t) float64 triples — serve/wire.go. That covers the
+// query trajectory below, every survivors item and ingest updates; an
+// ingest reply packs only the plans the router cannot rebuild from those
+// updates (serve.EncodeApplied). "verts" triples are still read in every
+// request (the human ops insert/trip/get speak only them), an item
+// carrying both forms or a ragged vb fails its request with
+// "code":"bad_request", and either form meets the same validation.
 //
 //	{"op":"query","phase":"bounds","oid":1,
 //	 "vb":"<base64>","tb":0,"te":60,"k":1}         → {"ok":true,"bounds":[...]}
@@ -49,26 +49,13 @@
 //	 "vb":"...","tb":0,"te":60,"bounds":[...]}     → {"ok":true,"more":true,"trajs":[{"oid":2,"vb":"..."},...]}*
 //	                                                 {"ok":true,"trajs":[last chunk],"stats":{...}}
 //	{"op":"query","phase":"oids"}                  → {"ok":true,"oids":[...]}
-//	{"op":"query","phase":"refine","gather_id":"g",
-//	 "oids":[own...],"request":{...}}              → {"ok":true,"answer":{...}} or
-//	                                                 {"error":"...","code":"unknown_gather"}
-//	{"op":"query","phase":"gather","gather_id":"g",
-//	 "more":true,"trajs":[chunk]}                  → (no response; accumulates)
-//	{"op":"query","phase":"gather","gather_id":"g",
-//	 "trajs":[last chunk],"oids":[own...],
-//	 "request":{...}}                              → {"ok":true,"answer":{...}} (caches + refines)
 //
-// The survivors phase streams its trajectory set as incremental frames — each line stays within the server's request-line cap (advertised
-// as max_line on the spec reply), so one giant gather can no longer demand
-// an unbounded write buffer; intermediate frames carry "more":true and the
-// final frame carries the stats. The gather/refine pair is the distributed
-// refine: a router uploads the union survivor store once per connection
-// under a gather ID (chunked client→server the same way, frames filled to
-// max_line by exact byte count), the server caches a few unions per
-// connection, and each refine evaluates a whole-MOD filter over the cached
-// union with the candidate domain restricted to the shard's own survivors
-// (engine.DoRestricted). A connection may have two uploads unfinished; a
-// more:true frame opening a third gets "code":"gather_limit" and is closed.
+// The survivors phase streams its trajectory set as incremental frames,
+// each line within the server's request-line cap, so one large survivor
+// set never demands an unbounded write buffer; intermediate frames carry
+// "more":true and the final frame carries the stats. A shard refines
+// nothing: the router verifies the survivors it gathered on its own
+// engine, and any other phase answers "unknown query phase".
 //
 // The query op is the unified route: it carries engine.Request descriptors
 // verbatim on the wire, evaluates them through Engine.DoBatch, and returns
@@ -117,9 +104,8 @@ const DefaultReadTimeout = 2 * time.Minute
 // core's emit lock, so a subscriber that stops reading must fail fast (and
 // be disconnected) instead of wedging every ingest behind its full TCP
 // buffer — the write-side twin of the read-deadline hardening. Streamed
-// survivors/all frames get the same
-// per-frame deadline: a reader that stalls mid-stream is severed instead
-// of pinning the connection goroutine. Single-line request replies stay
+// survivors frames get the same per-frame deadline: a reader that stalls
+// mid-stream is severed instead of pinning the connection goroutine. Single-line request replies stay
 // exempt: modest replies on slow links are legitimate.
 const DefaultWriteTimeout = 10 * time.Second
 
@@ -268,9 +254,7 @@ type Request struct {
 	// evaluates Requests; "bounds" and "survivors" are the two-phase NN
 	// bound exchange (OID/Verts carry the query trajectory, Tb/Te the
 	// window, K the rank; Bounds the imposed global bounds for the
-	// survivors phase); "oids" lists the stored OIDs; "gather" uploads a
-	// union survivor store in incremental frames and "refine" evaluates a restricted whole-MOD
-	// filter against it (the distributed-refine protocol).
+	// survivors phase); "oids" lists the stored OIDs.
 	Phase  string    `json:"phase,omitempty"`
 	Tb     float64   `json:"tb,omitempty"`
 	Te     float64   `json:"te,omitempty"`
@@ -280,15 +264,6 @@ type Request struct {
 	// predicate's matching sub-MOD (the carried query trajectory stays
 	// exempt) — the shard half of the cluster's spatio-textual pruning.
 	Where *textidx.Predicate `json:"where,omitempty"`
-
-	// GatherID names a gathered union survivor store for the "gather" and
-	// "refine" phases; the server caches a few per connection.
-	GatherID string `json:"gather_id,omitempty"`
-	// More marks a non-final "gather" upload frame: the server accumulates
-	// Trajs and sends no response until the final (More=false) frame.
-	More bool `json:"more,omitempty"`
-	// Trajs carries one chunk of the union store on "gather" frames.
-	Trajs []WireTraj `json:"trajs,omitempty"`
 
 	// Updates carries the "ingest" op's live update batch (the
 	// mod.ApplyUpdates contract: revision, extension, or insert per item).
@@ -308,7 +283,7 @@ type Request struct {
 }
 
 // WireApplied is one applied live update on the wire, and WireTraj one
-// trajectory (the survivors/all phases) or one ingest update — the shapes
+// trajectory (the survivors phase) or one ingest update — the shapes
 // shared with the HTTP gateway.
 type (
 	WireApplied = serve.WireApplied
@@ -340,8 +315,8 @@ type Response struct {
 	OIDs    []int64  `json:"oids,omitempty"`
 	Answers []Answer `json:"answers,omitempty"`
 
-	// Code structures selected failures (codeNotFound, codeUnknownGather)
-	// so clients can rebuild error identities and retry paths.
+	// Code structures selected failures (wireCodes) so clients can rebuild
+	// error identities.
 	Code string `json:"code,omitempty"`
 	// Bounds answers the "bounds" phase (+Inf encoded as -1).
 	Bounds []float64 `json:"bounds,omitempty"`
@@ -353,9 +328,6 @@ type Response struct {
 	More bool `json:"more,omitempty"`
 	// Stats reports the survivors-phase sweep statistics (final frame only).
 	Stats *prune.Stats `json:"stats,omitempty"`
-	// MaxLine advertises the server's request-line cap on the "spec" reply
-	// so clients can size their upload frames to fit.
-	MaxLine int `json:"max_line,omitempty"`
 
 	// Applied answers the "ingest" op, one outcome per update in order.
 	Applied []WireApplied `json:"applied,omitempty"`
@@ -380,19 +352,14 @@ type Options struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds one asynchronous subscription-event write; a
 	// subscriber whose peer stops reading is closed instead of blocking
-	// ingest fan-out. Request replies are exempt (large gathers on slow
-	// links are legitimate). Zero means DefaultWriteTimeout; negative
-	// disables the deadline.
+	// ingest fan-out. Single-line request replies are exempt (large
+	// replies on slow links are legitimate). Zero means
+	// DefaultWriteTimeout; negative disables the deadline.
 	WriteTimeout time.Duration
 	// MaxLineBytes caps one request line. Zero means MaxLine. An
 	// oversized request gets one error response, then the connection is
 	// closed (the line cannot be resynchronized).
 	MaxLineBytes int
-	// MaxGatherBytes caps the estimated wire size a connection may
-	// accumulate across the frames of one gather upload before the server
-	// discards it — the multi-frame analogue of MaxLineBytes. Zero means
-	// DefaultMaxGatherBytes; negative disables the cap.
-	MaxGatherBytes int
 	// Journal, when set, makes every mutation (ingest, insert, trip,
 	// delete) write-ahead durable: the batch is appended before the hub
 	// applies it, and AfterApply runs after a successful apply (where a
@@ -431,7 +398,6 @@ type Server struct {
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 	maxLine      int
-	maxGather    int
 	token        string
 
 	mu       sync.Mutex
@@ -455,18 +421,11 @@ type connState struct {
 	subs map[int64]struct{}
 	// authed records a successful auth op.
 	authed bool
-
-	// pending accumulates in-flight gather uploads frame by frame;
-	// gathers/gatherOrder hold the few completed union stores this
-	// connection may refine against (LRU, gatherCacheCap).
-	pending     map[string]*gatherAccum
-	gathers     map[string]*mod.Store
-	gatherOrder []string
 }
 
 // send writes a request reply with no write deadline: replies can be
-// legitimately large (the all/survivors gathers ship whole trajectory
-// sets) and slow links must not sever them.
+// legitimately large (a query's answers, a large ingest batch's outcomes)
+// and slow links must not sever them.
 func (cs *connState) send(resp Response) error {
 	cs.wmu.Lock()
 	defer cs.wmu.Unlock()
@@ -517,15 +476,12 @@ func NewServerWith(store *mod.Store, eng *engine.Engine, o Options) *Server {
 	if o.MaxLineBytes <= 0 {
 		o.MaxLineBytes = MaxLine
 	}
-	if o.MaxGatherBytes == 0 {
-		o.MaxGatherBytes = DefaultMaxGatherBytes
-	}
 	hub := continuous.NewEngineHubWith(store, eng, continuous.HubOptions{BacklogCap: o.EventBacklog})
 	return &Server{
 		store: store, engine: eng,
 		core:        serve.New(hub, store, o.Journal, o.MaxDetached, o.DetachedTTL),
 		readTimeout: o.ReadTimeout, writeTimeout: o.WriteTimeout, maxLine: o.MaxLineBytes,
-		maxGather: o.MaxGatherBytes, token: o.Token,
+		token: o.Token,
 		conns: make(map[net.Conn]struct{}),
 	}
 }
@@ -709,16 +665,6 @@ func (s *Server) handle(conn net.Conn) {
 		} else if s.token != "" && !cs.authed {
 			_ = cs.send(Response{Error: ErrUnauthorized.Error() + ": authenticate first", Code: codeUnauthorized})
 			return
-		} else if req.Op == "query" && req.Phase == "gather" && req.More {
-			// A non-final gather upload frame: accumulate silently — the
-			// protocol answers only the final (more=false) frame, so the
-			// uploader can stream chunks without a round trip each.
-			if cs.pending[req.GatherID] == nil && len(cs.pending) >= gatherCacheCap {
-				_ = cs.send(Response{Error: fmt.Sprintf("modserver: more than %d unfinished gather uploads", gatherCacheCap), Code: codeGatherLimit})
-				return
-			}
-			s.accumGather(req, cs)
-			continue
 		} else if req.Op == "query" && req.Phase == "survivors" {
 			// Streamed replies write their own frames; a mid-stream write
 			// failure closes the connection (the stream cannot resync).
@@ -789,8 +735,7 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 		return Response{OK: true, Count: s.store.Len()}
 	case "spec":
 		spec := s.store.Spec()
-		// max_line rides along so clients can size gather upload frames.
-		return Response{OK: true, Spec: &spec, MaxLine: s.maxLine}
+		return Response{OK: true, Spec: &spec}
 	case "insert":
 		tr, err := wireQuery(req)
 		if err == nil {
@@ -835,12 +780,6 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 				return Response{Error: err.Error()}
 			}
 			return Response{OK: true, OIDs: s.store.MatchingOIDs(req.Where)}
-		case "gather":
-			// Only final (more=false) frames reach dispatch; the handler
-			// loop accumulates the rest without replying.
-			return s.doGather(req, cs)
-		case "refine":
-			return s.doRefine(req, cs)
 		default:
 			// "survivors" streams from the handler loop and never reaches
 			// dispatch.
@@ -1025,12 +964,6 @@ type Client struct {
 	sc      *bufio.Scanner
 	enc     *json.Encoder
 	pending []continuous.Event
-	// frameBytes remembers the server's advertised request-line cap (the
-	// spec reply's max_line) for sizing gather upload frames.
-	frameBytes int
-	// uploaded mirrors the server's per-connection gather cache: the last
-	// gatherCacheCap gather IDs this connection uploaded, oldest first.
-	uploaded []string
 }
 
 // Dial connects to a server at addr (plaintext, no auth).
@@ -1105,9 +1038,9 @@ func (c *Client) Auth(token string) error {
 
 // ClientMaxLine bounds a single response line on the client side (1 GiB).
 // Deliberately far above the server's request cap: the client talks to a
-// server the operator chose, and the survivors/all phases of the cluster
-// protocol legitimately ship whole trajectory sets as one line — at
-// production populations that is well past the 1 MiB request limit.
+// server the operator chose, and only survivors replies are framed to
+// that cap — a query's answers or a large ingest batch's outcomes are
+// one line, at production populations well past the 1 MiB request limit.
 const ClientMaxLine = 1 << 30
 
 // NewClient wraps an established connection (useful with net.Pipe in
@@ -1151,9 +1084,6 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 			continue
 		}
 		break
-	}
-	if resp.MaxLine > 0 {
-		c.frameBytes = resp.MaxLine
 	}
 	if !resp.OK {
 		return resp, respError(resp)

@@ -1,26 +1,21 @@
 package modserver
 
 // The shard link's packed vertex form: the decimal form is still served
-// and answers identically, malformed items are typed failures, frame and
-// gather caps count real bytes, a connection's unfinished uploads are
-// bounded, and the refine client uploads without probing for a gather it
-// knows the server cannot hold.
+// and answers identically, malformed items are typed failures, and the
+// frame decoders accept only valid trajectories.
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/engine"
 	"repro/internal/mod"
+	"repro/internal/prune"
 	"repro/internal/serve"
 	"repro/internal/simtest"
 	"repro/internal/trajectory"
@@ -59,7 +54,7 @@ func dialRaw(t *testing.T, addr string) *rawPeer {
 	return newRawPeer(t, conn)
 }
 
-func (p *rawPeer) send(req Request) {
+func (p *rawPeer) send(req any) {
 	p.t.Helper()
 	if err := p.enc.Encode(req); err != nil {
 		p.t.Fatal(err)
@@ -124,21 +119,6 @@ func TestArrayFormStillServed(t *testing.T) {
 		}
 	}
 
-	union := store.All()
-	own := store.OIDs()[1:20]
-	refine := Request{Op: "query", Phase: "gather", OIDs: own, Request: &engine.Request{Kind: engine.KindUQ41, QueryOID: q.OID, Tb: 0, Te: 30, K: 2}}
-	arr, packed = refine, refine
-	arr.GatherID, arr.Trajs = "array", arrayTrajs(union)
-	packed.GatherID, packed.Trajs = "packed", encodeTrajs(union)
-	ra, _ = p.call(arr)
-	rp, _ := p.call(packed)
-	if !ra.OK || !rp.OK || ra.Answer == nil || rp.Answer == nil || len(rp.Answer.OIDs) == 0 {
-		t.Fatalf("gather refine failed: array %+v packed %+v", ra, rp)
-	}
-	if !slices.Equal(ra.Answer.OIDs, rp.Answer.OIDs) || ra.Answer.Explain.Candidates != rp.Answer.Explain.Candidates {
-		t.Fatalf("refine diverged by upload form: array %+v packed %+v", ra.Answer, rp.Answer)
-	}
-
 	// Ingest mutates, so each form gets its own copy of the store.
 	tags := []string{"ev"}
 	updates := []mod.Update{
@@ -193,14 +173,11 @@ func TestMalformedVerticesAreBadRequests(t *testing.T) {
 	q, _ := store.Get(1)
 	both := WireTraj{OID: q.OID, Verts: serve.EncodeVerts(q.Verts), VB: serve.PackVerts(q.Verts)}
 	ragged := WireTraj{OID: q.OID, VB: serve.PackVerts(q.Verts)[:25]}
-	refine := &engine.Request{Kind: engine.KindUQ31, QueryOID: q.OID, Tb: 0, Te: 30}
 	for name, req := range map[string]Request{
 		"bounds both":      {Op: "query", Phase: "bounds", OID: q.OID, Verts: both.Verts, VB: both.VB, Tb: 0, Te: 30, K: 1},
 		"bounds ragged":    {Op: "query", Phase: "bounds", OID: q.OID, VB: ragged.VB, Tb: 0, Te: 30, K: 1},
 		"survivors both":   {Op: "query", Phase: "survivors", OID: q.OID, Verts: both.Verts, VB: both.VB, Tb: 0, Te: 30},
 		"survivors ragged": {Op: "query", Phase: "survivors", OID: q.OID, VB: ragged.VB, Tb: 0, Te: 30},
-		"gather both":      {Op: "query", Phase: "gather", GatherID: "b", Trajs: []WireTraj{both}, Request: refine},
-		"gather ragged":    {Op: "query", Phase: "gather", GatherID: "r", Trajs: []WireTraj{ragged}, Request: refine},
 		"ingest both":      {Op: "ingest", Updates: []WireTraj{both}},
 		"ingest ragged":    {Op: "ingest", Updates: []WireTraj{ragged}},
 		"insert both":      {Op: "insert", OID: 77, Verts: both.Verts, VB: both.VB},
@@ -215,195 +192,6 @@ func TestMalformedVerticesAreBadRequests(t *testing.T) {
 	}
 }
 
-// countConn counts the writes a client makes: the encoder writes each
-// request line at once, so writes are lines sent.
-type countConn struct {
-	net.Conn
-	writes *int
-}
-
-func (c countConn) Write(p []byte) (int, error) {
-	*c.writes++
-	return c.Conn.Write(p)
-}
-
-// countingClient dials addr and learns the line cap, so that what is
-// counted afterwards is refine traffic alone.
-func countingClient(t *testing.T, addr string) (*Client, *int) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writes := new(int)
-	c := NewClient(countConn{conn, writes})
-	t.Cleanup(func() { c.Close() })
-	if _, err := c.Spec(); err != nil {
-		t.Fatal(err)
-	}
-	*writes = 0
-	return c, writes
-}
-
-// refineFixture is a union (a whole test store), one pretend shard's share
-// of it, and the local answer to check wire refines against.
-type refineFixture struct {
-	union []*trajectory.Trajectory
-	ownA  []int64
-	req   engine.Request
-	wantA []int64
-}
-
-func newRefineFixture(t *testing.T, n int) refineFixture {
-	t.Helper()
-	store := testStore(t, n)
-	oids := store.OIDs()
-	fx := refineFixture{
-		union: store.All(), ownA: oids[1 : n/2],
-		req: engine.Request{Kind: engine.KindUQ31, QueryOID: oids[0], Tb: 0, Te: 30},
-	}
-	want, err := engine.New(1).DoRestricted(context.Background(), store, fx.req, fx.ownA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx.wantA = want.OIDs
-	return fx
-}
-
-// TestUploadFillsLine: the upload frames are sized from exact byte
-// counts. A union whose single-frame line is exactly the server's cap goes
-// as one frame — and the server takes it, so it is not a byte over — and
-// against a cap one byte smaller it goes as two.
-func TestUploadFillsLine(t *testing.T) {
-	fx := newRefineFixture(t, 30)
-	line, err := json.Marshal(Request{
-		Op: "query", Phase: "gather", GatherID: "g", Trajs: encodeTrajs(fx.union),
-		OIDs: fx.ownA, Request: &fx.req,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := len(line) + 1 // the newline
-	for _, tc := range []struct{ cap, frames int }{{exact, 1}, {exact - 1, 2}} {
-		c, writes := countingClient(t, startTCPServer(t, testStore(t, 3), Options{MaxLineBytes: tc.cap}))
-		got, err := c.ShardRefine("g", fx.union, fx.ownA, fx.req, 0)
-		if err != nil {
-			t.Fatalf("cap %d: %v", tc.cap, err)
-		}
-		if *writes != tc.frames || !slices.Equal(got.OIDs, fx.wantA) {
-			t.Fatalf("cap %d (a one-frame upload is %d bytes): %d frames, want %d; answer %v, want %v",
-				tc.cap, exact, *writes, tc.frames, got.OIDs, fx.wantA)
-		}
-	}
-}
-
-// TestGatherCapCountsPackedBytes: trajWireBytes is the encoded size of a
-// packed trajectory to the byte, so MaxGatherBytes bites at the bytes a
-// packed upload really is: the exact size passes, one byte less does not.
-func TestGatherCapCountsPackedBytes(t *testing.T) {
-	fx := newRefineFixture(t, 30)
-	real := 0
-	for _, wt := range encodeTrajs(fx.union) {
-		elem, err := json.Marshal(wt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := trajWireBytes(wt), len(elem)+1; got != want {
-			t.Fatalf("trajectory %d priced at %d bytes, encodes to %d with its separator", wt.OID, got, want)
-		}
-		real += len(elem) + 1
-	}
-	for _, tc := range []struct {
-		cap int
-		ok  bool
-	}{{real, true}, {real - 1, false}} {
-		c, _ := countingClient(t, startTCPServer(t, testStore(t, 3), Options{MaxLineBytes: 4096, MaxGatherBytes: tc.cap}))
-		_, err := c.ShardRefine("g", fx.union, fx.ownA, fx.req, 0)
-		if (err == nil) != tc.ok {
-			t.Fatalf("gather cap %d on a %d-byte packed upload: err = %v, want accepted=%v", tc.cap, real, err, tc.ok)
-		}
-		if err != nil && !strings.Contains(err.Error(), "exceeds") {
-			t.Fatalf("gather cap %d: unexpected failure %v", tc.cap, err)
-		}
-	}
-}
-
-// TestShardRefineSkipsCertainMiss: a gather ID this connection never
-// uploaded is uploaded without a probe (one round trip, not two), one it
-// did upload is refined by ID alone, the probe-then-upload fallback
-// survives for an ID the server no longer holds, and an upload that
-// failed is not taken for cached.
-func TestShardRefineSkipsCertainMiss(t *testing.T) {
-	fx := newRefineFixture(t, 30)
-	c, writes := countingClient(t, startTCPServer(t, testStore(t, 3), Options{}))
-	step := func(name, id string, union []*trajectory.Trajectory, want int) {
-		t.Helper()
-		*writes = 0
-		got, err := c.ShardRefine(id, union, fx.ownA, fx.req, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if *writes != want || !slices.Equal(got.OIDs, fx.wantA) {
-			t.Fatalf("%s: %d round trips, want %d; answer %v, want %v", name, *writes, want, got.OIDs, fx.wantA)
-		}
-	}
-	step("fresh ID uploads straight away", "g1", fx.union, 1)
-	step("uploaded ID refines by ID alone", "g1", nil, 1)
-	step("second ID", "g2", fx.union, 1)
-	step("third ID pushes g1 out of both caches", "g3", fx.union, 1)
-	step("forgotten ID uploads again without a probe", "g1", fx.union, 1)
-	c.uploaded = append(c.uploaded, "evicted") // the server never saw it
-	step("remembered ID the server lost: probe, then upload", "evicted", fx.union, 2)
-
-	bad := fx.req
-	bad.Kind = engine.KindUQ11 // not a whole-MOD filter: the refine in the final frame fails
-	if _, err := c.ShardRefine("g9", fx.union, fx.ownA, bad, 0); err == nil {
-		t.Fatal("a single-object refine was accepted")
-	}
-	if slices.Contains(c.uploaded, "g9") {
-		t.Fatal("a failed upload was remembered as cached")
-	}
-	step("failed upload is uploaded again", "g9", fx.union, 1)
-}
-
-// TestPendingGathersBounded: unfinished uploads are held per gather ID
-// until their final frame, so a peer may open only gatherCacheCap of them;
-// one more gets a coded parting reply and the connection closes. Finishing
-// one frees its slot.
-func TestPendingGathersBounded(t *testing.T) {
-	store := testStore(t, 5)
-	cli, done := pipeServer(t, store, Options{})
-	p := newRawPeer(t, cli)
-	chunk := encodeTrajs(store.All()[:1])
-	open := func(id string) {
-		p.send(Request{Op: "query", Phase: "gather", GatherID: id, More: true, Trajs: chunk})
-	}
-	open("g0")
-	if resp, _ := p.call(Request{Op: "query", Phase: "gather", GatherID: "g0"}); !resp.OK {
-		t.Fatalf("finishing an upload: %+v", resp)
-	}
-	for i := 1; i <= gatherCacheCap; i++ {
-		open(fmt.Sprintf("g%d", i))
-	}
-	open("g1") // a further frame of an open upload is not a new one
-	if resp, _ := p.call(Request{Op: "ping"}); !resp.OK {
-		t.Fatalf("connection closed at the limit, not past it: %+v", resp)
-	}
-	open("one-too-many")
-	if !p.sc.Scan() {
-		t.Fatalf("no parting reply: %v", p.sc.Err())
-	}
-	var resp Response
-	if err := json.Unmarshal(p.sc.Bytes(), &resp); err != nil || resp.OK || resp.Code != codeGatherLimit {
-		t.Fatalf("parting reply %s (%v), want code %s", p.sc.Bytes(), err, codeGatherLimit)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("connection stayed open past the pending-gather limit")
-	}
-}
-
 // FuzzShardFrame: arbitrary request and reply lines through the frame
 // decoders never panic, and a trajectory they accept is a valid one that
 // survives being packed and decoded again.
@@ -412,12 +200,11 @@ func FuzzShardFrame(f *testing.F) {
 	wt := WireTraj{OID: 4, VB: serve.PackVerts(two)}
 	tags := []string{"ev"}
 	for _, v := range []any{
-		Request{Op: "query", Phase: "gather", GatherID: "g", More: true, Trajs: []WireTraj{wt}},
-		Request{Op: "query", Phase: "gather", GatherID: "g", Trajs: arrayTrajs([]*trajectory.Trajectory{{OID: 4, Verts: two}})},
 		Request{Op: "query", Phase: "bounds", OID: 4, VB: wt.VB, Verts: serve.EncodeVerts(two), Te: 9, K: 1},
 		Request{Op: "query", Phase: "survivors", OID: 4, VB: wt.VB[:31], Te: 9, Bounds: []float64{-1, 2}},
 		Request{Op: "ingest", Updates: []WireTraj{wt, {OID: 5, Tags: &tags}, {OID: 6, Retire: true}}},
 		Response{OK: true, More: true, Trajs: []WireTraj{wt}},
+		Response{OK: true, Trajs: arrayTrajs([]*trajectory.Trajectory{{OID: 4, Verts: two}}), Stats: &prune.Stats{Candidates: 1, Survivors: 1}},
 		Response{OK: true, Applied: []WireApplied{{OID: 4, ChangedFrom: 3, VB: wt.VB, PVB: wt.VB}, {OID: 5, TagsOnly: true, TagsChanged: true, Tags: tags}}},
 	} {
 		line, err := json.Marshal(v)
@@ -426,7 +213,9 @@ func FuzzShardFrame(f *testing.F) {
 		}
 		f.Add(line)
 	}
-	f.Add([]byte(`{"op":"query","phase":"gather","trajs":[{"oid":1,"vb":"AAAA"}]}`))
+	f.Add([]byte(`{"ok":true,"more":true,"trajs":[{"oid":1,"vb":"AAAA"}]}`))
+	// A retired gather upload: still a line a peer may send.
+	f.Add([]byte(`{"op":"query","phase":"gather","gather_id":"g","trajs":[{"oid":1,"vb":"AAAA"}]}`))
 	f.Add([]byte(`{"ok":true,"applied":[{"oid":1,"pvb":"not base64"}]}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var (
@@ -437,7 +226,6 @@ func FuzzShardFrame(f *testing.F) {
 			_, _ = wireQuery(req)
 			_, _ = serve.DecodeUpdates(req.Updates, true)
 			_, _ = serve.DecodeUpdates(req.Updates, false)
-			checkDecodedTrajs(t, req.Trajs)
 		}
 		if json.Unmarshal(line, &resp) == nil {
 			_, _ = serve.DecodeApplied(resp.Applied, nil)
@@ -448,8 +236,16 @@ func FuzzShardFrame(f *testing.F) {
 
 func checkDecodedTrajs(t *testing.T, wts []WireTraj) {
 	for _, wt := range wts {
-		if trajWireBytes(wt) <= 0 {
-			t.Fatalf("trajectory %d priced at %d bytes", wt.OID, trajWireBytes(wt))
+		// A packed element, the only form a survivors frame carries, is
+		// priced at its exact encoded size with its separator.
+		if len(wt.Verts) > 0 || len(wt.VB) == 0 || wt.Tags != nil || wt.Retire {
+			if trajWireBytes(wt) <= 0 {
+				t.Fatalf("trajectory %d priced at %d bytes", wt.OID, trajWireBytes(wt))
+			}
+			continue
+		}
+		if line, err := json.Marshal(wt); err != nil || trajWireBytes(wt) != len(line)+1 {
+			t.Fatalf("trajectory %d priced at %d bytes, encodes to %d+1 (%v)", wt.OID, trajWireBytes(wt), len(line), err)
 		}
 	}
 	trs, err := decodeTrajs(wts)
@@ -472,8 +268,8 @@ func checkDecodedTrajs(t *testing.T, wts []WireTraj) {
 	}
 }
 
-// benchUnion is a gathered union of the size the benchmark's sharded_wire
-// workload refines against (95 objects), cut from the same generator.
+// benchUnion is a survivor set of the size the benchmark's sharded_wire
+// workload gathers (95 objects), cut from the same generator.
 func benchUnion(b *testing.B) []*trajectory.Trajectory {
 	trs, err := workload.Generate(workload.DefaultConfig(2009), 95)
 	if err != nil {
@@ -487,8 +283,8 @@ var benchForms = []struct {
 	encode func([]*trajectory.Trajectory) []WireTraj
 }{{"array", arrayTrajs}, {"packed", encodeTrajs}}
 
-// BenchmarkShardFrameEncode: flattening and marshalling one gather upload
-// frame, in the decimal form the shard link used to carry and in the
+// BenchmarkShardFrameEncode: flattening and marshalling one survivors
+// reply frame, in the decimal form the shard link used to carry and in the
 // packed one. B/op of throughput is the frame's size on the wire.
 func BenchmarkShardFrameEncode(b *testing.B) {
 	union := benchUnion(b)
@@ -496,7 +292,7 @@ func BenchmarkShardFrameEncode(b *testing.B) {
 		b.Run(form.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				line, err := json.Marshal(Request{Op: "query", Phase: "gather", GatherID: "g", Trajs: form.encode(union)})
+				line, err := json.Marshal(Response{OK: true, Trajs: form.encode(union)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -506,12 +302,12 @@ func BenchmarkShardFrameEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkShardFrameDecode: the receiving half — unmarshal the line and
+// BenchmarkShardFrameDecode: the receiving half — unmarshal the frame and
 // rebuild validated trajectories.
 func BenchmarkShardFrameDecode(b *testing.B) {
 	union := benchUnion(b)
 	for _, form := range benchForms {
-		line, err := json.Marshal(Request{Op: "query", Phase: "gather", GatherID: "g", Trajs: form.encode(union)})
+		line, err := json.Marshal(Response{OK: true, Trajs: form.encode(union)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -519,11 +315,11 @@ func BenchmarkShardFrameDecode(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(line)))
 			for b.Loop() {
-				var req Request
-				if err := json.Unmarshal(line, &req); err != nil {
+				var resp Response
+				if err := json.Unmarshal(line, &resp); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := decodeTrajs(req.Trajs); err != nil {
+				if _, err := decodeTrajs(resp.Trajs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,19 +1,20 @@
 package modserver
 
 // Streaming-protocol tests: chunked frame reassembly, mid-stream
-// disconnects, the slow-reader write deadline, the gather upload cap, and
-// the distributed-refine round trip (probe → chunked upload → cached
-// reuse). net.Pipe stands in for TCP where the test needs writes to block
-// deterministically.
+// disconnects, the slow-reader write deadline, and the refusal of the
+// refine phases a shard no longer serves. net.Pipe stands in for TCP
+// where the test needs writes to block deterministically.
 
 import (
 	"bufio"
 	"bytes"
-	"context"
+	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,118 +174,39 @@ func TestStreamSlowReaderSevered(t *testing.T) {
 	}
 }
 
-// TestGatherUploadCapped: an upload whose accumulated frames exceed the
-// gather cap fails on the final frame, and the connection stays usable.
-func TestGatherUploadCapped(t *testing.T) {
-	store := testStore(t, 30)
-	addr := startTCPServer(t, store, Options{MaxGatherBytes: 2048})
-	conn, err := net.Dial("tcp", addr)
+// TestOldRefineFramesRejected: the upload and refine frames of the shard
+// refine protocol a shard no longer serves — a more:true gather chunk, a
+// final gather and a refine — each get one "unknown query phase" reply,
+// and the connection keeps serving. A server that swallows a frame fails
+// the test at the read deadline instead of hanging it.
+func TestOldRefineFramesRejected(t *testing.T) {
+	store := testStore(t, 10)
+	conn, err := net.Dial("tcp", startTCPServer(t, store, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	wts := encodeTrajs(store.All())
-	var est int
-	for i, wt := range wts {
-		est += trajWireBytes(wt)
-		if err := enc.Encode(Request{Op: "query", Phase: "gather", GatherID: "big", More: i < len(wts)-1, Trajs: []WireTraj{wt}}); err != nil {
-			t.Fatal(err)
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	p := newRawPeer(t, conn)
+	q := store.All()[0]
+	chunk := fmt.Sprintf(`[{"oid":%d,"vb":%q}]`, q.OID, base64.StdEncoding.EncodeToString(serve.PackVerts(q.Verts)))
+	request := fmt.Sprintf(`{"kind":"UQ31","query_oid":%d,"tb":0,"te":30}`, q.OID)
+	for _, line := range []string{
+		`{"op":"query","phase":"gather","gather_id":"g","more":true,"trajs":` + chunk + `}`,
+		`{"op":"query","phase":"gather","gather_id":"g","trajs":` + chunk + `,"oids":[2],"request":` + request + `}`,
+		`{"op":"query","phase":"refine","gather_id":"g","oids":[2],"request":` + request + `}`,
+	} {
+		p.send(json.RawMessage(line))
+		if !p.sc.Scan() {
+			t.Fatalf("no reply to %s: %v", line, p.sc.Err())
+		}
+		var resp Response
+		if err := json.Unmarshal(p.sc.Bytes(), &resp); err != nil || resp.OK || !strings.Contains(resp.Error, "unknown query phase") {
+			t.Fatalf("reply to %s: %s (%v), want one unknown query phase error", line, p.sc.Bytes(), err)
 		}
 	}
-	if est <= 2048 {
-		t.Fatalf("test store too small to exceed the cap (estimated %d bytes)", est)
-	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), ClientMaxLine)
-	if !sc.Scan() {
-		t.Fatal(sc.Err())
-	}
-	var resp Response
-	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Error == "" {
-		t.Fatalf("oversized gather was accepted: %+v", resp)
-	}
-	// The failure is per-gather, not per-connection.
-	if err := enc.Encode(Request{Op: "ping"}); err != nil {
-		t.Fatal(err)
-	}
-	if !sc.Scan() {
-		t.Fatal(sc.Err())
-	}
-	resp = Response{}
-	if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK {
-		t.Fatalf("connection unusable after a capped gather: %s", resp.Error)
-	}
-}
-
-// TestShardRefineUploadAndReuse: a refine probe against an unknown gather
-// falls back to a chunked upload and matches the local restricted
-// evaluation; a second refine with a nil union must hit the server-side
-// cache (an uploaded nil union would lose the query object and fail).
-func TestShardRefineUploadAndReuse(t *testing.T) {
-	store := testStore(t, 30)
-	addr := startTCPServer(t, store, Options{MaxLineBytes: 4096})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	union := store.All()
-	qOID := union[0].OID
-	var rest []int64
-	for _, tr := range union[1:] {
-		rest = append(rest, tr.OID)
-	}
-	slices.Sort(rest)
-	ownA, ownB := rest[:len(rest)/2], rest[len(rest)/2:]
-	reqA := engine.Request{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 30}
-	reqB := engine.Request{Kind: engine.KindUQ41, QueryOID: qOID, Tb: 0, Te: 30, K: 2}
-
-	ustore, err := mod.NewStore(store.Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range union {
-		if err := ustore.Insert(tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx := context.Background()
-	eng := engine.New(1)
-
-	gotA, err := c.ShardRefine("g1", union, ownA, reqA, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantA, err := eng.DoRestricted(ctx, ustore, reqA, ownA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(gotA.OIDs, wantA.OIDs) {
-		t.Fatalf("refine OIDs %v, want %v", gotA.OIDs, wantA.OIDs)
-	}
-	if gotA.Explain.Refined != len(ownA) {
-		t.Fatalf("refined %d, want %d", gotA.Explain.Refined, len(ownA))
-	}
-
-	var nilUnion []*trajectory.Trajectory
-	gotB, err := c.ShardRefine("g1", nilUnion, ownB, reqB, 0)
-	if err != nil {
-		t.Fatalf("cached refine failed (server must not have required an upload): %v", err)
-	}
-	wantB, err := eng.DoRestricted(ctx, ustore, reqB, ownB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(gotB.OIDs, wantB.OIDs) {
-		t.Fatalf("cached refine OIDs %v, want %v", gotB.OIDs, wantB.OIDs)
+	if resp, _ := p.call(Request{Op: "ping"}); !resp.OK {
+		t.Fatalf("ping after the refused frames: %+v", resp)
 	}
 }
 
