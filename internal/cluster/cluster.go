@@ -81,8 +81,9 @@ var (
 	ErrProtocol = serve.ErrProtocol
 	// ErrShardUnavailable is the errors.Is sentinel of
 	// ShardUnavailableError: a shard could not be reached at all (dial
-	// refused, partitioned) as opposed to failing mid-conversation.
-	ErrShardUnavailable = errors.New("cluster: shard unavailable")
+	// refused, partitioned) as opposed to failing mid-conversation. It is
+	// serve's, so both wires answer it as shard_unavailable.
+	ErrShardUnavailable = serve.ErrShardUnavailable
 )
 
 // ShardUnavailableError reports a shard the router could not reach,

@@ -89,11 +89,11 @@ type RemoteOptions struct {
 	// TLS, when set, wraps every dialed connection in a TLS client
 	// handshake (ServerName defaults from the shard address). A plaintext
 	// dial against a TLS shard — the inverse misconfiguration — fails
-	// with modserver.ErrTLSRequired, which is permanent, not retried.
+	// with serve.ErrTLSRequired, which is permanent, not retried.
 	TLS *tls.Config
 	// Token, when non-empty, authenticates each fresh connection before
 	// any shard op rides it. A rejected token surfaces as
-	// modserver.ErrUnauthorized (permanent).
+	// serve.ErrUnauthorized (permanent).
 	Token string
 	// OnRetry, when set, observes each transient-failure retry (the
 	// metrics hook): attempt counts from 1 and err is the failure being

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/mod"
 	"repro/internal/modserver"
+	"repro/internal/serve"
 	"repro/internal/testcert"
 )
 
@@ -71,7 +72,7 @@ func TestTLSShardEquivalence(t *testing.T) {
 }
 
 // TestPlaintextDialAgainstTLSShard: a RemoteShard with no TLS config
-// against a TLS shard fails with the typed modserver.ErrTLSRequired —
+// against a TLS shard fails with the typed serve.ErrTLSRequired —
 // permanent, so the retry budget is not spent redialing a config error.
 func TestPlaintextDialAgainstTLSShard(t *testing.T) {
 	pair, err := testcert.New()
@@ -92,8 +93,8 @@ func TestPlaintextDialAgainstTLSShard(t *testing.T) {
 		OnRetry: func(string, int, error) { retries++ },
 	})
 	t.Cleanup(func() { shard.Close() })
-	if _, err := shard.Spec(context.Background()); !errors.Is(err, modserver.ErrTLSRequired) {
-		t.Fatalf("plaintext spec against TLS shard: %v, want modserver.ErrTLSRequired", err)
+	if _, err := shard.Spec(context.Background()); !errors.Is(err, serve.ErrTLSRequired) {
+		t.Fatalf("plaintext spec against TLS shard: %v, want serve.ErrTLSRequired", err)
 	}
 	if retries != 0 {
 		t.Fatalf("typed TLS mismatch burned %d retries; want 0", retries)
@@ -101,7 +102,7 @@ func TestPlaintextDialAgainstTLSShard(t *testing.T) {
 }
 
 // TestWrongShardTokenTyped: a wrong (or missing) token fails shard calls
-// with the typed modserver.ErrUnauthorized, again without retries.
+// with the typed serve.ErrUnauthorized, again without retries.
 func TestWrongShardTokenTyped(t *testing.T) {
 	store, _ := buildStore(t, 10, equivR, equivSeed)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -118,8 +119,8 @@ func TestWrongShardTokenTyped(t *testing.T) {
 			Token:   token,
 			OnRetry: func(string, int, error) { retries++ },
 		})
-		if _, err := shard.Spec(context.Background()); !errors.Is(err, modserver.ErrUnauthorized) {
-			t.Fatalf("token %q: spec err=%v, want modserver.ErrUnauthorized", token, err)
+		if _, err := shard.Spec(context.Background()); !errors.Is(err, serve.ErrUnauthorized) {
+			t.Fatalf("token %q: spec err=%v, want serve.ErrUnauthorized", token, err)
 		}
 		if retries != 0 {
 			t.Fatalf("token %q: unauthorized burned %d retries; want 0", token, retries)

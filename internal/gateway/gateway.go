@@ -47,26 +47,18 @@ import (
 	"time"
 
 	"repro/api/openapi"
-	"repro/internal/cluster"
 	"repro/internal/continuous"
 	"repro/internal/engine"
-	"repro/internal/envelope"
 	"repro/internal/mod"
 	"repro/internal/serve"
-	"repro/internal/textidx"
-	"repro/internal/trajectory"
 )
 
-// ErrUnauthorized is the typed refusal for a missing or wrong bearer
-// token.
-var ErrUnauthorized = errors.New("gateway: unauthorized")
-
-// errDraining answers requests that arrive while Shutdown drains.
-var errDraining = errors.New("gateway: draining")
-
-// StatusClientClosed is the non-standard 499 (client closed request)
-// reported when the client went away before the evaluation finished.
-const StatusClientClosed = 499
+// The gateway's own failures, filed under serve's rows.
+var (
+	errUnauthorized = fmt.Errorf("gateway: %w", serve.ErrUnauthorized)
+	errDraining     = fmt.Errorf("gateway: %w", serve.ErrDraining)
+	errNoHub        = fmt.Errorf("gateway: %w: no live hub", serve.ErrUnsupported)
+)
 
 // DefaultMaxBodyBytes caps request bodies (8 MiB holds a ~40k-update
 // ingest batch with room to spare).
@@ -251,7 +243,7 @@ func (s *Server) v1(h http.HandlerFunc) http.HandlerFunc {
 			bearer, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 			if !ok || !serve.TokenOK(tok, bearer) {
 				w.Header().Set("WWW-Authenticate", `Bearer realm="repro-gateway"`)
-				writeError(w, ErrUnauthorized)
+				writeError(w, errUnauthorized)
 				return
 			}
 		}
@@ -313,20 +305,15 @@ type batchRequest struct {
 	DeadlineMS int64            `json:"deadline_ms,omitempty"`
 }
 
-type batchEntry struct {
-	OK     bool           `json:"ok"`
-	Result *engine.Result `json:"result,omitempty"`
-	Error  *apiError      `json:"error,omitempty"`
-}
+// A batch reply item and an error body carry serve's shapes, as the line
+// protocol's query op does.
+type batchEntry = serve.Entry
 
 type batchResponse struct {
 	Results []batchEntry `json:"results"`
 }
 
-type apiError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
+type apiError = serve.WireError
 
 type errorBody struct {
 	Error apiError `json:"error"`
@@ -335,101 +322,41 @@ type errorBody struct {
 // The ingest body and reply carry the shapes the line protocol's ingest
 // op does (serve.WireUpdate, serve.WireApplied), but a reply item is the
 // update's outcome only (serve.EncodeOutcomes): no caller reads the plans
-// back.
+// back. A failed batch's reply carries the error beside the outcomes of
+// the prefix it applied.
 type ingestRequest struct {
 	Updates []serve.WireUpdate `json:"updates"`
 }
 
 type ingestResponse struct {
-	Applied []serve.WireApplied `json:"applied"`
+	Error   *apiError           `json:"error,omitempty"`
+	Applied []serve.WireApplied `json:"applied,omitempty"`
 }
 
 // ---- error taxonomy ----------------------------------------------------
 
-// errStatus maps a typed error onto (HTTP status, machine-readable
-// code). The code set is closed — it doubles as a metrics label.
+// errStatus is serve.Classify as the gateway answers it: (HTTP status,
+// machine-readable code). The code set is serve's table; it doubles as
+// the metrics outcome label.
 func errStatus(err error) (int, string) {
-	switch {
-	case errors.Is(err, engine.ErrBadKind):
-		return http.StatusBadRequest, "bad_kind"
-	case errors.Is(err, engine.ErrBadWindow), errors.Is(err, envelope.ErrBadWindow):
-		return http.StatusBadRequest, "bad_window"
-	case errors.Is(err, engine.ErrBadRank):
-		return http.StatusBadRequest, "bad_rank"
-	case errors.Is(err, engine.ErrBadFrac):
-		return http.StatusBadRequest, "bad_frac"
-	case errors.Is(err, engine.ErrBadPredicate):
-		return http.StatusBadRequest, "bad_predicate"
-	case errors.Is(err, textidx.ErrBadTag):
-		return http.StatusBadRequest, "bad_tag"
-	case errors.Is(err, engine.ErrUnknownOID):
-		return http.StatusNotFound, "unknown_oid"
-	case errors.Is(err, mod.ErrNotFound), errors.Is(err, serve.ErrUnknownSub):
-		return http.StatusNotFound, "not_found"
-	case errors.Is(err, serve.ErrSubLive), errors.Is(err, serve.ErrBadWire),
-		// An ingest item the store refuses as invalid is the client's fault.
-		errors.Is(err, mod.ErrStaleVertex), errors.Is(err, mod.ErrShortInsert), errors.Is(err, mod.ErrRetireConflict),
-		errors.Is(err, trajectory.ErrTooFewVertices), errors.Is(err, trajectory.ErrNonIncreasing), errors.Is(err, trajectory.ErrNonFinite):
-		return http.StatusBadRequest, "bad_request"
-	case errors.Is(err, serve.ErrSubExpired):
-		return http.StatusGone, "sub_expired"
-	case errors.Is(err, ErrUnauthorized):
-		return http.StatusUnauthorized, "unauthorized"
-	case errors.Is(err, continuous.ErrEventGap):
-		return http.StatusGone, "event_gap"
-	case errors.Is(err, cluster.ErrShardUnavailable):
-		return http.StatusServiceUnavailable, "shard_unavailable"
-	case errors.Is(err, errDraining):
-		return http.StatusServiceUnavailable, "draining"
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "deadline_exceeded"
-	case errors.Is(err, context.Canceled):
-		return StatusClientClosed, "canceled"
-	case isMaxBytes(err):
-		return http.StatusRequestEntityTooLarge, "body_too_large"
-	case isUnsupported(err):
-		return http.StatusNotImplemented, "unsupported"
-	case isBadRequest(err):
-		return http.StatusBadRequest, "bad_request"
-	}
-	return http.StatusInternalServerError, "internal"
+	code, status := serve.Classify(err)
+	return status, code
 }
 
-// errUnsupported marks a route whose subsystem is not configured.
-var errUnsupported = errors.New("gateway: not configured on this server")
-
-func isUnsupported(err error) bool { return errors.Is(err, errUnsupported) }
-
-func isMaxBytes(err error) bool {
-	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
-}
-
-// badRequestError wraps client-side decode failures (malformed JSON,
-// bad query params) distinctly from engine validation errors.
-type badRequestError struct{ err error }
-
-func (e badRequestError) Error() string { return e.err.Error() }
-func (e badRequestError) Unwrap() error { return e.err }
-
-func isBadRequest(err error) bool {
-	var bre badRequestError
-	return errors.As(err, &bre)
-}
-
-func badReq(err error) error { return badRequestError{err} }
+// badReq files a client-side decode failure (malformed JSON, a bad query
+// parameter) as bad_request, its message unchanged.
+func badReq(err error) error { return serve.Mark(err, serve.ErrBadRequest) }
 
 func writeError(w http.ResponseWriter, err error) {
-	status, code := errStatus(err)
-	writeJSON(w, status, errorBody{apiError{Code: code, Message: err.Error()}})
+	status, _ := errStatus(err)
+	writeJSON(w, status, errorBody{serve.EncodeError(err)})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		http.Error(w, `{"error":{"code":"internal","message":"encode failure"}}`,
-			http.StatusInternalServerError)
-		return
+		status = http.StatusInternalServerError
+		b, _ = json.Marshal(errorBody{serve.EncodeError(errors.New("encode failure"))})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -453,14 +380,41 @@ func (s *Server) reqCtx(r *http.Request, deadlineMS int64) (context.Context, con
 	return context.WithCancel(r.Context())
 }
 
+// decodeBody decodes one JSON body. A read past the body cap is
+// body_too_large, any other failure bad_request.
 func decodeBody(body io.Reader, v any) error {
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		if isMaxBytes(err) {
-			return err
-		}
-		return badReq(fmt.Errorf("gateway: bad request body: %w", err))
+	err := json.NewDecoder(&skipSpace{r: body}).Decode(v)
+	var mbe *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &mbe):
+		return serve.Mark(err, serve.ErrTooLarge)
 	}
-	return nil
+	return badReq(fmt.Errorf("gateway: bad request body: %w", err))
+}
+
+// skipSpace drops the JSON whitespace a body opens with before a
+// json.Decoder reads it: the decoder keeps leading whitespace in its
+// buffer as part of the value, doubling the buffer up to the body's
+// length, where skipping it here costs nothing.
+type skipSpace struct {
+	r    io.Reader
+	seen bool // a byte past the leading whitespace has been read
+}
+
+func (s *skipSpace) Read(p []byte) (int, error) {
+	for !s.seen {
+		n, err := s.r.Read(p)
+		if rest := bytes.TrimLeft(p[:n], " \t\r\n"); len(rest) > 0 {
+			s.seen = true
+			return copy(p, rest), err
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	return s.r.Read(p)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -501,14 +455,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	out := batchResponse{Results: make([]batchEntry, len(results))}
 	for i := range results {
-		res := results[i]
-		s.opts.Metrics.recordQuery(res, br.Requests[i].Where != nil)
-		if res.Err != nil {
-			_, code := errStatus(res.Err)
-			out.Results[i] = batchEntry{Error: &apiError{Code: code, Message: res.Err.Error()}}
-			continue
-		}
-		out.Results[i] = batchEntry{OK: true, Result: &res}
+		s.opts.Metrics.recordQuery(results[i], br.Requests[i].Where != nil)
+		out.Results[i] = serve.EncodeEntry(&results[i])
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -562,7 +510,7 @@ func readBody(r *http.Request) ([]byte, error) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.core == nil {
-		writeError(w, fmt.Errorf("%w: no live hub", errUnsupported))
+		writeError(w, errNoHub)
 		return
 	}
 	if s.draining.Load() {
@@ -587,15 +535,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	applied, err := s.core.Ingest(ctx, updates)
 	s.opts.Metrics.recordIngest(len(ir.Updates), err)
+	reply, status := ingestResponse{Applied: serve.EncodeOutcomes(applied)}, http.StatusOK
 	if err != nil {
-		// A mid-batch failure still applied a prefix; report both, as the
-		// line protocol does.
-		status, code := errStatus(err)
-		writeJSON(w, status, struct {
-			Error   apiError            `json:"error"`
-			Applied []serve.WireApplied `json:"applied,omitempty"`
-		}{apiError{Code: code, Message: err.Error()}, serve.EncodeOutcomes(applied)})
-		return
+		we := serve.EncodeError(err)
+		reply.Error = &we
+		status, _ = errStatus(err)
 	}
-	writeJSON(w, http.StatusOK, ingestResponse{Applied: serve.EncodeOutcomes(applied)})
+	writeJSON(w, status, reply)
 }

@@ -60,7 +60,7 @@ type subscribedEvent struct {
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if s.core == nil {
-		writeError(w, fmt.Errorf("%w: no live hub", errUnsupported))
+		writeError(w, errNoHub)
 		return
 	}
 	flusher, ok := w.(http.Flusher)

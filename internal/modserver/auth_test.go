@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/mod"
+	"repro/internal/serve"
 	"repro/internal/testcert"
 )
 
@@ -42,7 +43,7 @@ func startTokenServer(t *testing.T, store *mod.Store, token string, tlsPair *tes
 }
 
 // TestTokenAuthGatesOps: every op on a token-protected server is refused
-// with the ErrUnauthorized identity until the connection authenticates;
+// with the serve.ErrUnauthorized identity until the connection authenticates;
 // a wrong token is refused the same way at dial time; the right token
 // unlocks the full protocol including subscriptions.
 func TestTokenAuthGatesOps(t *testing.T) {
@@ -54,8 +55,8 @@ func TestTokenAuthGatesOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ping(); !errors.Is(err, ErrUnauthorized) {
-		t.Fatalf("unauthenticated ping: %v, want ErrUnauthorized", err)
+	if err := c.Ping(); !errors.Is(err, serve.ErrUnauthorized) {
+		t.Fatalf("unauthenticated ping: %v, want serve.ErrUnauthorized", err)
 	}
 	c.Close()
 
@@ -65,14 +66,14 @@ func TestTokenAuthGatesOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	qOID := store.OIDs()[0]
-	if _, _, err := c.Subscribe(engine.Request{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 60}); !errors.Is(err, ErrUnauthorized) {
-		t.Fatalf("unauthenticated subscribe: %v, want ErrUnauthorized", err)
+	if _, _, err := c.Subscribe(engine.Request{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 60}); !errors.Is(err, serve.ErrUnauthorized) {
+		t.Fatalf("unauthenticated subscribe: %v, want serve.ErrUnauthorized", err)
 	}
 	c.Close()
 
 	// Wrong token: the dial itself fails typed.
-	if _, err := DialWith(addr, DialOptions{Token: "wrong"}); !errors.Is(err, ErrUnauthorized) {
-		t.Fatalf("wrong-token dial: %v, want ErrUnauthorized", err)
+	if _, err := DialWith(addr, DialOptions{Token: "wrong"}); !errors.Is(err, serve.ErrUnauthorized) {
+		t.Fatalf("wrong-token dial: %v, want serve.ErrUnauthorized", err)
 	}
 
 	// Right token: the whole protocol works on the authed connection.
@@ -114,7 +115,7 @@ func TestNoTokenServerAcceptsAuth(t *testing.T) {
 
 // TestTLSServingAndPlaintextTyped: a TLS+token server serves the full
 // protocol to a properly configured client, and a plaintext dial against
-// it fails with the ErrTLSRequired identity (the server answers the
+// it fails with the serve.ErrTLSRequired identity (the server answers the
 // confused client in plaintext) rather than a JSON syntax error or a
 // silent close.
 func TestTLSServingAndPlaintextTyped(t *testing.T) {
@@ -142,8 +143,8 @@ func TestTLSServingAndPlaintextTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	if err := pc.Ping(); !errors.Is(err, ErrTLSRequired) {
-		t.Fatalf("plaintext ping against TLS server: %v, want ErrTLSRequired", err)
+	if err := pc.Ping(); !errors.Is(err, serve.ErrTLSRequired) {
+		t.Fatalf("plaintext ping against TLS server: %v, want serve.ErrTLSRequired", err)
 	}
 }
 

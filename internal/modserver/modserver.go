@@ -6,7 +6,14 @@
 // Protocol: one JSON object per line in each direction.
 //
 //	request  := {"op": "...", ...}
-//	response := {"ok": bool, "error": string?, ...}
+//	response := {"ok": true, ...} | {"ok": false, "error": message, "code": code}
+//	result   := an engine.Result: {"kind", "oids"|"pairs"|"is_bool"+"bool", "explain"}
+//	entry    := {"ok": true, "result": result} | {"ok": false, "error": {"code": code, "message": message}}
+//
+// "code" is on every error, the top-level one and an entry's, and is
+// serve's (serve.Classify): the code set, the shapes of result and entry
+// and the errors a client rebuilds from them (serve.Rebuild) are the HTTP
+// gateway's, so both wires name a failure alike.
 //
 // Operations:
 //
@@ -18,12 +25,12 @@
 //	{"op":"delete","oid":1}                        → {"ok":true} (a retire ingest; unknown OID → "code":"not_found")
 //	{"op":"query","requests":[{"kind":"UQ31",
 //	 "query_oid":1,"tb":0,"te":60}, ...],
-//	 "deadline_ms":500}                            → {"ok":true,"answers":[{"ok":true,"oids":[...],"explain":{...}},...]}
+//	 "deadline_ms":500}                            → {"ok":true,"results":[entry,...]}
 //	{"op":"trip","oid":9,"waypoints":[[x,y],...],
 //	 "start":0,"speed":0.5}                        → {"ok":true,"oid":9,"verts":[...]} (plans, then inserts as above)
 //	{"op":"ingest","updates":[{"oid":1,"verts":[...],
 //	 "tags":[...]},{"oid":2,"retire":true}]}       → {"ok":true,"applied":[{...},...]}
-//	{"op":"subscribe","request":{...}}             → {"ok":true,"sub_id":N,"answer":{...}}, then {"ok":true,"event":{...}}*
+//	{"op":"subscribe","request":{...}}             → {"ok":true,"sub_id":N,"result":result}, then {"ok":true,"event":{...}}*
 //	{"op":"subscribe","sub_id":N,"from_seq":S}     → the same reply, then the missed events, then live ones (resume)
 //	{"op":"unsubscribe","sub_id":N}                → {"ok":true}
 //
@@ -59,7 +66,8 @@
 //
 // The query op is the unified route: it carries engine.Request descriptors
 // verbatim on the wire, evaluates them through Engine.DoBatch, and returns
-// one answer per request with its Explain provenance. deadline_ms (> 0)
+// one entry per request, a failed request failing only its entry (as
+// /v1/batch does). deadline_ms (> 0)
 // bounds the whole batch with a context deadline honored inside the worker
 // pool and the preprocessing — an expired deadline fails the op with a
 // context error instead of hogging the server. UQL is a client-side
@@ -118,114 +126,14 @@ var ErrServerClosed = errors.New("modserver: server closed")
 // transient.
 var ErrConnClosed = errors.New("modserver: connection closed")
 
-// ErrEventStalled reports the server-side severance of a subscription
-// stream: an event write missed the per-event deadline, so the server
-// closed the connection after a best-effort coded notice. Distinguishes
-// "you read too slowly" from a server crash.
-var ErrEventStalled = errors.New("modserver: subscription severed: event write stalled")
+// errPlaintext answers a client that did not speak TLS to a TLS server.
+var errPlaintext = fmt.Errorf("modserver: %w", serve.ErrTLSRequired)
 
-// ErrSubExpired is the identity of the codeSubExpired rejection on both
-// sides of the wire: the subscription sat detached past the server's
-// DetachedTTL and was expired, so the client must take a fresh Subscribe.
-var ErrSubExpired = serve.ErrSubExpired
-
-// ErrUnauthorized reports a token-protected server rejecting a request:
-// the connection never authenticated (or presented the wrong token), so
-// the server refused the op and closed the connection. Matches across
-// the wire via the coded error.
-var ErrUnauthorized = errors.New("modserver: unauthorized")
-
-// ErrTLSRequired reports a plaintext client talking to a TLS server: the
-// reply bytes are a TLS record (a handshake-failure alert), not protocol
-// JSON. Redialing with a tls.Config is the fix; retrying plaintext never
-// succeeds, so the cluster retry layer treats it as permanent.
-var ErrTLSRequired = errors.New("modserver: server requires TLS")
-
-// codeNotFound marks a structured not-found failure on the wire so clients
-// can rebuild the mod.ErrNotFound identity across the network boundary
-// (the cluster router routes on it when resolving point lookups).
-const codeNotFound = "not_found"
-
-// codeEventGap marks a subscribe-resume whose from_seq has been truncated
-// out of the hub's bounded backlog (continuous.ErrEventGap across the
-// wire).
-const codeEventGap = "event_gap"
-
-// codeEventStalled marks the parting line the server writes before
-// severing a subscriber whose event stream stalled (ErrEventStalled
-// across the wire).
-const codeEventStalled = "event_stalled"
-
-// codeSubExpired marks a from_seq resume of a subscription that sat
-// detached past the DetachedTTL deadline and was expired server-side.
-// Unlike the generic unknown-subscription error, the typed code tells the
-// client its stream is definitively gone — re-subscribe, don't retry.
-const codeSubExpired = "sub_expired"
-
-// codeUnauthorized marks an auth rejection (ErrUnauthorized across the
-// wire).
-const codeUnauthorized = "unauthorized"
-
-// codeTLSRequired marks the plaintext parting line a TLS server writes to
-// a client whose first bytes were not a TLS handshake (ErrTLSRequired
-// across the wire). The server detects the mismatch via
-// tls.RecordHeaderError and answers in plaintext — the one protocol the
-// confused client can actually read.
-const codeTLSRequired = "tls_required"
-
-// codeBadRequest marks an item whose vertices could not be read
-// (serve.ErrBadWire across the wire).
-const codeBadRequest = "bad_request"
-
-// codeDeadline and codeCanceled structure context failures on the wire,
-// so a server-side deadline expiry keeps its context.DeadlineExceeded
-// identity at the client (and up through the HTTP gateway's 504 mapping)
-// instead of degrading to a generic string.
-const (
-	codeDeadline = "deadline_exceeded"
-	codeCanceled = "canceled"
-)
-
-// wireCodes pairs each machine-readable failure code with the error
-// identity it carries across the wire: codedFail stamps the first match on
-// a reply, respError rebuilds it at the client.
-var wireCodes = []struct {
-	code string
-	is   error
-}{
-	{codeDeadline, context.DeadlineExceeded},
-	{codeCanceled, context.Canceled},
-	{codeNotFound, mod.ErrNotFound},
-	{codeEventGap, continuous.ErrEventGap},
-	{codeSubExpired, ErrSubExpired},
-	{codeEventStalled, ErrEventStalled},
-	{codeUnauthorized, ErrUnauthorized},
-	{codeTLSRequired, ErrTLSRequired},
-	{codeBadRequest, serve.ErrBadWire},
+// fail is the reply to a failed request: the message with its code.
+func fail(err error) Response {
+	code, _ := serve.Classify(err)
+	return Response{Error: err.Error(), Code: code}
 }
-
-// codedFail builds an error response, attaching the machine-readable
-// code for failures whose identity must survive the wire.
-func codedFail(err error) Response {
-	resp := Response{Error: err.Error()}
-	for _, wc := range wireCodes {
-		if errors.Is(err, wc.is) {
-			resp.Code = wc.code
-			break
-		}
-	}
-	return resp
-}
-
-// wireError carries a server-reported error message while preserving a
-// sentinel identity for errors.Is across the wire.
-type wireError struct {
-	msg string
-	is  error
-}
-
-func (e wireError) Error() string { return e.msg }
-func (e wireError) Unwrap() error { return e.is }
 
 // Request is the wire format of a client request.
 type Request struct {
@@ -290,17 +198,6 @@ type (
 	WireTraj    = serve.WireUpdate
 )
 
-// Answer is one engine.Request's outcome inside a "query" response.
-type Answer struct {
-	OK      bool              `json:"ok"`
-	Error   string            `json:"error,omitempty"`
-	IsBool  bool              `json:"is_bool,omitempty"`
-	Bool    *bool             `json:"bool,omitempty"`
-	OIDs    []int64           `json:"oids,omitempty"`
-	Pairs   map[int64][]int64 `json:"pairs,omitempty"`
-	Explain *engine.Explain   `json:"explain,omitempty"`
-}
-
 // Response is the wire format of a server reply.
 type Response struct {
 	OK    bool         `json:"ok"`
@@ -311,12 +208,13 @@ type Response struct {
 	Verts [][3]float64 `json:"verts,omitempty"`
 	// Tags carries the OID's tag set on the "get" reply (absent when
 	// untagged).
-	Tags    []string `json:"tags,omitempty"`
-	OIDs    []int64  `json:"oids,omitempty"`
-	Answers []Answer `json:"answers,omitempty"`
+	Tags []string `json:"tags,omitempty"`
+	OIDs []int64  `json:"oids,omitempty"`
+	// Results answers the "query" op, one entry per request in order.
+	Results []serve.Entry `json:"results,omitempty"`
 
-	// Code structures selected failures (wireCodes) so clients can rebuild
-	// error identities.
+	// Code is the failure's code (serve.Classify), set on every error
+	// reply; the client rebuilds the failure from it (serve.Rebuild).
 	Code string `json:"code,omitempty"`
 	// Bounds answers the "bounds" phase (+Inf encoded as -1).
 	Bounds []float64 `json:"bounds,omitempty"`
@@ -333,9 +231,9 @@ type Response struct {
 	Applied []WireApplied `json:"applied,omitempty"`
 	// Owned answers the "owns" op, elementwise per requested OID.
 	Owned []bool `json:"owned,omitempty"`
-	// SubID answers the "subscribe" op; Answer carries its initial result.
-	SubID  int64   `json:"sub_id,omitempty"`
-	Answer *Answer `json:"answer,omitempty"`
+	// SubID answers the "subscribe" op; Result carries its current answer.
+	SubID  int64          `json:"sub_id,omitempty"`
+	Result *engine.Result `json:"result,omitempty"`
 	// Event is an asynchronous subscription diff pushed to a subscribed
 	// connection (never a direct reply; clients route on its presence).
 	Event *continuous.Event `json:"event,omitempty"`
@@ -368,8 +266,7 @@ type Options struct {
 	// MaxDetached and DetachedTTL bound the subscriptions closed
 	// connections leave detached awaiting a from_seq resume, by count (LRU)
 	// and by age; both forward to serve.New, which documents the zero and
-	// negative values. Past the TTL a resume gets the typed codeSubExpired
-	// rejection.
+	// negative values. Past the TTL a resume fails with serve.ErrSubExpired.
 	MaxDetached int
 	DetachedTTL time.Duration
 	// EventBacklog is the per-subscription replay backlog bound, passed
@@ -455,7 +352,7 @@ func (cs *connState) sendEvent(resp Response) error {
 func (cs *connState) Deliver(ev continuous.Event) error {
 	err := cs.sendEvent(Response{OK: true, Event: &ev})
 	if err != nil {
-		_ = cs.sendEvent(Response{Error: fmt.Sprintf("%v: %v", ErrEventStalled, err), Code: codeEventStalled})
+		_ = cs.sendEvent(fail(fmt.Errorf("modserver: %w: %v", serve.ErrEventStalled, err)))
 		_ = cs.conn.Close()
 	}
 	return err
@@ -602,14 +499,14 @@ func (s *Server) handle(conn net.Conn) {
 		// plaintext client is answered, not just dropped: Go flags "first
 		// bytes are not TLS" with a RecordHeaderError carrying the raw
 		// connection, and a plaintext JSON parting line is the one reply
-		// that client can parse (codeTLSRequired → ErrTLSRequired).
+		// that client can parse (serve.ErrTLSRequired).
 		if s.readTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 		}
 		if err := tc.Handshake(); err != nil {
 			var rhe tls.RecordHeaderError
 			if errors.As(err, &rhe) && rhe.Conn != nil {
-				_ = json.NewEncoder(rhe.Conn).Encode(Response{Error: ErrTLSRequired.Error(), Code: codeTLSRequired})
+				_ = json.NewEncoder(rhe.Conn).Encode(fail(errPlaintext))
 			}
 			return
 		}
@@ -641,7 +538,7 @@ func (s *Server) handle(conn net.Conn) {
 			if errors.Is(sc.Err(), bufio.ErrTooLong) {
 				// One parting diagnostic; the line boundary is lost, so
 				// the connection cannot be resynchronized and closes.
-				_ = cs.send(Response{Error: fmt.Sprintf("modserver: request exceeds %d bytes", s.maxLine)})
+				_ = cs.send(fail(serve.Mark(fmt.Errorf("modserver: request exceeds %d bytes", s.maxLine), serve.ErrTooLarge)))
 			}
 			return
 		}
@@ -652,18 +549,18 @@ func (s *Server) handle(conn net.Conn) {
 		var req Request
 		resp := Response{OK: true}
 		if err := json.Unmarshal(line, &req); err != nil {
-			resp = Response{Error: fmt.Sprintf("bad request: %v", err)}
+			resp = fail(fmt.Errorf("%w: %v", serve.ErrBadRequest, err))
 		} else if req.Op == "auth" {
 			// Auth gates everything below it in this chain. A wrong token
 			// closes the connection after one coded reply — no retries on
 			// an established connection, the client redials.
 			if s.token != "" && !serve.TokenOK(s.token, req.Token) {
-				_ = cs.send(Response{Error: ErrUnauthorized.Error() + ": bad token", Code: codeUnauthorized})
+				_ = cs.send(fail(fmt.Errorf("modserver: %w: bad token", serve.ErrUnauthorized)))
 				return
 			}
 			cs.authed = true
 		} else if s.token != "" && !cs.authed {
-			_ = cs.send(Response{Error: ErrUnauthorized.Error() + ": authenticate first", Code: codeUnauthorized})
+			_ = cs.send(fail(fmt.Errorf("modserver: %w: authenticate first", serve.ErrUnauthorized)))
 			return
 		} else if req.Op == "query" && req.Phase == "survivors" {
 			// Streamed replies write their own frames; a mid-stream write
@@ -699,8 +596,7 @@ func (s *Server) resumeSubscribe(req Request, cs *connState) bool {
 	wrote := true
 	err := s.core.Resume(req.SubID, req.FromSeq, cs, func(res engine.Result, backlog []continuous.Event) error {
 		cs.subs[req.SubID] = struct{}{}
-		ans := encodeAnswer(res)
-		err := cs.send(Response{OK: true, SubID: req.SubID, Answer: &ans})
+		err := cs.send(Response{OK: true, SubID: req.SubID, Result: &res})
 		for i := 0; err == nil && i < len(backlog); i++ {
 			err = cs.sendEvent(Response{OK: true, Event: &backlog[i]})
 		}
@@ -709,7 +605,7 @@ func (s *Server) resumeSubscribe(req Request, cs *connState) bool {
 	})
 	if err != nil && wrote {
 		// The core refused the resume; nothing has been written yet.
-		return cs.send(codedFail(err)) == nil
+		return cs.send(fail(err)) == nil
 	}
 	return wrote
 }
@@ -742,18 +638,18 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 			err = s.core.Insert(context.Background(), tr)
 		}
 		if err != nil {
-			return codedFail(err)
+			return fail(err)
 		}
 		return Response{OK: true}
 	case "get":
 		tr, err := s.store.Get(req.OID)
 		if err != nil {
-			return codedFail(err)
+			return fail(err)
 		}
 		return Response{OK: true, OID: tr.OID, Verts: serve.EncodeVerts(tr.Verts), Tags: s.store.Tags(tr.OID)}
 	case "delete":
 		if _, err := s.core.Ingest(context.Background(), []mod.Update{{OID: req.OID, Retire: true}}); err != nil {
-			return codedFail(err)
+			return fail(err)
 		}
 		return Response{OK: true}
 	case "trip":
@@ -766,7 +662,7 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 			err = s.core.Insert(context.Background(), tr)
 		}
 		if err != nil {
-			return codedFail(err)
+			return fail(err)
 		}
 		return Response{OK: true, OID: tr.OID, Verts: serve.EncodeVerts(tr.Verts)}
 	case "query":
@@ -777,16 +673,16 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 			return s.doBounds(req)
 		case "oids":
 			if err := req.Where.Validate(); err != nil {
-				return Response{Error: err.Error()}
+				return fail(err)
 			}
 			return Response{OK: true, OIDs: s.store.MatchingOIDs(req.Where)}
 		default:
 			// "survivors" streams from the handler loop and never reaches
 			// dispatch.
-			return Response{Error: fmt.Sprintf("unknown query phase %q", req.Phase)}
+			return fail(fmt.Errorf("%w: unknown query phase %q", serve.ErrBadRequest, req.Phase))
 		}
 	default:
-		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
+		return fail(fmt.Errorf("%w: unknown op %q", serve.ErrBadRequest, req.Op))
 	}
 }
 
@@ -798,13 +694,13 @@ func (s *Server) doQuery(req Request) Response {
 	defer cancel()
 	results, err := s.engine.DoBatch(ctx, s.store, req.Requests)
 	if err != nil {
-		return codedFail(err)
+		return fail(err)
 	}
-	answers := make([]Answer, len(results))
-	for i, r := range results {
-		answers[i] = encodeAnswer(r)
+	entries := make([]serve.Entry, len(results))
+	for i := range results {
+		entries[i] = serve.EncodeEntry(&results[i])
 	}
-	return Response{OK: true, Answers: answers}
+	return Response{OK: true, Results: entries}
 }
 
 // phaseCtx builds the evaluation context for a query op (or one of its
@@ -827,16 +723,16 @@ func wireQuery(req Request) (*trajectory.Trajectory, error) {
 func (s *Server) doBounds(req Request) Response {
 	q, err := wireQuery(req)
 	if err != nil {
-		return codedFail(err)
+		return fail(err)
 	}
 	if err := req.Where.Validate(); err != nil {
-		return Response{Error: err.Error()}
+		return fail(err)
 	}
 	ctx, cancel := phaseCtx(req)
 	defer cancel()
 	bounds, err := prune.SliceBoundsWhere(ctx, s.store, q, req.Tb, req.Te, req.K, req.Where)
 	if err != nil {
-		return codedFail(err)
+		return fail(err)
 	}
 	return Response{OK: true, Bounds: encodeBounds(bounds)}
 }
@@ -847,35 +743,15 @@ func (s *Server) doBounds(req Request) Response {
 func (s *Server) doIngest(req Request) Response {
 	updates, err := serve.DecodeUpdates(req.Updates, true)
 	if err != nil {
-		return codedFail(err)
+		return fail(err)
 	}
 	applied, err := s.core.Ingest(context.Background(), updates)
+	resp := Response{OK: true}
 	if err != nil {
-		resp := codedFail(err)
-		resp.Applied = serve.EncodeApplied(applied)
-		return resp
+		resp = fail(err)
 	}
-	return Response{OK: true, Applied: serve.EncodeApplied(applied)}
-}
-
-// encodeAnswer flattens a result (or its per-request failure) onto the
-// wire Answer shape.
-func encodeAnswer(res engine.Result) Answer {
-	if res.Err != nil {
-		return Answer{Error: res.Err.Error()}
-	}
-	ans := Answer{OK: true, Explain: &res.Explain}
-	switch {
-	case res.IsBool:
-		ans.IsBool, ans.Bool = true, &res.Bool
-	case res.Pairs != nil:
-		ans.Pairs = res.Pairs
-	default:
-		// omitempty drops empty OID lists from the wire; the client reads
-		// an absent key as an empty retrieval.
-		ans.OIDs = res.OIDs
-	}
-	return ans
+	resp.Applied = serve.EncodeApplied(applied)
+	return resp
 }
 
 // doSubscribe registers a standing request owned by this connection and
@@ -885,22 +761,21 @@ func encodeAnswer(res engine.Result) Answer {
 // resumeSubscribe.)
 func (s *Server) doSubscribe(req Request, cs *connState) Response {
 	if req.Request == nil {
-		return Response{Error: "subscribe: missing request"}
+		return fail(fmt.Errorf("%w: subscribe: missing request", serve.ErrBadRequest))
 	}
 	id, res, err := s.core.Subscribe(context.Background(), *req.Request, cs)
 	if err != nil {
-		return Response{Error: err.Error()}
+		return fail(err)
 	}
 	cs.subs[id] = struct{}{}
-	ans := encodeAnswer(res)
-	return Response{OK: true, SubID: id, Answer: &ans}
+	return Response{OK: true, SubID: id, Result: &res}
 }
 
 // doUnsubscribe drops a subscription by ID — one this connection owns, or
 // a detached one; never another live connection's stream.
 func (s *Server) doUnsubscribe(req Request, cs *connState) Response {
 	if err := s.core.Unsubscribe(req.SubID, cs); err != nil {
-		return Response{Error: err.Error()}
+		return fail(err)
 	}
 	delete(cs.subs, req.SubID)
 	return Response{OK: true}
@@ -984,7 +859,7 @@ type DialOptions struct {
 
 // DialWith connects to a server at addr with transport security: an
 // optional TLS handshake, then an optional token auth op. A server that
-// rejects the token fails the dial with ErrUnauthorized.
+// rejects the token fails the dial with serve.ErrUnauthorized.
 func DialWith(addr string, opts DialOptions) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -1054,11 +929,14 @@ func NewClient(conn net.Conn) *Client {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
+// roundTrip sends req and reads its reply: one line, or the frames of a
+// streamed one (survivors), reassembled. Subscription events that arrive
+// first are queued for NextEvent.
 func (c *Client) roundTrip(req Request) (Response, error) {
 	if err := c.enc.Encode(req); err != nil {
 		return Response{}, err
 	}
-	var resp Response
+	var acc StreamAccum
 	for {
 		if !c.sc.Scan() {
 			if err := c.sc.Err(); err != nil {
@@ -1066,50 +944,35 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 			}
 			return Response{}, ErrConnClosed
 		}
-		resp = Response{}
 		if req.Op == "ingest" {
 			// serve.ParseAppliedReply declines all but a success.
-			resp.Applied, resp.OK = serve.ParseAppliedReply(c.sc.Bytes())
-		}
-		if !resp.OK {
-			resp = Response{}
-			if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
-				return Response{}, lineError(c.sc.Bytes(), err)
+			if applied, ok := serve.ParseAppliedReply(c.sc.Bytes()); ok {
+				return Response{OK: true, Applied: applied}, nil
 			}
 		}
-		if resp.Event != nil {
-			// An asynchronous subscription event raced our reply; queue it
-			// for NextEvent and keep waiting for the actual response.
-			c.pending = append(c.pending, *resp.Event)
-			continue
-		}
-		break
-	}
-	if !resp.OK {
-		return resp, respError(resp)
-	}
-	return resp, nil
-}
-
-// respError rebuilds the sentinel identity of a failed reply from its
-// structured code, with the server's message preserved verbatim.
-func respError(resp Response) error {
-	for _, wc := range wireCodes {
-		if wc.code == resp.Code {
-			return wireError{msg: resp.Error, is: wc.is}
+		final, ev, err := acc.AddLine(c.sc.Bytes())
+		switch {
+		case err != nil:
+			return Response{}, lineError(c.sc.Bytes(), err)
+		case ev != nil:
+			c.pending = append(c.pending, *ev)
+		case final == nil: // a non-final frame
+		case !final.OK:
+			return *final, serve.Rebuild(final.Code, final.Error)
+		default:
+			return *final, nil
 		}
 	}
-	return errors.New(resp.Error)
 }
 
 // lineError classifies an unparseable reply line: TLS record bytes (a
 // handshake or alert record) mean this plaintext client dialed a TLS
 // server that never got to send the friendly plaintext parting line —
-// surface the same ErrTLSRequired identity instead of a JSON syntax
+// surface the same serve.ErrTLSRequired identity instead of a JSON syntax
 // error.
 func lineError(line []byte, err error) error {
 	if len(line) >= 3 && (line[0] == 0x15 || line[0] == 0x16) && line[1] == 0x03 {
-		return wireError{msg: fmt.Sprintf("%v (reply is a TLS record)", ErrTLSRequired), is: ErrTLSRequired}
+		return fmt.Errorf("%w (reply is a TLS record)", errPlaintext)
 	}
 	return err
 }
@@ -1193,13 +1056,13 @@ func (c *Client) Query(reqs []engine.Request, deadline time.Duration) ([]engine.
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Answers) != len(reqs) {
-		return nil, fmt.Errorf("modserver: query returned %d answers for %d requests",
-			len(resp.Answers), len(reqs))
+	if len(resp.Results) != len(reqs) {
+		return nil, fmt.Errorf("modserver: query returned %d results for %d requests",
+			len(resp.Results), len(reqs))
 	}
-	out := make([]engine.Result, len(resp.Answers))
-	for i := range resp.Answers {
-		out[i], _ = answerResult(reqs[i].Kind, &resp.Answers[i])
+	out := make([]engine.Result, len(reqs))
+	for i, e := range resp.Results {
+		out[i] = e.Decode(reqs[i].Kind)
 	}
 	return out, nil
 }
@@ -1238,7 +1101,7 @@ func (c *Client) ShardBounds(q *trajectory.Trajectory, tb, te float64, k int, wh
 // single non-more response is the degenerate one-frame case. deadline
 // <= 0 means none.
 func (c *Client) ShardSurvivors(q *trajectory.Trajectory, tb, te float64, bounds []float64, where *textidx.Predicate, deadline time.Duration) ([]*trajectory.Trajectory, prune.Stats, error) {
-	resp, err := c.roundTripStream(Request{
+	resp, err := c.roundTrip(Request{
 		Op: "query", Phase: "survivors",
 		OID: q.OID, VB: serve.PackVerts(q.Verts), Tb: tb, Te: te, Where: where,
 		Bounds: encodeBounds(bounds), DeadlineMS: deadlineMS(deadline),
@@ -1297,10 +1160,7 @@ func (c *Client) Owns(oids []int64) ([]bool, error) {
 // NextEvent.
 func (c *Client) Subscribe(req engine.Request) (int64, engine.Result, error) {
 	resp, err := c.roundTrip(Request{Op: "subscribe", Request: &req})
-	if err != nil {
-		return 0, engine.Result{Kind: req.Kind, Err: err}, err
-	}
-	res, err := answerResult(req.Kind, resp.Answer)
+	res, err := replyResult(resp, err)
 	return resp.SubID, res, err
 }
 
@@ -1314,11 +1174,18 @@ func (c *Client) Subscribe(req engine.Request) (int64, engine.Result, error) {
 // (or a Resume at the current seq) and treat its answer as the new
 // baseline.
 func (c *Client) Resume(subID int64, fromSeq uint64) (engine.Result, error) {
-	resp, err := c.roundTrip(Request{Op: "subscribe", SubID: subID, FromSeq: fromSeq})
+	return replyResult(c.roundTrip(Request{Op: "subscribe", SubID: subID, FromSeq: fromSeq}))
+}
+
+// replyResult is a subscribe reply's answer, or its failure.
+func replyResult(resp Response, err error) (engine.Result, error) {
+	if err == nil && resp.Result == nil {
+		err = errors.New("modserver: reply carries no result")
+	}
 	if err != nil {
 		return engine.Result{Err: err}, err
 	}
-	return answerResult("", resp.Answer)
+	return *resp.Result, nil
 }
 
 // Unsubscribe drops a subscription by ID.
@@ -1330,8 +1197,8 @@ func (c *Client) Unsubscribe(id int64) error {
 // NextEvent returns the next subscription diff event, blocking until one
 // arrives (or the connection closes). Events buffered while waiting for
 // request replies drain first. A server that severed this stream because
-// the client read too slowly is reported as ErrEventStalled (from the
-// server's parting event_stalled line), distinct from the bare
+// the client read too slowly is reported as serve.ErrEventStalled (from
+// the server's parting event_stalled line), distinct from the bare
 // ErrConnClosed of a died transport.
 func (c *Client) NextEvent() (continuous.Event, error) {
 	if len(c.pending) > 0 {
@@ -1353,8 +1220,8 @@ func (c *Client) NextEvent() (continuous.Event, error) {
 		if resp.Event != nil {
 			return *resp.Event, nil
 		}
-		if resp.Code == codeEventStalled {
-			return continuous.Event{}, wireError{msg: resp.Error, is: ErrEventStalled}
+		if err := serve.Rebuild(resp.Code, resp.Error); !resp.OK && errors.Is(err, serve.ErrEventStalled) {
+			return continuous.Event{}, err
 		}
 		// A non-event line here means the caller mixed request/reply
 		// traffic with event draining out of order; skip it.

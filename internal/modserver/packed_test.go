@@ -183,7 +183,7 @@ func TestMalformedVerticesAreBadRequests(t *testing.T) {
 		"insert both":      {Op: "insert", OID: 77, Verts: both.Verts, VB: both.VB},
 	} {
 		resp, _ := p.call(req)
-		if resp.OK || resp.Code != codeBadRequest || !errors.Is(respError(resp), serve.ErrBadWire) {
+		if resp.OK || resp.Code != "bad_request" || !errors.Is(serve.Rebuild(resp.Code, resp.Error), serve.ErrBadWire) {
 			t.Errorf("%s: reply %+v, want a bad_request failure", name, resp)
 		}
 	}

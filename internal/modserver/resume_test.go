@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/mod"
+	"repro/internal/serve"
 	"repro/internal/trajectory"
 )
 
@@ -211,7 +212,7 @@ func TestStalledSubscriberSeveredAndResumable(t *testing.T) {
 }
 
 // TestNextEventMapsStalledCode: the client surfaces a server's parting
-// event_stalled line as ErrEventStalled, distinct from ErrConnClosed.
+// event_stalled line as serve.ErrEventStalled, distinct from ErrConnClosed.
 func TestNextEventMapsStalledCode(t *testing.T) {
 	ours, theirs := net.Pipe()
 	defer ours.Close()
@@ -219,11 +220,11 @@ func TestNextEventMapsStalledCode(t *testing.T) {
 	defer cli.Close()
 	go func() {
 		enc := json.NewEncoder(ours)
-		_ = enc.Encode(Response{Error: ErrEventStalled.Error(), Code: codeEventStalled})
+		_ = enc.Encode(fail(serve.ErrEventStalled))
 		ours.Close()
 	}()
-	if _, err := cli.NextEvent(); !errors.Is(err, ErrEventStalled) {
-		t.Fatalf("NextEvent = %v, want ErrEventStalled", err)
+	if _, err := cli.NextEvent(); !errors.Is(err, serve.ErrEventStalled) {
+		t.Fatalf("NextEvent = %v, want serve.ErrEventStalled", err)
 	}
 	if _, err := cli.NextEvent(); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("NextEvent after close = %v, want ErrConnClosed", err)

@@ -10,7 +10,6 @@ import (
 	"strconv"
 
 	"repro/internal/continuous"
-	"repro/internal/engine"
 	"repro/internal/prune"
 	"repro/internal/textidx"
 )
@@ -57,16 +56,16 @@ func chunkTrajs(wts []WireTraj, budget int) [][]WireTraj {
 func (s *Server) streamSurvivors(req Request, cs *connState) bool {
 	q, err := wireQuery(req)
 	if err != nil {
-		return cs.send(codedFail(err)) == nil
+		return cs.send(fail(err)) == nil
 	}
 	if err := req.Where.Validate(); err != nil {
-		return cs.send(Response{Error: err.Error()}) == nil
+		return cs.send(fail(err)) == nil
 	}
 	ctx, cancel := phaseCtx(req)
 	trs, st, err := prune.SurvivorsWithBoundsWhere(ctx, s.store, q, req.Tb, req.Te, decodeBounds(req.Bounds), req.Where)
 	cancel()
 	if err != nil {
-		return cs.send(codedFail(err)) == nil
+		return cs.send(fail(err)) == nil
 	}
 	// 256: the reply line's fixed keys, the final frame's stats, the newline.
 	frames := chunkTrajs(encodeTrajs(trs), s.maxLine-256)
@@ -117,39 +116,6 @@ func (a *StreamAccum) AddLine(line []byte) (*Response, *continuous.Event, error)
 	return &resp, nil, nil
 }
 
-// roundTripStream sends a request whose reply may arrive as a frame
-// stream and reassembles it; a single non-more response is the degenerate
-// one-frame case, so it also accepts classic single-line replies.
-func (c *Client) roundTripStream(req Request) (Response, error) {
-	if err := c.enc.Encode(req); err != nil {
-		return Response{}, err
-	}
-	var acc StreamAccum
-	for {
-		if !c.sc.Scan() {
-			if err := c.sc.Err(); err != nil {
-				return Response{}, err
-			}
-			return Response{}, ErrConnClosed
-		}
-		final, ev, err := acc.AddLine(c.sc.Bytes())
-		if err != nil {
-			return Response{}, lineError(c.sc.Bytes(), err)
-		}
-		if ev != nil {
-			c.pending = append(c.pending, *ev)
-			continue
-		}
-		if final == nil {
-			continue
-		}
-		if !final.OK {
-			return *final, respError(*final)
-		}
-		return *final, nil
-	}
-}
-
 // ShardOIDs lists the server store's OIDs (sorted) whose tags satisfy
 // where (nil means all) — the union step of the per-query-object
 // all-pairs/reverse exchange.
@@ -159,32 +125,4 @@ func (c *Client) ShardOIDs(where *textidx.Predicate) ([]int64, error) {
 		return nil, err
 	}
 	return resp.OIDs, nil
-}
-
-// answerResult rebuilds an engine.Result from a wire Answer.
-func answerResult(kind engine.Kind, a *Answer) (engine.Result, error) {
-	res := engine.Result{Kind: kind}
-	if a == nil {
-		res.Err = errors.New("modserver: reply carries no answer")
-		return res, res.Err
-	}
-	if !a.OK {
-		res.Err = errors.New(a.Error)
-		return res, res.Err
-	}
-	if a.Explain != nil {
-		res.Explain = *a.Explain
-	}
-	switch {
-	case a.IsBool:
-		res.IsBool = true
-		if a.Bool != nil {
-			res.Bool = *a.Bool
-		}
-	case a.Pairs != nil:
-		res.Pairs = a.Pairs
-	default:
-		res.OIDs = a.OIDs
-	}
-	return res, nil
 }

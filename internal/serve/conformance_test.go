@@ -32,10 +32,6 @@ import (
 	"repro/internal/trajectory"
 )
 
-// errUnauthorized is the codec-neutral identity the adapters map their
-// token rejections onto.
-var errUnauthorized = errors.New("unauthorized")
-
 // config is what a case may ask of a server, in codec-neutral terms.
 type config struct {
 	maxDetached int
@@ -45,13 +41,19 @@ type config struct {
 	token       string
 }
 
-// client is the per-codec adapter: the three live operations, typed errors
-// normalized (continuous.ErrEventGap, serve.ErrSubExpired, mod.ErrNotFound,
-// errUnauthorized).
+// client is the per-codec adapter: the three live operations, a query
+// batch, and the two ways to fail that are not an op's — an unparseable
+// request and a subscription ID nobody holds (the line protocol's
+// unsubscribe, the gateway's resume). Each failure is rebuilt from its
+// code by serve.Rebuild: the codec's own client does it on the line
+// protocol, httpErr on HTTP.
 type client interface {
 	ingest(updates []mod.Update) ([]mod.Applied, error)
 	subscribe(req engine.Request) (*session, error)
 	resume(id int64, fromSeq uint64) (*session, error)
+	batch(reqs []engine.Request) ([]engine.Result, error)
+	malformed() error
+	forget(id int64) error
 }
 
 // session is one attached subscription stream.
@@ -101,17 +103,10 @@ type lineClient struct {
 	token string
 }
 
-func lineErr(err error) error {
-	if errors.Is(err, modserver.ErrUnauthorized) {
-		return fmt.Errorf("%w: %v", errUnauthorized, err)
-	}
-	return err
-}
-
 func (c lineClient) conn() (*modserver.Client, error) {
 	cli, err := modserver.DialWith(c.addr, modserver.DialOptions{Token: c.token})
 	if err != nil {
-		return nil, lineErr(err)
+		return nil, err
 	}
 	c.t.Cleanup(func() { cli.Close() })
 	return cli, nil
@@ -123,8 +118,7 @@ func (c lineClient) ingest(updates []mod.Update) ([]mod.Applied, error) {
 		return nil, err
 	}
 	defer cli.Close()
-	applied, err := cli.Ingest(updates)
-	return applied, lineErr(err)
+	return cli.Ingest(updates)
 }
 
 func (c lineClient) attach(op func(cli *modserver.Client) (int64, engine.Result, error)) (*session, error) {
@@ -135,7 +129,7 @@ func (c lineClient) attach(op func(cli *modserver.Client) (int64, engine.Result,
 	id, answer, err := op(cli)
 	if err != nil {
 		cli.Close()
-		return nil, lineErr(err)
+		return nil, err
 	}
 	return &session{id: id, answer: answer, next: cli.NextEvent, drop: func() { cli.Close() }}, nil
 }
@@ -149,6 +143,40 @@ func (c lineClient) resume(id int64, fromSeq uint64) (*session, error) {
 		answer, err := cli.Resume(id, fromSeq)
 		return id, answer, err
 	})
+}
+
+func (c lineClient) batch(reqs []engine.Request) ([]engine.Result, error) {
+	cli, err := c.conn()
+	if err != nil {
+		return nil, err
+	}
+	defer cli.Close()
+	return cli.Query(reqs, 0)
+}
+
+func (c lineClient) malformed() error {
+	conn, err := net.Dial("tcp", c.addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("{\"op\":\n")); err != nil {
+		return err
+	}
+	var resp modserver.Response
+	if err := json.NewDecoder(conn).Decode(&resp); err != nil || resp.OK {
+		return fmt.Errorf("reply to a malformed line: %+v, %v", resp, err)
+	}
+	return serve.Rebuild(resp.Code, resp.Error)
+}
+
+func (c lineClient) forget(id int64) error {
+	cli, err := c.conn()
+	if err != nil {
+		return err
+	}
+	defer cli.Close()
+	return cli.Unsubscribe(id)
 }
 
 // ---- the HTTP+SSE adapter --------------------------------------------
@@ -188,29 +216,19 @@ func (c httpClient) do(method, path string, body []byte) (*http.Response, error)
 }
 
 // httpErr rebuilds the typed identity of a non-200 reply from its error
-// code (and only under the status the taxonomy pairs it with), returning
-// the raw body for callers that want more of it.
+// code through serve's table (and only under the status the table pairs
+// it with), returning the raw body for callers that want more of it.
 func httpErr(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
 	var buf bytes.Buffer
 	_, _ = buf.ReadFrom(resp.Body)
-	var eb struct {
-		Error struct{ Code, Message string }
-	}
+	var eb struct{ Error serve.WireError }
 	_ = json.Unmarshal(buf.Bytes(), &eb)
-	typed := map[string]struct {
-		identity error
-		status   int
-	}{
-		"event_gap":    {continuous.ErrEventGap, http.StatusGone},
-		"sub_expired":  {serve.ErrSubExpired, http.StatusGone},
-		"not_found":    {mod.ErrNotFound, http.StatusNotFound},
-		"unauthorized": {errUnauthorized, http.StatusUnauthorized},
-	}[eb.Error.Code]
-	if typed.identity == nil || typed.status != resp.StatusCode {
+	err := serve.Rebuild(eb.Error.Code, eb.Error.Message)
+	if _, status := serve.Classify(err); status != resp.StatusCode {
 		return buf.Bytes(), fmt.Errorf("http %d %s: %s", resp.StatusCode, eb.Error.Code, eb.Error.Message)
 	}
-	return buf.Bytes(), fmt.Errorf("%w: http %d: %s", typed.identity, resp.StatusCode, eb.Error.Message)
+	return buf.Bytes(), fmt.Errorf("http %d: %w", resp.StatusCode, err)
 }
 
 func (c httpClient) ingest(updates []mod.Update) ([]mod.Applied, error) {
@@ -238,6 +256,42 @@ func (c httpClient) ingest(updates []mod.Update) ([]mod.Applied, error) {
 		return nil, err
 	}
 	return serve.DecodeApplied(reply.Applied, nil)
+}
+
+func (c httpClient) batch(reqs []engine.Request) ([]engine.Result, error) {
+	body, _ := json.Marshal(map[string]any{"requests": reqs})
+	resp, err := c.do(http.MethodPost, "/v1/batch", body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		_, herr := httpErr(resp)
+		return nil, herr
+	}
+	defer resp.Body.Close()
+	var reply struct{ Results []serve.Entry }
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		return nil, err
+	}
+	out := make([]engine.Result, len(reply.Results))
+	for i, e := range reply.Results {
+		out[i] = e.Decode(reqs[i].Kind)
+	}
+	return out, nil
+}
+
+func (c httpClient) malformed() error {
+	resp, err := c.do(http.MethodPost, "/v1/batch", []byte(`{"requests":`))
+	if err != nil {
+		return err
+	}
+	_, herr := httpErr(resp)
+	return herr
+}
+
+func (c httpClient) forget(id int64) error {
+	_, err := c.resume(id, 0)
+	return err
 }
 
 func (c httpClient) attach(query string) (*session, error) {
@@ -423,10 +477,9 @@ func (h *harness) expectStream(s *session, want []continuous.Event) {
 	}
 }
 
-// sameAnswer compares the answer payloads (the line protocol's Answer
-// carries no Kind, and walls differ).
+// sameAnswer compares the answers but not their walls, which differ.
 func sameAnswer(a, b engine.Result) bool {
-	return a.IsBool == b.IsBool && a.Bool == b.Bool && slices.Equal(a.OIDs, b.OIDs) && len(a.Pairs) == len(b.Pairs)
+	return a.Kind == b.Kind && a.IsBool == b.IsBool && a.Bool == b.Bool && slices.Equal(a.OIDs, b.OIDs) && len(a.Pairs) == len(b.Pairs)
 }
 
 // oracle returns the hub's retained events after fromSeq and its answer.
@@ -703,13 +756,13 @@ var cases = []struct {
 		before := h.store.Version()
 		for _, token := range []string{"", "wrong"} {
 			cl := h.dial(token)
-			if _, err := cl.ingest(flip(0)); !errors.Is(err, errUnauthorized) {
+			if _, err := cl.ingest(flip(0)); !errors.Is(err, serve.ErrUnauthorized) {
 				t.Fatalf("ingest with token %q = %v, want unauthorized", token, err)
 			}
-			if _, err := cl.subscribe(flipReq); !errors.Is(err, errUnauthorized) {
+			if _, err := cl.subscribe(flipReq); !errors.Is(err, serve.ErrUnauthorized) {
 				t.Fatalf("subscribe with token %q = %v, want unauthorized", token, err)
 			}
-			if _, err := cl.resume(1, 0); !errors.Is(err, errUnauthorized) {
+			if _, err := cl.resume(1, 0); !errors.Is(err, serve.ErrUnauthorized) {
 				t.Fatalf("resume with token %q = %v, want unauthorized", token, err)
 			}
 		}
@@ -757,6 +810,57 @@ var cases = []struct {
 			t.Fatalf("re-insert event = %+v, %v", ev, err)
 		}
 	}},
+}
+
+// TestErrorCodes: every failure a client can provoke, on both codecs,
+// reaches the client with the code the gateway gives it (serve's table)
+// and the identity of the sentinel behind it. A batch fails its entries,
+// not its siblings.
+func TestErrorCodes(t *testing.T) {
+	good := engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10}
+	badKind := engine.Request{Kind: "NOPE", QueryOID: 1, Tb: 0, Te: 10}
+	batch := []struct {
+		req  engine.Request
+		code string
+		is   error
+	}{
+		{engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 5, Te: 5}, "bad_window", engine.ErrBadWindow},
+		{good, "", nil},
+		{badKind, "bad_kind", engine.ErrBadKind},
+		{engine.Request{Kind: engine.KindUQ11, QueryOID: 1, OID: 99, Tb: 0, Te: 10}, "unknown_oid", engine.ErrUnknownOID},
+	}
+	for _, c := range codecs {
+		t.Run(c.name, func(t *testing.T) {
+			h := start(t, c, config{})
+			check := func(what string, err error, code string, is error) {
+				t.Helper()
+				if got, _ := serve.Classify(err); err == nil || got != code || !errors.Is(err, is) {
+					t.Errorf("%s: %v (code %q), want code %q and errors.Is %v", what, err, got, code, is)
+				}
+			}
+			reqs := make([]engine.Request, len(batch))
+			for i, b := range batch {
+				reqs[i] = b.req
+			}
+			results, err := h.batch(reqs)
+			if err != nil || len(results) != len(batch) {
+				t.Fatalf("batch: %d results, %v", len(results), err)
+			}
+			for i, b := range batch {
+				if b.is == nil {
+					if results[i].Err != nil || !slices.Equal(results[i].OIDs, []int64{2}) {
+						t.Errorf("batch[%d]: %+v beside failing siblings", i, results[i])
+					}
+					continue
+				}
+				check(fmt.Sprintf("batch[%d] %s", i, b.code), results[i].Err, b.code, b.is)
+			}
+			_, err = h.subscribe(badKind)
+			check("subscribe with a bad kind", err, "bad_kind", engine.ErrBadKind)
+			check("an unknown subscription ID", h.forget(99), "not_found", serve.ErrUnknownSub)
+			check("a malformed request", h.malformed(), "bad_request", serve.ErrBadRequest)
+		})
+	}
 }
 
 func TestConformance(t *testing.T) {

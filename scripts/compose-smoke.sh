@@ -3,7 +3,8 @@
 # the image, stand up 2 TLS shards behind the TLS gateway, then drive
 # the production loop from outside — authenticated query scattered to
 # both shards, SSE subscription, live ingest producing a diff event,
-# 401 on a missing token, and a non-zero /metrics surface. Compose logs
+# 401 unauthorized on a missing token, 400 bad_request for an insert a
+# shard refuses, and a non-zero /metrics surface. Compose logs
 # land in compose-logs.txt for the failure artifact.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,8 +35,9 @@ done
 [ -n "$ready" ] || { echo "smoke: gateway never became ready"; exit 1; }
 
 echo "smoke: unauthenticated query is refused"
-code=$(curl -s "${CA[@]}" -o /dev/null -w '%{http_code}' -X POST "$GW/v1/query" -d '{}')
+code=$(curl -s "${CA[@]}" -o smoke-body.txt -w '%{http_code}' -X POST "$GW/v1/query" -d '{}')
 [ "$code" = "401" ] || { echo "smoke: want 401 without token, got $code"; exit 1; }
+grep -q '"code":"unauthorized"' smoke-body.txt || { echo "smoke: 401 body: $(cat smoke-body.txt)"; exit 1; }
 
 echo "smoke: ingest seeds the cluster"
 seed='{"updates":[
@@ -44,6 +46,12 @@ seed='{"updates":[
   {"oid":3,"verts":[[1,1,0],[9,9,100]]}]}'
 curl -sS "${CA[@]}" "${AUTH[@]}" -X POST "$GW/v1/ingest" -d "$seed" \
 	| grep -q '"inserted":true' || { echo "smoke: ingest failed"; exit 1; }
+
+echo "smoke: an insert a shard refuses is the client's fault"
+code=$(curl -s "${CA[@]}" "${AUTH[@]}" -o smoke-body.txt -w '%{http_code}' -X POST "$GW/v1/ingest" \
+	-d '{"updates":[{"oid":4,"verts":[[0,0,0]]}]}')
+[ "$code" = "400" ] && grep -q '"code":"bad_request"' smoke-body.txt \
+	|| { echo "smoke: one-vertex insert: $code $(cat smoke-body.txt)"; exit 1; }
 
 echo "smoke: TLS query scatters to both shards"
 q='{"kind":"NN@","query_oid":1,"oid":2,"tb":0,"te":50,"t":50}'
