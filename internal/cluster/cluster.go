@@ -163,13 +163,12 @@ type Shard interface {
 
 // LocalShard is an in-process shard over a mod.Store — the building block
 // of single-machine scaling (uncertnn -shards, the shard benchmark) and
-// the reference implementation RemoteShard mirrors over the wire. Its
-// sweep cache lets the two exchange phases (separate Shard calls) share
-// one snapshot table per (store-version, query, window).
+// the reference implementation RemoteShard mirrors over the wire: each
+// exchange phase is one prune call on the store, as a shard-serving
+// modserver runs it.
 type LocalShard struct {
-	name   string
-	store  *mod.Store
-	sweeps prune.SweepCache
+	name  string
+	store *mod.Store
 }
 
 // NewLocalShard wraps store as a shard named name.
@@ -195,23 +194,14 @@ func (s *LocalShard) Get(_ context.Context, oid int64) (*trajectory.Trajectory, 
 	return tr, s.store.Tags(oid), nil
 }
 
-// Bounds implements Shard via the store's index pre-pass probe phase,
-// through the shard's sweep cache so phase 2 reuses the same session.
+// Bounds implements Shard via the store's index pre-pass probe phase.
 func (s *LocalShard) Bounds(ctx context.Context, q *trajectory.Trajectory, tb, te float64, k int, where *textidx.Predicate) ([]float64, error) {
-	sw, err := s.sweeps.ForWhere(s.store, q, tb, te, where)
-	if err != nil {
-		return nil, err
-	}
-	return sw.Bounds(ctx, k)
+	return prune.SliceBoundsWhere(ctx, s.store, q, tb, te, k, where)
 }
 
 // Survivors implements Shard via the store's bound-driven sweep.
 func (s *LocalShard) Survivors(ctx context.Context, q *trajectory.Trajectory, tb, te float64, bounds []float64, where *textidx.Predicate) ([]*trajectory.Trajectory, prune.Stats, error) {
-	sw, err := s.sweeps.ForWhere(s.store, q, tb, te, where)
-	if err != nil {
-		return nil, prune.Stats{}, err
-	}
-	return sw.Survivors(ctx, bounds)
+	return prune.SurvivorsWithBoundsWhere(ctx, s.store, q, tb, te, bounds, where)
 }
 
 // Refine implements Shard with refineUnion.

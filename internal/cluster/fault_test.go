@@ -14,6 +14,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -22,19 +23,20 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/mod"
 	"repro/internal/modserver"
+	"repro/internal/trajectory"
 )
 
 // faultCluster serves store from n modserver shards over TCP, routing
-// shard faultIdx's connections through a fault injector (initially
-// fault-free). Every shard retries with the given policy. Returns the
-// router, the injector, the per-shard stores, and the shard addresses.
-func faultCluster(t *testing.T, store *mod.Store, n, faultIdx int, retry cluster.RetryPolicy, degraded bool) (*cluster.Router, *faultinject.Injector, []*mod.Store, []string) {
+// shard faultIdx's connections through a fault injector seeded with seed
+// (initially fault-free). Returns the router, the injector, the per-shard stores,
+// and the shard addresses.
+func faultCluster(t *testing.T, store *mod.Store, n, faultIdx int, seed int64, degraded bool) (*cluster.Router, *faultinject.Injector, []*mod.Store, []string) {
 	t.Helper()
 	stores, err := cluster.SplitStore(store, n, cluster.Hash{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := faultinject.New(7, faultinject.Plan{})
+	in := faultinject.New(seed, faultinject.Plan{})
 	shards := make([]cluster.Shard, n)
 	addrs := make([]string, n)
 	for i, st := range stores {
@@ -46,7 +48,7 @@ func faultCluster(t *testing.T, store *mod.Store, n, faultIdx int, retry cluster
 		go srv.Serve(l)
 		t.Cleanup(func() { srv.Close() })
 		addrs[i] = l.Addr().String()
-		opts := cluster.RemoteOptions{Retry: retry}
+		var opts cluster.RemoteOptions
 		if i == faultIdx {
 			opts.Dialer = in.Dial
 		}
@@ -77,15 +79,6 @@ func pickQuery(t *testing.T, stores []*mod.Store, faultIdx int) int64 {
 	return 0
 }
 
-// testRetry keeps chaos runs fast and deterministic.
-var testRetry = cluster.RetryPolicy{
-	Attempts:       3,
-	BaseBackoff:    5 * time.Millisecond,
-	MaxBackoff:     20 * time.Millisecond,
-	AttemptTimeout: 250 * time.Millisecond,
-	Seed:           99,
-}
-
 // TestFaultMatrixRetryOrDegraded drives the acceptance matrix: with
 // drop, delay, or dial-error faults on one shard of four, every query
 // either succeeds exactly (retry absorbed the fault) or returns a
@@ -103,19 +96,15 @@ func TestFaultMatrixRetryOrDegraded(t *testing.T) {
 		// construction dies and reconnects actually hit the dial path.
 		{"dial-error", faultinject.Plan{DialErrorRate: 1, DropRate: 1}},
 		{"dial-flaky", faultinject.Plan{DialErrorRate: 0.5, DropRate: 0.3}},
-		// Keep the delay well past AttemptTimeout but small in absolute
-		// terms: an attempt in a delayed read can't be abandoned until the
-		// injector's sleep elapses, so the plan's Delay bounds wall time.
+		// A slow shard: there is no per-attempt timeout, so every query
+		// waits for it and answers exactly. The plan's Delay bounds the
+		// wall time.
 		{"delay-past-timeout", faultinject.Plan{Delay: 100 * time.Millisecond}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			retry := testRetry
-			if tc.plan.Delay > 0 {
-				retry.AttemptTimeout = 30 * time.Millisecond
-			}
 			const faultIdx = 2
-			router, in, stores, _ := faultCluster(t, store, 4, faultIdx, retry, true)
+			router, in, stores, _ := faultCluster(t, store, 4, faultIdx, 7, true)
 			qOID := pickQuery(t, stores, faultIdx)
 			req := engine.Request{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 30}
 			exact, err := engine.New(0).Do(context.Background(), store, req)
@@ -153,7 +142,7 @@ func TestFaultMatrixRetryOrDegraded(t *testing.T) {
 func TestPartitionedShardDegradedAnswer(t *testing.T) {
 	store, _ := buildStore(t, 160, 0.5, 11)
 	const faultIdx = 1
-	router, in, stores, addrs := faultCluster(t, store, 4, faultIdx, testRetry, true)
+	router, in, stores, addrs := faultCluster(t, store, 4, faultIdx, 7, true)
 	qOID := pickQuery(t, stores, faultIdx)
 	req := engine.Request{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 30}
 
@@ -212,7 +201,7 @@ func TestPartitionedShardDegradedAnswer(t *testing.T) {
 func TestStrictRouterShardUnavailable(t *testing.T) {
 	store, _ := buildStore(t, 120, 0.5, 11)
 	const faultIdx = 0
-	router, in, stores, addrs := faultCluster(t, store, 4, faultIdx, testRetry, false)
+	router, in, stores, addrs := faultCluster(t, store, 4, faultIdx, 7, false)
 	qOID := pickQuery(t, stores, faultIdx)
 	// Partition: existing connections reset and new dials refuse, so the
 	// next call fails through the typed dial path after its retries.
@@ -242,9 +231,7 @@ func TestDialRefusedTyped(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close()
-	shard := cluster.NewRemoteShardWith("dead", addr, cluster.RemoteOptions{
-		Retry: cluster.RetryPolicy{Attempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Seed: 5},
-	})
+	shard := cluster.NewRemoteShard("dead", addr)
 	defer shard.Close()
 	_, err = shard.Spec(context.Background())
 	if !errors.Is(err, cluster.ErrShardUnavailable) {
@@ -256,8 +243,100 @@ func TestDialRefusedTyped(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversFlakyDial: a dial plan that refuses half the time is
-// absorbed by a three-attempt retry budget — the call still succeeds.
+// TestRefusalKeepsTheConnection: a shard's coded refusal is read in full
+// and leaves the stream in sync, so the shard keeps its connection — a
+// refused ingest, then Spec and Owns, ride one dial. A refusal the server
+// closes the connection after (a request line over its cap) costs the
+// next call a fresh dial, so an ingest, which is never retried, still
+// lands.
+func TestRefusalKeepsTheConnection(t *testing.T) {
+	store, trs := buildStore(t, 40, 0.5, 11)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := modserver.NewServerWith(store, nil, modserver.Options{MaxLineBytes: 4096})
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+
+	dials := 0
+	counting := func(addr string) (net.Conn, error) {
+		dials++
+		return net.Dial("tcp", addr)
+	}
+	shard := cluster.NewRemoteShardWith("s", l.Addr().String(), cluster.RemoteOptions{Dialer: counting})
+	defer shard.Close()
+	ctx := context.Background()
+	short := mod.Update{OID: 9001, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 1}}}
+	if _, err := shard.Ingest(ctx, []mod.Update{short}); !errors.Is(err, mod.ErrShortInsert) {
+		t.Fatalf("one-vertex insert = %v, want ErrShortInsert", err)
+	}
+	if _, err := shard.Spec(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shard.Owns(ctx, []int64{trs[0].OID}); err != nil {
+		t.Fatal(err)
+	}
+	if dials != 1 {
+		t.Fatalf("a refused ingest, Spec and Owns dialed %d times, want 1", dials)
+	}
+
+	huge := mod.Update{OID: 9002}
+	for i := 0; i < 1000; i++ {
+		huge.Verts = append(huge.Verts, trajectory.Vertex{X: float64(i), Y: 1, T: float64(i)})
+	}
+	if _, err := shard.Ingest(ctx, []mod.Update{huge}); err == nil {
+		t.Fatal("an ingest line over the server's cap was accepted")
+	}
+	two := mod.Update{OID: 9003, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 0}, {X: 1, Y: 1, T: 10}}}
+	if _, err := shard.Ingest(ctx, []mod.Update{two}); err != nil {
+		t.Fatalf("ingest after a refusal that closed the connection: %v", err)
+	}
+	if dials != 2 {
+		t.Fatalf("dialed %d times, want 2", dials)
+	}
+}
+
+// TestCallerDeadlineIsNoRetry: when the caller's own deadline ends a call
+// against a shard that never replies, the call returns the context error
+// after one dial and the OnRetry hook counts nothing — no retry was made.
+func TestCallerDeadlineIsNoRetry(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // read nothing, answer nothing
+		}
+	}()
+	dials, retries := 0, 0
+	counting := func(addr string) (net.Conn, error) {
+		dials++
+		return net.Dial("tcp", addr)
+	}
+	shard := cluster.NewRemoteShardWith("mute", l.Addr().String(), cluster.RemoteOptions{
+		Dialer:  counting,
+		OnRetry: func(string, int, error) { retries++ },
+	})
+	defer shard.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := shard.Spec(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Spec against a mute shard = %v, want context.DeadlineExceeded", err)
+	}
+	if dials != 1 || retries != 0 {
+		t.Fatalf("dials = %d, OnRetry calls = %d; want 1 and 0", dials, retries)
+	}
+}
+
+// TestRetryRecoversFlakyDial: a dial that fails twice before it connects
+// is absorbed by the three-try retry budget — every call still succeeds.
 func TestRetryRecoversFlakyDial(t *testing.T) {
 	store, _ := buildStore(t, 40, 0.5, 11)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -268,16 +347,19 @@ func TestRetryRecoversFlakyDial(t *testing.T) {
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 
-	in := faultinject.New(3, faultinject.Plan{DialErrorRate: 0.5})
-	shard := cluster.NewRemoteShardWith("flaky", l.Addr().String(), cluster.RemoteOptions{
-		Dialer: in.Dial,
-		Retry:  cluster.RetryPolicy{Attempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond, Seed: 5},
-	})
+	dials := 0
+	flaky := func(addr string) (net.Conn, error) {
+		if dials++; dials%3 != 0 {
+			return nil, fmt.Errorf("dial %d: %w", dials, syscall.ECONNREFUSED)
+		}
+		return net.Dial("tcp", addr)
+	}
+	shard := cluster.NewRemoteShardWith("flaky", l.Addr().String(), cluster.RemoteOptions{Dialer: flaky})
 	defer shard.Close()
 	for i := 0; i < 8; i++ {
 		spec, err := shard.Spec(context.Background())
 		if err != nil {
-			t.Fatalf("flaky Spec %d = %v (stats %+v)", i, err, in.Stats())
+			t.Fatalf("flaky Spec %d = %v", i, err)
 		}
 		if spec != store.Spec() {
 			t.Fatalf("Spec = %+v, want %+v", spec, store.Spec())
@@ -285,31 +367,38 @@ func TestRetryRecoversFlakyDial(t *testing.T) {
 		// Poison the cached connection so every iteration redials.
 		shard.Close()
 	}
-	if s := in.Stats(); s.DialsFailed == 0 {
-		t.Fatalf("fault plan never fired: %+v", s)
+	if dials != 24 {
+		t.Fatalf("8 calls dialed %d times, want 24 (two refusals and a connect each)", dials)
 	}
 }
 
 // TestCancelMidRetry: canceling the caller's context during the backoff
 // of a doomed retry loop returns promptly with the context error and
-// leaks no goroutines.
+// leaks no goroutines. The first dial fails and cancels, so the cancel
+// lands in the backoff after it; should the loop still reach its second
+// dial, that dial waits for the cancel before failing, so the caller's
+// context wins either way.
 func TestCancelMidRetry(t *testing.T) {
-	in := faultinject.New(1, faultinject.Plan{DialErrorRate: 1})
-	shard := cluster.NewRemoteShardWith("doomed", "127.0.0.1:1", cluster.RemoteOptions{
-		Dialer: in.Dial,
-		Retry:  cluster.RetryPolicy{Attempts: 50, BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second, Seed: 7},
-	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dials := 0
+	refuse := func(string) (net.Conn, error) {
+		if dials++; dials == 1 {
+			go cancel()
+		} else {
+			<-ctx.Done()
+		}
+		return nil, errors.New("dial refused")
+	}
+	shard := cluster.NewRemoteShardWith("doomed", "127.0.0.1:1", cluster.RemoteOptions{Dialer: refuse})
 	defer shard.Close()
 
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := shard.Spec(ctx)
 		done <- err
 	}()
-	time.Sleep(30 * time.Millisecond) // let the loop reach a backoff sleep
-	cancel()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
@@ -317,6 +406,9 @@ func TestCancelMidRetry(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("canceled retry did not return promptly")
+	}
+	if dials > 2 {
+		t.Fatalf("the loop dialed %d times after its context was canceled", dials)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before {
@@ -331,7 +423,7 @@ func TestCancelMidRetry(t *testing.T) {
 // nothing" — losing every shard is still an error.
 func TestDegradedAllShardsDownFails(t *testing.T) {
 	store, _ := buildStore(t, 40, 0.5, 11)
-	router, in, stores, addrs := faultCluster(t, store, 1, 0, testRetry, true)
+	router, in, stores, addrs := faultCluster(t, store, 1, 0, 7, true)
 	qOID := stores[0].OIDs()[0]
 	in.Partition(addrs[0])
 	_, err := router.Do(context.Background(), engine.Request{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 30})

@@ -142,13 +142,18 @@ func (r *Router) placeUpdate(u mod.Update, owners map[int64]int, placedNew map[i
 	if u.Retire {
 		return 0, fmt.Errorf("%w: %d", mod.ErrNotFound, u.OID)
 	}
-	// A brand-new object: place by the update's own plan.
-	if len(u.Verts) < 2 {
-		return 0, fmt.Errorf("%w: oid %d unknown and update has %d vertices", ErrUnplaceable, u.OID, len(u.Verts))
-	}
-	seed, terr := trajectory.New(u.OID, append([]trajectory.Vertex(nil), u.Verts...))
-	if terr != nil {
-		return 0, fmt.Errorf("%w: oid %d: %v", ErrUnplaceable, u.OID, terr)
+	// A brand-new object: place by the update's own plan. One that cannot
+	// seed a plan is one every store refuses to insert; the error keeps
+	// the reason an empty store gives, so it files as the embedded
+	// store's and a Hash cluster's do.
+	seed, err := trajectory.New(u.OID, append([]trajectory.Vertex(nil), u.Verts...))
+	if err != nil {
+		if empty, serr := mod.NewUniformStore(1); serr == nil {
+			if _, serr := empty.ApplyUpdates([]mod.Update{u}); serr != nil {
+				err = serr
+			}
+		}
+		return 0, fmt.Errorf("%w: oid %d: %w", ErrUnplaceable, u.OID, err)
 	}
 	si := r.part.Place(seed, len(r.shards))
 	if si < 0 || si >= len(r.shards) {

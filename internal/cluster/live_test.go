@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -312,6 +313,49 @@ func TestRouterIngestPlacement(t *testing.T) {
 	if _, err := router.Ingest(ctx, []mod.Update{{OID: 77, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 1}}}}); !errors.Is(err, cluster.ErrUnplaceable) {
 		t.Fatalf("unplaceable err = %v", err)
 	}
+}
+
+// TestGridRefusalsFileAsTheStoreDoes: an insert a store refuses, which a
+// geometry partitioner cannot place either, fails through a Grid cluster
+// with the store's own reason — the sentinel and the code the embedded
+// store and a Hash cluster give the same update — not as an internal
+// error.
+func TestGridRefusalsFileAsTheStoreDoes(t *testing.T) {
+	ctx := context.Background()
+	tags := []string{"ev"}
+	cases := []struct {
+		name string
+		u    mod.Update
+		is   error
+	}{
+		{"one vertex", mod.Update{OID: 77, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 1}}}, mod.ErrShortInsert},
+		{"non-increasing", rev(77, [3]float64{0, 0, 2}, [3]float64{1, 1, 1}), mod.ErrStaleVertex},
+		{"tags only", mod.Update{OID: 77, Tags: &tags}, mod.ErrNotFound},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, embedded := liveStore(t).ApplyUpdates([]mod.Update{tc.u})
+			for _, part := range []cluster.Partitioner{cluster.Hash{}, cluster.Grid{CellSize: 20}} {
+				router, err := cluster.NewLocalCluster(liveStore(t), 3, cluster.Options{Partitioner: part})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = router.Ingest(ctx, []mod.Update{tc.u})
+				if !errors.Is(embedded, tc.is) || !errors.Is(err, tc.is) {
+					t.Fatalf("%s: embedded %v, cluster %v; want both %v", part.Name(), embedded, err, tc.is)
+				}
+				if got, want := codeOf(err), codeOf(embedded); got != want {
+					t.Fatalf("%s: cluster files %v as %s, the embedded store as %s", part.Name(), err, got, want)
+				}
+			}
+		})
+	}
+}
+
+// codeOf is the wire code and HTTP status a failure files under.
+func codeOf(err error) string {
+	name, status := serve.Classify(err)
+	return fmt.Sprintf("%s %d", name, status)
 }
 
 func TestZoneProfile(t *testing.T) {

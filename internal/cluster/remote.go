@@ -5,7 +5,7 @@ import (
 	"crypto/tls"
 	"errors"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"syscall"
@@ -24,68 +24,21 @@ import (
 // default dials TCP; tests inject fault-wrapped dialers here.
 type Dialer func(addr string) (net.Conn, error)
 
-// Retry defaults; see RetryPolicy.
+// Retries of an idempotent call (every Shard op except Ingest, which may
+// have applied server-side before the reply was lost) after a transient
+// wire failure: a refused or reset connection or a broken stream. A call
+// makes at most DefaultRetryAttempts tries; the backoff before a retry
+// doubles from DefaultRetryBackoff with uniform jitter in [d/2, d], and
+// every sleep aborts promptly when the caller's context fires.
 const (
 	DefaultRetryAttempts = 3
 	DefaultRetryBackoff  = 10 * time.Millisecond
-	DefaultRetryMax      = 250 * time.Millisecond
 )
-
-// RetryPolicy bounds how a RemoteShard retries idempotent calls (every
-// Shard op except Ingest, which may have applied server-side before the
-// reply was lost) after a transient wire failure: a refused or reset
-// connection, a broken stream, or a per-attempt timeout. Backoff doubles
-// from BaseBackoff up to MaxBackoff with uniform jitter in [d/2, d], and
-// every sleep aborts promptly when the caller's context fires.
-type RetryPolicy struct {
-	// Attempts is the total tries per call. Zero means
-	// DefaultRetryAttempts; negative (or 1) disables retries.
-	Attempts int
-	// BaseBackoff is the first retry's backoff ceiling (zero means
-	// DefaultRetryBackoff); MaxBackoff caps the doubling (zero means
-	// DefaultRetryMax).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// AttemptTimeout bounds each attempt individually, so one black-holed
-	// connection costs one timeout, not the caller's whole deadline. Zero
-	// means no per-attempt bound (the caller's ctx still governs).
-	AttemptTimeout time.Duration
-	// Seed fixes the jitter sequence for deterministic tests; zero seeds
-	// from the wall clock.
-	Seed int64
-}
-
-func (p RetryPolicy) attempts() int {
-	if p.Attempts == 0 {
-		return DefaultRetryAttempts
-	}
-	if p.Attempts < 1 {
-		return 1
-	}
-	return p.Attempts
-}
-
-func (p RetryPolicy) base() time.Duration {
-	if p.BaseBackoff <= 0 {
-		return DefaultRetryBackoff
-	}
-	return p.BaseBackoff
-}
-
-func (p RetryPolicy) max() time.Duration {
-	if p.MaxBackoff <= 0 {
-		return DefaultRetryMax
-	}
-	return p.MaxBackoff
-}
 
 // RemoteOptions tunes a RemoteShard's transport.
 type RemoteOptions struct {
 	// Dialer opens connections; nil means plain TCP.
 	Dialer Dialer
-	// Retry governs idempotent-call retries; the zero value retries
-	// DefaultRetryAttempts times with default backoff.
-	Retry RetryPolicy
 	// TLS, when set, wraps every dialed connection in a TLS client
 	// handshake (ServerName defaults from the shard address). A plaintext
 	// dial against a TLS shard — the inverse misconfiguration — fails
@@ -104,10 +57,11 @@ type RemoteOptions struct {
 // RemoteShard speaks the modserver query op (bounds/survivors/oids
 // phases) and the store ops to a shard-serving modserver over TCP. The
 // connection is dialed lazily, serialized by a mutex (the wire client is
-// synchronous), and redialed after a failure or a context cancellation
-// poisons it. Idempotent calls
-// retry transient wire failures per the shard's RetryPolicy; Ingest never
-// retries (the lost reply may have applied).
+// synchronous), and redialed after a transport failure, an unreadable
+// reply or a context cancellation poisons it; a shard's coded refusal
+// leaves it in sync and cached. Idempotent calls retry transient wire
+// failures (see DefaultRetryAttempts); Ingest never retries (the lost
+// reply may have applied).
 //
 // Cancellation: the wire protocol has no cancel frame, so a canceled call
 // closes the connection — the blocked read returns immediately, the
@@ -122,11 +76,8 @@ type RemoteShard struct {
 	cli     *modserver.Client
 	index   int // position in the owning router's shard slice; -1 unrouted
 	dial    Dialer
-	retry   RetryPolicy
-	tlsCfg  *tls.Config
-	token   string
+	connect modserver.DialOptions
 	onRetry func(name string, attempt int, err error)
-	rng     *rand.Rand
 }
 
 // NewRemoteShard names a shard served by a modserver at addr with default
@@ -137,19 +88,14 @@ func NewRemoteShard(name, addr string) *RemoteShard {
 
 // NewRemoteShardWith is NewRemoteShard with transport options.
 func NewRemoteShardWith(name, addr string, opts RemoteOptions) *RemoteShard {
-	seed := opts.Retry.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	d := opts.Dialer
 	if d == nil {
 		d = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
 	return &RemoteShard{
 		name: name, addr: addr, index: -1,
-		dial: d, retry: opts.Retry,
-		tlsCfg: opts.TLS, token: opts.Token, onRetry: opts.OnRetry,
-		rng: rand.New(rand.NewSource(seed)),
+		dial: d, connect: modserver.DialOptions{TLS: opts.TLS, Token: opts.Token},
+		onRetry: opts.OnRetry,
 	}
 }
 
@@ -185,7 +131,7 @@ func (s *RemoteShard) call(ctx context.Context, f func(c *modserver.Client) erro
 	return s.callRetry(ctx, false, f)
 }
 
-// callIdempotent runs f with transient-failure retries per the policy.
+// callIdempotent runs f with transient-failure retries.
 func (s *RemoteShard) callIdempotent(ctx context.Context, f func(c *modserver.Client) error) error {
 	return s.callRetry(ctx, true, f)
 }
@@ -200,7 +146,7 @@ func (s *RemoteShard) callRetry(ctx context.Context, retryable bool, f func(c *m
 	defer s.mu.Unlock()
 	attempts := 1
 	if retryable {
-		attempts = s.retry.attempts()
+		attempts = DefaultRetryAttempts
 	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -220,6 +166,9 @@ func (s *RemoteShard) callRetry(ctx context.Context, retryable bool, f func(c *m
 		if !retryable || !transientErr(err) {
 			return err
 		}
+		if cerr := queries.CtxErr(ctx); cerr != nil {
+			return cerr // the caller's own deadline: nothing is retried
+		}
 		if s.onRetry != nil && attempt+1 < attempts {
 			s.onRetry(s.name, attempt+1, err)
 		}
@@ -230,11 +179,8 @@ func (s *RemoteShard) callRetry(ctx context.Context, retryable bool, f func(c *m
 // backoffLocked sleeps the attempt's jittered backoff or returns the
 // context error as soon as ctx fires.
 func (s *RemoteShard) backoffLocked(ctx context.Context, attempt int) error {
-	d := s.retry.base() << (attempt - 1)
-	if m := s.retry.max(); d > m || d <= 0 {
-		d = m
-	}
-	d = d/2 + time.Duration(s.rng.Int63n(int64(d/2)+1))
+	d := DefaultRetryBackoff << (attempt - 1)
+	d = d/2 + time.Duration(rand.Int64N(int64(d/2)+1))
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -246,39 +192,22 @@ func (s *RemoteShard) backoffLocked(ctx context.Context, attempt int) error {
 }
 
 // attemptLocked is one wire attempt under the mutex, with a cancellation
-// watchdog: if the attempt's context fires while f blocks on the wire,
-// the connection is closed (unblocking f promptly) and the context error
-// is reported instead of the resulting read error. The watchdog is always
-// reaped before returning, so a canceled scatter leaks nothing. A
-// configured AttemptTimeout bounds just this attempt; the parent context
-// error takes precedence when both fire.
+// watchdog: if ctx fires while f blocks on the wire, the connection is
+// closed (unblocking f promptly) and the context error is reported instead
+// of the resulting read error. The watchdog is always reaped before
+// returning, so a canceled scatter leaks nothing.
 func (s *RemoteShard) attemptLocked(ctx context.Context, f func(c *modserver.Client) error) error {
-	actx := ctx
-	cancel := func() {}
-	if s.retry.AttemptTimeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, s.retry.AttemptTimeout)
-	}
-	defer cancel()
 	if s.cli == nil {
 		conn, err := s.dial(s.addr)
 		if err != nil {
 			return &ShardUnavailableError{Shard: s.index, Name: s.name, Err: err}
 		}
-		if s.tlsCfg != nil {
-			// A handshake failure is returned raw: a cert mismatch is
-			// permanent (not a ShardUnavailableError), while a connection
-			// that died mid-handshake is a net.Error and retries anyway.
-			conn, err = modserver.TLSClient(conn, s.tlsCfg, s.addr)
-			if err != nil {
-				return err
-			}
-		}
-		cli := modserver.NewClient(conn)
-		if s.token != "" {
-			if err := cli.Auth(s.token); err != nil {
-				_ = cli.Close()
-				return err
-			}
+		// A handshake or auth failure is returned raw: a cert mismatch or
+		// a wrong token is permanent (not a ShardUnavailableError), while a
+		// connection that died mid-handshake is a net.Error and retries.
+		cli, err := modserver.Connect(conn, s.addr, s.connect)
+		if err != nil {
+			return err
 		}
 		s.cli = cli
 	}
@@ -288,7 +217,7 @@ func (s *RemoteShard) attemptLocked(ctx context.Context, f func(c *modserver.Cli
 	go func() {
 		defer close(reaped)
 		select {
-		case <-actx.Done():
+		case <-ctx.Done():
 			_ = cli.Close()
 		case <-done:
 		}
@@ -296,20 +225,17 @@ func (s *RemoteShard) attemptLocked(ctx context.Context, f func(c *modserver.Cli
 	err := f(cli)
 	close(done)
 	<-reaped
-	if cerr := queries.CtxErr(actx); cerr != nil {
+	if cerr := queries.CtxErr(ctx); cerr != nil {
 		// The watchdog (or the deadline) poisoned the connection; force a
 		// redial next call and surface the cancellation, not the wire
-		// noise it caused. The parent context outranks the per-attempt
-		// timeout (an expired attempt is retryable; a dead caller is not).
+		// noise it caused.
 		_ = cli.Close()
 		s.cli = nil
-		if perr := queries.CtxErr(ctx); perr != nil {
-			return perr
-		}
 		return cerr
 	}
-	if err != nil {
-		// A wire failure leaves the stream unsynchronized; redial next call.
+	if err != nil && !modserver.InSync(err) {
+		// A transport failure or an unreadable reply leaves the stream
+		// unsynchronized; redial next call.
 		_ = cli.Close()
 		s.cli = nil
 	}
@@ -317,9 +243,8 @@ func (s *RemoteShard) attemptLocked(ctx context.Context, f func(c *modserver.Cli
 }
 
 // transientErr classifies wire failures worth a retry: the connection
-// never opened, died mid-flight, or the attempt timed out — anything
-// where a fresh dial plausibly succeeds. (A parent-context expiry never
-// reaches this check; attemptLocked returns it as such.)
+// never opened or died mid-flight — anything where a fresh dial plausibly
+// succeeds.
 func transientErr(err error) bool {
 	switch {
 	case errors.Is(err, ErrShardUnavailable),
@@ -328,8 +253,7 @@ func transientErr(err error) bool {
 		errors.Is(err, syscall.EPIPE),
 		errors.Is(err, io.EOF),
 		errors.Is(err, io.ErrUnexpectedEOF),
-		errors.Is(err, modserver.ErrConnClosed),
-		errors.Is(err, context.DeadlineExceeded):
+		errors.Is(err, modserver.ErrConnClosed):
 		return true
 	}
 	var nerr net.Error

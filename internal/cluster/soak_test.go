@@ -59,13 +59,8 @@ func TestChaosSoakFaults(t *testing.T) {
 		for _, p := range plans {
 			p, seed := p, seed
 			t.Run(fmt.Sprintf("seed%d-%s", seed, p.name), func(t *testing.T) {
-				retry := testRetry
-				retry.Seed = seed
-				if p.plan.Delay > 0 {
-					retry.AttemptTimeout = 30 * time.Millisecond
-				}
 				const faultIdx = 2
-				router, in, stores, _ := faultCluster(t, store, 4, faultIdx, retry, true)
+				router, in, stores, _ := faultCluster(t, store, 4, faultIdx, seed, true)
 				qOID := pickQuery(t, stores, faultIdx)
 				req := engine.Request{Kind: engine.KindUQ31, QueryOID: qOID, Tb: 0, Te: 30}
 				exact, err := engine.New(0).Do(context.Background(), store, req)

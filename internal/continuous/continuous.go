@@ -125,30 +125,11 @@ var (
 	ErrEventGap = errors.New("continuous: replay gap: backlog truncated")
 )
 
-// DefaultBacklog is the per-subscription event backlog bound when
-// HubOptions does not set one: deep enough to ride out a reconnect
-// window at ingest-batch granularity, shallow enough that a thousand
-// subscriptions hold at most a few MB of diffs.
+// DefaultBacklog bounds each subscription's retained event backlog (for
+// Replay): deep enough to ride out a reconnect window at ingest-batch
+// granularity, shallow enough that a thousand subscriptions hold at most a
+// few MB of diffs.
 const DefaultBacklog = 256
-
-// HubOptions tunes a hub.
-type HubOptions struct {
-	// BacklogCap bounds each subscription's retained event backlog (for
-	// Replay). 0 selects DefaultBacklog; negative disables retention —
-	// every non-trivial Replay then reports ErrEventGap.
-	BacklogCap int
-}
-
-func (o HubOptions) backlogCap() int {
-	switch {
-	case o.BacklogCap == 0:
-		return DefaultBacklog
-	case o.BacklogCap < 0:
-		return 0
-	default:
-		return o.BacklogCap
-	}
-}
 
 // Backend abstracts where the standing queries are evaluated: a
 // single-store engine (NewEngineHub) or a sharded cluster router
@@ -285,7 +266,7 @@ type sub struct {
 	prof *Profile
 	seq  uint64
 	// backlog retains the most recent emitted events (contiguous Seqs,
-	// oldest first, at most the hub's backlogCap) for Replay.
+	// oldest first, at most DefaultBacklog) for Replay.
 	backlog []Event
 }
 
@@ -325,12 +306,9 @@ func groupKey(req engine.Request) string {
 }
 
 // remember appends ev to the bounded backlog.
-func (s *sub) remember(ev Event, cap int) {
-	if cap <= 0 {
-		return
-	}
-	if len(s.backlog) >= cap {
-		n := copy(s.backlog, s.backlog[len(s.backlog)-cap+1:])
+func (s *sub) remember(ev Event) {
+	if len(s.backlog) >= DefaultBacklog {
+		n := copy(s.backlog, s.backlog[len(s.backlog)-DefaultBacklog+1:])
 		s.backlog = s.backlog[:n]
 	}
 	s.backlog = append(s.backlog, ev)
@@ -344,8 +322,7 @@ func (s *sub) remember(ev Event, cap int) {
 // mutation of the underlying data must flow through Ingest — the dirty
 // test's profiles describe the data as of the last evaluation.
 type Hub struct {
-	be         Backend
-	backlogCap int
+	be Backend
 
 	mu     sync.Mutex
 	subs   map[int64]*sub
@@ -355,29 +332,19 @@ type Hub struct {
 	closed bool
 }
 
-// New creates a hub over a backend with default options.
+// New creates a hub over a backend.
 func New(be Backend) *Hub {
-	return NewWith(be, HubOptions{})
-}
-
-// NewWith creates a hub over a backend.
-func NewWith(be Backend, opts HubOptions) *Hub {
-	return &Hub{be: be, backlogCap: opts.backlogCap(), subs: make(map[int64]*sub), groups: make(map[string]*group)}
+	return &Hub{be: be, subs: make(map[int64]*sub), groups: make(map[string]*group)}
 }
 
 // NewEngineHub is the single-store hub: updates apply to store, standing
 // queries evaluate through eng (nil means a fresh engine with one worker
 // per CPU).
 func NewEngineHub(store *mod.Store, eng *engine.Engine) *Hub {
-	return NewEngineHubWith(store, eng, HubOptions{})
-}
-
-// NewEngineHubWith is NewEngineHub with explicit options.
-func NewEngineHubWith(store *mod.Store, eng *engine.Engine, opts HubOptions) *Hub {
 	if eng == nil {
 		eng = engine.New(0)
 	}
-	return NewWith(&engineBackend{store: store, eng: eng}, opts)
+	return New(&engineBackend{store: store, eng: eng})
 }
 
 // Subscribe registers a standing request and returns its ID and initial
@@ -668,7 +635,7 @@ func (h *Hub) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, 
 			ev.Kind = out.res.Kind
 			ev.Explain = out.res.Explain
 			events = append(events, ev)
-			s.remember(ev, h.backlogCap)
+			s.remember(ev)
 		}
 	}
 	return applied, events, nil

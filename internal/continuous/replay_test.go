@@ -78,17 +78,17 @@ func TestReplayReturnsMissedEvents(t *testing.T) {
 
 func TestReplayGapWhenBacklogTruncated(t *testing.T) {
 	st := liveScene(t)
-	h := NewEngineHubWith(st, engine.New(1), HubOptions{BacklogCap: 3})
+	h := NewEngineHub(st, engine.New(1))
 	id, _ := mustSubscribe(t, h, engine.Request{Kind: engine.KindUQ11, QueryOID: 1, Tb: 0, Te: 10, OID: 3})
 
-	const n = 8
+	const n = DefaultBacklog + 3
 	for i := 0; i < n; i++ {
 		flipIngest(t, h, i%2 == 0)
 	}
 
-	// The backlog holds only the last 3 events (seqs 6..8): resuming from
-	// seq 5 or later works, anything earlier is a gap.
-	for from := uint64(n - 3); from <= n; from++ {
+	// The backlog holds only the last DefaultBacklog events (seqs 4..n):
+	// resuming from seq 3 or later works, anything earlier is a gap.
+	for from := uint64(n - DefaultBacklog); from <= n; from++ {
 		evs, err := h.Replay(id, from)
 		if err != nil {
 			t.Fatalf("Replay(%d): %v", from, err)
@@ -97,24 +97,9 @@ func TestReplayGapWhenBacklogTruncated(t *testing.T) {
 			t.Fatalf("Replay(%d) returned %d events, want %d", from, len(evs), n-from)
 		}
 	}
-	for from := uint64(0); from < n-3; from++ {
+	for from := uint64(0); from < n-DefaultBacklog; from++ {
 		if _, err := h.Replay(id, from); !errors.Is(err, ErrEventGap) {
 			t.Fatalf("Replay(%d) = %v, want ErrEventGap", from, err)
 		}
-	}
-}
-
-func TestReplayDisabledBacklog(t *testing.T) {
-	st := liveScene(t)
-	h := NewEngineHubWith(st, engine.New(1), HubOptions{BacklogCap: -1})
-	id, _ := mustSubscribe(t, h, engine.Request{Kind: engine.KindUQ11, QueryOID: 1, Tb: 0, Te: 10, OID: 3})
-
-	flipIngest(t, h, true)
-	if _, err := h.Replay(id, 0); !errors.Is(err, ErrEventGap) {
-		t.Fatalf("Replay with retention disabled = %v, want ErrEventGap", err)
-	}
-	// Up to date is still fine: there is nothing to replay.
-	if evs, err := h.Replay(id, 1); err != nil || len(evs) != 0 {
-		t.Fatalf("Replay(current) = %v, %v; want empty", evs, err)
 	}
 }

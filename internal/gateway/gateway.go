@@ -101,7 +101,8 @@ type Options struct {
 	// Backend answers /v1/query and /v1/batch.
 	Backend Backend
 	// Hub powers /v1/ingest and /v1/subscribe; nil disables both
-	// (they answer 501).
+	// (they answer 501). A severed stream stays resumable within
+	// serve.DefaultMaxDetached and serve.DefaultDetachedTTL.
 	Hub *continuous.Hub
 	// Journal, when set with Hub, makes ingest write-ahead durable.
 	// Store is the AfterApply snapshot target (required with Journal).
@@ -116,13 +117,6 @@ type Options struct {
 	// deadlines; client deadline_ms values are clamped to it. 0 means
 	// no ceiling.
 	RequestTimeout time.Duration
-	// MaxDetached bounds resumable detached subscriptions; it forwards to
-	// serve.New (serve.DefaultMaxDetached when 0; negative disables resume
-	// retention). They also expire after serve.DefaultDetachedTTL.
-	MaxDetached int
-	// EventBuffer is the per-SSE-stream channel depth
-	// (DefaultEventBuffer when 0).
-	EventBuffer int
 	// Metrics, when set, records traffic and serves GET /metrics.
 	Metrics *Metrics
 }
@@ -154,12 +148,9 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxBodyBytes == 0 {
 		opts.MaxBodyBytes = DefaultMaxBodyBytes
 	}
-	if opts.EventBuffer == 0 {
-		opts.EventBuffer = DefaultEventBuffer
-	}
 	s := &Server{opts: opts, drain: make(chan struct{})}
 	if opts.Hub != nil {
-		s.core = serve.New(opts.Hub, opts.Store, opts.Journal, opts.MaxDetached, 0)
+		s.core = serve.New(opts.Hub, opts.Store, opts.Journal)
 	}
 	s.handler = s.buildHandler()
 	s.hs = &http.Server{Handler: s.handler, ReadHeaderTimeout: 10 * time.Second}

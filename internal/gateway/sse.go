@@ -108,7 +108,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errDraining)
 		return
 	}
-	st := &sseStream{ch: make(chan continuous.Event, s.opts.EventBuffer)}
+	st := &sseStream{ch: make(chan continuous.Event, DefaultEventBuffer)}
 	var answer engine.Result
 	var backlog []continuous.Event
 	// The core registers (or re-attaches) the stream atomically with the

@@ -139,15 +139,15 @@ func waitDetached(t testing.TB, srv *Server, id int64) {
 // live one 400, and a resume past the replay window 410 event_gap.
 func TestResumeValidation(t *testing.T) {
 	store, trs := buildStore(t, 20, equivSeed)
-	// Retention disabled: every non-trivial replay is a gap.
-	hub := continuous.NewEngineHubWith(store, engine.New(0), continuous.HubOptions{BacklogCap: -1})
-	t.Cleanup(hub.Close)
+	hub := newTestHub(t, store)
 	srv, base, client := startGateway(t, Options{
 		Backend: EngineBackend{Eng: engine.New(0), Store: store},
 		Hub:     hub,
 		Metrics: NewMetrics(nil),
 	}, nil)
 
+	// get reads a refusal's body; a 200 is an SSE stream that never ends,
+	// so it returns at once with the status alone.
 	get := func(url string) (int, []byte) {
 		t.Helper()
 		resp, err := client.Get(url)
@@ -155,6 +155,9 @@ func TestResumeValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			return resp.StatusCode, nil
+		}
 		buf := new(bytes.Buffer)
 		_, _ = buf.ReadFrom(resp.Body)
 		return resp.StatusCode, buf.Bytes()
@@ -181,13 +184,26 @@ func TestResumeValidation(t *testing.T) {
 		t.Fatalf("live resume: status %d, want 400 (body %s)", status, body)
 	}
 
-	// Sever, advance the world, resume: with retention disabled the
-	// replay is a gap — 410.
+	// Sever, advance the world by one event more than the backlog holds
+	// (a hugging object arrives and retires in turn), resume from the
+	// start: the replay is a gap — 410.
 	stream.close()
 	waitDetached(t, srv, sub.SubID)
-	upd := []serve.WireUpdate{{OID: 9001, Verts: hugVerts(q, 35)}}
-	if status, body := postJSON(t, client, base+"/v1/ingest", "", ingestRequest{Updates: upd}); status != http.StatusOK {
-		t.Fatalf("ingest: status %d (body %.300s)", status, body)
+	arrive := []serve.WireUpdate{{OID: 9001, Verts: hugVerts(q, 35)}}
+	retire := []serve.WireUpdate{{OID: 9001, Retire: true}}
+	for i := 0; i <= continuous.DefaultBacklog; i++ {
+		upd := arrive
+		if i%2 == 1 {
+			upd = retire
+		}
+		if status, body := postJSON(t, client, base+"/v1/ingest", "", ingestRequest{Updates: upd}); status != http.StatusOK {
+			t.Fatalf("ingest %d: status %d (body %.300s)", i, status, body)
+		}
+	}
+	if evs, err := hub.Replay(sub.SubID, continuous.DefaultBacklog); err != nil || len(evs) != 1 ||
+		evs[0].Seq != continuous.DefaultBacklog+1 {
+		t.Fatalf("after %d ingests the backlog tail is %v (err %v), want the one event at seq %d",
+			continuous.DefaultBacklog+1, evs, err, continuous.DefaultBacklog+1)
 	}
 	status, body = get(fmt.Sprintf("%s/v1/subscribe?sub_id=%d&from_seq=0", base, sub.SubID))
 	if status != http.StatusGone {

@@ -245,15 +245,9 @@ type Options struct {
 	// lines; a connection that stalls longer is closed. Zero means
 	// DefaultReadTimeout; negative disables the deadline. Connections
 	// that own subscriptions are exempt (they are event listeners, not
-	// request streams); stalled subscribers are reaped by WriteTimeout at
-	// the next event instead.
+	// request streams); stalled subscribers are reaped by
+	// DefaultWriteTimeout at the next event instead.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds one asynchronous subscription-event write; a
-	// subscriber whose peer stops reading is closed instead of blocking
-	// ingest fan-out. Single-line request replies are exempt (large
-	// replies on slow links are legitimate). Zero means
-	// DefaultWriteTimeout; negative disables the deadline.
-	WriteTimeout time.Duration
 	// MaxLineBytes caps one request line. Zero means MaxLine. An
 	// oversized request gets one error response, then the connection is
 	// closed (the line cannot be resynchronized).
@@ -263,16 +257,6 @@ type Options struct {
 	// applies it, and AfterApply runs after a successful apply (where a
 	// wal.Log decides whether to snapshot).
 	Journal Journal
-	// MaxDetached and DetachedTTL bound the subscriptions closed
-	// connections leave detached awaiting a from_seq resume, by count (LRU)
-	// and by age; both forward to serve.New, which documents the zero and
-	// negative values. Past the TTL a resume fails with serve.ErrSubExpired.
-	MaxDetached int
-	DetachedTTL time.Duration
-	// EventBacklog is the per-subscription replay backlog bound, passed
-	// through to the hub (continuous.HubOptions.BacklogCap): zero selects
-	// continuous.DefaultBacklog, negative disables retention.
-	EventBacklog int
 	// Token, when non-empty, requires every connection to authenticate
 	// with {"op":"auth","token":...} before any other op. A wrong token
 	// (or an op before auth) gets one coded unauthorized reply and the
@@ -293,7 +277,7 @@ type Server struct {
 	engine       *engine.Engine
 	core         *serve.Core
 	readTimeout  time.Duration
-	writeTimeout time.Duration
+	writeTimeout time.Duration // DefaultWriteTimeout; the stall tests shorten it
 	maxLine      int
 	token        string
 
@@ -334,13 +318,9 @@ func (cs *connState) send(resp Response) error {
 func (cs *connState) sendEvent(resp Response) error {
 	cs.wmu.Lock()
 	defer cs.wmu.Unlock()
-	if cs.writeTimeout > 0 {
-		_ = cs.conn.SetWriteDeadline(time.Now().Add(cs.writeTimeout))
-	}
+	_ = cs.conn.SetWriteDeadline(time.Now().Add(cs.writeTimeout))
 	err := cs.enc.Encode(resp)
-	if cs.writeTimeout > 0 {
-		_ = cs.conn.SetWriteDeadline(time.Time{})
-	}
+	_ = cs.conn.SetWriteDeadline(time.Time{})
 	return err
 }
 
@@ -367,17 +347,13 @@ func NewServerWith(store *mod.Store, eng *engine.Engine, o Options) *Server {
 	if o.ReadTimeout == 0 {
 		o.ReadTimeout = DefaultReadTimeout
 	}
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = DefaultWriteTimeout
-	}
 	if o.MaxLineBytes <= 0 {
 		o.MaxLineBytes = MaxLine
 	}
-	hub := continuous.NewEngineHubWith(store, eng, continuous.HubOptions{BacklogCap: o.EventBacklog})
 	return &Server{
 		store: store, engine: eng,
-		core:        serve.New(hub, store, o.Journal, o.MaxDetached, o.DetachedTTL),
-		readTimeout: o.ReadTimeout, writeTimeout: o.WriteTimeout, maxLine: o.MaxLineBytes,
+		core:        serve.New(continuous.NewEngineHub(store, eng), store, o.Journal),
+		readTimeout: o.ReadTimeout, writeTimeout: DefaultWriteTimeout, maxLine: o.MaxLineBytes,
 		token: o.Token,
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -865,11 +841,31 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.TLS != nil {
-		conn, err = TLSClient(conn, opts.TLS, addr)
-		if err != nil {
+	return Connect(conn, addr, opts)
+}
+
+// Connect is the client side of a fresh connection to the server at addr,
+// for DialWith and for callers that dial themselves (the cluster
+// RemoteShard's injectable Dialer): the TLS handshake when opts.TLS is set
+// (ServerName defaults from addr, which tls.Client cannot infer), then the
+// token auth op when opts.Token is set. On failure the connection is
+// closed.
+func Connect(conn net.Conn, addr string, opts DialOptions) (*Client, error) {
+	if cfg := opts.TLS; cfg != nil {
+		if cfg.ServerName == "" && !cfg.InsecureSkipVerify {
+			host, _, err := net.SplitHostPort(addr)
+			if err != nil {
+				host = addr
+			}
+			cfg = cfg.Clone()
+			cfg.ServerName = host
+		}
+		tc := tls.Client(conn, cfg)
+		if err := tc.Handshake(); err != nil {
+			conn.Close()
 			return nil, err
 		}
+		conn = tc
 	}
 	c := NewClient(conn)
 	if opts.Token != "" {
@@ -879,28 +875,6 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 		}
 	}
 	return c, nil
-}
-
-// TLSClient wraps an established connection in a TLS client handshake,
-// defaulting the verification ServerName from addr when the config names
-// none (tls.Client, unlike tls.Dial, cannot infer one). On handshake
-// failure the connection is closed. Shared by DialWith and the cluster
-// RemoteShard (which dials through an injectable Dialer).
-func TLSClient(conn net.Conn, cfg *tls.Config, addr string) (net.Conn, error) {
-	if cfg.ServerName == "" && !cfg.InsecureSkipVerify {
-		host, _, err := net.SplitHostPort(addr)
-		if err != nil {
-			host = addr
-		}
-		cfg = cfg.Clone()
-		cfg.ServerName = host
-	}
-	tc := tls.Client(conn, cfg)
-	if err := tc.Handshake(); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return tc, nil
 }
 
 // Auth authenticates this connection with the server's static bearer
@@ -958,11 +932,29 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 			c.pending = append(c.pending, *ev)
 		case final == nil: // a non-final frame
 		case !final.OK:
-			return *final, serve.Rebuild(final.Code, final.Error)
+			return *final, refusal{serve.Rebuild(final.Code, final.Error)}
 		default:
 			return *final, nil
 		}
 	}
+}
+
+// refusal is a coded failure reply the client read in full.
+type refusal struct{ error }
+
+func (r refusal) Unwrap() error { return r.error }
+
+// InSync reports whether a client call that failed with err left the
+// connection usable for the next call: the server refused the request
+// with a coded reply the client read in full, and the refusal is not one
+// the server closes the connection after (a failed auth, an oversized
+// request line, plaintext on a TLS port, a subscriber's stalled event
+// stream). A transport failure or an unreadable reply is not in sync.
+func InSync(err error) bool {
+	var r refusal
+	return errors.As(err, &r) && !errors.Is(err, serve.ErrUnauthorized) &&
+		!errors.Is(err, serve.ErrTooLarge) && !errors.Is(err, serve.ErrTLSRequired) &&
+		!errors.Is(err, serve.ErrEventStalled)
 }
 
 // lineError classifies an unparseable reply line: TLS record bytes (a

@@ -155,7 +155,8 @@ func TestResumeReplaysMissedEvents(t *testing.T) {
 // recovers the event it never received.
 func TestStalledSubscriberSeveredAndResumable(t *testing.T) {
 	st := liveStore(t)
-	srv := NewServerWith(st, engine.New(1), Options{WriteTimeout: 150 * time.Millisecond})
+	srv := NewServerWith(st, engine.New(1), Options{})
+	srv.writeTimeout = 150 * time.Millisecond
 	t.Cleanup(func() { srv.Close() })
 	serve := func() (net.Conn, chan struct{}) {
 		ours, theirs := net.Pipe()

@@ -120,9 +120,10 @@ func TestStreamFraming(t *testing.T) {
 
 // pipeServer runs one handler over a net.Pipe so writes block until the
 // test reads — the deterministic stand-in for a slow TCP peer.
-func pipeServer(t *testing.T, store *mod.Store, o Options) (net.Conn, chan struct{}) {
+func pipeServer(t *testing.T, store *mod.Store, o Options, writeTimeout time.Duration) (net.Conn, chan struct{}) {
 	t.Helper()
 	srv := NewServerWith(store, engine.New(1), o)
+	srv.writeTimeout = writeTimeout
 	cli, ours := net.Pipe()
 	done := make(chan struct{})
 	go func() {
@@ -137,7 +138,7 @@ func pipeServer(t *testing.T, store *mod.Store, o Options) (net.Conn, chan struc
 // handler promptly instead of leaking it.
 func TestStreamMidDisconnect(t *testing.T) {
 	store := testStore(t, 60)
-	cli, done := pipeServer(t, store, Options{MaxLineBytes: 2048, WriteTimeout: 200 * time.Millisecond})
+	cli, done := pipeServer(t, store, Options{MaxLineBytes: 2048}, 200*time.Millisecond)
 	if _, err := cli.Write(survivorsLine(t, store)); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestStreamMidDisconnect(t *testing.T) {
 // reply cannot pin the connection goroutine behind a full buffer.
 func TestStreamSlowReaderSevered(t *testing.T) {
 	store := testStore(t, 60)
-	cli, done := pipeServer(t, store, Options{MaxLineBytes: 2048, WriteTimeout: 150 * time.Millisecond})
+	cli, done := pipeServer(t, store, Options{MaxLineBytes: 2048}, 150*time.Millisecond)
 	if _, err := cli.Write(survivorsLine(t, store)); err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,8 @@
 // run on a Sweep — one snapshot, index handle, slicing and OID table per
 // (query, window), shared by both phases and every rank: the one-shot
 // forms (ZoneWhereCtx, ForQueryWhereCtx, SliceBoundsWhere,
-// SurvivorsWithBoundsWhere) open one per call, ForQueryWhereCtx leaves its
-// own behind the processor's rank expander, and NewSweepWhere and
-// SweepCache keep one across the phases of the cluster bound exchange.
+// SurvivorsWithBoundsWhere) open one per call, and ForQueryWhereCtx leaves
+// its own behind the processor's rank expander.
 package prune
 
 import (

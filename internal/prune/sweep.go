@@ -3,8 +3,7 @@
 // SurvivorsWithBoundsWhere (sweep against the broadcast global bound) — arrive
 // as separate calls per shard per query, and a ranked request on the single
 // store probes and sweeps once per rank; a Sweep captures what all of them
-// share per (store-version, query, window) once. A SweepCache keys live
-// sessions by store version so a mutation naturally invalidates them.
+// share per (store-version, query, window) once.
 package prune
 
 import (
@@ -19,11 +18,6 @@ import (
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
 )
-
-// sweepCacheCap bounds a SweepCache: entries are evicted least-recently
-// used. A shard serving a batch touches one session per (query, window)
-// group, so a small cap covers the working set.
-const sweepCacheCap = 16
 
 // Sweep is one candidate pre-pass session for a fixed (query, window): a
 // consistent store snapshot in OID order (under a predicate, the query plus
@@ -133,76 +127,4 @@ func (s *Sweep) all() []*trajectory.Trajectory {
 		}
 	}
 	return out
-}
-
-// sweepKey identifies a live session: the store version pins the snapshot
-// (one SweepCache serves one store), the rest the (query, window). The
-// query is keyed by pointer, not OID: trajectories are immutable (every
-// store update allocates a replacement), so a pointer pins the exact
-// geometry — crucial when the query object lives on a *different* shard
-// and its revision does not bump this store's version.
-type sweepKey struct {
-	version uint64
-	q       *trajectory.Trajectory
-	tb, te  float64
-	where   string // canonical predicate key ("" = unfiltered)
-}
-
-// SweepCache memoizes Sweep sessions per (store-version, query, window)
-// so the two protocol phases — and repeated queries in a batch — share
-// one snapshot table and index handle. Safe for concurrent use. The zero
-// value is ready; one cache serves exactly one store.
-type SweepCache struct {
-	mu    sync.Mutex
-	m     map[sweepKey]*Sweep
-	order []sweepKey // recency order, oldest first
-}
-
-// ForWhere returns the cached session for (q, tb, te, where) at the
-// store's current version, opening one on miss. Version-bumped entries
-// become unreachable and are evicted as the LRU order churns. Sessions are
-// keyed by the predicate's canonical key, so filtered and unfiltered
-// phases of the same (query, window) never share a snapshot.
-func (c *SweepCache) ForWhere(store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) (*Sweep, error) {
-	key := sweepKey{version: store.Version(), q: q, tb: tb, te: te, where: where.Key()}
-	c.mu.Lock()
-	if s, ok := c.m[key]; ok {
-		c.touchLocked(key)
-		c.mu.Unlock()
-		return s, nil
-	}
-	c.mu.Unlock()
-	// Build outside the lock: sessions cost O(N) and concurrent misses on
-	// distinct keys must not serialize. A racing duplicate build for the
-	// same key is harmless — last insert wins, both sessions are valid.
-	s, err := NewSweepWhere(store, q, tb, te, where)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[sweepKey]*Sweep)
-	}
-	if _, ok := c.m[key]; !ok {
-		c.order = append(c.order, key)
-	}
-	c.m[key] = s
-	c.touchLocked(key)
-	for len(c.order) > sweepCacheCap {
-		delete(c.m, c.order[0])
-		c.order = c.order[1:]
-	}
-	c.mu.Unlock()
-	return s, nil
-}
-
-// touchLocked moves key to the most-recently-used end. Caller holds c.mu.
-func (c *SweepCache) touchLocked(key sweepKey) {
-	for i, k := range c.order {
-		if k == key {
-			copy(c.order[i:], c.order[i+1:])
-			c.order[len(c.order)-1] = key
-			return
-		}
-	}
 }

@@ -127,55 +127,6 @@ func TestSharedProbePassEqualsSingleRank(t *testing.T) {
 	}
 }
 
-// TestSweepCacheReuseAndInvalidation: same (query, window, version) hits
-// the cached session; a store mutation or a different window misses; the
-// LRU cap bounds the cache.
-func TestSweepCacheReuseAndInvalidation(t *testing.T) {
-	store, trs := sweepStore(t, 60)
-	q := trs[0]
-	var c SweepCache
-
-	s1, err := c.ForWhere(store, q, 0, 30, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := c.ForWhere(store, q, 0, 30, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 != s2 {
-		t.Fatal("identical key missed the cache")
-	}
-	if s3, _ := c.ForWhere(store, q, 0, 20, nil); s3 == s1 {
-		t.Fatal("different window shared a session")
-	}
-
-	// A mutation bumps the version: the old session is unreachable.
-	if _, err := store.ApplyUpdates([]mod.Update{{OID: 9001, Verts: []trajectory.Vertex{{X: 1, Y: 1, T: 0}, {X: 2, Y: 2, T: 30}}}}); err != nil {
-		t.Fatal(err)
-	}
-	s4, err := c.ForWhere(store, q, 0, 30, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s4 == s1 {
-		t.Fatal("version bump did not invalidate the session")
-	}
-
-	// Churn well past the cap: the cache stays bounded.
-	for i := 0; i < 3*sweepCacheCap; i++ {
-		if _, err := c.ForWhere(store, q, 0, 10+float64(i), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.mu.Lock()
-	size := len(c.m)
-	c.mu.Unlock()
-	if size > sweepCacheCap {
-		t.Fatalf("cache grew to %d entries, cap %d", size, sweepCacheCap)
-	}
-}
-
 // TestSweepStaleDegradation: a stale session (mutation raced the
 // snapshot) must degrade to the trivially sound answers — +Inf bounds
 // and keep-every-candidate survivors.

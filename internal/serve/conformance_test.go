@@ -34,11 +34,8 @@ import (
 
 // config is what a case may ask of a server, in codec-neutral terms.
 type config struct {
-	maxDetached int
-	detachedTTL time.Duration // the gateway has no knob: it runs serve.DefaultDetachedTTL
-	backlog     int
-	journal     serve.Journal
-	token       string
+	journal serve.Journal
+	token   string
 }
 
 // client is the per-codec adapter: the three live operations, a query
@@ -81,10 +78,7 @@ var codecs = []codec{{"line", startLine}, {"http", startHTTP}}
 // ---- the line-protocol adapter ---------------------------------------
 
 func startLine(t *testing.T, store *mod.Store, cfg config) world {
-	srv := modserver.NewServerWith(store, engine.New(1), modserver.Options{
-		MaxDetached: cfg.maxDetached, DetachedTTL: cfg.detachedTTL,
-		EventBacklog: cfg.backlog, Journal: cfg.journal, Token: cfg.token,
-	})
+	srv := modserver.NewServerWith(store, engine.New(1), modserver.Options{Journal: cfg.journal, Token: cfg.token})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -183,10 +177,9 @@ func (c lineClient) forget(id int64) error {
 
 func startHTTP(t *testing.T, store *mod.Store, cfg config) world {
 	eng := engine.New(1)
-	hub := continuous.NewEngineHubWith(store, eng, continuous.HubOptions{BacklogCap: cfg.backlog})
 	gw, err := gateway.New(gateway.Options{
-		Backend: gateway.EngineBackend{Eng: eng, Store: store}, Hub: hub, Store: store,
-		Journal: cfg.journal, Token: cfg.token, MaxDetached: cfg.maxDetached,
+		Backend: gateway.EngineBackend{Eng: eng, Store: store}, Hub: continuous.NewEngineHub(store, eng), Store: store,
+		Journal: cfg.journal, Token: cfg.token,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -439,12 +432,12 @@ func (h *harness) mustSubscribe(req engine.Request) *session {
 }
 
 // dropAndWait severs a session and waits for the server to notice and
-// detach (or, with retention off, reap) its subscription.
+// detach its subscription.
 func (h *harness) dropAndWait(s *session) {
 	h.Helper()
 	s.drop()
 	deadline := time.Now().Add(5 * time.Second)
-	for !h.core.Detached(s.id) && slices.Contains(h.core.Hub().Subscriptions(), s.id) {
+	for !h.core.Detached(s.id) {
 		if time.Now().After(deadline) {
 			h.Fatalf("subscription %d never detached", s.id)
 		}
@@ -608,15 +601,15 @@ var cases = []struct {
 	}},
 
 	{"truncated backlog is a typed event gap", func(t *testing.T, c codec) {
-		h := start(t, c, config{backlog: 2})
+		h := start(t, c, config{})
 		s := h.mustSubscribe(flipReq)
 		h.dropAndWait(s)
-		h.flipN(5)
+		h.flipN(continuous.DefaultBacklog + 3)
 		if _, err := h.resume(s.id, 0); !errors.Is(err, continuous.ErrEventGap) {
 			t.Fatalf("resume across a truncated backlog = %v, want ErrEventGap", err)
 		}
 		// The gap leaves the subscription detached and intact: a resume
-		// inside the retained window (seqs 4..5) succeeds.
+		// inside the retained window (seqs 4..Backlog+3) succeeds.
 		if !h.core.Detached(s.id) {
 			t.Fatal("gap consumed the detached subscription")
 		}
@@ -645,14 +638,14 @@ var cases = []struct {
 	}},
 
 	{"LRU eviction past MaxDetached", func(t *testing.T, c codec) {
-		h := start(t, c, config{maxDetached: 2})
+		h := start(t, c, config{})
 		var ids []int64
-		for i := 0; i < 3; i++ {
+		for i := 0; i <= serve.DefaultMaxDetached; i++ {
 			s := h.mustSubscribe(flipReq)
 			h.dropAndWait(s)
 			ids = append(ids, s.id)
 		}
-		// The eviction unsubscribes just after the third detach lands.
+		// The eviction unsubscribes just after the last detach lands.
 		deadline := time.Now().Add(5 * time.Second)
 		for !slices.Equal(h.core.Hub().Subscriptions(), ids[1:]) {
 			if time.Now().After(deadline) {
@@ -663,20 +656,20 @@ var cases = []struct {
 		if _, err := h.resume(ids[0], 0); err == nil || errors.Is(err, serve.ErrSubExpired) {
 			t.Fatalf("resume of the evicted subscription = %v", err)
 		}
-		if _, err := h.resume(ids[2], 0); err != nil {
+		if _, err := h.resume(ids[serve.DefaultMaxDetached], 0); err != nil {
 			t.Fatalf("resume of a retained subscription: %v", err)
 		}
 	}},
 
 	{"TTL expiry is typed", func(t *testing.T, c codec) {
-		h := start(t, c, config{detachedTTL: time.Minute})
+		h := start(t, c, config{})
 		clock := &steppedClock{t: time.Unix(1_000_000, 0)}
 		h.core.SetClock(clock.now)
 		s := h.mustSubscribe(flipReq)
 		h.dropAndWait(s)
 
 		// Inside the deadline the subscription stays resumable.
-		clock.advance(30 * time.Second)
+		clock.advance(serve.DefaultDetachedTTL / 2)
 		r, err := h.resume(s.id, 0)
 		if err != nil {
 			t.Fatalf("resume inside the deadline: %v", err)
@@ -684,7 +677,7 @@ var cases = []struct {
 		h.dropAndWait(r)
 
 		// Past it, the next ingest sweeps it out of the hub for real...
-		clock.advance(5 * time.Minute)
+		clock.advance(serve.DefaultDetachedTTL)
 		h.flipN(1)
 		if h.core.Detached(s.id) || len(h.core.Hub().Subscriptions()) != 0 {
 			t.Fatalf("subscription survived the deadline sweep: hub %v", h.core.Hub().Subscriptions())
@@ -695,18 +688,6 @@ var cases = []struct {
 		}
 		if _, err := h.resume(s.id+99, 0); err == nil || errors.Is(err, serve.ErrSubExpired) {
 			t.Fatalf("resume of an unknown subscription = %v", err)
-		}
-	}},
-
-	{"MaxDetached < 0 reaps immediately", func(t *testing.T, c codec) {
-		h := start(t, c, config{maxDetached: -1})
-		s := h.mustSubscribe(flipReq)
-		h.dropAndWait(s)
-		if got := h.core.Hub().Subscriptions(); len(got) != 0 || h.core.Detached(s.id) {
-			t.Fatalf("subscription retained with retention off: hub %v", got)
-		}
-		if _, err := h.resume(s.id, 0); err == nil {
-			t.Fatal("resumed a reaped subscription")
 		}
 	}},
 

@@ -53,9 +53,9 @@ import (
 var (
 	// ErrSubLive rejects a resume of a subscription another sink still owns.
 	ErrSubLive = errors.New("serve: subscription is owned by a live connection")
-	// ErrSubExpired rejects a resume of a subscription that sat detached past
-	// DetachedTTL and was expired: its backlog is gone, so the client must
-	// take a fresh Subscribe — retrying cannot succeed.
+	// ErrSubExpired rejects a resume of a subscription that sat detached
+	// past DefaultDetachedTTL and was expired: its backlog is gone, so the
+	// client must take a fresh Subscribe — retrying cannot succeed.
 	ErrSubExpired = errors.New("serve: detached subscription expired")
 	// ErrUnknownSub reports a subscription ID that is neither live on the
 	// calling sink nor detached.
@@ -63,7 +63,8 @@ var (
 )
 
 // DefaultMaxDetached bounds the detached (resumable) subscriptions a core
-// retains; past it the oldest is unsubscribed for real.
+// retains; past it the oldest is unsubscribed for real. It also bounds the
+// memory of expired IDs.
 const DefaultMaxDetached = 64
 
 // DefaultDetachedTTL is how long a detached subscription stays resumable.
@@ -101,12 +102,10 @@ type parked struct {
 
 // Core owns the live path. All methods are safe for concurrent use.
 type Core struct {
-	hub         *continuous.Hub
-	store       *mod.Store
-	journal     Journal
-	maxDetached int
-	detachedTTL time.Duration
-	now         func() time.Time // stepped by tests
+	hub     *continuous.Hub
+	store   *mod.Store
+	journal Journal
+	now     func() time.Time // stepped by tests
 
 	emitMu sync.Mutex
 
@@ -122,28 +121,9 @@ type Core struct {
 
 // New builds a core over hub. store is the Journal.AfterApply target and
 // the Insert duplicate check; a core that never journals or inserts (one
-// over a cluster router hub) passes nil. journal may be nil. maxDetached:
-// 0 selects DefaultMaxDetached, negative disables retention (a detached
-// subscription is unsubscribed immediately). detachedTTL: 0 selects
-// DefaultDetachedTTL, negative disables expiry (LRU bound only).
-func New(hub *continuous.Hub, store *mod.Store, journal Journal, maxDetached int, detachedTTL time.Duration) *Core {
-	switch {
-	case maxDetached == 0:
-		maxDetached = DefaultMaxDetached
-	case maxDetached < 0:
-		maxDetached = 0
-	}
-	switch {
-	case detachedTTL == 0:
-		detachedTTL = DefaultDetachedTTL
-	case detachedTTL < 0:
-		detachedTTL = 0
-	}
-	return &Core{
-		hub: hub, store: store, journal: journal,
-		maxDetached: maxDetached, detachedTTL: detachedTTL,
-		now: time.Now, live: make(map[int64]Sink),
-	}
+// over a cluster router hub) passes nil. journal may be nil.
+func New(hub *continuous.Hub, store *mod.Store, journal Journal) *Core {
+	return &Core{hub: hub, store: store, journal: journal, now: time.Now, live: make(map[int64]Sink)}
 }
 
 // Hub exposes the continuous-query hub (in-process subscribers, stats).
@@ -256,7 +236,7 @@ func (c *Core) attach(id int64, fromSeq uint64, sink Sink) (answer engine.Result
 	case live && owner != sink:
 		return answer, nil, fmt.Errorf("%w: %d", ErrSubLive, id)
 	case !live && at < 0 && slices.Contains(c.expired, id):
-		return answer, nil, fmt.Errorf("%w: %d sat detached longer than %v", ErrSubExpired, id, c.detachedTTL)
+		return answer, nil, fmt.Errorf("%w: %d sat detached longer than %v", ErrSubExpired, id, DefaultDetachedTTL)
 	case !live && at < 0:
 		return answer, nil, fmt.Errorf("%w: %d", ErrUnknownSub, id)
 	}
@@ -310,7 +290,7 @@ func (c *Core) Detach(id int64, sink Sink) {
 	delete(c.live, id)
 	dead := c.sweepLocked()
 	c.detached = append(c.detached, parked{id, c.now()})
-	if over := len(c.detached) - c.maxDetached; over > 0 {
+	if over := len(c.detached) - DefaultMaxDetached; over > 0 {
 		for _, p := range c.detached[:over] {
 			dead = append(dead, p.id)
 		}
@@ -342,11 +322,11 @@ func (c *Core) sweep() {
 // sweepLocked is sweep's table half: it returns the expired IDs for the
 // caller to unsubscribe outside c.mu.
 func (c *Core) sweepLocked() []int64 {
-	if c.detachedTTL <= 0 || len(c.detached) == 0 {
+	if len(c.detached) == 0 {
 		return nil
 	}
 	now, n := c.now(), 0
-	for n < len(c.detached) && now.Sub(c.detached[n].at) >= c.detachedTTL {
+	for n < len(c.detached) && now.Sub(c.detached[n].at) >= DefaultDetachedTTL {
 		n++
 	}
 	var dead []int64
@@ -355,7 +335,7 @@ func (c *Core) sweepLocked() []int64 {
 	}
 	c.detached = slices.Delete(c.detached, 0, n)
 	c.expired = append(c.expired, dead...)
-	if over := len(c.expired) - max(c.maxDetached, DefaultMaxDetached); over > 0 {
+	if over := len(c.expired) - DefaultMaxDetached; over > 0 {
 		c.expired = slices.Delete(c.expired, 0, over)
 	}
 	return dead

@@ -1,9 +1,9 @@
 package serve
 
 // Core-level tests for what no codec exposes the same way on both sides:
-// the wire shape's Inf markers, Unsubscribe ownership, Insert, a severing
-// sink, and the disabled-TTL configuration. Everything a client can observe
-// on both front doors is in conformance_test.go.
+// the wire shape's Inf markers, Unsubscribe ownership, Insert and a
+// severing sink. Everything a client can observe on both front doors is in
+// conformance_test.go.
 
 import (
 	"context"
@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/continuous"
 	"repro/internal/engine"
@@ -44,7 +43,7 @@ func line(oid int64, y float64) *trajectory.Trajectory {
 
 // newCore serves a three-object scene: 1 is the query, 2 its neighbour, 3
 // far away.
-func newCore(t *testing.T, maxDetached int, ttl time.Duration) (*Core, *mod.Store) {
+func newCore(t *testing.T) (*Core, *mod.Store) {
 	t.Helper()
 	st, err := mod.NewUniformStore(0.5)
 	if err != nil {
@@ -54,7 +53,7 @@ func newCore(t *testing.T, maxDetached int, ttl time.Duration) (*Core, *mod.Stor
 		t.Fatal(err)
 	}
 	eng := engine.New(1)
-	return New(continuous.NewEngineHub(st, eng), st, nil, maxDetached, ttl), st
+	return New(continuous.NewEngineHub(st, eng), st, nil), st
 }
 
 var nnReq = engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10}
@@ -220,7 +219,7 @@ func TestTokenOK(t *testing.T) {
 }
 
 func TestUnsubscribeOwnership(t *testing.T) {
-	c, _ := newCore(t, 0, 0)
+	c, _ := newCore(t)
 	owner, other := &chanSink{}, &chanSink{}
 	id, _, err := c.Subscribe(context.Background(), nnReq, owner)
 	if err != nil {
@@ -244,7 +243,7 @@ func TestUnsubscribeOwnership(t *testing.T) {
 }
 
 func TestInsertRefusesKnownOIDAndFansOut(t *testing.T) {
-	c, _ := newCore(t, 0, 0)
+	c, _ := newCore(t)
 	sink := &chanSink{}
 	if _, _, err := c.Subscribe(context.Background(), nnReq, sink); err != nil {
 		t.Fatal(err)
@@ -261,7 +260,7 @@ func TestInsertRefusesKnownOIDAndFansOut(t *testing.T) {
 }
 
 func TestFailingSinkIsSeveredAndResumable(t *testing.T) {
-	c, _ := newCore(t, 0, 0)
+	c, _ := newCore(t)
 	sink := &chanSink{fail: true}
 	id, _, err := c.Subscribe(context.Background(), nnReq, sink)
 	if err != nil {
@@ -292,27 +291,5 @@ func TestFailingSinkIsSeveredAndResumable(t *testing.T) {
 	}
 	if err := c.Resume(id, 0, sink, replay); !errors.Is(err, ErrSubLive) {
 		t.Fatalf("foreign resume = %v, want ErrSubLive", err)
-	}
-}
-
-func TestNegativeTTLNeverExpires(t *testing.T) {
-	c, _ := newCore(t, 0, -1)
-	now := time.Unix(1_000_000, 0)
-	c.now = func() time.Time { return now }
-	sink := &chanSink{}
-	id, _, err := c.Subscribe(context.Background(), nnReq, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Detach(id, sink)
-	now = now.Add(24 * time.Hour)
-	if err := c.Insert(context.Background(), line(9, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Detached(id) {
-		t.Fatal("subscription expired with the deadline disabled")
-	}
-	if err := c.Resume(id, 0, sink, func(engine.Result, []continuous.Event) error { return nil }); err != nil {
-		t.Fatalf("resume with expiry disabled: %v", err)
 	}
 }

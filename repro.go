@@ -32,9 +32,10 @@
 //     snapshots and byte-identical crash recovery (CreateWAL / OpenWAL /
 //     RecoverWAL, wired into cmd/modserver via -wal-dir / -resume),
 //     per-subscription event replay behind LiveHub.Replay, and a cluster
-//     serving layer that retries transient shard failures
-//     (RetryPolicy) or, with ClusterOptions.Degraded, answers from the
-//     reachable shards with Explain.Degraded provenance,
+//     serving layer that retries transient shard failures (three tries,
+//     with a jittered backoff of 10 ms, then 20 ms) or, with
+//     ClusterOptions.Degraded, answers from the reachable shards with
+//     Explain.Degraded provenance,
 //   - production serving: the line-protocol server and client
 //     (NewModServer / DialModServer, TLS and bearer-token capable) and
 //     the HTTP+JSON gateway (NewGateway) — typed-error JSON responses,
@@ -442,15 +443,6 @@ func NewClusterHub(router *Router) *LiveHub {
 	return cluster.NewRouterHub(router)
 }
 
-// LiveHubOptions tunes a hub's durability-adjacent knobs — today the
-// per-subscription event backlog bound behind LiveHub.Replay.
-type LiveHubOptions = continuous.HubOptions
-
-// NewLiveHubWith mounts a single-store hub with explicit options.
-func NewLiveHubWith(store *Store, eng *Engine, o LiveHubOptions) *LiveHub {
-	return continuous.NewEngineHubWith(store, eng, o)
-}
-
 // ErrEventGap reports a replay request behind a truncated event backlog:
 // the missed events are gone, so the subscriber must re-read its full
 // answer instead of patching diffs.
@@ -494,12 +486,8 @@ func RecoverWAL(dir string) (*Store, WALRecoverInfo, error) {
 // --- fault-tolerant cluster serving ---
 
 // RemoteShardOptions tunes a remote shard's transport: a custom dialer
-// (fault injection, proxies) and the retry policy for idempotent calls.
+// (fault injection, proxies), TLS, a bearer token and a retry observer.
 type RemoteShardOptions = cluster.RemoteOptions
-
-// RetryPolicy bounds a remote shard's retries: attempts, exponential
-// backoff with jitter, and a per-attempt timeout.
-type RetryPolicy = cluster.RetryPolicy
 
 // NewRemoteShardWith names a shard served by a modserver at addr with
 // explicit transport options.
