@@ -67,6 +67,8 @@ bench:
 # One-iteration smoke: every benchmark compiles and executes — the
 # per-layer ones among them (BenchmarkSweepBounds, BenchmarkSweepSurvivors,
 # BenchmarkSweepFiltered, BenchmarkMinCrispDist in internal/prune,
+# BenchmarkColdBuild in internal/engine (one memo-miss UQ31 Do at
+# N = 3 000, on one worker and on two),
 # BenchmarkApplyUpdatesTagged and BenchmarkBuildIndex in internal/mod,
 # BenchmarkKNN/bulk, BenchmarkKNN/chained (KNN on a tree chained through
 # Inserted) and BenchmarkInsertedBatch in internal/sindex,

@@ -7,7 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/queries"
+	"repro/internal/pool"
 )
 
 // This file is the degraded-serving half of the scatter machinery: when a
@@ -33,7 +33,7 @@ func scatterDegraded[T any](ctx context.Context, shards []Shard, f func(ctx cont
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := queries.CtxErr(ctx); err != nil {
+			if err := pool.CtxErr(ctx); err != nil {
 				errs[i] = err
 				return
 			}
@@ -41,7 +41,7 @@ func scatterDegraded[T any](ctx context.Context, shards []Shard, f func(ctx cont
 		}(i)
 	}
 	wg.Wait()
-	if err := queries.CtxErr(ctx); err != nil {
+	if err := pool.CtxErr(ctx); err != nil {
 		return nil, nil, err
 	}
 	ok := make([]bool, len(shards))

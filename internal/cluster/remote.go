@@ -14,8 +14,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/modserver"
+	"repro/internal/pool"
 	"repro/internal/prune"
-	"repro/internal/queries"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
 )
@@ -150,7 +150,7 @@ func (s *RemoteShard) callRetry(ctx context.Context, retryable bool, f func(c *m
 	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
-		if err := queries.CtxErr(ctx); err != nil {
+		if err := pool.CtxErr(ctx); err != nil {
 			return err
 		}
 		if attempt > 0 {
@@ -166,7 +166,7 @@ func (s *RemoteShard) callRetry(ctx context.Context, retryable bool, f func(c *m
 		if !retryable || !transientErr(err) {
 			return err
 		}
-		if cerr := queries.CtxErr(ctx); cerr != nil {
+		if cerr := pool.CtxErr(ctx); cerr != nil {
 			return cerr // the caller's own deadline: nothing is retried
 		}
 		if s.onRetry != nil && attempt+1 < attempts {
@@ -225,7 +225,7 @@ func (s *RemoteShard) attemptLocked(ctx context.Context, f func(c *modserver.Cli
 	err := f(cli)
 	close(done)
 	<-reaped
-	if cerr := queries.CtxErr(ctx); cerr != nil {
+	if cerr := pool.CtxErr(ctx); cerr != nil {
 		// The watchdog (or the deadline) poisoned the connection; force a
 		// redial next call and surface the cancellation, not the wire
 		// noise it caused.

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/mod"
+	"repro/internal/pool"
 	"repro/internal/prune"
 	"repro/internal/queries"
 	"repro/internal/textidx"
@@ -149,11 +150,12 @@ type gathered struct {
 }
 
 // processor returns the round's whole build over its union for the
-// window [tb, te], building it on first use and after the union grew;
-// reused reports that an earlier request of the round built it.
-func (g *gathered) processor(ctx context.Context, tb, te float64) (proc *queries.Processor, reused bool, err error) {
+// window [tb, te], building it on pl (the inner engine's pool) on first
+// use and after the union grew; reused reports that an earlier request of
+// the round built it.
+func (g *gathered) processor(ctx context.Context, pl *pool.Pool, tb, te float64) (proc *queries.Processor, reused bool, err error) {
 	if v := g.store.Version(); g.proc == nil || g.procAt != v {
-		if g.proc, err = queries.NewProcessorPrunedCtx(ctx, g.store.All(), g.q, tb, te, g.store.Radius(), nil); err != nil {
+		if g.proc, err = queries.NewProcessorOn(ctx, pl, g.store.All(), g.q, tb, te, g.store.Radius(), nil); err != nil {
 			return nil, false, err
 		}
 		g.procAt = v
@@ -203,7 +205,7 @@ func (r *Router) DoBatch(ctx context.Context, reqs []engine.Request) ([]engine.R
 	caches := make(map[gatherKey]*gathered)
 	out := make([]engine.Result, len(reqs))
 	for i, req := range reqs {
-		if err := queries.CtxErr(ctx); err != nil {
+		if err := pool.CtxErr(ctx); err != nil {
 			return out[:i], err
 		}
 		res, _, err := r.dispatch(ctx, req, caches, maxK)
@@ -234,7 +236,7 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[ga
 	if err := req.Validate(); err != nil {
 		return fail(err)
 	}
-	if err := queries.CtxErr(ctx); err != nil {
+	if err := pool.CtxErr(ctx); err != nil {
 		return fail(err)
 	}
 	req.Where = req.Where.Canon()
@@ -280,7 +282,7 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[ga
 		// filter kind). The union is already the predicate's sub-MOD (the
 		// exchange filtered at the shards) but carries no tags, so the
 		// predicate must not travel further.
-		proc, reused, perr := g.processor(ctx, req.Tb, req.Te)
+		proc, reused, perr := g.processor(ctx, r.inner.Pool(), req.Tb, req.Te)
 		if perr != nil {
 			return fail(perr)
 		}
@@ -552,7 +554,7 @@ func (r *Router) perQueryObject(ctx context.Context, req engine.Request) (engine
 				}
 			}
 		}
-		proc, _, err := g.processor(ctx, req.Tb, req.Te)
+		proc, _, err := g.processor(ctx, r.inner.Pool(), req.Tb, req.Te)
 		return proc, err
 	}
 	res, err := r.inner.PerQueryObject(ctx, req, union, tags, build)
@@ -675,7 +677,7 @@ func scatter[T any](ctx context.Context, shards []Shard, f func(ctx context.Cont
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := queries.CtxErr(sctx); err != nil {
+			if err := pool.CtxErr(sctx); err != nil {
 				errs[i] = err
 				return
 			}
@@ -686,7 +688,7 @@ func scatter[T any](ctx context.Context, shards []Shard, f func(ctx context.Cont
 		}(i)
 	}
 	wg.Wait()
-	if err := queries.CtxErr(ctx); err != nil {
+	if err := pool.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	var firstCtx error

@@ -107,8 +107,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/mod"
+	"repro/internal/pool"
 	"repro/internal/prune"
-	"repro/internal/queries"
 	"repro/internal/trajectory"
 )
 
@@ -162,10 +162,10 @@ type reviser interface {
 
 // workerPool is the other optional half of a Backend: one whose
 // evaluations may run side by side lends the hub its worker pool, with
-// engine.Engine.ForEachIndex's contract (fn(0..n-1), the context checked
-// before every task, the first error wins and skips the tasks not yet
-// started). Ingest runs a batch's dirty groups on it; a backend without
-// the method evaluates them one after another.
+// pool.Pool.ForEachIndex's contract (fn(0..n-1), the context checked
+// before every task, no task started after a failure, the lowest failed
+// index's error). Ingest runs a batch's dirty groups on it; a backend
+// without the method evaluates them one after another, on a nil pool.
 type workerPool interface {
 	ForEachIndex(ctx context.Context, n int, fn func(i int) error) error
 }
@@ -675,14 +675,14 @@ func (h *Hub) evaluate(ctx context.Context, pending []*groupOutcome, applied []m
 		}
 		tasks[i] = append(tasks[i], out)
 	}
-	each := forEachSerial
+	each := (*pool.Pool)(nil).ForEachIndex
 	if p, ok := h.be.(workerPool); ok {
 		each = p.ForEachIndex
 	}
 	err := each(ctx, len(tasks), func(i int) error {
 		for j, out := range tasks[i] {
 			if j > 0 {
-				if err := queries.CtxErr(ctx); err != nil {
+				if err := pool.CtxErr(ctx); err != nil {
 					return err
 				}
 			}
@@ -701,20 +701,6 @@ func (h *Hub) evaluate(ctx context.Context, pending []*groupOutcome, applied []m
 			}
 		}
 	}
-}
-
-// forEachSerial is the worker pool of a backend that has none: fn(0..n-1)
-// one after another, with ForEachIndex's checkpoint before every task.
-func forEachSerial(ctx context.Context, n int, fn func(i int) error) error {
-	for i := 0; i < n; i++ {
-		if err := queries.CtxErr(ctx); err != nil {
-			return err
-		}
-		if err := fn(i); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func isCtxErr(err error) bool {

@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/envelope"
 	"repro/internal/numeric"
+	"repro/internal/pool"
 	"repro/internal/queries"
 	"repro/internal/updf"
 )
@@ -178,7 +179,7 @@ func (b *builder) children(node *Node, parent []*envelope.DistanceFunc) error {
 	if b.cfg.MaxLevels > 0 && node.Level >= b.cfg.MaxLevels {
 		return nil
 	}
-	if err := queries.CtxErr(b.ctx); err != nil {
+	if err := pool.CtxErr(b.ctx); err != nil {
 		return err
 	}
 	var cands []*envelope.DistanceFunc

@@ -30,10 +30,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/mod"
+	"repro/internal/pool"
 	"repro/internal/prune"
 	"repro/internal/queries"
 	"repro/internal/textidx"
@@ -54,7 +54,7 @@ const memoCap = 64
 // usable; construct with New. An Engine is safe for concurrent use and is
 // meant to be long-lived (one per server), since its value is the memo.
 type Engine struct {
-	workers  int
+	pool     *pool.Pool
 	fullScan bool
 
 	mu    sync.Mutex
@@ -101,14 +101,15 @@ func New(workers int) *Engine {
 
 // NewWith creates an engine from explicit options.
 func NewWith(o Options) *Engine {
-	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
-	}
-	return &Engine{workers: o.Workers, fullScan: o.FullScan, procs: make(map[procKey]*procSlot)}
+	return &Engine{pool: pool.New(o.Workers), fullScan: o.FullScan, procs: make(map[procKey]*procSlot)}
 }
 
 // Workers returns the worker-pool size.
-func (e *Engine) Workers() int { return e.workers }
+func (e *Engine) Workers() int { return e.pool.Workers() }
+
+// Pool returns the engine's worker pool, for a build the engine does not
+// memoize (a cluster router's whole build over its gathered union).
+func (e *Engine) Pool() *pool.Pool { return e.pool }
 
 // ProcessorWhereCtx returns the memoized queries.Processor for the query
 // trajectory qOID over [tb, te] against the store's current contents,
@@ -160,9 +161,9 @@ func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb
 				// the filter is semantics, so the scan runs over the
 				// sub-MOD just like the pruned path (the exempt query is
 				// q itself, never read from the snapshot).
-				slot.proc, slot.err = queries.NewProcessorPrunedCtx(ctx, matchingTrajectories(store, where), q, tb, te, store.Radius(), nil)
+				slot.proc, slot.err = queries.NewProcessorOn(ctx, e.pool, matchingTrajectories(store, where), q, tb, te, store.Radius(), nil)
 			} else {
-				slot.proc, slot.err = prune.ForQueryWhereCtx(ctx, store, q, tb, te, where)
+				slot.proc, slot.err = prune.ForQueryWhereCtx(ctx, e.pool, store, q, tb, te, where)
 			}
 		})
 		if slot.err != nil {
@@ -172,7 +173,7 @@ func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb
 					e.removeLocked(key)
 				}
 				e.mu.Unlock()
-				if !built && queries.CtxErr(ctx) == nil {
+				if !built && pool.CtxErr(ctx) == nil {
 					// Someone else's canceled build; ours is still live.
 					continue
 				}
@@ -280,7 +281,7 @@ func (e *Engine) FilterOIDs(oids []int64, pred func(oid int64) (bool, error)) ([
 // input position.
 func (e *Engine) filterOIDs(ctx context.Context, oids []int64, pred func(oid int64) (bool, error)) ([]int64, error) {
 	if len(oids) == 0 {
-		return nil, queries.CtxErr(ctx)
+		return nil, pool.CtxErr(ctx)
 	}
 	keep := make([]bool, len(oids))
 	err := e.ForEachIndex(ctx, len(oids), func(i int) error {

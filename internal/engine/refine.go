@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/mod"
+	"repro/internal/pool"
 	"repro/internal/queries"
 )
 
@@ -27,14 +28,14 @@ func (e *Engine) DoRestricted(ctx context.Context, store *mod.Store, req Request
 	if !req.Kind.IsWholeMODFilter() {
 		return fail(fmt.Errorf("%w: %q is not a whole-MOD filter kind", ErrBadKind, req.Kind))
 	}
-	if err := queries.CtxErr(ctx); err != nil {
+	if err := pool.CtxErr(ctx); err != nil {
 		return fail(err)
 	}
 	q, err := store.Get(req.QueryOID)
 	if err != nil {
 		return fail(fmt.Errorf("engine: query trajectory: %w", err))
 	}
-	proc, err := queries.NewProcessorPrunedCtx(ctx, matchingTrajectories(store, req.Where.Canon()), q, req.Tb, req.Te, store.Radius(), nil)
+	proc, err := queries.NewProcessorOn(ctx, e.pool, matchingTrajectories(store, req.Where.Canon()), q, req.Tb, req.Te, store.Radius(), nil)
 	if err != nil {
 		return fail(err)
 	}

@@ -19,11 +19,11 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/envelope"
 	"repro/internal/mod"
+	"repro/internal/pool"
 	"repro/internal/prune"
 	"repro/internal/queries"
 	"repro/internal/textidx"
@@ -246,7 +246,7 @@ func (e *Engine) Do(ctx context.Context, store *mod.Store, req Request) (Result,
 	}
 	start := time.Now()
 	res, err := e.do(ctx, store, req)
-	res.Explain.Workers = e.workers
+	res.Explain.Workers = e.Workers()
 	res.Explain.Wall = time.Since(start)
 	return res, err
 }
@@ -258,7 +258,7 @@ func (e *Engine) do(ctx context.Context, store *mod.Store, req Request) (Result,
 		return fail(err)
 	}
 	req.Where = req.Where.Canon()
-	if err := queries.CtxErr(ctx); err != nil {
+	if err := pool.CtxErr(ctx); err != nil {
 		return fail(err)
 	}
 	if !req.Kind.NeedsProcessor() {
@@ -270,7 +270,7 @@ func (e *Engine) do(ctx context.Context, store *mod.Store, req Request) (Result,
 			if err != nil {
 				return nil, err
 			}
-			return prune.ForQueryWhereCtx(ctx, store, q, req.Tb, req.Te, req.Where)
+			return prune.ForQueryWhereCtx(ctx, e.pool, store, q, req.Tb, req.Te, req.Where)
 		})
 		if req.Where != nil {
 			// Every object asks on all-pairs; the reverse target does not.
@@ -320,7 +320,7 @@ func (e *Engine) do(ctx context.Context, store *mod.Store, req Request) (Result,
 func (e *Engine) Evaluate(ctx context.Context, store *mod.Store, p *queries.Processor, req Request, own []int64) (Result, error) {
 	start := time.Now()
 	res := Result{Kind: req.Kind}
-	res.Explain.Workers = e.workers
+	res.Explain.Workers = e.Workers()
 	res.Explain.Candidates = p.CandidateCount()
 	res.Explain.Survivors = res.Explain.Candidates - p.PrunedCount()
 	if req.Where != nil {
@@ -381,7 +381,7 @@ func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) 
 		if k <= 1 {
 			continue
 		}
-		if err := queries.CtxErr(ctx); err != nil {
+		if err := pool.CtxErr(ctx); err != nil {
 			return nil, err
 		}
 		if proc, _, err := e.processor(ctx, store, g.qOID, g.tb, g.te, preds[g]); err == nil {
@@ -390,7 +390,7 @@ func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) 
 	}
 	out := make([]Result, len(reqs))
 	for i, r := range reqs {
-		if err := queries.CtxErr(ctx); err != nil {
+		if err := pool.CtxErr(ctx); err != nil {
 			return out[:i], err
 		}
 		res, err := e.Do(ctx, store, r)
@@ -552,7 +552,7 @@ func matchingTrajectories(store *mod.Store, where *textidx.Predicate) []*traject
 // gathered union.
 func (e *Engine) PerQueryObject(ctx context.Context, req Request, oids []int64, tags func(oid int64) ([]string, error), build func(ctx context.Context, qOID int64) (*queries.Processor, error)) (Result, error) {
 	res := Result{Kind: req.Kind}
-	res.Explain.Workers = e.workers
+	res.Explain.Workers = e.Workers()
 	res.Explain.Candidates = len(oids)
 	reverse := req.Kind == KindReverse
 	if _, asks := slices.BinarySearch(oids, req.OID); reverse && asks {
@@ -607,60 +607,13 @@ func (e *Engine) PerQueryObject(ctx context.Context, req Request, oids []int64, 
 	return res, nil
 }
 
-// ForEachIndex runs fn(0..n-1) on the worker pool, checking ctx between
-// tasks. The first error wins (a context error takes precedence); tasks
-// not yet started are skipped once an error is recorded. Workers claim
-// indexes from a shared counter, and the caller is one of them — there is
-// no hand-over per task, so a worker that is not scheduled costs nothing.
+// ForEachIndex runs fn(0..n-1) on the engine's worker pool (see
+// pool.Pool.ForEachIndex): ctx is checked before every task, and claiming
+// a task and checking ctx for it happen under one lock, so a context that
+// dies at its n-th check is checked exactly n times at any worker count.
+// The error returned is the lowest failed index's, the serial loop's.
+// Workers are started per call and the caller is one of them, so a loop
+// run from inside another loop's task is safe.
 func (e *Engine) ForEachIndex(ctx context.Context, n int, fn func(i int) error) error {
-	workers := min(e.workers, n)
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		ferr error
-	)
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			mu.Lock()
-			stop := ferr != nil
-			mu.Unlock()
-			if stop {
-				return
-			}
-			err := queries.CtxErr(ctx)
-			if err == nil {
-				err = fn(i)
-			}
-			if err != nil {
-				mu.Lock()
-				if ferr == nil {
-					ferr = err
-				}
-				mu.Unlock()
-			}
-		}
-	}
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if workers > 1 {
-		// Cancellation is batch-fatal and callers match on the context
-		// error, so it takes precedence over whatever task error the race
-		// recorded. (A lone worker met it, if at all, before a task.)
-		if err := queries.CtxErr(ctx); err != nil {
-			return err
-		}
-	}
-	return ferr
+	return e.pool.ForEachIndex(ctx, n, fn)
 }

@@ -2,12 +2,14 @@ package envelope
 
 import (
 	"cmp"
+	"context"
 	"math"
 	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/numeric"
+	"repro/internal/pool"
 )
 
 // Interval is one maximal piece of an envelope: on [T0, T1] the function
@@ -144,6 +146,13 @@ func MergeLE(a, b []Interval, fns map[int64]*DistanceFunc) []Interval {
 // split the set, recurse, and MergeLE the halves — O(N log N) for
 // single-segment trajectories by the Davenport-Schinzel bound.
 func LowerEnvelope(fns []*DistanceFunc, tb, te float64) (*Envelope, error) {
+	return LowerEnvelopeOn(nil, fns, tb, te)
+}
+
+// LowerEnvelopeOn is LowerEnvelope with the recursion's two top halves
+// built side by side on pl (nil: one after the other on the caller). The
+// recursion tree is LE_Alg's own, so the envelope is the same bit for bit.
+func LowerEnvelopeOn(pl *pool.Pool, fns []*DistanceFunc, tb, te float64) (*Envelope, error) {
 	if len(fns) == 0 {
 		return nil, ErrNoFunctions
 	}
@@ -154,8 +163,20 @@ func LowerEnvelope(fns []*DistanceFunc, tb, te float64) (*Envelope, error) {
 	for _, f := range fns {
 		table[f.ID] = f
 	}
-	ivs := leAlg(fns, tb, te, table)
-	return newEnvelope(ivs, table, tb, te), nil
+	if len(fns) == 1 {
+		return newEnvelope(leAlg(fns, tb, te, table), table, tb, te), nil
+	}
+	c := len(fns) / 2
+	halves := [2][]*DistanceFunc{fns[:c], fns[c:]}
+	var built [2][]Interval
+	// LE_Alg takes no deadline, so the loop runs on a context that never
+	// ends and makes no check a caller could count; neither task fails, so
+	// neither does the loop.
+	_ = pl.ForEachIndex(context.Background(), 2, func(i int) error {
+		built[i] = leAlg(halves[i], tb, te, table)
+		return nil
+	})
+	return newEnvelope(MergeLE(built[0], built[1], table), table, tb, te), nil
 }
 
 func leAlg(fns []*DistanceFunc, tb, te float64, table map[int64]*DistanceFunc) []Interval {

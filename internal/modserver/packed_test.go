@@ -302,8 +302,8 @@ func BenchmarkShardFrameEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkShardFrameDecode: the receiving half — unmarshal the frame and
-// rebuild validated trajectories.
+// BenchmarkShardFrameDecode: the receiving half — read the frame as the
+// client's StreamAccum does and rebuild validated trajectories.
 func BenchmarkShardFrameDecode(b *testing.B) {
 	union := benchUnion(b)
 	for _, form := range benchForms {
@@ -315,8 +315,9 @@ func BenchmarkShardFrameDecode(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(line)))
 			for b.Loop() {
-				var resp Response
-				if err := json.Unmarshal(line, &resp); err != nil {
+				var acc StreamAccum
+				resp, _, err := acc.AddLine(line)
+				if err != nil {
 					b.Fatal(err)
 				}
 				if _, err := decodeTrajs(resp.Trajs); err != nil {
@@ -325,6 +326,73 @@ func BenchmarkShardFrameDecode(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzSurvivorsFrameFastPath: on any line, serve.ParseSurvivorsFrame
+// either declines or reads the Response encoding/json reads — the same
+// value, and the same bytes when both are encoded again. The seeds hold
+// the edges: a more frame, a final frame with stats, an empty and an
+// absent list, the array form, an empty or broken base64 plan, a 1.0 OID,
+// escapes, case-variant and duplicate keys, null, a failed reply, an
+// event, whitespace and trailing bytes.
+func FuzzSurvivorsFrameFastPath(f *testing.F) {
+	trs, err := workload.Generate(workload.DefaultConfig(2009), 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, resp := range []Response{
+		{OK: true, Trajs: encodeTrajs(trs), More: true},
+		{OK: true, Trajs: encodeTrajs(trs[:1]), Stats: &prune.Stats{Candidates: 59, Survivors: 3, Slices: 32, Probes: 256}},
+		{OK: true, Trajs: arrayTrajs(trs[:1])},
+	} {
+		line, err := json.Marshal(resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	}
+	for _, line := range []string{
+		`{"ok":true,"trajs":[]}`,
+		`{"ok":true}`,
+		`{"ok":true,"trajs":[{"oid":1,"vb":""}],"more":false}`,
+		`{"ok":true,"trajs":[{"oid":1,"vb":"AAE="}]}`,
+		`{"ok":true,"trajs":[{"oid":1,"vb":"!!"}]}`,
+		`{"ok":true,"trajs":[{"oid":1.0,"vb":""}]}`,
+		`{"ok":true,"trajs":[{"oid":1,"vb":"\u0041AAA"}]}`,
+		`{"ok":true,"Trajs":[{"oid":1}]}`,
+		`{"ok":true,"trajs":[{"oid":1,"oid":2}]}`,
+		`{"ok":true,"trajs":null}`,
+		`{"ok":true,"trajs":[],"stats":{"candidates":1,"survivors":1,"slices":1,"probes":1,"probes":2}}`,
+		`{"ok":true,"trajs":[],"stats":{"candidates":1e2}}`,
+		`{"ok":false,"error":"modserver: unknown query phase","code":"bad_request"}`,
+		`{"ok":true,"event":{"sub_id":1,"seq":2}}`,
+		`{"ok": true,"trajs":[]}`,
+		"{\"ok\":true,\"trajs\":[]}\n",
+		`{"ok":true,"trajs":[]} {}`,
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		trajs, more, st, ok := serve.ParseSurvivorsFrame(line)
+		if !ok {
+			return
+		}
+		var want Response
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("the fast path read a line encoding/json refuses (%v): %q", err, line)
+		}
+		got := Response{OK: true, Trajs: trajs, More: more, Stats: st}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("the fast path read %q as\n%+v\nencoding/json as\n%+v", line, got, want)
+		}
+		g, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := json.Marshal(want); !slices.Equal(g, w) {
+			t.Fatalf("the fast path read %q as %s, encoding/json as %s", line, g, w)
+		}
+	})
 }
 
 // FuzzAppliedReplyFastPath: on any line, serve.ParseAppliedReply either

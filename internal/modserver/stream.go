@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/continuous"
 	"repro/internal/prune"
+	"repro/internal/serve"
 	"repro/internal/textidx"
 )
 
@@ -84,7 +85,9 @@ func (s *Server) streamSurvivors(req Request, cs *connState) bool {
 // StreamAccum incrementally reassembles a streamed reply from raw
 // response lines. Feed each line to AddLine; chunks accumulate until the
 // final (non-more) frame arrives, which is returned with the full
-// trajectory set folded in. Event lines pass through untouched.
+// trajectory set folded in. Event lines pass through untouched. A
+// survivors frame is read by serve's strict reader; anything it declines
+// (an error, an event, any other shape) by encoding/json.
 type StreamAccum struct {
 	trajs []WireTraj
 	done  bool
@@ -98,7 +101,9 @@ func (a *StreamAccum) AddLine(line []byte) (*Response, *continuous.Event, error)
 		return nil, nil, errors.New("modserver: stream already complete")
 	}
 	var resp Response
-	if err := json.Unmarshal(line, &resp); err != nil {
+	if trajs, more, st, ok := serve.ParseSurvivorsFrame(line); ok {
+		resp = Response{OK: true, Trajs: trajs, More: more, Stats: st}
+	} else if err := json.Unmarshal(line, &resp); err != nil {
 		return nil, nil, err
 	}
 	if resp.Event != nil {

@@ -157,7 +157,7 @@ func TestPrunedEquivalenceSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pruned, err := prune.ForQueryWhereCtx(context.Background(), store, q, cfg.tb, cfg.te, nil)
+			pruned, err := prune.ForQueryWhereCtx(context.Background(), nil, store, q, cfg.tb, cfg.te, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func TestPrunedEquivalenceLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := prune.ForQueryWhereCtx(context.Background(), store, q, 0, 60, nil)
+	pruned, err := prune.ForQueryWhereCtx(context.Background(), nil, store, q, 0, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestPrunedEquivalenceLarge(t *testing.T) {
 // the lazy full build. Run with -race this is the concurrency gate.
 func TestPrunedConcurrentLazyBuild(t *testing.T) {
 	store, trs := buildStore(t, 200, 0.5, 7)
-	pruned, err := prune.ForQueryWhereCtx(context.Background(), store, trs[0], 0, 60, nil)
+	pruned, err := prune.ForQueryWhereCtx(context.Background(), nil, store, trs[0], 0, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestPrunedConcurrentLazyBuild(t *testing.T) {
 func TestPrunedStoreMutationInvalidatesIndex(t *testing.T) {
 	store, trs := buildStore(t, 120, 0.5, 11)
 	q := trs[0]
-	if _, err := prune.ForQueryWhereCtx(context.Background(), store, q, 0, 60, nil); err != nil {
+	if _, err := prune.ForQueryWhereCtx(context.Background(), nil, store, q, 0, 60, nil); err != nil {
 		t.Fatal(err)
 	}
 	v1 := store.IndexVersion()
@@ -279,7 +279,7 @@ func TestPrunedStoreMutationInvalidatesIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	proc, err := prune.ForQueryWhereCtx(context.Background(), store, q, 0, 60, nil)
+	proc, err := prune.ForQueryWhereCtx(context.Background(), nil, store, q, 0, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,6 +42,14 @@
 // forms (ZoneWhereCtx, ForQueryWhereCtx, SliceBoundsWhere,
 // SurvivorsWithBoundsWhere) open one per call, and ForQueryWhereCtx leaves
 // its own behind the processor's rank expander.
+//
+// ForQueryWhereCtx runs its session on the caller's worker pool (the
+// engine's): the slices are probed side by side, each into its own part of
+// the pass, and the walk's nominations are zone-tested side by side, each
+// task marking only its own objects; the index walk itself stays serial
+// and only collects. Survivors and bounds are the serial session's, and so
+// are its context checks. The other one-shot forms are a shard's phases
+// and stay serial: the shards of a box already share its cores.
 package prune
 
 import (
@@ -53,7 +61,7 @@ import (
 	"sync"
 
 	"repro/internal/geom"
-	"repro/internal/queries"
+	"repro/internal/pool"
 	"repro/internal/trajectory"
 )
 
@@ -200,16 +208,14 @@ func (p *probePass) rank(k int) rankBounds {
 // below it throughout the slice, so at every instant at least k functions
 // — and hence the pointwise k-th smallest — do.
 func (s *Sweep) probe(ctx context.Context, width int) (probePass, error) {
-	// An unfiltered rank-1..4 pass keeps at most kProbe distances a slice;
-	// a filtered one keeps only the matching share of its wider probe.
-	p := probePass{width: width, dists: make([]float64, 0, kProbe*(len(s.cuts)-1)), ends: make([]int, len(s.cuts)-1)}
-	for i := range p.ends {
-		if err := queries.CtxErr(ctx); err != nil {
-			return probePass{}, err
-		}
+	// The slices are probed side by side on the session's pool: slice i
+	// sorts its distances into dists[i·width:], and they are packed in
+	// slice order afterwards.
+	p := probePass{width: width, dists: make([]float64, width*(len(s.cuts)-1)), ends: make([]int, len(s.cuts)-1)}
+	err := s.pool.ForEachIndex(ctx, len(p.ends), func(i int) error {
 		t0, t1 := s.cuts[i], s.cuts[i+1]
 		mid := 0.5 * (t0 + t1)
-		lo := len(p.dists)
+		d := p.dists[i*width : i*width : (i+1)*width]
 		for _, nb := range s.idx.KNN(s.q.At(mid), mid, width) {
 			if nb.ID == s.q.OID {
 				continue
@@ -218,12 +224,21 @@ func (s *Sweep) probe(ctx context.Context, width int) (probePass, error) {
 			if !ok {
 				continue
 			}
-			p.probes++
-			p.dists = append(p.dists, maxDistOverSlice(s.trs[j], s.q, t0, t1))
+			d = append(d, maxDistOverSlice(s.trs[j], s.q, t0, t1))
 		}
-		slices.Sort(p.dists[lo:])
-		p.ends[i] = len(p.dists)
+		slices.Sort(d)
+		p.ends[i] = len(d)
+		return nil
+	})
+	if err != nil {
+		return probePass{}, err
 	}
+	for i, n := range p.ends {
+		copy(p.dists[p.probes:], p.dists[i*width:i*width+n])
+		p.probes += n
+		p.ends[i] = p.probes
+	}
+	p.dists = p.dists[:p.probes]
 	return p, nil
 }
 
@@ -237,6 +252,7 @@ type sweepScratch struct {
 	boxes []geom.AABB // the query's box over slice i, grown by lim[i] + r
 	stamp []uint32
 	epoch uint32
+	named []int32 // the slots the walk nominated, in walk order
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(sweepScratch) }}
@@ -257,17 +273,23 @@ func (sc *sweepScratch) begin(nSlices, slots int) uint32 {
 // this many index nominations.
 const ctxEvery = 256
 
+// testsPerTask is how many nominated objects one zone-test task of the
+// pool tests; the pool checks the context before each task.
+const testsPerTask = 64
+
 // sweep is the sweep phase: the objects, in OID order, whose exact
 // minimum crisp distance from the query over some slice i is at most
 // bounds[i] + 4r + Margin. One index walk over the window nominates (see
 // the package comment for why nothing is missed), and each nominated
-// object is tested once, against its live plan. A +Inf bound cannot
+// object is tested once, against its live plan. The walk only collects
+// the nominations; their tests run on the session's pool, testsPerTask to
+// a task, each marking its own objects' stamps. A +Inf bound cannot
 // exclude anything from its slice, so it keeps every candidate outright.
 func (s *Sweep) sweep(ctx context.Context, bounds []float64) ([]*trajectory.Trajectory, error) {
 	if len(bounds) != len(s.cuts)-1 {
 		return nil, fmt.Errorf("prune: got %d slice bounds for %d slices", len(bounds), len(s.cuts)-1)
 	}
-	if err := queries.CtxErr(ctx); err != nil {
+	if err := pool.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	sc := scratchPool.Get().(*sweepScratch)
@@ -278,28 +300,45 @@ func (s *Sweep) sweep(ctx context.Context, bounds []float64) ([]*trajectory.Traj
 		return s.all(), nil
 	}
 	var (
-		kept, seen int
-		cerr       error
+		seen int
+		cerr error
 	)
+	named := sc.named[:0]
 	s.idx.Visit(union, s.tb, s.te, func(id int64) bool {
 		if seen++; seen%ctxEvery == 0 {
-			if cerr = queries.CtxErr(ctx); cerr != nil {
+			if cerr = pool.CtxErr(ctx); cerr != nil {
 				return false
 			}
 		}
 		j, ok := s.slot(id)
 		if !ok || sc.stamp[j] >= tested || id == s.q.OID {
-			return true // retired or filtered out, already decided, or the query itself
+			return true // retired or filtered out, already nominated, or the query itself
 		}
 		sc.stamp[j] = tested
-		if s.entersZone(s.trs[j], sc) {
-			sc.stamp[j]++
-			kept++
-		}
+		named = append(named, int32(j))
 		return true
 	})
+	sc.named = named
 	if cerr != nil {
 		return nil, cerr
+	}
+	tasks := (len(named) + testsPerTask - 1) / testsPerTask
+	err := s.pool.ForEachIndex(ctx, tasks, func(t int) error {
+		for _, j := range named[t*testsPerTask : min((t+1)*testsPerTask, len(named))] {
+			if s.entersZone(s.trs[j], sc) {
+				sc.stamp[j]++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	kept := 0
+	for _, j := range named {
+		if sc.stamp[j] == tested+1 {
+			kept++
+		}
 	}
 	out := make([]*trajectory.Trajectory, 0, kept)
 	for j, st := range sc.stamp[:len(s.trs)] {

@@ -19,7 +19,7 @@ import (
 func TestRankQueriesAvoidFullBuild(t *testing.T) {
 	store, trs := buildStore(t, 400, 0.5, 31)
 	q := trs[0]
-	pruned, err := prune.ForQueryWhereCtx(context.Background(), store, q, 0, 60, nil)
+	pruned, err := prune.ForQueryWhereCtx(context.Background(), nil, store, q, 0, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func TestPrunePrePassCancellation(t *testing.T) {
 	if _, _, _, _, err := prune.ZoneWhereCtx(ctx, store, trs[0], 0, 60, 1, nil); err != context.Canceled {
 		t.Fatalf("CandidatesCtx on canceled ctx: err=%v, want context.Canceled", err)
 	}
-	if _, err := prune.ForQueryWhereCtx(ctx, store, trs[0], 0, 60, nil); err != context.Canceled {
+	if _, err := prune.ForQueryWhereCtx(ctx, nil, store, trs[0], 0, 60, nil); err != context.Canceled {
 		t.Fatalf("ForQueryCtx on canceled ctx: err=%v, want context.Canceled", err)
 	}
 	// The store stays fully usable afterwards.
-	if _, err := prune.ForQueryWhereCtx(context.Background(), store, trs[0], 0, 60, nil); err != nil {
+	if _, err := prune.ForQueryWhereCtx(context.Background(), nil, store, trs[0], 0, 60, nil); err != nil {
 		t.Fatalf("store unusable after canceled pass: %v", err)
 	}
 }

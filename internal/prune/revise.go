@@ -237,8 +237,12 @@ func Revise(ctx context.Context, store *mod.Store, seed *Seed, applied []mod.App
 	// about another snapshot; keeping every candidate is always sound.
 	// (The closures copy what they need: a successor outlives the seed it
 	// came from, and must not pin its entries and rows.)
-	where, cuts, bounds1, boundsK := seed.where, seed.cuts, seed.bounds1, seed.boundsK
-	open := sync.OnceValue(func() *Sweep { return newSweep(store, q, tb, te, where) })
+	where, cuts, bounds1, boundsK, pl := seed.where, seed.cuts, seed.bounds1, seed.boundsK, ps.Pool
+	open := sync.OnceValue(func() *Sweep {
+		sw := newSweep(store, q, tb, te, where)
+		sw.pool = pl
+		return sw
+	})
 	proc.SetRankExpander(func(ctx context.Context, rank int) ([]int64, error) {
 		if sw := open(); !sw.stale && sw.version == version {
 			ids, _, _, err := sw.zone(ctx, rank)

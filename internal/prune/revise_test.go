@@ -46,7 +46,7 @@ func TestSuccessorEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				proc, err := prune.ForQueryWhereCtx(ctx, store, q, tb, te, where)
+				proc, err := prune.ForQueryWhereCtx(ctx, nil, store, q, tb, te, where)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -146,7 +146,7 @@ func TestReviseRefusals(t *testing.T) {
 	if prune.SeedOf(ctx, full, 1, nil) != nil {
 		t.Fatal("a full-scan processor has no pre-pass to seed from")
 	}
-	proc, err := prune.ForQueryWhereCtx(ctx, store, q, 10, 30, nil)
+	proc, err := prune.ForQueryWhereCtx(ctx, nil, store, q, 10, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestReviseRefusals(t *testing.T) {
 	if _, _, v := prune.Revise(ctx, store, seed, applied); v != prune.Uncovered {
 		t.Fatalf("a plan ending inside the window: %v", v)
 	}
-	if _, err := prune.ForQueryWhereCtx(ctx, store, q, 10, 30, nil); err == nil {
+	if _, err := prune.ForQueryWhereCtx(ctx, nil, store, q, 10, 30, nil); err == nil {
 		t.Fatal("the from-scratch build accepted a plan that does not cover the window")
 	}
 	// The query object retired: nothing to measure distances from.

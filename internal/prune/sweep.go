@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/mod"
+	"repro/internal/pool"
 	"repro/internal/sindex"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
@@ -49,14 +50,17 @@ type Sweep struct {
 	boost int
 	cuts  []float64    // nil for a degenerate window
 	qpos  []geom.Point // q.At(cuts[i]); q is linear between consecutive cuts
+	// pool runs the per-slice probes and the zone tests of the nominated
+	// objects (nil: on the caller).
+	pool *pool.Pool
 
 	mu     sync.Mutex
 	passes []probePass // one per probe width asked so far
 }
 
 // newSweep opens a session for q over [tb, te] against the store's current
-// contents. A degenerate window gets no cuts and degrades like a stale
-// snapshot.
+// contents, running on its caller alone until a pool is set. A degenerate
+// window gets no cuts and degrades like a stale snapshot.
 func newSweep(store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) *Sweep {
 	s := takeSnapshot(store, q, where)
 	s.r, s.q, s.tb, s.te = store.Radius(), q, tb, te
@@ -75,7 +79,9 @@ func newSweep(store *mod.Store, q *trajectory.Trajectory, tb, te float64, where 
 }
 
 // NewSweepWhere opens a sweep session for q over [tb, te] against the
-// store's current contents; the window must be increasing. With a non-nil
+// store's current contents; the window must be increasing. The session
+// runs on its caller alone: a shard's phases stay serial, since the
+// shards of a box already share its cores. With a non-nil
 // where (see where.go) the session's snapshot holds q plus matching
 // objects only, so both protocol phases — and hence the cluster bound
 // exchange — speak exclusively about the matching universe.

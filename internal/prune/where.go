@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/mod"
+	"repro/internal/pool"
 	"repro/internal/queries"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
@@ -91,17 +92,20 @@ func ZoneWhereCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajector
 // O(N) preprocessing early. The returned processor carries a rank expander
 // over the same snapshot, so rank-k queries (k >= 2) grow the survivor
 // basis by re-probing the index at rank k instead of falling back to the
-// lazy full function build.
-func ForQueryWhereCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) (*queries.Processor, error) {
+// lazy full function build. The probe, the zone tests, the build and the
+// processor's lazy steps run on pl (nil: on the caller), with the same
+// answer and the same context checks at any worker count.
+func ForQueryWhereCtx(ctx context.Context, pl *pool.Pool, store *mod.Store, q *trajectory.Trajectory, tb, te float64, where *textidx.Predicate) (*queries.Processor, error) {
 	s := newSweep(store, q, tb, te, where)
+	s.pool = pl
 	if s.stale {
-		return queries.NewProcessorPrunedCtx(ctx, s.trs, q, tb, te, s.r, nil)
+		return queries.NewProcessorOn(ctx, pl, s.trs, q, tb, te, s.r, nil)
 	}
 	survivors, bounds, _, err := s.zone(ctx, 1)
 	if err != nil {
 		return nil, err
 	}
-	proc, err := queries.NewProcessorPrunedCtx(ctx, s.trs, q, tb, te, s.r, survivors)
+	proc, err := queries.NewProcessorOn(ctx, pl, s.trs, q, tb, te, s.r, survivors)
 	if err != nil || bounds == nil {
 		return proc, err
 	}

@@ -24,13 +24,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/envelope"
+	"repro/internal/pool"
 	"repro/internal/trajectory"
 )
 
@@ -104,6 +104,10 @@ type Processor struct {
 	basisRank  int // ranks 1..basisRank answer exactly over the basis
 	expand     func(ctx context.Context, k int) ([]int64, error)
 	bounds     func(ctx context.Context, k int) (cuts, bounds []float64, err error)
+
+	// pool runs the processor's lazy steps — basis growth, the probability
+	// table — on the worker pool it was built on (nil: on the caller).
+	pool *pool.Pool
 }
 
 // Universe describes a processor's candidate population without
@@ -245,7 +249,13 @@ func NewProcessor(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te
 	return NewProcessorPrunedCtx(context.Background(), trs, q, tb, te, r, nil)
 }
 
-// NewProcessorPrunedCtx builds the envelope preprocessing for the query
+// NewProcessorPrunedCtx is NewProcessorOn without a pool: the build runs
+// on the caller alone.
+func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64, survivors []int64) (*Processor, error) {
+	return NewProcessorOn(ctx, nil, trs, q, tb, te, r, survivors)
+}
+
+// NewProcessorOn builds the envelope preprocessing for the query
 // trajectory q over [tb, te] with shared uncertainty radius r, over the
 // candidates trs holds besides q. survivors is the outcome of an index
 // pre-pass: a conservative superset of every object whose
@@ -262,16 +272,21 @@ func NewProcessor(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te
 // depend on more of the candidate set — grow the function set on first
 // use. ctx is checked before every distance-function build, where the
 // O(survivors · m) work happens, so a canceled request stops there.
-func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64, survivors []int64) (*Processor, error) {
+//
+// The distance functions and LE_Alg's two top halves are built on pl (nil:
+// on the caller), and the processor keeps pl for its lazy steps — basis
+// growth and the probability table. The processor is the same bit for bit
+// at any worker count.
+func NewProcessorOn(ctx context.Context, pl *pool.Pool, trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64, survivors []int64) (*Processor, error) {
 	if r <= 0 {
 		return nil, fmt.Errorf("queries: nonpositive radius %g", r)
 	}
 	// Everything below is keyed by position in OID order — survivors by
 	// binary search, the functions and the candidate snapshot by
-	// construction — so a build allocates neither a hash map nor a list of
-	// its candidates: trs itself is the snapshot. Store snapshots and the
-	// pre-pass hand both lists over sorted; anything else is put in order
-	// first, which also makes the answers independent of the input order.
+	// construction — so a build allocates no hash map: trs itself is the
+	// snapshot. Store snapshots and the pre-pass hand both lists over
+	// sorted; anything else is put in order first, which also makes the
+	// answers independent of the input order.
 	if !slices.IsSortedFunc(trs, byOID) {
 		trs = slices.Clone(trs)
 		slices.SortFunc(trs, byOID)
@@ -286,25 +301,23 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 	}
 	n := 0
 	var bad error
-	kept := func(yield func(*trajectory.Trajectory, *envelope.DistanceFunc) bool) {
-		for _, tr := range trs {
-			if tr.OID == q.OID {
-				continue
-			}
-			n++
-			if _, ok := slices.BinarySearch(survivors, tr.OID); full || ok {
-				if !yield(tr, nil) {
-					return
-				}
-			} else if err := envelope.CheckWindow(tr, q, tb, te); err != nil {
-				// A pruned candidate is validated against the window too,
-				// so construction fails exactly when a full scan would.
-				bad = fmt.Errorf("oid %d: %w", tr.OID, err)
-				return
-			}
+	kept := make([]*trajectory.Trajectory, 0, size)
+	for _, tr := range trs {
+		if tr.OID == q.OID {
+			continue
+		}
+		n++
+		if _, ok := slices.BinarySearch(survivors, tr.OID); full || ok {
+			kept = append(kept, tr)
+		} else if err := envelope.CheckWindow(tr, q, tb, te); err != nil {
+			// A pruned candidate is validated against the window too,
+			// so construction fails exactly when a full scan would.
+			bad = fmt.Errorf("oid %d: %w", tr.OID, err)
+			break
 		}
 	}
-	fns, err := buildFuncs(ctx, kept, size, q, tb, te)
+	fns := make([]*envelope.DistanceFunc, len(kept))
+	err := buildFuncs(ctx, pl, kept, fns, q, tb, te)
 	if err == nil {
 		err = bad
 	}
@@ -317,9 +330,9 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 	if len(fns) == 0 {
 		// Defensive: survivors none of which is a candidate cannot carry
 		// the envelope; scan them all.
-		return NewProcessorPrunedCtx(ctx, trs, q, tb, te, r, nil)
+		return NewProcessorOn(ctx, pl, trs, q, tb, te, r, nil)
 	}
-	env1, err := envelope.LowerEnvelope(fns, tb, te)
+	env1, err := envelope.LowerEnvelopeOn(pl, fns, tb, te)
 	if err != nil {
 		return nil, err
 	}
@@ -333,29 +346,27 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 		snapshot: Universe{Trajs: trs}, q: q, nCands: n,
 		levels:     []*envelope.Envelope{env1},
 		basisTable: fns, basisRank: rank,
+		pool: pl,
 	}, nil
 }
 
-// buildFuncs returns the distance function against q over [tb, te] of
-// every trajectory cands yields, in the order yielded: the function
-// yielded beside it when there is one, a new one otherwise. It is the
-// package's one distance-function build loop. ctx is checked once per
-// trajectory; size preallocates the result.
-func buildFuncs(ctx context.Context, cands iter.Seq2[*trajectory.Trajectory, *envelope.DistanceFunc], size int, q *trajectory.Trajectory, tb, te float64) ([]*envelope.DistanceFunc, error) {
-	out := make([]*envelope.DistanceFunc, 0, size)
-	for tr, f := range cands {
-		if err := CtxErr(ctx); err != nil {
-			return nil, err
+// buildFuncs fills fns[i] with the distance function of trs[i] against q
+// over [tb, te] wherever it is nil — a non-nil fns[i] is a function already
+// at hand. It is the package's one distance-function build loop: one task
+// per trajectory on pl, each writing its own slot, with ctx checked before
+// every task, so the functions and the error are the serial loop's.
+func buildFuncs(ctx context.Context, pl *pool.Pool, trs []*trajectory.Trajectory, fns []*envelope.DistanceFunc, q *trajectory.Trajectory, tb, te float64) error {
+	return pl.ForEachIndex(ctx, len(trs), func(i int) error {
+		if fns[i] != nil {
+			return nil
 		}
-		if f == nil {
-			var err error
-			if f, err = envelope.NewDistanceFunc(tr.OID, tr, q, tb, te); err != nil {
-				return nil, fmt.Errorf("oid %d: %w", tr.OID, err)
-			}
+		f, err := envelope.NewDistanceFunc(trs[i].OID, trs[i], q, tb, te)
+		if err != nil {
+			return fmt.Errorf("oid %d: %w", trs[i].OID, err)
 		}
-		out = append(out, f)
-	}
-	return out, nil
+		fns[i] = f
+		return nil
+	})
 }
 
 // SetRankExpander attaches the rank-k survivor oracle of the index layer:
@@ -411,33 +422,36 @@ func (p *Processor) growBasisLocked(ctx context.Context, k int) error {
 	if k <= p.basisRank {
 		return nil
 	}
-	newcomers := func(yield func(*trajectory.Trajectory, *envelope.DistanceFunc) bool) {
+	var newcomers []*trajectory.Trajectory
+	rank := fullRank
+	if p.expand == nil {
+		newcomers = make([]*trajectory.Trajectory, 0, p.CandidateCount()-len(p.basisTable))
 		p.snapshot.each(p.QueryOID, func(tr *trajectory.Trajectory) bool {
-			return p.basisTable.get(tr.OID) != nil || yield(tr, nil)
+			if p.basisTable.get(tr.OID) == nil {
+				newcomers = append(newcomers, tr)
+			}
+			return true
 		})
-	}
-	size, rank := p.CandidateCount()-len(p.basisTable), fullRank
-	if p.expand != nil {
+	} else {
 		ids, err := p.expand(ctx, k)
 		if err != nil {
 			return err
 		}
-		newcomers = func(yield func(*trajectory.Trajectory, *envelope.DistanceFunc) bool) {
-			for _, id := range ids {
-				if p.basisTable.get(id) != nil {
-					continue
-				}
-				// An expander over a different snapshot may name strangers;
-				// they are ignored.
-				if tr := p.snapshot.Find(id, p.QueryOID); tr != nil && !yield(tr, nil) {
-					return
-				}
+		newcomers = make([]*trajectory.Trajectory, 0, max(len(ids)-len(p.basisTable), 0))
+		for _, id := range ids {
+			if p.basisTable.get(id) != nil {
+				continue
+			}
+			// An expander over a different snapshot may name strangers;
+			// they are ignored.
+			if tr := p.snapshot.Find(id, p.QueryOID); tr != nil {
+				newcomers = append(newcomers, tr)
 			}
 		}
-		size, rank = max(len(ids)-len(p.basisTable), 0), k
+		rank = k
 	}
-	added, err := buildFuncs(ctx, newcomers, size, p.q, p.Tb, p.Te)
-	if err != nil {
+	added := make([]*envelope.DistanceFunc, len(newcomers))
+	if err := buildFuncs(ctx, p.pool, newcomers, added, p.q, p.Tb, p.Te); err != nil {
 		return err
 	}
 	if len(added) > 0 {

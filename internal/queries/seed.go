@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/envelope"
+	"repro/internal/pool"
 	"repro/internal/trajectory"
 )
 
@@ -26,6 +27,9 @@ type Seed struct {
 	Entries []SeedEntry
 	// Levels are the envelopes 1..Rank over the scan set.
 	Levels []*envelope.Envelope
+	// Pool is the worker pool of the processor the seed was taken from:
+	// a successor builds, and runs its lazy steps, on it.
+	Pool *pool.Pool
 }
 
 // SeedEntry is one member of a seed's scan set.
@@ -63,6 +67,7 @@ func (p *Processor) Seed(k int) *Seed {
 		Query: p.q, Tb: p.Tb, Te: p.Te, R: p.R, Rank: k,
 		Entries: make([]SeedEntry, len(scan)),
 		Levels:  make([]*envelope.Envelope, k),
+		Pool:    p.pool,
 	}
 	for i, f := range scan {
 		tr := p.snapshot.Find(f.ID, p.QueryOID)
@@ -92,26 +97,22 @@ func (p *Processor) Seed(k int) *Seed {
 // their trajectories (cheap next to what the seed saves); rows the seed
 // carries are installed, the rest are computed on demand as always.
 func NewSuccessor(s *Seed, q *trajectory.Trajectory, fresh []*envelope.DistanceFunc, u Universe) (*Processor, error) {
-	entries := func(yield func(*trajectory.Trajectory, *envelope.DistanceFunc) bool) {
-		for _, e := range s.Entries {
-			id := e.Traj.OID
-			for len(fresh) > 0 && fresh[0].ID < id {
-				fresh = fresh[1:]
-			}
-			var f *envelope.DistanceFunc
-			if len(fresh) > 0 && fresh[0].ID == id {
-				f = fresh[0]
-			}
-			for j := 0; f == nil && j < len(s.Levels); j++ {
-				f = s.Levels[j].Func(id) // a defining function is already at hand
-			}
-			if !yield(e.Traj, f) {
-				return
-			}
+	trs := make([]*trajectory.Trajectory, len(s.Entries))
+	basis := make([]*envelope.DistanceFunc, len(s.Entries))
+	for i, e := range s.Entries {
+		id := e.Traj.OID
+		for len(fresh) > 0 && fresh[0].ID < id {
+			fresh = fresh[1:]
 		}
+		if len(fresh) > 0 && fresh[0].ID == id {
+			basis[i] = fresh[0]
+		}
+		for j := 0; basis[i] == nil && j < len(s.Levels); j++ {
+			basis[i] = s.Levels[j].Func(id) // a defining function is already at hand
+		}
+		trs[i] = e.Traj
 	}
-	basis, err := buildFuncs(context.Background(), entries, len(s.Entries), q, s.Tb, s.Te)
-	if err != nil {
+	if err := buildFuncs(context.Background(), s.Pool, trs, basis, q, s.Tb, s.Te); err != nil {
 		return nil, err
 	}
 	rows := make([]zoneRow, len(s.Entries))
@@ -130,6 +131,7 @@ func NewSuccessor(s *Seed, q *trajectory.Trajectory, fresh []*envelope.DistanceF
 		snapshot: u, q: q, nCands: -1,
 		levels:     append([]*envelope.Envelope(nil), s.Levels...),
 		basisTable: basis, basisRank: s.Rank,
+		pool: s.Pool,
 	}
 	if s.Rank > 1 {
 		// The carried rows belong to the rank basis; the Level-1 scan set

@@ -10,6 +10,7 @@ import (
 	"repro/internal/envelope"
 	"repro/internal/mod"
 	"repro/internal/numeric"
+	"repro/internal/pool"
 	"repro/internal/uncertain"
 	"repro/internal/workload"
 )
@@ -33,7 +34,7 @@ func refSeries(ctx context.Context, p *Processor, oid int64, cfg ThresholdConfig
 	probs := make([]float64, len(ts))
 	cands := make([]uncertain.Candidate, len(s.kept))
 	for i, tm := range ts {
-		if err := CtxErr(ctx); err != nil {
+		if err := pool.CtxErr(ctx); err != nil {
 			return nil, nil, err
 		}
 		for j, f := range s.kept {
@@ -93,7 +94,9 @@ func sameIntervals(a, b []envelope.TimeInterval) bool {
 // prunedFleet returns a processor over n objects of the seed's workload
 // with the survivors an index pre-pass would hand over (the zone members
 // and a margin of near misses), an OID the pre-pass excluded and a
-// survivor that is no UQ31 member.
+// survivor that is no UQ31 member. It is built on a pool of one worker per
+// CPU, as an engine's is, so its table integrates its instants side by
+// side.
 func prunedFleet(t testing.TB, n int, seed int64, tb, te, r float64) (p *Processor, excluded, pruned int64) {
 	t.Helper()
 	trs, err := workload.Generate(workload.DefaultConfig(seed), n)
@@ -112,7 +115,7 @@ func prunedFleet(t testing.TB, n int, seed int64, tb, te, r float64) (p *Process
 			excluded = f.ID
 		}
 	}
-	if p, err = NewProcessorPrunedCtx(context.Background(), trs, trs[0], tb, te, r, survivors); err != nil {
+	if p, err = NewProcessorOn(context.Background(), pool.New(0), trs, trs[0], tb, te, r, survivors); err != nil {
 		t.Fatal(err)
 	}
 	members := p.UQ31()

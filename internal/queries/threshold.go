@@ -3,10 +3,10 @@ package queries
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/envelope"
 	"repro/internal/numeric"
+	"repro/internal/pool"
 	"repro/internal/uncertain"
 	"repro/internal/updf"
 )
@@ -26,21 +26,6 @@ type ThresholdConfig struct {
 	Grid int
 }
 
-// CtxErr reports whether the context is done, checking the wall clock
-// against the deadline as well as Err(): a short deadline on a busy
-// single-core host can expire before the runtime schedules the timer
-// goroutine that cancels the context, and a checkpoint must not sail past
-// it just because the timer has not fired yet.
-func CtxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
 // Sampler evaluates P^NN over one processor's UQ31 members with one
 // convolved pdf: the P^NN loop that ProbabilityTable runs over the window
 // and the IPAC-NN tree runs over each node's interval.
@@ -48,6 +33,7 @@ type Sampler struct {
 	conv updf.RadialPDF
 	grid int
 	kept []*envelope.DistanceFunc
+	pool *pool.Pool // the processor's: the instants run side by side on it
 }
 
 // Sampler convolves cfg's pdf with itself (nil = uniform disk of the
@@ -62,25 +48,27 @@ func (p *Processor) Sampler(cfg ThresholdConfig) (*Sampler, error) {
 	if err != nil {
 		return nil, fmt.Errorf("queries: convolving pdfs: %w", err)
 	}
-	return &Sampler{conv: conv, grid: cfg.Grid, kept: p.KeptFuncs()}, nil
+	return &Sampler{conv: conv, grid: cfg.Grid, kept: p.KeptFuncs(), pool: p.pool}, nil
 }
 
 // At returns, for each instant of ts, P^NN of every UQ31 member at that
 // instant, keyed by OID (an object absent from a map has P^NN 0 there).
 // ctx is checked before every instant: one instant integrates Eq. 5 once
 // per UQ31 member, which at a few thousand objects is the whole of a
-// deadline.
+// deadline. The instants are independent, so they run on the processor's
+// pool, each with its own candidate list and writing only its own map.
 func (s *Sampler) At(ctx context.Context, ts []float64) ([]map[int64]float64, error) {
 	probs := make([]map[int64]float64, len(ts))
-	cands := make([]uncertain.Candidate, len(s.kept))
-	for i, tm := range ts {
-		if err := CtxErr(ctx); err != nil {
-			return nil, err
-		}
+	err := s.pool.ForEachIndex(ctx, len(ts), func(i int) error {
+		cands := make([]uncertain.Candidate, len(s.kept))
 		for j, f := range s.kept {
-			cands[j] = uncertain.Candidate{ID: f.ID, Dist: f.Value(tm)}
+			cands[j] = uncertain.Candidate{ID: f.ID, Dist: f.Value(ts[i])}
 		}
 		probs[i] = uncertain.NNProbabilities(s.conv, cands, s.grid)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return probs, nil
 }

@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"encoding/base64"
 	"strconv"
+
+	"repro/internal/prune"
 )
 
 // The two ingest shapes — the gateway's {"updates":[…]} body and the line
-// protocol's {"ok":true,"applied":[…]} reply — read without reflection.
+// protocol's {"ok":true,"applied":[…]} reply — and the line protocol's
+// survivors frame read without reflection.
 // The reader takes a strict subset of JSON and declines (ok false) any
 // whitespace but after the value, escape, byte outside printable ASCII,
 // null, key not spelled exactly as the shape's, key twice or trailing
 // byte; the caller then hands the same bytes to encoding/json, the only
 // definition of what they mean. What it takes it reads as encoding/json
-// does (FuzzIngestBodyFastPath, FuzzAppliedReplyFastPath).
+// does (FuzzIngestBodyFastPath, FuzzAppliedReplyFastPath,
+// FuzzSurvivorsFrameFastPath).
 
 // ParseIngestBody reads a POST /v1/ingest body, or declines.
 func ParseIngestBody(b []byte) (updates []WireUpdate, ok bool) {
@@ -50,6 +54,33 @@ func ParseAppliedReply(b []byte) (applied []WireApplied, ok bool) {
 		return false
 	})
 	return applied, ok && success && r.end()
+}
+
+// ParseSurvivorsFrame reads a successful frame of the line protocol's
+// survivors reply — {"ok":true[,"more":true],"trajs":[{"oid":N,"vb":"…"}…]
+// [,"stats":{…}]} — or declines: an error, an event or any other shape.
+func ParseSurvivorsFrame(b []byte) (trajs []WireUpdate, more bool, stats *prune.Stats, ok bool) {
+	r := strict{b: b}
+	success := false
+	ok = r.object(func(key []byte) bool {
+		switch string(key) {
+		case "ok":
+			return r.boolean(&success)
+		case "more":
+			return r.boolean(&more)
+		case "trajs":
+			trajs = make([]WireUpdate, 0, items(b))
+			return r.array(func() bool {
+				trajs = append(trajs, WireUpdate{})
+				return r.traj(&trajs[len(trajs)-1])
+			})
+		case "stats":
+			stats = new(prune.Stats)
+			return r.stats(stats)
+		}
+		return false
+	})
+	return trajs, more, stats, ok && success && r.end()
 }
 
 // items sizes a list by its "oid" keys, never more than items as short as
@@ -226,6 +257,42 @@ func (r *strict) update(u *WireUpdate) bool {
 			return r.boolean(&u.Retire)
 		}
 		return false
+	})
+}
+
+// traj reads one packed trajectory of a survivors frame.
+func (r *strict) traj(u *WireUpdate) bool {
+	return r.object(func(key []byte) bool {
+		switch string(key) {
+		case "oid":
+			return r.int(&u.OID)
+		case "vb":
+			return r.packed(&u.VB)
+		}
+		return false
+	})
+}
+
+// stats reads a survivors frame's sweep statistics.
+func (r *strict) stats(st *prune.Stats) bool {
+	return r.object(func(key []byte) bool {
+		var field *int
+		switch string(key) {
+		case "candidates":
+			field = &st.Candidates
+		case "survivors":
+			field = &st.Survivors
+		case "slices":
+			field = &st.Slices
+		case "probes":
+			field = &st.Probes
+		default:
+			return false
+		}
+		var n int64
+		ok := r.int(&n)
+		*field = int(n)
+		return ok && int64(*field) == n
 	})
 }
 
