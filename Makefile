@@ -173,8 +173,12 @@ fmt:
 
 # go vet, then the dead-export gate: every exported top-level name under
 # internal/, and every exported method of an exported type there, needs a
-# non-test reference (benchmark/ counts) or an entry with its reason in
-# scripts/deadexports/allowlist.txt.
+# non-test use or an entry with its reason in
+# scripts/deadexports/allowlist.txt. Uses are resolved by type (go/types
+# over `go list -deps`, the root module and the benchmark/ module both
+# loaded as callers), so a name shared with another declaration hides
+# nothing; a method is used when a non-test file calls it or an interface
+# method it implements.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./scripts/deadexports

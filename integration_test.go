@@ -16,9 +16,11 @@ import (
 
 	"repro"
 	"repro/internal/envelope"
+	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/modserver"
 	"repro/internal/queries"
+	"repro/internal/sindex"
 	"repro/internal/trajectory"
 	"repro/internal/uncertain"
 	"repro/internal/updf"
@@ -82,7 +84,7 @@ func TestPipelineWorkloadToAnswers(t *testing.T) {
 	idx := store.BuildIndex(0)
 	qBox := q.BoundingBox().Expand(10) // generous corridor
 	found := map[int64]bool{}
-	for _, id := range idx.SearchRange(qBox, 0, 60) {
+	for _, id := range searchRange(idx, qBox, 0, 60) {
 		found[id] = true
 	}
 	for _, id := range tree.KeptOIDs {
@@ -180,7 +182,7 @@ func TestPipelineOverTCP(t *testing.T) {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	c, err := modserver.Dial(l.Addr().String())
+	c, err := modserver.DialWith(l.Addr().String(), modserver.DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,4 +255,15 @@ func TestGuaranteedVsThresholdConsistency(t *testing.T) {
 		}
 	}
 	_ = envelope.TimeInterval{} // keep import grouping stable
+}
+
+// searchRange collects the IDs tree.Visit reports for box × [t0, t1], an ID
+// once per matching entry.
+func searchRange(tree *sindex.RTree, box geom.AABB, t0, t1 float64) []int64 {
+	var out []int64
+	tree.Visit(box, t0, t1, func(id int64) bool {
+		out = append(out, id)
+		return true
+	})
+	return out
 }

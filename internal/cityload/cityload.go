@@ -62,16 +62,6 @@ type Config struct {
 	SpotChecks int // standing answers byte-checked per spot-check tick
 }
 
-// DefaultConfig returns a small, fast city (the test/smoke shape); the
-// committed BENCH_city.json rows use the figures-driven scale (N>=1e5).
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed: seed, N: 2000, Subs: 96, Ticks: 10, Workers: 4, R: 0.5,
-		UpdateRate: 40, FlipRate: 6, RetireRate: 3, QueryRate: 24, ChurnRate: 3,
-		SpotChecks: 8,
-	}
-}
-
 // Row is one city run's report.
 type Row struct {
 	Topology string

@@ -12,9 +12,19 @@ import (
 	"time"
 )
 
+// smallCity is a small, fast city; the committed BENCH_city.json rows use
+// the figures-driven scale (N >= 1e5).
+func smallCity(seed int64) Config {
+	return Config{
+		Seed: seed, N: 2000, Subs: 96, Ticks: 10, Workers: 4, R: 0.5,
+		UpdateRate: 40, FlipRate: 6, RetireRate: 3, QueryRate: 24, ChurnRate: 3,
+		SpotChecks: 8,
+	}
+}
+
 func TestCitySmallBothTopologies(t *testing.T) {
 	for _, shards := range []int{0, 2} {
-		cfg := DefaultConfig(1207)
+		cfg := smallCity(1207)
 		cfg.N = 400
 		cfg.Subs = 48
 		cfg.Ticks = 6
@@ -45,7 +55,7 @@ func TestCitySmallBothTopologies(t *testing.T) {
 
 func TestCityScheduleDeterminism(t *testing.T) {
 	run := func() Row {
-		cfg := DefaultConfig(31)
+		cfg := smallCity(31)
 		cfg.N = 300
 		cfg.Subs = 24
 		cfg.Ticks = 5

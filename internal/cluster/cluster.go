@@ -179,9 +179,6 @@ func NewLocalShard(name string, store *mod.Store) *LocalShard {
 // Name implements Shard.
 func (s *LocalShard) Name() string { return s.name }
 
-// Store exposes the wrapped store (tests and loaders).
-func (s *LocalShard) Store() *mod.Store { return s.store }
-
 // Spec implements Shard.
 func (s *LocalShard) Spec(context.Context) (mod.PDFSpec, error) { return s.store.Spec(), nil }
 

@@ -55,7 +55,7 @@ func (r *Router) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applie
 		perShard[si] = append(perShard[si], u)
 		perShardIdx[si] = append(perShardIdx[si], i)
 	}
-	replies, err := scatter(ctx, r.shards, func(ctx context.Context, i int, s Shard) ([]mod.Applied, error) {
+	replies, _, err := scatter(ctx, r.shards, false, func(ctx context.Context, i int, s Shard) ([]mod.Applied, error) {
 		if len(perShard[i]) == 0 {
 			return nil, nil
 		}
@@ -97,7 +97,7 @@ func (r *Router) resolveOwners(ctx context.Context, updates []mod.Update) (map[i
 	if len(unknown) == 0 {
 		return nil, nil
 	}
-	replies, err := scatter(ctx, r.shards, func(ctx context.Context, _ int, s Shard) ([]bool, error) {
+	replies, _, err := scatter(ctx, r.shards, false, func(ctx context.Context, _ int, s Shard) ([]bool, error) {
 		return s.Owns(ctx, unknown)
 	})
 	if err != nil {

@@ -148,8 +148,7 @@ func runLiveEquivalence(t *testing.T, label string, router *cluster.Router) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			req, _ := hub.Request(gid)
-			fres, err := engine.New(1).Do(ctx, refStore, req)
+			fres, err := engine.New(1).Do(ctx, refStore, reqs[gotIDs[gid]])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -110,9 +110,6 @@ func (s *RemoteShard) setIndex(i int) {
 // Name implements Shard.
 func (s *RemoteShard) Name() string { return s.name }
 
-// Addr reports the shard's server address.
-func (s *RemoteShard) Addr() string { return s.addr }
-
 // Close drops the cached connection (calls after Close redial).
 func (s *RemoteShard) Close() error {
 	s.mu.Lock()

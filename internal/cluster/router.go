@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -96,9 +97,6 @@ func NewRouter(ctx context.Context, shards []Shard, opts Options) (*Router, erro
 
 // Shards reports the cluster size.
 func (r *Router) Shards() int { return len(r.shards) }
-
-// Partitioner reports the placement scheme.
-func (r *Router) Partitioner() Partitioner { return r.part }
 
 // gatherKey identifies one bound-exchange gather: a query trajectory, a
 // window, and the canonical predicate key (empty when unfiltered) — a
@@ -309,7 +307,7 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[ga
 func (r *Router) enumerate(ctx context.Context, g *gathered, req engine.Request) (engine.Result, error) {
 	res := engine.Result{Kind: req.Kind}
 	res.Explain.Workers = r.inner.Workers()
-	lists, ok, err := scatterMode(r, ctx, func(ctx context.Context, _ int, s Shard) ([]int64, error) {
+	lists, failed, err := scatter(ctx, r.shards, r.degraded, func(ctx context.Context, _ int, s Shard) ([]int64, error) {
 		return s.OIDs(ctx, req.Where)
 	})
 	if err != nil {
@@ -321,7 +319,7 @@ func (r *Router) enumerate(ctx context.Context, g *gathered, req engine.Request)
 	res.Explain.Candidates = len(res.OIDs)
 	res.Explain.Survivors = g.store.Len() - 1
 	res.Explain.ShardExplains = g.shardEx
-	r.applyDegraded(&res.Explain, mergeMissing(g.missing, missingOf(ok)))
+	r.applyDegraded(&res.Explain, mergeMissing(g.missing, missingOf(failed)))
 	return res, nil
 }
 
@@ -440,7 +438,7 @@ func (r *Router) exchange(ctx context.Context, q *trajectory.Trajectory, tb, te 
 		bounds []float64
 		wall   time.Duration
 	}
-	phase1, ok1, err := scatterMode(r, ctx, func(ctx context.Context, _ int, s Shard) (boundsReply, error) {
+	phase1, failed1, err := scatter(ctx, r.shards, r.degraded, func(ctx context.Context, _ int, s Shard) (boundsReply, error) {
 		t0 := time.Now()
 		bs, err := s.Bounds(ctx, q, tb, te, k, where)
 		return boundsReply{bounds: bs, wall: time.Since(t0)}, err
@@ -453,7 +451,7 @@ func (r *Router) exchange(ctx context.Context, q *trajectory.Trajectory, tb, te 
 		global[i] = math.Inf(1)
 	}
 	for si, reply := range phase1 {
-		if !ok1[si] {
+		if failed1[si] != nil {
 			continue
 		}
 		if len(reply.bounds) != nSlices {
@@ -467,7 +465,7 @@ func (r *Router) exchange(ctx context.Context, q *trajectory.Trajectory, tb, te 
 		}
 	}
 
-	phase2, ok2, err := scatterMode(r, ctx, func(ctx context.Context, i int, s Shard) (survReply, error) {
+	phase2, failed2, err := scatter(ctx, r.shards, r.degraded, func(ctx context.Context, i int, s Shard) (survReply, error) {
 		t0 := time.Now()
 		trs, stats, err := s.Survivors(ctx, q, tb, te, global, where)
 		return survReply{trs: trs, stats: stats, wall: phase1[i].wall + time.Since(t0)}, err
@@ -475,17 +473,14 @@ func (r *Router) exchange(ctx context.Context, q *trajectory.Trajectory, tb, te 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	missing := mergeMissing(missingOf(ok1), missingOf(ok2))
-	if len(missing) > 0 {
-		// A shard lost in phase 2 contributes no survivors; make sure a
-		// stale phase-2 zero value cannot masquerade as an empty reply.
-		for _, si := range missing {
-			if !ok2[si] {
-				phase2[si] = survReply{}
-			}
+	// A shard lost in phase 2 contributes no survivors; make sure a stale
+	// phase-2 value cannot masquerade as an empty reply.
+	for si, err := range failed2 {
+		if err != nil {
+			phase2[si] = survReply{}
 		}
 	}
-	return global, phase2, missing, nil
+	return global, phase2, mergeMissing(missingOf(failed1), missingOf(failed2)), nil
 }
 
 // perQueryObject answers the all-pairs and reverse kinds on the engine's
@@ -500,7 +495,7 @@ func (r *Router) perQueryObject(ctx context.Context, req engine.Request) (engine
 		oids []int64
 		wall time.Duration
 	}
-	replies, okOIDs, err := scatterMode(r, ctx, func(ctx context.Context, _ int, s Shard) (oidsReply, error) {
+	replies, failedOIDs, err := scatter(ctx, r.shards, r.degraded, func(ctx context.Context, _ int, s Shard) (oidsReply, error) {
 		t0 := time.Now()
 		ids, err := s.OIDs(ctx, req.Where)
 		return oidsReply{oids: ids, wall: time.Since(t0)}, err
@@ -511,12 +506,12 @@ func (r *Router) perQueryObject(ctx context.Context, req engine.Request) (engine
 	// missing accumulates every shard any round of this request went
 	// without: the OID union scatter here, plus the per-object gathers
 	// below (guarded by missingMu — they run on the worker pool).
-	missing := missingOf(okOIDs)
+	missing := missingOf(failedOIDs)
 	var missingMu sync.Mutex
 	lists := make([][]int64, len(replies))
 	shardEx := make([]engine.Explain, len(replies))
 	for i, reply := range replies {
-		if !okOIDs[i] {
+		if failedOIDs[i] != nil {
 			continue
 		}
 		lists[i] = reply.oids
@@ -619,19 +614,10 @@ func (r *Router) getTrajectory(ctx context.Context, oid int64) (*trajectory.Traj
 		tr   *trajectory.Trajectory
 		tags []string
 	}
-	var failMu sync.Mutex
-	var firstFail error
-	found, ok, err := scatterMode(r, ctx, func(ctx context.Context, i int, s Shard) (hit, error) {
+	found, failed, err := scatter(ctx, r.shards, r.degraded, func(ctx context.Context, _ int, s Shard) (hit, error) {
 		tr, tags, err := s.Get(ctx, oid)
-		if err != nil && errors.Is(err, mod.ErrNotFound) {
+		if errors.Is(err, mod.ErrNotFound) {
 			return hit{}, nil
-		}
-		if err != nil && r.degraded {
-			failMu.Lock()
-			if firstFail == nil {
-				firstFail = fmt.Errorf("cluster: shard %s: %w", s.Name(), err)
-			}
-			failMu.Unlock()
 		}
 		return hit{tr: tr, tags: tags}, err
 	})
@@ -639,20 +625,15 @@ func (r *Router) getTrajectory(ctx context.Context, oid int64) (*trajectory.Traj
 		return nil, nil, err
 	}
 	for i, h := range found {
-		if ok[i] && h.tr != nil {
+		if failed[i] == nil && h.tr != nil {
 			return h.tr, h.tags, nil
 		}
 	}
 	// Found nowhere. If any shard was unreachable, absence is unproven:
 	// surface the shard failure, never a wrong ErrNotFound.
-	for i := range ok {
-		if !ok[i] {
-			failMu.Lock()
-			defer failMu.Unlock()
-			if firstFail != nil {
-				return nil, nil, firstFail
-			}
-			return nil, nil, &ShardUnavailableError{Shard: i, Name: r.shards[i].Name(), Err: errors.New("no reply")}
+	for _, err := range failed {
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	return nil, nil, fmt.Errorf("%w: %d", mod.ErrNotFound, oid)
@@ -660,52 +641,58 @@ func (r *Router) getTrajectory(ctx context.Context, oid int64) (*trajectory.Traj
 
 // scatter fans f across every shard concurrently and waits for all of
 // them — implementations honor their context, so the wait is prompt and
-// leaks nothing. The first shard failure cancels the siblings (their
-// in-flight sweeps stop instead of running to completion just to be
-// discarded), and failure latency is the first error, not the slowest
-// shard. The caller's context error takes precedence over shard errors
-// (cancellation is call-fatal and callers match on the context error);
-// among shard errors, a real failure outranks the context noise the
-// sibling cancellation caused.
-func scatter[T any](ctx context.Context, shards []Shard, f func(ctx context.Context, i int, s Shard) (T, error)) ([]T, error) {
+// leaks nothing. failed[i] is shard i's failure, named after the shard
+// (nil when it replied; out[i] is meaningful only then). The caller's
+// context error takes precedence over any shard's: cancellation is
+// call-fatal and callers match on it. Among shard failures a real one
+// outranks the context noise, and the first in shard order wins.
+//
+// A strict round (degraded false) fails with a shard's failure, and the
+// first failure cancels the siblings: their in-flight sweeps stop instead
+// of running to completion just to be discarded, so failure latency is
+// the first error, not the slowest shard. A degraded round masks failed
+// shards out instead, cancels nobody, and fails only when every shard
+// failed: a "partial" answer over zero shards is not an answer.
+func scatter[T any](ctx context.Context, shards []Shard, degraded bool, f func(ctx context.Context, i int, s Shard) (T, error)) (out []T, failed []error, err error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	out := make([]T, len(shards))
-	errs := make([]error, len(shards))
+	out = make([]T, len(shards))
+	failed = make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i := range shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := pool.CtxErr(sctx); err != nil {
-				errs[i] = err
-				return
+			err := pool.CtxErr(sctx)
+			if err == nil {
+				out[i], err = f(sctx, i, shards[i])
 			}
-			out[i], errs[i] = f(sctx, i, shards[i])
-			if errs[i] != nil {
-				cancel()
+			if err != nil {
+				failed[i] = fmt.Errorf("cluster: shard %s: %w", shards[i].Name(), err)
+				if !degraded {
+					cancel()
+				}
 			}
 		}(i)
 	}
 	wg.Wait()
 	if err := pool.CtxErr(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var firstCtx error
-	for i, err := range errs {
-		if err == nil {
-			continue
+	var real, noise error
+	replied := false
+	for _, err := range failed {
+		switch {
+		case err == nil:
+			replied = true
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			noise = cmp.Or(noise, err)
+		default:
+			real = cmp.Or(real, err)
 		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if firstCtx == nil {
-				firstCtx = fmt.Errorf("cluster: shard %s: %w", shards[i].Name(), err)
-			}
-			continue
-		}
-		return nil, fmt.Errorf("cluster: shard %s: %w", shards[i].Name(), err)
 	}
-	if firstCtx != nil {
-		return nil, firstCtx
+	if first := cmp.Or(real, noise); first != nil && !(degraded && replied) {
+		return nil, nil, first
 	}
-	return out, nil
+	return out, failed, nil
 }

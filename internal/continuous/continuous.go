@@ -421,29 +421,6 @@ func (h *Hub) Answer(id int64) (engine.Result, error) {
 	return s.last, nil
 }
 
-// Request returns a subscription's standing request.
-func (h *Hub) Request(id int64) (engine.Request, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s, ok := h.subs[id]
-	if !ok {
-		return engine.Request{}, fmt.Errorf("%w: %d", ErrNoSub, id)
-	}
-	return s.req, nil
-}
-
-// Subscriptions returns the live subscription IDs, sorted.
-func (h *Hub) Subscriptions() []int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]int64, 0, len(h.subs))
-	for id := range h.subs {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // Stats reports the hub's counters.
 func (h *Hub) Stats() Stats {
 	h.mu.Lock()

@@ -96,7 +96,7 @@ func TestTheorem2DualConsistency(t *testing.T) {
 		for _, f := range fns {
 			fnsByID[f.ID] = f
 		}
-		env1 := tree.Envelope()
+		env1 := tree.p.Envelope()
 		checked := make([]int, maxL)
 		tree.Walk(func(n *Node) {
 			if n.T1-n.T0 < 1e-6 {

@@ -267,18 +267,6 @@ func (t *Tree) NodesAtLevel(level int) []*Node {
 	return out
 }
 
-// Envelope returns the level-1 lower envelope (the geometric dual's first
-// layer).
-func (t *Tree) Envelope() *envelope.Envelope { return t.p.Envelope() }
-
-// ZoneIntervals returns the time intervals during which the object has
-// non-zero probability of being the query's nearest neighbor (empty for
-// pruned objects and for OIDs the processor does not know).
-func (t *Tree) ZoneIntervals(oid int64) []envelope.TimeInterval {
-	ivs, _ := t.p.PossibleNNIntervals(oid) // the only error is an unknown OID
-	return ivs
-}
-
 // AnswerAt returns the highest-probability nearest neighbor at time tm
 // (the level-1 envelope's trajectory), mirroring the time-parameterized
 // answer A_nn of Section 1.

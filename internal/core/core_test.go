@@ -139,10 +139,10 @@ func TestBuildStaticTree(t *testing.T) {
 	if got := tree.RankedAt(30, 5); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("RankedAt = %v", got)
 	}
-	if z := tree.ZoneIntervals(3); len(z) != 0 {
+	if z := zone(tree, 3); len(z) != 0 {
 		t.Errorf("pruned zone = %v", z)
 	}
-	if z := tree.ZoneIntervals(1); len(z) != 1 || z[0].T0 != 0 || z[0].T1 != 60 {
+	if z := zone(tree, 1); len(z) != 1 || z[0].T0 != 0 || z[0].T1 != 60 {
 		t.Errorf("level-1 zone = %v", z)
 	}
 }
@@ -243,7 +243,7 @@ func TestTreeOnWorkload(t *testing.T) {
 		f := fnsByID[n.ID]
 		ok := false
 		for _, tm := range numeric.Linspace(n.T0, n.T1, 33) {
-			if f.Value(tm) <= tree.Envelope().ValueAt(tm)+4*r+1e-6 {
+			if f.Value(tm) <= tree.p.Envelope().ValueAt(tm)+4*r+1e-6 {
 				ok = true
 				break
 			}
@@ -311,4 +311,11 @@ func TestPrunedNeverOnTree(t *testing.T) {
 			t.Errorf("pruned oid %d on tree (level %d)", n.ID, n.Level)
 		}
 	})
+}
+
+// zone is an object's possible-NN intervals, the ones the tree's nodes
+// come from (empty for pruned objects).
+func zone(tree *Tree, oid int64) []envelope.TimeInterval {
+	ivs, _ := tree.p.PossibleNNIntervals(oid)
+	return ivs
 }

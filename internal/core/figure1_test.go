@@ -56,7 +56,7 @@ func TestFigure1Scenario(t *testing.T) {
 	// "Not only Tr1, but also Tr3 has a non-zero probability of being the
 	// nearest neighbor to Trq at t = tb": Tr3's zone intervals include the
 	// start of the window.
-	z3 := tree.ZoneIntervals(3)
+	z3 := zone(tree, 3)
 	if len(z3) == 0 || z3[0].T0 > 1e-9 {
 		t.Fatalf("Tr3 zone = %v, expected coverage from tb", z3)
 	}
@@ -111,7 +111,7 @@ func TestFigure1UncertaintyWidensAnswer(t *testing.T) {
 		out := map[int64]float64{}
 		for _, id := range []int64{1, 2, 3} {
 			var total float64
-			for _, iv := range tree.ZoneIntervals(id) {
+			for _, iv := range zone(tree, id) {
 				total += iv.T1 - iv.T0
 			}
 			out[id] = total

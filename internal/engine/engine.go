@@ -257,13 +257,6 @@ func (e *Engine) evictLocked() {
 	}
 }
 
-// MemoLen reports the number of live memo entries (for tests and metrics).
-func (e *Engine) MemoLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.procs)
-}
-
 // FilterOIDs evaluates pred for every OID on the worker pool and returns
 // the OIDs for which it holds, in the input (sorted) order — the
 // deterministic parallel counterpart of the serial UQ3x/UQ4x loops. The

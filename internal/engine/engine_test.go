@@ -189,6 +189,13 @@ func TestBoolKindsMatchProcessor(t *testing.T) {
 	}
 }
 
+// memoLen is the number of live memo entries.
+func memoLen(e *Engine) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.procs)
+}
+
 // memoized is the test shorthand for the whole-MOD memo lookup.
 func memoized(t *testing.T, eng *Engine, store *mod.Store, qOID int64, tb, te float64) *queries.Processor {
 	t.Helper()
@@ -208,8 +215,8 @@ func TestProcessorMemo(t *testing.T) {
 	if p2 := memoized(t, eng, store, qOID, 0, 60); p1 != p2 {
 		t.Fatal("same key did not reuse the memoized processor")
 	}
-	if eng.MemoLen() != 1 {
-		t.Fatalf("memo len = %d, want 1", eng.MemoLen())
+	if memoLen(eng) != 1 {
+		t.Fatalf("memo len = %d, want 1", memoLen(eng))
 	}
 	// A different window is a different key.
 	if p3 := memoized(t, eng, store, qOID, 0, 30); p3 == p1 {
@@ -261,8 +268,8 @@ func TestConcurrentBatches(t *testing.T) {
 			}
 		}
 	}
-	if eng.MemoLen() != 1 {
-		t.Fatalf("memo len = %d, want 1 (all batches share a key)", eng.MemoLen())
+	if memoLen(eng) != 1 {
+		t.Fatalf("memo len = %d, want 1 (all batches share a key)", memoLen(eng))
 	}
 }
 

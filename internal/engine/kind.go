@@ -73,15 +73,6 @@ var kindTable = []struct {
 	{KindReverse, kindInfo{target: true}},
 }
 
-// Kinds returns every kind the engine accepts, in declaration order.
-func Kinds() []Kind {
-	out := make([]Kind, len(kindTable))
-	for i, e := range kindTable {
-		out[i] = e.kind
-	}
-	return out
-}
-
 // info looks the kind up in the table; ok is false for an unknown kind.
 func (k Kind) info() (kindInfo, bool) {
 	for _, e := range kindTable {

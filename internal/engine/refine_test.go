@@ -214,7 +214,7 @@ func TestDoRestrictedNeverFilters(t *testing.T) {
 			t.Errorf("%s: refine explain %+v, want survivors = candidates = %d", req.Kind, a.Explain, want.Explain.Candidates)
 		}
 	}
-	if n := refine.MemoLen(); n != 0 {
+	if n := memoLen(refine); n != 0 {
 		t.Fatalf("whole builds left %d memo entries", n)
 	}
 	if got := store.IndexStats(); got != (mod.IndexStats{}) {
@@ -261,8 +261,8 @@ func TestPrunedAndWholeBuildsDoNotAlias(t *testing.T) {
 			t.Fatalf("round %d: pruned %v, whole %v", round, pruned.OIDs, whole.OIDs)
 		}
 	}
-	if eng.MemoLen() != 1 {
-		t.Fatalf("memo holds %d processors, want the pruned one only", eng.MemoLen())
+	if memoLen(eng) != 1 {
+		t.Fatalf("memo holds %d processors, want the pruned one only", memoLen(eng))
 	}
 }
 

@@ -11,6 +11,15 @@ import (
 	"repro/internal/queries"
 )
 
+// allKinds is every kind the engine accepts, in declaration order.
+func allKinds() []Kind {
+	out := make([]Kind, len(kindTable))
+	for i, e := range kindTable {
+		out[i] = e.kind
+	}
+	return out
+}
+
 // TestRequestValidate is the centralized window/parameter validation table:
 // every kind rejects a degenerate window identically, ranked kinds reject
 // k < 1, fraction kinds reject x outside [0, 1], every kind rejects p
@@ -29,10 +38,10 @@ func TestRequestValidate(t *testing.T) {
 		KindUQ11: true, KindUQ12: true, KindUQ13: true, KindNNAt: true,
 		KindUQ31: true, KindUQ32: true, KindUQ33: true, KindAllNNAt: true,
 	}
-	if n := len(Kinds()); n != 18 {
+	if n := len(allKinds()); n != 18 {
 		t.Errorf("%d kinds, want 18", n)
 	}
-	for _, kind := range Kinds() {
+	for _, kind := range allKinds() {
 		ok := Request{Kind: kind, QueryOID: 1, Tb: 0, Te: 60, K: 2, X: 0.5}
 		if err := ok.Validate(); err != nil {
 			t.Errorf("%s: valid request rejected: %v", kind, err)
@@ -290,7 +299,7 @@ func TestMemoLRU(t *testing.T) {
 			t.Fatalf("hot key evicted after %d inserts (LRU regression)", i+1)
 		}
 	}
-	if n := eng.MemoLen(); n > memoCap {
+	if n := memoLen(eng); n > memoCap {
 		t.Fatalf("memo grew to %d > cap %d", n, memoCap)
 	}
 }

@@ -135,11 +135,6 @@ func BuildDistanceFuncs(trs []*trajectory.Trajectory, q *trajectory.Trajectory, 
 	return out, nil
 }
 
-// Span returns the time window covered by the function.
-func (f *DistanceFunc) Span() (t0, t1 float64) {
-	return f.Pieces[0].T0, f.Pieces[len(f.Pieces)-1].T1
-}
-
 // pieceAt returns the piece active at time t (clamped to the span).
 func (f *DistanceFunc) pieceAt(t float64) Piece { return f.Pieces[pieceIndex(f.Pieces, t)] }
 

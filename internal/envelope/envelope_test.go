@@ -71,7 +71,7 @@ func TestDistanceFuncValues(t *testing.T) {
 			t.Errorf("Value(%g) = %g, want %g", c.tm, got, c.want)
 		}
 	}
-	if t0, t1 := f.Span(); t0 != 0 || t1 != 60 {
+	if t0, t1 := f.Pieces[0].T0, f.Pieces[len(f.Pieces)-1].T1; t0 != 0 || t1 != 60 {
 		t.Errorf("Span = %g, %g", t0, t1)
 	}
 }

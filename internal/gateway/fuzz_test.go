@@ -52,7 +52,7 @@ func FuzzGatewayBody(f *testing.F) {
 		}
 		for _, route := range []string{"/v1/ingest", "/v1/query"} {
 			rec := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+			srv.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
 			status, reply := rec.Code, rec.Body.Bytes()
 			switch {
 			case status == http.StatusOK, status == http.StatusGatewayTimeout:
@@ -238,7 +238,7 @@ func TestDeclaredLengthCappedByBodyCap(t *testing.T) {
 	rec := httptest.NewRecorder()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	srv.Handler().ServeHTTP(rec, r)
+	srv.handler.ServeHTTP(rec, r)
 	runtime.ReadMemStats(&after)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("an empty batch: status %d (%s), want 400", rec.Code, rec.Body)
@@ -280,7 +280,7 @@ func TestDeclaredLengthWaitsForBytes(t *testing.T) {
 	r.ContentLength = DefaultMaxBodyBytes
 	rec := httptest.NewRecorder()
 	runtime.ReadMemStats(&body.before)
-	srv.Handler().ServeHTTP(rec, r)
+	srv.handler.ServeHTTP(rec, r)
 	if !body.read || rec.Code != http.StatusBadRequest {
 		t.Fatalf("an empty body: read %v, status %d (%s), want a read and 400", body.read, rec.Code, rec.Body)
 	}

@@ -157,12 +157,8 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Handler returns the gateway's full handler (middleware included) for
-// mounting under a custom http.Server, e.g. in tests.
-func (s *Server) Handler() http.Handler { return s.handler }
-
-// Core exposes the live-serving core behind /v1/ingest and /v1/subscribe
-// (nil without Options.Hub) to in-process callers and tests.
+// Core is the live-serving core behind /v1/ingest and /v1/subscribe (nil
+// without Options.Hub): the session table and hub they share.
 func (s *Server) Core() *serve.Core { return s.core }
 
 // Serve accepts connections on l until Shutdown (or Close on the

@@ -16,12 +16,10 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/api/openapi"
 	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/serve"
@@ -579,31 +577,6 @@ func TestOpenAPIServed(t *testing.T) {
 		if !bytes.Contains(body, []byte(field)) {
 			t.Fatalf("openapi spec does not mention %q", field)
 		}
-	}
-}
-
-// TestOpenAPIKindEnum: the spec's Request.kind enum is the engine's kind
-// table, in its order — a kind the server rejects cannot be documented,
-// and one it accepts cannot be missing.
-func TestOpenAPIKindEnum(t *testing.T) {
-	spec := string(openapi.Spec)
-	i := strings.Index(spec, "\n    Request:\n")
-	if i < 0 {
-		t.Fatal("spec has no Request schema")
-	}
-	const key = "enum: "
-	j := strings.Index(spec[i:], key)
-	if j < 0 {
-		t.Fatal("Request schema has no enum")
-	}
-	line := spec[i+j+len(key):]
-	line = line[:strings.IndexByte(line, '\n')]
-	var got []engine.Kind
-	if err := json.Unmarshal([]byte(line), &got); err != nil {
-		t.Fatalf("enum %q: %v", line, err)
-	}
-	if want := engine.Kinds(); !slices.Equal(got, want) {
-		t.Fatalf("spec enum %v, engine kinds %v", got, want)
 	}
 }
 

@@ -34,9 +34,6 @@ func (p Point) String() string { return fmt.Sprintf("(%g, %g)", p.X, p.Y) }
 // String implements fmt.Stringer.
 func (v Vec) String() string { return fmt.Sprintf("<%g, %g>", v.X, v.Y) }
 
-// Add translates p by v.
-func (p Point) Add(v Vec) Point { return Point{p.X + v.X, p.Y + v.Y} }
-
 // Sub returns the displacement from q to p.
 func (p Point) Sub(q Point) Vec { return Vec{p.X - q.X, p.Y - q.Y} }
 
@@ -54,41 +51,19 @@ func (p Point) Lerp(q Point, s float64) Point {
 	return Point{p.X + s*(q.X-p.X), p.Y + s*(q.Y-p.Y)}
 }
 
-// Add returns the vector sum v+w.
-func (v Vec) Add(w Vec) Vec { return Vec{v.X + w.X, v.Y + w.Y} }
-
 // Sub returns the vector difference v-w.
 func (v Vec) Sub(w Vec) Vec { return Vec{v.X - w.X, v.Y - w.Y} }
-
-// Scale returns v scaled by s.
-func (v Vec) Scale(s float64) Vec { return Vec{s * v.X, s * v.Y} }
 
 // Dot returns the dot product v·w.
 func (v Vec) Dot(w Vec) float64 { return v.X*w.X + v.Y*w.Y }
 
-// Len returns the Euclidean norm of v.
-func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
-
 // LenSq returns the squared Euclidean norm of v.
 func (v Vec) LenSq() float64 { return v.X*v.X + v.Y*v.Y }
-
-// Unit returns v normalized to length 1. The zero vector is returned
-// unchanged.
-func (v Vec) Unit() Vec {
-	l := v.Len()
-	if l < Eps {
-		return Vec{}
-	}
-	return Vec{v.X / l, v.Y / l}
-}
 
 // Segment is a directed line segment from A to B.
 type Segment struct {
 	A, B Point
 }
-
-// Len returns the length of the segment.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
 
 // At returns the point at parameter u in [0,1] along the segment.
 func (s Segment) At(u float64) Point { return s.A.Lerp(s.B, u) }
@@ -124,24 +99,6 @@ func clamp01(u float64) float64 {
 type Disk struct {
 	C Point
 	R float64
-}
-
-// Contains reports whether p lies inside or on the disk.
-func (d Disk) Contains(p Point) bool { return d.C.DistSq(p) <= d.R*d.R+Eps }
-
-// Area returns the area of the disk.
-func (d Disk) Area() float64 { return math.Pi * d.R * d.R }
-
-// Intersects reports whether two disks share at least one point.
-func (d Disk) Intersects(e Disk) bool {
-	rr := d.R + e.R
-	return d.C.DistSq(e.C) <= rr*rr+Eps
-}
-
-// MinDistTo returns the smallest distance from p to any point of the disk
-// (0 if p is inside), the paper's R^min when p is the crisp query location.
-func (d Disk) MinDistTo(p Point) float64 {
-	return math.Max(0, d.C.Dist(p)-d.R)
 }
 
 // LensArea returns the area of the intersection of two disks (the circular

@@ -40,8 +40,7 @@ func (v *value) Add(f float64) {
 		}
 	}
 }
-func (v *value) Set(f float64) { v.bits.Store(math.Float64bits(f)) }
-func (v *value) Get() float64  { return math.Float64frombits(v.bits.Load()) }
+func (v *value) Get() float64 { return math.Float64frombits(v.bits.Load()) }
 
 // Counter is a monotonically increasing value.
 type Counter struct{ v value }
@@ -63,14 +62,8 @@ func (c *Counter) Value() float64 { return c.v.Get() }
 // Gauge is a value that can go up and down.
 type Gauge struct{ v value }
 
-// Set replaces the value.
-func (g *Gauge) Set(f float64) { g.v.Set(f) }
-
 // Add shifts the value by f (negative allowed).
 func (g *Gauge) Add(f float64) { g.v.Add(f) }
-
-// Inc adds 1.
-func (g *Gauge) Inc() { g.v.Add(1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.Get() }
@@ -92,13 +85,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.samples++
 	h.mu.Unlock()
-}
-
-// Count returns how many samples were observed.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.samples
 }
 
 // family kinds in exposition order of their TYPE line.
@@ -162,12 +148,6 @@ type CounterVec struct{ f *family }
 
 // With returns the counter for the label values (created on first use).
 func (v *CounterVec) With(values ...string) *Counter { return v.f.getSeries(values).ctr }
-
-// GaugeVec is a gauge family with label dimensions.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.getSeries(values).gge }
 
 // HistogramVec is a histogram family with label dimensions.
 type HistogramVec struct{ f *family }
@@ -251,16 +231,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, help, typeGauge, nil, nil, nil).getSeries(nil).gge
 }
 
-// GaugeVec registers a gauge family with label dimensions.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, typeGauge, labels, nil, nil)}
-}
-
-// Histogram registers an unlabeled histogram (nil buckets = DefBuckets).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.register(name, help, typeHistogram, nil, buckets, nil).getSeries(nil).hst
-}
-
 // HistogramVec registers a histogram family with label dimensions.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	return &HistogramVec{r.register(name, help, typeHistogram, labels, buckets, nil)}
@@ -271,37 +241,6 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 // (hub evals/skips, WAL appends) without double bookkeeping.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(name, help, typeCounter, nil, nil, fn)
-}
-
-// FamilyInfo describes one registered family — the introspection the
-// label-cardinality guard tests against.
-type FamilyInfo struct {
-	Name   string
-	Type   string
-	Labels []string
-	Series int
-}
-
-// Families lists registered families sorted by name.
-func (r *Registry) Families() []FamilyInfo {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.byName))
-	for _, f := range r.byName {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	out := make([]FamilyInfo, len(fams))
-	for i, f := range fams {
-		f.mu.Lock()
-		n := len(f.series)
-		f.mu.Unlock()
-		if f.fn != nil {
-			n = 1
-		}
-		out[i] = FamilyInfo{Name: f.name, Type: f.typ, Labels: append([]string(nil), f.labels...), Series: n}
-	}
-	return out
 }
 
 // WriteText renders the registry in Prometheus text exposition format

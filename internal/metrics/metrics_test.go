@@ -20,9 +20,9 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c.Inc()
 	c.Add(2)
 	g := r.Gauge("temp", "Current temperature.")
-	g.Set(3.5)
+	g.Add(3.5)
 	g.Add(-1)
-	g.Inc()
+	g.Add(1)
 	g.Add(-1)
 	out := render(r)
 	for _, want := range []string{
@@ -62,7 +62,7 @@ func TestVecLabelsSortedAndEscaped(t *testing.T) {
 
 func TestHistogramExposition(t *testing.T) {
 	r := New()
-	h := r.Histogram("lat_seconds", "Latency.", []float64{0.1, 1, math.Inf(1)})
+	h := r.HistogramVec("lat_seconds", "Latency.", []float64{0.1, 1, math.Inf(1)}).With()
 	for _, v := range []float64{0.05, 0.1, 0.5, 3} {
 		h.Observe(v)
 	}
@@ -79,9 +79,6 @@ func TestHistogramExposition(t *testing.T) {
 	}, "\n")
 	if out != want {
 		t.Fatalf("exposition:\n%s\nwant:\n%s", out, want)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d", h.Count())
 	}
 }
 
@@ -108,6 +105,8 @@ func TestFuncFamilies(t *testing.T) {
 	}
 }
 
+// TestFamiliesIntrospection reads the registered families off the
+// exposition: sorted by name, each with its type and one line per series.
 func TestFamiliesIntrospection(t *testing.T) {
 	r := New()
 	v := r.CounterVec("b_total", "b", "x")
@@ -115,12 +114,14 @@ func TestFamiliesIntrospection(t *testing.T) {
 	v.With("2").Inc()
 	r.Gauge("a", "a")
 	r.CounterFunc("c_total", "c", func() float64 { return 0 })
-	fams := r.Families()
-	if len(fams) != 3 || fams[0].Name != "a" || fams[1].Name != "b_total" || fams[2].Name != "c_total" {
-		t.Fatalf("families: %+v", fams)
-	}
-	if fams[1].Series != 2 || fams[1].Labels[0] != "x" || fams[1].Type != "counter" {
-		t.Fatalf("b_total info: %+v", fams[1])
+	want := strings.Join([]string{
+		"# HELP a a", "# TYPE a gauge", "a 0",
+		"# HELP b_total b", "# TYPE b_total counter", `b_total{x="1"} 1`, `b_total{x="2"} 1`,
+		"# HELP c_total c", "# TYPE c_total counter", "c_total 0",
+		"",
+	}, "\n")
+	if out := render(r); out != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", out, want)
 	}
 }
 
@@ -152,7 +153,7 @@ func TestRegistrationPanics(t *testing.T) {
 	mustPanic("duplicate", func() { r.Gauge("dup", "") })
 	mustPanic("bad name", func() { r.Counter("1bad", "") })
 	mustPanic("bad label", func() { r.CounterVec("v_total", "", "le") })
-	mustPanic("unsorted buckets", func() { r.Histogram("h", "", []float64{2, 1}) })
+	mustPanic("unsorted buckets", func() { r.HistogramVec("h", "", []float64{2, 1}) })
 	mustPanic("negative counter", func() { r.Counter("neg_total", "").Add(-1) })
 	v := r.CounterVec("arity_total", "", "a", "b")
 	mustPanic("label arity", func() { v.With("only-one") })
@@ -161,7 +162,7 @@ func TestRegistrationPanics(t *testing.T) {
 func TestConcurrentUpdates(t *testing.T) {
 	r := New()
 	c := r.Counter("n_total", "")
-	h := r.Histogram("h_seconds", "", nil)
+	h := r.HistogramVec("h_seconds", "", nil).With()
 	v := r.CounterVec("l_total", "", "w")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -176,8 +177,10 @@ func TestConcurrentUpdates(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Value() != 8000 || h.Count() != 8000 || v.With("x").Value() != 8000 {
-		t.Fatalf("lost updates: c=%g h=%d v=%g", c.Value(), h.Count(), v.With("x").Value())
+	if c.Value() != 8000 || v.With("x").Value() != 8000 {
+		t.Fatalf("lost updates: c=%g v=%g", c.Value(), v.With("x").Value())
 	}
-	_ = render(r)
+	if out := render(r); !strings.Contains(out, "h_seconds_count 8000\n") {
+		t.Fatalf("lost histogram updates:\n%s", out)
+	}
 }

@@ -58,8 +58,15 @@ func applyOneByOne(st *Store, us []Update) ([]Applied, error) {
 	return out, nil
 }
 
+// indexVersion is the store version the cached index belongs to.
+func indexVersion(st *Store) uint64 {
+	st.idxMu.Lock()
+	defer st.idxMu.Unlock()
+	return st.idxVersion
+}
+
 func sortedRange(tree *sindex.RTree, box geom.AABB, t0, t1 float64) []int64 {
-	ids := tree.SearchRange(box, t0, t1)
+	ids := searchRange(tree, box, t0, t1)
 	slices.Sort(ids)
 	return ids
 }
@@ -83,9 +90,9 @@ func TestApplyUpdatesEqualsLoopOfSingleUpdates(t *testing.T) {
 		if b, l := batched.IndexStats(), looped.IndexStats(); b != l {
 			t.Fatalf("round %d: stats %+v, the loop's %+v", round, b, l)
 		}
-		if batched.Version() != looped.Version() || batched.IndexVersion() != looped.IndexVersion() {
+		if batched.Version() != looped.Version() || indexVersion(batched) != indexVersion(looped) {
 			t.Fatalf("round %d: version %d index %d, the loop's %d and %d", round,
-				batched.Version(), batched.IndexVersion(), looped.Version(), looped.IndexVersion())
+				batched.Version(), indexVersion(batched), looped.Version(), indexVersion(looped))
 		}
 		// Consult the cache, as the queries between two batches would.
 		bi, li := batched.BuildIndex(0), looped.BuildIndex(0)
@@ -117,8 +124,8 @@ func TestApplyUpdatesFailureKeepsThePrefixIndexed(t *testing.T) {
 	if !errors.Is(err, ErrStaleVertex) || len(applied) != 2 {
 		t.Fatalf("applied %d, err %v", len(applied), err)
 	}
-	if st.Version() != v0+2 || st.IndexVersion() != v0+2 {
-		t.Fatalf("version %d, index version %d, want both %d", st.Version(), st.IndexVersion(), v0+2)
+	if st.Version() != v0+2 || indexVersion(st) != v0+2 {
+		t.Fatalf("version %d, index version %d, want both %d", st.Version(), indexVersion(st), v0+2)
 	}
 	if next := st.BuildIndex(0); next == idx || next.Len() != idx.Len()+4 || st.IndexStats().SegBuilds != 1 {
 		t.Fatalf("the prefix was not chained: %d entries after %d, stats %+v", next.Len(), idx.Len(), st.IndexStats())
@@ -169,7 +176,7 @@ func TestConcurrentBatchesBesideIndexReaders(t *testing.T) {
 					return
 				default:
 				}
-				st.BuildIndex(0).SearchRange(geom.AABB{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}, 0, 10)
+				searchRange(st.BuildIndex(0), geom.AABB{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}, 0, 10)
 			}
 		}()
 	}
@@ -178,8 +185,8 @@ func TestConcurrentBatchesBesideIndexReaders(t *testing.T) {
 	readers.Wait()
 
 	requireHoldsEveryLiveSegment(t, st, st.BuildIndex(0))
-	if st.IndexVersion() != st.Version() {
-		t.Fatalf("index at version %d, store at %d", st.IndexVersion(), st.Version())
+	if indexVersion(st) != st.Version() {
+		t.Fatalf("index at version %d, store at %d", indexVersion(st), st.Version())
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 //   - a rejected update leaves the version and the plan untouched.
 //
 // At the end the incrementally maintained segment R-tree must answer
-// SearchRange and KNN identically to a from-scratch tree over the entries
+// range search and KNN identically to a from-scratch tree over the entries
 // the chain was given: every segment of the loaded plans, then each
 // accepted update's new last segment (a splice leaves the superseded ones
 // in place, by design) — or over the store's contents when the compaction
@@ -163,12 +163,12 @@ func FuzzApplyUpdate(f *testing.F) {
 			box := geom.AABB{MinX: x, MinY: y, MaxX: x + rng.Float64()*20, MaxY: y + rng.Float64()*20}
 			t0 := rng.Float64() * 20
 			t1 := t0 + rng.Float64()*20
-			got := live.SearchRange(box, t0, t1)
-			want := rebuilt.SearchRange(box, t0, t1)
+			got := searchRange(live, box, t0, t1)
+			want := searchRange(rebuilt, box, t0, t1)
 			slices.Sort(got)
 			slices.Sort(want)
 			if !slices.Equal(got, want) {
-				t.Fatalf("SearchRange differs post-update: %v vs %v", got, want)
+				t.Fatalf("range search differs post-update: %v vs %v", got, want)
 			}
 			p := geom.Point{X: rng.Float64()*40 - 20, Y: rng.Float64()*40 - 20}
 			gn := live.KNN(p, t0, 3)

@@ -184,12 +184,12 @@ func TestIncrementalIndexMatchesRebuild(t *testing.T) {
 		box := geom.AABB{MinX: x, MinY: y, MaxX: x + rng.Float64()*10, MaxY: y + rng.Float64()*10}
 		t0 := rng.Float64() * 40
 		t1 := t0 + rng.Float64()*20
-		got := live.SearchRange(box, t0, t1)
-		want := rebuilt.SearchRange(box, t0, t1)
+		got := searchRange(live, box, t0, t1)
+		want := searchRange(rebuilt, box, t0, t1)
 		slices.Sort(got)
 		slices.Sort(want)
 		if !slices.Equal(got, want) {
-			t.Fatalf("q=%d: SearchRange differs: %d vs %d ids", q, len(got), len(want))
+			t.Fatalf("q=%d: range search differs: %d vs %d ids", q, len(got), len(want))
 		}
 		p := geom.Point{X: rng.Float64() * 40, Y: rng.Float64() * 40}
 		gn := live.KNN(p, t0, 5)
@@ -278,11 +278,11 @@ func TestRebuildHoldsLiveSegmentsOnly(t *testing.T) {
 		return out
 	}
 	sorted := func(v []int64) []int64 { slices.Sort(v); return v }
-	if g, w := sorted(got.SearchRange(world, math.Inf(-1), math.Inf(1))), ids(want, world, math.Inf(-1), math.Inf(1)); !slices.Equal(g, w) {
+	if g, w := sorted(searchRange(got, world, math.Inf(-1), math.Inf(1))), ids(want, world, math.Inf(-1), math.Inf(1)); !slices.Equal(g, w) {
 		t.Fatalf("rebuilt tree's IDs %v, live segments' %v", g, w)
 	}
 	for _, e := range want {
-		if g, w := sorted(got.SearchRange(e.Box, e.T0, e.T1)), ids(want, e.Box, e.T0, e.T1); !slices.Equal(g, w) {
+		if g, w := sorted(searchRange(got, e.Box, e.T0, e.T1)), ids(want, e.Box, e.T0, e.T1); !slices.Equal(g, w) {
 			t.Fatalf("window of entry %+v: rebuilt tree answers %v, live segments %v", e, g, w)
 		}
 	}

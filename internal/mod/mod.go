@@ -261,23 +261,6 @@ func (s *Store) viewLocked() *View {
 // shared and immutable.
 func (s *Store) All() []*trajectory.Trajectory { return s.View().Trajs }
 
-// TimeSpan returns the union of all trajectory spans. ok is false for an
-// empty store.
-func (s *Store) TimeSpan() (tb, te float64, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.trajs) == 0 {
-		return 0, 0, false
-	}
-	tb, te = math.Inf(1), math.Inf(-1)
-	for _, tr := range s.trajs {
-		b, e := tr.TimeSpan()
-		tb = math.Min(tb, b)
-		te = math.Max(te, e)
-	}
-	return tb, te, true
-}
-
 // BuildIndex returns an STR R-tree over all trajectory segments, expanding
 // each segment's box by the uncertainty radius so range answers are
 // conservative with respect to possible (not just expected) locations.
@@ -338,15 +321,6 @@ func appendSegEntries(es []sindex.Entry, tr *trajectory.Trajectory, from, r floa
 		es = append(es, sindex.Entry{ID: tr.OID, Box: geom.AABBOf(seg.A, seg.B).Expand(r), T0: t0, T1: t1})
 	}
 	return es
-}
-
-// IndexVersion reports the store version the cached spatial index was last
-// built at (0 before the first build) — observable staleness for tests and
-// metrics.
-func (s *Store) IndexVersion() uint64 {
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	return s.idxVersion
 }
 
 // PlanTrip builds the server-side shortest-travel-time trajectory of

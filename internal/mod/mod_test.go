@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/sindex"
 	"repro/internal/trajectory"
 	"repro/internal/workload"
 )
@@ -89,9 +90,6 @@ func TestInsertGet(t *testing.T) {
 
 func TestOIDsAllTimeSpan(t *testing.T) {
 	st := newTestStore(t)
-	if _, _, ok := st.TimeSpan(); ok {
-		t.Error("empty TimeSpan should report !ok")
-	}
 	for _, oid := range []int64{5, 1, 3} {
 		tr, err := trajectory.New(oid, []trajectory.Vertex{
 			{X: 0, Y: 0, T: float64(oid)}, {X: 1, Y: 1, T: float64(oid) + 10},
@@ -110,10 +108,6 @@ func TestOIDsAllTimeSpan(t *testing.T) {
 	all := st.All()
 	if len(all) != 3 || all[0].OID != 1 || all[2].OID != 5 {
 		t.Errorf("All order wrong")
-	}
-	tb, te, ok := st.TimeSpan()
-	if !ok || tb != 1 || te != 15 {
-		t.Errorf("TimeSpan = %g %g %v", tb, te, ok)
 	}
 }
 
@@ -213,7 +207,7 @@ func TestBuildIndex(t *testing.T) {
 	}
 	// Every trajectory should be found by a query covering the whole region
 	// and time span.
-	ids := idx.SearchRange(geom.AABB{MinX: -1, MinY: -1, MaxX: 41, MaxY: 41}, 0, 60)
+	ids := searchRange(idx, geom.AABB{MinX: -1, MinY: -1, MaxX: 41, MaxY: 41}, 0, 60)
 	seen := map[int64]bool{}
 	for _, id := range ids {
 		seen[id] = true
@@ -324,4 +318,15 @@ func TestBinaryCorruption(t *testing.T) {
 	if _, err := LoadBinary(bytes.NewReader(nil)); !errors.Is(err, ErrBadHeader) {
 		t.Errorf("empty: %v", err)
 	}
+}
+
+// searchRange collects the IDs tree.Visit reports for box × [t0, t1], an ID
+// once per matching entry.
+func searchRange(tree *sindex.RTree, box geom.AABB, t0, t1 float64) []int64 {
+	var out []int64
+	tree.Visit(box, t0, t1, func(id int64) bool {
+		out = append(out, id)
+		return true
+	})
+	return out
 }

@@ -51,7 +51,7 @@ func TestTokenAuthGatesOps(t *testing.T) {
 	_, addr := startTokenServer(t, store, "s3cret", nil)
 
 	// Unauthenticated ops: refused and the connection closed.
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTokenAuthGatesOps(t *testing.T) {
 	c.Close()
 
 	// A subscribe attempt is gated too (the stream never starts).
-	c, err = Dial(addr)
+	c, err = DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestTLSServingAndPlaintextTyped(t *testing.T) {
 	}
 
 	// Plaintext against TLS: typed refusal.
-	pc, err := Dial(addr)
+	pc, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTLSServingAndPlaintextTyped(t *testing.T) {
 func TestDeadlineIdentityOverWire(t *testing.T) {
 	store := seededStore(t, 400)
 	_, addr := startServer(t, store)
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestDeadlineIdentityOverWire(t *testing.T) {
 func TestShutdownDrains(t *testing.T) {
 	store := seededStore(t, 400)
 	srv, addr := startServer(t, store)
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal("ping succeeded after shutdown")
 	}
 	// The listener is closed too.
-	if _, err := Dial(addr); err == nil {
+	if _, err := DialWith(addr, DialOptions{}); err == nil {
 		t.Fatal("dial succeeded after shutdown")
 	}
 }

@@ -80,7 +80,7 @@ func TestStalledConnectionDisconnected(t *testing.T) {
 // well past ReadTimeout.
 func TestActiveConnectionOutlivesReadTimeout(t *testing.T) {
 	addr := startTCPServer(t, testStore(t, 3), Options{ReadTimeout: 80 * time.Millisecond})
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestOversizedRequestRejected(t *testing.T) {
 func TestShardPhasesRoundTrip(t *testing.T) {
 	store := testStore(t, 80)
 	addr := startTCPServer(t, store, Options{})
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +203,12 @@ func TestShardPhasesRoundTrip(t *testing.T) {
 // router's point-lookup broadcast depends on.
 func TestNotFoundCrossesWire(t *testing.T) {
 	addr := startTCPServer(t, testStore(t, 3), Options{})
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.Get(999); !errors.Is(err, mod.ErrNotFound) {
+	if _, _, err := cli.GetTagged(999); !errors.Is(err, mod.ErrNotFound) {
 		t.Fatalf("remote get of missing OID: %v, want mod.ErrNotFound identity", err)
 	}
 	if err := cli.Delete(999); !errors.Is(err, mod.ErrNotFound) {

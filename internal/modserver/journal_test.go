@@ -28,7 +28,7 @@ func TestJournaledServerRecovers(t *testing.T) {
 
 	srv, addr := startServerWith(t, st, Options{Journal: log})
 	_ = srv
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,12 +45,12 @@ func TestIngestSubscribeOverWire(t *testing.T) {
 	st := liveStore(t)
 	_, addr := startServer(t, st)
 
-	subCli, err := Dial(addr)
+	subCli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer subCli.Close()
-	ingCli, err := Dial(addr)
+	ingCli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestIngestSubscribeOverWire(t *testing.T) {
 func TestSubscribeSameConnIngest(t *testing.T) {
 	st := liveStore(t)
 	_, addr := startServer(t, st)
-	cli, err := Dial(addr)
+	cli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestIdleSubscriberSurvivesReadTimeout(t *testing.T) {
 	go func() { defer close(done); srv.Serve(l) }()
 	t.Cleanup(func() { srv.Close(); <-done })
 
-	subCli, err := Dial(l.Addr().String())
+	subCli, err := DialWith(l.Addr().String(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestIdleSubscriberSurvivesReadTimeout(t *testing.T) {
 	// Sit well past the read timeout without sending anything.
 	time.Sleep(250 * time.Millisecond)
 
-	ingCli, err := Dial(l.Addr().String())
+	ingCli, err := DialWith(l.Addr().String(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,12 +255,12 @@ func nextEventSoon(t *testing.T, cli *Client) (continuous.Event, error) {
 func TestInsertAndTripReachSubscribers(t *testing.T) {
 	st := liveStore(t)
 	_, addr := startServer(t, st)
-	subCli, err := Dial(addr)
+	subCli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer subCli.Close()
-	mutCli, err := Dial(addr)
+	mutCli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,12 +359,9 @@ func NewServerWith(store *mod.Store, eng *engine.Engine, o Options) *Server {
 	}
 }
 
-// Core exposes the server's live-serving core (in-process callers and
-// tests; wire clients use the subscribe/ingest ops).
+// Core is the server's live-serving core: the session table and hub
+// behind the subscribe, resume and ingest ops.
 func (s *Server) Core() *serve.Core { return s.core }
-
-// Hub exposes the server's continuous-query hub.
-func (s *Server) Hub() *continuous.Hub { return s.core.Hub() }
 
 // Serve accepts connections on l until Close. It always returns a non-nil
 // error (ErrServerClosed after a clean shutdown).
@@ -817,11 +814,6 @@ type Client struct {
 	pending []continuous.Event
 }
 
-// Dial connects to a server at addr (plaintext, no auth).
-func Dial(addr string) (*Client, error) {
-	return DialWith(addr, DialOptions{})
-}
-
 // DialOptions configures transport security for DialWith.
 type DialOptions struct {
 	// TLS, when set, wraps the connection in a TLS client handshake
@@ -981,11 +973,15 @@ func (c *Client) Count() (int, error) {
 	return resp.Count, err
 }
 
-// Spec returns the server's uncertainty model.
+// Spec returns the server's uncertainty model. A reply without one is
+// serve.ErrProtocol.
 func (c *Client) Spec() (mod.PDFSpec, error) {
 	resp, err := c.roundTrip(Request{Op: "spec"})
 	if err != nil {
 		return mod.PDFSpec{}, err
+	}
+	if resp.Spec == nil {
+		return mod.PDFSpec{}, fmt.Errorf("%w: spec reply carries no spec", serve.ErrProtocol)
 	}
 	return *resp.Spec, nil
 }
@@ -996,18 +992,16 @@ func (c *Client) Insert(tr *trajectory.Trajectory) error {
 	return err
 }
 
-// Get downloads a trajectory.
-func (c *Client) Get(oid int64) (*trajectory.Trajectory, error) {
-	tr, _, err := c.GetTagged(oid)
-	return tr, err
-}
-
 // GetTagged downloads a trajectory together with its tag set (nil when
-// untagged) — the cluster's point-lookup path under predicates.
+// untagged) — the cluster's point-lookup path under predicates. A reply
+// for another OID is serve.ErrProtocol.
 func (c *Client) GetTagged(oid int64) (*trajectory.Trajectory, []string, error) {
 	resp, err := c.roundTrip(Request{Op: "get", OID: oid})
 	if err != nil {
 		return nil, nil, err
+	}
+	if resp.OID != oid {
+		return nil, nil, fmt.Errorf("%w: get %d answered for oid %d", serve.ErrProtocol, oid, resp.OID)
 	}
 	tr, err := serve.WireTrajectory(resp.OID, resp.Verts, nil)
 	if err != nil {

@@ -61,7 +61,7 @@ func seededStore(t *testing.T, n int) *mod.Store {
 func TestClientServerRoundTrip(t *testing.T) {
 	store := seededStore(t, 20)
 	_, addr := startServer(t, store)
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if err := c.Insert(tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(500)
+	got, _, err := c.GetTagged(500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if err := c.Delete(500); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(500); err == nil {
+	if _, _, err := c.GetTagged(500); err == nil {
 		t.Fatal("get after delete should fail")
 	}
 	if err := c.Delete(500); err == nil {
@@ -115,7 +115,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 func TestUQLOverWire(t *testing.T) {
 	store := seededStore(t, 25)
 	_, addr := startServer(t, store)
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(base int64) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialWith(addr, DialOptions{})
 			if err != nil {
 				t.Error(err)
 				return
@@ -228,7 +228,7 @@ func TestConcurrentClients(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := c.Get(oid); err != nil {
+				if _, _, err := c.GetTagged(oid); err != nil {
 					t.Error(err)
 					return
 				}
@@ -250,7 +250,7 @@ func TestServerClose(t *testing.T) {
 	srv := NewServerWith(store, nil, Options{})
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(l) }()
-	c, err := Dial(l.Addr().String())
+	c, err := DialWith(l.Addr().String(), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestServerClose(t *testing.T) {
 func TestPlanTripOverWire(t *testing.T) {
 	store := seededStore(t, 3)
 	_, addr := startServer(t, store)
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestPlanTripOverWire(t *testing.T) {
 		t.Fatalf("trip = %+v", tr)
 	}
 	// Trip was inserted server-side.
-	got, err := c.Get(900)
+	got, _, err := c.GetTagged(900)
 	if err != nil || got.Verts[1] != tr.Verts[1] {
 		t.Fatalf("get after trip: %+v, %v", got, err)
 	}

@@ -145,7 +145,7 @@ func TestArrayFormStillServed(t *testing.T) {
 		t.Fatalf("applied outcomes carry the wrong plans: %s", lineA)
 	}
 	// Client.Ingest rebuilds the rest: its outcomes are the store's own.
-	cli, err := Dial(startTCPServer(t, testStore(t, 60), Options{}))
+	cli, err := DialWith(startTCPServer(t, testStore(t, 60), Options{}), DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 func TestQueryOpOverWire(t *testing.T) {
 	store := seededStore(t, 30)
 	_, addr := startServer(t, store)
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestQueryOpOverWire(t *testing.T) {
 func TestQueryOpDeadline(t *testing.T) {
 	store := seededStore(t, 400)
 	_, addr := startServer(t, store)
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestQueryOpDeadline(t *testing.T) {
 func TestQueryOpThresholdKind(t *testing.T) {
 	store := seededStore(t, 8)
 	_, addr := startServer(t, store)
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

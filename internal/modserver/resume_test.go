@@ -64,13 +64,13 @@ func TestResumeReplaysMissedEvents(t *testing.T) {
 	st := liveStore(t)
 	srv, addr := startServer(t, st)
 
-	ing, err := Dial(addr)
+	ing, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ing.Close()
 
-	subCli, err := Dial(addr)
+	subCli, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +101,14 @@ func TestResumeReplaysMissedEvents(t *testing.T) {
 	// Resume from the last seq the old connection saw, with ingest still
 	// running concurrently: the stream must be contiguous from seq 3 on,
 	// replayed backlog first, live events after, no duplicates or gaps.
-	re, err := Dial(addr)
+	re, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 	ingestDone := make(chan error, 1)
 	go func() {
-		c, err := Dial(addr)
+		c, err := DialWith(addr, DialOptions{})
 		if err != nil {
 			ingestDone <- err
 			return

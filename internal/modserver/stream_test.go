@@ -54,7 +54,7 @@ func survivorsLine(t *testing.T, store *mod.Store) []byte {
 func TestStreamedAllChunked(t *testing.T) {
 	store := testStore(t, 60)
 	addr := startTCPServer(t, store, Options{MaxLineBytes: 4096})
-	c, err := Dial(addr)
+	c, err := DialWith(addr, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

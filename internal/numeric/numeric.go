@@ -236,9 +236,6 @@ func (t *Table) At(x float64) float64 {
 	return y0 + (y1-y0)*(x-x0)/(x1-x0)
 }
 
-// Len returns the number of samples.
-func (t *Table) Len() int { return len(t.xs) }
-
 // Scale multiplies all ordinates by k in place and returns the table.
 func (t *Table) Scale(k float64) *Table {
 	for i := range t.ys {

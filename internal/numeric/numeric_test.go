@@ -180,8 +180,8 @@ func TestTable(t *testing.T) {
 			t.Errorf("At(%g) = %g, want %g", c.x, got, c.want)
 		}
 	}
-	if tab.Len() != 3 {
-		t.Errorf("Len = %d", tab.Len())
+	if len(tab.xs) != 3 {
+		t.Errorf("len(xs) = %d", len(tab.xs))
 	}
 	tab.Scale(2)
 	if got := tab.At(0.5); !near(got, 2, 1e-12) {

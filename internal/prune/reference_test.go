@@ -23,6 +23,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mod"
 	"repro/internal/queries"
+	"repro/internal/sindex"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
 	"repro/internal/workload"
@@ -118,7 +119,7 @@ func refSweep(s *Sweep, bounds []float64) []int64 {
 			continue
 		}
 		qbox := geom.AABBOf(s.q.At(t0), s.q.At(t1))
-		hits := s.idx.SearchRange(qbox.Expand(u+width), t0, t1) // one range search per slice
+		hits := searchRange(s.idx, qbox.Expand(u+width), t0, t1) // one range search per slice
 		slices.Sort(hits)
 		for i, id := range hits {
 			if id == s.q.OID || (i > 0 && id == hits[i-1]) {
@@ -373,4 +374,15 @@ func (c *dyingCtx) Err() error {
 		return context.Canceled
 	}
 	return nil
+}
+
+// searchRange collects the IDs tree.Visit reports for box × [t0, t1], an ID
+// once per matching entry.
+func searchRange(tree *sindex.RTree, box geom.AABB, t0, t1 float64) []int64 {
+	var out []int64
+	tree.Visit(box, t0, t1, func(id int64) bool {
+		out = append(out, id)
+		return true
+	})
+	return out
 }

@@ -85,15 +85,6 @@ var codes = []code{
 	{"internal", http.StatusInternalServerError, nil},
 }
 
-// Codes lists every code in table order, internal last.
-func Codes() []string {
-	out := make([]string, len(codes))
-	for i, c := range codes {
-		out[i] = c.name
-	}
-	return out
-}
-
 // Classify gives err's code and the HTTP status that goes with it.
 func Classify(err error) (name string, status int) {
 	for _, c := range codes {

@@ -11,6 +11,15 @@ import (
 	"repro/internal/trajectory"
 )
 
+// codeNames lists every code in table order, internal last.
+func codeNames() []string {
+	out := make([]string, len(codes))
+	for i, c := range codes {
+		out[i] = c.name
+	}
+	return out
+}
+
 // TestRebuildKeepsTheCode: for every row, a failure rebuilt from the code
 // classifies as that code and keeps the row's first sentinel; a sentinel
 // the message names survives too, and each sentinel sits in one row only.
@@ -38,8 +47,8 @@ func TestRebuildKeepsTheCode(t *testing.T) {
 	if got, status := Classify(Rebuild("no_such_code", "x")); got != "internal" || status != 500 {
 		t.Errorf("an unknown code rebuilds as %q/%d, want internal/500", got, status)
 	}
-	if !slices.Equal(Codes()[:2], []string{"bad_kind", "bad_window"}) || Codes()[len(codes)-1] != "internal" {
-		t.Errorf("Codes() = %v", Codes())
+	if names := codeNames(); !slices.Equal(names[:2], []string{"bad_kind", "bad_window"}) || names[len(names)-1] != "internal" {
+		t.Errorf("code table = %v", names)
 	}
 }
 

@@ -126,9 +126,6 @@ func New(hub *continuous.Hub, store *mod.Store, journal Journal) *Core {
 	return &Core{hub: hub, store: store, journal: journal, now: time.Now, live: make(map[int64]Sink)}
 }
 
-// Hub exposes the continuous-query hub (in-process subscribers, stats).
-func (c *Core) Hub() *continuous.Hub { return c.hub }
-
 // TokenOK is the constant-time bearer-token comparison both codecs gate on.
 func TokenOK(want, got string) bool {
 	return subtle.ConstantTimeCompare([]byte(got), []byte(want)) == 1

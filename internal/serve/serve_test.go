@@ -237,8 +237,11 @@ func TestUnsubscribeOwnership(t *testing.T) {
 	// A detached subscription may be canceled by anyone.
 	id, _, _ = c.Subscribe(context.Background(), nnReq, owner)
 	c.Detach(id, owner)
-	if err := c.Unsubscribe(id, other); err != nil || c.Detached(id) || len(c.Hub().Subscriptions()) != 0 {
+	if err := c.Unsubscribe(id, other); err != nil || c.Detached(id) {
 		t.Fatalf("unsubscribe of a detached subscription = %v", err)
+	}
+	if _, err := c.Hub().Answer(id); !errors.Is(err, continuous.ErrNoSub) {
+		t.Fatalf("the hub still answers the canceled subscription: %v", err)
 	}
 }
 

@@ -177,9 +177,6 @@ func (w *World) SnapshotStore() (*mod.Store, error) {
 	return st, nil
 }
 
-// Now returns the step clock.
-func (w *World) Now() float64 { return w.now }
-
 // ProtectedOIDs returns the churn-immune OID prefix in generation order
 // — the OIDs a harness can stand queries on without racing the scripted
 // retirements.

@@ -156,9 +156,9 @@ func sameNode(a, b *node, path string) string {
 
 func requireSameTree(tb testing.TB, tag string, got, want *RTree) {
 	tb.Helper()
-	if got.Len() != want.Len() || got.Height() != want.Height() || got.fanout != want.fanout {
+	if got.Len() != want.Len() || got.height != want.height || got.fanout != want.fanout {
 		tb.Fatalf("%s: Len/Height/fanout %d/%d/%d, reference %d/%d/%d", tag,
-			got.Len(), got.Height(), got.fanout, want.Len(), want.Height(), want.fanout)
+			got.Len(), got.height, got.fanout, want.Len(), want.height, want.fanout)
 	}
 	if (got.root == nil) != (want.root == nil) {
 		tb.Fatalf("%s: one tree is empty", tag)
@@ -237,7 +237,7 @@ func TestInsertedBatchEqualsReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000*fanout + size)))
 			got := NewRTree(revisionEntries(rng, 5*fanout, 1), fanout)
 			want := got
-			startHeight := got.Height()
+			startHeight := got.height
 			for step := 0; step < chain; step++ {
 				batch := revisionEntries(rng, size, int64(1000+step*size))
 				check := size < 600 || step%20 == 0 || step == chain-1
@@ -255,7 +255,7 @@ func TestInsertedBatchEqualsReference(t *testing.T) {
 				}
 				got = next
 			}
-			if size > 1 && got.Height() <= startHeight {
+			if size > 1 && got.height <= startHeight {
 				t.Fatalf("fanout %d size %d: height stayed %d, the chain never grew the root", fanout, size, startHeight)
 			}
 		}
@@ -292,12 +292,12 @@ func TestInsertedSiblingsAreIndependent(t *testing.T) {
 	requireSameTree(t, "b", tb, refInserted(parent, b...))
 	requireSameTree(t, "a then b", ta2, refInserted(refInserted(parent, a...), b...))
 	world := geom.AABB{MinX: -100, MinY: -100, MaxX: 100, MaxY: 100}
-	for _, id := range ta.SearchRange(world, -1e9, 1e9) {
+	for _, id := range searchRange(ta, world, -1e9, 1e9) {
 		if id >= 3000 {
 			t.Fatalf("tree a holds entry %d of batch b", id)
 		}
 	}
-	for _, id := range tb.SearchRange(world, -1e9, 1e9) {
+	for _, id := range searchRange(tb, world, -1e9, 1e9) {
 		if id >= 2000 && id < 3000 {
 			t.Fatalf("tree b holds entry %d of batch a", id)
 		}
@@ -342,7 +342,7 @@ func TestInsertedBesideReaders(t *testing.T) {
 	base := NewRTree(revisionEntries(rng, 3000, 1), 16).Inserted(revisionEntries(rng, 200, 5000)...)
 	box := geom.AABB{MinX: 10, MinY: 10, MaxX: 25, MaxY: 25}
 	p := geom.Point{X: 20, Y: 20}
-	wantRange := base.SearchRange(box, 0, 60)
+	wantRange := searchRange(base, box, 0, 60)
 	wantKNN := base.KNN(p, 20, 8)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -356,7 +356,7 @@ func TestInsertedBesideReaders(t *testing.T) {
 					return
 				default:
 				}
-				if !slices.Equal(base.SearchRange(box, 0, 60), wantRange) || !slices.Equal(base.KNN(p, 20, 8), wantKNN) {
+				if !slices.Equal(searchRange(base, box, 0, 60), wantRange) || !slices.Equal(base.KNN(p, 20, 8), wantKNN) {
 					t.Error("a reader's answer moved while a writer chained batches from its tree")
 					return
 				}
@@ -423,7 +423,7 @@ func FuzzInsertedBatch(f *testing.F) {
 		}
 		box := es[len(es)/2].Box.Expand(3)
 		t0 := es[len(es)/2].T0
-		if ids := sortIDs(got.SearchRange(box, t0, t0+5)); !slices.Equal(ids, linearRange(es, box, t0, t0+5)) {
+		if ids := sortIDs(searchRange(got, box, t0, t0+5)); !slices.Equal(ids, linearRange(es, box, t0, t0+5)) {
 			t.Fatalf("Visit: got %v, scan %v", ids, linearRange(es, box, t0, t0+5))
 		}
 		p := box.Center()

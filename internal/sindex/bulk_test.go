@@ -49,8 +49,8 @@ func checkPacked(tb testing.TB, tag string, t *RTree, es []Entry) {
 		tb.Fatalf("%s: Len %d, %d entries", tag, t.Len(), len(es))
 	}
 	if len(es) == 0 {
-		if t.root != nil || t.Height() != 0 {
-			tb.Fatalf("%s: an empty tree has a root or height %d", tag, t.Height())
+		if t.root != nil || t.height != 0 {
+			tb.Fatalf("%s: an empty tree has a root or height %d", tag, t.height)
 		}
 		return
 	}
@@ -69,8 +69,8 @@ func checkPacked(tb testing.TB, tag string, t *RTree, es []Entry) {
 				tag, depth, nd.box, nd.t0, nd.t1, want.box, want.t0, want.t1)
 		}
 		if nd.children == nil {
-			if depth != t.Height() {
-				tb.Fatalf("%s: a leaf at depth %d of a tree of height %d", tag, depth, t.Height())
+			if depth != t.height {
+				tb.Fatalf("%s: a leaf at depth %d of a tree of height %d", tag, depth, t.height)
 			}
 			got = append(got, nd.entries...)
 		}
@@ -87,7 +87,7 @@ func checkPacked(tb testing.TB, tag string, t *RTree, es []Entry) {
 	}
 }
 
-// checkAnswers probes t around every tenth entry: SearchRange against the
+// checkAnswers probes t around every tenth entry: the range search against the
 // scan, KNN against refKNN (the container/heap search over the same tree)
 // and, for its distances, against the per-ID scan. KNN is asked at the
 // entry's mid-time and at both closed ends of its interval, the instants
@@ -97,8 +97,8 @@ func checkAnswers(tb testing.TB, tag string, t *RTree, es []Entry) {
 	for i := 0; i < len(es); i += 10 {
 		e := es[i]
 		box, t0, t1 := e.Box.Expand(float64(i%3)), e.T0, e.T1
-		if got, want := sortIDs(t.SearchRange(box, t0, t1)), linearRange(es, box, t0, t1); !slices.Equal(got, want) {
-			tb.Fatalf("%s: SearchRange(%v, %g, %g) = %v, scan %v", tag, box, t0, t1, got, want)
+		if got, want := sortIDs(searchRange(t, box, t0, t1)), linearRange(es, box, t0, t1); !slices.Equal(got, want) {
+			tb.Fatalf("%s: range search(%v, %g, %g) = %v, scan %v", tag, box, t0, t1, got, want)
 		}
 		p, k := geom.Point{X: e.Box.MinX - 0.25, Y: e.Box.MaxY}, 1+i%7
 		for _, at := range []float64{e.T0, 0.5 * (e.T0 + e.T1), e.T1} {

@@ -64,7 +64,7 @@ func checkRTreeAgainstEntries(t *testing.T, tag string, tree *RTree, es []Entry,
 		box := geom.AABB{MinX: x, MinY: y, MaxX: x + rng.Float64()*15, MaxY: y + rng.Float64()*15}
 		t0 := rng.Float64() * 40
 		t1 := t0 + rng.Float64()*20
-		got := append([]int64(nil), tree.SearchRange(box, t0, t1)...)
+		got := append([]int64(nil), searchRange(tree, box, t0, t1)...)
 		slices.Sort(got)
 		var want []int64
 		for _, e := range es {
@@ -74,7 +74,7 @@ func checkRTreeAgainstEntries(t *testing.T, tag string, tree *RTree, es []Entry,
 		}
 		slices.Sort(want)
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s q=%d: SearchRange got %d ids, want %d", tag, q, len(got), len(want))
+			t.Fatalf("%s q=%d: range search got %d ids, want %d", tag, q, len(got), len(want))
 		}
 
 		p := geom.Point{X: rng.Float64() * 40, Y: rng.Float64() * 40}
@@ -126,13 +126,13 @@ func TestRTreeInsertedLeavesReceiverIntact(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	es := randSegmentEntries(rng, 80, 4)
 	base := NewRTree(es[:200], 8)
-	before := append([]int64(nil), base.SearchRange(geom.AABB{MinX: 0, MinY: 0, MaxX: 40, MaxY: 40}, 0, 60)...)
+	before := append([]int64(nil), searchRange(base, geom.AABB{MinX: 0, MinY: 0, MaxX: 40, MaxY: 40}, 0, 60)...)
 	slices.Sort(before)
 	grown := base.Inserted(es[200:]...)
 	if grown == base {
 		t.Fatal("Inserted returned the receiver")
 	}
-	after := append([]int64(nil), base.SearchRange(geom.AABB{MinX: 0, MinY: 0, MaxX: 40, MaxY: 40}, 0, 60)...)
+	after := append([]int64(nil), searchRange(base, geom.AABB{MinX: 0, MinY: 0, MaxX: 40, MaxY: 40}, 0, 60)...)
 	slices.Sort(after)
 	if !slices.Equal(before, after) {
 		t.Fatal("Inserted mutated the receiver's answers")

@@ -161,7 +161,7 @@ func chainedFleetTree(tb testing.TB) (bulk, chained *RTree, trs []*trajectory.Tr
 		var batch []Entry
 		for j := 0; j < 200; j++ {
 			tr := trs[rng.Intn(len(trs))]
-			d := geom.Vec{X: rng.Float64() - 0.5, Y: rng.Float64() - 0.5}
+			dx, dy := rng.Float64()-0.5, rng.Float64()-0.5
 			for i := 0; i < tr.NumSegments(); i++ {
 				seg, t0, t1 := tr.Segment(i)
 				if t1 <= now {
@@ -170,7 +170,7 @@ func chainedFleetTree(tb testing.TB) (bulk, chained *RTree, trs []*trajectory.Tr
 				if t0 < now {
 					seg.A, t0 = tr.At(now), now
 				}
-				batch = append(batch, Entry{ID: tr.OID, Box: geom.AABBOf(seg.A.Add(d), seg.B.Add(d)).Expand(0.5), T0: t0, T1: t1})
+				batch = append(batch, Entry{ID: tr.OID, Box: geom.AABBOf(geom.Point{X: seg.A.X + dx, Y: seg.A.Y + dy}, geom.Point{X: seg.B.X + dx, Y: seg.B.Y + dy}).Expand(0.5), T0: t0, T1: t1})
 			}
 		}
 		chained = chained.Inserted(batch...)

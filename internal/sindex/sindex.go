@@ -258,9 +258,6 @@ func (nd *node) recompute() {
 // Len returns the number of entries in the tree.
 func (t *RTree) Len() int { return t.count }
 
-// Height returns the number of levels (0 for an empty tree).
-func (t *RTree) Height() int { return t.height }
-
 // Visit calls fn with the ID of every entry whose box intersects `box` and
 // whose time interval intersects [t0, t1], in packing order, until fn
 // returns false; it reports whether the walk ran to completion. An ID
@@ -286,17 +283,6 @@ func (nd *node) visit(box geom.AABB, t0, t1 float64, fn func(id int64) bool) boo
 		}
 	}
 	return true
-}
-
-// SearchRange collects Visit's IDs. IDs may repeat if the same ID was
-// inserted with several entries; callers dedupe as needed.
-func (t *RTree) SearchRange(box geom.AABB, t0, t1 float64) []int64 {
-	var out []int64
-	t.Visit(box, t0, t1, func(id int64) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
 }
 
 // Neighbor is one kNN result: an entry ID and its box distance from the

@@ -46,10 +46,10 @@ func sortIDs(ids []int64) []int64 {
 
 func TestRTreeEmpty(t *testing.T) {
 	tr := NewRTree(nil, 0)
-	if tr.Len() != 0 || tr.Height() != 0 {
-		t.Errorf("empty tree: len=%d height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 0 || tr.height != 0 {
+		t.Errorf("empty tree: len=%d height=%d", tr.Len(), tr.height)
 	}
-	if got := tr.SearchRange(geom.AABB{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0, 1); got != nil {
+	if got := searchRange(tr, geom.AABB{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0, 1); got != nil {
 		t.Errorf("search on empty = %v", got)
 	}
 	if got := tr.KNN(geom.Point{}, 0, 3); got != nil {
@@ -60,16 +60,16 @@ func TestRTreeEmpty(t *testing.T) {
 func TestRTreeSingle(t *testing.T) {
 	e := Entry{ID: 42, Box: geom.AABB{MinX: 1, MinY: 1, MaxX: 2, MaxY: 2}, T0: 0, T1: 10}
 	tr := NewRTree([]Entry{e}, 4)
-	if tr.Len() != 1 || tr.Height() != 1 {
-		t.Errorf("len=%d height=%d", tr.Len(), tr.Height())
+	if tr.Len() != 1 || tr.height != 1 {
+		t.Errorf("len=%d height=%d", tr.Len(), tr.height)
 	}
-	if got := tr.SearchRange(geom.AABB{MinX: 0, MinY: 0, MaxX: 3, MaxY: 3}, 0, 5); len(got) != 1 || got[0] != 42 {
+	if got := searchRange(tr, geom.AABB{MinX: 0, MinY: 0, MaxX: 3, MaxY: 3}, 0, 5); len(got) != 1 || got[0] != 42 {
 		t.Errorf("hit = %v", got)
 	}
-	if got := tr.SearchRange(geom.AABB{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 0, 5); got != nil {
+	if got := searchRange(tr, geom.AABB{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}, 0, 5); got != nil {
 		t.Errorf("spatial miss = %v", got)
 	}
-	if got := tr.SearchRange(geom.AABB{MinX: 0, MinY: 0, MaxX: 3, MaxY: 3}, 20, 30); got != nil {
+	if got := searchRange(tr, geom.AABB{MinX: 0, MinY: 0, MaxX: 3, MaxY: 3}, 20, 30); got != nil {
 		t.Errorf("temporal miss = %v", got)
 	}
 }
@@ -88,7 +88,7 @@ func TestRTreeMatchesLinearScan(t *testing.T) {
 			box := geom.AABB{MinX: x, MinY: y, MaxX: x + rng.Float64()*10, MaxY: y + rng.Float64()*10}
 			t0 := rng.Float64() * 60
 			t1 := t0 + rng.Float64()*20
-			got := sortIDs(tr.SearchRange(box, t0, t1))
+			got := sortIDs(searchRange(tr, box, t0, t1))
 			want := linearRange(es, box, t0, t1)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d q=%d: got %d ids, want %d", n, q, len(got), len(want))
@@ -106,8 +106,8 @@ func TestRTreeHeightGrows(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	small := NewRTree(randEntries(rng, 10), 4)
 	big := NewRTree(randEntries(rng, 1000), 4)
-	if small.Height() < 1 || big.Height() <= small.Height() {
-		t.Errorf("heights: small=%d big=%d", small.Height(), big.Height())
+	if small.height < 1 || big.height <= small.height {
+		t.Errorf("heights: small=%d big=%d", small.height, big.height)
 	}
 }
 
@@ -177,4 +177,15 @@ func TestKNNZeroK(t *testing.T) {
 	if got := tr.KNN(geom.Point{}, 5, 0); got != nil {
 		t.Errorf("k=0: %v", got)
 	}
+}
+
+// searchRange collects the IDs tree.Visit reports for box × [t0, t1], an ID
+// once per matching entry.
+func searchRange(tree *RTree, box geom.AABB, t0, t1 float64) []int64 {
+	var out []int64
+	tree.Visit(box, t0, t1, func(id int64) bool {
+		out = append(out, id)
+		return true
+	})
+	return out
 }

@@ -124,11 +124,6 @@ func (tr *Trajectory) segmentVelocity(i int) geom.Vec {
 	return geom.Vec{X: (b.X - a.X) / dt, Y: (b.Y - a.Y) / dt}
 }
 
-// Speed returns the scalar speed on segment i (Eq. 1).
-func (tr *Trajectory) Speed(i int) float64 {
-	return tr.segmentVelocity(i).Len()
-}
-
 // NumSegments returns the number of linear segments.
 func (tr *Trajectory) NumSegments() int { return len(tr.Verts) - 1 }
 
@@ -160,15 +155,6 @@ func (tr *Trajectory) BoundingBox() geom.AABB {
 		b = b.ExtendPoint(v.Point())
 	}
 	return b
-}
-
-// Length returns the total expected path length.
-func (tr *Trajectory) Length() float64 {
-	var s float64
-	for i := 0; i+1 < len(tr.Verts); i++ {
-		s += tr.Verts[i].Point().Dist(tr.Verts[i+1].Point())
-	}
-	return s
 }
 
 // --- binary codec ---

@@ -92,9 +92,6 @@ func TestVelocityAndSpeed(t *testing.T) {
 	if v := tr.VelocityAt(16); v != (geom.Vec{}) {
 		t.Errorf("VelocityAt(16) = %v", v)
 	}
-	if s := tr.Speed(0); math.Abs(s-1) > 1e-12 {
-		t.Errorf("Speed(0) = %g", s)
-	}
 }
 
 func TestTimeSpanSegments(t *testing.T) {
@@ -130,9 +127,6 @@ func TestBoundingBoxLength(t *testing.T) {
 	b := tr.BoundingBox()
 	if b.MinX != 0 || b.MaxX != 10 || b.MinY != 0 || b.MaxY != 5 {
 		t.Errorf("BoundingBox = %+v", b)
-	}
-	if l := tr.Length(); math.Abs(l-15) > 1e-12 {
-		t.Errorf("Length = %g", l)
 	}
 }
 

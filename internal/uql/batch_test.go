@@ -116,10 +116,15 @@ func TestRunBatchPartialFailure(t *testing.T) {
 func TestRunBatchSharesProcessor(t *testing.T) {
 	store := batchStore(t, 20)
 	eng := engine.New(2)
-	if _, err := eng.DoBatch(context.Background(), store, compileScript(t, batchScript)); err != nil {
+	res, err := eng.DoBatch(context.Background(), store, compileScript(t, batchScript))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := eng.MemoLen(); n != 1 {
-		t.Errorf("memo len = %d, want 1 (one query trajectory and window)", n)
+	// The batch builds its one (query, window) processor up front, at the
+	// deepest rank it asks for; every statement then reuses it.
+	for i, r := range res {
+		if r.Err != nil || !r.Explain.MemoHit {
+			t.Errorf("statement %d: err %v, memo hit %v; want a hit on the one shared build", i, r.Err, r.Explain.MemoHit)
+		}
 	}
 }

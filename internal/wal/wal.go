@@ -295,14 +295,6 @@ func (l *Log) Append(batch []mod.Update) error {
 	return nil
 }
 
-// Seq returns the total number of batches the log covers (snapshot +
-// appended).
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.snapSeq + l.appended
-}
-
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 

@@ -85,7 +85,8 @@ func TestGenerateInvariants(t *testing.T) {
 		// Segment speeds within [15, 60] mph (reflection can only shorten the
 		// net displacement, so speeds are bounded above).
 		for s := 0; s < tr.NumSegments(); s++ {
-			mph := tr.Speed(s) * 60
+			seg, t0, t1 := tr.Segment(s)
+			mph := seg.A.Dist(seg.B) / (t1 - t0) * 60
 			if mph > 60+1e-6 {
 				t.Fatalf("OID %d segment %d speed %g mph", tr.OID, s, mph)
 			}
