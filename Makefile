@@ -68,7 +68,10 @@ bench:
 # per-layer ones among them (BenchmarkSweepBounds, BenchmarkSweepSurvivors,
 # BenchmarkSweepFiltered, BenchmarkMinCrispDist in internal/prune,
 # BenchmarkColdBuild in internal/engine (one memo-miss UQ31 Do at
-# N = 3 000, on one worker and on two),
+# N = 3 000, on one worker and on two; BenchmarkColdBuild/UQ41k2, a
+# UQ41 k = 2 Do on two, and BenchmarkColdBuild/afterRevision, a UQ31 Do
+# after an untimed one-update revision, so the new version's View and
+# cover are in the row),
 # BenchmarkApplyUpdatesTagged and BenchmarkBuildIndex in internal/mod,
 # BenchmarkKNN/bulk, BenchmarkKNN/chained (KNN on a tree chained through
 # Inserted) and BenchmarkInsertedBatch in internal/sindex,

@@ -252,8 +252,8 @@ func SplitStore(store *mod.Store, n int, part Partitioner) ([]*mod.Store, error)
 		}
 		out[i] = s
 	}
-	trs, tags, _ := store.AllWithTags()
-	for _, tr := range trs {
+	v := store.TaggedView()
+	for j, tr := range v.Trajs {
 		i := part.Place(tr, n)
 		if i < 0 || i >= n {
 			return nil, fmt.Errorf("cluster: partitioner %s placed OID %d on shard %d of %d", part.Name(), tr.OID, i, n)
@@ -261,7 +261,7 @@ func SplitStore(store *mod.Store, n int, part Partitioner) ([]*mod.Store, error)
 		if err := out[i].Insert(tr); err != nil {
 			return nil, err
 		}
-		if ts := tags[tr.OID]; len(ts) > 0 {
+		if ts := v.Tags[j]; len(ts) > 0 {
 			if err := out[i].SetTags(tr.OID, ts); err != nil {
 				return nil, err
 			}

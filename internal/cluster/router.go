@@ -153,7 +153,7 @@ type gathered struct {
 // the round built it.
 func (g *gathered) processor(ctx context.Context, pl *pool.Pool, tb, te float64) (proc *queries.Processor, reused bool, err error) {
 	if v := g.store.Version(); g.proc == nil || g.procAt != v {
-		if g.proc, err = queries.NewProcessorOn(ctx, pl, g.store.All(), g.q, tb, te, g.store.Radius(), nil); err != nil {
+		if g.proc, err = queries.NewProcessorOn(ctx, pl, g.store.All(), g.q, tb, te, g.store.Radius(), nil, nil); err != nil {
 			return nil, false, err
 		}
 		g.procAt = v

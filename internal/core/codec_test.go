@@ -88,7 +88,7 @@ func TestTheorem2DualConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		levels, err := envelope.KLevelEnvelopes(fns, 0, 60, maxL)
+		levels, err := envelope.KLevelEnvelopes(nil, fns, 0, 60, maxL)
 		if err != nil {
 			t.Fatal(err)
 		}

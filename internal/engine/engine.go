@@ -161,7 +161,7 @@ func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb
 				// the filter is semantics, so the scan runs over the
 				// sub-MOD just like the pruned path (the exempt query is
 				// q itself, never read from the snapshot).
-				slot.proc, slot.err = queries.NewProcessorOn(ctx, e.pool, matchingTrajectories(store, where), q, tb, te, store.Radius(), nil)
+				slot.proc, slot.err = queries.NewProcessorOn(ctx, e.pool, matchingTrajectories(store, where), q, tb, te, store.Radius(), nil, nil)
 			} else {
 				slot.proc, slot.err = prune.ForQueryWhereCtx(ctx, e.pool, store, q, tb, te, where)
 			}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mod"
 	"repro/internal/queries"
 	"repro/internal/textidx"
+	"repro/internal/trajectory"
 )
 
 // TestPoolBuildMatchesSerial: a cold build on a 4-worker pool — the probe
@@ -182,7 +183,10 @@ func TestPoolBuildCancellationCheckpoints(t *testing.T) {
 }
 
 // BenchmarkColdBuild: one memo-miss Do of UQ31 at N = 3 000 — the
-// pre-pass, the build and the filter — on one worker and on two.
+// pre-pass, the build and the filter — on one worker and on two; then, on
+// two workers, a UQ41 k = 2 Do (the level-2 envelope on top), and a UQ31
+// Do after an untimed one-update revision, so that the first View of the
+// new version and its cover are in the row.
 func BenchmarkColdBuild(b *testing.B) {
 	store, qOID := newStore(b, 3000, 7)
 	req := Request{Kind: KindUQ31, QueryOID: qOID, Tb: 0, Te: 60}
@@ -196,4 +200,34 @@ func BenchmarkColdBuild(b *testing.B) {
 			}
 		})
 	}
+	b.Run("UQ41k2", func(b *testing.B) {
+		req := Request{Kind: KindUQ41, K: 2, QueryOID: qOID, Tb: 0, Te: 60}
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := New(2).Do(context.Background(), store, req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("afterRevision", func(b *testing.B) {
+		oids := store.OIDs()
+		b.ReportAllocs()
+		for i := range b.N {
+			b.StopTimer()
+			tr, err := store.Get(oids[1+i%(len(oids)-1)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			end := tr.Verts[len(tr.Verts)-1]
+			p := tr.At(0.5 * (tr.Verts[0].T + end.T))
+			rev := []trajectory.Vertex{{X: p.X, Y: p.Y, T: 0.5 * (tr.Verts[0].T + end.T)}, end}
+			if _, err := store.ApplyUpdates([]mod.Update{{OID: tr.OID, Verts: rev}}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := New(2).Do(context.Background(), store, req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

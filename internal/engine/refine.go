@@ -35,7 +35,7 @@ func (e *Engine) DoRestricted(ctx context.Context, store *mod.Store, req Request
 	if err != nil {
 		return fail(fmt.Errorf("engine: query trajectory: %w", err))
 	}
-	proc, err := queries.NewProcessorOn(ctx, e.pool, matchingTrajectories(store, req.Where.Canon()), q, req.Tb, req.Te, store.Radius(), nil)
+	proc, err := queries.NewProcessorOn(ctx, e.pool, matchingTrajectories(store, req.Where.Canon()), q, req.Tb, req.Te, store.Radius(), nil, nil)
 	if err != nil {
 		return fail(err)
 	}

@@ -530,10 +530,16 @@ func matchingTrajectories(store *mod.Store, where *textidx.Predicate) []*traject
 	if where == nil {
 		return store.All()
 	}
-	all, tags, _ := store.AllWithTags()
-	out := make([]*trajectory.Trajectory, 0, len(all))
-	for _, tr := range all {
-		if where.Matches(tags[tr.OID]) {
+	v := store.TaggedView()
+	n := 0
+	for _, ts := range v.Tags {
+		if where.Matches(ts) {
+			n++
+		}
+	}
+	out := make([]*trajectory.Trajectory, 0, n)
+	for i, tr := range v.Trajs {
+		if where.Matches(v.Tags[i]) {
 			out = append(out, tr)
 		}
 	}

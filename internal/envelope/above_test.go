@@ -31,7 +31,7 @@ func TestStrictlyAboveKeepsLevels(t *testing.T) {
 			above, below := 0, 0
 			for _, f := range fns {
 				rest := without(fns, f.ID)
-				levels, err := KLevelEnvelopes(rest, 0, 60, k)
+				levels, err := KLevelEnvelopes(nil, rest, 0, 60, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,7 +54,7 @@ func TestStrictlyAboveKeepsLevels(t *testing.T) {
 					continue
 				}
 				above++
-				with, err := KLevelEnvelopes(fns, 0, 60, k)
+				with, err := KLevelEnvelopes(nil, fns, 0, 60, k)
 				if err != nil {
 					t.Fatal(err)
 				}

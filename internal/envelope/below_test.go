@@ -77,7 +77,7 @@ func TestBelowIntervalsBitIdentical(t *testing.T) {
 	for _, segs := range []bool{false, true} {
 		for seed := int64(1); seed <= 50; seed++ {
 			fns := buildRandomFuncs(t, 1000+seed, 12, segs)
-			levels, err := KLevelEnvelopes(fns, 0, 60, 2)
+			levels, err := KLevelEnvelopes(nil, fns, 0, 60, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +254,7 @@ func FuzzBelowIntervals(f *testing.F) {
 			if len(rest) == 0 {
 				rest = fns
 			}
-			levels, err := KLevelEnvelopes(rest, tb, te, 2)
+			levels, err := KLevelEnvelopes(nil, rest, tb, te, 2)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,11 @@
 package envelope
 
 import (
+	"context"
 	"fmt"
 	"sort"
+
+	"repro/internal/pool"
 )
 
 // KLevelEnvelopes returns the first k ranked lower envelopes of the
@@ -16,7 +19,13 @@ import (
 // of Algorithm 3). If fewer than j functions exist somewhere, level j is
 // absent there; when no functions remain at all, fewer than k envelopes are
 // returned.
-func KLevelEnvelopes(fns []*DistanceFunc, tb, te float64, k int) ([]*Envelope, error) {
+//
+// Level 1 is LowerEnvelopeOn(pl, ...), and a deeper level's elementary
+// intervals run one task each on pl (nil: one after the other on the
+// caller), each into its own slot; the slots are joined in interval order,
+// so the envelopes are the serial ones bit for bit. As in LowerEnvelopeOn
+// the loop runs on a context that never ends.
+func KLevelEnvelopes(pl *pool.Pool, fns []*DistanceFunc, tb, te float64, k int) ([]*Envelope, error) {
 	if len(fns) == 0 {
 		return nil, ErrNoFunctions
 	}
@@ -31,7 +40,7 @@ func KLevelEnvelopes(fns []*DistanceFunc, tb, te float64, k int) ([]*Envelope, e
 		table[f.ID] = f
 	}
 	var out []*Envelope
-	first, err := LowerEnvelope(fns, tb, te)
+	first, err := LowerEnvelopeOn(pl, fns, tb, te)
 	if err != nil {
 		return nil, err
 	}
@@ -50,11 +59,11 @@ func KLevelEnvelopes(fns []*DistanceFunc, tb, te float64, k int) ([]*Envelope, e
 		sort.Float64s(cutSet)
 		cutSet = dedupTimes(cutSet)
 
-		var ivs []Interval
-		for i := 1; i < len(cutSet); i++ {
-			t0, t1 := cutSet[i-1], cutSet[i]
+		subs := make([][]Interval, len(cutSet)-1)
+		_ = pl.ForEachIndex(context.Background(), len(subs), func(i int) error {
+			t0, t1 := cutSet[i], cutSet[i+1]
 			if t1-t0 <= TimeEps {
-				continue
+				return nil
 			}
 			mid := 0.5 * (t0 + t1)
 			excluded := make(map[int64]bool, j-1)
@@ -67,10 +76,13 @@ func KLevelEnvelopes(fns []*DistanceFunc, tb, te float64, k int) ([]*Envelope, e
 					remaining = append(remaining, f)
 				}
 			}
-			if len(remaining) == 0 {
-				continue
+			if len(remaining) > 0 {
+				subs[i] = leAlg(remaining, t0, t1, table)
 			}
-			sub := leAlg(remaining, t0, t1, table)
+			return nil
+		})
+		var ivs []Interval
+		for _, sub := range subs {
 			for _, iv := range sub {
 				ivs = concatMerge(ivs, iv)
 			}

@@ -203,6 +203,7 @@ func (s *Store) applyLocked(u Update) (Applied, step, error) {
 			return Applied{}, step{}, err
 		}
 		s.trajs[u.OID] = tr
+		s.members++
 		if u.Tags != nil {
 			s.setTagsLocked(u.OID, canon)
 		}
@@ -248,6 +249,7 @@ func (s *Store) retireLocked(oid int64) (Applied, step, error) {
 	prevTags := s.tags[oid]
 	delete(s.trajs, oid)
 	delete(s.tags, oid)
+	s.members++
 	s.segLive -= old.NumSegments()
 	a := Applied{OID: oid, Retired: true, ChangedFrom: math.Inf(-1), Prev: old}
 	if len(prevTags) > 0 {

@@ -14,7 +14,6 @@
 package mod
 
 import (
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -97,16 +96,19 @@ type Store struct {
 	spec    PDFSpec
 	pdf     updf.RadialPDF
 	version uint64 // bumped on every successful mutation
+	// members is bumped by every mutation that changes the OID set (an
+	// insert, loading or live, and a retire): a version that moved
+	// without it holds the same OIDs as the one before.
+	members uint64
 
-	// view and tagView cache the sorted snapshot (All, OIDs) and the tag-map
-	// copy (AllWithTags) of the current version: built by the first reader
-	// after a mutation, shared by every reader until the version moves.
-	// viewMu serializes the builds, so readers racing on a new version get
-	// one copy between them; it is taken under mu, and a reader that finds
-	// the current version loaded takes neither.
-	view    atomic.Pointer[View]
-	tagView atomic.Pointer[tagView]
-	viewMu  sync.Mutex
+	// view caches the sorted snapshot (View, All, OIDs) of the current
+	// version: built by the first reader after a mutation, shared by every
+	// reader until the version moves. viewMu serializes the builds, so
+	// readers racing on a new version get one copy between them; it is
+	// taken under mu, and a reader that finds the current version loaded
+	// takes neither.
+	view   atomic.Pointer[View]
+	viewMu sync.Mutex
 
 	// Cached segment R-tree, valid for store version idxVersion. An
 	// update batch (live.go) chains it forward in one copy-on-write step;
@@ -176,6 +178,7 @@ func (s *Store) Insert(tr *trajectory.Trajectory) error {
 	}
 	s.trajs[tr.OID] = tr
 	s.version++
+	s.members++
 	s.segLive += tr.NumSegments()
 	return nil
 }
@@ -214,23 +217,66 @@ func (s *Store) OIDs() []int64 { return slices.Clone(s.View().OIDs) }
 // View is the store's contents at one version: the trajectories sorted by
 // OID and their OIDs in a parallel slice (so an OID resolves to its
 // position by binary search over plain integers). A View is immutable and
-// shared — by every caller of View, All and AllWithTags until the next
-// mutation — so its slices must not be written to; both have cap == len,
+// shared — by every caller of View, All and TaggedView until the next
+// mutation — so its slices must not be written to; they have cap == len,
 // so appending to one reallocates instead of writing into the shared
-// array.
+// array. Versions that differ only by plan revisions and tag flips hold
+// the same OIDs, and their Views share one OIDs array.
 type View struct {
 	Version uint64
 	Trajs   []*trajectory.Trajectory
 	OIDs    []int64
+	// Tags[i] is the canonical tag set of OIDs[i] (nil: untagged). It is
+	// filled once per version by the first TaggedView call, so read it
+	// only from a View that TaggedView returned.
+	Tags [][]string
+
+	members  uint64 // the store's membership count at this version
+	tagsOnce sync.Once
+
+	coverOnce  sync.Once
+	start, end float64
+}
+
+// Cover returns the span every trajectory of the view covers: the latest
+// start and the earliest end of their plans (-Inf and +Inf for an empty
+// view). It bounds any subset of the view too. Computed on the first call.
+func (v *View) Cover() (start, end float64) {
+	v.coverOnce.Do(func() {
+		v.start, v.end = math.Inf(-1), math.Inf(1)
+		for _, tr := range v.Trajs {
+			v.start = max(v.start, tr.Verts[0].T)
+			v.end = min(v.end, tr.Verts[len(tr.Verts)-1].T)
+		}
+	})
+	return v.start, v.end
 }
 
 // View returns the current version's snapshot, building it on the first
-// read after a mutation: the copy and sort of N pointers is paid once per
-// store version, not once per query.
+// read after a mutation. The build sorts the OIDs only when the OID set
+// has changed since the last View; a version reached by plan revisions
+// and tag flips alone reuses the last OIDs and looks its trajectories up
+// by OID, so a live fleet's revision batches never pay a sort.
 func (s *Store) View() *View {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.viewLocked()
+}
+
+// TaggedView is View with the Tags slice filled: the snapshot a
+// predicate-filtered query matches against, its tag sets consistent with
+// its trajectories.
+func (s *Store) TaggedView() *View {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v := s.viewLocked()
+	v.tagsOnce.Do(func() {
+		v.Tags = make([][]string, len(v.OIDs))
+		for i, oid := range v.OIDs {
+			v.Tags[i] = s.tags[oid]
+		}
+	})
+	return v
 }
 
 // viewLocked is View for callers that hold s.mu (either mode). The first
@@ -242,16 +288,22 @@ func (s *Store) viewLocked() *View {
 	}
 	s.viewMu.Lock()
 	defer s.viewMu.Unlock()
-	if v := s.view.Load(); v != nil && v.Version == s.version {
-		return v
+	prev := s.view.Load()
+	if prev != nil && prev.Version == s.version {
+		return prev
 	}
-	v := &View{Version: s.version, Trajs: make([]*trajectory.Trajectory, 0, len(s.trajs)), OIDs: make([]int64, len(s.trajs))}
-	for _, tr := range s.trajs {
-		v.Trajs = append(v.Trajs, tr)
+	v := &View{Version: s.version, members: s.members, Trajs: make([]*trajectory.Trajectory, len(s.trajs))}
+	if prev != nil && prev.members == s.members {
+		v.OIDs = prev.OIDs
+	} else {
+		v.OIDs = make([]int64, 0, len(s.trajs))
+		for oid := range s.trajs {
+			v.OIDs = append(v.OIDs, oid)
+		}
+		slices.Sort(v.OIDs)
 	}
-	slices.SortFunc(v.Trajs, func(a, b *trajectory.Trajectory) int { return cmp.Compare(a.OID, b.OID) })
-	for i, tr := range v.Trajs {
-		v.OIDs[i] = tr.OID
+	for i, oid := range v.OIDs {
+		v.Trajs[i] = s.trajs[oid]
 	}
 	s.view.Store(v)
 	return v

@@ -3,10 +3,8 @@ package mod
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/textidx"
-	"repro/internal/trajectory"
 )
 
 // This file is the textual-attribute surface of the store: canonical
@@ -15,7 +13,7 @@ import (
 // trajectories. Tag sets ride the same version counter as geometry, so
 // every (version-keyed) cache in the query stack sees tag flips exactly
 // like plan revisions. Tags are data, not an index: a filtered query
-// matches them against one consistent snapshot (AllWithTags) and prunes
+// matches them against one consistent snapshot (TaggedView) and prunes
 // on the same segment R-tree as an unfiltered one, so a tag flip costs
 // the write path a map store and a version step (maintainIndexes).
 
@@ -60,37 +58,6 @@ func (s *Store) Tags(oid int64) []string {
 	return s.tags[oid]
 }
 
-// tagView is the tag-map copy of one store version (see Store.tagView).
-type tagView struct {
-	version uint64
-	tags    map[int64][]string
-}
-
-// AllWithTags returns the trajectory snapshot, the tag map, and the
-// version they were taken at, under one lock acquisition — the
-// predicate-filtered query path needs the two views consistent, since
-// which objects exist in the sub-MOD is decided by matching tags against
-// exactly this trajectory set. Like the View's slices, the map is copied
-// once per store version and shared between callers: read-only.
-func (s *Store) AllWithTags() ([]*trajectory.Trajectory, map[int64][]string, uint64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v := s.viewLocked()
-	tv := s.tagView.Load()
-	if tv == nil || tv.version != s.version {
-		s.viewMu.Lock()
-		if tv = s.tagView.Load(); tv == nil || tv.version != s.version {
-			tv = &tagView{version: s.version, tags: make(map[int64][]string, len(s.tags))}
-			for oid, ts := range s.tags {
-				tv.tags[oid] = ts
-			}
-			s.tagView.Store(tv)
-		}
-		s.viewMu.Unlock()
-	}
-	return v.Trajs, tv.tags, v.Version
-}
-
 // MatchingOIDs returns the sorted OIDs whose tag sets satisfy where; a
 // nil predicate matches everything (the plain OIDs view). This is the
 // iteration-domain view the sharded all-pairs/reverse kinds union across
@@ -100,15 +67,13 @@ func (s *Store) MatchingOIDs(where *textidx.Predicate) []int64 {
 		return s.OIDs()
 	}
 	where = where.Canon()
-	s.mu.RLock()
-	out := make([]int64, 0, len(s.trajs))
-	for oid := range s.trajs {
-		if where.Matches(s.tags[oid]) {
+	v := s.TaggedView()
+	out := []int64{}
+	for i, oid := range v.OIDs {
+		if where.Matches(v.Tags[i]) {
 			out = append(out, oid)
 		}
 	}
-	s.mu.RUnlock()
-	slices.Sort(out)
 	return out
 }
 

@@ -1,7 +1,9 @@
 package mod
 
 import (
-	"reflect"
+	"fmt"
+	"maps"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
@@ -40,17 +42,19 @@ func TestViewSharedPerVersion(t *testing.T) {
 	if &a[0] != &b[0] {
 		t.Fatal("two reads of one version built two snapshots")
 	}
-	if trs, _, v := st.AllWithTags(); &trs[0] != &a[0] || v != st.Version() {
-		t.Fatal("AllWithTags does not share the version's snapshot")
+	tv := st.TaggedView()
+	if &tv.Trajs[0] != &a[0] || tv.Version != st.Version() {
+		t.Fatal("TaggedView does not share the version's snapshot")
 	}
-	sameMap := func(x, y map[int64][]string) bool {
-		return reflect.ValueOf(x).Pointer() == reflect.ValueOf(y).Pointer()
+	if &st.TaggedView().Tags[0] != &tv.Tags[0] {
+		t.Fatal("two reads of one version filled the tag slice twice")
 	}
-	_, tags1, _ := st.AllWithTags()
-	if _, tags2, _ := st.AllWithTags(); !sameMap(tags1, tags2) {
-		t.Fatal("two reads of one version copied the tag map twice")
+	for i, oid := range tv.OIDs {
+		if !slices.Equal(tv.Tags[i], st.Tags(oid)) {
+			t.Fatalf("Tags[%d] = %v beside OID %d, which holds %v", i, tv.Tags[i], oid, st.Tags(oid))
+		}
 	}
-	if cap(a) != len(a) || cap(st.View().OIDs) != len(a) {
+	if cap(a) != len(a) || cap(st.View().OIDs) != len(a) || cap(tv.Tags) != len(a) {
 		t.Fatalf("snapshot slices have spare capacity (%d > %d): an append would write into them", cap(a), len(a))
 	}
 	grown := append(a, a[0])
@@ -64,8 +68,90 @@ func TestViewSharedPerVersion(t *testing.T) {
 	if &c[0] == &a[0] || c[0] == a[0] {
 		t.Fatal("a mutation did not retire the snapshot")
 	}
-	if _, tags3, _ := st.AllWithTags(); sameMap(tags1, tags3) {
-		t.Fatal("a mutation did not retire the tag-map copy")
+	if &st.TaggedView().Tags[0] == &tv.Tags[0] {
+		t.Fatal("a mutation did not retire the tag slice")
+	}
+}
+
+// TestViewReuseMatchesFreshBuild: over random mixed batches — revisions,
+// tag flips, inserts, retires, an OID retired and re-entered, loading
+// Inserts — every View equals one built from the store's maps, and a
+// version whose OID set did not move shares the previous View's OIDs
+// array while one whose set moved does not.
+func TestViewReuseMatchesFreshBuild(t *testing.T) {
+	st := viewStore(t, 60)
+	rng := rand.New(rand.NewPCG(7, 2025))
+	plan := func(t0 float64) []trajectory.Vertex {
+		return []trajectory.Vertex{{X: rng.Float64(), Y: rng.Float64(), T: t0}, {X: rng.Float64(), Y: rng.Float64(), T: t0 + 1 + rng.Float64()}}
+	}
+	nextOID := int64(1_000_000)
+	prev := st.TaggedView()
+	for round := range 400 {
+		oids := prev.OIDs
+		pick := func() int64 { return oids[rng.IntN(len(oids))] }
+		var batch []Update
+		moved := false
+		switch kind := rng.IntN(10); {
+		case kind == 0:
+			nextOID++
+			if err := st.Insert(&trajectory.Trajectory{OID: nextOID, Verts: plan(0)}); err != nil {
+				t.Fatal(err)
+			}
+			moved = true
+		case kind == 1:
+			if err := st.SetTags(pick(), []string{fmt.Sprint("t", rng.IntN(3))}); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			used := map[int64]bool{}
+			for range 1 + rng.IntN(6) {
+				oid := pick()
+				if used[oid] {
+					continue
+				}
+				used[oid] = true
+				tags := []string{fmt.Sprint("t", rng.IntN(3))}
+				tr, _ := st.Get(oid)
+				switch op := rng.IntN(12); {
+				case op < 5:
+					batch = append(batch, Update{OID: oid, Verts: plan(tr.Verts[0].T + 0.5)})
+				case op < 9:
+					batch = append(batch, Update{OID: oid, Tags: &tags})
+				case op == 9 && len(oids) > 20:
+					batch = append(batch, Update{OID: oid, Retire: true})
+					moved = true
+				case op == 10 && len(oids) > 20:
+					batch = append(batch, Update{OID: oid, Retire: true}, Update{OID: oid, Verts: plan(0), Tags: &tags})
+					moved = true
+				default:
+					nextOID++
+					batch = append(batch, Update{OID: nextOID, Verts: plan(0), Tags: &tags})
+					moved = true
+				}
+			}
+			if _, err := st.ApplyUpdates(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := st.TaggedView()
+		st.mu.RLock()
+		want := slices.Sorted(maps.Keys(st.trajs))
+		for i, oid := range want {
+			if i >= len(v.OIDs) || v.OIDs[i] != oid || v.Trajs[i] != st.trajs[oid] || !slices.Equal(v.Tags[i], st.tags[oid]) {
+				st.mu.RUnlock()
+				t.Fatalf("round %d: the View differs from the store's maps at position %d", round, i)
+			}
+		}
+		st.mu.RUnlock()
+		if len(v.OIDs) != len(want) || len(v.Trajs) != len(want) || len(v.Tags) != len(want) ||
+			cap(v.OIDs) != len(want) || cap(v.Trajs) != len(want) || cap(v.Tags) != len(want) {
+			t.Fatalf("round %d: View lengths %d/%d/%d (caps %d/%d/%d), want %d", round,
+				len(v.OIDs), len(v.Trajs), len(v.Tags), cap(v.OIDs), cap(v.Trajs), cap(v.Tags), len(want))
+		}
+		if shared := &v.OIDs[0] == &prev.OIDs[0]; shared == moved {
+			t.Fatalf("round %d: OIDs array shared = %v after a batch that moved the OID set = %v", round, shared, moved)
+		}
+		prev = v
 	}
 }
 
@@ -142,7 +228,7 @@ func TestViewUnderConcurrentUpdates(t *testing.T) {
 }
 
 // TestViewBuiltOncePerVersion (run it with -race): readers that race on a
-// new version all get the one View built for it, and the one tag-map copy.
+// new version all get the one View built for it, and the one tag slice.
 func TestViewBuiltOncePerVersion(t *testing.T) {
 	st := viewStore(t, 400)
 	oid := st.OIDs()[0]
@@ -155,7 +241,7 @@ func TestViewBuiltOncePerVersion(t *testing.T) {
 			wg    sync.WaitGroup
 			start = make(chan struct{})
 			views [readers]*View
-			tags  [readers]map[int64][]string
+			tags  [readers][][]string
 		)
 		for r := range readers {
 			wg.Add(1)
@@ -164,9 +250,9 @@ func TestViewBuiltOncePerVersion(t *testing.T) {
 				<-start
 				if r%2 == 0 {
 					views[r] = st.View()
-					_, tags[r], _ = st.AllWithTags()
+					tags[r] = st.TaggedView().Tags
 				} else {
-					_, tags[r], _ = st.AllWithTags()
+					tags[r] = st.TaggedView().Tags
 					views[r] = st.View()
 				}
 			}()
@@ -177,8 +263,8 @@ func TestViewBuiltOncePerVersion(t *testing.T) {
 			if views[r] != views[0] {
 				t.Fatalf("round %d: readers 0 and %d got two Views of version %d", round, r, views[0].Version)
 			}
-			if reflect.ValueOf(tags[r]).Pointer() != reflect.ValueOf(tags[0]).Pointer() {
-				t.Fatalf("round %d: readers 0 and %d got two tag-map copies", round, r)
+			if &tags[r][0] != &tags[0][0] {
+				t.Fatalf("round %d: readers 0 and %d got two tag slices", round, r)
 			}
 		}
 	}

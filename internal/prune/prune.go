@@ -31,9 +31,13 @@
 //     plan segment it is then on intersects the walked box in space and
 //     time.
 //
-// The survivor set feeds queries.NewProcessorPrunedCtx, which answers every
-// UQ variant identically to a full-scan Processor while building distance
-// functions only for survivors.
+// The survivor set feeds queries.NewProcessorOn, which answers every UQ
+// variant identically to a full-scan Processor while building distance
+// functions only for survivors. ForQueryWhereCtx hands it the snapshot's
+// cover (mod.View.Cover) too, so the build checks the window once instead
+// of once per pruned candidate, with the full scan's error either way: a
+// cold build's serial work is its survivors' and the store version's, not
+// N per query.
 //
 // Every entry point takes a nil-able *textidx.Predicate (see where.go): nil
 // runs over the whole MOD, non-nil over the matching sub-MOD. All of them

@@ -160,10 +160,12 @@ func Revise(ctx context.Context, store *mod.Store, seed *Seed, applied []mod.App
 		v := store.View()
 		u.Trajs, version = v.Trajs, v.Version
 	} else {
-		var tags map[int64][]string
-		u.Trajs, tags, version = store.AllWithTags()
-		where := seed.where
-		u.Member = func(oid int64) bool { return where.Matches(tags[oid]) }
+		v, where := store.TaggedView(), seed.where
+		u.Trajs, version = v.Trajs, v.Version
+		u.Member = func(oid int64) bool {
+			i, ok := slices.BinarySearch(v.OIDs, oid)
+			return ok && where.Matches(v.Tags[i])
+		}
 	}
 	i, ok := slices.BinarySearchFunc(u.Trajs, ps.Query.OID, func(tr *trajectory.Trajectory, id int64) int { return cmp.Compare(tr.OID, id) })
 	if !ok {
@@ -244,7 +246,7 @@ func Revise(ctx context.Context, store *mod.Store, seed *Seed, applied []mod.App
 		return sw
 	})
 	proc.SetRankExpander(func(ctx context.Context, rank int) ([]int64, error) {
-		if sw := open(); !sw.stale && sw.version == version {
+		if sw := open(); !sw.stale && sw.view.Version == version {
 			ids, _, _, err := sw.zone(ctx, rank)
 			return ids, err
 		}
@@ -257,7 +259,7 @@ func Revise(ctx context.Context, store *mod.Store, seed *Seed, applied []mod.App
 		case k:
 			return cuts, boundsK, nil
 		}
-		if sw := open(); !sw.stale && sw.version == version {
+		if sw := open(); !sw.stale && sw.view.Version == version {
 			rb, err := sw.rankBounds(ctx, rank)
 			return sw.cuts, rb.bounds, err
 		}

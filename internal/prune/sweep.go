@@ -32,9 +32,9 @@ import (
 // captured state is read-only and the probe-pass memo is guarded.
 type Sweep struct {
 	trs        []*trajectory.Trajectory
-	oids       []int64 // trs[i].OID
-	version    uint64  // the store version the snapshot was taken at
-	candidates int     // non-query objects in the snapshot
+	oids       []int64   // trs[i].OID
+	view       *mod.View // the store snapshot trs is (or is filtered from)
+	candidates int       // non-query objects in the snapshot
 	idx        *sindex.RTree
 	r          float64
 	q          *trajectory.Trajectory

@@ -37,24 +37,32 @@ const predProbeBoost = 4
 // takeSnapshot captures a session's consistent pre-pass view — snapshot,
 // OID table, index, degrade state — restricted to q plus the
 // predicate-matching objects when where is non-nil (which must have passed
-// Validate). stale degrade keeps every *matching* object — the filter is
-// semantics, never dropped; only the index acceleration is.
+// Validate), matched against the View's own tag sets and copied into
+// slices of exactly the matching size. stale degrade keeps every
+// *matching* object — the filter is semantics, never dropped; only the
+// index acceleration is.
 func takeSnapshot(store *mod.Store, q *trajectory.Trajectory, where *textidx.Predicate) *Sweep {
 	if where == nil {
 		v := store.View()
-		return &Sweep{trs: v.Trajs, oids: v.OIDs, version: v.Version, idx: store.BuildIndex(0), stale: store.Version() != v.Version, boost: 1}
+		return &Sweep{trs: v.Trajs, oids: v.OIDs, view: v, idx: store.BuildIndex(0), stale: store.Version() != v.Version, boost: 1}
 	}
 	where = where.Canon()
-	trs, tags, v0 := store.AllWithTags()
-	s := &Sweep{trs: make([]*trajectory.Trajectory, 0, len(trs)), oids: make([]int64, 0, len(trs)), version: v0, boost: predProbeBoost}
-	for _, tr := range trs {
-		if tr.OID == q.OID || where.Matches(tags[tr.OID]) {
-			s.trs = append(s.trs, tr)
-			s.oids = append(s.oids, tr.OID)
+	v := store.TaggedView()
+	n := 0
+	for i, oid := range v.OIDs {
+		if oid == q.OID || where.Matches(v.Tags[i]) {
+			n++
+		}
+	}
+	s := &Sweep{trs: make([]*trajectory.Trajectory, 0, n), oids: make([]int64, 0, n), view: v, boost: predProbeBoost}
+	for i, oid := range v.OIDs {
+		if oid == q.OID || where.Matches(v.Tags[i]) {
+			s.trs = append(s.trs, v.Trajs[i])
+			s.oids = append(s.oids, oid)
 		}
 	}
 	s.idx = store.BuildIndex(0)
-	s.stale = store.Version() != v0
+	s.stale = store.Version() != v.Version
 	return s
 }
 
@@ -87,9 +95,12 @@ func ZoneWhereCtx(ctx context.Context, store *mod.Store, q *trajectory.Trajector
 // including error behavior; with a non-nil where the processor holds only q
 // (exempt: a query *about* a non-matching object over the matching fleet is
 // well-formed) and the matching objects, so it answers exactly as if the
-// others did not exist. The candidate sweep checks ctx per slice and the
-// processor construction per candidate, so canceling a request stops the
-// O(N) preprocessing early. The returned processor carries a rank expander
+// others did not exist. The build checks the window against the store
+// View's cover, which bounds the filtered snapshot too, and checks the
+// pruned candidates one by one only when the cover does not admit the
+// window. The candidate sweep checks ctx per slice and the processor
+// construction per survivor, so canceling a request stops the
+// preprocessing early. The returned processor carries a rank expander
 // over the same snapshot, so rank-k queries (k >= 2) grow the survivor
 // basis by re-probing the index at rank k instead of falling back to the
 // lazy full function build. The probe, the zone tests, the build and the
@@ -99,13 +110,14 @@ func ForQueryWhereCtx(ctx context.Context, pl *pool.Pool, store *mod.Store, q *t
 	s := newSweep(store, q, tb, te, where)
 	s.pool = pl
 	if s.stale {
-		return queries.NewProcessorOn(ctx, pl, s.trs, q, tb, te, s.r, nil)
+		return queries.NewProcessorOn(ctx, pl, s.trs, q, tb, te, s.r, nil, nil)
 	}
 	survivors, bounds, _, err := s.zone(ctx, 1)
 	if err != nil {
 		return nil, err
 	}
-	proc, err := queries.NewProcessorOn(ctx, pl, s.trs, q, tb, te, s.r, survivors)
+	start, end := s.view.Cover()
+	proc, err := queries.NewProcessorOn(ctx, pl, s.trs, q, tb, te, s.r, survivors, &queries.Cover{Start: start, End: end})
 	if err != nil || bounds == nil {
 		return proc, err
 	}

@@ -249,10 +249,25 @@ func NewProcessor(trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te
 	return NewProcessorPrunedCtx(context.Background(), trs, q, tb, te, r, nil)
 }
 
-// NewProcessorPrunedCtx is NewProcessorOn without a pool: the build runs
-// on the caller alone.
+// NewProcessorPrunedCtx is NewProcessorOn without a pool or a cover: the
+// build runs on the caller alone and checks every pruned candidate's
+// window.
 func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64, survivors []int64) (*Processor, error) {
-	return NewProcessorOn(ctx, nil, trs, q, tb, te, r, survivors)
+	return NewProcessorOn(ctx, nil, trs, q, tb, te, r, survivors, nil)
+}
+
+// Cover bounds the plans of a candidate snapshot: every trajectory in it
+// starts at or before Start and ends at or after End (mod.View.Cover).
+type Cover struct{ Start, End float64 }
+
+// admits reports whether no trajectory the cover bounds can fail
+// envelope.CheckWindow against q over [tb, te]. Subtracting TimeEps is
+// monotone, so a start at or before Start is at or before Start-TimeEps
+// once both lose TimeEps, and likewise for the ends: the test is exact,
+// not a tolerance.
+func (c *Cover) admits(q *trajectory.Trajectory, tb, te float64) bool {
+	return c != nil && !(tb < c.Start-envelope.TimeEps) && !(te > c.End+envelope.TimeEps) &&
+		envelope.CheckWindow(q, q, tb, te) == nil
 }
 
 // NewProcessorOn builds the envelope preprocessing for the query
@@ -273,11 +288,20 @@ func NewProcessorPrunedCtx(ctx context.Context, trs []*trajectory.Trajectory, q 
 // use. ctx is checked before every distance-function build, where the
 // O(survivors · m) work happens, so a canceled request stops there.
 //
+// The window contract is the full scan's too: construction fails exactly
+// when some candidate's distance function could not be built, with that
+// scan's error, so a pruned candidate has its window checked as well. A
+// non-nil cover promises that trs is in OID order and bounded by the
+// cover. When the cover (and q itself) admits the window, no candidate can
+// fail, and a pruned build finds its survivors in trs by binary search
+// without visiting the pruned candidates; otherwise, and with a nil
+// cover, every pruned candidate is checked in OID order.
+//
 // The distance functions and LE_Alg's two top halves are built on pl (nil:
 // on the caller), and the processor keeps pl for its lazy steps — basis
 // growth and the probability table. The processor is the same bit for bit
 // at any worker count.
-func NewProcessorOn(ctx context.Context, pl *pool.Pool, trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64, survivors []int64) (*Processor, error) {
+func NewProcessorOn(ctx context.Context, pl *pool.Pool, trs []*trajectory.Trajectory, q *trajectory.Trajectory, tb, te, r float64, survivors []int64, cover *Cover) (*Processor, error) {
 	if r <= 0 {
 		return nil, fmt.Errorf("queries: nonpositive radius %g", r)
 	}
@@ -285,12 +309,8 @@ func NewProcessorOn(ctx context.Context, pl *pool.Pool, trs []*trajectory.Trajec
 	// binary search, the functions and the candidate snapshot by
 	// construction — so a build allocates no hash map: trs itself is the
 	// snapshot. Store snapshots and the pre-pass hand both lists over
-	// sorted; anything else is put in order first, which also makes the
-	// answers independent of the input order.
-	if !slices.IsSortedFunc(trs, byOID) {
-		trs = slices.Clone(trs)
-		slices.SortFunc(trs, byOID)
-	}
+	// sorted (a cover promises it); anything else is put in order first,
+	// which also makes the answers independent of the input order.
 	if !slices.IsSorted(survivors) {
 		survivors = slices.Clone(survivors)
 		slices.Sort(survivors)
@@ -302,18 +322,32 @@ func NewProcessorOn(ctx context.Context, pl *pool.Pool, trs []*trajectory.Trajec
 	n := 0
 	var bad error
 	kept := make([]*trajectory.Trajectory, 0, size)
-	for _, tr := range trs {
-		if tr.OID == q.OID {
-			continue
+	if !full && cover.admits(q, tb, te) {
+		u := Universe{Trajs: trs}
+		n = u.count(q.OID)
+		for i, oid := range survivors {
+			if tr := u.Find(oid, q.OID); tr != nil && (i == 0 || oid != survivors[i-1]) {
+				kept = append(kept, tr)
+			}
 		}
-		n++
-		if _, ok := slices.BinarySearch(survivors, tr.OID); full || ok {
-			kept = append(kept, tr)
-		} else if err := envelope.CheckWindow(tr, q, tb, te); err != nil {
-			// A pruned candidate is validated against the window too,
-			// so construction fails exactly when a full scan would.
-			bad = fmt.Errorf("oid %d: %w", tr.OID, err)
-			break
+	} else {
+		if !slices.IsSortedFunc(trs, byOID) {
+			trs = slices.Clone(trs)
+			slices.SortFunc(trs, byOID)
+		}
+		for _, tr := range trs {
+			if tr.OID == q.OID {
+				continue
+			}
+			n++
+			if _, ok := slices.BinarySearch(survivors, tr.OID); full || ok {
+				kept = append(kept, tr)
+			} else if err := envelope.CheckWindow(tr, q, tb, te); err != nil {
+				// A pruned candidate is validated against the window too,
+				// so construction fails exactly when a full scan would.
+				bad = fmt.Errorf("oid %d: %w", tr.OID, err)
+				break
+			}
 		}
 	}
 	fns := make([]*envelope.DistanceFunc, len(kept))
@@ -330,7 +364,7 @@ func NewProcessorOn(ctx context.Context, pl *pool.Pool, trs []*trajectory.Trajec
 	if len(fns) == 0 {
 		// Defensive: survivors none of which is a candidate cannot carry
 		// the envelope; scan them all.
-		return NewProcessorOn(ctx, pl, trs, q, tb, te, r, nil)
+		return NewProcessorOn(ctx, pl, trs, q, tb, te, r, nil, nil)
 	}
 	env1, err := envelope.LowerEnvelopeOn(pl, fns, tb, te)
 	if err != nil {
@@ -496,7 +530,7 @@ func (p *Processor) zoneAt(ctx context.Context, k int) (zoneLevel, error) {
 		return zoneLevel{}, err
 	}
 	if k > len(p.levels) && len(p.levels) < len(p.basisTable) {
-		lv, err := envelope.KLevelEnvelopes(p.basisTable, p.Tb, p.Te, k)
+		lv, err := envelope.KLevelEnvelopes(p.pool, p.basisTable, p.Tb, p.Te, k)
 		if err != nil {
 			return zoneLevel{}, err
 		}

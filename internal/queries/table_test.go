@@ -115,7 +115,7 @@ func prunedFleet(t testing.TB, n int, seed int64, tb, te, r float64) (p *Process
 			excluded = f.ID
 		}
 	}
-	if p, err = NewProcessorOn(context.Background(), pool.New(0), trs, trs[0], tb, te, r, survivors); err != nil {
+	if p, err = NewProcessorOn(context.Background(), pool.New(0), trs, trs[0], tb, te, r, survivors, nil); err != nil {
 		t.Fatal(err)
 	}
 	members := p.UQ31()

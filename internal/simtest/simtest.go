@@ -163,13 +163,13 @@ func (w *World) SnapshotStore() (*mod.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	trs, tags, _ := w.mirror.AllWithTags()
-	if err := st.InsertAll(trs); err != nil {
+	v := w.mirror.TaggedView()
+	if err := st.InsertAll(v.Trajs); err != nil {
 		return nil, err
 	}
-	for _, tr := range trs {
-		if ts := tags[tr.OID]; len(ts) > 0 {
-			if err := st.SetTags(tr.OID, ts); err != nil {
+	for i, oid := range v.OIDs {
+		if ts := v.Tags[i]; len(ts) > 0 {
+			if err := st.SetTags(oid, ts); err != nil {
 				return nil, err
 			}
 		}
