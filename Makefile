@@ -85,8 +85,15 @@ bench:
 # BenchmarkBelowIntervals in internal/queries, BenchmarkTreeConstruction
 # in internal/core — the reference tree construction beside the one on
 # the processor, ~10 s at N = 20 000; EXPERIMENTS.md has their rows).
+# -benchmem prints B/op and allocs/op on every row. The allocation counts
+# themselves are gated by tests that `make test` runs:
+# TestEnvelopeKernelAllocs in internal/envelope (NewDistanceFunc 2,
+# Intersections and Env2 into a buffer with room 0, a MergeLE that adds no
+# crossing 1), TestQuadRootsAllocatesNothing in internal/numeric,
+# TestInsertedLaysOutALeafOnce in internal/sindex (k entries into one leaf
+# lay it out once), beside TestKNNAllocs and TestTaggedIngestDoesNotScaleWithN.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
 
 # City-scale churn harness (nightly CI): Poisson arrivals of updates,
 # queries, and subscribe/unsubscribe churn with TTL-style retirement at

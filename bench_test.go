@@ -211,7 +211,7 @@ func BenchmarkAblationMergeOrder(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			acc := []envelope.Interval{{ID: fns[0].ID, T0: 0, T1: 60}}
 			for _, f := range fns[1:] {
-				acc = envelope.MergeLE(acc, []envelope.Interval{{ID: f.ID, T0: 0, T1: 60}}, table)
+				acc = envelope.MergeLE(nil, acc, []envelope.Interval{{ID: f.ID, T0: 0, T1: 60}}, table)
 			}
 		}
 	})

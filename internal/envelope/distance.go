@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/numeric"
@@ -72,16 +73,27 @@ type DistanceFunc struct {
 // The window is split at every vertex time of either trajectory, and on
 // each elementary interval the relative motion is linear, yielding one
 // hyperbolic piece (Section 3.2's construction).
+//
+// The cut times are the two trajectories' in-window vertex times merged by
+// two cursors between tb and te — their sorted order — and a cut within
+// TimeEps of the one before it starts no piece. A first pass counts the
+// pieces, so the function and its pieces are the only two allocations.
 func NewDistanceFunc(id int64, a, b *trajectory.Trajectory, tb, te float64) (*DistanceFunc, error) {
 	if err := CheckWindow(a, b, tb, te); err != nil {
 		return nil, err
 	}
-	cuts := append(a.VertexTimesWithin(tb, te), b.VertexTimesWithin(tb, te)...)
-	cuts = append(cuts, tb, te)
-	sort.Float64s(cuts)
-	f := &DistanceFunc{ID: id}
-	for i := 1; i < len(cuts); i++ {
-		t0, t1 := cuts[i-1], cuts[i]
+	n := 0
+	for c := newCutMerge(a, b, tb, te); c.next(); {
+		if !(c.t1-c.t0 <= TimeEps) { // the fill's own test
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, ErrEmptyWindow
+	}
+	f := &DistanceFunc{ID: id, Pieces: make([]Piece, 0, n)}
+	for c := newCutMerge(a, b, tb, te); c.next(); {
+		t0, t1 := c.t0, c.t1
 		if t1-t0 <= TimeEps {
 			continue
 		}
@@ -94,10 +106,47 @@ func NewDistanceFunc(id int64, a, b *trajectory.Trajectory, tb, te float64) (*Di
 			C: pa.LenSq(),
 		})
 	}
-	if len(f.Pieces) == 0 {
-		return nil, ErrEmptyWindow
-	}
 	return f, nil
+}
+
+// cutMerge walks the consecutive pairs (t0, t1) of a distance function's
+// cut times over [tb, te]: tb, the vertex times of a and of b strictly
+// inside the window in ascending order, te.
+type cutMerge struct {
+	a, b   []trajectory.Vertex
+	t0, t1 float64
+	te     float64
+	done   bool
+}
+
+// newCutMerge starts before the first pair.
+func newCutMerge(a, b *trajectory.Trajectory, tb, te float64) cutMerge {
+	return cutMerge{a: innerVerts(a, tb, te), b: innerVerts(b, tb, te), t1: tb, te: te}
+}
+
+// innerVerts returns tr's vertices with times strictly inside (tb, te).
+func innerVerts(tr *trajectory.Trajectory, tb, te float64) []trajectory.Vertex {
+	vs := tr.Verts
+	lo := sort.Search(len(vs), func(k int) bool { return vs[k].T > tb })
+	hi := lo + sort.Search(len(vs)-lo, func(k int) bool { return vs[lo+k].T >= te })
+	return vs[lo:hi]
+}
+
+// next moves to the next pair, false past the one that ends at te.
+func (c *cutMerge) next() bool {
+	if c.done {
+		return false
+	}
+	c.t0 = c.t1
+	switch {
+	case len(c.a) > 0 && (len(c.b) == 0 || c.a[0].T <= c.b[0].T):
+		c.t1, c.a = c.a[0].T, c.a[1:]
+	case len(c.b) > 0:
+		c.t1, c.b = c.b[0].T, c.b[1:]
+	default:
+		c.t1, c.done = c.te, true
+	}
+	return true
 }
 
 // CheckWindow validates the window preconditions of NewDistanceFunc for the
@@ -167,22 +216,26 @@ func (f *DistanceFunc) Breakpoints() []float64 {
 	return out
 }
 
-// Intersections returns the times in (lo, hi) at which f and g cross,
-// sorted ascending and deduplicated within TimeEps. Tangency points (double
-// roots) are reported once. Identical pieces (the same quadratic) produce
-// no crossing — equal functions never generate critical points, matching
-// the ⊎-concatenation semantics.
+// Intersections appends to dst the times in (lo, hi) at which f and g
+// cross, sorted ascending and deduplicated within TimeEps, and returns the
+// extended slice (dst's own elements are left as they are). Tangency points
+// (double roots) are reported once. Identical pieces (the same quadratic)
+// produce no crossing — equal functions never generate critical points,
+// matching the ⊎-concatenation semantics. A dst with room for the crossings
+// costs no allocation.
 //
 // Two single-piece hyperbolae cross at most twice (Davenport-Schinzel
 // s = 2); piecewise functions cross at most twice per overlapping piece
 // pair.
-func Intersections(f, g *DistanceFunc, lo, hi float64) []float64 {
-	var out []float64
-	for _, pf := range f.Pieces {
+func Intersections(dst []float64, f, g *DistanceFunc, lo, hi float64) []float64 {
+	n0 := len(dst)
+	for i := range f.Pieces {
+		pf := &f.Pieces[i]
 		if pf.T1 <= lo || pf.T0 >= hi {
 			continue
 		}
-		for _, pg := range g.Pieces {
+		for j := range g.Pieces {
+			pg := &g.Pieces[j]
 			l := math.Max(math.Max(pf.T0, pg.T0), lo)
 			h := math.Min(math.Min(pf.T1, pg.T1), hi)
 			if h-l <= TimeEps {
@@ -194,15 +247,16 @@ func Intersections(f, g *DistanceFunc, lo, hi float64) []float64 {
 			b := (pf.B - 2*pf.A*pf.Tref) - (pg.B - 2*pg.A*pg.Tref)
 			c := (pf.A*pf.Tref*pf.Tref - pf.B*pf.Tref + pf.C) -
 				(pg.A*pg.Tref*pg.Tref - pg.B*pg.Tref + pg.C)
-			for _, r := range numeric.QuadRoots(a, b, c) {
+			roots, n := numeric.QuadRoots(a, b, c)
+			for _, r := range roots[:n] {
 				if r > l+TimeEps && r < h-TimeEps {
-					out = append(out, r)
+					dst = append(dst, r)
 				}
 			}
 		}
 	}
-	sort.Float64s(out)
-	return dedupTimes(out)
+	slices.Sort(dst[n0:])
+	return dst[:n0+len(dedupTimes(dst[n0:]))]
 }
 
 func dedupTimes(ts []float64) []float64 {

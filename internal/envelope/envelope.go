@@ -77,56 +77,66 @@ func concatMerge(dst []Interval, iv Interval) []Interval {
 	return append(dst, iv)
 }
 
-// Env2 computes the lower envelope of two distance functions over [lo, hi]
-// (the paper's Env2 primitive): their crossings inside the window are the
-// new critical time points, and between consecutive critical points the
-// smaller function (sampled at the midpoint) defines the envelope. For
-// single-piece inputs this is O(1).
-func Env2(f, g *DistanceFunc, lo, hi float64) []Interval {
+// Env2 appends the lower envelope of two distance functions over [lo, hi]
+// to dst with ⊎ (concatMerge: a first interval defined by dst's last
+// function fuses with it) and returns the extended slice — the paper's Env2
+// primitive. The functions' crossings inside the window are the new
+// critical time points, and between consecutive critical points the smaller
+// function (sampled at the midpoint) defines the envelope; a critical point
+// within TimeEps of the one before it starts no interval. For single-piece
+// inputs this is O(1), and into a dst with room it allocates nothing: up to
+// eight crossings are held on the stack.
+func Env2(dst []Interval, f, g *DistanceFunc, lo, hi float64) []Interval {
 	if hi-lo <= TimeEps {
-		return nil
+		return dst
 	}
-	cuts := []float64{lo}
-	cuts = append(cuts, Intersections(f, g, lo, hi)...)
-	cuts = append(cuts, hi)
-	var out []Interval
-	for i := 1; i < len(cuts); i++ {
-		t0, t1 := cuts[i-1], cuts[i]
-		if t1-t0 <= TimeEps {
-			continue
+	var buf [8]float64
+	t0 := lo
+	for _, t1 := range append(Intersections(buf[:0], f, g, lo, hi), hi) {
+		if t1-t0 > TimeEps {
+			mid := 0.5 * (t0 + t1)
+			id := f.ID
+			if g.ValueSq(mid) < f.ValueSq(mid) {
+				id = g.ID
+			}
+			dst = concatMerge(dst, Interval{ID: id, T0: t0, T1: t1})
 		}
-		mid := 0.5 * (t0 + t1)
-		id := f.ID
-		if g.ValueSq(mid) < f.ValueSq(mid) {
-			id = g.ID
-		}
-		out = concatMerge(out, Interval{ID: id, T0: t0, T1: t1})
+		t0 = t1
 	}
-	return out
+	return dst
 }
 
 // MergeLE merges two lower envelopes over the same window into their
-// combined lower envelope — the paper's Algorithm 2. The sweep walks the
-// union of the two envelopes' critical time points, maintaining the current
-// lower and upper sweep bounds, invokes Env2 on the pair of functions
-// active on each elementary interval, and ⊎-concatenates the results.
-func MergeLE(a, b []Interval, fns map[int64]*DistanceFunc) []Interval {
-	if len(a) == 0 {
-		return b
+// combined lower envelope — the paper's Algorithm 2 — and appends it to dst
+// with ⊎, returning the extended slice. The sweep walks the union of the
+// two envelopes' critical time points, maintaining the current lower and
+// upper sweep bounds, and invokes Env2 on the pair of functions active on
+// each elementary interval, straight into the output. An empty input
+// appends the other, interval by interval with ⊎. A dst without room for
+// len(a) + len(b) more intervals — the most a merge that adds no crossing
+// yields — is grown once to hold them, so such a merge into nil allocates
+// its output and nothing else.
+func MergeLE(dst, a, b []Interval, fns map[int64]*DistanceFunc) []Interval {
+	out := dst
+	if cap(out)-len(out) < len(a)+len(b) {
+		out = append(make([]Interval, 0, len(dst)+len(a)+len(b)), dst...)
 	}
-	if len(b) == 0 {
-		return a
+	if len(a) == 0 || len(b) == 0 {
+		for _, iv := range a {
+			out = concatMerge(out, iv)
+		}
+		for _, iv := range b {
+			out = concatMerge(out, iv)
+		}
+		return out
 	}
-	var out []Interval
 	k, p := 0, 0
 	for k < len(a) && p < len(b) {
 		ia, ib := a[k], b[p]
 		tcl := math.Max(ia.T0, ib.T0) // current lower bound
 		tcu := math.Min(ia.T1, ib.T1) // current upper bound
 		if tcu-tcl > TimeEps {
-			for _, iv := range Env2(fns[ia.ID], fns[ib.ID], tcl, tcu) {
-				out = concatMerge(out, iv)
-			}
+			out = Env2(out, fns[ia.ID], fns[ib.ID], tcl, tcu)
 		}
 		switch {
 		case ia.T1 < ib.T1-TimeEps:
@@ -152,6 +162,9 @@ func LowerEnvelope(fns []*DistanceFunc, tb, te float64) (*Envelope, error) {
 // LowerEnvelopeOn is LowerEnvelope with the recursion's two top halves
 // built side by side on pl (nil: one after the other on the caller). The
 // recursion tree is LE_Alg's own, so the envelope is the same bit for bit.
+// The halves and every level below them live in pooled scratch (see
+// leScratch); the envelope's interval list is allocated once, at its
+// length.
 func LowerEnvelopeOn(pl *pool.Pool, fns []*DistanceFunc, tb, te float64) (*Envelope, error) {
 	if len(fns) == 0 {
 		return nil, ErrNoFunctions
@@ -164,29 +177,81 @@ func LowerEnvelopeOn(pl *pool.Pool, fns []*DistanceFunc, tb, te float64) (*Envel
 		table[f.ID] = f
 	}
 	if len(fns) == 1 {
-		return newEnvelope(leAlg(fns, tb, te, table), table, tb, te), nil
+		return newEnvelope([]Interval{{ID: fns[0].ID, T0: tb, T1: te}}, table, tb, te), nil
 	}
 	c := len(fns) / 2
 	halves := [2][]*DistanceFunc{fns[:c], fns[c:]}
-	var built [2][]Interval
+	scs := [2]*leScratch{getScratch(), getScratch()}
 	// LE_Alg takes no deadline, so the loop runs on a context that never
 	// ends and makes no check a caller could count; neither task fails, so
 	// neither does the loop.
 	_ = pl.ForEachIndex(context.Background(), 2, func(i int) error {
-		built[i] = leAlg(halves[i], tb, te, table)
+		scs[i].le(halves[i], tb, te, table)
 		return nil
 	})
-	return newEnvelope(MergeLE(built[0], built[1], table), table, tb, te), nil
+	ivs := scs[0].merged(scs[1].ivs, table)
+	scs[0].put()
+	scs[1].put()
+	return newEnvelope(ivs, table, tb, te), nil
 }
 
-func leAlg(fns []*DistanceFunc, tb, te float64, table map[int64]*DistanceFunc) []Interval {
+// leScratch is one LE_Alg recursion's working memory, recycled through
+// lePool. The recursion stacks its envelopes in ivs: a call leaves its
+// result on top, a merge appends its output beside the two halves it reads
+// and moves it down over them, so a build allocates nothing once the stack
+// has grown to the depth it needs. fns holds a level-k interval's remaining
+// functions and excl its excluded IDs (KLevelEnvelopes).
+type leScratch struct {
+	ivs  []Interval
+	fns  []*DistanceFunc
+	excl []int64
+}
+
+var lePool = sync.Pool{New: func() any { return new(leScratch) }}
+
+func getScratch() *leScratch {
+	s := lePool.Get().(*leScratch)
+	s.ivs = s.ivs[:0]
+	return s
+}
+
+// put returns s to the pool, holding no distance function alive.
+func (s *leScratch) put() {
+	clear(s.fns)
+	s.fns = s.fns[:0]
+	lePool.Put(s)
+}
+
+// le pushes the lower envelope of fns over [tb, te] onto s.ivs (LE_Alg).
+func (s *leScratch) le(fns []*DistanceFunc, tb, te float64, table map[int64]*DistanceFunc) {
 	if len(fns) == 1 {
-		return []Interval{{ID: fns[0].ID, T0: tb, T1: te}}
+		s.ivs = append(s.ivs, Interval{ID: fns[0].ID, T0: tb, T1: te})
+		return
 	}
+	base := len(s.ivs)
 	c := len(fns) / 2
-	left := leAlg(fns[:c], tb, te, table)
-	right := leAlg(fns[c:], tb, te, table)
-	return MergeLE(left, right, table)
+	s.le(fns[:c], tb, te, table)
+	mid := len(s.ivs)
+	s.le(fns[c:], tb, te, table)
+	end := len(s.ivs)
+	// Room for a merge with a crossing on every second elementary interval
+	// beside its inputs; a merge with more outgrows it into a fresh array.
+	s.ivs = slices.Grow(s.ivs, 2*(end-base))
+	out := MergeLE(s.ivs[end:end], s.ivs[base:mid], s.ivs[mid:end], table)
+	s.ivs = append(s.ivs[:base], out...)
+}
+
+// merged returns the envelope on s.ivs merged with b, allocated at its
+// length: the merge runs on the stack above s.ivs.
+func (s *leScratch) merged(b []Interval, table map[int64]*DistanceFunc) []Interval {
+	end := len(s.ivs)
+	s.ivs = slices.Grow(s.ivs, 2*(end+len(b)))
+	return keep(MergeLE(s.ivs[end:end], s.ivs[:end], b, table))
+}
+
+// keep copies an interval list out of scratch, at its length.
+func keep(ivs []Interval) []Interval {
+	return append(make([]Interval, 0, len(ivs)), ivs...)
 }
 
 // NaiveLowerEnvelope is the baseline of the paper's Figure 11: find the
@@ -209,9 +274,11 @@ func NaiveLowerEnvelope(fns []*DistanceFunc, tb, te float64) (*Envelope, error) 
 		i, j int32
 	}
 	var events []event
+	var ts []float64
 	for i := 0; i < len(fns); i++ {
 		for j := i + 1; j < len(fns); j++ {
-			for _, t := range Intersections(fns[i], fns[j], tb, te) {
+			ts = Intersections(ts[:0], fns[i], fns[j], tb, te)
+			for _, t := range ts {
 				events = append(events, event{t: t, i: int32(i), j: int32(j)})
 			}
 		}

@@ -119,16 +119,16 @@ func TestIntersections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := Intersections(f, g, 0, 60)
+	ts := Intersections(nil, f, g, 0, 60)
 	if len(ts) != 2 || math.Abs(ts[0]-15) > 1e-9 || math.Abs(ts[1]-45) > 1e-9 {
 		t.Fatalf("Intersections = %v, want [15, 45]", ts)
 	}
 	// Identical functions: no critical points.
-	if ts := Intersections(f, f, 0, 60); len(ts) != 0 {
+	if ts := Intersections(nil, f, f, 0, 60); len(ts) != 0 {
 		t.Errorf("self intersections = %v", ts)
 	}
 	// Restricted window.
-	ts = Intersections(f, g, 20, 60)
+	ts = Intersections(nil, f, g, 20, 60)
 	if len(ts) != 1 || math.Abs(ts[0]-45) > 1e-9 {
 		t.Errorf("windowed = %v", ts)
 	}
@@ -138,7 +138,7 @@ func TestEnv2(t *testing.T) {
 	q := stillTr(t, 100, 0, 0)
 	f, _ := NewDistanceFunc(1, lineTr(t, 1, 10, 0, -10, 0), q, 0, 60)
 	g, _ := NewDistanceFunc(2, stillTr(t, 2, 5, 0), q, 0, 60)
-	ivs := Env2(f, g, 0, 60)
+	ivs := Env2(nil, f, g, 0, 60)
 	// g wins on [0,15], f on [15,45], g on [45,60].
 	want := []Interval{{2, 0, 15}, {1, 15, 45}, {2, 45, 60}}
 	if len(ivs) != len(want) {
@@ -152,11 +152,11 @@ func TestEnv2(t *testing.T) {
 		}
 	}
 	// Degenerate window.
-	if ivs := Env2(f, g, 5, 5); ivs != nil {
+	if ivs := Env2(nil, f, g, 5, 5); ivs != nil {
 		t.Errorf("degenerate Env2 = %v", ivs)
 	}
 	// Identical inputs: one merged interval.
-	ivs = Env2(f, f, 0, 60)
+	ivs = Env2(nil, f, f, 0, 60)
 	if len(ivs) != 1 || ivs[0].ID != 1 {
 		t.Errorf("self Env2 = %v", ivs)
 	}

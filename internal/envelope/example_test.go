@@ -45,7 +45,7 @@ func ExampleEnv2() {
 	f, _ := envelope.NewDistanceFunc(1, mk(1, 10, -10), query, 0, 60) // V-shape
 	g, _ := envelope.NewDistanceFunc(2, mk(2, 5, 5), query, 0, 60)    // constant 5
 
-	for _, iv := range envelope.Env2(f, g, 0, 60) {
+	for _, iv := range envelope.Env2(nil, f, g, 0, 60) {
 		fmt.Printf("Tr%d on [%.0f, %.0f]\n", iv.ID, iv.T0, iv.T1)
 	}
 	// Output:

@@ -3,7 +3,7 @@ package envelope
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/pool"
 )
@@ -24,7 +24,10 @@ import (
 // intervals run one task each on pl (nil: one after the other on the
 // caller), each into its own slot; the slots are joined in interval order,
 // so the envelopes are the serial ones bit for bit. As in LowerEnvelopeOn
-// the loop runs on a context that never ends.
+// the loop runs on a context that never ends. A task's exclusion list,
+// remaining functions and LE_Alg stack are pooled scratch; it keeps one
+// copy of its intervals for the join, and each level's list is allocated
+// once, at its length.
 func KLevelEnvelopes(pl *pool.Pool, fns []*DistanceFunc, tb, te float64, k int) ([]*Envelope, error) {
 	if len(fns) == 0 {
 		return nil, ErrNoFunctions
@@ -45,10 +48,11 @@ func KLevelEnvelopes(pl *pool.Pool, fns []*DistanceFunc, tb, te float64, k int) 
 		return nil, err
 	}
 	out = append(out, first)
+	var cutSet []float64
+	var subs [][]Interval
 	for j := 2; j <= k && j <= len(fns); j++ {
 		// Overlay breakpoints of all shallower levels.
-		var cutSet []float64
-		cutSet = append(cutSet, tb, te)
+		cutSet = append(cutSet[:0], tb, te)
 		for _, e := range out {
 			for _, iv := range e.Intervals {
 				if iv.T1 > tb && iv.T1 < te {
@@ -56,41 +60,46 @@ func KLevelEnvelopes(pl *pool.Pool, fns []*DistanceFunc, tb, te float64, k int) 
 				}
 			}
 		}
-		sort.Float64s(cutSet)
+		slices.Sort(cutSet)
 		cutSet = dedupTimes(cutSet)
 
-		subs := make([][]Interval, len(cutSet)-1)
+		subs = slices.Grow(subs[:0], len(cutSet)-1)[:len(cutSet)-1]
+		clear(subs)
 		_ = pl.ForEachIndex(context.Background(), len(subs), func(i int) error {
 			t0, t1 := cutSet[i], cutSet[i+1]
 			if t1-t0 <= TimeEps {
 				return nil
 			}
 			mid := 0.5 * (t0 + t1)
-			excluded := make(map[int64]bool, j-1)
+			s := getScratch()
+			defer s.put()
+			s.excl = s.excl[:0]
 			for _, e := range out {
-				excluded[e.IDAt(mid)] = true
+				s.excl = append(s.excl, e.IDAt(mid))
 			}
-			var remaining []*DistanceFunc
 			for _, f := range fns {
-				if !excluded[f.ID] {
-					remaining = append(remaining, f)
+				if !slices.Contains(s.excl, f.ID) {
+					s.fns = append(s.fns, f)
 				}
 			}
-			if len(remaining) > 0 {
-				subs[i] = leAlg(remaining, t0, t1, table)
+			if len(s.fns) > 0 {
+				s.le(s.fns, t0, t1, table)
+				subs[i] = keep(s.ivs)
 			}
 			return nil
 		})
-		var ivs []Interval
+		js := getScratch()
 		for _, sub := range subs {
 			for _, iv := range sub {
-				ivs = concatMerge(ivs, iv)
+				js.ivs = concatMerge(js.ivs, iv)
 			}
 		}
-		if len(ivs) == 0 {
+		if len(js.ivs) == 0 {
+			js.put()
 			break
 		}
-		out = append(out, newEnvelope(ivs, table, tb, te))
+		out = append(out, newEnvelope(keep(js.ivs), table, tb, te))
+		js.put()
 	}
 	return out, nil
 }

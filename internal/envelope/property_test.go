@@ -3,6 +3,7 @@ package envelope
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,14 @@ func buildTable(fns []*DistanceFunc) map[int64]*DistanceFunc {
 		t[f.ID] = f
 	}
 	return t
+}
+
+// leAlg is LE_Alg's interval list over [tb, te], built on a pooled stack.
+func leAlg(fns []*DistanceFunc, tb, te float64, table map[int64]*DistanceFunc) []Interval {
+	s := getScratch()
+	defer s.put()
+	s.le(fns, tb, te, table)
+	return slices.Clone(s.ivs)
 }
 
 // fullInterval wraps one function as a single-interval envelope.
@@ -57,8 +66,8 @@ func TestMergeLECommutative(t *testing.T) {
 		}
 		envA := leAlg(subA, 0, 60, table)
 		envB := leAlg(subB, 0, 60, table)
-		ab := MergeLE(envA, envB, table)
-		ba := MergeLE(envB, envA, table)
+		ab := MergeLE(nil, envA, envB, table)
+		ba := MergeLE(nil, envB, envA, table)
 		return envEqual(ab, ba, 1e-7)
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(55))}
@@ -86,7 +95,7 @@ func TestMergeLEAssociativeEffect(t *testing.T) {
 		rng.Shuffle(len(parts), func(a, b int) { parts[a], parts[b] = parts[b], parts[a] })
 		for len(parts) > 1 {
 			i := rng.Intn(len(parts) - 1)
-			merged := MergeLE(parts[i], parts[i+1], table)
+			merged := MergeLE(nil, parts[i], parts[i+1], table)
 			parts = append(parts[:i], append([][]Interval{merged}, parts[i+2:]...)...)
 		}
 		return envEqual(parts[0], global, 1e-7)
@@ -102,7 +111,7 @@ func TestMergeLEIdempotent(t *testing.T) {
 	fns := buildRandomFuncs(t, 107, 12, false)
 	table := buildTable(fns)
 	env := leAlg(fns, 0, 60, table)
-	again := MergeLE(env, env, table)
+	again := MergeLE(nil, env, env, table)
 	if !envEqual(env, again, 1e-9) {
 		t.Fatalf("self-merge changed the envelope:\n%v\n%v", env, again)
 	}

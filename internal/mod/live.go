@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/sindex"
 	"repro/internal/textidx"
 	"repro/internal/trajectory"
 )
@@ -318,7 +317,8 @@ func (st step) cuts(treeLen int) bool {
 // chained on its own; a chain it cuts anywhere in the batch is dropped
 // whole, which is what keeps index size (and probe cost) proportional to the
 // live fleet under a sustained revision workload. SegIncremental counts
-// chained mutations, not calls.
+// chained mutations, not calls. The batch's entries are gathered in
+// s.idxBatch, reused from batch to batch: Inserted copies them by value.
 func (s *Store) maintainIndexes(steps ...step) {
 	if len(steps) == 0 {
 		return
@@ -327,7 +327,7 @@ func (s *Store) maintainIndexes(steps ...step) {
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
 	if s.idx != nil && s.idxVersion == first-1 {
-		var es []sindex.Entry
+		es := s.idxBatch[:0]
 		k := 0
 		for ; k < len(steps) && !steps[k].cuts(s.idx.Len()+len(es)); k++ {
 			if st := steps[k]; st.tr != nil {
@@ -343,6 +343,7 @@ func (s *Store) maintainIndexes(steps ...step) {
 		} else {
 			s.idx = s.idx.Inserted(es...)
 		}
+		s.idxBatch = es
 	}
 }
 

@@ -120,6 +120,7 @@ type Store struct {
 	idx        *sindex.RTree
 	idxVersion uint64
 	idxFanout  int
+	idxBatch   []sindex.Entry // maintainIndexes' entry buffer
 
 	// segLive counts the store's live segments (guarded by mu, updated by
 	// every mutation). The incremental index chain compares it against the
@@ -462,12 +463,13 @@ func LoadJSON(r io.Reader) (*Store, error) {
 }
 
 // SaveBinary writes the compact binary format: magic, pdf spec, count,
-// then each trajectory via trajectory.WriteBinary, then (since the
+// then each trajectory via trajectory.AppendBinary, then (since the
 // spatio-textual extension) an optional tags section: uint32 tagged-OID
 // count followed by per OID an int64 OID, uint16 tag count, and
 // uint16-length-prefixed tag bytes. Files written before the extension
 // simply end after the trajectories; LoadBinary treats that EOF as "no
-// tags", so old snapshots stay loadable.
+// tags", so old snapshots stay loadable. Everything is encoded through one
+// buffer, handed to w whenever it holds saveChunk bytes.
 func (s *Store) SaveBinary(w io.Writer) error {
 	s.mu.RLock()
 	trs := s.viewLocked().Trajs
@@ -477,56 +479,68 @@ func (s *Store) SaveBinary(w io.Writer) error {
 		tags[oid] = ts
 	}
 	s.mu.RUnlock()
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
-	}
-	kind := []byte(spec.Kind)
-	if err := binary.Write(w, binary.LittleEndian, uint8(len(kind))); err != nil {
-		return err
-	}
-	if _, err := w.Write(kind); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, [2]float64{spec.R, spec.Sigma}); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(trs))); err != nil {
-		return err
-	}
+	sw := saveWriter{w: w, buf: make([]byte, 0, saveChunk+1024)}
+	b := append(sw.buf, magic[:]...)
+	b = append(b, uint8(len(spec.Kind)))
+	b = append(b, spec.Kind...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(spec.R))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(spec.Sigma))
+	sw.buf = binary.LittleEndian.AppendUint32(b, uint32(len(trs)))
 	for _, tr := range trs {
-		if err := tr.WriteBinary(w); err != nil {
+		sw.buf = tr.AppendBinary(sw.buf)
+		if err := sw.flushFull(); err != nil {
 			return err
 		}
 	}
-	return writeTagsSection(w, tags)
+	if err := writeTagsSection(&sw, tags); err != nil {
+		return err
+	}
+	return sw.flush()
+}
+
+// saveChunk is how many encoded bytes SaveBinary gathers before a write.
+const saveChunk = 32 << 10
+
+// saveWriter is SaveBinary's one buffer in front of its writer.
+type saveWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+// flushFull writes the buffer out once it holds a chunk.
+func (sw *saveWriter) flushFull() error {
+	if len(sw.buf) < saveChunk {
+		return nil
+	}
+	return sw.flush()
+}
+
+func (sw *saveWriter) flush() error {
+	_, err := sw.w.Write(sw.buf)
+	sw.buf = sw.buf[:0]
+	return err
 }
 
 // writeTagsSection appends the optional tags section, tagged OIDs in
 // ascending order for deterministic bytes.
-func writeTagsSection(w io.Writer, tags map[int64][]string) error {
+func writeTagsSection(sw *saveWriter, tags map[int64][]string) error {
 	oids := make([]int64, 0, len(tags))
 	for oid := range tags {
 		oids = append(oids, oid)
 	}
 	slices.Sort(oids)
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(oids))); err != nil {
-		return err
-	}
+	sw.buf = binary.LittleEndian.AppendUint32(sw.buf, uint32(len(oids)))
 	for _, oid := range oids {
-		if err := binary.Write(w, binary.LittleEndian, oid); err != nil {
-			return err
-		}
+		b := binary.LittleEndian.AppendUint64(sw.buf, uint64(oid))
 		ts := tags[oid]
-		if err := binary.Write(w, binary.LittleEndian, uint16(len(ts))); err != nil {
-			return err
-		}
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(ts)))
 		for _, tag := range ts {
-			if err := binary.Write(w, binary.LittleEndian, uint16(len(tag))); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, tag); err != nil {
-				return err
-			}
+			b = binary.LittleEndian.AppendUint16(b, uint16(len(tag)))
+			b = append(b, tag...)
+		}
+		sw.buf = b
+		if err := sw.flushFull(); err != nil {
+			return err
 		}
 	}
 	return nil

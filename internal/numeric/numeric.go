@@ -64,23 +64,25 @@ func GaussLegendrePanels(f func(float64) float64, a, b float64, n int) float64 {
 }
 
 // QuadRoots returns the real roots of a·x² + b·x + c = 0 in increasing
-// order. A linear equation (a == 0) yields at most one root; a degenerate
-// identity (a == b == 0) yields none regardless of c. The computation uses
-// the numerically stable citardauq form for the second root.
-func QuadRoots(a, b, c float64) []float64 {
+// order: the first n entries of the array, n ≤ 2, and nothing on the heap
+// (the envelope kernels solve one quadratic per overlapping piece pair). A
+// linear equation (a == 0) yields at most one root; a degenerate identity
+// (a == b == 0) yields none regardless of c. The computation uses the
+// numerically stable citardauq form for the second root.
+func QuadRoots(a, b, c float64) (roots [2]float64, n int) {
 	const tiny = 1e-300
 	if math.Abs(a) < tiny {
 		if math.Abs(b) < tiny {
-			return nil
+			return roots, 0
 		}
-		return []float64{-c / b}
+		return [2]float64{-c / b}, 1
 	}
 	disc := b*b - 4*a*c
 	if disc < 0 {
-		return nil
+		return roots, 0
 	}
 	if disc == 0 {
-		return []float64{-b / (2 * a)}
+		return [2]float64{-b / (2 * a)}, 1
 	}
 	sq := math.Sqrt(disc)
 	var q float64
@@ -99,7 +101,7 @@ func QuadRoots(a, b, c float64) []float64 {
 	if r1 > r2 {
 		r1, r2 = r2, r1
 	}
-	return []float64{r1, r2}
+	return [2]float64{r1, r2}, 2
 }
 
 // FindRoot refines a root of f inside [a, b] to the given x tolerance using

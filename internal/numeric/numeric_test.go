@@ -62,7 +62,8 @@ func TestQuadRoots(t *testing.T) {
 		{"negative leading", -1, 0, 4, []float64{-2, 2}},
 	}
 	for _, c := range cases {
-		got := QuadRoots(c.a, c.b, c.c)
+		roots, n := QuadRoots(c.a, c.b, c.c)
+		got := roots[:n]
 		if len(got) != len(c.want) {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 			continue
@@ -82,9 +83,9 @@ func TestQuadRootsProperty(t *testing.T) {
 		a = math.Mod(a, 100)
 		b = math.Mod(b, 100)
 		c = math.Mod(c, 100)
-		roots := QuadRoots(a, b, c)
+		roots, n := QuadRoots(a, b, c)
 		prev := math.Inf(-1)
-		for _, r := range roots {
+		for _, r := range roots[:n] {
 			if r < prev {
 				return false
 			}
@@ -105,13 +106,26 @@ func TestQuadRootsProperty(t *testing.T) {
 
 func TestQuadRootsStability(t *testing.T) {
 	// b >> a,c: the naive formula loses the small root; citardauq keeps it.
-	roots := QuadRoots(1, -1e8, 1)
-	if len(roots) != 2 {
-		t.Fatalf("got %v", roots)
+	roots, n := QuadRoots(1, -1e8, 1)
+	if n != 2 {
+		t.Fatalf("got %v", roots[:n])
 	}
 	if !near(roots[0], 1e-8, 1e-14) {
 		t.Errorf("small root = %.17g, want 1e-8", roots[0])
 	}
+}
+
+// TestQuadRootsAllocatesNothing: the roots come back in an array, so the
+// envelope kernels solve their piece pairs without touching the heap.
+func TestQuadRootsAllocatesNothing(t *testing.T) {
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() {
+		roots, n := QuadRoots(1, -3, 2)
+		sink += roots[n-1]
+	}); allocs != 0 {
+		t.Fatalf("QuadRoots makes %v allocations, want 0", allocs)
+	}
+	_ = sink
 }
 
 func TestFindRoot(t *testing.T) {

@@ -262,6 +262,84 @@ func TestInsertedBatchEqualsReference(t *testing.T) {
 	}
 }
 
+// clusterEntries draws n entries around (x, y) at time t: tiny boxes
+// jittered on a fine grid, so they all choose one subtree, and a split of
+// their leaf sends them to both halves.
+func clusterEntries(rng *rand.Rand, n int, firstID int64, x, y, t float64) []Entry {
+	es := make([]Entry, n)
+	for i := range es {
+		cx, cy := x+float64(rng.Intn(9))/8, y+float64(rng.Intn(9))/8
+		es[i] = Entry{ID: firstID + int64(i), Box: geom.AABB{MinX: cx, MinY: cy, MaxX: cx + 0.1, MaxY: cy + 0.1}, T0: t, T1: t + 1}
+	}
+	return es
+}
+
+func countLeaves(nd *node) int {
+	if nd.children == nil {
+		return 1
+	}
+	n := 0
+	for _, c := range nd.children {
+		n += countLeaves(c)
+	}
+	return n
+}
+
+// TestInsertedDeferredLeafEqualsReference: the leaf whose entries wait in
+// the call's scratch splits, keeps taking entries in both halves, and sits
+// under a root that splits, all inside one call, and the tree is the
+// reference's node for node with its receiver untouched.
+func TestInsertedDeferredLeafEqualsReference(t *testing.T) {
+	const fanout = 4
+	rng := rand.New(rand.NewSource(29))
+	var base []Entry
+	for i := 0; i < 4; i++ { // four far-apart clusters: one leaf each
+		base = append(base, clusterEntries(rng, 3, int64(10*i+1), float64(100*i), 0, 5)...)
+	}
+	for _, tc := range []struct {
+		name  string
+		tree  *RTree
+		batch []Entry
+		check func(before, after *RTree) bool
+	}{
+		{"a deferred leaf splits", NewRTree(slices.Clone(base), fanout), clusterEntries(rng, fanout+1, 1000, 0, 0, 5),
+			func(b, a *RTree) bool { return countLeaves(a.root) > countLeaves(b.root) }},
+		{"both halves take more", NewRTree(slices.Clone(base), fanout), clusterEntries(rng, 4*fanout, 2000, 100, 0, 5),
+			func(b, a *RTree) bool { return countLeaves(a.root) >= countLeaves(b.root)+3 }},
+		{"the root splits mid-call", NewRTree(slices.Clone(base[:fanout-1]), fanout), clusterEntries(rng, 6*fanout, 3000, 0, 0, 5),
+			func(b, a *RTree) bool { return b.height == 1 && a.height >= 3 }},
+	} {
+		before := deepHash(tc.tree)
+		got := tc.tree.Inserted(tc.batch...)
+		if deepHash(tc.tree) != before {
+			t.Fatalf("%s: Inserted wrote to its receiver", tc.name)
+		}
+		if !tc.check(tc.tree, got) {
+			t.Fatalf("%s: the batch does not reach the case (height %d → %d, leaves %d → %d)", tc.name,
+				tc.tree.height, got.height, countLeaves(tc.tree.root), countLeaves(got.root))
+		}
+		requireSameTree(t, tc.name, got, refInserted(tc.tree, tc.batch...))
+	}
+}
+
+// TestInsertedLaysOutALeafOnce: a call that puts k entries into one leaf
+// allocates the leaf's entry list once, at its final length, whatever k —
+// not a copy at the first touch and a larger one at each later touch. The
+// rest is the tree, the leaf's copy and the call's two chain arrays.
+func TestInsertedLaysOutALeafOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	tree := NewRTree(clusterEntries(rng, 4, 1, 0, 0, 5), DefaultFanout)
+	for _, k := range []int{2, 5, 9} {
+		batch := clusterEntries(rng, k, 100, 0, 0, 5)
+		if got := tree.Inserted(batch...); got.height != 1 || len(got.root.entries) != 4+k || cap(got.root.entries) != 4+k {
+			t.Fatalf("k=%d: the batch must land in the root leaf: height %d, %d entries (cap %d)", k, got.height, len(got.root.entries), cap(got.root.entries))
+		}
+		if allocs := testing.AllocsPerRun(50, func() { sinkTree = tree.Inserted(batch...) }); allocs != 5 {
+			t.Fatalf("Inserted of %d entries into one leaf makes %v allocations, want 5 (tree, leaf, its entries, two chain arrays)", k, allocs)
+		}
+	}
+}
+
 // TestInsertedBatchEmptyAndNilReceivers: no tree to copy from means a bulk
 // load, exactly as before.
 func TestInsertedBatchEmptyAndNilReceivers(t *testing.T) {

@@ -15,19 +15,27 @@ import (
 // ingest never changes a node a reader can reach. Inserted instead returns
 // a NEW tree that shares every untouched node with the original; readers of
 // the old tree keep a consistent snapshot, and the store swaps its cached
-// pointer under its index mutex. A whole batch goes in one call: a node is
+// pointer under its index mutex. A whole batch goes in one call, and the
+// call pays for each node on its insertion paths once. An internal node is
 // copied the first time the call touches it and edited in place on every
-// later touch, so a batch pays for each node on its insertion paths once.
-// Packing quality degrades slowly compared to a fresh STR build, but a
-// batch costs what its own entries touch instead of the O(n log n) rebuild
-// the cache would otherwise pay on every mutation. What the chain cannot
-// do is delete: an entry a caller has superseded stays in every later
-// tree until the caller rebuilds (see the package comment).
+// later touch. A leaf's copy takes the call's bounds at once but keeps
+// sharing its old entries: the entries the call adds to it wait in the
+// call's scratch, and the leaf's entry list is laid out once, at its final
+// length — when the next entry would overflow it (it then splits as it
+// always did) or when the call ends. Packing quality degrades slowly
+// compared to a fresh STR build, but a batch costs what its own entries
+// touch instead of the O(n log n) rebuild the cache would otherwise pay on
+// every mutation. What the chain cannot do is delete: an entry a caller has
+// superseded stays in every later tree until the caller rebuilds (see the
+// package comment).
 
-// insertEpoch numbers the RTree.Inserted calls. A node records the epoch of
-// the call that created it (0: bulk-loaded), and a call may edit exactly the
-// nodes that carry its own epoch: no other call can hold that number, and —
-// unlike a pointer to the tree being built — the number keeps nothing alive.
+// insertEpoch hands out epochs, a range per RTree.Inserted call. A node
+// records an epoch (0: bulk-loaded), and a call may edit exactly the nodes
+// whose epoch lies in its own range: no other call can hold those numbers,
+// and — unlike a pointer to the tree being built — a number keeps nothing
+// alive. The range's first epoch marks the nodes the call copied; each
+// leaf with entries waiting (see batch) carries one of the rest, which
+// names its chain.
 var insertEpoch atomic.Uint64
 
 // Inserted returns a tree containing the receiver's entries plus es, as if
@@ -46,28 +54,98 @@ func (t *RTree) Inserted(es ...Entry) *RTree {
 		return NewRTree(slices.Clone(es), fan)
 	}
 	nt := &RTree{root: t.root, height: t.height, count: t.count + len(es), fanout: t.fanout}
-	epoch := insertEpoch.Add(1)
+	b := newBatch(es, nt.fanout)
 	for i := range es {
-		n1, n2 := insertNode(nt.root, &es[i], nt.fanout, epoch)
+		n1, n2 := b.insert(nt.root, int32(i))
 		if n2 != nil {
-			n1 = &node{children: []*node{n1, n2}, epoch: epoch}
+			n1 = &node{children: []*node{n1, n2}, epoch: b.epoch}
 			n1.recompute()
 			nt.height++
 		}
 		nt.root = n1
 	}
+	b.finish()
 	return nt
 }
 
-// owned returns nd if the call numbered epoch created it, and otherwise a
-// copy that call may edit, with room for the one member it is about to add.
-func (nd *node) owned(epoch uint64) *node {
-	if nd.epoch == epoch {
+// batch is one Inserted call's working state. A leaf the call owns lists
+// the entries it has taken since its entry list was last laid out as a
+// chain of indexes into es, newest first: leaves[k] is the chain of the
+// leaf whose epoch is epoch+1+k, and next[i] is the index before i.
+type batch struct {
+	es     []Entry
+	fanout int
+	epoch  uint64
+	leaves []pendingLeaf
+	next   []int32
+}
+
+// pendingLeaf is a leaf's chain: its newest entry head and its length n.
+type pendingLeaf struct {
+	nd      *node
+	head, n int32
+}
+
+// newBatch reserves the call's epochs: the first, and one per entry, since
+// each entry starts at most one chain. leaves never outgrows its capacity.
+func newBatch(es []Entry, fanout int) batch {
+	span := uint64(len(es))
+	return batch{
+		es: es, fanout: fanout, epoch: insertEpoch.Add(span+1) - span,
+		leaves: make([]pendingLeaf, 0, len(es)),
+		next:   make([]int32, len(es)),
+	}
+}
+
+// owns reports whether the call may edit nd: its epoch is in the call's
+// range (an older one wraps past it).
+func (b *batch) owns(nd *node) bool { return nd.epoch-b.epoch <= uint64(len(b.es)) }
+
+// finish lays out every leaf that still has entries waiting.
+func (b *batch) finish() {
+	for i := range b.leaves {
+		if l := &b.leaves[i]; l.n > 0 {
+			l.nd.entries = b.layOut(l)
+		}
+	}
+}
+
+// pend adds es[i] to leaf nd's chain, giving the leaf a chain the first
+// time, and returns the chain.
+func (b *batch) pend(nd *node, i int32) *pendingLeaf {
+	if nd.epoch == b.epoch {
+		b.leaves = append(b.leaves, pendingLeaf{nd: nd})
+		nd.epoch += uint64(len(b.leaves))
+	}
+	l := &b.leaves[nd.epoch-b.epoch-1]
+	b.next[i], l.head = l.head, i
+	l.n++
+	return l
+}
+
+// layOut returns l's leaf's entries followed by its chain's, oldest
+// first, in one allocation of exactly that length, and empties the chain.
+func (b *batch) layOut(l *pendingLeaf) []Entry {
+	old := len(l.nd.entries)
+	ents := make([]Entry, old+int(l.n))
+	copy(ents, l.nd.entries)
+	for i, k := l.head, len(ents)-1; k >= old; i, k = b.next[i], k-1 {
+		ents[k] = b.es[i]
+	}
+	l.n = 0
+	return ents
+}
+
+// owned returns nd if the call may edit it, and otherwise a copy it may:
+// an internal node's children with room for the one child a split below
+// may add, a leaf's entries shared until the call lays them out.
+func (b *batch) owned(nd *node) *node {
+	if b.owns(nd) {
 		return nd
 	}
-	c := &node{box: nd.box, t0: nd.t0, t1: nd.t1, epoch: epoch}
+	c := &node{box: nd.box, t0: nd.t0, t1: nd.t1, epoch: b.epoch}
 	if nd.children == nil {
-		c.entries = append(make([]Entry, 0, len(nd.entries)+1), nd.entries...)
+		c.entries = nd.entries[:len(nd.entries):len(nd.entries)]
 	} else {
 		c.children = append(make([]*node, 0, len(nd.children)+1), nd.children...)
 	}
@@ -84,30 +162,30 @@ func appendExact[T any](s []T, v T) []T {
 	return append(s, v)
 }
 
-// insertNode adds e below nd on behalf of the Inserted call numbered epoch.
-// It returns that call's own version of nd — nd itself when the call
-// created it — and, when the node overflowed, the second half of its split.
-// The halves take their bounds from their members; a node that does not
-// split grows its bounds by the entry, which gives the same bits.
-func insertNode(nd *node, e *Entry, fanout int, epoch uint64) (*node, *node) {
-	nd = nd.owned(epoch)
+// insert adds es[i] below nd. It returns the call's own version of nd — nd
+// itself when the call created it — and, when the node overflowed, the
+// second half of its split. The halves take their bounds from their
+// members; a node that does not split grows its bounds by the entry, which
+// gives the same bits.
+func (b *batch) insert(nd *node, i int32) (*node, *node) {
+	nd = b.owned(nd)
+	e := &b.es[i]
 	var half *node
 	if nd.children == nil {
-		nd.entries = appendExact(nd.entries, *e)
-		if len(nd.entries) > fanout {
-			a, b := splitSlice(nd.entries, func(en Entry) geom.Point { return en.Box.Center() })
-			nd.entries, half = a, &node{entries: b, epoch: epoch}
+		if l := b.pend(nd, i); len(nd.entries)+int(l.n) > b.fanout {
+			x, y := splitSlice(b.layOut(l), func(en Entry) geom.Point { return en.Box.Center() })
+			nd.entries, half = x, &node{entries: y, epoch: b.epoch}
 		}
 	} else {
 		best := chooseSubtree(nd.children, e)
-		c1, c2 := insertNode(nd.children[best], e, fanout, epoch)
+		c1, c2 := b.insert(nd.children[best], i)
 		nd.children[best] = c1
 		if c2 != nil {
 			nd.children = appendExact(nd.children, c2)
 		}
-		if len(nd.children) > fanout {
-			a, b := splitSlice(nd.children, func(c *node) geom.Point { return c.box.Center() })
-			nd.children, half = a, &node{children: b, epoch: epoch}
+		if len(nd.children) > b.fanout {
+			x, y := splitSlice(nd.children, func(c *node) geom.Point { return c.box.Center() })
+			nd.children, half = x, &node{children: y, epoch: b.epoch}
 		}
 	}
 	if half != nil {

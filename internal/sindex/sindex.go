@@ -64,8 +64,9 @@ type node struct {
 	t0, t1   float64
 	children []*node // nil for leaves
 	entries  []Entry // nil for internal nodes
-	// epoch is the Inserted call that created the node and may still edit
-	// it (dyn.go); 0 for a bulk-loaded node, which nobody may.
+	// epoch is from the range of the Inserted call that created the node
+	// and may still edit it (dyn.go); 0 for a bulk-loaded node, which
+	// nobody may.
 	epoch uint64
 }
 

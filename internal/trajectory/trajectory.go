@@ -164,20 +164,18 @@ func (tr *Trajectory) BoundingBox() geom.AABB {
 // uncertainty parameters are serialized by the mod store, which owns the
 // set-wide radius/pdf (the paper assumes r and pdf are shared by the set).
 
-// WriteBinary serializes the trajectory to w.
-func (tr *Trajectory) WriteBinary(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, tr.OID); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(tr.Verts))); err != nil {
-		return err
-	}
+// AppendBinary appends the trajectory's encoding to b and returns the
+// extended slice: a writer of many trajectories encodes them through one
+// buffer.
+func (tr *Trajectory) AppendBinary(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(tr.OID))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(tr.Verts)))
 	for _, v := range tr.Verts {
-		if err := binary.Write(w, binary.LittleEndian, [3]float64{v.X, v.Y, v.T}); err != nil {
-			return err
-		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.X))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Y))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.T))
 	}
-	return nil
+	return b
 }
 
 // ReadBinary deserializes a trajectory from r and validates it.

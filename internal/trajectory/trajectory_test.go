@@ -132,11 +132,8 @@ func TestBoundingBoxLength(t *testing.T) {
 
 func TestBinaryRoundTrip(t *testing.T) {
 	tr := lineTraj(t)
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
+	buf := bytes.NewBuffer(tr.AppendBinary(nil))
+	got, err := ReadBinary(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +149,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 
 func TestBinaryTruncation(t *testing.T) {
 	tr := lineTraj(t)
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
+	buf := bytes.NewBuffer(tr.AppendBinary(nil))
 	full := buf.Bytes()
 	// EOF at a clean boundary reports io.EOF (stream end).
 	if _, err := ReadBinary(bytes.NewReader(nil)); err != io.EOF {
@@ -193,11 +187,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var buf bytes.Buffer
-		if err := tr.WriteBinary(&buf); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf)
+		got, err := ReadBinary(bytes.NewReader(tr.AppendBinary(nil)))
 		if err != nil || got.OID != tr.OID || len(got.Verts) != n {
 			return false
 		}
