@@ -14,13 +14,13 @@
 //	phase 1 (bounds)    — every shard reports, per deterministic time
 //	                      slice of the query corridor (prune.SliceCuts),
 //	                      an upper bound on its local Level-k envelope
-//	                      (prune.SliceBounds). Each finite bound is the
+//	                      (prune.SliceBoundsWhere). Each finite bound is the
 //	                      slice maximum of a real object's distance, so
 //	                      the elementwise minimum across shards is a sound
 //	                      upper bound on the GLOBAL envelope.
 //	phase 2 (survivors) — the router broadcasts the merged global bounds;
 //	                      every shard sweeps its objects against them
-//	                      (prune.SurvivorsWithBounds) and returns the
+//	                      (prune.SurvivorsWithBoundsWhere) and returns the
 //	                      trajectories that can enter the global 4r zone.
 //	refine (central)    — the router gathers the survivors (a conservative
 //	                      superset of the zone members, which provably
@@ -48,9 +48,8 @@
 //
 // Shards come in two kinds: LocalShard wraps an in-process mod.Store;
 // RemoteShard speaks the modserver query op (bounds/survivors/oids
-// phases) over TCP. A Partitioner decides placement — Hash by OID (the default,
-// point lookups route directly) or Grid by the spatial cell of the first
-// vertex (co-moving objects share shards; lookups broadcast).
+// phases) over TCP. Hash places every object by its OID, so a point lookup
+// or an update routes to one shard.
 package cluster
 
 import (
@@ -155,9 +154,8 @@ type Shard interface {
 	// per-update outcomes in order.
 	Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, error)
 	// Owns reports, elementwise, whether the shard currently holds each
-	// OID — the bulk ownership probe the router's ingest placement uses
-	// under geometry partitioners (one round trip per shard per batch
-	// instead of one per update).
+	// OID. The Router never calls it (Hash locates every OID); it stays
+	// only because the benchmark module's traced shard forwards it.
 	Owns(ctx context.Context, oids []int64) ([]bool, error)
 }
 
@@ -234,15 +232,13 @@ func (s *LocalShard) Owns(_ context.Context, oids []int64) ([]bool, error) {
 }
 
 // SplitStore partitions a store's contents into n new stores sharing its
-// uncertainty model, placing each trajectory with part (nil means Hash).
-// Trajectory values are shared, not copied — stores treat them as
-// immutable.
-func SplitStore(store *mod.Store, n int, part Partitioner) ([]*mod.Store, error) {
+// uncertainty model, placing each trajectory on the shard Hash locates.
+// The Hash argument carries no choice; it keeps the benchmark module's
+// call compiling. Trajectory values are shared, not copied — stores treat
+// them as immutable.
+func SplitStore(store *mod.Store, n int, _ Hash) ([]*mod.Store, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: cannot split into %d stores", n)
-	}
-	if part == nil {
-		part = Hash{}
 	}
 	out := make([]*mod.Store, n)
 	for i := range out {
@@ -254,10 +250,7 @@ func SplitStore(store *mod.Store, n int, part Partitioner) ([]*mod.Store, error)
 	}
 	v := store.TaggedView()
 	for j, tr := range v.Trajs {
-		i := part.Place(tr, n)
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("cluster: partitioner %s placed OID %d on shard %d of %d", part.Name(), tr.OID, i, n)
-		}
+		i := Hash{}.Locate(tr.OID, n)
 		if err := out[i].Insert(tr); err != nil {
 			return nil, err
 		}
@@ -270,15 +263,11 @@ func SplitStore(store *mod.Store, n int, part Partitioner) ([]*mod.Store, error)
 	return out, nil
 }
 
-// NewLocalCluster splits a store into n in-process shards and routes over
-// them — the zero-config path behind uncertnn -shards, the fleetwatch
-// demo, and the shard-scaling benchmark.
+// NewLocalCluster splits a store into n in-process shards by Hash and
+// routes over them — the zero-config path behind uncertnn -shards, the
+// fleetwatch demo, and the shard-scaling benchmark.
 func NewLocalCluster(store *mod.Store, n int, opts Options) (*Router, error) {
-	part := opts.Partitioner
-	if part == nil {
-		part = Hash{}
-	}
-	stores, err := SplitStore(store, n, part)
+	stores, err := SplitStore(store, n, Hash{})
 	if err != nil {
 		return nil, err
 	}
@@ -286,6 +275,5 @@ func NewLocalCluster(store *mod.Store, n int, opts Options) (*Router, error) {
 	for i, s := range stores {
 		shards[i] = NewLocalShard(fmt.Sprintf("local-%d", i), s)
 	}
-	opts.Partitioner = part
 	return NewRouter(context.Background(), shards, opts)
 }

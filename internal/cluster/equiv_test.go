@@ -208,14 +208,34 @@ func TestRouterEquivalenceLocalDo(t *testing.T) {
 	checkSame(t, "local-do/4", reqs, want, got)
 }
 
-// TestRouterEquivalenceGrid swaps in the spatial-grid partitioner, whose
-// point lookups broadcast (Locate is -1), over both Do and DoBatch.
-func TestRouterEquivalenceGrid(t *testing.T) {
+// TestRouterEquivalenceOffHashLayout routes over shards whose contents
+// are not where Hash would put them: every object lives on the shard
+// after the one Hash names. Shard contents are data, so a point lookup
+// that misses on the shard Hash locates must fall back to a broadcast,
+// and the answers must still be the single store's.
+func TestRouterEquivalenceOffHashLayout(t *testing.T) {
 	store, trs := buildStore(t, 300, equivR, equivSeed)
 	reqs := equivRequests(trs)
 	want := singleAnswers(t, store, reqs)
-	for _, shards := range []int{3, 5} {
-		router, err := cluster.NewLocalCluster(store, shards, cluster.Options{Partitioner: cluster.Grid{}})
+	for _, k := range []int{3, 5} {
+		stores := make([]*mod.Store, k)
+		for i := range stores {
+			st, err := mod.NewStore(store.Spec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[i] = st
+		}
+		for _, tr := range trs {
+			if err := stores[(cluster.Hash{}.Locate(tr.OID, k)+1)%k].Insert(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		shards := make([]cluster.Shard, k)
+		for i, st := range stores {
+			shards[i] = cluster.NewLocalShard(fmt.Sprintf("off-%d", i), st)
+		}
+		router, err := cluster.NewRouter(context.Background(), shards, cluster.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +243,7 @@ func TestRouterEquivalenceGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSame(t, fmt.Sprintf("grid/%d", shards), reqs, want, got)
+		checkSame(t, fmt.Sprintf("off-hash/%d", k), reqs, want, got)
 	}
 }
 
@@ -285,7 +305,7 @@ func TestRouterEquivalenceAllThreshold(t *testing.T) {
 
 // startShardServers splits the store and serves each partition from an
 // in-process modserver over real TCP, returning the remote shard set.
-func startShardServers(t testing.TB, store *mod.Store, n int, part cluster.Partitioner, opts cluster.RemoteOptions) []cluster.Shard {
+func startShardServers(t testing.TB, store *mod.Store, n int, part cluster.Hash, opts cluster.RemoteOptions) []cluster.Shard {
 	t.Helper()
 	stores, err := cluster.SplitStore(store, n, part)
 	if err != nil {

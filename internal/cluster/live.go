@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -14,25 +13,19 @@ import (
 )
 
 // This file is the cluster face of the live layer: Ingest routes update
-// batches to the owning shards by the partitioner, ZoneProfile exposes
-// the bound-exchange machinery as a subscription fingerprint, and
+// batches to the owning shards by Hash, ZoneProfile exposes the
+// bound-exchange machinery as a subscription fingerprint, and
 // NewRouterHub mounts a continuous.Hub on the router so standing
 // subscriptions stay fresh across shards — cross-shard diffs merge
 // through exactly the same two-phase exchange the query path uses.
 
-// ErrUnplaceable reports an update the router cannot route: an unknown
-// OID whose vertices cannot seed a new trajectory for the partitioner.
-var ErrUnplaceable = errors.New("cluster: cannot place update")
-
-// Ingest applies an update batch across the cluster. Placement: when the
-// partitioner locates OIDs directly (Hash), an update goes straight to
-// its shard; otherwise (Grid) the router finds the current owner by
-// broadcast and falls back to Place on a trajectory seeded from the
-// update's own vertices for brand-new objects. Updates to one OID keep
-// their relative order (same shard), and outcomes return in input order.
-// On error, updates already shipped to shards stand (per-shard batches
-// stop at their first failure, like mod.ApplyUpdates); callers holding
-// subscriptions get their profiles invalidated by the hub.
+// Ingest applies an update batch across the cluster: each update goes to
+// the shard Hash locates for its OID, an insert of a new object included,
+// so updates to one OID keep their relative order, and outcomes return in
+// input order. On error, updates already shipped to shards stand
+// (per-shard batches stop at their first failure, like
+// mod.ApplyUpdates); callers holding subscriptions get their profiles
+// invalidated by the hub.
 func (r *Router) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, error) {
 	if r == nil {
 		return nil, ErrNoRouter
@@ -40,18 +33,10 @@ func (r *Router) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applie
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	owners, err := r.resolveOwners(ctx, updates)
-	if err != nil {
-		return nil, err
-	}
 	perShard := make([][]mod.Update, len(r.shards))
 	perShardIdx := make([][]int, len(r.shards))
-	placedNew := make(map[int64]int) // OIDs first seen in this batch
 	for i, u := range updates {
-		si, err := r.placeUpdate(u, owners, placedNew)
-		if err != nil {
-			return nil, err
-		}
+		si := Hash{}.Locate(u.OID, len(r.shards))
 		perShard[si] = append(perShard[si], u)
 		perShardIdx[si] = append(perShardIdx[si], i)
 	}
@@ -75,93 +60,6 @@ func (r *Router) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applie
 		}
 	}
 	return out, nil
-}
-
-// resolveOwners bulk-resolves current ownership for every update OID the
-// partitioner cannot locate directly: one Owns scatter for the whole
-// batch (a single round trip per shard) instead of a broadcast per
-// update. OIDs held by no shard are absent from the map — they are
-// brand-new and fall through to Place.
-func (r *Router) resolveOwners(ctx context.Context, updates []mod.Update) (map[int64]int, error) {
-	var unknown []int64
-	seen := make(map[int64]bool)
-	for _, u := range updates {
-		if seen[u.OID] {
-			continue
-		}
-		seen[u.OID] = true
-		if loc := r.part.Locate(u.OID, len(r.shards)); loc < 0 || loc >= len(r.shards) {
-			unknown = append(unknown, u.OID)
-		}
-	}
-	if len(unknown) == 0 {
-		return nil, nil
-	}
-	replies, _, err := scatter(ctx, r.shards, false, func(ctx context.Context, _ int, s Shard) ([]bool, error) {
-		return s.Owns(ctx, unknown)
-	})
-	if err != nil {
-		return nil, err
-	}
-	owners := make(map[int64]int, len(unknown))
-	for si, owned := range replies {
-		if len(owned) != len(unknown) {
-			return nil, fmt.Errorf("%w: shard %s answered %d of %d ownership probes",
-				ErrProtocol, r.shards[si].Name(), len(owned), len(unknown))
-		}
-		for j, ok := range owned {
-			if ok {
-				if _, dup := owners[unknown[j]]; !dup {
-					owners[unknown[j]] = si
-				}
-			}
-		}
-	}
-	return owners, nil
-}
-
-// placeUpdate resolves the shard an update belongs to. owners carries the
-// batch's bulk ownership resolution; placedNew carries placements already
-// decided earlier in this batch, so an insert followed by a revision of
-// the same new OID lands on one shard even under geometry partitioners.
-func (r *Router) placeUpdate(u mod.Update, owners map[int64]int, placedNew map[int64]int) (int, error) {
-	if si, ok := placedNew[u.OID]; ok {
-		return si, nil
-	}
-	if loc := r.part.Locate(u.OID, len(r.shards)); loc >= 0 && loc < len(r.shards) {
-		return loc, nil
-	}
-	// Geometry placement: the owner is wherever the object lives today.
-	if si, ok := owners[u.OID]; ok {
-		return si, nil
-	}
-	// A retire of an OID no shard owns: surface the single-store error
-	// identity (mod.ErrNotFound), not a placement failure — retiring an
-	// unknown object is a data error, and the router hub maps it exactly
-	// like a single engine would.
-	if u.Retire {
-		return 0, fmt.Errorf("%w: %d", mod.ErrNotFound, u.OID)
-	}
-	// A brand-new object: place by the update's own plan. One that cannot
-	// seed a plan is one every store refuses to insert; the error keeps
-	// the reason an empty store gives, so it files as the embedded
-	// store's and a Hash cluster's do.
-	seed, err := trajectory.New(u.OID, append([]trajectory.Vertex(nil), u.Verts...))
-	if err != nil {
-		if empty, serr := mod.NewUniformStore(1); serr == nil {
-			if _, serr := empty.ApplyUpdates([]mod.Update{u}); serr != nil {
-				err = serr
-			}
-		}
-		return 0, fmt.Errorf("%w: oid %d: %w", ErrUnplaceable, u.OID, err)
-	}
-	si := r.part.Place(seed, len(r.shards))
-	if si < 0 || si >= len(r.shards) {
-		return 0, fmt.Errorf("cluster: partitioner %s placed OID %d on shard %d of %d",
-			r.part.Name(), u.OID, si, len(r.shards))
-	}
-	placedNew[u.OID] = si
-	return si, nil
 }
 
 // ZoneProfile runs the bound exchange for (qOID, [tb, te]) at rank k and

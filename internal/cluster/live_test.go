@@ -1,10 +1,9 @@
 package cluster_test
 
-// Live-layer cluster tests: Router.Ingest routing by partitioner (hash
-// direct, grid broadcast + Place for new objects, over local and remote
-// shards), ZoneProfile, and the router-backed continuous hub answering
-// and diffing identically to a single-store hub over the union of the
-// shards.
+// Live-layer cluster tests: Router.Ingest routing by OID hash (over local
+// and remote shards), ZoneProfile, and the router-backed continuous hub
+// answering and diffing identically to a single-store hub over the union
+// of the shards.
 
 import (
 	"bufio"
@@ -169,14 +168,6 @@ func TestRouterHubLocalHash(t *testing.T) {
 	}
 }
 
-func TestRouterHubLocalGrid(t *testing.T) {
-	router, err := cluster.NewLocalCluster(liveStore(t), 3, cluster.Options{Partitioner: cluster.Grid{CellSize: 20}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runLiveEquivalence(t, "local-grid", router)
-}
-
 func TestRouterHubRemote(t *testing.T) {
 	shards := startShardServers(t, liveStore(t), 2, cluster.Hash{}, cluster.RemoteOptions{})
 	router, err := cluster.NewRouter(context.Background(), shards, cluster.Options{})
@@ -184,20 +175,6 @@ func TestRouterHubRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	runLiveEquivalence(t, "remote-hash", router)
-}
-
-// TestRouterHubRemoteGrid drives ingest placement over the wire with a
-// geometry partitioner: ownership resolves through the bulk Owns op (one
-// round trip per shard per batch), inserts place via the update's own
-// plan, and the event stream still matches the single-store reference.
-func TestRouterHubRemoteGrid(t *testing.T) {
-	part := cluster.Grid{CellSize: 20}
-	shards := startShardServers(t, liveStore(t), 2, part, cluster.RemoteOptions{})
-	router, err := cluster.NewRouter(context.Background(), shards, cluster.Options{Partitioner: part})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runLiveEquivalence(t, "remote-grid", router)
 }
 
 // TestRouterRemoteOutcomesParity: a router over remote shards returns
@@ -279,13 +256,13 @@ func TestRouterRemoteOutcomesParity(t *testing.T) {
 func TestRouterIngestPlacement(t *testing.T) {
 	ctx := context.Background()
 	store := liveStore(t)
-	router, err := cluster.NewLocalCluster(store, 3, cluster.Options{Partitioner: cluster.Grid{CellSize: 20}})
+	router, err := cluster.NewLocalCluster(store, 3, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A revision routes to the shard that owns the object (broadcast under
-	// grid); an insert followed by a revision of the same new OID in one
-	// batch must land on one shard.
+	// A revision routes to the shard that owns the object; an insert
+	// followed by a revision of the same new OID in one batch must land
+	// on one shard.
 	applied, err := router.Ingest(ctx, []mod.Update{
 		rev(3, [3]float64{7, 49, 7}, [3]float64{10, 49, 10}),
 		{OID: 42, Verts: []trajectory.Vertex{{X: 0, Y: 7, T: 0}, {X: 10, Y: 7, T: 10}}},
@@ -308,18 +285,13 @@ func TestRouterIngestPlacement(t *testing.T) {
 	if applied[2].Inserted || applied[2].ChangedFrom != 0 || applied[2].Prev == nil {
 		t.Fatalf("post-insert revision outcome = %+v", applied[2])
 	}
-	// An unknown OID with a one-vertex update cannot be placed.
-	if _, err := router.Ingest(ctx, []mod.Update{{OID: 77, Verts: []trajectory.Vertex{{X: 0, Y: 0, T: 1}}}}); !errors.Is(err, cluster.ErrUnplaceable) {
-		t.Fatalf("unplaceable err = %v", err)
-	}
 }
 
-// TestGridRefusalsFileAsTheStoreDoes: an insert a store refuses, which a
-// geometry partitioner cannot place either, fails through a Grid cluster
-// with the store's own reason — the sentinel and the code the embedded
-// store and a Hash cluster give the same update — not as an internal
+// TestClusterRefusalsFileAsTheStoreDoes: an insert a store refuses fails
+// through a cluster with the store's own reason — the sentinel and the
+// code the embedded store gives the same update — not as an internal
 // error.
-func TestGridRefusalsFileAsTheStoreDoes(t *testing.T) {
+func TestClusterRefusalsFileAsTheStoreDoes(t *testing.T) {
 	ctx := context.Background()
 	tags := []string{"ev"}
 	cases := []struct {
@@ -334,18 +306,16 @@ func TestGridRefusalsFileAsTheStoreDoes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, embedded := liveStore(t).ApplyUpdates([]mod.Update{tc.u})
-			for _, part := range []cluster.Partitioner{cluster.Hash{}, cluster.Grid{CellSize: 20}} {
-				router, err := cluster.NewLocalCluster(liveStore(t), 3, cluster.Options{Partitioner: part})
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, err = router.Ingest(ctx, []mod.Update{tc.u})
-				if !errors.Is(embedded, tc.is) || !errors.Is(err, tc.is) {
-					t.Fatalf("%s: embedded %v, cluster %v; want both %v", part.Name(), embedded, err, tc.is)
-				}
-				if got, want := codeOf(err), codeOf(embedded); got != want {
-					t.Fatalf("%s: cluster files %v as %s, the embedded store as %s", part.Name(), err, got, want)
-				}
+			router, err := cluster.NewLocalCluster(liveStore(t), 3, cluster.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = router.Ingest(ctx, []mod.Update{tc.u})
+			if !errors.Is(embedded, tc.is) || !errors.Is(err, tc.is) {
+				t.Fatalf("embedded %v, cluster %v; want both %v", embedded, err, tc.is)
+			}
+			if got, want := codeOf(err), codeOf(embedded); got != want {
+				t.Fatalf("cluster files %v as %s, the embedded store as %s", err, got, want)
 			}
 		})
 	}

@@ -1,78 +1,19 @@
 package cluster
 
-import (
-	"math"
-
-	"repro/internal/trajectory"
-)
-
-// Partitioner decides which shard holds a trajectory. Place must be
-// deterministic (the router and loaders both consult it); Locate lets the
-// router turn a point lookup into a single shard call when the OID alone
-// determines placement.
-type Partitioner interface {
-	// Name identifies the scheme in artifacts and errors.
-	Name() string
-	// Place returns the shard index in [0, n) for a trajectory.
-	Place(tr *trajectory.Trajectory, n int) int
-	// Locate returns the shard index for an OID when it is determinable
-	// from the OID alone, or -1 — the router then broadcasts the lookup.
-	Locate(oid int64, n int) int
-}
-
-// Hash places by a mixed hash of the OID — the default scheme: balanced
-// regardless of geometry, and point lookups route to exactly one shard.
+// Hash is the cluster's placement rule: a trajectory lives on the shard a
+// mixed hash of its OID names — balanced regardless of geometry, and
+// point lookups and ingest route to exactly one shard. Placement changes
+// what a query costs, never its answer: the bound exchange merges every
+// shard's bounds into the global envelope.
 type Hash struct{}
 
-// Name implements Partitioner.
-func (Hash) Name() string { return "hash" }
-
-// Place implements Partitioner.
-func (h Hash) Place(tr *trajectory.Trajectory, n int) int { return h.Locate(tr.OID, n) }
-
-// Locate implements Partitioner.
+// Locate returns the shard index in [0, n) that holds oid.
 func (Hash) Locate(oid int64, n int) int {
 	if n <= 1 {
 		return 0
 	}
 	return int(mix64(uint64(oid)) % uint64(n))
 }
-
-// DefaultCellSize is the Grid cell edge (in distance units) when none is
-// set — 10 mi on the paper's 40×40 mi² workload keeps a handful of cells
-// per shard at small K.
-const DefaultCellSize = 10.0
-
-// Grid places by the spatial cell of the trajectory's first vertex, so
-// objects that start out co-located tend to share a shard — tighter
-// per-shard corridors and envelope bounds at the price of OID-broadcast
-// point lookups (Locate always answers -1).
-type Grid struct {
-	// CellSize is the square cell edge; <= 0 means DefaultCellSize.
-	CellSize float64
-}
-
-// Name implements Partitioner.
-func (Grid) Name() string { return "grid" }
-
-// Place implements Partitioner.
-func (g Grid) Place(tr *trajectory.Trajectory, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	cs := g.CellSize
-	if cs <= 0 {
-		cs = DefaultCellSize
-	}
-	v := tr.Verts[0]
-	cx := uint64(int64(math.Floor(v.X / cs)))
-	cy := uint64(int64(math.Floor(v.Y / cs)))
-	return int(mix64(cx*0x9e3779b97f4a7c15^cy) % uint64(n))
-}
-
-// Locate implements Partitioner: placement depends on geometry the OID
-// does not carry.
-func (Grid) Locate(int64, int) int { return -1 }
 
 // mix64 is the splitmix64 finalizer: a cheap, well-distributed 64-bit
 // mixer so sequential OIDs spread evenly across shards.

@@ -21,9 +21,6 @@ import (
 
 // Options tunes router construction.
 type Options struct {
-	// Partitioner decides placement and point-lookup routing; nil means
-	// Hash{}.
-	Partitioner Partitioner
 	// Engine supplies the worker pool the router evaluates its gathered
 	// unions on, the whole-MOD filters included (no shard refines); nil
 	// means a fresh engine with one worker per CPU. A union is transient
@@ -47,7 +44,6 @@ type Options struct {
 // engine is itself concurrent-safe) and meant to be long-lived.
 type Router struct {
 	shards   []Shard
-	part     Partitioner
 	inner    *engine.Engine
 	spec     mod.PDFSpec
 	degraded bool
@@ -62,10 +58,6 @@ func NewRouter(ctx context.Context, shards []Shard, opts Options) (*Router, erro
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	part := opts.Partitioner
-	if part == nil {
-		part = Hash{}
 	}
 	inner := opts.Engine
 	if inner == nil {
@@ -92,7 +84,7 @@ func NewRouter(ctx context.Context, shards []Shard, opts Options) (*Router, erro
 				ErrSpecMismatch, shards[0].Name(), spec, s.Name(), sp)
 		}
 	}
-	return &Router{shards: shards, part: part, inner: inner, spec: spec, degraded: opts.Degraded}, nil
+	return &Router{shards: shards, inner: inner, spec: spec, degraded: opts.Degraded}, nil
 }
 
 // Shards reports the cluster size.
@@ -592,23 +584,21 @@ func (r *Router) ensureTarget(ctx context.Context, g *gathered, oid int64, where
 	return g.store.Insert(tr)
 }
 
-// getTrajectory resolves an OID to its trajectory and tag set: one shard
-// call when the partitioner can locate it, a broadcast otherwise (or when
-// the located shard surprisingly misses — shard contents are data, not an
-// invariant the router gets to assume).
+// getTrajectory resolves an OID to its trajectory and tag set: one call
+// to the shard Hash locates, and a broadcast when that shard misses —
+// shard contents are data, not an invariant the router gets to assume.
 func (r *Router) getTrajectory(ctx context.Context, oid int64) (*trajectory.Trajectory, []string, error) {
-	if loc := r.part.Locate(oid, len(r.shards)); loc >= 0 && loc < len(r.shards) {
-		tr, tags, err := r.shards[loc].Get(ctx, oid)
-		if err == nil {
-			return tr, tags, nil
+	loc := Hash{}.Locate(oid, len(r.shards))
+	tr, tags, err := r.shards[loc].Get(ctx, oid)
+	if err == nil {
+		return tr, tags, nil
+	}
+	if !errors.Is(err, mod.ErrNotFound) {
+		if !r.degraded {
+			return nil, nil, fmt.Errorf("cluster: shard %s: %w", r.shards[loc].Name(), err)
 		}
-		if !errors.Is(err, mod.ErrNotFound) {
-			if !r.degraded {
-				return nil, nil, fmt.Errorf("cluster: shard %s: %w", r.shards[loc].Name(), err)
-			}
-			// Degraded: the located copy is unreachable, but a replica may
-			// exist elsewhere — fall through to the broadcast.
-		}
+		// Degraded: the located copy is unreachable, but a replica may
+		// exist elsewhere — fall through to the broadcast.
 	}
 	type hit struct {
 		tr   *trajectory.Trajectory

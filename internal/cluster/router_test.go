@@ -2,7 +2,7 @@ package cluster_test
 
 // Router unit tests: cancellation promptness and goroutine hygiene
 // (acceptance: a canceled router call returns promptly and leaks nothing
-// under -race), Explain shard aggregation, partitioner behavior, and
+// under -race), Explain shard aggregation, hash placement, and
 // construction validation.
 
 import (
@@ -272,7 +272,7 @@ func (s refineSpy) Refine(ctx context.Context, id string, union *mod.Store, own 
 // the same whole build of the union.
 func TestRefineBuildsFromTheUnion(t *testing.T) {
 	store, trs := tagStore(t, 300, equivR, equivSeed)
-	stores, err := cluster.SplitStore(store, 4, nil)
+	stores, err := cluster.SplitStore(store, 4, cluster.Hash{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,41 +525,31 @@ func TestRouterProbabilityDeadline(t *testing.T) {
 	}
 }
 
-// TestPartitioners pins placement invariants: in-range deterministic
-// placement for both schemes, OID-locatability for hash, and split
-// completeness.
+// TestPartitioners pins the placement invariants: Hash places in range,
+// deterministically and over more than one shard, one shard takes every
+// OID, and SplitStore loses nothing.
 func TestPartitioners(t *testing.T) {
 	trs, err := workload.Generate(workload.DefaultConfig(3), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, part := range []cluster.Partitioner{cluster.Hash{}, cluster.Grid{}, cluster.Grid{CellSize: 2.5}} {
-		counts := make(map[int]int)
-		for _, tr := range trs {
-			i := part.Place(tr, 4)
-			if i < 0 || i >= 4 {
-				t.Fatalf("%s placed OID %d out of range: %d", part.Name(), tr.OID, i)
-			}
-			if j := part.Place(tr, 4); j != i {
-				t.Fatalf("%s is nondeterministic for OID %d", part.Name(), tr.OID)
-			}
-			counts[i]++
-		}
-		if len(counts) < 2 {
-			t.Fatalf("%s used %d of 4 shards for 200 trajectories", part.Name(), len(counts))
-		}
-	}
 	h := cluster.Hash{}
-	for _, tr := range trs[:20] {
-		if h.Locate(tr.OID, 4) != h.Place(tr, 4) {
-			t.Fatalf("hash Locate disagrees with Place for OID %d", tr.OID)
+	counts := make(map[int]int)
+	for _, tr := range trs {
+		i := h.Locate(tr.OID, 4)
+		if i < 0 || i >= 4 {
+			t.Fatalf("hash placed OID %d out of range: %d", tr.OID, i)
 		}
+		if j := h.Locate(tr.OID, 4); j != i {
+			t.Fatalf("hash is nondeterministic for OID %d", tr.OID)
+		}
+		counts[i]++
 	}
-	if (cluster.Hash{}).Locate(99, 1) != 0 {
+	if len(counts) < 2 {
+		t.Fatalf("hash used %d of 4 shards for 200 trajectories", len(counts))
+	}
+	if h.Locate(99, 1) != 0 {
 		t.Fatal("single-shard locate must be 0")
-	}
-	if (cluster.Grid{}).Locate(99, 4) != -1 {
-		t.Fatal("grid locate must be -1 (broadcast)")
 	}
 
 	store, err := mod.NewUniformStore(0.5)

@@ -1128,7 +1128,7 @@ func (c *Client) Ingest(updates []mod.Update) ([]mod.Applied, error) {
 }
 
 // Owns reports, elementwise, whether the server's store holds each OID —
-// the bulk ownership probe behind cluster ingest placement.
+// the bulk ownership probe behind a cluster shard's Owns.
 func (c *Client) Owns(oids []int64) ([]bool, error) {
 	resp, err := c.roundTrip(Request{Op: "owns", OIDs: oids})
 	if err != nil {

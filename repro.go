@@ -13,8 +13,9 @@
 //     cancellation and per-query Explain provenance,
 //   - the sharded serving layer: NewCluster / NewClusterRouter stand up a
 //     Router that answers the same Request contract over K shards (local
-//     or remote), byte-identically to a single engine via a two-phase NN
-//     bound exchange,
+//     or remote, objects placed by OID hash as SplitStore places them),
+//     byte-identically to a single engine via a two-phase NN bound
+//     exchange,
 //   - spatio-textual queries: trajectories carry attribute tag sets
 //     (Store.SetTags, Update.Tags) — data beside the plans, not a second
 //     index: the pre-pass restricts its snapshot to the matching objects
@@ -345,19 +346,9 @@ type Router = cluster.Router
 // or a remote modserver (NewRemoteShard).
 type ClusterShard = cluster.Shard
 
-// ClusterOptions tunes router construction (partitioner, refinement
-// engine).
+// ClusterOptions tunes router construction (refinement engine, degraded
+// answers).
 type ClusterOptions = cluster.Options
-
-// Partitioner decides which shard holds a trajectory.
-type Partitioner = cluster.Partitioner
-
-// HashPartitioner places by a mixed hash of the OID (the default).
-type HashPartitioner = cluster.Hash
-
-// GridPartitioner places by the spatial cell of the first vertex, so
-// co-located objects share shards.
-type GridPartitioner = cluster.Grid
 
 // NewCluster splits a store into n in-process shards and returns a
 // router over them — the one-call path from a single store to sharded
@@ -387,10 +378,11 @@ func NewRemoteShard(name, addr string) ClusterShard {
 }
 
 // SplitStore partitions a store's contents into n new stores sharing its
-// uncertainty model (nil partitioner = hash by OID) — the loader-side
-// helper for standing up shard servers.
-func SplitStore(store *Store, n int, part Partitioner) ([]*Store, error) {
-	return cluster.SplitStore(store, n, part)
+// uncertainty model, placing each object by a hash of its OID as a
+// cluster router routes it — the loader-side helper for standing up shard
+// servers.
+func SplitStore(store *Store, n int) ([]*Store, error) {
+	return cluster.SplitStore(store, n, cluster.Hash{})
 }
 
 // --- live ingestion + continuous queries ---
@@ -435,7 +427,7 @@ func NewLiveHub(store *Store, eng *Engine) *LiveHub {
 }
 
 // NewClusterHub mounts a continuous-query hub on a sharded router:
-// ingests route to the owning shards by the partitioner, and
+// ingests route to the owning shards by OID hash, and
 // subscription freshness rides the same two-phase bound exchange the
 // query path uses — events are byte-identical to a single-store hub over
 // the union of the shards.
