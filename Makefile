@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke benchmark-check examples bench bench-smoke bench-city cover loc fmt vet staticcheck chaos chaos-soak serve-smoke clean
+.PHONY: all build test race fuzz-smoke benchmark-check examples bench bench-smoke bench-city cover loc loc-diff fmt vet staticcheck chaos chaos-soak serve-smoke clean
 
 all: fmt vet staticcheck build test
 
@@ -176,6 +176,23 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# The change in those lines against a git revision, per package
+# directory whose count moved, total last: `make loc-diff BASE=<rev>`
+# prints before, after and the difference. The revision is read with git
+# ls-tree and git show, so nothing is checked out; the after side is the
+# working tree, counted as `make loc` counts it.
+loc-diff:
+	@test -n "$(BASE)" || { echo "usage: make loc-diff BASE=<rev>"; exit 2; }
+	@{ git ls-tree -r --name-only "$(BASE)" | grep '\.go$$' | grep -v -e '_test\.go$$' -e '^benchmark/' | \
+		while read -r f; do echo "before $$(git show "$(BASE):$$f" | wc -l) ./$$f"; done; \
+	  find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | \
+		while read -r f; do echo "after $$(wc -l < "$$f") $$f"; done; } | \
+		awk '{ d = $$3; sub(/\/[^\/]*$$/, "", d); n[$$1, d] += $$2; t[$$1] += $$2; dirs[d] = 1 } \
+		END { printf "%7s %7s %7s %s\n", "before", "after", "change", "dir"; \
+			for (d in dirs) if (n["before", d] != n["after", d]) \
+				printf "%7d %7d %+7d %s\n", n["before", d], n["after", d], n["after", d] - n["before", d], d | "sort -k4"; \
+			close("sort -k4"); printf "%7d %7d %+7d total\n", t["before"], t["after"], t["after"] - t["before"] }'
 
 # Fails (with the offending file list) when any file is not gofmt-clean.
 fmt:

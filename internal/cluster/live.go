@@ -121,7 +121,7 @@ func (b routerBackend) Evaluate(ctx context.Context, req engine.Request) (engine
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res, g, err := b.r.dispatch(ctx, req, make(map[gatherKey]*gathered), nil)
+	res, g, err := b.r.dispatch(ctx, req, req.Rank(), nil)
 	if err != nil {
 		return res, nil, err
 	}

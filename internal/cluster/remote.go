@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -347,14 +348,16 @@ func (s *RemoteShard) Ingest(ctx context.Context, updates []mod.Update) ([]mod.A
 	return applied, err
 }
 
-// Owns implements Shard (the modserver owns op on the wire — one round
-// trip for the whole batch).
+// Owns implements Shard from the oids phase: one round trip for the
+// whole batch.
 func (s *RemoteShard) Owns(ctx context.Context, oids []int64) ([]bool, error) {
-	var owned []bool
-	err := s.callIdempotent(ctx, func(c *modserver.Client) error {
-		var err error
-		owned, err = c.Owns(oids)
-		return err
-	})
-	return owned, err
+	held, err := s.OIDs(ctx, nil)
+	if err != nil {
+		return nil, err
+	}
+	owned := make([]bool, len(oids))
+	for i, oid := range oids {
+		_, owned[i] = slices.BinarySearch(held, oid)
+	}
+	return owned, nil
 }

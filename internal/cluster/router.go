@@ -90,18 +90,6 @@ func NewRouter(ctx context.Context, shards []Shard, opts Options) (*Router, erro
 // Shards reports the cluster size.
 func (r *Router) Shards() int { return len(r.shards) }
 
-// gatherKey identifies one bound-exchange gather: a query trajectory, a
-// window, and the canonical predicate key (empty when unfiltered) — a
-// filtered exchange runs over a different sub-MOD, so its union store is
-// not interchangeable with the unfiltered one. Rank rides separately so a
-// batch's deepest rank widens one shared gather instead of repeating it
-// per level.
-type gatherKey struct {
-	qOID   int64
-	tb, te float64
-	where  string
-}
-
 // gathered is the outcome of one scatter/gather round: the transient
 // union store of global-zone survivors (plus the query trajectory and
 // any fetched targets), the per-shard provenance, the filter domain the
@@ -164,56 +152,34 @@ func (r *Router) Do(ctx context.Context, req engine.Request) (engine.Result, err
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res, _, err := r.dispatch(ctx, req, make(map[gatherKey]*gathered), nil)
+	res, _, err := r.dispatch(ctx, req, req.Rank(), nil)
 	return res, err
 }
 
-// DoBatch evaluates the requests in order, sharing one bound exchange per
-// (query trajectory, window) group at the group's deepest rank, and the
-// all-kinds gather across all-pairs/reverse members. Per-request failures
-// are reported inside the matching Result; the batch itself only errors
-// on a nil router or when ctx is canceled, in which case the context
-// error is returned with the results completed so far — exactly the
-// Engine.DoBatch contract.
+// DoBatch evaluates the requests in order under engine.RunBatch's
+// contract, the one Engine.DoBatch keeps: the members on one engine.Key
+// share one bound exchange at their deepest rank and one whole build of
+// its union.
 func (r *Router) DoBatch(ctx context.Context, reqs []engine.Request) ([]engine.Result, error) {
 	if r == nil {
 		return nil, ErrNoRouter
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	maxK := make(map[gatherKey]int)
-	for _, req := range reqs {
-		if req.Validate() != nil || !req.Kind.NeedsProcessor() {
-			continue
-		}
-		key := gatherKey{req.QueryOID, req.Tb, req.Te, req.Where.Canon().Key()}
-		if k := req.Rank(); k > maxK[key] {
-			maxK[key] = k
-		}
-	}
-	caches := make(map[gatherKey]*gathered)
-	out := make([]engine.Result, len(reqs))
-	for i, req := range reqs {
-		if err := pool.CtxErr(ctx); err != nil {
-			return out[:i], err
-		}
-		res, _, err := r.dispatch(ctx, req, caches, maxK)
-		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			return out[:i], err
-		}
-		out[i] = res
-	}
-	return out, nil
+	rounds := make(map[engine.Key]*gathered)
+	return engine.RunBatch(ctx, reqs, func(ctx context.Context, req engine.Request, rank int) (engine.Result, error) {
+		res, _, err := r.dispatch(ctx, req, rank, rounds)
+		return res, err
+	})
 }
 
 // dispatch runs one validated-or-failing request: pick or perform the
-// gather its kind needs, evaluate on the gather's processor, and
-// decorate the Explain with shard provenance. The gathered round is
+// gather its kind needs at rank k (the request's own rank, or a batch's
+// deepest on its Key), evaluate on the gather's processor, and decorate
+// the Explain with shard provenance. rounds, when non-nil, keeps the
+// gathered rounds across a batch's members. The gathered round is
 // returned alongside the result so the continuous layer can fingerprint
 // the request from the same exchange (nil on failure and on the
 // per-query-object all-pairs/reverse path).
-func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[gatherKey]*gathered, maxK map[gatherKey]int) (engine.Result, *gathered, error) {
+func (r *Router) dispatch(ctx context.Context, req engine.Request, k int, rounds map[engine.Key]*gathered) (engine.Result, *gathered, error) {
 	res := engine.Result{Kind: req.Kind}
 	res.Explain.Workers = r.inner.Workers()
 	res.Explain.Shards = len(r.shards)
@@ -237,14 +203,16 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, caches map[ga
 		inner.Explain.Wall = time.Since(start)
 		return inner, nil, err
 	}
-	key := gatherKey{req.QueryOID, req.Tb, req.Te, req.Where.Key()}
-	k := req.Rank()
-	if mk := maxK[key]; mk > k {
-		k = mk
-	}
-	g, err := r.gather(ctx, key, k, caches, req.Where)
-	if err != nil {
-		return fail(err)
+	key := req.Key()
+	g, ok := rounds[key]
+	var err error
+	if !ok || g.k < k {
+		if g, err = r.gather(ctx, key, k, req.Where); err != nil {
+			return fail(err)
+		}
+		if rounds != nil {
+			rounds[key] = g
+		}
 	}
 	if oid, ok := req.Target(); ok {
 		if err := r.ensureTarget(ctx, g, oid, req.Where); err != nil {
@@ -337,16 +305,12 @@ func mergeSorted(lists [][]int64) []int64 {
 	}
 }
 
-// gather runs the two-phase bound exchange for one (query, window) at
-// rank k, building the transient refinement store, or returns the cached
-// round when a batch already paid for it at sufficient rank. where must
-// be canonical and agree with key.where — it restricts the exchange to
-// the predicate's sub-MOD (the query itself stays exempt at the shards).
-func (r *Router) gather(ctx context.Context, key gatherKey, k int, caches map[gatherKey]*gathered, where *textidx.Predicate) (*gathered, error) {
-	if g, ok := caches[key]; ok && g.k >= k {
-		return g, nil
-	}
-	q, _, err := r.getTrajectory(ctx, key.qOID)
+// gather runs the two-phase bound exchange for one Key at rank k and
+// builds the round's transient refinement store. where must be canonical
+// and agree with key.Where — it restricts the exchange to the
+// predicate's sub-MOD (the query itself stays exempt at the shards).
+func (r *Router) gather(ctx context.Context, key engine.Key, k int, where *textidx.Predicate) (*gathered, error) {
+	q, _, err := r.getTrajectory(ctx, key.QueryOID)
 	if err != nil {
 		if errors.Is(err, mod.ErrNotFound) {
 			// Same typed error as the single-store engine, whose
@@ -359,7 +323,7 @@ func (r *Router) gather(ctx context.Context, key gatherKey, k int, caches map[ga
 		}
 		return nil, err
 	}
-	bounds, phase2, missing, err := r.exchange(ctx, q, key.tb, key.te, k, where)
+	bounds, phase2, missing, err := r.exchange(ctx, q, key.Tb, key.Te, k, where)
 	if err != nil {
 		return nil, err
 	}
@@ -396,9 +360,7 @@ func (r *Router) gather(ctx context.Context, key gatherKey, k int, caches map[ga
 		}
 	}
 	slices.Sort(domain)
-	g := &gathered{store: store, shardEx: shardEx, domain: domain, k: k, targets: make(map[int64]bool), nonMatch: make(map[int64]bool), q: q, bounds: bounds, missing: missing}
-	caches[key] = g
-	return g, nil
+	return &gathered{store: store, shardEx: shardEx, domain: domain, k: k, targets: make(map[int64]bool), nonMatch: make(map[int64]bool), q: q, bounds: bounds, missing: missing}, nil
 }
 
 // survReply is one shard's phase-2 outcome; wall spans both exchange
@@ -521,11 +483,14 @@ func (r *Router) perQueryObject(ctx context.Context, req engine.Request) (engine
 		target = tr
 		return ts, err
 	}
+	key := req.Key()
 	build := func(ctx context.Context, qOID int64) (*queries.Processor, error) {
-		// One fresh per-object exchange: the shared batch cache is keyed
-		// per (query, window) and guarded by the sequential dispatch loop,
-		// so the concurrent per-object gathers use private cache maps.
-		g, err := r.gather(ctx, gatherKey{qOID, req.Tb, req.Te, req.Where.Key()}, 1, make(map[gatherKey]*gathered), req.Where)
+		// One fresh per-object exchange, kept in no batch's rounds: those
+		// belong to the sequential member loop, and these gathers run
+		// side by side on the worker pool.
+		key := key
+		key.QueryOID = qOID
+		g, err := r.gather(ctx, key, 1, req.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -587,24 +552,29 @@ func (r *Router) ensureTarget(ctx context.Context, g *gathered, oid int64, where
 // getTrajectory resolves an OID to its trajectory and tag set: one call
 // to the shard Hash locates, and a broadcast when that shard misses —
 // shard contents are data, not an invariant the router gets to assume.
+// A located shard that answered "not found" is not asked again, so an
+// unknown OID costs one lookup per shard; one that failed on a degraded
+// router is, as the retry of a reply it may yet give.
 func (r *Router) getTrajectory(ctx context.Context, oid int64) (*trajectory.Trajectory, []string, error) {
 	loc := Hash{}.Locate(oid, len(r.shards))
 	tr, tags, err := r.shards[loc].Get(ctx, oid)
 	if err == nil {
 		return tr, tags, nil
 	}
-	if !errors.Is(err, mod.ErrNotFound) {
-		if !r.degraded {
-			return nil, nil, fmt.Errorf("cluster: shard %s: %w", r.shards[loc].Name(), err)
-		}
-		// Degraded: the located copy is unreachable, but a replica may
-		// exist elsewhere — fall through to the broadcast.
+	absent := errors.Is(err, mod.ErrNotFound)
+	if !absent && !r.degraded {
+		return nil, nil, fmt.Errorf("cluster: shard %s: %w", r.shards[loc].Name(), err)
 	}
+	// Absent there, or unreachable on a degraded router: a copy may live
+	// elsewhere.
 	type hit struct {
 		tr   *trajectory.Trajectory
 		tags []string
 	}
-	found, failed, err := scatter(ctx, r.shards, r.degraded, func(ctx context.Context, _ int, s Shard) (hit, error) {
+	found, failed, err := scatter(ctx, r.shards, r.degraded, func(ctx context.Context, i int, s Shard) (hit, error) {
+		if absent && i == loc {
+			return hit{}, nil
+		}
 		tr, tags, err := s.Get(ctx, oid)
 		if errors.Is(err, mod.ErrNotFound) {
 			return hit{}, nil
@@ -675,7 +645,7 @@ func scatter[T any](ctx context.Context, shards []Shard, degraded bool, f func(c
 		switch {
 		case err == nil:
 			replied = true
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		case pool.IsCtxErr(err):
 			noise = cmp.Or(noise, err)
 		default:
 			real = cmp.Or(real, err)

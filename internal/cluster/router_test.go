@@ -688,3 +688,24 @@ func TestLocalShardSurvivorsMatchCandidates(t *testing.T) {
 		t.Fatalf("stats.Survivors=%d, want %d", stats.Survivors, len(want))
 	}
 }
+
+// TestRemoteOwnsMatchesLocal: a remote shard's Owns, read off the oids
+// phase, answers what the local shard over the same partition answers.
+func TestRemoteOwnsMatchesLocal(t *testing.T) {
+	store, trs := buildStore(t, 40, 0.5, 17)
+	oids := []int64{987654321}
+	for _, tr := range trs {
+		oids = append(oids, tr.OID)
+	}
+	stores, err := cluster.SplitStore(store, 2, cluster.Hash{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, remote := range startShardServers(t, store, 2, cluster.Hash{}, cluster.RemoteOptions{}) {
+		want, _ := cluster.NewLocalShard("local", stores[i]).Owns(context.Background(), oids)
+		got, err := remote.Owns(context.Background(), oids)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("shard %d: Owns = %v (%v), local %v", i, got, err, want)
+		}
+	}
+}

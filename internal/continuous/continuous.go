@@ -270,12 +270,12 @@ type sub struct {
 	backlog []Event
 }
 
-// group is the set of live subscriptions sharing one request identity.
+// subGroup is the set of live subscriptions sharing one request identity.
 // Two subscriptions with equal keys have byte-identical answers at every
 // data version (the engine is deterministic), so one evaluation per
 // ingest batch serves them all, and any member's zone profile can prove
 // the whole group clean.
-type group struct {
+type subGroup struct {
 	members map[int64]*sub
 }
 
@@ -283,7 +283,7 @@ type group struct {
 // profiles are interchangeable for the dirty test: each was valid when
 // derived, and every batch since was proven irrelevant against a member
 // profile — which pins the shared answer, hence every member's answer.
-func (g *group) anyProfiled() *sub {
+func (g *subGroup) anyProfiled() *sub {
 	for _, s := range g.members {
 		if s.prof != nil {
 			return s
@@ -326,7 +326,7 @@ type Hub struct {
 
 	mu     sync.Mutex
 	subs   map[int64]*sub
-	groups map[string]*group
+	groups map[string]*subGroup
 	nextID int64
 	stats  Stats
 	closed bool
@@ -334,7 +334,7 @@ type Hub struct {
 
 // New creates a hub over a backend.
 func New(be Backend) *Hub {
-	return &Hub{be: be, subs: make(map[int64]*sub), groups: make(map[string]*group)}
+	return &Hub{be: be, subs: make(map[int64]*sub), groups: make(map[string]*subGroup)}
 }
 
 // NewEngineHub is the single-store hub: updates apply to store, standing
@@ -386,7 +386,7 @@ func (h *Hub) registerLocked(req engine.Request, key string, res engine.Result, 
 	h.subs[id] = s
 	g := h.groups[key]
 	if g == nil {
-		g = &group{members: make(map[int64]*sub)}
+		g = &subGroup{members: make(map[int64]*sub)}
 		h.groups[key] = g
 	}
 	g.members[id] = s
@@ -571,7 +571,7 @@ func (h *Hub) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, 
 		out.served = true
 		if out.err != nil {
 			s.prof = nil
-			if isCtxErr(out.err) {
+			if pool.IsCtxErr(out.err) {
 				// The batch is already applied but this group was never
 				// evaluated against it, and the assembly stops here: the
 				// remaining subscriptions' profiles describe pre-batch
@@ -587,10 +587,11 @@ func (h *Hub) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, 
 				// The query or target object was retired: the standing
 				// answer becomes the error a fresh query would get, until
 				// a re-insert of the OID revives the subscription. A
-				// single-store engine reports a missing query trajectory as
-				// mod.ErrNotFound while the cluster router maps it to
+				// missing query trajectory surfaces as mod.ErrNotFound on
+				// both topologies (the engine's memo lookup and the cluster
+				// router's gather wrap it), a missing target as
 				// engine.ErrUnknownOID; normalize so the standing answer
-				// carries the ErrUnknownOID identity on every topology.
+				// carries the ErrUnknownOID identity either way.
 				werr := out.err
 				if !errors.Is(werr, engine.ErrUnknownOID) {
 					werr = fmt.Errorf("%w: %v", engine.ErrUnknownOID, out.err)
@@ -618,18 +619,6 @@ func (h *Hub) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, 
 	return applied, events, nil
 }
 
-// memoKey is what two requests must share to evaluate on one engine memo
-// entry: query object, window and canonical predicate.
-type memoKey struct {
-	qOID   int64
-	tb, te float64
-	where  string
-}
-
-func memoKeyOf(req engine.Request) memoKey {
-	return memoKey{req.QueryOID, req.Tb, req.Te, req.Where.Canon().Key()}
-}
-
 // evaluate is Ingest's second pass: it runs every dirty group's one
 // evaluation for this batch. Groups on one memo key form one task and run
 // in first-seen order, so each key sees the same Revise-install → Do
@@ -641,9 +630,9 @@ func memoKeyOf(req engine.Request) memoKey {
 // unevaluated carries that error.
 func (h *Hub) evaluate(ctx context.Context, pending []*groupOutcome, applied []mod.Applied) {
 	var tasks [][]*groupOutcome
-	byKey := make(map[memoKey]int)
+	byKey := make(map[engine.Key]int)
 	for _, out := range pending {
-		k := memoKeyOf(out.req)
+		k := out.req.Key()
 		i, ok := byKey[k]
 		if !ok {
 			i = len(tasks)
@@ -665,7 +654,7 @@ func (h *Hub) evaluate(ctx context.Context, pending []*groupOutcome, applied []m
 			}
 			out.ran = true
 			h.reevaluate(ctx, out, applied)
-			if isCtxErr(out.err) {
+			if pool.IsCtxErr(out.err) {
 				return out.err
 			}
 		}
@@ -678,10 +667,6 @@ func (h *Hub) evaluate(ctx context.Context, pending []*groupOutcome, applied []m
 			}
 		}
 	}
-}
-
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // reevaluate runs a dirty group's one evaluation for this batch: from the

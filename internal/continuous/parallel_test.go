@@ -167,12 +167,12 @@ func (b *jitteredBackend) Revise(ctx context.Context, req engine.Request, last *
 // chained reports whether two of the evaluations reqs lists stand on one
 // memo key.
 func chained(reqs []engine.Request) bool {
-	seen := make(map[memoKey]bool)
+	seen := make(map[engine.Key]bool)
 	for _, req := range reqs {
-		if seen[memoKeyOf(req)] {
+		if seen[req.Key()] {
 			return true
 		}
-		seen[memoKeyOf(req)] = true
+		seen[req.Key()] = true
 	}
 	return false
 }

@@ -62,15 +62,13 @@ type Engine struct {
 	order []procKey // recency order for LRU eviction: oldest first
 }
 
-// procKey identifies one memoized preprocessing: a store at a specific
-// version, a query trajectory, and a window. The version guard means a
-// store mutation (insert/update/delete) naturally invalidates the entry.
+// procKey identifies one memoized preprocessing: a Key against a store
+// at a specific version. The version guard means a store mutation
+// (insert/update/delete) naturally invalidates the entry.
 type procKey struct {
-	store    *mod.Store
-	version  uint64
-	queryOID int64
-	tb, te   float64
-	where    string // canonical predicate key ("" = unfiltered)
+	store   *mod.Store
+	version uint64
+	Key
 }
 
 // procSlot builds its processor at most once even under concurrent lookups.
@@ -136,7 +134,7 @@ func (e *Engine) ProcessorWhereCtx(ctx context.Context, store *mod.Store, qOID i
 func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb, te float64, where *textidx.Predicate) (proc *queries.Processor, memoHit bool, err error) {
 	where = where.Canon()
 	for {
-		key := procKey{store: store, version: store.Version(), queryOID: qOID, tb: tb, te: te, where: where.Key()}
+		key := procKey{store, store.Version(), Key{qOID, tb, te, where.Key()}}
 		e.mu.Lock()
 		slot, ok := e.procs[key]
 		if !ok {
@@ -167,7 +165,7 @@ func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb
 			}
 		})
 		if slot.err != nil {
-			if errors.Is(slot.err, context.Canceled) || errors.Is(slot.err, context.DeadlineExceeded) {
+			if pool.IsCtxErr(slot.err) {
 				e.mu.Lock()
 				if e.procs[key] == slot {
 					e.removeLocked(key)
@@ -201,7 +199,7 @@ func (e *Engine) Revise(ctx context.Context, store *mod.Store, req Request, seed
 	if verdict != prune.Patched {
 		return verdict
 	}
-	key := procKey{store: store, version: version, queryOID: req.QueryOID, tb: req.Tb, te: req.Te, where: req.Where.Canon().Key()}
+	key := procKey{store, version, req.Key()}
 	slot := &procSlot{proc: proc}
 	slot.once.Do(func() {}) // the slot is built: lookups must not build over it
 	e.mu.Lock()

@@ -106,6 +106,21 @@ func (r Request) Rank() int {
 	return 1
 }
 
+// Key identifies one envelope preprocessing: the query trajectory, the
+// window, and the canonical predicate key ("" = unfiltered), since a
+// filtered build runs over a different sub-MOD. Every variant on one Key
+// is answered from one processor (the paper's Claims 1–2): the engine's
+// memo, a cluster router's gathered rounds and a standing-query hub's
+// evaluation tasks are all keyed on it.
+type Key struct {
+	QueryOID int64
+	Tb, Te   float64
+	Where    string
+}
+
+// Key returns the request's preprocessing key.
+func (r Request) Key() Key { return Key{r.QueryOID, r.Tb, r.Te, r.Where.Key()} }
+
 // EnumeratesCandidates reports whether the request's answer is its whole
 // candidate set: an "at least X of the window" retrieval whose requirement
 // rounds to zero length holds for every object of the (sub-)MOD, near or
@@ -343,58 +358,67 @@ func (e *Engine) Evaluate(ctx context.Context, store *mod.Store, p *queries.Proc
 	return res, err
 }
 
-// DoBatch evaluates the requests in order, sharing preprocessing through
-// the engine memo (requests against the same (query, window) reuse one
-// build, and the deepest rank any of them needs is constructed once).
-// Per-request failures are reported inside the matching Result; the batch
-// itself only errors on a nil engine or when ctx is canceled, in which
-// case the context error (context.Canceled / context.DeadlineExceeded) is
-// returned with the results completed so far.
+// DoBatch evaluates the requests in order under RunBatch's contract,
+// sharing preprocessing through the engine memo: requests on one Key reuse
+// one build, and a member of a Key widened above rank 1 first grows that
+// build to the Key's deepest rank, so the first such member constructs the
+// levels once and the rest find them ready. The batch itself errors only
+// on a nil engine or a context error.
 func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) ([]Result, error) {
 	if e == nil {
 		return nil, ErrNoEngine
 	}
+	return RunBatch(ctx, reqs, func(ctx context.Context, req Request, rank int) (Result, error) {
+		// A build failure here resurfaces as the member's own error.
+		if rank > 1 {
+			if proc, _, err := e.processor(ctx, store, req.QueryOID, req.Tb, req.Te, req.Where); err == nil {
+				_ = proc.EnsureLevelsCtx(ctx, rank)
+			}
+		}
+		return e.Do(ctx, store, req)
+	})
+}
+
+// RunBatch evaluates reqs in order with do — the batch contract of
+// Engine.DoBatch and of a cluster router's DoBatch:
+//
+//   - Each Key is widened to the deepest rank that any valid member of a
+//     kind needing a processor asks for, and do gets each such member
+//     with its Key's rank. Every other member (one that fails Validate or
+//     needs no processor) has no Key and gets rank 0.
+//   - A failing member fails only its own Result.
+//   - The context is checked before every member; a context error there
+//     or from a member ends the batch, returning the completed prefix
+//     together with that error.
+//
+// A nil ctx means context.Background().
+func RunBatch(ctx context.Context, reqs []Request, do func(ctx context.Context, req Request, rank int) (Result, error)) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// One k-level construction per (query, window) for the deepest rank in
-	// the batch; build failures resurface as per-request errors below.
-	type group struct {
-		qOID   int64
-		tb, te float64
-		where  string // canonical predicate key ("" = unfiltered)
-	}
-	maxK := make(map[group]int)
-	preds := make(map[group]*textidx.Predicate)
-	for _, r := range reqs {
+	// Only a valid request may be keyed: Key canonicalizes the predicate,
+	// which panics on one that Validate rejects.
+	keys := make([]Key, len(reqs))
+	keyed := make([]bool, len(reqs))
+	deepest := make(map[Key]int)
+	for i, r := range reqs {
 		if r.Validate() != nil || !r.Kind.NeedsProcessor() {
 			continue
 		}
-		w := r.Where.Canon()
-		g := group{r.QueryOID, r.Tb, r.Te, w.Key()}
-		preds[g] = w
-		if k := r.Rank(); k > maxK[g] {
-			maxK[g] = k
-		}
-	}
-	for g, k := range maxK {
-		if k <= 1 {
-			continue
-		}
-		if err := pool.CtxErr(ctx); err != nil {
-			return nil, err
-		}
-		if proc, _, err := e.processor(ctx, store, g.qOID, g.tb, g.te, preds[g]); err == nil {
-			_ = proc.EnsureLevelsCtx(ctx, k)
-		}
+		keys[i], keyed[i] = r.Key(), true
+		deepest[keys[i]] = max(deepest[keys[i]], r.Rank())
 	}
 	out := make([]Result, len(reqs))
 	for i, r := range reqs {
 		if err := pool.CtxErr(ctx); err != nil {
 			return out[:i], err
 		}
-		res, err := e.Do(ctx, store, r)
-		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+		rank := 0
+		if keyed[i] {
+			rank = deepest[keys[i]]
+		}
+		res, err := do(ctx, r, rank)
+		if pool.IsCtxErr(err) {
 			return out[:i], err
 		}
 		out[i] = res
@@ -504,18 +528,19 @@ func (e *Engine) execRequest(ctx context.Context, p *queries.Processor, pdf updf
 // holds applies the kind's temporal quantifier to the times a probability
 // bound holds: ∃ is a positive total, ∀ one interval covering the window,
 // ≥X a total of at least X of the window, and @T an interval holding T,
-// each within 1e-9.
+// each within envelope.TimeEps.
 func (r Request) holds(ivs []envelope.TimeInterval) bool {
+	const eps = envelope.TimeEps
 	switch r.Kind {
 	case KindUQ11, KindUQ31:
 		return envelope.TotalLength(ivs) > 0
 	case KindUQ12, KindUQ32:
-		return len(ivs) == 1 && ivs[0].T0 <= r.Tb+1e-9 && ivs[0].T1 >= r.Te-1e-9
+		return len(ivs) == 1 && ivs[0].T0 <= r.Tb+eps && ivs[0].T1 >= r.Te-eps
 	case KindUQ13, KindUQ33:
-		return envelope.TotalLength(ivs) >= r.X*(r.Te-r.Tb)-1e-9
+		return envelope.TotalLength(ivs) >= r.X*(r.Te-r.Tb)-eps
 	case KindNNAt, KindAllNNAt:
 		for _, iv := range ivs {
-			if r.T >= iv.T0-1e-9 && r.T <= iv.T1+1e-9 {
+			if r.T >= iv.T0-eps && r.T <= iv.T1+eps {
 				return true
 			}
 		}

@@ -176,8 +176,6 @@ type Request struct {
 	// Updates carries the "ingest" op's live update batch (the
 	// mod.ApplyUpdates contract: revision, extension, or insert per item).
 	Updates []WireTraj `json:"updates,omitempty"`
-	// OIDs carries the "owns" op's bulk ownership probe.
-	OIDs []int64 `json:"oids,omitempty"`
 	// Request carries the "subscribe" op's standing query.
 	Request *engine.Request `json:"request,omitempty"`
 	// SubID identifies the subscription for the "unsubscribe" op — and,
@@ -229,8 +227,6 @@ type Response struct {
 
 	// Applied answers the "ingest" op, one outcome per update in order.
 	Applied []WireApplied `json:"applied,omitempty"`
-	// Owned answers the "owns" op, elementwise per requested OID.
-	Owned []bool `json:"owned,omitempty"`
 	// SubID answers the "subscribe" op; Result carries its current answer.
 	SubID  int64          `json:"sub_id,omitempty"`
 	Result *engine.Result `json:"result,omitempty"`
@@ -589,13 +585,6 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 		return Response{OK: true}
 	case "ingest":
 		return s.doIngest(req)
-	case "owns":
-		owned := make([]bool, len(req.OIDs))
-		for i, oid := range req.OIDs {
-			_, err := s.store.Get(oid)
-			owned[i] = err == nil
-		}
-		return Response{OK: true, Owned: owned}
 	case "subscribe":
 		return s.doSubscribe(req, cs)
 	case "unsubscribe":
@@ -1125,19 +1114,6 @@ func (c *Client) Ingest(updates []mod.Update) ([]mod.Applied, error) {
 			serve.ErrProtocol, len(resp.Applied), len(updates))
 	}
 	return serve.DecodeApplied(resp.Applied, updates)
-}
-
-// Owns reports, elementwise, whether the server's store holds each OID —
-// the bulk ownership probe behind a cluster shard's Owns.
-func (c *Client) Owns(oids []int64) ([]bool, error) {
-	resp, err := c.roundTrip(Request{Op: "owns", OIDs: oids})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Owned) != len(oids) {
-		return nil, fmt.Errorf("modserver: owns returned %d answers for %d oids", len(resp.Owned), len(oids))
-	}
-	return resp.Owned, nil
 }
 
 // Subscribe registers a standing request on this connection and returns

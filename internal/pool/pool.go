@@ -12,6 +12,7 @@ package pool
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"time"
@@ -54,6 +55,13 @@ func CtxErr(ctx context.Context) error {
 		return context.DeadlineExceeded
 	}
 	return nil
+}
+
+// IsCtxErr reports whether err is, or wraps, a context's own error
+// (context.Canceled or context.DeadlineExceeded): the one failure that
+// ends a batch or a scatter instead of staying with the task it hit.
+func IsCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // ForEachIndex runs fn(0..n-1), checking ctx (CtxErr) before every task,
