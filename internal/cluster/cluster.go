@@ -127,9 +127,10 @@ type Shard interface {
 	// Bounds is phase 1 of the NN bound exchange: per slice of
 	// prune.SliceCuts(q, tb, te), an upper bound on the shard's local
 	// Level-k envelope against q (+Inf where the shard cannot bound it).
-	// A non-nil where restricts the shard's object universe to the
-	// matching sub-MOD (the query itself stays exempt) — the sub-MOD
-	// envelope is a different curve, not a filtered view of the full one.
+	// A non-nil where, normalized by the caller, restricts the shard's
+	// object universe to the matching sub-MOD (the query itself stays
+	// exempt) — the sub-MOD envelope is a different curve, not a filtered
+	// view of the full one.
 	Bounds(ctx context.Context, q *trajectory.Trajectory, tb, te float64, k int, where *textidx.Predicate) ([]float64, error)
 	// Survivors is phase 2: the shard's objects that can enter the 4r
 	// zone of the globally merged bounds, as full trajectories, plus the

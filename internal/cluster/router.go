@@ -171,14 +171,14 @@ func (r *Router) DoBatch(ctx context.Context, reqs []engine.Request) ([]engine.R
 	})
 }
 
-// dispatch runs one validated-or-failing request: pick or perform the
-// gather its kind needs at rank k (the request's own rank, or a batch's
-// deepest on its Key), evaluate on the gather's processor, and decorate
-// the Explain with shard provenance. rounds, when non-nil, keeps the
-// gathered rounds across a batch's members. The gathered round is
-// returned alongside the result so the continuous layer can fingerprint
-// the request from the same exchange (nil on failure and on the
-// per-query-object all-pairs/reverse path).
+// dispatch normalizes one request, failing it if Normalize does, and runs
+// it: pick or perform the gather its kind needs at rank k (the request's
+// own rank, or a batch's deepest on its Key), evaluate on the gather's
+// processor, and decorate the Explain with shard provenance. rounds, when
+// non-nil, keeps the gathered rounds across a batch's members. The
+// gathered round is returned alongside the result so the continuous layer
+// can fingerprint the request from the same exchange (nil on failure and
+// on the per-query-object all-pairs/reverse path).
 func (r *Router) dispatch(ctx context.Context, req engine.Request, k int, rounds map[engine.Key]*gathered) (engine.Result, *gathered, error) {
 	res := engine.Result{Kind: req.Kind}
 	res.Explain.Workers = r.inner.Workers()
@@ -189,13 +189,13 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, k int, rounds
 		res.Explain.Wall = time.Since(start)
 		return res, nil, err
 	}
-	if err := req.Validate(); err != nil {
+	req, err := req.Normalize()
+	if err != nil {
 		return fail(err)
 	}
 	if err := pool.CtxErr(ctx); err != nil {
 		return fail(err)
 	}
-	req.Where = req.Where.Canon()
 	if !req.Kind.NeedsProcessor() {
 		inner, err := r.perQueryObject(ctx, req)
 		inner.Explain.Shards = len(r.shards)
@@ -205,7 +205,6 @@ func (r *Router) dispatch(ctx context.Context, req engine.Request, k int, rounds
 	}
 	key := req.Key()
 	g, ok := rounds[key]
-	var err error
 	if !ok || g.k < k {
 		if g, err = r.gather(ctx, key, k, req.Where); err != nil {
 			return fail(err)

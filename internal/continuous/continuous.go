@@ -261,7 +261,7 @@ type Stats struct {
 type sub struct {
 	id   int64
 	req  engine.Request
-	key  string // groupKey(req), computed once
+	key  subKey // groupKey(req), computed once
 	last engine.Result
 	prof *Profile
 	seq  uint64
@@ -292,17 +292,21 @@ func (g *subGroup) anyProfiled() *sub {
 	return nil
 }
 
-// groupKey canonicalizes a request for dirty-set sharing. Floats are
-// formatted with %b (exact mantissa/exponent), so two keys are equal iff
-// the requests are bit-identical; the predicate contributes its
-// canonical Key.
-func groupKey(req engine.Request) string {
-	wk := ""
-	if req.Where != nil {
-		wk = req.Where.Canon().Key()
-	}
-	return fmt.Sprintf("%s|%d|%d|%b|%b|%d|%b|%b|%b|%s",
-		req.Kind, req.QueryOID, req.OID, req.Tb, req.Te, req.K, req.X, req.T, req.P, wk)
+// subKey identifies a request for dirty-set sharing: two keys are equal
+// iff the requests are bit-identical, floats compared by their bits (Tb,
+// Te, X, T, P) and the predicate by its normalized key.
+type subKey struct {
+	kind          engine.Kind
+	queryOID, oid int64
+	k             int
+	bits          [5]uint64
+	where         string
+}
+
+// groupKey returns a normalized request's subKey.
+func groupKey(req engine.Request) subKey {
+	f := math.Float64bits
+	return subKey{req.Kind, req.QueryOID, req.OID, req.K, [5]uint64{f(req.Tb), f(req.Te), f(req.X), f(req.T), f(req.P)}, req.Where.Key()}
 }
 
 // remember appends ev to the bounded backlog.
@@ -326,7 +330,7 @@ type Hub struct {
 
 	mu     sync.Mutex
 	subs   map[int64]*sub
-	groups map[string]*subGroup
+	groups map[subKey]*subGroup
 	nextID int64
 	stats  Stats
 	closed bool
@@ -334,7 +338,7 @@ type Hub struct {
 
 // New creates a hub over a backend.
 func New(be Backend) *Hub {
-	return &Hub{be: be, subs: make(map[int64]*sub), groups: make(map[string]*subGroup)}
+	return &Hub{be: be, subs: make(map[int64]*sub), groups: make(map[subKey]*subGroup)}
 }
 
 // NewEngineHub is the single-store hub: updates apply to store, standing
@@ -353,9 +357,10 @@ func NewEngineHub(store *mod.Store, eng *engine.Engine) *Hub {
 // keep fresh. When a live subscription already stands on the identical
 // request with a valid zone profile and a clean answer, its answer and
 // profile are reused instead of re-evaluating — the subscribe-time half
-// of dirty-set sharing.
+// of dirty-set sharing. The request is kept normalized.
 func (h *Hub) Subscribe(ctx context.Context, req engine.Request) (int64, engine.Result, error) {
-	if err := req.Validate(); err != nil {
+	req, err := req.Normalize()
+	if err != nil {
 		return 0, engine.Result{Kind: req.Kind, Err: err}, err
 	}
 	h.mu.Lock()
@@ -379,7 +384,7 @@ func (h *Hub) Subscribe(ctx context.Context, req engine.Request) (int64, engine.
 
 // registerLocked installs a new subscription in the ID and group tables.
 // Caller holds h.mu.
-func (h *Hub) registerLocked(req engine.Request, key string, res engine.Result, prof *Profile) int64 {
+func (h *Hub) registerLocked(req engine.Request, key subKey, res engine.Result, prof *Profile) int64 {
 	h.nextID++
 	id := h.nextID
 	s := &sub{id: id, req: req, key: key, last: res, prof: prof}
@@ -528,7 +533,7 @@ func (h *Hub) Ingest(ctx context.Context, updates []mod.Update) ([]mod.Applied, 
 	for i, a := range applied {
 		boxes[i] = changedBox(a)
 	}
-	outcomes := make(map[string]*groupOutcome)
+	outcomes := make(map[subKey]*groupOutcome)
 	var pending []*groupOutcome // the dirty groups, in first-seen order
 	for _, id := range ids {
 		s := h.subs[id]
@@ -986,7 +991,7 @@ func (b *engineBackend) profile(ctx context.Context, req engine.Request) (*Profi
 	for _, id := range ids {
 		set[id] = struct{}{}
 	}
-	seed := prune.SeedOf(ctx, proc, req.Rank(), req.Where.Canon())
+	seed := prune.SeedOf(ctx, proc, req.Rank(), req.Where)
 	return &Profile{Query: q, Cuts: cuts, Bounds: bounds, Superset: set, seed: seed}, nil
 }
 

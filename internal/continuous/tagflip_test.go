@@ -138,3 +138,38 @@ func TestTagFlipDirtyRule(t *testing.T) {
 		}
 	}
 }
+
+// TestNonCanonicalPredicateStaysFresh: a subscription is kept in its
+// normalized form, so a predicate written in another case or with
+// padding feels a join flip exactly like its canonical spelling.
+func TestNonCanonicalPredicateStaysFresh(t *testing.T) {
+	st := liveScene(t) // query 1 at y=0; 2 near (y=1); 3, 4 far
+	for _, oid := range []int64{3, 4} {
+		if err := st.SetTags(oid, []string{"ev"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := NewEngineHub(st, engine.New(1))
+	var reqs []engine.Request
+	for _, tag := range []string{"EV", " ev"} {
+		req := engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10, Where: &textidx.Predicate{All: []string{tag}}}
+		if _, res := mustSubscribe(t, h, req); !reflect.DeepEqual(res.OIDs, []int64{3}) {
+			t.Fatalf("%q: initial UQ31 = %v, want [3]", tag, res.OIDs)
+		}
+		reqs = append(reqs, req)
+	}
+	_, events, err := h.Ingest(context.Background(), []mod.Update{retag(2, "ev")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != len(reqs) {
+		t.Fatalf("join flip: %d events, want one per subscription: %+v", len(events), events)
+	}
+	for i, req := range reqs {
+		e := events[i]
+		if e.SubID != int64(i+1) || !reflect.DeepEqual(e.Added, []int64{2}) || !reflect.DeepEqual(e.Removed, []int64{3}) {
+			t.Fatalf("%+v: join event = %+v", req.Where, e)
+		}
+		checkFresh(t, h, st, e.SubID, req)
+	}
+}

@@ -114,11 +114,15 @@ func (e *Engine) Pool() *pool.Pool { return e.pool }
 // restricted to the predicate's sub-MOD (plus the exempt query trajectory;
 // nil means the whole MOD), building it on first use. Concurrent callers
 // with the same key share one build — and, since the memo key includes the
-// store version and the canonical predicate, they also share one pruned
+// store version and the normalized predicate, they also share one pruned
 // candidate set, and a lookup right after a Do with the same clause is a
-// hit. A canceled context stops the candidate pre-pass and the envelope
-// construction inside the build.
+// hit; an invalid predicate fails with ErrBadPredicate. A canceled
+// context stops the candidate pre-pass and the envelope build.
 func (e *Engine) ProcessorWhereCtx(ctx context.Context, store *mod.Store, qOID int64, tb, te float64, where *textidx.Predicate) (*queries.Processor, error) {
+	where, err := where.Normalize()
+	if err != nil {
+		return nil, err
+	}
 	proc, _, err := e.processor(ctx, store, qOID, tb, te, where)
 	return proc, err
 }
@@ -132,7 +136,6 @@ func (e *Engine) ProcessorWhereCtx(ctx context.Context, store *mod.Store, qOID i
 // waiter whose own context is still live retries the build under its own
 // rather than inheriting a stranger's cancellation.
 func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb, te float64, where *textidx.Predicate) (proc *queries.Processor, memoHit bool, err error) {
-	where = where.Canon()
 	for {
 		key := procKey{store, store.Version(), Key{qOID, tb, te, where.Key()}}
 		e.mu.Lock()
@@ -182,7 +185,7 @@ func (e *Engine) processor(ctx context.Context, store *mod.Store, qOID int64, tb
 	}
 }
 
-// Revise offers the engine the seed of a standing request's last
+// Revise offers the engine the seed of a standing, normalized request's last
 // evaluation (prune.SeedOf) and the update batch applied since. When
 // prune.Revise finds the batch leaves the request's envelope levels
 // standing, the successor processor takes the memo slot of the store's

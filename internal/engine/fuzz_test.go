@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzRequestJSON drives arbitrary bytes through the Request wire contract:
-// whatever decodes must Validate without panicking, re-encode successfully
+// whatever decodes must Normalize without panicking, re-encode successfully
 // (the router forwards Request JSON verbatim, so every decodable request
 // must be forwardable), and re-encode stably (encode(decode(encode(r))) ==
 // encode(r), the property the shard protocol relies on for byte-identical
@@ -26,7 +26,7 @@ func FuzzRequestJSON(f *testing.F) {
 		if err := json.Unmarshal(data, &req); err != nil {
 			return // not a Request; nothing to check
 		}
-		_ = req.Validate() // must never panic, whatever the field values
+		_, verr := req.Normalize() // must never panic, whatever the field values
 
 		first, err := json.Marshal(req)
 		if err != nil {
@@ -43,7 +43,7 @@ func FuzzRequestJSON(f *testing.F) {
 		if !bytes.Equal(first, second) {
 			t.Fatalf("encoding not stable:\n  first  %s\n  second %s", first, second)
 		}
-		if req.Validate() == nil && again.Validate() != nil {
+		if _, err := again.Normalize(); verr == nil && err != nil {
 			t.Fatalf("validity lost in round trip: %+v -> %+v", req, again)
 		}
 	})

@@ -47,7 +47,7 @@ type kindInfo struct {
 }
 
 // kindTable is the engine's kind table, in declaration order: the one
-// place a kind is known. Validate, the cluster router, the standing-query
+// place a kind is known. Normalize, the cluster router, the standing-query
 // hub and the gateway's metric labels all read it.
 var kindTable = []struct {
 	kind Kind

@@ -22,7 +22,8 @@ import (
 // ErrBadKind.
 func (e *Engine) DoRestricted(ctx context.Context, store *mod.Store, req Request, own []int64) (Result, error) {
 	fail := func(err error) (Result, error) { return Result{Kind: req.Kind, Err: err}, err }
-	if err := req.Validate(); err != nil {
+	req, err := req.Normalize()
+	if err != nil {
 		return fail(err)
 	}
 	if !req.Kind.IsWholeMODFilter() {
@@ -35,7 +36,7 @@ func (e *Engine) DoRestricted(ctx context.Context, store *mod.Store, req Request
 	if err != nil {
 		return fail(fmt.Errorf("engine: query trajectory: %w", err))
 	}
-	proc, err := queries.NewProcessorOn(ctx, e.pool, matchingTrajectories(store, req.Where.Canon()), q, req.Tb, req.Te, store.Radius(), nil, nil)
+	proc, err := queries.NewProcessorOn(ctx, e.pool, matchingTrajectories(store, req.Where), q, req.Tb, req.Te, store.Radius(), nil, nil)
 	if err != nil {
 		return fail(err)
 	}

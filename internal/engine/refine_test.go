@@ -165,7 +165,11 @@ func wholeBuild(ctx context.Context, store *mod.Store, req Request) (*queries.Pr
 	if err != nil {
 		return nil, err
 	}
-	return queries.NewProcessorPrunedCtx(ctx, matchingTrajectories(store, req.Where.Canon()), q, req.Tb, req.Te, store.Radius(), nil)
+	where, err := req.Where.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	return queries.NewProcessorPrunedCtx(ctx, matchingTrajectories(store, where), q, req.Tb, req.Te, store.Radius(), nil)
 }
 
 // splitOwn halves the store's non-query OIDs into two sorted shares, the

@@ -37,7 +37,7 @@ import (
 // declared in engine.go.
 var (
 	// ErrBadWindow reports a query window with te <= tb (or a NaN bound).
-	// Request.Validate is the single place the check happens, so every
+	// Request.Normalize is the single place the check happens, so every
 	// route — Do, the legacy facade, UQL, the wire protocol — rejects a
 	// degenerate window identically instead of some constructors erroring
 	// and others silently answering empty.
@@ -50,7 +50,7 @@ var (
 	ErrBadFrac = queries.ErrBadFrac
 	// ErrBadPredicate aliases the textidx sentinel so a malformed WHERE
 	// clause (empty predicate, bad tag) matches one identity whether it is
-	// rejected by the UQL parser, the gateway decoder, or Validate here.
+	// rejected by the UQL parser, the gateway decoder, or Normalize here.
 	ErrBadPredicate = textidx.ErrBadPredicate
 )
 
@@ -107,7 +107,7 @@ func (r Request) Rank() int {
 }
 
 // Key identifies one envelope preprocessing: the query trajectory, the
-// window, and the canonical predicate key ("" = unfiltered), since a
+// window, and the normalized predicate's key ("" = unfiltered), since a
 // filtered build runs over a different sub-MOD. Every variant on one Key
 // is answered from one processor (the paper's Claims 1–2): the engine's
 // memo, a cluster router's gathered rounds and a standing-query hub's
@@ -118,7 +118,8 @@ type Key struct {
 	Where    string
 }
 
-// Key returns the request's preprocessing key.
+// Key returns the request's preprocessing key; on a normalized request it
+// reads the predicate's stored key and allocates nothing.
 func (r Request) Key() Key { return Key{r.QueryOID, r.Tb, r.Te, r.Where.Key()} }
 
 // EnumeratesCandidates reports whether the request's answer is its whole
@@ -132,38 +133,38 @@ func (r Request) EnumeratesCandidates() bool {
 	return (r.Kind == KindUQ33 || r.Kind == KindUQ43) && queries.TrivialFraction(r.X, r.Tb, r.Te)
 }
 
-// Validate checks the request's static well-formedness: a known kind, an
-// increasing window, a rank >= 1 on ranked kinds, fractions and
-// probabilities in [0, 1], and P > 0 only on the kinds that take a
-// probability bound. It is the centralized window check — every execution
-// route calls it before touching the store.
-func (r Request) Validate() error {
+// Normalize checks the request's static well-formedness — a known kind,
+// an increasing window, a rank >= 1 on ranked kinds, fractions and
+// probabilities in [0, 1], P > 0 only on the kinds that take a
+// probability bound — and returns it with Where normalized, or unchanged
+// with the error. Every entry normalizes once; below it, a request is
+// read as it is.
+func (r Request) Normalize() (Request, error) {
 	in, ok := r.Kind.info()
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrBadKind, r.Kind)
+		return r, fmt.Errorf("%w: %q", ErrBadKind, r.Kind)
 	}
 	if math.IsNaN(r.Tb) || math.IsNaN(r.Te) || !(r.Te > r.Tb) {
-		return fmt.Errorf("%w: [%g, %g]", ErrBadWindow, r.Tb, r.Te)
+		return r, fmt.Errorf("%w: [%g, %g]", ErrBadWindow, r.Tb, r.Te)
 	}
 	if r.Rank() < 1 {
-		return fmt.Errorf("%w: got %d", ErrBadRank, r.K)
+		return r, fmt.Errorf("%w: got %d", ErrBadRank, r.K)
 	}
 	switch r.Kind {
 	case KindUQ13, KindUQ23, KindUQ33, KindUQ43:
 		if r.X < 0 || r.X > 1 || math.IsNaN(r.X) {
-			return fmt.Errorf("%w: x=%g", ErrBadFrac, r.X)
+			return r, fmt.Errorf("%w: x=%g", ErrBadFrac, r.X)
 		}
 	}
 	if r.P < 0 || r.P > 1 || math.IsNaN(r.P) {
-		return fmt.Errorf("%w: p=%g", ErrBadFrac, r.P)
+		return r, fmt.Errorf("%w: p=%g", ErrBadFrac, r.P)
 	}
 	if r.P > 0 && !in.prob {
-		return fmt.Errorf("%w: %s takes no probability bound, got p=%g", ErrBadKind, r.Kind, r.P)
+		return r, fmt.Errorf("%w: %s takes no probability bound, got p=%g", ErrBadKind, r.Kind, r.P)
 	}
-	if err := r.Where.Validate(); err != nil {
-		return err
-	}
-	return nil
+	var err error
+	r.Where, err = r.Where.Normalize()
+	return r, err
 }
 
 // Explain is the per-query execution provenance carried inside every
@@ -269,10 +270,10 @@ func (e *Engine) Do(ctx context.Context, store *mod.Store, req Request) (Result,
 // do is Do's body: the memo lookup in front of Evaluate.
 func (e *Engine) do(ctx context.Context, store *mod.Store, req Request) (Result, error) {
 	fail := func(err error) (Result, error) { return Result{Kind: req.Kind, Err: err}, err }
-	if err := req.Validate(); err != nil {
+	req, err := req.Normalize()
+	if err != nil {
 		return fail(err)
 	}
-	req.Where = req.Where.Canon()
 	if err := pool.CtxErr(ctx); err != nil {
 		return fail(err)
 	}
@@ -342,7 +343,7 @@ func (e *Engine) Evaluate(ctx context.Context, store *mod.Store, p *queries.Proc
 		res.Explain.TextualCandidates = res.Explain.Candidates
 		res.Explain.SpatialCandidates = store.Len() - 1
 	}
-	err := req.Validate()
+	req, err := req.Normalize()
 	if k := req.Rank(); err == nil && k > 1 {
 		err = p.EnsureLevelsCtx(ctx, k)
 	}
@@ -383,10 +384,10 @@ func (e *Engine) DoBatch(ctx context.Context, store *mod.Store, reqs []Request) 
 // Engine.DoBatch and of a cluster router's DoBatch:
 //
 //   - Each Key is widened to the deepest rank that any valid member of a
-//     kind needing a processor asks for, and do gets each such member
-//     with its Key's rank. Every other member (one that fails Validate or
-//     needs no processor) has no Key and gets rank 0.
-//   - A failing member fails only its own Result.
+//     kind needing a processor asks for, and do gets each such member,
+//     normalized, with its Key's rank, and any other valid member rank 0.
+//   - A failing member, one that Normalize rejects included, fails only
+//     its own Result.
 //   - The context is checked before every member; a context error there
 //     or from a member ends the batch, returning the completed prefix
 //     together with that error.
@@ -396,26 +397,27 @@ func RunBatch(ctx context.Context, reqs []Request, do func(ctx context.Context, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Only a valid request may be keyed: Key canonicalizes the predicate,
-	// which panics on one that Validate rejects.
-	keys := make([]Key, len(reqs))
-	keyed := make([]bool, len(reqs))
+	norm := make([]Request, len(reqs))
+	out := make([]Result, len(reqs))
 	deepest := make(map[Key]int)
 	for i, r := range reqs {
-		if r.Validate() != nil || !r.Kind.NeedsProcessor() {
-			continue
+		var err error
+		if norm[i], err = r.Normalize(); err != nil {
+			out[i] = Result{Kind: r.Kind, Err: err}
+		} else if r.Kind.NeedsProcessor() {
+			deepest[norm[i].Key()] = max(deepest[norm[i].Key()], r.Rank())
 		}
-		keys[i], keyed[i] = r.Key(), true
-		deepest[keys[i]] = max(deepest[keys[i]], r.Rank())
 	}
-	out := make([]Result, len(reqs))
-	for i, r := range reqs {
+	for i, r := range norm {
 		if err := pool.CtxErr(ctx); err != nil {
 			return out[:i], err
 		}
+		if out[i].Err != nil {
+			continue
+		}
 		rank := 0
-		if keyed[i] {
-			rank = deepest[keys[i]]
+		if r.Kind.NeedsProcessor() {
+			rank = deepest[r.Key()]
 		}
 		res, err := do(ctx, r, rank)
 		if pool.IsCtxErr(err) {
@@ -426,7 +428,7 @@ func RunBatch(ctx context.Context, reqs []Request, do func(ctx context.Context, 
 	return out, nil
 }
 
-// execRequest dispatches one validated request against a ready processor
+// execRequest dispatches one normalized request against a ready processor
 // of a store whose location pdf is pdf. Whole-MOD kinds fan per-OID tasks
 // across the worker pool with ctx checked between tasks; single-object
 // kinds are O(N) and run inline. own optionally restricts the whole-MOD

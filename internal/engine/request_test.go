@@ -20,12 +20,16 @@ func allKinds() []Kind {
 	return out
 }
 
-// TestRequestValidate is the centralized window/parameter validation table:
+// TestRequestNormalize is the centralized window/parameter validation table:
 // every kind rejects a degenerate window identically, ranked kinds reject
 // k < 1, fraction kinds reject x outside [0, 1], every kind rejects p
 // outside [0, 1], and only the Category 1/3 and fixed-time kinds take a
 // probability bound p > 0.
-func TestRequestValidate(t *testing.T) {
+func TestRequestNormalize(t *testing.T) {
+	check := func(r Request) error {
+		_, err := r.Normalize()
+		return err
+	}
 	ranked := map[Kind]bool{
 		KindUQ21: true, KindUQ22: true, KindUQ23: true,
 		KindUQ41: true, KindUQ42: true, KindUQ43: true,
@@ -43,34 +47,34 @@ func TestRequestValidate(t *testing.T) {
 	}
 	for _, kind := range allKinds() {
 		ok := Request{Kind: kind, QueryOID: 1, Tb: 0, Te: 60, K: 2, X: 0.5}
-		if err := ok.Validate(); err != nil {
+		if err := check(ok); err != nil {
 			t.Errorf("%s: valid request rejected: %v", kind, err)
 		}
 		for _, w := range []struct{ tb, te float64 }{{60, 0}, {10, 10}, {0, -1}} {
 			bad := ok
 			bad.Tb, bad.Te = w.tb, w.te
-			if err := bad.Validate(); !errors.Is(err, ErrBadWindow) {
+			if err := check(bad); !errors.Is(err, ErrBadWindow) {
 				t.Errorf("%s window [%g, %g]: err=%v, want ErrBadWindow", kind, w.tb, w.te, err)
 			}
 		}
 		if ranked[kind] {
 			bad := ok
 			bad.K = 0
-			if err := bad.Validate(); !errors.Is(err, ErrBadRank) {
+			if err := check(bad); !errors.Is(err, ErrBadRank) {
 				t.Errorf("%s k=0: err=%v, want ErrBadRank", kind, err)
 			}
 		}
 		if frac[kind] {
 			bad := ok
 			bad.X = 1.5
-			if err := bad.Validate(); !errors.Is(err, ErrBadFrac) {
+			if err := check(bad); !errors.Is(err, ErrBadFrac) {
 				t.Errorf("%s x=1.5: err=%v, want ErrBadFrac", kind, err)
 			}
 		}
 		for _, p := range []float64{0.5, 1} {
 			withP := ok
 			withP.P = p
-			err := withP.Validate()
+			err := check(withP)
 			if prob[kind] && err != nil {
 				t.Errorf("%s p=%g: valid request rejected: %v", kind, p, err)
 			}
@@ -80,12 +84,12 @@ func TestRequestValidate(t *testing.T) {
 		}
 		bad := ok
 		bad.P = 1.5
-		if err := bad.Validate(); !errors.Is(err, ErrBadFrac) {
+		if err := check(bad); !errors.Is(err, ErrBadFrac) {
 			t.Errorf("%s p=1.5: err=%v, want ErrBadFrac", kind, err)
 		}
 	}
 	for _, k := range []Kind{"NOPE", "THRESH", "ALLTHRESH"} {
-		if err := (Request{Kind: k, Tb: 0, Te: 60}).Validate(); !errors.Is(err, ErrBadKind) {
+		if err := check(Request{Kind: k, Tb: 0, Te: 60}); !errors.Is(err, ErrBadKind) {
 			t.Errorf("unknown kind %q: err=%v, want ErrBadKind", k, err)
 		}
 	}

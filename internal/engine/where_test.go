@@ -189,9 +189,9 @@ func TestDoWhereTargets(t *testing.T) {
 			t.Errorf("%s absent target: err=%v, want ErrUnknownOID", kind, err)
 		}
 	}
-	// A malformed predicate dies in Validate with the shared sentinel.
+	// A malformed predicate dies in Normalize with the shared sentinel.
 	bad := Request{Kind: KindUQ31, QueryOID: qOID, Tb: 0, Te: 60, Where: &textidx.Predicate{}}
-	if err := bad.Validate(); !errors.Is(err, ErrBadPredicate) {
+	if _, err := bad.Normalize(); !errors.Is(err, ErrBadPredicate) {
 		t.Errorf("empty predicate: err=%v, want ErrBadPredicate", err)
 	}
 	if _, err := eng.Do(ctx, store, Request{Kind: KindUQ31, QueryOID: qOID, Tb: 0, Te: 60,
@@ -226,5 +226,58 @@ func TestDoWhereFullScanAgrees(t *testing.T) {
 		if !reflect.DeepEqual(a.OIDs, b.OIDs) {
 			t.Errorf("%s: pruned %v != fullscan %v", req.Kind, a.OIDs, b.OIDs)
 		}
+	}
+}
+
+// TestExportedReadsRejectBadPredicate: the exported reads that take a
+// predicate on their own never panic on an invalid one —
+// ProcessorWhereCtx normalizes it and reports the shared sentinel, and
+// MatchingOIDs (whose predicate must already be normalized) matches the
+// clauses as written.
+func TestExportedReadsRejectBadPredicate(t *testing.T) {
+	store, qOID := tagFixture(t, 30, 1)
+	bad := &textidx.Predicate{All: []string{"bad tag"}}
+	if _, err := New(1).ProcessorWhereCtx(context.Background(), store, qOID, 0, 60, bad); !errors.Is(err, ErrBadPredicate) {
+		t.Fatalf("ProcessorWhereCtx: err=%v, want ErrBadPredicate", err)
+	}
+	if got := store.MatchingOIDs(bad); len(got) != 0 {
+		t.Fatalf("MatchingOIDs matched %v on a tag no object carries", got)
+	}
+}
+
+// TestFilteredMemoHitAllocs: once normalized, a predicate costs a
+// memo-hit Do nothing over the unfiltered request — its key is stored,
+// not recomputed — and keying the request allocates nothing.
+func TestFilteredMemoHitAllocs(t *testing.T) {
+	store, qOID := tagFixture(t, 3000, 7)
+	where, err := (&textidx.Predicate{All: []string{"available"}, Not: []string{"ev"}}).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := int64(0)
+	for _, oid := range store.OIDs() {
+		if oid != qOID && where.Matches(store.Tags(oid)) {
+			target = oid
+			break
+		}
+	}
+	eng := New(1)
+	ctx := context.Background()
+	allocs := func(req Request) float64 {
+		if _, err := eng.Do(ctx, store, req); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { _, _ = eng.Do(ctx, store, req) })
+	}
+	plain := Request{Kind: KindUQ11, QueryOID: qOID, OID: target, Tb: 20, Te: 29}
+	filtered := plain
+	filtered.Where = where
+	p, f := allocs(plain), allocs(filtered)
+	t.Logf("memo-hit UQ11: %v allocations unfiltered, %v filtered", p, f)
+	if f > p {
+		t.Errorf("memo-hit UQ11: %v allocations filtered, %v unfiltered", f, p)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = filtered.Key() }); n != 0 {
+		t.Errorf("Key on a normalized request allocates %v times", n)
 	}
 }

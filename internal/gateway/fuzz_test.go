@@ -2,20 +2,27 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/continuous"
 	"repro/internal/engine"
 	"repro/internal/mod"
 	"repro/internal/serve"
 	"repro/internal/simtest"
+	"repro/internal/textidx"
 )
 
 // FuzzGatewayBody feeds arbitrary bytes to POST /v1/ingest and POST
@@ -287,4 +294,121 @@ func TestDeclaredLengthWaitsForBytes(t *testing.T) {
 	if body.got > 256<<10 {
 		t.Fatalf("a request declaring %d bytes allocated %d bytes before its first byte", DefaultMaxBodyBytes, body.got)
 	}
+}
+
+// FuzzPredicateEntries feeds arbitrary All/Any/Not tag lists (comma
+// separated) through every entry that accepts a predicate:
+// Engine.DoBatch, a 3-shard Router.DoBatch, Hub.Subscribe and POST
+// /v1/batch. None panics. A predicate Normalize rejects fails each entry
+// with ErrBadPredicate — bad_predicate, a 400, on the gateway — and an
+// accepted one answers, and keys, as its upper-cased, reordered copy.
+func FuzzPredicateEntries(f *testing.F) {
+	for _, seed := range [][3]string{
+		{"available", "", ""},
+		{"EV,available", "", " ev"},
+		{"", "ev,wheelchair", "available"},
+		{"bad tag", "", ""},
+		{"", "", ""},
+		{"ev,,available", "", ""},
+		{"päron", "ev", ""},
+		{strings.Repeat("t,", 32) + "t", "", ""},
+	} {
+		f.Add(seed[0], seed[1], seed[2])
+	}
+	ctx := context.Background()
+	store, trs := buildStore(f, 30, equivSeed)
+	eng := engine.New(1)
+	router, err := cluster.NewLocalCluster(store, 3, cluster.Options{Engine: engine.New(1)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv, err := New(Options{Backend: EngineBackend{Eng: eng, Store: store}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, all, anyOf, not string) {
+		clause := func(s string, upper bool) []string {
+			if s == "" {
+				return nil
+			}
+			tags := strings.Split(s, ",")
+			if upper {
+				slices.Reverse(tags)
+				for i, tag := range tags {
+					tags[i] = strings.ToUpper(tag)
+				}
+			}
+			return tags
+		}
+		reqs := make([]engine.Request, 2)
+		rejected := make([]bool, len(reqs))
+		norm := make([]engine.Request, len(reqs))
+		for i := range reqs {
+			upper := i == 1
+			reqs[i] = engine.Request{Kind: engine.KindUQ31, QueryOID: trs[0].OID, Tb: 0, Te: 60,
+				Where: &textidx.Predicate{All: clause(all, upper), Any: clause(anyOf, upper), Not: clause(not, upper)}}
+			var err error
+			norm[i], err = reqs[i].Normalize()
+			if err != nil && !errors.Is(err, engine.ErrBadPredicate) {
+				t.Fatalf("Normalize(%+v) = %v, want ErrBadPredicate", reqs[i].Where, err)
+			}
+			rejected[i] = err != nil
+		}
+		if !rejected[0] && (rejected[1] || norm[0].Key() != norm[1].Key()) {
+			t.Fatalf("%+v keys %+v, its copy %+v %+v (rejected %v)", reqs[0].Where, norm[0].Key(), reqs[1].Where, norm[1].Key(), rejected[1])
+		}
+		var want []engine.Result
+		verify := func(entry string, got []engine.Result) {
+			t.Helper()
+			for i, res := range got {
+				if rejected[i] != errors.Is(res.Err, engine.ErrBadPredicate) {
+					t.Fatalf("%s: %+v: err %v, rejected by Normalize %v", entry, reqs[i].Where, res.Err, rejected[i])
+				}
+				// An accepted predicate may still select an empty sub-MOD,
+				// which every entry fails alike.
+				if !rejected[i] && want != nil && ((res.Err == nil) != (want[i].Err == nil) || !slices.Equal(res.OIDs, want[i].OIDs)) {
+					t.Fatalf("%s: %+v answers %v (%v), the engine %v (%v)", entry, reqs[i].Where, res.OIDs, res.Err, want[i].OIDs, want[i].Err)
+				}
+			}
+			if !rejected[0] && (fmt.Sprint(got[0].Err) != fmt.Sprint(got[1].Err) || !slices.Equal(got[0].OIDs, got[1].OIDs)) {
+				t.Fatalf("%s: %+v answers %v (%v), its copy %v (%v)", entry, reqs[0].Where, got[0].OIDs, got[0].Err, got[1].OIDs, got[1].Err)
+			}
+		}
+		got, err := eng.DoBatch(ctx, store, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verify("engine", got)
+		want = got
+		if got, err = router.DoBatch(ctx, reqs); err != nil {
+			t.Fatal(err)
+		}
+		verify("router", got)
+
+		hub := continuous.NewEngineHub(store, eng)
+		defer hub.Close()
+		for i, req := range reqs {
+			_, got[i], err = hub.Subscribe(ctx, req)
+			got[i].Err = err
+		}
+		verify("hub", got)
+
+		body, err := json.Marshal(batchRequest{Requests: reqs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		var out batchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusOK || err != nil || len(out.Results) != len(reqs) {
+			t.Fatalf("/v1/batch: %d (%v): %s", rec.Code, err, rec.Body.Bytes())
+		}
+		for i, e := range out.Results {
+			got[i] = e.Decode(reqs[i].Kind)
+			if code, status := serve.Classify(got[i].Err); rejected[i] && (e.Error == nil || e.Error.Code != "bad_predicate" || code != "bad_predicate" || status != http.StatusBadRequest) {
+				t.Fatalf("/v1/batch: %+v: error %+v classifies %s %d, want bad_predicate 400", reqs[i].Where, e.Error, code, status)
+			}
+		}
+		verify("gateway", got)
+	})
 }

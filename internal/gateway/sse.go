@@ -261,16 +261,16 @@ func requestFromQuery(q url.Values) (engine.Request, error) {
 	}
 	if v := q.Get("where"); v != "" {
 		// The predicate rides as a JSON object ({all, any, not} tag lists),
-		// URL-encoded. Canonicalized here so the standing subscription's
-		// stored request matches what the evaluation paths run with.
+		// URL-encoded.
 		var p textidx.Predicate
 		if err := json.Unmarshal([]byte(v), &p); err != nil {
 			return req, badReq(fmt.Errorf("gateway: bad where: %w", err))
 		}
-		if err := p.Validate(); err != nil {
+		w, err := p.Normalize()
+		if err != nil {
 			return req, badReq(fmt.Errorf("gateway: bad where: %w", err))
 		}
-		req.Where = p.Canon()
+		req.Where = w
 	}
 	return req, nil
 }

@@ -58,15 +58,15 @@ func (s *Store) Tags(oid int64) []string {
 	return s.tags[oid]
 }
 
-// MatchingOIDs returns the sorted OIDs whose tag sets satisfy where; a
-// nil predicate matches everything (the plain OIDs view). This is the
-// iteration-domain view the sharded all-pairs/reverse kinds union across
-// shards under a predicate.
+// MatchingOIDs returns the sorted OIDs whose tag sets satisfy where,
+// which must be normalized (textidx.Predicate.Normalize): its clauses are
+// matched as they are. A nil predicate matches everything (the plain OIDs
+// view). This is the iteration-domain view the sharded all-pairs/reverse
+// kinds union across shards under a predicate.
 func (s *Store) MatchingOIDs(where *textidx.Predicate) []int64 {
 	if where == nil {
 		return s.OIDs()
 	}
-	where = where.Canon()
 	v := s.TaggedView()
 	out := []int64{}
 	for i, oid := range v.OIDs {

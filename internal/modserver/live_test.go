@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/mod"
+	"repro/internal/textidx"
 	"repro/internal/trajectory"
 )
 
@@ -302,5 +303,49 @@ func TestInsertAndTripReachSubscribers(t *testing.T) {
 	ev, err = nextEventSoon(t, subCli)
 	if err != nil || ev.Seq != 3 || !reflect.DeepEqual(ev.Removed, []int64{10}) {
 		t.Fatalf("delete event = %+v, %v", ev, err)
+	}
+}
+
+// TestSubscribeNonCanonicalPredicate: the subscribe op hands the hub the
+// request as decoded, and the hub keeps it normalized, so a predicate in
+// another case or with padding still feels a tag flip over the wire.
+func TestSubscribeNonCanonicalPredicate(t *testing.T) {
+	st := liveStore(t)
+	for _, oid := range []int64{3, 4} {
+		if err := st.SetTags(oid, []string{"ev"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, addr := startServer(t, st)
+	var subs []*Client
+	for _, tag := range []string{"EV", " ev"} {
+		cli, err := DialWith(addr, DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cli.Close()
+		req := engine.Request{Kind: engine.KindUQ31, QueryOID: 1, Tb: 0, Te: 10, Where: &textidx.Predicate{All: []string{tag}}}
+		if _, initial, err := cli.Subscribe(req); err != nil || !reflect.DeepEqual(initial.OIDs, []int64{3}) {
+			t.Fatalf("%q: initial answer %+v, %v; want [3]", tag, initial, err)
+		}
+		subs = append(subs, cli)
+	}
+	ingCli, err := DialWith(addr, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ingCli.Close()
+	ev := []string{"ev"}
+	if _, err := ingCli.Ingest([]mod.Update{{OID: 2, Tags: &ev}}); err != nil {
+		t.Fatal(err)
+	}
+	for i, cli := range subs {
+		got, err := nextEventSoon(t, cli)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Added, []int64{2}) || !reflect.DeepEqual(got.Removed, []int64{3}) || !reflect.DeepEqual(got.OIDs, []int64{2}) {
+			t.Fatalf("subscription %d: event %+v, want 2 joining and 3 leaving", i, got)
+		}
 	}
 }

@@ -170,7 +170,8 @@ type Request struct {
 	Bounds []float64 `json:"bounds,omitempty"`
 	// Where restricts the "bounds", "survivors", and "oids" phases to the
 	// predicate's matching sub-MOD (the carried query trajectory stays
-	// exempt) — the shard half of the cluster's spatio-textual pruning.
+	// exempt) — the shard half of the cluster's spatio-textual pruning. The
+	// handler normalizes it once, before any op runs.
 	Where *textidx.Predicate `json:"where,omitempty"`
 
 	// Updates carries the "ingest" op's live update batch (the
@@ -531,6 +532,8 @@ func (s *Server) handle(conn net.Conn) {
 		} else if s.token != "" && !cs.authed {
 			_ = cs.send(fail(fmt.Errorf("modserver: %w: authenticate first", serve.ErrUnauthorized)))
 			return
+		} else if req.Where, err = req.Where.Normalize(); err != nil {
+			resp = fail(err)
 		} else if req.Op == "query" && req.Phase == "survivors" {
 			// Streamed replies write their own frames; a mid-stream write
 			// failure closes the connection (the stream cannot resync).
@@ -634,9 +637,6 @@ func (s *Server) dispatch(req Request, cs *connState) Response {
 		case "bounds":
 			return s.doBounds(req)
 		case "oids":
-			if err := req.Where.Validate(); err != nil {
-				return fail(err)
-			}
 			return Response{OK: true, OIDs: s.store.MatchingOIDs(req.Where)}
 		default:
 			// "survivors" streams from the handler loop and never reaches
@@ -685,9 +685,6 @@ func wireQuery(req Request) (*trajectory.Trajectory, error) {
 func (s *Server) doBounds(req Request) Response {
 	q, err := wireQuery(req)
 	if err != nil {
-		return fail(err)
-	}
-	if err := req.Where.Validate(); err != nil {
 		return fail(err)
 	}
 	ctx, cancel := phaseCtx(req)

@@ -59,9 +59,6 @@ func (s *Server) streamSurvivors(req Request, cs *connState) bool {
 	if err != nil {
 		return cs.send(fail(err)) == nil
 	}
-	if err := req.Where.Validate(); err != nil {
-		return cs.send(fail(err)) == nil
-	}
 	ctx, cancel := phaseCtx(req)
 	trs, st, err := prune.SurvivorsWithBoundsWhere(ctx, s.store, q, req.Tb, req.Te, decodeBounds(req.Bounds), req.Where)
 	cancel()

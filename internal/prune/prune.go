@@ -40,7 +40,8 @@
 // N per query.
 //
 // Every entry point takes a nil-able *textidx.Predicate (see where.go): nil
-// runs over the whole MOD, non-nil over the matching sub-MOD. All of them
+// runs over the whole MOD, non-nil — which must be normalized
+// (textidx.Predicate.Normalize) — over the matching sub-MOD. All of them
 // run on a Sweep — one snapshot, index handle, slicing and OID table per
 // (query, window), shared by both phases and every rank: the one-shot
 // forms (ZoneWhereCtx, ForQueryWhereCtx, SliceBoundsWhere,

@@ -31,7 +31,7 @@ import (
 // is small: nothing in it grows with the candidate population.
 type Seed struct {
 	proc  *queries.Seed
-	where *textidx.Predicate // canonical; nil = the whole MOD
+	where *textidx.Predicate // normalized; nil = the whole MOD
 	cuts  []float64
 	// bounds1 and boundsK are what the Level-1 survivors and the rank
 	// basis were swept against (one slice when the rank is 1). They
@@ -42,7 +42,7 @@ type Seed struct {
 }
 
 // SeedOf takes the seed of a processor this package built, for a request
-// of rank k under the (canonical) predicate where. nil means there is
+// of rank k under the normalized predicate where. nil means there is
 // nothing to continue from: no pre-pass behind the processor (a stale
 // snapshot, a full scan), a slice the pre-pass could not bound, or no
 // processor seed at that rank.

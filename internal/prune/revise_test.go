@@ -40,7 +40,10 @@ func TestSuccessorEquivalence(t *testing.T) {
 			}
 			qOID := w.ProtectedOIDs()[3]
 			const tb, te = 35.0, 50.0
-			where := tc.where.Canon()
+			where, err := tc.where.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
 			scratch := func() (*queries.Processor, *prune.Seed) {
 				q, err := store.Get(qOID)
 				if err != nil {

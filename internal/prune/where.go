@@ -36,8 +36,8 @@ const predProbeBoost = 4
 
 // takeSnapshot captures a session's consistent pre-pass view — snapshot,
 // OID table, index, degrade state — restricted to q plus the
-// predicate-matching objects when where is non-nil (which must have passed
-// Validate), matched against the View's own tag sets and copied into
+// predicate-matching objects when where is non-nil (which must be
+// normalized), matched against the View's own tag sets and copied into
 // slices of exactly the matching size. stale degrade keeps every
 // *matching* object — the filter is semantics, never dropped; only the
 // index acceleration is.
@@ -46,7 +46,6 @@ func takeSnapshot(store *mod.Store, q *trajectory.Trajectory, where *textidx.Pre
 		v := store.View()
 		return &Sweep{trs: v.Trajs, oids: v.OIDs, view: v, idx: store.BuildIndex(0), stale: store.Version() != v.Version, boost: 1}
 	}
-	where = where.Canon()
 	v := store.TaggedView()
 	n := 0
 	for i, oid := range v.OIDs {

@@ -1,6 +1,7 @@
 // Package textidx is the textual half of the spatio-textual query stack:
 // canonical keyword/attribute tags on trajectories and ALL/ANY/NOT
-// predicates over them.
+// predicates over them. A predicate is normalized once, by the entry that
+// accepts it (Predicate.Normalize), and read as it is below that.
 //
 // A predicate query runs over the sub-MOD of matching objects: filtered
 // objects do not block, do not shape the envelope, and cannot answer —
@@ -87,53 +88,57 @@ func CanonTags(tags []string) ([]string, error) {
 // it carries every All tag, at least one Any tag (when Any is
 // non-empty), and no Not tag. A nil *Predicate matches everything. An
 // untagged object matches a predicate with only Not clauses.
+//
+// Every entry that accepts a predicate normalizes it once (Normalize);
+// below the entry, clauses and key are read as they are. A normalized
+// predicate must not be modified.
 type Predicate struct {
 	All []string `json:"all,omitempty"`
 	Any []string `json:"any,omitempty"`
 	Not []string `json:"not,omitempty"`
+
+	// key is set by Normalize alone, on the clauses it canonicalized; ""
+	// marks a predicate that was never normalized.
+	key string
 }
 
-// Validate checks the predicate: at least one clause non-empty, every
-// tag canonicalizable, clause sizes within MaxTags. A nil predicate is
-// valid (no filter).
-func (p *Predicate) Validate() error {
-	if p == nil {
-		return nil
+// Normalize checks the predicate and returns its normalized form: every
+// clause canonicalized (CanonTags) and its Key stored. It fails with
+// ErrBadPredicate, returning p, on an empty predicate, a bad tag or a
+// clause of more than MaxTags tags. A nil or already normalized p is
+// returned without allocating; p itself is never modified.
+func (p *Predicate) Normalize() (*Predicate, error) {
+	if p == nil || p.key != "" {
+		return p, nil
 	}
-	if len(p.All) == 0 && len(p.Any) == 0 && len(p.Not) == 0 {
-		return fmt.Errorf("%w: empty predicate (use no predicate instead)", ErrBadPredicate)
+	if len(p.All)+len(p.Any)+len(p.Not) == 0 {
+		return p, fmt.Errorf("%w: empty predicate (use no predicate instead)", ErrBadPredicate)
 	}
-	for _, clause := range [][]string{p.All, p.Any, p.Not} {
-		if _, err := CanonTags(clause); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadPredicate, err)
+	n := &Predicate{}
+	for i, out := range [...]*[]string{&n.All, &n.Any, &n.Not} {
+		in := [...][]string{p.All, p.Any, p.Not}[i]
+		canon, err := CanonTags(in)
+		if err == nil && len(in) > MaxTags {
+			err = fmt.Errorf("clause of %d tags (max %d)", len(in), MaxTags)
 		}
-		if len(clause) > MaxTags {
-			return fmt.Errorf("%w: clause of %d tags (max %d)", ErrBadPredicate, len(clause), MaxTags)
-		}
-	}
-	return nil
-}
-
-// Canon returns the canonical form of a valid predicate: every clause
-// canonicalized (lowercased, sorted, deduplicated). It panics on a
-// predicate Validate rejects; nil canonicalizes to nil.
-func (p *Predicate) Canon() *Predicate {
-	if p == nil {
-		return nil
-	}
-	canon := func(clause []string) []string {
-		out, err := CanonTags(clause)
 		if err != nil {
-			panic(fmt.Sprintf("textidx: Canon on invalid predicate: %v", err))
+			return p, fmt.Errorf("%w: %v", ErrBadPredicate, err)
 		}
-		return out
+		*out = canon
 	}
-	return &Predicate{All: canon(p.All), Any: canon(p.Any), Not: canon(p.Not)}
+	n.key = n.Key()
+	return n, nil
 }
 
-// Matches reports whether a canonical-sorted tag set satisfies the
-// predicate. Both sides must be canonical (CanonTags / Canon); the store
-// and request validation guarantee that for every internal call site.
+// Canon is Normalize without the error: p itself when p is invalid.
+func (p *Predicate) Canon() *Predicate {
+	n, _ := p.Normalize()
+	return n
+}
+
+// Matches reports whether a canonical-sorted tag set (CanonTags)
+// satisfies the predicate, which must be normalized; the store and every
+// entry guarantee both for every internal call site.
 func (p *Predicate) Matches(tags []string) bool {
 	if p == nil {
 		return true
@@ -147,17 +152,8 @@ func (p *Predicate) Matches(tags []string) bool {
 			return false
 		}
 	}
-	if len(p.Any) > 0 {
-		ok := false
-		for _, tag := range p.Any {
-			if has(tag) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
+	if len(p.Any) > 0 && !slices.ContainsFunc(p.Any, has) {
+		return false
 	}
 	for _, tag := range p.Not {
 		if has(tag) {
@@ -167,20 +163,16 @@ func (p *Predicate) Matches(tags []string) bool {
 	return true
 }
 
-// Key returns the canonical cache/wire key of the predicate: "" for nil,
-// else a deterministic string two semantically equal predicates share.
-// It canonicalizes internally, so differently-ordered clauses key alike.
+// Key returns the predicate's cache/wire key: "" for nil, else the key
+// Normalize stored, which two semantically equal predicates share. A
+// predicate that was never normalized keys its clauses as written, never
+// as "", so it cannot alias the unfiltered key.
 func (p *Predicate) Key() string {
 	if p == nil {
 		return ""
 	}
-	c := p.Canon()
-	var b strings.Builder
-	b.WriteString("all=")
-	b.WriteString(strings.Join(c.All, ","))
-	b.WriteString(";any=")
-	b.WriteString(strings.Join(c.Any, ","))
-	b.WriteString(";not=")
-	b.WriteString(strings.Join(c.Not, ","))
-	return b.String()
+	if p.key != "" {
+		return p.key
+	}
+	return "all=" + strings.Join(p.All, ",") + ";any=" + strings.Join(p.Any, ",") + ";not=" + strings.Join(p.Not, ",")
 }

@@ -1,6 +1,7 @@
 package textidx
 
 import (
+	"errors"
 	"slices"
 	"testing"
 )
@@ -51,41 +52,54 @@ func TestCanonTags(t *testing.T) {
 	}
 }
 
-func TestPredicateValidateCanonKey(t *testing.T) {
+func TestPredicateNormalizeKey(t *testing.T) {
 	var nilPred *Predicate
-	if err := nilPred.Validate(); err != nil {
-		t.Fatalf("nil predicate invalid: %v", err)
+	if n, err := nilPred.Normalize(); n != nil || err != nil {
+		t.Fatalf("nil predicate: %v, %v", n, err)
 	}
-	if nilPred.Canon() != nil || nilPred.Key() != "" {
-		t.Fatal("nil predicate canon/key")
+	if nilPred.Key() != "" {
+		t.Fatal("nil predicate keys non-empty")
 	}
-	if err := (&Predicate{}).Validate(); err == nil {
-		t.Fatal("empty predicate accepted")
-	}
-	if err := (&Predicate{All: []string{"bad tag"}}).Validate(); err == nil {
-		t.Fatal("bad tag accepted")
+	for _, bad := range []*Predicate{{}, {All: []string{"bad tag"}}, {Not: make([]string, MaxTags+1)}} {
+		n, err := bad.Normalize()
+		if n != bad || !errors.Is(err, ErrBadPredicate) {
+			t.Fatalf("Normalize(%+v) = %v, %v; want ErrBadPredicate", bad, n, err)
+		}
+		if (*Predicate).Canon(bad) != bad {
+			t.Fatalf("Canon(%+v) did not return its invalid receiver", bad)
+		}
+		if bad.Key() == "" {
+			t.Fatalf("invalid %+v keys as unfiltered", bad)
+		}
 	}
 	a := &Predicate{All: []string{"EV", "Available"}, Not: []string{"retired"}}
 	b := &Predicate{All: []string{"available", "ev"}, Not: []string{"Retired"}}
-	if err := a.Validate(); err != nil {
+	na, err := a.Normalize()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Key() != b.Key() {
-		t.Fatalf("keys differ: %q vs %q", a.Key(), b.Key())
+	if !slices.Equal(na.All, []string{"available", "ev"}) || !slices.Equal(na.Not, []string{"retired"}) || na.Any != nil {
+		t.Fatalf("Normalize = %+v", na)
 	}
-	if a.Key() == (&Predicate{Any: []string{"available", "ev"}, Not: []string{"retired"}}).Key() {
+	if !slices.Equal(a.All, []string{"EV", "Available"}) || a.key != "" {
+		t.Fatalf("Normalize mutated its receiver: %+v", a)
+	}
+	if nb, err := b.Normalize(); err != nil || na.Key() != nb.Key() || (*Predicate).Canon(b).Key() != nb.Key() {
+		t.Fatalf("keys differ: %q vs %q (%v)", na.Key(), nb.Key(), err)
+	}
+	if a.Key() == na.Key() {
+		t.Fatal("a never-normalized predicate keyed as its normalized form")
+	}
+	if nany, _ := (&Predicate{Any: []string{"available", "ev"}, Not: []string{"retired"}}).Normalize(); na.Key() == nany.Key() {
 		t.Fatal("ALL and ANY key alike")
 	}
-	c := a.Canon()
-	if !slices.Equal(c.All, []string{"available", "ev"}) || !slices.Equal(c.Not, []string{"retired"}) {
-		t.Fatalf("Canon = %+v", c)
+	again, err := na.Normalize()
+	if again != na || err != nil {
+		t.Fatalf("Normalize on a normalized predicate = %p, %v; want the receiver", again, err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Canon on invalid predicate did not panic")
-		}
-	}()
-	(&Predicate{All: []string{"bad tag"}}).Canon()
+	if n := testing.AllocsPerRun(100, func() { _, _ = na.Normalize(); _ = na.Key() }); n != 0 {
+		t.Fatalf("a normalized predicate's Normalize and Key allocate %v times", n)
+	}
 }
 
 func TestPredicateMatches(t *testing.T) {

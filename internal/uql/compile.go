@@ -4,7 +4,7 @@ import "repro/internal/engine"
 
 // Compile translates a statement into the engine.Request that answers it.
 // It is total: every statement Parse accepts compiles, and the Request
-// passes Validate. The predicate's bound becomes Request.P — 0 for the
+// passes Normalize. The predicate's bound becomes Request.P — 0 for the
 // possible-NN `> 0`, the threshold of `> p`, and 1 for CertainNN — and
 // the target, quantifier and rank pick the kind.
 func Compile(st *Stmt) engine.Request {

@@ -2,9 +2,10 @@ package uql
 
 // FuzzUQLWhere drives Parse with arbitrary input, centered on the TAGS
 // CONTAINS surface. Invariants: never panic; a successful parse carries
-// either no predicate or a canonical, Validate-clean one; the canonical
-// String render re-parses; and the re-parsed predicate is tag-for-tag
-// identical (tags are exact strings, so no float-rendering slack applies).
+// either no predicate or one whose clauses Normalize keeps as they are;
+// the canonical String render re-parses; and the re-parsed predicate is
+// tag-for-tag identical (tags are exact strings, so no float-rendering
+// slack applies).
 
 import (
 	"reflect"
@@ -32,8 +33,8 @@ func FuzzUQLWhere(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if verr := st.Where.Validate(); st.Where != nil && verr != nil {
-			t.Fatalf("parse accepted an invalid predicate %+v: %v", st.Where, verr)
+		if n, err := st.Where.Normalize(); err != nil || n.Key() != st.Where.Key() {
+			t.Fatalf("parse accepted a predicate %+v that is not canonical: %v", st.Where, err)
 		}
 		st2, err := Parse(st.String())
 		if err != nil {
@@ -47,7 +48,7 @@ func FuzzUQLWhere(f *testing.F) {
 
 // FuzzUQLCompile holds the compiler to the one query route: every
 // statement Parse accepts compiles to an engine.Request that passes
-// Validate, and the statement's canonical render compiles to the identical
+// Normalize, and the statement's canonical render compiles to the identical
 // Request.
 func FuzzUQLCompile(f *testing.F) {
 	seeds := []string{
@@ -69,7 +70,7 @@ func FuzzUQLCompile(f *testing.F) {
 			return
 		}
 		req := Compile(st)
-		if err := req.Validate(); err != nil {
+		if _, err := req.Normalize(); err != nil {
 			t.Fatalf("%q compiles to an invalid request %+v: %v", src, req, err)
 		}
 		st2, err := Parse(st.String())

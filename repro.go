@@ -248,7 +248,8 @@ type Engine = engine.Engine
 // Request is the declarative descriptor of one query — flat and
 // JSON-serializable, the contract a shard router or network proxy
 // forwards verbatim. See the Kind constants for the variants and
-// Request.Validate for the centralized parameter/window checks. P is the
+// Request.Normalize for the centralized parameter/window checks, which
+// every entry (Do, DoBatch, a router, a hub's Subscribe) runs once. P is the
 // probability bound of the Category 1/3 and fixed-time kinds (UQ11-13,
 // UQ31-33, NN@, ALLNN@): 0 asks for a possible NN, 0 < P < 1 for sampled
 // P^NN at least P (the Section 7 threshold query), and 1 for the certain
@@ -271,7 +272,9 @@ type Explain = engine.Explain
 // and none of the Not tags. The answer is byte-identical to running the
 // plain request against a store holding only the matching trajectories
 // (the query trajectory itself is exempt). At least one list must be
-// non-empty; a nil *Predicate means unfiltered.
+// non-empty; a nil *Predicate means unfiltered. Tags are matched in
+// normalized form (Predicate.Normalize: lowercased, sorted, deduplicated),
+// which every entry that takes a Request produces once.
 type Predicate = textidx.Predicate
 
 // CanonTags canonicalizes a tag set the way stores and predicates do:
