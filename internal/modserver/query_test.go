@@ -2,12 +2,17 @@ package modserver
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/envelope"
+	"repro/internal/mod"
 	"repro/internal/queries"
+	"repro/internal/serve"
+	"repro/internal/textidx"
 )
 
 // TestQueryOpOverWire: the unified query op must agree with direct
@@ -149,6 +154,44 @@ func TestQueryOpThresholdKind(t *testing.T) {
 	for i := range want {
 		if got[0].OIDs[i] != want[i] {
 			t.Fatalf("UQ33 p=0.4 wire %v != serial %v", got[0].OIDs, want)
+		}
+	}
+}
+
+// TestEmptySubMODIsNoCandidates: on the line protocol, a request whose
+// predicate matches no object but the query, and one on a store holding
+// only the query, fail in their own entry with no_candidates, which the
+// client rebuilds as envelope.ErrNoFunctions.
+func TestEmptySubMODIsNoCandidates(t *testing.T) {
+	store := seededStore(t, 30)
+	q, err := store.Get(store.OIDs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := mod.NewUniformStore(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alone.Insert(q); err != nil {
+		t.Fatal(err)
+	}
+	empty := &textidx.Predicate{All: []string{"ev"}, Not: []string{"ev"}}
+	for name, tc := range map[string]struct {
+		store *mod.Store
+		where *textidx.Predicate
+	}{"empty predicate": {store, empty}, "the query alone": {alone, nil}} {
+		_, addr := startServer(t, tc.store)
+		c, err := DialWith(addr, DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Query([]engine.Request{{Kind: engine.KindUQ31, QueryOID: q.OID, Tb: 0, Te: 60, Where: tc.where}}, 0)
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if code, _ := serve.Classify(got[0].Err); code != "no_candidates" || !errors.Is(got[0].Err, envelope.ErrNoFunctions) {
+			t.Errorf("%s: entry error %v classifies %s, want no_candidates keeping envelope.ErrNoFunctions", name, got[0].Err, code)
 		}
 	}
 }

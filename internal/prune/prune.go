@@ -10,10 +10,18 @@
 // linearly inside every slice):
 //
 //  1. U(slice) — an upper bound on the Level-1 lower envelope over the
-//     slice — is the smallest, over a handful of R-tree KNN probes at the
-//     slice midpoint, of the probe's exact maximum distance from the
-//     query during the slice. For any t in the slice the envelope value
-//     min_j d_j(t) is at most that probe's distance, so U is sound.
+//     slice — is the smallest exact maximum distance from the query during
+//     the slice over a pool of probe objects. The pool is gathered once
+//     per pass: R-tree KNN searches at the midpoints of every
+//     probeStride-th slice and of the last one, their neighbours merged.
+//     For any t in the slice the envelope value min_j d_j(t) is at most
+//     any one object's distance, so U is sound whichever objects the pool
+//     holds — the searches only pick objects likely to make it tight, and
+//     nothing requires them to be the nearest at the slice's own midpoint.
+//     At rank k the bound is the pool's k-th smallest exact maximum (+Inf
+//     when the pool holds fewer than k objects): those k distinct objects
+//     each stay below it throughout the slice, so the pointwise k-th
+//     smallest distance — the Level-k envelope — does too.
 //  2. An object survives when its exact minimum distance from the query
 //     over some slice is at most U(slice) + 4r + Margin. An object in the
 //     zone at time t has d_i(t) <= env(t) + 4r <= U + 4r, and its minimum
@@ -49,10 +57,11 @@
 // its own behind the processor's rank expander.
 //
 // ForQueryWhereCtx runs its session on the caller's worker pool (the
-// engine's): the slices are probed side by side, each into its own part of
-// the pass, and the walk's nominations are zone-tested side by side, each
-// task marking only its own objects; the index walk itself stays serial
-// and only collects. Survivors and bounds are the serial session's, and so
+// engine's): the slices' pooled distances are evaluated side by side, each
+// slice into its own part of the pass, and the walk's nominations are
+// zone-tested side by side, each task marking only its own objects; the
+// few KNN searches that gather the pool and the index walk stay serial,
+// and the walk only collects. Survivors and bounds are the serial session's, and so
 // are its context checks. The other one-shot forms are a shard's phases
 // and stay serial: the shards of a box already share its cores.
 package prune
@@ -62,7 +71,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/geom"
@@ -77,9 +85,14 @@ import (
 // guarantee the pruned processor relies on.
 const Margin = 1e-6
 
-// kProbe is the number of distinct index KNN probes evaluated per slice
-// midpoint for the envelope upper bound.
+// kProbe is the KNN width of each index search the probe phase runs (at
+// rank 1, unfiltered; see probeWidth).
 const kProbe = 8
+
+// probeStride is the probe phase's search spacing: one KNN search at the
+// midpoint of slices 0, probeStride, 2·probeStride, … and of the last
+// slice, and every slice is bounded by the neighbours of all of them.
+const probeStride = 8
 
 // targetSlices is the subdivision target: query-vertex slices longer than
 // window/targetSlices are split, keeping per-slice corridors (and hence
@@ -92,7 +105,7 @@ type Stats struct {
 	Candidates int `json:"candidates"` // non-query objects in the snapshot
 	Survivors  int `json:"survivors"`  // objects the index could not rule out
 	Slices     int `json:"slices"`     // time slices probed
-	Probes     int `json:"probes"`     // KNN probe distance evaluations
+	Probes     int `json:"probes"`     // probe-pool distance evaluations: pool size × slices
 }
 
 // SliceCuts returns the deterministic slice boundaries the candidate
@@ -150,14 +163,15 @@ type rankBounds struct {
 }
 
 // probePass is one probe pass at one KNN width, kept with the session:
-// per slice, the sorted exact maximum distances of the usable probes.
-// Every rank that probes at this width — every k <= 4 does — reads its
-// bound off the same lists.
+// the size of the neighbour pool it gathered and, per slice, the pool's
+// exact maximum distances over the slice, sorted. Every rank that probes
+// at this width — every k <= 4 does — reads its bound off the same lists.
 type probePass struct {
-	width  int
-	dists  []float64 // the slices' sorted distances, back to back
-	ends   []int     // slice i's are dists[ends[i-1]:ends[i]] (from 0 for i = 0)
-	probes int
+	width   int
+	per     int       // the pool's size: slice i's distances are dists[i·per:(i+1)·per]
+	dists   []float64 // nSlices sorted runs of per, back to back
+	nSlices int
+	probes  int
 }
 
 // probeWidth is the KNN width of the rank-k probe: a few neighbors beyond
@@ -191,59 +205,69 @@ func (s *Sweep) rankBounds(ctx context.Context, k int) (rankBounds, error) {
 }
 
 // rank reads the rank-k bounds off the pass: per slice, the k-th smallest
-// probe distance, or +Inf with fewer than k probes. Every call hands out a
-// fresh bounds slice, which the caller owns.
+// pooled distance, or +Inf when the pool holds fewer than k objects. Every
+// call hands out a fresh bounds slice, which the caller owns.
 func (p *probePass) rank(k int) rankBounds {
-	rb := rankBounds{bounds: make([]float64, len(p.ends)), probes: p.probes}
-	lo := 0
-	for i, hi := range p.ends {
+	rb := rankBounds{bounds: make([]float64, p.nSlices), probes: p.probes}
+	for i := range rb.bounds {
 		rb.bounds[i] = math.Inf(1)
-		if hi-lo >= k {
-			rb.bounds[i] = p.dists[lo+k-1]
+		if p.per >= k {
+			rb.bounds[i] = p.dists[i*p.per+k-1]
 		}
-		lo = hi
 	}
 	return rb
 }
 
-// probe is the probe phase: per slice, the exact maximum distances over
-// the slice of the index's width nearest entries at the slice midpoint,
+// probeScratch is one probe pass's working memory, pooled across passes:
+// the pooled neighbours' snapshot slots.
+type probeScratch struct{ slots []int }
+
+var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
+
+// probe is the probe phase. The index is searched for its width nearest
+// entries only at the midpoints of slices 0, probeStride, 2·probeStride, …
+// and of the last slice; the neighbours of all those searches form one
+// pool (deduplicated, the query and objects outside the snapshot left
+// out), and every slice gets the pool's exact maximum distances over it,
 // sorted. The k-th smallest is a sound bound on the Level-k envelope
-// because the k probes with the smallest exact maximum distance each stay
-// below it throughout the slice, so at every instant at least k functions
-// — and hence the pointwise k-th smallest — do.
+// whichever objects the pool holds: the k with the smallest exact maximum
+// distance each stay below it throughout the slice, so at every instant at
+// least k functions — and hence the pointwise k-th smallest — do.
 func (s *Sweep) probe(ctx context.Context, width int) (probePass, error) {
-	// The slices are probed side by side on the session's pool: slice i
-	// sorts its distances into dists[i·width:], and they are packed in
-	// slice order afterwards.
-	p := probePass{width: width, dists: make([]float64, width*(len(s.cuts)-1)), ends: make([]int, len(s.cuts)-1)}
-	err := s.pool.ForEachIndex(ctx, len(p.ends), func(i int) error {
-		t0, t1 := s.cuts[i], s.cuts[i+1]
-		mid := 0.5 * (t0 + t1)
-		d := p.dists[i*width : i*width : (i+1)*width]
+	n := len(s.cuts) - 1
+	sc := probeScratchPool.Get().(*probeScratch)
+	defer probeScratchPool.Put(sc)
+	nbrs := sc.slots[:0]
+	for i := 0; ; i = min(i+probeStride, n-1) {
+		mid := 0.5 * (s.cuts[i] + s.cuts[i+1])
 		for _, nb := range s.idx.KNN(s.q.At(mid), mid, width) {
-			if nb.ID == s.q.OID {
-				continue
+			if j, ok := s.slot(nb.ID); ok && nb.ID != s.q.OID {
+				nbrs = append(nbrs, j)
 			}
-			j, ok := s.slot(nb.ID)
-			if !ok {
-				continue
-			}
-			d = append(d, maxDistOverSlice(s.trs[j], s.q, t0, t1))
+		}
+		if i == n-1 {
+			break
+		}
+	}
+	slices.Sort(nbrs)
+	nbrs = slices.Compact(nbrs)
+	sc.slots = nbrs
+	// The slices are evaluated side by side on the session's pool, each
+	// into and sorting its own run of dists.
+	per := len(nbrs)
+	p := probePass{width: width, per: per, dists: make([]float64, per*n), nSlices: n, probes: per * n}
+	err := s.pool.ForEachIndex(ctx, n, func(i int) error {
+		t0, t1 := s.cuts[i], s.cuts[i+1]
+		d := p.dists[i*per : (i+1)*per]
+		for m, j := range nbrs {
+			d[m] = maxDistOverSlice(s.trs[j], s.q, t0, t1, s.qpos[i], s.qpos[i+1])
 		}
 		slices.Sort(d)
-		p.ends[i] = len(d)
 		return nil
 	})
 	if err != nil {
 		return probePass{}, err
 	}
-	for i, n := range p.ends {
-		copy(p.dists[p.probes:], p.dists[i*width:i*width+n])
-		p.probes += n
-		p.ends[i] = p.probes
-	}
-	p.dists = p.dists[:p.probes]
 	return p, nil
 }
 
@@ -382,7 +406,7 @@ func (s *Sweep) entersZone(tr *trajectory.Trajectory, sc *sweepScratch) bool {
 	verts, cuts := tr.Verts, s.cuts
 	last := len(verts) - 1
 	// j is the piece: -1 the head, 0..last-1 the segments, last the tail.
-	j := sort.Search(len(verts), func(k int) bool { return verts[k].T > s.tb }) - 1
+	j := trajectory.IndexAfter(verts, s.tb) - 1
 	for i := 0; j <= last; j++ {
 		a, b := verts[max(j, 0)], verts[min(j+1, last)] // equal on the clamped pieces
 		p0, p1 := math.Inf(-1), math.Inf(1)
@@ -443,7 +467,7 @@ func relDistSq(p0, p1 geom.Vec) float64 {
 // vertsWithin returns a's vertices with timestamps strictly inside
 // (t0, t1) — a sub-slice, nothing is copied.
 func vertsWithin(a *trajectory.Trajectory, t0, t1 float64) []trajectory.Vertex {
-	lo := sort.Search(len(a.Verts), func(k int) bool { return a.Verts[k].T > t0 })
+	lo := trajectory.IndexAfter(a.Verts, t0)
 	hi := lo
 	for hi < len(a.Verts) && a.Verts[hi].T < t1 {
 		hi++
@@ -452,11 +476,12 @@ func vertsWithin(a *trajectory.Trajectory, t0, t1 float64) []trajectory.Vertex {
 }
 
 // maxDistOverSlice returns the exact maximum over [t0, t1] of the distance
-// between the expected positions of a and b. Between vertex times the
-// squared distance is a convex parabola in t, so the maximum over every
-// elementary interval sits at one of its endpoints.
-func maxDistOverSlice(a, b *trajectory.Trajectory, t0, t1 float64) float64 {
-	best := math.Max(a.At(t0).DistSq(b.At(t0)), a.At(t1).DistSq(b.At(t1)))
+// between the expected positions of a and b, given b's positions b0 and b1
+// at t0 and t1. Between vertex times the squared distance is a convex
+// parabola in t, so the maximum over every elementary interval sits at one
+// of its endpoints.
+func maxDistOverSlice(a, b *trajectory.Trajectory, t0, t1 float64, b0, b1 geom.Point) float64 {
+	best := math.Max(a.At(t0).DistSq(b0), a.At(t1).DistSq(b1))
 	for _, v := range vertsWithin(a, t0, t1) {
 		best = math.Max(best, v.Point().DistSq(b.At(v.T)))
 	}

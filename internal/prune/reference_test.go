@@ -74,24 +74,35 @@ func snapshotByID(s *Sweep) map[int64]*trajectory.Trajectory {
 	return byID
 }
 
-// refBounds is the probe phase written out straight: per slice one KNN
-// probe at the midpoint, a map lookup per neighbour (a filtered snapshot
-// holds the matching objects only), the allocating maximum distance, and
-// the k-th smallest of those. It returns the bounds and how many
-// neighbours it evaluated.
+// refBounds is the probe phase written out straight: one KNN probe at the
+// midpoint of every probeStride-th slice and of the last, a map lookup per
+// neighbour (a filtered snapshot holds the matching objects only) into one
+// pool keyed by OID, then per slice the allocating maximum distance of
+// every pooled object and the k-th smallest of those. It returns the
+// bounds and how many distances it evaluated.
 func refBounds(s *Sweep, k int) ([]float64, int) {
 	byID := snapshotByID(s)
 	width := min(max(kProbe, k+4)*s.boost, maxProbes)
-	bounds, probes := make([]float64, len(s.cuts)-1), 0
-	for i := range bounds {
-		t0, t1 := s.cuts[i], s.cuts[i+1]
-		mid := 0.5 * (t0 + t1)
-		var dists []float64
+	n := len(s.cuts) - 1
+	pool := make(map[int64]*trajectory.Trajectory)
+	for i := 0; i < n; i++ {
+		if i%probeStride != 0 && i != n-1 {
+			continue
+		}
+		mid := 0.5 * (s.cuts[i] + s.cuts[i+1])
 		for _, nb := range s.idx.KNN(s.q.At(mid), mid, width) {
 			if tr, ok := byID[nb.ID]; ok && nb.ID != s.q.OID {
-				probes++
-				dists = append(dists, refMaxDist(tr, s.q, t0, t1))
+				pool[nb.ID] = tr
 			}
+		}
+	}
+	bounds, probes := make([]float64, n), 0
+	for i := range bounds {
+		t0, t1 := s.cuts[i], s.cuts[i+1]
+		var dists []float64
+		for _, tr := range pool {
+			probes++
+			dists = append(dists, refMaxDist(tr, s.q, t0, t1))
 		}
 		slices.Sort(dists)
 		bounds[i] = math.Inf(1)
@@ -331,7 +342,7 @@ func TestDistancesMatchReference(t *testing.T) {
 		if got, want := minDistOverSlice(a, b, t0, t1), refMinDist(a, b, t0, t1); got != want && t0 <= t1 {
 			t.Fatalf("minDistOverSlice(%d, %d, %g, %g) = %v, reference %v", a.OID, b.OID, t0, t1, got, want)
 		}
-		if got, want := maxDistOverSlice(a, b, t0, t1), refMaxDist(a, b, t0, t1); got != want {
+		if got, want := maxDistOverSlice(a, b, t0, t1, b.At(t0), b.At(t1)), refMaxDist(a, b, t0, t1); got != want {
 			t.Fatalf("maxDistOverSlice(%d, %d, %g, %g) = %v, reference %v", a.OID, b.OID, t0, t1, got, want)
 		}
 	}

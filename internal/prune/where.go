@@ -28,7 +28,7 @@ import (
 // probe surfaces nearest objects of *any* tag, the filtered probe widens
 // its k to keep a usable bound when matching objects are sparse.
 
-// predProbeBoost multiplies the per-slice KNN probe width under a
+// predProbeBoost multiplies the probe phase's KNN search width under a
 // predicate: the spatial index knows nothing about tags, so of the k
 // nearest entries only a fraction may match. Capped at maxProbes in
 // probeWidth.
@@ -133,9 +133,10 @@ func ForQueryWhereCtx(ctx context.Context, pl *pool.Pool, store *mod.Store, q *t
 
 // SliceBoundsWhere computes, for each slice of SliceCuts(q, tb, te), an
 // upper bound on the Level-k lower envelope of the store's (matching)
-// objects against q: the k-th smallest exact maximum distance among a
-// handful of index KNN probes at the slice midpoint. A slice the store
-// cannot bound (fewer than k usable probes) reports +Inf. Every finite
+// objects against q: the k-th smallest exact maximum distance over the
+// slice among the probe pool, the objects a few index KNN searches along
+// the window found (see Sweep.probe). A store that cannot bound (a pool
+// of fewer than k objects) reports +Inf. Every finite
 // value is the slice maximum of an actual stored (matching) object's
 // distance from q, so the bounds stay sound against any superset of the
 // store's objects — which is what lets a cluster router take the

@@ -65,6 +65,10 @@ var codes = []code{
 	{"bad_tag", http.StatusBadRequest, []error{textidx.ErrBadTag}},
 	{"unknown_oid", http.StatusNotFound, []error{engine.ErrUnknownOID}},
 	{"not_found", http.StatusNotFound, []error{mod.ErrNotFound, ErrUnknownSub}},
+	// A request whose sub-MOD holds no object but the query (a predicate
+	// that matches nothing else, or a store of one) leaves the envelope
+	// nothing to stand on: the request, not the server, is at fault.
+	{"no_candidates", http.StatusUnprocessableEntity, []error{envelope.ErrNoFunctions}},
 	// An ingest item the store refuses as invalid is the client's fault.
 	{"bad_request", http.StatusBadRequest, []error{ErrBadRequest, ErrBadWire, ErrSubLive,
 		mod.ErrStaleVertex, mod.ErrShortInsert, mod.ErrRetireConflict,

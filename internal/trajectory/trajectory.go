@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -93,12 +92,29 @@ func (tr *Trajectory) At(t float64) geom.Point {
 // segmentIndex returns i such that Verts[i].T <= t < Verts[i+1].T, assuming
 // t lies strictly inside the span.
 func (tr *Trajectory) segmentIndex(t float64) int {
-	i := sort.Search(len(tr.Verts), func(k int) bool { return tr.Verts[k].T > t }) - 1
+	i := IndexAfter(tr.Verts, t) - 1
 	if i < 0 {
 		i = 0
 	}
 	if i >= len(tr.Verts)-1 {
 		i = len(tr.Verts) - 2
+	}
+	return i
+}
+
+// IndexAfter returns the index of the first of verts (in time order) whose
+// timestamp is after t, or len(verts) if none is: sort.Search with its
+// predicate inlined, since At and the pre-pass's distances run it per
+// evaluation.
+func IndexAfter(verts []Vertex, t float64) int {
+	i, j := 0, len(verts)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if verts[h].T > t {
+			j = h
+		} else {
+			i = h + 1
+		}
 	}
 	return i
 }
